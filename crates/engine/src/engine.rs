@@ -122,6 +122,109 @@ struct RecalcScratch {
     prof_top: Vec<(Cell, u64)>,
 }
 
+/// Ranges shorter than this are summed cell by cell every time: looking
+/// a sum up costs about as much as reading a few cells.
+const SUM_MEMO_MIN_CELLS: u64 = 64;
+/// Ranges wider than this are not remembered (validity is checked per
+/// column), and a clear wider than this forgets everything instead of
+/// stamping each column.
+const SUM_MEMO_MAX_COLS: u32 = 64;
+/// Remembered sums before the memo starts over.
+const SUM_MEMO_CAP: usize = 1 << 16;
+
+/// Sums of large ranges, remembered from one evaluation to the next so a
+/// formula re-evaluated because *one* of its precedents changed does not
+/// re-read every cell of the ranges that did not (`=SUM($A$1:A900)+D1`
+/// after an edit to `D1`). Answers [`CellProvider::range_sum`].
+///
+/// Validity is tracked per column: every write of a cell value — an edit,
+/// a clear, a recalculated result — stamps the cell's column with a
+/// ticking clock, and a sum computed at clock `t` holds as long as no
+/// column of its range was stamped after `t`. Coarse (a write anywhere in
+/// the column drops the sum) but exact: a remembered sum is bit-identical
+/// to re-adding the range, which debug builds assert on every hit.
+#[derive(Default)]
+struct RangeSums {
+    /// Ticks once per cell-value write.
+    clock: u64,
+    /// `clock` at the last write into each column.
+    written: HashMap<u32, u64>,
+    /// Range → (`clock` when it was summed, the sum). Behind a lock
+    /// because evaluation only has `&self` (and may run on several
+    /// threads in the leveled mode).
+    known: parking_lot::Mutex<HashMap<Range, (u64, f64)>>,
+    /// Sums answered from memory (test instrumentation).
+    #[cfg(test)]
+    hits: std::sync::atomic::AtomicU64,
+}
+
+impl RangeSums {
+    /// Notes a write of a cell value in `col`.
+    fn wrote(&mut self, col: u32) {
+        self.clock += 1;
+        self.written.insert(col, self.clock);
+    }
+
+    /// Notes writes anywhere in `range`'s columns.
+    fn wrote_in(&mut self, range: Range) {
+        if range.width() > SUM_MEMO_MAX_COLS {
+            self.forget();
+        } else {
+            for col in range.head().col..=range.tail().col {
+                self.wrote(col);
+            }
+        }
+    }
+
+    /// Drops every remembered sum (the cell store was rebuilt).
+    fn forget(&mut self) {
+        self.known.get_mut().clear();
+    }
+
+    /// `SUM`'s fold over `range`: numbers added to `0.0` in
+    /// [`Range::cells`] order, other values skipped; `None` for a range
+    /// too small or too wide to remember, or holding an error value.
+    fn sum(&self, range: Range, cells: &HashMap<Cell, CellContent>) -> Option<f64> {
+        let area = range.area();
+        if !(SUM_MEMO_MIN_CELLS..=taco_formula::eval::MAX_RANGE_CELLS).contains(&area)
+            || range.width() > SUM_MEMO_MAX_COLS
+        {
+            return None;
+        }
+        let add_up = || {
+            let mut sum = 0.0;
+            for c in range.cells() {
+                match cells.get(&c).map(CellContent::value) {
+                    Some(Value::Number(n)) => sum += n,
+                    Some(Value::Error(_)) => return None,
+                    _ => {}
+                }
+            }
+            Some(sum)
+        };
+        let last_write = (range.head().col..=range.tail().col)
+            .filter_map(|col| self.written.get(&col))
+            .max()
+            .copied()
+            .unwrap_or(0);
+        if let Some(&(at, sum)) = self.known.lock().get(&range) {
+            if at >= last_write {
+                debug_assert_eq!(add_up().map(f64::to_bits), Some(sum.to_bits()), "{range}");
+                #[cfg(test)]
+                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                return Some(sum);
+            }
+        }
+        let sum = add_up()?;
+        let mut known = self.known.lock();
+        if known.len() >= SUM_MEMO_CAP {
+            known.clear();
+        }
+        known.insert(range, (self.clock, sum));
+        Some(sum)
+    }
+}
+
 /// One DFS frame: a node (index into `dirty_sorted`) plus its neighbor
 /// slice in the shared arena.
 #[derive(Debug, Clone, Copy)]
@@ -147,6 +250,8 @@ pub struct Engine<B: DependencyBackend = FormulaGraph> {
     sheet_name: Option<String>,
     /// Reusable recalculation buffers (see [`RecalcScratch`]).
     recalc: RecalcScratch,
+    /// Remembered range sums; every write to `cells` stamps it.
+    sums: RangeSums,
     /// Injected volatile-function clock (NOW/TODAY/RAND read it).
     clock: EvalClock,
     /// Total formula evaluations performed over the engine's lifetime
@@ -186,6 +291,7 @@ impl<B: DependencyBackend> Engine<B> {
             dirty: HashSet::new(),
             sheet_name: None,
             recalc: RecalcScratch::default(),
+            sums: RangeSums::default(),
             clock: EvalClock::default(),
             evaluated_total: 0,
             trace_enabled: false,
@@ -227,11 +333,21 @@ impl<B: DependencyBackend> Engine<B> {
         (&self.recalc.prof_levels, &self.recalc.prof_top)
     }
 
-    /// Clears the profiler buffers (the workbook clears every sheet at
-    /// recalc entry so skipped-clean sheets don't report stale data).
-    pub(crate) fn profile_clear(&mut self) {
+    /// Clears the per-pass outputs — profiler buffers and the evaluated
+    /// list (the workbook clears every sheet at recalc entry so
+    /// skipped-clean sheets don't report the previous pass's data).
+    pub(crate) fn begin_pass(&mut self) {
         self.recalc.prof_levels.clear();
         self.recalc.prof_top.clear();
+        self.recalc.dirty_sorted.clear();
+    }
+
+    /// The cells the most recent recalculation pass evaluated (or flagged
+    /// `#CYCLE!`), sorted by `(col, row)`: exactly the cells whose cached
+    /// value that pass may have changed. Empty for a sheet the pass
+    /// skipped as clean.
+    pub fn last_evaluated(&self) -> &[Cell] {
+        &self.recalc.dirty_sorted
     }
 
     /// The injected volatile-function clock.
@@ -329,12 +445,22 @@ impl<B: DependencyBackend> Engine<B> {
 
     /// Takes the whole cell store (structural edits rebuild it).
     pub(crate) fn take_cells(&mut self) -> HashMap<Cell, CellContent> {
+        self.sums.forget();
         std::mem::take(&mut self.cells)
     }
 
     /// Reinserts one cell during a structural rebuild.
     pub(crate) fn put_cell(&mut self, cell: Cell, content: CellContent) {
+        self.sums.wrote(cell.col);
         self.cells.insert(cell, content);
+    }
+
+    /// Stores a formula cell's freshly evaluated value.
+    fn store_result(&mut self, cell: Cell, value: Value) {
+        if let Some(CellContent::Formula { value: slot, .. }) = self.cells.get_mut(&cell) {
+            self.sums.wrote(cell.col);
+            *slot = value;
+        }
     }
 
     /// Marks every formula cell dirty (a conservative full-recalc request,
@@ -351,6 +477,12 @@ impl<B: DependencyBackend> Engine<B> {
     /// Current value of a cell (`Empty` when blank).
     pub fn value(&self, cell: Cell) -> Value {
         self.cells.get(&cell).map_or(Value::Empty, |c| c.value().clone())
+    }
+
+    /// What `cell` holds, `None` when blank (unlike [`Engine::value`],
+    /// tells a blank cell from one holding `Value::Empty`).
+    pub fn content(&self, cell: Cell) -> Option<&CellContent> {
+        self.cells.get(&cell)
     }
 
     /// The formula text of a cell, if it is a formula cell.
@@ -384,6 +516,7 @@ impl<B: DependencyBackend> Engine<B> {
     /// Sets a pure value, returning the dependents receipt.
     pub fn set_value(&mut self, cell: Cell, v: Value) -> EditReceipt {
         self.detach_formula(cell);
+        self.sums.wrote(cell.col);
         self.cells.insert(cell, CellContent::Pure(v));
         self.mark_dependents_dirty(Range::cell(cell))
     }
@@ -405,6 +538,7 @@ impl<B: DependencyBackend> Engine<B> {
                 self.graph.add_dependency(&Dependency::from_ref(&q.rref, cell));
             }
         }
+        self.sums.wrote(cell.col);
         self.cells.insert(cell, CellContent::Formula { formula, value: Value::Empty });
         self.dirty.insert(cell);
         self.mark_dependents_dirty(Range::cell(cell))
@@ -413,6 +547,7 @@ impl<B: DependencyBackend> Engine<B> {
     /// Clears every cell in `range` (values and formulae).
     pub fn clear_range(&mut self, range: Range) -> EditReceipt {
         self.graph.clear_cells(range);
+        self.sums.wrote_in(range);
         self.cells.retain(|c, _| !range.contains_cell(*c));
         self.dirty.retain(|c| !range.contains_cell(*c));
         self.mark_dependents_dirty(range)
@@ -544,6 +679,7 @@ impl<B: DependencyBackend> Engine<B> {
                     let vol = VolatileCtx::for_cell(self.clock, cell);
                     let view = SheetView {
                         cells: &self.cells,
+                        sums: &self.sums,
                         own: self.sheet_name.as_deref(),
                         ext,
                         vol: Some(&vol),
@@ -556,9 +692,7 @@ impl<B: DependencyBackend> Engine<B> {
                 let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 push_hot(&mut self.recalc.prof_top, cell, ns);
             }
-            if let Some(CellContent::Formula { value: slot, .. }) = self.cells.get_mut(&cell) {
-                *slot = value;
-            }
+            self.store_result(cell, value);
             if self.trace_enabled {
                 self.trace.push(vec![cell]);
             }
@@ -629,7 +763,7 @@ impl<B: DependencyBackend> Engine<B> {
                 }
             } else {
                 let per = s.staged.len().div_ceil(workers);
-                let cells = &self.cells;
+                let (cells, sums) = (&self.cells, &self.sums);
                 let own = self.sheet_name.as_deref();
                 let clock = self.clock;
                 crossbeam::thread::scope(|scope| {
@@ -640,7 +774,7 @@ impl<B: DependencyBackend> Engine<B> {
                                 if let Some(CellContent::Formula { formula, .. }) = cells.get(cell)
                                 {
                                     let vol = VolatileCtx::for_cell(clock, *cell);
-                                    let view = SheetView { cells, own, ext, vol: Some(&vol) };
+                                    let view = SheetView { cells, sums, own, ext, vol: Some(&vol) };
                                     *slot = eval(&formula.ast, &view);
                                 }
                                 if let Some(start) = cell_start {
@@ -658,9 +792,7 @@ impl<B: DependencyBackend> Engine<B> {
                 self.trace.push(s.staged.iter().map(|(c, _, _)| *c).collect());
             }
             for (cell, value, ns) in s.staged.drain(..) {
-                if let Some(CellContent::Formula { value: slot, .. }) = self.cells.get_mut(&cell) {
-                    *slot = value;
-                }
+                self.store_result(cell, value);
                 if prof == ProfileMode::Hotspots {
                     push_hot(&mut s.prof_top, cell, ns);
                 }
@@ -694,9 +826,7 @@ impl<B: DependencyBackend> Engine<B> {
                 }
                 let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
                 let value = self.eval_cell(cell, ext);
-                if let Some(CellContent::Formula { value: slot, .. }) = self.cells.get_mut(&cell) {
-                    *slot = value;
-                }
+                self.store_result(cell, value);
                 if let Some(start) = cell_start {
                     let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     push_hot(&mut s.prof_top, cell, ns);
@@ -723,6 +853,7 @@ impl<B: DependencyBackend> Engine<B> {
                 let vol = VolatileCtx::for_cell(self.clock, cell);
                 let view = SheetView {
                     cells: &self.cells,
+                    sums: &self.sums,
                     own: self.sheet_name.as_deref(),
                     ext,
                     vol: Some(&vol),
@@ -821,10 +952,7 @@ impl<B: DependencyBackend> Engine<B> {
         }
 
         for i in 0..s.cycles.len() {
-            let c = s.cycles[i];
-            if let Some(CellContent::Formula { value, .. }) = self.cells.get_mut(&c) {
-                *value = Value::Error(CellError::Cycle);
-            }
+            self.store_result(s.cycles[i], Value::Error(CellError::Cycle));
         }
         self.recalc = s;
     }
@@ -895,6 +1023,7 @@ impl<B: DependencyBackend> Engine<B> {
 /// context of the cell being evaluated.
 struct SheetView<'a, E: ExternalSheets> {
     cells: &'a HashMap<Cell, CellContent>,
+    sums: &'a RangeSums,
     own: Option<&'a str>,
     ext: &'a E,
     vol: Option<&'a VolatileCtx>,
@@ -917,6 +1046,10 @@ impl<E: ExternalSheets> CellProvider for SheetView<'_, E> {
 
     fn volatile(&self) -> Option<&VolatileCtx> {
         self.vol
+    }
+
+    fn range_sum(&self, range: Range) -> Option<f64> {
+        self.sums.sum(range, self.cells)
     }
 }
 
@@ -1092,5 +1225,108 @@ mod tests {
         assert_eq!(receipt.dirty.len(), 1);
         // Latency is measured (may be ~0 on fast machines, just present).
         let _ = receipt.control_latency;
+    }
+
+    /// Sums answered from memory so far.
+    fn remembered(e: &Engine) -> u64 {
+        e.sums.hits.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// What `SUM(range)` must be, added up here from the cell values.
+    fn added_up(e: &Engine, range: &str) -> Value {
+        let mut sum = 0.0;
+        for cell in r(range).cells() {
+            match e.value(cell) {
+                Value::Number(v) => sum += v,
+                Value::Error(err) => return Value::Error(err),
+                _ => {}
+            }
+        }
+        n(sum)
+    }
+
+    #[test]
+    fn a_sum_is_remembered_until_one_of_its_columns_is_written() {
+        let mut e = Engine::with_taco();
+        for row in 1..=100u32 {
+            e.set_value(Cell::new(1, row), n(f64::from(row)));
+        }
+        e.set_formula(c("C1"), "=SUM(A1:A100)+B1").unwrap();
+        // Too short to be worth remembering: always read cell by cell.
+        e.set_formula(c("C2"), "=SUM(A1:A9)+B1").unwrap();
+        e.recalculate();
+        assert_eq!((e.value(c("C1")), remembered(&e)), (n(5050.0), 0));
+
+        // A precedent outside the range changes: the range is not re-read.
+        e.set_value(c("B1"), n(1.0));
+        e.recalculate();
+        assert_eq!((e.value(c("C1")), e.value(c("C2"))), (n(5051.0), n(46.0)));
+        assert_eq!(remembered(&e), 1);
+
+        // A cell of the range changes: re-read.
+        e.set_value(c("A7"), n(107.0));
+        e.recalculate();
+        assert_eq!((e.value(c("C1")), remembered(&e)), (n(5151.0), 1));
+
+        // Validity is per column: a write below the range drops the sum too.
+        e.set_value(c("A200"), n(1.0));
+        e.set_value(c("B1"), n(2.0));
+        e.recalculate();
+        assert_eq!((e.value(c("C1")), remembered(&e)), (n(5152.0), 1));
+
+        // Re-read once, then remembered again — in either mode.
+        e.set_value(c("B1"), n(3.0));
+        e.recalculate_leveled(2);
+        assert_eq!((e.value(c("C1")), remembered(&e)), (n(5153.0), 2));
+    }
+
+    #[test]
+    fn recalculated_cells_clears_and_errors_drop_a_remembered_sum() {
+        let mut e = Engine::with_taco();
+        for row in 1..=80u32 {
+            e.set_value(Cell::new(1, row), n(1.0));
+            if row <= 10 {
+                e.set_formula(Cell::new(2, row), &format!("=A{row}*2")).unwrap();
+            }
+        }
+        e.set_formula(c("D1"), "=SUM(A1:B80)+C1").unwrap();
+        e.set_formula(c("D2"), "=SUM(B1:B80)+C1").unwrap();
+        e.recalculate();
+        let d1 = |e: &Engine| (e.value(c("D1")), added_up(e, "A1:B80"));
+        assert_eq!(d1(&e), (n(100.0), n(100.0)));
+        assert_eq!(e.value(c("D2")), n(20.0));
+
+        // B3 changes through recalculation only — the one write into
+        // D2's range.
+        e.set_value(c("A3"), n(11.0));
+        e.recalculate();
+        assert_eq!(d1(&e), (n(130.0), n(130.0)));
+        assert_eq!((e.value(c("D2")), added_up(&e, "B1:B80")), (n(40.0), n(40.0)));
+
+        e.clear_range(r("A10:B11"));
+        e.recalculate();
+        assert_eq!(d1(&e), (n(126.0), n(126.0)));
+
+        // Text is skipped by the sum itself but breaks `=A5*2`: the error
+        // must come through, and go away again.
+        e.set_value(c("A5"), Value::Text("n/a".into()));
+        e.recalculate();
+        assert_eq!(d1(&e), (Value::Error(CellError::Value), Value::Error(CellError::Value)));
+        e.set_value(c("A5"), n(1.0));
+        e.recalculate();
+        assert_eq!(d1(&e), (n(126.0), n(126.0)));
+
+        // Rows move: the formula's range is rewritten and re-read.
+        e.insert_rows(4, 2);
+        e.set_value(c("A4"), n(1000.0));
+        e.recalculate();
+        assert_eq!(d1(&e).0, n(1126.0));
+        assert_eq!(added_up(&e, "A1:B82"), n(1126.0));
+
+        // Through all of it the loose precedent never forced a re-read.
+        let before = remembered(&e);
+        e.set_value(c("C1"), n(0.5));
+        e.recalculate();
+        assert_eq!((e.value(c("D1")), remembered(&e)), (n(1126.5), before + 2));
     }
 }

@@ -1107,10 +1107,10 @@ impl<B: DependencyBackend> Workbook<B> {
         // it, and it nests under the calling thread's ambient context
         // (the request span when a service worker drives this).
         let mut recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
-        // Fresh profiler buffers: a clean sheet skipped below must not
-        // report the previous pass's data.
+        // Fresh per-pass outputs: a clean sheet skipped below must not
+        // report the previous pass's profile or evaluated cells.
         for s in &mut self.sheets {
-            s.engine.profile_clear();
+            s.engine.begin_pass();
         }
         let levels = self.levels();
         let Workbook { sheets, index, xedges, obs } = self;

@@ -96,6 +96,17 @@ pub trait CellProvider {
     fn volatile(&self) -> Option<&VolatileCtx> {
         None
     }
+
+    /// What `SUM` folds `range` (on the formula's own sheet) to — its
+    /// numbers added to `0.0` in [`Range::cells`] order, everything else
+    /// skipped — for a provider that knows it without reading each cell.
+    /// `None` makes the evaluator read the range cell by cell: the
+    /// default, and the only answer allowed for a range holding an error
+    /// value (the cell-by-cell read is what reports it).
+    fn range_sum(&self, range: Range) -> Option<f64> {
+        let _ = range;
+        None
+    }
 }
 
 impl<F: Fn(Cell) -> Value> CellProvider for F {
@@ -263,7 +274,7 @@ fn for_each_value<P: CellProvider>(
 
 fn eval_func<P: CellProvider>(name: &str, args: &[Expr], cells: &P) -> Value {
     let result = match name {
-        "SUM" => fold_numbers(args, cells, 0.0, |acc, n| acc + n).map(Value::Number),
+        "SUM" => sum(args, cells).map(Value::Number),
         "PRODUCT" => fold_numbers(args, cells, 1.0, |acc, n| acc * n).map(Value::Number),
         "COUNT" => {
             // Counts numeric values only, like Excel.
@@ -457,6 +468,20 @@ fn fold_numbers<P: CellProvider>(
     let mut acc = init;
     visit_numbers(args, cells, &mut |n| acc = f(acc, n))?;
     Ok(acc)
+}
+
+/// `SUM`. While the accumulator is still `0.0` a range's sum *is* the
+/// fold over it, so a leading own-sheet range may be answered by
+/// [`CellProvider::range_sum`]; the result is bit-identical either way.
+fn sum<P: CellProvider>(args: &[Expr], cells: &P) -> Result<f64, CellError> {
+    let known = match args.first() {
+        Some(Expr::Ref(r)) if r.sheet_name().is_none() => cells.range_sum(r.range()),
+        _ => None,
+    };
+    match known {
+        Some(first) => fold_numbers(&args[1..], cells, first, |acc, n| acc + n),
+        None => fold_numbers(args, cells, 0.0, |acc, n| acc + n),
+    }
 }
 
 /// SUMIF/COUNTIF/AVERAGEIF: criteria over one range, optionally summing a
@@ -707,6 +732,37 @@ mod tests {
         let fx = ClockFixture(fixture(&[]), VolatileCtx::for_cell(clock, cell));
         assert_eq!(eval(&parse("NOW()").unwrap(), &fx), Value::Number(45000.5));
         assert_eq!(eval(&parse("TODAY()+1").unwrap(), &fx), Value::Number(45001.0));
+    }
+
+    /// Answers [`CellProvider::range_sum`] for `A1:A3` with a number its
+    /// cells do not add up to, so a result shows where the evaluator asked.
+    struct Summed(Fixture);
+
+    impl CellProvider for Summed {
+        fn value(&self, cell: Cell) -> Value {
+            self.0.value(cell)
+        }
+
+        fn range_sum(&self, range: Range) -> Option<f64> {
+            (range == Range::parse_a1("A1:A3").unwrap()).then_some(100.0)
+        }
+    }
+
+    #[test]
+    fn sum_takes_only_a_leading_own_sheet_range_from_the_provider() {
+        let n = Value::Number;
+        let fx =
+            Summed(fixture(&[("A1", n(1.0)), ("A2", n(2.0)), ("A3", n(3.0)), ("B1", n(10.0))]));
+        let run = |src: &str| eval(&parse(src).unwrap(), &fx);
+        assert_eq!(run("SUM(A1:A3)"), n(100.0));
+        assert_eq!(run("SUM(A1:A3,B1,5)"), n(115.0));
+        // Not once something has been added (the fold would differ in its
+        // last bits), not for a range the provider passes on, not for a
+        // range on a named sheet, and not for any other function.
+        assert_eq!(run("SUM(B1,A1:A3)"), n(16.0));
+        assert_eq!(run("SUM(A1:A2)"), n(3.0));
+        assert_eq!(run("SUM(Other!A1:A3)"), Value::Error(CellError::Ref));
+        assert_eq!(run("AVERAGE(A1:A3)"), n(2.0));
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   owned by a **single writer thread**. Reads execute against epoch
 //!   [`Snapshot`]s (an `Arc` swapped under a lock held only for the
 //!   pointer exchange — readers never wait for a write to apply or a
-//!   recalculation to finish); writes are funneled through the owner
-//!   thread's queue, which **coalesces** queued edits into one
-//!   [`Workbook::apply_batch`] + one recalculation instead of N
-//!   ([`ServiceOptions::coalesce`]);
+//!   recalculation to finish; republished copy-on-write by row band, so
+//!   publication costs what a batch changed, not what the sheet holds);
+//!   writes are funneled through the owner thread's queue, which
+//!   **coalesces** queued edits into one [`Workbook::apply_batch`] + one
+//!   recalculation instead of N ([`ServiceOptions::coalesce`]);
 //! - [`server`] — a thread-per-connection TCP acceptor over `std::net`
 //!   with length-prefixed CRC-checked frames ([`taco_store::frame`]), a
 //!   connection limit, and graceful shutdown;

@@ -26,10 +26,41 @@
 //!   `crates/engine/tests/batch.rs` and end-to-end in
 //!   `crates/service/tests/concurrent.rs`).
 //!
-//! After every batch the worker publishes a new snapshot with
-//! copy-on-write sheet granularity: untouched sheets share their cell map
-//! `Arc` with the previous epoch, so publication cost scales with what
-//! the batch touched, not with workbook size.
+//! # Snapshot publication
+//!
+//! After every batch the worker publishes a new [`Snapshot`]. A sheet's
+//! cells are stored as **row bands**: the non-empty cells of each run of
+//! `BAND_ROWS` consecutive rows form one `Arc`-shared band, sorted by
+//! `(row, col)`, and a sheet is the ordered list of its non-empty bands.
+//! Publication is copy-on-write at band granularity: the worker hands
+//! `publish` the cells the batch may have changed, the bands holding them
+//! are rebuilt from the live workbook, and every other band — and every
+//! untouched sheet's whole band list — is `Arc`-shared with the previous
+//! epoch.
+//!
+//! **The changed-set contract.** A cell whose published value differs
+//! from the live workbook's must be in the changed set; a superset is
+//! always safe, because values are re-read from the workbook, never
+//! carried in the set. The worker knows the set without scanning
+//! anything: plain-value targets and cleared ranges come from the records
+//! it just applied; every cell the recalculation re-evaluated — which
+//! includes each formula the batch set or autofilled, dirty from the
+//! moment it was written — is in the engine's own sorted dirty list
+//! ([`Engine::last_evaluated`]). Three cases fall back to rebuilding a
+//! sheet whole: a structural edit (every cell below or right of it
+//! moves), a sheet the previous epoch does not have, and a sheet whose
+//! name changed.
+//!
+//! **Cost model.** With `c` changed cells on a sheet of `b` bands,
+//! publication costs `O(c log c)` to sort the set, `O(b)` pointer clones
+//! for the band list, and one merge per rebuilt band (at most `c` bands,
+//! each `BAND_ROWS` rows of cells) — independent of the sheet's cell
+//! count. `Get` is two binary searches; `GetRange` walks only the bands
+//! its rows overlap and emits in `(row, col)` order with no sort. A
+//! sheet name resolves by an allocation-free ASCII-case-insensitive scan
+//! of the sheet list.
+//!
+//! [`Engine::last_evaluated`]: taco_engine::Engine::last_evaluated
 //!
 //! A workbook may be backed by a [`PersistentWorkbook`] (WAL + snapshot
 //! file): edits then go through [`PersistentWorkbook::log_batch`], which
@@ -45,11 +76,11 @@ use crate::session::{Session, SessionToken};
 use crate::ServiceError;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use taco_core::StructuralOp;
-use taco_engine::{PersistentWorkbook, RecalcMode, SheetId, Workbook, WorkbookReceipt};
+use taco_engine::{Engine, PersistentWorkbook, RecalcMode, SheetId, Workbook, WorkbookReceipt};
 use taco_formula::{Formula, Value};
 use taco_grid::{Cell, Range};
 use taco_obs::{SpanCat, TraceContext, Tracer};
@@ -113,25 +144,177 @@ impl Default for ServiceOptions {
 
 // ---- snapshots ----------------------------------------------------------
 
-/// One sheet's slice of a snapshot.
+/// Rows per band. A layout constant, not a tuning knob: a publication
+/// copies the cells of every band it rebuilds and one pointer per band of
+/// the sheet, and a write typically lands in a handful of bands (the
+/// edited cell's and its dependents'). At 16 rows both stay at a few
+/// microseconds on a sheet of a few thousand rows; at 32 the copies were
+/// the larger half of a publication and varied with where the
+/// dependents happened to sit.
+const BAND_ROWS: u32 = 16;
+
+/// The band a cell's row falls in.
+fn band_of(cell: Cell) -> u32 {
+    cell.row / BAND_ROWS
+}
+
+/// The order cells are stored, searched and returned in.
+fn row_major(cell: Cell) -> (u32, u32) {
+    (cell.row, cell.col)
+}
+
+/// The non-empty cells of one band, sorted by [`row_major`].
+type Band = Arc<[(Cell, Value)]>;
+
+/// One sheet's cells at one epoch.
+struct SheetCells {
+    /// `(band number, band)`, ascending; empty bands are not stored.
+    bands: Vec<(u32, Band)>,
+    /// Cells across all bands.
+    len: usize,
+}
+
+impl SheetCells {
+    /// The whole sheet, from the live engine: `O(n log n)` in its cells.
+    fn build(engine: &Engine) -> SheetCells {
+        let mut cells: Vec<(Cell, Value)> =
+            engine.cells().map(|(c, k)| (c, k.value().clone())).collect();
+        cells.sort_unstable_by_key(|(c, _)| row_major(*c));
+        let bands = cells
+            .chunk_by(|(a, _), (b, _)| band_of(*a) == band_of(*b))
+            .map(|band| (band_of(band[0].0), Band::from(band)))
+            .collect();
+        SheetCells { bands, len: cells.len() }
+    }
+
+    /// This sheet with the bands holding `changed` (sorted by
+    /// [`row_major`], deduplicated) rebuilt from `engine` and every other
+    /// band shared. Returns the number of bands rebuilt alongside.
+    fn patched(&self, engine: &Engine, changed: &[Cell]) -> (SheetCells, usize) {
+        let mut bands = Vec::with_capacity(self.bands.len() + 1);
+        let mut len = self.len;
+        let mut rebuilt = 0;
+        let mut old = self.bands.iter().peekable();
+        for group in changed.chunk_by(|a, b| band_of(*a) == band_of(*b)) {
+            let no = band_of(group[0]);
+            while let Some(shared) = old.next_if(|(n, _)| *n < no) {
+                bands.push(shared.clone());
+            }
+            let prev = old.next_if(|(n, _)| *n == no).map_or(&[][..], |(_, band)| &band[..]);
+            // Merge: unchanged cells carry over, changed ones take the
+            // workbook's current content (or vanish with it).
+            let mut band = Vec::with_capacity(prev.len() + group.len());
+            let mut kept = 0;
+            for &cell in group {
+                let upto =
+                    kept + prev[kept..].partition_point(|(c, _)| row_major(*c) < row_major(cell));
+                band.extend_from_slice(&prev[kept..upto]);
+                kept = upto + usize::from(prev.get(upto).is_some_and(|(c, _)| *c == cell));
+                if let Some(content) = engine.content(cell) {
+                    band.push((cell, content.value().clone()));
+                }
+            }
+            band.extend_from_slice(&prev[kept..]);
+            len = len - prev.len() + band.len();
+            rebuilt += 1;
+            if !band.is_empty() {
+                bands.push((no, Band::from(band)));
+            }
+        }
+        bands.extend(old.cloned());
+        (SheetCells { bands, len }, rebuilt)
+    }
+
+    /// The stored bands `range`'s rows overlap.
+    fn overlapping(&self, range: Range) -> &[(u32, Band)] {
+        let first = self.bands.partition_point(|(no, _)| *no < band_of(range.head()));
+        let end = self.bands.partition_point(|(no, _)| *no <= band_of(range.tail()));
+        &self.bands[first..end]
+    }
+
+    /// Visits every stored cell of `range` in [`row_major`] order.
+    fn for_each_in(&self, range: Range, mut visit: impl FnMut(&(Cell, Value))) {
+        let (head, tail) = (range.head(), range.tail());
+        for (_, band) in self.overlapping(range) {
+            let start = band.partition_point(|(c, _)| c.row < head.row);
+            for entry in band[start..].iter().take_while(|(c, _)| c.row <= tail.row) {
+                if (head.col..=tail.col).contains(&entry.0.col) {
+                    visit(entry);
+                }
+            }
+        }
+    }
+
+    fn get(&self, cell: Cell) -> Option<&Value> {
+        let at = self.bands.binary_search_by_key(&band_of(cell), |(no, _)| *no).ok()?;
+        let band = &self.bands[at].1;
+        let at = band.binary_search_by_key(&row_major(cell), |(c, _)| row_major(*c)).ok()?;
+        Some(&band[at].1)
+    }
+}
+
+/// What the writes since the previous epoch changed on one sheet without
+/// the recalculation revisiting it (what it evaluated, the publisher
+/// reads from the engine). See the module docs for the contract.
+#[derive(Default)]
+struct SheetChanges {
+    /// Cells given a plain value, any order.
+    cells: Vec<Cell>,
+    /// Cleared ranges: only cells the previous epoch holds can change.
+    cleared: Vec<Range>,
+    /// A structural edit moved the sheet's cells: rebuild it whole.
+    whole: bool,
+}
+
+/// The change description handed to `publish`, keyed by dense sheet index.
+#[derive(Default)]
+struct Changes(BTreeMap<usize, SheetChanges>);
+
+impl Changes {
+    fn on(&mut self, sheet: u32) -> &mut SheetChanges {
+        self.0.entry(sheet as usize).or_default()
+    }
+
+    /// Notes what applying `rec` can change.
+    fn record(&mut self, rec: &EditRecord) {
+        match rec {
+            EditRecord::SetValue { sheet, cell, .. } => self.on(*sheet).cells.push(*cell),
+            EditRecord::ClearRange { sheet, range } => self.on(*sheet).cleared.push(*range),
+            EditRecord::Structural { sheet, .. } => self.on(*sheet).whole = true,
+            // A formula cell is dirty from the moment it is written, so
+            // it comes back with the evaluated cells; a new sheet is
+            // missing from the previous epoch. The publisher sees both.
+            EditRecord::SetFormula { .. } | EditRecord::AddSheet { .. } => {}
+        }
+    }
+}
+
+/// What one publication rebuilt (the `snapshot.publish` span payload and
+/// the `taco_snapshot_*` metrics).
+#[derive(Default)]
+struct Rebuilt {
+    cells: u64,
+    bands: u64,
+}
+
+/// One sheet's slice of a snapshot; both halves are shared with the
+/// previous epoch when nothing on the sheet changed.
+#[derive(Clone)]
 struct SheetSnap {
-    /// Shared with the previous epoch when the sheet kept its name.
     name: Arc<str>,
-    cells: Arc<HashMap<Cell, Value>>,
+    cells: Arc<SheetCells>,
 }
 
 /// An immutable view of a workbook's cell values at one publication
-/// epoch. Cheap to share (`Arc` per sheet) and cheap to republish
-/// (copy-on-write: only sheets a batch touched are rebuilt; the name
-/// index and sheet names are `Arc`-shared with the previous epoch
-/// whenever the sheet set is unchanged, so steady-state publication
-/// cost is exactly the touched sheets).
+/// epoch: per sheet, an ordered list of `Arc`-shared row bands (see the
+/// module docs, "Snapshot publication"). Cheap to share and cheap to
+/// republish — a successor epoch rebuilds only the bands holding a
+/// changed cell, so steady-state publication cost follows the size of the
+/// edit, not of the sheet.
 pub struct Snapshot {
     /// Publication counter; bumps once per published batch/recalc.
     pub epoch: u64,
     sheets: Vec<SheetSnap>,
-    /// Lower-cased sheet name → dense index.
-    index: Arc<HashMap<String, usize>>,
     /// Cells awaiting recalculation when this epoch was published.
     pub dirty: u64,
     /// Non-empty cells across all sheets.
@@ -143,60 +326,67 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds epoch 0 from a live workbook.
+    /// Builds epoch 0 from a live workbook, every sheet whole — the
+    /// fallback path on its own, and the oracle the tests hold
+    /// incremental publication to.
     fn build(wb: &Workbook) -> Snapshot {
-        Snapshot::rebuild_from(None, wb, &BTreeSet::new())
+        Snapshot::successor(None, wb, &Changes::default()).0
     }
 
-    /// Builds `prev`'s successor, rebuilding only `touched` sheets (and
-    /// any sheet `prev` does not know yet).
-    fn rebuild_from(prev: Option<&Snapshot>, wb: &Workbook, touched: &BTreeSet<usize>) -> Snapshot {
+    /// Builds `prev`'s successor: per sheet, the bands holding a cell of
+    /// `changes` or of the engine's last recalculation are rebuilt from
+    /// `wb`; everything else is shared with `prev`.
+    fn successor(prev: Option<&Snapshot>, wb: &Workbook, changes: &Changes) -> (Snapshot, Rebuilt) {
+        let mut rebuilt = Rebuilt::default();
         let mut sheets = Vec::with_capacity(wb.sheet_count());
-        // The name index is reused wholesale unless a sheet was added,
-        // removed, or renamed since the previous epoch.
-        let mut same_names = prev.is_some_and(|p| p.sheets.len() == wb.sheet_count());
         for i in 0..wb.sheet_count() {
-            let id = SheetId(i);
-            let name = wb.sheet_name(id);
-            let prev_sheet = prev.and_then(|p| p.sheets.get(i));
-            let name: Arc<str> = match prev_sheet {
-                Some(s) if &*s.name == name => Arc::clone(&s.name),
-                _ => {
-                    same_names = false;
-                    Arc::from(name)
-                }
+            let engine = wb.sheet(SheetId(i));
+            let name = wb.sheet_name(SheetId(i));
+            let known = prev.and_then(|p| p.sheets.get(i)).filter(|s| &*s.name == name);
+            let edits = changes.0.get(&i);
+            let whole = edits.is_some_and(|e| e.whole);
+            let Some(known) = known.filter(|_| !whole) else {
+                let cells = SheetCells::build(engine);
+                rebuilt.cells += cells.len as u64;
+                rebuilt.bands += cells.bands.len() as u64;
+                let name = known.map_or_else(|| Arc::from(name), |s| Arc::clone(&s.name));
+                sheets.push(SheetSnap { name, cells: Arc::new(cells) });
+                continue;
             };
-            let reusable = prev_sheet.filter(|s| !touched.contains(&i) && s.name == name);
-            let cells = match reusable {
-                Some(s) => Arc::clone(&s.cells),
-                None => {
-                    Arc::new(wb.sheet(id).cells().map(|(c, k)| (c, k.value().clone())).collect())
+            let mut changed = engine.last_evaluated().to_vec();
+            if let Some(edits) = edits {
+                changed.extend_from_slice(&edits.cells);
+                for range in &edits.cleared {
+                    known.cells.for_each_in(*range, |(c, _)| changed.push(*c));
                 }
-            };
-            sheets.push(SheetSnap { name, cells });
+            }
+            if changed.is_empty() {
+                sheets.push(known.clone());
+                continue;
+            }
+            changed.sort_unstable_by_key(|c| row_major(*c));
+            changed.dedup();
+            let (cells, bands) = known.cells.patched(engine, &changed);
+            rebuilt.cells += changed.len() as u64;
+            rebuilt.bands += bands as u64;
+            sheets.push(SheetSnap { name: Arc::clone(&known.name), cells: Arc::new(cells) });
         }
-        let index = match prev {
-            Some(p) if same_names => Arc::clone(&p.index),
-            _ => Arc::new(
-                sheets.iter().enumerate().map(|(i, s)| (s.name.to_ascii_lowercase(), i)).collect(),
-            ),
-        };
-        Snapshot {
+        let snapshot = Snapshot {
             epoch: prev.map_or(0, |p| p.epoch + 1),
             dirty: wb.dirty_count() as u64,
-            cells_total: sheets.iter().map(|s| s.cells.len() as u64).sum(),
+            cells_total: sheets.iter().map(|s| s.cells.len as u64).sum(),
             graph_edges: (0..wb.sheet_count())
                 .map(|i| wb.sheet(SheetId(i)).graph().num_edges() as u64)
                 .sum(),
             cross_edges: wb.cross_edge_count() as u64,
             sheets,
-            index,
-        }
+        };
+        (snapshot, rebuilt)
     }
 
-    /// Resolves a sheet name (case-insensitive) to its dense index.
+    /// Resolves a sheet name (ASCII-case-insensitive) to its dense index.
     pub fn sheet_index(&self, name: &str) -> Option<usize> {
-        self.index.get(&name.to_ascii_lowercase()).copied()
+        self.sheets.iter().position(|s| s.name.eq_ignore_ascii_case(name))
     }
 
     /// The sheet names, in dense order.
@@ -206,19 +396,15 @@ impl Snapshot {
 
     /// One cell's value (`Empty` for never-written cells).
     pub fn value(&self, sheet: usize, cell: Cell) -> Value {
-        self.sheets.get(sheet).and_then(|s| s.cells.get(&cell).cloned()).unwrap_or(Value::Empty)
+        self.sheets.get(sheet).and_then(|s| s.cells.get(cell)).cloned().unwrap_or(Value::Empty)
     }
 
     /// Every non-empty cell of `range`, sorted by (row, col).
     pub fn cells_in(&self, sheet: usize, range: Range) -> Vec<(Cell, Value)> {
-        let Some(s) = self.sheets.get(sheet) else { return Vec::new() };
-        let mut out: Vec<(Cell, Value)> = s
-            .cells
-            .iter()
-            .filter(|(c, _)| range.contains_cell(**c))
-            .map(|(c, v)| (*c, v.clone()))
-            .collect();
-        out.sort_unstable_by_key(|(c, _)| (c.row, c.col));
+        let mut out = Vec::new();
+        if let Some(s) = self.sheets.get(sheet) {
+            s.cells.for_each_in(range, |entry| out.push(entry.clone()));
+        }
         out
     }
 }
@@ -252,14 +438,6 @@ struct BookShared {
 }
 
 impl BookShared {
-    fn publish(&self, wb: &Workbook, touched: &BTreeSet<usize>) -> u64 {
-        let prev = Arc::clone(&self.snapshot.read());
-        let next = Arc::new(Snapshot::rebuild_from(Some(&prev), wb, touched));
-        let epoch = next.epoch;
-        *self.snapshot.write() = next;
-        epoch
-    }
-
     /// Enters the degraded state; returns `true` on the transition (so
     /// the caller can bump the fleet gauge exactly once).
     fn degrade(&self, reason: String) -> bool {
@@ -466,7 +644,7 @@ struct Refusals {
 pub struct Registry {
     opts: ServiceOptions,
     books: RwLock<HashMap<String, Arc<BookHandle>>>,
-    sessions: Mutex<HashMap<u64, Session>>,
+    sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_seq: AtomicU64,
     token_seed: u64,
     down: AtomicBool,
@@ -578,6 +756,8 @@ impl Registry {
         let worker_obs = self.svc_obs.as_ref().map(|o| WorkerObs {
             coalesce_batch: o.coalesce_batch.clone(),
             degraded_books: o.degraded_books.clone(),
+            publish_cells: o.publish_cells.clone(),
+            bands_rebuilt: o.bands_rebuilt.clone(),
             tracer: o.tracer.clone(),
         });
         let worker = std::thread::Builder::new()
@@ -621,6 +801,28 @@ impl Registry {
             handle.ask(None, |reply| WorkerMsg::Recalc { ctx: TraceContext::NONE, reply }),
             Response::Recalced { .. }
         )
+    }
+
+    /// Test hook: queues raw edit records on `workbook`'s writer back to
+    /// back — so they coalesce into one batch, and so `AddSheet`, which no
+    /// request carries, reaches the write path — and returns the replies
+    /// in order (none for an unknown workbook).
+    #[doc(hidden)]
+    pub fn submit_edits(&self, workbook: &str, records: Vec<EditRecord>) -> Vec<Response> {
+        let Some(handle) = self.handle(&workbook.to_ascii_lowercase()) else { return Vec::new() };
+        let tx = handle.tx.lock();
+        let pending: Vec<Receiver<Response>> = records
+            .into_iter()
+            .map(|rec| {
+                let (reply, rx) = channel::unbounded();
+                let op = WriteOp::Edit(rec);
+                let _ = tx.send(WorkerMsg::Write { op, ctx: TraceContext::NONE, reply });
+                rx
+            })
+            .collect();
+        drop(tx);
+        let gone = || Response::Err(ServiceError::ShuttingDown);
+        pending.into_iter().map(|rx| rx.recv().unwrap_or_else(|_| gone())).collect()
     }
 
     /// Closes a session (idempotent — closing an unknown token is a
@@ -667,7 +869,7 @@ impl Registry {
     }
 
     /// Resolves a token to its session and workbook handle.
-    fn resolve(&self, token: u64) -> Result<(Session, Arc<BookHandle>), ServiceError> {
+    fn resolve(&self, token: u64) -> Result<(Arc<Session>, Arc<BookHandle>), ServiceError> {
         let session = self.sessions.lock().get(&token).cloned().ok_or(ServiceError::NoSession)?;
         let handle = self.handle(&session.workbook).ok_or(ServiceError::NoSession)?;
         Ok((session, handle))
@@ -679,7 +881,7 @@ impl Registry {
         &self,
         token: u64,
         sheet: &str,
-    ) -> Result<(Session, Arc<BookHandle>, u32), ServiceError> {
+    ) -> Result<(Arc<Session>, Arc<BookHandle>, u32), ServiceError> {
         let (session, handle) = self.resolve(token)?;
         session.check(sheet)?;
         let snap = Arc::clone(&handle.shared.snapshot.read());
@@ -967,27 +1169,17 @@ impl Registry {
             return Err(ServiceError::AuthFailed);
         }
         let snap = Arc::clone(&handle.shared.snapshot.read());
-        let scope_set: Option<HashSet<String>> = match scope {
-            None => None,
-            Some(names) => {
-                let mut set = HashSet::new();
-                for name in names {
-                    if snap.sheet_index(&name).is_none() {
-                        return Err(ServiceError::NoSuchSheet(name));
-                    }
-                    set.insert(name.to_ascii_lowercase());
-                }
-                Some(set)
-            }
-        };
-        let session = Session::new(key, scope_set);
+        if let Some(unknown) = scope.iter().flatten().find(|n| snap.sheet_index(n).is_none()) {
+            return Err(ServiceError::NoSuchSheet(unknown.clone()));
+        }
+        let session = Session::new(key, scope);
         let visible: Vec<String> =
             snap.sheet_names().into_iter().filter(|s| session.allows(s)).collect();
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let token = SessionToken::mint(seq, self.token_seed).0;
         let count = {
             let mut sessions = self.sessions.lock();
-            sessions.insert(token, session);
+            sessions.insert(token, Arc::new(session));
             sessions.len()
         };
         if let Some(o) = &self.svc_obs {
@@ -1013,19 +1205,8 @@ fn filter_scoped(resp: Response, session: &Session) -> Response {
 
 // ---- the worker ---------------------------------------------------------
 
-/// The dense sheet index a record targets, if any.
-fn record_sheet(rec: &EditRecord) -> Option<usize> {
-    match rec {
-        EditRecord::SetValue { sheet, .. }
-        | EditRecord::SetFormula { sheet, .. }
-        | EditRecord::ClearRange { sheet, .. }
-        | EditRecord::Structural { sheet, .. } => Some(*sheet as usize),
-        EditRecord::AddSheet { .. } => None,
-    }
-}
-
-/// The worker's slice of the hub: the coalesce histogram plus a tracer
-/// clone for batch/publication spans (engine and WAL spans record
+/// The worker's slice of the hub: the coalesce and publication metrics
+/// plus a tracer clone for batch/publication spans (engine and WAL spans record
 /// through their own attached instrumentation, parented by the ambient
 /// context this worker installs per message).
 struct WorkerObs {
@@ -1033,20 +1214,22 @@ struct WorkerObs {
     /// `taco_degraded_workbooks` — bumped on entering the degraded
     /// state, dropped when a `Save` heals it.
     degraded_books: taco_obs::Gauge,
+    /// `taco_snapshot_publish_cells` / `taco_snapshot_bands_rebuilt_total`
+    /// — what each publication re-read and rebuilt.
+    publish_cells: taco_obs::Histogram,
+    bands_rebuilt: taco_obs::Counter,
     tracer: Tracer,
 }
 
-/// Publishes a snapshot under a `snapshot.publish` span (ambient parent:
-/// the request or batch being served). Payload words: the new epoch and
-/// the number of rebuilt sheets.
-fn publish_spanned(
-    shared: &BookShared,
-    wobs: &Option<WorkerObs>,
-    wb: &Workbook,
-    touched: &BTreeSet<usize>,
-) -> u64 {
+/// Publishes `wb`'s next epoch under a `snapshot.publish` span (ambient
+/// parent: the request or batch being served). Payload words: the cells
+/// re-read and the row bands rebuilt.
+fn publish(shared: &BookShared, wobs: &Option<WorkerObs>, wb: &Workbook, changes: &Changes) -> u64 {
     let timing = wobs.as_ref().map(|o| (std::time::Instant::now(), o.tracer.now_ns()));
-    let epoch = shared.publish(wb, touched);
+    let prev = Arc::clone(&shared.snapshot.read());
+    let (next, rebuilt) = Snapshot::successor(Some(&prev), wb, changes);
+    let epoch = next.epoch;
+    *shared.snapshot.write() = Arc::new(next);
     if let (Some(o), Some((start, start_ns))) = (wobs, timing) {
         let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         o.tracer.record(
@@ -1054,9 +1237,11 @@ fn publish_spanned(
             SpanCat::Publish,
             start_ns,
             dur,
-            epoch,
-            touched.len() as u64,
+            rebuilt.cells,
+            rebuilt.bands,
         );
+        o.publish_cells.record(rebuilt.cells);
+        o.bands_rebuilt.add(rebuilt.bands);
     }
     epoch
 }
@@ -1164,10 +1349,9 @@ fn worker_loop(
                 }
                 WorkerMsg::Recalc { ctx, reply } => {
                     let _span = ctx.enter();
-                    let touched = dirty_sheets(backing.workbook());
                     let evaluated = backing.recalculate(opts.recalc_mode) as u64;
                     shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
-                    let epoch = publish_spanned(&shared, &wobs, backing.workbook(), &touched);
+                    let epoch = publish(&shared, &wobs, backing.workbook(), &Changes::default());
                     let _ = reply.send(Response::Recalced { evaluated, epoch });
                 }
                 WorkerMsg::Demand { sheet, range, fetch, ctx, reply } => {
@@ -1175,16 +1359,12 @@ fn worker_loop(
                     let resp = if (sheet as usize) >= backing.workbook().sheet_count() {
                         Response::Err(ServiceError::NoSuchSheet(format!("#{sheet}")))
                     } else {
-                        // Any sheet with dirty cells may contribute
-                        // needed precedents, so rebuild them all in the
-                        // published snapshot.
-                        let touched = dirty_sheets(backing.workbook());
                         let sid = SheetId(sheet as usize);
                         match backing.recalc_demand(sid, range, opts.recalc_mode) {
                             Ok(evaluated) => {
                                 shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
-                                let epoch =
-                                    publish_spanned(&shared, &wobs, backing.workbook(), &touched);
+                                let wb = backing.workbook();
+                                let epoch = publish(&shared, &wobs, wb, &Changes::default());
                                 if fetch {
                                     let snap = Arc::clone(&shared.snapshot.read());
                                     Response::Cells(snap.cells_in(sheet as usize, range))
@@ -1232,12 +1412,6 @@ fn worker_loop(
     }
 }
 
-/// Sheets with work pending — they (and only they) change during the
-/// recalculation that follows.
-fn dirty_sheets(wb: &Workbook) -> BTreeSet<usize> {
-    (0..wb.sheet_count()).filter(|&i| wb.sheet(SheetId(i)).dirty_count() > 0).collect()
-}
-
 /// Applies one drained run of writes: consecutive edits in one batch
 /// (one `apply_batch`, one recalculation), autofills individually. All
 /// replies carry the epoch of the snapshot published at the end.
@@ -1261,84 +1435,67 @@ fn apply_writes(
     writes: Vec<(WriteOp, TraceContext, Sender<Response>)>,
 ) {
     use taco_engine::BatchStage;
-    // (reply, result) pairs deferred until the new epoch is known.
-    let mut deferred: Vec<(Sender<Response>, Result<u64, ServiceError>)> = Vec::new();
-    let mut touched: BTreeSet<usize> = BTreeSet::new();
-    let mut i = 0;
-    while i < writes.len() {
+    // The ops move into their batches; each gets one result, in order,
+    // answered once the new epoch is known.
+    let (ops, replies): (Vec<WriteOp>, Vec<Sender<Response>>) =
+        writes.into_iter().map(|(op, _, reply)| (op, reply)).unzip();
+    let mut results: Vec<Result<u64, ServiceError>> = Vec::with_capacity(ops.len());
+    let mut changes = Changes::default();
+    let mut ops = ops.into_iter().peekable();
+    while let Some(op) = ops.next() {
         if shared.is_degraded() {
-            deferred.push((writes[i].2.clone(), Err(shared.degraded_error())));
-            i += 1;
+            results.push(Err(shared.degraded_error()));
             continue;
         }
-        match &writes[i].0 {
-            WriteOp::Edit(_) => {
-                let start = i;
-                while i < writes.len() && matches!(writes[i].0, WriteOp::Edit(_)) {
-                    i += 1;
+        match op {
+            WriteOp::Edit(first) => {
+                let mut records = vec![first];
+                while let Some(WriteOp::Edit(rec)) =
+                    ops.next_if(|next| matches!(next, WriteOp::Edit(_)))
+                {
+                    records.push(rec);
                 }
-                let run = &writes[start..i];
-                let records: Vec<EditRecord> = run
-                    .iter()
-                    .map(|(op, _, _)| match op {
-                        WriteOp::Edit(rec) => rec.clone(),
-                        WriteOp::Autofill { .. } => unreachable!("run holds only edits"),
-                    })
-                    .collect();
                 for rec in &records {
-                    if let Some(s) = record_sheet(rec) {
-                        touched.insert(s);
-                    }
+                    changes.record(rec);
                 }
-                shared.stats.edits.fetch_add(run.len() as u64, Ordering::Relaxed);
+                shared.stats.edits.fetch_add(records.len() as u64, Ordering::Relaxed);
                 shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-                if run.len() > 1 {
-                    shared.stats.coalesced.fetch_add(run.len() as u64, Ordering::Relaxed);
+                if records.len() > 1 {
+                    shared.stats.coalesced.fetch_add(records.len() as u64, Ordering::Relaxed);
                 }
                 match backing.apply_batch(&records) {
                     Ok(receipt) => {
-                        for (s, _) in &receipt.dirty {
-                            touched.insert(s.index());
-                        }
                         let dirty = receipt.dirty.len() as u64;
-                        deferred.extend(run.iter().map(|(_, _, tx)| (tx.clone(), Ok(dirty))));
+                        results.extend(records.iter().map(|_| Ok(dirty)));
                     }
                     Err(be) if be.stage == BatchStage::Log => {
                         // Live workbook ahead of the log: acknowledge the
                         // durably-logged prefix, fail the rest, and stop
                         // logging anything further.
                         degrade(shared, wobs, format!("wal append failed: {}", be.error));
-                        for (k, (_, _, tx)) in run.iter().enumerate() {
+                        results.extend((0..records.len()).map(|k| {
                             if k < be.index {
-                                deferred.push((tx.clone(), Ok(0)));
+                                Ok(0)
                             } else {
-                                deferred.push((tx.clone(), Err(shared.degraded_error())));
+                                Err(shared.degraded_error())
                             }
-                        }
+                        }));
                     }
                     Err(be) => {
                         // Apply-stage: the prefix applied and routed; the
                         // failing record reports its error; the suffix
                         // re-applies individually so each edit gets a
                         // true result.
-                        for (k, (_, _, tx)) in run.iter().enumerate() {
-                            if k < be.index {
-                                deferred.push((tx.clone(), Ok(0)));
+                        for k in 0..records.len() {
+                            results.push(if k < be.index {
+                                Ok(0)
                             } else if k == be.index {
-                                deferred.push((
-                                    tx.clone(),
-                                    Err(ServiceError::BadRequest(be.error.to_string())),
-                                ));
+                                Err(ServiceError::BadRequest(be.error.to_string()))
                             } else if shared.is_degraded() {
-                                deferred.push((tx.clone(), Err(shared.degraded_error())));
+                                Err(shared.degraded_error())
                             } else {
-                                let result = match backing.apply_batch(&records[k..=k]) {
-                                    Ok(receipt) => {
-                                        for (s, _) in &receipt.dirty {
-                                            touched.insert(s.index());
-                                        }
-                                        Ok(receipt.dirty.len() as u64)
-                                    }
+                                match backing.apply_batch(&records[k..=k]) {
+                                    Ok(receipt) => Ok(receipt.dirty.len() as u64),
                                     Err(e) if e.stage == BatchStage::Log => {
                                         degrade(
                                             shared,
@@ -1348,30 +1505,20 @@ fn apply_writes(
                                         Err(shared.degraded_error())
                                     }
                                     Err(e) => Err(ServiceError::BadRequest(e.error.to_string())),
-                                };
-                                deferred.push((tx.clone(), result));
-                            }
+                                }
+                            });
                         }
                     }
                 }
             }
             WriteOp::Autofill { sheet, src, targets } => {
-                let (sheet, src, targets) = (*sheet, *src, *targets);
-                i += 1;
                 shared.stats.edits.fetch_add(1, Ordering::Relaxed);
                 shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-                touched.insert(sheet as usize);
-                let wb_sheets = backing.workbook().sheet_count();
-                let result = if (sheet as usize) >= wb_sheets {
+                results.push(if (sheet as usize) >= backing.workbook().sheet_count() {
                     Err(ServiceError::NoSuchSheet(format!("#{sheet}")))
                 } else {
                     match backing.autofill(SheetId(sheet as usize), src, targets) {
-                        Ok(receipt) => {
-                            for (s, _) in &receipt.dirty {
-                                touched.insert(s.index());
-                            }
-                            Ok(receipt.dirty.len() as u64)
-                        }
+                        Ok(receipt) => Ok(receipt.dirty.len() as u64),
                         // An I/O failure from a persistent autofill is a
                         // WAL append that died after the fill applied —
                         // same discipline as a log-stage batch failure.
@@ -1381,27 +1528,25 @@ fn apply_writes(
                         }
                         Err(e) => Err(ServiceError::BadRequest(format!("autofill: {e}"))),
                     }
-                };
-                deferred.push((writes[i - 1].2.clone(), result));
+                });
             }
         }
     }
     // One recalculation for everything the run dirtied, then one
     // publication, then the replies (which carry the new epoch).
-    touched.extend(dirty_sheets(backing.workbook()));
     backing.recalculate(opts.recalc_mode);
     shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
-    let epoch = publish_spanned(shared, wobs, backing.workbook(), &touched);
+    let epoch = publish(shared, wobs, backing.workbook(), &changes);
     // Close the batch span before any reply: a member request's root
     // span (recorded when its client sees the reply) must fully contain
     // the batch it rode in.
     drop(batch_guard);
-    for (tx, result) in deferred {
+    for (reply, result) in replies.into_iter().zip(results) {
         let resp = match result {
             Ok(dirty) => Response::Applied { epoch, dirty },
             Err(e) => Response::Err(e),
         };
-        let _ = tx.send(resp);
+        let _ = reply.send(resp);
     }
 }
 
@@ -1535,29 +1680,264 @@ mod tests {
         reg.shutdown(); // idempotent
     }
 
+    /// A 2 048-row sheet (64 bands): data in A, a window sum in B.
+    fn tall_registry() -> (Registry, u64) {
+        let mut wb = Workbook::with_taco();
+        let main = wb.add_sheet("Main").unwrap();
+        wb.add_sheet("Other").unwrap();
+        for row in 1..=2048u32 {
+            wb.set_value(main, Cell::new(1, row), Value::Number(f64::from(row)));
+            wb.set_formula(main, Cell::new(2, row), &format!("SUM(A{row}:A{})", row + 1)).unwrap();
+        }
+        wb.recalculate(RecalcMode::Serial);
+        let reg = Registry::new(ServiceOptions::default());
+        reg.add_workbook("Demo", wb, None).unwrap();
+        let Response::Opened { token, .. } = open(&reg, None, None) else { panic!("open") };
+        (reg, token)
+    }
+
+    fn bands_rebuilt(reg: &Registry) -> u64 {
+        reg.obs().unwrap().snapshot().counter("taco_snapshot_bands_rebuilt_total").unwrap()
+    }
+
     #[test]
-    fn snapshot_reuses_untouched_sheet_maps() {
-        let reg = demo_registry(true);
-        let Response::Opened { token, .. } = open(&reg, Some("pw"), None) else { panic!() };
+    fn snapshot_shares_untouched_sheets_and_bands() {
+        let (reg, token) = tall_registry();
         let before = reg.snapshot("demo").unwrap();
+        assert_eq!(before.sheets[0].cells.bands.len(), 2048 / BAND_ROWS as usize + 1);
+        let rebuilt = bands_rebuilt(&reg);
+        // C1000 has no dependents: one cell changes, in one band.
         reg.execute(Request::SetValue {
             token,
-            sheet: "Data".into(),
-            cell: c("A9"),
+            sheet: "Main".into(),
+            cell: c("C1000"),
             value: Value::Number(1.0),
         });
         let after = reg.snapshot("demo").unwrap();
         assert!(after.epoch > before.epoch);
-        // "Secret" was untouched: its cell map Arc is shared.
-        let b = &before.sheets[1].cells;
-        let a = &after.sheets[1].cells;
-        assert!(Arc::ptr_eq(a, b), "untouched sheet must be copy-on-write shared");
-        assert!(!Arc::ptr_eq(&after.sheets[0].cells, &before.sheets[0].cells));
-        // The sheet set did not change: the name index and every sheet
-        // name Arc are shared with the previous epoch, not re-cloned.
-        assert!(Arc::ptr_eq(&after.index, &before.index), "unchanged sheet set shares the index");
+        assert_eq!(bands_rebuilt(&reg) - rebuilt, 1, "a one-cell edit rebuilds one band");
+        assert_eq!(after.cells_total, before.cells_total + 1);
+        // "Other" was untouched: its whole band list is shared.
+        assert!(Arc::ptr_eq(&after.sheets[1].cells, &before.sheets[1].cells));
+        // On the touched sheet every band but the edited one is shared.
+        let (a, b) = (&after.sheets[0].cells.bands, &before.sheets[0].cells.bands);
+        assert_eq!(a.len(), b.len());
+        for ((no, band), (_, old)) in a.iter().zip(b) {
+            assert_eq!(Arc::ptr_eq(band, old), *no != band_of(c("C1000")), "band {no}");
+        }
+        // Sheet names are epoch-shared, not re-cloned.
         for (sa, sb) in after.sheets.iter().zip(before.sheets.iter()) {
             assert!(Arc::ptr_eq(&sa.name, &sb.name), "sheet names are epoch-shared");
         }
+        // A1 feeds B1 only (B's window is A{r}:A{r+1}): still one band.
+        reg.execute(Request::SetValue {
+            token,
+            sheet: "main".into(),
+            cell: c("A1"),
+            value: Value::Number(-1.0),
+        });
+        assert_eq!(bands_rebuilt(&reg) - rebuilt, 2);
+        assert_eq!(reg.snapshot("demo").unwrap().value(0, c("B1")), Value::Number(1.0));
+        // A five-row read visits at most two bands, wherever it starts.
+        let cells = &reg.snapshot("demo").unwrap().sheets[0].cells;
+        for row in [1, 14, 15, 16, 17, 2044] {
+            let range = Range::from_coords(1, row, 8, row + 4);
+            assert!(cells.overlapping(range).len() <= 2, "rows {row}..");
+        }
+    }
+
+    /// Band-for-band equality, not just equal reads: an incremental
+    /// successor must be indistinguishable from a full build.
+    fn assert_same(got: &Snapshot, want: &Snapshot) {
+        assert_eq!(got.sheet_names(), want.sheet_names());
+        for (g, w) in got.sheets.iter().zip(&want.sheets) {
+            assert_eq!(g.cells.len, w.cells.len, "sheet {}", g.name);
+            assert_eq!(g.cells.bands, w.cells.bands, "sheet {}", g.name);
+            assert!(g.cells.bands.iter().all(|(_, band)| !band.is_empty()));
+        }
+        let counters = |s: &Snapshot| (s.dirty, s.cells_total, s.graph_edges, s.cross_edges);
+        assert_eq!(counters(got), counters(want));
+    }
+
+    /// Applies `records` the way the worker does and returns the
+    /// incremental successor of `prev`, checked against a full build.
+    fn successor(prev: &Snapshot, wb: &mut Workbook, records: &[EditRecord]) -> Snapshot {
+        let mut changes = Changes::default();
+        for rec in records {
+            changes.record(rec);
+        }
+        wb.apply_batch(records).unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        let (next, _) = Snapshot::successor(Some(prev), wb, &changes);
+        assert_same(&next, &Snapshot::build(wb));
+        next
+    }
+
+    fn set(cell: &str, v: f64) -> EditRecord {
+        EditRecord::SetValue { sheet: 0, cell: c(cell), value: Value::Number(v) }
+    }
+
+    fn clear(range: &str) -> EditRecord {
+        EditRecord::ClearRange { sheet: 0, range: Range::parse_a1(range).unwrap() }
+    }
+
+    #[test]
+    fn cells_in_walks_bands_in_row_major_order() {
+        // Rows 1..=40 and 100..=130 in columns A..C: the bands of rows
+        // 41..=99 in between are empty and not stored.
+        let mut wb = Workbook::with_taco();
+        let id = wb.add_sheet("S").unwrap();
+        for row in (1..=40u32).chain(100..=130) {
+            for col in 1..=3u32 {
+                wb.set_value(id, Cell::new(col, row), Value::Number(f64::from(row * 10 + col)));
+            }
+        }
+        let snap = Snapshot::build(&wb);
+        let band_nos: Vec<u32> = snap.sheets[0].cells.bands.iter().map(|(no, _)| *no).collect();
+        let mut held: Vec<u32> = (1..=40u32).chain(100..=130).map(|row| row / BAND_ROWS).collect();
+        held.dedup();
+        assert_eq!(band_nos, held);
+        assert!(held.windows(2).any(|w| w[1] > w[0] + 1), "an empty band in between");
+        let brute = |range: Range| {
+            let mut cells: Vec<(Cell, Value)> = wb
+                .sheet(id)
+                .cells()
+                .filter(|(c, _)| range.contains_cell(*c))
+                .map(|(c, k)| (c, k.value().clone()))
+                .collect();
+            cells.sort_unstable_by_key(|(c, _)| (c.row, c.col));
+            cells
+        };
+        for (what, a1) in [
+            ("inside one band", "A5:C9"),
+            ("starts and ends mid-band", "B20:C35"),
+            ("straddles several bands and the empty ones", "A30:B110"),
+            ("only empty bands and blank rows", "A64:C95"),
+            ("one column of every band", "B1:B200"),
+            ("exceeds the sheet", "A1:Z5000"),
+            ("past the last band", "A4000:C4100"),
+            ("columns with no cells", "E1:F200"),
+        ] {
+            let range = Range::parse_a1(a1).unwrap();
+            assert_eq!(snap.cells_in(0, range), brute(range), "{what}: {a1}");
+        }
+        assert_eq!(snap.value(0, c("B35")), Value::Number(352.0));
+        assert_eq!(snap.value(0, c("B70")), Value::Empty);
+        assert_eq!(snap.value(0, c("D35")), Value::Empty);
+        assert!(snap.cells_in(7, Range::parse_a1("A1:C9").unwrap()).is_empty());
+    }
+
+    #[test]
+    fn patching_tracks_bands_and_cell_counts_exactly() {
+        let mut wb = Workbook::with_taco();
+        wb.add_sheet("S").unwrap();
+        let mut snap = Snapshot::build(&wb);
+        assert_eq!(snap.cells_total, 0);
+        // First cells of three bands, one of them far down.
+        snap = successor(&snap, &mut wb, &[set("A1", 1.0), set("B40", 2.0), set("A1000", 3.0)]);
+        assert_eq!(snap.cells_total, 3);
+        assert_eq!(snap.sheets[0].cells.bands.len(), 3);
+        // Overwrite in place: no count change.
+        snap = successor(&snap, &mut wb, &[set("B40", 5.0)]);
+        assert_eq!((snap.cells_total, snap.value(0, c("B40"))), (3, Value::Number(5.0)));
+        // Clearing the last cell of a band drops the band itself.
+        snap = successor(&snap, &mut wb, &[clear("A33:Z64")]);
+        assert_eq!(snap.cells_total, 2);
+        assert_eq!(snap.sheets[0].cells.bands.len(), 2);
+        // A clear over blank rows and a missing band changes nothing.
+        let before = snap.sheets[0].cells.bands.clone();
+        snap = successor(&snap, &mut wb, &[clear("A100:Z900")]);
+        assert!(before
+            .iter()
+            .zip(&snap.sheets[0].cells.bands)
+            .all(|(a, b)| Arc::ptr_eq(&a.1, &b.1)));
+        // Set, clear and re-set of one cell inside one batch; a formula
+        // whose value arrives through the recalculation.
+        let formula =
+            EditRecord::SetFormula { sheet: 0, cell: c("C2"), src: "SUM(A1:A1000)".into() };
+        snap =
+            successor(&snap, &mut wb, &[set("D7", 1.0), clear("D1:D9"), set("D7", 2.0), formula]);
+        assert_eq!(snap.cells_total, 4);
+        assert_eq!(snap.value(0, c("C2")), Value::Number(4.0));
+        // Clearing everything empties the band list.
+        snap = successor(&snap, &mut wb, &[clear("A1:Z2000")]);
+        assert_eq!(snap.cells_total, 0);
+        assert!(snap.sheets[0].cells.bands.is_empty());
+    }
+
+    /// One drained run through `apply_writes` itself — edits, a fill
+    /// between them, a refused record and a refused fill — with no thread
+    /// to make coalescing a matter of timing: one publication, replies in
+    /// request order, and the published epoch equal to a full rebuild.
+    #[test]
+    fn a_coalesced_run_answers_in_order_and_publishes_a_full_rebuild() {
+        let mut wb = Workbook::with_taco();
+        let id = wb.add_sheet("S").unwrap();
+        for row in 1..=80u32 {
+            wb.set_value(id, Cell::new(1, row), Value::Number(f64::from(row)));
+        }
+        wb.set_formula(id, c("B1"), "SUM(A1:A3)").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        let shared = Arc::new(BookShared {
+            snapshot: RwLock::new(Arc::new(Snapshot::build(&wb))),
+            stats: Counters::default(),
+            degraded: AtomicBool::new(false),
+            degraded_reason: Mutex::new(String::new()),
+        });
+        let mut backing = Backing::Plain(wb);
+        let (tx, rx) = channel::unbounded();
+        let fill = |src: &str, targets: &str| WriteOp::Autofill {
+            sheet: 0,
+            src: c(src),
+            targets: Range::parse_a1(targets).unwrap(),
+        };
+        let formula = EditRecord::SetFormula { sheet: 0, cell: c("C70"), src: "A70*2".into() };
+        let nowhere = EditRecord::SetValue { sheet: 9, cell: c("A1"), value: Value::Empty };
+        let ops = vec![
+            WriteOp::Edit(set("A2", 100.0)),
+            WriteOp::Edit(formula),
+            fill("B1", "B2:B40"),
+            WriteOp::Edit(clear("A30:A35")),
+            WriteOp::Edit(nowhere),
+            WriteOp::Edit(set("A77", 7.0)),
+            fill("A1", "D1:D9"),
+        ];
+        let writes = ops.into_iter().map(|op| (op, TraceContext::NONE, tx.clone())).collect();
+        apply_writes(&mut backing, &shared, &ServiceOptions::default(), &None, None, writes);
+        let replies: Vec<Response> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        let applied: Vec<bool> =
+            replies.iter().map(|r| matches!(r, Response::Applied { epoch: 1, .. })).collect();
+        assert_eq!(applied, [true, true, true, true, false, true, false], "{replies:?}");
+        assert!(matches!(&replies[4], Response::Err(ServiceError::BadRequest(_))));
+        assert!(matches!(&replies[6], Response::Err(ServiceError::BadRequest(_))));
+        let published = Arc::clone(&shared.snapshot.read());
+        assert_same(&published, &Snapshot::build(backing.workbook()));
+        assert_eq!(published.value(0, c("B1")), Value::Number(104.0));
+        assert_eq!(published.value(0, c("B29")), Value::Number(29.0));
+        assert_eq!(published.value(0, c("A77")), Value::Number(7.0));
+        assert_eq!(shared.stats.recalcs.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.stats.coalesced.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn structural_edits_and_new_sheets_rebuild_whole() {
+        let mut wb = Workbook::with_taco();
+        wb.add_sheet("S").unwrap();
+        let mut snap = Snapshot::build(&wb);
+        let total = EditRecord::SetFormula { sheet: 0, cell: c("B1"), src: "SUM(A1:A99)".into() };
+        let remote = EditRecord::SetFormula { sheet: 0, cell: c("C1"), src: "Late!A1+A40".into() };
+        snap = successor(&snap, &mut wb, &[set("A1", 1.0), set("A40", 2.0), total, remote]);
+        // Inserted rows move cells across bands.
+        let insert =
+            EditRecord::Structural { sheet: 0, op: StructuralOp::InsertRows { at: 2, n: 40 } };
+        snap = successor(&snap, &mut wb, &[insert]);
+        assert_eq!(snap.value(0, c("A80")), Value::Number(2.0));
+        // A sheet the previous epoch lacks appears whole; the formula
+        // waiting for it is re-evaluated on the old sheet.
+        let late = EditRecord::AddSheet { name: "Late".into() };
+        let fill = EditRecord::SetValue { sheet: 1, cell: c("A1"), value: Value::Number(10.0) };
+        snap = successor(&snap, &mut wb, &[late, fill]);
+        assert_eq!(snap.sheet_index("late"), Some(1));
+        assert_eq!(snap.value(0, c("C1")), Value::Number(12.0));
     }
 }

@@ -24,7 +24,6 @@
 //! [`OutOfScope`]: crate::ServiceError::OutOfScope
 
 use crate::ServiceError;
-use std::collections::HashSet;
 
 /// An opaque session identifier, issued by `Open` and carried by every
 /// subsequent request.
@@ -50,22 +49,25 @@ pub struct Session {
     /// The registry key (lower-cased workbook name) this session is
     /// bound to.
     pub workbook: String,
-    /// Allowed sheets, lower-cased; `None` = every sheet.
-    pub scope: Option<HashSet<String>>,
+    /// Allowed sheet names, as the client spelled them (a handful at
+    /// most, so a scan beats hashing); `None` = every sheet.
+    pub scope: Option<Vec<String>>,
 }
 
 impl Session {
-    /// An unrestricted session on `workbook` (already lower-cased).
-    pub fn new(workbook: String, scope: Option<HashSet<String>>) -> Self {
+    /// A session on `workbook` (already lower-cased) restricted to
+    /// `scope`, or unrestricted when `None`.
+    pub fn new(workbook: String, scope: Option<Vec<String>>) -> Self {
         Session { workbook, scope }
     }
 
     /// Whether the session may touch `sheet` (name compared
-    /// case-insensitively, like the engine's sheet index).
+    /// ASCII-case-insensitively, like the engine's sheet index, without
+    /// allocating).
     pub fn allows(&self, sheet: &str) -> bool {
         match &self.scope {
             None => true,
-            Some(s) => s.contains(&sheet.to_ascii_lowercase()),
+            Some(names) => names.iter().any(|n| n.eq_ignore_ascii_case(sheet)),
         }
     }
 
@@ -82,9 +84,7 @@ impl Session {
     /// query responses so a scoped session cannot observe foreign sheets
     /// even through transitive dependencies.
     pub fn filter_ranges<T>(&self, mut ranges: Vec<(String, T)>) -> Vec<(String, T)> {
-        if let Some(scope) = &self.scope {
-            ranges.retain(|(sheet, _)| scope.contains(&sheet.to_ascii_lowercase()));
-        }
+        ranges.retain(|(sheet, _)| self.allows(sheet));
         ranges
     }
 }
@@ -105,8 +105,7 @@ mod tests {
 
     #[test]
     fn scope_is_case_insensitive() {
-        let scope: HashSet<String> = ["data".to_string()].into_iter().collect();
-        let s = Session::new("book".into(), Some(scope));
+        let s = Session::new("book".into(), Some(vec!["data".to_string()]));
         assert!(s.allows("Data"));
         assert!(s.allows("DATA"));
         assert!(!s.allows("Other"));
