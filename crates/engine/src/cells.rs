@@ -1,0 +1,620 @@
+//! The sheet's cell store: dense, paged columns.
+//!
+//! ```text
+//! CellStore
+//!   cols: [Column]              sorted by col, one per column ever written,
+//!                               with the clock of its last write
+//!     pages: [Page]             sorted by index, one per PAGE_ROWS-row band
+//!       slots: [Slot; 256]      that holds a cell; allocated on first write
+//!         content.value         inline (24 bytes) — what a range scan reads
+//!         content.formula       behind a pointer
+//!         flags                 OCCUPIED | DIRTY
+//!   dirty: [Cell]               exactly the cells whose DIRTY bit is set
+//! ```
+//!
+//! A tabular column is a handful of pages, so reading `A1:A1024` is four
+//! slice scans and no hashing. A vacant slot holds `Value::Empty`, which
+//! is what a blank cell reads as: a scan never tests for occupancy.
+//! Memory is proportional to the pages that hold a cell (a page is freed
+//! with its last cell), never to the coordinates used.
+//!
+//! Iteration is in `(col, row)` order — [`Cell`]'s own ordering.
+
+use crate::sheet::CellContent;
+use std::ops::ControlFlow;
+use taco_formula::Value;
+use taco_grid::{Cell, Range};
+
+/// Rows per page. A page of 40-byte slots is 10 KiB: a tabular column of
+/// a few thousand rows is a handful of pages, each scanned as one slice,
+/// while a lone cell at a far coordinate costs one page, not a column.
+pub(crate) const PAGE_ROWS: u32 = 256;
+
+const OCCUPIED: u8 = 1;
+const DIRTY: u8 = 2;
+
+/// One row of one column.
+struct Slot {
+    content: CellContent,
+    flags: u8,
+}
+
+impl Slot {
+    /// A slot holding no cell: it reads as `Value::Empty`.
+    const VACANT: Slot =
+        Slot { content: CellContent { value: Value::Empty, formula: None }, flags: 0 };
+}
+
+/// What a page that was never allocated reads as.
+static VACANT_PAGE: [Slot; PAGE_ROWS as usize] = [const { Slot::VACANT }; PAGE_ROWS as usize];
+
+struct Page {
+    /// Which band of rows: row `r` lives in page `(r - 1) / PAGE_ROWS`.
+    index: u32,
+    /// Occupied slots; the page is dropped when this reaches zero.
+    used: u32,
+    slots: Box<[Slot]>,
+}
+
+struct Column {
+    col: u32,
+    pages: Vec<Page>,
+    /// The engine's write clock at the last write of a value in this
+    /// column (what its remembered sums are checked against).
+    written: u64,
+}
+
+/// Where the item with `key` sits in `items` (sorted by key), as
+/// `binary_search` reports it. A tabular sheet fills its columns from A
+/// and its rows from 1, so column `c` is usually the `c`-th stored and
+/// page `p` the `p`-th of its column: look at `key`'s own position first
+/// — one predictable branch instead of a search's unpredictable ones.
+fn locate<T>(
+    items: &[T],
+    key: u32,
+    first_key: u32,
+    key_of: impl Fn(&T) -> u32,
+) -> Result<usize, usize> {
+    let guess = (key - first_key) as usize;
+    match items.get(guess) {
+        Some(item) if key_of(item) == key => Ok(guess),
+        _ => items.binary_search_by_key(&key, key_of),
+    }
+}
+
+fn page_of(row: u32) -> u32 {
+    (row - 1) / PAGE_ROWS
+}
+
+fn slot_of(row: u32) -> usize {
+    ((row - 1) % PAGE_ROWS) as usize
+}
+
+/// The last row of page `index` that is still inside `..=last_row`.
+fn page_end(index: u32, last_row: u32) -> u32 {
+    let end = (u64::from(index) + 1) * u64::from(PAGE_ROWS);
+    end.min(u64::from(last_row)) as u32
+}
+
+impl Column {
+    fn page(&self, index: u32) -> Option<&Page> {
+        let i = locate(&self.pages, index, 0, |p| p.index).ok()?;
+        Some(&self.pages[i])
+    }
+
+    /// The slots of page `index`, allocated or not.
+    fn slots(&self, index: u32) -> &[Slot] {
+        self.page(index).map_or(&VACANT_PAGE, |p| &p.slots)
+    }
+
+    /// Calls `f(occupied count, row of the span's first slot, the span)`
+    /// for every allocated page overlapping rows `first..=last`, then
+    /// drops the pages `f` emptied.
+    fn for_pages_in(
+        &mut self,
+        first: u32,
+        last: u32,
+        mut f: impl FnMut(&mut u32, u32, &mut [Slot]),
+    ) {
+        let from = self.pages.partition_point(|p| p.index < page_of(first));
+        let mut emptied = false;
+        for page in self.pages[from..].iter_mut().take_while(|p| p.index <= page_of(last)) {
+            let start = first.max(page.index * PAGE_ROWS + 1);
+            let end = page_end(page.index, last);
+            f(&mut page.used, start, &mut page.slots[slot_of(start)..=slot_of(end)]);
+            emptied |= page.used == 0;
+        }
+        if emptied {
+            self.pages.retain(|p| p.used > 0);
+        }
+    }
+}
+
+/// See the module documentation.
+#[derive(Default)]
+pub(crate) struct CellStore {
+    cols: Vec<Column>,
+    len: usize,
+    dirty: Vec<Cell>,
+}
+
+impl CellStore {
+    fn column(&self, col: u32) -> Option<&Column> {
+        let i = locate(&self.cols, col, 1, |c| c.col).ok()?;
+        Some(&self.cols[i])
+    }
+
+    fn slot(&self, cell: Cell) -> Option<&Slot> {
+        Some(&self.column(cell.col)?.page(page_of(cell.row))?.slots[slot_of(cell.row)])
+    }
+
+    fn slot_mut(&mut self, cell: Cell) -> Option<&mut Slot> {
+        let i = locate(&self.cols, cell.col, 1, |c| c.col).ok()?;
+        let pages = &mut self.cols[i].pages;
+        let j = locate(pages, page_of(cell.row), 0, |p| p.index).ok()?;
+        Some(&mut pages[j].slots[slot_of(cell.row)])
+    }
+
+    /// Where the columns overlapping `range` sit in `cols`.
+    fn columns_in(&self, range: Range) -> std::ops::Range<usize> {
+        let from = self.cols.partition_point(|c| c.col < range.head().col);
+        let to = self.cols.partition_point(|c| c.col <= range.tail().col);
+        from..to
+    }
+
+    /// Number of non-blank cells.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// What `cell` holds, `None` when blank.
+    pub(crate) fn get(&self, cell: Cell) -> Option<&CellContent> {
+        self.slot(cell).filter(|s| s.flags & OCCUPIED != 0).map(|s| &s.content)
+    }
+
+    /// The value `cell` reads as (`Empty` when blank).
+    pub(crate) fn value(&self, cell: Cell) -> &Value {
+        &self.slot(cell).unwrap_or(&Slot::VACANT).content.value
+    }
+
+    /// Stores `value` as the result of the formula at `cell`, at write
+    /// clock `at`; does nothing if the cell holds no formula.
+    pub(crate) fn store_result(&mut self, cell: Cell, value: Value, at: u64) {
+        let Ok(i) = locate(&self.cols, cell.col, 1, |c| c.col) else { return };
+        let column = &mut self.cols[i];
+        let Ok(j) = locate(&column.pages, page_of(cell.row), 0, |p| p.index) else { return };
+        let content = &mut column.pages[j].slots[slot_of(cell.row)].content;
+        if content.formula.is_some() {
+            content.value = value;
+            column.written = at;
+        }
+    }
+
+    /// Writes `cell` at write clock `at`, returning what it held. A dirty
+    /// mark stays.
+    pub(crate) fn insert(
+        &mut self,
+        cell: Cell,
+        content: CellContent,
+        at: u64,
+    ) -> Option<CellContent> {
+        let i = match locate(&self.cols, cell.col, 1, |c| c.col) {
+            Ok(i) => i,
+            Err(i) => {
+                self.cols.insert(i, Column { col: cell.col, pages: Vec::new(), written: 0 });
+                i
+            }
+        };
+        self.cols[i].written = at;
+        let pages = &mut self.cols[i].pages;
+        let index = page_of(cell.row);
+        let j = match locate(pages, index, 0, |p| p.index) {
+            Ok(j) => j,
+            Err(j) => {
+                let slots = (0..PAGE_ROWS).map(|_| Slot::VACANT).collect();
+                pages.insert(j, Page { index, used: 0, slots });
+                j
+            }
+        };
+        let page = &mut pages[j];
+        let slot = &mut page.slots[slot_of(cell.row)];
+        let old = std::mem::replace(&mut slot.content, content);
+        if slot.flags & OCCUPIED != 0 {
+            return Some(old);
+        }
+        slot.flags |= OCCUPIED;
+        page.used += 1;
+        self.len += 1;
+        None
+    }
+
+    /// Blanks every cell of `range` at write clock `at`, dirty marks
+    /// included: a walk over the allocated pages the range overlaps (plus
+    /// one pass over the dirty list if a dirty cell went). Column headers
+    /// stay, with their clocks.
+    pub(crate) fn remove_range(&mut self, range: Range, at: u64) {
+        let (mut removed, mut undirtied) = (0usize, false);
+        let columns = self.columns_in(range);
+        for column in &mut self.cols[columns] {
+            column.written = at;
+            column.for_pages_in(range.head().row, range.tail().row, |used, _, slots| {
+                for slot in slots.iter_mut().filter(|s| s.flags & OCCUPIED != 0) {
+                    undirtied |= slot.flags & DIRTY != 0;
+                    *slot = Slot::VACANT;
+                    *used -= 1;
+                    removed += 1;
+                }
+            });
+        }
+        self.len -= removed;
+        if undirtied {
+            self.dirty.retain(|c| !range.contains_cell(*c));
+        }
+    }
+
+    /// Every non-blank cell in `(col, row)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Cell, &CellContent)> {
+        self.cols.iter().flat_map(|column| {
+            column.pages.iter().flat_map(move |page| {
+                let first = page.index * PAGE_ROWS + 1;
+                page.slots.iter().enumerate().filter(|(_, s)| s.flags & OCCUPIED != 0).map(
+                    move |(i, s)| (Cell { col: column.col, row: first + i as u32 }, &s.content),
+                )
+            })
+        })
+    }
+
+    /// Consumes the store: every non-blank cell in `(col, row)` order.
+    pub(crate) fn into_cells(self) -> impl Iterator<Item = (Cell, CellContent)> {
+        self.cols.into_iter().flat_map(|column| {
+            let col = column.col;
+            column.pages.into_iter().flat_map(move |page| {
+                let first = page.index * PAGE_ROWS + 1;
+                page.slots
+                    .into_vec()
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.flags & OCCUPIED != 0)
+                    .map(move |(i, s)| (Cell { col, row: first + i as u32 }, s.content))
+            })
+        })
+    }
+
+    /// The latest write clock of any column of `range`.
+    pub(crate) fn last_write(&self, range: Range) -> u64 {
+        self.cols[self.columns_in(range)].iter().map(|c| c.written).max().unwrap_or(0)
+    }
+
+    // ---- dirty marks ------------------------------------------------------
+
+    /// The cells awaiting recalculation, in the order they were marked.
+    pub(crate) fn dirty(&self) -> &[Cell] {
+        &self.dirty
+    }
+
+    /// Marks the formula cell at `cell` dirty; `true` iff it holds a
+    /// formula and was not already dirty.
+    pub(crate) fn mark_dirty(&mut self, cell: Cell) -> bool {
+        self.mark(cell, true)
+    }
+
+    /// Marks a non-blank cell dirty, formula or not: puts back what
+    /// [`CellStore::restrict_dirty`] took out.
+    pub(crate) fn restore_dirty(&mut self, cells: &[Cell]) {
+        for &cell in cells {
+            self.mark(cell, false);
+        }
+    }
+
+    fn mark(&mut self, cell: Cell, formula_only: bool) -> bool {
+        let Some(slot) = self.slot_mut(cell) else { return false };
+        let markable = slot.flags == OCCUPIED && !(formula_only && slot.content.formula.is_none());
+        if markable {
+            slot.flags |= DIRTY;
+            self.dirty.push(cell);
+        }
+        markable
+    }
+
+    /// Marks every formula cell inside `range` dirty: a walk over the
+    /// allocated pages the range overlaps.
+    pub(crate) fn mark_formulas_dirty_in(&mut self, range: Range) {
+        let columns = self.columns_in(range);
+        let dirty = &mut self.dirty;
+        for column in &mut self.cols[columns] {
+            let col = column.col;
+            column.for_pages_in(range.head().row, range.tail().row, |_, first, slots| {
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    if slot.flags == OCCUPIED && slot.content.formula.is_some() {
+                        slot.flags |= DIRTY;
+                        dirty.push(Cell { col, row: first + i as u32 });
+                    }
+                }
+            });
+        }
+    }
+
+    /// Unmarks every dirty cell.
+    pub(crate) fn clear_dirty(&mut self) {
+        for cell in std::mem::take(&mut self.dirty) {
+            if let Some(slot) = self.slot_mut(cell) {
+                slot.flags &= !DIRTY;
+            }
+        }
+    }
+
+    /// Unmarks the dirty cells `keep` rejects and returns them.
+    pub(crate) fn restrict_dirty(&mut self, keep: impl Fn(Cell) -> bool) -> Vec<Cell> {
+        let (kept, removed): (Vec<Cell>, Vec<Cell>) =
+            std::mem::take(&mut self.dirty).into_iter().partition(|&c| keep(c));
+        for &cell in &removed {
+            if let Some(slot) = self.slot_mut(cell) {
+                slot.flags &= !DIRTY;
+            }
+        }
+        self.dirty = kept;
+        removed
+    }
+
+    // ---- range reads ------------------------------------------------------
+
+    /// Folds the value every cell of `range` reads as into `init`, by
+    /// reference, in [`Range::cells`] (row-major) order, until `f` breaks.
+    ///
+    /// A single-column range is one slice scan per page. A wider range
+    /// takes, per band of page rows, each column's slot slice and steps
+    /// across them row by row. Pages and columns that were never written
+    /// read as [`VACANT_PAGE`], so either loop has one shape — and one
+    /// call of `f`, which is what lets it inline and keep `acc` in a
+    /// register.
+    pub(crate) fn fold_range<A, B>(
+        &self,
+        range: Range,
+        init: A,
+        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+    ) -> ControlFlow<B, A> {
+        let (head, tail) = (range.head(), range.tail());
+        let columns = &self.cols[self.columns_in(range)];
+        let mut pages: Vec<&[Slot]> = Vec::new();
+        let mut acc = init;
+        let mut row = head.row;
+        loop {
+            let index = page_of(row);
+            let end = page_end(index, tail.row);
+            let span = slot_of(row)..=slot_of(end);
+            if head.col == tail.col {
+                let page = columns.first().map_or(&VACANT_PAGE[..], |c| c.slots(index));
+                for slot in &page[span] {
+                    acc = f(acc, &slot.content.value)?;
+                }
+            } else {
+                let mut stored = columns.iter().peekable();
+                pages.clear();
+                pages.extend((head.col..=tail.col).map(|col| {
+                    stored.next_if(|c| c.col == col).map_or(&VACANT_PAGE[..], |c| c.slots(index))
+                }));
+                for at in span {
+                    for page in &pages {
+                        acc = f(acc, &page[at].content.value)?;
+                    }
+                }
+            }
+            if end == tail.row {
+                return ControlFlow::Continue(acc);
+            }
+            row = end + 1;
+        }
+    }
+
+    /// Slots allocated, for the tests that bound memory by pages touched.
+    pub(crate) fn slot_capacity(&self) -> usize {
+        self.cols.iter().map(|c| c.pages.len()).sum::<usize>() * PAGE_ROWS as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The store against the obvious model — a `BTreeMap` of contents and
+    //! a `BTreeSet` of dirty cells — under random scripts, on coordinates
+    //! chosen to straddle page boundaries and to sit at the grid's far end.
+
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use taco_formula::Formula;
+    use taco_grid::{MAX_COL, MAX_ROW};
+
+    const COLS: [u32; 5] = [1, 2, 3, 5, MAX_COL];
+    const ROWS: [u32; 14] =
+        [1, 2, 3, 255, 256, 257, 258, 511, 512, 513, 700, MAX_ROW - 256, MAX_ROW - 1, MAX_ROW];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set(Cell, Option<&'static str>, i32),
+        Clear(Range),
+        Rebuild,
+        StoreResult(Cell, i32),
+        Mark(Cell),
+        MarkIn(Range),
+        RestrictAndRestore(u32),
+        Restrict(u32),
+        ClearDirty,
+    }
+
+    fn arb_cell() -> impl Strategy<Value = Cell> {
+        (0..COLS.len(), 0..ROWS.len()).prop_map(|(c, r)| Cell::new(COLS[c], ROWS[r]))
+    }
+
+    fn arb_range() -> impl Strategy<Value = Range> {
+        (arb_cell(), arb_cell()).prop_map(|(a, b)| Range::new(a, b))
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (arb_cell(), 0u8..3, -9i32..9).prop_map(|(c, kind, v)| {
+                Op::Set(c, [None, Some("=A1+1"), Some("=SUM(A1:B3)")][kind as usize], v)
+            }),
+            2 => arb_range().prop_map(Op::Clear),
+            1 => Just(Op::Rebuild),
+            2 => (arb_cell(), -9i32..9).prop_map(|(c, v)| Op::StoreResult(c, v)),
+            3 => arb_cell().prop_map(Op::Mark),
+            2 => arb_range().prop_map(Op::MarkIn),
+            1 => (0u32..3).prop_map(Op::RestrictAndRestore),
+            1 => (0u32..3).prop_map(Op::Restrict),
+            1 => Just(Op::ClearDirty),
+        ]
+    }
+
+    fn content(formula: Option<&str>, v: i32) -> CellContent {
+        let value = Value::Number(f64::from(v));
+        match formula {
+            None => CellContent::pure(value),
+            Some(src) => CellContent::formula_cell(Formula::parse(src).unwrap(), value),
+        }
+    }
+
+    #[derive(Default)]
+    struct Model {
+        cells: BTreeMap<Cell, CellContent>,
+        dirty: BTreeSet<Cell>,
+    }
+
+    fn apply(op: &Op, store: &mut CellStore, model: &mut Model) {
+        match *op {
+            Op::Set(cell, formula, v) => {
+                let old = store.insert(cell, content(formula, v), 1);
+                assert_eq!(old, model.cells.insert(cell, content(formula, v)));
+            }
+            Op::Clear(range) => {
+                store.remove_range(range, 1);
+                model.cells.retain(|c, _| !range.contains_cell(*c));
+                model.dirty.retain(|c| !range.contains_cell(*c));
+            }
+            // What a structural edit does: take everything, put it back.
+            Op::Rebuild => {
+                let old = std::mem::take(store);
+                let dirty = old.dirty().to_vec();
+                for (cell, content) in old.into_cells() {
+                    assert_eq!(store.insert(cell, content, 1), None);
+                }
+                for cell in dirty {
+                    store.mark_dirty(cell);
+                }
+                model.dirty.retain(|c| model.cells[c].formula().is_some());
+            }
+            Op::StoreResult(cell, v) => {
+                let value = Value::Number(f64::from(v));
+                store.store_result(cell, value.clone(), 1);
+                if let Some(slot) = model.cells.get_mut(&cell).filter(|c| c.formula.is_some()) {
+                    slot.value = value;
+                }
+            }
+            Op::Mark(cell) => {
+                let is_formula = model.cells.get(&cell).is_some_and(|c| c.formula.is_some());
+                assert_eq!(store.mark_dirty(cell), is_formula && model.dirty.insert(cell));
+            }
+            Op::MarkIn(range) => {
+                store.mark_formulas_dirty_in(range);
+                let formulas = model.cells.iter().filter(|(_, k)| k.formula.is_some());
+                model.dirty.extend(formulas.map(|(c, _)| *c).filter(|c| range.contains_cell(*c)));
+            }
+            Op::RestrictAndRestore(residue) => {
+                let before = store.dirty().to_vec();
+                let removed = store.restrict_dirty(|c| c.row % 3 == residue);
+                assert!(removed.iter().all(|c| c.row % 3 != residue && model.dirty.contains(c)));
+                assert!(store.dirty().iter().all(|c| c.row % 3 == residue));
+                assert_eq!(store.dirty().len() + removed.len(), before.len());
+                store.restore_dirty(&removed);
+            }
+            Op::Restrict(residue) => {
+                store.restrict_dirty(|c| c.row % 3 == residue);
+                model.dirty.retain(|c| c.row % 3 == residue);
+            }
+            Op::ClearDirty => {
+                store.clear_dirty();
+                model.dirty.clear();
+            }
+        }
+    }
+
+    /// What `fold_range` hands over, up to `stop_after` values.
+    fn scanned(store: &CellStore, range: Range, stop_after: usize) -> Vec<Value> {
+        let flow = store.fold_range(range, Vec::new(), &mut |mut out, v| {
+            out.push(v.clone());
+            if out.len() == stop_after {
+                ControlFlow::Break(out)
+            } else {
+                ControlFlow::Continue(out)
+            }
+        });
+        match flow {
+            ControlFlow::Break(out) => out,
+            ControlFlow::Continue(out) => {
+                assert!(out.len() < stop_after);
+                out
+            }
+        }
+    }
+
+    fn check(store: &CellStore, model: &Model) {
+        assert_eq!(store.len(), model.cells.len());
+        let listed: Vec<(Cell, CellContent)> = store.iter().map(|(c, k)| (c, k.clone())).collect();
+        let want: Vec<(Cell, CellContent)> =
+            model.cells.iter().map(|(c, k)| (*c, k.clone())).collect();
+        assert_eq!(listed, want, "iteration is every cell in (col, row) order");
+        let mut dirty = store.dirty().to_vec();
+        dirty.sort_unstable();
+        assert_eq!(dirty, model.dirty.iter().copied().collect::<Vec<_>>(), "the dirty list");
+        for &col in &COLS {
+            for &row in &ROWS {
+                let cell = Cell::new(col, row);
+                assert_eq!(store.get(cell), model.cells.get(&cell), "{cell}");
+            }
+        }
+        // Memory is the pages that hold a cell, exactly.
+        let pages: BTreeSet<(u32, u32)> =
+            model.cells.keys().map(|c| (c.col, page_of(c.row))).collect();
+        assert_eq!(store.slot_capacity(), pages.len() * PAGE_ROWS as usize);
+        // Single-column, multi-column, page-straddling, blank and
+        // beyond-the-data ranges read as their cells do one by one.
+        for range in [
+            Range::from_coords(1, 1, 1, 3),
+            Range::from_coords(2, 250, 2, 520),
+            Range::from_coords(1, 1, 5, 3),
+            Range::from_coords(1, 254, 3, 258),
+            Range::from_coords(2, 500, 6, 701),
+            Range::from_coords(4, 1, 4, 300),
+            Range::from_coords(7, 9, 9, 12),
+            Range::from_coords(5, MAX_ROW - 300, 5, MAX_ROW),
+            Range::from_coords(MAX_COL - 1, MAX_ROW - 2, MAX_COL, MAX_ROW),
+            Range::from_coords(1, 3000, 3, 3100),
+        ] {
+            let want: Vec<Value> = range.cells().map(|c| store.value(c).clone()).collect();
+            let blank_or_stored = range
+                .cells()
+                .zip(&want)
+                .all(|(c, v)| *v == model.cells.get(&c).map_or(Value::Empty, |k| k.value.clone()));
+            assert!(blank_or_stored, "{range}");
+            assert_eq!(scanned(store, range, usize::MAX), want, "{range}");
+            assert_eq!(scanned(store, range, 7), want[..7.min(want.len())], "{range}, stopped");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn the_store_is_a_map_and_a_set(ops in prop::collection::vec(arb_op(), 1..60)) {
+            let (mut store, mut model) = (CellStore::default(), Model::default());
+            for op in &ops {
+                apply(op, &mut store, &mut model);
+                check(&store, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_is_forty_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 40, "{}", std::mem::size_of::<Slot>());
+    }
+}

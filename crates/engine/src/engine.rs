@@ -1,5 +1,7 @@
+use crate::cells::CellStore;
 use crate::sheet::CellContent;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 use taco_core::{Dependency, DependencyBackend, FormulaGraph, Leveler};
 use taco_formula::eval::{eval, CellProvider, EvalClock, VolatileCtx};
@@ -17,6 +19,17 @@ use taco_grid::{Cell, Range};
 pub(crate) trait ExternalSheets: Sync {
     /// Value of `cell` on the sheet named `sheet` (`#REF!` if unknown).
     fn value(&self, sheet: &str, cell: Cell) -> Value;
+
+    /// [`CellProvider::fold_range`] over the sheet named `sheet`.
+    fn fold_range<A, B>(
+        &self,
+        sheet: &str,
+        range: Range,
+        init: A,
+        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+    ) -> ControlFlow<B, A> {
+        range.cells().try_fold(init, |acc, c| f(acc, &self.value(sheet, c)))
+    }
 }
 
 /// The standalone-engine external view: no other sheets exist.
@@ -87,8 +100,7 @@ pub struct EditReceipt {
 /// Reusable recalculation state: the sorted dirty view, DFS coloring,
 /// a shared neighbor arena, and the explicit DFS stack. All buffers
 /// persist on the engine, so steady-state recalculation performs no
-/// per-recalc (let alone per-cell) allocations — replacing the old
-/// `HashMap<Cell, Color>` plus fresh `Vec` per visited cell.
+/// per-recalc (let alone per-cell) allocations.
 #[derive(Debug, Default)]
 struct RecalcScratch {
     /// The dirty set, sorted by `(col, row)`: the membership structure
@@ -123,11 +135,10 @@ struct RecalcScratch {
 }
 
 /// Ranges shorter than this are summed cell by cell every time: looking
-/// a sum up costs about as much as reading a few cells.
+/// a sum up costs about as much as reading a few dozen cells.
 const SUM_MEMO_MIN_CELLS: u64 = 64;
 /// Ranges wider than this are not remembered (validity is checked per
-/// column), and a clear wider than this forgets everything instead of
-/// stamping each column.
+/// column).
 const SUM_MEMO_MAX_COLS: u32 = 64;
 /// Remembered sums before the memo starts over.
 const SUM_MEMO_CAP: usize = 1 << 16;
@@ -138,42 +149,38 @@ const SUM_MEMO_CAP: usize = 1 << 16;
 /// after an edit to `D1`). Answers [`CellProvider::range_sum`].
 ///
 /// Validity is tracked per column: every write of a cell value — an edit,
-/// a clear, a recalculated result — stamps the cell's column with a
-/// ticking clock, and a sum computed at clock `t` holds as long as no
-/// column of its range was stamped after `t`. Coarse (a write anywhere in
-/// the column drops the sum) but exact: a remembered sum is bit-identical
-/// to re-adding the range, which debug builds assert on every hit.
+/// a clear, a recalculated result — stamps the cell's column (its header
+/// in the [`CellStore`]) with a ticking clock, and a sum computed at clock
+/// `t` holds as long as no column of its range was stamped after `t`.
+/// Coarse (a write anywhere in the column drops the sum) but exact: a
+/// remembered sum is bit-identical to re-adding the range, which debug
+/// builds assert on every hit.
 #[derive(Default)]
 struct RangeSums {
-    /// Ticks once per cell-value write.
+    /// Ticks once per write of cell values.
     clock: u64,
-    /// `clock` at the last write into each column.
-    written: HashMap<u32, u64>,
     /// Range → (`clock` when it was summed, the sum). Behind a lock
     /// because evaluation only has `&self` (and may run on several
     /// threads in the leveled mode).
-    known: parking_lot::Mutex<HashMap<Range, (u64, f64)>>,
+    known: parking_lot::Mutex<BTreeMap<Range, (u64, f64)>>,
     /// Sums answered from memory (test instrumentation).
     #[cfg(test)]
     hits: std::sync::atomic::AtomicU64,
 }
 
 impl RangeSums {
-    /// Notes a write of a cell value in `col`.
-    fn wrote(&mut self, col: u32) {
+    /// The clock of a write of cell values about to be made.
+    fn tick(&mut self) -> u64 {
         self.clock += 1;
-        self.written.insert(col, self.clock);
+        self.clock
     }
 
-    /// Notes writes anywhere in `range`'s columns.
-    fn wrote_in(&mut self, range: Range) {
-        if range.width() > SUM_MEMO_MAX_COLS {
-            self.forget();
-        } else {
-            for col in range.head().col..=range.tail().col {
-                self.wrote(col);
-            }
-        }
+    /// The memo, for a formula that can gain from it: one with a second
+    /// reference. A formula whose only precedent is the range it sums is
+    /// re-evaluated only when that range was written, so it would pay for
+    /// remembering a sum and never get one back.
+    fn serving(&self, formula: &Formula) -> Option<&RangeSums> {
+        (formula.refs.len() > 1).then_some(self)
     }
 
     /// Drops every remembered sum (the cell store was rebuilt).
@@ -184,7 +191,7 @@ impl RangeSums {
     /// `SUM`'s fold over `range`: numbers added to `0.0` in
     /// [`Range::cells`] order, other values skipped; `None` for a range
     /// too small or too wide to remember, or holding an error value.
-    fn sum(&self, range: Range, cells: &HashMap<Cell, CellContent>) -> Option<f64> {
+    fn sum(&self, range: Range, cells: &CellStore) -> Option<f64> {
         let area = range.area();
         if !(SUM_MEMO_MIN_CELLS..=taco_formula::eval::MAX_RANGE_CELLS).contains(&area)
             || range.width() > SUM_MEMO_MAX_COLS
@@ -192,23 +199,15 @@ impl RangeSums {
             return None;
         }
         let add_up = || {
-            let mut sum = 0.0;
-            for c in range.cells() {
-                match cells.get(&c).map(CellContent::value) {
-                    Some(Value::Number(n)) => sum += n,
-                    Some(Value::Error(_)) => return None,
-                    _ => {}
-                }
-            }
-            Some(sum)
+            let flow = cells.fold_range(range, 0.0, &mut |sum, v| match v {
+                Value::Number(n) => ControlFlow::Continue(sum + n),
+                Value::Error(_) => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(sum),
+            });
+            flow.continue_value()
         };
-        let last_write = (range.head().col..=range.tail().col)
-            .filter_map(|col| self.written.get(&col))
-            .max()
-            .copied()
-            .unwrap_or(0);
         if let Some(&(at, sum)) = self.known.lock().get(&range) {
-            if at >= last_write {
+            if at >= cells.last_write(range) {
                 debug_assert_eq!(add_up().map(f64::to_bits), Some(sum.to_bits()), "{range}");
                 #[cfg(test)]
                 self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -241,16 +240,16 @@ const BLACK: u8 = 2;
 
 /// A headless spreadsheet backed by a pluggable formula graph.
 pub struct Engine<B: DependencyBackend = FormulaGraph> {
-    cells: HashMap<Cell, CellContent>,
+    /// Cell contents and dirty marks (see [`CellStore`]).
+    cells: CellStore,
     graph: B,
-    dirty: HashSet<Cell>,
     /// The sheet's name when mounted in a [`crate::Workbook`]; references
     /// qualified with this name (`Sheet1!A1` inside `Sheet1`) are treated
     /// as local. `None` for a standalone engine.
     sheet_name: Option<String>,
     /// Reusable recalculation buffers (see [`RecalcScratch`]).
     recalc: RecalcScratch,
-    /// Remembered range sums; every write to `cells` stamps it.
+    /// Remembered range sums; every write to `cells` carries its clock.
     sums: RangeSums,
     /// Injected volatile-function clock (NOW/TODAY/RAND read it).
     clock: EvalClock,
@@ -286,9 +285,8 @@ impl<B: DependencyBackend> Engine<B> {
     /// Wraps a backend into an empty sheet.
     pub fn new(graph: B) -> Self {
         Engine {
-            cells: HashMap::new(),
+            cells: CellStore::default(),
             graph,
-            dirty: HashSet::new(),
             sheet_name: None,
             recalc: RecalcScratch::default(),
             sums: RangeSums::default(),
@@ -363,7 +361,7 @@ impl<B: DependencyBackend> Engine<B> {
         self.clock = clock;
         let volatile = self.volatile_cells();
         for &c in &volatile {
-            self.dirty.insert(c);
+            self.cells.mark_dirty(c);
             self.mark_dependents_dirty(Range::cell(c));
         }
         volatile.len()
@@ -377,14 +375,11 @@ impl<B: DependencyBackend> Engine<B> {
 
     /// Every formula cell calling a volatile function, sorted.
     pub(crate) fn volatile_cells(&self) -> Vec<Cell> {
-        let mut v: Vec<Cell> = self
-            .cells
+        self.cells
             .iter()
             .filter(|(_, content)| content.formula().is_some_and(Formula::is_volatile))
-            .map(|(&c, _)| c)
-            .collect();
-        v.sort_unstable();
-        v
+            .map(|(c, _)| c)
+            .collect()
     }
 
     /// Total formula evaluations performed since the engine was created —
@@ -443,51 +438,45 @@ impl<B: DependencyBackend> Engine<B> {
         &mut self.graph
     }
 
-    /// Takes the whole cell store (structural edits rebuild it).
-    pub(crate) fn take_cells(&mut self) -> HashMap<Cell, CellContent> {
+    /// Takes the whole cell store, dirty marks included (structural
+    /// edits rebuild it).
+    pub(crate) fn take_cells(&mut self) -> CellStore {
         self.sums.forget();
         std::mem::take(&mut self.cells)
     }
 
-    /// Reinserts one cell during a structural rebuild.
+    /// Writes one cell with no graph or dirty bookkeeping (rebuilds and
+    /// restores, which carry their own).
     pub(crate) fn put_cell(&mut self, cell: Cell, content: CellContent) {
-        self.sums.wrote(cell.col);
-        self.cells.insert(cell, content);
+        self.cells.insert(cell, content, self.sums.tick());
     }
 
     /// Stores a formula cell's freshly evaluated value.
     fn store_result(&mut self, cell: Cell, value: Value) {
-        if let Some(CellContent::Formula { value: slot, .. }) = self.cells.get_mut(&cell) {
-            self.sums.wrote(cell.col);
-            *slot = value;
-        }
+        self.cells.store_result(cell, value, self.sums.tick());
     }
 
     /// Marks every formula cell dirty (a conservative full-recalc request,
     /// e.g. after restoring from an untrusted image).
     pub fn mark_all_formulas_dirty(&mut self) {
-        self.dirty = self
-            .cells
-            .iter()
-            .filter(|(_, content)| content.formula().is_some())
-            .map(|(&c, _)| c)
-            .collect();
+        self.cells.clear_dirty();
+        self.cells.mark_formulas_dirty_in(Range::from_coords(1, 1, u32::MAX, u32::MAX));
     }
 
     /// Current value of a cell (`Empty` when blank).
     pub fn value(&self, cell: Cell) -> Value {
-        self.cells.get(&cell).map_or(Value::Empty, |c| c.value().clone())
+        self.cells.value(cell).clone()
     }
 
     /// What `cell` holds, `None` when blank (unlike [`Engine::value`],
     /// tells a blank cell from one holding `Value::Empty`).
     pub fn content(&self, cell: Cell) -> Option<&CellContent> {
-        self.cells.get(&cell)
+        self.cells.get(cell)
     }
 
     /// The formula text of a cell, if it is a formula cell.
     pub fn formula_of(&self, cell: Cell) -> Option<String> {
-        self.cells.get(&cell).and_then(|c| c.formula()).map(|f| f.src.clone())
+        self.formula_at(cell).map(|f| f.src.clone())
     }
 
     /// Number of non-empty cells.
@@ -497,18 +486,30 @@ impl<B: DependencyBackend> Engine<B> {
 
     /// `true` iff the sheet has no content.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.cells.len() == 0
     }
 
     /// Cells currently awaiting recalculation.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.cells.dirty().len()
     }
 
-    /// Iterates over every non-empty cell and its content, in no
-    /// particular order (persistence and verification walks).
+    /// Iterates over every non-empty cell and its content in `(col, row)`
+    /// order (persistence and verification walks).
     pub fn cells(&self) -> impl Iterator<Item = (Cell, &CellContent)> {
-        self.cells.iter().map(|(&c, content)| (c, content))
+        self.cells.iter()
+    }
+
+    /// The cell store (the workbook shares it with other sheets'
+    /// evaluation, read-only).
+    pub(crate) fn store(&self) -> &CellStore {
+        &self.cells
+    }
+
+    /// Slots the cell store has allocated (tests bounding memory).
+    #[doc(hidden)]
+    pub fn slot_capacity(&self) -> usize {
+        self.cells.slot_capacity()
     }
 
     // ---- edits ---------------------------------------------------------
@@ -516,8 +517,7 @@ impl<B: DependencyBackend> Engine<B> {
     /// Sets a pure value, returning the dependents receipt.
     pub fn set_value(&mut self, cell: Cell, v: Value) -> EditReceipt {
         self.detach_formula(cell);
-        self.sums.wrote(cell.col);
-        self.cells.insert(cell, CellContent::Pure(v));
+        self.put_cell(cell, CellContent::pure(v));
         self.mark_dependents_dirty(Range::cell(cell))
     }
 
@@ -538,26 +538,22 @@ impl<B: DependencyBackend> Engine<B> {
                 self.graph.add_dependency(&Dependency::from_ref(&q.rref, cell));
             }
         }
-        self.sums.wrote(cell.col);
-        self.cells.insert(cell, CellContent::Formula { formula, value: Value::Empty });
-        self.dirty.insert(cell);
+        self.put_cell(cell, CellContent::formula_cell(formula, Value::Empty));
+        self.cells.mark_dirty(cell);
         self.mark_dependents_dirty(Range::cell(cell))
     }
 
     /// Clears every cell in `range` (values and formulae).
     pub fn clear_range(&mut self, range: Range) -> EditReceipt {
         self.graph.clear_cells(range);
-        self.sums.wrote_in(range);
-        self.cells.retain(|c, _| !range.contains_cell(*c));
-        self.dirty.retain(|c| !range.contains_cell(*c));
+        self.cells.remove_range(range, self.sums.tick());
         self.mark_dependents_dirty(range)
     }
 
     /// Autofills the formula at `src` over `targets` (the tool that
     /// generates tabular locality). Fails if `src` has no formula.
     pub fn autofill(&mut self, src: Cell, targets: Range) -> Result<EditReceipt, CellError> {
-        let formula =
-            self.cells.get(&src).and_then(|c| c.formula()).cloned().ok_or(CellError::Value)?;
+        let formula = self.formula_at(src).cloned().ok_or(CellError::Value)?;
         let start = Instant::now();
         let mut dirty = Vec::new();
         for filled in autofill::autofill(src, &formula, targets) {
@@ -569,7 +565,7 @@ impl<B: DependencyBackend> Engine<B> {
 
     /// Removes the graph dependencies of a formula cell before overwriting.
     fn detach_formula(&mut self, cell: Cell) {
-        if matches!(self.cells.get(&cell), Some(CellContent::Formula { .. })) {
+        if self.formula_at(cell).is_some() {
             self.graph.clear_cells(Range::cell(cell));
         }
     }
@@ -587,44 +583,15 @@ impl<B: DependencyBackend> Engine<B> {
     /// Marks the formula cells inside `ranges` dirty (workbook cross-sheet
     /// routing enters here).
     pub(crate) fn mark_ranges_dirty(&mut self, ranges: &[Range]) {
-        for range in ranges {
-            // Only existing formula cells need recalculation. Iterate the
-            // smaller of (range cells, stored cells).
-            if range.area() as usize <= self.cells.len() {
-                for c in range.cells() {
-                    if matches!(self.cells.get(&c), Some(CellContent::Formula { .. })) {
-                        self.dirty.insert(c);
-                    }
-                }
-            } else {
-                let cells = &self.cells;
-                self.dirty.extend(
-                    cells
-                        .iter()
-                        .filter(|(c, content)| {
-                            range.contains_cell(**c) && content.formula().is_some()
-                        })
-                        .map(|(&c, _)| c),
-                );
-            }
+        for &range in ranges {
+            self.cells.mark_formulas_dirty_in(range);
         }
     }
 
     /// Marks one formula cell dirty; returns `true` iff the cell holds a
     /// formula and was not already dirty.
     pub(crate) fn mark_cell_dirty(&mut self, cell: Cell) -> bool {
-        matches!(self.cells.get(&cell), Some(CellContent::Formula { .. }))
-            && self.dirty.insert(cell)
-    }
-
-    /// `true` iff `cell` is awaiting recalculation.
-    pub(crate) fn is_cell_dirty(&self, cell: Cell) -> bool {
-        self.dirty.contains(&cell)
-    }
-
-    /// Read access to the whole cell store (workbook import snapshots).
-    pub(crate) fn cells_map(&self) -> &HashMap<Cell, CellContent> {
-        &self.cells
+        self.cells.mark_dirty(cell)
     }
 
     /// The dirty set in sorted order (persistence: snapshots must encode
@@ -632,14 +599,14 @@ impl<B: DependencyBackend> Engine<B> {
     /// per-recalc sorted view reuses [`RecalcScratch::dirty_sorted`]
     /// instead of this allocating accessor.
     pub(crate) fn dirty_cells_sorted(&self) -> Vec<Cell> {
-        let mut v: Vec<Cell> = self.dirty.iter().copied().collect();
+        let mut v = self.cells.dirty().to_vec();
         v.sort_unstable();
         v
     }
 
     /// The parsed formula at `cell`, if any (workbook autofill).
     pub(crate) fn formula_at(&self, cell: Cell) -> Option<&Formula> {
-        self.cells.get(&cell).and_then(CellContent::formula)
+        self.cells.get(cell).and_then(CellContent::formula)
     }
 
     // ---- recalculation ----------------------------------------------------
@@ -659,7 +626,7 @@ impl<B: DependencyBackend> Engine<B> {
     }
 
     /// Recalculation with a view of other sheets' values (the workbook's
-    /// per-level import snapshot). Fully deterministic: the evaluation
+    /// `OtherSheets`). Fully deterministic: the evaluation
     /// order depends only on the dirty set and the local graph.
     pub(crate) fn recalculate_with<E: ExternalSheets>(&mut self, ext: &E) -> usize {
         self.topo_order_of_dirty();
@@ -674,20 +641,7 @@ impl<B: DependencyBackend> Engine<B> {
         self.trace.clear();
         for &cell in &order {
             let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-            let value = match self.cells.get(&cell) {
-                Some(CellContent::Formula { formula, .. }) => {
-                    let vol = VolatileCtx::for_cell(self.clock, cell);
-                    let view = SheetView {
-                        cells: &self.cells,
-                        sums: &self.sums,
-                        own: self.sheet_name.as_deref(),
-                        ext,
-                        vol: Some(&vol),
-                    };
-                    eval(&formula.ast, &view)
-                }
-                _ => continue,
-            };
+            let Some(value) = self.eval_cell(cell, ext) else { continue };
             if let Some(start) = cell_start {
                 let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 push_hot(&mut self.recalc.prof_top, cell, ns);
@@ -703,7 +657,7 @@ impl<B: DependencyBackend> Engine<B> {
             self.recalc.prof_levels.push((0, evaluated as u32, ns));
         }
         self.recalc.order = order;
-        self.dirty.clear();
+        self.cells.clear_dirty();
         self.evaluated_total += evaluated as u64;
         evaluated
     }
@@ -756,7 +710,7 @@ impl<B: DependencyBackend> Engine<B> {
             if workers == 1 || level.len() == 1 {
                 for (cell, slot, ns) in &mut s.staged {
                     let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-                    *slot = self.eval_cell(*cell, ext);
+                    *slot = self.eval_cell(*cell, ext).unwrap_or(Value::Empty);
                     if let Some(start) = cell_start {
                         *ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     }
@@ -771,9 +725,11 @@ impl<B: DependencyBackend> Engine<B> {
                         scope.spawn(move |_| {
                             for (cell, slot, ns) in chunk {
                                 let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-                                if let Some(CellContent::Formula { formula, .. }) = cells.get(cell)
+                                if let Some(formula) =
+                                    cells.get(*cell).and_then(CellContent::formula)
                                 {
                                     let vol = VolatileCtx::for_cell(clock, *cell);
+                                    let sums = sums.serving(formula);
                                     let view = SheetView { cells, sums, own, ext, vol: Some(&vol) };
                                     *slot = eval(&formula.ast, &view);
                                 }
@@ -825,7 +781,7 @@ impl<B: DependencyBackend> Engine<B> {
                     continue;
                 }
                 let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-                let value = self.eval_cell(cell, ext);
+                let value = self.eval_cell(cell, ext).unwrap_or(Value::Empty);
                 self.store_result(cell, value);
                 if let Some(start) = cell_start {
                     let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -841,27 +797,24 @@ impl<B: DependencyBackend> Engine<B> {
         let evaluated = s.dirty_sorted.len();
         s.leveler = leveler;
         self.recalc = s;
-        self.dirty.clear();
+        self.cells.clear_dirty();
         self.evaluated_total += evaluated as u64;
         evaluated
     }
 
-    /// Evaluates one formula cell against the current store (no write).
-    fn eval_cell<E: ExternalSheets>(&self, cell: Cell, ext: &E) -> Value {
-        match self.cells.get(&cell) {
-            Some(CellContent::Formula { formula, .. }) => {
-                let vol = VolatileCtx::for_cell(self.clock, cell);
-                let view = SheetView {
-                    cells: &self.cells,
-                    sums: &self.sums,
-                    own: self.sheet_name.as_deref(),
-                    ext,
-                    vol: Some(&vol),
-                };
-                eval(&formula.ast, &view)
-            }
-            _ => Value::Empty,
-        }
+    /// Evaluates the formula at `cell` against the current store (no
+    /// write); `None` if the cell holds no formula.
+    fn eval_cell<E: ExternalSheets>(&self, cell: Cell, ext: &E) -> Option<Value> {
+        let formula = self.formula_at(cell)?;
+        let vol = VolatileCtx::for_cell(self.clock, cell);
+        let view = SheetView {
+            cells: &self.cells,
+            sums: self.sums.serving(formula),
+            own: self.sheet_name.as_deref(),
+            ext,
+            vol: Some(&vol),
+        };
+        Some(eval(&formula.ast, &view))
     }
 
     /// Number of levels the most recent leveled recalculation built
@@ -870,20 +823,17 @@ impl<B: DependencyBackend> Engine<B> {
         self.recalc.leveler.num_levels()
     }
 
-    /// Restricts the dirty set to `keep ∩ dirty`, returning the removed
-    /// cells so a demand-driven recalculation can restore them afterwards.
-    pub(crate) fn restrict_dirty(&mut self, keep: &HashSet<Cell>) -> Vec<Cell> {
-        let removed: Vec<Cell> = self.dirty.iter().copied().filter(|c| !keep.contains(c)).collect();
-        for c in &removed {
-            self.dirty.remove(c);
-        }
-        removed
+    /// Restricts the dirty set to the cells `keep` accepts, returning the
+    /// removed cells so a demand-driven recalculation can restore them
+    /// afterwards.
+    pub(crate) fn restrict_dirty(&mut self, keep: impl Fn(Cell) -> bool) -> Vec<Cell> {
+        self.cells.restrict_dirty(keep)
     }
 
     /// Re-inserts cells into the dirty set (the deferred remainder of a
     /// demand-driven recalculation).
     pub(crate) fn restore_dirty(&mut self, cells: &[Cell]) {
-        self.dirty.extend(cells.iter().copied());
+        self.cells.restore_dirty(cells);
     }
 
     /// Topologically orders the dirty formula cells (into
@@ -898,7 +848,7 @@ impl<B: DependencyBackend> Engine<B> {
     fn topo_order_of_dirty(&mut self) {
         let mut s = std::mem::take(&mut self.recalc);
         s.dirty_sorted.clear();
-        s.dirty_sorted.extend(self.dirty.iter().copied());
+        s.dirty_sorted.extend_from_slice(self.cells.dirty());
         s.dirty_sorted.sort_unstable();
         let n = s.dirty_sorted.len();
         s.color.clear();
@@ -968,7 +918,7 @@ impl<B: DependencyBackend> Engine<B> {
     /// range (or the whole dirty set). When the range is wider than the
     /// dirty set, one scan over the column-bounded slice wins instead.
     pub(crate) fn dirty_precedents_into(&self, cell: Cell, dirty: &[Cell], out: &mut Vec<u32>) {
-        let Some(CellContent::Formula { formula, .. }) = self.cells.get(&cell) else {
+        let Some(formula) = self.formula_at(cell) else {
             return;
         };
         for q in &formula.refs {
@@ -1022,26 +972,70 @@ impl<B: DependencyBackend> Engine<B> {
 /// window used for `Sheet2!A1`-style reads and the volatile-function
 /// context of the cell being evaluated.
 struct SheetView<'a, E: ExternalSheets> {
-    cells: &'a HashMap<Cell, CellContent>,
-    sums: &'a RangeSums,
+    cells: &'a CellStore,
+    /// `None` for a formula that could never reuse a sum.
+    sums: Option<&'a RangeSums>,
     own: Option<&'a str>,
     ext: &'a E,
     vol: Option<&'a VolatileCtx>,
 }
 
+impl<E: ExternalSheets> SheetView<'_, E> {
+    /// A self-qualified reference (`Sheet1!A1` inside `Sheet1`) reads
+    /// locally; everything else goes through the external window.
+    fn is_own(&self, sheet: &str) -> bool {
+        self.own.is_some_and(|n| n.eq_ignore_ascii_case(sheet))
+    }
+}
+
 impl<E: ExternalSheets> CellProvider for SheetView<'_, E> {
     fn value(&self, cell: Cell) -> Value {
-        self.cells.get(&cell).map_or(Value::Empty, |c| c.value().clone())
+        self.cells.value(cell).clone()
     }
 
     fn sheet_value(&self, sheet: &str, cell: Cell) -> Value {
-        // A self-qualified reference (`Sheet1!A1` inside `Sheet1`) reads
-        // locally; everything else goes through the external window.
-        if self.own.is_some_and(|n| n.eq_ignore_ascii_case(sheet)) {
+        if self.is_own(sheet) {
             self.value(cell)
         } else {
             self.ext.value(sheet, cell)
         }
+    }
+
+    fn fold_range<A, B>(
+        &self,
+        sheet: Option<&str>,
+        range: Range,
+        init: A,
+        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+    ) -> ControlFlow<B, A> {
+        // Debug builds hold every scan to the cell-by-cell read it
+        // replaces, so each suite that evaluates a formula checks it.
+        #[cfg(debug_assertions)]
+        let mut cell_by_cell = range.cells();
+        #[cfg(debug_assertions)]
+        let f = &mut |acc: A, v: &Value| {
+            let cell = cell_by_cell.next().expect("a scan visits no more cells than its range");
+            let want = match sheet {
+                None => self.value(cell),
+                Some(s) => self.sheet_value(s, cell),
+            };
+            let same = match (v, &want) {
+                (Value::Number(a), Value::Number(b)) => a.to_bits() == b.to_bits(),
+                _ => *v == want,
+            };
+            debug_assert!(same, "scan of {range} on {sheet:?}: {v:?} at {cell}, not {want:?}");
+            f(acc, v)
+        };
+        let flow = match sheet.filter(|s| !self.is_own(s)) {
+            None => self.cells.fold_range(range, init, f),
+            Some(s) => self.ext.fold_range(s, range, init, f),
+        };
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            flow.is_break() || cell_by_cell.next().is_none(),
+            "scan of {range} on {sheet:?} stopped short"
+        );
+        flow
     }
 
     fn volatile(&self) -> Option<&VolatileCtx> {
@@ -1049,7 +1043,7 @@ impl<E: ExternalSheets> CellProvider for SheetView<'_, E> {
     }
 
     fn range_sum(&self, range: Range) -> Option<f64> {
-        self.sums.sum(range, self.cells)
+        self.sums?.sum(range, self.cells)
     }
 }
 

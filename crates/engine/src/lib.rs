@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 mod async_engine;
+mod cells;
 mod engine;
 mod obs;
 mod persist;

@@ -43,20 +43,31 @@ pub fn wal_path(path: &Path) -> PathBuf {
 /// conversion point between live cell contents and persistent records,
 /// shared by [`Workbook::to_image`] and [`save_engine`].
 fn sheet_image(engine: &Engine<FormulaGraph>, name: String) -> SheetImage {
-    let mut cells: Vec<_> = engine
+    // `cells()` is in `(col, row)` order, the order the image wants.
+    let cells = engine
         .cells()
         .map(|(cell, content)| {
-            let rec = match content {
-                CellContent::Pure(v) => CellRecord::Pure(v.clone()),
-                CellContent::Formula { formula, value } => {
-                    CellRecord::Formula { src: formula.src.clone(), value: value.clone() }
-                }
+            let value = content.value().clone();
+            let rec = match content.formula() {
+                None => CellRecord::Pure(value),
+                Some(formula) => CellRecord::Formula { src: formula.src.clone(), value },
             };
             (cell, rec)
         })
         .collect();
-    cells.sort_by_key(|(c, _)| *c);
     SheetImage { name, cells, dirty: engine.dirty_cells_sorted(), graph: engine.graph().snapshot() }
+}
+
+/// The live content of a stored cell record (the formula re-parsed).
+fn cell_content(rec: CellRecord) -> Result<CellContent, StoreError> {
+    Ok(match rec {
+        CellRecord::Pure(v) => CellContent::pure(v),
+        CellRecord::Formula { src, value } => {
+            let formula =
+                Formula::parse(&src).map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
+            CellContent::formula_cell(formula, value)
+        }
+    })
 }
 
 impl Workbook<FormulaGraph> {
@@ -103,15 +114,7 @@ impl Workbook<FormulaGraph> {
                 .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
             let engine = wb.engine_mut(id.index());
             for (cell, rec) in sheet.cells {
-                let content = match rec {
-                    CellRecord::Pure(v) => CellContent::Pure(v),
-                    CellRecord::Formula { src, value } => CellContent::Formula {
-                        formula: Formula::parse(&src)
-                            .map_err(|e| StoreError::InvalidRecord(e.to_string()))?,
-                        value,
-                    },
-                };
-                engine.put_cell(cell, content);
+                engine.put_cell(cell, cell_content(rec)?);
             }
             for cell in sheet.dirty {
                 engine.mark_cell_dirty(cell);
@@ -626,15 +629,7 @@ pub fn open_engine(path: &Path) -> Result<Engine<FormulaGraph>, StoreError> {
     // `Data`) must keep resolving locally after reopen.
     engine.set_sheet_name(sheet.name);
     for (cell, rec) in sheet.cells {
-        let content = match rec {
-            CellRecord::Pure(v) => CellContent::Pure(v),
-            CellRecord::Formula { src, value } => CellContent::Formula {
-                formula: Formula::parse(&src)
-                    .map_err(|e| StoreError::InvalidRecord(e.to_string()))?,
-                value,
-            },
-        };
-        engine.put_cell(cell, content);
+        engine.put_cell(cell, cell_content(rec)?);
     }
     for cell in sheet.dirty {
         engine.mark_cell_dirty(cell);
@@ -755,8 +750,8 @@ mod tests {
                 live.sheet(id).graph().stats(),
                 "sheet {i} graph stats"
             );
-            for (cell, content) in live.sheet(id).cells_map() {
-                assert_eq!(reopened.value(id, *cell), *content.value(), "sheet {i} {cell}");
+            for (cell, content) in live.sheet(id).cells() {
+                assert_eq!(reopened.value(id, cell), *content.value(), "sheet {i} {cell}");
             }
         }
         let probe = Range::parse_a1("A1:A6").unwrap();
@@ -950,8 +945,8 @@ mod tests {
         live.recalculate(RecalcMode::Serial);
         // A double-applied InsertRows would move A1's 100 down again.
         assert_eq!(reopened.value(SheetId(0), c("A1")), n(100.0));
-        for (cell, content) in live.sheet(SheetId(0)).cells_map() {
-            assert_eq!(reopened.value(SheetId(0), *cell), *content.value(), "{cell}");
+        for (cell, content) in live.sheet(SheetId(0)).cells() {
+            assert_eq!(reopened.value(SheetId(0), cell), *content.value(), "{cell}");
         }
     }
 
@@ -1015,11 +1010,11 @@ mod tests {
                 live.sheet(id).graph().stats(),
                 "sheet {i} graph stats"
             );
-            for (cell, content) in live.sheet(id).cells_map() {
-                assert_eq!(reopened.value(id, *cell), *content.value(), "sheet {i} {cell}");
+            for (cell, content) in live.sheet(id).cells() {
+                assert_eq!(reopened.value(id, cell), *content.value(), "sheet {i} {cell}");
                 assert_eq!(
-                    reopened.formula_of(id, *cell),
-                    live.formula_of(id, *cell),
+                    reopened.formula_of(id, cell),
+                    live.formula_of(id, cell),
                     "sheet {i} {cell} source text"
                 );
             }

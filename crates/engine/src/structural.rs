@@ -3,7 +3,6 @@
 
 use crate::engine::{EditReceipt, Engine};
 use crate::sheet::CellContent;
-use std::collections::HashSet;
 use std::time::Instant;
 use taco_core::{FormulaGraph, StructuralOp};
 use taco_formula::Formula;
@@ -71,26 +70,19 @@ impl Engine<FormulaGraph> {
         let own = self.sheet_name().map(str::to_string);
         self.graph_mut().apply_structural(op);
         let old = self.take_cells();
-        let old_dirty = self.restrict_dirty(&HashSet::new());
+        let old_dirty = old.dirty().to_vec();
         let mut changed = Vec::new();
-        for (cell, content) in old {
+        for (cell, mut content) in old.into_cells() {
             let Some(nc) = op.map_cell(cell) else { continue };
-            let content = match content {
-                CellContent::Pure(v) => CellContent::Pure(v),
-                CellContent::Formula { formula, value } => {
-                    let ast = formula.ast.map_refs(&mut |r| map_ref(op, own.as_deref(), r));
-                    if ast == formula.ast {
-                        CellContent::Formula { formula, value }
-                    } else {
-                        changed.push(nc);
-                        let refs = ast.collect_refs();
-                        CellContent::Formula {
-                            formula: Formula { src: ast.to_string(), ast, refs },
-                            value,
-                        }
-                    }
+            if let Some(formula) = content.formula() {
+                let ast = formula.ast.map_refs(&mut |r| map_ref(op, own.as_deref(), r));
+                if ast != formula.ast {
+                    changed.push(nc);
+                    let refs = ast.collect_refs();
+                    let formula = Formula { src: ast.to_string(), ast, refs };
+                    content = CellContent::formula_cell(formula, content.value);
                 }
-            };
+            }
             self.put_cell(nc, content);
         }
         for cell in old_dirty {

@@ -16,9 +16,9 @@
 //! - recalculation is scheduled **per sheet**: sheets are topologically
 //!   leveled by the cross-edge graph (longest-path levels), so sheets in
 //!   the same level share no cross-sheet edges and can evaluate
-//!   concurrently on crossbeam scoped threads. Before a level runs, each
-//!   of its sheets gets an *import snapshot* — the values covered by its
-//!   incoming cross edges — so worker threads never share sheet state.
+//!   concurrently on crossbeam scoped threads. A level's threads write
+//!   only their own sheets and read the sheets of other levels in place,
+//!   so nothing they share changes under them.
 //!
 //! [`RecalcMode::Serial`] walks the same levels in ascending sheet order;
 //! because within-level sheets are independent and every per-sheet
@@ -37,10 +37,11 @@
 //! never settles, matching Excel's circular-reference behaviour with
 //! iterative calculation off.
 
+use crate::cells::CellStore;
 use crate::engine::{Engine, ExternalSheets};
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 use taco_core::{Config, Dependency, DependencyBackend, FormulaGraph, StructuralOp};
 use taco_formula::{autofill, CellError, EvalClock, Formula, FormulaError, Value};
@@ -80,8 +81,8 @@ pub struct CrossEdge {
 
 /// The inter-sheet edge table, indexed both ways so the hot paths only
 /// scan the edges of the sheet at hand: routing (`expand`) walks a source
-/// sheet's outgoing edges, import snapshots and precedent queries walk a
-/// target sheet's incoming edges. Every edge is stored in both buckets.
+/// sheet's outgoing edges, precedent queries walk a target sheet's
+/// incoming edges. Every edge is stored in both buckets.
 #[derive(Default)]
 struct EdgeTable {
     by_src: Vec<Vec<CrossEdge>>,
@@ -355,7 +356,7 @@ struct SheetShard<B: DependencyBackend> {
 pub struct Workbook<B: DependencyBackend = FormulaGraph> {
     sheets: Vec<SheetShard<B>>,
     /// Lower-cased sheet name → dense id.
-    index: HashMap<String, usize>,
+    index: BTreeMap<String, usize>,
     /// The inter-sheet edge table.
     xedges: EdgeTable,
     /// Pre-registered metric handles, when attached to an obs hub
@@ -634,7 +635,7 @@ impl<B: DependencyBackend> Workbook<B> {
     pub fn new() -> Self {
         Workbook {
             sheets: Vec::new(),
-            index: HashMap::new(),
+            index: BTreeMap::new(),
             xedges: EdgeTable::default(),
             obs: None,
         }
@@ -705,7 +706,7 @@ impl<B: DependencyBackend> Workbook<B> {
         let name = &self.sheets[new_id].name;
         let mut edges = Vec::new();
         for (sid, shard) in self.sheets.iter().enumerate() {
-            for (&cell, content) in shard.engine.cells_map() {
+            for (cell, content) in shard.engine.cells() {
                 let Some(formula) = content.formula() else { continue };
                 // One edge per distinct range the formula reads — the
                 // same dedup `apply_formula` applies on the live path.
@@ -1129,58 +1130,35 @@ impl<B: DependencyBackend> Workbook<B> {
                 g.b = work.len() as u64;
                 g
             });
-            // Import snapshots: the foreign values each dirty sheet's
-            // cross references cover, read while no shard is borrowed
-            // mutably. Precedent sheets live in earlier levels, so their
-            // values are final by now.
-            let mut imports: HashMap<usize, SheetImports<'_>> = work
-                .iter()
-                .map(|&t| {
-                    let mut values: HashMap<(usize, Cell), Value> = HashMap::new();
-                    // Only edges whose formula is actually dirty matter:
-                    // clean cells are not re-evaluated this pass.
-                    for e in xedges
-                        .incoming(t)
-                        .iter()
-                        .filter(|e| e.src.0 != t && sheets[t].engine.is_cell_dirty(e.dep))
-                    {
-                        let src = sheets[e.src.0].engine.cells_map();
-                        if (e.prec.area() as usize) <= src.len() {
-                            for c in e.prec.cells() {
-                                if let Some(content) = src.get(&c) {
-                                    values.insert((e.src.0, c), content.value().clone());
-                                }
-                            }
-                        } else {
-                            for (&c, content) in src {
-                                if e.prec.contains_cell(c) {
-                                    values.insert((e.src.0, c), content.value().clone());
-                                }
-                            }
-                        }
-                    }
-                    (t, SheetImports::new(index, values))
-                })
-                .collect();
-            // Disjoint mutable borrows of exactly the level's shards, in
-            // ascending sheet order (the deterministic serial order).
-            let mut jobs: Vec<(&mut SheetShard<B>, SheetImports<'_>)> = sheets
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(i, shard)| imports.remove(&i).map(|imp| (shard, imp)))
-                .collect();
+            // Exactly the level's dirty shards are borrowed mutably, in
+            // ascending sheet order (the deterministic serial order);
+            // every other sheet's cells are shared with them read-only.
+            // A sheet the level's formulae reference sits in another
+            // level, so nothing writes it while they read: precedent
+            // sheets live in earlier levels and are final by now.
+            let mut jobs: Vec<&mut SheetShard<B>> = Vec::with_capacity(work.len());
+            let mut others: Vec<Option<&CellStore>> = Vec::with_capacity(sheets.len());
+            for (i, shard) in sheets.iter_mut().enumerate() {
+                if work.binary_search(&i).is_ok() {
+                    jobs.push(shard);
+                    others.push(None);
+                } else {
+                    others.push(Some(shard.engine.store()));
+                }
+            }
+            let ext = OtherSheets { index, cells: &others };
             match mode {
                 RecalcMode::Serial => {
-                    for (shard, imp) in jobs.iter_mut() {
-                        total += shard.engine.recalculate_with(&*imp);
+                    for shard in jobs.iter_mut() {
+                        total += shard.engine.recalculate_with(&ext);
                     }
                 }
                 RecalcMode::CellParallel { threads } => {
                     // Sheets stay in ascending serial order; the
                     // parallelism lives inside each sheet's level
                     // schedule, so one giant sheet still fans out.
-                    for (shard, imp) in jobs.iter_mut() {
-                        total += shard.engine.recalculate_leveled_with(&*imp, threads);
+                    for shard in jobs.iter_mut() {
+                        total += shard.engine.recalculate_leveled_with(&ext, threads);
                     }
                 }
                 RecalcMode::Parallel { threads } => {
@@ -1190,10 +1168,11 @@ impl<B: DependencyBackend> Workbook<B> {
                         let handles: Vec<_> = jobs
                             .chunks_mut(per)
                             .map(|chunk| {
+                                let ext = &ext;
                                 s.spawn(move |_| {
                                     let mut n = 0usize;
-                                    for (shard, imp) in chunk.iter_mut() {
-                                        n += shard.engine.recalculate_with(&*imp);
+                                    for shard in chunk.iter_mut() {
+                                        n += shard.engine.recalculate_with(ext);
                                     }
                                     n
                                 })
@@ -1264,7 +1243,7 @@ impl<B: DependencyBackend> Workbook<B> {
         let dirty_sorted: Vec<Vec<Cell>> =
             self.sheets.iter().map(|s| s.engine.dirty_cells_sorted()).collect();
 
-        let mut needed: Vec<HashSet<Cell>> = vec![HashSet::new(); self.sheets.len()];
+        let mut needed: Vec<BTreeSet<Cell>> = vec![BTreeSet::new(); self.sheets.len()];
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, Cell)>> =
             std::collections::BinaryHeap::new();
         for &c in dirty_sorted[id.0].iter().filter(|c| viewport.contains_cell(**c)) {
@@ -1295,7 +1274,7 @@ impl<B: DependencyBackend> Workbook<B> {
             }
         }
 
-        let closure: usize = needed.iter().map(HashSet::len).sum();
+        let closure: usize = needed.iter().map(BTreeSet::len).sum();
         if let (Some(o), Some((start, start_ns))) = (self.obs.as_deref(), expand_timing) {
             o.on_demand_expand(start, start_ns, closure);
         }
@@ -1306,7 +1285,7 @@ impl<B: DependencyBackend> Workbook<B> {
         // Restrict, recalculate with the normal schedule, restore.
         let mut deferred: Vec<(usize, Vec<Cell>)> = Vec::new();
         for (sid, keep) in needed.iter().enumerate() {
-            let removed = self.sheets[sid].engine.restrict_dirty(keep);
+            let removed = self.sheets[sid].engine.restrict_dirty(|c| keep.contains(&c));
             if !removed.is_empty() {
                 deferred.push((sid, removed));
             }
@@ -1345,43 +1324,48 @@ impl<B: DependencyBackend> Workbook<B> {
     }
 }
 
-/// Per-sheet import snapshot: foreign values visible during one level's
-/// evaluation. Unknown sheet names resolve to `#REF!`; known sheets fall
-/// back to `Empty` for cells outside any imported (referenced) range.
-struct SheetImports<'a> {
-    index: &'a HashMap<String, usize>,
-    values: HashMap<(usize, Cell), Value>,
-    /// Qualifier → sheet id, memoized: a formula reading a whole foreign
-    /// range resolves its qualifier once, not once per cell (the name
-    /// lookup requires an owned lowercased key, which would otherwise
-    /// allocate on every read of the recalc hot path). A mutex rather
-    /// than a `RefCell` because cell-level parallel recalculation shares
-    /// one import snapshot across a level's worker threads; the lock is
-    /// uncontended after the first read of each qualifier warms the map.
-    resolved: Mutex<HashMap<String, Option<usize>>>,
+/// The other sheets' cells, as one level's evaluation sees them: every
+/// sheet the level does not itself recalculate, read in place. Unknown
+/// sheet names resolve to `#REF!`.
+struct OtherSheets<'a> {
+    index: &'a BTreeMap<String, usize>,
+    /// By sheet id; `None` for the sheets being recalculated.
+    cells: &'a [Option<&'a CellStore>],
 }
 
-impl<'a> SheetImports<'a> {
-    fn new(index: &'a HashMap<String, usize>, values: HashMap<(usize, Cell), Value>) -> Self {
-        SheetImports { index, values, resolved: Mutex::new(HashMap::new()) }
+impl OtherSheets<'_> {
+    /// The cells of the sheet named `sheet`: `Err` for no such sheet,
+    /// `None` for one this level writes (no cross edge leads there; it
+    /// reads as blank).
+    fn resolve(&self, sheet: &str) -> Result<Option<&CellStore>, CellError> {
+        let sid = self.index.get(&sheet.to_ascii_lowercase()).ok_or(CellError::Ref)?;
+        Ok(self.cells[*sid])
     }
 }
 
-impl ExternalSheets for SheetImports<'_> {
+impl ExternalSheets for OtherSheets<'_> {
     fn value(&self, sheet: &str, cell: Cell) -> Value {
-        let mut resolved = self.resolved.lock();
-        let sid = match resolved.get(sheet) {
-            Some(&sid) => sid,
-            None => {
-                let sid = self.index.get(&sheet.to_ascii_lowercase()).copied();
-                resolved.insert(sheet.to_string(), sid);
-                sid
-            }
-        };
-        match sid {
-            None => Value::Error(CellError::Ref),
-            Some(sid) => self.values.get(&(sid, cell)).cloned().unwrap_or(Value::Empty),
+        match self.resolve(sheet) {
+            Ok(Some(cells)) => cells.value(cell).clone(),
+            Ok(None) => Value::Empty,
+            Err(e) => Value::Error(e),
         }
+    }
+
+    /// The qualifier is resolved once per range, not once per cell.
+    fn fold_range<A, B>(
+        &self,
+        sheet: &str,
+        range: Range,
+        init: A,
+        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+    ) -> ControlFlow<B, A> {
+        let blank = match self.resolve(sheet) {
+            Ok(Some(cells)) => return cells.fold_range(range, init, f),
+            Ok(None) => Value::Empty,
+            Err(e) => Value::Error(e),
+        };
+        range.cells().try_fold(init, |acc, _| f(acc, &blank))
     }
 }
 
@@ -1627,8 +1611,8 @@ mod tests {
     #[test]
     fn cross_sheet_sumif_reads_the_implicitly_resized_sum_range() {
         // SUMIF's sum range is shaped to the criteria range (B1:B1 reads
-        // B1:B3 here); the cross edge must cover the implicit cells, both
-        // for the import snapshot and for dirty routing.
+        // B1:B3 here); the cross edge must cover the implicit cells for
+        // dirty routing.
         let mut wb = Workbook::with_taco();
         let data = wb.add_sheet("Data").unwrap();
         let summary = wb.add_sheet("Summary").unwrap();

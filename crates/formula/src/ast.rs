@@ -72,6 +72,80 @@ pub enum UnOp {
     Plus,
 }
 
+/// A function the evaluator knows, resolved from the name once, when the
+/// formula is parsed, so a call dispatches on this instead of comparing
+/// strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // the variants are the spreadsheet functions of the same names
+pub enum FuncId {
+    Sum,
+    Product,
+    Count,
+    CountA,
+    Average,
+    Min,
+    Max,
+    If,
+    And,
+    Or,
+    Not,
+    Abs,
+    Sqrt,
+    Int,
+    Round,
+    Len,
+    Concatenate,
+    Vlookup,
+    SumIf,
+    CountIf,
+    AverageIf,
+    Index,
+    Match,
+    Now,
+    Today,
+    Rand,
+    /// Any other name: evaluates to `#NAME?`.
+    Unknown,
+}
+
+impl FuncId {
+    /// Every spelling the evaluator knows (upper case) with its id.
+    pub const KNOWN: &'static [(&'static str, FuncId)] = &[
+        ("SUM", FuncId::Sum),
+        ("PRODUCT", FuncId::Product),
+        ("COUNT", FuncId::Count),
+        ("COUNTA", FuncId::CountA),
+        ("AVERAGE", FuncId::Average),
+        ("AVG", FuncId::Average),
+        ("MIN", FuncId::Min),
+        ("MAX", FuncId::Max),
+        ("IF", FuncId::If),
+        ("AND", FuncId::And),
+        ("OR", FuncId::Or),
+        ("NOT", FuncId::Not),
+        ("ABS", FuncId::Abs),
+        ("SQRT", FuncId::Sqrt),
+        ("INT", FuncId::Int),
+        ("ROUND", FuncId::Round),
+        ("LEN", FuncId::Len),
+        ("CONCATENATE", FuncId::Concatenate),
+        ("VLOOKUP", FuncId::Vlookup),
+        ("SUMIF", FuncId::SumIf),
+        ("COUNTIF", FuncId::CountIf),
+        ("AVERAGEIF", FuncId::AverageIf),
+        ("INDEX", FuncId::Index),
+        ("MATCH", FuncId::Match),
+        ("NOW", FuncId::Now),
+        ("TODAY", FuncId::Today),
+        ("RAND", FuncId::Rand),
+    ];
+
+    /// The id of an upper-cased function name.
+    pub fn of(name: &str) -> FuncId {
+        FuncId::KNOWN.iter().find(|(known, _)| *known == name).map_or(FuncId::Unknown, |e| e.1)
+    }
+}
+
 /// A parsed formula expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -87,9 +161,11 @@ pub enum Expr {
     /// A broken reference (produced by autofill falling off the grid —
     /// Excel's `#REF!`).
     RefError,
-    /// Function call.
+    /// Function call; build one with [`Expr::func`].
     Func {
-        /// Upper-cased function name.
+        /// [`FuncId::of`] the name.
+        id: FuncId,
+        /// Upper-cased function name, as printed.
         name: String,
         /// Argument expressions.
         args: Vec<Expr>,
@@ -115,6 +191,12 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// A call of the function spelled `name` (any case).
+    pub fn func(name: &str, args: Vec<Expr>) -> Expr {
+        let name = name.to_ascii_uppercase();
+        Expr::Func { id: FuncId::of(&name), name, args }
+    }
+
     /// Collects every reference in the expression, in source order, as the
     /// *dependency read set*: the cells evaluation may actually touch.
     ///
@@ -133,9 +215,7 @@ impl Expr {
 
     fn collect_read_set(&self, out: &mut Vec<QualifiedRef>) {
         match self {
-            Expr::Func { name, args }
-                if args.len() == 3 && (name == "SUMIF" || name == "AVERAGEIF") =>
-            {
+            Expr::Func { id: FuncId::SumIf | FuncId::AverageIf, args, .. } if args.len() == 3 => {
                 args[0].collect_read_set(out);
                 args[1].collect_read_set(out);
                 match (&args[0], &args[2]) {
@@ -195,7 +275,8 @@ impl Expr {
                 Some(nr) => Expr::Ref(nr),
                 None => Expr::RefError,
             },
-            Expr::Func { name, args } => Expr::Func {
+            Expr::Func { id, name, args } => Expr::Func {
+                id: *id,
                 name: name.clone(),
                 args: args.iter().map(|a| a.map_refs(f)).collect(),
             },
@@ -217,7 +298,7 @@ impl Expr {
             Expr::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
             Expr::Ref(r) => write!(f, "{r}"),
             Expr::RefError => write!(f, "#REF!"),
-            Expr::Func { name, args } => {
+            Expr::Func { name, args, .. } => {
                 write!(f, "{name}(")?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
@@ -291,6 +372,31 @@ mod tests {
             let reparsed = parse(&printed).unwrap();
             assert_eq!(ast, reparsed, "src={src} printed={printed}");
         }
+    }
+
+    #[test]
+    fn every_function_name_resolves_once_and_round_trips_through_the_printer() {
+        use super::{Expr, FuncId};
+        let mixed = |name: &str| -> String {
+            name.chars()
+                .enumerate()
+                .map(|(i, c)| if i % 2 == 0 { c.to_ascii_lowercase() } else { c })
+                .collect()
+        };
+        let names = FuncId::KNOWN.iter().map(|&(name, id)| (name, id));
+        for (name, id) in names.chain([("FROBNICATE", FuncId::Unknown)]) {
+            for spelling in [name.to_string(), name.to_ascii_lowercase(), mixed(name)] {
+                let ast = parse(&format!("{spelling}(A1,2)+1")).unwrap();
+                let Expr::Binary { lhs, .. } = &ast else { panic!("{ast:?}") };
+                let Expr::Func { id: got, name: printed, .. } = &**lhs else { panic!("{lhs:?}") };
+                assert_eq!((*got, printed.as_str()), (id, name), "{spelling}");
+                let printed = ast.to_string();
+                assert_eq!(printed, format!("{name}(A1,2)+1"));
+                assert_eq!(parse(&printed).unwrap(), ast);
+                assert_eq!(parse(&printed).unwrap().to_string(), printed);
+            }
+        }
+        assert_eq!(Expr::func("sumIf", Vec::new()), parse("SUMIF()").unwrap());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! recalculation to demonstrate the end-to-end "update → find dependents →
 //! re-evaluate" loop, and the workload generator needs evaluable formulae.
 
-use crate::ast::{BinOp, Expr, UnOp};
+use crate::ast::{BinOp, Expr, FuncId, UnOp};
 use crate::value::{CellError, Value};
+use std::ops::ControlFlow;
 use taco_grid::{Cell, Range};
 
 /// An injected time/randomness source for the volatile functions
@@ -97,6 +98,26 @@ pub trait CellProvider {
         None
     }
 
+    /// Folds the value of every cell of `range` — on the sheet named
+    /// `sheet`, or on the formula's own for `None` — into `init`, by
+    /// reference, in [`Range::cells`] (row-major) order, until `f` breaks.
+    /// Every function that reads a range reads it through here, so the
+    /// order is a contract: it fixes the order floating-point folds add
+    /// in and which error a range reports first.
+    ///
+    /// The default asks [`CellProvider::value`] or
+    /// [`CellProvider::sheet_value`] cell by cell; a provider that keeps
+    /// its cells in order overrides it with a scan.
+    fn fold_range<A, B>(
+        &self,
+        sheet: Option<&str>,
+        range: Range,
+        init: A,
+        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+    ) -> ControlFlow<B, A> {
+        range.cells().try_fold(init, |acc, c| f(acc, &value_on(self, sheet, c)))
+    }
+
     /// What `SUM` folds `range` (on the formula's own sheet) to — its
     /// numbers added to `0.0` in [`Range::cells`] order, everything else
     /// skipped — for a provider that knows it without reading each cell.
@@ -116,7 +137,7 @@ impl<F: Fn(Cell) -> Value> CellProvider for F {
 }
 
 /// Resolves a possibly sheet-qualified cell read through the provider.
-fn value_on<P: CellProvider>(cells: &P, sheet: Option<&str>, cell: Cell) -> Value {
+fn value_on<P: CellProvider + ?Sized>(cells: &P, sheet: Option<&str>, cell: Cell) -> Value {
     match sheet {
         None => cells.value(cell),
         Some(s) => cells.sheet_value(s, cell),
@@ -184,7 +205,7 @@ fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cells: &P) -> Operand<'a> {
             let r = eval_operand(rhs, cells).scalar(cells);
             Operand::Scalar(eval_binary(*op, l, r))
         }
-        Expr::Func { name, args } => Operand::Scalar(eval_func(name, args, cells)),
+        Expr::Func { id, args, .. } => Operand::Scalar(eval_func(*id, args, cells)),
     }
 }
 
@@ -251,85 +272,88 @@ fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
     Value::Bool(b)
 }
 
-/// Iterates the scalar values of an argument: a scalar yields itself, a
-/// range yields every cell value.
-fn for_each_value<P: CellProvider>(
-    arg: &Expr,
+/// Folds the scalar values of the arguments into `init`, in order: a
+/// scalar argument is itself, a range every cell value. The accumulator
+/// is handed along by value, so a sum over a column lives in a register.
+fn fold_values<P: CellProvider, A>(
+    args: &[Expr],
     cells: &P,
-    f: &mut impl FnMut(Value) -> Result<(), CellError>,
-) -> Result<(), CellError> {
-    match eval_operand(arg, cells) {
-        Operand::Scalar(v) => f(v),
-        Operand::Range(sheet, r) => {
-            if r.area() > MAX_RANGE_CELLS {
-                return Err(CellError::Value);
+    init: A,
+    mut f: impl FnMut(A, &Value) -> Result<A, CellError>,
+) -> Result<A, CellError> {
+    let mut acc = init;
+    for arg in args {
+        acc = match eval_operand(arg, cells) {
+            Operand::Scalar(v) => f(acc, &v)?,
+            Operand::Range(sheet, r) => {
+                if r.area() > MAX_RANGE_CELLS {
+                    return Err(CellError::Value);
+                }
+                let flow = cells.fold_range(sheet, r, acc, &mut |acc, v| match f(acc, v) {
+                    Ok(acc) => ControlFlow::Continue(acc),
+                    Err(e) => ControlFlow::Break(e),
+                });
+                match flow {
+                    ControlFlow::Continue(acc) => acc,
+                    ControlFlow::Break(e) => return Err(e),
+                }
             }
-            for c in r.cells() {
-                f(value_on(cells, sheet, c))?;
-            }
-            Ok(())
-        }
+        };
     }
+    Ok(acc)
 }
 
-fn eval_func<P: CellProvider>(name: &str, args: &[Expr], cells: &P) -> Value {
-    let result = match name {
-        "SUM" => sum(args, cells).map(Value::Number),
-        "PRODUCT" => fold_numbers(args, cells, 1.0, |acc, n| acc * n).map(Value::Number),
-        "COUNT" => {
-            // Counts numeric values only, like Excel.
-            let mut count = 0u64;
-            visit_all(args, cells, &mut |v| {
-                if matches!(v, Value::Number(_)) {
-                    count += 1;
-                }
-                Ok(())
-            })
-            .map(|()| Value::Number(count as f64))
+/// [`fold_values`] over the numbers: non-numeric and empty cells inside
+/// ranges are skipped (Excel SUM semantics), but error values propagate.
+fn fold_numbers<P: CellProvider, A>(
+    args: &[Expr],
+    cells: &P,
+    init: A,
+    mut f: impl FnMut(A, f64) -> A,
+) -> Result<A, CellError> {
+    fold_values(args, cells, init, |acc, v| match v {
+        Value::Number(n) => Ok(f(acc, *n)),
+        Value::Error(e) => Err(*e),
+        _ => Ok(acc),
+    })
+}
+
+fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
+    let result = match id {
+        FuncId::Sum => sum(args, cells).map(Value::Number),
+        FuncId::Product => fold_numbers(args, cells, 1.0, |acc, n| acc * n).map(Value::Number),
+        // Counts numeric values only, like Excel.
+        FuncId::Count => fold_values(args, cells, 0u64, |count, v| {
+            Ok(count + u64::from(matches!(v, Value::Number(_))))
+        })
+        .map(|count| Value::Number(count as f64)),
+        FuncId::CountA => {
+            fold_values(args, cells, 0u64, |count, v| Ok(count + u64::from(!v.is_empty())))
+                .map(|count| Value::Number(count as f64))
         }
-        "COUNTA" => {
-            let mut count = 0u64;
-            visit_all(args, cells, &mut |v| {
-                if !v.is_empty() {
-                    count += 1;
-                }
-                Ok(())
-            })
-            .map(|()| Value::Number(count as f64))
-        }
-        "AVERAGE" | "AVG" => {
-            let mut sum = 0.0;
-            let mut count = 0u64;
-            visit_numbers(args, cells, &mut |n| {
-                sum += n;
-                count += 1;
-            })
-            .and_then(|()| {
-                if count == 0 {
-                    Err(CellError::Div0)
-                } else {
-                    Ok(Value::Number(sum / count as f64))
-                }
-            })
-        }
-        "MIN" | "MAX" => {
-            let mut best: Option<f64> = None;
-            let take_max = name == "MAX";
-            visit_numbers(args, cells, &mut |n| {
-                best = Some(match best {
-                    None => n,
-                    Some(b) => {
-                        if take_max {
-                            b.max(n)
-                        } else {
-                            b.min(n)
-                        }
+        FuncId::Average => {
+            fold_numbers(args, cells, (0.0, 0u64), |(sum, count), n| (sum + n, count + 1)).and_then(
+                |(sum, count)| {
+                    if count == 0 {
+                        Err(CellError::Div0)
+                    } else {
+                        Ok(Value::Number(sum / count as f64))
                     }
-                });
-            })
-            .map(|()| Value::Number(best.unwrap_or(0.0)))
+                },
+            )
         }
-        "IF" => {
+        FuncId::Min | FuncId::Max => {
+            let take_max = id == FuncId::Max;
+            fold_numbers(args, cells, None, |best: Option<f64>, n| {
+                Some(match best {
+                    None => n,
+                    Some(b) if take_max => b.max(n),
+                    Some(b) => b.min(n),
+                })
+            })
+            .map(|best| Value::Number(best.unwrap_or(0.0)))
+        }
+        FuncId::If => {
             if args.is_empty() || args.len() > 3 {
                 Err(CellError::Value)
             } else {
@@ -340,24 +364,22 @@ fn eval_func<P: CellProvider>(name: &str, args: &[Expr], cells: &P) -> Value {
                 }
             }
         }
-        "AND" | "OR" => {
-            let is_and = name == "AND";
-            let mut acc = is_and;
-            visit_all(args, cells, &mut |v| {
+        FuncId::And | FuncId::Or => {
+            let is_and = id == FuncId::And;
+            fold_values(args, cells, is_and, |acc, v| {
                 if v.is_empty() {
-                    return Ok(());
+                    return Ok(acc);
                 }
                 let b = v.as_bool()?;
-                acc = if is_and { acc && b } else { acc || b };
-                Ok(())
+                Ok(if is_and { acc && b } else { acc || b })
             })
-            .map(|()| Value::Bool(acc))
+            .map(Value::Bool)
         }
-        "NOT" => single_arg(args, cells).and_then(|v| v.as_bool()).map(|b| Value::Bool(!b)),
-        "ABS" => num1(args, cells, f64::abs),
-        "SQRT" => num1(args, cells, f64::sqrt),
-        "INT" => num1(args, cells, f64::floor),
-        "ROUND" => {
+        FuncId::Not => single_arg(args, cells).and_then(|v| v.as_bool()).map(|b| Value::Bool(!b)),
+        FuncId::Abs => num1(args, cells, f64::abs),
+        FuncId::Sqrt => num1(args, cells, f64::sqrt),
+        FuncId::Int => num1(args, cells, f64::floor),
+        FuncId::Round => {
             if args.len() != 2 {
                 Err(CellError::Value)
             } else {
@@ -372,10 +394,10 @@ fn eval_func<P: CellProvider>(name: &str, args: &[Expr], cells: &P) -> Value {
                 }
             }
         }
-        "LEN" => single_arg(args, cells)
+        FuncId::Len => single_arg(args, cells)
             .and_then(|v| v.as_text())
             .map(|s| Value::Number(s.chars().count() as f64)),
-        "CONCATENATE" => {
+        FuncId::Concatenate => {
             let mut s = String::new();
             let mut err = None;
             for a in args {
@@ -392,22 +414,22 @@ fn eval_func<P: CellProvider>(name: &str, args: &[Expr], cells: &P) -> Value {
                 None => Ok(Value::Text(s)),
             }
         }
-        "VLOOKUP" => vlookup(args, cells),
-        "SUMIF" | "COUNTIF" | "AVERAGEIF" => cond_aggregate(name, args, cells),
-        "INDEX" => index(args, cells),
-        "MATCH" => match_fn(args, cells),
+        FuncId::Vlookup => vlookup(args, cells),
+        FuncId::SumIf | FuncId::CountIf | FuncId::AverageIf => cond_aggregate(id, args, cells),
+        FuncId::Index => index(args, cells),
+        FuncId::Match => match_fn(args, cells),
         // Volatile functions read the injected clock (see [`EvalClock`]);
         // without one they fall back to deterministic zeros.
-        "NOW" => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::now))),
-        "TODAY" => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::today))),
-        "RAND" => {
+        FuncId::Now => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::now))),
+        FuncId::Today => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::today))),
+        FuncId::Rand => {
             if args.is_empty() {
                 Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::next_rand)))
             } else {
                 Err(CellError::Value)
             }
         }
-        _ => Err(CellError::Name),
+        FuncId::Unknown => Err(CellError::Name),
     };
     result.unwrap_or_else(Value::Error)
 }
@@ -431,45 +453,6 @@ fn num1<P: CellProvider>(
     single_arg(args, cells).and_then(|v| v.as_number()).map(|n| Value::Number(f(n)))
 }
 
-fn visit_all<P: CellProvider>(
-    args: &[Expr],
-    cells: &P,
-    f: &mut impl FnMut(Value) -> Result<(), CellError>,
-) -> Result<(), CellError> {
-    for a in args {
-        for_each_value(a, cells, f)?;
-    }
-    Ok(())
-}
-
-/// Visits numeric values; non-numeric and empty cells inside ranges are
-/// skipped (Excel SUM semantics), but error values propagate.
-fn visit_numbers<P: CellProvider>(
-    args: &[Expr],
-    cells: &P,
-    f: &mut impl FnMut(f64),
-) -> Result<(), CellError> {
-    visit_all(args, cells, &mut |v| match v {
-        Value::Number(n) => {
-            f(n);
-            Ok(())
-        }
-        Value::Error(e) => Err(e),
-        _ => Ok(()),
-    })
-}
-
-fn fold_numbers<P: CellProvider>(
-    args: &[Expr],
-    cells: &P,
-    init: f64,
-    f: impl Fn(f64, f64) -> f64,
-) -> Result<f64, CellError> {
-    let mut acc = init;
-    visit_numbers(args, cells, &mut |n| acc = f(acc, n))?;
-    Ok(acc)
-}
-
 /// `SUM`. While the accumulator is still `0.0` a range's sum *is* the
 /// fold over it, so a leading own-sheet range may be answered by
 /// [`CellProvider::range_sum`]; the result is bit-identical either way.
@@ -487,11 +470,11 @@ fn sum<P: CellProvider>(args: &[Expr], cells: &P) -> Result<f64, CellError> {
 /// SUMIF/COUNTIF/AVERAGEIF: criteria over one range, optionally summing a
 /// second, same-shaped range.
 fn cond_aggregate<P: CellProvider>(
-    name: &str,
+    id: FuncId,
     args: &[Expr],
     cells: &P,
 ) -> Result<Value, CellError> {
-    let want_sum_range = name != "COUNTIF";
+    let want_sum_range = id != FuncId::CountIf;
     if args.len() < 2 || args.len() > if want_sum_range { 3 } else { 2 } {
         return Err(CellError::Value);
     }
@@ -502,38 +485,47 @@ fn cond_aggregate<P: CellProvider>(
     if let Value::Error(e) = criterion {
         return Err(e);
     }
-    let (sum_sheet, sum_range) = match args.get(2) {
-        None => (crit_sheet, crit_range),
+    // Without a sum range the cells that match are the cells summed.
+    let sum_range = match args.get(2) {
+        None => None,
         Some(a) => match eval_operand(a, cells) {
-            Operand::Range(s, r) => (s, r),
+            Operand::Range(s, r) => Some((s, r)),
             Operand::Scalar(_) => return Err(CellError::Value),
         },
     };
     if crit_range.area() > MAX_RANGE_CELLS {
         return Err(CellError::Value);
     }
-    let (dc, dr) = (
-        i64::from(sum_range.head().col) - i64::from(crit_range.head().col),
-        i64::from(sum_range.head().row) - i64::from(crit_range.head().row),
-    );
-    let mut sum = 0.0;
-    let mut count = 0u64;
-    for c in crit_range.cells() {
-        if !criterion_matches(&value_on(cells, crit_sheet, c), &criterion) {
-            continue;
+    let width = u64::from(crit_range.width());
+    // (cells visited, cells that matched, their sum)
+    let flow = cells.fold_range(crit_sheet, crit_range, (0u64, 0u64, 0.0), &mut |acc, v| {
+        let (at, count, sum) = acc;
+        if !criterion_matches(v, &criterion) {
+            return ControlFlow::Continue((at + 1, count, sum));
         }
-        count += 1;
-        if want_sum_range {
-            let sc = Cell::try_new(i64::from(c.col) + dc, i64::from(c.row) + dr)
-                .map_err(|_| CellError::Ref)?;
-            if let Ok(n) = value_on(cells, sum_sheet, sc).as_number() {
-                sum += n;
+        let summed = match sum_range {
+            // COUNTIF only counts.
+            _ if !want_sum_range => Ok(0.0),
+            None => v.as_number(),
+            Some((sum_sheet, sum_range)) => {
+                // The cell at the same offset from the sum range's head.
+                let col = i64::from(sum_range.head().col) + (at % width) as i64;
+                let row = i64::from(sum_range.head().row) + (at / width) as i64;
+                match Cell::try_new(col, row) {
+                    Ok(sc) => value_on(cells, sum_sheet, sc).as_number(),
+                    Err(_) => return ControlFlow::Break(CellError::Ref),
+                }
             }
-        }
-    }
-    Ok(match name {
-        "COUNTIF" => Value::Number(count as f64),
-        "SUMIF" => Value::Number(sum),
+        };
+        ControlFlow::Continue((at + 1, count + 1, summed.map_or(sum, |n| sum + n)))
+    });
+    let (_, count, sum) = match flow {
+        ControlFlow::Continue(acc) => acc,
+        ControlFlow::Break(e) => return Err(e),
+    };
+    Ok(match id {
+        FuncId::CountIf => Value::Number(count as f64),
+        FuncId::SumIf => Value::Number(sum),
         _ => {
             if count == 0 {
                 return Err(CellError::Div0);
@@ -611,20 +603,40 @@ fn match_fn<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellErro
         None => false,
         Some(a) => eval(a, cells).as_number()? == 0.0,
     };
-    let mut best: Option<u64> = None;
-    for (i, c) in range.cells().enumerate() {
-        let v = value_on(cells, sheet, c);
+    let found = position_in(cells, sheet, range, &needle, exact);
+    found.map(|i| Value::Number(i as f64)).ok_or(CellError::Na)
+}
+
+/// The 1-based position in `line` (read in [`Range::cells`] order) of the
+/// first value equal to `needle` or — when not `exact` — of the last value
+/// that is at most `needle` (which finds the largest such value in a
+/// sorted line).
+fn position_in<P: CellProvider>(
+    cells: &P,
+    sheet: Option<&str>,
+    line: Range,
+    needle: &Value,
+    exact: bool,
+) -> Option<u64> {
+    let wanted = needle.as_number();
+    // (cells visited, position of the best so far)
+    let flow = cells.fold_range(sheet, line, (0u64, None), &mut |(visited, best), v| {
+        let at = visited + 1;
         if exact {
-            if values_equal(&v, &needle) {
-                return Ok(Value::Number(i as f64 + 1.0));
+            if values_equal(v, needle) {
+                return ControlFlow::Break(at);
             }
-        } else if let (Ok(a), Ok(b)) = (v.as_number(), needle.as_number()) {
-            if a <= b {
-                best = Some(i as u64 + 1);
-            }
+            return ControlFlow::Continue((at, best));
         }
+        match (v.as_number(), &wanted) {
+            (Ok(a), Ok(b)) if a <= *b => ControlFlow::Continue((at, Some(at))),
+            _ => ControlFlow::Continue((at, best)),
+        }
+    });
+    match flow {
+        ControlFlow::Break(at) => Some(at),
+        ControlFlow::Continue((_, best)) => best,
     }
-    best.map(|i| Value::Number(i as f64)).ok_or(CellError::Na)
 }
 
 fn vlookup<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
@@ -646,28 +658,11 @@ fn vlookup<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError
         None => false, // Excel default is approximate match
         Some(a) => !eval(a, cells).as_bool()?,
     };
-    let lookup_col = table.head().col;
-    let result_col = table.head().col + (col_index - 1) as u32;
-    let mut best_row: Option<u32> = None;
-    for row in table.head().row..=table.tail().row {
-        let v = value_on(cells, sheet, Cell::new(lookup_col, row));
-        if exact {
-            if values_equal(&v, &needle) {
-                best_row = Some(row);
-                break;
-            }
-        } else {
-            // Approximate: largest value <= needle (assumes sorted column).
-            match (v.as_number(), needle.as_number()) {
-                (Ok(a), Ok(b)) if a <= b => best_row = Some(row),
-                _ => {}
-            }
-        }
-    }
-    match best_row {
-        Some(row) => Ok(value_on(cells, sheet, Cell::new(result_col, row))),
-        None => Err(CellError::Na),
-    }
+    let (head, tail) = (table.head(), table.tail());
+    let lookup_column = Range::from_coords(head.col, head.row, head.col, tail.row);
+    let found = position_in(cells, sheet, lookup_column, &needle, exact).ok_or(CellError::Na)?;
+    let result = Cell::new(head.col + (col_index - 1) as u32, head.row + (found - 1) as u32);
+    Ok(value_on(cells, sheet, result))
 }
 
 fn values_equal(a: &Value, b: &Value) -> bool {
@@ -915,6 +910,168 @@ mod tests {
         assert_eq!(eval(&parse("'DATA'!A2+A1").unwrap(), &fx), Value::Number(21.0));
         assert_eq!(eval(&parse("Other!A1").unwrap(), &fx), Value::Error(CellError::Ref));
         assert_eq!(eval(&parse("VLOOKUP(10,Data!A1:B1,2)").unwrap(), &fx), Value::Number(10.0));
+    }
+
+    /// The same cells as a [`Fixture`] (plus a sheet named `Data` holding
+    /// them shifted one row down), read by scanning a dense grid: a
+    /// provider that overrides [`CellProvider::fold_range`].
+    struct Scanned {
+        rows: Vec<Vec<Value>>,
+    }
+
+    impl Scanned {
+        fn of(fix: &Fixture) -> Scanned {
+            let mut rows = vec![vec![Value::Empty; 8]; 12];
+            for (cell, v) in &fix.0 {
+                rows[cell.row as usize - 1][cell.col as usize - 1] = v.clone();
+            }
+            Scanned { rows }
+        }
+
+        fn at(&self, col: u32, row: u32) -> &Value {
+            static EMPTY: Value = Value::Empty;
+            self.rows.get(row as usize - 1).and_then(|r| r.get(col as usize - 1)).unwrap_or(&EMPTY)
+        }
+    }
+
+    impl CellProvider for Scanned {
+        fn value(&self, cell: Cell) -> Value {
+            self.at(cell.col, cell.row).clone()
+        }
+
+        fn sheet_value(&self, sheet: &str, cell: Cell) -> Value {
+            if sheet.eq_ignore_ascii_case("Data") {
+                self.at(cell.col, cell.row + 1).clone()
+            } else {
+                Value::Error(CellError::Ref)
+            }
+        }
+
+        fn fold_range<A, B>(
+            &self,
+            sheet: Option<&str>,
+            range: Range,
+            init: A,
+            f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+        ) -> ControlFlow<B, A> {
+            let down = match sheet {
+                None => 0,
+                Some(s) if s.eq_ignore_ascii_case("Data") => 1,
+                Some(_) => {
+                    return range
+                        .cells()
+                        .try_fold(init, |acc, _| f(acc, &Value::Error(CellError::Ref)))
+                }
+            };
+            let mut acc = init;
+            for row in range.head().row..=range.tail().row {
+                for col in range.head().col..=range.tail().col {
+                    acc = f(acc, self.at(col, row + down))?;
+                }
+            }
+            ControlFlow::Continue(acc)
+        }
+    }
+
+    /// A [`Fixture`] answering for the sheet `Data` like [`Scanned`], cell
+    /// by cell: a provider that overrides only the per-cell reads.
+    struct PerCell(Fixture);
+
+    impl CellProvider for PerCell {
+        fn value(&self, cell: Cell) -> Value {
+            self.0.value(cell)
+        }
+
+        fn sheet_value(&self, sheet: &str, cell: Cell) -> Value {
+            if sheet.eq_ignore_ascii_case("Data") {
+                self.0.value(Cell::new(cell.col, cell.row + 1))
+            } else {
+                Value::Error(CellError::Ref)
+            }
+        }
+    }
+
+    /// `==`, except numbers compare by bit pattern.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn scanning_a_range_and_reading_it_cell_by_cell_give_the_same_bits() {
+        let n = Value::Number;
+        // Sums whose last bits depend on the order of addition, text and
+        // blanks to skip, a lookup column, and an error below row 8.
+        let cells = [
+            ("A1", n(0.1)),
+            ("A2", n(0.2)),
+            ("A3", n(0.3)),
+            ("A4", Value::Text("x".into())),
+            ("A6", n(1e16)),
+            ("A7", n(-1e16)),
+            ("A8", n(0.7)),
+            ("A10", Value::Error(CellError::Div0)),
+            ("B1", n(1.5)),
+            ("B2", Value::Bool(true)),
+            ("B3", n(-2.25)),
+            ("B5", n(1e-3)),
+            ("B8", n(3.0)),
+            ("C1", n(10.0)),
+            ("C2", n(20.0)),
+            ("C3", n(30.0)),
+            ("C4", n(40.0)),
+            ("D1", Value::Text("ten".into())),
+            ("D2", Value::Text("twenty".into())),
+            ("D3", n(0.1 + 0.2)),
+            ("D4", Value::Text("forty".into())),
+        ];
+        let per_cell = PerCell(fixture(&cells));
+        let scanned = Scanned::of(&per_cell.0);
+        let mut formulas = Vec::new();
+        for range in
+            ["A1:A8", "A1:B8", "A3:C9", "B2:B2", "F1:G9", "A1:A12", "Data!A1:B7", "Nope!A1:A3"]
+        {
+            for func in ["SUM", "PRODUCT", "AVERAGE", "MIN", "MAX", "COUNT", "COUNTA", "AND", "OR"]
+            {
+                formulas.push(format!("{func}({range})"));
+                formulas.push(format!("{func}(B1,{range},2)"));
+            }
+            for func in ["SUMIF", "COUNTIF", "AVERAGEIF"] {
+                formulas.push(format!("{func}({range},\">0.15\")"));
+                formulas.push(format!("{func}({range},0.2)"));
+            }
+            formulas.push(format!("SUMIF({range},\">0\",B1:B1)"));
+            formulas.push(format!("AVERAGEIF({range},\"<>x\",Data!C1:C1)"));
+            formulas.push(format!("INDEX({range},2,1)"));
+            formulas.push(format!("INDEX({range},3,2)"));
+        }
+        for table in ["C1:D4", "Data!C1:D3", "A1:B12"] {
+            for (needle, exact) in
+                [("20", "FALSE"), ("25", "TRUE"), ("5", "TRUE"), ("0.3", "FALSE")]
+            {
+                formulas.push(format!("VLOOKUP({needle},{table},2,{exact})"));
+            }
+        }
+        for line in ["C1:C4", "A1:A8", "A1:A12", "Data!C1:C3", "A3:D3"] {
+            for (needle, kind) in
+                [("20", "0"), ("25", "1"), ("0.3", "0"), ("\"X\"", "0"), ("1e17", "1")]
+            {
+                formulas.push(format!("MATCH({needle},{line},{kind})"));
+            }
+        }
+        for src in &formulas {
+            let ast = parse(src).unwrap();
+            let (a, b) = (eval(&ast, &per_cell), eval(&ast, &scanned));
+            assert!(same(&a, &b), "{src}: cell by cell {a:?}, scanned {b:?}");
+        }
+        // The fixtures exercise what they are meant to.
+        let run = |src: &str| eval(&parse(src).unwrap(), &scanned);
+        assert_eq!(run("SUM(A1:A12)"), Value::Error(CellError::Div0));
+        assert_eq!(run("SUM(Data!A1:A3)"), n(0.2 + 0.3));
+        assert_ne!(run("SUM(A1:A8)"), run("SUM(A8,A7,A6,A3,A2,A1)"));
+        assert_eq!(run("MATCH(0.3,Data!A1:A3,0)"), n(2.0));
     }
 
     #[test]

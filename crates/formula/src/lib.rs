@@ -26,7 +26,7 @@ pub mod value;
 
 mod error;
 
-pub use ast::{BinOp, Expr, UnOp};
+pub use ast::{BinOp, Expr, FuncId, UnOp};
 pub use error::FormulaError;
 pub use eval::{EvalClock, VolatileCtx};
 pub use value::{CellError, Value};
@@ -70,8 +70,9 @@ impl Formula {
     pub fn is_volatile(&self) -> bool {
         fn walk(e: &Expr) -> bool {
             match e {
-                Expr::Func { name, args } => {
-                    matches!(name.as_str(), "NOW" | "TODAY" | "RAND") || args.iter().any(walk)
+                Expr::Func { id, args, .. } => {
+                    matches!(id, FuncId::Now | FuncId::Today | FuncId::Rand)
+                        || args.iter().any(walk)
                 }
                 Expr::Binary { lhs, rhs, .. } => walk(lhs) || walk(rhs),
                 Expr::Unary { expr, .. } | Expr::Percent(expr) => walk(expr),

@@ -206,7 +206,7 @@ impl Parser {
                             break;
                         }
                     }
-                    return Ok(Expr::Func { name: name.to_ascii_uppercase(), args });
+                    return Ok(Expr::func(&name, args));
                 }
                 // Sheet qualifier (`Sheet1!A1`)?
                 if self.peek2().map(|t| &t.kind) == Some(&TokenKind::Bang) {
@@ -281,6 +281,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::FuncId;
     use taco_grid::Range;
 
     fn refs(src: &str) -> Vec<String> {
@@ -309,8 +310,8 @@ mod tests {
     fn function_calls() {
         let e = parse("SUM(A1:A3)").unwrap();
         match &e {
-            Expr::Func { name, args } => {
-                assert_eq!(name, "SUM");
+            Expr::Func { id, name, args } => {
+                assert_eq!((*id, name.as_str()), (FuncId::Sum, "SUM"));
                 assert_eq!(args.len(), 1);
             }
             _ => panic!("expected Func"),

@@ -91,7 +91,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                 ],
                 prop::collection::vec(inner, 1..3),
             )
-                .prop_map(|(name, args)| Expr::Func { name: name.to_string(), args }),
+                .prop_map(|(name, args)| Expr::func(name, args)),
         ]
     })
 }

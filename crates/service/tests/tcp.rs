@@ -425,3 +425,45 @@ fn save_folds_the_wal_over_the_wire() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&wal).ok();
 }
+
+#[test]
+fn far_corner_cells_over_the_wire_stay_cheap() {
+    use std::time::{Duration, Instant};
+    use taco_grid::{MAX_COL, MAX_ROW};
+
+    let registry = Arc::new(Registry::new(ServiceOptions::default()));
+    registry.add_workbook("sales", demo_workbook(), None).unwrap();
+    let server = serve(Arc::clone(&registry));
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    client.open("sales", None, None).unwrap();
+
+    // Each write is applied, recalculated and published before the reply:
+    // none of it may cost the grid's size.
+    let quick = |what: &str, start: Instant| {
+        assert!(start.elapsed() < Duration::from_secs(1), "{what} took {:?}", start.elapsed());
+    };
+    let corners = [Cell::new(MAX_COL, MAX_ROW), Cell::new(1, MAX_ROW), Cell::new(MAX_COL, 1)];
+    for (i, &cell) in corners.iter().enumerate() {
+        let start = Instant::now();
+        client.set_value("Data", cell, n(i as f64 + 1.0)).unwrap();
+        quick("set_value", start);
+        assert_eq!(client.get("Data", cell).unwrap(), n(i as f64 + 1.0));
+    }
+    let start = Instant::now();
+    let src = format!("=SUM(XFD{}:XFD{MAX_ROW})+XFD1+A{MAX_ROW}", MAX_ROW - 1000);
+    client.set_formula("Data", c("D1"), &src).unwrap();
+    quick("set_formula", start);
+    assert_eq!(client.get("Data", c("D1")).unwrap(), n(6.0));
+    let far = Range::from_coords(MAX_COL - 1, MAX_ROW - 1, MAX_COL, MAX_ROW);
+    assert_eq!(client.get_range("Data", far).unwrap(), vec![(corners[0], n(1.0))]);
+
+    let start = Instant::now();
+    client.clear_range("Data", Range::from_coords(1, 2, MAX_COL, MAX_ROW)).unwrap();
+    quick("clear_range", start);
+    assert_eq!(client.get("Data", corners[0]).unwrap(), Value::Empty);
+    assert_eq!(client.get("Data", c("D1")).unwrap(), n(3.0));
+    assert_eq!(client.get("Data", c("B1")).unwrap(), n(1.0), "=SUM(A1:A6) after A2:A6 went");
+
+    server.shutdown();
+    registry.shutdown();
+}
