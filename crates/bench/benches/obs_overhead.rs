@@ -3,7 +3,7 @@
 //! allocation-free.
 //!
 //! For each persistence preset the same build → recalc → edit-burst →
-//! recalc cycle runs twice per mode — once bare, once with an `Obs` hub
+//! recalc cycle runs twice — once bare, once with an `Obs` hub
 //! attached — and the two runs must produce bit-identical cell values.
 //!
 //! Contract asserts (these fail the bench, and CI runs it in quick mode):
@@ -96,20 +96,16 @@ fn snapshot(wb: &Workbook) -> Vec<(usize, Cell, Value)> {
 /// One full cycle: build the workbook (optionally instrumented), full
 /// recalc, edit burst, recalc again. Returns the wall time, the total
 /// evaluated-cell count, and the final value snapshot.
-fn cycle(
-    w: &PersistWorkload,
-    obs: Option<&Obs>,
-    mode: RecalcMode,
-) -> (f64, usize, Vec<(usize, Cell, Value)>) {
+fn cycle(w: &PersistWorkload, obs: Option<&Obs>) -> (f64, usize, Vec<(usize, Cell, Value)>) {
     let t0 = Instant::now();
     let mut wb = Workbook::with_taco();
     if let Some(o) = obs {
         wb.attach_obs(o, "bench");
     }
     wb.apply_batch(&w.build).expect("build script applies");
-    let mut evaluated = wb.recalculate(mode);
+    let mut evaluated = wb.recalculate(RecalcMode::Serial);
     wb.apply_batch(&w.burst).expect("burst applies");
-    evaluated += wb.recalculate(mode);
+    evaluated += wb.recalculate(RecalcMode::Serial);
     let elapsed = ms(t0.elapsed());
     (elapsed, evaluated, snapshot(&wb))
 }
@@ -120,12 +116,11 @@ fn best_of(
     reps: u32,
     w: &PersistWorkload,
     obs: Option<&Obs>,
-    mode: RecalcMode,
 ) -> (f64, usize, Vec<(usize, Cell, Value)>) {
     let mut best = f64::INFINITY;
     let mut kept = None;
     for _ in 0..reps {
-        let (t, e, s) = cycle(w, obs, mode);
+        let (t, e, s) = cycle(w, obs);
         best = best.min(t);
         kept = Some((e, s));
     }
@@ -245,10 +240,6 @@ fn main() {
     out.num("overhead_factor", OVERHEAD_FACTOR);
     out.num("overhead_slack_ms", OVERHEAD_SLACK_MS);
     let reps = 3u32;
-    let modes = [
-        ("serial", RecalcMode::Serial),
-        ("cell_parallel", RecalcMode::CellParallel { threads: 4 }),
-    ];
     let mut presets_json = Vec::new();
 
     for p in presets() {
@@ -258,34 +249,32 @@ fn main() {
         pj.num("rows", f64::from(p.rows));
         println!("\n[{}] rows={} sheets={}", p.name, p.rows, p.sheets);
 
-        for (label, mode) in modes {
-            let (bare_ms, bare_eval, bare_snap) = best_of(reps, &w, None, mode);
+        let (bare_ms, bare_eval, bare_snap) = best_of(reps, &w, None);
 
-            let hub = Obs::new_default();
-            let (obs_ms, obs_eval, obs_snap) = best_of(reps, &w, Some(&hub), mode);
+        let hub = Obs::new_default();
+        let (obs_ms, obs_eval, obs_snap) = best_of(reps, &w, Some(&hub));
 
-            assert_eq!(obs_eval, bare_eval, "[{} {label}] evaluated-cell count diverged", p.name);
-            assert_eq!(obs_snap, bare_snap, "[{} {label}] instrumented values diverged", p.name);
-            let recalcs = hub.snapshot().counter("taco_recalcs_total").unwrap_or(0);
-            assert!(recalcs >= 2, "[{} {label}] instrumented run recorded nothing", p.name);
+        assert_eq!(obs_eval, bare_eval, "[{}] evaluated-cell count diverged", p.name);
+        assert_eq!(obs_snap, bare_snap, "[{}] instrumented values diverged", p.name);
+        let recalcs = hub.snapshot().counter("taco_recalcs_total").unwrap_or(0);
+        assert!(recalcs >= 2, "[{}] instrumented run recorded nothing", p.name);
 
-            let bound = bare_ms * OVERHEAD_FACTOR + OVERHEAD_SLACK_MS;
-            assert!(
-                obs_ms <= bound,
-                "[{} {label}] instrumented cycle {obs_ms:.3}ms exceeds pinned bound \
-                 {bound:.3}ms (bare {bare_ms:.3}ms)",
-                p.name
-            );
-            let overhead_pct = if bare_ms > 0.0 { (obs_ms / bare_ms - 1.0) * 100.0 } else { 0.0 };
-            println!(
-                "  {label:<14} bare {:>10}  obs {:>10}  overhead {overhead_pct:+.1}%",
-                fmt_ms(bare_ms),
-                fmt_ms(obs_ms)
-            );
-            pj.num(&format!("{label}_bare_ms"), bare_ms);
-            pj.num(&format!("{label}_obs_ms"), obs_ms);
-            pj.num(&format!("{label}_overhead_pct"), overhead_pct);
-        }
+        let bound = bare_ms * OVERHEAD_FACTOR + OVERHEAD_SLACK_MS;
+        assert!(
+            obs_ms <= bound,
+            "[{}] instrumented cycle {obs_ms:.3}ms exceeds pinned bound {bound:.3}ms \
+             (bare {bare_ms:.3}ms)",
+            p.name
+        );
+        let overhead_pct = if bare_ms > 0.0 { (obs_ms / bare_ms - 1.0) * 100.0 } else { 0.0 };
+        println!(
+            "  bare {:>10}  obs {:>10}  overhead {overhead_pct:+.1}%",
+            fmt_ms(bare_ms),
+            fmt_ms(obs_ms)
+        );
+        pj.num("bare_ms", bare_ms);
+        pj.num("obs_ms", obs_ms);
+        pj.num("overhead_pct", overhead_pct);
         presets_json.push(pj);
     }
 

@@ -1,5 +1,5 @@
 //! Persistence: bytes-per-edge and save/open latency of the `taco_store`
-//! binary container against the serde-JSON `GraphSnapshot` baseline.
+//! binary container.
 //!
 //! Part one measures the graph section alone — both corpus presets ×
 //! every `FormulaGraph` backend configuration (TACO-Full, TACO-InRow,
@@ -20,19 +20,10 @@ use taco_store::{decode_graph, encode_graph};
 use taco_workload::{gen_persist_workload, persist_enron_like, persist_github_like};
 
 fn main() {
-    header("Persistence — graph sections: binary vs serde-JSON");
+    header("Persistence — graph sections");
     println!(
-        "{:<8} {:<12} {:>10} {:>12} {:>12} {:>9} {:>9} {:>8} {:>10} {:>10}",
-        "corpus",
-        "backend",
-        "edges",
-        "binary B",
-        "json B",
-        "B/edge",
-        "B/dep",
-        "ratio",
-        "enc",
-        "dec"
+        "{:<8} {:<12} {:>10} {:>12} {:>9} {:>9} {:>10} {:>10}",
+        "corpus", "backend", "edges", "binary B", "B/edge", "B/dep", "enc", "dec"
     );
     for corpus in corpora() {
         for (label, config) in [
@@ -43,7 +34,6 @@ fn main() {
             let mut edges = 0u64;
             let mut deps = 0u64;
             let mut binary = 0u64;
-            let mut json = 0u64;
             let mut enc_ms = 0.0;
             let mut dec_ms = 0.0;
             for sheet in &corpus.sheets {
@@ -55,28 +45,19 @@ fn main() {
                 let (back, td) = time(|| decode_graph(&bytes).expect("own encoding decodes"));
                 assert_eq!(back, snap, "graph round trip must be lossless");
                 binary += bytes.len() as u64;
-                json += serde_json::to_string(&snap).expect("serialize").len() as u64;
                 enc_ms += ms(te);
                 dec_ms += ms(td);
             }
             println!(
-                "{:<8} {:<12} {:>10} {:>12} {:>12} {:>9.1} {:>9.2} {:>7.1}x {:>10} {:>10}",
+                "{:<8} {:<12} {:>10} {:>12} {:>9.1} {:>9.2} {:>10} {:>10}",
                 corpus.params.name,
                 label,
                 edges,
                 binary,
-                json,
                 binary as f64 / edges.max(1) as f64,
                 binary as f64 / deps.max(1) as f64,
-                json as f64 / binary.max(1) as f64,
                 fmt_ms(enc_ms),
                 fmt_ms(dec_ms),
-            );
-            assert!(
-                json >= 3 * binary,
-                "{}/{label}: binary snapshot must be ≥ 3× smaller than serde-JSON \
-                 (binary {binary} B, json {json} B)",
-                corpus.params.name
             );
         }
     }
@@ -123,7 +104,7 @@ fn main() {
         // Verification: the reopened workbook recalculates bit-identically
         // to the live one.
         let mut live = pers;
-        let evaluated_live = live.recalculate(RecalcMode::Parallel { threads: 8 });
+        let evaluated_live = live.recalculate(RecalcMode::Serial);
         let evaluated_replay = replayed.recalculate(RecalcMode::Serial);
         assert_eq!(evaluated_live, evaluated_replay, "same dirty work on reopen");
         for i in 0..replayed.sheet_count() {

@@ -1,13 +1,9 @@
 //! Machine-readable perf baseline for the recalculation paths: full
-//! serial recalc vs cell-level parallel recalc vs demand-driven viewport
-//! recalc, over the persistence presets (including the single-giant-sheet
-//! preset, where sheet-level parallelism degenerates and the intra-sheet
-//! leveler carries the whole load).
+//! recalc vs demand-driven viewport recalc, over the persistence presets
+//! (including the single-giant-sheet preset).
 //!
 //! Contract asserts (these fail the bench, and CI runs it in quick mode):
 //!
-//! - cell-parallel recalculation is **bit-identical** to serial (every
-//!   cell value compared) and evaluates the same number of cells;
 //! - demand-driven recalculation evaluates **no more** cells than the
 //!   full pass (strictly fewer on the giant sheet), and the viewport's
 //!   values match the full pass bit for bit;
@@ -19,8 +15,7 @@
 use std::time::Instant;
 use taco_bench::{fmt_ms, header, ms};
 use taco_engine::{RecalcMode, SheetId, Workbook};
-use taco_formula::Value;
-use taco_grid::{Cell, Range};
+use taco_grid::Range;
 use taco_workload::{
     gen_persist_workload, persist_enron_like, persist_giant_sheet, persist_github_like,
     PersistParams, PersistWorkload,
@@ -41,24 +36,10 @@ fn build(w: &PersistWorkload) -> Workbook {
     wb
 }
 
-/// Every non-empty cell's value, across all sheets, in a fixed order.
-fn snapshot(wb: &Workbook) -> Vec<(usize, Cell, Value)> {
-    let mut out = Vec::new();
-    for s in 0..wb.sheet_count() {
-        let mut cells: Vec<(Cell, Value)> =
-            wb.sheet(SheetId(s)).cells().map(|(c, k)| (c, k.value().clone())).collect();
-        cells.sort_by_key(|(c, _)| *c);
-        out.extend(cells.into_iter().map(|(c, v)| (s, c, v)));
-    }
-    out
-}
-
 fn main() {
-    header("recalc baseline — full vs cell-parallel vs demand-driven (JSON-able)");
+    header("recalc baseline — full vs demand-driven (JSON-able)");
     let mut out = JsonObj::new();
     out.num("scale", taco_bench::scale());
-    let threads = 4usize;
-    out.num("threads", threads as f64);
     let mut presets_json = Vec::new();
 
     for p in presets() {
@@ -68,33 +49,15 @@ fn main() {
         pj.num("rows", f64::from(p.rows));
         pj.num("sheets", p.sheets as f64);
 
-        // ---- full serial recalc (the reference) --------------------------
+        // ---- full recalc (the reference) ---------------------------------
         let mut serial = build(&w);
         let total_dirty = serial.dirty_count();
         pj.num("dirty_cells", total_dirty as f64);
         let t0 = Instant::now();
         let full_evaluated = serial.recalculate(RecalcMode::Serial);
         let full_ms = ms(t0.elapsed());
-        let reference = snapshot(&serial);
         pj.num("full_ms", full_ms);
         pj.num("full_evaluated", full_evaluated as f64);
-
-        // ---- cell-parallel recalc: must be bit-identical -----------------
-        let mut par = build(&w);
-        let t0 = Instant::now();
-        let par_evaluated = par.recalculate(RecalcMode::CellParallel { threads });
-        let par_ms = ms(t0.elapsed());
-        assert_eq!(
-            par_evaluated, full_evaluated,
-            "[{}] cell-parallel evaluated-cell count diverged",
-            p.name
-        );
-        assert_eq!(snapshot(&par), reference, "[{}] cell-parallel values diverged", p.name);
-        let levels: usize =
-            (0..par.sheet_count()).map(|s| par.sheet(SheetId(s)).levels_built()).max().unwrap_or(0);
-        pj.num("parallel_ms", par_ms);
-        pj.num("parallel_evaluated", par_evaluated as f64);
-        pj.num("levels_built", levels as f64);
 
         // ---- demand-driven viewport recalc -------------------------------
         let viewport = Range::from_coords(1, 1, 6, 16.min(p.rows));
@@ -133,14 +96,11 @@ fn main() {
         pj.num("demand_evaluated", demand_evaluated as f64);
 
         println!(
-            "\n[{}] {} dirty cells: full {} ({} cells) · cell-parallel {} ({} levels) · \
-             demand {} ({} cells)",
+            "\n[{}] {} dirty cells: full {} ({} cells) · demand {} ({} cells)",
             p.name,
             total_dirty,
             fmt_ms(full_ms),
             full_evaluated,
-            fmt_ms(par_ms),
-            levels,
             fmt_ms(demand_ms),
             demand_evaluated,
         );

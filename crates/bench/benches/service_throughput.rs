@@ -1,15 +1,15 @@
 //! Service throughput: ops/sec and latency percentiles for the
-//! `taco_service` layer — in-process vs TCP, write batching on vs off,
-//! one vs several client threads — over the mixed workload preset
-//! (zipf-skewed targets, ~70% reads).
+//! `taco_service` layer — in-process vs TCP, one vs several client
+//! threads — over the mixed workload preset (zipf-skewed targets, ~70%
+//! reads).
 //!
 //! Two invariants are asserted in-bench so the numbers can never drift
 //! away from a correct implementation:
 //!
 //! 1. every configuration ends in the same final cell state as the
 //!    serial reference script on a bare workbook;
-//! 2. with coalescing on, the writer runs **at most** as many
-//!    recalculations as with it off (batching is the point: N queued
+//! 2. the coalescing writer runs **at most** as many recalculations as
+//!    one recalculation per write would (batching is the point: N queued
 //!    edits, one dirty-propagation, one recalc).
 //!
 //! With `TACO_BENCH_JSON=path` the run also writes the collected numbers
@@ -77,12 +77,12 @@ where
         }
         lanes
     };
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = lanes
             .iter()
             .map(|lane| {
                 let connect = &connect;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut samples = Vec::new();
                     let mut client = connect();
                     client.open("book", None, None).expect("open");
@@ -99,7 +99,6 @@ where
             .collect();
         handles.into_iter().flat_map(|h| h.join().expect("bench client")).collect()
     })
-    .expect("bench scope")
 }
 
 struct Outcome {
@@ -134,99 +133,86 @@ fn main() {
     );
 
     let mut outcomes: Vec<Outcome> = Vec::new();
-    for coalesce in [true, false] {
-        for threads in [1usize, 4] {
-            // In-process.
-            let registry =
-                Arc::new(Registry::new(ServiceOptions { coalesce, ..ServiceOptions::default() }));
-            registry.add_workbook("book", setup_workbook(&script), None).unwrap();
-            let t = Instant::now();
-            let samples =
-                drive(&script, threads, || InProcClient::in_process(Arc::clone(&registry)));
-            let wall = t.elapsed();
-            check_final_state(&registry, &want, "in-proc");
-            let stats = {
-                let mut c = InProcClient::in_process(Arc::clone(&registry));
-                c.open("book", None, None).unwrap();
-                c.stats().unwrap()
-            };
-            let label =
-                format!("inproc batch={} T={threads}", if coalesce { "on " } else { "off" });
-            cdf_line(&label, &samples);
-            outcomes.push(Outcome {
-                label,
-                ops_per_sec: total_ops as f64 / wall.as_secs_f64(),
-                recalcs: stats.recalcs,
-                coalesced: stats.coalesced,
-                p50_ms: percentile(&samples, 0.50),
-                p99_ms: percentile(&samples, 0.99),
-            });
-            registry.shutdown();
+    for threads in [1usize, 4] {
+        // In-process.
+        let registry = Arc::new(Registry::new(ServiceOptions::default()));
+        registry.add_workbook("book", setup_workbook(&script), None).unwrap();
+        let t = Instant::now();
+        let samples = drive(&script, threads, || InProcClient::in_process(Arc::clone(&registry)));
+        let wall = t.elapsed();
+        check_final_state(&registry, &want, "in-proc");
+        let stats = {
+            let mut c = InProcClient::in_process(Arc::clone(&registry));
+            c.open("book", None, None).unwrap();
+            c.stats().unwrap()
+        };
+        let label = format!("inproc T={threads}");
+        cdf_line(&label, &samples);
+        outcomes.push(Outcome {
+            label,
+            ops_per_sec: total_ops as f64 / wall.as_secs_f64(),
+            recalcs: stats.recalcs,
+            coalesced: stats.coalesced,
+            p50_ms: percentile(&samples, 0.50),
+            p99_ms: percentile(&samples, 0.99),
+        });
+        registry.shutdown();
 
-            // TCP.
-            let registry =
-                Arc::new(Registry::new(ServiceOptions { coalesce, ..ServiceOptions::default() }));
-            registry.add_workbook("book", setup_workbook(&script), None).unwrap();
-            let server =
-                Server::start(Arc::clone(&registry), "127.0.0.1:0", ServerOptions::default())
-                    .unwrap();
-            let addr = server.local_addr();
-            let t = Instant::now();
-            let samples =
-                drive(&script, threads, || TcpClient::connect(addr).expect("bench connect"));
-            let wall = t.elapsed();
-            check_final_state(&registry, &want, "tcp");
-            let stats = {
-                let mut c = InProcClient::in_process(Arc::clone(&registry));
-                c.open("book", None, None).unwrap();
-                c.stats().unwrap()
-            };
-            let label =
-                format!("tcp    batch={} T={threads}", if coalesce { "on " } else { "off" });
-            cdf_line(&label, &samples);
-            outcomes.push(Outcome {
-                label,
-                ops_per_sec: total_ops as f64 / wall.as_secs_f64(),
-                recalcs: stats.recalcs,
-                coalesced: stats.coalesced,
-                p50_ms: percentile(&samples, 0.50),
-                p99_ms: percentile(&samples, 0.99),
-            });
-            server.shutdown();
-            registry.shutdown();
-        }
+        // TCP.
+        let registry = Arc::new(Registry::new(ServiceOptions::default()));
+        registry.add_workbook("book", setup_workbook(&script), None).unwrap();
+        let server =
+            Server::start(Arc::clone(&registry), "127.0.0.1:0", ServerOptions::default()).unwrap();
+        let addr = server.local_addr();
+        let t = Instant::now();
+        let samples = drive(&script, threads, || TcpClient::connect(addr).expect("bench connect"));
+        let wall = t.elapsed();
+        check_final_state(&registry, &want, "tcp");
+        let stats = {
+            let mut c = InProcClient::in_process(Arc::clone(&registry));
+            c.open("book", None, None).unwrap();
+            c.stats().unwrap()
+        };
+        let label = format!("tcp    T={threads}");
+        cdf_line(&label, &samples);
+        outcomes.push(Outcome {
+            label,
+            ops_per_sec: total_ops as f64 / wall.as_secs_f64(),
+            recalcs: stats.recalcs,
+            coalesced: stats.coalesced,
+            p50_ms: percentile(&samples, 0.50),
+            p99_ms: percentile(&samples, 0.99),
+        });
+        server.shutdown();
+        registry.shutdown();
     }
 
     header("Throughput and writer effort");
-    println!("{:<24} {:>12} {:>10} {:>10}", "config", "ops/sec", "recalcs", "coalesced");
+    println!("{:<12} {:>12} {:>10} {:>10}", "config", "ops/sec", "recalcs", "coalesced");
     for o in &outcomes {
-        println!("{:<24} {:>12.0} {:>10} {:>10}", o.label, o.ops_per_sec, o.recalcs, o.coalesced);
+        println!("{:<12} {:>12.0} {:>10} {:>10}", o.label, o.ops_per_sec, o.recalcs, o.coalesced);
     }
 
-    // The batching invariant: for each (transport, threads) pair, the
-    // coalescing writer never recalculates more often than the
-    // per-edit writer (outcomes are pushed batched-first).
-    let half = outcomes.len() / 2;
-    for (on, off) in outcomes[..half].iter().zip(&outcomes[half..]) {
+    // The batching invariant: the coalescing writer never recalculates
+    // more often than once per write op (`Recalc` included) plus the
+    // quiesce in `check_final_state`.
+    let unbatched_recalcs =
+        script.clients.iter().flatten().filter(|op| op.is_write()).count() as u64 + 1;
+    for o in &outcomes {
         assert!(
-            on.recalcs <= off.recalcs,
-            "batching must not add recalcs: {} ran {} vs {} ran {}",
-            on.label,
-            on.recalcs,
-            off.label,
-            off.recalcs
+            o.recalcs <= unbatched_recalcs,
+            "batching must not add recalcs: {} ran {} vs {unbatched_recalcs} unbatched",
+            o.label,
+            o.recalcs,
         );
     }
     // With several client threads, coalescing must actually coalesce
     // somewhere (the queue fills while the writer works); summed across
-    // the T=4 batched runs so one unlucky scheduling cannot flake it.
+    // the T=4 runs so one unlucky scheduling cannot flake it.
     let multi_thread_coalesced: u64 =
-        outcomes[..half].iter().filter(|o| o.label.contains("T=4")).map(|o| o.coalesced).sum();
-    println!("\ncoalesced edits across T=4 batched runs: {multi_thread_coalesced}");
-    assert!(
-        multi_thread_coalesced > 0,
-        "multi-threaded batched runs must coalesce at least one batch"
-    );
+        outcomes.iter().filter(|o| o.label.contains("T=4")).map(|o| o.coalesced).sum();
+    println!("\ncoalesced edits across T=4 runs: {multi_thread_coalesced}");
+    assert!(multi_thread_coalesced > 0, "multi-threaded runs must coalesce at least one batch");
 
     if let Ok(path) = std::env::var("TACO_BENCH_JSON") {
         let mut out = JsonObj::new();
@@ -237,7 +223,7 @@ fn main() {
         let mut configs = Vec::new();
         for o in &outcomes {
             let mut cj = JsonObj::new();
-            cj.str("config", o.label.trim());
+            cj.str("config", &o.label);
             cj.num("ops_per_sec", o.ops_per_sec);
             cj.num("p50_ms", o.p50_ms);
             cj.num("p99_ms", o.p99_ms);

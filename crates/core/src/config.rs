@@ -4,11 +4,10 @@
 //! comparisons isolate exactly the compression contribution.
 
 use crate::pattern::{PatternMeta, PatternType};
-use serde::{Deserialize, Serialize};
 use taco_grid::Axis;
 
 /// Compressor configuration for a [`crate::FormulaGraph`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Enabled patterns in the order the compressor tries them against a
     /// `Single` candidate edge. Empty means no compression (NoComp).

@@ -8,14 +8,13 @@
 
 use crate::pattern::{self, CanonDep, PatternMeta, PatternType};
 use crate::Dependency;
-use serde::{Deserialize, Serialize};
 use taco_grid::{Axis, Range};
 
 /// Identifier of an edge inside a [`crate::FormulaGraph`]'s arena.
 pub type EdgeId = usize;
 
 /// A (possibly compressed) edge of the formula graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
     /// Minimal bounding range of the compressed precedents (`⊕` of all
     /// underlying `e.prec`).

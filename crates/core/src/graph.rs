@@ -381,32 +381,6 @@ impl FormulaGraph {
         self.bfs(r, Direction::Precedents, scratch, out)
     }
 
-    /// Finds only the *direct* dependents of `r` — a single hop of the
-    /// modified BFS, with no transitive expansion. Same allocation
-    /// contract as [`Self::find_dependents_with_scratch`]. This is the
-    /// probe the recalculation scheduler levels dirty sets with: one hop
-    /// per dirty cell yields the edge relation Kahn's algorithm needs
-    /// (see [`crate::leveling`]).
-    pub fn direct_dependents_with_scratch(
-        &self,
-        r: Range,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Range>,
-    ) -> QueryStats {
-        self.hop(r, Direction::Dependents, scratch, out)
-    }
-
-    /// Finds only the *direct* precedents of `r` — one hop, no transitive
-    /// expansion (see [`Self::direct_dependents_with_scratch`]).
-    pub fn direct_precedents_with_scratch(
-        &self,
-        r: Range,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Range>,
-    ) -> QueryStats {
-        self.hop(r, Direction::Precedents, scratch, out)
-    }
-
     /// [`Self::find_dependents`] reusing the graph's internal query
     /// scratch (`&mut self` callers — the engine edit path and the
     /// backend trait — get warm buffers without owning a
@@ -433,27 +407,6 @@ impl FormulaGraph {
         &self,
         r: Range,
         dir: Direction,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Range>,
-    ) -> QueryStats {
-        self.traverse(r, dir, true, scratch, out)
-    }
-
-    fn hop(
-        &self,
-        r: Range,
-        dir: Direction,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Range>,
-    ) -> QueryStats {
-        self.traverse(r, dir, false, scratch, out)
-    }
-
-    fn traverse(
-        &self,
-        r: Range,
-        dir: Direction,
-        transitive: bool,
         scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
@@ -498,10 +451,8 @@ impl FormulaGraph {
                     for &new_range in parts.iter() {
                         visited.insert(new_range, ());
                         out.push(new_range);
-                        if transitive {
-                            queue.push_back(new_range);
-                            stats.enqueued += 1;
-                        }
+                        queue.push_back(new_range);
+                        stats.enqueued += 1;
                     }
                 }
             }

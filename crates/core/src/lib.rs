@@ -35,7 +35,6 @@ pub mod cem;
 pub mod config;
 pub mod edge;
 pub mod graph;
-pub mod leveling;
 pub mod pattern;
 pub mod snapshot;
 pub mod stats;
@@ -55,7 +54,6 @@ pub use config::Config;
 pub use dep::{Cue, Dependency};
 pub use edge::{Edge, EdgeId};
 pub use graph::{FormulaGraph, QueryScratch, QueryStats};
-pub use leveling::{level_dirty, Leveler};
 pub use pattern::{ChainDir, PatternMeta, PatternType};
 pub use snapshot::GraphSnapshot;
 pub use stats::{GraphStats, PatternCounts, StatsScratch};

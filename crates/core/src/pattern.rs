@@ -12,11 +12,10 @@
 //! functions here are O(1) except those of the exploratory RR-GapOne
 //! pattern, whose results cannot be expressed as a single rectangle.
 
-use serde::{Deserialize, Serialize};
 use taco_grid::{Cell, Offset, Range};
 
 /// The pattern tag of a (compressed) edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PatternType {
     /// An uncompressed edge (a single dependency).
     Single,
@@ -72,7 +71,7 @@ impl PatternType {
 }
 
 /// Direction of an RR-Chain: which adjacent cell each formula references.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChainDir {
     /// Each formula references the cell directly above it (canonical
     /// coordinates), like `A2=A1+1` filled downward.
@@ -94,7 +93,7 @@ impl ChainDir {
 /// The `meta` component of a compressed edge (§II-B): the constant-size
 /// pattern information that reconstructs the compressed dependencies.
 /// Offsets/cells are stored in canonical coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternMeta {
     /// No metadata: the edge is a single dependency.
     Single,

@@ -11,11 +11,11 @@ use crate::config::Config;
 use crate::edge::Edge;
 use crate::graph::FormulaGraph;
 use crate::pattern::{ChainDir, PatternMeta};
-use serde::{Deserialize, Serialize};
 use taco_grid::{Axis, Cell, Offset};
 
-/// A serializable image of a [`FormulaGraph`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The in-memory image of a [`FormulaGraph`] that `taco_store`'s container
+/// encodes and decodes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphSnapshot {
     /// The compressor configuration the graph was built with.
     pub config: Config,
@@ -129,12 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_json() {
+    fn snapshot_round_trips() {
         let g = build_sample();
-        let snap = g.snapshot();
-        let json = serde_json::to_string(&snap).expect("serialize");
-        let back: GraphSnapshot = serde_json::from_str(&json).expect("deserialize");
-        let restored = FormulaGraph::restore(back);
+        let restored = FormulaGraph::restore(g.snapshot());
 
         assert_eq!(restored.num_edges(), g.num_edges());
         assert_eq!(restored.stats(), g.stats());
@@ -165,15 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn hand_edited_snapshot_ranges_are_renormalized() {
-        // Swapped corners in JSON must come back normalized (Deserialize
-        // goes through Range::new).
-        let json = r#"{"head":{"col":3,"row":5},"tail":{"col":1,"row":2}}"#;
-        let r: Range = serde_json::from_str(json).unwrap();
-        assert_eq!(r, Range::from_coords(1, 2, 3, 5));
-    }
-
-    #[test]
     fn snapshots_of_equal_graphs_are_byte_identical() {
         // Same edge set reached through different histories: slot ids and
         // internal iteration order differ, the snapshot must not.
@@ -186,15 +174,9 @@ mod tests {
             Cell::parse_a1("K1").unwrap(),
         ));
         let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_eq!(sa.edges, sb.edges);
-        assert_eq!(
-            serde_json::to_string(&sa).unwrap(),
-            serde_json::to_string(&GraphSnapshot {
-                dependencies_inserted: sa.dependencies_inserted,
-                ..sb
-            })
-            .unwrap()
-        );
+        // The container's encoder is a pure function of the snapshot, so
+        // equal snapshots are equal bytes on disk.
+        assert_eq!(sa, GraphSnapshot { dependencies_inserted: sa.dependencies_inserted, ..sb });
         // And the order is genuinely sorted by dependent head.
         let heads: Vec<Cell> = sa.edges.iter().map(|e| e.dep.head()).collect();
         let mut sorted = heads.clone();

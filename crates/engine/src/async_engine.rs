@@ -13,10 +13,10 @@
 //! the new one, and can ask whether a cell is currently dirty.
 
 use crate::engine::Engine;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use taco_core::FormulaGraph;
@@ -57,7 +57,7 @@ impl AsyncEngine {
 
     /// Spawns the worker around an existing engine.
     pub fn spawn_with(engine: Engine<FormulaGraph>) -> Self {
-        let (tx, rx) = unbounded::<Cmd>();
+        let (tx, rx) = channel::<Cmd>();
         let shared = Arc::new(Shared::default());
         let worker_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -112,7 +112,7 @@ impl AsyncEngine {
     /// Blocks until every previously enqueued edit has been applied *and*
     /// recalculated.
     pub fn sync(&self) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         if self.tx.send(Cmd::Barrier(tx)).is_ok() {
             let _ = rx.recv();
         }

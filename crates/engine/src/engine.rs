@@ -1,9 +1,10 @@
 use crate::cells::CellStore;
 use crate::sheet::CellContent;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
-use taco_core::{Dependency, DependencyBackend, FormulaGraph, Leveler};
+use taco_core::{Dependency, DependencyBackend, FormulaGraph};
 use taco_formula::eval::{eval, CellProvider, EvalClock, VolatileCtx};
 use taco_formula::{autofill, CellError, Formula, FormulaError, Value};
 use taco_grid::a1::QualifiedRef;
@@ -13,10 +14,7 @@ use taco_grid::{Cell, Range};
 /// workbook supplies an implementation during multi-sheet recalculation; a
 /// standalone engine uses [`NoExternal`], which turns every foreign
 /// reference into `#REF!`.
-///
-/// `Sync` because cell-level parallel recalculation shares one external
-/// view across the scoped worker threads of a level.
-pub(crate) trait ExternalSheets: Sync {
+pub(crate) trait ExternalSheets {
     /// Value of `cell` on the sheet named `sheet` (`#REF!` if unknown).
     fn value(&self, sheet: &str, cell: Cell) -> Value;
 
@@ -43,16 +41,16 @@ impl ExternalSheets for NoExternal {
 
 /// Opt-in recalculation profiler granularity (see
 /// [`Engine::set_profile`]). Profiling is sampling-free wall-time
-/// attribution: per-level totals, and (in `Hotspots` mode) a
-/// fixed-capacity top-K of the most expensive individual cells.
+/// attribution: the total of each sheet's pass, and (in `Hotspots` mode)
+/// a fixed-capacity top-K of the most expensive individual cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProfileMode {
     /// No attribution (the default; zero overhead on the eval loop).
     #[default]
     Off,
-    /// Wall time per evaluation level only.
+    /// Wall time per sheet pass only.
     Levels,
-    /// Per-level wall time plus the top-K hottest cells by individual
+    /// Per-pass wall time plus the top-K hottest cells by individual
     /// evaluation time (one extra clock read per cell).
     Hotspots,
 }
@@ -63,8 +61,8 @@ pub const PROFILE_TOP_K: usize = 16;
 /// One recalculation's profile (see [`Engine::profile_report`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
-    /// `(level index, cells in level, wall nanoseconds)` per evaluation
-    /// level. The serial path reports the whole pass as level 0.
+    /// `(level, cells evaluated, wall nanoseconds)` per sheet pass; a
+    /// sheet's pass is one level, so `level` is always 0.
     pub levels: Vec<(u32, u32, u64)>,
     /// The hottest cells by evaluation wall time, hottest first (at most
     /// [`PROFILE_TOP_K`]; empty unless [`ProfileMode::Hotspots`]).
@@ -117,17 +115,8 @@ struct RecalcScratch {
     order: Vec<Cell>,
     /// Cells reached by a back edge (cycle members).
     cycles: Vec<Cell>,
-    /// Kahn leveling state for cell-level parallel recalculation
-    /// (shared machinery with the graph-probe leveling in `taco_core`).
-    leveler: Leveler,
-    /// Per-level staging buffer: worker threads evaluate a level against
-    /// the immutable pre-level cell store into `(cell, value)` slots,
-    /// applied after the level barrier — the writes that make parallel
-    /// evaluation bit-identical to serial. The third slot is the cell's
-    /// evaluation wall time, stamped only in `Hotspots` profiling.
-    staged: Vec<(Cell, Value, u64)>,
-    /// Profiler output: `(level, width, ns)` per level of the most
-    /// recent recalculation (empty when profiling is off).
+    /// Profiler output: `(0, cells, ns)` of the most recent
+    /// recalculation (empty when profiling is off).
     prof_levels: Vec<(u32, u32, u64)>,
     /// Profiler output: the top-K hottest cells (capacity-bounded by
     /// [`PROFILE_TOP_K`]; empty unless `Hotspots`).
@@ -159,13 +148,12 @@ const SUM_MEMO_CAP: usize = 1 << 16;
 struct RangeSums {
     /// Ticks once per write of cell values.
     clock: u64,
-    /// Range → (`clock` when it was summed, the sum). Behind a lock
-    /// because evaluation only has `&self` (and may run on several
-    /// threads in the leveled mode).
-    known: parking_lot::Mutex<BTreeMap<Range, (u64, f64)>>,
+    /// Range → (`clock` when it was summed, the sum). In a `RefCell`
+    /// because evaluation only has `&self`.
+    known: RefCell<BTreeMap<Range, (u64, f64)>>,
     /// Sums answered from memory (test instrumentation).
     #[cfg(test)]
-    hits: std::sync::atomic::AtomicU64,
+    hits: std::cell::Cell<u64>,
 }
 
 impl RangeSums {
@@ -206,16 +194,17 @@ impl RangeSums {
             });
             flow.continue_value()
         };
-        if let Some(&(at, sum)) = self.known.lock().get(&range) {
+        let remembered = self.known.borrow().get(&range).copied();
+        if let Some((at, sum)) = remembered {
             if at >= cells.last_write(range) {
                 debug_assert_eq!(add_up().map(f64::to_bits), Some(sum.to_bits()), "{range}");
                 #[cfg(test)]
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.hits.set(self.hits.get() + 1);
                 return Some(sum);
             }
         }
         let sum = add_up()?;
-        let mut known = self.known.lock();
+        let mut known = self.known.borrow_mut();
         if known.len() >= SUM_MEMO_CAP {
             known.clear();
         }
@@ -256,15 +245,11 @@ pub struct Engine<B: DependencyBackend = FormulaGraph> {
     /// Total formula evaluations performed over the engine's lifetime
     /// (the recalc counter demand-driven tests assert on).
     evaluated_total: u64,
-    /// When `true`, every recalculation records its evaluation batches
+    /// When `true`, every recalculation records its evaluation order
     /// (see [`Engine::take_eval_trace`]).
     trace_enabled: bool,
-    /// Evaluation batches of the most recent recalculation, if tracing.
-    trace: Vec<Vec<Cell>>,
-    /// Span tracer for cell-level recalc phases, when the owning
-    /// workbook is attached to an obs hub. Recording pushes a fixed-size
-    /// record into a pre-allocated ring — no allocation on the hot path.
-    tracer: Option<taco_obs::Tracer>,
+    /// Evaluation order of the most recent recalculation, if tracing.
+    trace: Vec<Cell>,
     /// Recalculation profiler mode (default off).
     profile: ProfileMode,
 }
@@ -294,15 +279,8 @@ impl<B: DependencyBackend> Engine<B> {
             evaluated_total: 0,
             trace_enabled: false,
             trace: Vec::new(),
-            tracer: None,
             profile: ProfileMode::default(),
         }
-    }
-
-    /// Installs (or clears) the span tracer cell-level recalculation
-    /// phases are recorded against.
-    pub(crate) fn set_tracer(&mut self, tracer: Option<taco_obs::Tracer>) {
-        self.tracer = tracer;
     }
 
     /// Sets the recalculation profiler mode. Takes effect on the next
@@ -324,7 +302,7 @@ impl<B: DependencyBackend> Engine<B> {
         ProfileReport { levels: self.recalc.prof_levels.clone(), hotspots }
     }
 
-    /// Raw profiler buffers (workbook metric export): per-level
+    /// Raw profiler buffers (workbook metric export): per-pass
     /// `(level, cells, ns)` rows and per-cell `(cell, ns)` hotspots.
     #[allow(clippy::type_complexity)]
     pub(crate) fn profile_slices(&self) -> (&[(u32, u32, u64)], &[(Cell, u64)]) {
@@ -397,15 +375,11 @@ impl<B: DependencyBackend> Engine<B> {
         }
     }
 
-    /// Takes the evaluation batches of the most recent recalculation
-    /// (tracing must be enabled first). Cells within one batch were
-    /// evaluated against the same pre-batch state — serial recalculation
-    /// yields singleton batches in evaluation order, leveled
-    /// recalculation one batch per level followed by singleton batches
-    /// for the serial cycle fallback. The scheduler's level invariant is
-    /// that every cell's dirty precedents sit in strictly earlier
-    /// batches (cycle members excepted).
-    pub fn take_eval_trace(&mut self) -> Vec<Vec<Cell>> {
+    /// Takes the evaluation order of the most recent recalculation
+    /// (tracing must be enabled first). The scheduler's invariant is that
+    /// every cell's dirty precedents come strictly earlier (cycle members
+    /// excepted).
+    pub fn take_eval_trace(&mut self) -> Vec<Cell> {
         std::mem::take(&mut self.trace)
     }
 
@@ -617,14 +591,6 @@ impl<B: DependencyBackend> Engine<B> {
         self.recalculate_with(&NoExternal)
     }
 
-    /// Cell-level parallel variant of [`Engine::recalculate`]: the dirty
-    /// set is leveled and each level evaluated on `threads` scoped worker
-    /// threads, with values bit-identical to the serial path. Returns
-    /// the number of cells evaluated.
-    pub fn recalculate_leveled(&mut self, threads: usize) -> usize {
-        self.recalculate_leveled_with(&NoExternal, threads)
-    }
-
     /// Recalculation with a view of other sheets' values (the workbook's
     /// `OtherSheets`). Fully deterministic: the evaluation
     /// order depends only on the dirty set and the local graph.
@@ -648,155 +614,14 @@ impl<B: DependencyBackend> Engine<B> {
             }
             self.store_result(cell, value);
             if self.trace_enabled {
-                self.trace.push(vec![cell]);
+                self.trace.push(cell);
             }
         }
         if let Some(start) = pass_start {
-            // The serial path has no levels; attribute the pass to one.
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.recalc.prof_levels.push((0, evaluated as u32, ns));
         }
         self.recalc.order = order;
-        self.cells.clear_dirty();
-        self.evaluated_total += evaluated as u64;
-        evaluated
-    }
-
-    /// Cell-level parallel recalculation: levels the dirty set over the
-    /// dirty-precedent relation (Kahn, on the reusable
-    /// [`taco_core::Leveler`]), evaluates each level on `threads` scoped
-    /// worker threads against the immutable pre-level state, and applies
-    /// the staged values at the level barrier. Cells on or downstream of
-    /// a cycle never level; they fall back to the serial DFS order after
-    /// all levels, preserving the serial engine's cycle semantics.
-    ///
-    /// Values are bit-identical to [`Engine::recalculate`]: a level-`k`
-    /// cell cannot read a same-level dirty cell (that read would force it
-    /// into level `k+1`), leveled cells never read leftover cells (such a
-    /// read would make them leftover too), and cycle members are flagged
-    /// `#CYCLE!` before anything evaluates, exactly as in the serial
-    /// path.
-    pub(crate) fn recalculate_leveled_with<E: ExternalSheets>(
-        &mut self,
-        ext: &E,
-        threads: usize,
-    ) -> usize {
-        // The DFS pass flags cycle members `#CYCLE!` and records the
-        // serial order the leftover fallback replays.
-        self.topo_order_of_dirty();
-        let mut s = std::mem::take(&mut self.recalc);
-        s.prof_levels.clear();
-        s.prof_top.clear();
-        let prof = self.profile;
-        let mut leveler = std::mem::take(&mut s.leveler);
-        leveler.run(s.dirty_sorted.len(), |i, out| {
-            self.dirty_precedents_into(s.dirty_sorted[i as usize], &s.dirty_sorted, out);
-        });
-
-        self.trace.clear();
-        let workers = threads.max(1);
-        for k in 0..leveler.num_levels() {
-            let level = leveler.level(k);
-            let timing = (self.tracer.is_some() || prof != ProfileMode::Off).then(|| {
-                (
-                    Instant::now(),
-                    self.tracer.as_ref().map_or(0, taco_obs::Tracer::now_ns),
-                    level.len(),
-                )
-            });
-            s.staged.clear();
-            s.staged
-                .extend(level.iter().map(|&i| (s.dirty_sorted[i as usize], Value::Empty, 0u64)));
-            if workers == 1 || level.len() == 1 {
-                for (cell, slot, ns) in &mut s.staged {
-                    let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-                    *slot = self.eval_cell(*cell, ext).unwrap_or(Value::Empty);
-                    if let Some(start) = cell_start {
-                        *ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    }
-                }
-            } else {
-                let per = s.staged.len().div_ceil(workers);
-                let (cells, sums) = (&self.cells, &self.sums);
-                let own = self.sheet_name.as_deref();
-                let clock = self.clock;
-                crossbeam::thread::scope(|scope| {
-                    for chunk in s.staged.chunks_mut(per) {
-                        scope.spawn(move |_| {
-                            for (cell, slot, ns) in chunk {
-                                let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-                                if let Some(formula) =
-                                    cells.get(*cell).and_then(CellContent::formula)
-                                {
-                                    let vol = VolatileCtx::for_cell(clock, *cell);
-                                    let sums = sums.serving(formula);
-                                    let view = SheetView { cells, sums, own, ext, vol: Some(&vol) };
-                                    *slot = eval(&formula.ast, &view);
-                                }
-                                if let Some(start) = cell_start {
-                                    *ns = u64::try_from(start.elapsed().as_nanos())
-                                        .unwrap_or(u64::MAX);
-                                }
-                            }
-                        });
-                    }
-                })
-                .expect("level workers panicked");
-            }
-            // The barrier: publish the level's values all at once.
-            if self.trace_enabled {
-                self.trace.push(s.staged.iter().map(|(c, _, _)| *c).collect());
-            }
-            for (cell, value, ns) in s.staged.drain(..) {
-                self.store_result(cell, value);
-                if prof == ProfileMode::Hotspots {
-                    push_hot(&mut s.prof_top, cell, ns);
-                }
-            }
-            if let Some((start, start_ns, width)) = timing {
-                let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if prof != ProfileMode::Off {
-                    s.prof_levels.push((k as u32, width as u32, dur));
-                }
-                if let Some(t) = self.tracer.as_ref() {
-                    t.record(
-                        "engine.level",
-                        taco_obs::SpanCat::CellLevel,
-                        start_ns,
-                        dur,
-                        k as u64,
-                        width as u64,
-                    );
-                }
-            }
-        }
-
-        // Serial fallback for cycle-tainted cells, in the DFS order the
-        // serial path would have used.
-        if !leveler.leftover().is_empty() {
-            let order = std::mem::take(&mut s.order);
-            for &cell in &order {
-                let i = s.dirty_sorted.binary_search(&cell).expect("order ⊆ dirty") as u32;
-                if leveler.level_of(i).is_some() {
-                    continue;
-                }
-                let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-                let value = self.eval_cell(cell, ext).unwrap_or(Value::Empty);
-                self.store_result(cell, value);
-                if let Some(start) = cell_start {
-                    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    push_hot(&mut s.prof_top, cell, ns);
-                }
-                if self.trace_enabled {
-                    self.trace.push(vec![cell]);
-                }
-            }
-            s.order = order;
-        }
-
-        let evaluated = s.dirty_sorted.len();
-        s.leveler = leveler;
-        self.recalc = s;
         self.cells.clear_dirty();
         self.evaluated_total += evaluated as u64;
         evaluated
@@ -815,12 +640,6 @@ impl<B: DependencyBackend> Engine<B> {
             vol: Some(&vol),
         };
         Some(eval(&formula.ast, &view))
-    }
-
-    /// Number of levels the most recent leveled recalculation built
-    /// (bench instrumentation).
-    pub fn levels_built(&self) -> usize {
-        self.recalc.leveler.num_levels()
     }
 
     /// Restricts the dirty set to the cells `keep` accepts, returning the
@@ -1223,7 +1042,7 @@ mod tests {
 
     /// Sums answered from memory so far.
     fn remembered(e: &Engine) -> u64 {
-        e.sums.hits.load(std::sync::atomic::Ordering::Relaxed)
+        e.sums.hits.get()
     }
 
     /// What `SUM(range)` must be, added up here from the cell values.
@@ -1268,9 +1087,9 @@ mod tests {
         e.recalculate();
         assert_eq!((e.value(c("C1")), remembered(&e)), (n(5152.0), 1));
 
-        // Re-read once, then remembered again — in either mode.
+        // Re-read once, then remembered again.
         e.set_value(c("B1"), n(3.0));
-        e.recalculate_leveled(2);
+        e.recalculate();
         assert_eq!((e.value(c("C1")), remembered(&e)), (n(5153.0), 2));
     }
 

@@ -17,9 +17,8 @@
 //!
 //! [`Workbook`] scales the model to multi-sheet files: one engine shard
 //! (cells + compressed graph) per sheet, an inter-sheet edge table for
-//! `Sheet2!A1`-style cross-references, and a level-scheduled recalculation
-//! that evaluates independent sheets on parallel scoped threads with
-//! values bit-identical to the serial order.
+//! `Sheet2!A1`-style cross-references, and a recalculation that walks the
+//! sheets in the level order of the cross-sheet edges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

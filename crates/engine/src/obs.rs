@@ -5,19 +5,14 @@
 //! access — atomic counter bumps, histogram bucket bumps, and fixed-size
 //! span pushes, none of which allocate.
 
-use crate::workbook::RecalcMode;
 use std::time::Instant;
 use taco_core::StatsScratch;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
 pub struct EngineObs {
-    /// `taco_recalc_ns{mode="serial"}` — full-recalc wall time.
-    recalc_serial_ns: Histogram,
-    /// `taco_recalc_ns{mode="parallel"}`.
-    recalc_parallel_ns: Histogram,
-    /// `taco_recalc_ns{mode="cell_parallel"}`.
-    recalc_cell_parallel_ns: Histogram,
+    /// `taco_recalc_ns` — full-recalc wall time.
+    recalc_ns: Histogram,
     /// `taco_recalc_cells` — cells evaluated per recalculation.
     recalc_cells: Histogram,
     /// `taco_recalc_levels` — sheet SCC levels walked per recalculation.
@@ -47,7 +42,7 @@ pub struct EngineObs {
     /// Reused vertex-dedup scratch for the gauge refresh (PR 5 scratch
     /// discipline: steady-state polling allocates nothing).
     scratch: StatsScratch,
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
 }
 
 impl EngineObs {
@@ -57,9 +52,7 @@ impl EngineObs {
         let m = &obs.metrics;
         let book_label = format!("book=\"{book}\"");
         EngineObs {
-            recalc_serial_ns: m.histogram_with("taco_recalc_ns", "mode=\"serial\""),
-            recalc_parallel_ns: m.histogram_with("taco_recalc_ns", "mode=\"parallel\""),
-            recalc_cell_parallel_ns: m.histogram_with("taco_recalc_ns", "mode=\"cell_parallel\""),
+            recalc_ns: m.histogram("taco_recalc_ns"),
             recalc_cells: m.histogram("taco_recalc_cells"),
             recalc_levels: m.histogram("taco_recalc_levels"),
             dirty_depth: m.histogram("taco_dirty_depth"),
@@ -78,15 +71,6 @@ impl EngineObs {
         }
     }
 
-    /// The latency histogram for `mode`.
-    fn recalc_hist(&self, mode: RecalcMode) -> &Histogram {
-        match mode {
-            RecalcMode::Serial => &self.recalc_serial_ns,
-            RecalcMode::Parallel { .. } => &self.recalc_parallel_ns,
-            RecalcMode::CellParallel { .. } => &self.recalc_cell_parallel_ns,
-        }
-    }
-
     /// Starts the `workbook.recalc` span as a tree-building guard: the
     /// per-level spans recorded while it is live nest under it, and it
     /// nests under whatever request context the calling thread carries.
@@ -99,14 +83,13 @@ impl EngineObs {
     /// itself is the [`EngineObs::recalc_guard`]).
     pub(crate) fn on_recalc(
         &self,
-        mode: RecalcMode,
         start: Instant,
         cells: usize,
         levels: usize,
         dirty_before: usize,
     ) {
         let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.recalc_hist(mode).record(dur);
+        self.recalc_ns.record(dur);
         self.recalc_cells.record(cells as u64);
         self.recalc_levels.record(levels as u64);
         self.dirty_depth.record(dirty_before as u64);
@@ -114,10 +97,8 @@ impl EngineObs {
         self.recalc_cells_total.add(cells as u64);
     }
 
-    /// Starts the guard for one sheet SCC level of a recalculation: the
-    /// engine's cell-level spans recorded inside the level nest under it
-    /// (rather than double-counting as siblings). Set `a` (level index)
-    /// and `b` (sheets in the level) before it drops.
+    /// Starts the guard for one sheet SCC level of a recalculation. Set
+    /// `a` (level index) and `b` (sheets in the level) before it drops.
     pub(crate) fn sheet_level_guard(&self) -> SpanGuard {
         self.tracer.span_guard("workbook.level", SpanCat::SheetLevel)
     }

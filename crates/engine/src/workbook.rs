@@ -1,5 +1,5 @@
 //! Multi-sheet workbooks: sheet-sharded formula graphs, cross-sheet
-//! reference routing, and a parallel recalculation scheduler.
+//! reference routing, and the sheet-level recalculation schedule.
 //!
 //! The paper evaluates TACO per sheet, but the Enron/Github workbooks it
 //! draws from are multi-sheet with `Sheet2!A1`-style cross-references. A
@@ -14,17 +14,13 @@
 //!   propagation run the per-sheet compressed query within a shard and hop
 //!   through the edge table between shards;
 //! - recalculation is scheduled **per sheet**: sheets are topologically
-//!   leveled by the cross-edge graph (longest-path levels), so sheets in
-//!   the same level share no cross-sheet edges and can evaluate
-//!   concurrently on crossbeam scoped threads. A level's threads write
-//!   only their own sheets and read the sheets of other levels in place,
-//!   so nothing they share changes under them.
-//!
-//! [`RecalcMode::Serial`] walks the same levels in ascending sheet order;
-//! because within-level sheets are independent and every per-sheet
-//! evaluation is deterministic, serial and parallel recalculation produce
-//! **bit-identical** values (property-tested in
-//! `tests/prop_workbook.rs`).
+//!   leveled by the cross-edge graph (longest-path levels) and evaluated
+//!   one at a time, level by level, in ascending sheet order within a
+//!   level. A sheet reads the sheets of earlier levels in place; they are
+//!   final by then. The order depends only on the cross-edge table and
+//!   every per-sheet evaluation is deterministic, so the same edits
+//!   always recalculate to **bit-identical** values (property-tested
+//!   against a rebuild from the final texts in `tests/prop_workbook.rs`).
 //!
 //! Cross-sheet *cycles* (sheet A reads B, B reads A) cannot be leveled;
 //! the scheduler levels the **SCC condensation** instead: each cyclic
@@ -32,7 +28,7 @@
 //! order, and everything downstream of it is placed strictly later, so
 //! only the cycle members themselves see stale values. One `recalculate`
 //! call relaxes a cyclic component by a single pass over its dirty cells
-//! — deterministic in either mode. An edit that re-dirties the cycle
+//! — deterministically. An edit that re-dirties the cycle
 //! advances it another pass; a genuine cell-level cycle across sheets
 //! never settles, matching Excel's circular-reference behaviour with
 //! iterative calculation off.
@@ -222,27 +218,15 @@ impl Job {
     }
 }
 
-/// How [`Workbook::recalculate`] schedules sheet evaluation.
+/// How [`Workbook::recalculate`] schedules sheet evaluation. There is one
+/// schedule; the type and the parameter it fills survive only because
+/// `benchmark/`, which the change that removed the parallel schedules
+/// could not edit, spells `wb.recalculate(RecalcMode::Serial)`. The next
+/// change allowed to edit the benchmark drops both (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecalcMode {
     /// Level by level, sheets in ascending id order, one at a time.
     Serial,
-    /// Level by level, sheets of a level split over up to `threads`
-    /// crossbeam scoped threads. Values are bit-identical to serial.
-    Parallel {
-        /// Worker-thread cap (clamped to ≥ 1 and to the level width).
-        threads: usize,
-    },
-    /// Level by level, sheets in ascending id order — but *within* each
-    /// sheet the dirty set is leveled over the dependency relation and
-    /// each cell level evaluates on up to `threads` scoped worker
-    /// threads. This is the mode that parallelizes a single giant sheet,
-    /// which sheet-level scheduling cannot. Values are bit-identical to
-    /// serial.
-    CellParallel {
-        /// Worker-thread cap per cell level (clamped to ≥ 1).
-        threads: usize,
-    },
 }
 
 /// What a workbook edit reported back before recalculation: the dirty
@@ -387,7 +371,7 @@ impl Workbook<FormulaGraph> {
     /// workload generator and the scaling benchmarks (no cell values, so
     /// queries work but recalculation has nothing to evaluate). With
     /// `threads > 1` the per-sheet graphs are compressed concurrently on
-    /// crossbeam scoped threads.
+    /// scoped threads.
     pub fn from_sheet_deps(
         config: Config,
         sheets: &[(&str, &[Dependency])],
@@ -401,12 +385,12 @@ impl Workbook<FormulaGraph> {
                 .collect()
         } else {
             let per = sheets.len().div_ceil(threads.min(sheets.len()));
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = sheets
                     .chunks(per)
                     .map(|chunk| {
                         let cfg = config.clone();
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             chunk
                                 .iter()
                                 .map(|(_, deps)| {
@@ -418,7 +402,6 @@ impl Workbook<FormulaGraph> {
                     .collect();
                 handles.into_iter().flat_map(|h| h.join().expect("graph build thread")).collect()
             })
-            .expect("graph build scope")
         };
         let mut wb = Workbook::new();
         for ((name, _), graph) in sheets.iter().zip(graphs) {
@@ -642,17 +625,12 @@ impl<B: DependencyBackend> Workbook<B> {
     }
 
     /// Attaches this workbook to an observability hub: registers the
-    /// engine metric set (labeled `book="<label>"`), hands every sheet
-    /// engine a tracer for cell-level spans, and starts recording
-    /// recalculation metrics. Registration allocates; everything the
-    /// recalc hot paths do afterwards is allocation-free. Attaching a
+    /// engine metric set (labeled `book="<label>"`) and starts recording
+    /// recalculation metrics and spans. Registration allocates; everything
+    /// the recalc hot paths do afterwards is allocation-free. Attaching a
     /// second time replaces the previous hub.
     pub fn attach_obs(&mut self, obs: &taco_obs::Obs, label: &str) {
-        let eo = crate::obs::EngineObs::new(obs, label);
-        for shard in &mut self.sheets {
-            shard.engine.set_tracer(Some(eo.tracer.clone()));
-        }
-        self.obs = Some(Box::new(eo));
+        self.obs = Some(Box::new(crate::obs::EngineObs::new(obs, label)));
     }
 
     /// Whether [`Workbook::attach_obs`] has been called.
@@ -690,9 +668,6 @@ impl<B: DependencyBackend> Workbook<B> {
         let id = self.sheets.len();
         let mut engine = Engine::new(backend);
         engine.set_sheet_name(sref.name().to_string());
-        if let Some(o) = self.obs.as_deref() {
-            engine.set_tracer(Some(o.tracer.clone()));
-        }
         self.index.insert(sref.key(), id);
         self.sheets.push(SheetShard { name: sref, engine });
         self.xedges.add_sheet();
@@ -1077,7 +1052,7 @@ impl<B: DependencyBackend> Workbook<B> {
     }
 
     /// The merged profile of the most recent recalculation: every
-    /// sheet's per-level wall times concatenated in sheet order, plus
+    /// sheet's pass wall time concatenated in sheet order, plus
     /// the top-K hottest cells across all sheets (hottest first). Empty
     /// when profiling is off.
     pub fn profile_report(&self) -> crate::ProfileReport {
@@ -1092,14 +1067,12 @@ impl<B: DependencyBackend> Workbook<B> {
         out
     }
 
-    /// Recalculates every dirty formula cell in the workbook. Both modes
-    /// walk the same sheet levels and produce bit-identical values; see
-    /// the module docs for the scheduling model. Returns the number of
-    /// cells evaluated.
-    pub fn recalculate(&mut self, mode: RecalcMode) -> usize
-    where
-        B: Send,
-    {
+    /// Recalculates every dirty formula cell in the workbook, sheet by
+    /// sheet in level order; see the module docs for the scheduling
+    /// model. Returns the number of cells evaluated.
+    pub fn recalculate(&mut self, mode: RecalcMode) -> usize {
+        // One schedule, nothing to select (see [`RecalcMode`]).
+        let RecalcMode::Serial = mode;
         let timing = self
             .obs
             .as_deref()
@@ -1131,11 +1104,10 @@ impl<B: DependencyBackend> Workbook<B> {
                 g
             });
             // Exactly the level's dirty shards are borrowed mutably, in
-            // ascending sheet order (the deterministic serial order);
-            // every other sheet's cells are shared with them read-only.
-            // A sheet the level's formulae reference sits in another
-            // level, so nothing writes it while they read: precedent
-            // sheets live in earlier levels and are final by now.
+            // ascending sheet order; every other sheet's cells are shared
+            // with them read-only. A sheet the level's formulae reference
+            // sits in another level: an earlier one, final by now, unless
+            // the two share a cycle.
             let mut jobs: Vec<&mut SheetShard<B>> = Vec::with_capacity(work.len());
             let mut others: Vec<Option<&CellStore>> = Vec::with_capacity(sheets.len());
             for (i, shard) in sheets.iter_mut().enumerate() {
@@ -1147,41 +1119,8 @@ impl<B: DependencyBackend> Workbook<B> {
                 }
             }
             let ext = OtherSheets { index, cells: &others };
-            match mode {
-                RecalcMode::Serial => {
-                    for shard in jobs.iter_mut() {
-                        total += shard.engine.recalculate_with(&ext);
-                    }
-                }
-                RecalcMode::CellParallel { threads } => {
-                    // Sheets stay in ascending serial order; the
-                    // parallelism lives inside each sheet's level
-                    // schedule, so one giant sheet still fans out.
-                    for shard in jobs.iter_mut() {
-                        total += shard.engine.recalculate_leveled_with(&ext, threads);
-                    }
-                }
-                RecalcMode::Parallel { threads } => {
-                    let t = threads.clamp(1, jobs.len());
-                    let per = jobs.len().div_ceil(t);
-                    total += crossbeam::thread::scope(|s| {
-                        let handles: Vec<_> = jobs
-                            .chunks_mut(per)
-                            .map(|chunk| {
-                                let ext = &ext;
-                                s.spawn(move |_| {
-                                    let mut n = 0usize;
-                                    for shard in chunk.iter_mut() {
-                                        n += shard.engine.recalculate_with(ext);
-                                    }
-                                    n
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().expect("recalc worker")).sum::<usize>()
-                    })
-                    .expect("recalc scope");
-                }
+            for shard in jobs.iter_mut() {
+                total += shard.engine.recalculate_with(&ext);
             }
             level_span.take();
         }
@@ -1191,7 +1130,7 @@ impl<B: DependencyBackend> Workbook<B> {
         }
         drop(recalc_span);
         if let (Some(o), Some((start, dirty_before))) = (obs.as_deref_mut(), timing) {
-            o.on_recalc(mode, start, total, levels_walked, dirty_before);
+            o.on_recalc(start, total, levels_walked, dirty_before);
             for s in sheets.iter() {
                 let (levels, cells) = s.engine.profile_slices();
                 o.on_profile(levels, cells);
@@ -1228,10 +1167,7 @@ impl<B: DependencyBackend> Workbook<B> {
         id: SheetId,
         viewport: Range,
         mode: RecalcMode,
-    ) -> Result<usize, WorkbookError>
-    where
-        B: Send,
-    {
+    ) -> Result<usize, WorkbookError> {
         if id.0 >= self.sheets.len() {
             return Err(WorkbookError::NoSuchSheet(id.0));
         }
@@ -1532,48 +1468,9 @@ mod tests {
         wb.set_formula(s3, c("A1"), "=S1!A1+S2!A1").unwrap();
         let levels = wb.sheet_levels();
         assert_eq!(levels, vec![vec![s0], vec![s1, s2], vec![s3]]);
-        let evaluated = wb.recalculate(RecalcMode::Parallel { threads: 2 });
+        let evaluated = wb.recalculate(RecalcMode::Serial);
         assert_eq!(evaluated, 3);
         assert_eq!(wb.value(s3, c("A1")), n(5.0));
-    }
-
-    #[test]
-    fn serial_and_parallel_recalc_are_identical() {
-        let build = || {
-            let mut wb = Workbook::with_taco();
-            let ids: Vec<SheetId> =
-                (0..8).map(|i| wb.add_sheet(&format!("Sheet {i}")).unwrap()).collect();
-            for (k, &id) in ids.iter().enumerate() {
-                for row in 1..=20u32 {
-                    wb.set_value(id, Cell::new(1, row), n(f64::from(row) + k as f64));
-                }
-                wb.set_formula(id, c("B1"), "=SUM($A$1:A1)").unwrap();
-                wb.autofill(id, c("B1"), r("B2:B20")).unwrap();
-                if k > 0 {
-                    let prev = format!("'Sheet {}'", k - 1);
-                    wb.set_formula(id, c("C1"), &format!("={prev}!C1+B20")).unwrap();
-                } else {
-                    wb.set_formula(id, c("C1"), "=B20").unwrap();
-                }
-            }
-            wb
-        };
-        let mut serial = build();
-        let mut parallel = build();
-        let evaluated_s = serial.recalculate(RecalcMode::Serial);
-        let evaluated_p = parallel.recalculate(RecalcMode::Parallel { threads: 4 });
-        assert_eq!(evaluated_s, evaluated_p);
-        let last = serial.sheet_id("Sheet 7").unwrap();
-        assert_eq!(serial.value(last, c("C1")), parallel.value(last, c("C1")));
-        for i in 0..8 {
-            let id = SheetId(i);
-            for row in 1..=20u32 {
-                let cell = Cell::new(2, row);
-                assert_eq!(serial.value(id, cell), parallel.value(id, cell), "{id} B{row}");
-            }
-        }
-        // The chain accumulated across all eight sheets.
-        assert_ne!(serial.value(last, c("C1")), Value::Empty);
     }
 
     #[test]
@@ -1629,7 +1526,7 @@ mod tests {
             .dirty
             .iter()
             .any(|&(s, range)| s == summary && range.contains_cell(c("A1"))));
-        wb.recalculate(RecalcMode::Parallel { threads: 2 });
+        wb.recalculate(RecalcMode::Serial);
         assert_eq!(wb.value(summary, c("A1")), n(9.0));
     }
 
@@ -1696,69 +1593,8 @@ mod tests {
         wb.set_formula(b, c("A1"), "=B1+C!B1").unwrap();
         wb.set_formula(c_id, c("A1"), "=B!B1").unwrap();
         assert_eq!(wb.sheet_levels(), vec![vec![b], vec![c_id], vec![a]]);
-        for mode in [RecalcMode::Serial, RecalcMode::Parallel { threads: 8 }] {
-            let mut fresh = Workbook::with_taco();
-            let a = fresh.add_sheet("A").unwrap();
-            let b = fresh.add_sheet("B").unwrap();
-            let c2 = fresh.add_sheet("C").unwrap();
-            fresh.set_formula(a, c("A1"), "=B!A1*10").unwrap();
-            fresh.set_value(b, c("B1"), n(5.0));
-            fresh.set_formula(b, c("A1"), "=B1+C!B1").unwrap();
-            fresh.set_formula(c2, c("A1"), "=B!B1").unwrap();
-            fresh.recalculate(mode);
-            assert_eq!(fresh.value(a, c("A1")), n(50.0), "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn cross_sheet_cycle_is_deterministic_in_both_modes() {
-        let build = || {
-            let mut wb = Workbook::with_taco();
-            let a = wb.add_sheet("A").unwrap();
-            let b = wb.add_sheet("B").unwrap();
-            wb.set_value(a, c("A1"), n(1.0));
-            wb.set_formula(a, c("B1"), "=B!A1+1").unwrap();
-            wb.set_formula(b, c("A1"), "=A!A1+1").unwrap();
-            wb
-        };
-        let mut s = build();
-        let mut p = build();
-        s.recalculate(RecalcMode::Serial);
-        p.recalculate(RecalcMode::Parallel { threads: 8 });
-        let (a, b) = (SheetId(0), SheetId(1));
-        assert_eq!(s.value(a, c("B1")), p.value(a, c("B1")));
-        assert_eq!(s.value(b, c("A1")), p.value(b, c("A1")));
-        // Re-dirtying the chain advances it one pass, in both modes alike:
-        // the cell-level chain A!A1 → B!A1 → A!B1 is acyclic and settles.
-        s.set_value(a, c("A1"), n(1.0));
-        p.set_value(a, c("A1"), n(1.0));
-        s.recalculate(RecalcMode::Serial);
-        p.recalculate(RecalcMode::Parallel { threads: 8 });
-        assert_eq!(s.value(a, c("B1")), n(3.0));
-        assert_eq!(p.value(a, c("B1")), n(3.0));
-    }
-
-    #[test]
-    fn cell_parallel_matches_serial_on_a_chain_sheet() {
-        let build = || {
-            let mut wb = Workbook::with_taco();
-            let s = wb.add_sheet("Only").unwrap();
-            wb.set_value(s, c("A1"), n(1.0));
-            for row in 2..=40u32 {
-                wb.set_formula(s, Cell::new(1, row), &format!("=A{}+1", row - 1)).unwrap();
-            }
-            wb.set_formula(s, c("B1"), "=SUM(A1:A40)").unwrap();
-            wb
-        };
-        let mut serial = build();
-        let mut par = build();
-        serial.recalculate(RecalcMode::Serial);
-        par.recalculate(RecalcMode::CellParallel { threads: 4 });
-        let s = SheetId(0);
-        for row in 1..=40u32 {
-            assert_eq!(serial.value(s, Cell::new(1, row)), par.value(s, Cell::new(1, row)));
-        }
-        assert_eq!(par.value(s, c("B1")), n((1..=40).map(f64::from).sum::<f64>()));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(a, c("A1")), n(50.0));
     }
 
     #[test]
@@ -1828,18 +1664,12 @@ mod tests {
             ["A1", "A2", "A3", "B1"].iter().map(|a| wb.value(s, c(a))).collect();
         assert_eq!(first[0], n(45_000.5));
         // Same clock, same dirty set → bit-identical values on a second
-        // pass, in every mode.
-        for mode in [
-            RecalcMode::Serial,
-            RecalcMode::Parallel { threads: 4 },
-            RecalcMode::CellParallel { threads: 4 },
-        ] {
-            assert_eq!(wb.set_clock(clock), 3);
-            wb.recalculate(mode);
-            let again: Vec<Value> =
-                ["A1", "A2", "A3", "B1"].iter().map(|a| wb.value(s, c(a))).collect();
-            assert_eq!(again, first, "{mode:?}");
-        }
+        // pass.
+        assert_eq!(wb.set_clock(clock), 3);
+        wb.recalculate(RecalcMode::Serial);
+        let again: Vec<Value> =
+            ["A1", "A2", "A3", "B1"].iter().map(|a| wb.value(s, c(a))).collect();
+        assert_eq!(again, first);
         // A different seed perturbs RAND but not NOW.
         assert_eq!(wb.set_clock(EvalClock { rand_seed: 8, ..clock }), 3);
         wb.recalculate(RecalcMode::Serial);

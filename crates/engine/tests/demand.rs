@@ -37,7 +37,6 @@ proptest! {
         sheet_pick in 0usize..8,
         row0 in 1u32..20,
         height in 1u32..12,
-        parallel in 0usize..2,
     ) {
         for p in presets(seed) {
             let w = gen_persist_workload(&p);
@@ -50,15 +49,10 @@ proptest! {
 
             let sid = SheetId(sheet_pick % demand.sheet_count());
             let viewport = Range::from_coords(1, row0, 6, row0 + height);
-            let mode = if parallel == 1 {
-                RecalcMode::CellParallel { threads: 4 }
-            } else {
-                RecalcMode::Serial
-            };
 
             // Demand pass: counters say how much was actually evaluated.
             let before = demand.evaluated_total();
-            let e_demand = demand.recalc_demand(sid, viewport, mode).unwrap();
+            let e_demand = demand.recalc_demand(sid, viewport, RecalcMode::Serial).unwrap();
             prop_assert_eq!(demand.evaluated_total() - before, e_demand as u64);
             prop_assert!(e_demand <= e_full, "{}: demand may never evaluate more", p.name);
 

@@ -1,10 +1,8 @@
-//! Structural test for the intra-sheet level scheduler: with
-//! evaluation-order tracing on, no formula may be evaluated before any
-//! of its precedents that are part of the same dirty set — every dirty
-//! precedent must land in a strictly earlier trace batch. Checked over
-//! random acyclic corpora for both the serial path (singleton batches)
-//! and the leveled path (one batch per level), plus a pinned cyclic
-//! case for the leftover fallback.
+//! Structural test for the intra-sheet schedule: with evaluation-order
+//! tracing on, no formula may be evaluated before any of its precedents
+//! that are part of the same dirty set. Checked over random acyclic
+//! corpora — the full first pass and the partial dirty sets later edits
+//! leave — plus a pinned cyclic case.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +17,7 @@ const ROWS: u32 = 20;
 /// A random corpus that is acyclic by construction: the formula at
 /// column `c` references only cells in columns `< c` (column A is pure
 /// data), so precedence always points left. Mixes single-cell refs,
-/// in-column ranges, and binary expressions so the leveler sees fan-in.
+/// in-column ranges, and binary expressions so the order sees fan-in.
 fn build_random(seed: u64) -> Engine {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut e = Engine::with_taco();
@@ -29,7 +27,7 @@ fn build_random(seed: u64) -> Engine {
     for col in 2..=COLS {
         for row in 1..=ROWS {
             if rng.gen_range(0..4) == 0 {
-                continue; // leave gaps so levels are ragged
+                continue; // leave gaps so dependency depths are ragged
             }
             let pcol = rng.gen_range(1..col);
             let a = Cell::new(pcol, rng.gen_range(1..=ROWS)).to_a1();
@@ -55,23 +53,21 @@ fn col_letter(c: u32) -> char {
     char::from(b'A' + (c - 1) as u8)
 }
 
-/// Flattens the trace into cell → batch index, checking no cell is
+/// Flattens the trace into cell → position, checking no cell is
 /// evaluated twice.
-fn batch_index(trace: &[Vec<Cell>]) -> HashMap<Cell, usize> {
-    let mut batch_of = HashMap::new();
-    for (i, batch) in trace.iter().enumerate() {
-        for &cell in batch {
-            assert!(batch_of.insert(cell, i).is_none(), "cell {cell:?} evaluated twice");
-        }
+fn position_index(trace: &[Cell]) -> HashMap<Cell, usize> {
+    let mut at = HashMap::new();
+    for (i, &cell) in trace.iter().enumerate() {
+        assert!(at.insert(cell, i).is_none(), "cell {cell:?} evaluated twice");
     }
-    batch_of
+    at
 }
 
 /// Asserts the scheduling invariant against the formulas themselves:
 /// every traced cell's same-sheet precedents that were also evaluated
-/// this pass sit in strictly earlier batches.
-fn assert_precedence(e: &Engine, batch_of: &HashMap<Cell, usize>) {
-    for (&cell, &b) in batch_of {
+/// this pass come strictly earlier.
+fn assert_precedence(e: &Engine, at: &HashMap<Cell, usize>) {
+    for (&cell, &i) in at {
         let src = e.formula_of(cell).expect("traced cells are formulae");
         let f = Formula::parse(&src).expect("stored source parses");
         for qr in &f.refs {
@@ -79,10 +75,10 @@ fn assert_precedence(e: &Engine, batch_of: &HashMap<Cell, usize>) {
                 continue;
             }
             for p in qr.rref.range().cells() {
-                if let Some(&bp) = batch_of.get(&p) {
+                if let Some(&ip) = at.get(&p) {
                     assert!(
-                        bp < b,
-                        "{cell:?} (batch {b}) ran no later than its precedent {p:?} (batch {bp})"
+                        ip < i,
+                        "{cell:?} (#{i}) ran no later than its precedent {p:?} (#{ip})"
                     );
                 }
             }
@@ -90,35 +86,33 @@ fn assert_precedence(e: &Engine, batch_of: &HashMap<Cell, usize>) {
     }
 }
 
-#[test]
-fn leveled_schedule_never_runs_a_cell_before_its_precedents() {
-    for seed in 0..24u64 {
-        for threads in [2, 4, 8] {
-            let mut e = build_random(seed);
-            let dirty = e.dirty_count();
-            e.set_trace_enabled(true);
-            let evaluated = e.recalculate_leveled(threads);
-            let trace = e.take_eval_trace();
-            let batch_of = batch_index(&trace);
-            assert_eq!(batch_of.len(), evaluated, "trace must cover every evaluated cell");
-            assert_eq!(evaluated, dirty);
-            assert_precedence(&e, &batch_of);
-        }
-    }
+/// One traced recalculation: the trace covers exactly the dirty set, in
+/// an order that respects precedence.
+fn check_pass(e: &mut Engine) {
+    let dirty = e.dirty_count();
+    let evaluated = e.recalculate();
+    let at = position_index(&e.take_eval_trace());
+    assert_eq!(at.len(), evaluated, "trace must cover every evaluated cell");
+    assert_eq!(evaluated, dirty);
+    assert_precedence(e, &at);
 }
 
+/// The invariant: no formula is evaluated before a dirty precedent.
 #[test]
 fn serial_schedule_satisfies_the_same_invariant() {
-    for seed in 0..12u64 {
+    for seed in 0..24u64 {
         let mut e = build_random(seed);
         e.set_trace_enabled(true);
-        let evaluated = e.recalculate();
-        let trace = e.take_eval_trace();
-        // Serial tracing is one singleton batch per evaluation.
-        assert!(trace.iter().all(|b| b.len() == 1));
-        let batch_of = batch_index(&trace);
-        assert_eq!(batch_of.len(), evaluated);
-        assert_precedence(&e, &batch_of);
+        check_pass(&mut e);
+        // Data edits dirty a different slice of the sheet each time.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1E7);
+        for _ in 0..6 {
+            for _ in 0..rng.gen_range(1..=3) {
+                let cell = Cell::new(1, rng.gen_range(1..=ROWS));
+                e.set_value(cell, Value::Number(rng.gen_range(-50..50) as f64));
+            }
+            check_pass(&mut e);
+        }
     }
 }
 
@@ -131,13 +125,12 @@ fn cycles_fall_back_without_breaking_the_acyclic_part() {
     e.set_formula(Cell::new(4, 1), "=E1+1").unwrap(); // 2-cycle D1 <-> E1
     e.set_formula(Cell::new(5, 1), "=D1+1").unwrap();
     e.set_trace_enabled(true);
-    let evaluated = e.recalculate_leveled(4);
+    let evaluated = e.recalculate();
     assert_eq!(evaluated, 4);
     // The acyclic chain still respects precedence...
-    let trace = e.take_eval_trace();
-    let batch_of = batch_index(&trace);
-    assert!(batch_of[&Cell::new(2, 1)] < batch_of[&Cell::new(3, 1)]);
-    // ...and the cycle members are errors, like the serial path.
+    let at = position_index(&e.take_eval_trace());
+    assert!(at[&Cell::new(2, 1)] < at[&Cell::new(3, 1)]);
+    // ...and the cycle members are errors.
     assert_eq!(e.value(Cell::new(3, 1)), Value::Number(8.0));
     assert!(matches!(e.value(Cell::new(4, 1)), Value::Error(_)));
     assert!(matches!(e.value(Cell::new(5, 1)), Value::Error(_)));

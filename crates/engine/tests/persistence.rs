@@ -3,11 +3,13 @@
 //! - workbook → bytes → workbook preserves every observable: cell
 //!   values, graph stats counters, dependents/precedents query answers,
 //!   and the receipts of a follow-up recalculation — across both
-//!   persistence-workload presets and recalc thread counts {1, 8};
+//!   persistence-workload presets;
 //! - a workbook reopened from snapshot + WAL equals the workbook that
 //!   applied the same edits live, including when the WAL is cut at an
 //!   arbitrary byte offset (crash simulation): the reopened state equals
-//!   the live application of exactly the clean-prefix edits.
+//!   the live application of exactly the clean-prefix edits;
+//! - a formula nested past the parser's bound is the same typed error
+//!   whether it arrives in a batch, a WAL record or a stored image.
 
 use proptest::prelude::*;
 use taco_engine::{PersistOptions, PersistentWorkbook, RecalcMode, SheetId, Workbook};
@@ -86,29 +88,25 @@ fn cells(v: &[(SheetId, Range)]) -> std::collections::BTreeSet<(SheetId, taco_gr
 #[test]
 fn round_trip_preserves_observables_across_presets_and_threads() {
     for params in presets() {
-        for threads in [1usize, 8] {
-            let mode = RecalcMode::Parallel { threads };
-            let mut live = build(&params);
-            live.recalculate(mode);
+        let mut live = build(&params);
+        live.recalculate(RecalcMode::Serial);
 
-            let bytes = encode_workbook(&live.to_image()).expect("encode");
-            let reader = StoreReader::from_bytes(bytes).expect("validate");
-            let mut back =
-                Workbook::from_image(reader.read_all().expect("decode")).expect("restore");
-            let ctx = format!("{} t{threads}", params.name);
-            assert_equivalent(&mut live, &mut back, &ctx);
+        let bytes = encode_workbook(&live.to_image()).expect("encode");
+        let reader = StoreReader::from_bytes(bytes).expect("validate");
+        let mut back = Workbook::from_image(reader.read_all().expect("decode")).expect("restore");
+        let ctx = params.name;
+        assert_equivalent(&mut live, &mut back, ctx);
 
-            // Receipts of a follow-up edit + recalc are identical: the
-            // restored graph routes dirtiness exactly like the original.
-            let cell = taco_grid::Cell::new(1, 3);
-            let ra = live.set_value(SheetId(0), cell, taco_formula::Value::Number(123.0));
-            let rb = back.set_value(SheetId(0), cell, taco_formula::Value::Number(123.0));
-            assert_eq!(cells(&ra.dirty), cells(&rb.dirty), "{ctx}: edit receipts");
-            let ca = live.recalculate(mode);
-            let cb = back.recalculate(mode);
-            assert_eq!(ca, cb, "{ctx}: recalc receipts (cells evaluated)");
-            assert_equivalent(&mut live, &mut back, &format!("{ctx} after recalc"));
-        }
+        // Receipts of a follow-up edit + recalc are identical: the
+        // restored graph routes dirtiness exactly like the original.
+        let cell = taco_grid::Cell::new(1, 3);
+        let ra = live.set_value(SheetId(0), cell, taco_formula::Value::Number(123.0));
+        let rb = back.set_value(SheetId(0), cell, taco_formula::Value::Number(123.0));
+        assert_eq!(cells(&ra.dirty), cells(&rb.dirty), "{ctx}: edit receipts");
+        let ca = live.recalculate(RecalcMode::Serial);
+        let cb = back.recalculate(RecalcMode::Serial);
+        assert_eq!(ca, cb, "{ctx}: recalc receipts (cells evaluated)");
+        assert_equivalent(&mut live, &mut back, &format!("{ctx} after recalc"));
     }
 }
 
@@ -185,5 +183,62 @@ proptest! {
             (live.recalculate(RecalcMode::Serial), reopened.recalculate(RecalcMode::Serial));
         prop_assert_eq!(el, er);
         assert_equivalent(&mut live, &mut reopened, &format!("cut={cut} after recalc"));
+    }
+}
+
+/// Formula text is outside input on every path that reaches the parser:
+/// each must answer a 100 000-level formula with `InvalidRecord`, on the
+/// 2 MiB stack the test harness runs this on, and stay usable.
+#[test]
+fn hostile_nesting_is_a_typed_error_in_a_batch_a_wal_record_and_an_image() {
+    use taco_store::{CellRecord, EditRecord, StoreError, WalWriter};
+    let cell = taco_grid::Cell::new(2, 1);
+    let too_deep = |r: Result<(), StoreError>, ctx: &str| match r {
+        Err(StoreError::InvalidRecord(msg)) => assert!(msg.contains("deeper"), "{ctx}: {msg}"),
+        other => panic!("{ctx}: {other:?}"),
+    };
+    let dir = std::env::temp_dir();
+    for (i, src) in [
+        format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000)),
+        format!("{}1{}", "ABS(".repeat(100_000), ")".repeat(100_000)),
+        format!("1{}", "+1".repeat(100_000)),
+        format!("{}1", "-".repeat(100_000)),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let hostile = EditRecord::SetFormula { sheet: 0, cell, src: src.clone() };
+        let good = EditRecord::SetFormula { sheet: 0, cell, src: "1+1".into() };
+        let mut wb = Workbook::with_taco();
+        wb.add_sheet("S").unwrap();
+
+        // A batch: the prefix applies, the error names the record.
+        let err = wb.apply_batch(&[good.clone(), hostile.clone()]).expect_err("batch");
+        assert_eq!(err.index, 1);
+        too_deep(Err(err.error), "apply_batch");
+        too_deep(wb.apply_edit(&hostile), "apply_edit");
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(SheetId(0), cell), taco_formula::Value::Number(2.0));
+
+        // A WAL record behind a good snapshot.
+        let path = dir.join(format!("taco_hostile_depth_{}_{i}.taco", std::process::id()));
+        let wal_file = taco_engine::wal_path(&path);
+        wb.save(&path).expect("save");
+        let mut wal = WalWriter::create(&wal_file).expect("wal");
+        wal.set_epoch(StoreReader::open(&path).expect("reader").epoch());
+        wal.append(&hostile).expect("append");
+        wal.sync().expect("sync");
+        drop(wal);
+        too_deep(Workbook::open(&path).map(drop), "WAL replay");
+        std::fs::remove_file(&wal_file).expect("remove wal");
+        assert!(Workbook::open(&path).is_ok(), "the snapshot alone still opens");
+
+        // A stored image.
+        let mut image = wb.to_image();
+        let stored = image.sheets[0].cells.iter_mut().find(|(c, _)| *c == cell).expect("cell");
+        stored.1 = CellRecord::Formula { src, value: taco_formula::Value::Empty };
+        taco_store::write_workbook_file(&path, &image).expect("write image");
+        too_deep(Workbook::open(&path).map(drop), "open");
+        std::fs::remove_file(&path).ok();
     }
 }

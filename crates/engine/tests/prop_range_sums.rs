@@ -90,7 +90,7 @@ fn build(which: usize) -> Engine {
     e
 }
 
-fn apply(e: &mut Engine, op: &Op, leveled: bool) {
+fn apply(e: &mut Engine, op: &Op) {
     match *op {
         Op::Number { col, row, v } => {
             e.set_value(Cell::new(col, row), Value::Number(f64::from(v) / 4.0));
@@ -112,11 +112,7 @@ fn apply(e: &mut Engine, op: &Op, leveled: bool) {
             e.delete_rows(at, 1);
         }
     }
-    if leveled {
-        e.recalculate_leveled(2);
-    } else {
-        e.recalculate();
-    }
+    e.recalculate();
 }
 
 proptest! {
@@ -124,12 +120,12 @@ proptest! {
 
     #[test]
     fn remembered_sums_never_show(
-        ops in prop::collection::vec((arb_op(), any::<bool>()), 1..40),
+        ops in prop::collection::vec(arb_op(), 1..40),
     ) {
         let (mut whole, mut parts) = (build(0), build(1));
-        for (step, (op, leveled)) in ops.iter().enumerate() {
-            apply(&mut whole, op, *leveled);
-            apply(&mut parts, op, *leveled);
+        for (step, op) in ops.iter().enumerate() {
+            apply(&mut whole, op);
+            apply(&mut parts, op);
             for row in 1..=SUMS.len() as u32 + 2 {
                 let cell = Cell::new(4, row);
                 prop_assert_eq!(

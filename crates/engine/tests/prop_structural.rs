@@ -5,16 +5,16 @@
 //!    to a fresh workbook rebuilt from the edited cell texts — i.e. the
 //!    rewritten formula sources (including `#REF!`) print, re-parse, and
 //!    re-evaluate to exactly the state the in-place rewrite produced.
-//! 2. The same script produces identical receipts, dirty counts, and
-//!    values across `RecalcMode::{Serial, Parallel, CellParallel}` —
-//!    structural routing is mode-independent.
-//! 3. save → structural burst through the WAL → reopen converges to the
+//! 2. save → structural burst through the WAL → reopen converges to the
 //!    live workbook (values *and* formula source text).
 //!
 //! Corpora come from the persistence workload presets (Enron-like and
 //! Github-like pattern mixes, scaled down), so the scripts cross sheets
 //! through quoted qualifiers, rollups, and carry chains.
 
+mod common;
+
+use common::{full_state, rebuild_from_texts};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,51 +60,12 @@ fn structural_script(p: &PersistParams, seed: u64, count: usize) -> Vec<EditReco
         .collect()
 }
 
-/// Every cell of every sheet as sorted `(sheet, cell, formula-src, value)`
-/// rows — the full observable state.
-fn full_state(wb: &Workbook) -> Vec<(usize, taco_grid::Cell, Option<String>, taco_formula::Value)> {
-    let mut out = Vec::new();
-    for s in 0..wb.sheet_count() {
-        for (cell, content) in wb.sheet(SheetId(s)).cells() {
-            out.push((s, cell, content.formula().map(|f| f.src.clone()), content.value().clone()));
-        }
-    }
-    out.sort_unstable_by_key(|(s, c, _, _)| (*s, c.row, c.col));
-    out
-}
-
-/// Rebuilds a fresh workbook from `wb`'s visible cell texts: formula
-/// cells re-enter through their (possibly rewritten) source, pure cells
-/// through their value.
-fn rebuild_from_texts(wb: &Workbook) -> Workbook {
-    let mut out = Workbook::with_taco();
-    for s in 0..wb.sheet_count() {
-        let id = out.add_sheet(wb.sheet_name(SheetId(s))).expect("fresh name");
-        assert_eq!(id.0, s);
-    }
-    for s in 0..wb.sheet_count() {
-        let id = SheetId(s);
-        for (cell, content) in wb.sheet(id).cells() {
-            match content.formula() {
-                Some(f) => {
-                    out.set_formula(id, cell, &format!("={}", f.src)).unwrap_or_else(|e| {
-                        panic!("rewritten source {:?} must re-parse: {e}", f.src)
-                    });
-                }
-                None => {
-                    out.set_value(id, cell, content.value().clone());
-                }
-            }
-        }
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Properties 1 + 2: rebuild-from-texts equivalence and recalc-mode
-    /// independence of the structural path.
+    /// Property 1: a fresh workbook rebuilt from the edited cell texts
+    /// recalculates to the identical state — rewritten sources (including
+    /// `#REF!`) survive a print → parse → evaluate round trip.
     #[test]
     fn structural_edits_are_rebuildable_and_mode_independent(
         which in 0usize..=1,
@@ -112,58 +73,24 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let p = preset(which, rows);
-        let script = structural_script(&p, seed, 6);
-
-        let modes = [
-            RecalcMode::Serial,
-            RecalcMode::Parallel { threads: 4 },
-            RecalcMode::CellParallel { threads: 4 },
-        ];
-        let mut books: Vec<Workbook> = modes.iter().map(|_| build_from(&p)).collect();
-
-        // Apply the script everywhere; receipts and dirty counts must not
-        // depend on the recalc mode used before or after.
-        let mut reference_receipts = None;
-        for wb in &mut books {
-            let mut receipts = Vec::new();
-            for rec in &script {
-                let EditRecord::Structural { sheet, op } = rec else { unreachable!() };
-                let receipt = wb.apply_structural(SheetId(*sheet as usize), *op);
-                receipts.push(receipt.dirty);
-            }
-            match &reference_receipts {
-                None => reference_receipts = Some((receipts, wb.dirty_count())),
-                Some((r0, d0)) => {
-                    prop_assert_eq!(&receipts, r0, "structural receipts diverged across modes");
-                    prop_assert_eq!(wb.dirty_count(), *d0);
-                }
-            }
+        let mut wb = build_from(&p);
+        for rec in structural_script(&p, seed, 6) {
+            let EditRecord::Structural { sheet, op } = rec else { unreachable!() };
+            wb.apply_structural(SheetId(sheet as usize), op);
         }
-        let evaluated: Vec<usize> =
-            books.iter_mut().zip(modes).map(|(wb, m)| wb.recalculate(m)).collect();
-        for &e in &evaluated[1..] {
-            prop_assert_eq!(e, evaluated[0], "evaluated-cell counts diverged");
-        }
-        let reference = full_state(&books[0]);
-        for (i, wb) in books.iter().enumerate().skip(1) {
-            prop_assert_eq!(&full_state(wb), &reference, "state diverged (mode #{})", i);
-        }
-        prop_assert_eq!(books[0].dirty_count(), 0);
+        wb.recalculate(RecalcMode::Serial);
+        prop_assert_eq!(wb.dirty_count(), 0);
 
-        // Property 1: a fresh workbook rebuilt from the edited cell texts
-        // recalculates to the identical state — rewritten sources
-        // (including `#REF!`) survive a print → parse → evaluate round
-        // trip.
-        let mut rebuilt = rebuild_from_texts(&books[0]);
+        let mut rebuilt = rebuild_from_texts(&wb);
         rebuilt.recalculate(RecalcMode::Serial);
         prop_assert_eq!(
-            full_state(&rebuilt), reference,
+            full_state(&rebuilt), full_state(&wb),
             "rebuild from edited cell texts must be bit-identical"
         );
-        prop_assert_eq!(rebuilt.cross_edge_count(), books[0].cross_edge_count());
+        prop_assert_eq!(rebuilt.cross_edge_count(), wb.cross_edge_count());
     }
 
-    /// Property 3: save → structural burst via the WAL → reopen converges
+    /// Property 2: save → structural burst via the WAL → reopen converges
     /// to the live workbook.
     #[test]
     fn structural_bursts_survive_wal_reopen(

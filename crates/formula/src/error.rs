@@ -24,6 +24,12 @@ pub enum FormulaError {
         /// Human-readable description.
         msg: String,
     },
+    /// The formula nests, or chains operators, deeper than
+    /// [`MAX_DEPTH`](crate::parser::MAX_DEPTH).
+    TooDeep {
+        /// Byte offset of the token that crossed the limit.
+        pos: usize,
+    },
 }
 
 impl fmt::Display for FormulaError {
@@ -34,6 +40,11 @@ impl fmt::Display for FormulaError {
             }
             FormulaError::BadToken { pos, msg } => write!(f, "bad token at offset {pos}: {msg}"),
             FormulaError::Syntax { pos, msg } => write!(f, "syntax error at offset {pos}: {msg}"),
+            FormulaError::TooDeep { pos } => write!(
+                f,
+                "formula nests deeper than {} levels at offset {pos}",
+                crate::parser::MAX_DEPTH
+            ),
         }
     }
 }

@@ -14,8 +14,8 @@ use taco_grid::{Cell, Range};
 /// (`NOW`, `TODAY`, `RAND`).
 ///
 /// Real wall-clock time and OS entropy would break the engine's core
-/// determinism contract — serial, cell-parallel, and demand-driven
-/// recalculation must produce bit-identical values, and a replayed WAL
+/// determinism contract — full and demand-driven recalculation must
+/// produce bit-identical values, and a replayed WAL
 /// must reproduce the workbook exactly. Hosts therefore *inject* the
 /// clock: two evaluations under the same `EvalClock` are bit-identical,
 /// and advancing the clock is an explicit edit-like event (the engine
@@ -29,7 +29,7 @@ pub struct EvalClock {
     /// Seed for `RAND()`. Draws are a pure function of
     /// `(rand_seed, cell, draw index within the cell)`, so they do not
     /// depend on evaluation order across cells — the property that keeps
-    /// parallel and demand-driven schedules bit-identical to serial.
+    /// a demand-driven pass bit-identical to a full one.
     pub rand_seed: u64,
 }
 

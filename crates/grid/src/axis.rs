@@ -1,5 +1,4 @@
 use crate::{Cell, Offset, Range};
-use serde::{Deserialize, Serialize};
 
 /// The axis along which a run of formula cells is compressed.
 ///
@@ -7,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// and notes the row-wise case "can be derived symmetrically". We exploit
 /// that symmetry: all pattern math is written for [`Axis::Col`], and
 /// [`Axis::Row`] transposes ranges/offsets on the way in and out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Axis {
     /// Column-wise compression: the dependent cells form a vertical run
     /// (one column, consecutive rows).

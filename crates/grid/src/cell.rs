@@ -1,5 +1,4 @@
 use crate::{GridError, Offset, MAX_COL, MAX_ROW};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single cell position.
@@ -7,7 +6,7 @@ use std::fmt;
 /// Both coordinates are 1-based, matching the paper's `(i, j)` convention
 /// where `i` is the column index and `j` the row index. `A1` is
 /// `Cell { col: 1, row: 1 }`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cell {
     /// 1-based column index (`A` = 1).
     pub col: u32,

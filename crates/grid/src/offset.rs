@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, Neg, Sub};
 /// `v.col = u.col + p` and `v.row = u.row + q` — equivalently
 /// `u.offset_from(v) == Offset { dc: -p, dr: -q }`. We store the signed
 /// deltas directly (`dc`, `dr`), which is the form `rel(e)` computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Offset {
     /// Signed column delta.
     pub dc: i64,

@@ -1,5 +1,4 @@
 use crate::{Cell, GridError, Offset};
-use serde::{Deserialize, Deserializer, Serialize};
 use std::fmt;
 
 /// A rectangular region of cells, identified by its top-left (`head`) and
@@ -7,24 +6,10 @@ use std::fmt;
 ///
 /// Invariant: `head.col <= tail.col && head.row <= tail.row`. The
 /// constructors normalize their inputs so the invariant always holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Range {
     head: Cell,
     tail: Cell,
-}
-
-impl<'de> Deserialize<'de> for Range {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        // Re-normalize through the constructor so the head ≤ tail invariant
-        // survives hand-edited snapshots.
-        #[derive(Deserialize)]
-        struct Raw {
-            head: Cell,
-            tail: Cell,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        Ok(Range::new(raw.head, raw.tail))
-    }
 }
 
 impl Range {

@@ -31,7 +31,8 @@ pub enum SpanCat {
     Recalc = 0,
     /// One sheet SCC level within a recalculation.
     SheetLevel = 1,
-    /// One intra-sheet cell-parallel level.
+    /// One intra-sheet evaluation level. Recorded by nothing at present;
+    /// kept so wire tag 2 stays assigned.
     CellLevel = 2,
     /// A demand-driven (viewport) recalculation.
     Demand = 3,

@@ -21,7 +21,7 @@
 //!   publication costs what a batch changed, not what the sheet holds);
 //!   writes are funneled through the owner thread's queue, which
 //!   **coalesces** queued edits into one [`Workbook::apply_batch`] + one
-//!   recalculation instead of N ([`ServiceOptions::coalesce`]);
+//!   recalculation instead of N;
 //! - [`server`] — a thread-per-connection TCP acceptor over `std::net`
 //!   with length-prefixed CRC-checked frames ([`taco_store::frame`]), a
 //!   connection limit, and graceful shutdown;

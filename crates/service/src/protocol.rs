@@ -1312,8 +1312,8 @@ mod tests {
                 value: -3,
             }],
             histograms: vec![HistogramSnapshot {
-                name: "taco_recalc_ns".into(),
-                labels: "mode=\"serial\"".into(),
+                name: "taco_request_ns".into(),
+                labels: "op=\"recalc\"".into(),
                 count: 3,
                 sum: 905,
                 buckets: vec![(3, 2), (10, 1)],

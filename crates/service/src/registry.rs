@@ -18,8 +18,8 @@
 //!   operations that need the graph or the file (`Dependents`,
 //!   `Precedents`, `Recalc`, `Save`) are messages to the worker. The
 //!   worker **coalesces** its queue: when it dequeues an edit it drains
-//!   every immediately-available edit behind it (up to
-//!   [`ServiceOptions::max_batch`]) and applies them as one
+//!   every immediately-available edit behind it (up to `MAX_BATCH`)
+//!   and applies them as one
 //!   [`Workbook::apply_batch`] — one dirty-propagation pass and **one**
 //!   recalculation for the whole batch instead of one per edit. Batched
 //!   and unbatched application are result-identical (property-tested in
@@ -74,10 +74,10 @@ use crate::obs::ServiceObs;
 use crate::protocol::{Request, Response, ServiceStats};
 use crate::session::{Session, SessionToken};
 use crate::ServiceError;
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use taco_core::StructuralOp;
 use taco_engine::{Engine, PersistentWorkbook, RecalcMode, SheetId, Workbook, WorkbookReceipt};
@@ -89,13 +89,10 @@ use taco_store::EditRecord;
 /// Tuning for a [`Registry`] and the workers it spawns.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Coalesce queued edits into one batch + one recalculation
-    /// (`false` = apply, route, and recalculate every edit individually —
-    /// the comparison baseline for the throughput bench).
-    pub coalesce: bool,
-    /// Largest number of edits one batch may absorb.
-    pub max_batch: usize,
-    /// How workers recalculate (serial, or sheet-parallel).
+    /// How workers recalculate. [`RecalcMode`] has one variant; the field
+    /// survives only because `benchmark/`, which the change that removed
+    /// the parallel schedules could not edit, reads
+    /// `ServiceOptions::default().recalc_mode` (ROADMAP item 1 drops it).
     pub recalc_mode: RecalcMode,
     /// Whether to run an observability hub: per-operation latency
     /// histograms, engine/WAL instrumentation on every registered
@@ -109,7 +106,7 @@ pub struct ServiceOptions {
     /// [`ServiceOptions::obs`]; `None` (the default) runs no listener.
     pub http_metrics: Option<String>,
     /// Recalculation profiler mode applied to every registered workbook
-    /// (per-level wall times, optionally top-K hottest cells, exported
+    /// (per-sheet-pass wall times, optionally top-K hottest cells, exported
     /// as `taco_profile_*` histograms). Default off.
     pub profile: taco_engine::ProfileMode,
     /// Hub construction options when [`ServiceOptions::obs`] is on:
@@ -130,8 +127,6 @@ pub struct ServiceOptions {
 impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
-            coalesce: true,
-            max_batch: 256,
             recalc_mode: RecalcMode::Serial,
             obs: true,
             http_metrics: None,
@@ -527,7 +522,7 @@ impl BookHandle {
         deadline: Option<std::time::Duration>,
         make: impl FnOnce(Sender<Response>) -> WorkerMsg,
     ) -> Response {
-        let (reply, rx) = channel::unbounded();
+        let (reply, rx) = channel();
         if self.send(make(reply)).is_err() {
             return Response::Err(ServiceError::ShuttingDown);
         }
@@ -538,12 +533,8 @@ impl BookHandle {
             },
             Some(d) => match rx.recv_timeout(d) {
                 Ok(resp) => resp,
-                Err(channel::RecvTimeoutError::Timeout) => {
-                    Response::Err(ServiceError::DeadlineExceeded)
-                }
-                Err(channel::RecvTimeoutError::Disconnected) => {
-                    Response::Err(ServiceError::ShuttingDown)
-                }
+                Err(RecvTimeoutError::Timeout) => Response::Err(ServiceError::DeadlineExceeded),
+                Err(RecvTimeoutError::Disconnected) => Response::Err(ServiceError::ShuttingDown),
             },
         }
     }
@@ -746,7 +737,7 @@ impl Registry {
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
         });
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel();
         let mut books = self.books.write();
         if books.contains_key(&key) {
             return Err(ServiceError::BadRequest(format!("workbook {name:?} already registered")));
@@ -814,7 +805,7 @@ impl Registry {
         let pending: Vec<Receiver<Response>> = records
             .into_iter()
             .map(|rec| {
-                let (reply, rx) = channel::unbounded();
+                let (reply, rx) = channel();
                 let op = WriteOp::Edit(rec);
                 let _ = tx.send(WorkerMsg::Write { op, ctx: TraceContext::NONE, reply });
                 rx
@@ -1265,6 +1256,11 @@ fn heal(shared: &BookShared, wobs: &Option<WorkerObs>) {
     }
 }
 
+/// Largest number of edits one batch may absorb. The first member's reply
+/// waits for the whole batch to apply, recalculate and publish; the cap
+/// bounds that wait when the queue never runs dry.
+const MAX_BATCH: usize = 256;
+
 fn worker_loop(
     rx: Receiver<WorkerMsg>,
     mut backing: Backing,
@@ -1280,18 +1276,16 @@ fn worker_loop(
                 WorkerMsg::Shutdown => break 'outer,
                 WorkerMsg::Write { op, ctx, reply } => {
                     let mut writes = vec![(op, ctx, reply)];
-                    if opts.coalesce {
-                        while writes.len() < opts.max_batch.max(1) {
-                            match rx.try_recv() {
-                                Ok(WorkerMsg::Write { op, ctx, reply }) => {
-                                    writes.push((op, ctx, reply));
-                                }
-                                Ok(other) => {
-                                    pending = Some(other);
-                                    break;
-                                }
-                                Err(_) => break,
+                    while writes.len() < MAX_BATCH {
+                        match rx.try_recv() {
+                            Ok(WorkerMsg::Write { op, ctx, reply }) => {
+                                writes.push((op, ctx, reply));
                             }
+                            Ok(other) => {
+                                pending = Some(other);
+                                break;
+                            }
+                            Err(_) => break,
                         }
                     }
                     if let Some(o) = &wobs {
@@ -1558,7 +1552,7 @@ mod tests {
         Cell::parse_a1(s).unwrap()
     }
 
-    fn demo_registry(coalesce: bool) -> Registry {
+    fn demo_registry() -> Registry {
         let mut wb = Workbook::with_taco();
         let data = wb.add_sheet("Data").unwrap();
         wb.add_sheet("Secret").unwrap();
@@ -1567,7 +1561,7 @@ mod tests {
         }
         wb.set_formula(data, c("B1"), "=SUM(A1:A4)").unwrap();
         wb.recalculate(RecalcMode::Serial);
-        let reg = Registry::new(ServiceOptions { coalesce, ..ServiceOptions::default() });
+        let reg = Registry::new(ServiceOptions::default());
         reg.add_workbook("Demo", wb, Some("pw")).unwrap();
         reg
     }
@@ -1582,7 +1576,7 @@ mod tests {
 
     #[test]
     fn open_requires_matching_auth() {
-        let reg = demo_registry(true);
+        let reg = demo_registry();
         assert!(matches!(open(&reg, None, None), Response::Err(ServiceError::AuthFailed)));
         assert!(matches!(open(&reg, Some("wrong"), None), Response::Err(ServiceError::AuthFailed)));
         let Response::Opened { sheets, .. } = open(&reg, Some("pw"), None) else {
@@ -1593,29 +1587,27 @@ mod tests {
 
     #[test]
     fn writes_apply_and_reads_see_published_epochs() {
-        for coalesce in [true, false] {
-            let reg = demo_registry(coalesce);
-            let Response::Opened { token, epoch, .. } = open(&reg, Some("pw"), None) else {
-                panic!("open");
-            };
-            let resp = reg.execute(Request::SetValue {
-                token,
-                sheet: "Data".into(),
-                cell: c("A1"),
-                value: Value::Number(100.0),
-            });
-            let Response::Applied { epoch: e2, .. } = resp else { panic!("applied: {resp:?}") };
-            assert!(e2 > epoch);
-            // The write's batch recalculated before publishing: the read
-            // sees the new SUM immediately.
-            let resp = reg.execute(Request::Get { token, sheet: "Data".into(), cell: c("B1") });
-            assert_eq!(resp, Response::Value(Value::Number(109.0)), "coalesce={coalesce}");
-        }
+        let reg = demo_registry();
+        let Response::Opened { token, epoch, .. } = open(&reg, Some("pw"), None) else {
+            panic!("open");
+        };
+        let resp = reg.execute(Request::SetValue {
+            token,
+            sheet: "Data".into(),
+            cell: c("A1"),
+            value: Value::Number(100.0),
+        });
+        let Response::Applied { epoch: e2, .. } = resp else { panic!("applied: {resp:?}") };
+        assert!(e2 > epoch);
+        // The write's batch recalculated before publishing: the read
+        // sees the new SUM immediately.
+        let resp = reg.execute(Request::Get { token, sheet: "Data".into(), cell: c("B1") });
+        assert_eq!(resp, Response::Value(Value::Number(109.0)));
     }
 
     #[test]
     fn scope_restricts_sheets_and_results() {
-        let reg = demo_registry(true);
+        let reg = demo_registry();
         let Response::Opened { token, sheets, .. } =
             open(&reg, Some("pw"), Some(vec!["Data".into()]))
         else {
@@ -1633,7 +1625,7 @@ mod tests {
 
     #[test]
     fn queries_route_through_the_worker() {
-        let reg = demo_registry(true);
+        let reg = demo_registry();
         let Response::Opened { token, .. } = open(&reg, Some("pw"), None) else { panic!() };
         let resp = reg.execute(Request::Dependents {
             token,
@@ -1653,7 +1645,7 @@ mod tests {
 
     #[test]
     fn stale_token_and_closed_sessions_are_typed() {
-        let reg = demo_registry(true);
+        let reg = demo_registry();
         let resp = reg.execute(Request::DirtyCount { token: 12345 });
         assert!(matches!(resp, Response::Err(ServiceError::NoSession)));
         let Response::Opened { token, .. } = open(&reg, Some("pw"), None) else { panic!() };
@@ -1664,7 +1656,7 @@ mod tests {
 
     #[test]
     fn save_on_plain_workbook_is_not_persistent() {
-        let reg = demo_registry(true);
+        let reg = demo_registry();
         let Response::Opened { token, .. } = open(&reg, Some("pw"), None) else { panic!() };
         let resp = reg.execute(Request::Save { token });
         assert!(matches!(resp, Response::Err(ServiceError::NotPersistent)));
@@ -1672,7 +1664,7 @@ mod tests {
 
     #[test]
     fn shutdown_refuses_new_requests_and_joins_workers() {
-        let reg = demo_registry(true);
+        let reg = demo_registry();
         let Response::Opened { token, .. } = open(&reg, Some("pw"), None) else { panic!() };
         reg.shutdown();
         let resp = reg.execute(Request::DirtyCount { token });
@@ -1885,7 +1877,7 @@ mod tests {
             degraded_reason: Mutex::new(String::new()),
         });
         let mut backing = Backing::Plain(wb);
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel();
         let fill = |src: &str, targets: &str| WriteOp::Autofill {
             sheet: 0,
             src: c(src),

@@ -5,8 +5,8 @@
 //!    workbook through the service yield, after quiesce, cell values
 //!    **bit-identical** to the same edit script applied serially to a
 //!    bare [`Workbook`];
-//! 2. batched (coalescing) and unbatched modes agree — and batching
-//!    never runs more recalculations than unbatched;
+//! 2. the coalescing writer agrees with a bare workbook recalculated
+//!    after every single write — and never runs more recalculations;
 //! 3. a server backed by a [`PersistentWorkbook`] killed mid-script
 //!    reopens to a clean **prefix** of the applied edits (per-client
 //!    order preserved).
@@ -79,10 +79,10 @@ fn run_op<T: Transport>(client: &mut taco_service::Client<T>, sheet: &str, op: &
 /// Drives the script's clients on real threads against `registry`, then
 /// quiesces. Returns the service's final sorted cell state.
 fn run_in_process(registry: &Arc<Registry>, script: &ServiceScript) -> Vec<(Cell, Value)> {
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for ops in &script.clients {
             let reg = Arc::clone(registry);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut client = InProcClient::in_process(reg);
                 client.open("book", None, None).expect("open");
                 for op in ops {
@@ -91,8 +91,7 @@ fn run_in_process(registry: &Arc<Registry>, script: &ServiceScript) -> Vec<(Cell
                 client.close().expect("close");
             });
         }
-    })
-    .expect("client scope");
+    });
     let mut client = InProcClient::in_process(Arc::clone(registry));
     client.open("book", None, None).expect("open");
     client.recalc().expect("quiesce");
@@ -104,55 +103,46 @@ fn run_in_process(registry: &Arc<Registry>, script: &ServiceScript) -> Vec<(Cell
 #[test]
 fn concurrent_clients_match_serial_application() {
     for p in [mixed(), writer_heavy()] {
-        for coalesce in [true, false] {
-            let script = gen_service_script(&p);
-            let registry =
-                Arc::new(Registry::new(ServiceOptions { coalesce, ..ServiceOptions::default() }));
-            registry.add_workbook("book", setup_workbook(&script), None).unwrap();
-            let got = run_in_process(&registry, &script);
-            let want = bare_cells(&serial_reference(&script));
-            assert_eq!(
-                got, want,
-                "{} coalesce={coalesce}: concurrent service state must be bit-identical \
-                 to the serial script",
-                p.name
-            );
-        }
+        let script = gen_service_script(&p);
+        let registry = Arc::new(Registry::new(ServiceOptions::default()));
+        registry.add_workbook("book", setup_workbook(&script), None).unwrap();
+        let got = run_in_process(&registry, &script);
+        let want = bare_cells(&serial_reference(&script));
+        assert_eq!(
+            got, want,
+            "{}: concurrent service state must be bit-identical to the serial script",
+            p.name
+        );
     }
 }
 
 #[test]
 fn batched_and_unbatched_agree_and_batching_never_recalcs_more() {
     let script = gen_service_script(&writer_heavy());
-    let mut finals = Vec::new();
-    let mut recalcs = Vec::new();
-    for coalesce in [true, false] {
-        let registry =
-            Arc::new(Registry::new(ServiceOptions { coalesce, ..ServiceOptions::default() }));
-        registry.add_workbook("book", setup_workbook(&script), None).unwrap();
-        finals.push(run_in_process(&registry, &script));
-        let mut client = InProcClient::in_process(Arc::clone(&registry));
-        client.open("book", None, None).unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(
-            stats.edits,
-            script.clients.iter().flatten().filter(|op| op.is_write()).count() as u64
-                - script
-                    .clients
-                    .iter()
-                    .flatten()
-                    .filter(|op| matches!(op, ClientOp::Recalc))
-                    .count() as u64,
-            "every write must be counted once (coalesce={coalesce})"
-        );
-        recalcs.push(stats.recalcs);
+    // Unbatched: a bare workbook recalculated after every single write.
+    let mut unbatched = setup_workbook(&script);
+    let writes = script.serial_writes();
+    for rec in &writes {
+        unbatched.apply_edit(rec).expect("serial write applies");
+        unbatched.recalculate(RecalcMode::Serial);
     }
-    assert_eq!(finals[0], finals[1], "batched and unbatched final states must agree");
+
+    let registry = Arc::new(Registry::new(ServiceOptions::default()));
+    registry.add_workbook("book", setup_workbook(&script), None).unwrap();
+    let batched = run_in_process(&registry, &script);
+    let mut client = InProcClient::in_process(Arc::clone(&registry));
+    client.open("book", None, None).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.edits, writes.len() as u64, "every write must be counted once");
+    assert_eq!(batched, bare_cells(&unbatched), "batched and unbatched final states must agree");
+    // One recalculation per write, per explicit `Recalc`, and the quiesce.
+    let recalc_ops =
+        script.clients.iter().flatten().filter(|op| matches!(op, ClientOp::Recalc)).count();
+    let unbatched_recalcs = (writes.len() + recalc_ops + 1) as u64;
     assert!(
-        recalcs[0] <= recalcs[1],
-        "batched recalc count ({}) must not exceed unbatched ({})",
-        recalcs[0],
-        recalcs[1]
+        stats.recalcs <= unbatched_recalcs,
+        "batched recalc count ({}) must not exceed unbatched ({unbatched_recalcs})",
+        stats.recalcs
     );
 }
 
@@ -168,10 +158,10 @@ fn tcp_clients_match_serial_application() {
         Server::start(Arc::clone(&registry), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let addr = server.local_addr();
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let script = &script;
         for ops in &script.clients {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut client = TcpClient::connect(addr).expect("connect");
                 client.open("book", None, None).expect("open");
                 for op in ops {
@@ -180,8 +170,7 @@ fn tcp_clients_match_serial_application() {
                 client.close().expect("close");
             });
         }
-    })
-    .expect("client scope");
+    });
 
     let mut client = TcpClient::connect(addr).expect("connect");
     client.open("book", None, None).expect("open");
@@ -216,11 +205,11 @@ fn persistent_server_killed_mid_script_reopens_to_a_clean_prefix() {
         // Kill the server partway through the script: a killer thread
         // pulls the plug while the clients are still writing. Clients
         // tolerate ShuttingDown from that point on.
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let script = &script;
             for ops in &script.clients {
                 let reg = Arc::clone(&registry);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut client = InProcClient::in_process(reg);
                     if client.open("book", None, None).is_err() {
                         return;
@@ -245,12 +234,11 @@ fn persistent_server_killed_mid_script_reopens_to_a_clean_prefix() {
                 });
             }
             let reg = Arc::clone(&registry);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(15));
                 reg.shutdown();
             });
-        })
-        .expect("scope");
+        });
     }
 
     // Simulate the kill also tearing the final WAL record.
@@ -334,13 +322,13 @@ fn snapshot_reads_never_see_torn_batches() {
     wb.recalculate(RecalcMode::Serial);
     registry.add_workbook("book", wb, None).unwrap();
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let script = &script;
         // Writers keep changing A1 (a shared setup cell — fine here, the
         // test compares reads against reads, not against a serial
         // reference).
         let reg = Arc::clone(&registry);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut client = InProcClient::in_process(reg);
             client.open("book", None, None).unwrap();
             for i in 0..200 {
@@ -352,7 +340,7 @@ fn snapshot_reads_never_see_torn_batches() {
         for _ in 0..2 {
             let reg = Arc::clone(&registry);
             let sheet = script.sheet.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut client = InProcClient::in_process(reg);
                 client.open("book", None, None).unwrap();
                 for _ in 0..300 {
@@ -365,7 +353,6 @@ fn snapshot_reads_never_see_torn_batches() {
                 }
             });
         }
-    })
-    .expect("scope");
+    });
     registry.shutdown();
 }

@@ -467,3 +467,44 @@ fn far_corner_cells_over_the_wire_stay_cheap() {
     server.shutdown();
     registry.shutdown();
 }
+
+/// The request that used to abort the process: neither parser nor
+/// evaluator bounded nesting, and a connection thread has a 2 MiB stack.
+/// Each shape must answer a typed error, and both the same connection
+/// and a fresh one must be served afterwards.
+#[test]
+fn hostile_nesting_is_a_typed_error_and_the_server_keeps_serving() {
+    let registry = Arc::new(Registry::new(ServiceOptions::default()));
+    registry.add_workbook("sales", demo_workbook(), None).unwrap();
+    let server = serve(Arc::clone(&registry));
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    client.open("sales", None, None).unwrap();
+
+    for levels in [1_000, 100_000] {
+        for src in [
+            format!("={}1{}", "(".repeat(levels), ")".repeat(levels)),
+            format!("={}1{}", "ABS(".repeat(levels), ")".repeat(levels)),
+            format!("=1{}", "+1".repeat(levels)),
+            format!("={}1", "-".repeat(levels)),
+        ] {
+            let shape = &src[..6];
+            match client.set_formula("Data", c("D1"), &src) {
+                Err(ServiceError::BadRequest(why)) => {
+                    assert!(why.contains("deeper"), "{shape}… × {levels}: {why}");
+                }
+                other => panic!("{shape}… × {levels}: {other:?}"),
+            }
+            assert_eq!(client.get("Data", c("B1")).unwrap(), n(21.0), "same connection");
+            let mut second = TcpClient::connect(server.local_addr()).unwrap();
+            second.open("sales", None, None).unwrap();
+            second.set_formula("Data", c("D1"), "=B1+1").unwrap();
+            assert_eq!(second.get("Data", c("D1")).unwrap(), n(22.0), "second connection");
+            second.close().unwrap();
+        }
+    }
+    assert_eq!(client.stats().unwrap().edits, 8, "only the good formulas were applied");
+
+    client.close().unwrap();
+    server.shutdown();
+    registry.shutdown();
+}

@@ -3,8 +3,8 @@
 //! writes, a full recalc, a deliberately wide demand recalc), then
 //! fetches the server's span rings with `TraceDump` and reassembles the
 //! tree. The acceptance bar: the demand request's root span is found by
-//! the client's trace id, its descendants include at least one engine
-//! recalc-level span and at least one WAL append/fsync span, direct
+//! the client's trace id, its descendants include at least one sheet-level
+//! recalc span and at least one WAL append/fsync span, direct
 //! children never out-run their parent's duration, and the Chrome
 //! `trace_event` export is structurally valid JSON carrying every span.
 
@@ -36,7 +36,7 @@ fn client_ctx() -> TraceContext {
 }
 
 /// A workbook with a long serial chain plus a summary sheet, so a
-/// viewport demand recalc expands a large closure across many levels.
+/// viewport demand recalc expands a large closure.
 /// When `recalced` is false the whole chain is left dirty — a service
 /// workbook registered that way makes the first viewport request expand
 /// a genuinely large demand closure (steady-state writes recalculate
@@ -98,10 +98,9 @@ fn traced_requests_assemble_cross_layer_span_trees() {
         PersistOptions { compact_after_records: 0, sync_every_records: 1 },
     )
     .unwrap();
-    // Cell-parallel recalc so engine-level spans appear; a generous span
-    // ring so the whole workload's tree survives until the dump.
+    // A generous span ring so the whole workload's tree survives until
+    // the dump.
     let registry = Arc::new(Registry::new(ServiceOptions {
-        recalc_mode: RecalcMode::CellParallel { threads: 2 },
         obs_options: ObsOptions {
             tracer: TracerOptions { span_capacity: 4096, ..TracerOptions::default() },
         },
@@ -138,12 +137,16 @@ fn traced_requests_assemble_cross_layer_span_trees() {
         })
         .unwrap_or_else(|| panic!("no recalc_range root: {spans:?}"));
 
-    // Its subtree reaches the engine layer: at least one recalc-level
-    // span (workbook sheet level or cell level).
+    // Its subtree reaches the engine layer: the sheet levels of the
+    // recalculation. Nothing records cell-level spans.
     let tree = descendants(&spans, root);
     assert!(
-        tree.iter().any(|s| matches!(s.cat, SpanCat::SheetLevel | SpanCat::CellLevel)),
-        "no engine level span under recalc_range: {tree:?}"
+        tree.iter().any(|s| s.cat == SpanCat::SheetLevel),
+        "no sheet level span under recalc_range: {tree:?}"
+    );
+    assert!(
+        !spans.iter().any(|s| s.cat == SpanCat::CellLevel || s.name == "engine.level"),
+        "cell-level spans have no recorder: {spans:?}"
     );
     assert!(
         tree.iter().any(|s| s.name == "workbook.demand"),

@@ -29,7 +29,7 @@
 //! come out small (γ-coded), precedent corners are stored relative to the
 //! dependent head (ζ₃-coded — precedents cluster near their formulae but
 //! have a heavier tail), so a compressed edge typically costs a handful
-//! of bytes against ~200 for its serde-JSON encoding.
+//! of bytes.
 
 use crate::codec::{
     crc32, read_string, read_uvarint, write_string, write_uvarint, BitReader, BitWriter,
@@ -854,18 +854,10 @@ mod tests {
     }
 
     #[test]
-    fn graph_round_trips_and_beats_json() {
+    fn graph_round_trips() {
         let snap = sample_graph();
-        let bytes = encode_graph(&snap);
-        let back = decode_graph(&bytes).unwrap();
+        let back = decode_graph(&encode_graph(&snap)).unwrap();
         assert_eq!(back, snap);
-        let json = serde_json::to_string(&snap).unwrap();
-        assert!(
-            json.len() >= 3 * bytes.len(),
-            "binary {} bytes vs json {} bytes",
-            bytes.len(),
-            json.len()
-        );
     }
 
     #[test]

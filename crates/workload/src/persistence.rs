@@ -70,12 +70,10 @@ pub fn persist_github_like() -> PersistParams {
     }
 }
 
-/// One giant sheet, no cross-sheet edges: the adversarial case for
-/// sheet-level parallel recalculation (the whole dirty set lives on a
-/// single sheet, so only cell-level scheduling can spread the work) and
-/// the natural case for demand-driven viewport recalc. Wide mix so the
-/// leveler sees windows, cumulative totals, a long chain, and lookups
-/// at once.
+/// One giant sheet, no cross-sheet edges: the whole dirty set lives on a
+/// single sheet, the natural case for demand-driven viewport recalc.
+/// Wide mix so one sheet holds windows, cumulative totals, a long chain,
+/// and lookups at once.
 pub fn persist_giant_sheet() -> PersistParams {
     PersistParams {
         name: "giant",
@@ -257,8 +255,7 @@ mod tests {
         assert_eq!(p.sheets, 1);
         let w = gen_persist_workload(&p);
         // No cross-sheet references anywhere in the build: the whole
-        // graph lives on one sheet, which is the case that defeats
-        // sheet-level parallelism.
+        // graph lives on one sheet.
         assert!(!w
             .build
             .iter()

@@ -8,8 +8,8 @@
 //! chains). [`gen_workbook`] synthesizes both: per-sheet dependency
 //! streams plus a [`CrossDep`] table, with every cross dependency pointing
 //! from a lower-indexed sheet to a higher-indexed one so the sheet graph
-//! stays acyclic and the engine's parallel scheduler has real levels to
-//! exploit.
+//! stays acyclic and the engine's sheet scheduler has real levels to
+//! order.
 
 use crate::generator::{gen_sheet, SheetParams, SyntheticSheet};
 use rand::rngs::StdRng;

@@ -9,8 +9,7 @@
 //! reopened workbook recalculates **bit-identically** to the original —
 //! then pushes an edit burst through the write-ahead log, simulates a
 //! crash by tearing the final WAL record, and reopens again. Prints the
-//! binary snapshot size against the serde-JSON `GraphSnapshot` baseline
-//! (the pre-`taco_store` persistence path).
+//! binary snapshot size.
 //!
 //! `TACO_EXAMPLE_ROWS` scales the per-sheet row count (default 64).
 
@@ -30,27 +29,15 @@ fn main() {
     for rec in &w.build {
         wb.apply_edit(rec).expect("build script applies");
     }
-    let evaluated = wb.recalculate(RecalcMode::Parallel { threads: 4 });
+    let evaluated = wb.recalculate(RecalcMode::Serial);
     println!(
         "built {} sheets / {} edits, evaluated {evaluated} formula cells",
         wb.sheet_count(),
         w.build.len()
     );
 
-    // Size: binary container vs the serde-JSON GraphSnapshot baseline.
-    let image = wb.to_image();
-    let binary = taco_repro::store::encode_workbook(&image).expect("encode");
-    let json_graphs: usize = (0..wb.sheet_count())
-        .map(|i| {
-            serde_json::to_string(&wb.sheet(SheetId(i)).graph().snapshot()).expect("json").len()
-        })
-        .sum();
-    println!(
-        "snapshot: {} bytes binary (graphs alone would be {json_graphs} bytes as serde-JSON — \
-         {:.1}x larger before even counting cells)",
-        binary.len(),
-        json_graphs as f64 / binary.len() as f64
-    );
+    let binary = taco_repro::store::encode_workbook(&wb.to_image()).expect("encode");
+    println!("snapshot: {} bytes binary", binary.len());
 
     // Save, reopen, verify bit-identical values and a bit-identical
     // follow-up recalculation.

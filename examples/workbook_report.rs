@@ -1,5 +1,5 @@
 //! Workbook report: a cross-sheet rollup across eight region sheets plus
-//! a summary sheet, recalculated with the parallel sheet scheduler.
+//! a summary sheet, recalculated sheet by sheet in level order.
 //!
 //! ```sh
 //! cargo run --release --example workbook_report
@@ -9,9 +9,7 @@
 //! column, and a running grand total chained from the previous region
 //! (`='Region k-1'!C1+…`). The `Summary` sheet pulls every region's total
 //! through quoted cross-sheet references and must agree with the chain.
-//! The whole workbook is recalculated twice — serial and parallel — and
-//! the values must match bit for bit. `TACO_EXAMPLE_ROWS` scales the
-//! per-region row count (default 400).
+//! `TACO_EXAMPLE_ROWS` scales the per-region row count (default 400).
 
 use taco_repro::engine::{RecalcMode, SheetId, Value, Workbook};
 use taco_repro::grid::{Cell, Range};
@@ -59,54 +57,39 @@ fn build(rows: u32) -> Workbook {
 
 fn main() {
     let rows = rows_from_env();
+    let mut wb = build(rows);
     println!(
         "workbook: {} sheets ({} regions × {rows} rows + summary), {} cross-sheet edges",
         REGIONS + 1,
         REGIONS,
-        build(rows).cross_edge_count()
+        wb.cross_edge_count()
     );
 
-    // Recalculate the same workbook serially and in parallel.
-    let mut serial = build(rows);
-    let evaluated = serial.recalculate(RecalcMode::Serial);
-    let mut parallel = build(rows);
-    parallel.recalculate(RecalcMode::Parallel { threads: 4 });
+    let evaluated = wb.recalculate(RecalcMode::Serial);
 
-    let summary = serial.sheet_id("Summary").expect("summary exists");
-    let last_region = serial.sheet_id(&format!("Region {REGIONS}")).expect("region exists");
-    println!("levels: {:?}", serial.sheet_levels());
+    let summary = wb.sheet_id("Summary").expect("summary exists");
+    let last_region = wb.sheet_id(&format!("Region {REGIONS}")).expect("region exists");
+    println!("levels: {:?}", wb.sheet_levels());
     println!("evaluated {evaluated} formula cells");
     for k in 1..=REGIONS {
-        println!("  Region {k} total: {:?}", serial.value(summary, Cell::new(1, k as u32)));
+        println!("  Region {k} total: {:?}", wb.value(summary, Cell::new(1, k as u32)));
     }
-    let grand = serial.value(summary, Cell::new(2, 1));
-    let chained = serial.value(last_region, Cell::new(3, 1));
+    let grand = wb.value(summary, Cell::new(2, 1));
+    let chained = wb.value(last_region, Cell::new(3, 1));
     assert_eq!(grand, chained, "summary rollup must equal the cross-sheet chain");
     println!("grand total: {grand:?} (rollup == chain)");
 
-    // Bit-identical across scheduling modes, cell by cell.
-    for sid in 0..=REGIONS {
-        let id = SheetId(sid);
-        for col in 1..=3u32 {
-            for row in 1..=rows {
-                let cell = Cell::new(col, row);
-                assert_eq!(serial.value(id, cell), parallel.value(id, cell), "{id} {cell}");
-            }
-        }
-    }
-    println!("serial == parallel across {} cells per sheet", 3 * rows);
-
     // One upstream edit: dirtiness routes through the workbook.
-    let r1 = serial.sheet_id("Region 1").expect("region exists");
-    let receipt = serial.set_value(r1, Cell::new(1, 1), Value::Number(1000.0));
+    let r1 = wb.sheet_id("Region 1").expect("region exists");
+    let receipt = wb.set_value(r1, Cell::new(1, 1), Value::Number(1000.0));
     println!(
         "edit Region 1!A1 → {} dirty ranges across {} sheets (control latency {:?})",
         receipt.dirty.len(),
         receipt.sheets_touched(),
         receipt.control_latency
     );
-    serial.recalculate(RecalcMode::Parallel { threads: 4 });
-    let new_grand = serial.value(summary, Cell::new(2, 1));
+    wb.recalculate(RecalcMode::Serial);
+    let new_grand = wb.value(summary, Cell::new(2, 1));
     assert_ne!(new_grand, grand, "the edit must move the grand total");
     println!("grand total after edit: {new_grand:?}");
 }

@@ -1,8 +1,7 @@
 //! Observability must be a pure observer: attaching a hub to a workbook
-//! changes no recalculation bit, in any mode. Each preset workload is run
-//! six ways — {Serial, Parallel, CellParallel} × {obs off, obs on} — and
-//! every non-empty cell value must be identical across all six, through a
-//! build, a full recalc, an edit burst, and a demand-driven viewport
+//! changes no recalculation bit. Each preset workload is run with obs off
+//! and obs on, and every non-empty cell value must be identical, through
+//! a build, a full recalc, an edit burst, and a demand-driven viewport
 //! recalc. The instrumented runs must also actually have recorded (the
 //! "obs on" leg is not accidentally a no-op).
 
@@ -48,15 +47,10 @@ fn snapshot(wb: &Workbook) -> Vec<(usize, Cell, Value)> {
 
 #[test]
 fn observed_recalc_is_bit_identical_in_every_mode() {
-    let modes = [
-        RecalcMode::Serial,
-        RecalcMode::Parallel { threads: 4 },
-        RecalcMode::CellParallel { threads: 4 },
-    ];
     for p in presets() {
         let w = gen_persist_workload(&p);
 
-        // The unobserved serial run is the reference for everything.
+        // The unobserved run is the reference.
         let mut reference = build(&w, None);
         let eval0 = reference.recalculate(RecalcMode::Serial);
         let after_build = snapshot(&reference);
@@ -64,33 +58,26 @@ fn observed_recalc_is_bit_identical_in_every_mode() {
         reference.recalculate(RecalcMode::Serial);
         let after_burst = snapshot(&reference);
 
-        for mode in modes {
-            for observed in [false, true] {
-                let hub = Obs::new(ObsOptions::default());
-                let obs = observed.then_some(&*hub);
-                let mut wb = build(&w, obs);
-                assert!(wb.obs_attached() == observed, "{} {mode:?}", p.name);
+        let hub = Obs::new(ObsOptions::default());
+        let mut wb = build(&w, Some(&hub));
+        assert!(wb.obs_attached(), "{}", p.name);
 
-                let evaluated = wb.recalculate(mode);
-                assert_eq!(evaluated, eval0, "{} {mode:?} obs={observed}", p.name);
-                assert_eq!(snapshot(&wb), after_build, "{} {mode:?} obs={observed}", p.name);
+        let evaluated = wb.recalculate(RecalcMode::Serial);
+        assert_eq!(evaluated, eval0, "{}", p.name);
+        assert_eq!(snapshot(&wb), after_build, "{}", p.name);
 
-                wb.apply_batch(&w.burst).expect("burst applies");
-                wb.recalculate(mode);
-                assert_eq!(snapshot(&wb), after_burst, "{} {mode:?} obs={observed}", p.name);
+        wb.apply_batch(&w.burst).expect("burst applies");
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(snapshot(&wb), after_burst, "{}", p.name);
 
-                if observed {
-                    let snap = hub.snapshot();
-                    let recalcs = snap
-                        .counters
-                        .iter()
-                        .filter(|c| c.name == "taco_recalcs_total")
-                        .map(|c| c.value)
-                        .sum::<u64>();
-                    assert!(recalcs >= 2, "instrumented run must have recorded: {snap:?}");
-                }
-            }
-        }
+        let snap = hub.snapshot();
+        let recalcs = snap
+            .counters
+            .iter()
+            .filter(|c| c.name == "taco_recalcs_total")
+            .map(|c| c.value)
+            .sum::<u64>();
+        assert!(recalcs >= 2, "instrumented run must have recorded: {snap:?}");
     }
 }
 
@@ -105,24 +92,22 @@ fn observed_demand_recalc_is_bit_identical() {
     let want = snapshot(&reference);
     let dirty_left = reference.dirty_count();
 
-    for mode in [RecalcMode::Serial, RecalcMode::CellParallel { threads: 4 }] {
-        let hub = Obs::new(ObsOptions::default());
-        let mut wb = build(&w, Some(&hub));
-        wb.recalc_demand(SheetId(0), viewport, mode).unwrap();
-        assert_eq!(snapshot(&wb), want, "{mode:?}");
-        assert_eq!(wb.dirty_count(), dirty_left, "laziness must match: {mode:?}");
-        let snap = hub.snapshot();
-        assert!(
-            snap.histograms.iter().any(|h| h.name == "taco_demand_closure_cells" && h.count > 0),
-            "demand closure histogram must have recorded"
-        );
-    }
+    let hub = Obs::new(ObsOptions::default());
+    let mut wb = build(&w, Some(&hub));
+    wb.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    assert_eq!(snapshot(&wb), want);
+    assert_eq!(wb.dirty_count(), dirty_left, "laziness must match");
+    let snap = hub.snapshot();
+    assert!(
+        snap.histograms.iter().any(|h| h.name == "taco_demand_closure_cells" && h.count > 0),
+        "demand closure histogram must have recorded"
+    );
 }
 
 #[test]
 fn profiled_recalc_is_bit_identical() {
     // The recalc profiler is an observer too: attributing wall time per
-    // level and per hottest cell must change no value in any mode.
+    // sheet pass and per hottest cell must change no value.
     let p = PersistParams { rows: 40, burst_edits: 30, seed: 17, ..persist_enron_like() };
     let w = gen_persist_workload(&p);
 
@@ -130,25 +115,23 @@ fn profiled_recalc_is_bit_identical() {
     reference.recalculate(RecalcMode::Serial);
     let want = snapshot(&reference);
 
-    for mode in [RecalcMode::Serial, RecalcMode::CellParallel { threads: 4 }] {
-        for profile in [ProfileMode::Levels, ProfileMode::Hotspots] {
-            let hub = Obs::new(ObsOptions::default());
-            let mut wb = build(&w, Some(&hub));
-            wb.set_profile(profile);
-            wb.recalculate(mode);
-            assert_eq!(snapshot(&wb), want, "{mode:?} {profile:?}");
+    for profile in [ProfileMode::Levels, ProfileMode::Hotspots] {
+        let hub = Obs::new(ObsOptions::default());
+        let mut wb = build(&w, Some(&hub));
+        wb.set_profile(profile);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(snapshot(&wb), want, "{profile:?}");
 
-            let report = wb.profile_report();
-            assert!(!report.levels.is_empty(), "{mode:?} {profile:?} must attribute levels");
-            if profile == ProfileMode::Hotspots {
-                assert!(!report.hotspots.is_empty(), "{mode:?} must attribute hot cells");
-            }
-            let snap = hub.snapshot();
-            assert!(
-                snap.histograms.iter().any(|h| h.name == "taco_profile_level_ns" && h.count > 0),
-                "profiler histograms must have recorded: {mode:?} {profile:?}"
-            );
+        let report = wb.profile_report();
+        assert!(!report.levels.is_empty(), "{profile:?} must attribute sheet passes");
+        if profile == ProfileMode::Hotspots {
+            assert!(!report.hotspots.is_empty(), "must attribute hot cells");
         }
+        let snap = hub.snapshot();
+        assert!(
+            snap.histograms.iter().any(|h| h.name == "taco_profile_level_ns" && h.count > 0),
+            "profiler histograms must have recorded: {profile:?}"
+        );
     }
 }
 
