@@ -27,12 +27,23 @@ pub trait DependencyBackend {
     /// Number of stored edges (whatever the backend's edge unit is).
     fn num_edges(&self) -> usize;
 
-    /// Compression statistics, for backends that track them (the
-    /// observability gauges poll this after each recalculation). The
-    /// default is `None`: baseline backends without per-pattern
+    /// Compression statistics, for backends that track them; the vertex
+    /// count makes this a walk of every edge (the observability gauges
+    /// call it only after a graph changed, see [`Self::graph_counts`]).
+    /// The default is `None`: baseline backends without per-pattern
     /// accounting simply expose no compression gauges.
     fn graph_stats(&self, scratch: &mut crate::StatsScratch) -> Option<crate::GraphStats> {
         let _ = scratch;
+        None
+    }
+
+    /// The part of [`Self::graph_stats`] a backend keeps as running
+    /// counts, in O(1): `(dependencies represented, edges reduced per
+    /// pattern, mutation stamp)`. The stamp moves with every change to
+    /// the edge set, so a poller that remembers it knows when the one
+    /// figure that needs a walk — `graph_stats`' vertex count — can have
+    /// gone stale. The default is `None`, like `graph_stats`.
+    fn graph_counts(&self) -> Option<(u64, crate::PatternCounts, u64)> {
         None
     }
 }
@@ -70,6 +81,10 @@ impl DependencyBackend for crate::FormulaGraph {
 
     fn graph_stats(&self, scratch: &mut crate::StatsScratch) -> Option<crate::GraphStats> {
         Some(self.stats_with(scratch))
+    }
+
+    fn graph_counts(&self) -> Option<(u64, crate::PatternCounts, u64)> {
+        Some(self.counts())
     }
 }
 

@@ -9,7 +9,7 @@ use crate::pattern::PatternType;
 use crate::slab::Slab;
 use crate::stats::{count_vertices_with, GraphStats, PatternCounts, StatsScratch};
 use std::collections::VecDeque;
-use taco_grid::{Axis, Cell, Offset, Range};
+use taco_grid::{Axis, Cell, Range, MAX_COL, MAX_ROW};
 use taco_rtree::{RTree, SearchScratch};
 
 /// Instrumentation for one query (used by the complexity analysis benches
@@ -110,6 +110,15 @@ pub struct FormulaGraph {
     /// Total dependencies ever inserted (the paper's `|E'|` when the graph
     /// is built once from a parsed file).
     deps_inserted: u64,
+    /// Dependencies the stored edges represent, `Σ count`, and edges
+    /// reduced per pattern, `Σ (count − 1)`: kept current by the mutation
+    /// funnel, so `stats()` reads them instead of walking every edge.
+    dependencies: u64,
+    reduced: PatternCounts,
+    /// Bumped by every edge mutation; a poller that remembers it knows
+    /// whether anything that needs a walk (the vertex count) can have
+    /// changed since it last looked.
+    mutations: u64,
     /// Reusable buffers for the `&mut self` maintenance paths.
     scratch: MaintScratch,
 }
@@ -123,6 +132,9 @@ impl FormulaGraph {
             prec_index: RTree::new(),
             dep_index: RTree::new(),
             deps_inserted: 0,
+            dependencies: 0,
+            reduced: PatternCounts::default(),
+            mutations: 0,
             scratch: MaintScratch::default(),
         }
     }
@@ -187,6 +199,7 @@ impl FormulaGraph {
     /// the indexes (snapshot restore: no recompression, one STR pack).
     pub(crate) fn insert_edges_bulk<I: IntoIterator<Item = Edge>>(&mut self, edges: I) {
         for e in edges {
+            self.count_in(&e);
             self.edges.insert(e);
         }
         self.optimize();
@@ -208,23 +221,9 @@ impl FormulaGraph {
             return;
         }
 
-        // Step 1: find candidate edges — those whose dependent vertex is
-        // adjacent to e'.dep along the column or row axis (shift the cell by
-        // one in all four directions and consult the R-tree; gap patterns
-        // extend the search radius to two). Buffers persist on the graph.
+        // Step 1: find candidate edges (buffers persist on the graph).
         let mut candidates = std::mem::take(&mut self.scratch.candidates);
-        candidates.clear();
-        let radius = if self.config.has_gap_pattern() { 2 } else { 1 };
-        for step in 1..=radius {
-            for (dc, dr) in [(0, -step), (0, step), (-step, 0), (step, 0)] {
-                if let Ok(shifted) = d.dep.offset(Offset::new(dc, dr)) {
-                    self.dep_index
-                        .for_each_overlapping(Range::cell(shifted), |_, &id| candidates.push(id));
-                }
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
+        self.collect_candidates(d.dep, &mut candidates);
 
         // Step 2: find valid compressed edges (genCompEdges).
         let mut valid = std::mem::take(&mut self.scratch.valid);
@@ -257,8 +256,7 @@ impl FormulaGraph {
             }
             Some(best_idx) => {
                 let (new_edge, old_id) = valid.swap_remove(best_idx);
-                self.remove_edge(old_id);
-                self.insert_edge(new_edge);
+                self.rewrite_edge(old_id, new_edge);
             }
         }
         self.scratch.candidates = candidates;
@@ -266,7 +264,45 @@ impl FormulaGraph {
         self.scratch.valid = valid;
     }
 
+    /// Step 1 of Alg. 2: the ids, ascending, of the edges whose dependent
+    /// vertex holds a cell next to `cell` in its column or in its row —
+    /// up to two cells away when a gap pattern is enabled.
+    ///
+    /// One window search over the square around `cell` reports a
+    /// superset; an entry stays iff it meets the column arm or the row
+    /// arm of the plus shape somewhere other than in the centre cell
+    /// alone. Since it overlaps the square, "contains `cell`'s column and
+    /// starts above or ends below `cell`'s row" says exactly that for the
+    /// column arm, and the transposed test for the row arm. (An edge has
+    /// one dependent vertex, so the search reports each id once.)
+    fn collect_candidates(&self, cell: Cell, out: &mut Vec<EdgeId>) {
+        out.clear();
+        let radius = if self.config.has_gap_pattern() { 2 } else { 1 };
+        let window = Range::from_coords(
+            cell.col.saturating_sub(radius).max(1),
+            cell.row.saturating_sub(radius).max(1),
+            (cell.col + radius).min(MAX_COL),
+            (cell.row + radius).min(MAX_ROW),
+        );
+        self.dep_index.for_each_overlapping(window, |r, &id| {
+            let (head, tail) = (r.head(), r.tail());
+            let column_arm = head.col <= cell.col
+                && cell.col <= tail.col
+                && (head.row < cell.row || tail.row > cell.row);
+            let row_arm = head.row <= cell.row
+                && cell.row <= tail.row
+                && (head.col < cell.col || tail.col > cell.col);
+            if column_arm || row_arm {
+                out.push(id);
+            }
+        });
+        out.sort_unstable();
+    }
+
     fn select_best(&self, valid: &[(Edge, EdgeId)], d: &Dependency) -> Option<usize> {
+        if valid.len() <= 1 {
+            return valid.first().map(|_| 0);
+        }
         valid
             .iter()
             .enumerate()
@@ -298,22 +334,43 @@ impl FormulaGraph {
         self.edges.get(id)
     }
 
-    /// Remove an edge (and its index entries) by id.
-    pub(crate) fn take_edge(&mut self, id: EdgeId) -> Edge {
-        self.remove_edge(id)
-    }
-
-    /// Insert a fully-formed edge without attempting compression.
-    pub(crate) fn put_edge(&mut self, e: Edge) {
-        self.insert_edge(e);
-    }
-
     /// Restores the lifetime insert counter (snapshot restore).
     pub(crate) fn set_dependencies_inserted(&mut self, n: u64) {
         self.deps_inserted = n;
     }
 
+    /// The running counts: dependencies represented, edges reduced per
+    /// pattern, and the mutation stamp.
+    pub(crate) fn counts(&self) -> (u64, PatternCounts, u64) {
+        (self.dependencies, self.reduced, self.mutations)
+    }
+
+    // ---- the mutation funnel ------------------------------------------------
+    //
+    // Every change to the edge set goes through one of the three functions
+    // below (plus the bulk load above and `clear`), which keep the arena,
+    // both vertex indexes and the running counts in step; each costs what
+    // it changed, never a walk of the graph.
+
+    /// Adds an edge's share to the running counts.
+    fn count_in(&mut self, e: &Edge) {
+        let count = u64::from(e.count);
+        self.dependencies += count;
+        self.reduced.add(e.pattern(), count - 1);
+        self.mutations += 1;
+    }
+
+    /// Takes an edge's share out of the running counts.
+    fn count_out(&mut self, e: &Edge) {
+        let count = u64::from(e.count);
+        self.dependencies -= count;
+        self.reduced.sub(e.pattern(), count - 1);
+        self.mutations += 1;
+    }
+
+    /// An edge that appears.
     fn insert_edge(&mut self, e: Edge) -> EdgeId {
+        self.count_in(&e);
         let prec = e.prec;
         let dep = e.dep;
         let id = self.edges.insert(e);
@@ -322,12 +379,28 @@ impl FormulaGraph {
         id
     }
 
-    fn remove_edge(&mut self, id: EdgeId) -> Edge {
+    /// An edge that disappears.
+    pub(crate) fn remove_edge(&mut self, id: EdgeId) -> Edge {
         let e = self.edges.remove(id);
+        self.count_out(&e);
         let removed_p = self.prec_index.remove(e.prec, &id);
         let removed_d = self.dep_index.remove(e.dep, &id);
         debug_assert!(removed_p && removed_d, "edge {id} must be indexed");
         e
+    }
+
+    /// An edge that changes: `new` takes over `id`'s arena slot, and an
+    /// index entry is re-keyed in place only if the range it files the
+    /// edge under actually changed — extending an FF run leaves the
+    /// precedent index alone, a rigid shift that moves nothing is free.
+    pub(crate) fn rewrite_edge(&mut self, id: EdgeId, new: Edge) {
+        self.count_in(&new);
+        let (prec, dep) = (new.prec, new.dep);
+        let old = std::mem::replace(self.edges.get_mut(id), new);
+        self.count_out(&old);
+        let rekeyed_p = old.prec == prec || self.prec_index.update(old.prec, &id, prec);
+        let rekeyed_d = old.dep == dep || self.dep_index.update(old.dep, &id, dep);
+        debug_assert!(rekeyed_p && rekeyed_d, "edge {id} must be indexed");
     }
 
     // ---- querying (Alg. 3) --------------------------------------------------
@@ -476,33 +549,16 @@ impl FormulaGraph {
         for &id in &ids {
             parts.clear();
             self.edges.get(id).remove_dep_into(s, &mut parts);
-            if parts.is_empty() {
-                self.remove_edge(id);
-                continue;
+            // The first replacement part takes over the edge's slot and
+            // index entries (a split that keeps the precedent vertex —
+            // the common case for RR/RF/FR runs — costs zero prec-index
+            // churn); any further part is a new edge.
+            let mut parts = parts.drain(..);
+            match parts.next() {
+                Some(first) => self.rewrite_edge(id, first),
+                None => drop(self.remove_edge(id)),
             }
-            // The first replacement part reuses the arena slot in place;
-            // an index entry moves only when its range actually changed
-            // (a split that keeps the precedent vertex — the common case
-            // for RR/RF/FR runs — costs zero prec-index churn).
-            let first = parts[0].clone();
-            let old = self.edges.get_mut(id);
-            let (old_prec, old_dep) = (old.prec, old.dep);
-            *old = first;
-            let (new_prec, new_dep) = {
-                let e = self.edges.get(id);
-                (e.prec, e.dep)
-            };
-            if old_prec != new_prec {
-                let moved = self.prec_index.remove(old_prec, &id);
-                debug_assert!(moved, "edge {id} must be prec-indexed");
-                self.prec_index.insert(new_prec, id);
-            }
-            if old_dep != new_dep {
-                let moved = self.dep_index.remove(old_dep, &id);
-                debug_assert!(moved, "edge {id} must be dep-indexed");
-                self.dep_index.insert(new_dep, id);
-            }
-            for part in parts.drain(1..) {
+            for part in parts {
                 self.insert_edge(part);
             }
         }
@@ -527,31 +583,28 @@ impl FormulaGraph {
         self.prec_index.clear();
         self.dep_index.clear();
         self.deps_inserted = 0;
+        self.dependencies = 0;
+        self.reduced = PatternCounts::default();
+        self.mutations += 1;
     }
 
     // ---- stats -----------------------------------------------------------------
 
     /// Snapshot of graph size and per-pattern compression effectiveness.
+    /// Edges, dependencies and the per-pattern reduction are running
+    /// counts; only the distinct-vertex count walks the edges.
     pub fn stats(&self) -> GraphStats {
         self.stats_with(&mut StatsScratch::new())
     }
 
     /// [`Self::stats`] against a caller-owned [`StatsScratch`]: reuses
-    /// the scratch's vertex set instead of allocating one per call, so
-    /// repeated polling (the post-recalc metrics gauges) stays
-    /// allocation-free once the scratch has warmed up.
+    /// the scratch's vertex set instead of allocating one per call.
     pub fn stats_with(&self, scratch: &mut StatsScratch) -> GraphStats {
-        let mut reduced = PatternCounts::default();
-        let mut dependencies = 0u64;
-        for (_, e) in self.edges.iter() {
-            dependencies += u64::from(e.count);
-            reduced.add(e.pattern(), u64::from(e.count) - 1);
-        }
         GraphStats {
             edges: self.edges.len(),
             vertices: count_vertices_with(scratch, self.edges.iter().map(|(_, e)| e)),
-            dependencies,
-            reduced,
+            dependencies: self.dependencies,
+            reduced: self.reduced,
         }
     }
 
@@ -981,6 +1034,70 @@ mod tests {
 
     fn cells_of(ranges: &[Range]) -> std::collections::BTreeSet<Cell> {
         ranges.iter().flat_map(|r| r.cells()).collect()
+    }
+
+    /// Step 1 of Alg. 2 as the paper words it — shift the cell by one in
+    /// all four directions (by two as well with a gap pattern) and ask the
+    /// index about each: the id set `collect_candidates` must reproduce
+    /// with its one window search.
+    fn point_probe_candidates(g: &FormulaGraph, cell: Cell) -> Vec<EdgeId> {
+        let radius = if g.config.has_gap_pattern() { 2 } else { 1 };
+        let mut ids = Vec::new();
+        for step in 1..=radius {
+            for (dc, dr) in [(0, -step), (0, step), (-step, 0), (step, 0)] {
+                if let Ok(shifted) = cell.offset(taco_grid::Offset::new(dc, dr)) {
+                    g.dep_index.for_each_overlapping(Range::cell(shifted), |_, &id| ids.push(id));
+                }
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    #[test]
+    fn window_probe_finds_exactly_the_point_probe_candidates() {
+        for config in [Config::taco_full(), Config::taco_with_gap_one()] {
+            let mut g = FormulaGraph::new(config);
+            // Column runs, row runs, an every-other-row run, singles
+            // (two of them on one cell), and formulae in the grid's first
+            // and last cells, where the window is clamped.
+            for row in 2..=7u32 {
+                g.add_dependency(&Dependency::new(
+                    Range::cell(Cell::new(1, row)),
+                    Cell::new(3, row),
+                ));
+                g.add_dependency(&Dependency::new(r("A1:A2"), Cell::new(5, row + 1)));
+            }
+            for col in 2..=9u32 {
+                g.add_dependency(&Dependency::new(
+                    Range::cell(Cell::new(col, 12)),
+                    Cell::new(col, 10),
+                ));
+            }
+            for row in [2u32, 4, 6, 8] {
+                g.add_dependency(&Dependency::new(
+                    Range::cell(Cell::new(8, row)),
+                    Cell::new(7, row),
+                ));
+            }
+            for (p, c) in [("K1", "D5"), ("K2", "D5"), ("K3", "F3"), ("K4", "A1"), ("K5", "H9")] {
+                g.add_dependency(&d(p, c));
+            }
+            let last = Cell::new(MAX_COL, MAX_ROW);
+            g.add_dependency(&Dependency::new(r("K6"), last));
+            g.add_dependency(&Dependency::new(r("K7"), Cell::new(MAX_COL, MAX_ROW - 2)));
+            g.add_dependency(&Dependency::new(r("K8"), Cell::new(MAX_COL - 1, MAX_ROW)));
+            assert!(g.edges().any(|e| e.axis == Axis::Row && !e.is_single()), "a row run");
+            assert!(g.edges().any(|e| e.axis == Axis::Col && !e.is_single()), "a column run");
+
+            let mut got = Vec::new();
+            let corner = Range::new(Cell::new(MAX_COL - 3, MAX_ROW - 3), last);
+            for cell in r("A1:L14").cells().chain(corner.cells()) {
+                g.collect_candidates(cell, &mut got);
+                assert_eq!(got, point_probe_candidates(&g, cell), "candidates around {cell}");
+            }
+        }
     }
 
     /// Regression: the scratch entry points are the same query — results

@@ -23,16 +23,31 @@ pub struct PatternCounts {
 }
 
 impl PatternCounts {
+    /// The counter for `p` (`Single` has none: it reduces nothing).
+    fn counter(&mut self, p: PatternType) -> Option<&mut u64> {
+        match p {
+            PatternType::Single => None,
+            PatternType::RR => Some(&mut self.rr),
+            PatternType::RF => Some(&mut self.rf),
+            PatternType::FR => Some(&mut self.fr),
+            PatternType::FF => Some(&mut self.ff),
+            PatternType::RRChain => Some(&mut self.rr_chain),
+            PatternType::RRGapOne => Some(&mut self.rr_gap_one),
+        }
+    }
+
     /// Adds `reduced` to the counter for `p`.
     pub fn add(&mut self, p: PatternType, reduced: u64) {
-        match p {
-            PatternType::Single => {}
-            PatternType::RR => self.rr += reduced,
-            PatternType::RF => self.rf += reduced,
-            PatternType::FR => self.fr += reduced,
-            PatternType::FF => self.ff += reduced,
-            PatternType::RRChain => self.rr_chain += reduced,
-            PatternType::RRGapOne => self.rr_gap_one += reduced,
+        if let Some(counter) = self.counter(p) {
+            *counter += reduced;
+        }
+    }
+
+    /// Takes `reduced` off the counter for `p` (an edge of that pattern
+    /// went away or shrank).
+    pub(crate) fn sub(&mut self, p: PatternType, reduced: u64) {
+        if let Some(counter) = self.counter(p) {
+            *counter -= reduced;
         }
     }
 
@@ -107,10 +122,10 @@ impl GraphStats {
 
 /// Caller-owned scratch for [`GraphStats`] computation: the vertex
 /// de-duplication set that `count_vertices_with` would otherwise allocate
-/// fresh on every call. Stats paths polled repeatedly (the metrics
-/// gauges after each recalculation) reuse one of these, so steady-state
-/// polling performs no heap allocations — the same discipline as the
-/// query paths' `QueryScratch`.
+/// fresh on every call. Stats paths polled repeatedly (the vertex gauge,
+/// recounted after each recalculation that follows a graph change) reuse
+/// one of these, so steady-state polling performs no heap allocations —
+/// the same discipline as the query paths' `QueryScratch`.
 #[derive(Debug, Default)]
 pub struct StatsScratch {
     vertices: HashSet<taco_grid::Range>,

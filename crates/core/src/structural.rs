@@ -126,30 +126,17 @@ impl FormulaGraph {
         for id in ids {
             let e = self.peek_edge(id);
             let disturbed = op.disturbs(e.prec) || op.disturbs(e.dep);
-            if disturbed || e.is_single() {
-                let e = self.take_edge(id);
-                for d in e.decompress() {
-                    if let Some(t) = op.map_dependency(&d) {
-                        reinsert.push(t);
-                    }
-                }
-                continue;
-            }
             // Fast path: both bounding ranges move rigidly (possibly by
-            // different amounts); adjust the metadata accordingly.
-            match shift_edge(e, op) {
-                Some(ne) => {
-                    self.take_edge(id);
-                    self.put_edge(ne);
-                }
+            // different amounts, possibly not at all); the edge keeps its
+            // slot and its metadata is adjusted accordingly.
+            let shifted = if disturbed || e.is_single() { None } else { shift_edge(e, op) };
+            match shifted {
+                Some(ne) => self.rewrite_edge(id, ne),
                 None => {
-                    // Off-grid or dimension change: fall back.
-                    let e = self.take_edge(id);
-                    for d in e.decompress() {
-                        if let Some(t) = op.map_dependency(&d) {
-                            reinsert.push(t);
-                        }
-                    }
+                    // Cut by the band, single, pushed off-grid or changed
+                    // in dimension: decompress and re-compress below.
+                    let e = self.remove_edge(id);
+                    reinsert.extend(e.decompress().iter().filter_map(|d| op.map_dependency(d)));
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! span pushes, none of which allocate.
 
 use std::time::Instant;
-use taco_core::StatsScratch;
+use taco_core::{DependencyBackend, StatsScratch};
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
@@ -42,6 +42,14 @@ pub struct EngineObs {
     /// Reused vertex-dedup scratch for the gauge refresh (PR 5 scratch
     /// discipline: steady-state polling allocates nothing).
     scratch: StatsScratch,
+    /// The sheets' summed mutation stamps when `graph_vertices` was last
+    /// counted (`None`: never). Each stamp only grows, and sheets are
+    /// never removed, so the sum moves iff some sheet's graph changed.
+    vertices_as_of: Option<u64>,
+    /// Walks over the edges made for the vertex gauge (test
+    /// instrumentation).
+    #[cfg(test)]
+    pub(crate) edge_walks: u64,
     tracer: Tracer,
 }
 
@@ -67,6 +75,9 @@ impl EngineObs {
             graph_edges_reduced: m.gauge_with("taco_graph_edges_reduced", &book_label),
             cross_edges: m.gauge_with("taco_cross_edges", &book_label),
             scratch: StatsScratch::new(),
+            vertices_as_of: None,
+            #[cfg(test)]
+            edge_walks: 0,
             tracer: obs.tracer.clone(),
         }
     }
@@ -129,30 +140,45 @@ impl EngineObs {
         }
     }
 
-    /// Refreshes the graph-shape gauges from summed per-sheet stats.
-    /// `stats` yields each sheet's backend stats (None for backends
-    /// without compression accounting — those refresh edges only).
-    pub(crate) fn refresh_graph_gauges<F>(&mut self, cross_edges: usize, mut per_sheet: F)
+    /// Refreshes the graph-shape gauges from the sheets' graphs, in
+    /// O(sheets): edges, dependencies and edges reduced are running
+    /// counts the graphs keep ([`DependencyBackend::graph_counts`]; a
+    /// backend without compression accounting refreshes edges only).
+    /// The distinct-vertex count is the one figure that needs a walk over
+    /// every edge, so it is recounted only when the summed mutation
+    /// stamps say some sheet's graph changed since the last count — a
+    /// recalculation that follows value edits alone walks nothing.
+    pub(crate) fn refresh_graph_gauges<'a, B, I>(&mut self, cross_edges: usize, graphs: I)
     where
-        F: FnMut(&mut StatsScratch) -> Option<(usize, Option<taco_core::GraphStats>)>,
+        B: DependencyBackend + 'a,
+        I: Iterator<Item = &'a B> + Clone,
     {
-        let (mut edges, mut vertices, mut deps, mut reduced) = (0i64, 0i64, 0i64, 0i64);
-        let mut have_stats = false;
-        while let Some((num_edges, stats)) = per_sheet(&mut self.scratch) {
-            edges += num_edges as i64;
-            if let Some(s) = stats {
-                have_stats = true;
-                vertices += s.vertices as i64;
-                deps += i64::try_from(s.dependencies).unwrap_or(i64::MAX);
-                reduced += i64::try_from(s.reduced.total()).unwrap_or(i64::MAX);
+        let (mut edges, mut deps, mut reduced) = (0i64, 0i64, 0i64);
+        let mut stamp = None;
+        for g in graphs.clone() {
+            edges += g.num_edges() as i64;
+            if let Some((dependencies, by_pattern, mutations)) = g.graph_counts() {
+                deps += i64::try_from(dependencies).unwrap_or(i64::MAX);
+                reduced += i64::try_from(by_pattern.total()).unwrap_or(i64::MAX);
+                stamp = Some(stamp.unwrap_or(0u64).wrapping_add(mutations));
             }
         }
         self.graph_edges.set(edges);
         self.cross_edges.set(cross_edges as i64);
-        if have_stats {
-            self.graph_vertices.set(vertices);
-            self.graph_dependencies.set(deps);
-            self.graph_edges_reduced.set(reduced);
+        if stamp.is_none() {
+            return;
+        }
+        self.graph_dependencies.set(deps);
+        self.graph_edges_reduced.set(reduced);
+        if self.vertices_as_of != stamp {
+            self.vertices_as_of = stamp;
+            #[cfg(test)]
+            {
+                self.edge_walks += 1;
+            }
+            let vertices: usize =
+                graphs.filter_map(|g| g.graph_stats(&mut self.scratch)).map(|s| s.vertices).sum();
+            self.graph_vertices.set(vertices as i64);
         }
     }
 

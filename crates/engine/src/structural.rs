@@ -9,16 +9,29 @@ use taco_formula::Formula;
 use taco_grid::a1::{CellRef, QualifiedRef, RangeRef};
 use taco_grid::Range;
 
+/// Whether `q` names cells of the edited sheet, `own`. A formula on the
+/// edited sheet itself (`local`) reaches it through unqualified and
+/// *self-qualified* references (`Data!A1` inside `Data`); a formula on
+/// another sheet only through references qualified with its name.
+fn reads_edited_sheet(own: Option<&str>, q: &QualifiedRef, local: bool) -> bool {
+    match &q.sheet {
+        None => local,
+        Some(sheet) => own.is_some_and(|n| sheet.matches(n)),
+    }
+}
+
 /// Rewrites one formula reference under a structural edit of the sheet
 /// named `own`, preserving its `$` flags; `None` becomes `#REF!` in the
-/// formula. Local and *self-qualified* references (`Data!A1` inside
-/// `Data`) share this sheet's geometry and remap; qualified references to
-/// other sheets pass through unchanged.
-fn map_ref(op: StructuralOp, own: Option<&str>, q: &QualifiedRef) -> Option<QualifiedRef> {
-    if let Some(sheet) = &q.sheet {
-        if !own.is_some_and(|n| sheet.matches(n)) {
-            return Some(q.clone());
-        }
+/// formula. References into the edited sheet share its geometry and
+/// remap; references to other sheets pass through unchanged.
+pub(crate) fn map_ref(
+    op: StructuralOp,
+    own: Option<&str>,
+    q: &QualifiedRef,
+    local: bool,
+) -> Option<QualifiedRef> {
+    if !reads_edited_sheet(own, q, local) {
+        return Some(q.clone());
     }
     let r = &q.rref;
     let nr = op.map_range(r.range())?;
@@ -29,6 +42,20 @@ fn map_ref(op: StructuralOp, own: Option<&str>, q: &QualifiedRef) -> Option<Qual
             tail: CellRef { cell: nr.tail(), ..r.tail },
         },
     })
+}
+
+/// Whether the edit band cuts through a range of the edited sheet that
+/// one of `refs` names. Such a formula reads cells that moved even when
+/// its rewritten text is the old text: a range that straddles an insert
+/// point but already ends at the grid's last row or column is stretched,
+/// clamped back, and prints the same.
+pub(crate) fn band_disturbs(
+    op: StructuralOp,
+    own: Option<&str>,
+    refs: &[QualifiedRef],
+    local: bool,
+) -> bool {
+    refs.iter().any(|q| reads_edited_sheet(own, q, local) && op.disturbs(q.rref.range()))
 }
 
 impl Engine<FormulaGraph> {
@@ -57,17 +84,19 @@ impl Engine<FormulaGraph> {
     /// Applies a structural edit to sheet + graph and dirties only what
     /// the edit can actually change.
     ///
-    /// A formula whose rewritten AST equals the old one has every
-    /// reference entirely on the untouched side of the edited band, so the
-    /// cells it reads neither moved nor changed — its cached value stays
-    /// valid even if the formula itself shifted. Only formulas whose AST
-    /// was rewritten (plus their transitive dependents, via the normal
-    /// dirty routing) recalculate; previously-dirty cells stay dirty at
-    /// their mapped positions. Identity rewrites also keep the user's
-    /// original source text.
+    /// A formula whose rewritten AST equals the old one, and none of
+    /// whose ranges the band cuts through, has every reference entirely
+    /// on the untouched side of the edited band, so the cells it reads
+    /// neither moved nor changed — its cached value stays valid even if
+    /// the formula itself shifted. Only formulas whose AST was rewritten
+    /// or whose ranges were disturbed (plus their transitive dependents,
+    /// via the normal dirty routing) recalculate; previously-dirty cells
+    /// stay dirty at their mapped positions. Identity rewrites also keep
+    /// the user's original source text.
     pub fn apply_structural(&mut self, op: StructuralOp) -> EditReceipt {
         let start = Instant::now();
         let own = self.sheet_name().map(str::to_string);
+        let own = own.as_deref();
         self.graph_mut().apply_structural(op);
         let old = self.take_cells();
         let old_dirty = old.dirty().to_vec();
@@ -75,12 +104,14 @@ impl Engine<FormulaGraph> {
         for (cell, mut content) in old.into_cells() {
             let Some(nc) = op.map_cell(cell) else { continue };
             if let Some(formula) = content.formula() {
-                let ast = formula.ast.map_refs(&mut |r| map_ref(op, own.as_deref(), r));
+                let ast = formula.ast.map_refs(&mut |r| map_ref(op, own, r, true));
                 if ast != formula.ast {
                     changed.push(nc);
                     let refs = ast.collect_refs();
                     let formula = Formula { src: ast.to_string(), ast, refs };
                     content = CellContent::formula_cell(formula, content.value);
+                } else if band_disturbs(op, own, &formula.refs, true) {
+                    changed.push(nc);
                 }
             }
             self.put_cell(nc, content);

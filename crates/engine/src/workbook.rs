@@ -35,13 +35,14 @@
 
 use crate::cells::CellStore;
 use crate::engine::{Engine, ExternalSheets};
+use crate::structural::{band_disturbs, map_ref};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 use taco_core::{Config, Dependency, DependencyBackend, FormulaGraph, StructuralOp};
 use taco_formula::{autofill, CellError, EvalClock, Formula, FormulaError, Value};
-use taco_grid::a1::{CellRef, QualifiedRef, RangeRef, SheetRef};
+use taco_grid::a1::SheetRef;
 use taco_grid::{Cell, GridError, Range};
 
 /// Index of a sheet within its workbook (dense, allocation order).
@@ -584,24 +585,19 @@ impl Workbook<FormulaGraph> {
         // actually move; identity rewrites are skipped so untouched
         // formulas keep their original source text.
         let own = self.sheets[sid].name.name().to_string();
+        let own = Some(own.as_str());
         for (dsid, dep) in referrers {
             let Some(formula) = self.sheets[dsid].engine.formula_at(dep).cloned() else {
                 continue;
             };
-            let ast = formula.ast.map_refs(&mut |q| match &q.sheet {
-                Some(s) if s.matches(&own) => {
-                    let r = &q.rref;
-                    op.map_range(r.range()).map(|nr| QualifiedRef {
-                        sheet: q.sheet.clone(),
-                        rref: RangeRef {
-                            head: CellRef { cell: nr.head(), ..r.head },
-                            tail: CellRef { cell: nr.tail(), ..r.tail },
-                        },
-                    })
-                }
-                _ => Some(q.clone()),
-            });
+            let ast = formula.ast.map_refs(&mut |q| map_ref(op, own, q, false));
             if ast == formula.ast {
+                // Same text, but a range the band cut through (clamped at
+                // the grid edge) still reads cells that moved.
+                if band_disturbs(op, own, &formula.refs, false) {
+                    self.sheets[dsid].engine.mark_cell_dirty(dep);
+                    jobs.push(Job::hop(dsid, dep));
+                }
                 continue;
             }
             let refs = ast.collect_refs();
@@ -1135,11 +1131,7 @@ impl<B: DependencyBackend> Workbook<B> {
                 let (levels, cells) = s.engine.profile_slices();
                 o.on_profile(levels, cells);
             }
-            let mut it = sheets.iter();
-            o.refresh_graph_gauges(xedges.len(), |scratch| {
-                it.next()
-                    .map(|s| (s.engine.graph().num_edges(), s.engine.graph().graph_stats(scratch)))
-            });
+            o.refresh_graph_gauges(xedges.len(), sheets.iter().map(|s| s.engine.graph()));
         }
         total
     }
@@ -1332,6 +1324,68 @@ mod tests {
         wb.set_formula(summary, c("A1"), "=SUM(Data!A1:A4)").unwrap();
         wb.set_formula(summary, c("B1"), "=A1*2").unwrap();
         (wb, data, summary)
+    }
+
+    /// The graph gauges, and what they must equal: per-sheet
+    /// `FormulaGraph::stats()`, summed.
+    fn assert_graph_gauges_exact(wb: &Workbook, hub: &taco_obs::Obs) {
+        let (mut edges, mut vertices, mut deps, mut reduced) = (0i64, 0i64, 0i64, 0i64);
+        for i in 0..wb.sheet_count() {
+            let s = wb.sheet(SheetId(i)).graph().stats();
+            edges += s.edges as i64;
+            vertices += s.vertices as i64;
+            deps += s.dependencies as i64;
+            reduced += s.reduced.total() as i64;
+        }
+        let snap = hub.snapshot();
+        assert_eq!(snap.gauge("taco_graph_edges"), Some(edges));
+        assert_eq!(snap.gauge("taco_graph_vertices"), Some(vertices));
+        assert_eq!(snap.gauge("taco_graph_dependencies"), Some(deps));
+        assert_eq!(snap.gauge("taco_graph_edges_reduced"), Some(reduced));
+    }
+
+    #[test]
+    fn gauge_refresh_walks_edges_only_after_a_graph_change() {
+        let walks = |wb: &Workbook| wb.obs.as_ref().expect("attached").edge_walks;
+        let hub = taco_obs::Obs::new_default();
+        let (mut wb, data, summary) = two_sheet_book();
+        wb.attach_obs(&hub, "book");
+        for row in 1..=6u32 {
+            wb.set_formula(data, Cell::new(2, row), &format!("=A{row}*2")).unwrap();
+        }
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(walks(&wb), 1, "the first refresh counts the vertices");
+        assert_graph_gauges_exact(&wb, &hub);
+        assert!(hub.snapshot().gauge("taco_graph_edges_reduced").unwrap() > 0);
+
+        // Value edits leave every graph alone: no recalculation after
+        // them walks an edge, and the gauges hold.
+        for round in 0..5u32 {
+            wb.set_value(data, Cell::new(1, 1 + round % 4), n(f64::from(round)));
+            wb.set_value(summary, c("D9"), n(f64::from(round)));
+            wb.recalculate(RecalcMode::Serial);
+        }
+        assert_eq!(walks(&wb), 1);
+        assert_graph_gauges_exact(&wb, &hub);
+
+        // A formula edit, a clear and a structural edit each change a
+        // graph: one walk at the next refresh, none at the one after.
+        wb.set_formula(summary, c("C1"), "=A1+B1").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(walks(&wb), 2);
+        assert_graph_gauges_exact(&wb, &hub);
+        wb.clear_range(data, r("B2:B3"));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(walks(&wb), 3);
+        assert_graph_gauges_exact(&wb, &hub);
+        wb.insert_rows(data, 2, 1);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(walks(&wb), 4);
+        assert_graph_gauges_exact(&wb, &hub);
+        wb.set_value(data, c("A1"), n(7.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(walks(&wb), 4);
+        assert_graph_gauges_exact(&wb, &hub);
     }
 
     #[test]

@@ -20,6 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use taco_core::StructuralOp;
 use taco_engine::{PersistOptions, PersistentWorkbook, RecalcMode, SheetId, Workbook};
+use taco_formula::Value;
+use taco_grid::Cell;
 use taco_store::EditRecord;
 use taco_workload::persistence::{
     gen_persist_workload, persist_enron_like, persist_github_like, PersistParams,
@@ -132,4 +134,66 @@ proptest! {
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&wal).ok();
     }
+}
+
+/// A range that straddles an insert point but already ends at the grid's
+/// last row (or column) is stretched, clamped back, and prints the text it
+/// had; the cells it reads moved all the same. Whole-column-style ranges
+/// are ordinary input: formulas that read one, on the edited sheet or on
+/// another, must recalculate after the insert without being asked to.
+/// (`line` is the data line's whole-grid range, `part` a range over it
+/// that ends short of the edge and is rewritten the usual way.)
+fn insert_through_a_clamped_range(by_rows: bool, line: &str, part: &str, index_args: &str) {
+    let at = |col: u32, row: u32| if by_rows { Cell::new(col, row) } else { Cell::new(row, col) };
+    let mut wb = Workbook::with_taco();
+    let data = wb.add_sheet("Data").unwrap();
+    let other = wb.add_sheet("Other").unwrap();
+    for k in 1..=10u32 {
+        wb.set_value(data, at(1, k), Value::Number(f64::from(k)));
+    }
+    let (match_whole, index_whole) = (at(3, 1), at(3, 2));
+    wb.set_formula(data, match_whole, &format!("=MATCH(7,{line},0)")).unwrap();
+    wb.set_formula(data, index_whole, &format!("=INDEX({line},{index_args})")).unwrap();
+    wb.set_formula(data, at(4, 1), &format!("=MATCH(7,{part},0)")).unwrap();
+    wb.set_formula(other, at(1, 1), &format!("=MATCH(7,Data!{line},0)")).unwrap();
+    wb.set_formula(other, at(1, 2), &format!("=INDEX(Data!{line},{index_args})")).unwrap();
+    wb.set_formula(other, at(2, 1), "=Data!A1+1").unwrap();
+    wb.recalculate(RecalcMode::Serial);
+    assert_eq!(wb.value(data, match_whole), Value::Number(7.0));
+    assert_eq!(wb.value(other, at(1, 2)), Value::Number(5.0));
+
+    // Two blank rows (columns) before the third: 3..10 now sit at 5..12.
+    let op = if by_rows {
+        StructuralOp::InsertRows { at: 3, n: 2 }
+    } else {
+        StructuralOp::InsertCols { at: 3, n: 2 }
+    };
+    wb.apply_structural(data, op);
+    assert_eq!(
+        wb.formula_of(data, match_whole).as_deref(),
+        Some(format!("MATCH(7,{line},0)").as_str()),
+        "the clamped range prints the text it had"
+    );
+    // The one formula the band leaves alone keeps its cached value.
+    let evaluated = wb.recalculate(RecalcMode::Serial);
+    assert_eq!(evaluated, 5, "every formula that reads the data line, and no other");
+    assert_eq!(wb.value(data, match_whole), Value::Number(9.0));
+    assert_eq!(wb.value(data, index_whole), Value::Number(3.0));
+    assert_eq!(wb.value(other, at(1, 1)), Value::Number(9.0));
+    assert_eq!(wb.value(other, at(1, 2)), Value::Number(3.0));
+    assert_eq!(wb.value(other, at(2, 1)), Value::Number(2.0));
+
+    let mut rebuilt = rebuild_from_texts(&wb);
+    rebuilt.recalculate(RecalcMode::Serial);
+    assert_eq!(full_state(&rebuilt), full_state(&wb));
+}
+
+#[test]
+fn row_insert_through_a_range_clamped_at_the_last_row_recalculates() {
+    insert_through_a_clamped_range(true, "A1:A1048576", "A1:A100", "5");
+}
+
+#[test]
+fn column_insert_through_a_range_clamped_at_the_last_column_recalculates() {
+    insert_through_a_clamped_range(false, "A1:XFD1", "A1:CV1", "1,5");
 }

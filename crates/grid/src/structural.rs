@@ -63,17 +63,23 @@ impl Range {
     /// and is unchanged if entirely above. `None` if the whole range is
     /// pushed off the grid.
     pub fn insert_rows(&self, at: u32, n: u32) -> Option<Range> {
+        self.insert_rows_within(at, n, MAX_ROW)
+    }
+
+    /// [`Self::insert_rows`] on a grid of `last_row` rows (the transposed
+    /// column insert has [`MAX_COL`] of them).
+    fn insert_rows_within(&self, at: u32, n: u32, last_row: u32) -> Option<Range> {
         let head = self.head();
         let tail = self.tail();
         if tail.row < at {
             return Some(*self);
         }
-        let new_tail_row = (u64::from(tail.row) + u64::from(n)).min(u64::from(MAX_ROW)) as u32;
+        let new_tail_row = (u64::from(tail.row) + u64::from(n)).min(u64::from(last_row)) as u32;
         let new_head_row = if head.row < at {
             head.row // stretched range keeps its top
         } else {
             let r = u64::from(head.row) + u64::from(n);
-            if r > u64::from(MAX_ROW) {
+            if r > u64::from(last_row) {
                 return None;
             }
             r as u32
@@ -109,7 +115,7 @@ impl Range {
 
     /// The range after inserting `n` columns before column `at`.
     pub fn insert_cols(&self, at: u32, n: u32) -> Option<Range> {
-        Some(self.transpose().insert_rows(at, n)?.transpose())
+        Some(self.transpose().insert_rows_within(at, n, MAX_COL)?.transpose())
     }
 
     /// The range after deleting the columns `[at, at + n)`.
@@ -234,6 +240,18 @@ mod tests {
         assert_eq!(r("B2:D5").insert_cols(3, 2), Some(r("B2:F5")));
         assert_eq!(r("B2:D5").delete_cols(3, 1), Some(r("B2:C5")));
         assert_eq!(r("C2:C5").delete_cols(2, 3), None);
+    }
+
+    #[test]
+    fn inserts_clamp_at_the_last_row_and_the_last_column() {
+        // A stretched or shifted tail stops at the grid's edge — the last
+        // *column* for a column insert, not the (larger) last row.
+        assert_eq!(r("A1:A1048576").insert_rows(3, 2), Some(r("A1:A1048576")));
+        assert_eq!(r("A1:XFD1").insert_cols(3, 2), Some(r("A1:XFD1")));
+        assert_eq!(r("XFA1:XFC2").insert_cols(2, 2), Some(r("XFC1:XFD2")));
+        // A head pushed past the edge takes the range with it.
+        assert_eq!(r("A1048575:A1048576").insert_rows(2, 2), None);
+        assert_eq!(r("XFC1:XFD1").insert_cols(2, 2), None);
     }
 
     #[test]

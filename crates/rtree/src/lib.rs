@@ -28,6 +28,9 @@
 //! - [`FanoutRTree::insert`] / [`FanoutRTree::remove`] reuse internal split/condense
 //!   scratch buffers; steady-state mutation does not allocate either
 //!   (only arena growth does).
+//! - [`FanoutRTree::update`] re-keys an entry where it sits — one descent,
+//!   no split, no condense — for the caller whose rectangle moved or grew
+//!   by a cell and who would otherwise pay a `remove` and an `insert`.
 //! - [`FanoutRTree::bulk_load`] packs a full corpus bottom-up with
 //!   Sort-Tile-Recursive tiling: every node (except the last of each
 //!   level) is filled to `F`, which both shrinks the pool and minimizes
@@ -208,6 +211,48 @@ impl<T, const F: usize> FanoutRTree<T, F> {
     /// tighter than insertion-built ones).
     pub fn node_count(&self) -> usize {
         self.nodes.len() - self.free_nodes.len()
+    }
+
+    /// Walks the whole tree and checks what every mutation must preserve
+    /// (tests and diagnostics; O(n)): each child MBR an internal node
+    /// stores is exactly the union of that child's own MBRs, each leaf MBR
+    /// is its arena entry's range, no node is empty (a lone root leaf
+    /// aside), and the leaves hold `len` entries. Returns the number of
+    /// non-root nodes holding fewer than [`min_fill`] children: zero for a
+    /// tree grown by `insert` / `remove` / `update`, while STR packing may
+    /// leave the last node of each level short.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) -> Result<usize, String> {
+        let (mut entries, mut underfull) = (0usize, 0usize);
+        let mut stack = vec![(self.root, 1u32)];
+        while let Some((id, depth)) = stack.pop() {
+            let n = &self.nodes[id as usize];
+            if n.len() == 0 && (id != self.root || self.height > 1) {
+                return Err(format!("node {id} at depth {depth} is empty"));
+            }
+            if id != self.root && n.len() < min_fill(F) {
+                underfull += 1;
+            }
+            for i in 0..n.len() {
+                let want = if depth == self.height {
+                    entries += 1;
+                    self.entries[n.slots[i] as usize].as_ref().map(|(r, _)| *r)
+                } else {
+                    stack.push((n.slots[i], depth + 1));
+                    self.nodes[n.slots[i] as usize].mbr()
+                };
+                if want != Some(n.mbrs[i]) {
+                    return Err(format!(
+                        "node {id} at depth {depth} stores {} for child {i}, which covers {want:?}",
+                        n.mbrs[i]
+                    ));
+                }
+            }
+        }
+        if entries != self.len {
+            return Err(format!("leaves hold {entries} entries, len is {}", self.len));
+        }
+        Ok(underfull)
     }
 
     /// Removes all entries. Every internal buffer keeps its capacity, so
@@ -586,6 +631,68 @@ impl<T, const F: usize> FanoutRTree<T, F> {
 }
 
 impl<T: PartialEq, const F: usize> FanoutRTree<T, F> {
+    /// Position in leaf `node` of one entry matching `(range, value)`
+    /// exactly.
+    fn find_in_leaf(&self, node: u32, range: Range, value: &T) -> Option<usize> {
+        let n = &self.nodes[node as usize];
+        (0..n.len()).find(|&i| {
+            n.mbrs[i] == range
+                && self.entries[n.slots[i] as usize]
+                    .as_ref()
+                    .is_some_and(|(r, v)| *r == range && v == value)
+        })
+    }
+
+    /// Re-keys one entry matching `(old, value)` exactly to the range
+    /// `new`, in place. Returns `true` if an entry was found; an absent
+    /// `(old, value)` changes nothing.
+    ///
+    /// The entry stays in its leaf: its leaf MBR and arena range are
+    /// overwritten and the child MBR stored in each ancestor is made
+    /// exact again on the way back up (a union with `new` when the entry
+    /// only grew, a recomputation over the child otherwise). Entry count,
+    /// leaf membership, height and every node's fill are untouched, so
+    /// there is no split, no condense and no orphan re-insertion — the
+    /// cost is one descent through the children whose MBR *contains*
+    /// `old`, where `remove` + `insert` pays two descents, ChooseSubtree,
+    /// and now and then a quadratic split or a dissolved subtree. Every query answers exactly as if the entry had
+    /// been removed and re-inserted; only the tree's shape may differ
+    /// (the entry is not re-routed to the leaf ChooseSubtree would pick).
+    pub fn update(&mut self, old: Range, value: &T, new: Range) -> bool {
+        self.update_rec(self.root, 1, old, value, new)
+    }
+
+    fn update_rec(&mut self, node: u32, depth: u32, old: Range, value: &T, new: Range) -> bool {
+        if depth == self.height {
+            let Some(i) = self.find_in_leaf(node, old, value) else { return false };
+            let n = &mut self.nodes[node as usize];
+            n.mbrs[i] = new;
+            let slot = n.slots[i];
+            self.entries[slot as usize].as_mut().expect("leaf slots reference live entries").0 =
+                new;
+            return true;
+        }
+        for i in 0..self.nodes[node as usize].len() {
+            let n = &self.nodes[node as usize];
+            if !n.mbrs[i].contains(&old) {
+                continue;
+            }
+            let child = n.slots[i];
+            if self.update_rec(child, depth + 1, old, value, new) {
+                // An entry that only grew can only grow the MBRs above it:
+                // the union with `new` is the exact recomputation.
+                let child_mbr = if new.contains(&old) {
+                    self.nodes[node as usize].mbrs[i].bounding_union(&new)
+                } else {
+                    self.nodes[child as usize].mbr().expect("no node is empty")
+                };
+                self.nodes[node as usize].mbrs[i] = child_mbr;
+                return true;
+            }
+        }
+        false
+    }
+
     /// Removes one entry matching `(range, value)` exactly. Returns
     /// `true` if an entry was removed.
     ///
@@ -622,14 +729,7 @@ impl<T: PartialEq, const F: usize> FanoutRTree<T, F> {
         orphans: &mut Vec<u32>,
     ) -> bool {
         if depth == self.height {
-            let n = &self.nodes[node as usize];
-            let hit = (0..n.len()).find(|&i| {
-                n.mbrs[i] == range
-                    && self.entries[n.slots[i] as usize]
-                        .as_ref()
-                        .is_some_and(|(r, v)| *r == range && v == value)
-            });
-            match hit {
+            match self.find_in_leaf(node, range, value) {
                 Some(i) => {
                     let slot = self.nodes[node as usize].slots[i];
                     self.entries[slot as usize] = None;

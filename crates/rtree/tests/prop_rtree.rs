@@ -1,7 +1,7 @@
 //! Property tests: the R-tree must agree with a brute-force scan on every
-//! query, through arbitrary interleavings of bulk loading, inserts, and
-//! removes — and the structural invariants (len, height, packing) must
-//! hold at every step.
+//! query, through arbitrary interleavings of bulk loading, inserts,
+//! removes and in-place re-keys — and the structural invariants (len,
+//! height, tight MBRs, minimum fill) must hold at every step.
 
 use proptest::prelude::*;
 use taco_grid::{Cell, Range};
@@ -12,11 +12,37 @@ fn arb_range() -> impl Strategy<Value = Range> {
         .prop_map(|((c, r), (w, h))| Range::new(Cell::new(c, r), Cell::new(c + w, r + h)))
 }
 
+/// Where an [`Op::Update`] re-keys its entry to.
+#[derive(Debug, Clone)]
+enum To {
+    /// Anywhere: usually a move, now and then an overlap.
+    Moved(Range),
+    /// The bounding union with another range (what a merge does).
+    Grown(Range),
+    /// The entry's head cell alone (what a split does).
+    Shrunk,
+    /// The range it already has.
+    Identical,
+    /// The range of another live entry.
+    Another(usize),
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Range),
     RemoveNth(usize),
     Query(Range),
+    Update { pick: usize, to: To },
+}
+
+fn arb_to() -> impl Strategy<Value = To> {
+    prop_oneof![
+        2 => arb_range().prop_map(To::Moved),
+        3 => arb_range().prop_map(To::Grown),
+        2 => Just(To::Shrunk),
+        1 => Just(To::Identical),
+        1 => (0usize..64).prop_map(To::Another),
+    ]
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -24,6 +50,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => arb_range().prop_map(Op::Insert),
         1 => (0usize..64).prop_map(Op::RemoveNth),
         2 => arb_range().prop_map(Op::Query),
+        3 => ((0usize..64), arb_to()).prop_map(|(pick, to)| Op::Update { pick, to }),
     ]
 }
 
@@ -43,9 +70,41 @@ fn height_bound(len: usize, m: usize) -> usize {
     h + 1
 }
 
+/// One window query answered three ways (recursive, scratch-driven,
+/// any_overlapping) against the brute-force scan of `shadow`.
+fn check_query<const F: usize>(
+    tree: &FanoutRTree<u64, F>,
+    shadow: &[(Range, u64)],
+    scratch: &mut SearchScratch,
+    q: Range,
+) {
+    let mut got: Vec<u64> = tree.overlapping(q).iter().map(|(_, v)| **v).collect();
+    got.sort_unstable();
+    let mut via_scratch: Vec<u64> = Vec::new();
+    let visited = tree.search_with(q, scratch, |_, v| via_scratch.push(*v));
+    via_scratch.sort_unstable();
+    let mut want: Vec<u64> =
+        shadow.iter().filter(|(r, _)| r.overlaps(&q)).map(|(_, id)| *id).collect();
+    want.sort_unstable();
+    prop_assert_eq!(&got, &want);
+    prop_assert_eq!(&via_scratch, &want, "scratch search must agree");
+    prop_assert_eq!(tree.any_overlapping(q), !want.is_empty());
+    prop_assert!(visited >= 1);
+}
+
+/// The stored `(range, value)` pairs, sorted.
+fn contents<const F: usize>(tree: &FanoutRTree<u64, F>) -> Vec<(Range, u64)> {
+    let mut all: Vec<(Range, u64)> = tree.iter().map(|(r, v)| (r, *v)).collect();
+    all.sort_unstable();
+    all
+}
+
 /// Drives `tree` against `shadow` through `ops`, checking every query
-/// three ways (recursive, scratch-driven, any_overlapping) and the
-/// len/height invariants after every step.
+/// against the brute-force scan and, after every step, the len/height
+/// invariants, MBR tightness, and that no step leaves a non-root node
+/// short of `min_fill(F)` that was not short before (never, on a tree
+/// grown from empty; STR packing may start the last node of a level
+/// short).
 fn drive<const F: usize>(
     tree: &mut FanoutRTree<u64, F>,
     shadow: &mut Vec<(Range, u64)>,
@@ -53,6 +112,7 @@ fn drive<const F: usize>(
     ops: Vec<Op>,
 ) {
     let mut scratch = SearchScratch::new();
+    let mut underfull = tree.check_invariants().expect("the starting tree is well-formed");
     for op in ops {
         match op {
             Op::Insert(r) => {
@@ -68,22 +128,48 @@ fn drive<const F: usize>(
                     prop_assert!(!tree.remove(r, &id));
                 }
             }
-            Op::Query(q) => {
-                let mut got: Vec<u64> = tree.overlapping(q).iter().map(|(_, v)| **v).collect();
-                got.sort_unstable();
-                let mut via_scratch: Vec<u64> = Vec::new();
-                let visited = tree.search_with(q, &mut scratch, |_, v| via_scratch.push(*v));
-                via_scratch.sort_unstable();
-                let mut want: Vec<u64> =
-                    shadow.iter().filter(|(r, _)| r.overlaps(&q)).map(|(_, id)| *id).collect();
-                want.sort_unstable();
-                prop_assert_eq!(&got, &want);
-                prop_assert_eq!(&via_scratch, &want, "scratch search must agree");
-                prop_assert_eq!(tree.any_overlapping(q), !want.is_empty());
-                prop_assert!(visited >= 1);
+            Op::Query(q) => check_query(tree, shadow, &mut scratch, q),
+            Op::Update { pick, to } => {
+                if !shadow.is_empty() {
+                    let n = pick % shadow.len();
+                    let (old, id) = shadow[n];
+                    let new = match to {
+                        To::Moved(r) => r,
+                        To::Grown(r) => old.bounding_union(&r),
+                        To::Shrunk => Range::cell(old.head()),
+                        To::Identical => old,
+                        To::Another(k) => shadow[k % shadow.len()].0,
+                    };
+                    // An absent value, or a range the value does not have,
+                    // is not found and changes nothing.
+                    let before = contents(tree);
+                    prop_assert!(!tree.update(old, &u64::MAX, new));
+                    let elsewhere = Range::cell(Cell::new(old.tail().col + 1, old.tail().row + 1));
+                    prop_assert!(!tree.update(elsewhere.bounding_union(&old), &id, new));
+                    prop_assert_eq!(&contents(tree), &before);
+                    tree.check_invariants().expect("a failed update leaves the tree alone");
+
+                    prop_assert!(tree.update(old, &id, new));
+                    shadow[n].0 = new;
+                    prop_assert!(new == old || !tree.update(old, &id, new), "re-keyed twice");
+                    check_query(tree, shadow, &mut scratch, old);
+                    check_query(tree, shadow, &mut scratch, new);
+                }
             }
         }
         prop_assert_eq!(tree.len(), shadow.len());
+        match tree.check_invariants() {
+            Ok(now) => {
+                prop_assert!(
+                    now <= underfull,
+                    "{} nodes under min_fill, {} before",
+                    now,
+                    underfull
+                );
+                underfull = now;
+            }
+            Err(broken) => prop_assert!(false, "{}", broken),
+        }
         prop_assert!(
             tree.height() <= height_bound(tree.len().max(1), min_fill(F)),
             "height {} too tall for {} entries at fanout {}",
@@ -93,11 +179,9 @@ fn drive<const F: usize>(
         );
     }
 
-    let mut all: Vec<u64> = tree.iter().map(|(_, v)| *v).collect();
-    all.sort_unstable();
-    let mut want: Vec<u64> = shadow.iter().map(|(_, id)| *id).collect();
+    let mut want = shadow.clone();
     want.sort_unstable();
-    prop_assert_eq!(all, want);
+    prop_assert_eq!(contents(tree), want);
 }
 
 proptest! {
@@ -145,26 +229,62 @@ proptest! {
     }
 
     /// The fanout sweep instantiations behave identically (they share an
-    /// implementation, but the packing/split paths branch on `F`).
+    /// implementation, but the packing/split paths branch on `F`), from a
+    /// packed start and from a tree grown entry by entry — the one whose
+    /// every non-root node must stay at or above `min_fill(F)`.
     #[test]
     fn alternate_fanouts_match_brute_force(
         init in prop::collection::vec(arb_range(), 0..120),
         ops in prop::collection::vec(arb_op(), 1..80),
     ) {
-        fn run<const F: usize>(init: &[Range], ops: &[Op]) -> Vec<u64> {
+        fn run<const F: usize>(init: &[Range], ops: &[Op], packed: bool) -> Vec<(Range, u64)> {
             let mut shadow: Vec<(Range, u64)> =
                 init.iter().enumerate().map(|(i, r)| (*r, i as u64)).collect();
             let mut next_id = shadow.len() as u64;
-            let mut tree: FanoutRTree<u64, F> = FanoutRTree::bulk_load(shadow.clone());
+            let mut tree: FanoutRTree<u64, F> = if packed {
+                FanoutRTree::bulk_load(shadow.clone())
+            } else {
+                let mut grown = FanoutRTree::new();
+                shadow.iter().for_each(|&(r, id)| grown.insert(r, id));
+                prop_assert_eq!(grown.check_invariants(), Ok(0));
+                grown
+            };
             drive(&mut tree, &mut shadow, &mut next_id, ops.to_vec());
-            let mut left: Vec<u64> = tree.iter().map(|(_, v)| *v).collect();
-            left.sort_unstable();
-            left
+            contents(&tree)
         }
-        let a = run::<8>(&init, &ops);
-        let b = run::<16>(&init, &ops);
-        let c = run::<32>(&init, &ops);
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
+        for packed in [true, false] {
+            let a = run::<8>(&init, &ops, packed);
+            let b = run::<16>(&init, &ops, packed);
+            let c = run::<32>(&init, &ops, packed);
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(&b, &c);
+        }
     }
+}
+
+/// Of several identical `(range, value)` entries, `update` re-keys exactly
+/// one per call.
+#[test]
+fn update_rekeys_exactly_one_duplicate() {
+    fn run<const F: usize>() {
+        let (home, away) = (Range::from_coords(3, 3, 4, 9), Range::from_coords(40, 1, 40, 2));
+        let mut tree: FanoutRTree<u64, F> = FanoutRTree::new();
+        for i in 0..3 * F as u32 {
+            tree.insert(Range::cell(Cell::new(1 + i % 7, 1 + i / 7)), u64::from(i) + 100);
+            if i % F as u32 == 0 {
+                tree.insert(home, 7);
+            }
+        }
+        for moved in 1..=3 {
+            assert!(tree.update(home, &7, away));
+            assert_eq!(tree.overlapping(away).len(), moved);
+            assert_eq!(tree.iter().filter(|&(r, v)| r == home && *v == 7).count(), 3 - moved);
+            assert_eq!(tree.check_invariants(), Ok(0));
+        }
+        assert!(!tree.update(home, &7, away), "all three have moved");
+        assert_eq!(tree.len(), 3 * F + 3);
+    }
+    run::<8>();
+    run::<16>();
+    run::<32>();
 }

@@ -134,6 +134,89 @@ fn metrics_over_the_wire_capture_all_three_layers() {
     std::fs::remove_file(&wal).ok();
 }
 
+/// The graph gauges are running counts now, refreshed without a walk of
+/// the edges: after every kind of write they must still equal what a
+/// mirror workbook, given the same edits, counts from scratch.
+#[test]
+fn graph_gauges_stay_exact_through_every_kind_of_write() {
+    let registry = Arc::new(Registry::new(ServiceOptions::default()));
+    registry.add_workbook("books", demo_workbook(), None).unwrap();
+    let server =
+        Server::start(Arc::clone(&registry), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    client.open("books", None, None).unwrap();
+    let mut mirror = demo_workbook();
+    let (data, summary) = (mirror.sheet_id("Data").unwrap(), mirror.sheet_id("Summary").unwrap());
+
+    let check = |client: &mut TcpClient, mirror: &Workbook, after: &str| {
+        client.recalc().unwrap();
+        let snap = client.metrics().unwrap();
+        let gauge = |name: &str| {
+            snap.gauges
+                .iter()
+                .find(|g| g.name == name && g.labels == "book=\"books\"")
+                .unwrap_or_else(|| panic!("gauge {name}"))
+                .value
+        };
+        let stats = [data, summary].map(|id| mirror.sheet(id).graph().stats());
+        let sum = |f: fn(&taco_core::GraphStats) -> u64| stats.iter().map(f).sum::<u64>() as i64;
+        assert_eq!(gauge("taco_graph_edges"), sum(|s| s.edges as u64), "edges after {after}");
+        assert_eq!(
+            gauge("taco_graph_dependencies"),
+            sum(|s| s.dependencies),
+            "dependencies after {after}"
+        );
+        assert_eq!(
+            gauge("taco_graph_edges_reduced"),
+            sum(|s| s.reduced.total()),
+            "edges reduced after {after}"
+        );
+        assert_eq!(
+            gauge("taco_graph_vertices"),
+            sum(|s| s.vertices as u64),
+            "vertices after {after}"
+        );
+    };
+    check(&mut client, &mirror, "open");
+
+    for i in 0..4u32 {
+        let (cell, v) = (Cell::new(1, i + 1), n(f64::from(i) * 2.5));
+        client.set_value("Data", cell, v.clone()).unwrap();
+        mirror.set_value(data, cell, v);
+    }
+    check(&mut client, &mirror, "value-only writes");
+
+    for (cell, src) in [("C1", "=A1*2"), ("C2", "=A2*2"), ("D1", "=SUM($A$1:A1)")] {
+        client.set_formula("Data", c(cell), src).unwrap();
+        mirror.set_formula(data, c(cell), src).unwrap();
+    }
+    client.set_formula("Summary", c("B1"), "=Data!C1+A1").unwrap();
+    mirror.set_formula(summary, c("B1"), "=Data!C1+A1").unwrap();
+    check(&mut client, &mirror, "formula writes");
+
+    let fill = Range::parse_a1("D2:D8").unwrap();
+    client.autofill("Data", c("D1"), fill).unwrap();
+    mirror.autofill(data, c("D1"), fill).unwrap();
+    check(&mut client, &mirror, "an autofill");
+    assert!(mirror.sheet(data).graph().stats().reduced.total() > 0, "the fill compressed");
+
+    let cleared = Range::parse_a1("D4:D5").unwrap();
+    client.clear_range("Data", cleared).unwrap();
+    mirror.clear_range(data, cleared);
+    check(&mut client, &mirror, "a clear");
+
+    client.insert_rows("Data", 3, 2).unwrap();
+    mirror.insert_rows(data, 3, 2);
+    check(&mut client, &mirror, "a structural edit");
+
+    client.set_value("Data", c("A1"), n(99.0)).unwrap();
+    mirror.set_value(data, c("A1"), n(99.0));
+    check(&mut client, &mirror, "one more value");
+
+    server.shutdown();
+    registry.shutdown();
+}
+
 #[test]
 fn refusals_are_counted_busy_auth_and_scope() {
     let registry = Arc::new(Registry::new(ServiceOptions::default()));
