@@ -127,7 +127,7 @@ fn main() {
 
         // ---- queries: fig10/fig14 probes on every sheet ------------------
         let mut scratch = QueryScratch::new();
-        let mut hits: Vec<Range> = Vec::new();
+        let (mut hits, mut plain): (Vec<Range>, Vec<Range>) = (Vec::new(), Vec::new());
         let mut packed_agg = Agg::default();
         let mut grown_agg = Agg::default();
         for (sheet, (packed, grown)) in
@@ -136,7 +136,11 @@ fn main() {
             let sstats = measure_on(sheet, packed);
             let probes = [sheet.hot_cells[sstats.max_dependents_cell], sheet.longest_path_cell];
             for probe in probes.map(Range::cell) {
-                let (plain, plain_stats) = packed.find_dependents_with_stats(probe);
+                let plain_stats = packed.find_dependents_with_scratch(
+                    probe,
+                    &mut QueryScratch::new(),
+                    &mut plain,
+                );
                 let t0 = Instant::now();
                 let stats = packed.find_dependents_with_scratch(probe, &mut scratch, &mut hits);
                 let dt = ms(t0.elapsed());
@@ -144,9 +148,8 @@ fn main() {
                 assert_eq!(stats, plain_stats, "scratch/plain stats diverge on {}", sheet.name);
                 packed_agg.add(stats, dt);
 
-                let (_, gstats) = grown.find_dependents_with_stats(probe);
                 let t0 = Instant::now();
-                let _ = grown.find_dependents_with_scratch(probe, &mut scratch, &mut hits);
+                let gstats = grown.find_dependents_with_scratch(probe, &mut scratch, &mut hits);
                 grown_agg.add(gstats, ms(t0.elapsed()));
             }
         }

@@ -1,6 +1,7 @@
 //! A common interface over formula-graph implementations, so the
-//! spreadsheet engine and the benchmark harness can swap TACO for any of
-//! the §VI comparison systems.
+//! differential suites and the comparison benches can line TACO up beside
+//! the §VI comparison systems. The spreadsheet engine is not behind it:
+//! `taco_engine` holds a [`crate::FormulaGraph`] by name.
 
 use crate::Dependency;
 use taco_grid::Range;
@@ -26,26 +27,6 @@ pub trait DependencyBackend {
 
     /// Number of stored edges (whatever the backend's edge unit is).
     fn num_edges(&self) -> usize;
-
-    /// Compression statistics, for backends that track them; the vertex
-    /// count makes this a walk of every edge (the observability gauges
-    /// call it only after a graph changed, see [`Self::graph_counts`]).
-    /// The default is `None`: baseline backends without per-pattern
-    /// accounting simply expose no compression gauges.
-    fn graph_stats(&self, scratch: &mut crate::StatsScratch) -> Option<crate::GraphStats> {
-        let _ = scratch;
-        None
-    }
-
-    /// The part of [`Self::graph_stats`] a backend keeps as running
-    /// counts, in O(1): `(dependencies represented, edges reduced per
-    /// pattern, mutation stamp)`. The stamp moves with every change to
-    /// the edge set, so a poller that remembers it knows when the one
-    /// figure that needs a walk — `graph_stats`' vertex count — can have
-    /// gone stale. The default is `None`, like `graph_stats`.
-    fn graph_counts(&self) -> Option<(u64, crate::PatternCounts, u64)> {
-        None
-    }
 }
 
 impl DependencyBackend for crate::FormulaGraph {
@@ -64,11 +45,11 @@ impl DependencyBackend for crate::FormulaGraph {
     }
 
     fn find_dependents(&mut self, r: Range) -> Vec<Range> {
-        crate::FormulaGraph::find_dependents_reusing(self, r)
+        crate::FormulaGraph::find_dependents(self, r)
     }
 
     fn find_precedents(&mut self, r: Range) -> Vec<Range> {
-        crate::FormulaGraph::find_precedents_reusing(self, r)
+        crate::FormulaGraph::find_precedents(self, r)
     }
 
     fn clear_cells(&mut self, s: Range) {
@@ -77,14 +58,6 @@ impl DependencyBackend for crate::FormulaGraph {
 
     fn num_edges(&self) -> usize {
         self.num_edges()
-    }
-
-    fn graph_stats(&self, scratch: &mut crate::StatsScratch) -> Option<crate::GraphStats> {
-        Some(self.stats_with(scratch))
-    }
-
-    fn graph_counts(&self) -> Option<(u64, crate::PatternCounts, u64)> {
-        Some(self.counts())
     }
 }
 

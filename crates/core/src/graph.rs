@@ -30,10 +30,10 @@ pub struct QueryStats {
 
 /// Caller-owned scratch for the modified BFS (Alg. 3). Reusing one across
 /// queries makes [`FormulaGraph::find_dependents_with_scratch`] and
-/// friends allocation-free once the buffers are warm: the queue, hit
-/// list, per-edge result buffer, visited-subtraction buffers, the
-/// visited-set R-tree (cleared, capacity retained), and the index
-/// traversal stack all persist between calls.
+/// [`FormulaGraph::find_precedents_with_scratch`] allocation-free once
+/// the buffers are warm: the queue, hit list, per-edge result buffer,
+/// visited-subtraction buffers, the visited-set R-tree (cleared, capacity
+/// retained), and the index traversal stack all persist between calls.
 ///
 /// Queries take `&self` on the graph plus `&mut` scratch — the graph
 /// itself is never mutated by a read, so concurrent readers can each own
@@ -68,9 +68,6 @@ struct MaintScratch {
     valid: Vec<(Edge, EdgeId)>,
     ids: Vec<EdgeId>,
     parts: Vec<Edge>,
-    /// Query scratch for the `&mut self` entry points (the
-    /// [`crate::DependencyBackend`] trait and the engine edit path).
-    query: QueryScratch,
 }
 
 /// A formula dependency graph, compressed according to a [`Config`].
@@ -339,12 +336,6 @@ impl FormulaGraph {
         self.deps_inserted = n;
     }
 
-    /// The running counts: dependencies represented, edges reduced per
-    /// pattern, and the mutation stamp.
-    pub(crate) fn counts(&self) -> (u64, PatternCounts, u64) {
-        (self.dependencies, self.reduced, self.mutations)
-    }
-
     // ---- the mutation funnel ------------------------------------------------
     //
     // Every change to the edge set goes through one of the three functions
@@ -406,22 +397,19 @@ impl FormulaGraph {
     // ---- querying (Alg. 3) --------------------------------------------------
 
     /// Finds all (direct and transitive) dependents of `r`, returned as
-    /// disjoint ranges.
+    /// disjoint ranges: [`Self::find_dependents_with_scratch`] on fresh
+    /// buffers.
     pub fn find_dependents(&self, r: Range) -> Vec<Range> {
-        self.find_dependents_with_stats(r).0
-    }
-
-    /// [`Self::find_dependents`] with query instrumentation.
-    pub fn find_dependents_with_stats(&self, r: Range) -> (Vec<Range>, QueryStats) {
         let mut out = Vec::new();
-        let stats = self.find_dependents_with_scratch(r, &mut QueryScratch::new(), &mut out);
-        (out, stats)
+        self.find_dependents_with_scratch(r, &mut QueryScratch::new(), &mut out);
+        out
     }
 
-    /// [`Self::find_dependents`] on caller-owned buffers: `out` is
-    /// overwritten with the disjoint result ranges. With a warm
-    /// [`QueryScratch`] the whole query performs zero heap allocations —
-    /// the steady-state contract the perf baseline asserts.
+    /// The dependents query: `out` is overwritten with the disjoint
+    /// result ranges, and the return value is the query's
+    /// instrumentation. With a warm [`QueryScratch`] the whole query
+    /// performs zero heap allocations — the steady-state contract
+    /// `tests/query_allocations.rs` asserts.
     pub fn find_dependents_with_scratch(
         &self,
         r: Range,
@@ -431,20 +419,16 @@ impl FormulaGraph {
         self.bfs(r, Direction::Dependents, scratch, out)
     }
 
-    /// Finds all (direct and transitive) precedents of `r`.
+    /// Finds all (direct and transitive) precedents of `r`:
+    /// [`Self::find_precedents_with_scratch`] on fresh buffers.
     pub fn find_precedents(&self, r: Range) -> Vec<Range> {
-        self.find_precedents_with_stats(r).0
-    }
-
-    /// [`Self::find_precedents`] with query instrumentation.
-    pub fn find_precedents_with_stats(&self, r: Range) -> (Vec<Range>, QueryStats) {
         let mut out = Vec::new();
-        let stats = self.find_precedents_with_scratch(r, &mut QueryScratch::new(), &mut out);
-        (out, stats)
+        self.find_precedents_with_scratch(r, &mut QueryScratch::new(), &mut out);
+        out
     }
 
-    /// [`Self::find_precedents`] on caller-owned buffers (see
-    /// [`Self::find_dependents_with_scratch`] for the contract).
+    /// The precedents query (see [`Self::find_dependents_with_scratch`]
+    /// for the contract).
     pub fn find_precedents_with_scratch(
         &self,
         r: Range,
@@ -452,28 +436,6 @@ impl FormulaGraph {
         out: &mut Vec<Range>,
     ) -> QueryStats {
         self.bfs(r, Direction::Precedents, scratch, out)
-    }
-
-    /// [`Self::find_dependents`] reusing the graph's internal query
-    /// scratch (`&mut self` callers — the engine edit path and the
-    /// backend trait — get warm buffers without owning a
-    /// [`QueryScratch`]; only the returned result vector allocates).
-    pub fn find_dependents_reusing(&mut self, r: Range) -> Vec<Range> {
-        let mut scratch = std::mem::take(&mut self.scratch.query);
-        let mut out = Vec::new();
-        self.find_dependents_with_scratch(r, &mut scratch, &mut out);
-        self.scratch.query = scratch;
-        out
-    }
-
-    /// [`Self::find_precedents`] reusing the graph's internal query
-    /// scratch.
-    pub fn find_precedents_reusing(&mut self, r: Range) -> Vec<Range> {
-        let mut scratch = std::mem::take(&mut self.scratch.query);
-        let mut out = Vec::new();
-        self.find_precedents_with_scratch(r, &mut scratch, &mut out);
-        self.scratch.query = scratch;
-        out
     }
 
     fn bfs(
@@ -608,6 +570,24 @@ impl FormulaGraph {
         }
     }
 
+    /// Dependencies the stored edges represent, `Σ count`: a running
+    /// count, O(1).
+    pub fn num_dependencies(&self) -> u64 {
+        self.dependencies
+    }
+
+    /// Edges reduced per pattern, `Σ (count − 1)`: a running count, O(1).
+    pub fn reduced(&self) -> PatternCounts {
+        self.reduced
+    }
+
+    /// A stamp that moves with every change to the edge set, so a poller
+    /// that remembers it knows when the one figure that needs a walk —
+    /// [`Self::stats`]' vertex count — can have gone stale.
+    pub fn mutation_stamp(&self) -> u64 {
+        self.mutations
+    }
+
     /// Total dependencies inserted over the graph's lifetime (`|E'|` for a
     /// build-once graph).
     pub fn dependencies_inserted(&self) -> u64 {
@@ -740,7 +720,8 @@ mod tests {
             ));
         }
         assert_eq!(g.num_edges(), 1);
-        let (deps, stats) = g.find_dependents_with_stats(r("A1"));
+        let mut deps = Vec::new();
+        let stats = g.find_dependents_with_scratch(r("A1"), &mut QueryScratch::new(), &mut deps);
         assert_eq!(area(&deps), 999);
         assert!(
             stats.edges_accessed <= 4,
@@ -1100,9 +1081,10 @@ mod tests {
         }
     }
 
-    /// Regression: the scratch entry points are the same query — results
-    /// *and* instrumentation identical to the allocating API, with the
-    /// scratch reused (dirty) across queries and directions.
+    /// Regression: a query does not depend on what its scratch held —
+    /// results *and* instrumentation are identical on fresh buffers and
+    /// on ones reused (dirty) across queries and directions, and the
+    /// allocating wrapper returns the same ranges.
     #[test]
     fn scratch_and_plain_queries_are_identical() {
         let mut g = FormulaGraph::taco();
@@ -1123,23 +1105,23 @@ mod tests {
         g.add_dependency(&d("G40", "H1"));
 
         let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
+        let (mut out, mut fresh) = (Vec::new(), Vec::new());
         for probe in ["A1", "A3:B3", "C2", "E1", "G1", "G5:G9", "Z99", "A1:H40"] {
             let probe = r(probe);
-            let (plain, plain_stats) = g.find_dependents_with_stats(probe);
+            let fresh_stats =
+                g.find_dependents_with_scratch(probe, &mut QueryScratch::new(), &mut fresh);
             let stats = g.find_dependents_with_scratch(probe, &mut scratch, &mut out);
-            assert_eq!(out, plain, "dependents({probe}) results diverge");
-            assert_eq!(stats, plain_stats, "dependents({probe}) stats diverge");
+            assert_eq!(out, fresh, "dependents({probe}) results diverge");
+            assert_eq!(stats, fresh_stats, "dependents({probe}) stats diverge");
+            assert_eq!(g.find_dependents(probe), fresh, "dependents({probe}) wrapper diverges");
 
-            let (plain, plain_stats) = g.find_precedents_with_stats(probe);
+            let fresh_stats =
+                g.find_precedents_with_scratch(probe, &mut QueryScratch::new(), &mut fresh);
             let stats = g.find_precedents_with_scratch(probe, &mut scratch, &mut out);
-            assert_eq!(out, plain, "precedents({probe}) results diverge");
-            assert_eq!(stats, plain_stats, "precedents({probe}) stats diverge");
+            assert_eq!(out, fresh, "precedents({probe}) results diverge");
+            assert_eq!(stats, fresh_stats, "precedents({probe}) stats diverge");
+            assert_eq!(g.find_precedents(probe), fresh, "precedents({probe}) wrapper diverges");
         }
-        // And the &mut-self reusing variants agree as well.
-        let probe = r("A2");
-        assert_eq!(g.find_dependents_reusing(probe), g.find_dependents(probe));
-        assert_eq!(g.find_precedents_reusing(probe), g.find_precedents(probe));
     }
 
     /// Bulk-loaded (build / restore) and incrementally-grown graphs give
@@ -1185,8 +1167,9 @@ mod tests {
         // The packed index never visits more nodes than the grown one.
         for probe in ["A1", "C10", "A1:B60"] {
             let probe = r(probe);
-            let (_, p) = packed.find_dependents_with_stats(probe);
-            let (_, g) = grown.find_dependents_with_stats(probe);
+            let (mut scratch, mut out) = (QueryScratch::new(), Vec::new());
+            let p = packed.find_dependents_with_scratch(probe, &mut scratch, &mut out);
+            let g = grown.find_dependents_with_scratch(probe, &mut scratch, &mut out);
             assert!(
                 p.nodes_visited <= g.nodes_visited,
                 "packed visited {} > grown {} on {probe}",

@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use taco_core::FormulaGraph;
 use taco_formula::Value;
 use taco_grid::{Cell, Range};
 
@@ -56,7 +55,7 @@ impl AsyncEngine {
     }
 
     /// Spawns the worker around an existing engine.
-    pub fn spawn_with(engine: Engine<FormulaGraph>) -> Self {
+    pub fn spawn_with(engine: Engine) -> Self {
         let (tx, rx) = channel::<Cmd>();
         let shared = Arc::new(Shared::default());
         let worker_shared = Arc::clone(&shared);
@@ -128,7 +127,7 @@ impl Drop for AsyncEngine {
     }
 }
 
-fn worker(mut engine: Engine<FormulaGraph>, rx: Receiver<Cmd>, shared: Arc<Shared>) {
+fn worker(mut engine: Engine, rx: Receiver<Cmd>, shared: Arc<Shared>) {
     while let Ok(first) = rx.recv() {
         // Batch: drain whatever queued up while we were recalculating.
         let mut batch = vec![first];
@@ -192,7 +191,7 @@ fn worker(mut engine: Engine<FormulaGraph>, rx: Receiver<Cmd>, shared: Arc<Share
 /// Marks the receipt's formula cells dirty in the shared snapshot.
 fn mark_dirty(
     shared: &Shared,
-    engine: &Engine<FormulaGraph>,
+    engine: &Engine,
     also: impl Iterator<Item = Cell>,
     dirty_ranges: &[Range],
 ) {
@@ -212,7 +211,7 @@ fn mark_dirty(
 
 fn publish_edit(
     shared: &Shared,
-    engine: &Engine<FormulaGraph>,
+    engine: &Engine,
     cell: Cell,
     value: Option<Value>,
     dirty_ranges: &[Range],
@@ -224,7 +223,7 @@ fn publish_edit(
 }
 
 /// Publishes all recalculated values and clears the hidden set.
-fn publish_all_dirty(shared: &Shared, engine: &Engine<FormulaGraph>) {
+fn publish_all_dirty(shared: &Shared, engine: &Engine) {
     let mut dirty = shared.dirty.write();
     let mut values = shared.values.write();
     for &c in dirty.iter() {

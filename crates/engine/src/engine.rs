@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
-use taco_core::{Dependency, DependencyBackend, FormulaGraph};
+use taco_core::{Dependency, FormulaGraph, QueryScratch};
 use taco_formula::eval::{eval, CellProvider, EvalClock, VolatileCtx};
 use taco_formula::{autofill, CellError, Formula, FormulaError, Value};
 use taco_grid::a1::QualifiedRef;
@@ -227,11 +227,16 @@ const WHITE: u8 = 0;
 const GRAY: u8 = 1;
 const BLACK: u8 = 2;
 
-/// A headless spreadsheet backed by a pluggable formula graph.
-pub struct Engine<B: DependencyBackend = FormulaGraph> {
+/// A headless spreadsheet over TACO's formula graph (its [`taco_core::Config`]
+/// chooses full TACO, InRow or NoComp).
+pub struct Engine {
     /// Cell contents and dirty marks (see [`CellStore`]).
     cells: CellStore,
-    graph: B,
+    graph: FormulaGraph,
+    /// Buffers for the graph queries the edit path makes: warm after the
+    /// first edits, so finding an edit's dependents allocates only the
+    /// receipt's result vector.
+    query: QueryScratch,
     /// The sheet's name when mounted in a [`crate::Workbook`]; references
     /// qualified with this name (`Sheet1!A1` inside `Sheet1`) are treated
     /// as local. `None` for a standalone engine.
@@ -254,7 +259,7 @@ pub struct Engine<B: DependencyBackend = FormulaGraph> {
     profile: ProfileMode,
 }
 
-impl Engine<FormulaGraph> {
+impl Engine {
     /// An engine using the full TACO compressed graph.
     pub fn with_taco() -> Self {
         Engine::new(FormulaGraph::taco())
@@ -264,14 +269,13 @@ impl Engine<FormulaGraph> {
     pub fn with_nocomp() -> Self {
         Engine::new(FormulaGraph::nocomp())
     }
-}
 
-impl<B: DependencyBackend> Engine<B> {
-    /// Wraps a backend into an empty sheet.
-    pub fn new(graph: B) -> Self {
+    /// Wraps a graph into an empty sheet.
+    pub fn new(graph: FormulaGraph) -> Self {
         Engine {
             cells: CellStore::default(),
             graph,
+            query: QueryScratch::new(),
             sheet_name: None,
             recalc: RecalcScratch::default(),
             sums: RangeSums::default(),
@@ -403,12 +407,12 @@ impl<B: DependencyBackend> Engine<B> {
     }
 
     /// The underlying formula graph.
-    pub fn graph(&self) -> &B {
+    pub fn graph(&self) -> &FormulaGraph {
         &self.graph
     }
 
     /// Mutable access to the formula graph (structural edits).
-    pub(crate) fn graph_mut(&mut self) -> &mut B {
+    pub(crate) fn graph_mut(&mut self) -> &mut FormulaGraph {
         &mut self.graph
     }
 
@@ -548,7 +552,7 @@ impl<B: DependencyBackend> Engine<B> {
     /// among them dirty. This is the control-latency critical path.
     fn mark_dependents_dirty(&mut self, of: Range) -> EditReceipt {
         let start = Instant::now();
-        let dirty = self.graph.find_dependents(of);
+        let dirty = self.find_dependents(of);
         let control_latency = start.elapsed();
         self.mark_ranges_dirty(&dirty);
         EditReceipt { dirty, control_latency }
@@ -776,14 +780,20 @@ impl<B: DependencyBackend> Engine<B> {
 
     // ---- passthrough graph queries ----------------------------------------
 
-    /// Dependents of `r` per the formula graph.
+    /// Dependents of `r` per the formula graph, on the engine's warm
+    /// query buffers.
     pub fn find_dependents(&mut self, r: Range) -> Vec<Range> {
-        self.graph.find_dependents(r)
+        let mut out = Vec::new();
+        self.graph.find_dependents_with_scratch(r, &mut self.query, &mut out);
+        out
     }
 
-    /// Precedents of `r` per the formula graph.
+    /// Precedents of `r` per the formula graph, on the engine's warm
+    /// query buffers.
     pub fn find_precedents(&mut self, r: Range) -> Vec<Range> {
-        self.graph.find_precedents(r)
+        let mut out = Vec::new();
+        self.graph.find_precedents_with_scratch(r, &mut self.query, &mut out);
+        out
     }
 }
 
@@ -990,7 +1000,7 @@ mod tests {
 
     #[test]
     fn taco_and_nocomp_engines_agree() {
-        let build = |mut e: Engine<FormulaGraph>| {
+        let build = |mut e: Engine| {
             for row in 1..=30u32 {
                 e.set_value(Cell::new(1, row), n(f64::from(row)));
             }

@@ -1,9 +1,9 @@
 //! A headless spreadsheet engine: the DataSpread-style substrate the paper
 //! integrates TACO into (§VI-A).
 //!
-//! The engine owns a sparse cell store and a pluggable formula graph
-//! backend ([`taco_core::DependencyBackend`]). Edits follow the paper's
-//! interactivity model:
+//! The engine owns a sparse cell store and TACO's compressed formula
+//! graph ([`taco_core::FormulaGraph`]; its `Config` also gives the InRow
+//! and NoComp variants). Edits follow the paper's interactivity model:
 //!
 //! 1. a cell changes;
 //! 2. the engine queries the formula graph for the **dependents** of the
@@ -42,6 +42,5 @@ pub use workbook::{
     WorkbookReceipt,
 };
 
-pub use taco_core::DependencyBackend;
 pub use taco_formula::{CellError, EvalClock, Value};
-pub use taco_store::{EditRecord, StoreError, WalWriter};
+pub use taco_store::{EditRecord, StoreError};

@@ -6,7 +6,7 @@
 //! span pushes, none of which allocate.
 
 use std::time::Instant;
-use taco_core::{DependencyBackend, StatsScratch};
+use taco_core::{FormulaGraph, StatsScratch};
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
@@ -142,42 +142,34 @@ impl EngineObs {
 
     /// Refreshes the graph-shape gauges from the sheets' graphs, in
     /// O(sheets): edges, dependencies and edges reduced are running
-    /// counts the graphs keep ([`DependencyBackend::graph_counts`]; a
-    /// backend without compression accounting refreshes edges only).
-    /// The distinct-vertex count is the one figure that needs a walk over
-    /// every edge, so it is recounted only when the summed mutation
-    /// stamps say some sheet's graph changed since the last count — a
-    /// recalculation that follows value edits alone walks nothing.
-    pub(crate) fn refresh_graph_gauges<'a, B, I>(&mut self, cross_edges: usize, graphs: I)
-    where
-        B: DependencyBackend + 'a,
-        I: Iterator<Item = &'a B> + Clone,
-    {
-        let (mut edges, mut deps, mut reduced) = (0i64, 0i64, 0i64);
-        let mut stamp = None;
+    /// counts the graphs keep. The distinct-vertex count is the one
+    /// figure that needs a walk over every edge, so it is recounted only
+    /// when the summed mutation stamps say some sheet's graph changed
+    /// since the last count — a recalculation that follows value edits
+    /// alone walks nothing.
+    pub(crate) fn refresh_graph_gauges<'a>(
+        &mut self,
+        cross_edges: usize,
+        graphs: impl Iterator<Item = &'a FormulaGraph> + Clone,
+    ) {
+        let (mut edges, mut deps, mut reduced, mut stamp) = (0i64, 0i64, 0i64, 0u64);
         for g in graphs.clone() {
             edges += g.num_edges() as i64;
-            if let Some((dependencies, by_pattern, mutations)) = g.graph_counts() {
-                deps += i64::try_from(dependencies).unwrap_or(i64::MAX);
-                reduced += i64::try_from(by_pattern.total()).unwrap_or(i64::MAX);
-                stamp = Some(stamp.unwrap_or(0u64).wrapping_add(mutations));
-            }
+            deps += i64::try_from(g.num_dependencies()).unwrap_or(i64::MAX);
+            reduced += i64::try_from(g.reduced().total()).unwrap_or(i64::MAX);
+            stamp = stamp.wrapping_add(g.mutation_stamp());
         }
         self.graph_edges.set(edges);
         self.cross_edges.set(cross_edges as i64);
-        if stamp.is_none() {
-            return;
-        }
         self.graph_dependencies.set(deps);
         self.graph_edges_reduced.set(reduced);
-        if self.vertices_as_of != stamp {
-            self.vertices_as_of = stamp;
+        if self.vertices_as_of != Some(stamp) {
+            self.vertices_as_of = Some(stamp);
             #[cfg(test)]
             {
                 self.edge_walks += 1;
             }
-            let vertices: usize =
-                graphs.filter_map(|g| g.graph_stats(&mut self.scratch)).map(|s| s.vertices).sum();
+            let vertices: usize = graphs.map(|g| g.stats_with(&mut self.scratch).vertices).sum();
             self.graph_vertices.set(vertices as i64);
         }
     }

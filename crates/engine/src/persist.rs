@@ -5,10 +5,11 @@
 //! - `taco_store` owns the bytes — codecs, the sectioned container, the
 //!   WAL framing — and works on plain [`WorkbookImage`] data;
 //! - this module converts live [`Workbook`]s to and from images
-//!   ([`Workbook::save`] / [`Workbook::open`]), applies replayed
-//!   [`EditRecord`]s through the normal edit paths (so dirty routing and
-//!   cross-edge maintenance behave exactly as they did live), and owns
-//!   the autosave policy: [`PersistentWorkbook`] appends every edit to
+//!   ([`Workbook::save`] / [`Workbook::open`]), replays [`EditRecord`]s
+//!   through [`Workbook::apply_edit`] — the function live edits go
+//!   through, so dirty routing and cross-edge maintenance behave exactly
+//!   as they did live — and owns the autosave policy:
+//!   [`PersistentWorkbook::log_batch`] appends every applied record to
 //!   the sidecar WAL, fsyncs at configurable points, and folds the log
 //!   back into a fresh snapshot once it crosses the compaction
 //!   threshold.
@@ -42,7 +43,7 @@ pub fn wal_path(path: &Path) -> PathBuf {
 /// Captures one engine as a sheet image named `name` — the single
 /// conversion point between live cell contents and persistent records,
 /// shared by [`Workbook::to_image`] and [`save_engine`].
-fn sheet_image(engine: &Engine<FormulaGraph>, name: String) -> SheetImage {
+fn sheet_image(engine: &Engine, name: String) -> SheetImage {
     // `cells()` is in `(col, row)` order, the order the image wants.
     let cells = engine
         .cells()
@@ -70,7 +71,7 @@ fn cell_content(rec: CellRecord) -> Result<CellContent, StoreError> {
     })
 }
 
-impl Workbook<FormulaGraph> {
+impl Workbook {
     /// Captures the workbook as a plain-data image (see the module docs
     /// for what is stored vs derived).
     pub fn to_image(&self) -> WorkbookImage {
@@ -195,7 +196,7 @@ impl Workbook<FormulaGraph> {
         Ok(wb)
     }
 
-    /// [`Self::apply_edit`] with replay semantics: an `AddSheet` whose
+    /// [`Workbook::apply_edit`] with replay semantics: an `AddSheet` whose
     /// name already exists is a no-op. Replay epochs make every other
     /// record safe too — a crash between a snapshot write and the WAL
     /// truncation ([`Self::save`], [`PersistentWorkbook::compact`])
@@ -210,49 +211,6 @@ impl Workbook<FormulaGraph> {
             }
         }
         self.apply_edit(rec)
-    }
-
-    /// Applies one edit record through the normal edit paths (replay).
-    pub fn apply_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
-        let sheet_of = |s: u32, count: usize| -> Result<SheetId, StoreError> {
-            if (s as usize) < count {
-                Ok(SheetId(s as usize))
-            } else {
-                Err(StoreError::InvalidRecord(format!("no sheet with index {s}")))
-            }
-        };
-        match rec {
-            EditRecord::SetValue { sheet, cell, value } => {
-                let id = sheet_of(*sheet, self.sheet_count())?;
-                self.set_value(id, *cell, value.clone());
-            }
-            EditRecord::SetFormula { sheet, cell, src } => {
-                let id = sheet_of(*sheet, self.sheet_count())?;
-                self.set_formula(id, *cell, src)
-                    .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            }
-            EditRecord::ClearRange { sheet, range } => {
-                let id = sheet_of(*sheet, self.sheet_count())?;
-                self.clear_range(id, *range);
-            }
-            EditRecord::AddSheet { name } => {
-                self.add_sheet(name).map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            }
-            EditRecord::Structural { sheet, op } => {
-                let id = sheet_of(*sheet, self.sheet_count())?;
-                self.apply_structural(id, *op);
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies an edit *and* appends it to `wal` — the building block for
-    /// WAL-backed editing when managing the log by hand (the usual entry
-    /// point is [`PersistentWorkbook`], which adds fsync and compaction
-    /// policy on top).
-    pub fn log_edit(&mut self, wal: &mut WalWriter, rec: &EditRecord) -> Result<(), StoreError> {
-        self.apply_edit(rec)?;
-        wal.append(rec)
     }
 }
 
@@ -278,7 +236,7 @@ impl Default for PersistOptions {
 /// the log periodically folds into a fresh snapshot (compaction). Dropped
 /// handles lose nothing — reopening replays the WAL over the snapshot.
 pub struct PersistentWorkbook {
-    wb: Workbook<FormulaGraph>,
+    wb: Workbook,
     vfs: Arc<dyn Vfs>,
     path: PathBuf,
     wal: WalWriter,
@@ -297,11 +255,7 @@ pub struct PersistentWorkbook {
 impl PersistentWorkbook {
     /// Writes `wb` as a fresh snapshot at `path` (plus an empty sidecar
     /// WAL) and takes ownership of it.
-    pub fn create(
-        path: &Path,
-        wb: Workbook<FormulaGraph>,
-        opts: PersistOptions,
-    ) -> Result<Self, StoreError> {
+    pub fn create(path: &Path, wb: Workbook, opts: PersistOptions) -> Result<Self, StoreError> {
         Self::create_with(std_vfs(), path, wb, opts)
     }
 
@@ -310,7 +264,7 @@ impl PersistentWorkbook {
     pub fn create_with(
         vfs: Arc<dyn Vfs>,
         path: &Path,
-        wb: Workbook<FormulaGraph>,
+        wb: Workbook,
         opts: PersistOptions,
     ) -> Result<Self, StoreError> {
         let mut image = wb.to_image();
@@ -388,7 +342,7 @@ impl PersistentWorkbook {
     }
 
     /// Read access to the live workbook.
-    pub fn workbook(&self) -> &Workbook<FormulaGraph> {
+    pub fn workbook(&self) -> &Workbook {
         &self.wb
     }
 
@@ -399,41 +353,23 @@ impl PersistentWorkbook {
     /// reference bypass the WAL and will not survive a reopen — route
     /// them through [`PersistentWorkbook::log_edit`] /
     /// [`PersistentWorkbook::log_batch`] instead.
-    pub fn workbook_mut(&mut self) -> &mut Workbook<FormulaGraph> {
+    pub fn workbook_mut(&mut self) -> &mut Workbook {
         &mut self.wb
     }
 
-    /// Applies and durably logs one edit; the autosave hook: may fsync
-    /// (per `sync_every_records`) and may compact (per
-    /// `compact_after_records`).
+    /// Applies and durably logs one edit: the one-record
+    /// [`Self::log_batch`].
     pub fn log_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
-        self.wb.apply_edit(rec)?;
-        self.append(rec)
-    }
-
-    /// Logs without re-applying (used when the edit already ran against
-    /// the workbook, e.g. the autofill expansion below).
-    fn append(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
-        self.wal.append(rec)?;
-        self.appended_since_sync += 1;
-        if self.opts.sync_every_records > 0
-            && self.appended_since_sync >= self.opts.sync_every_records
-        {
-            self.sync()?;
-        }
-        if self.opts.compact_after_records > 0
-            && self.wal.record_count() >= self.opts.compact_after_records
-        {
-            self.compact()?;
-        }
-        Ok(())
+        self.log_batch(std::slice::from_ref(rec)).map(drop).map_err(|e| e.error)
     }
 
     /// Applies a run of edits with one dirty-propagation pass
     /// ([`Workbook::apply_batch`]) and appends every applied record to the
     /// WAL, observing the fsync and compaction policy **once per batch**
     /// instead of once per record — the durability analogue of write
-    /// coalescing.
+    /// coalescing, and the autosave hook: may fsync (per
+    /// `sync_every_records`) and may compact (per
+    /// `compact_after_records`).
     ///
     /// Failures carry a [`BatchStage`]: `Apply` means the prefix before
     /// [`BatchError::index`] applied and logged and nothing else
@@ -476,78 +412,6 @@ impl PersistentWorkbook {
             self.compact().map_err(policy_err)?;
         }
         result
-    }
-
-    /// Convenience: logged [`Workbook::set_value`].
-    pub fn set_value(
-        &mut self,
-        sheet: SheetId,
-        cell: taco_grid::Cell,
-        value: taco_formula::Value,
-    ) -> Result<(), StoreError> {
-        self.log_edit(&EditRecord::SetValue { sheet: sheet.index() as u32, cell, value })
-    }
-
-    /// Convenience: logged [`Workbook::set_formula`].
-    pub fn set_formula(
-        &mut self,
-        sheet: SheetId,
-        cell: taco_grid::Cell,
-        src: &str,
-    ) -> Result<(), StoreError> {
-        self.log_edit(&EditRecord::SetFormula {
-            sheet: sheet.index() as u32,
-            cell,
-            src: src.to_string(),
-        })
-    }
-
-    /// Convenience: logged [`Workbook::clear_range`].
-    pub fn clear_range(
-        &mut self,
-        sheet: SheetId,
-        range: taco_grid::Range,
-    ) -> Result<(), StoreError> {
-        self.log_edit(&EditRecord::ClearRange { sheet: sheet.index() as u32, range })
-    }
-
-    /// Convenience: logged [`Workbook::add_sheet`].
-    pub fn add_sheet(&mut self, name: &str) -> Result<SheetId, StoreError> {
-        self.log_edit(&EditRecord::AddSheet { name: name.to_string() })?;
-        Ok(SheetId(self.wb.sheet_count() - 1))
-    }
-
-    /// Convenience: logged [`Workbook::apply_structural`] — one record
-    /// covers the whole workbook-wide edit; replay re-derives the
-    /// cross-sheet reference rewrites from the op.
-    pub fn apply_structural(
-        &mut self,
-        sheet: SheetId,
-        op: taco_core::StructuralOp,
-    ) -> Result<(), StoreError> {
-        self.log_edit(&EditRecord::Structural { sheet: sheet.index() as u32, op })
-    }
-
-    /// Logged [`Workbook::autofill`]: runs the fill, then logs each
-    /// generated formula as its own `SetFormula` record (replay is then
-    /// independent of the autofill algorithm's versioning). Returns the
-    /// fill's routing receipt.
-    pub fn autofill(
-        &mut self,
-        sheet: SheetId,
-        src: taco_grid::Cell,
-        targets: taco_grid::Range,
-    ) -> Result<crate::workbook::WorkbookReceipt, StoreError> {
-        let receipt = self
-            .wb
-            .autofill(sheet, src, targets)
-            .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-        for cell in targets.cells() {
-            if let Some(f) = self.wb.formula_of(sheet, cell) {
-                self.append(&EditRecord::SetFormula { sheet: sheet.index() as u32, cell, src: f })?;
-            }
-        }
-        Ok(receipt)
     }
 
     /// Recalculates dirty cells (derived state — not logged; a reopened
@@ -606,7 +470,7 @@ impl PersistentWorkbook {
 // ---- single-engine persistence (the REPL's `:save` / `:open`) ----------
 
 /// Saves a standalone engine as a one-sheet workbook container.
-pub fn save_engine(engine: &Engine<FormulaGraph>, path: &Path) -> Result<(), StoreError> {
+pub fn save_engine(engine: &Engine, path: &Path) -> Result<(), StoreError> {
     let name = engine.sheet_name().unwrap_or("Sheet1").to_string();
     let image =
         WorkbookImage { sheets: vec![sheet_image(engine, name)], cross: Vec::new(), epoch: 0 };
@@ -615,7 +479,7 @@ pub fn save_engine(engine: &Engine<FormulaGraph>, path: &Path) -> Result<(), Sto
 
 /// Opens a container saved by [`save_engine`] (or any single-sheet
 /// workbook) back into a standalone engine.
-pub fn open_engine(path: &Path) -> Result<Engine<FormulaGraph>, StoreError> {
+pub fn open_engine(path: &Path) -> Result<Engine, StoreError> {
     let reader = StoreReader::open(path)?;
     if reader.sheet_count() != 1 {
         return Err(StoreError::InvalidRecord(format!(
@@ -652,11 +516,15 @@ mod tests {
         Value::Number(v)
     }
 
+    fn set(cell: Cell, v: f64) -> EditRecord {
+        EditRecord::SetValue { sheet: 0, cell, value: n(v) }
+    }
+
     fn temp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("taco_persist_{tag}_{}.taco", std::process::id()))
     }
 
-    fn two_sheet_book() -> Workbook<FormulaGraph> {
+    fn two_sheet_book() -> Workbook {
         let mut wb = Workbook::with_taco();
         let data = wb.add_sheet("Data").unwrap();
         let summary = wb.add_sheet("My Summary").unwrap();
@@ -771,7 +639,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..10u32 {
-            pers.set_value(SheetId(0), Cell::new(4, i + 1), n(f64::from(i))).unwrap();
+            pers.log_edit(&set(Cell::new(4, i + 1), f64::from(i))).unwrap();
         }
         // 10 edits with threshold 3: the WAL folded at least twice and
         // never grew past the threshold.
@@ -793,7 +661,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..5u32 {
-            pers.set_value(SheetId(0), Cell::new(5, i + 1), n(f64::from(i) * 10.0)).unwrap();
+            pers.log_edit(&set(Cell::new(5, i + 1), f64::from(i) * 10.0)).unwrap();
         }
         drop(pers);
         // Crash simulation: chop the WAL mid-record.
@@ -925,8 +793,12 @@ mod tests {
             PersistOptions { compact_after_records: 0, sync_every_records: 1 },
         )
         .unwrap();
-        pers.set_value(SheetId(0), c("A1"), n(100.0)).unwrap();
-        pers.apply_structural(SheetId(0), StructuralOp::InsertRows { at: 2, n: 3 }).unwrap();
+        pers.log_edit(&set(c("A1"), 100.0)).unwrap();
+        pers.log_edit(&EditRecord::Structural {
+            sheet: 0,
+            op: StructuralOp::InsertRows { at: 2, n: 3 },
+        })
+        .unwrap();
         // First half of `compact`: the snapshot lands on disk one epoch
         // up; the WAL "crashes" before its reset and keeps the records.
         let mut image = pers.workbook().to_image();
@@ -1051,8 +923,12 @@ mod tests {
             PersistOptions { compact_after_records: 0, sync_every_records: 1 },
         )
         .unwrap();
-        pers.set_value(SheetId(0), c("A1"), n(100.0)).unwrap();
-        pers.apply_structural(SheetId(0), StructuralOp::InsertRows { at: 1, n: 4 }).unwrap();
+        pers.log_edit(&set(c("A1"), 100.0)).unwrap();
+        pers.log_edit(&EditRecord::Structural {
+            sheet: 0,
+            op: StructuralOp::InsertRows { at: 1, n: 4 },
+        })
+        .unwrap();
         drop(pers);
         // Crash mid-append of the structural record: chop into its tail.
         let wal = wal_path(&path);

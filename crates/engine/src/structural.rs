@@ -4,7 +4,7 @@
 use crate::engine::{EditReceipt, Engine};
 use crate::sheet::CellContent;
 use std::time::Instant;
-use taco_core::{FormulaGraph, StructuralOp};
+use taco_core::StructuralOp;
 use taco_formula::Formula;
 use taco_grid::a1::{CellRef, QualifiedRef, RangeRef};
 use taco_grid::Range;
@@ -58,7 +58,7 @@ pub(crate) fn band_disturbs(
     refs.iter().any(|q| reads_edited_sheet(own, q, local) && op.disturbs(q.rref.range()))
 }
 
-impl Engine<FormulaGraph> {
+impl Engine {
     /// Inserts `n` rows before row `at`: contents shift, formula references
     /// stretch/shift per Excel semantics, the graph updates incrementally.
     pub fn insert_rows(&mut self, at: u32, n: u32) -> EditReceipt {
@@ -124,7 +124,7 @@ impl Engine<FormulaGraph> {
         let mut dirty = Vec::with_capacity(changed.len());
         for nc in changed {
             self.mark_cell_dirty(nc);
-            let dependents = self.graph_mut().find_dependents(Range::cell(nc));
+            let dependents = self.find_dependents(Range::cell(nc));
             self.mark_ranges_dirty(&dependents);
             dirty.push(Range::cell(nc));
             dirty.extend(dependents);

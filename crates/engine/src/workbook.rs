@@ -6,7 +6,7 @@
 //! [`Workbook`] shards state accordingly:
 //!
 //! - every sheet keeps its **own** cell store and its own compressed
-//!   formula graph ([`taco_core::DependencyBackend`]), so each shard stays
+//!   formula graph ([`taco_core::FormulaGraph`]), so each shard stays
 //!   exactly as compressible as the paper's per-sheet graphs;
 //! - cross-sheet dependencies live in a separate **inter-sheet edge
 //!   table** ([`CrossEdge`]): `(source sheet, referenced range) → (target
@@ -40,10 +40,11 @@ use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
-use taco_core::{Config, Dependency, DependencyBackend, FormulaGraph, StructuralOp};
+use taco_core::{Config, Dependency, FormulaGraph, StructuralOp};
 use taco_formula::{autofill, CellError, EvalClock, Formula, FormulaError, Value};
 use taco_grid::a1::SheetRef;
 use taco_grid::{Cell, GridError, Range};
+use taco_store::{EditRecord, StoreError};
 
 /// Index of a sheet within its workbook (dense, allocation order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -208,14 +209,13 @@ impl Job {
         Job { sid, range: Range::cell(cell), expand_local: true, report: true }
     }
 
-    /// The jobs for one engine edit: the edited range (cross hops only —
-    /// the engine already ran and marked the local query) plus the
+    /// Queues the jobs for one engine edit: the edited range (cross hops
+    /// only — the engine already ran and marked the local query) plus the
     /// receipt's dependent ranges.
-    fn from_receipt(sid: usize, origin: Range, receipt: crate::EditReceipt) -> Vec<Job> {
-        let mut jobs = Vec::with_capacity(receipt.dirty.len() + 1);
+    fn push_receipt(jobs: &mut Vec<Job>, sid: usize, origin: Range, receipt: crate::EditReceipt) {
+        jobs.reserve(receipt.dirty.len() + 1);
         jobs.push(Job { sid, range: origin, expand_local: false, report: false });
         jobs.extend(receipt.dirty.into_iter().map(|r| Job::expanded(sid, r)));
-        jobs
     }
 }
 
@@ -324,9 +324,9 @@ impl fmt::Display for BatchError {
 impl std::error::Error for BatchError {}
 
 /// One shard: a named sheet with its own engine (cells + formula graph).
-struct SheetShard<B: DependencyBackend> {
+struct SheetShard {
     name: SheetRef,
-    engine: Engine<B>,
+    engine: Engine,
 }
 
 /// A multi-sheet workbook: one [`Engine`] shard per sheet plus the
@@ -338,8 +338,9 @@ struct SheetShard<B: DependencyBackend> {
 /// indexing, every method taking a `SheetId` panics (with a descriptive
 /// message) when given an id that does not name a sheet of *this*
 /// workbook. Resolve names with [`Workbook::sheet_id`] when in doubt.
-pub struct Workbook<B: DependencyBackend = FormulaGraph> {
-    sheets: Vec<SheetShard<B>>,
+#[derive(Default)]
+pub struct Workbook {
+    sheets: Vec<SheetShard>,
     /// Lower-cased sheet name → dense id.
     index: BTreeMap<String, usize>,
     /// The inter-sheet edge table.
@@ -350,21 +351,15 @@ pub struct Workbook<B: DependencyBackend = FormulaGraph> {
     obs: Option<Box<crate::obs::EngineObs>>,
 }
 
-impl<B: DependencyBackend> Default for Workbook<B> {
-    fn default() -> Self {
-        Self::new()
+impl Workbook {
+    /// An empty workbook.
+    pub fn new() -> Self {
+        Workbook::default()
     }
-}
 
-impl Workbook<FormulaGraph> {
     /// An empty workbook whose sheets use the full TACO compressed graph.
     pub fn with_taco() -> Self {
         Workbook::new()
-    }
-
-    /// Adds a sheet backed by a TACO-compressed formula graph.
-    pub fn add_sheet(&mut self, name: &str) -> Result<SheetId, WorkbookError> {
-        self.add_sheet_with(name, FormulaGraph::taco())
     }
 
     /// Builds a workbook straight from per-sheet dependency lists plus a
@@ -420,206 +415,6 @@ impl Workbook<FormulaGraph> {
         Ok(wb)
     }
 
-    /// Applies a run of [`EditRecord`]s with **one** dirty-propagation
-    /// pass: every record's local mutation is staged first (cell stores,
-    /// formula graphs, and the cross-edge table mutate in record order,
-    /// exactly as they would serially), then a single routing pass
-    /// (`expand`) marks the union of their dirtiness. N queued edits cost
-    /// one cross-sheet routing pass — and, at the caller's discretion, one
-    /// recalculation — instead of N.
-    ///
-    /// Batched application is *result-identical* to applying the same
-    /// records one at a time (same cell values after recalculation, same
-    /// dirty sets, same graph): dirty-marking is monotone and the staged
-    /// graph mutations are order-preserving, which
-    /// `crates/engine/tests/batch.rs` property-tests across the
-    /// persistence workload presets.
-    ///
-    /// On the first failing record the already-staged prefix is still
-    /// routed — the workbook is left exactly as if the prefix had been
-    /// applied serially — and the error names the failing index; later
-    /// records are untouched.
-    ///
-    /// [`EditRecord`]: taco_store::EditRecord
-    pub fn apply_batch(
-        &mut self,
-        records: &[taco_store::EditRecord],
-    ) -> Result<WorkbookReceipt, BatchError> {
-        let start = Instant::now();
-        let mut jobs = Vec::new();
-        let mut failed = None;
-        for (index, rec) in records.iter().enumerate() {
-            if let Err(error) = self.stage_edit(rec, &mut jobs) {
-                failed = Some(BatchError { index, stage: BatchStage::Apply, error });
-                break;
-            }
-        }
-        let dirty = self.expand(jobs, true);
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(WorkbookReceipt { dirty, control_latency: start.elapsed() }),
-        }
-    }
-
-    /// Stages one record's local mutation, accumulating its routing jobs
-    /// (the batched half of [`Workbook::set_value`] and friends —
-    /// everything except the trailing `expand`). `AddSheet` routes its
-    /// dangling-reference rebind immediately, like the live path.
-    fn stage_edit(
-        &mut self,
-        rec: &taco_store::EditRecord,
-        jobs: &mut Vec<Job>,
-    ) -> Result<(), taco_store::StoreError> {
-        use taco_store::{EditRecord, StoreError};
-        let sheet_of = |s: u32, count: usize| -> Result<SheetId, StoreError> {
-            if (s as usize) < count {
-                Ok(SheetId(s as usize))
-            } else {
-                Err(StoreError::InvalidRecord(format!("no sheet with index {s}")))
-            }
-        };
-        match rec {
-            EditRecord::SetValue { sheet, cell, value } => {
-                let id = sheet_of(*sheet, self.sheets.len())?;
-                if self.sheets[id.0].engine.formula_at(*cell).is_some() {
-                    self.xedges.remove_dep(id, *cell);
-                }
-                let receipt = self.sheets[id.0].engine.set_value(*cell, value.clone());
-                jobs.extend(Job::from_receipt(id.0, Range::cell(*cell), receipt));
-            }
-            EditRecord::SetFormula { sheet, cell, src } => {
-                let id = sheet_of(*sheet, self.sheets.len())?;
-                let formula =
-                    Formula::parse(src).map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-                jobs.extend(self.apply_formula(id.0, *cell, formula));
-            }
-            EditRecord::ClearRange { sheet, range } => {
-                let id = sheet_of(*sheet, self.sheets.len())?;
-                self.xedges.remove_deps_in(id, *range);
-                let receipt = self.sheets[id.0].engine.clear_range(*range);
-                jobs.extend(Job::from_receipt(id.0, *range, receipt));
-            }
-            EditRecord::AddSheet { name } => {
-                self.add_sheet(name).map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            }
-            EditRecord::Structural { sheet, op } => {
-                let id = sheet_of(*sheet, self.sheets.len())?;
-                self.stage_structural(id.0, *op, jobs);
-            }
-        }
-        Ok(())
-    }
-
-    /// Inserts `n` rows before row `at` on `sheet`, workbook-wide: the
-    /// sheet's own grid shifts, and every *other* sheet's formulas whose
-    /// qualified references target the edited sheet are rewritten under
-    /// the same transform (`Sheet1!A5` survives an insert above row 5 as
-    /// `Sheet1!A8`; a reference whose whole range is deleted becomes
-    /// `#REF!`). Rewrites are routed through the cross-edge index, so
-    /// only actual referrers are touched.
-    pub fn insert_rows(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
-        self.apply_structural(sheet, StructuralOp::InsertRows { at, n })
-    }
-
-    /// Deletes the rows `[at, at + n)` on `sheet`; see
-    /// [`Self::insert_rows`] for the workbook-wide contract.
-    pub fn delete_rows(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
-        self.apply_structural(sheet, StructuralOp::DeleteRows { at, n })
-    }
-
-    /// Inserts `n` columns before column `at` on `sheet`; see
-    /// [`Self::insert_rows`] for the workbook-wide contract.
-    pub fn insert_cols(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
-        self.apply_structural(sheet, StructuralOp::InsertCols { at, n })
-    }
-
-    /// Deletes the columns `[at, at + n)` on `sheet`; see
-    /// [`Self::insert_rows`] for the workbook-wide contract.
-    pub fn delete_cols(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
-        self.apply_structural(sheet, StructuralOp::DeleteCols { at, n })
-    }
-
-    /// Applies one structural edit to `sheet` and routes the fallout
-    /// across the workbook (the general form behind
-    /// [`Self::insert_rows`] and friends).
-    pub fn apply_structural(&mut self, sheet: SheetId, op: StructuralOp) -> WorkbookReceipt {
-        self.ensure_sheet(sheet);
-        let start = Instant::now();
-        let mut jobs = Vec::new();
-        self.stage_structural(sheet.0, op, &mut jobs);
-        let dirty = self.expand(jobs, true);
-        WorkbookReceipt { dirty, control_latency: start.elapsed() }
-    }
-
-    /// The staged half of a structural edit: local transform, cross-edge
-    /// remap, and referrer rewrites, with routing jobs accumulated for
-    /// one trailing `expand`.
-    fn stage_structural(&mut self, sid: usize, op: StructuralOp, jobs: &mut Vec<Job>) {
-        // Snapshot the distinct foreign formula cells that read this
-        // sheet *before* mutating anything: these are exactly the
-        // formulas whose qualified references may need rewriting.
-        let mut referrers: Vec<(usize, Cell)> = Vec::new();
-        for e in self.xedges.outgoing(sid) {
-            if !referrers.contains(&(e.dst.0, e.dep)) {
-                referrers.push((e.dst.0, e.dep));
-            }
-        }
-        // The cross table's row order reflects edit history, which a
-        // snapshot round trip does not preserve. Rewrite order feeds the
-        // destination graphs' compressors, so sort it: a replayed
-        // structural edit must reproduce the live one bit for bit.
-        referrers.sort_unstable();
-
-        // Local transform. The receipt's dirty ranges are the formulas
-        // whose value may change, so they double as hop origins: any
-        // cross edge overlapping them routes dirtiness to other sheets.
-        let receipt = self.sheets[sid].engine.apply_structural(op);
-        jobs.extend(receipt.dirty.into_iter().map(|r| Job::expanded(sid, r)));
-
-        // The edited sheet's own formulas moved; the edges they own
-        // follow them. (Their referenced ranges live on other sheets and
-        // are untouched by this edit.)
-        self.xedges.remap_deps_on(sid, op);
-
-        // Rewrite each referrer whose references into the edited sheet
-        // actually move; identity rewrites are skipped so untouched
-        // formulas keep their original source text.
-        let own = self.sheets[sid].name.name().to_string();
-        let own = Some(own.as_str());
-        for (dsid, dep) in referrers {
-            let Some(formula) = self.sheets[dsid].engine.formula_at(dep).cloned() else {
-                continue;
-            };
-            let ast = formula.ast.map_refs(&mut |q| map_ref(op, own, q, false));
-            if ast == formula.ast {
-                // Same text, but a range the band cut through (clamped at
-                // the grid edge) still reads cells that moved.
-                if band_disturbs(op, own, &formula.refs, false) {
-                    self.sheets[dsid].engine.mark_cell_dirty(dep);
-                    jobs.push(Job::hop(dsid, dep));
-                }
-                continue;
-            }
-            let refs = ast.collect_refs();
-            jobs.extend(self.apply_formula(dsid, dep, Formula { src: ast.to_string(), ast, refs }));
-            // The rewrite dirtied the referrer itself; the formula-edit
-            // receipt only reports its dependents.
-            jobs.push(Job::expanded(dsid, Range::cell(dep)));
-        }
-    }
-}
-
-impl<B: DependencyBackend> Workbook<B> {
-    /// An empty workbook.
-    pub fn new() -> Self {
-        Workbook {
-            sheets: Vec::new(),
-            index: BTreeMap::new(),
-            xedges: EdgeTable::default(),
-            obs: None,
-        }
-    }
-
     /// Attaches this workbook to an observability hub: registers the
     /// engine metric set (labeled `book="<label>"`) and starts recording
     /// recalculation metrics and spans. Registration allocates; everything
@@ -634,15 +429,25 @@ impl<B: DependencyBackend> Workbook<B> {
         self.obs.is_some()
     }
 
-    /// Adds a sheet around the given backend. Names are validated like
-    /// formula qualifiers and must be unique case-insensitively.
+    /// Adds a sheet backed by a TACO-compressed formula graph.
+    pub fn add_sheet(&mut self, name: &str) -> Result<SheetId, WorkbookError> {
+        self.add_sheet_with(name, FormulaGraph::taco())
+    }
+
+    /// Adds a sheet around the given graph (its [`Config`] chooses TACO,
+    /// InRow or NoComp). Names are validated like formula qualifiers and
+    /// must be unique case-insensitively.
     ///
     /// Existing formulae that already reference the new name (written
     /// while it resolved to `#REF!`) are re-bound: their cross edges are
     /// registered and the cells re-marked dirty, so the next
     /// recalculation sees the new sheet's values.
-    pub fn add_sheet_with(&mut self, name: &str, backend: B) -> Result<SheetId, WorkbookError> {
-        let id = self.add_sheet_unbound(name, backend)?;
+    pub fn add_sheet_with(
+        &mut self,
+        name: &str,
+        graph: FormulaGraph,
+    ) -> Result<SheetId, WorkbookError> {
+        let id = self.add_sheet_unbound(name, graph)?;
         self.rebind_dangling_refs(id.0);
         Ok(id)
     }
@@ -655,14 +460,14 @@ impl<B: DependencyBackend> Workbook<B> {
     pub(crate) fn add_sheet_unbound(
         &mut self,
         name: &str,
-        backend: B,
+        graph: FormulaGraph,
     ) -> Result<SheetId, WorkbookError> {
         let sref = SheetRef::new(name).map_err(WorkbookError::BadSheetName)?;
         if self.index.contains_key(&sref.key()) {
             return Err(WorkbookError::DuplicateSheet(name.to_string()));
         }
         let id = self.sheets.len();
-        let mut engine = Engine::new(backend);
+        let mut engine = Engine::new(graph);
         engine.set_sheet_name(sref.name().to_string());
         self.index.insert(sref.key(), id);
         self.sheets.push(SheetShard { name: sref, engine });
@@ -680,7 +485,7 @@ impl<B: DependencyBackend> Workbook<B> {
             for (cell, content) in shard.engine.cells() {
                 let Some(formula) = content.formula() else { continue };
                 // One edge per distinct range the formula reads — the
-                // same dedup `apply_formula` applies on the live path.
+                // same dedup `stage_formula` applies on the live path.
                 let mut added: Vec<Range> = Vec::new();
                 for q in &formula.refs {
                     if q.sheet.as_ref().is_some_and(|s| s.matches(name.name()))
@@ -737,14 +542,14 @@ impl<B: DependencyBackend> Workbook<B> {
     }
 
     /// Read access to one sheet's engine (values, graph stats).
-    pub fn sheet(&self, id: SheetId) -> &Engine<B> {
+    pub fn sheet(&self, id: SheetId) -> &Engine {
         self.ensure_sheet(id);
         &self.sheets[id.0].engine
     }
 
     /// Mutable shard access for the persistence layer (restores cells and
     /// dirty marks directly, bypassing edit routing).
-    pub(crate) fn engine_mut(&mut self, i: usize) -> &mut Engine<B> {
+    pub(crate) fn engine_mut(&mut self, i: usize) -> &mut Engine {
         &mut self.sheets[i].engine
     }
 
@@ -784,19 +589,31 @@ impl<B: DependencyBackend> Workbook<B> {
     }
 
     // ---- edits ---------------------------------------------------------
+    //
+    // Every edit is *stage, then route*: a `stage_*` function below makes
+    // the local mutation (cell store, formula graph, cross-edge table)
+    // and queues routing jobs; one `expand` then marks what the jobs
+    // dirtied across sheets. The live methods stage one edit,
+    // `apply_batch` stages a run of records, and both route once.
+
+    /// One live edit of sheet `id`: `stage`, then route.
+    #[track_caller]
+    fn edit(
+        &mut self,
+        id: SheetId,
+        stage: impl FnOnce(&mut Self, &mut Vec<Job>),
+    ) -> WorkbookReceipt {
+        self.ensure_sheet(id);
+        let start = Instant::now();
+        let mut jobs = Vec::new();
+        stage(self, &mut jobs);
+        let dirty = self.expand(jobs, true);
+        WorkbookReceipt { dirty, control_latency: start.elapsed() }
+    }
 
     /// Sets a pure value, routing dirtiness across sheets.
     pub fn set_value(&mut self, id: SheetId, cell: Cell, v: Value) -> WorkbookReceipt {
-        self.ensure_sheet(id);
-        let start = Instant::now();
-        // Overwriting a formula cell drops its cross-sheet dependencies
-        // (a plain value cell cannot own cross edges — skip the scan).
-        if self.sheets[id.0].engine.formula_at(cell).is_some() {
-            self.xedges.remove_dep(id, cell);
-        }
-        let receipt = self.sheets[id.0].engine.set_value(cell, v);
-        let dirty = self.expand(Job::from_receipt(id.0, Range::cell(cell), receipt), true);
-        WorkbookReceipt { dirty, control_latency: start.elapsed() }
+        self.edit(id, |wb, jobs| wb.stage_value(id.0, cell, v, jobs))
     }
 
     /// Sets a formula (leading `=` optional); same-sheet references go to
@@ -809,10 +626,7 @@ impl<B: DependencyBackend> Workbook<B> {
     ) -> Result<WorkbookReceipt, WorkbookError> {
         self.ensure_sheet(id);
         let formula = Formula::parse(src)?;
-        let start = Instant::now();
-        let jobs = self.apply_formula(id.0, cell, formula);
-        let dirty = self.expand(jobs, true);
-        Ok(WorkbookReceipt { dirty, control_latency: start.elapsed() })
+        Ok(self.edit(id, |wb, jobs| wb.stage_formula(id.0, cell, formula, jobs)))
     }
 
     /// Autofills the formula at `src` over `targets`, exactly like
@@ -826,30 +640,176 @@ impl<B: DependencyBackend> Workbook<B> {
     ) -> Result<WorkbookReceipt, CellError> {
         self.ensure_sheet(id);
         let formula = self.sheets[id.0].engine.formula_at(src).cloned().ok_or(CellError::Value)?;
-        let start = Instant::now();
-        let mut jobs = Vec::new();
-        for filled in autofill::autofill(src, &formula, targets) {
-            jobs.extend(self.apply_formula(id.0, filled.cell, filled.formula));
-        }
-        let dirty = self.expand(jobs, true);
-        Ok(WorkbookReceipt { dirty, control_latency: start.elapsed() })
+        Ok(self.edit(id, |wb, jobs| {
+            for filled in autofill::autofill(src, &formula, targets) {
+                wb.stage_formula(id.0, filled.cell, filled.formula, jobs);
+            }
+        }))
+    }
+
+    /// The `SetFormula` records [`Self::autofill`] stands for, in fill
+    /// order: applying them (live or on replay) leaves the workbook as
+    /// the fill itself does, which is why a log stores a fill as the
+    /// formulas it produced and never as the gesture.
+    pub fn autofill_records(
+        &self,
+        id: SheetId,
+        src: Cell,
+        targets: Range,
+    ) -> Result<Vec<EditRecord>, CellError> {
+        self.ensure_sheet(id);
+        let formula = self.sheets[id.0].engine.formula_at(src).ok_or(CellError::Value)?;
+        Ok(autofill::autofill(src, formula, targets)
+            .into_iter()
+            .map(|filled| EditRecord::SetFormula {
+                sheet: id.0 as u32,
+                cell: filled.cell,
+                src: filled.formula.src,
+            })
+            .collect())
     }
 
     /// Clears every cell in `range` on one sheet, detaching both local and
     /// cross-sheet dependencies of the cleared formulae.
     pub fn clear_range(&mut self, id: SheetId, range: Range) -> WorkbookReceipt {
-        self.ensure_sheet(id);
-        let start = Instant::now();
-        self.xedges.remove_deps_in(id, range);
-        let receipt = self.sheets[id.0].engine.clear_range(range);
-        let dirty = self.expand(Job::from_receipt(id.0, range, receipt), true);
-        WorkbookReceipt { dirty, control_latency: start.elapsed() }
+        self.edit(id, |wb, jobs| wb.stage_clear(id.0, range, jobs))
     }
 
-    /// Installs a parsed formula: registers cross edges for foreign
-    /// qualified references, hands the rest to the sheet engine, and
-    /// returns the routing jobs for the edit.
-    fn apply_formula(&mut self, sid: usize, cell: Cell, formula: Formula) -> Vec<Job> {
+    /// Inserts `n` rows before row `at` on `sheet`, workbook-wide: the
+    /// sheet's own grid shifts, and every *other* sheet's formulas whose
+    /// qualified references target the edited sheet are rewritten under
+    /// the same transform (`Sheet1!A5` survives an insert above row 5 as
+    /// `Sheet1!A8`; a reference whose whole range is deleted becomes
+    /// `#REF!`). Rewrites are routed through the cross-edge index, so
+    /// only actual referrers are touched.
+    pub fn insert_rows(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
+        self.apply_structural(sheet, StructuralOp::InsertRows { at, n })
+    }
+
+    /// Deletes the rows `[at, at + n)` on `sheet`; see
+    /// [`Self::insert_rows`] for the workbook-wide contract.
+    pub fn delete_rows(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
+        self.apply_structural(sheet, StructuralOp::DeleteRows { at, n })
+    }
+
+    /// Inserts `n` columns before column `at` on `sheet`; see
+    /// [`Self::insert_rows`] for the workbook-wide contract.
+    pub fn insert_cols(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
+        self.apply_structural(sheet, StructuralOp::InsertCols { at, n })
+    }
+
+    /// Deletes the columns `[at, at + n)` on `sheet`; see
+    /// [`Self::insert_rows`] for the workbook-wide contract.
+    pub fn delete_cols(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
+        self.apply_structural(sheet, StructuralOp::DeleteCols { at, n })
+    }
+
+    /// Applies one structural edit to `sheet` and routes the fallout
+    /// across the workbook (the general form behind
+    /// [`Self::insert_rows`] and friends).
+    pub fn apply_structural(&mut self, sheet: SheetId, op: StructuralOp) -> WorkbookReceipt {
+        self.edit(sheet, |wb, jobs| wb.stage_structural(sheet.0, op, jobs))
+    }
+
+    /// Applies a run of [`EditRecord`]s with **one** dirty-propagation
+    /// pass: every record's local mutation is staged first (cell stores,
+    /// formula graphs, and the cross-edge table mutate in record order,
+    /// exactly as they would serially), then a single routing pass
+    /// (`expand`) marks the union of their dirtiness. N queued edits cost
+    /// one cross-sheet routing pass — and, at the caller's discretion, one
+    /// recalculation — instead of N.
+    ///
+    /// Batched application is *result-identical* to applying the same
+    /// records one at a time (same cell values after recalculation, same
+    /// dirty sets, same graph): dirty-marking is monotone and the staged
+    /// graph mutations are order-preserving, which
+    /// `crates/engine/tests/batch.rs` property-tests across the
+    /// persistence workload presets.
+    ///
+    /// On the first failing record the already-staged prefix is still
+    /// routed — the workbook is left exactly as if the prefix had been
+    /// applied serially — and the error names the failing index; later
+    /// records are untouched.
+    pub fn apply_batch(&mut self, records: &[EditRecord]) -> Result<WorkbookReceipt, BatchError> {
+        let start = Instant::now();
+        let mut jobs = Vec::new();
+        let mut failed = None;
+        for (index, rec) in records.iter().enumerate() {
+            if let Err(error) = self.stage_edit(rec, &mut jobs) {
+                failed = Some(BatchError { index, stage: BatchStage::Apply, error });
+                break;
+            }
+        }
+        let dirty = self.expand(jobs, true);
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(WorkbookReceipt { dirty, control_latency: start.elapsed() }),
+        }
+    }
+
+    /// Applies one edit record — the one-record [`Self::apply_batch`]
+    /// (what WAL replay calls per record).
+    pub fn apply_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
+        self.apply_batch(std::slice::from_ref(rec)).map(drop).map_err(|e| e.error)
+    }
+
+    // ---- staging -------------------------------------------------------
+
+    /// Stages one record: the only place a record's kind is told apart.
+    /// `AddSheet` routes its dangling-reference rebind at once, like
+    /// [`Self::add_sheet`].
+    fn stage_edit(&mut self, rec: &EditRecord, jobs: &mut Vec<Job>) -> Result<(), StoreError> {
+        let sheet_of = |s: u32| -> Result<usize, StoreError> {
+            if (s as usize) < self.sheets.len() {
+                Ok(s as usize)
+            } else {
+                Err(StoreError::InvalidRecord(format!("no sheet with index {s}")))
+            }
+        };
+        let invalid = |e: &dyn fmt::Display| StoreError::InvalidRecord(e.to_string());
+        match rec {
+            EditRecord::SetValue { sheet, cell, value } => {
+                self.stage_value(sheet_of(*sheet)?, *cell, value.clone(), jobs);
+            }
+            EditRecord::SetFormula { sheet, cell, src } => {
+                let sid = sheet_of(*sheet)?;
+                let formula = Formula::parse(src).map_err(|e| invalid(&e))?;
+                self.stage_formula(sid, *cell, formula, jobs);
+            }
+            EditRecord::ClearRange { sheet, range } => {
+                self.stage_clear(sheet_of(*sheet)?, *range, jobs);
+            }
+            EditRecord::AddSheet { name } => {
+                self.add_sheet(name).map_err(|e| invalid(&e))?;
+            }
+            EditRecord::Structural { sheet, op } => {
+                self.stage_structural(sheet_of(*sheet)?, *op, jobs);
+            }
+        }
+        Ok(())
+    }
+
+    /// Stages a plain value.
+    fn stage_value(&mut self, sid: usize, cell: Cell, v: Value, jobs: &mut Vec<Job>) {
+        // Overwriting a formula cell drops its cross-sheet dependencies
+        // (a plain value cell cannot own cross edges — skip the scan).
+        if self.sheets[sid].engine.formula_at(cell).is_some() {
+            self.xedges.remove_dep(SheetId(sid), cell);
+        }
+        let receipt = self.sheets[sid].engine.set_value(cell, v);
+        Job::push_receipt(jobs, sid, Range::cell(cell), receipt);
+    }
+
+    /// Stages a cleared range.
+    fn stage_clear(&mut self, sid: usize, range: Range, jobs: &mut Vec<Job>) {
+        self.xedges.remove_deps_in(SheetId(sid), range);
+        let receipt = self.sheets[sid].engine.clear_range(range);
+        Job::push_receipt(jobs, sid, range, receipt);
+    }
+
+    /// Stages a parsed formula: registers cross edges for foreign
+    /// qualified references and hands the rest to the sheet engine.
+    fn stage_formula(&mut self, sid: usize, cell: Cell, formula: Formula, jobs: &mut Vec<Job>) {
         if self.sheets[sid].engine.formula_at(cell).is_some() {
             self.xedges.remove_dep(SheetId(sid), cell);
         }
@@ -877,7 +837,63 @@ impl<B: DependencyBackend> Workbook<B> {
             // `rebind_dangling_refs`).
         }
         let receipt = self.sheets[sid].engine.set_parsed_formula(cell, formula);
-        Job::from_receipt(sid, Range::cell(cell), receipt)
+        Job::push_receipt(jobs, sid, Range::cell(cell), receipt);
+    }
+
+    /// Stages a structural edit: local transform, cross-edge remap, and
+    /// referrer rewrites.
+    fn stage_structural(&mut self, sid: usize, op: StructuralOp, jobs: &mut Vec<Job>) {
+        // Snapshot the distinct foreign formula cells that read this
+        // sheet *before* mutating anything: these are exactly the
+        // formulas whose qualified references may need rewriting.
+        let mut referrers: Vec<(usize, Cell)> = Vec::new();
+        for e in self.xedges.outgoing(sid) {
+            if !referrers.contains(&(e.dst.0, e.dep)) {
+                referrers.push((e.dst.0, e.dep));
+            }
+        }
+        // The cross table's row order reflects edit history, which a
+        // snapshot round trip does not preserve. Rewrite order feeds the
+        // destination graphs' compressors, so sort it: a replayed
+        // structural edit must reproduce the live one bit for bit.
+        referrers.sort_unstable();
+
+        // Local transform. The receipt's dirty ranges are the formulas
+        // whose value may change, so they double as hop origins: any
+        // cross edge overlapping them routes dirtiness to other sheets.
+        let receipt = self.sheets[sid].engine.apply_structural(op);
+        jobs.extend(receipt.dirty.into_iter().map(|r| Job::expanded(sid, r)));
+
+        // The edited sheet's own formulas moved; the edges they own
+        // follow them. (Their referenced ranges live on other sheets and
+        // are untouched by this edit.)
+        self.xedges.remap_deps_on(sid, op);
+
+        // Rewrite each referrer whose references into the edited sheet
+        // actually move; identity rewrites are skipped so untouched
+        // formulas keep their original source text.
+        let own = self.sheets[sid].name.name().to_string();
+        let own = Some(own.as_str());
+        for (dsid, dep) in referrers {
+            let Some(formula) = self.sheets[dsid].engine.formula_at(dep).cloned() else {
+                continue;
+            };
+            let ast = formula.ast.map_refs(&mut |q| map_ref(op, own, q, false));
+            if ast == formula.ast {
+                // Same text, but a range the band cut through (clamped at
+                // the grid edge) still reads cells that moved.
+                if band_disturbs(op, own, &formula.refs, false) {
+                    self.sheets[dsid].engine.mark_cell_dirty(dep);
+                    jobs.push(Job::hop(dsid, dep));
+                }
+                continue;
+            }
+            let refs = ast.collect_refs();
+            self.stage_formula(dsid, dep, Formula { src: ast.to_string(), ast, refs }, jobs);
+            // The rewrite dirtied the referrer itself; the formula-edit
+            // receipt only reports its dependents.
+            jobs.push(Job::expanded(dsid, Range::cell(dep)));
+        }
     }
 
     // ---- queries -------------------------------------------------------
@@ -1104,7 +1120,7 @@ impl<B: DependencyBackend> Workbook<B> {
             // with them read-only. A sheet the level's formulae reference
             // sits in another level: an earlier one, final by now, unless
             // the two share a cycle.
-            let mut jobs: Vec<&mut SheetShard<B>> = Vec::with_capacity(work.len());
+            let mut jobs: Vec<&mut SheetShard> = Vec::with_capacity(work.len());
             let mut others: Vec<Option<&CellStore>> = Vec::with_capacity(sheets.len());
             for (i, shard) in sheets.iter_mut().enumerate() {
                 if work.binary_search(&i).is_ok() {
@@ -1610,7 +1626,7 @@ mod tests {
     #[test]
     fn rebinding_dedups_repeated_references() {
         // The rebind path must apply the same one-edge-per-distinct-range
-        // dedup as the live apply_formula path.
+        // dedup as the live stage_formula path.
         let mut wb = Workbook::with_taco();
         let a = wb.add_sheet("A").unwrap();
         wb.set_formula(a, c("B1"), "=Late!A1+Late!A1*2").unwrap();

@@ -66,9 +66,13 @@
 //! file): edits then go through [`PersistentWorkbook::log_batch`], which
 //! appends the whole batch to the WAL with one fsync decision, so a crash
 //! reopens to a clean *prefix* of the applied edit order (the WAL tear
-//! rules of `taco_store::wal`).
+//! rules of `taco_store::wal`). An `Autofill` takes the same path: the
+//! worker expands it into the `SetFormula` records it stands for
+//! ([`Workbook::autofill_records`]) and applies those as one batch, so a
+//! fill is one durability decision however many cells it writes.
 //!
 //! [`Workbook::apply_batch`]: taco_engine::Workbook::apply_batch
+//! [`Workbook::autofill_records`]: taco_engine::Workbook::autofill_records
 
 use crate::obs::ServiceObs;
 use crate::protocol::{Request, Response, ServiceStats};
@@ -570,24 +574,6 @@ impl Backing {
             Backing::Plain(wb) => wb.apply_batch(records),
             Backing::Persistent(p) => p.log_batch(records),
         }
-    }
-
-    fn autofill(
-        &mut self,
-        sheet: SheetId,
-        src: Cell,
-        targets: Range,
-    ) -> Result<WorkbookReceipt, taco_store::StoreError> {
-        match self {
-            Backing::Plain(wb) => wb
-                .autofill(sheet, src, targets)
-                .map_err(|e| taco_store::StoreError::InvalidRecord(e.to_string())),
-            Backing::Persistent(p) => p.autofill(sheet, src, targets),
-        }
-    }
-
-    fn is_persistent(&self) -> bool {
-        matches!(self, Backing::Persistent(_))
     }
 
     /// Attaches engine (and, when persistent, WAL) instrumentation.
@@ -1406,20 +1392,58 @@ fn worker_loop(
     }
 }
 
-/// Applies one drained run of writes: consecutive edits in one batch
-/// (one `apply_batch`, one recalculation), autofills individually. All
-/// replies carry the epoch of the snapshot published at the end.
+/// Applies `records` as one batch ([`Backing::apply_batch`]: one routing
+/// pass, one durability decision) and pushes one result per record, in
+/// order. Failure discipline (cold paths — requests are pre-validated):
 ///
-/// Failure discipline (cold paths — requests are pre-validated):
-///
-/// - an **apply**-stage batch failure applied and routed only the prefix;
-///   the suffix re-applies individually so every edit gets a true result;
+/// - an **apply**-stage failure applied and routed only the prefix: the
+///   failing record reports its error and the suffix goes round again,
+///   so every edit gets a true result;
 /// - a **log**-stage failure means the edits are live in memory but the
 ///   WAL is short: nothing may be re-applied (double-apply) or appended
-///   (a hole in the log), so the affected edits are answered with a typed
-///   [`ServiceError::Degraded`] and the degraded state rejects further
-///   writes until `Save` heals the log by rewriting the snapshot from the
-///   live state.
+///   (a hole in the log), so the records the log does not hold are
+///   answered with a typed [`ServiceError::Degraded`] and the degraded
+///   state rejects further writes until `Save` heals the log by
+///   rewriting the snapshot from the live state.
+fn apply_records(
+    backing: &mut Backing,
+    shared: &BookShared,
+    wobs: &Option<WorkerObs>,
+    mut records: &[EditRecord],
+    results: &mut Vec<Result<u64, ServiceError>>,
+) {
+    use taco_engine::BatchStage;
+    while !records.is_empty() {
+        let failed = match backing.apply_batch(records) {
+            Ok(receipt) => {
+                let dirty = receipt.dirty.len() as u64;
+                results.extend(records.iter().map(|_| Ok(dirty)));
+                return;
+            }
+            Err(failed) => failed,
+        };
+        results.extend(records[..failed.index].iter().map(|_| Ok(0)));
+        records = &records[failed.index..];
+        match failed.stage {
+            BatchStage::Log => {
+                degrade(shared, wobs, format!("wal append failed: {}", failed.error));
+                results.extend(records.iter().map(|_| Err(shared.degraded_error())));
+                return;
+            }
+            BatchStage::Apply => {
+                results.push(Err(ServiceError::BadRequest(failed.error.to_string())));
+                records = &records[1..];
+            }
+        }
+    }
+}
+
+/// Applies one drained run of writes: consecutive edits in one batch,
+/// each autofill as the batch of `SetFormula` records it stands for (it
+/// breaks the run, because its source formula must see the records
+/// before it), then one recalculation and one publication. All replies
+/// carry the epoch of the snapshot published at the end; see
+/// [`apply_records`] for what a failed record answers.
 fn apply_writes(
     backing: &mut Backing,
     shared: &Arc<BookShared>,
@@ -1428,7 +1452,6 @@ fn apply_writes(
     batch_guard: Option<taco_obs::SpanGuard>,
     writes: Vec<(WriteOp, TraceContext, Sender<Response>)>,
 ) {
-    use taco_engine::BatchStage;
     // The ops move into their batches; each gets one result, in order,
     // answered once the new epoch is known.
     let (ops, replies): (Vec<WriteOp>, Vec<Sender<Response>>) =
@@ -1441,6 +1464,7 @@ fn apply_writes(
             results.push(Err(shared.degraded_error()));
             continue;
         }
+        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
         match op {
             WriteOp::Edit(first) => {
                 let mut records = vec![first];
@@ -1453,76 +1477,28 @@ fn apply_writes(
                     changes.record(rec);
                 }
                 shared.stats.edits.fetch_add(records.len() as u64, Ordering::Relaxed);
-                shared.stats.batches.fetch_add(1, Ordering::Relaxed);
                 if records.len() > 1 {
                     shared.stats.coalesced.fetch_add(records.len() as u64, Ordering::Relaxed);
                 }
-                match backing.apply_batch(&records) {
-                    Ok(receipt) => {
-                        let dirty = receipt.dirty.len() as u64;
-                        results.extend(records.iter().map(|_| Ok(dirty)));
-                    }
-                    Err(be) if be.stage == BatchStage::Log => {
-                        // Live workbook ahead of the log: acknowledge the
-                        // durably-logged prefix, fail the rest, and stop
-                        // logging anything further.
-                        degrade(shared, wobs, format!("wal append failed: {}", be.error));
-                        results.extend((0..records.len()).map(|k| {
-                            if k < be.index {
-                                Ok(0)
-                            } else {
-                                Err(shared.degraded_error())
-                            }
-                        }));
-                    }
-                    Err(be) => {
-                        // Apply-stage: the prefix applied and routed; the
-                        // failing record reports its error; the suffix
-                        // re-applies individually so each edit gets a
-                        // true result.
-                        for k in 0..records.len() {
-                            results.push(if k < be.index {
-                                Ok(0)
-                            } else if k == be.index {
-                                Err(ServiceError::BadRequest(be.error.to_string()))
-                            } else if shared.is_degraded() {
-                                Err(shared.degraded_error())
-                            } else {
-                                match backing.apply_batch(&records[k..=k]) {
-                                    Ok(receipt) => Ok(receipt.dirty.len() as u64),
-                                    Err(e) if e.stage == BatchStage::Log => {
-                                        degrade(
-                                            shared,
-                                            wobs,
-                                            format!("wal append failed: {}", e.error),
-                                        );
-                                        Err(shared.degraded_error())
-                                    }
-                                    Err(e) => Err(ServiceError::BadRequest(e.error.to_string())),
-                                }
-                            });
-                        }
-                    }
-                }
+                apply_records(backing, shared, wobs, &records, &mut results);
             }
             WriteOp::Autofill { sheet, src, targets } => {
                 shared.stats.edits.fetch_add(1, Ordering::Relaxed);
-                shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-                results.push(if (sheet as usize) >= backing.workbook().sheet_count() {
+                let wb = backing.workbook();
+                let records = if (sheet as usize) >= wb.sheet_count() {
                     Err(ServiceError::NoSuchSheet(format!("#{sheet}")))
                 } else {
-                    match backing.autofill(SheetId(sheet as usize), src, targets) {
-                        Ok(receipt) => Ok(receipt.dirty.len() as u64),
-                        // An I/O failure from a persistent autofill is a
-                        // WAL append that died after the fill applied —
-                        // same discipline as a log-stage batch failure.
-                        Err(e @ taco_store::StoreError::Io { .. }) if backing.is_persistent() => {
-                            degrade(shared, wobs, format!("wal append failed: {e}"));
-                            Err(shared.degraded_error())
-                        }
-                        Err(e) => Err(ServiceError::BadRequest(format!("autofill: {e}"))),
-                    }
-                });
+                    wb.autofill_records(SheetId(sheet as usize), src, targets)
+                        .map_err(|e| ServiceError::BadRequest(format!("autofill: {e}")))
+                };
+                // One request, one answer: the first record that failed,
+                // else the fill's routing count. (The records are formula
+                // writes: the recalculation hands them to the publisher.)
+                results.push(records.and_then(|records| {
+                    let mut each = Vec::with_capacity(records.len());
+                    apply_records(backing, shared, wobs, &records, &mut each);
+                    each.into_iter().try_fold(0, |_, result| result)
+                }));
             }
         }
     }

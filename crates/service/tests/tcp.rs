@@ -9,6 +9,7 @@ use taco_engine::{EditRecord, PersistOptions, PersistentWorkbook, RecalcMode, Sh
 use taco_formula::{CellError, Value};
 use taco_grid::{Cell, Range};
 use taco_service::{Registry, Server, ServerOptions, ServiceError, ServiceOptions, TcpClient};
+use taco_store::{FaultPlan, FaultVfs, ReplayMode, StoreError, Vfs, WalReader};
 
 fn n(v: f64) -> Value {
     Value::Number(v)
@@ -267,7 +268,7 @@ fn run_record(client: &mut TcpClient, names: &[&str], rec: &EditRecord) {
 
 /// Sorted `(cell, value)` pairs of one sheet read over the wire.
 fn wire_cells(client: &mut TcpClient, sheet: &str) -> Vec<(Cell, Value)> {
-    client.get_range(sheet, Range::from_coords(1, 1, 24, 48)).unwrap()
+    client.get_range(sheet, Range::from_coords(1, 1, 24, 96)).unwrap()
 }
 
 /// Sorted `(cell, value)` pairs of one bare sheet.
@@ -507,4 +508,189 @@ fn hostile_nesting_is_a_typed_error_and_the_server_keeps_serving() {
     client.close().unwrap();
     server.shutdown();
     registry.shutdown();
+}
+
+// ---- persistent autofill ------------------------------------------------
+
+/// Rows of the fill fixture: the source cell plus 69 filled ones.
+const FILL_ROWS: u32 = 70;
+/// Relative, `$`-mixed and sheet-qualified references, one of them a
+/// cross-sheet expanding range.
+const FILL_SRC: &str = "=Data!A1*$B1+B$1+D1+SUM(Data!$A$1:A1)";
+
+fn fill_targets() -> Range {
+    // The source cell sits inside its own targets.
+    Range::from_coords(3, 1, 3, FILL_ROWS)
+}
+
+/// Inputs for [`FILL_SRC`] on `Summary!C1`: `Data!A`, `Summary!B`, `Summary!D`.
+fn fill_workbook() -> Workbook {
+    let mut wb = Workbook::with_taco();
+    let data = wb.add_sheet("Data").unwrap();
+    let summary = wb.add_sheet("Summary").unwrap();
+    for row in 1..=FILL_ROWS {
+        let x = f64::from(row);
+        wb.set_value(data, Cell::new(1, row), n(x * 1.5 + 0.1));
+        wb.set_value(summary, Cell::new(2, row), n(x / 7.0));
+        wb.set_value(summary, Cell::new(4, row), n(100.0 - x));
+    }
+    wb.recalculate(RecalcMode::Serial);
+    wb
+}
+
+/// The oracle: formula, fill through [`Workbook::autofill`] (the AST
+/// route, which never prints a formula to parse it back), then a value
+/// edit upstream of every filled cell.
+fn filled_mirror() -> Workbook {
+    let mut mirror = fill_workbook();
+    mirror.set_formula(SheetId(1), c("C1"), FILL_SRC).unwrap();
+    mirror.autofill(SheetId(1), c("C1"), fill_targets()).unwrap();
+    mirror.set_value(SheetId(0), c("A3"), n(1000.5));
+    mirror.recalculate(RecalcMode::Serial);
+    mirror
+}
+
+/// Numbers as their bit patterns, so that equal means bit-identical.
+fn bitwise(cells: Vec<(Cell, Value)>) -> Vec<(Cell, Result<u64, Value>)> {
+    let bits = |v| match v {
+        Value::Number(x) => Ok(x.to_bits()),
+        other => Err(other),
+    };
+    cells.into_iter().map(|(cl, v)| (cl, bits(v))).collect()
+}
+
+/// `got` holds exactly `want`'s cells: values bit for bit, formula texts
+/// included.
+fn assert_same_book(got: &Workbook, want: &Workbook, what: &str) {
+    assert_eq!(got.sheet_count(), want.sheet_count(), "{what}");
+    for i in 0..want.sheet_count() {
+        assert_eq!(bitwise(bare_cells(got, i)), bitwise(bare_cells(want, i)), "{what}: sheet {i}");
+        for (cell, _) in want.sheet(SheetId(i)).cells() {
+            assert_eq!(
+                got.formula_of(SheetId(i), cell),
+                want.formula_of(SheetId(i), cell),
+                "{what}: formula text of sheet {i} {cell}"
+            );
+        }
+    }
+}
+
+fn wal_fsyncs(client: &mut TcpClient) -> u64 {
+    client.metrics().unwrap().counter("taco_wal_fsyncs_total").expect("WAL instrumented")
+}
+
+/// A served autofill is logged as the batch of formulas it produced: the
+/// published cells equal the AST-route mirror, the request costs **one**
+/// fsync under `sync_every_records: 1` (not one per filled cell), and a
+/// crash without `Save` reopens to the live cells from the WAL alone.
+#[test]
+fn persistent_autofill_is_one_logged_batch_and_reopens_bit_for_bit() {
+    let path = std::env::temp_dir().join(format!("taco_tcp_autofill_{}.taco", std::process::id()));
+    let wal = taco_engine::wal_path(&path);
+    let mirror = filled_mirror();
+    let live: Vec<Vec<(Cell, Value)>>;
+    {
+        let pw =
+            PersistentWorkbook::create(&path, fill_workbook(), PersistOptions::default()).unwrap();
+        let registry = Arc::new(Registry::new(ServiceOptions::default()));
+        registry.add_persistent("durable", pw, None).unwrap();
+        let server = serve(Arc::clone(&registry));
+        let mut client = TcpClient::connect(server.local_addr()).unwrap();
+        client.open("durable", None, None).unwrap();
+
+        client.set_formula("Summary", c("C1"), FILL_SRC).unwrap();
+        let before = wal_fsyncs(&mut client);
+        client.autofill("Summary", c("C1"), fill_targets()).unwrap();
+        assert_eq!(
+            wal_fsyncs(&mut client) - before,
+            1,
+            "one acknowledged request is one durability decision"
+        );
+        client.set_value("Data", c("A3"), n(1000.5)).unwrap();
+        assert_eq!(client.stats().unwrap().edits, 3, "a fill counts as one edit");
+
+        live = ["Data", "Summary"].iter().map(|name| wire_cells(&mut client, name)).collect();
+        for (i, cells) in live.iter().enumerate() {
+            assert_eq!(
+                bitwise(cells.clone()),
+                bitwise(bare_cells(&mirror, i)),
+                "records route must publish what the AST route computes (sheet {i})"
+            );
+        }
+        assert!(live[1].len() as u32 >= 3 * FILL_ROWS, "the filled column is published");
+
+        // Crash: no Save, so the snapshot on disk predates every edit.
+        server.shutdown();
+        registry.shutdown();
+    }
+    let mut reopened = Workbook::open(&path).expect("reopen from snapshot + WAL");
+    reopened.recalculate(RecalcMode::Serial);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&wal).ok();
+    for (i, cells) in live.into_iter().enumerate() {
+        assert_eq!(bitwise(bare_cells(&reopened, i)), bitwise(cells), "reopened sheet {i}");
+    }
+    assert_same_book(&reopened, &mirror, "reopened vs mirror");
+}
+
+/// The disk fills in the middle of a fill's records: the request is
+/// answered with the typed `Degraded` error a failed batch gives, the
+/// live workbook (ahead of its log) keeps serving the whole fill, and a
+/// `Save` after storage recovers heals log and snapshot.
+#[test]
+fn autofill_failing_mid_log_degrades_like_a_batch_and_save_heals() {
+    let fv = FaultVfs::pristine(19);
+    let disk: Arc<dyn Vfs> = Arc::new(fv.clone());
+    let path = std::path::Path::new("book.taco");
+    let wal = taco_engine::wal_path(path);
+    let pw = PersistentWorkbook::create_with(
+        Arc::clone(&disk),
+        path,
+        fill_workbook(),
+        PersistOptions::default(),
+    )
+    .unwrap();
+    let registry = Arc::new(Registry::new(ServiceOptions::default()));
+    registry.add_persistent("durable", pw, None).unwrap();
+    let server = serve(Arc::clone(&registry));
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    client.open("durable", None, None).unwrap();
+    client.set_formula("Summary", c("C1"), FILL_SRC).unwrap();
+
+    // Nothing was truncated or rewritten yet, so every byte written so
+    // far sits in one of the two files; 1 kB more holds some of the
+    // fill's 69 records (a few dozen bytes each) and not all of them.
+    let logged = |disk: &dyn Vfs| {
+        WalReader::load_with(disk, &wal, ReplayMode::Strict).unwrap().records.len()
+    };
+    let written = (disk.read(path).unwrap().len() + disk.read(&wal).unwrap().len()) as u64;
+    let logged_before = logged(disk.as_ref());
+    fv.set_plan(FaultPlan { disk_capacity: Some(written + 1024), ..FaultPlan::none(19) });
+
+    let err = client.autofill("Summary", c("C1"), fill_targets()).unwrap_err();
+    let full = StoreError::Io { kind: std::io::ErrorKind::StorageFull };
+    assert_eq!(err, ServiceError::Degraded(format!("wal append failed: {full}")));
+    let in_log = logged(disk.as_ref()) - logged_before;
+    assert!(0 < in_log && in_log < 69, "the append must fail mid-fill, {in_log} records in");
+    // Sticky, like any degraded workbook…
+    assert_eq!(client.set_value("Data", c("A3"), n(1000.5)).unwrap_err(), err);
+    assert_eq!(client.stats().unwrap().degraded, 1);
+    // …while the live workbook, ahead of its log, serves the whole fill.
+    let mut mirror = fill_workbook();
+    mirror.set_formula(SheetId(1), c("C1"), FILL_SRC).unwrap();
+    mirror.autofill(SheetId(1), c("C1"), fill_targets()).unwrap();
+    mirror.recalculate(RecalcMode::Serial);
+    assert_eq!(bitwise(wire_cells(&mut client, "Summary")), bitwise(bare_cells(&mirror, 1)));
+
+    // Storage recovers: Save rewrites the snapshot from the live state.
+    fv.set_plan(FaultPlan::none(19));
+    assert_eq!(client.save().unwrap(), 0);
+    assert_eq!(client.stats().unwrap().degraded, 0);
+    client.set_value("Data", c("A3"), n(1000.5)).unwrap();
+    server.shutdown();
+    registry.shutdown();
+
+    let mut reopened = Workbook::open_with(disk, path).expect("reopen healed store");
+    reopened.recalculate(RecalcMode::Serial);
+    assert_same_book(&reopened, &filled_mirror(), "healed store vs mirror");
 }

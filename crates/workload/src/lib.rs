@@ -16,11 +16,6 @@
 //! deterministic multi-client read/write scripts (reader-heavy,
 //! writer-heavy, and mixed presets with zipf-skewed cell targets) for the
 //! `taco_service` serving layer, replayable in-process and over TCP.
-//!
-//! [`xlsx`] additionally loads *real* `.xlsx` files through `calamine` (the
-//! Rust analogue of the Apache POI parser the paper's prototype uses), so
-//! every experiment can also run against actual spreadsheets when
-//! available.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +26,6 @@ pub mod persistence;
 pub mod service;
 pub mod stats;
 pub mod workbook;
-pub mod xlsx;
 
 pub use corpus::{enron_like, github_like, CorpusParams};
 pub use generator::{Region, SheetParams, SyntheticSheet};

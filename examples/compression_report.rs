@@ -1,37 +1,27 @@
-//! Per-pattern compression report over a corpus (or one real `.xlsx`):
-//! which tabular-locality patterns carry the compression, sheet by sheet.
+//! Per-pattern compression report over a synthetic corpus: which
+//! tabular-locality patterns carry the compression, sheet by sheet.
 //!
 //! ```sh
-//! cargo run --release --example compression_report [file.xlsx]
+//! cargo run --release --example compression_report
 //! ```
 
 use taco_repro::core::{Config, FormulaGraph, PatternType};
-use taco_repro::workload::{enron_like, xlsx};
+use taco_repro::workload::enron_like;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-
-    let sheets: Vec<(String, Vec<taco_repro::core::Dependency>)> = if let Some(path) = args.get(1) {
-        let report = xlsx::load_workbook(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("failed to load {path}: {e}");
-            std::process::exit(1);
-        });
-        vec![(path.clone(), report.deps)]
-    } else {
-        enron_like(0.15).generate().into_iter().map(|s| (s.name, s.deps)).collect()
-    };
+    let sheets = enron_like(0.15).generate();
 
     println!(
         "{:<12} {:>9} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "sheet", "deps", "edges", "remain", "RR", "RF", "FR", "FF", "Chain", "Single"
     );
-    for (name, deps) in &sheets {
-        let g = FormulaGraph::build(Config::taco_full(), deps.iter().copied());
+    for sheet in &sheets {
+        let g = FormulaGraph::build(Config::taco_full(), sheet.deps.iter().copied());
         let s = g.stats();
         let singles = g.edges().filter(|e| e.is_single()).count();
         println!(
             "{:<12} {:>9} {:>8} {:>6.2}% {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            name,
+            sheet.name,
             s.dependencies,
             s.edges,
             100.0 * s.remaining_fraction(),

@@ -1,58 +1,41 @@
 //! Formula auditing (the Excel "Trace Dependents / Trace Precedents" use
-//! case from §I): load a workbook — a real `.xlsx` if a path is given,
-//! otherwise a generated one — and trace a cell's dependency neighbourhood
-//! on the compressed graph.
+//! case from §I): generate a mid-sized sheet and trace a cell's dependency
+//! neighbourhood on the compressed graph.
 //!
 //! ```sh
-//! cargo run --release --example dependency_audit [file.xlsx [CELL]]
+//! cargo run --release --example dependency_audit [CELL]
 //! ```
 
-use taco_repro::core::{Config, FormulaGraph};
+use taco_repro::core::{Config, FormulaGraph, QueryScratch};
 use taco_repro::grid::{Cell, Range};
-use taco_repro::workload::{enron_like, xlsx};
+use taco_repro::workload::enron_like;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let corpus = enron_like(0.1);
+    let sheet = corpus.generate().pop().expect("non-empty corpus");
+    println!("auditing synthetic sheet {} ({} deps)", sheet.name, sheet.deps.len());
 
-    let (label, deps, default_probe) = if let Some(path) = args.get(1) {
-        let report = xlsx::load_workbook(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("failed to load {path}: {e}");
-            std::process::exit(1);
-        });
-        println!(
-            "loaded {path}: {} formulas parsed, {} skipped, {} dependencies",
-            report.formulas_parsed,
-            report.formulas_skipped,
-            report.deps.len()
-        );
-        let probe = report.deps.first().map(|d| d.prec.head()).unwrap_or(Cell::new(1, 1));
-        (path.clone(), report.deps, probe)
-    } else {
-        // No file given: audit a mid-sized generated sheet.
-        let corpus = enron_like(0.1);
-        let sheet = corpus.generate().pop().expect("non-empty corpus");
-        let probe = sheet.hot_cells.first().copied().unwrap_or(Cell::new(1, 1));
-        println!(
-            "no xlsx given; auditing synthetic sheet {} ({} deps)",
-            sheet.name,
-            sheet.deps.len()
-        );
-        (sheet.name.clone(), sheet.deps, probe)
+    let probe = match std::env::args().nth(1) {
+        Some(s) => Cell::parse_a1(&s).expect("valid A1 cell"),
+        None => sheet.hot_cells.first().copied().unwrap_or(Cell::new(1, 1)),
     };
 
-    let probe =
-        args.get(2).map(|s| Cell::parse_a1(s).expect("valid A1 cell")).unwrap_or(default_probe);
-
-    let graph = FormulaGraph::build(Config::taco_full(), deps.iter().copied());
+    let graph = FormulaGraph::build(Config::taco_full(), sheet.deps.iter().copied());
     let stats = graph.stats();
     println!(
-        "[{label}] graph: {} edges for {} dependencies ({:.2}% remaining)",
+        "[{}] graph: {} edges for {} dependencies ({:.2}% remaining)",
+        sheet.name,
         stats.edges,
         stats.dependencies,
         100.0 * stats.remaining_fraction()
     );
 
-    let (dependents, dstats) = graph.find_dependents_with_stats(Range::cell(probe));
+    let mut dependents = Vec::new();
+    let dstats = graph.find_dependents_with_scratch(
+        Range::cell(probe),
+        &mut QueryScratch::new(),
+        &mut dependents,
+    );
     let dep_cells: u64 = dependents.iter().map(Range::area).sum();
     println!("\ntrace dependents of {probe}: {dep_cells} cells in {} ranges", dependents.len());
     for r in dependents.iter().take(12) {
