@@ -3,11 +3,12 @@
 //! ```text
 //! CellStore
 //!   cols: [Column]              sorted by col, one per column ever written,
-//!                               with the clock of its last write
+//!                               with when its rows were last written
 //!     pages: [Page]             sorted by index, one per PAGE_ROWS-row band
 //!       slots: [Slot; 256]      that holds a cell; allocated on first write
 //!         content.value         inline (24 bytes) — what a range scan reads
-//!         content.formula       behind a pointer
+//!         content.run           the formula, behind a pointer shared by
+//!                               every cell of its run
 //!         flags                 OCCUPIED | DIRTY
 //!   dirty: [Cell]               exactly the cells whose DIRTY bit is set
 //! ```
@@ -41,8 +42,7 @@ struct Slot {
 
 impl Slot {
     /// A slot holding no cell: it reads as `Value::Empty`.
-    const VACANT: Slot =
-        Slot { content: CellContent { value: Value::Empty, formula: None }, flags: 0 };
+    const VACANT: Slot = Slot { content: CellContent { value: Value::Empty, run: None }, flags: 0 };
 }
 
 /// What a page that was never allocated reads as.
@@ -59,9 +59,57 @@ struct Page {
 struct Column {
     col: u32,
     pages: Vec<Page>,
-    /// The engine's write clock at the last write of a value in this
-    /// column (what its remembered sums are checked against).
-    written: u64,
+    /// When the column's rows were last written (what remembered folds
+    /// over it are checked against).
+    writes: Writes,
+}
+
+/// Steps a column's [`Writes`] keep apart before the oldest are merged.
+const WRITE_STEPS: usize = 8;
+
+/// When the rows of one column were last written, by the engine's write
+/// clock: `through(r)` is no earlier than the latest write at row `r` or
+/// any row above it, so a fold over rows `..=r` remembered at or after
+/// that clock has seen all of them — whatever was written *below* `r`
+/// since. That is the shape recalculation writes in: a cumulative column
+/// over a formula column evaluated in the same pass is asked for rows
+/// `..=r` just after row `r` of its input was written and before row
+/// `r + 1` is.
+///
+/// Kept as steps `(row, clock)`, rows and clocks both ascending: a write
+/// at the newest clock replaces every step at its row or below (the
+/// prefix maximum there is now its clock). Exact while the steps fit;
+/// past [`WRITE_STEPS`] the oldest are merged into one that claims their
+/// first row for their latest clock — later than the truth for the rows
+/// between, never earlier.
+#[derive(Default)]
+struct Writes {
+    steps: [(u32, u64); WRITE_STEPS],
+    len: usize,
+}
+
+impl Writes {
+    /// Records a write at `row` — or at `row` and any rows below it — at
+    /// clock `at`, the newest so far.
+    fn stamp(&mut self, row: u32, at: u64) {
+        while self.len > 0 && self.steps[self.len - 1].0 >= row {
+            self.len -= 1;
+        }
+        if self.len == WRITE_STEPS {
+            const HALF: usize = WRITE_STEPS / 2;
+            self.steps[0].1 = self.steps[HALF - 1].1;
+            self.steps.copy_within(HALF.., 1);
+            self.len -= HALF - 1;
+        }
+        self.steps[self.len] = (row, at);
+        self.len += 1;
+    }
+
+    /// A clock no earlier than the latest write at `row` or above it
+    /// (`0`: none).
+    fn through(&self, row: u32) -> u64 {
+        self.steps[..self.len].iter().rev().find(|step| step.0 <= row).map_or(0, |step| step.1)
+    }
 }
 
 /// Where the item with `key` sits in `items` (sorted by key), as
@@ -112,6 +160,28 @@ fn fold_slots<A, B>(
     slots.iter().try_fold(init, |acc, slot| f(acc, &slot.content.value))
 }
 
+/// Folds a band of rows across several columns, row by row: `columns`
+/// holds one slice per column, all of one length. Out of line for the
+/// reason [`fold_slots`] is — inlined into [`CellStore::fold_range`], next
+/// to the `Vec` it fills per band, the accumulator of a `SUM` over
+/// `$A$1:B{r}` was stored to and reloaded from the stack around every
+/// addition.
+#[inline(never)]
+fn fold_rows<A, B>(
+    columns: &[&[Slot]],
+    init: A,
+    f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+) -> ControlFlow<B, A> {
+    let rows = columns.first().map_or(0, |slots| slots.len());
+    let mut acc = init;
+    for at in 0..rows {
+        for slots in columns {
+            acc = f(acc, &slots[at].content.value)?;
+        }
+    }
+    ControlFlow::Continue(acc)
+}
+
 impl Column {
     fn page(&self, index: u32) -> Option<&Page> {
         let i = locate(&self.pages, index, 0, |p| p.index).ok()?;
@@ -151,6 +221,8 @@ impl Column {
 pub(crate) struct CellStore {
     cols: Vec<Column>,
     len: usize,
+    /// How many of the `len` cells hold a formula.
+    formulas: usize,
     dirty: Vec<Cell>,
 }
 
@@ -183,6 +255,11 @@ impl CellStore {
         self.len
     }
 
+    /// Number of formula cells.
+    pub(crate) fn formulas(&self) -> usize {
+        self.formulas
+    }
+
     /// What `cell` holds, `None` when blank.
     pub(crate) fn get(&self, cell: Cell) -> Option<&CellContent> {
         self.slot(cell).filter(|s| s.flags & OCCUPIED != 0).map(|s| &s.content)
@@ -200,9 +277,9 @@ impl CellStore {
         let column = &mut self.cols[i];
         let Ok(j) = locate(&column.pages, page_of(cell.row), 0, |p| p.index) else { return };
         let content = &mut column.pages[j].slots[slot_of(cell.row)].content;
-        if content.formula.is_some() {
+        if content.run.is_some() {
             content.value = value;
-            column.written = at;
+            column.writes.stamp(cell.row, at);
         }
     }
 
@@ -217,11 +294,12 @@ impl CellStore {
         let i = match locate(&self.cols, cell.col, 1, |c| c.col) {
             Ok(i) => i,
             Err(i) => {
-                self.cols.insert(i, Column { col: cell.col, pages: Vec::new(), written: 0 });
+                let writes = Writes::default();
+                self.cols.insert(i, Column { col: cell.col, pages: Vec::new(), writes });
                 i
             }
         };
-        self.cols[i].written = at;
+        self.cols[i].writes.stamp(cell.row, at);
         let pages = &mut self.cols[i].pages;
         let index = page_of(cell.row);
         let j = match locate(pages, index, 0, |p| p.index) {
@@ -234,8 +312,10 @@ impl CellStore {
         };
         let page = &mut pages[j];
         let slot = &mut page.slots[slot_of(cell.row)];
+        self.formulas += usize::from(content.run.is_some());
         let old = std::mem::replace(&mut slot.content, content);
         if slot.flags & OCCUPIED != 0 {
+            self.formulas -= usize::from(old.run.is_some());
             return Some(old);
         }
         slot.flags |= OCCUPIED;
@@ -249,13 +329,14 @@ impl CellStore {
     /// one pass over the dirty list if a dirty cell went). Column headers
     /// stay, with their clocks.
     pub(crate) fn remove_range(&mut self, range: Range, at: u64) {
-        let (mut removed, mut undirtied) = (0usize, false);
+        let (mut removed, mut formulas, mut undirtied) = (0usize, 0usize, false);
         let columns = self.columns_in(range);
         for column in &mut self.cols[columns] {
-            column.written = at;
+            column.writes.stamp(range.head().row, at);
             column.for_pages_in(range.head().row, range.tail().row, |used, _, slots| {
                 for slot in slots.iter_mut().filter(|s| s.flags & OCCUPIED != 0) {
                     undirtied |= slot.flags & DIRTY != 0;
+                    formulas += usize::from(slot.content.run.is_some());
                     *slot = Slot::VACANT;
                     *used -= 1;
                     removed += 1;
@@ -263,6 +344,7 @@ impl CellStore {
             });
         }
         self.len -= removed;
+        self.formulas -= formulas;
         if undirtied {
             self.dirty.retain(|c| !range.contains_cell(*c));
         }
@@ -296,9 +378,16 @@ impl CellStore {
         })
     }
 
-    /// The latest write clock of any column of `range`.
+    /// A clock no earlier than the latest write of any cell of `range`:
+    /// exact about writes below the range's last row, which it ignores
+    /// (see [`Writes`]); a write above its first row counts as one inside.
     pub(crate) fn last_write(&self, range: Range) -> u64 {
-        self.cols[self.columns_in(range)].iter().map(|c| c.written).max().unwrap_or(0)
+        let through = range.tail().row;
+        self.cols[self.columns_in(range)]
+            .iter()
+            .map(|c| c.writes.through(through))
+            .max()
+            .unwrap_or(0)
     }
 
     // ---- dirty marks ------------------------------------------------------
@@ -324,7 +413,7 @@ impl CellStore {
 
     fn mark(&mut self, cell: Cell, formula_only: bool) -> bool {
         let Some(slot) = self.slot_mut(cell) else { return false };
-        let markable = slot.flags == OCCUPIED && !(formula_only && slot.content.formula.is_none());
+        let markable = slot.flags == OCCUPIED && !(formula_only && slot.content.run.is_none());
         if markable {
             slot.flags |= DIRTY;
             self.dirty.push(cell);
@@ -341,7 +430,7 @@ impl CellStore {
             let col = column.col;
             column.for_pages_in(range.head().row, range.tail().row, |_, first, slots| {
                 for (i, slot) in slots.iter_mut().enumerate() {
-                    if slot.flags == OCCUPIED && slot.content.formula.is_some() {
+                    if slot.flags == OCCUPIED && slot.content.run.is_some() {
                         slot.flags |= DIRTY;
                         dirty.push(Cell { col, row: first + i as u32 });
                     }
@@ -379,9 +468,10 @@ impl CellStore {
     ///
     /// A single-column range is one slice scan per page ([`fold_slots`]).
     /// A wider range takes, per band of page rows, each column's slot
-    /// slice and steps across them row by row. Pages and columns that
-    /// were never written read as [`VACANT_PAGE`], so either loop has one
-    /// shape — and one call of `f`, which is what lets it inline.
+    /// slice and steps across them row by row ([`fold_rows`]). Pages and
+    /// columns that were never written read as [`VACANT_PAGE`], so either
+    /// loop has one shape — and one call of `f`, which is what lets it
+    /// inline.
     pub(crate) fn fold_range<A, B>(
         &self,
         range: Range,
@@ -404,13 +494,12 @@ impl CellStore {
                 let mut stored = columns.iter().peekable();
                 pages.clear();
                 pages.extend((head.col..=tail.col).map(|col| {
-                    stored.next_if(|c| c.col == col).map_or(&VACANT_PAGE[..], |c| c.slots(index))
+                    let page = stored
+                        .next_if(|c| c.col == col)
+                        .map_or(&VACANT_PAGE[..], |c| c.slots(index));
+                    &page[span.clone()]
                 }));
-                for at in span {
-                    for page in &pages {
-                        acc = f(acc, &page[at].content.value)?;
-                    }
-                }
+                acc = fold_rows(&pages, acc, f)?;
             }
             if end == tail.row {
                 return ControlFlow::Continue(acc);
@@ -432,9 +521,10 @@ mod tests {
     //! chosen to straddle page boundaries and to sit at the grid's far end.
 
     use super::*;
+    use crate::sheet::Run;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
-    use taco_formula::Formula;
+    use taco_formula::Template;
     use taco_grid::{MAX_COL, MAX_ROW};
 
     const COLS: [u32; 5] = [1, 2, 3, 5, MAX_COL];
@@ -478,11 +568,14 @@ mod tests {
         ]
     }
 
-    fn content(formula: Option<&str>, v: i32) -> CellContent {
+    fn content(cell: Cell, formula: Option<&str>, v: i32) -> CellContent {
         let value = Value::Number(f64::from(v));
         match formula {
             None => CellContent::pure(value),
-            Some(src) => CellContent::formula_cell(Formula::parse(src).unwrap(), value),
+            Some(src) => {
+                let run = Run::new(Template::parse(src).unwrap(), cell, &Default::default());
+                CellContent::formula_cell(run, value)
+            }
         }
     }
 
@@ -495,8 +588,8 @@ mod tests {
     fn apply(op: &Op, store: &mut CellStore, model: &mut Model) {
         match *op {
             Op::Set(cell, formula, v) => {
-                let old = store.insert(cell, content(formula, v), 1);
-                assert_eq!(old, model.cells.insert(cell, content(formula, v)));
+                let old = store.insert(cell, content(cell, formula, v), 1);
+                assert_eq!(old, model.cells.insert(cell, content(cell, formula, v)));
             }
             Op::Clear(range) => {
                 store.remove_range(range, 1);
@@ -513,22 +606,22 @@ mod tests {
                 for cell in dirty {
                     store.mark_dirty(cell);
                 }
-                model.dirty.retain(|c| model.cells[c].formula().is_some());
+                model.dirty.retain(|c| model.cells[c].is_formula());
             }
             Op::StoreResult(cell, v) => {
                 let value = Value::Number(f64::from(v));
                 store.store_result(cell, value.clone(), 1);
-                if let Some(slot) = model.cells.get_mut(&cell).filter(|c| c.formula.is_some()) {
+                if let Some(slot) = model.cells.get_mut(&cell).filter(|c| c.is_formula()) {
                     slot.value = value;
                 }
             }
             Op::Mark(cell) => {
-                let is_formula = model.cells.get(&cell).is_some_and(|c| c.formula.is_some());
+                let is_formula = model.cells.get(&cell).is_some_and(CellContent::is_formula);
                 assert_eq!(store.mark_dirty(cell), is_formula && model.dirty.insert(cell));
             }
             Op::MarkIn(range) => {
                 store.mark_formulas_dirty_in(range);
-                let formulas = model.cells.iter().filter(|(_, k)| k.formula.is_some());
+                let formulas = model.cells.iter().filter(|(_, k)| k.is_formula());
                 model.dirty.extend(formulas.map(|(c, _)| *c).filter(|c| range.contains_cell(*c)));
             }
             Op::RestrictAndRestore(residue) => {
@@ -571,6 +664,7 @@ mod tests {
 
     fn check(store: &CellStore, model: &Model) {
         assert_eq!(store.len(), model.cells.len());
+        assert_eq!(store.formulas(), model.cells.values().filter(|k| k.is_formula()).count());
         let listed: Vec<(Cell, CellContent)> = store.iter().map(|(c, k)| (c, k.clone())).collect();
         let want: Vec<(Cell, CellContent)> =
             model.cells.iter().map(|(c, k)| (*c, k.clone())).collect();
@@ -624,6 +718,51 @@ mod tests {
                 check(&store, &model);
             }
         }
+    }
+
+    /// Every write so far as `(row, clock)`: the latest at `row` or above.
+    fn latest_through(log: &[(u32, u64)], row: u32) -> u64 {
+        log.iter().filter(|w| w.0 <= row).map(|w| w.1).max().unwrap_or(0)
+    }
+
+    proptest! {
+        #[test]
+        fn write_steps_never_predate_a_write_and_stay_exact_behind_a_descending_front(
+            rows in prop::collection::vec(1u32..40, 1..80),
+        ) {
+            let (mut writes, mut log) = (Writes::default(), Vec::new());
+            for (i, &row) in rows.iter().enumerate() {
+                let at = i as u64 + 1;
+                writes.stamp(row, at);
+                log.push((row, at));
+                for probe in 0..42 {
+                    let (got, true_latest) = (writes.through(probe), latest_through(&log, probe));
+                    prop_assert!(got >= true_latest && got <= at, "row {probe} after {log:?}");
+                    // At and below the row just written nothing is newer.
+                    prop_assert!(probe < row || got == at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_written_top_down_knows_exactly_what_is_above_each_row() {
+        // What a recalculation pass does to a formula column, however long:
+        // asked about rows ..=r right after row r + 1 was written, the
+        // answer is the clock of row r's write, not the column's latest.
+        let mut writes = Writes::default();
+        for row in 1..=5_000u32 {
+            writes.stamp(row, u64::from(row) + 100);
+            assert_eq!(writes.through(row), u64::from(row) + 100);
+            if row > 1 {
+                assert_eq!(writes.through(row - 1), u64::from(row) + 99);
+            }
+            assert!(writes.len <= WRITE_STEPS);
+        }
+        assert_eq!(writes.through(0), 0);
+        // A write back at the top is above everything.
+        writes.stamp(1, 9_999);
+        assert_eq!((writes.through(1), writes.through(5_000), writes.len), (9_999, 9_999, 1));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! access — atomic counter bumps, histogram bucket bumps, and fixed-size
 //! span pushes, none of which allocate.
 
+use crate::engine::Engine;
 use std::time::Instant;
-use taco_core::{FormulaGraph, StatsScratch};
+use taco_core::StatsScratch;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
@@ -39,6 +40,18 @@ pub struct EngineObs {
     graph_dependencies: Gauge,
     graph_edges_reduced: Gauge,
     cross_edges: Gauge,
+    /// `taco_formula_cells` / `taco_formula_templates` — formula cells,
+    /// and the distinct formulas they hold (an autofilled run is one):
+    /// their ratio is how well the *evaluator* compresses a workbook,
+    /// beside edges per dependency for the graph. Labeled and refreshed
+    /// like the graph gauges.
+    formula_cells: Gauge,
+    formula_templates: Gauge,
+    /// `taco_recalc_folds_carried_total` — aggregate folds resumed from a
+    /// remembered state instead of started over.
+    folds_carried: Counter,
+    /// The sheets' summed lifetime counts of such folds already added.
+    folds_carried_seen: u64,
     /// Reused vertex-dedup scratch for the gauge refresh (PR 5 scratch
     /// discipline: steady-state polling allocates nothing).
     scratch: StatsScratch,
@@ -74,6 +87,10 @@ impl EngineObs {
             graph_dependencies: m.gauge_with("taco_graph_dependencies", &book_label),
             graph_edges_reduced: m.gauge_with("taco_graph_edges_reduced", &book_label),
             cross_edges: m.gauge_with("taco_cross_edges", &book_label),
+            formula_cells: m.gauge_with("taco_formula_cells", &book_label),
+            formula_templates: m.gauge_with("taco_formula_templates", &book_label),
+            folds_carried: m.counter("taco_recalc_folds_carried_total"),
+            folds_carried_seen: 0,
             scratch: StatsScratch::new(),
             vertices_as_of: None,
             #[cfg(test)]
@@ -140,36 +157,46 @@ impl EngineObs {
         }
     }
 
-    /// Refreshes the graph-shape gauges from the sheets' graphs, in
-    /// O(sheets): edges, dependencies and edges reduced are running
-    /// counts the graphs keep. The distinct-vertex count is the one
-    /// figure that needs a walk over every edge, so it is recounted only
-    /// when the summed mutation stamps say some sheet's graph changed
-    /// since the last count — a recalculation that follows value edits
-    /// alone walks nothing.
-    pub(crate) fn refresh_graph_gauges<'a>(
+    /// Refreshes the graph-shape and formula gauges from the sheets, in
+    /// O(sheets): edges, dependencies, edges reduced, formula cells,
+    /// templates and folds carried are running counts the sheets keep.
+    /// The distinct-vertex count is the one figure that needs a walk over
+    /// every edge, so it is recounted only when the summed mutation
+    /// stamps say some sheet's graph changed since the last count — a
+    /// recalculation that follows value edits alone walks nothing.
+    pub(crate) fn refresh_gauges<'a>(
         &mut self,
         cross_edges: usize,
-        graphs: impl Iterator<Item = &'a FormulaGraph> + Clone,
+        sheets: impl Iterator<Item = &'a Engine> + Clone,
     ) {
         let (mut edges, mut deps, mut reduced, mut stamp) = (0i64, 0i64, 0i64, 0u64);
-        for g in graphs.clone() {
+        let (mut cells, mut templates, mut carried) = (0usize, 0usize, 0u64);
+        for sheet in sheets.clone() {
+            let g = sheet.graph();
             edges += g.num_edges() as i64;
             deps += i64::try_from(g.num_dependencies()).unwrap_or(i64::MAX);
             reduced += i64::try_from(g.reduced().total()).unwrap_or(i64::MAX);
             stamp = stamp.wrapping_add(g.mutation_stamp());
+            cells += sheet.formula_cells();
+            templates += sheet.formula_templates();
+            carried += sheet.folds_carried();
         }
         self.graph_edges.set(edges);
         self.cross_edges.set(cross_edges as i64);
         self.graph_dependencies.set(deps);
         self.graph_edges_reduced.set(reduced);
+        self.formula_cells.set(cells as i64);
+        self.formula_templates.set(templates as i64);
+        self.folds_carried.add(carried - self.folds_carried_seen);
+        self.folds_carried_seen = carried;
         if self.vertices_as_of != Some(stamp) {
             self.vertices_as_of = Some(stamp);
             #[cfg(test)]
             {
                 self.edge_walks += 1;
             }
-            let vertices: usize = graphs.map(|g| g.stats_with(&mut self.scratch).vertices).sum();
+            let vertices: usize =
+                sheets.map(|sheet| sheet.graph().stats_with(&mut self.scratch).vertices).sum();
             self.graph_vertices.set(vertices as i64);
         }
     }

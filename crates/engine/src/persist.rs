@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 use taco_core::FormulaGraph;
-use taco_formula::Formula;
+use taco_grid::Cell;
 use taco_store::{
     std_vfs, write_workbook_file, write_workbook_file_with, CellRecord, CrossEdgeImage, EditRecord,
     ReplayMode, SheetImage, StoreError, StoreReader, Vfs, WalReader, WalWriter, WorkbookImage,
@@ -49,9 +49,9 @@ fn sheet_image(engine: &Engine, name: String) -> SheetImage {
         .cells()
         .map(|(cell, content)| {
             let value = content.value().clone();
-            let rec = match content.formula() {
+            let rec = match content.formula(cell) {
                 None => CellRecord::Pure(value),
-                Some(formula) => CellRecord::Formula { src: formula.src.clone(), value },
+                Some(formula) => CellRecord::Formula { src: formula.to_string(), value },
             };
             (cell, rec)
         })
@@ -59,16 +59,20 @@ fn sheet_image(engine: &Engine, name: String) -> SheetImage {
     SheetImage { name, cells, dirty: engine.dirty_cells_sorted(), graph: engine.graph().snapshot() }
 }
 
-/// The live content of a stored cell record (the formula re-parsed).
-fn cell_content(rec: CellRecord) -> Result<CellContent, StoreError> {
-    Ok(match rec {
+/// Puts a stored cell record back at `cell`: a formula — records arrive
+/// in `(col, row)` order — back in the run of the cell above or to the
+/// left if it is that run's next cell, re-parsed if not.
+fn restore_cell(engine: &mut Engine, cell: Cell, rec: CellRecord) -> Result<(), StoreError> {
+    let content = match rec {
         CellRecord::Pure(v) => CellContent::pure(v),
         CellRecord::Formula { src, value } => {
-            let formula =
-                Formula::parse(&src).map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            CellContent::formula_cell(formula, value)
+            let run =
+                engine.run_for(cell, &src).map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
+            CellContent::formula_cell(run, value)
         }
-    })
+    };
+    engine.put_cell(cell, content);
+    Ok(())
 }
 
 impl Workbook {
@@ -115,7 +119,7 @@ impl Workbook {
                 .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
             let engine = wb.engine_mut(id.index());
             for (cell, rec) in sheet.cells {
-                engine.put_cell(cell, cell_content(rec)?);
+                restore_cell(engine, cell, rec)?;
             }
             for cell in sheet.dirty {
                 engine.mark_cell_dirty(cell);
@@ -493,7 +497,7 @@ pub fn open_engine(path: &Path) -> Result<Engine, StoreError> {
     // `Data`) must keep resolving locally after reopen.
     engine.set_sheet_name(sheet.name);
     for (cell, rec) in sheet.cells {
-        engine.put_cell(cell, cell_content(rec)?);
+        restore_cell(&mut engine, cell, rec)?;
     }
     for cell in sheet.dirty {
         engine.mark_cell_dirty(cell);

@@ -1,26 +1,80 @@
-use taco_formula::{Formula, Value};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use taco_formula::template::At;
+use taco_formula::{Template, Value};
+use taco_grid::Cell;
+
+/// The formula a run of cells shares: one [`Template`], written at
+/// `anchor`. The cell at `anchor + (dc, dr)` holds the template moved by
+/// `(dc, dr)` — what autofilling the anchor's formula there builds — so a
+/// filled column is one `Run` however long it is, and a lone formula is a
+/// run of one. A cell says nothing about its offset: where it sits says
+/// it, which is why a cell that moves (a structural edit) takes a new run.
+#[derive(Debug)]
+pub(crate) struct Run {
+    template: Template,
+    anchor: Cell,
+    /// The owning engine's count of runs alive; this one is counted from
+    /// [`Run::new`] until it drops.
+    alive: Arc<AtomicUsize>,
+}
+
+impl Run {
+    pub(crate) fn new(template: Template, anchor: Cell, alive: &Arc<AtomicUsize>) -> Arc<Run> {
+        // A statistic: nothing is published through it.
+        alive.fetch_add(1, Ordering::Relaxed);
+        Arc::new(Run { template, anchor, alive: Arc::clone(alive) })
+    }
+
+    /// The formula of the run's cell at `cell`.
+    pub(crate) fn at(&self, cell: Cell) -> At<'_> {
+        self.template.at(
+            i64::from(cell.col) - i64::from(self.anchor.col),
+            i64::from(cell.row) - i64::from(self.anchor.row),
+        )
+    }
+
+    /// The formula as written at the anchor.
+    pub(crate) fn template(&self) -> &Template {
+        &self.template
+    }
+}
+
+/// The same formula at every cell (whichever engine counts them).
+impl PartialEq for Run {
+    fn eq(&self, other: &Run) -> bool {
+        self.anchor == other.anchor && self.template == other.template
+    }
+}
+
+impl Drop for Run {
+    fn drop(&mut self) {
+        self.alive.fetch_sub(1, Ordering::Relaxed);
+    }
+}
 
 /// What a cell holds: a pure value, or a formula plus its last evaluated
 /// value (the paper's "pure value" vs "formula cell / evaluated value").
 ///
-/// The value sits inline and the formula behind a pointer, so the cell
-/// store's range scans step over 32-byte contents whatever a cell holds.
+/// The value sits inline and the formula behind a pointer — to the run
+/// the cell is part of — so the cell store's range scans step over
+/// 32-byte contents whatever a cell holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellContent {
     pub(crate) value: Value,
-    pub(crate) formula: Option<Box<Formula>>,
+    pub(crate) run: Option<Arc<Run>>,
 }
 
 impl CellContent {
     /// A pure (typed constant) value.
     pub fn pure(value: Value) -> Self {
-        CellContent { value, formula: None }
+        CellContent { value, run: None }
     }
 
-    /// A formula and the result of its most recent evaluation
+    /// A cell of `run` and the result of its most recent evaluation
     /// (`Value::Empty` before the first one).
-    pub fn formula_cell(formula: Formula, value: Value) -> Self {
-        CellContent { value, formula: Some(Box::new(formula)) }
+    pub(crate) fn formula_cell(run: Arc<Run>, value: Value) -> Self {
+        CellContent { value, run: Some(run) }
     }
 
     /// The current user-visible value of the cell.
@@ -28,9 +82,16 @@ impl CellContent {
         &self.value
     }
 
-    /// The formula, if this is a formula cell.
-    pub fn formula(&self) -> Option<&Formula> {
-        self.formula.as_deref()
+    /// `true` iff this is a formula cell.
+    pub fn is_formula(&self) -> bool {
+        self.run.is_some()
+    }
+
+    /// The formula, if this is a formula cell, given the `cell` the
+    /// content was read at; displays as the formula's text (no leading
+    /// `=`).
+    pub fn formula(&self, cell: Cell) -> Option<At<'_>> {
+        self.run.as_deref().map(|run| run.at(cell))
     }
 }
 
@@ -42,10 +103,18 @@ mod tests {
     fn accessors() {
         let p = CellContent::pure(Value::Number(4.0));
         assert_eq!(p.value(), &Value::Number(4.0));
-        assert!(p.formula().is_none());
+        assert!(!p.is_formula() && p.formula(Cell::new(1, 1)).is_none());
 
-        let f = CellContent::formula_cell(Formula::parse("=A1+1").unwrap(), Value::Empty);
+        let alive = Arc::new(AtomicUsize::new(0));
+        let run = Run::new(Template::parse("=A1+1").unwrap(), Cell::new(2, 1), &alive);
+        let f = CellContent::formula_cell(Arc::clone(&run), Value::Empty);
         assert_eq!(f.value(), &Value::Empty);
-        assert_eq!(f.formula().unwrap().src, "A1+1");
+        assert_eq!(f.formula(Cell::new(2, 1)).unwrap().to_string(), "A1+1");
+        assert_eq!(f.formula(Cell::new(2, 4)).unwrap().to_string(), "A4+1");
+        let below = run.at(Cell::new(2, 4));
+        assert!(below.reads_as("A4+1") && !below.reads_as("A5+1"));
+        assert_eq!(alive.load(Ordering::Relaxed), 1);
+        drop((f, run));
+        assert_eq!(alive.load(Ordering::Relaxed), 0);
     }
 }

@@ -5,57 +5,87 @@ use crate::engine::{EditReceipt, Engine};
 use crate::sheet::CellContent;
 use std::time::Instant;
 use taco_core::StructuralOp;
-use taco_formula::Formula;
-use taco_grid::a1::{CellRef, QualifiedRef, RangeRef};
+use taco_formula::template::At;
+use taco_formula::{Expr, Template};
+use taco_grid::a1::{CellRef, RangeRef, SheetRef};
 use taco_grid::Range;
 
-/// Whether `q` names cells of the edited sheet, `own`. A formula on the
-/// edited sheet itself (`local`) reaches it through unqualified and
-/// *self-qualified* references (`Data!A1` inside `Data`); a formula on
-/// another sheet only through references qualified with its name.
-fn reads_edited_sheet(own: Option<&str>, q: &QualifiedRef, local: bool) -> bool {
-    match &q.sheet {
+/// Whether a reference qualified with `sheet` names cells of the edited
+/// sheet, `own`. A formula on the edited sheet itself (`local`) reaches it
+/// through unqualified and *self-qualified* references (`Data!A1` inside
+/// `Data`); a formula on another sheet only through references qualified
+/// with its name.
+fn reads_edited_sheet(own: Option<&str>, sheet: Option<&SheetRef>, local: bool) -> bool {
+    match sheet {
         None => local,
         Some(sheet) => own.is_some_and(|n| sheet.matches(n)),
     }
 }
 
-/// Rewrites one formula reference under a structural edit of the sheet
-/// named `own`, preserving its `$` flags; `None` becomes `#REF!` in the
-/// formula. References into the edited sheet share its geometry and
-/// remap; references to other sheets pass through unchanged.
-pub(crate) fn map_ref(
-    op: StructuralOp,
-    own: Option<&str>,
-    q: &QualifiedRef,
-    local: bool,
-) -> Option<QualifiedRef> {
-    if !reads_edited_sheet(own, q, local) {
-        return Some(q.clone());
-    }
-    let r = &q.rref;
+/// A reference with its corners as the parser would hand them over: a
+/// fill can leave them crossed (`B5:B$2`), and a `$` flag belongs to the
+/// coordinate it was written on, not to whichever corner that coordinate
+/// is stored in. What a structural edit compares and rewrites is this
+/// form, so a filled formula and the same formula typed in (a replayed
+/// fill) come out of the edit with the same text.
+fn straightened(r: RangeRef) -> RangeRef {
+    RangeRef::from_corners(r.head, r.tail)
+}
+
+/// Rewrites one [`straightened`] reference into the edited sheet under a
+/// structural edit, preserving its `$` flags; `None` becomes `#REF!` in
+/// the formula.
+fn map_rref(op: StructuralOp, r: RangeRef) -> Option<RangeRef> {
     let nr = op.map_range(r.range())?;
-    Some(QualifiedRef {
-        sheet: q.sheet.clone(),
-        rref: RangeRef {
-            head: CellRef { cell: nr.head(), ..r.head },
-            tail: CellRef { cell: nr.tail(), ..r.tail },
-        },
+    Some(RangeRef {
+        head: CellRef { cell: nr.head(), ..r.head },
+        tail: CellRef { cell: nr.tail(), ..r.tail },
     })
 }
 
-/// Whether the edit band cuts through a range of the edited sheet that
-/// one of `refs` names. Such a formula reads cells that moved even when
-/// its rewritten text is the old text: a range that straddles an insert
-/// point but already ends at the grid's last row or column is stretched,
-/// clamped back, and prints the same.
-pub(crate) fn band_disturbs(
-    op: StructuralOp,
-    own: Option<&str>,
-    refs: &[QualifiedRef],
-    local: bool,
-) -> bool {
-    refs.iter().any(|q| reads_edited_sheet(own, q, local) && op.disturbs(q.rref.range()))
+/// What a structural edit of the sheet named `own` does to one formula.
+pub(crate) enum Restated {
+    /// Every reference reads the cells it read before.
+    Untouched,
+    /// Same text, but the edit band cuts through a range of the edited
+    /// sheet that the formula reads. Such a formula reads cells that
+    /// moved: a range that straddles an insert point but already ends at
+    /// the grid's last row or column is stretched, clamped back, and
+    /// prints the same.
+    Disturbed,
+    /// References into the edited sheet share its geometry and remap —
+    /// this is the rewritten tree; references to other sheets pass
+    /// through unchanged.
+    Rewritten(Expr),
+}
+
+/// See [`Restated`]; `local` says whether the formula sits on the edited
+/// sheet itself.
+pub(crate) fn restate(op: StructuralOp, own: Option<&str>, at: At<'_>, local: bool) -> Restated {
+    let mut rewritten = false;
+    at.visit_refs(&mut |sheet, rref| {
+        let rref = straightened(rref);
+        rewritten |= reads_edited_sheet(own, sheet, local) && map_rref(op, rref) != Some(rref);
+    });
+    if rewritten {
+        // The rewritten formula is printed afresh, every reference of it.
+        return Restated::Rewritten(at.rewrite(&mut |sheet, rref| {
+            let rref = straightened(rref);
+            if reads_edited_sheet(own, sheet, local) {
+                map_rref(op, rref)
+            } else {
+                Some(rref)
+            }
+        }));
+    }
+    let disturbed = at
+        .reads()
+        .any(|(sheet, rref)| reads_edited_sheet(own, sheet, local) && op.disturbs(rref.range()));
+    if disturbed {
+        Restated::Disturbed
+    } else {
+        Restated::Untouched
+    }
 }
 
 impl Engine {
@@ -84,15 +114,22 @@ impl Engine {
     /// Applies a structural edit to sheet + graph and dirties only what
     /// the edit can actually change.
     ///
-    /// A formula whose rewritten AST equals the old one, and none of
+    /// A formula none of whose references the edit rewrites, and none of
     /// whose ranges the band cuts through, has every reference entirely
     /// on the untouched side of the edited band, so the cells it reads
     /// neither moved nor changed — its cached value stays valid even if
-    /// the formula itself shifted. Only formulas whose AST was rewritten
-    /// or whose ranges were disturbed (plus their transitive dependents,
-    /// via the normal dirty routing) recalculate; previously-dirty cells
-    /// stay dirty at their mapped positions. Identity rewrites also keep
-    /// the user's original source text.
+    /// the formula itself shifted. Only formulas that were rewritten or
+    /// whose ranges were disturbed (plus their transitive dependents, via
+    /// the normal dirty routing) recalculate; previously-dirty cells stay
+    /// dirty at their mapped positions. A formula that is not rewritten
+    /// also keeps the user's original source text.
+    ///
+    /// A cell that stays where it was stays in its run. One that moved
+    /// holds, where it now stands, the formula it held — or the rewritten
+    /// one — and like a typed formula joins the run of the cell above or
+    /// to the left if it is that run's next cell: a run that moves as one
+    /// (rows inserted above it) is one run afterwards, a run the band
+    /// splits is two.
     pub fn apply_structural(&mut self, op: StructuralOp) -> EditReceipt {
         let start = Instant::now();
         let own = self.sheet_name().map(str::to_string);
@@ -101,20 +138,31 @@ impl Engine {
         let old = self.take_cells();
         let old_dirty = old.dirty().to_vec();
         let mut changed = Vec::new();
-        for (cell, mut content) in old.into_cells() {
+        for (cell, content) in old.into_cells() {
             let Some(nc) = op.map_cell(cell) else { continue };
-            if let Some(formula) = content.formula() {
-                let ast = formula.ast.map_refs(&mut |r| map_ref(op, own, r, true));
-                if ast != formula.ast {
+            let CellContent { value, run } = content;
+            let Some(run) = run else {
+                self.put_cell(nc, CellContent::pure(value));
+                continue;
+            };
+            let at = run.at(cell);
+            let moved = match restate(op, own, at, true) {
+                Restated::Rewritten(ast) => {
                     changed.push(nc);
-                    let refs = ast.collect_refs();
-                    let formula = Formula { src: ast.to_string(), ast, refs };
-                    content = CellContent::formula_cell(formula, content.value);
-                } else if band_disturbs(op, own, &formula.refs, true) {
-                    changed.push(nc);
+                    Some(Template::printed(ast))
                 }
-            }
-            self.put_cell(nc, content);
+                restated => {
+                    if matches!(restated, Restated::Disturbed) {
+                        changed.push(nc);
+                    }
+                    (nc != cell).then(|| at.to_template())
+                }
+            };
+            let run = match moved {
+                Some(formula) => self.run_of(nc, formula),
+                None => run,
+            };
+            self.put_cell(nc, CellContent::formula_cell(run, value));
         }
         for cell in old_dirty {
             if let Some(nc) = op.map_cell(cell) {

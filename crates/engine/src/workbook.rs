@@ -35,14 +35,16 @@
 
 use crate::cells::CellStore;
 use crate::engine::{Engine, ExternalSheets};
-use crate::structural::{band_disturbs, map_ref};
+use crate::sheet::Run;
+use crate::structural::{restate, Restated};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use taco_core::{Config, Dependency, FormulaGraph, StructuralOp};
-use taco_formula::{autofill, CellError, EvalClock, Formula, FormulaError, Value};
-use taco_grid::a1::SheetRef;
+use taco_formula::{CellError, EvalClock, FormulaError, Template, Value};
+use taco_grid::a1::{SheetRef, MAX_SHEET_NAME};
 use taco_grid::{Cell, GridError, Range};
 use taco_store::{EditRecord, StoreError};
 
@@ -483,18 +485,17 @@ impl Workbook {
         let mut edges = Vec::new();
         for (sid, shard) in self.sheets.iter().enumerate() {
             for (cell, content) in shard.engine.cells() {
-                let Some(formula) = content.formula() else { continue };
+                let Some(formula) = content.formula(cell) else { continue };
                 // One edge per distinct range the formula reads — the
-                // same dedup `stage_formula` applies on the live path.
+                // same dedup `stage_run` applies on the live path.
                 let mut added: Vec<Range> = Vec::new();
-                for q in &formula.refs {
-                    if q.sheet.as_ref().is_some_and(|s| s.matches(name.name()))
-                        && !added.contains(&q.range())
-                    {
-                        added.push(q.range());
+                for (sheet, rref) in formula.reads() {
+                    let prec = rref.range();
+                    if sheet.is_some_and(|s| s.matches(name.name())) && !added.contains(&prec) {
+                        added.push(prec);
                         edges.push(CrossEdge {
                             src: SheetId(new_id),
-                            prec: q.range(),
+                            prec,
                             dst: SheetId(sid),
                             dep: cell,
                         });
@@ -625,8 +626,8 @@ impl Workbook {
         src: &str,
     ) -> Result<WorkbookReceipt, WorkbookError> {
         self.ensure_sheet(id);
-        let formula = Formula::parse(src)?;
-        Ok(self.edit(id, |wb, jobs| wb.stage_formula(id.0, cell, formula, jobs)))
+        let run = self.sheets[id.0].engine.run_for(cell, src)?;
+        Ok(self.edit(id, |wb, jobs| wb.stage_run(id.0, cell, run, jobs)))
     }
 
     /// Autofills the formula at `src` over `targets`, exactly like
@@ -639,10 +640,10 @@ impl Workbook {
         targets: Range,
     ) -> Result<WorkbookReceipt, CellError> {
         self.ensure_sheet(id);
-        let formula = self.sheets[id.0].engine.formula_at(src).cloned().ok_or(CellError::Value)?;
+        let run = self.sheets[id.0].engine.fill_run(src).ok_or(CellError::Value)?;
         Ok(self.edit(id, |wb, jobs| {
-            for filled in autofill::autofill(src, &formula, targets) {
-                wb.stage_formula(id.0, filled.cell, filled.formula, jobs);
+            for cell in targets.cells().filter(|&cell| cell != src) {
+                wb.stage_run(id.0, cell, Arc::clone(&run), jobs);
             }
         }))
     }
@@ -658,13 +659,13 @@ impl Workbook {
         targets: Range,
     ) -> Result<Vec<EditRecord>, CellError> {
         self.ensure_sheet(id);
-        let formula = self.sheets[id.0].engine.formula_at(src).ok_or(CellError::Value)?;
-        Ok(autofill::autofill(src, formula, targets)
-            .into_iter()
-            .map(|filled| EditRecord::SetFormula {
+        let run = self.sheets[id.0].engine.fill_run(src).ok_or(CellError::Value)?;
+        let filled = targets.cells().filter(|&cell| cell != src);
+        Ok(filled
+            .map(|cell| EditRecord::SetFormula {
                 sheet: id.0 as u32,
-                cell: filled.cell,
-                src: filled.formula.src,
+                cell,
+                src: run.at(cell).to_string(),
             })
             .collect())
     }
@@ -773,8 +774,8 @@ impl Workbook {
             }
             EditRecord::SetFormula { sheet, cell, src } => {
                 let sid = sheet_of(*sheet)?;
-                let formula = Formula::parse(src).map_err(|e| invalid(&e))?;
-                self.stage_formula(sid, *cell, formula, jobs);
+                let run = self.sheets[sid].engine.run_for(*cell, src).map_err(|e| invalid(&e))?;
+                self.stage_run(sid, *cell, run, jobs);
             }
             EditRecord::ClearRange { sheet, range } => {
                 self.stage_clear(sheet_of(*sheet)?, *range, jobs);
@@ -793,7 +794,7 @@ impl Workbook {
     fn stage_value(&mut self, sid: usize, cell: Cell, v: Value, jobs: &mut Vec<Job>) {
         // Overwriting a formula cell drops its cross-sheet dependencies
         // (a plain value cell cannot own cross edges — skip the scan).
-        if self.sheets[sid].engine.formula_at(cell).is_some() {
+        if self.sheets[sid].engine.run_at(cell).is_some() {
             self.xedges.remove_dep(SheetId(sid), cell);
         }
         let receipt = self.sheets[sid].engine.set_value(cell, v);
@@ -807,27 +808,29 @@ impl Workbook {
         Job::push_receipt(jobs, sid, range, receipt);
     }
 
-    /// Stages a parsed formula: registers cross edges for foreign
-    /// qualified references and hands the rest to the sheet engine.
-    fn stage_formula(&mut self, sid: usize, cell: Cell, formula: Formula, jobs: &mut Vec<Job>) {
-        if self.sheets[sid].engine.formula_at(cell).is_some() {
+    /// Stages `cell` as a cell of `run`: registers cross edges for the
+    /// foreign qualified references of the run's formula there and hands
+    /// the rest to the sheet engine.
+    fn stage_run(&mut self, sid: usize, cell: Cell, run: Arc<Run>, jobs: &mut Vec<Job>) {
+        if self.sheets[sid].engine.run_at(cell).is_some() {
             self.xedges.remove_dep(SheetId(sid), cell);
         }
         let mut added: Vec<(usize, Range)> = Vec::new();
-        for q in &formula.refs {
-            let Some(sheet) = &q.sheet else { continue };
+        for (sheet, rref) in run.at(cell).reads() {
+            let Some(sheet) = sheet else { continue };
             if self.sheets[sid].name.matches(sheet.name()) {
                 continue; // self-qualified: the engine stores it locally
             }
             if let Some(&src) = self.index.get(&sheet.key()) {
                 // One edge per distinct (sheet, range) the formula reads.
-                if added.contains(&(src, q.range())) {
+                let prec = rref.range();
+                if added.contains(&(src, prec)) {
                     continue;
                 }
-                added.push((src, q.range()));
+                added.push((src, prec));
                 self.xedges.insert(CrossEdge {
                     src: SheetId(src),
-                    prec: q.range(),
+                    prec,
                     dst: SheetId(sid),
                     dep: cell,
                 });
@@ -836,7 +839,7 @@ impl Workbook {
             // until a sheet of that name appears (see
             // `rebind_dangling_refs`).
         }
-        let receipt = self.sheets[sid].engine.set_parsed_formula(cell, formula);
+        let receipt = self.sheets[sid].engine.set_run(cell, run);
         Job::push_receipt(jobs, sid, Range::cell(cell), receipt);
     }
 
@@ -875,24 +878,23 @@ impl Workbook {
         let own = self.sheets[sid].name.name().to_string();
         let own = Some(own.as_str());
         for (dsid, dep) in referrers {
-            let Some(formula) = self.sheets[dsid].engine.formula_at(dep).cloned() else {
+            let Some(run) = self.sheets[dsid].engine.run_at(dep) else {
                 continue;
             };
-            let ast = formula.ast.map_refs(&mut |q| map_ref(op, own, q, false));
-            if ast == formula.ast {
-                // Same text, but a range the band cut through (clamped at
-                // the grid edge) still reads cells that moved.
-                if band_disturbs(op, own, &formula.refs, false) {
+            match restate(op, own, run.at(dep), false) {
+                Restated::Untouched => {}
+                Restated::Disturbed => {
                     self.sheets[dsid].engine.mark_cell_dirty(dep);
                     jobs.push(Job::hop(dsid, dep));
                 }
-                continue;
+                Restated::Rewritten(ast) => {
+                    let run = self.sheets[dsid].engine.run_of(dep, Template::printed(ast));
+                    self.stage_run(dsid, dep, run, jobs);
+                    // The rewrite dirtied the referrer itself; the
+                    // formula-edit receipt only reports its dependents.
+                    jobs.push(Job::expanded(dsid, Range::cell(dep)));
+                }
             }
-            let refs = ast.collect_refs();
-            self.stage_formula(dsid, dep, Formula { src: ast.to_string(), ast, refs }, jobs);
-            // The rewrite dirtied the referrer itself; the formula-edit
-            // receipt only reports its dependents.
-            jobs.push(Job::expanded(dsid, Range::cell(dep)));
         }
     }
 
@@ -1147,7 +1149,7 @@ impl Workbook {
                 let (levels, cells) = s.engine.profile_slices();
                 o.on_profile(levels, cells);
             }
-            o.refresh_graph_gauges(xedges.len(), sheets.iter().map(|s| s.engine.graph()));
+            o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
         }
         total
     }
@@ -1282,7 +1284,15 @@ impl OtherSheets<'_> {
     /// `None` for one this level writes (no cross edge leads there; it
     /// reads as blank).
     fn resolve(&self, sheet: &str) -> Result<Option<&CellStore>, CellError> {
-        let sid = self.index.get(&sheet.to_ascii_lowercase()).ok_or(CellError::Ref)?;
+        // The index is keyed by lower-cased name; a name longer than a
+        // sheet's may be names no sheet. On the stack: this runs once
+        // per cross-sheet read of every evaluated cell.
+        let mut key = [0u8; 4 * MAX_SHEET_NAME];
+        let key = key.get_mut(..sheet.len()).ok_or(CellError::Ref)?;
+        key.copy_from_slice(sheet.as_bytes());
+        key.make_ascii_lowercase();
+        let key = std::str::from_utf8(key).map_err(|_| CellError::Ref)?;
+        let sid = self.index.get(key).ok_or(CellError::Ref)?;
         Ok(self.cells[*sid])
     }
 }
@@ -1354,6 +1364,13 @@ mod tests {
             reduced += s.reduced.total() as i64;
         }
         let snap = hub.snapshot();
+        let sheets = || (0..wb.sheet_count()).map(|i| wb.sheet(SheetId(i)));
+        let formulas: usize =
+            sheets().map(|s| s.cells().filter(|(_, k)| k.is_formula()).count()).sum();
+        assert_eq!(snap.gauge("taco_formula_cells"), Some(formulas as i64));
+        let templates: usize = sheets().map(Engine::formula_templates).sum();
+        assert_eq!(snap.gauge("taco_formula_templates"), Some(templates as i64));
+        assert!(templates <= formulas);
         assert_eq!(snap.gauge("taco_graph_edges"), Some(edges));
         assert_eq!(snap.gauge("taco_graph_vertices"), Some(vertices));
         assert_eq!(snap.gauge("taco_graph_dependencies"), Some(deps));

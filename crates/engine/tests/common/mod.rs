@@ -11,7 +11,8 @@ pub fn full_state(wb: &Workbook) -> Vec<(usize, Cell, Option<String>, Value)> {
     let mut out = Vec::new();
     for s in 0..wb.sheet_count() {
         for (cell, content) in wb.sheet(SheetId(s)).cells() {
-            out.push((s, cell, content.formula().map(|f| f.src.clone()), content.value().clone()));
+            let text = content.formula(cell).map(|f| f.to_string());
+            out.push((s, cell, text, content.value().clone()));
         }
     }
     out.sort_unstable_by_key(|(s, c, _, _)| (*s, c.row, c.col));
@@ -30,11 +31,11 @@ pub fn rebuild_from_texts(wb: &Workbook) -> Workbook {
     for s in 0..wb.sheet_count() {
         let id = SheetId(s);
         for (cell, content) in wb.sheet(id).cells() {
-            match content.formula() {
+            match content.formula(cell) {
                 Some(f) => {
-                    out.set_formula(id, cell, &format!("={}", f.src)).unwrap_or_else(|e| {
-                        panic!("rewritten source {:?} must re-parse: {e}", f.src)
-                    });
+                    let src = f.to_string();
+                    out.set_formula(id, cell, &format!("={src}"))
+                        .unwrap_or_else(|e| panic!("rewritten source {src:?} must re-parse: {e}"));
                 }
                 None => {
                     out.set_value(id, cell, content.value().clone());

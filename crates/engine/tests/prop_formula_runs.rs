@@ -1,0 +1,445 @@
+//! Formula runs must be invisible: a workbook whose autofilled and
+//! typed-alike formulas share one template per run stays, after every
+//! edit, bit-identical to a twin that holds the same formulas in the same
+//! cells but can share none of them.
+//!
+//! The twin never autofills: every fill is applied as the formulas
+//! `taco_formula::autofill` — the reference, which builds one tree per
+//! target — writes, typed in one by one. And every formula it is given is
+//! typed with one to three leading spaces, by the cell's position, so that
+//! no cell's text is what the template above it or to its left prints
+//! there: the sharing check, which is textual, fails for every pair of
+//! neighbours, while the parser skips the spaces. Same cells, same trees,
+//! same fold order — differing text.
+//!
+//! Compared after every operation: every cell's value (numbers by bit
+//! pattern), every formula's text (modulo the twin's leading spaces), and
+//! each sheet's graph decompressed to its dependency multiset. The script
+//! splits runs (values and clears in the middle), rejoins them (the
+//! formula the run would hold, typed back), fills in all four `$` shapes
+//! and in all four directions, off the grid included, with sheet-qualified
+//! and self-qualified references, inserts and deletes rows and columns
+//! through and beside the runs, saves and reopens, and replays its own
+//! log of edit records into a third workbook.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use taco_core::{Dependency, StructuralOp};
+use taco_engine::{RecalcMode, SheetId, Workbook};
+use taco_formula::autofill::autofill;
+use taco_formula::{CellError, Formula, Value};
+use taco_grid::{Cell, Range};
+use taco_store::EditRecord;
+
+/// Data rows, and the rows the seeded fills reach.
+const ROWS: u32 = 24;
+const CALC: SheetId = SheetId(1);
+
+/// The formula columns of `Calc`, by the formula typed into row 2 and
+/// filled down: FR, RR, RF, FF with a relative operand, qualified and
+/// self-qualified (one qualifier quoted needlessly), a two-column
+/// aggregate beside a one-cell range spelled `B1:B1` (which prints as
+/// `B1`), and mixed `$` flags. Those two are not typed as the printer
+/// writes them, so their fills start a run the typed source is not part
+/// of. Column A and B hold data.
+///
+/// (No `SUMIF` with a sum range: a structural edit that changes the shape
+/// of its criteria range changes what it reads beyond what the graph's
+/// geometric rewrite of its dependencies follows — ROADMAP item 6 — and
+/// this suite is about runs.)
+const SEEDS: [&str; 7] = [
+    "SUM($A$1:A2)",
+    "A2+B2*2",
+    "SUM(A2:$A$24)",
+    "SUM($A$1:$B$4)*A2",
+    "Data!A2*2+Calc!B2-'Data'!$B$1",
+    "COUNTIF($A$1:A2,\">0\")*B1:B1+AVERAGE($A$1:B2)",
+    "$A2+B$2+MAX($B$2:B2)",
+];
+const FIRST_FORMULA_COL: u32 = 3;
+/// One per seeded column, one more for each of the two sources typed as
+/// the printer would not print them, one for the column typed row by row.
+const RUNS_AS_BUILT: usize = SEEDS.len() + 3;
+
+/// What the twin types for `text` at `cell`: the same formula, never the
+/// text a neighbour's template prints.
+fn unshareable(text: &str, cell: Cell) -> String {
+    format!("={}{}", " ".repeat(1 + ((cell.col + cell.row) % 3) as usize), text.trim_start())
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// A number into a data column of either sheet.
+    Number {
+        sheet: usize,
+        col: u32,
+        row: u32,
+        v: i32,
+    },
+    /// Text into `Calc`'s column A: skipped by sums, `#VALUE!` elsewhere.
+    Text {
+        row: u32,
+    },
+    /// A value over a formula cell: the run splits.
+    Overwrite {
+        col: u32,
+        row: u32,
+    },
+    /// A clear through some formula columns: several runs split at once.
+    Clear {
+        col: u32,
+        row: u32,
+        cols: u32,
+        rows: u32,
+    },
+    /// The formula the cell above — else the cell to the left — would be
+    /// filled here with, typed: the run is rejoined, or extended.
+    Retype {
+        col: u32,
+        row: u32,
+    },
+    /// A fill from a formula cell, `by` cells in one of four directions.
+    Fill {
+        col: u32,
+        row: u32,
+        direction: u8,
+        by: u32,
+    },
+    Structural {
+        sheet: usize,
+        op: StructuralOp,
+    },
+    SaveReopen,
+    Replay,
+}
+
+fn script(seed: u64, len: usize) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let last_col = FIRST_FORMULA_COL + SEEDS.len() as u32 - 1;
+    (0..len)
+        .map(|_| {
+            let row = rng.gen_range(1..=ROWS + 2);
+            let col = rng.gen_range(FIRST_FORMULA_COL..=last_col + 1);
+            match rng.gen_range(0..100u32) {
+                0..=19 => Op::Number {
+                    sheet: rng.gen_range(0..2),
+                    col: rng.gen_range(1..=2),
+                    row,
+                    v: rng.gen_range(-99..99),
+                },
+                20..=23 => Op::Text { row },
+                24..=33 => Op::Overwrite { col, row },
+                34..=41 => {
+                    Op::Clear { col, row, cols: rng.gen_range(1..=3), rows: rng.gen_range(1..=3) }
+                }
+                42..=59 => Op::Retype { col, row },
+                60..=77 => {
+                    Op::Fill { col, row, direction: rng.gen_range(0..4), by: rng.gen_range(1..=6) }
+                }
+                78..=91 => {
+                    let n = rng.gen_range(1..=2u32);
+                    let op = match rng.gen_range(0..4u32) {
+                        0 => StructuralOp::InsertRows { at: rng.gen_range(1..=ROWS), n },
+                        1 => StructuralOp::DeleteRows { at: rng.gen_range(1..=ROWS), n },
+                        2 => StructuralOp::InsertCols { at: rng.gen_range(1..=last_col), n },
+                        _ => StructuralOp::DeleteCols { at: rng.gen_range(1..=last_col), n: 1 },
+                    };
+                    Op::Structural { sheet: rng.gen_range(0..2), op }
+                }
+                92..=95 => Op::SaveReopen,
+                _ => Op::Replay,
+            }
+        })
+        .collect()
+}
+
+/// The two workbooks, and the log of records that rebuilds the first.
+struct Pair {
+    shared: Workbook,
+    twin: Workbook,
+    log: Vec<EditRecord>,
+}
+
+impl Pair {
+    fn new() -> Pair {
+        let mut pair =
+            Pair { shared: Workbook::with_taco(), twin: Workbook::with_taco(), log: Vec::new() };
+        for name in ["Data", "Calc"] {
+            pair.shared.add_sheet(name).unwrap();
+            pair.twin.add_sheet(name).unwrap();
+            pair.log.push(EditRecord::AddSheet { name: name.to_string() });
+        }
+        for sheet in 0..2 {
+            for row in 1..=ROWS {
+                for col in 1..=2u32 {
+                    let v = f64::from(row * (col + 2)) / 8.0 - f64::from(sheet as u32);
+                    pair.value(sheet, Cell::new(col, row), Value::Number(v));
+                }
+            }
+        }
+        for (i, seed) in SEEDS.iter().enumerate() {
+            let from = Cell::new(FIRST_FORMULA_COL + i as u32, 2);
+            pair.formula(from, seed);
+            pair.fill(from, Range::from_coords(from.col, 3, from.col, ROWS));
+        }
+        // A column typed row by row: joins its run without a fill.
+        let typed = FIRST_FORMULA_COL + SEEDS.len() as u32;
+        for row in 2..=ROWS {
+            pair.formula(Cell::new(typed, row), &format!("D{row}-C{row}*2"));
+        }
+        pair.recalculate();
+        pair
+    }
+
+    fn value(&mut self, sheet: usize, cell: Cell, value: Value) {
+        self.shared.set_value(SheetId(sheet), cell, value.clone());
+        self.twin.set_value(SheetId(sheet), cell, value.clone());
+        self.log.push(EditRecord::SetValue { sheet: sheet as u32, cell, value });
+    }
+
+    /// Types `text` into `Calc` at `cell`.
+    fn formula(&mut self, cell: Cell, text: &str) {
+        self.shared.set_formula(CALC, cell, text).unwrap();
+        self.twin.set_formula(CALC, cell, &unshareable(text, cell)).unwrap();
+        self.log.push(EditRecord::SetFormula { sheet: 1, cell, src: text.to_string() });
+    }
+
+    /// The formulas a fill from `from` writes, by the reference: one tree
+    /// built per target, from the tree the source cell holds. (Not from
+    /// its text: a range whose corners an earlier fill crossed, `B5:B$2`,
+    /// re-parses with them straightened out, and fills on as `B$2:B6`
+    /// where the tree fills on as `B6:B$2` — the same cells, and as old as
+    /// fills that are logged as the formulas they wrote.)
+    fn filled(&self, from: Cell, targets: Range) -> Option<Vec<(Cell, String)>> {
+        let ast = self.shared.sheet(CALC).content(from)?.formula(from)?.to_ast();
+        let formula = Formula { src: ast.to_string(), refs: ast.collect_refs(), ast };
+        Some(
+            autofill(from, &formula, targets)
+                .into_iter()
+                .map(|f| (f.cell, f.formula.src))
+                .collect(),
+        )
+    }
+
+    fn fill(&mut self, from: Cell, targets: Range) {
+        let Some(filled) = self.filled(from, targets) else {
+            assert!(self.shared.autofill(CALC, from, targets).is_err());
+            return;
+        };
+        // The records a fill stands for are the reference's formulas.
+        let records = self.shared.autofill_records(CALC, from, targets).unwrap();
+        let texts: Vec<(Cell, String)> = records
+            .iter()
+            .map(|rec| match rec {
+                EditRecord::SetFormula { sheet: 1, cell, src } => (*cell, src.clone()),
+                other => panic!("a fill is formulas: {other:?}"),
+            })
+            .collect();
+        assert_eq!(texts, filled, "fill {from} over {targets}");
+        self.log.extend(records);
+        self.shared.autofill(CALC, from, targets).unwrap();
+        for (cell, text) in filled {
+            self.twin.set_formula(CALC, cell, &unshareable(&text, cell)).unwrap();
+        }
+    }
+
+    fn apply(&mut self, op: &Op, tag: &str) {
+        match *op {
+            Op::Number { sheet, col, row, v } => {
+                self.value(sheet, Cell::new(col, row), Value::Number(f64::from(v) / 4.0));
+            }
+            Op::Text { row } => self.value(1, Cell::new(1, row), Value::Text("n/a".into())),
+            Op::Overwrite { col, row } => self.value(1, Cell::new(col, row), Value::Number(7.5)),
+            Op::Clear { col, row, cols, rows } => {
+                let range = Range::from_coords(col, row, col + cols - 1, row + rows - 1);
+                self.shared.clear_range(CALC, range);
+                self.twin.clear_range(CALC, range);
+                self.log.push(EditRecord::ClearRange { sheet: 1, range });
+            }
+            Op::Retype { col, row } => {
+                let cell = Cell::new(col, row);
+                let beside =
+                    [(row > 1).then(|| Cell::new(col, row - 1)), Some(Cell::new(col - 1, row))];
+                let text = beside.into_iter().flatten().find_map(|from| {
+                    self.filled(from, Range::cell(cell)).map(|mut filled| filled.remove(0).1)
+                });
+                if let Some(text) = text {
+                    self.formula(cell, &text);
+                }
+            }
+            Op::Fill { col, row, direction, by } => {
+                let from = Cell::new(col, row);
+                let targets = match direction {
+                    0 => Range::from_coords(col, row + 1, col, row + by),
+                    1 => Range::from_coords(col, row.saturating_sub(by).max(1), col, row),
+                    2 => Range::from_coords(col + 1, row, col + by, row),
+                    _ => Range::from_coords(col.saturating_sub(by).max(1), row, col, row),
+                };
+                self.fill(from, targets);
+            }
+            Op::Structural { sheet, op } => {
+                self.shared.apply_structural(SheetId(sheet), op);
+                self.twin.apply_structural(SheetId(sheet), op);
+                self.log.push(EditRecord::Structural { sheet: sheet as u32, op });
+            }
+            Op::SaveReopen => {
+                for (wb, which) in [(&mut self.shared, "shared"), (&mut self.twin, "twin")] {
+                    let name = format!("taco_runs_{}_{tag}_{which}.taco", std::process::id());
+                    let path = std::env::temp_dir().join(name);
+                    wb.save(&path).unwrap();
+                    *wb = Workbook::open(&path).unwrap();
+                    std::fs::remove_file(&path).ok();
+                }
+            }
+            Op::Replay => {
+                let mut replayed = Workbook::with_taco();
+                for rec in &self.log {
+                    replayed.apply_edit(rec).unwrap();
+                }
+                replayed.recalculate(RecalcMode::Serial);
+                self.recalculate();
+                // What a cycle's cells hold depends on how many passes
+                // have gone over them (a pass relaxes a cycle once): with
+                // one about, only texts and graphs are history-free.
+                let cyclic = |wb: &Workbook| {
+                    wb.sheet(CALC)
+                        .cells()
+                        .any(|(_, k)| *k.value() == Value::Error(CellError::Cycle))
+                };
+                let values = !cyclic(&self.shared) && !cyclic(&replayed);
+                assert_same_as(&self.shared, &replayed, values, &format!("{tag}: replayed"));
+            }
+        }
+    }
+
+    fn recalculate(&mut self) {
+        let evaluated = self.shared.recalculate(RecalcMode::Serial);
+        assert_eq!(evaluated, self.twin.recalculate(RecalcMode::Serial));
+    }
+}
+
+/// Every cell, formula text (leading spaces aside), value and graph
+/// dependency of `a` is `b`'s.
+fn assert_same(a: &Workbook, b: &Workbook, what: &str) {
+    assert_same_as(a, b, true, what);
+}
+
+/// [`assert_same`], the values only if `values`.
+fn assert_same_as(a: &Workbook, b: &Workbook, values: bool, what: &str) {
+    assert_eq!(a.sheet_count(), b.sheet_count(), "{what}");
+    assert_eq!(a.cross_edge_count(), b.cross_edge_count(), "{what}");
+    for s in 0..a.sheet_count() {
+        let (a, b) = (a.sheet(SheetId(s)), b.sheet(SheetId(s)));
+        let mut cells = b.cells();
+        for (cell, content) in a.cells() {
+            let (at, other) = cells.next().unwrap_or_else(|| panic!("{what}: {cell} is missing"));
+            assert_eq!(cell, at, "{what}: sheet {s}");
+            let text = |f: Option<taco_formula::template::At<'_>>| f.map(|f| f.to_string());
+            let (mine, theirs) = (text(content.formula(cell)), text(other.formula(cell)));
+            assert_eq!(
+                mine.as_deref(),
+                theirs.as_deref().map(str::trim_start),
+                "{what}: sheet {s} {cell}"
+            );
+            let same = match (content.value(), other.value()) {
+                _ if !values => true,
+                (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+                (x, y) => x == y,
+            };
+            assert!(same, "{what}: sheet {s} {cell}: {:?} vs {:?}", content.value(), other.value());
+        }
+        assert!(cells.next().is_none(), "{what}: sheet {s} has extra cells");
+        let deps = |e: &taco_engine::Engine| {
+            let mut deps: Vec<Dependency> = e.graph().decompress_all();
+            deps.sort_unstable_by_key(|d| (d.dep, d.prec.head(), d.prec.tail()));
+            deps.into_iter().map(|d| (d.prec, d.dep)).collect::<Vec<_>>()
+        };
+        assert_eq!(deps(a), deps(b), "{what}: sheet {s} graph");
+        assert_eq!(a.dirty_count(), b.dirty_count(), "{what}: sheet {s}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn shared_templates_never_show(seed in 0u64..1_000_000) {
+        let mut pair = Pair::new();
+        assert_same(&pair.shared, &pair.twin, "as built");
+        // The premise: one workbook shares, the other cannot.
+        let templates = |wb: &Workbook| wb.sheet(CALC).formula_templates();
+        let cells = pair.shared.sheet(CALC).formula_cells();
+        prop_assert_eq!(templates(&pair.twin), cells);
+        prop_assert_eq!(templates(&pair.shared), RUNS_AS_BUILT);
+
+        let ops = script(seed, 40);
+        for (step, op) in ops.iter().enumerate() {
+            pair.apply(op, &format!("{seed}_{step}"));
+            // Before the pass too: texts and graphs are already final.
+            assert_same_texts(&pair, &format!("seed {seed} after step {step} {op:?}, dirty"));
+            pair.recalculate();
+            assert_same(&pair.shared, &pair.twin, &format!("seed {seed} after step {step} {op:?}"));
+        }
+        prop_assert!(templates(&pair.shared) <= pair.shared.sheet(CALC).formula_cells());
+    }
+}
+
+/// The formula texts alone (values lag until the pass).
+fn assert_same_texts(pair: &Pair, what: &str) {
+    for s in 0..2 {
+        let texts = |wb: &Workbook| -> Vec<(Cell, Option<String>)> {
+            let sheet = wb.sheet(SheetId(s));
+            sheet.cells().map(|(c, _)| (c, sheet.formula_of(c))).collect()
+        };
+        let twin: Vec<(Cell, Option<String>)> = texts(&pair.twin)
+            .into_iter()
+            .map(|(c, t)| (c, t.map(|t| t.trim_start().to_string())))
+            .collect();
+        let shared = texts(&pair.shared);
+        let differs = shared.iter().zip(&twin).find(|(a, b)| a != b);
+        assert!(differs.is_none() && shared.len() == twin.len(), "{what}: sheet {s}: {differs:?}");
+    }
+}
+
+#[test]
+fn a_run_splits_and_rejoins_like_a_pattern_edge() {
+    let mut pair = Pair::new();
+    let sheet = |pair: &Pair| {
+        (pair.shared.sheet(CALC).formula_templates(), pair.shared.sheet(CALC).formula_cells())
+    };
+    let (templates, cells) = sheet(&pair);
+    assert_eq!((templates, cells), (RUNS_AS_BUILT, (SEEDS.len() + 1) * (ROWS as usize - 1)));
+
+    // A value in the middle: one cell fewer, still one template — both
+    // halves point at it. The cell's formula typed back: whole again.
+    pair.apply(&Op::Overwrite { col: 3, row: 10 }, "split");
+    assert_eq!(sheet(&pair), (templates, cells - 1));
+    pair.apply(&Op::Retype { col: 3, row: 10 }, "rejoin");
+    assert_eq!(sheet(&pair), (templates, cells));
+    assert_eq!(pair.shared.formula_of(CALC, Cell::new(3, 10)).unwrap(), "SUM($A$1:A10)");
+
+    // A different formula there is a run of its own, and the formula of
+    // the run typed below the column's end extends the run.
+    pair.formula(Cell::new(3, 10), "SUM($A$1:A10)+0");
+    pair.formula(Cell::new(3, ROWS + 1), "SUM($A$1:A25)");
+    assert_eq!(sheet(&pair), (templates + 1, cells + 1));
+
+    // Rows inserted through every run: the cells above stay in theirs,
+    // the cells below are rewritten (or only moved) and form one new run
+    // per column, except the FF column's literal-free formula, which
+    // reads the same cells from wherever it is.
+    pair.apply(
+        &Op::Structural { sheet: 1, op: StructuralOp::InsertRows { at: 15, n: 2 } },
+        "insert",
+    );
+    pair.recalculate();
+    assert_same(&pair.shared, &pair.twin, "after the insert");
+    let (after, _) = sheet(&pair);
+    assert!(after <= 2 * (templates + 1) + 1, "{after} templates for {templates} split runs");
+
+    // The whole sheet cleared: nothing is left alive.
+    let all = Range::from_coords(1, 1, 40, 200);
+    pair.shared.clear_range(CALC, all);
+    assert_eq!(sheet(&pair), (0, 0));
+}

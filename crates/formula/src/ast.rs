@@ -198,52 +198,53 @@ impl Expr {
     }
 
     /// Collects every reference in the expression, in source order, as the
-    /// *dependency read set*: the cells evaluation may actually touch.
+    /// *dependency read set*: the cells evaluation may actually touch
+    /// (see [`Expr::visit_reads`]).
+    pub fn collect_refs(&self) -> Vec<QualifiedRef> {
+        let mut out = Vec::new();
+        self.visit_reads(&mut |q, shaped_by| {
+            out.push(match shaped_by {
+                None => q.clone(),
+                Some(crit) => q.resized(crit.range().width(), crit.range().height()),
+            })
+        });
+        out
+    }
+
+    /// Visits the dependency read set in source order: every reference,
+    /// and for one that evaluation reshapes, the reference whose shape it
+    /// takes.
     ///
     /// This is function-aware where evaluation reads outside the literal
     /// reference: `SUMIF`/`AVERAGEIF` shape their sum range to the
     /// criteria range's dimensions (Excel's implicit resize), so the sum
-    /// reference is resized here the same way — otherwise the formula
+    /// reference comes with the criteria reference — otherwise the formula
     /// graph would miss dependencies on the cells the aggregate reads
     /// beyond the written range, and edits there would never dirty the
     /// formula.
-    pub fn collect_refs(&self) -> Vec<QualifiedRef> {
-        let mut out = Vec::new();
-        self.collect_read_set(&mut out);
-        out
-    }
-
-    fn collect_read_set(&self, out: &mut Vec<QualifiedRef>) {
+    pub fn visit_reads<F: FnMut(&QualifiedRef, Option<&QualifiedRef>)>(&self, f: &mut F) {
         match self {
             Expr::Func { id: FuncId::SumIf | FuncId::AverageIf, args, .. } if args.len() == 3 => {
-                args[0].collect_read_set(out);
-                args[1].collect_read_set(out);
+                args[0].visit_reads(f);
+                args[1].visit_reads(f);
                 match (&args[0], &args[2]) {
-                    (Expr::Ref(crit), Expr::Ref(sum)) => {
-                        let shape = crit.range();
-                        out.push(sum.resized(shape.width(), shape.height()));
-                    }
-                    _ => args[2].collect_read_set(out),
+                    (Expr::Ref(crit), Expr::Ref(sum)) => f(sum, Some(crit)),
+                    _ => args[2].visit_reads(f),
                 }
             }
-            _ => {
-                // Every other node reads exactly its literal references;
-                // recurse one level and delegate.
-                match self {
-                    Expr::Ref(r) => out.push(r.clone()),
-                    Expr::Func { args, .. } => {
-                        for a in args {
-                            a.collect_read_set(out);
-                        }
-                    }
-                    Expr::Binary { lhs, rhs, .. } => {
-                        lhs.collect_read_set(out);
-                        rhs.collect_read_set(out);
-                    }
-                    Expr::Unary { expr, .. } | Expr::Percent(expr) => expr.collect_read_set(out),
-                    Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::RefError => {}
+            // Every other node reads exactly its literal references.
+            Expr::Ref(r) => f(r, None),
+            Expr::Func { args, .. } => {
+                for a in args {
+                    a.visit_reads(f);
                 }
             }
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.visit_reads(f);
+                rhs.visit_reads(f);
+            }
+            Expr::Unary { expr, .. } | Expr::Percent(expr) => expr.visit_reads(f),
+            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::RefError => {}
         }
     }
 
@@ -291,12 +292,43 @@ impl Expr {
         }
     }
 
-    fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, parent: u8) -> fmt::Result {
+    /// Whether the expression calls a volatile function (`NOW`, `TODAY`,
+    /// `RAND`) anywhere in its tree.
+    pub fn is_volatile(&self) -> bool {
+        match self {
+            Expr::Func { id, args, .. } => {
+                matches!(id, FuncId::Now | FuncId::Today | FuncId::Rand)
+                    || args.iter().any(Expr::is_volatile)
+            }
+            Expr::Binary { lhs, rhs, .. } => lhs.is_volatile() || rhs.is_volatile(),
+            Expr::Unary { expr, .. } | Expr::Percent(expr) => expr.is_volatile(),
+            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Ref(_) | Expr::RefError => {
+                false
+            }
+        }
+    }
+
+    /// Prints the expression as [`fmt::Display`] does, handing every
+    /// reference, in source order, to `on_ref` to write.
+    pub fn write_with<W: fmt::Write>(
+        &self,
+        w: &mut W,
+        on_ref: &mut impl FnMut(&mut W, &QualifiedRef) -> fmt::Result,
+    ) -> fmt::Result {
+        self.write_prec(w, 0, on_ref)
+    }
+
+    fn write_prec<W: fmt::Write>(
+        &self,
+        f: &mut W,
+        parent: u8,
+        on_ref: &mut impl FnMut(&mut W, &QualifiedRef) -> fmt::Result,
+    ) -> fmt::Result {
         match self {
             Expr::Number(n) => write!(f, "{n}"),
             Expr::Text(s) => write!(f, "\"{}\"", s.replace('"', "\"\"")),
             Expr::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
-            Expr::Ref(r) => write!(f, "{r}"),
+            Expr::Ref(r) => on_ref(f, r),
             Expr::RefError => write!(f, "#REF!"),
             Expr::Func { name, args, .. } => {
                 write!(f, "{name}(")?;
@@ -304,7 +336,7 @@ impl Expr {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    a.fmt_prec(f, 0)?;
+                    a.write_prec(f, 0, on_ref)?;
                 }
                 write!(f, ")")
             }
@@ -314,10 +346,10 @@ impl Expr {
                 if need {
                     write!(f, "(")?;
                 }
-                lhs.fmt_prec(f, p)?;
+                lhs.write_prec(f, p, on_ref)?;
                 write!(f, "{}", op.symbol())?;
                 // Left-associative: right child parenthesizes at p+1.
-                rhs.fmt_prec(f, p + 1)?;
+                rhs.write_prec(f, p + 1, on_ref)?;
                 if need {
                     write!(f, ")")?;
                 }
@@ -331,14 +363,14 @@ impl Expr {
                     write!(f, "(")?;
                 }
                 write!(f, "{}", if *op == UnOp::Neg { "-" } else { "+" })?;
-                expr.fmt_prec(f, 6)?;
+                expr.write_prec(f, 6, on_ref)?;
                 if need {
                     write!(f, ")")?;
                 }
                 Ok(())
             }
             Expr::Percent(expr) => {
-                expr.fmt_prec(f, 7)?;
+                expr.write_prec(f, 7, on_ref)?;
                 write!(f, "%")
             }
         }
@@ -347,7 +379,7 @@ impl Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_prec(f, 0)
+        self.write_with(f, &mut |f, r| write!(f, "{r}"))
     }
 }
 

@@ -8,6 +8,7 @@
 use crate::ast::{BinOp, Expr, FuncId, UnOp};
 use crate::value::{CellError, Value};
 use std::ops::ControlFlow;
+use taco_grid::a1::RangeRef;
 use taco_grid::{Cell, Range};
 
 /// An injected time/randomness source for the volatile functions
@@ -118,15 +119,27 @@ pub trait CellProvider {
         range.cells().try_fold(init, |acc, c| f(acc, &value_on(self, sheet, c)))
     }
 
-    /// What `SUM` folds `range` (on the formula's own sheet) to — its
-    /// numbers added to `0.0` in [`Range::cells`] order, everything else
-    /// skipped — for a provider that knows it without reading each cell.
-    /// `None` makes the evaluator read the range cell by cell: the
-    /// default, and the only answer allowed for a range holding an error
-    /// value (the cell-by-cell read is what reports it).
-    fn range_sum(&self, range: Range) -> Option<f64> {
-        let _ = range;
+    /// Where the fold of aggregate `id` over a leading part of `range` (on
+    /// the formula's own sheet) already stands, for a provider that
+    /// remembers: the state after the rows from the range's first through
+    /// the returned one, across all its columns — a prefix of `range` in
+    /// [`Range::cells`] order, so the evaluator goes on from the row after
+    /// it and does the very additions a fold from the first row does.
+    /// `None`, the default, makes it fold the whole range.
+    ///
+    /// Asked only for the range an aggregate starts with, and only when
+    /// its head corner is `$`-fixed: the reference autofill repeats (FF)
+    /// or grows (FR) from one cell of a run to the next.
+    fn resume_fold(&self, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
+        let _ = (id, range);
         None
+    }
+
+    /// Told the state of aggregate `id` after the whole of `range`, every
+    /// time [`CellProvider::resume_fold`] was asked and the fold met no
+    /// error. A fold that stops at an error value is never reported.
+    fn remember_fold(&self, id: FuncId, range: Range, state: FoldState) {
+        let _ = (id, range, state);
     }
 }
 
@@ -150,7 +163,107 @@ pub const MAX_RANGE_CELLS: u64 = 4_000_000;
 
 /// Evaluates an expression against a provider.
 pub fn eval<P: CellProvider>(expr: &Expr, cells: &P) -> Value {
-    eval_operand(expr, cells).scalar(cells)
+    eval_at(expr, 0, 0, cells)
+}
+
+/// Evaluates an expression as it reads `dc` columns and `dr` rows from
+/// where it was written: every reference is moved by
+/// [`RangeRef::autofill`](taco_grid::a1::RangeRef::autofill) first, one
+/// that leaves the grid is `#REF!` — what the expression autofilled that
+/// far evaluates to, without building it.
+pub fn eval_at<P: CellProvider>(expr: &Expr, dc: i64, dr: i64, cells: &P) -> Value {
+    eval_in(expr, &Ctx { cells, dc, dr })
+}
+
+/// [`RangeRef::autofill`]; a lone formula, a run of one, sits at `(0, 0)`
+/// and moves nothing.
+#[inline]
+pub(crate) fn moved(rref: &RangeRef, dc: i64, dr: i64) -> Option<RangeRef> {
+    if (dc, dr) == (0, 0) {
+        Some(*rref)
+    } else {
+        rref.autofill(dc, dr)
+    }
+}
+
+/// An evaluation in progress: the provider, and how far the expression
+/// has moved from where its references were written.
+struct Ctx<'p, P> {
+    cells: &'p P,
+    dc: i64,
+    dr: i64,
+}
+
+fn eval_in<P: CellProvider>(expr: &Expr, cx: &Ctx<'_, P>) -> Value {
+    eval_operand(expr, cx).scalar(cx.cells)
+}
+
+/// Where an aggregate's fold stands: an accumulator and a count, of which
+/// each function uses what it needs (`SUM` the accumulator, `COUNT` the
+/// count, `AVERAGE` both, `MIN` the count as "seen a number"). Opaque to
+/// a provider that remembers it — see [`CellProvider::resume_fold`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FoldState {
+    acc: f64,
+    count: u64,
+}
+
+#[cfg(debug_assertions)]
+impl FoldState {
+    fn bits(self) -> (u64, u64) {
+        (self.acc.to_bits(), self.count)
+    }
+}
+
+/// A fold accumulator that fits a [`FoldState`], bit for bit.
+trait Carried: Copy {
+    fn pack(self) -> FoldState;
+    fn unpack(state: FoldState) -> Self;
+}
+
+impl Carried for f64 {
+    fn pack(self) -> FoldState {
+        FoldState { acc: self, count: 0 }
+    }
+    fn unpack(state: FoldState) -> Self {
+        state.acc
+    }
+}
+
+impl Carried for u64 {
+    fn pack(self) -> FoldState {
+        FoldState { acc: 0.0, count: self }
+    }
+    fn unpack(state: FoldState) -> Self {
+        state.count
+    }
+}
+
+impl Carried for (f64, u64) {
+    fn pack(self) -> FoldState {
+        FoldState { acc: self.0, count: self.1 }
+    }
+    fn unpack(state: FoldState) -> Self {
+        (state.acc, state.count)
+    }
+}
+
+impl Carried for Option<f64> {
+    fn pack(self) -> FoldState {
+        FoldState { acc: self.unwrap_or(0.0), count: u64::from(self.is_some()) }
+    }
+    fn unpack(state: FoldState) -> Self {
+        (state.count != 0).then_some(state.acc)
+    }
+}
+
+impl Carried for bool {
+    fn pack(self) -> FoldState {
+        FoldState { acc: 0.0, count: u64::from(self) }
+    }
+    fn unpack(state: FoldState) -> Self {
+        state.count != 0
+    }
 }
 
 /// An intermediate operand: functions like SUM accept ranges, scalar
@@ -178,22 +291,25 @@ impl Operand<'_> {
     }
 }
 
-fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cells: &P) -> Operand<'a> {
+fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cx: &Ctx<'_, P>) -> Operand<'a> {
     match expr {
         Expr::Number(n) => Operand::Scalar(Value::Number(*n)),
         Expr::Text(s) => Operand::Scalar(Value::Text(s.clone())),
         Expr::Bool(b) => Operand::Scalar(Value::Bool(*b)),
         Expr::RefError => Operand::Scalar(Value::Error(CellError::Ref)),
-        Expr::Ref(r) => Operand::Range(r.sheet_name(), r.range()),
+        Expr::Ref(r) => match moved(&r.rref, cx.dc, cx.dr) {
+            Some(moved) => Operand::Range(r.sheet_name(), moved.range()),
+            None => Operand::Scalar(Value::Error(CellError::Ref)),
+        },
         Expr::Percent(e) => {
-            let v = eval_operand(e, cells).scalar(cells);
+            let v = eval_operand(e, cx).scalar(cx.cells);
             Operand::Scalar(match v.as_number() {
                 Ok(n) => Value::Number(n / 100.0),
                 Err(e) => Value::Error(e),
             })
         }
         Expr::Unary { op, expr } => {
-            let v = eval_operand(expr, cells).scalar(cells);
+            let v = eval_operand(expr, cx).scalar(cx.cells);
             Operand::Scalar(match (op, v.as_number()) {
                 (UnOp::Neg, Ok(n)) => Value::Number(-n),
                 (UnOp::Plus, Ok(n)) => Value::Number(n),
@@ -201,11 +317,11 @@ fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cells: &P) -> Operand<'a> {
             })
         }
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval_operand(lhs, cells).scalar(cells);
-            let r = eval_operand(rhs, cells).scalar(cells);
+            let l = eval_operand(lhs, cx).scalar(cx.cells);
+            let r = eval_operand(rhs, cx).scalar(cx.cells);
             Operand::Scalar(eval_binary(*op, l, r))
         }
-        Expr::Func { id, args, .. } => Operand::Scalar(eval_func(*id, args, cells)),
+        Expr::Func { id, args, .. } => Operand::Scalar(eval_func(*id, args, cx)),
     }
 }
 
@@ -272,32 +388,86 @@ fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
     Value::Bool(b)
 }
 
-/// Folds the scalar values of the arguments into `init`, in order: a
-/// scalar argument is itself, a range every cell value. The accumulator
-/// is handed along by value, so a sum over a column lives in a register.
-fn fold_values<P: CellProvider, A>(
-    args: &[Expr],
+/// Folds the value of every cell of `range` into `acc`, until `f` fails.
+fn fold_cells<P: CellProvider, A>(
     cells: &P,
+    sheet: Option<&str>,
+    range: Range,
+    acc: A,
+    f: &mut impl FnMut(A, &Value) -> Result<A, CellError>,
+) -> Result<A, CellError> {
+    if range.area() > MAX_RANGE_CELLS {
+        return Err(CellError::Value);
+    }
+    let flow = cells.fold_range(sheet, range, acc, &mut |acc, v| match f(acc, v) {
+        Ok(acc) => ControlFlow::Continue(acc),
+        Err(e) => ControlFlow::Break(e),
+    });
+    match flow {
+        ControlFlow::Continue(acc) => Ok(acc),
+        ControlFlow::Break(e) => Err(e),
+    }
+}
+
+/// The range an aggregate starts with, if its fold may be resumed (see
+/// [`CellProvider::resume_fold`]): on the formula's own sheet, head
+/// corner `$`-fixed.
+fn resumable<P>(args: &[Expr], cx: &Ctx<'_, P>) -> Option<Range> {
+    match args.first()? {
+        Expr::Ref(r) if r.sheet.is_none() && r.rref.head.is_fixed() => {
+            Some(moved(&r.rref, cx.dc, cx.dr)?.range())
+        }
+        _ => None,
+    }
+}
+
+/// Folds the scalar values of the arguments of aggregate `id` into
+/// `init`, in order: a scalar argument is itself, a range every cell
+/// value. The accumulator is handed along by value, so a sum over a
+/// column lives in a register. A [`resumable`] first range goes on from
+/// where the provider remembers its fold standing: the same steps from
+/// the same state, so the same bits.
+fn fold_values<P: CellProvider, A: Carried>(
+    id: FuncId,
+    args: &[Expr],
+    cx: &Ctx<'_, P>,
     init: A,
     mut f: impl FnMut(A, &Value) -> Result<A, CellError>,
 ) -> Result<A, CellError> {
     let mut acc = init;
-    for arg in args {
-        acc = match eval_operand(arg, cells) {
-            Operand::Scalar(v) => f(acc, &v)?,
-            Operand::Range(sheet, r) => {
-                if r.area() > MAX_RANGE_CELLS {
-                    return Err(CellError::Value);
-                }
-                let flow = cells.fold_range(sheet, r, acc, &mut |acc, v| match f(acc, v) {
-                    Ok(acc) => ControlFlow::Continue(acc),
-                    Err(e) => ControlFlow::Break(e),
-                });
-                match flow {
-                    ControlFlow::Continue(acc) => acc,
-                    ControlFlow::Break(e) => return Err(e),
-                }
+    let mut rest = args;
+    if let Some(range) = resumable(args, cx) {
+        if range.area() > MAX_RANGE_CELLS {
+            return Err(CellError::Value);
+        }
+        let mut todo = Some(range);
+        if let Some((state, through)) = cx.cells.resume_fold(id, range) {
+            let (head, tail) = (range.head(), range.tail());
+            // Debug builds hold every resumed fold to the fold it stands
+            // for, so each suite that evaluates a formula checks it.
+            #[cfg(debug_assertions)]
+            {
+                let folded = Range::from_coords(head.col, head.row, tail.col, through);
+                let fresh = fold_cells(cx.cells, None, folded, init, &mut f).map(Carried::pack);
+                debug_assert!(
+                    fresh.is_ok_and(|fresh| fresh.bits() == state.bits()),
+                    "{id:?} over {folded}: remembered {state:?}, folds to {fresh:?}"
+                );
             }
+            acc = A::unpack(state);
+            todo = (through < tail.row)
+                .then(|| Range::from_coords(head.col, through + 1, tail.col, tail.row));
+        }
+        if let Some(todo) = todo {
+            acc = fold_cells(cx.cells, None, todo, acc, &mut f)?;
+        }
+        cx.cells.remember_fold(id, range, acc.pack());
+        rest = &args[1..];
+    }
+    for arg in rest {
+        acc = match eval_operand(arg, cx) {
+            Operand::Scalar(v) => f(acc, &v)?,
+            Operand::Range(sheet, r) => fold_cells(cx.cells, sheet, r, acc, &mut f)?,
         };
     }
     Ok(acc)
@@ -305,46 +475,46 @@ fn fold_values<P: CellProvider, A>(
 
 /// [`fold_values`] over the numbers: non-numeric and empty cells inside
 /// ranges are skipped (Excel SUM semantics), but error values propagate.
-fn fold_numbers<P: CellProvider, A>(
+fn fold_numbers<P: CellProvider, A: Carried>(
+    id: FuncId,
     args: &[Expr],
-    cells: &P,
+    cx: &Ctx<'_, P>,
     init: A,
     mut f: impl FnMut(A, f64) -> A,
 ) -> Result<A, CellError> {
-    fold_values(args, cells, init, |acc, v| match v {
+    fold_values(id, args, cx, init, |acc, v| match v {
         Value::Number(n) => Ok(f(acc, *n)),
         Value::Error(e) => Err(*e),
         _ => Ok(acc),
     })
 }
 
-fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
+fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cx: &Ctx<'_, P>) -> Value {
     let result = match id {
-        FuncId::Sum => sum(args, cells).map(Value::Number),
-        FuncId::Product => fold_numbers(args, cells, 1.0, |acc, n| acc * n).map(Value::Number),
+        FuncId::Sum => fold_numbers(id, args, cx, 0.0, |acc, n| acc + n).map(Value::Number),
+        FuncId::Product => fold_numbers(id, args, cx, 1.0, |acc, n| acc * n).map(Value::Number),
         // Counts numeric values only, like Excel.
-        FuncId::Count => fold_values(args, cells, 0u64, |count, v| {
+        FuncId::Count => fold_values(id, args, cx, 0u64, |count, v| {
             Ok(count + u64::from(matches!(v, Value::Number(_))))
         })
         .map(|count| Value::Number(count as f64)),
         FuncId::CountA => {
-            fold_values(args, cells, 0u64, |count, v| Ok(count + u64::from(!v.is_empty())))
+            fold_values(id, args, cx, 0u64, |count, v| Ok(count + u64::from(!v.is_empty())))
                 .map(|count| Value::Number(count as f64))
         }
         FuncId::Average => {
-            fold_numbers(args, cells, (0.0, 0u64), |(sum, count), n| (sum + n, count + 1)).and_then(
-                |(sum, count)| {
+            fold_numbers(id, args, cx, (0.0, 0u64), |(sum, count), n| (sum + n, count + 1))
+                .and_then(|(sum, count)| {
                     if count == 0 {
                         Err(CellError::Div0)
                     } else {
                         Ok(Value::Number(sum / count as f64))
                     }
-                },
-            )
+                })
         }
         FuncId::Min | FuncId::Max => {
             let take_max = id == FuncId::Max;
-            fold_numbers(args, cells, None, |best: Option<f64>, n| {
+            fold_numbers(id, args, cx, None, |best: Option<f64>, n| {
                 Some(match best {
                     None => n,
                     Some(b) if take_max => b.max(n),
@@ -357,16 +527,16 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
             if args.is_empty() || args.len() > 3 {
                 Err(CellError::Value)
             } else {
-                match eval(&args[0], cells).as_bool() {
+                match eval_in(&args[0], cx).as_bool() {
                     Err(e) => Err(e),
-                    Ok(true) => Ok(args.get(1).map_or(Value::Bool(true), |a| eval(a, cells))),
-                    Ok(false) => Ok(args.get(2).map_or(Value::Bool(false), |a| eval(a, cells))),
+                    Ok(true) => Ok(args.get(1).map_or(Value::Bool(true), |a| eval_in(a, cx))),
+                    Ok(false) => Ok(args.get(2).map_or(Value::Bool(false), |a| eval_in(a, cx))),
                 }
             }
         }
         FuncId::And | FuncId::Or => {
             let is_and = id == FuncId::And;
-            fold_values(args, cells, is_and, |acc, v| {
+            fold_values(id, args, cx, is_and, |acc, v| {
                 if v.is_empty() {
                     return Ok(acc);
                 }
@@ -375,16 +545,16 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
             })
             .map(Value::Bool)
         }
-        FuncId::Not => single_arg(args, cells).and_then(|v| v.as_bool()).map(|b| Value::Bool(!b)),
-        FuncId::Abs => num1(args, cells, f64::abs),
-        FuncId::Sqrt => num1(args, cells, f64::sqrt),
-        FuncId::Int => num1(args, cells, f64::floor),
+        FuncId::Not => single_arg(args, cx).and_then(|v| v.as_bool()).map(|b| Value::Bool(!b)),
+        FuncId::Abs => num1(args, cx, f64::abs),
+        FuncId::Sqrt => num1(args, cx, f64::sqrt),
+        FuncId::Int => num1(args, cx, f64::floor),
         FuncId::Round => {
             if args.len() != 2 {
                 Err(CellError::Value)
             } else {
-                let n = eval(&args[0], cells).as_number();
-                let d = eval(&args[1], cells).as_number();
+                let n = eval_in(&args[0], cx).as_number();
+                let d = eval_in(&args[1], cx).as_number();
                 match (n, d) {
                     (Ok(n), Ok(d)) => {
                         let m = 10f64.powi(d as i32);
@@ -394,14 +564,14 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
                 }
             }
         }
-        FuncId::Len => single_arg(args, cells)
+        FuncId::Len => single_arg(args, cx)
             .and_then(|v| v.as_text())
             .map(|s| Value::Number(s.chars().count() as f64)),
         FuncId::Concatenate => {
             let mut s = String::new();
             let mut err = None;
             for a in args {
-                match eval(a, cells).as_text() {
+                match eval_in(a, cx).as_text() {
                     Ok(t) => s.push_str(&t),
                     Err(e) => {
                         err = Some(e);
@@ -414,17 +584,17 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
                 None => Ok(Value::Text(s)),
             }
         }
-        FuncId::Vlookup => vlookup(args, cells),
-        FuncId::SumIf | FuncId::CountIf | FuncId::AverageIf => cond_aggregate(id, args, cells),
-        FuncId::Index => index(args, cells),
-        FuncId::Match => match_fn(args, cells),
+        FuncId::Vlookup => vlookup(args, cx),
+        FuncId::SumIf | FuncId::CountIf | FuncId::AverageIf => cond_aggregate(id, args, cx),
+        FuncId::Index => index(args, cx),
+        FuncId::Match => match_fn(args, cx),
         // Volatile functions read the injected clock (see [`EvalClock`]);
         // without one they fall back to deterministic zeros.
-        FuncId::Now => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::now))),
-        FuncId::Today => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::today))),
+        FuncId::Now => Ok(Value::Number(cx.cells.volatile().map_or(0.0, VolatileCtx::now))),
+        FuncId::Today => Ok(Value::Number(cx.cells.volatile().map_or(0.0, VolatileCtx::today))),
         FuncId::Rand => {
             if args.is_empty() {
-                Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::next_rand)))
+                Ok(Value::Number(cx.cells.volatile().map_or(0.0, VolatileCtx::next_rand)))
             } else {
                 Err(CellError::Value)
             }
@@ -434,11 +604,11 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
     result.unwrap_or_else(Value::Error)
 }
 
-fn single_arg<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
+fn single_arg<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
     if args.len() != 1 {
         return Err(CellError::Value);
     }
-    let v = eval(&args[0], cells);
+    let v = eval_in(&args[0], cx);
     if let Value::Error(e) = v {
         return Err(e);
     }
@@ -447,24 +617,10 @@ fn single_arg<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellEr
 
 fn num1<P: CellProvider>(
     args: &[Expr],
-    cells: &P,
+    cx: &Ctx<'_, P>,
     f: impl Fn(f64) -> f64,
 ) -> Result<Value, CellError> {
-    single_arg(args, cells).and_then(|v| v.as_number()).map(|n| Value::Number(f(n)))
-}
-
-/// `SUM`. While the accumulator is still `0.0` a range's sum *is* the
-/// fold over it, so a leading own-sheet range may be answered by
-/// [`CellProvider::range_sum`]; the result is bit-identical either way.
-fn sum<P: CellProvider>(args: &[Expr], cells: &P) -> Result<f64, CellError> {
-    let known = match args.first() {
-        Some(Expr::Ref(r)) if r.sheet_name().is_none() => cells.range_sum(r.range()),
-        _ => None,
-    };
-    match known {
-        Some(first) => fold_numbers(&args[1..], cells, first, |acc, n| acc + n),
-        None => fold_numbers(args, cells, 0.0, |acc, n| acc + n),
-    }
+    single_arg(args, cx).and_then(|v| v.as_number()).map(|n| Value::Number(f(n)))
 }
 
 /// SUMIF/COUNTIF/AVERAGEIF: criteria over one range, optionally summing a
@@ -472,23 +628,23 @@ fn sum<P: CellProvider>(args: &[Expr], cells: &P) -> Result<f64, CellError> {
 fn cond_aggregate<P: CellProvider>(
     id: FuncId,
     args: &[Expr],
-    cells: &P,
+    cx: &Ctx<'_, P>,
 ) -> Result<Value, CellError> {
     let want_sum_range = id != FuncId::CountIf;
     if args.len() < 2 || args.len() > if want_sum_range { 3 } else { 2 } {
         return Err(CellError::Value);
     }
-    let Operand::Range(crit_sheet, crit_range) = eval_operand(&args[0], cells) else {
+    let Operand::Range(crit_sheet, crit_range) = eval_operand(&args[0], cx) else {
         return Err(CellError::Value);
     };
-    let criterion = eval(&args[1], cells);
+    let criterion = eval_in(&args[1], cx);
     if let Value::Error(e) = criterion {
         return Err(e);
     }
     // Without a sum range the cells that match are the cells summed.
     let sum_range = match args.get(2) {
         None => None,
-        Some(a) => match eval_operand(a, cells) {
+        Some(a) => match eval_operand(a, cx) {
             Operand::Range(s, r) => Some((s, r)),
             Operand::Scalar(_) => return Err(CellError::Value),
         },
@@ -498,7 +654,7 @@ fn cond_aggregate<P: CellProvider>(
     }
     let width = u64::from(crit_range.width());
     // (cells visited, cells that matched, their sum)
-    let flow = cells.fold_range(crit_sheet, crit_range, (0u64, 0u64, 0.0), &mut |acc, v| {
+    let flow = cx.cells.fold_range(crit_sheet, crit_range, (0u64, 0u64, 0.0), &mut |acc, v| {
         let (at, count, sum) = acc;
         if !criterion_matches(v, &criterion) {
             return ControlFlow::Continue((at + 1, count, sum));
@@ -512,7 +668,7 @@ fn cond_aggregate<P: CellProvider>(
                 let col = i64::from(sum_range.head().col) + (at % width) as i64;
                 let row = i64::from(sum_range.head().row) + (at / width) as i64;
                 match Cell::try_new(col, row) {
-                    Ok(sc) => value_on(cells, sum_sheet, sc).as_number(),
+                    Ok(sc) => value_on(cx.cells, sum_sheet, sc).as_number(),
                     Err(_) => return ControlFlow::Break(CellError::Ref),
                 }
             }
@@ -561,23 +717,23 @@ fn criterion_matches(v: &Value, criterion: &Value) -> bool {
 }
 
 /// INDEX(range, row, [col]): the value at a 1-based position in a range.
-fn index<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
+fn index<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
     if args.len() < 2 || args.len() > 3 {
         return Err(CellError::Value);
     }
-    let Operand::Range(sheet, table) = eval_operand(&args[0], cells) else {
+    let Operand::Range(sheet, table) = eval_operand(&args[0], cx) else {
         return Err(CellError::Value);
     };
-    let row = eval(&args[1], cells).as_number()? as i64;
+    let row = eval_in(&args[1], cx).as_number()? as i64;
     let col = match args.get(2) {
         None => 1,
-        Some(a) => eval(a, cells).as_number()? as i64,
+        Some(a) => eval_in(a, cx).as_number()? as i64,
     };
     if row < 1 || col < 1 || row > i64::from(table.height()) || col > i64::from(table.width()) {
         return Err(CellError::Ref);
     }
     Ok(value_on(
-        cells,
+        cx.cells,
         sheet,
         Cell::new(table.head().col + (col - 1) as u32, table.head().row + (row - 1) as u32),
     ))
@@ -585,15 +741,15 @@ fn index<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> 
 
 /// MATCH(value, range, [0|1]): 1-based position of a value in a one-
 /// dimensional range (0 = exact, 1 = largest ≤ value, the default).
-fn match_fn<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
+fn match_fn<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
     if args.len() < 2 || args.len() > 3 {
         return Err(CellError::Value);
     }
-    let needle = eval(&args[0], cells);
+    let needle = eval_in(&args[0], cx);
     if let Value::Error(e) = needle {
         return Err(e);
     }
-    let Operand::Range(sheet, range) = eval_operand(&args[1], cells) else {
+    let Operand::Range(sheet, range) = eval_operand(&args[1], cx) else {
         return Err(CellError::Value);
     };
     if !range.is_line() || range.area() > MAX_RANGE_CELLS {
@@ -601,9 +757,9 @@ fn match_fn<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellErro
     }
     let exact = match args.get(2) {
         None => false,
-        Some(a) => eval(a, cells).as_number()? == 0.0,
+        Some(a) => eval_in(a, cx).as_number()? == 0.0,
     };
-    let found = position_in(cells, sheet, range, &needle, exact);
+    let found = position_in(cx.cells, sheet, range, &needle, exact);
     found.map(|i| Value::Number(i as f64)).ok_or(CellError::Na)
 }
 
@@ -639,30 +795,30 @@ fn position_in<P: CellProvider>(
     }
 }
 
-fn vlookup<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
+fn vlookup<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
     if args.len() < 3 || args.len() > 4 {
         return Err(CellError::Value);
     }
-    let needle = eval(&args[0], cells);
+    let needle = eval_in(&args[0], cx);
     if let Value::Error(e) = needle {
         return Err(e);
     }
-    let Operand::Range(sheet, table) = eval_operand(&args[1], cells) else {
+    let Operand::Range(sheet, table) = eval_operand(&args[1], cx) else {
         return Err(CellError::Value);
     };
-    let col_index = eval(&args[2], cells).as_number()? as i64;
+    let col_index = eval_in(&args[2], cx).as_number()? as i64;
     if col_index < 1 || col_index > i64::from(table.width()) {
         return Err(CellError::Ref);
     }
     let exact = match args.get(3) {
         None => false, // Excel default is approximate match
-        Some(a) => !eval(a, cells).as_bool()?,
+        Some(a) => !eval_in(a, cx).as_bool()?,
     };
     let (head, tail) = (table.head(), table.tail());
     let lookup_column = Range::from_coords(head.col, head.row, head.col, tail.row);
-    let found = position_in(cells, sheet, lookup_column, &needle, exact).ok_or(CellError::Na)?;
+    let found = position_in(cx.cells, sheet, lookup_column, &needle, exact).ok_or(CellError::Na)?;
     let result = Cell::new(head.col + (col_index - 1) as u32, head.row + (found - 1) as u32);
-    Ok(value_on(cells, sheet, result))
+    Ok(value_on(cx.cells, sheet, result))
 }
 
 fn values_equal(a: &Value, b: &Value) -> bool {
@@ -729,35 +885,112 @@ mod tests {
         assert_eq!(eval(&parse("TODAY()+1").unwrap(), &fx), Value::Number(45001.0));
     }
 
-    /// Answers [`CellProvider::range_sum`] for `A1:A3` with a number its
-    /// cells do not add up to, so a result shows where the evaluator asked.
-    struct Summed(Fixture);
+    /// Remembers every fold it is told of and resumes from the longest
+    /// remembered prefix, counting the cells read in between.
+    struct Remembering {
+        cells: Fixture,
+        folds: std::cell::RefCell<Vec<(FuncId, Range, FoldState)>>,
+        reads: std::cell::Cell<u32>,
+    }
 
-    impl CellProvider for Summed {
+    impl Remembering {
+        fn run(&self, src: &str) -> (Value, u32) {
+            self.reads.set(0);
+            (eval(&parse(src).unwrap(), self), self.reads.get())
+        }
+    }
+
+    impl CellProvider for Remembering {
         fn value(&self, cell: Cell) -> Value {
-            self.0.value(cell)
+            self.reads.set(self.reads.get() + 1);
+            self.cells.value(cell)
         }
 
-        fn range_sum(&self, range: Range) -> Option<f64> {
-            (range == Range::parse_a1("A1:A3").unwrap()).then_some(100.0)
+        fn resume_fold(&self, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
+            let folds = self.folds.borrow();
+            let prefixes = folds.iter().filter(|(known, r, _)| {
+                *known == id
+                    && r.head() == range.head()
+                    && r.tail().col == range.tail().col
+                    && r.tail().row <= range.tail().row
+            });
+            prefixes.max_by_key(|(_, r, _)| r.tail().row).map(|(_, r, s)| (*s, r.tail().row))
+        }
+
+        fn remember_fold(&self, id: FuncId, range: Range, state: FoldState) {
+            self.folds.borrow_mut().push((id, range, state));
         }
     }
 
     #[test]
-    fn sum_takes_only_a_leading_own_sheet_range_from_the_provider() {
+    fn an_aggregate_resumes_only_a_leading_own_sheet_range_with_a_fixed_head() {
         let n = Value::Number;
-        let fx =
-            Summed(fixture(&[("A1", n(1.0)), ("A2", n(2.0)), ("A3", n(3.0)), ("B1", n(10.0))]));
-        let run = |src: &str| eval(&parse(src).unwrap(), &fx);
-        assert_eq!(run("SUM(A1:A3)"), n(100.0));
-        assert_eq!(run("SUM(A1:A3,B1,5)"), n(115.0));
-        // Not once something has been added (the fold would differ in its
-        // last bits), not for a range the provider passes on, not for a
-        // range on a named sheet, and not for any other function.
-        assert_eq!(run("SUM(B1,A1:A3)"), n(16.0));
-        assert_eq!(run("SUM(A1:A2)"), n(3.0));
-        assert_eq!(run("SUM(Other!A1:A3)"), Value::Error(CellError::Ref));
-        assert_eq!(run("AVERAGE(A1:A3)"), n(2.0));
+        let cells = [
+            ("A1", n(0.1)),
+            ("A2", n(0.2)),
+            ("A3", Value::Text("x".into())),
+            ("A4", n(1e16)),
+            ("A5", n(-1e16)),
+            ("A6", n(0.7)),
+            ("B1", n(10.0)),
+            ("B4", Value::Bool(true)),
+            ("B7", Value::Error(CellError::Div0)),
+        ];
+        let plain = fixture(&cells);
+        let fx = Remembering {
+            cells: fixture(&cells),
+            folds: Default::default(),
+            reads: Default::default(),
+        };
+        for func in ["SUM", "PRODUCT", "COUNT", "COUNTA", "AVERAGE", "MIN", "MAX", "AND", "OR"] {
+            // One column growing, two columns growing, the same range again.
+            for (range, longer) in [("$A$1:A3", "$A$1:A6"), ("$A$1:B2", "$A$1:B6")] {
+                let (first, _) = fx.run(&format!("{func}({range})"));
+                assert!(same(&first, &run(&format!("{func}({range})"), &plain)), "{func}({range})");
+                let src = format!("{func}({longer},B1,5)");
+                let (resumed, reads) = fx.run(&src);
+                assert!(same(&resumed, &run(&src, &plain)), "{src}: {resumed:?}");
+                // (`AND` and `OR` stop at the text in A3: nothing to resume.)
+                if !matches!(resumed, Value::Error(_)) {
+                    let (old_cells, new_cells) =
+                        if longer.ends_with("B6") { (4, 8) } else { (3, 3) };
+                    // (a debug build folds the remembered part over, to check it)
+                    let checked = |cells: u32| if cfg!(debug_assertions) { cells } else { 0 };
+                    assert_eq!(reads, new_cells + 1 + checked(old_cells), "{src}");
+                    let again = 1 + checked(old_cells + new_cells);
+                    assert_eq!(fx.run(&src), (resumed, again), "{src}, again: only B1 is read");
+                }
+            }
+        }
+        // Not a range whose head moves with the formula, not a range after
+        // the first argument (the fold would differ in its last bits), not
+        // one on a named sheet, and not a fold that met an error.
+        fx.folds.borrow_mut().clear();
+        for src in ["SUM(A1:A6)", "SUM(B1,$A$1:A6)", "SUM(Other!$A$1:A6)", "SUM($B$1:B7)"] {
+            let (got, _) = fx.run(src);
+            assert!(same(&got, &run(src, &plain)), "{src}");
+            assert!(fx.folds.borrow().is_empty(), "{src}");
+        }
+        assert_eq!(fx.run("SUM($B$1:B7)").0, Value::Error(CellError::Div0));
+    }
+
+    #[test]
+    fn evaluating_at_an_offset_is_evaluating_the_autofilled_formula() {
+        let n = Value::Number;
+        let fx = fixture(&[("A1", n(1.0)), ("A2", n(2.0)), ("A3", n(4.0)), ("B3", n(8.0))]);
+        for (src, dc, dr) in [
+            ("SUM($A$1:A1)", 0, 2),
+            ("A1+$A$1*A$2", 1, 2),
+            ("IF(A2>1,SUMIF($A$1:A2,\">0\",B1:B1),B2)", 0, 1),
+            ("A2+1", 0, -2),
+            ("SUM(B2:C3)", -2, 0),
+            ("VLOOKUP(2,A1:B2,2,FALSE)", 0, 1),
+        ] {
+            let ast = parse(src).unwrap();
+            let filled = ast.map_refs(&mut |q| q.autofill(dc, dr));
+            assert!(same(&eval_at(&ast, dc, dr, &fx), &eval(&filled, &fx)), "{src} by {dc},{dr}");
+        }
+        assert_eq!(eval_at(&parse("A2+1").unwrap(), 0, -2, &fx), Value::Error(CellError::Ref));
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! - [`eval`] — an interpreter (SUM/AVERAGE/IF/VLOOKUP/arithmetic/…) so the
 //!   `taco-engine` substrate can actually recalculate cells,
 //! - [`autofill`] — the reference-adjustment transform whose `$` rules are
-//!   what make autofilled spreadsheets exhibit the RR/RF/FR/FF patterns.
+//!   what make autofilled spreadsheets exhibit the RR/RF/FR/FF patterns,
+//! - [`template`] — the same transform without building anything: one
+//!   [`Template`] read at an offset is the formula autofill would build
+//!   there, which is how the engine holds a run of filled cells.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +25,7 @@ pub mod autofill;
 pub mod eval;
 pub mod lexer;
 pub mod parser;
+pub mod template;
 pub mod value;
 
 mod error;
@@ -29,11 +33,15 @@ mod error;
 pub use ast::{BinOp, Expr, FuncId, UnOp};
 pub use error::FormulaError;
 pub use eval::{EvalClock, VolatileCtx};
+pub use template::Template;
 pub use value::{CellError, Value};
 
 use taco_grid::a1::QualifiedRef;
 
-/// A parsed formula: original source, AST, and the extracted references.
+/// A parsed formula on its own: original source, AST, and the extracted
+/// references. (The engine holds formulas as [`Template`]s, one per run of
+/// cells; this is the form [`autofill`] — the reference for what a
+/// template at an offset must be — builds and takes.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct Formula {
     /// Source text with any leading `=` stripped.
@@ -68,20 +76,7 @@ impl Formula {
     /// engine's injected [`EvalClock`] changes, not only when a referenced
     /// cell does.
     pub fn is_volatile(&self) -> bool {
-        fn walk(e: &Expr) -> bool {
-            match e {
-                Expr::Func { id, args, .. } => {
-                    matches!(id, FuncId::Now | FuncId::Today | FuncId::Rand)
-                        || args.iter().any(walk)
-                }
-                Expr::Binary { lhs, rhs, .. } => walk(lhs) || walk(rhs),
-                Expr::Unary { expr, .. } | Expr::Percent(expr) => walk(expr),
-                Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Ref(_) | Expr::RefError => {
-                    false
-                }
-            }
-        }
-        walk(&self.ast)
+        self.ast.is_volatile()
     }
 }
 

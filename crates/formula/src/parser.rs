@@ -40,10 +40,34 @@ use taco_grid::a1::{CellRef, QualifiedRef, RangeRef, SheetRef};
 /// the bound (optimised: 1 977 and 5 675).
 pub const MAX_DEPTH: usize = 64;
 
+/// One reference and where it sits in the text it was parsed from (byte
+/// offsets). Everything outside the spans is the text a run of autofilled
+/// formulas has in common.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RefSpan {
+    /// The reference, without its sheet qualifier.
+    pub rref: RangeRef,
+    /// Start of the reference, sheet qualifier included.
+    pub start: u32,
+    /// Start of the cell or range part (`== start` when unqualified).
+    pub at: u32,
+    /// One past the reference's last byte.
+    pub end: u32,
+}
+
 /// Parses a formula body (no leading `=`) into an expression tree.
 pub fn parse(src: &str) -> Result<Expr, FormulaError> {
+    parse_spanned(src).map(|(expr, _)| expr)
+}
+
+/// [`parse`], plus the span of every reference in source order — the
+/// order [`Expr::visit_refs`] visits them in.
+pub fn parse_spanned(src: &str) -> Result<(Expr, Vec<RefSpan>), FormulaError> {
+    if u32::try_from(src.len()).is_err() {
+        return Err(FormulaError::Syntax { pos: 0, msg: "formula too long".into() });
+    }
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, i: 0, src_len: src.len(), nesting: 0 };
+    let mut p = Parser { tokens, i: 0, src_len: src.len(), nesting: 0, spans: Vec::new() };
     let (expr, _) = p.expr()?;
     if let Some(t) = p.peek() {
         return Err(FormulaError::Syntax {
@@ -51,7 +75,7 @@ pub fn parse(src: &str) -> Result<Expr, FormulaError> {
             msg: format!("unexpected trailing token {:?}", t.kind),
         });
     }
-    Ok(*expr)
+    Ok((*expr, p.spans))
 }
 
 struct Parser {
@@ -60,6 +84,8 @@ struct Parser {
     src_len: usize,
     /// Parentheses, call arguments and signs open around the current token.
     nesting: usize,
+    /// One per reference parsed so far.
+    spans: Vec<RefSpan>,
 }
 
 /// A parsed subtree and its height (a leaf is 0). Boxed as its parent
@@ -297,7 +323,7 @@ impl Parser {
                         });
                     }
                     self.i += 2;
-                    return self.reference(Some(sheet));
+                    return self.reference(Some(sheet), t.pos);
                 }
                 // Boolean literals.
                 if name.eq_ignore_ascii_case("TRUE") {
@@ -308,7 +334,7 @@ impl Parser {
                     self.i += 1;
                     return Ok((Box::new(Expr::Bool(false)), 0));
                 }
-                self.reference(None)
+                self.reference(None, t.pos)
             }
             TokenKind::Sheet(name) => {
                 // A quoted sheet name must qualify a reference.
@@ -318,7 +344,7 @@ impl Parser {
                 })?;
                 self.i += 1;
                 self.expect(&TokenKind::Bang, "`!` after sheet name")?;
-                self.reference(Some(sheet))
+                self.reference(Some(sheet), t.pos)
             }
             other => {
                 Err(FormulaError::Syntax { pos: t.pos, msg: format!("unexpected token {other:?}") })
@@ -328,14 +354,17 @@ impl Parser {
 
     /// Parses `REF (':' REF)?` at the current position, attaching an
     /// already-consumed sheet qualifier if one preceded it. The qualifier
-    /// covers the whole range (`Sheet2!A1:B3`).
-    fn reference(&mut self, sheet: Option<SheetRef>) -> Result<Sub, FormulaError> {
+    /// covers the whole range (`Sheet2!A1:B3`); `start` is where it, or
+    /// else the reference, begins.
+    fn reference(&mut self, sheet: Option<SheetRef>, start: usize) -> Result<Sub, FormulaError> {
         let Some(Token { pos, kind: TokenKind::Name(name) }) = self.peek().cloned() else {
             return Err(self.err("expected cell reference".into()));
         };
         let head = CellRef::parse(&name)
             .map_err(|_| FormulaError::Syntax { pos, msg: format!("unknown name {name:?}") })?;
         self.i += 1;
+        let at = pos;
+        let mut end = pos + name.len();
         let rref = if self.eat(&TokenKind::Colon) {
             let Some(Token { pos, kind: TokenKind::Name(tail_name) }) = self.bump() else {
                 return Err(self.err("expected reference after `:`".into()));
@@ -344,10 +373,14 @@ impl Parser {
                 pos,
                 msg: format!("invalid range tail {tail_name:?}"),
             })?;
+            end = pos + tail_name.len();
             RangeRef::from_corners(head, tail)
         } else {
             RangeRef::single(head)
         };
+        // A name token is the source slice it was lexed from, so its
+        // length is its extent.
+        self.spans.push(RefSpan { rref, start: start as u32, at: at as u32, end: end as u32 });
         Ok((Box::new(Expr::Ref(QualifiedRef { sheet, rref })), 0))
     }
 }

@@ -10,10 +10,9 @@ use crate::{Cell, GridError, Range, MAX_COL, MAX_ROW};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// Converts a 1-based column index to letters (`1 → "A"`, `28 → "AB"`).
-pub fn col_to_letters(mut col: u32) -> String {
+/// The letters of a 1-based column index, written into `buf` from the back.
+fn col_letters(mut col: u32, buf: &mut [u8; 7]) -> &str {
     debug_assert!(col >= 1);
-    let mut buf = [0u8; 7];
     let mut i = buf.len();
     while col > 0 {
         let rem = (col - 1) % 26;
@@ -21,7 +20,12 @@ pub fn col_to_letters(mut col: u32) -> String {
         buf[i] = b'A' + rem as u8;
         col = (col - 1) / 26;
     }
-    String::from_utf8_lossy(&buf[i..]).into_owned()
+    std::str::from_utf8(&buf[i..]).expect("ASCII letters")
+}
+
+/// Converts a 1-based column index to letters (`1 → "A"`, `28 → "AB"`).
+pub fn col_to_letters(col: u32) -> String {
+    col_letters(col, &mut [0u8; 7]).to_string()
 }
 
 /// Converts column letters to the 1-based index (`"A" → 1`, `"AB" → 28`).
@@ -111,6 +115,7 @@ impl CellRef {
     /// Applies an autofill translation: relative coordinates shift by the
     /// delta, `$`-fixed coordinates stay put. Returns `None` if a relative
     /// coordinate would leave the grid.
+    #[inline]
     pub fn autofill(&self, dc: i64, dr: i64) -> Option<CellRef> {
         let col =
             if self.col_abs { i64::from(self.cell.col) } else { i64::from(self.cell.col) + dc };
@@ -123,14 +128,16 @@ impl CellRef {
 
 impl fmt::Display for CellRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}{}{}{}",
-            if self.col_abs { "$" } else { "" },
-            col_to_letters(self.cell.col),
-            if self.row_abs { "$" } else { "" },
-            self.cell.row
-        )
+        // No intermediate `String`: formula text is spliced and compared
+        // through this once per reference.
+        if self.col_abs {
+            f.write_str("$")?;
+        }
+        f.write_str(col_letters(self.cell.col, &mut [0u8; 7]))?;
+        if self.row_abs {
+            f.write_str("$")?;
+        }
+        write!(f, "{}", self.cell.row)
     }
 }
 
@@ -187,6 +194,7 @@ impl RangeRef {
     }
 
     /// The plain geometric range (flags dropped).
+    #[inline]
     pub fn range(&self) -> Range {
         Range::new(self.head.cell, self.tail.cell)
     }
@@ -198,6 +206,7 @@ impl RangeRef {
 
     /// Applies an autofill translation to both corners (see
     /// [`CellRef::autofill`]).
+    #[inline]
     pub fn autofill(&self, dc: i64, dr: i64) -> Option<RangeRef> {
         Some(RangeRef { head: self.head.autofill(dc, dr)?, tail: self.tail.autofill(dc, dr)? })
     }
@@ -347,11 +356,13 @@ impl QualifiedRef {
     }
 
     /// The qualifying sheet name, if any.
+    #[inline]
     pub fn sheet_name(&self) -> Option<&str> {
         self.sheet.as_ref().map(SheetRef::name)
     }
 
     /// The plain geometric range (sheet and flags dropped).
+    #[inline]
     pub fn range(&self) -> Range {
         self.rref.range()
     }

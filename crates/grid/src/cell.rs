@@ -25,6 +25,7 @@ impl Cell {
     }
 
     /// Fallible constructor that also enforces the grid limits.
+    #[inline]
     pub fn try_new(col: i64, row: i64) -> Result<Self, GridError> {
         if col < 1 || row < 1 || col > i64::from(MAX_COL) || row > i64::from(MAX_ROW) {
             return Err(GridError::OutOfBounds { col, row });

@@ -71,6 +71,12 @@ fn main() {
     let last_region = wb.sheet_id(&format!("Region {REGIONS}")).expect("region exists");
     println!("levels: {:?}", wb.sheet_levels());
     println!("evaluated {evaluated} formula cells");
+    let sheets = || (0..wb.sheet_count()).map(|i| wb.sheet(SheetId(i)));
+    let (cells, templates): (usize, usize) =
+        (sheets().map(|s| s.formula_cells()).sum(), sheets().map(|s| s.formula_templates()).sum());
+    println!("formula cells: {cells}");
+    println!("formula templates: {templates} (one per run of cells holding one formula)");
+    println!("folds carried: {}", sheets().map(|s| s.folds_carried()).sum::<u64>());
     for k in 1..=REGIONS {
         println!("  Region {k} total: {:?}", wb.value(summary, Cell::new(1, k as u32)));
     }

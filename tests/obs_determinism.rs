@@ -135,6 +135,46 @@ fn profiled_recalc_is_bit_identical() {
     }
 }
 
+#[test]
+fn formula_gauges_and_the_carried_fold_counter_are_exposed() {
+    // A 40-row sheet: A data, B a cumulative column autofilled from B1 —
+    // one formula in 40 cells — and C typed row by row with a literal
+    // that differs, so 40 formulas of its own.
+    let hub = Obs::new(ObsOptions::default());
+    let mut wb = Workbook::with_taco();
+    wb.attach_obs(&hub, "det");
+    let s = wb.add_sheet("Only").unwrap();
+    for row in 1..=40u32 {
+        wb.set_value(s, Cell::new(1, row), Value::Number(f64::from(row)));
+        wb.set_formula(s, Cell::new(3, row), &format!("=A{row}*{row}")).unwrap();
+    }
+    wb.set_formula(s, Cell::new(2, 1), "=SUM($A$1:A1)").unwrap();
+    wb.autofill(s, Cell::new(2, 1), Range::from_coords(2, 2, 2, 40)).unwrap();
+    assert_eq!(wb.recalculate(RecalcMode::Serial), 80);
+    let text = hub.snapshot().to_prometheus();
+    for line in [
+        "taco_formula_cells{book=\"det\"} 80",
+        "taco_formula_templates{book=\"det\"} 41",
+        // Every cell of the cumulative column but the first went on from
+        // the fold of the cell above it.
+        "taco_recalc_folds_carried_total 39",
+    ] {
+        assert!(text.lines().any(|l| l == line), "no line {line:?} in:\n{text}");
+    }
+    // Counters add up over recalculations; the gauges follow the sheet.
+    wb.set_value(s, Cell::new(1, 21), Value::Number(0.5));
+    wb.clear_range(s, Range::from_coords(3, 1, 3, 10));
+    assert_eq!(wb.recalculate(RecalcMode::Serial), 20 + 1);
+    let text = hub.snapshot().to_prometheus();
+    for line in [
+        "taco_formula_cells{book=\"det\"} 70",
+        "taco_formula_templates{book=\"det\"} 31",
+        "taco_recalc_folds_carried_total 59",
+    ] {
+        assert!(text.lines().any(|l| l == line), "no line {line:?} in:\n{text}");
+    }
+}
+
 /// The span-tree shape of a dump: every record's identity, linkage, and
 /// payload — everything except wall time, which a manual clock pins too.
 fn tree_shape(dump: &TraceDump) -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
