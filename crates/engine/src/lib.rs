@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod async_engine;
 mod cells;
 mod engine;
 mod obs;
@@ -32,7 +31,6 @@ mod sheet;
 mod structural;
 mod workbook;
 
-pub use async_engine::AsyncEngine;
 pub use engine::{EditReceipt, Engine, ProfileMode, ProfileReport, PROFILE_TOP_K};
 pub use obs::EngineObs;
 pub use persist::{open_engine, save_engine, wal_path, PersistOptions, PersistentWorkbook};

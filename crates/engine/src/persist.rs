@@ -206,8 +206,10 @@ impl Workbook {
     /// truncation ([`Self::save`], [`PersistentWorkbook::compact`])
     /// leaves already-folded edits in the log, but they carry an older
     /// epoch than the fresh snapshot and never reach this function. The
-    /// `AddSheet` check remains for version-1 logs, which predate epochs
-    /// and replay every record.
+    /// `AddSheet` check remains for a snapshot written *without* a stamp
+    /// over a live log (`taco_store::write_workbook_file` of a bare
+    /// [`Workbook::to_image`], epoch 0): every record then replays, and
+    /// `AddSheet` is the one a second application refuses.
     fn replay_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
         if let EditRecord::AddSheet { name } = rec {
             if self.sheet_id(name).is_some() {

@@ -31,9 +31,8 @@ pub enum SpanCat {
     Recalc = 0,
     /// One sheet SCC level within a recalculation.
     SheetLevel = 1,
-    /// One intra-sheet evaluation level. Recorded by nothing at present;
-    /// kept so wire tag 2 stays assigned.
-    CellLevel = 2,
+    // 2 was the intra-sheet evaluation level; nothing records one, and the
+    // number stays unassigned so the categories after it keep theirs.
     /// A demand-driven (viewport) recalculation.
     Demand = 3,
     /// One WAL record append.
@@ -54,7 +53,6 @@ impl SpanCat {
         Some(match b {
             0 => SpanCat::Recalc,
             1 => SpanCat::SheetLevel,
-            2 => SpanCat::CellLevel,
             3 => SpanCat::Demand,
             4 => SpanCat::WalAppend,
             5 => SpanCat::WalFsync,
@@ -70,7 +68,6 @@ impl SpanCat {
         match self {
             SpanCat::Recalc => "recalc",
             SpanCat::SheetLevel => "sheet_level",
-            SpanCat::CellLevel => "cell_level",
             SpanCat::Demand => "demand",
             SpanCat::WalAppend => "wal_append",
             SpanCat::WalFsync => "wal_fsync",
@@ -662,7 +659,7 @@ mod tests {
         for b in 0..=8u8 {
             match SpanCat::from_u8(b) {
                 Some(cat) => assert_eq!(cat as u8, b),
-                None => assert_eq!(b, 8),
+                None => assert_eq!(b, 2, "only the retired intra-sheet level is unassigned"),
             }
         }
     }
@@ -678,7 +675,7 @@ mod tests {
                 assert_eq!(child.context().parent_id, root.context().span_id);
                 assert_eq!(child.context().trace_hi, root.context().trace_hi);
                 // A plain record on this thread parents under the child.
-                t.record("leaf", SpanCat::CellLevel, 0, 1, 0, 0);
+                t.record("leaf", SpanCat::SheetLevel, 0, 1, 0, 0);
             }
             // The child restored the root's ambient context.
             assert_eq!(TraceContext::current(), root.context());

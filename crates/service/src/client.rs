@@ -4,7 +4,7 @@
 //! [`Transport`] trait, so in-process vs TCP comparisons exercise
 //! identical request streams.
 
-use crate::protocol::{Request, Response, ServiceStats};
+use crate::protocol::{Request, Response, RetryClass, ServiceStats};
 use crate::registry::Registry;
 use crate::server::{read_handshake, write_handshake};
 use crate::ServiceError;
@@ -158,52 +158,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Requests safe to send twice: reads, recalculations, saves, session
-/// management. Every mutation (`SetValue`… structural edits) is excluded
-/// — re-sending one after an unknown outcome could apply it twice.
-fn idempotent(req: &Request) -> bool {
-    !matches!(
-        req,
-        Request::SetValue { .. }
-            | Request::SetFormula { .. }
-            | Request::Autofill { .. }
-            | Request::ClearRange { .. }
-            | Request::InsertRows { .. }
-            | Request::DeleteRows { .. }
-            | Request::InsertCols { .. }
-            | Request::DeleteCols { .. }
-    )
-}
-
-/// Patches the session token into a request — after an automatic
-/// re-`Open`, the retried request must carry the *new* session.
-fn set_token(req: &mut Request, new: u64) {
-    match req {
-        Request::Open { .. } => {}
-        Request::Close { token }
-        | Request::SetValue { token, .. }
-        | Request::SetFormula { token, .. }
-        | Request::Autofill { token, .. }
-        | Request::ClearRange { token, .. }
-        | Request::Get { token, .. }
-        | Request::GetRange { token, .. }
-        | Request::Dependents { token, .. }
-        | Request::Precedents { token, .. }
-        | Request::DirtyCount { token }
-        | Request::Recalc { token }
-        | Request::Save { token }
-        | Request::Stats { token }
-        | Request::RecalcRange { token, .. }
-        | Request::GetRangeFresh { token, .. }
-        | Request::InsertRows { token, .. }
-        | Request::DeleteRows { token, .. }
-        | Request::InsertCols { token, .. }
-        | Request::DeleteCols { token, .. }
-        | Request::Metrics { token }
-        | Request::TraceDump { token } => *token = new,
-    }
-}
-
 /// A typed session client over any transport. Open a workbook first;
 /// every other method carries the session token automatically.
 pub struct Client<T: Transport> {
@@ -313,7 +267,7 @@ impl<T: Transport> Client<T> {
                 resp => Ok(resp),
             };
         };
-        let retryable = idempotent(&req);
+        let retryable = req.is_idempotent();
         let mut req = req;
         let mut attempt: u32 = 0;
         loop {
@@ -361,15 +315,10 @@ impl<T: Transport> Client<T> {
             // A fresh connection (or an evaporated session) needs a new
             // session before the retried request can carry its token.
             let needs_reopen = (reconnect || matches!(err, ServiceError::NoSession))
-                && !matches!(req, Request::Open { .. });
-            if needs_reopen {
-                match self.reopen() {
-                    Ok(()) => {
-                        if let Some(token) = self.token {
-                            set_token(&mut req, token);
-                        }
-                    }
-                    Err(_) => continue,
+                && req.retry_class() != RetryClass::Session;
+            if needs_reopen && self.reopen().is_ok() {
+                if let (Some(slot), Some(token)) = (req.token_mut(), self.token) {
+                    *slot = token;
                 }
             }
         }

@@ -1,5 +1,18 @@
 //! The command protocol: plain-data [`Request`]/[`Response`] enums with a
-//! compact binary encoding.
+//! compact binary encoding, each message declared **once**.
+//!
+//! A message is one row of the [`Request`] or [`Response`] table below: its
+//! wire tag, its variant, its fields *in wire order* and — for a request —
+//! its operation name and retry class. From that row `wire_enum!` derives
+//! the enum variant itself, the encoder, the decoder, the values the
+//! robustness sweeps try (`samples()`), and for requests [`Request::tag`],
+//! [`Request::op_name`], the [`OP_NAMES`] / [`OP_LABELS`] arrays and the
+//! two accessors the retrying client needs. A field is written and read by
+//! its *type*: the private `Wire` trait is implemented once per shape the
+//! protocol uses, so a bound or a range check lives with the type and
+//! holds wherever the type appears. Adding a message is one row here, one
+//! `Registry::try_execute` arm and one `Client` method — what a request
+//! *does* is behaviour and stays hand-written.
 //!
 //! The encoding reuses `taco_store`'s codec layer — LEB128 varints for
 //! integers, length-prefixed UTF-8 for strings, the store's tagged value
@@ -13,8 +26,8 @@
 //! codec here assumes an intact byte slice.
 
 use crate::ServiceError;
-use std::io::{Read, Write};
-use taco_formula::Value;
+use std::io::Read;
+use taco_formula::{CellError, Value};
 use taco_grid::{Cell, Range};
 use taco_obs::{
     GaugeValue, HistogramSnapshot, MetricValue, MetricsSnapshot, SlowSpan, SpanCat, TraceContext,
@@ -34,801 +47,812 @@ pub const MAX_WIRE_STRING: u64 = 1 << 20;
 /// is a typed error, not an attempted `Vec` reservation.
 pub const MAX_METRICS_ENTRIES: u64 = 1 << 16;
 
-/// One client command. Every variant after [`Request::Open`] carries the
-/// session token `Open` returned.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Starts a session against a named workbook.
-    Open {
-        /// The workbook's registry name (case-insensitive).
-        workbook: String,
-        /// The workbook's auth token, when it requires one.
-        auth: Option<String>,
-        /// Restrict the session to these sheets (names); `None` = all.
-        scope: Option<Vec<String>>,
-    },
-    /// Ends a session.
-    Close {
-        /// The session token.
-        token: u64,
-    },
-    /// Sets a pure value.
-    SetValue {
-        /// The session token.
-        token: u64,
-        /// Target sheet name.
-        sheet: String,
-        /// Target cell.
-        cell: Cell,
-        /// The new value.
-        value: Value,
-    },
-    /// Sets a formula (leading `=` optional).
-    SetFormula {
-        /// The session token.
-        token: u64,
-        /// Target sheet name.
-        sheet: String,
-        /// Target cell.
-        cell: Cell,
-        /// Formula source text.
-        src: String,
-    },
-    /// Autofills the formula at `src` over `targets`.
-    Autofill {
-        /// The session token.
-        token: u64,
-        /// Target sheet name.
-        sheet: String,
-        /// The source formula cell.
-        src: Cell,
-        /// The fill targets.
-        targets: Range,
-    },
-    /// Clears every cell in `range`.
-    ClearRange {
-        /// The session token.
-        token: u64,
-        /// Target sheet name.
-        sheet: String,
-        /// The cleared range.
-        range: Range,
-    },
-    /// Reads one cell's value (snapshot read).
-    Get {
-        /// The session token.
-        token: u64,
-        /// Target sheet name.
-        sheet: String,
-        /// The cell to read.
-        cell: Cell,
-    },
-    /// Reads every non-empty cell in `range` (snapshot read).
-    GetRange {
-        /// The session token.
-        token: u64,
-        /// Target sheet name.
-        sheet: String,
-        /// The range to read.
-        range: Range,
-    },
-    /// All transitive dependents of `sheet!range`, across sheets.
-    Dependents {
-        /// The session token.
-        token: u64,
-        /// Probe sheet name.
-        sheet: String,
-        /// Probe range.
-        range: Range,
-    },
-    /// All transitive precedents of `sheet!range`, across sheets.
-    Precedents {
-        /// The session token.
-        token: u64,
-        /// Probe sheet name.
-        sheet: String,
-        /// Probe range.
-        range: Range,
-    },
-    /// Number of cells awaiting recalculation (snapshot read).
-    DirtyCount {
-        /// The session token.
-        token: u64,
-    },
-    /// Forces a recalculation (also the write-queue barrier: it runs
-    /// after every previously queued write).
-    Recalc {
-        /// The session token.
-        token: u64,
-    },
-    /// Folds the workbook's WAL into a fresh snapshot (persistent
-    /// workbooks only).
-    Save {
-        /// The session token.
-        token: u64,
-    },
-    /// Service counters and workbook totals.
-    Stats {
-        /// The session token.
-        token: u64,
-    },
-    /// Demand-driven recalculation: evaluates only the transitive dirty
-    /// precedents of `sheet!range`, leaving the rest lazily dirty. A
-    /// write-queue barrier like [`Request::Recalc`].
-    RecalcRange {
-        /// The session token.
-        token: u64,
-        /// Viewport sheet name.
-        sheet: String,
-        /// The viewport.
-        range: Range,
-    },
-    /// Reads every non-empty cell in `range` after a demand-driven
-    /// recalculation of that viewport — a "fresh" read, unlike the
-    /// snapshot read [`Request::GetRange`].
-    GetRangeFresh {
-        /// The session token.
-        token: u64,
-        /// Viewport sheet name.
-        sheet: String,
-        /// The viewport.
-        range: Range,
-    },
-    /// Inserts `n` rows before row `at` — a workbook-wide structural
-    /// edit: references to the sheet from *other* sheets are rewritten
-    /// too (full-range deletions become `#REF!`).
-    InsertRows {
-        /// The session token.
-        token: u64,
-        /// The edited sheet's name.
-        sheet: String,
-        /// First shifted row.
-        at: u32,
-        /// Rows inserted.
-        n: u32,
-    },
-    /// Deletes the rows `[at, at + n)`; see [`Request::InsertRows`].
-    DeleteRows {
-        /// The session token.
-        token: u64,
-        /// The edited sheet's name.
-        sheet: String,
-        /// First deleted row.
-        at: u32,
-        /// Rows deleted.
-        n: u32,
-    },
-    /// Inserts `n` columns before column `at`; see
-    /// [`Request::InsertRows`].
-    InsertCols {
-        /// The session token.
-        token: u64,
-        /// The edited sheet's name.
-        sheet: String,
-        /// First shifted column.
-        at: u32,
-        /// Columns inserted.
-        n: u32,
-    },
-    /// Deletes the columns `[at, at + n)`; see [`Request::InsertRows`].
-    DeleteCols {
-        /// The session token.
-        token: u64,
-        /// The edited sheet's name.
-        sheet: String,
-        /// First deleted column.
-        at: u32,
-        /// Columns deleted.
-        n: u32,
-    },
-    /// A full metrics snapshot from the service's observability hub
-    /// (counters, gauges, histogram quantiles, slow spans). A typed
-    /// `BadRequest` when the service runs with observability disabled.
-    Metrics {
-        /// The session token.
-        token: u64,
-    },
-    /// A bounded span-tree snapshot from the service's tracer: the
-    /// recent-span ring plus the slow-request log (requests over the
-    /// slow threshold keep their full subtree). A typed `BadRequest`
-    /// when the service runs with observability disabled.
-    TraceDump {
-        /// The session token.
-        token: u64,
-    },
+/// The wire form of one field type: how it is written, how it is read
+/// (with every check its values need), and the values the round-trip,
+/// truncation and bit-flip sweeps try for it.
+trait Wire: Clone + Sized {
+    /// The most entries a `Vec<Self>` may declare, and the error when it
+    /// declares more — on top of the rule every list obeys (no more
+    /// entries than payload bytes remain).
+    const LIST_BOUND: (u64, &'static str) = (u64::MAX, "");
+    fn put(&self, w: &mut Vec<u8>);
+    fn get(r: &mut &[u8]) -> Result<Self, StoreError>;
+    /// Never empty.
+    fn samples() -> Vec<Self>;
 }
 
-/// One server reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Session started.
-    Opened {
-        /// The session token to carry in subsequent requests.
-        token: u64,
-        /// The sheets visible to the session (scope applied).
-        sheets: Vec<String>,
-        /// Snapshot epoch at open time.
-        epoch: u64,
-    },
-    /// Session ended.
-    Closed,
-    /// A write was applied (and recalculated) by the workbook's writer.
-    Applied {
-        /// Snapshot epoch after the write's batch was published.
-        epoch: u64,
-        /// Dirty ranges routed for the batch this write rode in.
-        dirty: u64,
-    },
-    /// A cell value.
-    Value(
-        /// The value (Empty for never-written cells).
-        Value,
-    ),
-    /// The non-empty cells of a range, sorted by (row, col).
-    Cells(
-        /// `(cell, value)` pairs.
-        Vec<(Cell, Value)>,
-    ),
-    /// Query results as `(sheet name, range)` pairs.
-    Ranges(
-        /// The ranges, sorted by sheet then position.
-        Vec<(String, Range)>,
-    ),
-    /// A counter (dirty count).
-    Count(
-        /// The count.
-        u64,
-    ),
-    /// A recalculation ran.
-    Recalced {
-        /// Formula cells evaluated.
-        evaluated: u64,
-        /// Snapshot epoch after publication.
-        epoch: u64,
-    },
-    /// The workbook was folded to its snapshot file.
-    Saved {
-        /// WAL records remaining after the fold (0 unless compaction is
-        /// disabled).
-        wal_records: u64,
-    },
-    /// Service counters.
-    Stats(
-        /// The counters.
-        ServiceStats,
-    ),
-    /// A metrics snapshot ([`Request::Metrics`]).
-    Metrics(
-        /// The hub snapshot: counters, gauges, frozen histograms, and
-        /// the slow-span log.
-        Box<MetricsSnapshot>,
-    ),
-    /// A span-tree snapshot ([`Request::TraceDump`]).
-    Traces(
-        /// The recent-span ring plus the slow-request log, oldest first.
-        Box<TraceDump>,
-    ),
-    /// The request failed.
-    Err(
-        /// The typed failure.
-        ServiceError,
-    ),
+/// Sample `i` of a field type, cycling: message `i` of a variant takes
+/// sample `i` of each field, so every field sample appears in some
+/// message without multiplying the lists out.
+fn pick<T: Wire>(i: usize) -> T {
+    let samples = T::samples();
+    samples[i % samples.len()].clone()
 }
 
-/// Counters returned by [`Request::Stats`]: a snapshot-consistent view of
-/// one workbook plus the monotone service counters its writer maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceStats {
-    /// Snapshot epoch (bumps once per published batch/recalc).
-    pub epoch: u64,
-    /// Sheets in the workbook.
-    pub sheets: u64,
-    /// Non-empty cells across all sheets (as of the snapshot).
-    pub cells: u64,
-    /// Cells awaiting recalculation (as of the snapshot).
-    pub dirty: u64,
-    /// Compressed formula-graph edges across all sheets.
-    pub graph_edges: u64,
-    /// Inter-sheet edges.
-    pub cross_edges: u64,
-    /// Edits applied since the workbook was registered.
-    pub edits: u64,
-    /// Write batches applied (= dirty-propagation passes for edits).
-    pub batches: u64,
-    /// Recalculations run.
-    pub recalcs: u64,
-    /// Edits that rode in a batch with at least one other edit.
-    pub coalesced: u64,
-    /// Sessions currently open across the whole registry.
-    pub sessions: u64,
-    /// Connections rejected with [`ServiceError::Busy`] at accept time.
-    pub busy_rejected: u64,
-    /// Opens rejected with [`ServiceError::AuthFailed`].
-    pub auth_failures: u64,
-    /// Requests rejected with [`ServiceError::OutOfScope`].
-    pub scope_denials: u64,
-    /// 1 when this workbook is currently degraded (read-only after a
-    /// storage fault; heals on a successful `Save`), else 0.
-    pub degraded: u64,
-    /// Requests answered with [`ServiceError::DeadlineExceeded`]
-    /// (registry-wide).
-    pub deadline_expired: u64,
+/// The next `N` payload bytes (a truncated payload is the store's typed
+/// `Truncated`, as everywhere below the codec).
+fn read_bytes<const N: usize>(r: &mut &[u8]) -> Result<[u8; N], StoreError> {
+    let mut bytes = [0u8; N];
+    r.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
-// ---- encoding -----------------------------------------------------------
+/// A leaf field type: `|value, sink| write`, `|source| read`, samples.
+/// Leaves and pairs are `#[inline]` because it is measured: without it the
+/// codec is a third slower on list replies (each entry a call into another
+/// codegen unit), with it the generated codec times as the hand-written one.
+macro_rules! wire_leaf {
+    ($t:ty: |$v:ident, $w:ident| $put:expr, |$r:ident| $get:expr, [$($sample:expr),+]) => {
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, $w: &mut Vec<u8>) {
+                let $v = self;
+                let written: Result<(), StoreError> = $put;
+                debug_assert!(written.is_ok(), "Vec sinks cannot fail");
+            }
+            #[inline]
+            fn get($r: &mut &[u8]) -> Result<Self, StoreError> {
+                $get
+            }
+            fn samples() -> Vec<Self> {
+                vec![$($sample),+]
+            }
+        }
+    };
+}
 
-const REQ_OPEN: u8 = 0;
-const REQ_CLOSE: u8 = 1;
-const REQ_SET_VALUE: u8 = 2;
-const REQ_SET_FORMULA: u8 = 3;
-const REQ_AUTOFILL: u8 = 4;
-const REQ_CLEAR_RANGE: u8 = 5;
-const REQ_GET: u8 = 6;
-const REQ_GET_RANGE: u8 = 7;
-const REQ_DEPENDENTS: u8 = 8;
-const REQ_PRECEDENTS: u8 = 9;
-const REQ_DIRTY_COUNT: u8 = 10;
-const REQ_RECALC: u8 = 11;
-const REQ_SAVE: u8 = 12;
-const REQ_STATS: u8 = 13;
-const REQ_RECALC_RANGE: u8 = 14;
-const REQ_GET_RANGE_FRESH: u8 = 15;
-const REQ_INSERT_ROWS: u8 = 16;
-const REQ_DELETE_ROWS: u8 = 17;
-const REQ_INSERT_COLS: u8 = 18;
-const REQ_DELETE_COLS: u8 = 19;
-const REQ_METRICS: u8 = 20;
-const REQ_TRACE_DUMP: u8 = 21;
+// Session tokens, epochs and counters.
+wire_leaf!(u64: |v, w| write_uvarint(w, *v), |r| read_uvarint(r), [1, 99, u64::MAX]);
+// Grid indexes (row / column positions and counts).
+wire_leaf!(u32: |v, w| write_uvarint(w, u64::from(*v)),
+    |r| u32::try_from(read_uvarint(r)?)
+        .map_err(|_| StoreError::Malformed("grid index out of range")),
+    [5, 200, u32::MAX]);
+// Gauge values.
+wire_leaf!(i64: |v, w| write_ivarint(w, *v), |r| read_ivarint(r), [-3, i64::MAX]);
+// Raw bytes: tags, flags, codes, histogram bucket indexes.
+wire_leaf!(u8: |v, w| { w.push(*v); Ok(()) }, |r| Ok(read_bytes::<1>(r)?[0]), [3, 10]);
+wire_leaf!(String: |v, w| write_string(w, v), |r| read_string(r, MAX_WIRE_STRING),
+    ["Data".into(), "My Summary".into(), String::new()]);
+wire_leaf!(Cell: |v, w| write_cell(w, *v), |r| read_cell(r), [Cell::new(3, 7), Cell::new(4, 7)]);
+wire_leaf!(Range: |v, w| write_range(w, *v), |r| read_range(r),
+    [Range::from_coords(1, 1, 4, 9), Range::cell(Cell::new(3, 7))]);
+wire_leaf!(Value: |v, w| write_value(w, v), |r| read_value(r),
+    [Value::Number(2.5), Value::Text("héllo".into()), Value::Error(CellError::Ref),
+     Value::Bool(true), Value::Empty]);
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        match self {
+            None => w.push(0),
+            Some(v) => {
+                w.push(1);
+                v.put(w);
+            }
+        }
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(StoreError::Malformed("flag byte out of range")),
+        }
+    }
+    fn samples() -> Vec<Self> {
+        std::iter::once(None).chain(T::samples().into_iter().map(Some)).collect()
+    }
+}
+
+/// The one list-length rule: a list may not declare more entries than its
+/// element type allows ([`Wire::LIST_BOUND`]) nor more than there are
+/// payload bytes left (every entry costs at least one), and nothing is
+/// reserved on the declared length's behalf.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u64).put(w);
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+        let n = read_uvarint(r)?;
+        let (max, what) = T::LIST_BOUND;
+        if n > max {
+            return Err(StoreError::Malformed(what));
+        }
+        if n > r.len() as u64 {
+            return Err(StoreError::Malformed("list length exceeds the payload"));
+        }
+        let mut list = Vec::new();
+        for _ in 0..n {
+            list.push(T::get(r)?);
+        }
+        Ok(list)
+    }
+    fn samples() -> Vec<Self> {
+        vec![T::samples(), Vec::new()]
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        (**self).put(w)
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+        T::get(r).map(Box::new)
+    }
+    fn samples() -> Vec<Self> {
+        T::samples().into_iter().map(Box::new).collect()
+    }
+}
+
+/// A pair written member by member (list entries), optionally bounded.
+macro_rules! wire_pair {
+    (($a:ty, $b:ty) $(at most $bound:expr)?) => {
+        impl Wire for ($a, $b) {
+            $(const LIST_BOUND: (u64, &'static str) = $bound;)?
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                self.0.put(w);
+                self.1.put(w);
+            }
+            #[inline]
+            fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+                Ok((<$a>::get(r)?, <$b>::get(r)?))
+            }
+            fn samples() -> Vec<Self> {
+                let n = <$a>::samples().len().max(<$b>::samples().len());
+                (0..n).map(|i| (pick(i), pick(i))).collect()
+            }
+        }
+    };
+}
+
+wire_pair!((Cell, Value));
+wire_pair!((String, Range));
+// A log₂ histogram has at most 64 buckets; anything larger is malformed.
+wire_pair!((u8, u64)
+    at most (taco_obs::HIST_BUCKETS as u64, "histogram bucket count out of range"));
+
+/// A struct written field by field, in the order listed (the wire order,
+/// whatever the struct's own order). With `pub struct` it declares the
+/// struct too.
+macro_rules! wire_fields {
+    (
+        $(#[$sm:meta])*
+        pub struct $t:ident { $( $(#[$fm:meta])* pub $f:ident: $ft:ty ),+ $(,)? }
+    ) => {
+        $(#[$sm])*
+        pub struct $t { $( $(#[$fm])* pub $f: $ft ),+ }
+        wire_fields!($t { $($f: $ft),+ });
+    };
+    ($t:ident { $($f:ident: $ft:ty),+ } $(at most $bound:expr)?) => {
+        impl Wire for $t {
+            $(const LIST_BOUND: (u64, &'static str) = $bound;)?
+            fn put(&self, w: &mut Vec<u8>) {
+                $(self.$f.put(w);)+
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+                Ok($t { $($f: <$ft>::get(r)?),+ })
+            }
+            fn samples() -> Vec<Self> {
+                let n = 1 $(.max(<$ft>::samples().len()))+;
+                (0..n).map(|i| $t { $($f: pick(i)),+ }).collect()
+            }
+        }
+    };
+}
+
+const METRICS_BOUND: (u64, &str) = (MAX_METRICS_ENTRIES, "metrics list length out of range");
+
+wire_fields!(MetricValue { name: String, labels: String, value: u64 } at most METRICS_BOUND);
+wire_fields!(GaugeValue { name: String, labels: String, value: i64 } at most METRICS_BOUND);
+wire_fields!(HistogramSnapshot {
+    name: String, labels: String, count: u64, sum: u64, buckets: Vec<(u8, u64)>,
+    p50: u64, p90: u64, p99: u64
+} at most METRICS_BOUND);
+wire_fields!(MetricsSnapshot {
+    counters: Vec<MetricValue>, gauges: Vec<GaugeValue>, histograms: Vec<HistogramSnapshot>,
+    slow_spans: Vec<SlowSpan>
+});
+wire_fields!(TraceDump { recent: Vec<SlowSpan>, slow: Vec<SlowSpan> });
+
+/// Trace/span ids are full-entropy 64-bit values, so they travel as
+/// fixed 8-byte little-endian words instead of varints (which would
+/// cost 10 bytes for a random id).
+fn read_u64_le(r: &mut &[u8]) -> Result<u64, StoreError> {
+    Ok(u64::from_le_bytes(read_bytes(r)?))
+}
+
+impl Wire for SlowSpan {
+    const LIST_BOUND: (u64, &'static str) = METRICS_BOUND;
+    fn put(&self, w: &mut Vec<u8>) {
+        self.name.put(w);
+        w.push(self.cat as u8);
+        for id in [self.trace_hi, self.trace_lo, self.span_id, self.parent_id] {
+            w.extend_from_slice(&id.to_le_bytes());
+        }
+        [self.start_ns, self.dur_ns, self.a, self.b].iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+        Ok(SlowSpan {
+            name: String::get(r)?,
+            cat: SpanCat::from_u8(u8::get(r)?)
+                .ok_or(StoreError::Malformed("span category out of range"))?,
+            trace_hi: read_u64_le(r)?,
+            trace_lo: read_u64_le(r)?,
+            span_id: read_u64_le(r)?,
+            parent_id: read_u64_le(r)?,
+            start_ns: u64::get(r)?,
+            dur_ns: u64::get(r)?,
+            a: u64::get(r)?,
+            b: u64::get(r)?,
+        })
+    }
+    fn samples() -> Vec<Self> {
+        let span = |name: &str, cat, span_id, parent_id| SlowSpan {
+            name: name.into(),
+            cat,
+            trace_hi: 0xFEED_FACE_CAFE_BEEF,
+            trace_lo: u64::MAX,
+            span_id,
+            parent_id,
+            start_ns: 10,
+            dur_ns: 20_000_000,
+            a: 100,
+            b: 2,
+        };
+        vec![
+            span("request.recalc", SpanCat::Request, 1, 0),
+            span("workbook.recalc", SpanCat::Recalc, 2, 1),
+            span("wal.append", SpanCat::WalAppend, 3, 1),
+        ]
+    }
+}
+
+/// [`ServiceError`] on the wire: a code byte and a message string. `unit`
+/// variants send an empty message, `text` variants their payload, and the
+/// two `peer` variants — a failure of the *sender's* transport, which
+/// means nothing on the receiving side — are sent as their rendering and
+/// arrive as `BadRequest("<prefix>: <rendering>")`.
+macro_rules! wire_errors {
+    (
+        unit { $($uc:literal $u:ident),+ }
+        text { $($tc:literal $t:ident),+ }
+        peer { $($pc:literal $p:ident $prefix:literal),+ }
+    ) => {
+        impl Wire for ServiceError {
+            fn put(&self, w: &mut Vec<u8>) {
+                let (code, msg) = match self {
+                    $(Self::$u => ($uc, String::new()),)+
+                    $(Self::$t(msg) => ($tc, msg.clone()),)+
+                    $(Self::$p(e) => ($pc, e.to_string()),)+
+                };
+                w.push(code);
+                msg.put(w);
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+                let (code, msg) = (u8::get(r)?, String::get(r)?);
+                Ok(match code {
+                    $($uc => Self::$u,)+
+                    $($tc => Self::$t(msg),)+
+                    $($pc => Self::BadRequest(format!(concat!($prefix, ": {}"), msg)),)+
+                    _ => return Err(StoreError::Malformed("unknown error code")),
+                })
+            }
+            /// Every variant that arrives as it was sent.
+            fn samples() -> Vec<Self> {
+                vec![$(Self::$u,)+ $(Self::$t("wal append: disk full".into()),)+]
+            }
+        }
+    };
+}
+
+wire_errors! {
+    unit { 1 AuthFailed, 2 NoSession, 6 NotPersistent, 7 Busy, 8 ShuttingDown, 13 DeadlineExceeded }
+    text { 0 NoSuchWorkbook, 3 NoSuchSheet, 4 OutOfScope, 5 BadRequest, 10 Io, 12 Degraded }
+    peer { 9 Wire "peer wire error", 11 Protocol "peer protocol error" }
+}
+
+/// How the retrying client treats a request whose outcome is unknown. A
+/// mandatory column of the request table: a new request has no default
+/// class to fall into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RetryClass {
+    /// Safe to send twice, after re-opening the session a lost connection
+    /// took with it.
+    Read,
+    /// A mutation: never re-sent, because the first copy may have applied.
+    Write,
+    /// Safe to send twice and never preceded by a re-open: it *is* the
+    /// open, or it ends the session anyway.
+    Session,
+}
+
+/// The binding of the field named `token`, if the variant has one: the
+/// first copy of the field list is matched by name, the second supplies
+/// the caller's binding of the same position.
+macro_rules! token_binding {
+    ([token $($n:ident)*] [$t:ident $($b:ident)*]) => { Some($t) };
+    ([$skip:ident $($n:ident)*] [$s:ident $($b:ident)*]) => {
+        token_binding!([$($n)*] [$($b)*])
+    };
+    ([] []) => { None };
+}
+
+/// Declares a message enum from its table. One row is
+/// `tag Variant { field: Type, … }` (or `Variant(binding: Type)`, or a
+/// bare `Variant`), fields in wire order, followed for requests by
+/// `["op_name", RetryClass]`.
+macro_rules! wire_enum {
+    (
+        $(#[$em:meta])*
+        pub enum $E:ident: $what:literal {
+            $(
+                $(#[$vm:meta])*
+                $tag:literal $v:ident
+                $({ $( $(#[$fm:meta])* $f:ident: $ft:ty ),+ $(,)? })?
+                $(( $(#[$pm:meta])* $p:ident: $pt:ty ))?
+                $([ $name:literal, $class:ident ])?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$em])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $E {
+            $(
+                $(#[$vm])*
+                $v $({ $( $(#[$fm])* $f: $ft ),+ })? $(( $(#[$pm])* $pt ))?,
+            )+
+        }
+
+        impl Wire for $E {
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {
+                    $(Self::$v $({ $($f),+ })? $(($p))? => {
+                        w.push($tag);
+                        $($($f.put(w);)+)?
+                        $($p.put(w);)?
+                    })+
+                }
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, StoreError> {
+                Ok(match u8::get(r)? {
+                    $($tag => Self::$v $({ $($f: <$ft>::get(r)?),+ })? $((<$pt>::get(r)?))?,)+
+                    _ => return Err(StoreError::Malformed(concat!("unknown ", $what, " op"))),
+                })
+            }
+            fn samples() -> Vec<Self> {
+                let mut out = Vec::new();
+                $(
+                    let n = 1usize
+                        $($(.max(<$ft>::samples().len()))+)? $(.max(<$pt>::samples().len()))?;
+                    out.extend((0..n).map(|_i| {
+                        Self::$v $({ $($f: pick::<$ft>(_i)),+ })? $((pick::<$pt>(_i)))?
+                    }));
+                )+
+                out
+            }
+        }
+
+        impl $E {
+            /// Encodes the message as one frame payload.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                self.put(&mut out);
+                out
+            }
+
+            /// One message per field sample of every variant: the inputs
+            /// of the round-trip, truncation and bit-flip sweeps, in this
+            /// module and on a live socket.
+            #[doc(hidden)]
+            pub fn samples() -> Vec<Self> {
+                <Self as Wire>::samples()
+            }
+
+            fn decode_whole(mut bytes: &[u8]) -> Result<Self, StoreError> {
+                let msg = Self::get(&mut bytes)?;
+                if !bytes.is_empty() {
+                    return Err(StoreError::Malformed(concat!("trailing bytes in ", $what)));
+                }
+                Ok(msg)
+            }
+        }
+
+        wire_enum!(@ops $E $($tag $v $([$name, $class])? $({ $($f)+ })?;)+);
+    };
+
+    // A response table has no operation columns.
+    (@ops $E:ident $($tag:literal $v:ident $({ $($f:ident)+ })?;)+) => {};
+    (@ops $E:ident $(
+        $tag:literal $v:ident [$name:literal, $class:ident] $({ $($f:ident)+ })?;
+    )+) => {
+        /// One past the largest request tag.
+        const OPS: usize = {
+            let mut n = 0;
+            $(if $tag >= n { n = $tag + 1; })+
+            n
+        };
+
+        /// Operation names, indexed by request tag (span labels).
+        pub const OP_NAMES: [&str; OPS] = {
+            let mut names = [""; OPS];
+            $(names[$tag] = $name;)+
+            names
+        };
+
+        /// Pre-rendered `op="..."` label strings, indexed by request tag
+        /// (per-operation latency histogram labels — rendered once so
+        /// request timing never formats).
+        pub const OP_LABELS: [&str; OPS] = {
+            let mut labels = [""; OPS];
+            $(labels[$tag] = concat!("op=\"", $name, "\"");)+
+            labels
+        };
+
+        impl $E {
+            /// The request's wire tag (also the index into
+            /// [`OP_LABELS`]).
+            pub fn tag(&self) -> u8 {
+                match self { $(Self::$v { .. } => $tag,)+ }
+            }
+
+            /// The request's operation name, for span labels.
+            pub fn op_name(&self) -> &'static str {
+                OP_NAMES[self.tag() as usize]
+            }
+
+            pub(crate) fn retry_class(&self) -> RetryClass {
+                match self { $(Self::$v { .. } => RetryClass::$class,)+ }
+            }
+
+            /// The session token the request carries, for the retrying
+            /// client to patch after a re-open (`None` for `Open`).
+            #[allow(unused_variables)]
+            pub(crate) fn token_mut(&mut self) -> Option<&mut u64> {
+                match self {
+                    $(Self::$v $({ $($f),+ })? => token_binding!($([$($f)+] [$($f)+])?),)+
+                }
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// One client command. Every variant after [`Request::Open`] carries the
+    /// session token `Open` returned.
+    pub enum Request: "request" {
+        /// Starts a session against a named workbook.
+        0 Open {
+            /// The workbook's registry name (case-insensitive).
+            workbook: String,
+            /// The workbook's auth token, when it requires one.
+            auth: Option<String>,
+            /// Restrict the session to these sheets (names); `None` = all.
+            scope: Option<Vec<String>>,
+        } ["open", Session],
+        /// Ends a session.
+        1 Close {
+            /// The session token.
+            token: u64,
+        } ["close", Session],
+        /// Sets a pure value.
+        2 SetValue {
+            /// The session token.
+            token: u64,
+            /// Target sheet name.
+            sheet: String,
+            /// Target cell.
+            cell: Cell,
+            /// The new value.
+            value: Value,
+        } ["set_value", Write],
+        /// Sets a formula (leading `=` optional).
+        3 SetFormula {
+            /// The session token.
+            token: u64,
+            /// Target sheet name.
+            sheet: String,
+            /// Target cell.
+            cell: Cell,
+            /// Formula source text.
+            src: String,
+        } ["set_formula", Write],
+        /// Autofills the formula at `src` over `targets`.
+        4 Autofill {
+            /// The session token.
+            token: u64,
+            /// Target sheet name.
+            sheet: String,
+            /// The source formula cell.
+            src: Cell,
+            /// The fill targets.
+            targets: Range,
+        } ["autofill", Write],
+        /// Clears every cell in `range`.
+        5 ClearRange {
+            /// The session token.
+            token: u64,
+            /// Target sheet name.
+            sheet: String,
+            /// The cleared range.
+            range: Range,
+        } ["clear_range", Write],
+        /// Reads one cell's value (snapshot read).
+        6 Get {
+            /// The session token.
+            token: u64,
+            /// Target sheet name.
+            sheet: String,
+            /// The cell to read.
+            cell: Cell,
+        } ["get", Read],
+        /// Reads every non-empty cell in `range` (snapshot read).
+        7 GetRange {
+            /// The session token.
+            token: u64,
+            /// Target sheet name.
+            sheet: String,
+            /// The range to read.
+            range: Range,
+        } ["get_range", Read],
+        /// All transitive dependents of `sheet!range`, across sheets.
+        8 Dependents {
+            /// The session token.
+            token: u64,
+            /// Probe sheet name.
+            sheet: String,
+            /// Probe range.
+            range: Range,
+        } ["dependents", Read],
+        /// All transitive precedents of `sheet!range`, across sheets.
+        9 Precedents {
+            /// The session token.
+            token: u64,
+            /// Probe sheet name.
+            sheet: String,
+            /// Probe range.
+            range: Range,
+        } ["precedents", Read],
+        /// Number of cells awaiting recalculation (snapshot read).
+        10 DirtyCount {
+            /// The session token.
+            token: u64,
+        } ["dirty_count", Read],
+        /// Forces a recalculation (also the write-queue barrier: it runs
+        /// after every previously queued write).
+        11 Recalc {
+            /// The session token.
+            token: u64,
+        } ["recalc", Read],
+        /// Folds the workbook's WAL into a fresh snapshot (persistent
+        /// workbooks only).
+        12 Save {
+            /// The session token.
+            token: u64,
+        } ["save", Read],
+        /// Service counters and workbook totals.
+        13 Stats {
+            /// The session token.
+            token: u64,
+        } ["stats", Read],
+        /// Demand-driven recalculation: evaluates only the transitive dirty
+        /// precedents of `sheet!range`, leaving the rest lazily dirty. A
+        /// write-queue barrier like [`Request::Recalc`].
+        14 RecalcRange {
+            /// The session token.
+            token: u64,
+            /// Viewport sheet name.
+            sheet: String,
+            /// The viewport.
+            range: Range,
+        } ["recalc_range", Read],
+        /// Reads every non-empty cell in `range` after a demand-driven
+        /// recalculation of that viewport — a "fresh" read, unlike the
+        /// snapshot read [`Request::GetRange`].
+        15 GetRangeFresh {
+            /// The session token.
+            token: u64,
+            /// Viewport sheet name.
+            sheet: String,
+            /// The viewport.
+            range: Range,
+        } ["get_range_fresh", Read],
+        /// Inserts `n` rows before row `at` — a workbook-wide structural
+        /// edit: references to the sheet from *other* sheets are rewritten
+        /// too (full-range deletions become `#REF!`).
+        16 InsertRows {
+            /// The session token.
+            token: u64,
+            /// The edited sheet's name.
+            sheet: String,
+            /// First shifted row.
+            at: u32,
+            /// Rows inserted.
+            n: u32,
+        } ["insert_rows", Write],
+        /// Deletes the rows `[at, at + n)`; see [`Request::InsertRows`].
+        17 DeleteRows {
+            /// The session token.
+            token: u64,
+            /// The edited sheet's name.
+            sheet: String,
+            /// First deleted row.
+            at: u32,
+            /// Rows deleted.
+            n: u32,
+        } ["delete_rows", Write],
+        /// Inserts `n` columns before column `at`; see
+        /// [`Request::InsertRows`].
+        18 InsertCols {
+            /// The session token.
+            token: u64,
+            /// The edited sheet's name.
+            sheet: String,
+            /// First shifted column.
+            at: u32,
+            /// Columns inserted.
+            n: u32,
+        } ["insert_cols", Write],
+        /// Deletes the columns `[at, at + n)`; see [`Request::InsertRows`].
+        19 DeleteCols {
+            /// The session token.
+            token: u64,
+            /// The edited sheet's name.
+            sheet: String,
+            /// First deleted column.
+            at: u32,
+            /// Columns deleted.
+            n: u32,
+        } ["delete_cols", Write],
+        /// A full metrics snapshot from the service's observability hub
+        /// (counters, gauges, histogram quantiles, slow spans). A typed
+        /// `BadRequest` when the service runs with observability disabled.
+        20 Metrics {
+            /// The session token.
+            token: u64,
+        } ["metrics", Read],
+        /// A bounded span-tree snapshot from the service's tracer: the
+        /// recent-span ring plus the slow-request log (requests over the
+        /// slow threshold keep their full subtree). A typed `BadRequest`
+        /// when the service runs with observability disabled.
+        21 TraceDump {
+            /// The session token.
+            token: u64,
+        } ["trace_dump", Read],
+    }
+}
+
+wire_enum! {
+    /// One server reply.
+    pub enum Response: "response" {
+        /// Session started.
+        0 Opened {
+            /// The session token to carry in subsequent requests.
+            token: u64,
+            /// Snapshot epoch at open time.
+            epoch: u64,
+            /// The sheets visible to the session (scope applied).
+            sheets: Vec<String>,
+        },
+        /// Session ended.
+        1 Closed,
+        /// A write was applied (and recalculated) by the workbook's writer.
+        2 Applied {
+            /// Snapshot epoch after the write's batch was published.
+            epoch: u64,
+            /// Dirty ranges routed for the batch this write rode in.
+            dirty: u64,
+        },
+        /// A cell value.
+        3 Value(
+            /// The value (Empty for never-written cells).
+            value: Value
+        ),
+        /// The non-empty cells of a range, sorted by (row, col).
+        4 Cells(
+            /// `(cell, value)` pairs.
+            cells: Vec<(Cell, Value)>
+        ),
+        /// Query results as `(sheet name, range)` pairs.
+        5 Ranges(
+            /// The ranges, sorted by sheet then position.
+            ranges: Vec<(String, Range)>
+        ),
+        /// A counter (dirty count).
+        6 Count(
+            /// The count.
+            count: u64
+        ),
+        /// A recalculation ran.
+        7 Recalced {
+            /// Formula cells evaluated.
+            evaluated: u64,
+            /// Snapshot epoch after publication.
+            epoch: u64,
+        },
+        /// The workbook was folded to its snapshot file.
+        8 Saved {
+            /// WAL records remaining after the fold (0 unless compaction is
+            /// disabled).
+            wal_records: u64,
+        },
+        /// Service counters.
+        9 Stats(
+            /// The counters.
+            stats: ServiceStats
+        ),
+        /// A metrics snapshot ([`Request::Metrics`]).
+        11 Metrics(
+            /// The hub snapshot: counters, gauges, frozen histograms, and
+            /// the slow-span log.
+            snapshot: Box<MetricsSnapshot>
+        ),
+        /// A span-tree snapshot ([`Request::TraceDump`]).
+        12 Traces(
+            /// The recent-span ring plus the slow-request log, oldest first.
+            dump: Box<TraceDump>
+        ),
+        /// The request failed.
+        10 Err(
+            /// The typed failure.
+            error: ServiceError
+        ),
+    }
+}
+
+wire_fields! {
+    /// Counters returned by [`Request::Stats`]: a snapshot-consistent view of
+    /// one workbook plus the monotone service counters its writer maintains.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ServiceStats {
+        /// Snapshot epoch (bumps once per published batch/recalc).
+        pub epoch: u64,
+        /// Sheets in the workbook.
+        pub sheets: u64,
+        /// Non-empty cells across all sheets (as of the snapshot).
+        pub cells: u64,
+        /// Cells awaiting recalculation (as of the snapshot).
+        pub dirty: u64,
+        /// Compressed formula-graph edges across all sheets.
+        pub graph_edges: u64,
+        /// Inter-sheet edges.
+        pub cross_edges: u64,
+        /// Edits applied since the workbook was registered.
+        pub edits: u64,
+        /// Write batches applied (= dirty-propagation passes for edits).
+        pub batches: u64,
+        /// Recalculations run.
+        pub recalcs: u64,
+        /// Edits that rode in a batch with at least one other edit.
+        pub coalesced: u64,
+        /// Sessions currently open across the whole registry.
+        pub sessions: u64,
+        /// Connections rejected with [`ServiceError::Busy`] at accept time.
+        pub busy_rejected: u64,
+        /// Opens rejected with [`ServiceError::AuthFailed`].
+        pub auth_failures: u64,
+        /// Requests rejected with [`ServiceError::OutOfScope`].
+        pub scope_denials: u64,
+        /// 1 when this workbook is currently degraded (read-only after a
+        /// storage fault; heals on a successful `Save`), else 0.
+        pub degraded: u64,
+        /// Requests answered with [`ServiceError::DeadlineExceeded`]
+        /// (registry-wide).
+        pub deadline_expired: u64,
+    }
+}
+
 /// The traced-request wrapper tag: `22 · trace_hi · trace_lo · parent
 /// span id (u64 LE each) · inner request bytes`. Not a request of its
 /// own — a frame extension that propagates the client's trace context
 /// so server-side spans parent under the caller's span tree.
 const REQ_TRACED: u8 = 22;
 
-/// Operation names, indexed by request tag (span labels).
-pub const OP_NAMES: [&str; 22] = [
-    "open",
-    "close",
-    "set_value",
-    "set_formula",
-    "autofill",
-    "clear_range",
-    "get",
-    "get_range",
-    "dependents",
-    "precedents",
-    "dirty_count",
-    "recalc",
-    "save",
-    "stats",
-    "recalc_range",
-    "get_range_fresh",
-    "insert_rows",
-    "delete_rows",
-    "insert_cols",
-    "delete_cols",
-    "metrics",
-    "trace_dump",
-];
-
-/// Pre-rendered `op="..."` label strings, indexed by request tag
-/// (per-operation latency histogram labels — rendered once so request
-/// timing never formats).
-pub const OP_LABELS: [&str; 22] = [
-    "op=\"open\"",
-    "op=\"close\"",
-    "op=\"set_value\"",
-    "op=\"set_formula\"",
-    "op=\"autofill\"",
-    "op=\"clear_range\"",
-    "op=\"get\"",
-    "op=\"get_range\"",
-    "op=\"dependents\"",
-    "op=\"precedents\"",
-    "op=\"dirty_count\"",
-    "op=\"recalc\"",
-    "op=\"save\"",
-    "op=\"stats\"",
-    "op=\"recalc_range\"",
-    "op=\"get_range_fresh\"",
-    "op=\"insert_rows\"",
-    "op=\"delete_rows\"",
-    "op=\"insert_cols\"",
-    "op=\"delete_cols\"",
-    "op=\"metrics\"",
-    "op=\"trace_dump\"",
-];
-
-const RESP_OPENED: u8 = 0;
-const RESP_CLOSED: u8 = 1;
-const RESP_APPLIED: u8 = 2;
-const RESP_VALUE: u8 = 3;
-const RESP_CELLS: u8 = 4;
-const RESP_RANGES: u8 = 5;
-const RESP_COUNT: u8 = 6;
-const RESP_RECALCED: u8 = 7;
-const RESP_SAVED: u8 = 8;
-const RESP_STATS: u8 = 9;
-const RESP_ERR: u8 = 10;
-const RESP_METRICS: u8 = 11;
-const RESP_TRACES: u8 = 12;
-
-fn write_opt_string<W: Write>(w: &mut W, s: &Option<String>) -> Result<(), StoreError> {
-    match s {
-        None => {
-            w.write_all(&[0])?;
-            Ok(())
-        }
-        Some(s) => {
-            w.write_all(&[1])?;
-            write_string(w, s)
-        }
-    }
-}
-
-fn read_opt_string<R: Read>(r: &mut R) -> Result<Option<String>, StoreError> {
-    match read_flag(r)? {
-        false => Ok(None),
-        true => Ok(Some(read_string(r, MAX_WIRE_STRING)?)),
-    }
-}
-
-fn read_flag<R: Read>(r: &mut R) -> Result<bool, StoreError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    match b[0] {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(StoreError::Malformed("flag byte out of range")),
-    }
-}
-
-fn read_wire_string<R: Read>(r: &mut R) -> Result<String, StoreError> {
-    read_string(r, MAX_WIRE_STRING)
-}
-
-fn read_grid_index<R: Read>(r: &mut R) -> Result<u32, StoreError> {
-    let v = read_uvarint(r)?;
-    u32::try_from(v).map_err(|_| StoreError::Malformed("grid index out of range"))
-}
-
-/// Checks a declared list length against `MAX_METRICS_ENTRIES` *before*
-/// any allocation happens on its behalf.
-fn checked_len(n: u64) -> Result<usize, StoreError> {
-    if n > MAX_METRICS_ENTRIES {
-        return Err(StoreError::Malformed("metrics list length out of range"));
-    }
-    Ok(n as usize)
-}
-
-/// Trace/span ids are full-entropy 64-bit values, so they travel as
-/// fixed 8-byte little-endian words instead of varints (which would
-/// cost 10 bytes for a random id).
-fn write_u64_le<W: Write>(w: &mut W, v: u64) -> Result<(), StoreError> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-fn read_u64_le<R: Read>(r: &mut R) -> Result<u64, StoreError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn write_span<W: Write>(w: &mut W, sp: &SlowSpan) -> Result<(), StoreError> {
-    write_string(w, &sp.name)?;
-    w.write_all(&[sp.cat as u8])?;
-    write_u64_le(w, sp.trace_hi)?;
-    write_u64_le(w, sp.trace_lo)?;
-    write_u64_le(w, sp.span_id)?;
-    write_u64_le(w, sp.parent_id)?;
-    write_uvarint(w, sp.start_ns)?;
-    write_uvarint(w, sp.dur_ns)?;
-    write_uvarint(w, sp.a)?;
-    write_uvarint(w, sp.b)?;
-    Ok(())
-}
-
-fn read_span<R: Read>(r: &mut R) -> Result<SlowSpan, StoreError> {
-    let name = read_wire_string(r)?;
-    let mut cat = [0u8; 1];
-    r.read_exact(&mut cat)?;
-    let cat =
-        SpanCat::from_u8(cat[0]).ok_or(StoreError::Malformed("span category out of range"))?;
-    Ok(SlowSpan {
-        name,
-        cat,
-        trace_hi: read_u64_le(r)?,
-        trace_lo: read_u64_le(r)?,
-        span_id: read_u64_le(r)?,
-        parent_id: read_u64_le(r)?,
-        start_ns: read_uvarint(r)?,
-        dur_ns: read_uvarint(r)?,
-        a: read_uvarint(r)?,
-        b: read_uvarint(r)?,
-    })
-}
-
-fn write_spans<W: Write>(w: &mut W, spans: &[SlowSpan]) -> Result<(), StoreError> {
-    write_uvarint(w, spans.len() as u64)?;
-    for sp in spans {
-        write_span(w, sp)?;
-    }
-    Ok(())
-}
-
-fn read_spans<R: Read>(r: &mut R) -> Result<Vec<SlowSpan>, StoreError> {
-    let n = checked_len(read_uvarint(r)?)?;
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        spans.push(read_span(r)?);
-    }
-    Ok(spans)
-}
-
-fn write_trace_dump<W: Write>(w: &mut W, dump: &TraceDump) -> Result<(), StoreError> {
-    write_spans(w, &dump.recent)?;
-    write_spans(w, &dump.slow)
-}
-
-fn read_trace_dump<R: Read>(r: &mut R) -> Result<TraceDump, StoreError> {
-    Ok(TraceDump { recent: read_spans(r)?, slow: read_spans(r)? })
-}
-
-fn write_metrics<W: Write>(w: &mut W, snap: &MetricsSnapshot) -> Result<(), StoreError> {
-    write_uvarint(w, snap.counters.len() as u64)?;
-    for c in &snap.counters {
-        write_string(w, &c.name)?;
-        write_string(w, &c.labels)?;
-        write_uvarint(w, c.value)?;
-    }
-    write_uvarint(w, snap.gauges.len() as u64)?;
-    for g in &snap.gauges {
-        write_string(w, &g.name)?;
-        write_string(w, &g.labels)?;
-        write_ivarint(w, g.value)?;
-    }
-    write_uvarint(w, snap.histograms.len() as u64)?;
-    for h in &snap.histograms {
-        write_string(w, &h.name)?;
-        write_string(w, &h.labels)?;
-        write_uvarint(w, h.count)?;
-        write_uvarint(w, h.sum)?;
-        write_uvarint(w, h.buckets.len() as u64)?;
-        for &(b, n) in &h.buckets {
-            w.write_all(&[b])?;
-            write_uvarint(w, n)?;
-        }
-        write_uvarint(w, h.p50)?;
-        write_uvarint(w, h.p90)?;
-        write_uvarint(w, h.p99)?;
-    }
-    write_spans(w, &snap.slow_spans)?;
-    Ok(())
-}
-
-fn read_metrics<R: Read>(r: &mut R) -> Result<MetricsSnapshot, StoreError> {
-    let mut snap = MetricsSnapshot::default();
-    let n = checked_len(read_uvarint(r)?)?;
-    snap.counters.reserve_exact(n);
-    for _ in 0..n {
-        snap.counters.push(MetricValue {
-            name: read_wire_string(r)?,
-            labels: read_wire_string(r)?,
-            value: read_uvarint(r)?,
-        });
-    }
-    let n = checked_len(read_uvarint(r)?)?;
-    snap.gauges.reserve_exact(n);
-    for _ in 0..n {
-        snap.gauges.push(GaugeValue {
-            name: read_wire_string(r)?,
-            labels: read_wire_string(r)?,
-            value: read_ivarint(r)?,
-        });
-    }
-    let n = checked_len(read_uvarint(r)?)?;
-    snap.histograms.reserve_exact(n);
-    for _ in 0..n {
-        let name = read_wire_string(r)?;
-        let labels = read_wire_string(r)?;
-        let count = read_uvarint(r)?;
-        let sum = read_uvarint(r)?;
-        let nb = read_uvarint(r)?;
-        // A log₂ histogram has at most 64 buckets; anything larger is
-        // malformed (and rejected before the Vec reserves).
-        if nb > taco_obs::HIST_BUCKETS as u64 {
-            return Err(StoreError::Malformed("histogram bucket count out of range"));
-        }
-        let mut buckets = Vec::with_capacity(nb as usize);
-        for _ in 0..nb {
-            let mut b = [0u8; 1];
-            r.read_exact(&mut b)?;
-            buckets.push((b[0], read_uvarint(r)?));
-        }
-        let (p50, p90, p99) = (read_uvarint(r)?, read_uvarint(r)?, read_uvarint(r)?);
-        snap.histograms.push(HistogramSnapshot {
-            name,
-            labels,
-            count,
-            sum,
-            buckets,
-            p50,
-            p90,
-            p99,
-        });
-    }
-    snap.slow_spans = read_spans(r)?;
-    Ok(snap)
-}
-
 impl Request {
-    /// The request's wire tag (also the index into
-    /// [`OP_LABELS`]).
-    pub fn tag(&self) -> u8 {
-        match self {
-            Request::Open { .. } => REQ_OPEN,
-            Request::Close { .. } => REQ_CLOSE,
-            Request::SetValue { .. } => REQ_SET_VALUE,
-            Request::SetFormula { .. } => REQ_SET_FORMULA,
-            Request::Autofill { .. } => REQ_AUTOFILL,
-            Request::ClearRange { .. } => REQ_CLEAR_RANGE,
-            Request::Get { .. } => REQ_GET,
-            Request::GetRange { .. } => REQ_GET_RANGE,
-            Request::Dependents { .. } => REQ_DEPENDENTS,
-            Request::Precedents { .. } => REQ_PRECEDENTS,
-            Request::DirtyCount { .. } => REQ_DIRTY_COUNT,
-            Request::Recalc { .. } => REQ_RECALC,
-            Request::Save { .. } => REQ_SAVE,
-            Request::Stats { .. } => REQ_STATS,
-            Request::RecalcRange { .. } => REQ_RECALC_RANGE,
-            Request::GetRangeFresh { .. } => REQ_GET_RANGE_FRESH,
-            Request::InsertRows { .. } => REQ_INSERT_ROWS,
-            Request::DeleteRows { .. } => REQ_DELETE_ROWS,
-            Request::InsertCols { .. } => REQ_INSERT_COLS,
-            Request::DeleteCols { .. } => REQ_DELETE_COLS,
-            Request::Metrics { .. } => REQ_METRICS,
-            Request::TraceDump { .. } => REQ_TRACE_DUMP,
-        }
-    }
-
-    /// The request's operation name, for span labels.
-    pub fn op_name(&self) -> &'static str {
-        OP_NAMES[self.tag() as usize]
-    }
-
-    /// Encodes the request as one frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let infallible: Result<(), StoreError> = (|| {
-            let w = &mut out;
-            match self {
-                Request::Open { workbook, auth, scope } => {
-                    w.push(REQ_OPEN);
-                    write_string(w, workbook)?;
-                    write_opt_string(w, auth)?;
-                    match scope {
-                        None => w.push(0),
-                        Some(sheets) => {
-                            w.push(1);
-                            write_uvarint(w, sheets.len() as u64)?;
-                            for s in sheets {
-                                write_string(w, s)?;
-                            }
-                        }
-                    }
-                }
-                Request::Close { token } => {
-                    w.push(REQ_CLOSE);
-                    write_uvarint(w, *token)?;
-                }
-                Request::SetValue { token, sheet, cell, value } => {
-                    w.push(REQ_SET_VALUE);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_cell(w, *cell)?;
-                    write_value(w, value)?;
-                }
-                Request::SetFormula { token, sheet, cell, src } => {
-                    w.push(REQ_SET_FORMULA);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_cell(w, *cell)?;
-                    write_string(w, src)?;
-                }
-                Request::Autofill { token, sheet, src, targets } => {
-                    w.push(REQ_AUTOFILL);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_cell(w, *src)?;
-                    write_range(w, *targets)?;
-                }
-                Request::ClearRange { token, sheet, range } => {
-                    w.push(REQ_CLEAR_RANGE);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_range(w, *range)?;
-                }
-                Request::Get { token, sheet, cell } => {
-                    w.push(REQ_GET);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_cell(w, *cell)?;
-                }
-                Request::GetRange { token, sheet, range } => {
-                    w.push(REQ_GET_RANGE);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_range(w, *range)?;
-                }
-                Request::Dependents { token, sheet, range } => {
-                    w.push(REQ_DEPENDENTS);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_range(w, *range)?;
-                }
-                Request::Precedents { token, sheet, range } => {
-                    w.push(REQ_PRECEDENTS);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_range(w, *range)?;
-                }
-                Request::DirtyCount { token } => {
-                    w.push(REQ_DIRTY_COUNT);
-                    write_uvarint(w, *token)?;
-                }
-                Request::Recalc { token } => {
-                    w.push(REQ_RECALC);
-                    write_uvarint(w, *token)?;
-                }
-                Request::Save { token } => {
-                    w.push(REQ_SAVE);
-                    write_uvarint(w, *token)?;
-                }
-                Request::Stats { token } => {
-                    w.push(REQ_STATS);
-                    write_uvarint(w, *token)?;
-                }
-                Request::RecalcRange { token, sheet, range } => {
-                    w.push(REQ_RECALC_RANGE);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_range(w, *range)?;
-                }
-                Request::GetRangeFresh { token, sheet, range } => {
-                    w.push(REQ_GET_RANGE_FRESH);
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_range(w, *range)?;
-                }
-                Request::InsertRows { token, sheet, at, n }
-                | Request::DeleteRows { token, sheet, at, n }
-                | Request::InsertCols { token, sheet, at, n }
-                | Request::DeleteCols { token, sheet, at, n } => {
-                    w.push(match self {
-                        Request::InsertRows { .. } => REQ_INSERT_ROWS,
-                        Request::DeleteRows { .. } => REQ_DELETE_ROWS,
-                        Request::InsertCols { .. } => REQ_INSERT_COLS,
-                        _ => REQ_DELETE_COLS,
-                    });
-                    write_uvarint(w, *token)?;
-                    write_string(w, sheet)?;
-                    write_uvarint(w, u64::from(*at))?;
-                    write_uvarint(w, u64::from(*n))?;
-                }
-                Request::Metrics { token } => {
-                    w.push(REQ_METRICS);
-                    write_uvarint(w, *token)?;
-                }
-                Request::TraceDump { token } => {
-                    w.push(REQ_TRACE_DUMP);
-                    write_uvarint(w, *token)?;
-                }
-            }
-            Ok(())
-        })();
-        debug_assert!(infallible.is_ok(), "Vec sinks cannot fail");
-        out
+    /// Whether the request may be sent again after an unknown outcome:
+    /// everything but a write.
+    pub(crate) fn is_idempotent(&self) -> bool {
+        self.retry_class() != RetryClass::Write
     }
 
     /// Encodes the request wrapped in a traced-request extension
@@ -856,524 +880,34 @@ impl Request {
     /// request arrived in a traced wrapper. The carried `span_id` is the
     /// *parent* under which server-side spans should hang.
     pub fn decode_traced(mut bytes: &[u8]) -> Result<(Option<TraceContext>, Self), StoreError> {
-        let r = &mut bytes;
-        let mut op = [0u8; 1];
-        r.read_exact(&mut op)?;
-        let ctx = if op[0] == REQ_TRACED {
-            let (trace_hi, trace_lo) = (read_u64_le(r)?, read_u64_le(r)?);
-            let parent = read_u64_le(r)?;
+        let mut ctx = None;
+        if let Some((&REQ_TRACED, mut rest)) = bytes.split_first() {
+            let r = &mut rest;
+            let (trace_hi, trace_lo, span_id) = (read_u64_le(r)?, read_u64_le(r)?, read_u64_le(r)?);
             if trace_hi == 0 && trace_lo == 0 {
                 return Err(StoreError::Malformed("traced wrapper with zero trace id"));
             }
-            r.read_exact(&mut op)?;
-            if op[0] == REQ_TRACED {
+            if rest.first() == Some(&REQ_TRACED) {
                 return Err(StoreError::Malformed("nested traced wrapper"));
             }
-            Some(TraceContext { trace_hi, trace_lo, span_id: parent, parent_id: 0 })
-        } else {
-            None
-        };
-        let req = match op[0] {
-            REQ_OPEN => {
-                let workbook = read_wire_string(r)?;
-                let auth = read_opt_string(r)?;
-                let scope = match read_flag(r)? {
-                    false => None,
-                    true => {
-                        let n = read_uvarint(r)?;
-                        let mut sheets = Vec::new();
-                        for _ in 0..n {
-                            sheets.push(read_wire_string(r)?);
-                        }
-                        Some(sheets)
-                    }
-                };
-                Request::Open { workbook, auth, scope }
-            }
-            REQ_CLOSE => Request::Close { token: read_uvarint(r)? },
-            REQ_SET_VALUE => Request::SetValue {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                cell: read_cell(r)?,
-                value: read_value(r)?,
-            },
-            REQ_SET_FORMULA => Request::SetFormula {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                cell: read_cell(r)?,
-                src: read_wire_string(r)?,
-            },
-            REQ_AUTOFILL => Request::Autofill {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                src: read_cell(r)?,
-                targets: read_range(r)?,
-            },
-            REQ_CLEAR_RANGE => Request::ClearRange {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                range: read_range(r)?,
-            },
-            REQ_GET => Request::Get {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                cell: read_cell(r)?,
-            },
-            REQ_GET_RANGE => Request::GetRange {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                range: read_range(r)?,
-            },
-            REQ_DEPENDENTS => Request::Dependents {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                range: read_range(r)?,
-            },
-            REQ_PRECEDENTS => Request::Precedents {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                range: read_range(r)?,
-            },
-            REQ_DIRTY_COUNT => Request::DirtyCount { token: read_uvarint(r)? },
-            REQ_RECALC => Request::Recalc { token: read_uvarint(r)? },
-            REQ_SAVE => Request::Save { token: read_uvarint(r)? },
-            REQ_STATS => Request::Stats { token: read_uvarint(r)? },
-            REQ_RECALC_RANGE => Request::RecalcRange {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                range: read_range(r)?,
-            },
-            REQ_GET_RANGE_FRESH => Request::GetRangeFresh {
-                token: read_uvarint(r)?,
-                sheet: read_wire_string(r)?,
-                range: read_range(r)?,
-            },
-            op @ (REQ_INSERT_ROWS | REQ_DELETE_ROWS | REQ_INSERT_COLS | REQ_DELETE_COLS) => {
-                let token = read_uvarint(r)?;
-                let sheet = read_wire_string(r)?;
-                let at = read_grid_index(r)?;
-                let n = read_grid_index(r)?;
-                match op {
-                    REQ_INSERT_ROWS => Request::InsertRows { token, sheet, at, n },
-                    REQ_DELETE_ROWS => Request::DeleteRows { token, sheet, at, n },
-                    REQ_INSERT_COLS => Request::InsertCols { token, sheet, at, n },
-                    _ => Request::DeleteCols { token, sheet, at, n },
-                }
-            }
-            REQ_METRICS => Request::Metrics { token: read_uvarint(r)? },
-            REQ_TRACE_DUMP => Request::TraceDump { token: read_uvarint(r)? },
-            _ => return Err(StoreError::Malformed("unknown request op")),
-        };
-        if !r.is_empty() {
-            return Err(StoreError::Malformed("trailing bytes in request"));
+            ctx = Some(TraceContext { trace_hi, trace_lo, span_id, parent_id: 0 });
+            bytes = rest;
         }
-        Ok((ctx, req))
+        Ok((ctx, Self::decode_whole(bytes)?))
     }
 }
 
 impl Response {
-    /// Encodes the response as one frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let infallible: Result<(), StoreError> = (|| {
-            let w = &mut out;
-            match self {
-                Response::Opened { token, sheets, epoch } => {
-                    w.push(RESP_OPENED);
-                    write_uvarint(w, *token)?;
-                    write_uvarint(w, *epoch)?;
-                    write_uvarint(w, sheets.len() as u64)?;
-                    for s in sheets {
-                        write_string(w, s)?;
-                    }
-                }
-                Response::Closed => w.push(RESP_CLOSED),
-                Response::Applied { epoch, dirty } => {
-                    w.push(RESP_APPLIED);
-                    write_uvarint(w, *epoch)?;
-                    write_uvarint(w, *dirty)?;
-                }
-                Response::Value(v) => {
-                    w.push(RESP_VALUE);
-                    write_value(w, v)?;
-                }
-                Response::Cells(cells) => {
-                    w.push(RESP_CELLS);
-                    write_uvarint(w, cells.len() as u64)?;
-                    for (c, v) in cells {
-                        write_cell(w, *c)?;
-                        write_value(w, v)?;
-                    }
-                }
-                Response::Ranges(ranges) => {
-                    w.push(RESP_RANGES);
-                    write_uvarint(w, ranges.len() as u64)?;
-                    for (sheet, range) in ranges {
-                        write_string(w, sheet)?;
-                        write_range(w, *range)?;
-                    }
-                }
-                Response::Count(n) => {
-                    w.push(RESP_COUNT);
-                    write_uvarint(w, *n)?;
-                }
-                Response::Recalced { evaluated, epoch } => {
-                    w.push(RESP_RECALCED);
-                    write_uvarint(w, *evaluated)?;
-                    write_uvarint(w, *epoch)?;
-                }
-                Response::Saved { wal_records } => {
-                    w.push(RESP_SAVED);
-                    write_uvarint(w, *wal_records)?;
-                }
-                Response::Stats(s) => {
-                    w.push(RESP_STATS);
-                    for field in [
-                        s.epoch,
-                        s.sheets,
-                        s.cells,
-                        s.dirty,
-                        s.graph_edges,
-                        s.cross_edges,
-                        s.edits,
-                        s.batches,
-                        s.recalcs,
-                        s.coalesced,
-                        s.sessions,
-                        s.busy_rejected,
-                        s.auth_failures,
-                        s.scope_denials,
-                        s.degraded,
-                        s.deadline_expired,
-                    ] {
-                        write_uvarint(w, field)?;
-                    }
-                }
-                Response::Metrics(snap) => {
-                    w.push(RESP_METRICS);
-                    write_metrics(w, snap)?;
-                }
-                Response::Traces(dump) => {
-                    w.push(RESP_TRACES);
-                    write_trace_dump(w, dump)?;
-                }
-                Response::Err(e) => {
-                    w.push(RESP_ERR);
-                    encode_error(w, e)?;
-                }
-            }
-            Ok(())
-        })();
-        debug_assert!(infallible.is_ok(), "Vec sinks cannot fail");
-        out
-    }
-
     /// Decodes one frame payload; trailing bytes are an error.
-    pub fn decode(mut bytes: &[u8]) -> Result<Self, StoreError> {
-        let r = &mut bytes;
-        let mut op = [0u8; 1];
-        r.read_exact(&mut op)?;
-        let resp = match op[0] {
-            RESP_OPENED => {
-                let token = read_uvarint(r)?;
-                let epoch = read_uvarint(r)?;
-                let n = read_uvarint(r)?;
-                let mut sheets = Vec::new();
-                for _ in 0..n {
-                    sheets.push(read_wire_string(r)?);
-                }
-                Response::Opened { token, sheets, epoch }
-            }
-            RESP_CLOSED => Response::Closed,
-            RESP_APPLIED => Response::Applied { epoch: read_uvarint(r)?, dirty: read_uvarint(r)? },
-            RESP_VALUE => Response::Value(read_value(r)?),
-            RESP_CELLS => {
-                let n = read_uvarint(r)?;
-                let mut cells = Vec::new();
-                for _ in 0..n {
-                    let c = read_cell(r)?;
-                    cells.push((c, read_value(r)?));
-                }
-                Response::Cells(cells)
-            }
-            RESP_RANGES => {
-                let n = read_uvarint(r)?;
-                let mut ranges = Vec::new();
-                for _ in 0..n {
-                    let sheet = read_wire_string(r)?;
-                    ranges.push((sheet, read_range(r)?));
-                }
-                Response::Ranges(ranges)
-            }
-            RESP_COUNT => Response::Count(read_uvarint(r)?),
-            RESP_RECALCED => {
-                Response::Recalced { evaluated: read_uvarint(r)?, epoch: read_uvarint(r)? }
-            }
-            RESP_SAVED => Response::Saved { wal_records: read_uvarint(r)? },
-            RESP_STATS => {
-                let mut fields = [0u64; 16];
-                for f in &mut fields {
-                    *f = read_uvarint(r)?;
-                }
-                Response::Stats(ServiceStats {
-                    epoch: fields[0],
-                    sheets: fields[1],
-                    cells: fields[2],
-                    dirty: fields[3],
-                    graph_edges: fields[4],
-                    cross_edges: fields[5],
-                    edits: fields[6],
-                    batches: fields[7],
-                    recalcs: fields[8],
-                    coalesced: fields[9],
-                    sessions: fields[10],
-                    busy_rejected: fields[11],
-                    auth_failures: fields[12],
-                    scope_denials: fields[13],
-                    degraded: fields[14],
-                    deadline_expired: fields[15],
-                })
-            }
-            RESP_METRICS => Response::Metrics(Box::new(read_metrics(r)?)),
-            RESP_TRACES => Response::Traces(Box::new(read_trace_dump(r)?)),
-            RESP_ERR => Response::Err(decode_error(r)?),
-            _ => return Err(StoreError::Malformed("unknown response op")),
-        };
-        if !r.is_empty() {
-            return Err(StoreError::Malformed("trailing bytes in response"));
-        }
-        Ok(resp)
+    pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
+        Self::decode_whole(bytes)
     }
-}
-
-const ERR_NO_WORKBOOK: u8 = 0;
-const ERR_AUTH: u8 = 1;
-const ERR_NO_SESSION: u8 = 2;
-const ERR_NO_SHEET: u8 = 3;
-const ERR_SCOPE: u8 = 4;
-const ERR_BAD_REQUEST: u8 = 5;
-const ERR_NOT_PERSISTENT: u8 = 6;
-const ERR_BUSY: u8 = 7;
-const ERR_SHUTDOWN: u8 = 8;
-const ERR_WIRE: u8 = 9;
-const ERR_IO: u8 = 10;
-const ERR_PROTOCOL: u8 = 11;
-const ERR_DEGRADED: u8 = 12;
-const ERR_DEADLINE: u8 = 13;
-
-fn encode_error<W: Write>(w: &mut W, e: &ServiceError) -> Result<(), StoreError> {
-    let (code, msg): (u8, String) = match e {
-        ServiceError::NoSuchWorkbook(n) => (ERR_NO_WORKBOOK, n.clone()),
-        ServiceError::AuthFailed => (ERR_AUTH, String::new()),
-        ServiceError::NoSession => (ERR_NO_SESSION, String::new()),
-        ServiceError::NoSuchSheet(n) => (ERR_NO_SHEET, n.clone()),
-        ServiceError::OutOfScope(n) => (ERR_SCOPE, n.clone()),
-        ServiceError::BadRequest(why) => (ERR_BAD_REQUEST, why.clone()),
-        ServiceError::NotPersistent => (ERR_NOT_PERSISTENT, String::new()),
-        ServiceError::Degraded(why) => (ERR_DEGRADED, why.clone()),
-        ServiceError::DeadlineExceeded => (ERR_DEADLINE, String::new()),
-        ServiceError::Busy => (ERR_BUSY, String::new()),
-        ServiceError::ShuttingDown => (ERR_SHUTDOWN, String::new()),
-        ServiceError::Wire(e) => (ERR_WIRE, e.to_string()),
-        ServiceError::Io(why) => (ERR_IO, why.clone()),
-        ServiceError::Protocol(what) => (ERR_PROTOCOL, (*what).to_string()),
-    };
-    w.write_all(&[code])?;
-    write_string(w, &msg)
-}
-
-fn decode_error<R: Read>(r: &mut R) -> Result<ServiceError, StoreError> {
-    let mut code = [0u8; 1];
-    r.read_exact(&mut code)?;
-    let msg = read_wire_string(r)?;
-    Ok(match code[0] {
-        ERR_NO_WORKBOOK => ServiceError::NoSuchWorkbook(msg),
-        ERR_AUTH => ServiceError::AuthFailed,
-        ERR_NO_SESSION => ServiceError::NoSession,
-        ERR_NO_SHEET => ServiceError::NoSuchSheet(msg),
-        ERR_SCOPE => ServiceError::OutOfScope(msg),
-        ERR_BAD_REQUEST => ServiceError::BadRequest(msg),
-        ERR_NOT_PERSISTENT => ServiceError::NotPersistent,
-        ERR_DEGRADED => ServiceError::Degraded(msg),
-        ERR_DEADLINE => ServiceError::DeadlineExceeded,
-        ERR_BUSY => ServiceError::Busy,
-        ERR_SHUTDOWN => ServiceError::ShuttingDown,
-        ERR_WIRE => ServiceError::BadRequest(format!("peer wire error: {msg}")),
-        ERR_IO => ServiceError::Io(msg),
-        ERR_PROTOCOL => ServiceError::BadRequest(format!("peer protocol error: {msg}")),
-        _ => return Err(StoreError::Malformed("unknown error code")),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_formula::CellError;
-
-    fn sample_requests() -> Vec<Request> {
-        let c = Cell::new(3, 7);
-        let r = Range::from_coords(1, 1, 4, 9);
-        vec![
-            Request::Open { workbook: "Sales".into(), auth: None, scope: None },
-            Request::Open {
-                workbook: "Sales".into(),
-                auth: Some("sekrit".into()),
-                scope: Some(vec!["Data".into(), "My Summary".into()]),
-            },
-            Request::Close { token: 99 },
-            Request::SetValue {
-                token: 1,
-                sheet: "Data".into(),
-                cell: c,
-                value: Value::Number(2.5),
-            },
-            Request::SetFormula {
-                token: 1,
-                sheet: "Data".into(),
-                cell: c,
-                src: "SUM(A1:A9)".into(),
-            },
-            Request::Autofill { token: 2, sheet: "Data".into(), src: c, targets: r },
-            Request::ClearRange { token: 2, sheet: "Data".into(), range: r },
-            Request::Get { token: 3, sheet: "Data".into(), cell: c },
-            Request::GetRange { token: 3, sheet: "Data".into(), range: r },
-            Request::Dependents { token: 4, sheet: "Data".into(), range: r },
-            Request::Precedents { token: 4, sheet: "Data".into(), range: r },
-            Request::DirtyCount { token: 5 },
-            Request::Recalc { token: 5 },
-            Request::Save { token: 6 },
-            Request::Stats { token: u64::MAX },
-            Request::RecalcRange { token: 7, sheet: "Data".into(), range: r },
-            Request::GetRangeFresh { token: 7, sheet: "Data".into(), range: r },
-            Request::InsertRows { token: 8, sheet: "Data".into(), at: 5, n: 3 },
-            Request::DeleteRows { token: 8, sheet: "Data".into(), at: 1, n: 200 },
-            Request::InsertCols { token: 8, sheet: "Data".into(), at: 2, n: 1 },
-            Request::DeleteCols { token: 8, sheet: "Data".into(), at: 7, n: u32::MAX },
-            Request::Metrics { token: 9 },
-            Request::TraceDump { token: 10 },
-        ]
-    }
-
-    fn sample_responses() -> Vec<Response> {
-        let c = Cell::new(3, 7);
-        let r = Range::from_coords(1, 1, 4, 9);
-        vec![
-            Response::Opened { token: 42, sheets: vec!["Data".into(), "Out".into()], epoch: 7 },
-            Response::Closed,
-            Response::Applied { epoch: 8, dirty: 12 },
-            Response::Value(Value::Text("héllo".into())),
-            Response::Value(Value::Error(CellError::Ref)),
-            Response::Cells(vec![(c, Value::Number(1.0)), (Cell::new(4, 7), Value::Bool(true))]),
-            Response::Ranges(vec![("Data".into(), r), ("Out".into(), Range::cell(c))]),
-            Response::Count(77),
-            Response::Recalced { evaluated: 123, epoch: 9 },
-            Response::Saved { wal_records: 0 },
-            Response::Stats(ServiceStats {
-                epoch: 1,
-                sheets: 2,
-                cells: 3,
-                dirty: 4,
-                graph_edges: 5,
-                cross_edges: 6,
-                edits: 7,
-                batches: 8,
-                recalcs: 9,
-                coalesced: 10,
-                sessions: 11,
-                busy_rejected: 12,
-                auth_failures: 13,
-                scope_denials: 14,
-                degraded: 1,
-                deadline_expired: 15,
-            }),
-            Response::Metrics(Box::new(sample_snapshot())),
-            Response::Metrics(Box::default()),
-            Response::Traces(Box::new(sample_trace_dump())),
-            Response::Traces(Box::default()),
-            Response::Err(ServiceError::NoSuchWorkbook("nope".into())),
-            Response::Err(ServiceError::AuthFailed),
-            Response::Err(ServiceError::OutOfScope("Secret".into())),
-            Response::Err(ServiceError::BadRequest("unparsable".into())),
-            Response::Err(ServiceError::Degraded("wal append: disk full".into())),
-            Response::Err(ServiceError::DeadlineExceeded),
-        ]
-    }
-
-    fn sample_snapshot() -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: vec![MetricValue {
-                name: "taco_wal_records_total".into(),
-                labels: String::new(),
-                value: 41,
-            }],
-            gauges: vec![GaugeValue {
-                name: "taco_graph_edges".into(),
-                labels: "book=\"demo\"".into(),
-                value: -3,
-            }],
-            histograms: vec![HistogramSnapshot {
-                name: "taco_request_ns".into(),
-                labels: "op=\"recalc\"".into(),
-                count: 3,
-                sum: 905,
-                buckets: vec![(3, 2), (10, 1)],
-                p50: 7,
-                p90: 1023,
-                p99: 1023,
-            }],
-            slow_spans: vec![SlowSpan {
-                name: "workbook.recalc".into(),
-                cat: SpanCat::Recalc,
-                trace_hi: 0x0123_4567_89AB_CDEF,
-                trace_lo: u64::MAX,
-                span_id: 11,
-                parent_id: 7,
-                start_ns: 5,
-                dur_ns: 20_000_000,
-                a: 100,
-                b: 2,
-            }],
-        }
-    }
-
-    fn sample_trace_dump() -> TraceDump {
-        let span = |name: &str, cat, span_id, parent_id| SlowSpan {
-            name: name.into(),
-            cat,
-            trace_hi: 0xFEED_FACE_CAFE_BEEF,
-            trace_lo: 0x0102_0304_0506_0708,
-            span_id,
-            parent_id,
-            start_ns: 10,
-            dur_ns: 50,
-            a: 1,
-            b: 2,
-        };
-        TraceDump {
-            recent: vec![
-                span("request.recalc", SpanCat::Request, 1, 0),
-                span("workbook.recalc", SpanCat::Recalc, 2, 1),
-                span("wal.append", SpanCat::WalAppend, 3, 1),
-            ],
-            slow: vec![span("request.recalc", SpanCat::Request, 1, 0)],
-        }
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        for req in sample_requests() {
-            let bytes = req.encode();
-            assert_eq!(Request::decode(&bytes).unwrap(), req, "{req:?}");
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        for resp in sample_responses() {
-            let bytes = resp.encode();
-            assert_eq!(Response::decode(&bytes).unwrap(), resp, "{resp:?}");
-        }
-    }
+    use std::collections::BTreeSet;
 
     fn sample_ctx() -> TraceContext {
         TraceContext {
@@ -1384,16 +918,130 @@ mod tests {
         }
     }
 
+    /// Every single-bit corruption of `bytes`.
+    fn bit_flips(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (0..bytes.len() * 8).map(|bit| {
+            let mut corrupt = bytes.to_vec();
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+            corrupt
+        })
+    }
+
+    /// The tags a decoder knows: every first byte it does not answer with
+    /// `unknown`.
+    fn known_tags<T>(decode: fn(&[u8]) -> Result<T, StoreError>, unknown: &str) -> BTreeSet<u8> {
+        (0..=u8::MAX)
+            .filter(|&tag| !matches!(decode(&[tag]), Err(StoreError::Malformed(m)) if m == unknown))
+            .collect()
+    }
+
+    #[test]
+    fn the_tables_check_themselves() {
+        // Request tags: unique, dense from 0 but for the traced wrapper's
+        // (which is not a request's), every one in `samples()`, every one
+        // named, and the label arrays filled by tag.
+        let mut tags = known_tags(Request::decode, "unknown request op");
+        assert_eq!(tags, (0..tags.len() as u8).collect(), "tags are dense");
+        assert!(tags.remove(&REQ_TRACED), "the wrapper's tag reads as a wrapper, not as unknown");
+        let sampled: BTreeSet<u8> = Request::samples().iter().map(Request::tag).collect();
+        assert_eq!(sampled, tags, "samples() holds every request variant");
+        assert_eq!(OP_NAMES.len(), usize::from(*tags.last().unwrap()) + 1);
+        let names: BTreeSet<&str> = tags.iter().map(|&t| OP_NAMES[usize::from(t)]).collect();
+        assert_eq!(names.len(), tags.len(), "names are unique");
+        assert!(!names.contains(""));
+        for &tag in &tags {
+            let (name, label) = (OP_NAMES[usize::from(tag)], OP_LABELS[usize::from(tag)]);
+            assert_eq!(label, format!("op=\"{name}\""));
+        }
+        for req in Request::samples() {
+            assert_eq!(req.encode()[0], req.tag());
+            assert_eq!(req.op_name(), OP_NAMES[req.tag() as usize]);
+            // The token accessor reaches the token every request but
+            // `Open` carries (first on the wire, after the tag).
+            let mut patched = req.clone();
+            match patched.token_mut() {
+                Some(token) => *token = 0x7777,
+                None => assert!(matches!(req, Request::Open { .. }), "{req:?}"),
+            }
+            let open = matches!(req, Request::Open { .. });
+            assert_eq!(patched.encode()[1..].starts_with(&[0xf7, 0xee, 0x01]), !open, "{req:?}");
+        }
+        // Response tags: the same, minus the operation columns.
+        let tags = known_tags(Response::decode, "unknown response op");
+        let sampled: BTreeSet<u8> = Response::samples().iter().map(|r| r.encode()[0]).collect();
+        assert_eq!(sampled, tags, "samples() holds every response variant");
+        assert_eq!(tags, (0..tags.len() as u8).collect(), "response tags are dense");
+        // Every error that arrives as sent is sampled.
+        assert_eq!(ServiceError::samples().len(), 12);
+    }
+
+    #[test]
+    fn retry_classes_are_what_the_client_relies_on() {
+        for req in Request::samples() {
+            let write = matches!(
+                req,
+                Request::SetValue { .. }
+                    | Request::SetFormula { .. }
+                    | Request::Autofill { .. }
+                    | Request::ClearRange { .. }
+                    | Request::InsertRows { .. }
+                    | Request::DeleteRows { .. }
+                    | Request::InsertCols { .. }
+                    | Request::DeleteCols { .. }
+            );
+            assert_eq!(req.is_idempotent(), !write, "{req:?}");
+            let session = matches!(req, Request::Open { .. } | Request::Close { .. });
+            assert_eq!(req.retry_class() == RetryClass::Session, session, "{req:?}");
+        }
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in Request::samples() {
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req, "{req:?}");
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in Response::samples() {
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp, "{resp:?}");
+        }
+    }
+
+    #[test]
+    fn peer_transport_errors_arrive_as_bad_request() {
+        // The two deliberately asymmetric codes: what failed on the peer's
+        // transport is, on this side, just a request that did not work.
+        for (sent, received) in [
+            (
+                ServiceError::Wire(StoreError::BadMagic),
+                format!("peer wire error: {}", StoreError::BadMagic),
+            ),
+            (
+                ServiceError::Protocol("expected Opened"),
+                "peer protocol error: expected Opened".into(),
+            ),
+        ] {
+            let bytes = Response::Err(sent.clone()).encode();
+            assert_eq!(
+                Response::decode(&bytes).unwrap(),
+                Response::Err(ServiceError::BadRequest(received)),
+                "{sent:?}"
+            );
+            for cut in 0..bytes.len() {
+                assert!(Response::decode(&bytes[..cut]).is_err(), "{sent:?} cut at {cut}");
+            }
+        }
+    }
+
     #[test]
     fn traced_wrapper_round_trips_context_and_request() {
-        for req in sample_requests() {
+        for req in Request::samples() {
             let bytes = req.encode_traced(sample_ctx());
             let (ctx, decoded) = Request::decode_traced(&bytes).unwrap();
             assert_eq!(decoded, req, "{req:?}");
-            let ctx = ctx.expect("wrapper carries a context");
-            assert_eq!(ctx.trace_hi, sample_ctx().trace_hi);
-            assert_eq!(ctx.trace_lo, sample_ctx().trace_lo);
-            assert_eq!(ctx.span_id, sample_ctx().span_id, "carried span id is the parent");
+            assert_eq!(ctx, Some(sample_ctx()), "carried span id is the parent");
             // The plain decoder accepts the wrapper and drops the context.
             assert_eq!(Request::decode(&bytes).unwrap(), req);
         }
@@ -1401,7 +1049,7 @@ mod tests {
 
     #[test]
     fn untraced_requests_decode_with_no_context() {
-        for req in sample_requests() {
+        for req in Request::samples() {
             let (ctx, decoded) = Request::decode_traced(&req.encode()).unwrap();
             assert!(ctx.is_none(), "{req:?}");
             assert_eq!(decoded, req);
@@ -1419,7 +1067,7 @@ mod tests {
         ));
         // A wrapper inside a wrapper is rejected, not recursed into.
         let inner = Request::Recalc { token: 1 }.encode_traced(sample_ctx());
-        let mut nested = vec![super::REQ_TRACED];
+        let mut nested = vec![REQ_TRACED];
         nested.extend_from_slice(&[1u8; 24]);
         nested.extend_from_slice(&inner);
         assert!(matches!(
@@ -1433,20 +1081,14 @@ mod tests {
 
     #[test]
     fn every_truncation_is_typed() {
-        for req in sample_requests() {
-            let bytes = req.encode();
-            for cut in 0..bytes.len() {
-                assert!(Request::decode(&bytes[..cut]).is_err(), "{req:?} cut at {cut}");
-            }
-            let traced = req.encode_traced(sample_ctx());
-            for cut in 0..traced.len() {
-                assert!(
-                    Request::decode_traced(&traced[..cut]).is_err(),
-                    "traced {req:?} cut at {cut}"
-                );
+        for req in Request::samples() {
+            for bytes in [req.encode(), req.encode_traced(sample_ctx())] {
+                for cut in 0..bytes.len() {
+                    assert!(Request::decode_traced(&bytes[..cut]).is_err(), "{req:?} cut at {cut}");
+                }
             }
         }
-        for resp in sample_responses() {
+        for resp in Response::samples() {
             let bytes = resp.encode();
             for cut in 0..bytes.len() {
                 assert!(Response::decode(&bytes[..cut]).is_err(), "{resp:?} cut at {cut}");
@@ -1476,87 +1118,108 @@ mod tests {
         // the property is that decoding never panics and never
         // over-allocates, for every single-bit corruption of every
         // sample message.
-        for req in sample_requests() {
+        for req in Request::samples() {
             for bytes in [req.encode(), req.encode_traced(sample_ctx())] {
-                for i in 0..bytes.len() {
-                    for bit in 0..8 {
-                        let mut corrupt = bytes.clone();
-                        corrupt[i] ^= 1 << bit;
-                        let _ = Request::decode_traced(&corrupt);
-                    }
+                for corrupt in bit_flips(&bytes) {
+                    let _ = Request::decode_traced(&corrupt);
                 }
             }
         }
-        for resp in sample_responses() {
-            let bytes = resp.encode();
-            for i in 0..bytes.len() {
-                for bit in 0..8 {
-                    let mut corrupt = bytes.clone();
-                    corrupt[i] ^= 1 << bit;
-                    let _ = Response::decode(&corrupt);
-                }
+        for resp in Response::samples() {
+            for corrupt in bit_flips(&resp.encode()) {
+                let _ = Response::decode(&corrupt);
             }
         }
     }
 
+    /// `prefix` followed by a list header declaring `u64::MAX` entries.
+    fn oversized(prefix: &[u8]) -> Vec<u8> {
+        let mut bytes = prefix.to_vec();
+        write_uvarint(&mut bytes, u64::MAX).unwrap();
+        bytes
+    }
+
     #[test]
     fn oversized_metrics_lengths_are_rejected_before_allocation() {
-        use taco_store::codec::write_uvarint;
+        let metrics = Response::Metrics(Box::default()).encode()[0];
         // Each of the four list headers in turn declares u64::MAX
         // entries; the decoder must fail on the length check, not
         // attempt a reservation.
         for lists_before in 0..4usize {
-            let mut bytes = vec![super::RESP_METRICS];
-            for _ in 0..lists_before {
-                write_uvarint(&mut bytes, 0).unwrap();
-            }
-            write_uvarint(&mut bytes, u64::MAX).unwrap();
+            let mut prefix = vec![metrics];
+            prefix.resize(1 + lists_before, 0);
             assert!(matches!(
-                Response::decode(&bytes),
+                Response::decode(&oversized(&prefix)),
                 Err(StoreError::Malformed("metrics list length out of range"))
             ));
         }
         // Same for a histogram's bucket list.
-        let mut bytes = vec![super::RESP_METRICS];
-        write_uvarint(&mut bytes, 0).unwrap(); // counters
-        write_uvarint(&mut bytes, 0).unwrap(); // gauges
-        write_uvarint(&mut bytes, 1).unwrap(); // one histogram
-        write_string(&mut bytes, "h").unwrap();
-        write_string(&mut bytes, "").unwrap();
-        write_uvarint(&mut bytes, 1).unwrap(); // count
-        write_uvarint(&mut bytes, 1).unwrap(); // sum
-        write_uvarint(&mut bytes, u64::MAX).unwrap(); // buckets
+        let mut prefix = vec![metrics, 0, 0, 1]; // no counters, no gauges, one histogram
+        write_string(&mut prefix, "h").unwrap();
+        write_string(&mut prefix, "").unwrap();
+        prefix.extend_from_slice(&[1, 1]); // count, sum
+        assert!(matches!(
+            Response::decode(&oversized(&prefix)),
+            Err(StoreError::Malformed("histogram bucket count out of range"))
+        ));
+        // The lists with no bound of their own obey the rule every list
+        // obeys: no more entries than payload bytes remain.
+        let cells = Response::Cells(Vec::new()).encode()[0];
+        let ranges = Response::Ranges(Vec::new()).encode()[0];
+        let opened =
+            [Response::Opened { token: 1, epoch: 1, sheets: Vec::new() }.encode()[0], 1, 1];
+        for prefix in [&[cells][..], &[ranges], &opened] {
+            assert!(matches!(
+                Response::decode(&oversized(prefix)),
+                Err(StoreError::Malformed("list length exceeds the payload"))
+            ));
+        }
+        let open = Request::Open { workbook: "b".into(), auth: None, scope: Some(Vec::new()) };
+        let mut prefix = open.encode();
+        assert_eq!(prefix.pop(), Some(0), "an empty scope list ends the frame");
+        assert!(matches!(
+            Request::decode(&oversized(&prefix)),
+            Err(StoreError::Malformed("list length exceeds the payload"))
+        ));
+        // One entry too many for the bytes that follow is already too many.
+        let mut bytes = vec![cells, 3];
+        bytes.extend_from_slice(&[1, 1]);
         assert!(matches!(
             Response::decode(&bytes),
-            Err(StoreError::Malformed("histogram bucket count out of range"))
+            Err(StoreError::Malformed("list length exceeds the payload"))
         ));
     }
 
     #[test]
     fn metrics_snapshot_round_trips_losslessly() {
-        let resp = Response::Metrics(Box::new(sample_snapshot()));
-        let bytes = resp.encode();
-        assert_eq!(Response::decode(&bytes).unwrap(), resp);
+        let snap = &<Box<MetricsSnapshot>>::samples()[0];
+        assert!(
+            !snap.counters.is_empty()
+                && !snap.gauges.is_empty()
+                && !snap.slow_spans.is_empty()
+                && snap.histograms.iter().any(|h| !h.buckets.is_empty()),
+            "the first sample fills every list"
+        );
+        let resp = Response::Metrics(snap.clone());
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
     }
 
     #[test]
     fn trace_dump_round_trips_losslessly() {
-        let resp = Response::Traces(Box::new(sample_trace_dump()));
-        let bytes = resp.encode();
-        assert_eq!(Response::decode(&bytes).unwrap(), resp);
+        let dump = &<Box<TraceDump>>::samples()[0];
+        assert!(!dump.recent.is_empty() && !dump.slow.is_empty());
+        let resp = Response::Traces(dump.clone());
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
     }
 
     #[test]
     fn oversized_trace_lists_are_rejected_before_allocation() {
-        use taco_store::codec::write_uvarint;
+        let traces = Response::Traces(Box::default()).encode()[0];
         for lists_before in 0..2usize {
-            let mut bytes = vec![super::RESP_TRACES];
-            for _ in 0..lists_before {
-                write_uvarint(&mut bytes, 0).unwrap();
-            }
-            write_uvarint(&mut bytes, u64::MAX).unwrap();
+            let mut prefix = vec![traces];
+            prefix.resize(1 + lists_before, 0);
             assert!(matches!(
-                Response::decode(&bytes),
+                Response::decode(&oversized(&prefix)),
                 Err(StoreError::Malformed("metrics list length out of range"))
             ));
         }
@@ -1573,5 +1236,16 @@ mod tests {
             Err(StoreError::Malformed("unknown response op"))
         ));
         assert!(Request::decode(&[]).is_err());
+        // Span category 2 (the intra-sheet level nothing records) is
+        // retired, not reassigned: it reads as out of range.
+        let span = SlowSpan::samples().remove(0);
+        let cat_at = 2 + 1 + span.name.len(); // tag, list length, name
+        let dump = TraceDump { recent: vec![span], slow: Vec::new() };
+        let mut bytes = Response::Traces(Box::new(dump)).encode();
+        bytes[cat_at] = 2;
+        assert!(matches!(
+            Response::decode(&bytes),
+            Err(StoreError::Malformed("span category out of range"))
+        ));
     }
 }

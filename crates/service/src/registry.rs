@@ -951,46 +951,22 @@ impl Registry {
                 self.close_session(token);
                 Ok(Response::Closed)
             }
-            Request::SetValue { token, sheet, cell, value } => {
-                let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
-                let op = WriteOp::Edit(EditRecord::SetValue { sheet: sid, cell, value });
-                Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Write {
-                    op,
-                    ctx: TraceContext::current(),
-                    reply,
-                }))
-            }
-            Request::SetFormula { token, sheet, cell, src } => {
-                let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
+            Request::SetValue { token, sheet, cell, value } => self.write(token, &sheet, |sid| {
+                Ok(WriteOp::Edit(EditRecord::SetValue { sheet: sid, cell, value }))
+            }),
+            Request::SetFormula { token, sheet, cell, src } => self.write(token, &sheet, |sid| {
                 // Pre-validate so coalesced batches stay failure-free and
                 // the client gets the parse error, not a batch index.
                 Formula::parse(&src)
                     .map_err(|e| ServiceError::BadRequest(format!("formula: {e}")))?;
-                let op = WriteOp::Edit(EditRecord::SetFormula { sheet: sid, cell, src });
-                Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Write {
-                    op,
-                    ctx: TraceContext::current(),
-                    reply,
-                }))
-            }
+                Ok(WriteOp::Edit(EditRecord::SetFormula { sheet: sid, cell, src }))
+            }),
             Request::Autofill { token, sheet, src, targets } => {
-                let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
-                let op = WriteOp::Autofill { sheet: sid, src, targets };
-                Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Write {
-                    op,
-                    ctx: TraceContext::current(),
-                    reply,
-                }))
+                self.write(token, &sheet, |sid| Ok(WriteOp::Autofill { sheet: sid, src, targets }))
             }
-            Request::ClearRange { token, sheet, range } => {
-                let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
-                let op = WriteOp::Edit(EditRecord::ClearRange { sheet: sid, range });
-                Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Write {
-                    op,
-                    ctx: TraceContext::current(),
-                    reply,
-                }))
-            }
+            Request::ClearRange { token, sheet, range } => self.write(token, &sheet, |sid| {
+                Ok(WriteOp::Edit(EditRecord::ClearRange { sheet: sid, range }))
+            }),
             Request::InsertRows { token, sheet, at, n } => {
                 self.structural(token, &sheet, StructuralOp::InsertRows { at, n })
             }
@@ -1114,23 +1090,36 @@ impl Registry {
         }
     }
 
-    /// Queues a structural edit (row/column insert or delete) to the
-    /// workbook's writer. Scope is enforced against the *edited* sheet;
-    /// the workbook-wide reference rewrite it triggers is part of the
-    /// edit's semantics, not a separate access.
+    /// Queues one write to the workbook's writer and waits for its reply.
+    /// `op` builds the write from the resolved sheet id, and may still
+    /// refuse it (an unparsable formula) — after session, scope and sheet
+    /// have been checked, so those refusals come first.
+    fn write(
+        &self,
+        token: u64,
+        sheet: &str,
+        op: impl FnOnce(u32) -> Result<WriteOp, ServiceError>,
+    ) -> Result<Response, ServiceError> {
+        let (_, handle, sid) = self.resolve_sheet(token, sheet)?;
+        let op = op(sid)?;
+        Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Write {
+            op,
+            ctx: TraceContext::current(),
+            reply,
+        }))
+    }
+
+    /// Queues a structural edit (row/column insert or delete). Scope is
+    /// enforced against the *edited* sheet; the workbook-wide reference
+    /// rewrite it triggers is part of the edit's semantics, not a separate
+    /// access.
     fn structural(
         &self,
         token: u64,
         sheet: &str,
         op: StructuralOp,
     ) -> Result<Response, ServiceError> {
-        let (_, handle, sid) = self.resolve_sheet(token, sheet)?;
-        let op = WriteOp::Edit(EditRecord::Structural { sheet: sid, op });
-        Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Write {
-            op,
-            ctx: TraceContext::current(),
-            reply,
-        }))
+        self.write(token, sheet, |sid| Ok(WriteOp::Edit(EditRecord::Structural { sheet: sid, op })))
     }
 
     fn open(

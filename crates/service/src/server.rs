@@ -40,9 +40,10 @@ use taco_store::{read_frame, write_frame, StoreError, DEFAULT_MAX_FRAME};
 
 /// Leading handshake magic.
 pub const HANDSHAKE_MAGIC: [u8; 4] = *b"TSRV";
-/// Current wire protocol version. Version 2 widened the `Stats` reply
-/// with degradation and deadline counters; servers still accept v1
-/// clients (the handshake rejects only *newer* peers).
+/// The wire protocol version, and the only one either side accepts: a
+/// peer that speaks another is refused at the handshake, before any frame.
+/// Version 2 widened the `Stats` reply with degradation and deadline
+/// counters.
 pub const WIRE_VERSION: u16 = 2;
 
 /// Tuning for a [`Server`].
@@ -77,7 +78,7 @@ pub(crate) fn read_handshake(stream: &mut TcpStream) -> Result<(), ServiceError>
         return Err(ServiceError::Wire(StoreError::BadMagic));
     }
     let version = u16::from_le_bytes([hello[4], hello[5]]);
-    if version > WIRE_VERSION {
+    if version != WIRE_VERSION {
         return Err(ServiceError::Wire(StoreError::UnsupportedVersion(version)));
     }
     Ok(())

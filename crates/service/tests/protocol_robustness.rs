@@ -15,11 +15,12 @@ use taco_engine::{RecalcMode, Workbook};
 use taco_formula::Value;
 use taco_grid::Cell;
 use taco_obs::TraceContext;
+use taco_service::server::WIRE_VERSION;
 use taco_service::{
     Registry, Request, Response, Server, ServerOptions, ServiceError, ServiceOptions, TcpClient,
 };
-use taco_store::codec::write_uvarint;
-use taco_store::{read_frame, write_frame};
+use taco_store::codec::{read_uvarint, write_uvarint};
+use taco_store::{read_frame, write_frame, StoreError};
 
 fn demo_registry() -> Arc<Registry> {
     let mut wb = Workbook::with_taco();
@@ -45,7 +46,7 @@ fn raw_conn(server: &Server) -> TcpStream {
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut hello = [0u8; 6];
     hello[..4].copy_from_slice(b"TSRV");
-    hello[4..].copy_from_slice(&taco_service::server::WIRE_VERSION.to_le_bytes());
+    hello[4..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
     s.write_all(&hello).unwrap();
     let mut echo = [0u8; 6];
     s.read_exact(&mut echo).unwrap();
@@ -62,59 +63,86 @@ fn assert_still_serving(server: &Server) {
     client.close().expect("close after abuse");
 }
 
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, payload).unwrap();
+    frame
+}
+
 fn open_frame() -> Vec<u8> {
-    let mut frame = Vec::new();
-    write_frame(
-        &mut frame,
-        &Request::Open { workbook: "book".into(), auth: None, scope: None }.encode(),
-    )
-    .unwrap();
-    frame
+    framed(&Request::Open { workbook: "book".into(), auth: None, scope: None }.encode())
 }
 
-/// The Open request inside a trace-context wrapper (tag 22): the frame
-/// shape every traced client emits.
-fn traced_open_frame() -> Vec<u8> {
-    let ctx = TraceContext { trace_hi: 0xFEED, trace_lo: 0xBEEF, span_id: 7, parent_id: 0 };
-    let mut frame = Vec::new();
-    write_frame(
-        &mut frame,
-        &Request::Open { workbook: "book".into(), auth: None, scope: None }.encode_traced(ctx),
-    )
-    .unwrap();
-    frame
+/// Every request sample of the protocol table as a frame a live client
+/// could have sent: `Open` names the served workbook, and every other
+/// request carries the token of a session opened for it on `server`
+/// (kept open by the returned clients), so nothing about the frame but
+/// the abuse applied to it is wrong.
+fn live_sample_frames(server: &Server) -> (Vec<TcpClient>, Vec<Vec<u8>>) {
+    let (mut sessions, mut frames) = (Vec::new(), Vec::new());
+    for sample in Request::samples() {
+        let payload = match sample {
+            Request::Open { auth, scope, .. } => {
+                Request::Open { workbook: "book".into(), auth, scope }.encode()
+            }
+            other => {
+                let mut client = TcpClient::connect(server.local_addr()).unwrap();
+                client.open("book", None, None).unwrap();
+                // The token is the first field after the tag, so the
+                // sample's is swapped for the live one on the wire.
+                let bytes = other.encode();
+                let mut rest = &bytes[1..];
+                read_uvarint(&mut rest).unwrap();
+                let mut patched = vec![bytes[0]];
+                write_uvarint(&mut patched, client.token().unwrap()).unwrap();
+                patched.extend_from_slice(rest);
+                assert_eq!(Request::decode(&patched).unwrap().tag(), other.tag());
+                sessions.push(client);
+                patched
+            }
+        };
+        frames.push(framed(&payload));
+    }
+    (sessions, frames)
 }
 
-/// A TraceDump request frame (tag 21) with a plausible-looking token.
-fn trace_dump_frame() -> Vec<u8> {
-    let mut frame = Vec::new();
-    write_frame(&mut frame, &Request::TraceDump { token: 0x1234_5678 }.encode()).unwrap();
-    frame
+/// Waits until only the sessions the test itself holds are left.
+fn assert_sessions_settle_at(registry: &Registry, held: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while registry.session_count() > held && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(registry.session_count(), held, "abuse must not leak sessions");
 }
 
 #[test]
 fn every_frame_truncation_leaves_the_server_serving() {
     let registry = demo_registry();
-    let server = start_server(&registry, ServerOptions::default());
-    let frame = open_frame();
-    for cut in 0..frame.len() {
-        let mut s = raw_conn(&server);
-        s.write_all(&frame[..cut]).unwrap();
-        drop(s); // mid-stream disconnect at every possible byte boundary
+    let server =
+        start_server(&registry, ServerOptions { max_connections: 256, ..Default::default() });
+    let (sessions, frames) = live_sample_frames(&server);
+    for frame in &frames {
+        for cut in 0..frame.len() {
+            let mut s = raw_conn(&server);
+            s.write_all(&frame[..cut]).unwrap();
+            drop(s); // mid-stream disconnect at every possible byte boundary
+        }
     }
     assert_still_serving(&server);
+    assert_sessions_settle_at(&registry, sessions.len());
     server.shutdown();
 }
 
 #[test]
 fn every_bit_flip_is_answered_or_dropped_never_wedged() {
     let registry = demo_registry();
-    let server = start_server(&registry, ServerOptions::default());
-    let frame = open_frame();
-    for i in 0..frame.len() {
-        for bit in 0..8 {
+    let server =
+        start_server(&registry, ServerOptions { max_connections: 256, ..Default::default() });
+    let (sessions, frames) = live_sample_frames(&server);
+    for frame in &frames {
+        for bit in 0..frame.len() * 8 {
             let mut bad = frame.clone();
-            bad[i] ^= 1 << bit;
+            bad[bit / 8] ^= 1 << (bit % 8);
             let mut s = raw_conn(&server);
             // The flip may corrupt the length varint (server waits for
             // more bytes), the CRC, or the payload. Close our write side
@@ -122,7 +150,7 @@ fn every_bit_flip_is_answered_or_dropped_never_wedged() {
             let _ = s.write_all(&bad);
             let _ = s.shutdown(std::net::Shutdown::Write);
             // The server either answers (an error frame or, when the
-            // flip left the frame valid, an Opened) or closes. Drain
+            // flip left the frame valid, a reply) or closes. Drain
             // whatever comes; the only failure mode is a hang, which the
             // read timeout converts into an error we tolerate.
             let mut sink = Vec::new();
@@ -132,11 +160,7 @@ fn every_bit_flip_is_answered_or_dropped_never_wedged() {
     assert_still_serving(&server);
     // Sessions from flips that *happened* to parse as a valid Open are
     // closed with their connections: nothing leaks once all are gone.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while registry.session_count() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(registry.session_count(), 0, "disconnects must close their sessions");
+    assert_sessions_settle_at(&registry, sessions.len());
     server.shutdown();
 }
 
@@ -166,36 +190,47 @@ fn oversized_declared_length_is_rejected_before_allocation() {
 
 #[test]
 fn traced_wrapper_and_trace_dump_survive_truncation_and_bit_flips() {
-    // The new wire surfaces get the same exhaustive abuse as the base
-    // protocol: every truncation point and every single-bit flip of a
-    // trace-context-wrapped Open and of a TraceDump request, and the
-    // server must still serve a clean client afterwards.
+    // The frame sweeps above never get past the checksum. Here the
+    // *payload* of a trace-wrapped Open and of a TraceDump with a live
+    // token is cut at every byte and flipped at every bit, then framed
+    // correctly, so each corruption reaches the request decoder of a
+    // live connection: it must get exactly one reply frame (a typed
+    // error, or a real reply where the flip left a valid request), and
+    // the same connection must keep serving.
     let registry = demo_registry();
     let server = start_server(&registry, ServerOptions::default());
-    for frame in [traced_open_frame(), trace_dump_frame()] {
-        for cut in 0..frame.len() {
-            let mut s = raw_conn(&server);
-            s.write_all(&frame[..cut]).unwrap();
-            drop(s);
-        }
-        for i in 0..frame.len() {
-            for bit in 0..8 {
-                let mut bad = frame.clone();
-                bad[i] ^= 1 << bit;
-                let mut s = raw_conn(&server);
-                let _ = s.write_all(&bad);
-                let _ = s.shutdown(std::net::Shutdown::Write);
-                let mut sink = Vec::new();
-                let _ = s.read_to_end(&mut sink);
-            }
+    let mut session = TcpClient::connect(server.local_addr()).unwrap();
+    session.open("book", None, None).unwrap();
+    let ctx = TraceContext { trace_hi: 0xFEED, trace_lo: 0xBEEF, span_id: 7, parent_id: 0 };
+    let open = Request::Open { workbook: "book".into(), auth: None, scope: None };
+    let mut s = raw_conn(&server);
+    let mut replies = 0usize;
+    for payload in [
+        open.encode_traced(ctx),
+        Request::TraceDump { token: session.token().unwrap() }.encode(),
+        Request::TraceDump { token: session.token().unwrap() }.encode_traced(ctx),
+    ] {
+        let cuts = (0..payload.len()).map(|cut| payload[..cut].to_vec());
+        let flips = (0..payload.len() * 8).map(|bit| {
+            let mut bad = payload.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            bad
+        });
+        for bad in cuts.chain(flips) {
+            write_frame(&mut s, &bad).unwrap();
+            Response::decode(&read_frame(&mut s, 1 << 20).expect("one reply frame per request"))
+                .expect("a decodable reply");
+            replies += 1;
         }
     }
+    assert!(replies > 500, "the sweep ran ({replies} replies)");
+    // Same connection, now a real request.
+    write_frame(&mut s, &open.encode()).unwrap();
+    let resp = Response::decode(&read_frame(&mut s, 1 << 20).unwrap()).unwrap();
+    assert!(matches!(resp, Response::Opened { .. }), "{resp:?}");
+    drop(s);
     assert_still_serving(&server);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while registry.session_count() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(registry.session_count(), 0, "abuse must not leak sessions");
+    assert_sessions_settle_at(&registry, 1);
     server.shutdown();
 }
 
@@ -329,6 +364,43 @@ fn bogus_handshake_is_dropped() {
 }
 
 #[test]
+fn other_wire_versions_are_refused_both_ways_and_the_server_keeps_serving() {
+    let registry = demo_registry();
+    let server = start_server(&registry, ServerOptions::default());
+    // A peer that speaks version 0, 1 (once accepted) or a future one is
+    // dropped at the handshake with nothing sent back…
+    for version in [0u16, 1, WIRE_VERSION + 1] {
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(b"TSRV").unwrap();
+        s.write_all(&version.to_le_bytes()).unwrap();
+        let mut sink = Vec::new();
+        let _ = s.read_to_end(&mut sink);
+        assert!(sink.is_empty(), "version {version} must not be echoed");
+    }
+    assert_still_serving(&server);
+    server.shutdown();
+    // …and a client that meets such a server reports the typed error.
+    for version in [0u16, 1, WIRE_VERSION + 1] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let old_server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut hello = [0u8; 6];
+            s.read_exact(&mut hello).unwrap();
+            s.write_all(b"TSRV").unwrap();
+            s.write_all(&version.to_le_bytes()).unwrap();
+        });
+        match TcpClient::connect(addr) {
+            Err(ServiceError::Wire(StoreError::UnsupportedVersion(v))) => assert_eq!(v, version),
+            Err(e) => panic!("version {version}: expected UnsupportedVersion, got {e}"),
+            Ok(_) => panic!("version {version} was accepted"),
+        }
+        old_server.join().unwrap();
+    }
+}
+
+#[test]
 fn mid_stream_disconnect_releases_the_session() {
     let registry = demo_registry();
     let server = start_server(&registry, ServerOptions::default());
@@ -389,19 +461,12 @@ fn graceful_shutdown_interrupts_blocked_readers() {
     let registry = demo_registry();
     let server = start_server(&registry, ServerOptions::default());
     let addr = server.local_addr();
-    // A client parked in a blocking read (no request in flight).
-    let parked = TcpStream::connect(addr).unwrap();
+    // A handshaken client parked in a blocking read (no request in
+    // flight), waiting for the server to hang up.
+    let mut parked = raw_conn(&server);
     let reader = std::thread::spawn(move || {
-        let mut s = parked;
-        let mut hello = [0u8; 6];
-        hello[..4].copy_from_slice(b"TSRV");
-        hello[4..].copy_from_slice(&1u16.to_le_bytes());
-        s.write_all(&hello).unwrap();
-        let mut echo = [0u8; 6];
-        s.read_exact(&mut echo).unwrap();
-        // Now just wait for the server to hang up.
         let mut sink = Vec::new();
-        let _ = s.read_to_end(&mut sink);
+        let _ = parked.read_to_end(&mut sink);
     });
     std::thread::sleep(Duration::from_millis(30));
     server.shutdown(); // must not hang on the parked connection

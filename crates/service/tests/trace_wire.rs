@@ -145,7 +145,7 @@ fn traced_requests_assemble_cross_layer_span_trees() {
         "no sheet level span under recalc_range: {tree:?}"
     );
     assert!(
-        !spans.iter().any(|s| s.cat == SpanCat::CellLevel || s.name == "engine.level"),
+        !spans.iter().any(|s| s.name == "engine.level"),
         "cell-level spans have no recorder: {spans:?}"
     );
     assert!(

@@ -48,9 +48,8 @@ use taco_grid::{Axis, Cell, Offset, Range};
 pub const MAGIC: [u8; 4] = *b"TACO";
 /// Trailing file magic (cheap truncation tripwire).
 pub const TAIL_MAGIC: [u8; 4] = *b"OCAT";
-/// Current format version. Readers reject anything newer. Version 2
-/// added the replay epoch to the footer; version-1 files read back with
-/// epoch `0`.
+/// The format version, and the only one readers accept. Version 2 added
+/// the replay epoch to the footer.
 pub const FORMAT_VERSION: u16 = 2;
 /// Upper bound on any single decoded string (names, formula sources,
 /// text values) so corrupt lengths cannot drive huge allocations.
@@ -84,22 +83,9 @@ const PREC_ZETA_K: u32 = 3;
 
 /// Encodes a whole workbook image into container bytes.
 pub fn encode_workbook(image: &WorkbookImage) -> Result<Vec<u8>, StoreError> {
-    encode_workbook_versioned(image, FORMAT_VERSION)
-}
-
-/// Encodes at an explicit format version — the compat-test hook for
-/// producing version-1 (epoch-less) images with today's encoder.
-#[doc(hidden)]
-pub fn encode_workbook_versioned(
-    image: &WorkbookImage,
-    version: u16,
-) -> Result<Vec<u8>, StoreError> {
-    if version == 0 || version > FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // flags
 
     // Sections, streamed back-to-back; the footer records their spans.
@@ -118,12 +104,10 @@ pub fn encode_workbook_versioned(
     let cross_span = (out.len() as u64, cross_payload.len() as u64, crc32(&cross_payload));
     out.extend_from_slice(&cross_payload);
 
-    // Footer. Version 2 leads with the replay epoch: every WAL record
-    // with an older stamp is already folded into this snapshot.
+    // Footer. It leads with the replay epoch: every WAL record with an
+    // older stamp is already folded into this snapshot.
     let mut footer = Vec::new();
-    if version >= 2 {
-        write_uvarint(&mut footer, image.epoch)?;
-    }
+    write_uvarint(&mut footer, image.epoch)?;
     write_uvarint(&mut footer, footer_entries.len() as u64)?;
     for (name, off, len, crc) in &footer_entries {
         write_string(&mut footer, name)?;
@@ -632,7 +616,7 @@ impl StoreReader {
             return Err(StoreError::BadMagic);
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
         if bytes[bytes.len() - 4..] != TAIL_MAGIC {
@@ -652,9 +636,9 @@ impl StoreReader {
             return Err(StoreError::ChecksumMismatch { what: "footer" });
         }
 
-        // Parse the footer. Version 2 leads with the replay epoch.
+        // Parse the footer, replay epoch first.
         let r = &mut &footer[..];
-        let epoch = if version >= 2 { read_uvarint(r)? } else { 0 };
+        let epoch = read_uvarint(r)?;
         let sheet_count = read_uvarint(r)?;
         // Each footer entry is at least 7 bytes (name len + span + crc).
         let sheet_count = bounded_count(sheet_count, r.len(), 7, "sheet count exceeds footer")?;
@@ -683,8 +667,8 @@ impl StoreReader {
         Ok(StoreReader { bytes, names, sheets, cross, epoch })
     }
 
-    /// The snapshot's replay epoch (0 for a version-1 file): WAL records
-    /// stamped with an older epoch are already folded into it.
+    /// The snapshot's replay epoch: WAL records stamped with an older
+    /// epoch are already folded into it.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -873,21 +857,19 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_read_back_with_epoch_zero() {
-        // An epoch-less image written by the v1 encoder must still open,
-        // reporting epoch 0 — the compat contract for pre-epoch files.
-        let mut image = sample_image();
-        image.epoch = 0;
-        let bytes = encode_workbook_versioned(&image, 1).unwrap();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 1);
-        let reader = StoreReader::from_bytes(bytes).unwrap();
-        assert_eq!(reader.epoch(), 0);
-        assert_eq!(reader.read_all().unwrap(), image);
-        // And a version beyond the current one is refused at encode time.
-        assert!(matches!(
-            encode_workbook_versioned(&image, FORMAT_VERSION + 1),
-            Err(StoreError::UnsupportedVersion(_))
-        ));
+    fn every_version_but_the_current_one_is_refused() {
+        // Version 0 never existed and version 1 (no replay epoch) was only
+        // ever written by this repo's tests; a reader that guessed at
+        // either would replay a log against the wrong epoch.
+        let bytes = encode_workbook(&sample_image()).unwrap();
+        for version in [0, 1, FORMAT_VERSION + 1] {
+            let mut old = bytes.clone();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                StoreReader::from_bytes(old),
+                Err(StoreError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]

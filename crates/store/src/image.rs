@@ -68,7 +68,7 @@ pub struct WorkbookImage {
     pub cross: Vec<CrossEdgeImage>,
     /// The replay epoch this snapshot was written at (see
     /// [`crate::wal`]); `0` for images that never belonged to a
-    /// WAL-backed workbook and for version-1 files.
+    /// WAL-backed workbook.
     pub epoch: u64,
 }
 

@@ -57,7 +57,8 @@ pub enum StoreError {
     },
     /// The file does not start (or end) with the container magic.
     BadMagic,
-    /// The container's format version is newer than this build understands.
+    /// The file's (or peer's) format version is not the one this build
+    /// reads and writes.
     UnsupportedVersion(u16),
     /// A section, footer, or WAL record failed its CRC-32 check.
     ChecksumMismatch {
@@ -95,7 +96,7 @@ impl fmt::Display for StoreError {
             StoreError::Io { kind } => write!(f, "i/o error: {kind:?}"),
             StoreError::BadMagic => write!(f, "not a taco_store file (bad magic)"),
             StoreError::UnsupportedVersion(v) => {
-                write!(f, "unsupported format version {v} (this build reads ≤ {FORMAT_VERSION})")
+                write!(f, "unsupported format version {v} (this build reads {FORMAT_VERSION} only)")
             }
             StoreError::ChecksumMismatch { what } => write!(f, "checksum mismatch in {what}"),
             StoreError::Truncated { what } => write!(f, "file truncated inside {what}"),

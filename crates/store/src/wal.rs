@@ -3,11 +3,10 @@
 //! ```text
 //! wal     := magic "TWAL" · version u16 LE · record*
 //! record  := payload_len uvarint · crc32(payload) u32 LE · payload
-//! payload := epoch uvarint · op u8 · fields        (version 2)
-//!          | op u8 · fields                        (version 1)
+//! payload := epoch uvarint · op u8 · fields
 //! ```
 //!
-//! Version 2 stamps every record with the **replay epoch** current when
+//! Every record is stamped with the **replay epoch** current when
 //! it was appended: the epoch of the snapshot the record extends.
 //! Replay-on-open compares each record's epoch against the snapshot's —
 //! a record with an older epoch was already folded into the snapshot by
@@ -45,8 +44,8 @@ use taco_grid::{Cell, Range};
 
 /// Leading WAL magic.
 pub const WAL_MAGIC: [u8; 4] = *b"TWAL";
-/// Current WAL format version (2 = epoch-stamped records). Version-1
-/// logs are still readable; their records carry epoch `0`.
+/// The WAL format version (2 = epoch-stamped records), and the only one
+/// the reader accepts.
 pub const WAL_VERSION: u16 = 2;
 const WAL_HEADER_LEN: u64 = 6;
 
@@ -398,8 +397,7 @@ pub enum ReplayMode {
 pub struct WalReplay {
     /// The clean-prefix records, in append order.
     pub records: Vec<EditRecord>,
-    /// Per-record replay epochs, parallel to `records` (all `0` for a
-    /// version-1 log).
+    /// Per-record replay epochs, parallel to `records`.
     pub epochs: Vec<u64>,
     /// Where a torn tail began, if any: `(record index, byte offset)`.
     pub torn: Option<(u64, u64)>,
@@ -459,7 +457,7 @@ impl WalReader {
             return Err(StoreError::BadMagic);
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version > WAL_VERSION {
+        if version != WAL_VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
 
@@ -504,8 +502,8 @@ impl WalReader {
                 // the middle of the log, never a tear.
                 return Err(StoreError::WalCorrupt { record: record_index });
             }
-            // Version 2 prefixes the payload with the replay epoch.
-            let epoch = if version >= 2 { read_uvarint(&mut payload)? } else { 0 };
+            // The payload leads with the replay epoch.
+            let epoch = read_uvarint(&mut payload)?;
             records.push(EditRecord::decode(payload)?);
             epochs.push(epoch);
             pos = end as usize;
@@ -697,33 +695,23 @@ mod tests {
     }
 
     #[test]
-    fn version_1_logs_replay_with_epoch_zero() {
-        // A pre-epoch log: version 1 header, payloads without the epoch
-        // stamp. This is what PR 3–9 images left on disk.
-        let recs = sample_records();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WAL_MAGIC);
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        for rec in &recs {
-            let payload = rec.encode();
-            write_uvarint(&mut bytes, payload.len() as u64).unwrap();
-            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        let replay = WalReader::parse(&bytes, ReplayMode::Strict).unwrap();
-        assert_eq!(replay.records, recs);
-        assert_eq!(replay.epochs, vec![0; recs.len()]);
-    }
-
-    #[test]
     fn wrong_magic_and_version_are_typed() {
         assert!(matches!(
             WalReader::parse(b"NOPE\x01\x00", ReplayMode::Strict),
             Err(StoreError::BadMagic)
         ));
-        assert!(matches!(
-            WalReader::parse(b"TWAL\x63\x00", ReplayMode::Strict),
-            Err(StoreError::UnsupportedVersion(0x63))
-        ));
+        // Only the current version is read: 0 never existed, and a
+        // version-1 log (records without the epoch stamp) was only ever
+        // written by this repo's tests.
+        for version in [0u16, 1, 0x63] {
+            let mut bytes = WAL_MAGIC.to_vec();
+            bytes.extend_from_slice(&version.to_le_bytes());
+            for mode in [ReplayMode::Strict, ReplayMode::TolerateTear] {
+                assert!(matches!(
+                    WalReader::parse(&bytes, mode),
+                    Err(StoreError::UnsupportedVersion(v)) if v == version
+                ));
+            }
+        }
     }
 }
