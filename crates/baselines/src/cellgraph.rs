@@ -10,7 +10,7 @@
 //! The decomposition is exactly what blows up on real sheets — a single
 //! `SUM(A1:A100000)` becomes 100 000 edges — which is why RedisGraph DNFs
 //! in Figs. 13–15. [`CellGraph::EDGE_LIMIT_DEFAULT`] caps the blow-up so a
-//! bench can report DNF instead of exhausting memory.
+//! caller can report DNF instead of exhausting memory.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use taco_core::{Dependency, DependencyBackend};

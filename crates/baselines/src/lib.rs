@@ -19,8 +19,8 @@
 //!   decompress each edge while traversing, paying per-dependency cost on
 //!   every query.
 //!
-//! All implement [`taco_core::DependencyBackend`], so the engine and the
-//! bench harness treat them interchangeably with TACO/NoComp.
+//! All implement [`taco_core::DependencyBackend`], so the differential
+//! suites drive them interchangeably with TACO/NoComp.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! A common interface over formula-graph implementations, so the
-//! differential suites and the comparison benches can line TACO up beside
-//! the §VI comparison systems. The spreadsheet engine is not behind it:
+//! differential suites can line TACO up beside the §VI comparison
+//! systems. The spreadsheet engine is not behind it:
 //! `taco_engine` holds a [`crate::FormulaGraph`] by name.
 
 use crate::Dependency;

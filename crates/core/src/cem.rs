@@ -9,8 +9,8 @@
 //! This module implements a branch-and-bound exact solver that is
 //! practical for the tiny instances where exhaustive search is feasible
 //! (tens of dependencies). It exists to *evaluate the greedy algorithm*:
-//! tests and the `greedy_vs_exact` bench compare `FormulaGraph`'s edge
-//! count against the optimum on structured and adversarial inputs.
+//! `tests/prop_cem.rs` compares `FormulaGraph`'s edge count against the
+//! optimum on structured and adversarial inputs.
 
 use crate::edge::Edge;
 use crate::pattern::PatternType;

@@ -65,7 +65,7 @@ impl Config {
         Config { patterns: Vec::new(), in_row_only: false, column_priority: true, use_cues: true }
     }
 
-    /// Full TACO minus one pattern (pattern-ablation benches).
+    /// Full TACO minus one pattern (the pattern ablation).
     pub fn taco_without(p: PatternType) -> Self {
         let mut c = Self::taco_full();
         c.patterns.retain(|&q| q != p);

@@ -12,8 +12,8 @@ use std::collections::VecDeque;
 use taco_grid::{Axis, Cell, Range, MAX_COL, MAX_ROW};
 use taco_rtree::{RTree, SearchScratch};
 
-/// Instrumentation for one query (used by the complexity analysis benches
-/// and the §IV-D edge-access discussion).
+/// Instrumentation for one query (used by `tests/complexity.rs` and the
+/// §IV-D edge-access discussion).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Number of `(vertex, edge)` pairs examined during BFS.
@@ -23,7 +23,7 @@ pub struct QueryStats {
     /// Number of R-tree window searches issued.
     pub rtree_searches: u64,
     /// Number of vertex-index R-tree nodes visited across those searches
-    /// (the cache-locality metric the perf baseline asserts on; the
+    /// (the cache-locality metric `tests/complexity.rs` asserts on; the
     /// visited-set index is not counted).
     pub nodes_visited: u64,
 }

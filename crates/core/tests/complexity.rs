@@ -1,16 +1,36 @@
 //! Validates the complexity claims of §III-B and §IV-D empirically:
 //! pattern key functions are O(1) in the run length, chains resolve
 //! without repeated edge accesses, and BFS edge-access counts stay small
-//! on pattern-structured sheets.
+//! on pattern-structured sheets. The count-based query contracts on the
+//! corpus presets live here too: a packed index visits no more nodes than
+//! a grown one, warm buffers change neither hits nor counters, and every
+//! R-tree fan-out finds the same entries.
 
 use taco_core::{Config, Dependency, FormulaGraph, PatternType, QueryScratch, QueryStats};
 use taco_grid::{Cell, Range};
+use taco_rtree::{FanoutRTree, SearchScratch};
+use taco_workload::{enron_like, github_like, SyntheticSheet};
 
 /// One dependents query on fresh buffers: the ranges and what it cost.
 fn dependents(g: &FormulaGraph, r: Range) -> (Vec<Range>, QueryStats) {
     let mut out = Vec::new();
     let stats = g.find_dependents_with_scratch(r, &mut QueryScratch::new(), &mut out);
     (out, stats)
+}
+
+/// Cells covered by a list of disjoint ranges.
+fn cells(v: &[Range]) -> u64 {
+    v.iter().map(Range::area).sum()
+}
+
+/// The smallest and the largest sheet of each corpus preset at a small
+/// fixed scale (10 k and 20 k / 40 k dependencies).
+fn corpus_ends() -> [(&'static str, [SyntheticSheet; 2]); 2] {
+    [enron_like(0.05), github_like(0.05)].map(|p| {
+        let mut sheets = p.generate();
+        let largest = sheets.pop().expect("corpora are non-empty");
+        (p.name, [sheets.swap_remove(0), largest])
+    })
 }
 
 fn rr_deps(n: u32) -> impl Iterator<Item = Dependency> {
@@ -55,7 +75,6 @@ fn chain_pattern_avoids_quadratic_reaccess() {
 
     let (a, sa) = dependents(&with_chain, Range::cell(Cell::new(1, 1)));
     let (b, sb) = dependents(&without_chain, Range::cell(Cell::new(1, 1)));
-    let cells = |v: &[Range]| v.iter().map(Range::area).sum::<u64>();
     assert_eq!(cells(&a), cells(&b), "answers must agree");
     assert!(sa.edges_accessed <= 4, "RR-Chain: {} accesses", sa.edges_accessed);
     assert!(
@@ -153,4 +172,88 @@ fn interleaved_inserts_still_compress() {
         g.add_dependency(&Dependency::new(Range::cell(Cell::new(4, row)), Cell::new(5, row)));
     }
     assert_eq!(g.num_edges(), 2);
+}
+
+#[test]
+fn packed_index_visits_fewer_nodes_and_warm_buffers_change_nothing() {
+    // `build` ends in an STR repack of both vertex indexes; a graph grown
+    // one `add_dependency` at a time keeps the insertion-built trees. Same
+    // edges, so only `nodes_visited` may differ between the two.
+    for (name, sheets) in corpus_ends() {
+        let (mut packed_visits, mut grown_visits) = (0u64, 0u64);
+        let mut scratch = QueryScratch::new();
+        let mut hits = Vec::new();
+        for sheet in &sheets {
+            let packed = FormulaGraph::build(Config::taco_full(), sheet.deps.iter().copied());
+            let mut grown = FormulaGraph::new(Config::taco_full());
+            sheet.deps.iter().for_each(|d| grown.add_dependency(d));
+            assert_eq!(packed.num_edges(), grown.num_edges(), "{}", sheet.name);
+
+            let probes = sheet.hot_cells.iter().chain([&sheet.longest_path_cell]);
+            for probe in probes.copied().map(Range::cell) {
+                // One scratch and one result buffer across every probe of
+                // every sheet, against fresh ones per query.
+                let (fresh_hits, fresh) = dependents(&packed, probe);
+                let warm = packed.find_dependents_with_scratch(probe, &mut scratch, &mut hits);
+                assert_eq!(hits, fresh_hits, "{}: hits({probe})", sheet.name);
+                assert_eq!(warm, fresh, "{}: stats({probe})", sheet.name);
+                packed_visits += warm.nodes_visited;
+
+                // Hit order follows the tree's, so the grown graph may cut
+                // the same cells into other ranges.
+                let on_grown = grown.find_dependents_with_scratch(probe, &mut scratch, &mut hits);
+                assert_eq!(cells(&hits), cells(&fresh_hits), "{}: grown({probe})", sheet.name);
+                grown_visits += on_grown.nodes_visited;
+            }
+        }
+        assert!(
+            packed_visits < grown_visits,
+            "[{name}] the STR-packed index must visit fewer nodes: {packed_visits} vs {grown_visits}"
+        );
+    }
+}
+
+#[test]
+fn fanouts_agree_on_hits_over_a_sheets_edge_set() {
+    // Two index shapes from one sheet: the compressed graph's precedent
+    // ranges (a few thousand entries) and one entry per dependency (tens
+    // of thousands, where the tree is deep at every fan-out).
+    fn hits<const F: usize>(items: &[(Range, usize)], probes: &[Range]) -> Vec<Vec<usize>> {
+        let tree: FanoutRTree<usize, F> = FanoutRTree::bulk_load(items.to_vec());
+        let mut scratch = SearchScratch::new();
+        probes
+            .iter()
+            .map(|p| {
+                let mut found = Vec::new();
+                tree.search_with(*p, &mut scratch, |_, i| found.push(*i));
+                found.sort_unstable();
+                found
+            })
+            .collect()
+    }
+    use taco_grid::MAX_ROW;
+    let sheet = enron_like(0.05).generate().pop().expect("corpora are non-empty");
+    let graph = FormulaGraph::build(Config::taco_full(), sheet.deps.iter().copied());
+    let taco: Vec<(Range, usize)> = graph.edges().enumerate().map(|(i, e)| (e.prec, i)).collect();
+    let nocomp: Vec<(Range, usize)> =
+        sheet.deps.iter().enumerate().map(|(i, d)| (d.prec, i)).collect();
+    // Every hot cell, alone and as the corner of a 5 x 64 window.
+    let probes: Vec<Range> = sheet
+        .hot_cells
+        .iter()
+        .flat_map(|&c| {
+            [Range::cell(c), Range::new(c, Cell::new(c.col + 4, (c.row + 63).min(MAX_ROW)))]
+        })
+        .collect();
+    for (shape, items) in [("taco", &taco), ("nocomp", &nocomp)] {
+        // The linear scan; `items` are in index order, so each answer is sorted.
+        let want: Vec<Vec<usize>> = probes
+            .iter()
+            .map(|p| items.iter().filter(|(r, _)| r.overlaps(p)).map(|&(_, i)| i).collect())
+            .collect();
+        assert!(want.iter().all(|w| !w.is_empty()), "{shape}: every probe must hit something");
+        assert_eq!(hits::<8>(items, &probes), want, "{shape}, fan-out 8");
+        assert_eq!(hits::<16>(items, &probes), want, "{shape}, fan-out 16");
+        assert_eq!(hits::<32>(items, &probes), want, "{shape}, fan-out 32");
+    }
 }

@@ -128,61 +128,81 @@ fn double_round_trip_is_byte_identical() {
     }
 }
 
+/// Builds and snapshots `params`' workbook, logs its burst without
+/// compaction, cuts the log at a byte offset drawn from `cut_seed` (`None`:
+/// not at all) as a crash would, and reopens: the state and the dirty work
+/// left must be those of the live workbook that applied exactly the
+/// surviving records.
+fn reopen_after_cut(params: &PersistParams, tag: &str, cut_seed: Option<u64>) {
+    let w = gen_persist_workload(params);
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("taco_crash_{tag}_{}.taco", std::process::id()));
+    let wal = taco_engine::wal_path(&path);
+
+    let mut wb = Workbook::with_taco();
+    for rec in &w.build {
+        wb.apply_edit(rec).expect("build");
+    }
+    wb.recalculate(RecalcMode::Serial);
+    let mut pers = PersistentWorkbook::create(
+        &path,
+        wb,
+        PersistOptions { compact_after_records: 0, sync_every_records: 0 },
+    )
+    .expect("create");
+    for rec in &w.burst {
+        pers.log_edit(rec).expect("burst");
+    }
+    pers.sync().expect("fsync");
+    drop(pers);
+    let mut wal_bytes = std::fs::read(&wal).expect("wal bytes");
+
+    let cut = cut_seed.map(|seed| (seed % (wal_bytes.len() as u64 + 1)) as usize);
+    if let Some(cut) = cut {
+        wal_bytes.truncate(cut);
+        std::fs::write(&wal, &wal_bytes).expect("simulate crash");
+    }
+    let survived = WalReader::parse(&wal_bytes, ReplayMode::TolerateTear).expect("parse").records;
+    let mut reopened = Workbook::open(&path).expect("reopen after crash");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&wal).ok();
+
+    // The live truth: build + recalc (pre-snapshot state) + exactly
+    // the surviving burst prefix.
+    let mut live = Workbook::with_taco();
+    for rec in &w.build {
+        live.apply_edit(rec).expect("build");
+    }
+    live.recalculate(RecalcMode::Serial);
+    assert_eq!(&survived[..], &w.burst[..survived.len()]);
+    if cut.is_none() {
+        assert_eq!(survived.len(), w.burst.len(), "an uncut log replays whole");
+    }
+    for rec in &survived {
+        live.apply_edit(rec).expect("prefix");
+    }
+
+    let ctx = format!("{} cut={cut:?}", params.name);
+    assert_equivalent(&mut live, &mut reopened, &ctx);
+    let (el, er) = (live.recalculate(RecalcMode::Serial), reopened.recalculate(RecalcMode::Serial));
+    assert_eq!(el, er, "{ctx}: same dirty work on reopen");
+    assert_equivalent(&mut live, &mut reopened, &format!("{ctx} after recalc"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn crash_at_arbitrary_wal_offset_replays_the_clean_prefix(seed in 0u64..u64::MAX) {
         let params = PersistParams { sheets: 2, rows: 16, burst_edits: 40, ..persist_enron_like() };
-        let w = gen_persist_workload(&params);
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("taco_crash_{seed:x}_{}.taco", std::process::id()));
-        let wal = taco_engine::wal_path(&path);
+        reopen_after_cut(&params, &format!("{seed:x}"), Some(seed));
+    }
+}
 
-        // Build, snapshot, then log the burst without compaction.
-        let mut wb = Workbook::with_taco();
-        for rec in &w.build {
-            wb.apply_edit(rec).expect("build");
-        }
-        wb.recalculate(RecalcMode::Serial);
-        let mut pers = PersistentWorkbook::create(
-            &path,
-            wb,
-            PersistOptions { compact_after_records: 0, sync_every_records: 0 },
-        ).expect("create");
-        for rec in &w.burst {
-            pers.log_edit(rec).expect("burst");
-        }
-        pers.sync().expect("fsync");
-        drop(pers);
-        let wal_bytes = std::fs::read(&wal).expect("wal bytes");
-
-        // Crash: cut the WAL at an arbitrary byte offset.
-        let cut = (seed % (wal_bytes.len() as u64 + 1)) as usize;
-        std::fs::write(&wal, &wal_bytes[..cut]).expect("simulate crash");
-        let survived =
-            WalReader::parse(&wal_bytes[..cut], ReplayMode::TolerateTear).expect("parse").records;
-        let mut reopened = Workbook::open(&path).expect("reopen after crash");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&wal).ok();
-
-        // The live truth: build + recalc (pre-snapshot state) + exactly
-        // the surviving burst prefix.
-        let mut live = Workbook::with_taco();
-        for rec in &w.build {
-            live.apply_edit(rec).expect("build");
-        }
-        live.recalculate(RecalcMode::Serial);
-        prop_assert_eq!(&survived[..], &w.burst[..survived.len()]);
-        for rec in &survived {
-            live.apply_edit(rec).expect("prefix");
-        }
-
-        assert_equivalent(&mut live, &mut reopened, &format!("cut={cut}"));
-        let (el, er) =
-            (live.recalculate(RecalcMode::Serial), reopened.recalculate(RecalcMode::Serial));
-        prop_assert_eq!(el, er);
-        assert_equivalent(&mut live, &mut reopened, &format!("cut={cut} after recalc"));
+#[test]
+fn clean_reopen_replays_the_whole_burst_and_leaves_the_same_dirty_work() {
+    for params in presets() {
+        reopen_after_cut(&params, params.name, None);
     }
 }
 

@@ -45,9 +45,8 @@
 
 use taco_grid::{Cell, Range};
 
-/// Default node fanout. 16 won the 8-vs-16-vs-32 sweep in
-/// `crates/bench/benches/queries_baseline.rs` on the combined
-/// build + fig10/fig14 query workload (numbers in DESIGN.md "Index
+/// Default node fanout. 16 won the 8-vs-16-vs-32 sweep on the combined
+/// build + Fig. 10 / Fig. 14 query workload (numbers in DESIGN.md "Index
 /// internals"): 8 visits ~1.7–2× more nodes per window query, while 32
 /// pays O(F²) quadratic splits on the insert-heavy compression path
 /// (~1.5–2× slower corpus builds) for only a marginal visit reduction.
@@ -143,7 +142,7 @@ impl SearchScratch {
 }
 
 /// A spatial index over `(Range, T)` entries supporting overlap queries,
-/// generic over the node fanout `F`; the benchmark suite instantiates
+/// generic over the node fanout `F`; the test suites instantiate
 /// 8/16/32 to keep the [`DEFAULT_FANOUT`] choice honest. Use the
 /// [`RTree`] alias unless you are sweeping fanouts.
 #[derive(Debug, Clone)]
@@ -346,7 +345,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
 
     /// Calls `f` for every stored entry whose range overlaps `query`.
     /// Returns the number of tree nodes visited (the complexity metric
-    /// the benches assert on). Allocation-free: the descent recurses.
+    /// the tests assert on). Allocation-free: the descent recurses.
     pub fn for_each_overlapping<'a, G>(&'a self, query: Range, mut f: G) -> u64
     where
         G: FnMut(Range, &'a T),

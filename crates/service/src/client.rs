@@ -1,6 +1,6 @@
 //! Typed clients: one [`Client`] surface over two transports — direct
 //! in-process calls against a shared [`Registry`], or the framed TCP
-//! wire. The load generator and the benches drive both through the same
+//! wire. The load generator and the benchmark drive both through the same
 //! [`Transport`] trait, so in-process vs TCP comparisons exercise
 //! identical request streams.
 

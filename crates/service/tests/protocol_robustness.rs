@@ -319,11 +319,17 @@ fn http_sidecar_answers_abuse_and_keeps_serving() {
         }
     }
 
-    // Still scraping after every abuse.
-    let ok = roundtrip(b"GET /metrics HTTP/1.0\r\n\r\n");
-    let body = String::from_utf8_lossy(&ok);
+    // Still scraping after every abuse: both endpoints answer, an unknown
+    // path is a 404 and a line that is not a request a 400.
+    let text = |bytes: &[u8]| String::from_utf8_lossy(&roundtrip(bytes)).into_owned();
+    let body = text(b"GET /metrics HTTP/1.0\r\n\r\n");
     assert!(body.starts_with("HTTP/1.0 200 OK"), "sidecar must still serve: {body:.60}");
     assert!(body.contains("taco_robust_total 3"), "metrics body intact: {body}");
+    let trace = text(b"GET /trace HTTP/1.0\r\n\r\n");
+    assert!(trace.starts_with("HTTP/1.0 200 OK"), "trace status: {trace:.60}");
+    assert!(trace.contains("\"traceEvents\":["), "trace body: {trace}");
+    assert!(text(b"GET /nope HTTP/1.0\r\n\r\n").starts_with("HTTP/1.0 404"));
+    assert!(text(b"BOGUS\r\n\r\n").starts_with("HTTP/1.0 400"));
     sidecar.shutdown();
 }
 

@@ -346,8 +346,7 @@ fn pattern_from_u8(b: u8) -> Result<PatternType, StoreError> {
 }
 
 /// Encodes a graph snapshot into the compact binary form (no framing —
-/// callers add length and checksum). Also the unit the `persistence`
-/// bench measures bytes-per-edge on.
+/// callers add length and checksum).
 pub fn encode_graph(snap: &GraphSnapshot) -> Vec<u8> {
     // The byte-level prelude: config, counters, edge count.
     let mut out = Vec::new();
@@ -782,6 +781,10 @@ mod tests {
     use taco_formula::Value;
 
     fn sample_graph() -> GraphSnapshot {
+        sample_graph_under(Config::taco_full())
+    }
+
+    fn sample_graph_under(config: Config) -> GraphSnapshot {
         let deps = [
             ("A1:B3", "C1"),
             ("A2:B4", "C2"),
@@ -793,7 +796,7 @@ mod tests {
             ("K3", "K4"),
         ];
         FormulaGraph::build(
-            Config::taco_full(),
+            config,
             deps.iter().map(|(p, d)| {
                 Dependency::new(Range::parse_a1(p).unwrap(), Cell::parse_a1(d).unwrap())
             }),
@@ -839,9 +842,13 @@ mod tests {
 
     #[test]
     fn graph_round_trips() {
-        let snap = sample_graph();
-        let back = decode_graph(&encode_graph(&snap)).unwrap();
-        assert_eq!(back, snap);
+        // The configuration decides which edges there are to store, and is
+        // stored with them.
+        for config in [Config::taco_full(), Config::taco_in_row(), Config::nocomp()] {
+            let snap = sample_graph_under(config);
+            let back = decode_graph(&encode_graph(&snap)).unwrap();
+            assert_eq!(back, snap);
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl CorpusParams {
 }
 
 /// The Enron-like preset. `scale = 1.0` targets roughly one million total
-/// dependencies over 24 sheets; benches pass smaller scales for quick runs.
+/// dependencies over 24 sheets; tests pass smaller scales for quick runs.
 pub fn enron_like(scale: f64) -> CorpusParams {
     CorpusParams {
         name: "enron",

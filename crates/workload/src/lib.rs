@@ -8,9 +8,9 @@
 //! derived columns, the multi-reference Fig. 2 shape, and noise — with
 //! per-sheet sizes and tail behaviour (max dependents, longest paths)
 //! shaped like Fig. 1. [`corpus`] provides the calibrated `enron_like()`
-//! and `github_like()` presets; [`stats`] measures the Fig. 1 metrics;
-//! [`workbook`] assembles sheets into multi-sheet workbooks with a
-//! tunable fraction of cross-sheet FF/chain dependencies; [`persistence`]
+//! and `github_like()` presets; [`workbook`] assembles sheets into
+//! multi-sheet workbooks with a tunable fraction of cross-sheet FF/chain
+//! dependencies; [`persistence`]
 //! emits full edit scripts (values + formula text) for the save → edit
 //! burst → crash-simulated reopen workload; [`service`] emits
 //! deterministic multi-client read/write scripts (reader-heavy,
@@ -24,7 +24,6 @@ pub mod corpus;
 pub mod generator;
 pub mod persistence;
 pub mod service;
-pub mod stats;
 pub mod workbook;
 
 pub use corpus::{enron_like, github_like, CorpusParams};
@@ -37,5 +36,4 @@ pub use service::{
     gen_service_script, mixed, reader_heavy, writer_heavy, ClientOp, ServiceScript,
     ServiceScriptParams,
 };
-pub use stats::{fig1_buckets, SheetStats};
 pub use workbook::{gen_workbook, CrossDep, SyntheticWorkbook, WorkbookParams};

@@ -3,10 +3,12 @@
 //! and obs on, and every non-empty cell value must be identical, through
 //! a build, a full recalc, an edit burst, and a demand-driven viewport
 //! recalc. The instrumented runs must also actually have recorded (the
-//! "obs on" leg is not accidentally a no-op).
+//! "obs on" leg is not accidentally a no-op), and must not cost more than
+//! the work they observe.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::time::Instant;
 use taco_repro::engine::{ProfileMode, RecalcMode, SheetId, Workbook};
 use taco_repro::formula::Value;
 use taco_repro::grid::{Cell, Range};
@@ -55,7 +57,7 @@ fn observed_recalc_is_bit_identical_in_every_mode() {
         let eval0 = reference.recalculate(RecalcMode::Serial);
         let after_build = snapshot(&reference);
         reference.apply_batch(&w.burst).expect("burst applies");
-        reference.recalculate(RecalcMode::Serial);
+        let eval1 = reference.recalculate(RecalcMode::Serial);
         let after_burst = snapshot(&reference);
 
         let hub = Obs::new(ObsOptions::default());
@@ -67,7 +69,7 @@ fn observed_recalc_is_bit_identical_in_every_mode() {
         assert_eq!(snapshot(&wb), after_build, "{}", p.name);
 
         wb.apply_batch(&w.burst).expect("burst applies");
-        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.recalculate(RecalcMode::Serial), eval1, "{}", p.name);
         assert_eq!(snapshot(&wb), after_burst, "{}", p.name);
 
         let snap = hub.snapshot();
@@ -78,6 +80,41 @@ fn observed_recalc_is_bit_identical_in_every_mode() {
             .map(|c| c.value)
             .sum::<u64>();
         assert!(recalcs >= 2, "instrumented run must have recorded: {snap:?}");
+    }
+}
+
+/// Build, full recalc, edit burst, recalc again: the best of three such
+/// cycles, in milliseconds.
+fn cycle_ms(w: &PersistWorkload, obs: Option<&Obs>) -> f64 {
+    let cycle = || {
+        let t0 = Instant::now();
+        let mut wb = build(w, obs);
+        wb.recalculate(RecalcMode::Serial);
+        wb.apply_batch(&w.burst).expect("burst applies");
+        wb.recalculate(RecalcMode::Serial);
+        t0.elapsed().as_secs_f64() * 1e3
+    };
+    cycle().min(cycle()).min(cycle())
+}
+
+#[test]
+fn observed_cycle_stays_within_twice_the_bare_one() {
+    // Guards only against observability dominating the work it observes:
+    // at these sizes a cycle is a few milliseconds and the 50 ms allowance
+    // (timer and scheduler noise) is most of the bound, so a regression of
+    // 90 % passes. The tight figure is `bench.trace_overhead_pct` of the
+    // benchmark (DESIGN.md "Observability"). That both cycles do the same
+    // work is `observed_recalc_is_bit_identical_in_every_mode`'s to show.
+    for p in presets() {
+        let w = gen_persist_workload(&p);
+        let bare_ms = cycle_ms(&w, None);
+        let obs_ms = cycle_ms(&w, Some(&Obs::new(ObsOptions::default())));
+        let bound = bare_ms * 2.0 + 50.0;
+        assert!(
+            obs_ms <= bound,
+            "[{}] observed cycle {obs_ms:.3} ms exceeds {bound:.3} ms (bare {bare_ms:.3} ms)",
+            p.name
+        );
     }
 }
 
