@@ -400,20 +400,8 @@ impl CellStore {
     /// Marks the formula cell at `cell` dirty; `true` iff it holds a
     /// formula and was not already dirty.
     pub(crate) fn mark_dirty(&mut self, cell: Cell) -> bool {
-        self.mark(cell, true)
-    }
-
-    /// Marks a non-blank cell dirty, formula or not: puts back what
-    /// [`CellStore::restrict_dirty`] took out.
-    pub(crate) fn restore_dirty(&mut self, cells: &[Cell]) {
-        for &cell in cells {
-            self.mark(cell, false);
-        }
-    }
-
-    fn mark(&mut self, cell: Cell, formula_only: bool) -> bool {
         let Some(slot) = self.slot_mut(cell) else { return false };
-        let markable = slot.flags == OCCUPIED && !(formula_only && slot.content.run.is_none());
+        let markable = slot.flags == OCCUPIED && slot.content.run.is_some();
         if markable {
             slot.flags |= DIRTY;
             self.dirty.push(cell);
@@ -439,26 +427,26 @@ impl CellStore {
         }
     }
 
-    /// Unmarks every dirty cell.
-    pub(crate) fn clear_dirty(&mut self) {
-        for cell in std::mem::take(&mut self.dirty) {
-            if let Some(slot) = self.slot_mut(cell) {
+    /// Unmarks `cells`, skipping those that are not dirty: what a
+    /// recalculation pass evaluated — every dirty cell, or the ones a
+    /// viewport needed, the rest staying dirty in the order they were
+    /// marked. One walk over `cells`, and one over the dirty list unless
+    /// all of it went.
+    pub(crate) fn unmark(&mut self, cells: &[Cell]) {
+        let mut unmarked = 0;
+        for &cell in cells {
+            if let Some(slot) = self.slot_mut(cell).filter(|s| s.flags & DIRTY != 0) {
                 slot.flags &= !DIRTY;
+                unmarked += 1;
             }
         }
-    }
-
-    /// Unmarks the dirty cells `keep` rejects and returns them.
-    pub(crate) fn restrict_dirty(&mut self, keep: impl Fn(Cell) -> bool) -> Vec<Cell> {
-        let (kept, removed): (Vec<Cell>, Vec<Cell>) =
-            std::mem::take(&mut self.dirty).into_iter().partition(|&c| keep(c));
-        for &cell in &removed {
-            if let Some(slot) = self.slot_mut(cell) {
-                slot.flags &= !DIRTY;
-            }
+        if unmarked == self.dirty.len() {
+            self.dirty.clear();
+        } else if unmarked > 0 {
+            let mut dirty = std::mem::take(&mut self.dirty);
+            dirty.retain(|&c| self.slot(c).is_some_and(|s| s.flags & DIRTY != 0));
+            self.dirty = dirty;
         }
-        self.dirty = kept;
-        removed
     }
 
     // ---- range reads ------------------------------------------------------
@@ -539,9 +527,7 @@ mod tests {
         StoreResult(Cell, i32),
         Mark(Cell),
         MarkIn(Range),
-        RestrictAndRestore(u32),
-        Restrict(u32),
-        ClearDirty,
+        Unmark(u32),
     }
 
     fn arb_cell() -> impl Strategy<Value = Cell> {
@@ -562,9 +548,7 @@ mod tests {
             2 => (arb_cell(), -9i32..9).prop_map(|(c, v)| Op::StoreResult(c, v)),
             3 => arb_cell().prop_map(Op::Mark),
             2 => arb_range().prop_map(Op::MarkIn),
-            1 => (0u32..3).prop_map(Op::RestrictAndRestore),
-            1 => (0u32..3).prop_map(Op::Restrict),
-            1 => Just(Op::ClearDirty),
+            3 => (0u32..4).prop_map(Op::Unmark),
         ]
     }
 
@@ -624,21 +608,17 @@ mod tests {
                 let formulas = model.cells.iter().filter(|(_, k)| k.is_formula());
                 model.dirty.extend(formulas.map(|(c, _)| *c).filter(|c| range.contains_cell(*c)));
             }
-            Op::RestrictAndRestore(residue) => {
-                let before = store.dirty().to_vec();
-                let removed = store.restrict_dirty(|c| c.row % 3 == residue);
-                assert!(removed.iter().all(|c| c.row % 3 != residue && model.dirty.contains(c)));
-                assert!(store.dirty().iter().all(|c| c.row % 3 == residue));
-                assert_eq!(store.dirty().len() + removed.len(), before.len());
-                store.restore_dirty(&removed);
-            }
-            Op::Restrict(residue) => {
-                store.restrict_dirty(|c| c.row % 3 == residue);
-                model.dirty.retain(|c| c.row % 3 == residue);
-            }
-            Op::ClearDirty => {
-                store.clear_dirty();
-                model.dirty.clear();
+            // Every dirty cell (what a full pass evaluated), or every
+            // third row's cells, dirty or not, blank or not.
+            Op::Unmark(residue) => {
+                let cells: Vec<Cell> = if residue == 3 {
+                    store.dirty().to_vec()
+                } else {
+                    let rows = ROWS.iter().filter(|&&row| row % 3 == residue);
+                    rows.flat_map(|&row| COLS.iter().map(move |&col| Cell::new(col, row))).collect()
+                };
+                store.unmark(&cells);
+                model.dirty.retain(|c| !cells.contains(c));
             }
         }
     }

@@ -96,25 +96,31 @@ pub struct EditReceipt {
     pub control_latency: Duration,
 }
 
-/// Reusable recalculation state: the sorted dirty view, DFS coloring,
-/// a shared neighbor arena, and the explicit DFS stack. All buffers
-/// persist on the engine, so steady-state recalculation performs no
-/// per-recalc (let alone per-cell) allocations.
+/// The state of one recalculation pass — the sorted dirty view, DFS
+/// coloring, a shared neighbor arena, the explicit DFS stack, the order
+/// so far — in buffers that persist on the engine, so steady-state
+/// recalculation performs no per-recalc (let alone per-cell) allocations.
 #[derive(Debug, Default)]
 struct RecalcScratch {
-    /// The dirty set, sorted by `(col, row)`: the membership structure
-    /// `dirty_precedents_of` binary-searches instead of hashing.
+    /// The dirty set as the pass found it, sorted by `(col, row)`: the
+    /// membership structure [`dirty_in`] binary-searches instead of
+    /// hashing. Once the pass has evaluated, cut down to the cells it
+    /// ordered ([`Engine::last_evaluated`]).
     dirty_sorted: Vec<Cell>,
-    /// DFS colors parallel to `dirty_sorted` (white/gray/black).
+    /// Whether `dirty_sorted` and `color` are this pass's yet: a sheet
+    /// the pass never orders on never pays for them.
+    viewed: bool,
+    /// DFS colors parallel to `dirty_sorted` (white/gray/black), kept
+    /// from one [`Engine::order_from`] of the pass to the next.
     color: Vec<u8>,
     /// Shared neighbor arena: each DFS frame owns a `[start, end)` slice,
     /// truncated back on pop.
     nbrs: Vec<u32>,
     /// Explicit DFS stack.
     stack: Vec<Frame>,
-    /// The resulting evaluation order.
+    /// The evaluation order so far.
     order: Vec<Cell>,
-    /// Cells reached by a back edge (cycle members).
+    /// Cells reached by a back edge (cycle members) so far.
     cycles: Vec<Cell>,
     /// Profiler output: `(0, cells, ns)` of the most recent
     /// recalculation (empty when profiling is off).
@@ -306,6 +312,45 @@ struct Frame {
     end: u32,
 }
 
+/// The `node` of the bottom frame, whose "neighbors" are the roots an
+/// [`Engine::order_from`] starts at: it is no cell, and is not ordered.
+const ROOTS: u32 = u32::MAX;
+
+/// Calls `f` with the index of every cell of `dirty` inside `range`.
+///
+/// `dirty` is sorted by `(col, row)`, so every column of the range is one
+/// contiguous run located by binary search — a tall range costs
+/// `O(width · log n)`, not a scan of the range or of the dirty set. When
+/// the range is wider than the dirty set, one scan over the
+/// column-bounded slice wins instead.
+#[inline]
+fn dirty_in(dirty: &[Cell], range: Range, mut f: impl FnMut(u32)) {
+    let (c1, c2) = (range.head().col, range.tail().col);
+    let (r1, r2) = (range.head().row, range.tail().row);
+    let width = u64::from(c2 - c1) + 1;
+    if width <= dirty.len() as u64 {
+        for col in c1..=c2 {
+            let lo = dirty.partition_point(|c| (c.col, c.row) < (col, r1));
+            for (i, c) in dirty[lo..].iter().enumerate() {
+                if c.col != col || c.row > r2 {
+                    break;
+                }
+                f((lo + i) as u32);
+            }
+        }
+    } else {
+        let lo = dirty.partition_point(|c| c.col < c1);
+        for (i, c) in dirty[lo..].iter().enumerate() {
+            if c.col > c2 {
+                break;
+            }
+            if c.row >= r1 && c.row <= r2 {
+                f((lo + i) as u32);
+            }
+        }
+    }
+}
+
 const WHITE: u8 = 0;
 const GRAY: u8 = 1;
 const BLACK: u8 = 2;
@@ -343,6 +388,10 @@ pub struct Engine {
     trace: Vec<Cell>,
     /// Recalculation profiler mode (default off).
     profile: ProfileMode,
+    /// Neighbor lists built so far (test instrumentation: a pass builds
+    /// one per cell it orders).
+    #[cfg(test)]
+    pub(crate) nbr_lists: std::cell::Cell<u64>,
 }
 
 impl Engine {
@@ -371,6 +420,8 @@ impl Engine {
             trace_enabled: false,
             trace: Vec::new(),
             profile: ProfileMode::default(),
+            #[cfg(test)]
+            nbr_lists: Default::default(),
         }
     }
 
@@ -400,21 +451,30 @@ impl Engine {
         (&self.recalc.prof_levels, &self.recalc.prof_top)
     }
 
-    /// Clears the per-pass outputs — profiler buffers and the evaluated
-    /// list (the workbook clears every sheet at recalc entry so
-    /// skipped-clean sheets don't report the previous pass's data).
+    /// Starts a recalculation pass: nothing ordered, nothing viewed, and
+    /// no profile or evaluated list left over from the pass before (the
+    /// workbook begins one on every sheet, so those a pass never reaches
+    /// report nothing).
     pub(crate) fn begin_pass(&mut self) {
-        self.recalc.prof_levels.clear();
-        self.recalc.prof_top.clear();
-        self.recalc.dirty_sorted.clear();
+        let s = &mut self.recalc;
+        s.prof_levels.clear();
+        s.prof_top.clear();
+        s.dirty_sorted.clear();
+        s.viewed = false;
+        s.order.clear();
+        s.cycles.clear();
     }
 
     /// The cells the most recent recalculation pass evaluated (or flagged
     /// `#CYCLE!`), sorted by `(col, row)`: exactly the cells whose cached
     /// value that pass may have changed. Empty for a sheet the pass
-    /// skipped as clean.
+    /// evaluated nothing on.
     pub fn last_evaluated(&self) -> &[Cell] {
-        &self.recalc.dirty_sorted
+        if self.recalc.order.is_empty() {
+            &[]
+        } else {
+            &self.recalc.dirty_sorted
+        }
     }
 
     /// The injected volatile-function clock.
@@ -523,7 +583,8 @@ impl Engine {
     /// Marks every formula cell dirty (a conservative full-recalc request,
     /// e.g. after restoring from an untrusted image).
     pub fn mark_all_formulas_dirty(&mut self) {
-        self.cells.clear_dirty();
+        let dirty = self.cells.dirty().to_vec();
+        self.cells.unmark(&dirty);
         self.cells.mark_formulas_dirty_in(Range::from_coords(1, 1, u32::MAX, u32::MAX));
     }
 
@@ -725,9 +786,9 @@ impl Engine {
     }
 
     /// The dirty set in sorted order (persistence: snapshots must encode
-    /// a deterministic dirty list; the image owns the vector). The hot
-    /// per-recalc sorted view reuses [`RecalcScratch::dirty_sorted`]
-    /// instead of this allocating accessor.
+    /// a deterministic dirty list; the image owns the vector). A
+    /// recalculation pass sorts into [`RecalcScratch::dirty_sorted`]
+    /// instead of allocating here.
     pub(crate) fn dirty_cells_sorted(&self) -> Vec<Cell> {
         let mut v = self.cells.dirty().to_vec();
         v.sort_unstable();
@@ -740,20 +801,95 @@ impl Engine {
     }
 
     // ---- recalculation ----------------------------------------------------
+    //
+    // A pass is *order from roots, then evaluate the order*. The roots are
+    // every dirty cell (a full pass) or the dirty cells of the ranges
+    // somebody is looking at (the workbook's demand pass, which comes
+    // back with more roots as cross-sheet reads turn up).
 
     /// Re-evaluates all dirty formula cells in dependency order; cycles
     /// evaluate to `#CYCLE!`. Returns the number of cells evaluated.
     pub fn recalculate(&mut self) -> usize {
-        self.recalculate_with(&NoExternal)
+        self.begin_pass();
+        self.order_from(None);
+        self.evaluate_ordered(&NoExternal)
     }
 
-    /// Recalculation with a view of other sheets' values (the workbook's
-    /// `OtherSheets`). Fully deterministic: the evaluation
-    /// order depends only on the dirty set and the local graph.
-    pub(crate) fn recalculate_with<E: ExternalSheets>(&mut self, ext: &E) -> usize {
-        self.topo_order_of_dirty();
-        self.recalc.prof_levels.clear();
-        self.recalc.prof_top.clear();
+    /// The pass's evaluation order so far.
+    pub(crate) fn ordered(&self) -> &[Cell] {
+        &self.recalc.order
+    }
+
+    /// Appends to the pass's order the dirty cells inside `within` — all
+    /// of them for `None`, in ascending `(col, row)` order either way —
+    /// and the dirty cells they read on this sheet, each after the ones
+    /// it reads (iterative DFS). Colors last the pass, so what an earlier
+    /// call ordered stays where it is and what a later one adds goes
+    /// behind everything it reads: any sequence of calls leaves a valid
+    /// order. A cell met again while still open closes a cycle and is
+    /// recorded for [`Self::evaluate_ordered`] to flag.
+    ///
+    /// Runs entirely on the reusable [`RecalcScratch`] buffers: the dirty
+    /// set becomes a sorted vec the first time a pass orders here
+    /// (deterministic regardless of hash seeds, and binary-searchable by
+    /// [`dirty_in`]), colors live in a parallel `Vec<u8>`, and per-cell
+    /// neighbor lists share one arena sliced per DFS frame — zero
+    /// steady-state allocations.
+    pub(crate) fn order_from(&mut self, within: Option<Range>) {
+        let mut s = std::mem::take(&mut self.recalc);
+        if !s.viewed {
+            s.viewed = true;
+            s.dirty_sorted.extend_from_slice(self.cells.dirty());
+            s.dirty_sorted.sort_unstable();
+            s.color.clear();
+            s.color.resize(s.dirty_sorted.len(), WHITE);
+        }
+        match within {
+            None => s.nbrs.extend(0..s.dirty_sorted.len() as u32),
+            Some(range) => dirty_in(&s.dirty_sorted, range, |i| s.nbrs.push(i)),
+        }
+        s.stack.push(Frame { node: ROOTS, start: 0, cursor: 0, end: s.nbrs.len() as u32 });
+        while let Some(&Frame { node, start, cursor, end }) = s.stack.last() {
+            if cursor < end {
+                s.stack.last_mut().expect("frame just read").cursor += 1;
+                let next = s.nbrs[cursor as usize] as usize;
+                match s.color[next] {
+                    WHITE => {
+                        s.color[next] = GRAY;
+                        let start = s.nbrs.len() as u32;
+                        self.dirty_precedents_into(
+                            s.dirty_sorted[next],
+                            &s.dirty_sorted,
+                            &mut s.nbrs,
+                        );
+                        let end = s.nbrs.len() as u32;
+                        s.stack.push(Frame { node: next as u32, start, cursor: start, end });
+                    }
+                    // Back edge: cycle.
+                    GRAY => s.cycles.push(s.dirty_sorted[next]),
+                    _ => {}
+                }
+            } else {
+                if node != ROOTS {
+                    s.color[node as usize] = BLACK;
+                    s.order.push(s.dirty_sorted[node as usize]);
+                }
+                s.nbrs.truncate(start as usize);
+                s.stack.pop();
+            }
+        }
+        self.recalc = s;
+    }
+
+    /// Evaluates the pass's order, with a view of other sheets' values
+    /// (the workbook's `OtherSheets`), and unmarks exactly the cells in
+    /// it; members of cycles get `#CYCLE!` first. Fully deterministic:
+    /// the order depends only on the dirty set, the local graph and the
+    /// roots asked for. Returns the number of cells evaluated.
+    pub(crate) fn evaluate_ordered<E: ExternalSheets>(&mut self, ext: &E) -> usize {
+        for i in 0..self.recalc.cycles.len() {
+            self.store_result(self.recalc.cycles[i], Value::Error(CellError::Cycle));
+        }
         let prof = self.profile;
         let pass_start = (prof != ProfileMode::Off).then(Instant::now);
         // Take the order buffer out so the loop can borrow `cells`
@@ -777,8 +913,13 @@ impl Engine {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.recalc.prof_levels.push((0, evaluated as u32, ns));
         }
+        self.cells.unmark(&order);
+        let RecalcScratch { dirty_sorted, color, .. } = &mut self.recalc;
+        if evaluated < dirty_sorted.len() {
+            let mut colors = color.iter();
+            dirty_sorted.retain(|_| colors.next() == Some(&BLACK));
+        }
         self.recalc.order = order;
-        self.cells.clear_dirty();
         self.evaluated_total += evaluated as u64;
         evaluated
     }
@@ -798,134 +939,24 @@ impl Engine {
         Some(run.at(cell).eval(&view))
     }
 
-    /// Restricts the dirty set to the cells `keep` accepts, returning the
-    /// removed cells so a demand-driven recalculation can restore them
-    /// afterwards.
-    pub(crate) fn restrict_dirty(&mut self, keep: impl Fn(Cell) -> bool) -> Vec<Cell> {
-        self.cells.restrict_dirty(keep)
-    }
-
-    /// Re-inserts cells into the dirty set (the deferred remainder of a
-    /// demand-driven recalculation).
-    pub(crate) fn restore_dirty(&mut self, cells: &[Cell]) {
-        self.cells.restore_dirty(cells);
-    }
-
-    /// Topologically orders the dirty formula cells (into
-    /// `self.recalc.order`) so precedents evaluate before dependents
-    /// (iterative DFS; members of cycles get `#CYCLE!` immediately).
-    ///
-    /// Runs entirely on the reusable [`RecalcScratch`] buffers: the dirty
-    /// set becomes a sorted vec (deterministic regardless of hash seeds,
-    /// and binary-searchable by `dirty_precedents_into`), colors live in
-    /// a parallel `Vec<u8>`, and per-cell neighbor lists share one arena
-    /// sliced per DFS frame — zero steady-state allocations.
-    fn topo_order_of_dirty(&mut self) {
-        let mut s = std::mem::take(&mut self.recalc);
-        s.dirty_sorted.clear();
-        s.dirty_sorted.extend_from_slice(self.cells.dirty());
-        s.dirty_sorted.sort_unstable();
-        let n = s.dirty_sorted.len();
-        s.color.clear();
-        s.color.resize(n, WHITE);
-        s.order.clear();
-        s.cycles.clear();
-        s.nbrs.clear();
-        s.stack.clear();
-
-        for root in 0..n {
-            if s.color[root] != WHITE {
-                continue;
-            }
-            s.color[root] = GRAY;
-            let start = s.nbrs.len() as u32;
-            self.dirty_precedents_into(s.dirty_sorted[root], &s.dirty_sorted, &mut s.nbrs);
-            let end = s.nbrs.len() as u32;
-            s.stack.push(Frame { node: root as u32, start, cursor: start, end });
-            while let Some(&Frame { node, start, cursor, end }) = s.stack.last() {
-                if cursor < end {
-                    s.stack.last_mut().expect("frame just read").cursor += 1;
-                    let next = s.nbrs[cursor as usize] as usize;
-                    match s.color[next] {
-                        WHITE => {
-                            s.color[next] = GRAY;
-                            let cstart = s.nbrs.len() as u32;
-                            self.dirty_precedents_into(
-                                s.dirty_sorted[next],
-                                &s.dirty_sorted,
-                                &mut s.nbrs,
-                            );
-                            let cend = s.nbrs.len() as u32;
-                            s.stack.push(Frame {
-                                node: next as u32,
-                                start: cstart,
-                                cursor: cstart,
-                                end: cend,
-                            });
-                        }
-                        // Back edge: cycle.
-                        GRAY => s.cycles.push(s.dirty_sorted[next]),
-                        _ => {}
-                    }
-                } else {
-                    s.color[node as usize] = BLACK;
-                    s.order.push(s.dirty_sorted[node as usize]);
-                    s.nbrs.truncate(start as usize);
-                    s.stack.pop();
-                }
-            }
-        }
-
-        for i in 0..s.cycles.len() {
-            self.store_result(s.cycles[i], Value::Error(CellError::Cycle));
-        }
-        self.recalc = s;
-    }
-
     /// Pushes the `dirty_sorted` indices of the dirty formula cells that
     /// `cell`'s formula references. Only same-sheet references matter
-    /// here: cross-sheet ordering is the workbook scheduler's job (sheets
-    /// evaluate level by level).
-    ///
-    /// `dirty` is sorted by `(col, row)`, so every referenced column is
-    /// one contiguous run located by binary search — a tall range costs
-    /// `O(width · log n)` instead of the old per-cell scan over the whole
-    /// range (or the whole dirty set). When the range is wider than the
-    /// dirty set, one scan over the column-bounded slice wins instead.
-    pub(crate) fn dirty_precedents_into(&self, cell: Cell, dirty: &[Cell], out: &mut Vec<u32>) {
+    /// here: cross-sheet ordering is the workbook's job (it asks the
+    /// sheets read for their part of the order, and sheets evaluate level
+    /// by level).
+    fn dirty_precedents_into(&self, cell: Cell, dirty: &[Cell], out: &mut Vec<u32>) {
+        #[cfg(test)]
+        self.nbr_lists.set(self.nbr_lists.get() + 1);
         let Some(run) = self.run_at(cell) else {
             return;
         };
         for (sheet, rref) in run.at(cell).reads() {
-            if !self.is_local(sheet) {
-                continue;
-            }
-            let range = rref.range();
-            let (c1, c2) = (range.head().col, range.tail().col);
-            let (r1, r2) = (range.head().row, range.tail().row);
-            let width = u64::from(c2 - c1) + 1;
-            if width <= dirty.len() as u64 {
-                for col in c1..=c2 {
-                    let lo = dirty.partition_point(|c| (c.col, c.row) < (col, r1));
-                    for (i, c) in dirty[lo..].iter().enumerate() {
-                        if c.col != col || c.row > r2 {
-                            break;
-                        }
-                        if *c != cell {
-                            out.push((lo + i) as u32);
-                        }
+            if self.is_local(sheet) {
+                dirty_in(dirty, rref.range(), |i| {
+                    if dirty[i as usize] != cell {
+                        out.push(i);
                     }
-                }
-            } else {
-                let lo = dirty.partition_point(|c| c.col < c1);
-                for (i, c) in dirty[lo..].iter().enumerate() {
-                    if c.col > c2 {
-                        break;
-                    }
-                    if c.row >= r1 && c.row <= r2 && *c != cell {
-                        out.push((lo + i) as u32);
-                    }
-                }
+                });
             }
         }
     }

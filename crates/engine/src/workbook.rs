@@ -13,14 +13,25 @@
 //!   sheet, formula cell)`. Dependents/precedents queries and dirty
 //!   propagation run the per-sheet compressed query within a shard and hop
 //!   through the edge table between shards;
-//! - recalculation is scheduled **per sheet**: sheets are topologically
-//!   leveled by the cross-edge graph (longest-path levels) and evaluated
-//!   one at a time, level by level, in ascending sheet order within a
-//!   level. A sheet reads the sheets of earlier levels in place; they are
-//!   final by then. The order depends only on the cross-edge table and
-//!   every per-sheet evaluation is deterministic, so the same edits
-//!   always recalculate to **bit-identical** values (property-tested
-//!   against a rebuild from the final texts in `tests/prop_workbook.rs`).
+//! - recalculation is **one pass**, whoever asks: *order from roots,
+//!   then evaluate the order*. Every sheet's engine orders its own dirty
+//!   cells, each after the dirty cells it reads on that sheet
+//!   (`Engine::order_from`, resumable within a pass). The roots are every
+//!   dirty cell ([`Workbook::recalculate`]) or the dirty cells of a
+//!   viewport ([`Workbook::recalc_demand`]); from a viewport, the cross
+//!   edges of each newly ordered cell name ranges on other sheets whose
+//!   dirty cells go back in as roots of *their* sheet, until nothing is
+//!   added. What was ordered is evaluated and unmarked; what was not
+//!   stays dirty, untouched;
+//! - evaluation is scheduled **per sheet**: sheets are topologically
+//!   leveled by the cross-edge graph (longest-path levels) and those with
+//!   anything ordered are evaluated one at a time, level by level, in
+//!   ascending sheet order within a level. A sheet reads the sheets of
+//!   earlier levels in place; they are final by then. The order depends
+//!   only on the cross-edge table and every per-sheet evaluation is
+//!   deterministic, so the same edits always recalculate to
+//!   **bit-identical** values (property-tested against a rebuild from
+//!   the final texts in `tests/prop_workbook.rs`).
 //!
 //! Cross-sheet *cycles* (sheet A reads B, B reads A) cannot be leveled;
 //! the scheduler levels the **SCC condensation** instead: each cyclic
@@ -42,7 +53,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use taco_core::{Config, Dependency, FormulaGraph, StructuralOp};
+use taco_core::{FormulaGraph, StructuralOp};
 use taco_formula::{CellError, EvalClock, FormulaError, Template, Value};
 use taco_grid::a1::{SheetRef, MAX_SHEET_NAME};
 use taco_grid::{Cell, GridError, Range};
@@ -329,6 +340,9 @@ impl std::error::Error for BatchError {}
 struct SheetShard {
     name: SheetRef,
     engine: Engine,
+    /// How far down the engine's order a demand pass has followed the
+    /// cross edges into this sheet (see [`Workbook::order_viewport`]).
+    hopped: usize,
 }
 
 /// A multi-sheet workbook: one [`Engine`] shard per sheet plus the
@@ -364,59 +378,6 @@ impl Workbook {
         Workbook::new()
     }
 
-    /// Builds a workbook straight from per-sheet dependency lists plus a
-    /// cross-edge table — the graph-only ingestion path used by the
-    /// workload generator and the scaling benchmarks (no cell values, so
-    /// queries work but recalculation has nothing to evaluate). With
-    /// `threads > 1` the per-sheet graphs are compressed concurrently on
-    /// scoped threads.
-    pub fn from_sheet_deps(
-        config: Config,
-        sheets: &[(&str, &[Dependency])],
-        cross: &[CrossEdge],
-        threads: usize,
-    ) -> Result<Self, WorkbookError> {
-        let graphs: Vec<FormulaGraph> = if threads <= 1 || sheets.len() <= 1 {
-            sheets
-                .iter()
-                .map(|(_, deps)| FormulaGraph::build(config.clone(), deps.iter().copied()))
-                .collect()
-        } else {
-            let per = sheets.len().div_ceil(threads.min(sheets.len()));
-            std::thread::scope(|s| {
-                let handles: Vec<_> = sheets
-                    .chunks(per)
-                    .map(|chunk| {
-                        let cfg = config.clone();
-                        s.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|(_, deps)| {
-                                    FormulaGraph::build(cfg.clone(), deps.iter().copied())
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().flat_map(|h| h.join().expect("graph build thread")).collect()
-            })
-        };
-        let mut wb = Workbook::new();
-        for ((name, _), graph) in sheets.iter().zip(graphs) {
-            wb.add_sheet_with(name, graph)?;
-        }
-        for e in cross {
-            if e.src.0 >= wb.sheets.len() {
-                return Err(WorkbookError::NoSuchSheet(e.src.0));
-            }
-            if e.dst.0 >= wb.sheets.len() {
-                return Err(WorkbookError::NoSuchSheet(e.dst.0));
-            }
-            wb.xedges.insert(*e);
-        }
-        Ok(wb)
-    }
-
     /// Attaches this workbook to an observability hub: registers the
     /// engine metric set (labeled `book="<label>"`) and starts recording
     /// recalculation metrics and spans. Registration allocates; everything
@@ -431,34 +392,25 @@ impl Workbook {
         self.obs.is_some()
     }
 
-    /// Adds a sheet backed by a TACO-compressed formula graph.
-    pub fn add_sheet(&mut self, name: &str) -> Result<SheetId, WorkbookError> {
-        self.add_sheet_with(name, FormulaGraph::taco())
-    }
-
-    /// Adds a sheet around the given graph (its [`Config`] chooses TACO,
-    /// InRow or NoComp). Names are validated like formula qualifiers and
-    /// must be unique case-insensitively.
+    /// Adds a sheet backed by a TACO-compressed formula graph. Names are
+    /// validated like formula qualifiers and must be unique
+    /// case-insensitively.
     ///
     /// Existing formulae that already reference the new name (written
     /// while it resolved to `#REF!`) are re-bound: their cross edges are
     /// registered and the cells re-marked dirty, so the next
     /// recalculation sees the new sheet's values.
-    pub fn add_sheet_with(
-        &mut self,
-        name: &str,
-        graph: FormulaGraph,
-    ) -> Result<SheetId, WorkbookError> {
-        let id = self.add_sheet_unbound(name, graph)?;
+    pub fn add_sheet(&mut self, name: &str) -> Result<SheetId, WorkbookError> {
+        let id = self.add_sheet_unbound(name, FormulaGraph::taco())?;
         self.rebind_dangling_refs(id.0);
         Ok(id)
     }
 
-    /// [`Self::add_sheet_with`] minus the dangling-reference rebind: the
-    /// persistence restore path adds sheets whose cross edges and dirty
-    /// sets are restored verbatim from the image — re-running the rebind
-    /// would duplicate cross edges and spuriously re-dirty formulae that
-    /// forward-referenced a later sheet.
+    /// [`Self::add_sheet`] around the given graph, minus the
+    /// dangling-reference rebind: the persistence restore path adds
+    /// sheets whose cross edges and dirty sets are restored verbatim from
+    /// the image — re-running the rebind would duplicate cross edges and
+    /// spuriously re-dirty formulae that forward-referenced a later sheet.
     pub(crate) fn add_sheet_unbound(
         &mut self,
         name: &str,
@@ -472,7 +424,7 @@ impl Workbook {
         let mut engine = Engine::new(graph);
         engine.set_sheet_name(sref.name().to_string());
         self.index.insert(sref.key(), id);
-        self.sheets.push(SheetShard { name: sref, engine });
+        self.sheets.push(SheetShard { name: sref, engine, hopped: 0 });
         self.xedges.add_sheet();
         Ok(SheetId(id))
     }
@@ -1087,82 +1039,14 @@ impl Workbook {
     pub fn recalculate(&mut self, mode: RecalcMode) -> usize {
         // One schedule, nothing to select (see [`RecalcMode`]).
         let RecalcMode::Serial = mode;
-        let timing = self
-            .obs
-            .as_deref()
-            .map(|_| (Instant::now(), self.sheets.iter().map(|s| s.engine.dirty_count()).sum()));
-        // Tree-building span: per-level spans recorded below nest under
-        // it, and it nests under the calling thread's ambient context
-        // (the request span when a service worker drives this).
-        let mut recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
-        // Fresh per-pass outputs: a clean sheet skipped below must not
-        // report the previous pass's profile or evaluated cells.
-        for s in &mut self.sheets {
-            s.engine.begin_pass();
-        }
-        let levels = self.levels();
-        let Workbook { sheets, index, xedges, obs } = self;
-        let mut total = 0usize;
-        let mut levels_walked = 0usize;
-        for (level_idx, level) in levels.into_iter().enumerate() {
-            let work: Vec<usize> =
-                level.into_iter().filter(|&i| sheets[i].engine.dirty_count() > 0).collect();
-            if work.is_empty() {
-                continue;
-            }
-            levels_walked += 1;
-            let mut level_span = obs.as_deref().map(|o| {
-                let mut g = o.sheet_level_guard();
-                g.a = level_idx as u64;
-                g.b = work.len() as u64;
-                g
-            });
-            // Exactly the level's dirty shards are borrowed mutably, in
-            // ascending sheet order; every other sheet's cells are shared
-            // with them read-only. A sheet the level's formulae reference
-            // sits in another level: an earlier one, final by now, unless
-            // the two share a cycle.
-            let mut jobs: Vec<&mut SheetShard> = Vec::with_capacity(work.len());
-            let mut others: Vec<Option<&CellStore>> = Vec::with_capacity(sheets.len());
-            for (i, shard) in sheets.iter_mut().enumerate() {
-                if work.binary_search(&i).is_ok() {
-                    jobs.push(shard);
-                    others.push(None);
-                } else {
-                    others.push(Some(shard.engine.store()));
-                }
-            }
-            let ext = OtherSheets { index, cells: &others };
-            for shard in jobs.iter_mut() {
-                total += shard.engine.recalculate_with(&ext);
-            }
-            level_span.take();
-        }
-        if let Some(g) = recalc_span.as_mut() {
-            g.a = total as u64;
-            g.b = levels_walked as u64;
-        }
-        drop(recalc_span);
-        if let (Some(o), Some((start, dirty_before))) = (obs.as_deref_mut(), timing) {
-            o.on_recalc(start, total, levels_walked, dirty_before);
-            for s in sheets.iter() {
-                let (levels, cells) = s.engine.profile_slices();
-                o.on_profile(levels, cells);
-            }
-            o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
-        }
-        total
+        self.pass(None)
     }
 
     /// Demand-driven recalculation: evaluates **only** the transitive
     /// dirty precedents of `viewport` on sheet `id` (including the
     /// viewport's own dirty cells), leaving every other dirty cell lazily
-    /// dirty for a later full pass. The needed set is expanded with a
-    /// priority queue over `(sheet, cell)` — local hops via each dirty
-    /// formula's reference set, cross-sheet hops via the cross-edge
-    /// table — then the engines' dirty sets are restricted to it, the
-    /// normal level-scheduled recalculation runs, and the deferred
-    /// remainder is restored.
+    /// dirty for a later full pass. It is the full pass started from the
+    /// viewport instead of from every dirty cell (see the module docs).
     ///
     /// Every viewport cell ends up with exactly the value a full
     /// recalculation would give it: clean cells are already final (the
@@ -1178,70 +1062,131 @@ impl Workbook {
         viewport: Range,
         mode: RecalcMode,
     ) -> Result<usize, WorkbookError> {
+        let RecalcMode::Serial = mode;
         if id.0 >= self.sheets.len() {
             return Err(WorkbookError::NoSuchSheet(id.0));
         }
-        // Guard wrapping the whole demand pass: the expansion span and
-        // the inner `workbook.recalc` tree both nest under it.
-        let mut demand_span = self.obs.as_deref().map(|o| o.demand_guard());
-        let expand_timing = self.obs.as_deref().map(|o| (Instant::now(), o.now_ns()));
-        // Sorted per-sheet dirty views for the precedent walk.
-        let dirty_sorted: Vec<Vec<Cell>> =
-            self.sheets.iter().map(|s| s.engine.dirty_cells_sorted()).collect();
+        Ok(self.pass(Some((id.0, viewport))))
+    }
 
-        let mut needed: Vec<BTreeSet<Cell>> = vec![BTreeSet::new(); self.sheets.len()];
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, Cell)>> =
-            std::collections::BinaryHeap::new();
-        for &c in dirty_sorted[id.0].iter().filter(|c| viewport.contains_cell(**c)) {
-            heap.push(std::cmp::Reverse((id.0, c)));
+    /// One recalculation pass: order from the roots — every dirty cell
+    /// of each sheet, or what `viewport` needs — and evaluate each
+    /// sheet's order, level by level, unmarking exactly what was
+    /// evaluated.
+    fn pass(&mut self, viewport: Option<(usize, Range)>) -> usize {
+        // A sheet the pass never reaches must not report the previous
+        // pass's profile or evaluated cells.
+        for s in &mut self.sheets {
+            s.engine.begin_pass();
+            s.hopped = 0;
         }
-        let mut idxs: Vec<u32> = Vec::new();
-        while let Some(std::cmp::Reverse((sid, cell))) = heap.pop() {
-            if !needed[sid].insert(cell) {
+        // Guard wrapping a whole demand pass: the expansion span and the
+        // `workbook.recalc` tree both nest under it.
+        let mut demand_span = None;
+        // What the pass sets out to evaluate.
+        let dirty_before = match viewport {
+            None => self.dirty_count(),
+            Some((sid, range)) => {
+                demand_span = self.obs.as_deref().map(|o| o.demand_guard());
+                let expand_timing = self.obs.as_deref().map(|o| (Instant::now(), o.now_ns()));
+                let closure = self.order_viewport(sid, range);
+                if let (Some(o), Some((start, start_ns))) = (self.obs.as_deref(), expand_timing) {
+                    o.on_demand_expand(start, start_ns, closure);
+                }
+                if let Some(g) = demand_span.as_mut() {
+                    g.a = closure as u64;
+                }
+                closure
+            }
+        };
+        let timing = self.obs.as_deref().map(|_| Instant::now());
+        // Tree-building span: per-level spans recorded below nest under
+        // it, and it nests under the calling thread's ambient context
+        // (the request span when a service worker drives this).
+        let mut recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
+        let levels = self.levels();
+        let Workbook { sheets, index, xedges, obs } = self;
+        // A full pass orders a sheet when its turn comes, not before:
+        // ordering reads the formulas and slots evaluation is about to
+        // (all sheets ordered first, evaluation measured 7 % slower).
+        let has_work = |engine: &Engine| match viewport {
+            None => engine.dirty_count() > 0,
+            Some(_) => !engine.ordered().is_empty(),
+        };
+        let mut total = 0usize;
+        let mut levels_walked = 0usize;
+        for (level_idx, level) in levels.into_iter().enumerate() {
+            let work: Vec<usize> =
+                level.into_iter().filter(|&i| has_work(&sheets[i].engine)).collect();
+            if work.is_empty() {
                 continue;
             }
-            // Local dirty precedents, from the formula's reference set.
-            idxs.clear();
-            self.sheets[sid].engine.dirty_precedents_into(cell, &dirty_sorted[sid], &mut idxs);
-            for &i in &idxs {
-                let p = dirty_sorted[sid][i as usize];
-                if !needed[sid].contains(&p) {
-                    heap.push(std::cmp::Reverse((sid, p)));
+            levels_walked += 1;
+            let mut level_span = obs.as_deref().map(|o| {
+                let mut g = o.sheet_level_guard();
+                g.a = level_idx as u64;
+                g.b = work.len() as u64;
+                g
+            });
+            // Exactly the level's shards with work are borrowed mutably,
+            // in ascending sheet order; every other sheet's cells are
+            // shared with them read-only. A sheet the level's formulae
+            // reference sits in another level: an earlier one, final by
+            // now, unless the two share a cycle.
+            let mut jobs: Vec<&mut SheetShard> = Vec::with_capacity(work.len());
+            let mut others: Vec<Option<&CellStore>> = Vec::with_capacity(sheets.len());
+            for (i, shard) in sheets.iter_mut().enumerate() {
+                if work.binary_search(&i).is_ok() {
+                    jobs.push(shard);
+                    others.push(None);
+                } else {
+                    others.push(Some(shard.engine.store()));
                 }
             }
-            // Cross-sheet dirty precedents, from the edge table.
-            for e in self.xedges.incoming(sid).iter().filter(|e| e.dep == cell) {
-                let src = e.src.0;
-                for &p in dirty_sorted[src].iter().filter(|p| e.prec.contains_cell(**p)) {
-                    if !needed[src].contains(&p) {
-                        heap.push(std::cmp::Reverse((src, p)));
-                    }
+            let ext = OtherSheets { index, cells: &others };
+            for shard in jobs.iter_mut() {
+                if viewport.is_none() {
+                    shard.engine.order_from(None);
                 }
+                total += shard.engine.evaluate_ordered(&ext);
             }
+            level_span.take();
         }
-
-        let closure: usize = needed.iter().map(BTreeSet::len).sum();
-        if let (Some(o), Some((start, start_ns))) = (self.obs.as_deref(), expand_timing) {
-            o.on_demand_expand(start, start_ns, closure);
+        if let Some(g) = recalc_span.as_mut() {
+            g.a = total as u64;
+            g.b = levels_walked as u64;
         }
-        if let Some(g) = demand_span.as_mut() {
-            g.a = closure as u64;
-        }
-
-        // Restrict, recalculate with the normal schedule, restore.
-        let mut deferred: Vec<(usize, Vec<Cell>)> = Vec::new();
-        for (sid, keep) in needed.iter().enumerate() {
-            let removed = self.sheets[sid].engine.restrict_dirty(|c| keep.contains(&c));
-            if !removed.is_empty() {
-                deferred.push((sid, removed));
+        drop(recalc_span);
+        if let (Some(o), Some(start)) = (obs.as_deref_mut(), timing) {
+            o.on_recalc(start, total, levels_walked, dirty_before);
+            for s in sheets.iter() {
+                let (levels, cells) = s.engine.profile_slices();
+                o.on_profile(levels, cells);
             }
-        }
-        let evaluated = self.recalculate(mode);
-        for (sid, cells) in deferred {
-            self.sheets[sid].engine.restore_dirty(&cells);
+            o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
         }
         drop(demand_span);
-        Ok(evaluated)
+        total
+    }
+
+    /// Orders what `viewport` on sheet `sid` needs: its dirty cells and
+    /// the dirty cells they read, on their own sheet by the engine's
+    /// order and on other sheets through the cross-edge table — each
+    /// newly ordered cell's cross edges name ranges whose dirty cells are
+    /// further roots on their sheet — until nothing is added. Returns
+    /// the number of cells ordered.
+    fn order_viewport(&mut self, sid: usize, viewport: Range) -> usize {
+        let Workbook { sheets, xedges, .. } = self;
+        sheets[sid].engine.order_from(Some(viewport));
+        while let Some(sid) = sheets.iter().position(|s| s.hopped < s.engine.ordered().len()) {
+            while let Some(&cell) = sheets[sid].engine.ordered().get(sheets[sid].hopped) {
+                sheets[sid].hopped += 1;
+                for e in xedges.incoming(sid).iter().filter(|e| e.dep == cell) {
+                    sheets[e.src.0].engine.order_from(Some(e.prec));
+                }
+            }
+        }
+        sheets.iter().map(|s| s.engine.ordered().len()).sum()
     }
 
     /// Injects a volatile-function clock into every sheet and re-dirties
@@ -1561,38 +1506,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_only_ingestion_builds_and_queries() {
-        use taco_core::Dependency;
-        let deps0: Vec<Dependency> = (2..=40u32)
-            .map(|row| Dependency::new(Range::cell(Cell::new(1, row - 1)), Cell::new(1, row)))
-            .collect();
-        let deps1: Vec<Dependency> =
-            vec![Dependency::new(Range::from_coords(1, 1, 1, 40), Cell::new(2, 1))];
-        let cross = vec![CrossEdge {
-            src: SheetId(0),
-            prec: Range::from_coords(1, 30, 1, 40),
-            dst: SheetId(1),
-            dep: Cell::new(3, 1),
-        }];
-        for threads in [1, 4] {
-            let mut wb = Workbook::from_sheet_deps(
-                Config::taco_full(),
-                &[("a", deps0.as_slice()), ("b", deps1.as_slice())],
-                &cross,
-                threads,
-            )
-            .unwrap();
-            let deps = wb.find_dependents(SheetId(0), Range::cell(Cell::new(1, 1)));
-            assert!(
-                deps.iter().any(|&(s, range)| s == SheetId(1) && range.contains_cell(c("C1"))),
-                "threads={threads}: cross hop missing from {deps:?}"
-            );
-            // The chain sheet stays compressed: one RR-Chain edge.
-            assert_eq!(wb.sheet(SheetId(0)).graph().num_edges(), 1);
-        }
-    }
-
-    #[test]
     fn cross_sheet_sumif_reads_the_implicitly_resized_sum_range() {
         // SUMIF's sum range is shaped to the criteria range (B1:B1 reads
         // B1:B3 here); the cross edge must cover the implicit cells for
@@ -1734,6 +1647,35 @@ mod tests {
         wb.add_sheet("Only").unwrap();
         let err = wb.recalc_demand(SheetId(3), r("A1:B2"), RecalcMode::Serial);
         assert!(matches!(err, Err(WorkbookError::NoSuchSheet(3))));
+    }
+
+    /// Neighbor lists the sheets' schedulers built since the last call.
+    fn lists_built(wb: &Workbook) -> u64 {
+        wb.sheets.iter().map(|s| s.engine.nbr_lists.replace(0)).sum()
+    }
+
+    #[test]
+    fn a_pass_builds_one_neighbor_list_per_cell_it_orders() {
+        use taco_workload::{gen_persist_workload, persist_enron_like, persist_giant_sheet};
+        let viewport = r("A1:F8");
+        for (params, sheet) in [(persist_giant_sheet(), 0), (persist_enron_like(), 2)] {
+            let w = gen_persist_workload(&params);
+            let mut wb = Workbook::with_taco();
+            wb.apply_batch(&w.build).unwrap();
+            let (id, dirty) = (SheetId(sheet), wb.dirty_count());
+
+            // From a viewport: one list per cell needed, on whichever
+            // sheet, and none for the cells left dirty.
+            let needed = wb.recalc_demand(id, viewport, RecalcMode::Serial).unwrap();
+            assert!(needed > 0 && needed < dirty / 2, "{}: {needed} of {dirty}", params.name);
+            assert_eq!(lists_built(&wb), needed as u64, "{}", params.name);
+            // Nothing in it is dirty now, whatever else is.
+            assert_eq!(wb.recalc_demand(id, viewport, RecalcMode::Serial), Ok(0));
+            assert_eq!(lists_built(&wb), 0, "{}", params.name);
+            // From every dirty cell: one list each.
+            assert_eq!(wb.recalculate(RecalcMode::Serial), dirty - needed);
+            assert_eq!(lists_built(&wb), (dirty - needed) as u64, "{}", params.name);
+        }
     }
 
     #[test]

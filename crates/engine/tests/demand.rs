@@ -106,3 +106,99 @@ fn demand_recalc_is_a_strict_subset_on_the_giant_sheet() {
     );
     assert_eq!(wb.dirty_count(), total - evaluated);
 }
+
+fn bit_identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Number(a), Value::Number(b)) => a.to_bits() == b.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// Recalculates one copy of `build`'s workbook in full and another from
+/// `viewport` on `sid`, then in full: after the demand pass the viewport
+/// must read what the full pass gave it, bit for bit, and the demand
+/// pass and its follow-up must between them evaluate every dirty cell
+/// once. Returns the viewport's values and the demand pass's count.
+fn viewport_after_demand(
+    build: impl Fn() -> Workbook,
+    sid: SheetId,
+    viewport: &str,
+) -> (Vec<Value>, usize) {
+    let viewport = Range::parse_a1(viewport).unwrap();
+    let (mut full, mut demand) = (build(), build());
+    let total_dirty = full.dirty_count();
+    assert_eq!(full.recalculate(RecalcMode::Serial), total_dirty);
+
+    let e_demand = demand.recalc_demand(sid, viewport, RecalcMode::Serial).unwrap();
+    let seen: Vec<Value> = viewport.cells().map(|cell| demand.value(sid, cell)).collect();
+    for (cell, value) in viewport.cells().zip(&seen) {
+        let want = full.value(sid, cell);
+        assert!(bit_identical(value, &want), "{cell}: {value:?} on demand, {want:?} in full");
+    }
+    assert_eq!(demand.dirty_count(), total_dirty - e_demand);
+    let e_follow = demand.recalculate(RecalcMode::Serial);
+    assert_eq!(e_demand + e_follow, total_dirty);
+    assert_eq!(demand.dirty_count(), 0);
+    (seen, e_demand)
+}
+
+#[test]
+fn a_viewport_holding_cycle_members_reads_as_after_a_full_pass() {
+    let build = || {
+        let mut wb = Workbook::with_taco();
+        let s = wb.add_sheet("S").unwrap();
+        let mut set = |at: &str, src: &str| {
+            wb.set_formula(s, Cell::parse_a1(at).unwrap(), src).unwrap();
+        };
+        // B1 → C1 → D1 → B1, read from inside the viewport (E1), from
+        // outside it (G9) and from a cell that sorts before all of them
+        // (A5): the full pass walks into the cycle from A5, at D1; a
+        // viewport pass from B1.
+        set("B1", "=C1+A1");
+        set("C1", "=D1*2");
+        set("D1", "=B1-1");
+        set("E1", "=B1+1");
+        set("B2", "=A1*2");
+        set("A5", "=D1+1");
+        set("G9", "=C1+5");
+        set("H9", "=A1*3");
+        wb.set_value(s, Cell::parse_a1("A1").unwrap(), Value::Number(1.0));
+        wb
+    };
+    let (seen, evaluated) = viewport_after_demand(build, SheetId(0), "B1:E2");
+    let cycle = Value::Error(taco_formula::CellError::Cycle);
+    let blank = Value::Empty;
+    // B1 C1 D1 E1, then B2 and the blanks beside it.
+    let want = [&cycle, &cycle, &cycle, &cycle, &Value::Number(2.0), &blank, &blank, &blank];
+    assert_eq!(seen.iter().collect::<Vec<_>>(), want);
+    assert_eq!(evaluated, 5, "B1, C1, D1, E1 and B2: not A5, G9 or H9");
+}
+
+#[test]
+fn sheets_that_read_each_other_are_followed_both_ways() {
+    // `P` reads `Q` and `Q` reads `P` — one component of the sheet graph,
+    // `P` evaluated before `Q` — without any cell reading itself:
+    // P!B1 → Q!A1 → P!A2 → P!A1.
+    let build = || {
+        let mut wb = Workbook::with_taco();
+        let p = wb.add_sheet("P").unwrap();
+        let q = wb.add_sheet("Q").unwrap();
+        let at = |a1: &str| Cell::parse_a1(a1).unwrap();
+        wb.set_value(p, at("A1"), Value::Number(1.0));
+        wb.set_formula(p, at("A2"), "=A1*3").unwrap();
+        wb.set_formula(p, at("B1"), "=Q!A1+A1").unwrap();
+        wb.set_formula(p, at("C1"), "=B1*2").unwrap();
+        wb.set_formula(p, at("D5"), "=A1+7").unwrap();
+        wb.set_formula(q, at("A1"), "=P!A2+1").unwrap();
+        wb.set_formula(q, at("B7"), "=A1*10").unwrap();
+        wb
+    };
+    // From `P`: B1 and C1, Q!A1 behind B1, and P!A2 behind that — ordered
+    // on `P` after the cells that sent for it. B1 still reads `Q` as the
+    // full pass does, a pass behind.
+    let (seen, evaluated) = viewport_after_demand(build, SheetId(0), "B1:C1");
+    assert_eq!((seen, evaluated), (vec![Value::Number(1.0), Value::Number(2.0)], 4));
+    // From `Q`: A1 and P!A2 behind it, which is final when A1 reads it.
+    let (seen, evaluated) = viewport_after_demand(build, SheetId(1), "A1:A1");
+    assert_eq!((seen, evaluated), (vec![Value::Number(4.0)], 2));
+}

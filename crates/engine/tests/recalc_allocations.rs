@@ -1,6 +1,7 @@
 //! The evaluator's memory contract, as `cargo test` holds it: what a
-//! recalculation allocates does not grow with the cells it evaluates, and
-//! a fill shares one template however long it is.
+//! recalculation allocates does not grow with the cells it evaluates —
+//! from every dirty cell or from a viewport — and a fill shares one
+//! template however long it is.
 //!
 //! One `#[test]`, so nothing else runs in this process while it counts;
 //! the counter is per thread all the same, because the harness's own
@@ -125,6 +126,25 @@ fn a_recalculation_allocates_nothing_per_cell_and_a_fill_shares_one_template() {
     assert_eq!(recalc_many, recalc_few, "{many} cells vs {few} cells");
     assert!(recalc_many < 32, "{recalc_many} allocations in one recalculation");
     assert!(edit_many < 64 && edit_few < 64, "{edit_many} and {edit_few} allocations per edit");
+
+    // A pass from a viewport is that same pass, started elsewhere: it
+    // allocates the sheet schedule and nothing of its own — no copy of a
+    // dirty list, no set of needed cells, no queue — whether the viewport
+    // needs the three thousand cells under an edit near the top or the
+    // handful one cell at the bottom reads.
+    let whole = Range::from_coords(2, 1, 4, ROWS);
+    let last = Range::cell(Cell::new(4, TOTALS));
+    let mut counted = Vec::new();
+    for viewport in [whole, last, whole, last] {
+        wb.apply_edit(&edit(top, f64::from(counted.len() as u32))).unwrap();
+        let before = allocations();
+        let cells = wb.recalc_demand(calc, viewport, RecalcMode::Serial).unwrap();
+        counted.push((cells, allocations() - before));
+        wb.recalculate(RecalcMode::Serial);
+    }
+    let [_, _, (many, demand_many), (few, demand_few)] = counted[..] else { unreachable!() };
+    assert!(many > 2 * (TOTALS as usize - 10) && few < 10, "{many} and {few} cells needed");
+    assert_eq!((demand_many, demand_few), (recalc_few, recalc_few), "{many} vs {few} cells");
 
     assert_eq!(wb.value(calc, Cell::new(4, TOTALS)), {
         // …and all of it evaluates to what the formulas say.

@@ -165,7 +165,11 @@ pub struct At<'a> {
 }
 
 impl<'a> At<'a> {
-    /// Evaluates the formula.
+    /// Evaluates the formula. `#[inline]`: it only forwards, once per
+    /// evaluated cell, and whether the inliner folds it into the
+    /// recalculation loop on its own depends on that loop's size — left
+    /// out of line it was 7 % of a full recalculation.
+    #[inline]
     pub fn eval<P: CellProvider>(&self, cells: &P) -> Value {
         eval_at(&self.template.ast, self.dc, self.dr, cells)
     }

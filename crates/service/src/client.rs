@@ -571,8 +571,6 @@ impl<T: Transport> Client<T> {
     /// A full observability snapshot — every counter, gauge, histogram
     /// (with derived p50/p90/p99), and the slow-op log. Render it with
     /// [`MetricsSnapshot::to_prometheus`] or [`MetricsSnapshot::to_json`].
-    /// Fails with `BadRequest` when the server runs with observability
-    /// disabled ([`crate::ServiceOptions::obs`]).
     ///
     /// [`MetricsSnapshot::to_prometheus`]: taco_obs::MetricsSnapshot::to_prometheus
     /// [`MetricsSnapshot::to_json`]: taco_obs::MetricsSnapshot::to_json
@@ -587,8 +585,7 @@ impl<T: Transport> Client<T> {
     /// A snapshot of the server's span rings: the recent-span ring plus
     /// the slow-request log, with full trace/span/parent ids. Walk it
     /// with [`TraceDump::children_of`] or render it with
-    /// [`TraceDump::to_chrome_json`]. Fails with `BadRequest` when the
-    /// server runs with observability disabled.
+    /// [`TraceDump::to_chrome_json`].
     ///
     /// [`TraceDump::children_of`]: taco_obs::TraceDump::children_of
     /// [`TraceDump::to_chrome_json`]: taco_obs::TraceDump::to_chrome_json

@@ -1,5 +1,5 @@
 //! Service observability: the request-layer handle bundle a [`Registry`]
-//! holds when its hub is enabled. Registration (per-operation latency
+//! holds. Registration (per-operation latency
 //! histograms, refusal counters, load gauges) happens once at registry
 //! construction; request dispatch then records through plain field access
 //! and never formats a label or allocates.
@@ -23,8 +23,8 @@ pub(crate) struct ServiceObs {
     /// `taco_sessions` / `taco_connections` — current load gauges.
     pub(crate) sessions: Gauge,
     pub(crate) connections: Gauge,
-    /// Refusal counters (mirrored into the always-on [`ServiceStats`]
-    /// atomics by the registry).
+    /// Refusal counters (mirrored into the [`ServiceStats`] atomics by
+    /// the registry).
     ///
     /// [`ServiceStats`]: crate::protocol::ServiceStats
     pub(crate) busy_rejected: Counter,

@@ -705,16 +705,14 @@ wire_enum! {
             n: u32,
         } ["delete_cols", Write],
         /// A full metrics snapshot from the service's observability hub
-        /// (counters, gauges, histogram quantiles, slow spans). A typed
-        /// `BadRequest` when the service runs with observability disabled.
+        /// (counters, gauges, histogram quantiles, slow spans).
         20 Metrics {
             /// The session token.
             token: u64,
         } ["metrics", Read],
         /// A bounded span-tree snapshot from the service's tracer: the
         /// recent-span ring plus the slow-request log (requests over the
-        /// slow threshold keep their full subtree). A typed `BadRequest`
-        /// when the service runs with observability disabled.
+        /// slow threshold keep their full subtree).
         21 TraceDump {
             /// The session token.
             token: u64,

@@ -16,10 +16,13 @@
 //!   epoch until the next one is published.
 //! - **Writes** (`SetValue`, `SetFormula`, `Autofill`, `ClearRange`) and
 //!   operations that need the graph or the file (`Dependents`,
-//!   `Precedents`, `Recalc`, `Save`) are messages to the worker. The
-//!   worker **coalesces** its queue: when it dequeues an edit it drains
-//!   every immediately-available edit behind it (up to `MAX_BATCH`)
-//!   and applies them as one
+//!   `Precedents`, `Recalc`, `RecalcRange`, `GetRangeFresh`, `Save`) are
+//!   messages to the worker. The three recalculation requests are one
+//!   message — a pass from every dirty cell or from a viewport
+//!   ([`Workbook::recalc_demand`], the same pass with other roots), then
+//!   one publication. The worker **coalesces** its queue: when it
+//!   dequeues an edit it drains every immediately-available edit behind
+//!   it (up to `MAX_BATCH`) and applies them as one
 //!   [`Workbook::apply_batch`] — one dirty-propagation pass and **one**
 //!   recalculation for the whole batch instead of one per edit. Batched
 //!   and unbatched application are result-identical (property-tested in
@@ -71,7 +74,13 @@
 //! ([`Workbook::autofill_records`]) and applies those as one batch, so a
 //! fill is one durability decision however many cells it writes.
 //!
+//! Every registry runs an observability hub (`taco_obs`): the workbooks
+//! it is given are attached to it, request, batch and publication spans
+//! are recorded unconditionally, and `Metrics` / `TraceDump` always
+//! answer.
+//!
 //! [`Workbook::apply_batch`]: taco_engine::Workbook::apply_batch
+//! [`Workbook::recalc_demand`]: taco_engine::Workbook::recalc_demand
 //! [`Workbook::autofill_records`]: taco_engine::Workbook::autofill_records
 
 use crate::obs::ServiceObs;
@@ -98,24 +107,17 @@ pub struct ServiceOptions {
     /// the parallel schedules could not edit, reads
     /// `ServiceOptions::default().recalc_mode` (ROADMAP item 1 drops it).
     pub recalc_mode: RecalcMode,
-    /// Whether to run an observability hub: per-operation latency
-    /// histograms, engine/WAL instrumentation on every registered
-    /// workbook, and the `Metrics` request. When `false` the registry
-    /// holds no hub at all — recording sites compile to a `None` check —
-    /// and `Metrics` answers `BadRequest`.
-    pub obs: bool,
     /// Bind address for the scrape sidecar (e.g. `"127.0.0.1:0"`): a
     /// minimal HTTP/1.1 listener serving `GET /metrics` (Prometheus
-    /// text) and `GET /trace` (Chrome `trace_event` JSON). Requires
-    /// [`ServiceOptions::obs`]; `None` (the default) runs no listener.
+    /// text) and `GET /trace` (Chrome `trace_event` JSON). `None` (the
+    /// default) runs no listener.
     pub http_metrics: Option<String>,
-    /// Recalculation profiler mode applied to every registered workbook
-    /// (per-sheet-pass wall times, optionally top-K hottest cells, exported
-    /// as `taco_profile_*` histograms). Default off.
-    pub profile: taco_engine::ProfileMode,
-    /// Hub construction options when [`ServiceOptions::obs`] is on:
-    /// tracer ring sizes, slow threshold, clock, and id seed (a manual
-    /// clock plus a fixed seed makes span trees reproducible in tests).
+    /// Construction options of the registry's observability hub
+    /// (per-operation latency histograms, engine/WAL instrumentation on
+    /// every registered workbook, the `Metrics` and `TraceDump`
+    /// requests): tracer ring sizes, slow threshold, clock, and id seed
+    /// (a manual clock plus a fixed seed makes span trees reproducible
+    /// in tests).
     pub obs_options: taco_obs::ObsOptions,
     /// Per-request deadline for operations that round-trip through a
     /// workbook's writer thread (writes, recalcs, graph queries, saves).
@@ -132,9 +134,7 @@ impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
             recalc_mode: RecalcMode::Serial,
-            obs: true,
             http_metrics: None,
-            profile: taco_engine::ProfileMode::Off,
             obs_options: taco_obs::ObsOptions::default(),
             deadline: None,
         }
@@ -483,15 +483,12 @@ enum WorkerMsg {
         ctx: TraceContext,
         reply: Sender<Response>,
     },
+    /// One recalculation pass and one publication: from every dirty
+    /// cell, or from what `viewport` (sheet, range) needs; `fetch`
+    /// answers with the viewport's cells as just published instead of
+    /// the pass's count.
     Recalc {
-        ctx: TraceContext,
-        reply: Sender<Response>,
-    },
-    /// Demand-driven recalc of one viewport; `fetch` additionally reads
-    /// the viewport's cells from the freshly published snapshot.
-    Demand {
-        sheet: u32,
-        range: Range,
+        viewport: Option<(u32, Range)>,
         fetch: bool,
         ctx: TraceContext,
         reply: Sender<Response>,
@@ -583,31 +580,13 @@ impl Backing {
             Backing::Persistent(p) => p.attach_obs(obs, label),
         }
     }
-
-    fn recalculate(&mut self, mode: RecalcMode) -> usize {
-        match self {
-            Backing::Plain(wb) => wb.recalculate(mode),
-            Backing::Persistent(p) => p.recalculate(mode),
-        }
-    }
-
-    /// Demand-driven recalc needs no logging (values are derivable), so
-    /// both backings go straight to the workbook.
-    fn recalc_demand(
-        &mut self,
-        id: SheetId,
-        viewport: Range,
-        mode: RecalcMode,
-    ) -> Result<usize, taco_engine::WorkbookError> {
-        self.workbook_mut().recalc_demand(id, viewport, mode)
-    }
 }
 
 // ---- the registry -------------------------------------------------------
 
-/// Refusal tallies for [`ServiceStats`] — always counted (obs on or off)
-/// so the `Stats` request reports them unconditionally. Relaxed: they are
-/// diagnostics, not synchronization.
+/// Refusal tallies for [`ServiceStats`], which the `Stats` request
+/// reports beside the hub's counters of the same events. Relaxed: they
+/// are diagnostics, not synchronization.
 #[derive(Default)]
 struct Refusals {
     busy: AtomicU64,
@@ -626,7 +605,7 @@ pub struct Registry {
     token_seed: u64,
     down: AtomicBool,
     refusals: Refusals,
-    svc_obs: Option<ServiceObs>,
+    svc_obs: ServiceObs,
     http: Mutex<Option<crate::http::HttpSidecar>>,
 }
 
@@ -644,15 +623,14 @@ impl Registry {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0x5EED)
             | 1;
-        let svc_obs =
-            opts.obs.then(|| ServiceObs::new(taco_obs::Obs::new(opts.obs_options.clone())));
+        let svc_obs = ServiceObs::new(taco_obs::Obs::new(opts.obs_options.clone()));
         // The scrape sidecar is best-effort: a bind failure (port taken,
         // no permission) leaves `http_addr()` as `None` rather than
         // failing registry construction.
-        let http = match (&svc_obs, opts.http_metrics.as_deref()) {
-            (Some(o), Some(addr)) => crate::http::HttpSidecar::start(addr, Arc::clone(&o.hub)).ok(),
-            _ => None,
-        };
+        let http = opts
+            .http_metrics
+            .as_deref()
+            .and_then(|addr| crate::http::HttpSidecar::start(addr, Arc::clone(&svc_obs.hub)).ok());
         Registry {
             opts,
             books: RwLock::new(HashMap::new()),
@@ -666,18 +644,17 @@ impl Registry {
         }
     }
 
-    /// The scrape sidecar's bound address, when [`ServiceOptions::obs`]
-    /// and [`ServiceOptions::http_metrics`] are both set and the bind
-    /// succeeded (resolves an ephemeral port).
+    /// The scrape sidecar's bound address, when
+    /// [`ServiceOptions::http_metrics`] is set and the bind succeeded
+    /// (resolves an ephemeral port).
     pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
         self.http.lock().as_ref().map(crate::http::HttpSidecar::addr)
     }
 
-    /// The registry's observability hub, when enabled
-    /// ([`ServiceOptions::obs`]) — for local exposition (the repl's
-    /// `:metrics`, dashboards) without a wire round-trip.
-    pub fn obs(&self) -> Option<&Arc<taco_obs::Obs>> {
-        self.svc_obs.as_ref().map(|o| &o.hub)
+    /// The registry's observability hub — for local exposition (the
+    /// repl's `:metrics`, dashboards) without a wire round-trip.
+    pub fn obs(&self) -> &Arc<taco_obs::Obs> {
+        &self.svc_obs.hub
     }
 
     /// Registers a workbook under `name` (case-insensitive, must be
@@ -712,10 +689,7 @@ impl Registry {
         if name.is_empty() {
             return Err(ServiceError::BadRequest("empty workbook name".into()));
         }
-        if let Some(o) = &self.svc_obs {
-            backing.attach_obs(&o.hub, name);
-        }
-        backing.workbook_mut().set_profile(self.opts.profile);
+        backing.attach_obs(&self.svc_obs.hub, name);
         let key = name.to_ascii_lowercase();
         let shared = Arc::new(BookShared {
             snapshot: RwLock::new(Arc::new(Snapshot::build(backing.workbook()))),
@@ -730,13 +704,7 @@ impl Registry {
         }
         let worker_shared = Arc::clone(&shared);
         let worker_opts = self.opts.clone();
-        let worker_obs = self.svc_obs.as_ref().map(|o| WorkerObs {
-            coalesce_batch: o.coalesce_batch.clone(),
-            degraded_books: o.degraded_books.clone(),
-            publish_cells: o.publish_cells.clone(),
-            bands_rebuilt: o.bands_rebuilt.clone(),
-            tracer: o.tracer.clone(),
-        });
+        let worker_obs = WorkerObs::of(&self.svc_obs);
         let worker = std::thread::Builder::new()
             .name(format!("taco-writer-{key}"))
             .spawn(move || worker_loop(rx, backing, worker_shared, worker_opts, worker_obs))
@@ -774,10 +742,7 @@ impl Registry {
     pub fn quiesce(&self, workbook: &str) -> bool {
         let Some(handle) = self.handle(&workbook.to_ascii_lowercase()) else { return false };
         // A barrier waits as long as it takes — no deadline here.
-        matches!(
-            handle.ask(None, |reply| WorkerMsg::Recalc { ctx: TraceContext::NONE, reply }),
-            Response::Recalced { .. }
-        )
+        matches!(self.recalc(&handle, None, None, false), Response::Recalced { .. })
     }
 
     /// Test hook: queues raw edit records on `workbook`'s writer back to
@@ -810,9 +775,7 @@ impl Registry {
             sessions.remove(&token);
             sessions.len()
         };
-        if let Some(o) = &self.svc_obs {
-            o.sessions.set(count as i64);
-        }
+        self.svc_obs.sessions.set(count as i64);
     }
 
     /// Open sessions across all workbooks.
@@ -836,9 +799,7 @@ impl Registry {
             }
         }
         self.sessions.lock().clear();
-        if let Some(o) = &self.svc_obs {
-            o.sessions.set(0);
-        }
+        self.svc_obs.sessions.set(0);
     }
 
     fn handle(&self, key: &str) -> Option<Arc<BookHandle>> {
@@ -887,12 +848,12 @@ impl Registry {
             return Response::Err(ServiceError::ShuttingDown);
         }
         let tag = req.tag();
-        let timing = self.svc_obs.as_ref().map(ServiceObs::start);
-        let ctx = self.svc_obs.as_ref().map(|o| o.request_ctx(wire_ctx));
+        let (start, start_ns) = self.svc_obs.start();
+        let ctx = self.svc_obs.request_ctx(wire_ctx);
         // The request context stays ambient for the dispatch below:
         // spans recorded on this thread nest under it, and worker
         // messages capture it explicitly for cross-thread work.
-        let _guard = ctx.map(TraceContext::enter);
+        let _guard = ctx.enter();
         let resp = match self.try_execute(req) {
             Ok(resp) => resp,
             Err(e) => Response::Err(e),
@@ -900,35 +861,24 @@ impl Registry {
         if let Response::Err(e) = &resp {
             self.note_refusal(e);
         }
-        if let (Some(o), Some((start, start_ns)), Some(ctx)) = (self.svc_obs.as_ref(), timing, ctx)
-        {
-            o.on_request(tag, start, start_ns, ctx, payload_len);
-        }
+        self.svc_obs.on_request(tag, start, start_ns, ctx, payload_len);
         resp
     }
 
-    /// Tallies refusals the `Stats` request reports (and mirrors them
-    /// into the hub's counters when obs is on).
+    /// Tallies refusals the `Stats` request reports, and mirrors them
+    /// into the hub's counters.
     fn note_refusal(&self, e: &ServiceError) {
         let (tally, counter) = match e {
-            ServiceError::AuthFailed => {
-                (&self.refusals.auth, self.svc_obs.as_ref().map(|o| &o.auth_failures))
-            }
-            ServiceError::OutOfScope(_) => {
-                (&self.refusals.scope, self.svc_obs.as_ref().map(|o| &o.scope_denials))
-            }
-            ServiceError::Busy => {
-                (&self.refusals.busy, self.svc_obs.as_ref().map(|o| &o.busy_rejected))
-            }
+            ServiceError::AuthFailed => (&self.refusals.auth, &self.svc_obs.auth_failures),
+            ServiceError::OutOfScope(_) => (&self.refusals.scope, &self.svc_obs.scope_denials),
+            ServiceError::Busy => (&self.refusals.busy, &self.svc_obs.busy_rejected),
             ServiceError::DeadlineExceeded => {
-                (&self.refusals.deadline, self.svc_obs.as_ref().map(|o| &o.deadline_expired))
+                (&self.refusals.deadline, &self.svc_obs.deadline_expired)
             }
             _ => return,
         };
         tally.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = counter {
-            c.inc();
-        }
+        counter.inc();
     }
 
     /// Counts a connection refused at the acceptor's limit (the server's
@@ -939,9 +889,7 @@ impl Registry {
 
     /// Publishes the server's live connection count to the hub gauge.
     pub(crate) fn note_connections(&self, n: i64) {
-        if let Some(o) = &self.svc_obs {
-            o.connections.set(n);
-        }
+        self.svc_obs.connections.set(n);
     }
 
     fn try_execute(&self, req: Request) -> Result<Response, ServiceError> {
@@ -1018,30 +966,15 @@ impl Registry {
             }
             Request::Recalc { token } => {
                 let (_, handle) = self.resolve(token)?;
-                Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Recalc {
-                    ctx: TraceContext::current(),
-                    reply,
-                }))
+                Ok(self.recalc(&handle, self.opts.deadline, None, false))
             }
             Request::RecalcRange { token, sheet, range } => {
                 let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
-                Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Demand {
-                    sheet: sid,
-                    range,
-                    fetch: false,
-                    ctx: TraceContext::current(),
-                    reply,
-                }))
+                Ok(self.recalc(&handle, self.opts.deadline, Some((sid, range)), false))
             }
             Request::GetRangeFresh { token, sheet, range } => {
                 let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
-                Ok(handle.ask(self.opts.deadline, |reply| WorkerMsg::Demand {
-                    sheet: sid,
-                    range,
-                    fetch: true,
-                    ctx: TraceContext::current(),
-                    reply,
-                }))
+                Ok(self.recalc(&handle, self.opts.deadline, Some((sid, range)), true))
             }
             Request::Save { token } => {
                 let (_, handle) = self.resolve(token)?;
@@ -1075,17 +1008,11 @@ impl Registry {
             }
             Request::Metrics { token } => {
                 let _ = self.resolve(token)?;
-                match &self.svc_obs {
-                    Some(o) => Ok(Response::Metrics(Box::new(o.hub.snapshot()))),
-                    None => Err(ServiceError::BadRequest("observability disabled".into())),
-                }
+                Ok(Response::Metrics(Box::new(self.svc_obs.hub.snapshot())))
             }
             Request::TraceDump { token } => {
                 let _ = self.resolve(token)?;
-                match &self.svc_obs {
-                    Some(o) => Ok(Response::Traces(Box::new(o.tracer.dump()))),
-                    None => Err(ServiceError::BadRequest("observability disabled".into())),
-                }
+                Ok(Response::Traces(Box::new(self.svc_obs.tracer.dump())))
             }
         }
     }
@@ -1107,6 +1034,23 @@ impl Registry {
             ctx: TraceContext::current(),
             reply,
         }))
+    }
+
+    /// Asks the workbook's writer for one recalculation pass (see
+    /// [`WorkerMsg::Recalc`]) and waits for its reply.
+    fn recalc(
+        &self,
+        handle: &BookHandle,
+        deadline: Option<std::time::Duration>,
+        viewport: Option<(u32, Range)>,
+        fetch: bool,
+    ) -> Response {
+        handle.ask(deadline, |reply| WorkerMsg::Recalc {
+            viewport,
+            fetch,
+            ctx: TraceContext::current(),
+            reply,
+        })
     }
 
     /// Queues a structural edit (row/column insert or delete). Scope is
@@ -1148,9 +1092,7 @@ impl Registry {
             sessions.insert(token, Arc::new(session));
             sessions.len()
         };
-        if let Some(o) = &self.svc_obs {
-            o.sessions.set(count as i64);
-        }
+        self.svc_obs.sessions.set(count as i64);
         Ok(Response::Opened { token, sheets: visible, epoch: snap.epoch })
     }
 }
@@ -1187,47 +1129,54 @@ struct WorkerObs {
     tracer: Tracer,
 }
 
+impl WorkerObs {
+    /// The worker's own handles on the registry's metrics and tracer.
+    fn of(o: &ServiceObs) -> WorkerObs {
+        WorkerObs {
+            coalesce_batch: o.coalesce_batch.clone(),
+            degraded_books: o.degraded_books.clone(),
+            publish_cells: o.publish_cells.clone(),
+            bands_rebuilt: o.bands_rebuilt.clone(),
+            tracer: o.tracer.clone(),
+        }
+    }
+}
+
 /// Publishes `wb`'s next epoch under a `snapshot.publish` span (ambient
 /// parent: the request or batch being served). Payload words: the cells
 /// re-read and the row bands rebuilt.
-fn publish(shared: &BookShared, wobs: &Option<WorkerObs>, wb: &Workbook, changes: &Changes) -> u64 {
-    let timing = wobs.as_ref().map(|o| (std::time::Instant::now(), o.tracer.now_ns()));
+fn publish(shared: &BookShared, wobs: &WorkerObs, wb: &Workbook, changes: &Changes) -> u64 {
+    let (start, start_ns) = (std::time::Instant::now(), wobs.tracer.now_ns());
     let prev = Arc::clone(&shared.snapshot.read());
     let (next, rebuilt) = Snapshot::successor(Some(&prev), wb, changes);
     let epoch = next.epoch;
     *shared.snapshot.write() = Arc::new(next);
-    if let (Some(o), Some((start, start_ns))) = (wobs, timing) {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        o.tracer.record(
-            "snapshot.publish",
-            SpanCat::Publish,
-            start_ns,
-            dur,
-            rebuilt.cells,
-            rebuilt.bands,
-        );
-        o.publish_cells.record(rebuilt.cells);
-        o.bands_rebuilt.add(rebuilt.bands);
-    }
+    let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    wobs.tracer.record(
+        "snapshot.publish",
+        SpanCat::Publish,
+        start_ns,
+        dur,
+        rebuilt.cells,
+        rebuilt.bands,
+    );
+    wobs.publish_cells.record(rebuilt.cells);
+    wobs.bands_rebuilt.add(rebuilt.bands);
     epoch
 }
 
 /// Enters the degraded state (fleet gauge kept in sync); `reason`
 /// reaches refused clients verbatim in the typed error.
-fn degrade(shared: &BookShared, wobs: &Option<WorkerObs>, reason: String) {
+fn degrade(shared: &BookShared, wobs: &WorkerObs, reason: String) {
     if shared.degrade(reason) {
-        if let Some(o) = wobs {
-            o.degraded_books.add(1);
-        }
+        wobs.degraded_books.add(1);
     }
 }
 
 /// Leaves the degraded state after a successful save.
-fn heal(shared: &BookShared, wobs: &Option<WorkerObs>) {
+fn heal(shared: &BookShared, wobs: &WorkerObs) {
     if shared.heal() {
-        if let Some(o) = wobs {
-            o.degraded_books.sub(1);
-        }
+        wobs.degraded_books.sub(1);
     }
 }
 
@@ -1241,7 +1190,7 @@ fn worker_loop(
     mut backing: Backing,
     shared: Arc<BookShared>,
     opts: ServiceOptions,
-    wobs: Option<WorkerObs>,
+    wobs: WorkerObs,
 ) {
     'outer: loop {
         let Ok(msg) = rx.recv() else { break };
@@ -1263,36 +1212,30 @@ fn worker_loop(
                             Err(_) => break,
                         }
                     }
-                    if let Some(o) = &wobs {
-                        o.coalesce_batch.record(writes.len() as u64);
-                    }
+                    wobs.coalesce_batch.record(writes.len() as u64);
                     // The batch span parents under the first member's
                     // request; every other member gets a link span in
                     // its own trace carrying the batch's span id, so
                     // each request's tree reaches the batch it rode in.
-                    let mut batch_guard = wobs.as_ref().map(|o| {
-                        o.tracer.span_guard_under("worker.batch", SpanCat::Request, writes[0].1)
-                    });
-                    if let (Some(o), Some(g)) = (&wobs, &batch_guard) {
-                        let now = o.tracer.now_ns();
-                        for (_, mctx, _) in writes.iter().skip(1) {
-                            o.tracer.record_at(
-                                "worker.coalesced",
-                                SpanCat::Request,
-                                o.tracer.child_of(*mctx),
-                                now,
-                                0,
-                                g.context().span_id,
-                                0,
-                            );
-                        }
+                    let tracer = &wobs.tracer;
+                    let mut batch_guard =
+                        tracer.span_guard_under("worker.batch", SpanCat::Request, writes[0].1);
+                    let now = tracer.now_ns();
+                    for (_, mctx, _) in writes.iter().skip(1) {
+                        tracer.record_at(
+                            "worker.coalesced",
+                            SpanCat::Request,
+                            tracer.child_of(*mctx),
+                            now,
+                            0,
+                            batch_guard.context().span_id,
+                            0,
+                        );
                     }
-                    if let Some(g) = batch_guard.as_mut() {
-                        // Recorded at drop (inside `apply_writes`,
-                        // before replies go out — the batch span must
-                        // close before any member request span can).
-                        g.a = writes.len() as u64;
-                    }
+                    // Recorded at drop (inside `apply_writes`, before
+                    // replies go out — the batch span must close before
+                    // any member request span can).
+                    batch_guard.a = writes.len() as u64;
                     apply_writes(&mut backing, &shared, &opts, &wobs, batch_guard, writes);
                 }
                 WorkerMsg::Graph { dependents, sheet, range, ctx, reply } => {
@@ -1316,33 +1259,28 @@ fn worker_loop(
                     };
                     let _ = reply.send(resp);
                 }
-                WorkerMsg::Recalc { ctx, reply } => {
+                // Recalculated values are derivable, so nothing is
+                // logged: both backings go straight to the workbook.
+                WorkerMsg::Recalc { viewport, fetch, ctx, reply } => {
                     let _span = ctx.enter();
-                    let evaluated = backing.recalculate(opts.recalc_mode) as u64;
-                    shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
-                    let epoch = publish(&shared, &wobs, backing.workbook(), &Changes::default());
-                    let _ = reply.send(Response::Recalced { evaluated, epoch });
-                }
-                WorkerMsg::Demand { sheet, range, fetch, ctx, reply } => {
-                    let _span = ctx.enter();
-                    let resp = if (sheet as usize) >= backing.workbook().sheet_count() {
-                        Response::Err(ServiceError::NoSuchSheet(format!("#{sheet}")))
-                    } else {
-                        let sid = SheetId(sheet as usize);
-                        match backing.recalc_demand(sid, range, opts.recalc_mode) {
-                            Ok(evaluated) => {
-                                shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
-                                let wb = backing.workbook();
-                                let epoch = publish(&shared, &wobs, wb, &Changes::default());
-                                if fetch {
+                    let wb = backing.workbook_mut();
+                    let evaluated = match viewport {
+                        None => Ok(wb.recalculate(opts.recalc_mode)),
+                        Some((sheet, range)) => wb
+                            .recalc_demand(SheetId(sheet as usize), range, opts.recalc_mode)
+                            .map_err(|_| ServiceError::NoSuchSheet(format!("#{sheet}"))),
+                    };
+                    let resp = match evaluated {
+                        Err(e) => Response::Err(e),
+                        Ok(evaluated) => {
+                            shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
+                            let epoch = publish(&shared, &wobs, wb, &Changes::default());
+                            match viewport.filter(|_| fetch) {
+                                Some((sheet, range)) => {
                                     let snap = Arc::clone(&shared.snapshot.read());
                                     Response::Cells(snap.cells_in(sheet as usize, range))
-                                } else {
-                                    Response::Recalced { evaluated: evaluated as u64, epoch }
                                 }
-                            }
-                            Err(e) => {
-                                Response::Err(ServiceError::BadRequest(format!("recalc: {e}")))
+                                None => Response::Recalced { evaluated: evaluated as u64, epoch },
                             }
                         }
                     };
@@ -1397,7 +1335,7 @@ fn worker_loop(
 fn apply_records(
     backing: &mut Backing,
     shared: &BookShared,
-    wobs: &Option<WorkerObs>,
+    wobs: &WorkerObs,
     mut records: &[EditRecord],
     results: &mut Vec<Result<u64, ServiceError>>,
 ) {
@@ -1437,8 +1375,8 @@ fn apply_writes(
     backing: &mut Backing,
     shared: &Arc<BookShared>,
     opts: &ServiceOptions,
-    wobs: &Option<WorkerObs>,
-    batch_guard: Option<taco_obs::SpanGuard>,
+    wobs: &WorkerObs,
+    batch_guard: taco_obs::SpanGuard,
     writes: Vec<(WriteOp, TraceContext, Sender<Response>)>,
 ) {
     // The ops move into their batches; each gets one result, in order,
@@ -1493,7 +1431,7 @@ fn apply_writes(
     }
     // One recalculation for everything the run dirtied, then one
     // publication, then the replies (which carry the new epoch).
-    backing.recalculate(opts.recalc_mode);
+    backing.workbook_mut().recalculate(opts.recalc_mode);
     shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
     let epoch = publish(shared, wobs, backing.workbook(), &changes);
     // Close the batch span before any reply: a member request's root
@@ -1654,7 +1592,7 @@ mod tests {
     }
 
     fn bands_rebuilt(reg: &Registry) -> u64 {
-        reg.obs().unwrap().snapshot().counter("taco_snapshot_bands_rebuilt_total").unwrap()
+        reg.obs().snapshot().counter("taco_snapshot_bands_rebuilt_total").unwrap()
     }
 
     #[test]
@@ -1859,8 +1797,11 @@ mod tests {
             WriteOp::Edit(set("A77", 7.0)),
             fill("A1", "D1:D9"),
         ];
-        let writes = ops.into_iter().map(|op| (op, TraceContext::NONE, tx.clone())).collect();
-        apply_writes(&mut backing, &shared, &ServiceOptions::default(), &None, None, writes);
+        let writes: Vec<_> =
+            ops.into_iter().map(|op| (op, TraceContext::NONE, tx.clone())).collect();
+        let wobs = WorkerObs::of(&ServiceObs::new(taco_obs::Obs::new_default()));
+        let batch = wobs.tracer.span_guard_under("worker.batch", SpanCat::Request, writes[0].1);
+        apply_writes(&mut backing, &shared, &ServiceOptions::default(), &wobs, batch, writes);
         let replies: Vec<Response> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
         let applied: Vec<bool> =
             replies.iter().map(|r| matches!(r, Response::Applied { epoch: 1, .. })).collect();

@@ -275,19 +275,3 @@ fn refusals_are_counted_busy_auth_and_scope() {
     server.shutdown();
     registry.shutdown();
 }
-
-#[test]
-fn metrics_disabled_registry_answers_bad_request() {
-    let registry = Arc::new(Registry::new(ServiceOptions { obs: false, ..Default::default() }));
-    registry.add_workbook("plain", demo_workbook(), None).unwrap();
-    let server =
-        Server::start(Arc::clone(&registry), "127.0.0.1:0", ServerOptions::default()).unwrap();
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
-    client.open("plain", None, None).unwrap();
-    // Everything else works; Metrics is a typed refusal, not a hang.
-    assert_eq!(client.get("Data", c("B1")).unwrap(), n(36.0));
-    assert!(matches!(client.metrics(), Err(ServiceError::BadRequest(_))));
-    assert!(registry.obs().is_none());
-    server.shutdown();
-    registry.shutdown();
-}

@@ -128,7 +128,7 @@ fn storage_fault_degrades_workbook_and_save_heals_it() {
     let popts = PersistOptions { compact_after_records: 0, sync_every_records: 1 };
     let pers = PersistentWorkbook::create_with(disk, Path::new("book.taco"), wb, popts).unwrap();
 
-    let reg = Arc::new(Registry::new(ServiceOptions { obs: true, ..ServiceOptions::default() }));
+    let reg = Arc::new(Registry::new(ServiceOptions::default()));
     reg.add_persistent("book", pers, None).unwrap();
     let mut client = InProcClient::in_process(Arc::clone(&reg));
     client.open("book", None, None).unwrap();

@@ -13,7 +13,7 @@ use taco_engine::{PersistOptions, PersistentWorkbook, RecalcMode, Workbook};
 use taco_formula::Value;
 use taco_grid::{Cell, Range};
 use taco_obs::{ObsOptions, SlowSpan, SpanCat, TraceContext, TraceDump, TracerOptions};
-use taco_service::{Registry, Server, ServerOptions, ServiceError, ServiceOptions, TcpClient};
+use taco_service::{Registry, Server, ServerOptions, ServiceOptions, TcpClient};
 
 fn n(v: f64) -> Value {
     Value::Number(v)
@@ -205,15 +205,4 @@ fn untraced_and_disabled_paths_still_answer() {
     );
     server.shutdown();
     registry.shutdown();
-
-    let no_obs = Arc::new(Registry::new(ServiceOptions { obs: false, ..Default::default() }));
-    no_obs.add_workbook("plain", chained_workbook(10, true), None).unwrap();
-    let server =
-        Server::start(Arc::clone(&no_obs), "127.0.0.1:0", ServerOptions::default()).unwrap();
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
-    client.set_trace(client_ctx());
-    client.open("plain", None, None).unwrap();
-    assert!(matches!(client.trace_dump(), Err(ServiceError::BadRequest(_))));
-    server.shutdown();
-    no_obs.shutdown();
 }

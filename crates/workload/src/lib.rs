@@ -8,11 +8,10 @@
 //! derived columns, the multi-reference Fig. 2 shape, and noise — with
 //! per-sheet sizes and tail behaviour (max dependents, longest paths)
 //! shaped like Fig. 1. [`corpus`] provides the calibrated `enron_like()`
-//! and `github_like()` presets; [`workbook`] assembles sheets into
-//! multi-sheet workbooks with a tunable fraction of cross-sheet FF/chain
-//! dependencies; [`persistence`]
-//! emits full edit scripts (values + formula text) for the save → edit
-//! burst → crash-simulated reopen workload; [`service`] emits
+//! and `github_like()` presets; [`persistence`] emits full edit scripts
+//! (values + formula text, cross-sheet rollups and carry chains between
+//! consecutive sheets) for the save → edit burst → crash-simulated
+//! reopen workload; [`service`] emits
 //! deterministic multi-client read/write scripts (reader-heavy,
 //! writer-heavy, and mixed presets with zipf-skewed cell targets) for the
 //! `taco_service` serving layer, replayable in-process and over TCP.
@@ -24,7 +23,6 @@ pub mod corpus;
 pub mod generator;
 pub mod persistence;
 pub mod service;
-pub mod workbook;
 
 pub use corpus::{enron_like, github_like, CorpusParams};
 pub use generator::{Region, SheetParams, SyntheticSheet};
@@ -36,4 +34,3 @@ pub use service::{
     gen_service_script, mixed, reader_heavy, writer_heavy, ClientOp, ServiceScript,
     ServiceScriptParams,
 };
-pub use workbook::{gen_workbook, CrossDep, SyntheticWorkbook, WorkbookParams};
