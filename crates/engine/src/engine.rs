@@ -381,11 +381,6 @@ pub struct Engine {
     /// Total formula evaluations performed over the engine's lifetime
     /// (the recalc counter demand-driven tests assert on).
     evaluated_total: u64,
-    /// When `true`, every recalculation records its evaluation order
-    /// (see [`Engine::take_eval_trace`]).
-    trace_enabled: bool,
-    /// Evaluation order of the most recent recalculation, if tracing.
-    trace: Vec<Cell>,
     /// Recalculation profiler mode (default off).
     profile: ProfileMode,
     /// Neighbor lists built so far (test instrumentation: a pass builds
@@ -417,8 +412,6 @@ impl Engine {
             runs_alive: Arc::default(),
             clock: EvalClock::default(),
             evaluated_total: 0,
-            trace_enabled: false,
-            trace: Vec::new(),
             profile: ProfileMode::default(),
             #[cfg(test)]
             nbr_lists: Default::default(),
@@ -517,23 +510,6 @@ impl Engine {
     /// the counter demand-driven recalculation is asserted against.
     pub fn evaluated_total(&self) -> u64 {
         self.evaluated_total
-    }
-
-    /// Enables or disables evaluation-order tracing (see
-    /// [`Engine::take_eval_trace`]).
-    pub fn set_trace_enabled(&mut self, on: bool) {
-        self.trace_enabled = on;
-        if !on {
-            self.trace = Vec::new();
-        }
-    }
-
-    /// Takes the evaluation order of the most recent recalculation
-    /// (tracing must be enabled first). The scheduler's invariant is that
-    /// every cell's dirty precedents come strictly earlier (cycle members
-    /// excepted).
-    pub fn take_eval_trace(&mut self) -> Vec<Cell> {
-        std::mem::take(&mut self.trace)
     }
 
     /// Names the sheet (workbook mounting).
@@ -707,11 +683,7 @@ impl Engine {
     /// dirty.
     pub(crate) fn set_run(&mut self, cell: Cell, run: Arc<Run>) -> EditReceipt {
         self.detach_formula(cell);
-        for (sheet, rref) in run.at(cell).reads() {
-            if self.is_local(sheet) {
-                self.graph.add_dependency(&Dependency::from_ref(&rref, cell));
-            }
-        }
+        self.attach_reads(cell, &run);
         self.put_cell(cell, CellContent::formula_cell(run, Value::Empty));
         self.cells.mark_dirty(cell);
         self.mark_dependents_dirty(Range::cell(cell))
@@ -752,6 +724,16 @@ impl Engine {
         } else {
             Run::new(Template::printed(at.to_ast()), src, &self.runs_alive)
         })
+    }
+
+    /// Registers with the graph what `run`'s formula reads, at `cell`, on
+    /// this sheet.
+    pub(crate) fn attach_reads(&mut self, cell: Cell, run: &Run) {
+        for (sheet, rref) in run.at(cell).reads() {
+            if self.is_local(sheet) {
+                self.graph.add_dependency(&Dependency::from_ref(&rref, cell));
+            }
+        }
     }
 
     /// Removes the graph dependencies of a formula cell before overwriting.
@@ -815,8 +797,11 @@ impl Engine {
         self.evaluate_ordered(&NoExternal)
     }
 
-    /// The pass's evaluation order so far.
-    pub(crate) fn ordered(&self) -> &[Cell] {
+    /// The evaluation order of the pass under way, or of the most recent
+    /// one until the next begins. The scheduler's invariant is that every
+    /// cell's dirty precedents come strictly earlier (cycle members
+    /// excepted).
+    pub fn ordered(&self) -> &[Cell] {
         &self.recalc.order
     }
 
@@ -896,7 +881,6 @@ impl Engine {
         // mutably; it goes back (capacity intact) afterwards.
         let order = std::mem::take(&mut self.recalc.order);
         let evaluated = order.len();
-        self.trace.clear();
         for &cell in &order {
             let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
             let Some(value) = self.eval_cell(cell, ext) else { continue };
@@ -905,9 +889,6 @@ impl Engine {
                 push_hot(&mut self.recalc.prof_top, cell, ns);
             }
             self.store_result(cell, value);
-            if self.trace_enabled {
-                self.trace.push(cell);
-            }
         }
         if let Some(start) = pass_start {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -1,18 +1,17 @@
-//! Engine observability: pre-registered handle bundles the workbook and
-//! persistence layers record through. All registration (name lookups,
-//! label formatting, handle allocation) happens on the cold attach path;
-//! the recalculation and WAL hot paths then record through plain field
-//! access — atomic counter bumps, histogram bucket bumps, and fixed-size
-//! span pushes, none of which allocate.
+//! Engine observability: the pre-registered handle bundle a workbook
+//! records through (its WAL records through `taco_store::WalObs`). All
+//! registration (name lookups, label formatting, handle allocation)
+//! happens on the cold attach path; the recalculation hot path then
+//! records through plain field access — atomic counter bumps, histogram
+//! bucket bumps, and fixed-size span pushes, none of which allocate.
 
 use crate::engine::Engine;
-use std::time::Instant;
 use taco_core::StatsScratch;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
 pub struct EngineObs {
-    /// `taco_recalc_ns` — full-recalc wall time.
+    /// `taco_recalc_ns` — what each `workbook.recalc` span measured.
     recalc_ns: Histogram,
     /// `taco_recalc_cells` — cells evaluated per recalculation.
     recalc_cells: Histogram,
@@ -102,22 +101,16 @@ impl EngineObs {
     /// Starts the `workbook.recalc` span as a tree-building guard: the
     /// per-level spans recorded while it is live nest under it, and it
     /// nests under whatever request context the calling thread carries.
-    /// Set `a` (cells) and `b` (levels) before it drops.
+    /// Set `a` (cells) and `b` (levels) before finishing it; the duration
+    /// [`SpanGuard::finish`] returns goes to [`EngineObs::on_recalc`].
     pub(crate) fn recalc_guard(&self) -> SpanGuard {
         self.tracer.span_guard("workbook.recalc", SpanCat::Recalc)
     }
 
-    /// Records one completed full recalculation's metrics (the span
-    /// itself is the [`EngineObs::recalc_guard`]).
-    pub(crate) fn on_recalc(
-        &self,
-        start: Instant,
-        cells: usize,
-        levels: usize,
-        dirty_before: usize,
-    ) {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.recalc_ns.record(dur);
+    /// Records one completed recalculation's metrics; `dur_ns` is what
+    /// its [`EngineObs::recalc_guard`] span recorded.
+    pub(crate) fn on_recalc(&self, dur_ns: u64, cells: usize, levels: usize, dirty_before: usize) {
+        self.recalc_ns.record(dur_ns);
         self.recalc_cells.record(cells as u64);
         self.recalc_levels.record(levels as u64);
         self.dirty_depth.record(dirty_before as u64);
@@ -139,11 +132,11 @@ impl EngineObs {
     }
 
     /// Records the needed-set size of one demand-driven recalculation,
-    /// plus the `demand.expand` span covering the closure walk itself.
-    pub(crate) fn on_demand_expand(&self, start: Instant, start_ns: u64, closure: usize) {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// plus the `demand.expand` span covering the closure walk itself
+    /// (begun at `start_ns`).
+    pub(crate) fn on_demand_expand(&self, start_ns: u64, closure: usize) {
         self.demand_closure_cells.record(closure as u64);
-        self.tracer.record("demand.expand", SpanCat::Demand, start_ns, dur, closure as u64, 0);
+        self.tracer.record_since("demand.expand", SpanCat::Demand, start_ns, closure as u64, 0);
     }
 
     /// Feeds one sheet's profiler buffers into the `taco_profile_*`
@@ -201,42 +194,7 @@ impl EngineObs {
         }
     }
 
-    /// The hub clock, for span start stamps.
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.tracer.now_ns()
-    }
-}
-
-/// Metric handles for one [`crate::PersistentWorkbook`]'s durability
-/// layer: compaction accounting here, per-append/fsync accounting in the
-/// WAL's own [`taco_store::WalObs`] bundle.
-pub struct PersistObs {
-    /// `taco_wal_compactions_total` — WAL folds into fresh snapshots.
-    compactions: Counter,
-    /// `taco_compaction_ns` — snapshot-write + log-reset latency.
-    compaction_ns: Histogram,
-    tracer: Tracer,
-}
-
-impl PersistObs {
-    /// Registers the persistence metric set against `obs`.
-    pub(crate) fn new(obs: &Obs) -> PersistObs {
-        PersistObs {
-            compactions: obs.metrics.counter("taco_wal_compactions_total"),
-            compaction_ns: obs.metrics.histogram("taco_compaction_ns"),
-            tracer: obs.tracer.clone(),
-        }
-    }
-
-    /// Records one completed compaction of `folded` WAL records.
-    pub(crate) fn on_compaction(&self, start: Instant, start_ns: u64, folded: u64) {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.compactions.inc();
-        self.compaction_ns.record(dur);
-        self.tracer.record("wal.compact", SpanCat::Compaction, start_ns, dur, folded, 0);
-    }
-
-    /// The hub clock, for span start stamps.
+    /// The hub clock: the start stamp of a timed region.
     pub(crate) fn now_ns(&self) -> u64 {
         self.tracer.now_ns()
     }

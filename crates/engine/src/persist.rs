@@ -25,12 +25,12 @@ use crate::sheet::CellContent;
 use crate::workbook::{CrossEdge, SheetId, Workbook};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 use taco_core::FormulaGraph;
 use taco_grid::Cell;
 use taco_store::{
     std_vfs, write_workbook_file, write_workbook_file_with, CellRecord, CrossEdgeImage, EditRecord,
-    ReplayMode, SheetImage, StoreError, StoreReader, Vfs, WalReader, WalWriter, WorkbookImage,
+    ReplayMode, SheetImage, StoreError, StoreReader, Vfs, WalReader, WalReplay, WalWriter,
+    WorkbookImage,
 };
 
 /// The sidecar WAL path for a snapshot at `path`: `<path>.wal`.
@@ -59,19 +59,30 @@ fn sheet_image(engine: &Engine, name: String) -> SheetImage {
     SheetImage { name, cells, dirty: engine.dirty_cells_sorted(), graph: engine.graph().snapshot() }
 }
 
-/// Puts a stored cell record back at `cell`: a formula — records arrive
-/// in `(col, row)` order — back in the run of the cell above or to the
-/// left if it is that run's next cell, re-parsed if not.
-fn restore_cell(engine: &mut Engine, cell: Cell, rec: CellRecord) -> Result<(), StoreError> {
-    let content = match rec {
-        CellRecord::Pure(v) => CellContent::pure(v),
-        CellRecord::Formula { src, value } => {
-            let run =
-                engine.run_for(cell, &src).map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            CellContent::formula_cell(run, value)
-        }
-    };
-    engine.put_cell(cell, content);
+/// Puts a stored sheet's cells and dirty marks into `engine`, whose graph
+/// was restored from the same image. Records arrive in `(col, row)`
+/// order: a formula goes back in the run of the cell above or to the left
+/// if it is that run's next cell, and is re-parsed if not.
+fn restore_sheet(
+    engine: &mut Engine,
+    cells: Vec<(Cell, CellRecord)>,
+    dirty: Vec<Cell>,
+) -> Result<(), StoreError> {
+    for (cell, rec) in cells {
+        let content = match rec {
+            CellRecord::Pure(v) => CellContent::pure(v),
+            CellRecord::Formula { src, value } => {
+                let run = engine
+                    .run_for(cell, &src)
+                    .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
+                CellContent::formula_cell(run, value)
+            }
+        };
+        engine.put_cell(cell, content);
+    }
+    for cell in dirty {
+        engine.mark_cell_dirty(cell);
+    }
     Ok(())
 }
 
@@ -117,13 +128,7 @@ impl Workbook {
             let id = wb
                 .add_sheet_unbound(&sheet.name, graph)
                 .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            let engine = wb.engine_mut(id.index());
-            for (cell, rec) in sheet.cells {
-                restore_cell(engine, cell, rec)?;
-            }
-            for cell in sheet.dirty {
-                engine.mark_cell_dirty(cell);
-            }
+            restore_sheet(wb.engine_mut(id.index()), sheet.cells, sheet.dirty)?;
         }
         for e in image.cross {
             let (src, dst) = (e.src as usize, e.dst as usize);
@@ -163,9 +168,7 @@ impl Workbook {
             Ok(reader) => reader.epoch() + 1,
             Err(_) => 1,
         };
-        let mut image = self.to_image();
-        image.epoch = epoch;
-        write_workbook_file_with(vfs.as_ref(), path, &image)?;
+        self.write_snapshot(vfs.as_ref(), path, epoch)?;
         let wal = wal_path(path);
         if vfs.exists(&wal) {
             WalWriter::create_with(vfs, &wal)?;
@@ -184,39 +187,49 @@ impl Workbook {
 
     /// [`Workbook::open`] through an explicit [`Vfs`].
     pub fn open_with(vfs: Arc<dyn Vfs>, path: &Path) -> Result<Self, StoreError> {
-        let reader = StoreReader::open_with(vfs.as_ref(), path)?;
-        let snapshot_epoch = reader.epoch();
-        let mut wb = Self::from_image(reader.read_all()?)?;
+        let (mut wb, epoch) = Self::open_snapshot(vfs.as_ref(), path)?;
         let wal = wal_path(path);
         if vfs.exists(&wal) {
-            let replay = WalReader::load_with(vfs.as_ref(), &wal, ReplayMode::TolerateTear)?;
-            for (rec, epoch) in replay.stamped() {
-                if epoch < snapshot_epoch {
-                    continue; // already folded into the snapshot
-                }
-                wb.replay_edit(rec)?;
-            }
+            let log = WalReader::load_with(vfs.as_ref(), &wal, ReplayMode::TolerateTear)?;
+            wb.replay(&log, epoch)?;
         }
         Ok(wb)
     }
 
-    /// [`Workbook::apply_edit`] with replay semantics: an `AddSheet` whose
-    /// name already exists is a no-op. Replay epochs make every other
-    /// record safe too — a crash between a snapshot write and the WAL
+    /// Writes the workbook as the snapshot at `path`, stamped with replay
+    /// epoch `epoch`.
+    fn write_snapshot(&self, vfs: &dyn Vfs, path: &Path, epoch: u64) -> Result<(), StoreError> {
+        let mut image = self.to_image();
+        image.epoch = epoch;
+        write_workbook_file_with(vfs, path, &image)
+    }
+
+    /// Reads the snapshot at `path`: the workbook and its replay epoch.
+    fn open_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<(Self, u64), StoreError> {
+        let reader = StoreReader::open_with(vfs, path)?;
+        Ok((Self::from_image(reader.read_all()?)?, reader.epoch()))
+    }
+
+    /// Replays `log` over a workbook opened from a snapshot at `epoch`,
+    /// through [`Workbook::apply_edit`]. Records stamped with an older
+    /// epoch are skipped: a crash between a snapshot write and the WAL
     /// truncation ([`Self::save`], [`PersistentWorkbook::compact`])
-    /// leaves already-folded edits in the log, but they carry an older
-    /// epoch than the fresh snapshot and never reach this function. The
-    /// `AddSheet` check remains for a snapshot written *without* a stamp
-    /// over a live log (`taco_store::write_workbook_file` of a bare
+    /// leaves already-folded edits in the log behind a snapshot one
+    /// epoch higher. An `AddSheet` whose name already exists is a no-op,
+    /// for a snapshot written *without* a stamp over a live log
+    /// (`taco_store::write_workbook_file` of a bare
     /// [`Workbook::to_image`], epoch 0): every record then replays, and
     /// `AddSheet` is the one a second application refuses.
-    fn replay_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
-        if let EditRecord::AddSheet { name } = rec {
-            if self.sheet_id(name).is_some() {
-                return Ok(());
+    fn replay(&mut self, log: &WalReplay, epoch: u64) -> Result<(), StoreError> {
+        for (rec, rec_epoch) in log.stamped() {
+            let folded = rec_epoch < epoch;
+            let known_sheet =
+                matches!(rec, EditRecord::AddSheet { name } if self.sheet_id(name).is_some());
+            if !folded && !known_sheet {
+                self.apply_edit(rec)?;
             }
         }
-        self.apply_edit(rec)
+        Ok(())
     }
 }
 
@@ -254,8 +267,6 @@ pub struct PersistentWorkbook {
     /// Whether the open-time replay truncated a torn WAL tail; folded
     /// into `taco_wal_torn_recoveries_total` when obs is attached.
     replay_torn: bool,
-    /// Compaction metric handles, when attached to an obs hub.
-    obs: Option<crate::obs::PersistObs>,
 }
 
 impl PersistentWorkbook {
@@ -273,9 +284,7 @@ impl PersistentWorkbook {
         wb: Workbook,
         opts: PersistOptions,
     ) -> Result<Self, StoreError> {
-        let mut image = wb.to_image();
-        image.epoch = 1;
-        write_workbook_file_with(vfs.as_ref(), path, &image)?;
+        wb.write_snapshot(vfs.as_ref(), path, 1)?;
         let mut wal = WalWriter::create_with(Arc::clone(&vfs), &wal_path(path))?;
         wal.set_epoch(1);
         Ok(PersistentWorkbook {
@@ -287,7 +296,6 @@ impl PersistentWorkbook {
             opts,
             appended_since_sync: 0,
             replay_torn: false,
-            obs: None,
         })
     }
 
@@ -306,16 +314,9 @@ impl PersistentWorkbook {
         path: &Path,
         opts: PersistOptions,
     ) -> Result<Self, StoreError> {
-        let reader = StoreReader::open_with(vfs.as_ref(), path)?;
-        let epoch = reader.epoch();
-        let mut wb = Workbook::from_image(reader.read_all()?)?;
+        let (mut wb, epoch) = Workbook::open_snapshot(vfs.as_ref(), path)?;
         let (mut wal, replay) = WalWriter::open_append_with(Arc::clone(&vfs), &wal_path(path))?;
-        for (rec, rec_epoch) in replay.stamped() {
-            if rec_epoch < epoch {
-                continue; // already folded into the snapshot
-            }
-            wb.replay_edit(rec)?;
-        }
+        wb.replay(&replay, epoch)?;
         wal.set_epoch(epoch);
         Ok(PersistentWorkbook {
             wb,
@@ -326,7 +327,6 @@ impl PersistentWorkbook {
             opts,
             appended_since_sync: 0,
             replay_torn: replay.torn.is_some(),
-            obs: None,
         })
     }
 
@@ -344,7 +344,6 @@ impl PersistentWorkbook {
             self.replay_torn = false;
         }
         self.wal.set_obs(walobs);
-        self.obs = Some(crate::obs::PersistObs::new(obs));
     }
 
     /// Read access to the live workbook.
@@ -441,18 +440,12 @@ impl PersistentWorkbook {
     /// reopen skips every one of them, including structural edits,
     /// which a naive double replay would shift twice.
     pub fn compact(&mut self) -> Result<(), StoreError> {
-        let timing = self.obs.as_ref().map(|o| (Instant::now(), o.now_ns()));
-        let folded = self.wal.record_count();
-        let mut image = self.wb.to_image();
-        image.epoch = self.epoch + 1;
-        write_workbook_file_with(self.vfs.as_ref(), &self.path, &image)?;
+        let started = self.wal.now_ns();
+        self.wb.write_snapshot(self.vfs.as_ref(), &self.path, self.epoch + 1)?;
         self.epoch += 1;
         self.wal.set_epoch(self.epoch);
-        self.wal.reset()?;
+        self.wal.reset(started)?;
         self.appended_since_sync = 0;
-        if let (Some(o), Some((start, start_ns))) = (self.obs.as_ref(), timing) {
-            o.on_compaction(start, start_ns, folded);
-        }
         Ok(())
     }
 
@@ -498,12 +491,7 @@ pub fn open_engine(path: &Path) -> Result<Engine, StoreError> {
     // Restore the sheet name: self-qualified references (`Data!A1` inside
     // `Data`) must keep resolving locally after reopen.
     engine.set_sheet_name(sheet.name);
-    for (cell, rec) in sheet.cells {
-        restore_cell(&mut engine, cell, rec)?;
-    }
-    for cell in sheet.dirty {
-        engine.mark_cell_dirty(cell);
-    }
+    restore_sheet(&mut engine, sheet.cells, sheet.dirty)?;
     Ok(engine)
 }
 

@@ -8,7 +8,7 @@ use taco_core::StructuralOp;
 use taco_formula::template::At;
 use taco_formula::{Expr, Template};
 use taco_grid::a1::{CellRef, RangeRef, SheetRef};
-use taco_grid::Range;
+use taco_grid::{Cell, Range};
 
 /// Whether a reference qualified with `sheet` names cells of the edited
 /// sheet, `own`. A formula on the edited sheet itself (`local`) reaches it
@@ -131,13 +131,23 @@ impl Engine {
     /// (rows inserted above it) is one run afterwards, a run the band
     /// splits is two.
     pub fn apply_structural(&mut self, op: StructuralOp) -> EditReceipt {
+        self.restructure(op).0
+    }
+
+    /// [`Self::apply_structural`], also naming the formula cells whose
+    /// reads were registered afresh: the graph moves a dependency the way
+    /// its two ends move, but the sum range of a `SUMIF`/`AVERAGEIF`
+    /// takes its shape from the criteria range, so once the edit has
+    /// touched such a formula the graph holds what the formula now reads
+    /// instead. (Their cross-sheet reads are the workbook's to redo.)
+    pub(crate) fn restructure(&mut self, op: StructuralOp) -> (EditReceipt, Vec<Cell>) {
         let start = Instant::now();
         let own = self.sheet_name().map(str::to_string);
         let own = own.as_deref();
         self.graph_mut().apply_structural(op);
         let old = self.take_cells();
         let old_dirty = old.dirty().to_vec();
-        let mut changed = Vec::new();
+        let (mut changed, mut reshaped) = (Vec::new(), Vec::new());
         for (cell, content) in old.into_cells() {
             let Some(nc) = op.map_cell(cell) else { continue };
             let CellContent { value, run } = content;
@@ -146,22 +156,24 @@ impl Engine {
                 continue;
             };
             let at = run.at(cell);
-            let moved = match restate(op, own, at, true) {
-                Restated::Rewritten(ast) => {
-                    changed.push(nc);
-                    Some(Template::printed(ast))
-                }
-                restated => {
-                    if matches!(restated, Restated::Disturbed) {
-                        changed.push(nc);
-                    }
-                    (nc != cell).then(|| at.to_template())
-                }
+            let restated = restate(op, own, at, true);
+            let touched = !matches!(restated, Restated::Untouched);
+            if touched {
+                changed.push(nc);
+            }
+            let moved = match restated {
+                Restated::Rewritten(ast) => Some(Template::printed(ast)),
+                _ => (nc != cell).then(|| at.to_template()),
             };
             let run = match moved {
                 Some(formula) => self.run_of(nc, formula),
                 None => run,
             };
+            if touched && run.template().shapes_reads() {
+                self.graph_mut().clear_cells(Range::cell(nc));
+                self.attach_reads(nc, &run);
+                reshaped.push(nc);
+            }
             self.put_cell(nc, CellContent::formula_cell(run, value));
         }
         for cell in old_dirty {
@@ -177,7 +189,7 @@ impl Engine {
             dirty.push(Range::cell(nc));
             dirty.extend(dependents);
         }
-        EditReceipt { dirty, control_latency: start.elapsed() }
+        (EditReceipt { dirty, control_latency: start.elapsed() }, reshaped)
     }
 }
 
@@ -367,6 +379,51 @@ mod tests {
         e.recalculate();
         assert_eq!(e.formula_of(c("C1")).unwrap(), "#REF!*2");
         assert_eq!(e.value(c("C1")), Value::Error(CellError::Ref));
+    }
+
+    /// A `SUMIF` sum range is read in the shape of the criteria range, so
+    /// an edit that reshapes the criteria range changes which cells the
+    /// formula reads without touching the sum reference: the graph must
+    /// hold the new read, not the old one moved.
+    #[test]
+    fn a_reshaped_criteria_range_moves_what_the_sum_range_reads() {
+        let mut e = Engine::with_taco();
+        for row in 1..=8u32 {
+            e.set_value(Cell::new(2, row), n(f64::from(row)));
+        }
+        e.set_value(c("A5"), n(1.0));
+        e.set_value(c("A6"), n(1.0));
+        e.set_formula(c("D1"), "=SUMIF(A5:A6,\">0\",B1:B2)").unwrap();
+        e.recalculate();
+        assert_eq!(e.value(c("D1")), n(3.0));
+        // Two rows inside the criteria range, below the sum reference:
+        // the criteria are A5 and A8 now, matched against B1 and B4.
+        e.insert_rows(6, 2);
+        assert_eq!(e.formula_of(c("D1")).unwrap(), "SUMIF(A5:A8,\">0\",B1:B2)");
+        e.recalculate();
+        assert_eq!(e.value(c("D1")), n(5.0));
+        // B4 is read only since the edit.
+        e.set_value(c("B4"), n(100.0));
+        assert_eq!(e.dirty_count(), 1, "the formula reads B4 now");
+        e.recalculate();
+        // A sheet typed in as this one now reads agrees, graph and value.
+        let mut rebuilt = Engine::with_taco();
+        for (cell, content) in e.cells() {
+            if let Some(formula) = content.formula(cell) {
+                rebuilt.set_formula(cell, &formula.to_string()).unwrap();
+            } else {
+                rebuilt.set_value(cell, content.value().clone());
+            }
+        }
+        rebuilt.recalculate();
+        let reads = |e: &Engine| {
+            let mut deps = e.graph().decompress_all();
+            deps.sort_unstable_by_key(|d| (d.dep, d.prec.head(), d.prec.tail()));
+            deps
+        };
+        assert_eq!(reads(&e), reads(&rebuilt));
+        assert_eq!(e.value(c("D1")), rebuilt.value(c("D1")));
+        assert_eq!(e.value(c("D1")), n(101.0));
     }
 
     #[test]

@@ -767,6 +767,14 @@ impl Workbook {
         if self.sheets[sid].engine.run_at(cell).is_some() {
             self.xedges.remove_dep(SheetId(sid), cell);
         }
+        self.bind_cross_reads(sid, cell, &run);
+        let receipt = self.sheets[sid].engine.set_run(cell, run);
+        Job::push_receipt(jobs, sid, Range::cell(cell), receipt);
+    }
+
+    /// Inserts one cross edge per distinct (sheet, range) that `run`'s
+    /// formula reads, at `cell` of sheet `sid`, on another sheet.
+    fn bind_cross_reads(&mut self, sid: usize, cell: Cell, run: &Run) {
         let mut added: Vec<(usize, Range)> = Vec::new();
         for (sheet, rref) in run.at(cell).reads() {
             let Some(sheet) = sheet else { continue };
@@ -774,7 +782,6 @@ impl Workbook {
                 continue; // self-qualified: the engine stores it locally
             }
             if let Some(&src) = self.index.get(&sheet.key()) {
-                // One edge per distinct (sheet, range) the formula reads.
                 let prec = rref.range();
                 if added.contains(&(src, prec)) {
                     continue;
@@ -791,8 +798,6 @@ impl Workbook {
             // until a sheet of that name appears (see
             // `rebind_dangling_refs`).
         }
-        let receipt = self.sheets[sid].engine.set_run(cell, run);
-        Job::push_receipt(jobs, sid, Range::cell(cell), receipt);
     }
 
     /// Stages a structural edit: local transform, cross-edge remap, and
@@ -816,13 +821,21 @@ impl Workbook {
         // Local transform. The receipt's dirty ranges are the formulas
         // whose value may change, so they double as hop origins: any
         // cross edge overlapping them routes dirtiness to other sheets.
-        let receipt = self.sheets[sid].engine.apply_structural(op);
+        let (receipt, reshaped) = self.sheets[sid].engine.restructure(op);
         jobs.extend(receipt.dirty.into_iter().map(|r| Job::expanded(sid, r)));
 
         // The edited sheet's own formulas moved; the edges they own
-        // follow them. (Their referenced ranges live on other sheets and
-        // are untouched by this edit.)
+        // follow them. Their referenced ranges live on other sheets and
+        // are untouched by this edit — except a sum range there that a
+        // criteria range here reshaped: those formulas' edges are bound
+        // afresh, like their local reads.
         self.xedges.remap_deps_on(sid, op);
+        for cell in reshaped {
+            self.xedges.remove_dep(SheetId(sid), cell);
+            if let Some(run) = self.sheets[sid].engine.run_at(cell).cloned() {
+                self.bind_cross_reads(sid, cell, &run);
+            }
+        }
 
         // Rewrite each referrer whose references into the edited sheet
         // actually move; identity rewrites are skipped so untouched
@@ -1088,10 +1101,10 @@ impl Workbook {
             None => self.dirty_count(),
             Some((sid, range)) => {
                 demand_span = self.obs.as_deref().map(|o| o.demand_guard());
-                let expand_timing = self.obs.as_deref().map(|o| (Instant::now(), o.now_ns()));
+                let expand_start = self.obs.as_deref().map(|o| o.now_ns());
                 let closure = self.order_viewport(sid, range);
-                if let (Some(o), Some((start, start_ns))) = (self.obs.as_deref(), expand_timing) {
-                    o.on_demand_expand(start, start_ns, closure);
+                if let (Some(o), Some(start_ns)) = (self.obs.as_deref(), expand_start) {
+                    o.on_demand_expand(start_ns, closure);
                 }
                 if let Some(g) = demand_span.as_mut() {
                     g.a = closure as u64;
@@ -1099,11 +1112,10 @@ impl Workbook {
                 closure
             }
         };
-        let timing = self.obs.as_deref().map(|_| Instant::now());
         // Tree-building span: per-level spans recorded below nest under
         // it, and it nests under the calling thread's ambient context
         // (the request span when a service worker drives this).
-        let mut recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
+        let recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
         let levels = self.levels();
         let Workbook { sheets, index, xedges, obs } = self;
         // A full pass orders a sheet when its turn comes, not before:
@@ -1152,13 +1164,10 @@ impl Workbook {
             }
             level_span.take();
         }
-        if let Some(g) = recalc_span.as_mut() {
+        if let (Some(o), Some(mut g)) = (obs.as_deref_mut(), recalc_span) {
             g.a = total as u64;
             g.b = levels_walked as u64;
-        }
-        drop(recalc_span);
-        if let (Some(o), Some(start)) = (obs.as_deref_mut(), timing) {
-            o.on_recalc(start, total, levels_walked, dirty_before);
+            o.on_recalc(g.finish(), total, levels_walked, dirty_before);
             for s in sheets.iter() {
                 let (levels, cells) = s.engine.profile_slices();
                 o.on_profile(levels, cells);
@@ -1816,6 +1825,34 @@ mod tests {
             "a deleted formula must no longer be routed to: {:?}",
             receipt.dirty
         );
+    }
+
+    /// The cross-sheet half of the engine's
+    /// `a_reshaped_criteria_range_moves_what_the_sum_range_reads`: the
+    /// criteria range is on the edited sheet, the sum range on another.
+    #[test]
+    fn a_reshaped_criteria_range_rebinds_a_sum_range_on_another_sheet() {
+        let (mut wb, data, summary) = two_sheet_book();
+        for row in 1..=8u32 {
+            wb.set_value(summary, Cell::new(26, row), n(f64::from(row)));
+        }
+        wb.set_value(data, c("C5"), n(1.0));
+        wb.set_value(data, c("C6"), n(1.0));
+        wb.set_formula(data, c("D1"), "=SUMIF(C5:C6,\">0\",'My Summary'!Z1:Z2)").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(data, c("D1")), n(3.0));
+        // The criteria become C5 and C8, matched against Z1 and Z4.
+        wb.insert_rows(data, 6, 2);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(data, c("D1")), n(5.0));
+        let receipt = wb.set_value(summary, c("Z4"), n(100.0));
+        assert!(
+            receipt.dirty.iter().any(|&(s, range)| s == data && range.contains_cell(c("D1"))),
+            "the formula reads Z4 now: {:?}",
+            receipt.dirty
+        );
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(data, c("D1")), n(101.0));
     }
 
     #[test]

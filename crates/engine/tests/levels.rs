@@ -1,5 +1,5 @@
-//! Structural test for the intra-sheet schedule: with evaluation-order
-//! tracing on, no formula may be evaluated before any of its precedents
+//! Structural test for the intra-sheet schedule: in a pass's order
+//! (`Engine::ordered`), no formula may come before any of its precedents
 //! that are part of the same dirty set. Checked over random acyclic
 //! corpora — the full first pass and the partial dirty sets later edits
 //! leave — plus a pinned cyclic case.
@@ -53,22 +53,22 @@ fn col_letter(c: u32) -> char {
     char::from(b'A' + (c - 1) as u8)
 }
 
-/// Flattens the trace into cell → position, checking no cell is
+/// Flattens a pass's order into cell → position, checking no cell is
 /// evaluated twice.
-fn position_index(trace: &[Cell]) -> HashMap<Cell, usize> {
+fn position_index(order: &[Cell]) -> HashMap<Cell, usize> {
     let mut at = HashMap::new();
-    for (i, &cell) in trace.iter().enumerate() {
+    for (i, &cell) in order.iter().enumerate() {
         assert!(at.insert(cell, i).is_none(), "cell {cell:?} evaluated twice");
     }
     at
 }
 
 /// Asserts the scheduling invariant against the formulas themselves:
-/// every traced cell's same-sheet precedents that were also evaluated
+/// every ordered cell's same-sheet precedents that were also evaluated
 /// this pass come strictly earlier.
 fn assert_precedence(e: &Engine, at: &HashMap<Cell, usize>) {
     for (&cell, &i) in at {
-        let src = e.formula_of(cell).expect("traced cells are formulae");
+        let src = e.formula_of(cell).expect("ordered cells are formulae");
         let f = Formula::parse(&src).expect("stored source parses");
         for qr in &f.refs {
             if qr.sheet.is_some() {
@@ -86,13 +86,13 @@ fn assert_precedence(e: &Engine, at: &HashMap<Cell, usize>) {
     }
 }
 
-/// One traced recalculation: the trace covers exactly the dirty set, in
-/// an order that respects precedence.
+/// One recalculation: the pass's order covers exactly the dirty set and
+/// respects precedence.
 fn check_pass(e: &mut Engine) {
     let dirty = e.dirty_count();
     let evaluated = e.recalculate();
-    let at = position_index(&e.take_eval_trace());
-    assert_eq!(at.len(), evaluated, "trace must cover every evaluated cell");
+    let at = position_index(e.ordered());
+    assert_eq!(at.len(), evaluated, "the order must cover every evaluated cell");
     assert_eq!(evaluated, dirty);
     assert_precedence(e, &at);
 }
@@ -102,7 +102,6 @@ fn check_pass(e: &mut Engine) {
 fn serial_schedule_satisfies_the_same_invariant() {
     for seed in 0..24u64 {
         let mut e = build_random(seed);
-        e.set_trace_enabled(true);
         check_pass(&mut e);
         // Data edits dirty a different slice of the sheet each time.
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1E7);
@@ -124,11 +123,10 @@ fn cycles_fall_back_without_breaking_the_acyclic_part() {
     e.set_formula(Cell::new(3, 1), "=B1*2").unwrap();
     e.set_formula(Cell::new(4, 1), "=E1+1").unwrap(); // 2-cycle D1 <-> E1
     e.set_formula(Cell::new(5, 1), "=D1+1").unwrap();
-    e.set_trace_enabled(true);
     let evaluated = e.recalculate();
     assert_eq!(evaluated, 4);
     // The acyclic chain still respects precedence...
-    let at = position_index(&e.take_eval_trace());
+    let at = position_index(e.ordered());
     assert!(at[&Cell::new(2, 1)] < at[&Cell::new(3, 1)]);
     // ...and the cycle members are errors.
     assert_eq!(e.value(Cell::new(3, 1)), Value::Number(8.0));

@@ -42,13 +42,10 @@ const CALC: SheetId = SheetId(1);
 /// aggregate beside a one-cell range spelled `B1:B1` (which prints as
 /// `B1`), and mixed `$` flags. Those two are not typed as the printer
 /// writes them, so their fills start a run the typed source is not part
-/// of. Column A and B hold data.
-///
-/// (No `SUMIF` with a sum range: a structural edit that changes the shape
-/// of its criteria range changes what it reads beyond what the graph's
-/// geometric rewrite of its dependencies follows — ROADMAP item 6 — and
-/// this suite is about runs.)
-const SEEDS: [&str; 7] = [
+/// of. Last, a `SUMIF` whose sum range is read in the shape of its
+/// criteria range, whatever a structural edit makes of either. Column A
+/// and B hold data.
+const SEEDS: [&str; 8] = [
     "SUM($A$1:A2)",
     "A2+B2*2",
     "SUM(A2:$A$24)",
@@ -56,6 +53,7 @@ const SEEDS: [&str; 7] = [
     "Data!A2*2+Calc!B2-'Data'!$B$1",
     "COUNTIF($A$1:A2,\">0\")*B1:B1+AVERAGE($A$1:B2)",
     "$A2+B$2+MAX($B$2:B2)",
+    "SUMIF($A$1:A2,\">0\",$B$1:B2)",
 ];
 const FIRST_FORMULA_COL: u32 = 3;
 /// One per seeded column, one more for each of the two sources typed as

@@ -138,6 +138,14 @@ impl Template {
         self.src == self.ast.to_string()
     }
 
+    /// Whether some range the formula reads is not one it names: the sum
+    /// range of a `SUMIF`/`AVERAGEIF`, read in the shape of the criteria
+    /// range. Where the references move apart (a structural edit), such a
+    /// read does not move with either of them.
+    pub fn shapes_reads(&self) -> bool {
+        self.reads.iter().any(|read| matches!(read, Read::Shaped { .. }))
+    }
+
     /// Whether the formula calls a volatile function (`NOW`, `TODAY`,
     /// `RAND`); no offset changes that.
     pub fn is_volatile(&self) -> bool {

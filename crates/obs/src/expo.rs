@@ -1,8 +1,7 @@
 //! Exposition: rendering a [`MetricsSnapshot`] as Prometheus text format
-//! or as a structured JSON document, and a [`TraceDump`] as Chrome
-//! `trace_event` JSON (loadable in `chrome://tracing` / Perfetto). All
-//! renderers are cold paths — they run when a snapshot is requested,
-//! never while recording.
+//! and a [`TraceDump`] as Chrome `trace_event` JSON (loadable in
+//! `chrome://tracing` / Perfetto). Both renderers are cold paths — they
+//! run when a snapshot is requested, never while recording.
 
 use crate::metrics::{bucket_upper, MetricsSnapshot};
 use crate::trace::{SlowSpan, TraceDump};
@@ -80,86 +79,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Renders the snapshot as a structured JSON document with
-    /// `counters`, `gauges`, `histograms`, and `slow_spans` sections.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"labels\":\"{}\",\"value\":{}}}",
-                json_escape(&c.name),
-                json_escape(&c.labels),
-                c.value
-            );
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"labels\":\"{}\",\"value\":{}}}",
-                json_escape(&g.name),
-                json_escape(&g.labels),
-                g.value
-            );
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"labels\":\"{}\",\"count\":{},\"sum\":{},\
-                 \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                json_escape(&h.name),
-                json_escape(&h.labels),
-                h.count,
-                h.sum,
-                h.p50,
-                h.p90,
-                h.p99
-            );
-            for (j, &(b, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", bucket_upper(b), n);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"slow_spans\":[");
-        for (i, s) in self.slow_spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"trace\":\"{:016x}{:016x}\",\
-                 \"span_id\":{},\"parent_id\":{},\
-                 \"start_ns\":{},\"dur_ns\":{},\"a\":{},\"b\":{}}}",
-                json_escape(&s.name),
-                s.cat.label(),
-                s.trace_hi,
-                s.trace_lo,
-                s.span_id,
-                s.parent_id,
-                s.start_ns,
-                s.dur_ns,
-                s.a,
-                s.b
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// One span as a Chrome `trace_event` complete event (`"ph":"X"`).
@@ -205,7 +124,7 @@ impl TraceDump {
 #[cfg(test)]
 mod tests {
     use crate::metrics::Registry;
-    use crate::trace::{SlowSpan, SpanCat};
+    use crate::trace::SpanCat;
 
     #[test]
     fn prometheus_text_has_types_buckets_and_quantiles() {
@@ -227,35 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn json_is_structurally_sound() {
-        let r = Registry::new();
-        r.counter("c").inc();
-        r.histogram("h").record(3);
-        let mut snap = r.snapshot();
-        snap.slow_spans.push(SlowSpan {
-            name: "recalc".into(),
-            cat: SpanCat::Recalc,
-            trace_hi: 0xDEAD,
-            trace_lo: 0xBEEF,
-            span_id: 5,
-            parent_id: 0,
-            start_ns: 1,
-            dur_ns: 2,
-            a: 3,
-            b: 4,
-        });
-        let json = snap.to_json();
-        // Balanced braces/brackets and the expected sections.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in ["\"counters\":", "\"gauges\":", "\"histograms\":", "\"slow_spans\":"] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.contains("\"cat\":\"recalc\""));
-        assert!(json.contains("\"buckets\":[[3,1]]"));
-    }
-
-    #[test]
     fn chrome_trace_export_is_balanced_and_complete() {
         use crate::trace::{ObsClock, Tracer, TracerOptions};
         use std::sync::atomic::AtomicU64;
@@ -267,7 +157,7 @@ mod tests {
             ..TracerOptions::default()
         });
         t.record("fast", SpanCat::Recalc, 0, 10, 1, 2);
-        t.record("slow\"quoted\"", SpanCat::WalFsync, 10, 5_000, 3, 4);
+        t.record("slow\"quoted\"\\", SpanCat::WalFsync, 10, 5_000, 3, 4);
         let dump = t.dump();
         let json = dump.to_chrome_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
@@ -278,14 +168,6 @@ mod tests {
             "one complete event per span: {json}"
         );
         assert!(json.contains("\"traceEvents\":["));
-        assert!(json.contains("slow\\\"quoted\\\""), "names are escaped: {json}");
-    }
-
-    #[test]
-    fn json_escapes_label_text() {
-        let r = Registry::new();
-        r.counter_with("c", "book=\"a\\b\"").inc();
-        let json = r.snapshot().to_json();
-        assert!(json.contains("book=\\\"a\\\\b\\\""), "got {json}");
+        assert!(json.contains("slow\\\"quoted\\\"\\\\"), "names are escaped: {json}");
     }
 }

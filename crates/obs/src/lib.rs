@@ -32,14 +32,17 @@
 //! Time is injected, à la the engine's `EvalClock`: [`ObsClock::Monotonic`]
 //! anchors an `Instant` at construction, [`ObsClock::Manual`] reads a
 //! shared atomic nanosecond counter so tests can drive spans
-//! deterministically.
+//! deterministically. That clock is the only one an instrumented region
+//! reads: [`Tracer::now_ns`] stamps its start, one closing call
+//! ([`Tracer::record_since`], [`SpanGuard::finish`]) reads the end,
+//! records the span and returns the duration, and that number is the
+//! sample the region's `*_ns` histogram gets.
 //!
 //! Exposition is pull-based: [`Registry::snapshot`] freezes every metric
 //! into a plain-data [`MetricsSnapshot`], renderable as Prometheus text
-//! ([`MetricsSnapshot::to_prometheus`]) or structured JSON
-//! ([`MetricsSnapshot::to_json`]), and encodable on the service wire by
-//! `taco_service` (this crate stays dependency-free; the codecs live with
-//! the protocol).
+//! ([`MetricsSnapshot::to_prometheus`]) and encodable on the service wire
+//! by `taco_service` (this crate stays dependency-free; the codecs live
+//! with the protocol).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,8 +56,8 @@ pub use metrics::{
     Registry, HIST_BUCKETS,
 };
 pub use trace::{
-    ContextGuard, ObsClock, SlowSpan, Span, SpanCat, SpanGuard, SpanRecord, TraceContext,
-    TraceDump, Tracer, TracerOptions,
+    ContextGuard, ObsClock, SlowSpan, SpanCat, SpanGuard, SpanRecord, TraceContext, TraceDump,
+    Tracer, TracerOptions,
 };
 
 use std::sync::Arc;

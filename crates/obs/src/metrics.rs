@@ -138,11 +138,6 @@ impl Histogram {
         self.inner.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
@@ -261,8 +256,8 @@ impl HistogramSnapshot {
 
 /// A frozen view of the whole registry (plus the tracer's slow-op log
 /// when taken through [`crate::Obs::snapshot`]). Plain data: renderable
-/// ([`MetricsSnapshot::to_prometheus`], [`MetricsSnapshot::to_json`]) and
-/// wire-encodable by the service protocol.
+/// ([`MetricsSnapshot::to_prometheus`]) and wire-encodable by the service
+/// protocol.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// All counters, in registration order.

@@ -423,6 +423,24 @@ impl Tracer {
         self.record_at(name, cat, ctx, start_ns, dur_ns, a, b);
     }
 
+    /// Closes the region that began at `start_ns` (a [`Tracer::now_ns`]
+    /// stamp): reads the clock once, records the span under the ambient
+    /// context like [`Tracer::record`], and returns the duration — the
+    /// number a latency histogram of the same region is fed, so span and
+    /// sample cannot disagree.
+    pub fn record_since(
+        &self,
+        name: &'static str,
+        cat: SpanCat,
+        start_ns: u64,
+        a: u64,
+        b: u64,
+    ) -> u64 {
+        let dur_ns = self.now_ns().saturating_sub(start_ns);
+        self.record(name, cat, start_ns, dur_ns, a, b);
+        dur_ns
+    }
+
     /// Records a completed span at an explicit causal coordinate (the
     /// span takes `ctx.span_id`; its parent is `ctx.parent_id`).
     /// Allocation-free like [`Tracer::record`].
@@ -472,17 +490,10 @@ impl Tracer {
         }
     }
 
-    /// Starts a guard span that records itself (with the payload words set
-    /// at drop time) when it goes out of scope. Purely measurement: the
-    /// span parents under whatever is ambient *at drop time* but does not
-    /// install itself; use [`Tracer::span_guard`] for tree-building spans.
-    pub fn span(&self, name: &'static str, cat: SpanCat) -> Span<'_> {
-        Span { tracer: self, name, cat, start_ns: self.now_ns(), a: 0, b: 0 }
-    }
-
     /// Starts a tree-building RAII span: allocates a child context of the
     /// thread's ambient context, installs it ambiently (so spans recorded
-    /// on this thread nest under it), and records itself on drop.
+    /// on this thread nest under it), and records itself when finished
+    /// ([`SpanGuard::finish`]) or dropped.
     pub fn span_guard(&self, name: &'static str, cat: SpanCat) -> SpanGuard {
         self.span_guard_under(name, cat, TraceContext::current())
     }
@@ -504,6 +515,7 @@ impl Tracer {
             ctx,
             prev,
             start_ns: self.now_ns(),
+            closed: None,
             a: 0,
             b: 0,
         }
@@ -528,31 +540,10 @@ impl Tracer {
     }
 }
 
-/// An in-flight span; records on drop. Set [`Span::a`] / [`Span::b`]
-/// before it goes out of scope to attach payload words.
-pub struct Span<'t> {
-    tracer: &'t Tracer,
-    name: &'static str,
-    cat: SpanCat,
-    start_ns: u64,
-    /// First payload word, recorded at drop.
-    pub a: u64,
-    /// Second payload word, recorded at drop.
-    pub b: u64,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let end = self.tracer.now_ns();
-        let dur = end.saturating_sub(self.start_ns);
-        self.tracer.record(self.name, self.cat, self.start_ns, dur, self.a, self.b);
-    }
-}
-
 /// A tree-building RAII span (see [`Tracer::span_guard`]): owns a
 /// [`TraceContext`], keeps it ambient on the creating thread for its
-/// lifetime, and records itself on drop. Owns a tracer clone (one Arc
-/// bump) so it can outlive the borrow it was created from.
+/// lifetime, and records itself when finished or dropped. Owns a tracer
+/// clone (one Arc bump) so it can outlive the borrow it was created from.
 pub struct SpanGuard {
     tracer: Tracer,
     name: &'static str,
@@ -560,9 +551,11 @@ pub struct SpanGuard {
     ctx: TraceContext,
     prev: TraceContext,
     start_ns: u64,
-    /// First payload word, recorded at drop.
+    /// The duration recorded, once the span has closed.
+    closed: Option<u64>,
+    /// First payload word, recorded when the span closes.
     pub a: u64,
-    /// Second payload word, recorded at drop.
+    /// Second payload word, recorded when the span closes.
     pub b: u64,
 }
 
@@ -572,14 +565,30 @@ impl SpanGuard {
     pub fn context(&self) -> TraceContext {
         self.ctx
     }
+
+    /// Closes the span now and returns the duration it recorded — what a
+    /// latency histogram of the same region is fed.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    /// Restores the previous ambient context, reads the clock once and
+    /// records the span; a second call only repeats the duration.
+    fn close(&mut self) -> u64 {
+        if let Some(dur) = self.closed {
+            return dur;
+        }
+        CURRENT.with(|c| c.set(self.prev));
+        let dur = self.tracer.now_ns().saturating_sub(self.start_ns);
+        self.tracer.record_at(self.name, self.cat, self.ctx, self.start_ns, dur, self.a, self.b);
+        self.closed = Some(dur);
+        dur
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
-        let end = self.tracer.now_ns();
-        let dur = end.saturating_sub(self.start_ns);
-        self.tracer.record_at(self.name, self.cat, self.ctx, self.start_ns, dur, self.a, self.b);
+        self.close();
     }
 }
 
@@ -626,17 +635,22 @@ mod tests {
     #[test]
     fn guard_span_measures_manual_clock() {
         let (t, clock) = manual();
-        {
-            let mut span = t.span("work", SpanCat::Recalc);
-            clock.store(250, Ordering::Relaxed);
-            span.a = 42;
-        }
+        let mut guard = t.span_guard("work", SpanCat::Recalc);
+        clock.store(100, Ordering::Relaxed);
+        let leaf_start = t.now_ns();
+        clock.store(250, Ordering::Relaxed);
+        assert_eq!(t.record_since("leaf", SpanCat::SheetLevel, leaf_start, 7, 0), 150);
+        guard.a = 42;
+        assert_eq!(guard.finish(), 250);
+        assert_eq!(TraceContext::current(), TraceContext::NONE, "finish restores the context");
         let recent = t.recent();
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].dur_ns, 250);
-        assert_eq!(recent[0].a, 42);
-        // 250 ≥ threshold 100: the slow log has it too.
-        assert_eq!(t.slow().len(), 1);
+        assert_eq!(recent.len(), 2, "a finished guard records once, not again at drop");
+        let (leaf, work) = (&recent[0], &recent[1]);
+        assert_eq!((leaf.start_ns, leaf.dur_ns, leaf.a), (100, 150, 7));
+        assert_eq!((work.start_ns, work.dur_ns, work.a), (0, 250, 42));
+        assert_eq!(leaf.parent_id, work.span_id);
+        // Both are ≥ threshold 100: the slow log has them too.
+        assert_eq!(t.slow().len(), 2);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The record contract, as `cargo test` holds it: once a thread has
 //! picked its counter shard and the span ring has cycled, recording —
 //! counter add, gauge set, histogram record, tracer span, trace-context
-//! enter / propagate, span-guard open / close — allocates nothing.
+//! enter / propagate, span-guard open / close, and the two closing calls
+//! of a timed region (`record_since`, `SpanGuard::finish`) feeding a
+//! histogram the duration they return — allocates nothing.
 //!
 //! One `#[test]`, so nothing else runs in this process while it counts;
 //! the counter is per thread all the same, because the harness's own
@@ -61,7 +63,7 @@ fn warm_records_allocate_nothing_and_land_in_the_snapshot() {
     // What the server runs per request, after one of every plain record:
     // enter the wire context, read it back, open a child guard under it,
     // record a span at explicit coordinates (the registry's batch link),
-    // close.
+    // close a leaf region and the guard, each duration into the histogram.
     let round = |i: u64| {
         plain.inc();
         labeled.add(i);
@@ -80,6 +82,8 @@ fn warm_records_allocate_nothing_and_land_in_the_snapshot() {
             ..ctx
         };
         obs.tracer.record_at("round.child", SpanCat::WalFsync, link, now, i, i, 0);
+        hist.record(obs.tracer.record_since("round.leaf", SpanCat::Publish, now, i, 0));
+        hist.record(guard.finish());
     };
 
     // The first rounds pick the thread's counter shard and cycle the span
@@ -97,7 +101,7 @@ fn warm_records_allocate_nothing_and_land_in_the_snapshot() {
     assert_eq!(snap.counter("taco_test_ops_total"), Some(WARM + BATCH));
     assert_eq!(
         snap.histogram("taco_test_ns", "mode=\"test\"").map(|h| h.count),
-        Some(WARM + BATCH)
+        Some(3 * (WARM + BATCH))
     );
     assert!(allocations() > before, "a snapshot allocates, and the counter must see it");
 }

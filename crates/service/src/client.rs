@@ -570,10 +570,9 @@ impl<T: Transport> Client<T> {
 
     /// A full observability snapshot — every counter, gauge, histogram
     /// (with derived p50/p90/p99), and the slow-op log. Render it with
-    /// [`MetricsSnapshot::to_prometheus`] or [`MetricsSnapshot::to_json`].
+    /// [`MetricsSnapshot::to_prometheus`].
     ///
     /// [`MetricsSnapshot::to_prometheus`]: taco_obs::MetricsSnapshot::to_prometheus
-    /// [`MetricsSnapshot::to_json`]: taco_obs::MetricsSnapshot::to_json
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ServiceError> {
         let token = self.need_token()?;
         match self.call(Request::Metrics { token })? {

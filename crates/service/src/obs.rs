@@ -1,5 +1,5 @@
-//! Service observability: the request-layer handle bundle a [`Registry`]
-//! holds. Registration (per-operation latency
+//! Service observability: the one handle bundle a [`Registry`] and its
+//! writer threads share. Registration (per-operation latency
 //! histograms, refusal counters, load gauges) happens once at registry
 //! construction; request dispatch then records through plain field access
 //! and never formats a label or allocates.
@@ -8,7 +8,6 @@
 
 use crate::protocol::{OP_LABELS, OP_NAMES};
 use std::sync::Arc;
-use std::time::Instant;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, TraceContext, Tracer};
 
 /// Pre-registered handles for the service layer, indexed by request tag.
@@ -23,8 +22,8 @@ pub(crate) struct ServiceObs {
     /// `taco_sessions` / `taco_connections` — current load gauges.
     pub(crate) sessions: Gauge,
     pub(crate) connections: Gauge,
-    /// Refusal counters (mirrored into the [`ServiceStats`] atomics by
-    /// the registry).
+    /// Refusal counters — the only tally of these events: the `Stats`
+    /// request reads them back into [`ServiceStats`].
     ///
     /// [`ServiceStats`]: crate::protocol::ServiceStats
     pub(crate) busy_rejected: Counter,
@@ -71,11 +70,6 @@ impl ServiceObs {
         }
     }
 
-    /// A request's start stamps (wall anchor + hub-clock nanoseconds).
-    pub(crate) fn start(&self) -> (Instant, u64) {
-        (Instant::now(), self.tracer.now_ns())
-    }
-
     /// The root span context for one request: a child of the wire-carried
     /// context when the client sent a traced wrapper, else a fresh root.
     pub(crate) fn request_ctx(&self, wire: Option<TraceContext>) -> TraceContext {
@@ -85,20 +79,14 @@ impl ServiceObs {
         }
     }
 
-    /// Records one completed request: its per-operation latency histogram
-    /// plus a `Request` span at `ctx` — the root every span the request
-    /// caused (engine levels, WAL appends, publication) nests under.
+    /// Records one completed request, begun at `start_ns` on the hub
+    /// clock: a `Request` span at `ctx` — the root every span the request
+    /// caused (engine levels, WAL appends, publication) nests under —
+    /// and its duration into the per-operation latency histogram.
     /// Payload words: `a` = request tag, `b` = wire payload size in bytes
     /// (0 for in-process execution).
-    pub(crate) fn on_request(
-        &self,
-        tag: u8,
-        start: Instant,
-        start_ns: u64,
-        ctx: TraceContext,
-        payload_len: u64,
-    ) {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    pub(crate) fn on_request(&self, tag: u8, start_ns: u64, ctx: TraceContext, payload_len: u64) {
+        let dur = self.tracer.now_ns().saturating_sub(start_ns);
         if let Some(h) = self.req_ns.get(tag as usize) {
             h.record(dur);
         }

@@ -96,7 +96,7 @@ use taco_core::StructuralOp;
 use taco_engine::{Engine, PersistentWorkbook, RecalcMode, SheetId, Workbook, WorkbookReceipt};
 use taco_formula::{Formula, Value};
 use taco_grid::{Cell, Range};
-use taco_obs::{SpanCat, TraceContext, Tracer};
+use taco_obs::{SpanCat, TraceContext};
 use taco_store::EditRecord;
 
 /// Tuning for a [`Registry`] and the workers it spawns.
@@ -584,17 +584,6 @@ impl Backing {
 
 // ---- the registry -------------------------------------------------------
 
-/// Refusal tallies for [`ServiceStats`], which the `Stats` request
-/// reports beside the hub's counters of the same events. Relaxed: they
-/// are diagnostics, not synchronization.
-#[derive(Default)]
-struct Refusals {
-    busy: AtomicU64,
-    auth: AtomicU64,
-    scope: AtomicU64,
-    deadline: AtomicU64,
-}
-
 /// A registry of named workbooks plus the session table; the shared core
 /// both transports execute against.
 pub struct Registry {
@@ -604,8 +593,8 @@ pub struct Registry {
     next_seq: AtomicU64,
     token_seed: u64,
     down: AtomicBool,
-    refusals: Refusals,
-    svc_obs: ServiceObs,
+    /// Shared with every workbook's writer thread.
+    svc_obs: Arc<ServiceObs>,
     http: Mutex<Option<crate::http::HttpSidecar>>,
 }
 
@@ -623,7 +612,7 @@ impl Registry {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0x5EED)
             | 1;
-        let svc_obs = ServiceObs::new(taco_obs::Obs::new(opts.obs_options.clone()));
+        let svc_obs = Arc::new(ServiceObs::new(taco_obs::Obs::new(opts.obs_options.clone())));
         // The scrape sidecar is best-effort: a bind failure (port taken,
         // no permission) leaves `http_addr()` as `None` rather than
         // failing registry construction.
@@ -638,7 +627,6 @@ impl Registry {
             next_seq: AtomicU64::new(1),
             token_seed,
             down: AtomicBool::new(false),
-            refusals: Refusals::default(),
             svc_obs,
             http: Mutex::new(http),
         }
@@ -704,7 +692,7 @@ impl Registry {
         }
         let worker_shared = Arc::clone(&shared);
         let worker_opts = self.opts.clone();
-        let worker_obs = WorkerObs::of(&self.svc_obs);
+        let worker_obs = Arc::clone(&self.svc_obs);
         let worker = std::thread::Builder::new()
             .name(format!("taco-writer-{key}"))
             .spawn(move || worker_loop(rx, backing, worker_shared, worker_opts, worker_obs))
@@ -848,7 +836,7 @@ impl Registry {
             return Response::Err(ServiceError::ShuttingDown);
         }
         let tag = req.tag();
-        let (start, start_ns) = self.svc_obs.start();
+        let start_ns = self.svc_obs.tracer.now_ns();
         let ctx = self.svc_obs.request_ctx(wire_ctx);
         // The request context stays ambient for the dispatch below:
         // spans recorded on this thread nest under it, and worker
@@ -861,24 +849,21 @@ impl Registry {
         if let Response::Err(e) = &resp {
             self.note_refusal(e);
         }
-        self.svc_obs.on_request(tag, start, start_ns, ctx, payload_len);
+        self.svc_obs.on_request(tag, start_ns, ctx, payload_len);
         resp
     }
 
-    /// Tallies refusals the `Stats` request reports, and mirrors them
-    /// into the hub's counters.
+    /// Counts a refusal on the hub — where both `Metrics` and `Stats`
+    /// read it from.
     fn note_refusal(&self, e: &ServiceError) {
-        let (tally, counter) = match e {
-            ServiceError::AuthFailed => (&self.refusals.auth, &self.svc_obs.auth_failures),
-            ServiceError::OutOfScope(_) => (&self.refusals.scope, &self.svc_obs.scope_denials),
-            ServiceError::Busy => (&self.refusals.busy, &self.svc_obs.busy_rejected),
-            ServiceError::DeadlineExceeded => {
-                (&self.refusals.deadline, &self.svc_obs.deadline_expired)
-            }
-            _ => return,
-        };
-        tally.fetch_add(1, Ordering::Relaxed);
-        counter.inc();
+        let o = &self.svc_obs;
+        match e {
+            ServiceError::AuthFailed => o.auth_failures.inc(),
+            ServiceError::OutOfScope(_) => o.scope_denials.inc(),
+            ServiceError::Busy => o.busy_rejected.inc(),
+            ServiceError::DeadlineExceeded => o.deadline_expired.inc(),
+            _ => {}
+        }
     }
 
     /// Counts a connection refused at the acceptor's limit (the server's
@@ -999,11 +984,11 @@ impl Registry {
                     recalcs: stats.recalcs.load(Ordering::Relaxed),
                     coalesced: stats.coalesced.load(Ordering::Relaxed),
                     sessions: self.session_count() as u64,
-                    busy_rejected: self.refusals.busy.load(Ordering::Relaxed),
-                    auth_failures: self.refusals.auth.load(Ordering::Relaxed),
-                    scope_denials: self.refusals.scope.load(Ordering::Relaxed),
+                    busy_rejected: self.svc_obs.busy_rejected.value(),
+                    auth_failures: self.svc_obs.auth_failures.value(),
+                    scope_denials: self.svc_obs.scope_denials.value(),
                     degraded: u64::from(handle.shared.is_degraded()),
-                    deadline_expired: self.refusals.deadline.load(Ordering::Relaxed),
+                    deadline_expired: self.svc_obs.deadline_expired.value(),
                 }))
             }
             Request::Metrics { token } => {
@@ -1113,50 +1098,19 @@ fn filter_scoped(resp: Response, session: &Session) -> Response {
 
 // ---- the worker ---------------------------------------------------------
 
-/// The worker's slice of the hub: the coalesce and publication metrics
-/// plus a tracer clone for batch/publication spans (engine and WAL spans record
-/// through their own attached instrumentation, parented by the ambient
-/// context this worker installs per message).
-struct WorkerObs {
-    coalesce_batch: taco_obs::Histogram,
-    /// `taco_degraded_workbooks` — bumped on entering the degraded
-    /// state, dropped when a `Save` heals it.
-    degraded_books: taco_obs::Gauge,
-    /// `taco_snapshot_publish_cells` / `taco_snapshot_bands_rebuilt_total`
-    /// — what each publication re-read and rebuilt.
-    publish_cells: taco_obs::Histogram,
-    bands_rebuilt: taco_obs::Counter,
-    tracer: Tracer,
-}
-
-impl WorkerObs {
-    /// The worker's own handles on the registry's metrics and tracer.
-    fn of(o: &ServiceObs) -> WorkerObs {
-        WorkerObs {
-            coalesce_batch: o.coalesce_batch.clone(),
-            degraded_books: o.degraded_books.clone(),
-            publish_cells: o.publish_cells.clone(),
-            bands_rebuilt: o.bands_rebuilt.clone(),
-            tracer: o.tracer.clone(),
-        }
-    }
-}
-
 /// Publishes `wb`'s next epoch under a `snapshot.publish` span (ambient
 /// parent: the request or batch being served). Payload words: the cells
 /// re-read and the row bands rebuilt.
-fn publish(shared: &BookShared, wobs: &WorkerObs, wb: &Workbook, changes: &Changes) -> u64 {
-    let (start, start_ns) = (std::time::Instant::now(), wobs.tracer.now_ns());
+fn publish(shared: &BookShared, wobs: &ServiceObs, wb: &Workbook, changes: &Changes) -> u64 {
+    let start_ns = wobs.tracer.now_ns();
     let prev = Arc::clone(&shared.snapshot.read());
     let (next, rebuilt) = Snapshot::successor(Some(&prev), wb, changes);
     let epoch = next.epoch;
     *shared.snapshot.write() = Arc::new(next);
-    let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    wobs.tracer.record(
+    wobs.tracer.record_since(
         "snapshot.publish",
         SpanCat::Publish,
         start_ns,
-        dur,
         rebuilt.cells,
         rebuilt.bands,
     );
@@ -1167,14 +1121,14 @@ fn publish(shared: &BookShared, wobs: &WorkerObs, wb: &Workbook, changes: &Chang
 
 /// Enters the degraded state (fleet gauge kept in sync); `reason`
 /// reaches refused clients verbatim in the typed error.
-fn degrade(shared: &BookShared, wobs: &WorkerObs, reason: String) {
+fn degrade(shared: &BookShared, wobs: &ServiceObs, reason: String) {
     if shared.degrade(reason) {
         wobs.degraded_books.add(1);
     }
 }
 
 /// Leaves the degraded state after a successful save.
-fn heal(shared: &BookShared, wobs: &WorkerObs) {
+fn heal(shared: &BookShared, wobs: &ServiceObs) {
     if shared.heal() {
         wobs.degraded_books.sub(1);
     }
@@ -1190,7 +1144,7 @@ fn worker_loop(
     mut backing: Backing,
     shared: Arc<BookShared>,
     opts: ServiceOptions,
-    wobs: WorkerObs,
+    wobs: Arc<ServiceObs>,
 ) {
     'outer: loop {
         let Ok(msg) = rx.recv() else { break };
@@ -1335,7 +1289,7 @@ fn worker_loop(
 fn apply_records(
     backing: &mut Backing,
     shared: &BookShared,
-    wobs: &WorkerObs,
+    wobs: &ServiceObs,
     mut records: &[EditRecord],
     results: &mut Vec<Result<u64, ServiceError>>,
 ) {
@@ -1375,7 +1329,7 @@ fn apply_writes(
     backing: &mut Backing,
     shared: &Arc<BookShared>,
     opts: &ServiceOptions,
-    wobs: &WorkerObs,
+    wobs: &ServiceObs,
     batch_guard: taco_obs::SpanGuard,
     writes: Vec<(WriteOp, TraceContext, Sender<Response>)>,
 ) {
@@ -1799,7 +1753,7 @@ mod tests {
         ];
         let writes: Vec<_> =
             ops.into_iter().map(|op| (op, TraceContext::NONE, tx.clone())).collect();
-        let wobs = WorkerObs::of(&ServiceObs::new(taco_obs::Obs::new_default()));
+        let wobs = ServiceObs::new(taco_obs::Obs::new_default());
         let batch = wobs.tracer.span_guard_under("worker.batch", SpanCat::Request, writes[0].1);
         apply_writes(&mut backing, &shared, &ServiceOptions::default(), &wobs, batch, writes);
         let replies: Vec<Response> = std::iter::from_fn(|| rx.try_recv().ok()).collect();

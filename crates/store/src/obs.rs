@@ -6,7 +6,6 @@
 //!
 //! [`WalWriter`]: crate::WalWriter
 
-use std::time::Instant;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat};
 
 /// Metric and tracer handles for one write-ahead log.
@@ -31,6 +30,10 @@ pub struct WalObs {
     ///
     /// [`WalWriter::set_epoch`]: crate::WalWriter::set_epoch
     pub epoch: Gauge,
+    /// `taco_wal_compactions_total` — WAL folds into fresh snapshots.
+    compactions: Counter,
+    /// `taco_compaction_ns` — snapshot-write + log-reset latency.
+    compaction_ns: Histogram,
     tracer: taco_obs::Tracer,
 }
 
@@ -48,28 +51,37 @@ impl WalObs {
             fsync_ns: m.histogram("taco_wal_fsync_ns"),
             torn_recoveries: m.counter("taco_wal_torn_recoveries_total"),
             epoch: m.gauge("taco_wal_epoch"),
+            compactions: m.counter("taco_wal_compactions_total"),
+            compaction_ns: m.histogram("taco_compaction_ns"),
             tracer: obs.tracer.clone(),
         }
     }
 
-    /// Records one append of `frame_bytes` that took since `start`.
-    pub(crate) fn on_append(&self, start: Instant, start_ns: u64, frame_bytes: u64) {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// Records one append of `frame_bytes` that began at `start_ns`.
+    pub(crate) fn on_append(&self, start_ns: u64, frame_bytes: u64) {
         self.records.inc();
         self.bytes.add(frame_bytes);
+        let dur =
+            self.tracer.record_since("wal.append", SpanCat::WalAppend, start_ns, frame_bytes, 0);
         self.append_ns.record(dur);
-        self.tracer.record("wal.append", SpanCat::WalAppend, start_ns, dur, frame_bytes, 0);
     }
 
-    /// Records one fsync that took since `start`.
-    pub(crate) fn on_fsync(&self, start: Instant, start_ns: u64) {
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// Records one fsync that began at `start_ns`.
+    pub(crate) fn on_fsync(&self, start_ns: u64) {
         self.fsyncs.inc();
+        let dur = self.tracer.record_since("wal.fsync", SpanCat::WalFsync, start_ns, 0, 0);
         self.fsync_ns.record(dur);
-        self.tracer.record("wal.fsync", SpanCat::WalFsync, start_ns, dur, 0, 0);
     }
 
-    /// The hub clock, for span start stamps.
+    /// Records one compaction of `folded` records that began at
+    /// `start_ns` and ended with the log's truncation.
+    pub(crate) fn on_compaction(&self, start_ns: u64, folded: u64) {
+        self.compactions.inc();
+        let dur = self.tracer.record_since("wal.compact", SpanCat::Compaction, start_ns, folded, 0);
+        self.compaction_ns.record(dur);
+    }
+
+    /// The hub clock: the start stamp of a timed region.
     pub(crate) fn now_ns(&self) -> u64 {
         self.tracer.now_ns()
     }

@@ -314,7 +314,7 @@ impl WalWriter {
     ///
     /// [`sync`]: WalWriter::sync
     pub fn append(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
-        let timing = self.obs.as_deref().map(|o| (std::time::Instant::now(), o.now_ns()));
+        let started = self.now_ns();
         let mut payload = Vec::new();
         write_uvarint(&mut payload, self.epoch)?;
         payload.extend_from_slice(&rec.encode());
@@ -325,26 +325,36 @@ impl WalWriter {
         self.file.write_all(&frame)?;
         self.bytes += frame.len() as u64;
         self.records += 1;
-        if let (Some(obs), Some((start, start_ns))) = (self.obs.as_deref(), timing) {
-            obs.on_append(start, start_ns, frame.len() as u64);
+        if let (Some(obs), Some(start_ns)) = (self.obs.as_deref(), started) {
+            obs.on_append(start_ns, frame.len() as u64);
         }
         Ok(())
     }
 
     /// An fsync point: durably flushes everything appended so far.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        let timing = self.obs.as_deref().map(|o| (std::time::Instant::now(), o.now_ns()));
+        let started = self.now_ns();
         self.file.sync()?;
-        if let (Some(obs), Some((start, start_ns))) = (self.obs.as_deref(), timing) {
-            obs.on_fsync(start, start_ns);
+        if let (Some(obs), Some(start_ns)) = (self.obs.as_deref(), started) {
+            obs.on_fsync(start_ns);
         }
         Ok(())
     }
 
+    /// The attached hub's clock (`None` detached): the start stamp of a
+    /// timed region, such as the compaction [`WalWriter::reset`] ends.
+    pub fn now_ns(&self) -> Option<u64> {
+        self.obs.as_deref().map(|o| o.now_ns())
+    }
+
     /// Truncates the log back to an empty header — the fold point after
     /// compaction has written a fresh snapshot — and syncs the file and
-    /// its parent directory so the truncation itself is durable.
-    pub fn reset(&mut self) -> Result<(), StoreError> {
+    /// its parent directory so the truncation itself is durable. With
+    /// `compaction_start` (a [`WalWriter::now_ns`] stamp taken before the
+    /// snapshot was written) the compaction is counted and timed, as
+    /// `taco_compaction_ns` and the `wal.compact` span.
+    pub fn reset(&mut self, compaction_start: Option<u64>) -> Result<(), StoreError> {
+        let folded = self.records;
         self.file.set_len(WAL_HEADER_LEN)?;
         self.file.sync()?;
         self.vfs.sync_parent_dir(&self.path)?;
@@ -352,6 +362,9 @@ impl WalWriter {
         self.records = 0;
         if let Some(obs) = self.obs.as_deref() {
             obs.resets.inc();
+            if let Some(start_ns) = compaction_start {
+                obs.on_compaction(start_ns, folded);
+            }
         }
         Ok(())
     }
@@ -371,9 +384,9 @@ impl WalWriter {
         &self.path
     }
 
-    /// Attaches observability handles: subsequent appends, fsyncs, and
-    /// resets record WAL counters, latency histograms, and spans through
-    /// them. Detached (the default) the cost is one branch per call.
+    /// Attaches observability handles: subsequent appends, fsyncs,
+    /// resets, and compactions record WAL counters, latency histograms,
+    /// and spans through them. Detached (the default) the cost is one branch per call.
     pub fn set_obs(&mut self, obs: crate::obs::WalObs) {
         obs.epoch.set(i64::try_from(self.epoch).unwrap_or(i64::MAX));
         self.obs = Some(Box::new(obs));
@@ -666,7 +679,7 @@ mod tests {
         for r in &sample_records() {
             w.append(r).unwrap();
         }
-        w.reset().unwrap();
+        w.reset(None).unwrap();
         assert_eq!(w.record_count(), 0);
         w.append(&EditRecord::AddSheet { name: "Fresh".into() }).unwrap();
         w.sync().unwrap();

@@ -64,19 +64,6 @@ impl CorpusParams {
         }
         out
     }
-
-    /// Total dependencies across the corpus (approximate, pre-generation).
-    pub fn approx_total(&self) -> u64 {
-        let lo = (self.min_deps as f64).ln();
-        let hi = (self.max_deps as f64).ln();
-        (0..self.sheets)
-            .map(|i| {
-                let t = (i as f64 + 0.5) / self.sheets as f64;
-                let t = t * t;
-                (lo + t * (hi - lo)).exp() as u64
-            })
-            .sum()
-    }
 }
 
 /// The Enron-like preset. `scale = 1.0` targets roughly one million total

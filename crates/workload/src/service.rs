@@ -19,7 +19,6 @@
 //! read/write mix: [`reader_heavy`] (~95% reads), [`writer_heavy`]
 //! (~25% reads), and [`mixed`] (~70% reads).
 
-use crate::persistence::{gen_persist_workload, PersistParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use taco_formula::Value;
@@ -299,14 +298,6 @@ pub fn gen_service_script(p: &ServiceScriptParams) -> ServiceScript {
         .collect();
 
     ServiceScript { name: p.name, sheet, setup, clients }
-}
-
-/// A service-shaped *persistent* build script: the WAL-backed crash test
-/// reuses the persistence workload's richer multi-sheet mix.
-pub fn persistent_build_script(seed: u64) -> Vec<EditRecord> {
-    let p = PersistParams { seed, ..crate::persistence::persist_enron_like() };
-    let w = gen_persist_workload(&p);
-    w.build
 }
 
 #[cfg(test)]

@@ -142,12 +142,8 @@ fn main() {
 
     let snap = client.metrics().expect("final metrics");
     render(&snap);
-    // The same snapshot, machine-readable both ways.
-    println!(
-        "prometheus exposition: {} lines; json: {} bytes",
-        snap.to_prometheus().lines().count(),
-        snap.to_json().len()
-    );
+    // The same snapshot, as a scraper reads it.
+    println!("prometheus exposition: {} lines", snap.to_prometheus().lines().count());
 
     client.close().expect("close");
     server.shutdown();

@@ -6,13 +6,17 @@
 //! "obs on" leg is not accidentally a no-op), and must not cost more than
 //! the work they observe.
 
+use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
-use taco_repro::engine::{ProfileMode, RecalcMode, SheetId, Workbook};
+use taco_repro::engine::{
+    PersistOptions, PersistentWorkbook, ProfileMode, RecalcMode, SheetId, Workbook,
+};
 use taco_repro::formula::Value;
 use taco_repro::grid::{Cell, Range};
-use taco_repro::obs::{Obs, ObsClock, ObsOptions, TraceDump, TracerOptions};
+use taco_repro::obs::{MetricsSnapshot, Obs, ObsClock, ObsOptions, TraceDump, TracerOptions};
+use taco_repro::store::FaultVfs;
 use taco_repro::workload::{
     gen_persist_workload, persist_enron_like, persist_giant_sheet, persist_github_like,
     PersistParams, PersistWorkload,
@@ -212,70 +216,109 @@ fn formula_gauges_and_the_carried_fold_counter_are_exposed() {
     }
 }
 
-/// The span-tree shape of a dump: every record's identity, linkage, and
-/// payload — everything except wall time, which a manual clock pins too.
-fn tree_shape(dump: &TraceDump) -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
+/// Everything a dump records per span: identity, linkage, payload, and —
+/// since every stamp and every duration comes off the hub clock — time.
+type SpanShape = (String, (u64, u64, u64, u64), u64, u64, u64, u64);
+
+fn tree_shape(dump: &TraceDump) -> Vec<SpanShape> {
     dump.recent
         .iter()
         .chain(dump.slow.iter())
-        .map(|s| (s.name.clone(), s.trace_hi, s.trace_lo, s.span_id, s.parent_id, s.a, s.b))
+        .map(|s| {
+            let (name, ids) = (s.name.clone(), (s.trace_hi, s.trace_lo, s.span_id, s.parent_id));
+            (name, ids, s.a, s.b, s.start_ns, s.dur_ns)
+        })
         .collect()
+}
+
+/// The traced script — build, recalc, burst, recalc, demand recalc — on
+/// a hub whose clock stands still at 1 000 ns. `durable` runs it over a
+/// WAL-backed workbook on an in-memory disk, compacting every 16 records.
+fn traced_run(w: &PersistWorkload, id_seed: u64, durable: bool) -> (TraceDump, MetricsSnapshot) {
+    let hub = Obs::new(ObsOptions {
+        tracer: TracerOptions {
+            clock: ObsClock::Manual(Arc::new(AtomicU64::new(1_000))),
+            id_seed,
+            span_capacity: 4096,
+            ..TracerOptions::default()
+        },
+    });
+    let viewport = Range::from_coords(1, 1, 8, 8);
+    if durable {
+        let mut pw = PersistentWorkbook::create_with(
+            Arc::new(FaultVfs::pristine(1)),
+            Path::new("/det.taco"),
+            Workbook::with_taco(),
+            PersistOptions { compact_after_records: 16, sync_every_records: 1 },
+        )
+        .expect("an in-memory disk takes the snapshot");
+        pw.attach_obs(&hub, "det");
+        pw.log_batch(&w.build).expect("build script applies and logs");
+        pw.recalculate(RecalcMode::Serial);
+        pw.log_batch(&w.burst).expect("burst applies and logs");
+        pw.recalculate(RecalcMode::Serial);
+        pw.workbook_mut().recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    } else {
+        let mut wb = build(w, Some(&hub));
+        wb.recalculate(RecalcMode::Serial);
+        wb.apply_batch(&w.burst).expect("burst applies");
+        wb.recalculate(RecalcMode::Serial);
+        wb.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    }
+    (hub.tracer.dump(), hub.snapshot())
+}
+
+fn span_names(dump: &TraceDump) -> Vec<&str> {
+    dump.recent.iter().chain(dump.slow.iter()).map(|s| s.name.as_str()).collect()
 }
 
 #[test]
 fn manual_clock_and_fixed_seed_reproduce_span_trees() {
     // With the clock pinned and the span-id generator seeded, the same
     // script must emit the same span tree — same names, same parent/child
-    // edges, same ids, same payloads — run after run.
+    // edges, same ids, same payloads, same times — run after run.
     let p = PersistParams { rows: 40, burst_edits: 30, seed: 5, ..persist_enron_like() };
     let w = gen_persist_workload(&p);
 
-    let run = || {
-        let clock = Arc::new(AtomicU64::new(1_000));
-        let hub = Obs::new(ObsOptions {
-            tracer: TracerOptions {
-                clock: ObsClock::Manual(clock),
-                id_seed: 99,
-                span_capacity: 4096,
-                ..TracerOptions::default()
-            },
-        });
-        let mut wb = build(&w, Some(&hub));
-        wb.recalculate(RecalcMode::Serial);
-        wb.apply_batch(&w.burst).expect("burst applies");
-        wb.recalculate(RecalcMode::Serial);
-        wb.recalc_demand(SheetId(0), Range::from_coords(1, 1, 8, 8), RecalcMode::Serial).unwrap();
-        hub.tracer.dump()
-    };
-
-    let first = run();
-    let second = run();
+    let (first, _) = traced_run(&w, 99, false);
+    let (second, _) = traced_run(&w, 99, false);
     assert!(first.span_count() > 0, "the script must trace");
     assert_eq!(tree_shape(&first), tree_shape(&second), "span trees must be reproducible");
 
     // A different seed keeps the shape (names, counts, edges-by-position)
     // but relabels every id — no accidental dependence on the seed value.
-    let other = {
-        let clock = Arc::new(AtomicU64::new(1_000));
-        let hub = Obs::new(ObsOptions {
-            tracer: TracerOptions {
-                clock: ObsClock::Manual(clock),
-                id_seed: 1234,
-                span_capacity: 4096,
-                ..TracerOptions::default()
-            },
-        });
-        let mut wb = build(&w, Some(&hub));
-        wb.recalculate(RecalcMode::Serial);
-        wb.apply_batch(&w.burst).expect("burst applies");
-        wb.recalculate(RecalcMode::Serial);
-        wb.recalc_demand(SheetId(0), Range::from_coords(1, 1, 8, 8), RecalcMode::Serial).unwrap();
-        hub.tracer.dump()
-    };
+    let (other, _) = traced_run(&w, 1234, false);
     assert_eq!(other.span_count(), first.span_count());
-    let names = |d: &TraceDump| -> Vec<String> {
-        d.recent.iter().chain(d.slow.iter()).map(|s| s.name.clone()).collect()
-    };
-    assert_eq!(names(&first), names(&other), "seed must not change which spans exist");
+    assert_eq!(span_names(&first), span_names(&other), "seed must not change which spans exist");
     assert_ne!(tree_shape(&first), tree_shape(&other), "a different seed must relabel span ids");
+}
+
+#[test]
+fn a_clock_that_stands_still_measures_nothing() {
+    // One clock: a region's start stamp, its span's duration and the
+    // sample its `*_ns` histogram gets are all read off the hub clock, so
+    // on a manual clock nobody advances every one of them is 0 — engine
+    // spans and WAL spans alike. (A second, wall clock anywhere on an
+    // instrumented path shows up here as a non-zero duration.)
+    let p = PersistParams { rows: 40, burst_edits: 30, seed: 5, ..persist_enron_like() };
+    let w = gen_persist_workload(&p);
+    for durable in [false, true] {
+        let (dump, snap) = traced_run(&w, 99, durable);
+        let names = span_names(&dump);
+        let mut expected = vec!["workbook.recalc", "workbook.level", "workbook.demand"];
+        if durable {
+            expected.extend(["wal.append", "wal.fsync", "wal.compact"]);
+        }
+        for name in expected {
+            assert!(names.contains(&name), "durable={durable}: no {name} span in {names:?}");
+        }
+        for s in dump.recent.iter().chain(dump.slow.iter()) {
+            assert_eq!((s.start_ns, s.dur_ns), (1_000, 0), "durable={durable}: {s:?}");
+        }
+        let timed: Vec<_> = snap.histograms.iter().filter(|h| h.name.ends_with("_ns")).collect();
+        assert!(timed.iter().any(|h| h.name == "taco_recalc_ns" && h.count >= 3), "{timed:?}");
+        for h in timed {
+            assert_eq!(h.sum, 0, "durable={durable}: {} sampled another clock: {h:?}", h.name);
+        }
+    }
 }
