@@ -21,8 +21,9 @@
 //!
 //! Iteration is in `(col, row)` order — [`Cell`]'s own ordering.
 
-use crate::sheet::CellContent;
+use crate::sheet::{CellContent, Run};
 use std::ops::ControlFlow;
+use std::sync::Arc;
 use taco_formula::Value;
 use taco_grid::{Cell, Range};
 
@@ -395,6 +396,47 @@ impl CellStore {
     /// The cells awaiting recalculation, in the order they were marked.
     pub(crate) fn dirty(&self) -> &[Cell] {
         &self.dirty
+    }
+
+    /// The dirty cells into `view` in `(col, row)` order, and into `joins`
+    /// whether each is the cell right below the one before it and a cell
+    /// of the same run: the stretches of consecutive `joins` are what one
+    /// template evaluates down a column. A dirty set that is a fair share
+    /// of the sheet's slots is read off the pages, in order already and
+    /// with the runs at hand; a small one is sorted, and each cell looked
+    /// up.
+    pub(crate) fn dirty_stretches(&self, view: &mut Vec<Cell>, joins: &mut Vec<bool>) {
+        view.clear();
+        joins.clear();
+        // The cell before, and its run by address.
+        let mut last: Option<(Cell, *const Run)> = None;
+        let mut join = |cell: Cell, run: Option<&Arc<Run>>| {
+            let run = run.map(Arc::as_ptr);
+            joins.push(last.is_some_and(|(above, of)| {
+                above.col == cell.col && above.row + 1 == cell.row && run == Some(of)
+            }));
+            last = run.map(|run| (cell, run));
+        };
+        if self.dirty.len() * 8 >= self.slot_capacity() {
+            for column in &self.cols {
+                for page in &column.pages {
+                    let first = page.index * PAGE_ROWS + 1;
+                    for (i, slot) in page.slots.iter().enumerate() {
+                        if slot.flags & DIRTY != 0 {
+                            let cell = Cell { col: column.col, row: first + i as u32 };
+                            view.push(cell);
+                            join(cell, slot.content.run.as_ref());
+                        }
+                    }
+                }
+            }
+        } else {
+            view.extend_from_slice(&self.dirty);
+            view.sort_unstable();
+            for &cell in view.iter() {
+                join(cell, self.get(cell).and_then(|content| content.run.as_ref()));
+            }
+        }
     }
 
     /// Marks the formula cell at `cell` dirty; `true` iff it holds a

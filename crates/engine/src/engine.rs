@@ -1,4 +1,5 @@
 use crate::cells::CellStore;
+use crate::order::Schedule;
 use crate::sheet::{CellContent, Run};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -42,14 +43,15 @@ impl ExternalSheets for NoExternal {
 
 /// Opt-in recalculation profiler granularity (see
 /// [`Engine::set_profile`]). Profiling is sampling-free wall-time
-/// attribution: the total of each sheet's pass, and (in `Hotspots` mode)
-/// a fixed-capacity top-K of the most expensive individual cells.
+/// attribution: each sheet's pass split into ordering and evaluation,
+/// and (in `Hotspots` mode) a fixed-capacity top-K of the most expensive
+/// individual cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProfileMode {
     /// No attribution (the default; zero overhead on the eval loop).
     #[default]
     Off,
-    /// Wall time per sheet pass only.
+    /// Wall time per sheet pass only, ordering and evaluation apart.
     Levels,
     /// Per-pass wall time plus the top-K hottest cells by individual
     /// evaluation time (one extra clock read per cell).
@@ -59,12 +61,25 @@ pub enum ProfileMode {
 /// How many hottest cells the profiler retains per recalculation.
 pub const PROFILE_TOP_K: usize = 16;
 
+/// One sheet's part of a profiled recalculation pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SheetPass {
+    /// The sheet's index in its workbook (`0` for a standalone engine).
+    pub sheet: usize,
+    /// Cells evaluated.
+    pub cells: u32,
+    /// Wall nanoseconds spent ordering them (every `order_from` of the
+    /// pass on the sheet).
+    pub order_ns: u64,
+    /// Wall nanoseconds spent evaluating them.
+    pub eval_ns: u64,
+}
+
 /// One recalculation's profile (see [`Engine::profile_report`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
-    /// `(level, cells evaluated, wall nanoseconds)` per sheet pass; a
-    /// sheet's pass is one level, so `level` is always 0.
-    pub levels: Vec<(u32, u32, u64)>,
+    /// One record per sheet the pass evaluated on, in sheet order.
+    pub passes: Vec<SheetPass>,
     /// The hottest cells by evaluation wall time, hottest first (at most
     /// [`PROFILE_TOP_K`]; empty unless [`ProfileMode::Hotspots`]).
     pub hotspots: Vec<(Cell, u64)>,
@@ -85,6 +100,11 @@ fn push_hot(top: &mut Vec<(Cell, u64)>, cell: Cell, ns: u64) {
     }
 }
 
+/// The profiler's wall nanoseconds since `start`.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// What an edit reported back before recalculation: the information the
 /// asynchronous model needs to "return control to the user".
 #[derive(Debug, Clone)]
@@ -96,35 +116,18 @@ pub struct EditReceipt {
     pub control_latency: Duration,
 }
 
-/// The state of one recalculation pass — the sorted dirty view, DFS
-/// coloring, a shared neighbor arena, the explicit DFS stack, the order
-/// so far — in buffers that persist on the engine, so steady-state
-/// recalculation performs no per-recalc (let alone per-cell) allocations.
+/// The state of one recalculation pass — its [`Schedule`] and the
+/// profiler's output — in buffers that persist on the engine, so
+/// steady-state recalculation performs no per-recalc (let alone per-cell)
+/// allocations.
 #[derive(Debug, Default)]
 struct RecalcScratch {
-    /// The dirty set as the pass found it, sorted by `(col, row)`: the
-    /// membership structure [`dirty_in`] binary-searches instead of
-    /// hashing. Once the pass has evaluated, cut down to the cells it
-    /// ordered ([`Engine::last_evaluated`]).
-    dirty_sorted: Vec<Cell>,
-    /// Whether `dirty_sorted` and `color` are this pass's yet: a sheet
-    /// the pass never orders on never pays for them.
-    viewed: bool,
-    /// DFS colors parallel to `dirty_sorted` (white/gray/black), kept
-    /// from one [`Engine::order_from`] of the pass to the next.
-    color: Vec<u8>,
-    /// Shared neighbor arena: each DFS frame owns a `[start, end)` slice,
-    /// truncated back on pop.
-    nbrs: Vec<u32>,
-    /// Explicit DFS stack.
-    stack: Vec<Frame>,
-    /// The evaluation order so far.
-    order: Vec<Cell>,
-    /// Cells reached by a back edge (cycle members) so far.
-    cycles: Vec<Cell>,
-    /// Profiler output: `(0, cells, ns)` of the most recent
-    /// recalculation (empty when profiling is off).
-    prof_levels: Vec<(u32, u32, u64)>,
+    schedule: Schedule,
+    /// Profiler: what the pass's orderings on this sheet took so far.
+    prof_order_ns: u64,
+    /// Profiler output: this sheet's part of the most recent pass (`None`
+    /// when profiling is off).
+    prof_pass: Option<SheetPass>,
     /// Profiler output: the top-K hottest cells (capacity-bounded by
     /// [`PROFILE_TOP_K`]; empty unless `Hotspots`).
     prof_top: Vec<(Cell, u64)>,
@@ -302,59 +305,6 @@ impl Folds {
     }
 }
 
-/// One DFS frame: a node (index into `dirty_sorted`) plus its neighbor
-/// slice in the shared arena.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    node: u32,
-    start: u32,
-    cursor: u32,
-    end: u32,
-}
-
-/// The `node` of the bottom frame, whose "neighbors" are the roots an
-/// [`Engine::order_from`] starts at: it is no cell, and is not ordered.
-const ROOTS: u32 = u32::MAX;
-
-/// Calls `f` with the index of every cell of `dirty` inside `range`.
-///
-/// `dirty` is sorted by `(col, row)`, so every column of the range is one
-/// contiguous run located by binary search — a tall range costs
-/// `O(width · log n)`, not a scan of the range or of the dirty set. When
-/// the range is wider than the dirty set, one scan over the
-/// column-bounded slice wins instead.
-#[inline]
-fn dirty_in(dirty: &[Cell], range: Range, mut f: impl FnMut(u32)) {
-    let (c1, c2) = (range.head().col, range.tail().col);
-    let (r1, r2) = (range.head().row, range.tail().row);
-    let width = u64::from(c2 - c1) + 1;
-    if width <= dirty.len() as u64 {
-        for col in c1..=c2 {
-            let lo = dirty.partition_point(|c| (c.col, c.row) < (col, r1));
-            for (i, c) in dirty[lo..].iter().enumerate() {
-                if c.col != col || c.row > r2 {
-                    break;
-                }
-                f((lo + i) as u32);
-            }
-        }
-    } else {
-        let lo = dirty.partition_point(|c| c.col < c1);
-        for (i, c) in dirty[lo..].iter().enumerate() {
-            if c.col > c2 {
-                break;
-            }
-            if c.row >= r1 && c.row <= r2 {
-                f((lo + i) as u32);
-            }
-        }
-    }
-}
-
-const WHITE: u8 = 0;
-const GRAY: u8 = 1;
-const BLACK: u8 = 2;
-
 /// A headless spreadsheet over TACO's formula graph (its [`taco_core::Config`]
 /// chooses full TACO, InRow or NoComp).
 pub struct Engine {
@@ -383,10 +333,14 @@ pub struct Engine {
     evaluated_total: u64,
     /// Recalculation profiler mode (default off).
     profile: ProfileMode,
-    /// Neighbor lists built so far (test instrumentation: a pass builds
-    /// one per cell it orders).
+    /// Neighbour lists built so far (test instrumentation: a pass builds
+    /// one per node it orders).
     #[cfg(test)]
     pub(crate) nbr_lists: std::cell::Cell<u64>,
+    /// Neighbour entries pushed while ordering so far, roots included
+    /// (test instrumentation).
+    #[cfg(test)]
+    pub(crate) nbr_entries: std::cell::Cell<u64>,
 }
 
 impl Engine {
@@ -415,6 +369,8 @@ impl Engine {
             profile: ProfileMode::default(),
             #[cfg(test)]
             nbr_lists: Default::default(),
+            #[cfg(test)]
+            nbr_entries: Default::default(),
         }
     }
 
@@ -434,14 +390,13 @@ impl Engine {
     pub fn profile_report(&self) -> ProfileReport {
         let mut hotspots = self.recalc.prof_top.clone();
         hotspots.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ProfileReport { levels: self.recalc.prof_levels.clone(), hotspots }
+        ProfileReport { passes: self.recalc.prof_pass.into_iter().collect(), hotspots }
     }
 
-    /// Raw profiler buffers (workbook metric export): per-pass
-    /// `(level, cells, ns)` rows and per-cell `(cell, ns)` hotspots.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn profile_slices(&self) -> (&[(u32, u32, u64)], &[(Cell, u64)]) {
-        (&self.recalc.prof_levels, &self.recalc.prof_top)
+    /// Raw profiler buffers (workbook metric export): this sheet's part
+    /// of the pass and per-cell `(cell, ns)` hotspots.
+    pub(crate) fn profile_slices(&self) -> (Option<&SheetPass>, &[(Cell, u64)]) {
+        (self.recalc.prof_pass.as_ref(), &self.recalc.prof_top)
     }
 
     /// Starts a recalculation pass: nothing ordered, nothing viewed, and
@@ -450,12 +405,10 @@ impl Engine {
     /// report nothing).
     pub(crate) fn begin_pass(&mut self) {
         let s = &mut self.recalc;
-        s.prof_levels.clear();
+        s.schedule.begin();
+        s.prof_order_ns = 0;
+        s.prof_pass = None;
         s.prof_top.clear();
-        s.dirty_sorted.clear();
-        s.viewed = false;
-        s.order.clear();
-        s.cycles.clear();
     }
 
     /// The cells the most recent recalculation pass evaluated (or flagged
@@ -463,11 +416,14 @@ impl Engine {
     /// value that pass may have changed. Empty for a sheet the pass
     /// evaluated nothing on.
     pub fn last_evaluated(&self) -> &[Cell] {
-        if self.recalc.order.is_empty() {
-            &[]
-        } else {
-            &self.recalc.dirty_sorted
-        }
+        self.recalc.schedule.evaluated()
+    }
+
+    /// The nodes the pass under way, or the most recent one, made here
+    /// (test instrumentation).
+    #[cfg(test)]
+    pub(crate) fn nodes_made(&self) -> usize {
+        self.recalc.schedule.nodes_made()
     }
 
     /// The injected volatile-function clock.
@@ -524,7 +480,7 @@ impl Engine {
 
     /// `true` iff a reference qualified with `sheet` resolves to this
     /// sheet: unqualified, or qualified with this sheet's own name.
-    fn is_local(&self, sheet: Option<&SheetRef>) -> bool {
+    pub(crate) fn is_local(&self, sheet: Option<&SheetRef>) -> bool {
         sheet.is_none_or(|s| self.sheet_name.as_deref().is_some_and(|n| s.matches(n)))
     }
 
@@ -769,8 +725,8 @@ impl Engine {
 
     /// The dirty set in sorted order (persistence: snapshots must encode
     /// a deterministic dirty list; the image owns the vector). A
-    /// recalculation pass sorts into [`RecalcScratch::dirty_sorted`]
-    /// instead of allocating here.
+    /// recalculation pass reads it into its [`Schedule`] instead of
+    /// allocating here.
     pub(crate) fn dirty_cells_sorted(&self) -> Vec<Cell> {
         let mut v = self.cells.dirty().to_vec();
         v.sort_unstable();
@@ -802,68 +758,27 @@ impl Engine {
     /// cell's dirty precedents come strictly earlier (cycle members
     /// excepted).
     pub fn ordered(&self) -> &[Cell] {
-        &self.recalc.order
+        self.recalc.schedule.order()
     }
 
     /// Appends to the pass's order the dirty cells inside `within` — all
-    /// of them for `None`, in ascending `(col, row)` order either way —
-    /// and the dirty cells they read on this sheet, each after the ones
-    /// it reads (iterative DFS). Colors last the pass, so what an earlier
-    /// call ordered stays where it is and what a later one adds goes
-    /// behind everything it reads: any sequence of calls leaves a valid
-    /// order. A cell met again while still open closes a cycle and is
-    /// recorded for [`Self::evaluate_ordered`] to flag.
+    /// of them for `None` — and the dirty cells they read on this sheet,
+    /// each after the ones it reads, by runs: see [`crate::order`]. What
+    /// an earlier call ordered stays where it is and what a later one adds
+    /// goes behind everything it reads, so any sequence of calls leaves a
+    /// valid order. Cycle members are recorded for
+    /// [`Self::evaluate_ordered`] to flag.
     ///
-    /// Runs entirely on the reusable [`RecalcScratch`] buffers: the dirty
-    /// set becomes a sorted vec the first time a pass orders here
-    /// (deterministic regardless of hash seeds, and binary-searchable by
-    /// [`dirty_in`]), colors live in a parallel `Vec<u8>`, and per-cell
-    /// neighbor lists share one arena sliced per DFS frame — zero
+    /// Runs entirely on the reusable [`Schedule`] buffers: zero
     /// steady-state allocations.
     pub(crate) fn order_from(&mut self, within: Option<Range>) {
-        let mut s = std::mem::take(&mut self.recalc);
-        if !s.viewed {
-            s.viewed = true;
-            s.dirty_sorted.extend_from_slice(self.cells.dirty());
-            s.dirty_sorted.sort_unstable();
-            s.color.clear();
-            s.color.resize(s.dirty_sorted.len(), WHITE);
+        let start = (self.profile != ProfileMode::Off).then(Instant::now);
+        let mut schedule = std::mem::take(&mut self.recalc.schedule);
+        schedule.order_from(self, within);
+        self.recalc.schedule = schedule;
+        if let Some(start) = start {
+            self.recalc.prof_order_ns += elapsed_ns(start);
         }
-        match within {
-            None => s.nbrs.extend(0..s.dirty_sorted.len() as u32),
-            Some(range) => dirty_in(&s.dirty_sorted, range, |i| s.nbrs.push(i)),
-        }
-        s.stack.push(Frame { node: ROOTS, start: 0, cursor: 0, end: s.nbrs.len() as u32 });
-        while let Some(&Frame { node, start, cursor, end }) = s.stack.last() {
-            if cursor < end {
-                s.stack.last_mut().expect("frame just read").cursor += 1;
-                let next = s.nbrs[cursor as usize] as usize;
-                match s.color[next] {
-                    WHITE => {
-                        s.color[next] = GRAY;
-                        let start = s.nbrs.len() as u32;
-                        self.dirty_precedents_into(
-                            s.dirty_sorted[next],
-                            &s.dirty_sorted,
-                            &mut s.nbrs,
-                        );
-                        let end = s.nbrs.len() as u32;
-                        s.stack.push(Frame { node: next as u32, start, cursor: start, end });
-                    }
-                    // Back edge: cycle.
-                    GRAY => s.cycles.push(s.dirty_sorted[next]),
-                    _ => {}
-                }
-            } else {
-                if node != ROOTS {
-                    s.color[node as usize] = BLACK;
-                    s.order.push(s.dirty_sorted[node as usize]);
-                }
-                s.nbrs.truncate(start as usize);
-                s.stack.pop();
-            }
-        }
-        self.recalc = s;
     }
 
     /// Evaluates the pass's order, with a view of other sheets' values
@@ -872,35 +787,32 @@ impl Engine {
     /// the order depends only on the dirty set, the local graph and the
     /// roots asked for. Returns the number of cells evaluated.
     pub(crate) fn evaluate_ordered<E: ExternalSheets>(&mut self, ext: &E) -> usize {
-        for i in 0..self.recalc.cycles.len() {
-            self.store_result(self.recalc.cycles[i], Value::Error(CellError::Cycle));
+        // Take the schedule out so the loop can borrow `cells` mutably; it
+        // goes back (capacity intact) afterwards.
+        let mut schedule = std::mem::take(&mut self.recalc.schedule);
+        for &cell in schedule.cycles() {
+            self.store_result(cell, Value::Error(CellError::Cycle));
         }
         let prof = self.profile;
         let pass_start = (prof != ProfileMode::Off).then(Instant::now);
-        // Take the order buffer out so the loop can borrow `cells`
-        // mutably; it goes back (capacity intact) afterwards.
-        let order = std::mem::take(&mut self.recalc.order);
-        let evaluated = order.len();
-        for &cell in &order {
+        let order = schedule.order();
+        for &cell in order {
             let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
             let Some(value) = self.eval_cell(cell, ext) else { continue };
             if let Some(start) = cell_start {
-                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                push_hot(&mut self.recalc.prof_top, cell, ns);
+                push_hot(&mut self.recalc.prof_top, cell, elapsed_ns(start));
             }
             self.store_result(cell, value);
         }
+        let evaluated = order.len();
         if let Some(start) = pass_start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.recalc.prof_levels.push((0, evaluated as u32, ns));
+            let (order_ns, eval_ns) = (self.recalc.prof_order_ns, elapsed_ns(start));
+            let cells = evaluated as u32;
+            self.recalc.prof_pass = Some(SheetPass { sheet: 0, cells, order_ns, eval_ns });
         }
-        self.cells.unmark(&order);
-        let RecalcScratch { dirty_sorted, color, .. } = &mut self.recalc;
-        if evaluated < dirty_sorted.len() {
-            let mut colors = color.iter();
-            dirty_sorted.retain(|_| colors.next() == Some(&BLACK));
-        }
-        self.recalc.order = order;
+        self.cells.unmark(order);
+        schedule.close();
+        self.recalc.schedule = schedule;
         self.evaluated_total += evaluated as u64;
         evaluated
     }
@@ -918,28 +830,6 @@ impl Engine {
             vol: Some(&vol),
         };
         Some(run.at(cell).eval(&view))
-    }
-
-    /// Pushes the `dirty_sorted` indices of the dirty formula cells that
-    /// `cell`'s formula references. Only same-sheet references matter
-    /// here: cross-sheet ordering is the workbook's job (it asks the
-    /// sheets read for their part of the order, and sheets evaluate level
-    /// by level).
-    fn dirty_precedents_into(&self, cell: Cell, dirty: &[Cell], out: &mut Vec<u32>) {
-        #[cfg(test)]
-        self.nbr_lists.set(self.nbr_lists.get() + 1);
-        let Some(run) = self.run_at(cell) else {
-            return;
-        };
-        for (sheet, rref) in run.at(cell).reads() {
-            if self.is_local(sheet) {
-                dirty_in(dirty, rref.range(), |i| {
-                    if dirty[i as usize] != cell {
-                        out.push(i);
-                    }
-                });
-            }
-        }
     }
 
     // ---- passthrough graph queries ----------------------------------------
@@ -1318,6 +1208,39 @@ mod tests {
             assert!(read > rest && read <= rest + u64::from(ROWS) / 16, "edit at row {at}: {read}");
             assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
         }
+    }
+
+    /// Neighbour entries the scheduler pushed since the last call.
+    fn entries(e: &Engine) -> u64 {
+        e.nbr_entries.replace(0)
+    }
+
+    #[test]
+    fn a_cumulative_column_over_a_formula_column_orders_in_linear_entries() {
+        const ROWS: u32 = 2048;
+        let mut e = Engine::with_taco();
+        for row in 1..=ROWS {
+            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+        }
+        e.set_formula(c("B1"), "=A1*2").unwrap();
+        e.autofill(c("B1"), Range::from_coords(2, 2, 2, ROWS)).unwrap();
+        cumulative(&mut e, 3, "B", ROWS);
+        entries(&e);
+        assert_eq!(e.recalculate(), 2 * ROWS as usize);
+        // Two nodes, each listed once, the column of totals reading the
+        // doubled one: where a cell order lists row r's r precedents,
+        // n²/2 ≈ 2.1 M entries.
+        let pushed = entries(&e);
+        assert!(pushed <= 4 * u64::from(ROWS), "{pushed} entries");
+        assert_eq!(e.value(Cell::new(3, ROWS)), added_up(&e, "B1:B2048"));
+        assert_eq!((carried(&e), folded(&e)), (u64::from(ROWS) - 1, u64::from(ROWS)));
+
+        // An edit dirties one doubled cell and the totals from its row
+        // down: one node each.
+        e.set_value(c("A700"), n(-3.5));
+        assert_eq!(e.recalculate(), 1 + (ROWS - 699) as usize);
+        assert!(entries(&e) <= 4 * u64::from(ROWS));
+        assert_eq!(e.value(Cell::new(3, ROWS)), added_up(&e, "B1:B2048"));
     }
 
     #[test]

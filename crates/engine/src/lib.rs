@@ -26,12 +26,14 @@
 mod cells;
 mod engine;
 mod obs;
+mod order;
 mod persist;
+mod scc;
 mod sheet;
 mod structural;
 mod workbook;
 
-pub use engine::{EditReceipt, Engine, ProfileMode, ProfileReport, PROFILE_TOP_K};
+pub use engine::{EditReceipt, Engine, ProfileMode, ProfileReport, SheetPass, PROFILE_TOP_K};
 pub use obs::EngineObs;
 pub use persist::{open_engine, save_engine, wal_path, PersistOptions, PersistentWorkbook};
 pub use sheet::CellContent;

@@ -5,7 +5,7 @@
 //! records through plain field access — atomic counter bumps, histogram
 //! bucket bumps, and fixed-size span pushes, none of which allocate.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, SheetPass};
 use taco_core::StatsScratch;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
@@ -21,11 +21,13 @@ pub struct EngineObs {
     dirty_depth: Histogram,
     /// `taco_demand_closure_cells` — needed-set size per demand recalc.
     demand_closure_cells: Histogram,
-    /// `taco_profile_level_ns` / `taco_profile_cell_ns` — profiler
-    /// attribution distributions (populated only while [`ProfileMode`]
-    /// is on for the workbook).
+    /// `taco_profile_order_ns` / `taco_profile_level_ns` /
+    /// `taco_profile_cell_ns` — profiler attribution distributions: per
+    /// sheet pass, ordering and evaluation; per hottest cell (populated
+    /// only while [`ProfileMode`] is on for the workbook).
     ///
     /// [`ProfileMode`]: crate::ProfileMode
+    profile_order_ns: Histogram,
     profile_level_ns: Histogram,
     profile_cell_ns: Histogram,
     /// `taco_recalcs_total` / `taco_recalc_cells_total` — lifetime counts.
@@ -77,6 +79,7 @@ impl EngineObs {
             recalc_levels: m.histogram("taco_recalc_levels"),
             dirty_depth: m.histogram("taco_dirty_depth"),
             demand_closure_cells: m.histogram("taco_demand_closure_cells"),
+            profile_order_ns: m.histogram("taco_profile_order_ns"),
             profile_level_ns: m.histogram("taco_profile_level_ns"),
             profile_cell_ns: m.histogram("taco_profile_cell_ns"),
             recalcs_total: m.counter("taco_recalcs_total"),
@@ -140,10 +143,12 @@ impl EngineObs {
     }
 
     /// Feeds one sheet's profiler buffers into the `taco_profile_*`
-    /// histograms (no-op when profiling is off — the slices are empty).
-    pub(crate) fn on_profile(&self, levels: &[(u32, u32, u64)], cells: &[(taco_grid::Cell, u64)]) {
-        for &(_, _, ns) in levels {
-            self.profile_level_ns.record(ns);
+    /// histograms (no-op when profiling is off — there is no pass and no
+    /// cell).
+    pub(crate) fn on_profile(&self, pass: Option<&SheetPass>, cells: &[(taco_grid::Cell, u64)]) {
+        if let Some(pass) = pass {
+            self.profile_order_ns.record(pass.order_ns);
+            self.profile_level_ns.record(pass.eval_ns);
         }
         for &(_, ns) in cells {
             self.profile_cell_ns.record(ns);

@@ -2,7 +2,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use taco_formula::template::At;
 use taco_formula::{Template, Value};
-use taco_grid::Cell;
+use taco_grid::a1::SheetRef;
+use taco_grid::{Cell, Range};
 
 /// The formula a run of cells shares: one [`Template`], written at
 /// `anchor`. The cell at `anchor + (dc, dr)` holds the template moved by
@@ -32,6 +33,19 @@ impl Run {
             i64::from(cell.col) - i64::from(self.anchor.col),
             i64::from(cell.row) - i64::from(self.anchor.row),
         )
+    }
+
+    /// What the run's cells in rows `first..=last` of column `col` read,
+    /// per reference: see [`Template::reads_at_ends`].
+    pub(crate) fn reads_at_ends(
+        &self,
+        col: u32,
+        first: u32,
+        last: u32,
+    ) -> impl Iterator<Item = (Option<&SheetRef>, Option<Range>, Option<Range>)> + '_ {
+        let dr = |row: u32| i64::from(row) - i64::from(self.anchor.row);
+        let dc = i64::from(col) - i64::from(self.anchor.col);
+        self.template.reads_at_ends(dc, dr(first), dr(last))
     }
 
     /// The formula as written at the anchor.

@@ -22,19 +22,8 @@ fn reads_edited_sheet(own: Option<&str>, sheet: Option<&SheetRef>, local: bool) 
     }
 }
 
-/// A reference with its corners as the parser would hand them over: a
-/// fill can leave them crossed (`B5:B$2`), and a `$` flag belongs to the
-/// coordinate it was written on, not to whichever corner that coordinate
-/// is stored in. What a structural edit compares and rewrites is this
-/// form, so a filled formula and the same formula typed in (a replayed
-/// fill) come out of the edit with the same text.
-fn straightened(r: RangeRef) -> RangeRef {
-    RangeRef::from_corners(r.head, r.tail)
-}
-
-/// Rewrites one [`straightened`] reference into the edited sheet under a
-/// structural edit, preserving its `$` flags; `None` becomes `#REF!` in
-/// the formula.
+/// Rewrites one reference into the edited sheet under a structural edit,
+/// preserving its `$` flags; `None` becomes `#REF!` in the formula.
 fn map_rref(op: StructuralOp, r: RangeRef) -> Option<RangeRef> {
     let nr = op.map_range(r.range())?;
     Some(RangeRef {
@@ -64,13 +53,11 @@ pub(crate) enum Restated {
 pub(crate) fn restate(op: StructuralOp, own: Option<&str>, at: At<'_>, local: bool) -> Restated {
     let mut rewritten = false;
     at.visit_refs(&mut |sheet, rref| {
-        let rref = straightened(rref);
         rewritten |= reads_edited_sheet(own, sheet, local) && map_rref(op, rref) != Some(rref);
     });
     if rewritten {
         // The rewritten formula is printed afresh, every reference of it.
         return Restated::Rewritten(at.rewrite(&mut |sheet, rref| {
-            let rref = straightened(rref);
             if reads_edited_sheet(own, sheet, local) {
                 map_rref(op, rref)
             } else {

@@ -46,6 +46,7 @@
 
 use crate::cells::CellStore;
 use crate::engine::{Engine, ExternalSheets};
+use crate::scc::{Digraph, Tarjan};
 use crate::sheet::Run;
 use crate::structural::{restate, Restated};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -949,73 +950,57 @@ impl Workbook {
     }
 
     fn levels(&self) -> Vec<Vec<usize>> {
+        /// The sheet graph: an edge from each sheet to the sheets whose
+        /// formulas read it.
+        struct Sheets<'a>(&'a EdgeTable);
+        impl Digraph for Sheets<'_> {
+            fn successors(&mut self, v: u32, out: &mut Vec<u32>) {
+                let edges = self.0.outgoing(v as usize).iter();
+                out.extend(edges.filter(|e| e.src != e.dst).map(|e| e.dst.0 as u32));
+            }
+        }
         let n = self.sheets.len();
-        let mut succ: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        for e in self.xedges.iter() {
-            if e.src != e.dst {
-                succ[e.src.0].insert(e.dst.0);
+        let mut sccs = Tarjan::default();
+        for sheet in 0..n as u32 {
+            sccs.search(sheet, &mut Sheets(&self.xedges));
+        }
+        // Components come out after everything they reach: backwards is
+        // an order in which every component follows its predecessors.
+        let mut comp_of = vec![0; n];
+        for k in 0..sccs.count() {
+            for &sheet in &sccs.members()[sccs.bounds(k)] {
+                comp_of[sheet as usize] = k;
             }
         }
-        // Strongly connected components via mutual reachability (sheet
-        // counts are small; BFS per sheet is plenty).
-        let reach: Vec<Vec<bool>> = (0..n)
-            .map(|start| {
-                let mut seen = vec![false; n];
-                let mut queue = VecDeque::from([start]);
-                while let Some(u) = queue.pop_front() {
-                    for &v in &succ[u] {
-                        if !seen[v] {
-                            seen[v] = true;
-                            queue.push_back(v);
-                        }
-                    }
-                }
-                seen
-            })
-            .collect();
-        let mut comp_of = vec![usize::MAX; n];
-        let mut comps: Vec<Vec<usize>> = Vec::new();
-        for i in 0..n {
-            if comp_of[i] != usize::MAX {
-                continue;
-            }
-            let c = comps.len();
-            let members: Vec<usize> =
-                (i..n).filter(|&j| j == i || (reach[i][j] && reach[j][i])).collect();
-            for &m in &members {
-                comp_of[m] = c;
-            }
-            comps.push(members);
-        }
-        // Longest-path base level per component over the condensation
-        // (acyclic, so relaxation converges); a k-sheet component spans k
-        // consecutive singleton levels, and successors start after it.
-        let mut base = vec![0usize; comps.len()];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for u in 0..n {
-                for &v in &succ[u] {
-                    let (cu, cv) = (comp_of[u], comp_of[v]);
-                    if cu != cv && base[cv] < base[cu] + comps[cu].len() {
-                        base[cv] = base[cu] + comps[cu].len();
-                        changed = true;
+        // Longest-path base level per component over the condensation; a
+        // k-sheet component spans k consecutive singleton levels, and
+        // successors start after it.
+        let mut base = vec![0usize; sccs.count()];
+        let mut height = 0;
+        for k in (0..sccs.count()).rev() {
+            let members = sccs.bounds(k);
+            let after = base[k] + members.len();
+            height = height.max(after);
+            for &sheet in &sccs.members()[members] {
+                for e in self.xedges.outgoing(sheet as usize) {
+                    let next = comp_of[e.dst.0];
+                    if next != k {
+                        base[next] = base[next].max(after);
                     }
                 }
             }
         }
-        let height =
-            comps.iter().zip(&base).map(|(members, b)| b + members.len()).max().unwrap_or(0);
         let mut levels: Vec<Vec<usize>> = vec![Vec::new(); height];
-        for (members, b) in comps.iter().zip(&base) {
-            // Members are already in ascending id order; a trivial
-            // component shares its level with independent peers, a cyclic
-            // one unrolls into singleton sub-levels.
-            for (j, &m) in members.iter().enumerate() {
-                levels[b + j].push(m);
+        for k in 0..sccs.count() {
+            let mut members: Vec<usize> =
+                sccs.members()[sccs.bounds(k)].iter().map(|&s| s as usize).collect();
+            members.sort_unstable();
+            // A trivial component shares its level with independent
+            // peers, a cyclic one unrolls into singleton sub-levels.
+            for (j, m) in members.into_iter().enumerate() {
+                levels[base[k] + j].push(m);
             }
         }
-        levels.retain(|l| !l.is_empty());
         for level in &mut levels {
             level.sort_unstable();
         }
@@ -1031,14 +1016,14 @@ impl Workbook {
     }
 
     /// The merged profile of the most recent recalculation: every
-    /// sheet's pass wall time concatenated in sheet order, plus
-    /// the top-K hottest cells across all sheets (hottest first). Empty
-    /// when profiling is off.
+    /// sheet's part of the pass, ordering and evaluation apart, in sheet
+    /// order, plus the top-K hottest cells across all sheets (hottest
+    /// first). Empty when profiling is off.
     pub fn profile_report(&self) -> crate::ProfileReport {
         let mut out = crate::ProfileReport::default();
-        for s in &self.sheets {
+        for (sheet, s) in self.sheets.iter().enumerate() {
             let r = s.engine.profile_report();
-            out.levels.extend(r.levels);
+            out.passes.extend(r.passes.into_iter().map(|pass| crate::SheetPass { sheet, ..pass }));
             out.hotspots.extend(r.hotspots);
         }
         out.hotspots.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -1169,8 +1154,8 @@ impl Workbook {
             g.b = levels_walked as u64;
             o.on_recalc(g.finish(), total, levels_walked, dirty_before);
             for s in sheets.iter() {
-                let (levels, cells) = s.engine.profile_slices();
-                o.on_profile(levels, cells);
+                let (pass, cells) = s.engine.profile_slices();
+                o.on_profile(pass, cells);
             }
             o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
         }
@@ -1607,6 +1592,116 @@ mod tests {
     }
 
     #[test]
+    fn levels_are_the_longest_paths_of_the_sheet_condensation() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=8usize);
+            let mut wb = Workbook::with_taco();
+            for s in 0..n {
+                wb.add_sheet(&format!("S{s}")).unwrap();
+            }
+            // reads[to][from]: a formula on `to` reads sheet `from`.
+            let mut reads = vec![vec![false; n]; n];
+            for _ in 0..rng.gen_range(0..=2 * n) {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if from != to {
+                    reads[to][from] = true;
+                    let cell = Cell::new(1 + from as u32, 1);
+                    wb.set_formula(SheetId(to), cell, &format!("=S{from}!A1+1")).unwrap();
+                }
+            }
+            // The oracle: mutual reachability, by closure.
+            let mut reach = vec![vec![false; n]; n];
+            for (to, row) in reads.iter().enumerate() {
+                for (from, &read) in row.iter().enumerate() {
+                    reach[from][to] = read || from == to;
+                }
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        reach[i][j] |= reach[i][k] && reach[k][j];
+                    }
+                }
+            }
+            let scc = |s: usize| (0..n).filter(|&t| reach[s][t] && reach[t][s]).collect::<Vec<_>>();
+
+            let levels = wb.sheet_levels();
+            assert!(levels.iter().all(|l| !l.is_empty()), "seed {seed}: {levels:?}");
+            let mut level = vec![usize::MAX; n];
+            for (i, sheets) in levels.iter().enumerate() {
+                for s in sheets {
+                    assert_eq!(level[s.0], usize::MAX, "seed {seed}: {s:?} twice");
+                    level[s.0] = i;
+                }
+            }
+            let top = |s: usize| scc(s).into_iter().map(|t| level[t]).max().unwrap();
+            for s in 0..n {
+                for from in (0..n).filter(|&from| reads[s][from]) {
+                    assert!(
+                        level[from] < level[s] || scc(s).contains(&from),
+                        "seed {seed}: S{from} → S{s} in {levels:?}"
+                    );
+                }
+                // A k-sheet component is k consecutive levels, one member
+                // each, in id order; its first starts one past the last
+                // level of a component its members read, the latest such,
+                // or at 0.
+                let members = scc(s);
+                let rank = members.iter().position(|&t| t == s).unwrap();
+                let want = if rank > 0 {
+                    level[members[rank - 1]] + 1
+                } else {
+                    let read = |p: usize| members.iter().any(|&m| reads[m][p]);
+                    let outside = (0..n).filter(|&p| read(p) && !members.contains(&p));
+                    outside.map(|p| top(p) + 1).max().unwrap_or(0)
+                };
+                assert_eq!(level[s], want, "seed {seed}: S{s} in {levels:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_crossed_fill_prints_as_its_replay_does() {
+        let mut wb = Workbook::with_taco();
+        let s = wb.add_sheet("Only").unwrap();
+        for row in 1..=14u32 {
+            wb.set_value(s, Cell::new(1, row), n(f64::from(row)));
+        }
+        wb.set_formula(s, c("C4"), "=SUM(A4:A$5)").unwrap();
+        // Two fills, the second from a cell the first wrote, logged as the
+        // formulas they write; the replay applies the log.
+        let mut log =
+            vec![EditRecord::SetFormula { sheet: 0, cell: c("C4"), src: "=SUM(A4:A$5)".into() }];
+        for (from, targets) in [(c("C4"), r("C4:C8")), (c("C8"), r("C8:C14"))] {
+            log.extend(wb.autofill_records(s, from, targets).unwrap());
+            wb.autofill(s, from, targets).unwrap();
+        }
+        let mut replayed = Workbook::with_taco();
+        replayed.add_sheet("Only").unwrap();
+        for row in 1..=14u32 {
+            replayed.set_value(s, Cell::new(1, row), n(f64::from(row)));
+        }
+        for rec in &log {
+            replayed.apply_edit(rec).unwrap();
+        }
+        wb.recalculate(RecalcMode::Serial);
+        replayed.recalculate(RecalcMode::Serial);
+        // Past row 5 the corners cross: straightened, `$` travelling with
+        // its row, live as on replay.
+        assert_eq!(wb.formula_of(s, c("C7")).as_deref(), Some("SUM(A$5:A7)"));
+        assert_eq!(wb.formula_of(s, c("C12")).as_deref(), Some("SUM(A$5:A12)"));
+        for cell in r("C4:C14").cells() {
+            let live = (wb.formula_of(s, cell), wb.value(s, cell));
+            assert_eq!(live, (replayed.formula_of(s, cell), replayed.value(s, cell)), "{cell:?}");
+        }
+        // Both sheets hold the column as one template.
+        let templates = |wb: &Workbook| wb.sheet(s).formula_templates();
+        assert_eq!((templates(&wb), templates(&replayed)), (1, 1));
+    }
+
+    #[test]
     fn demand_recalc_evaluates_only_viewport_precedents() {
         let mut wb = Workbook::with_taco();
         let s = wb.add_sheet("Only").unwrap();
@@ -1658,13 +1753,36 @@ mod tests {
         assert!(matches!(err, Err(WorkbookError::NoSuchSheet(3))));
     }
 
-    /// Neighbor lists the sheets' schedulers built since the last call.
+    /// Neighbour lists the sheets' schedulers built since the last call.
     fn lists_built(wb: &Workbook) -> u64 {
         wb.sheets.iter().map(|s| s.engine.nbr_lists.replace(0)).sum()
     }
 
+    /// The (run, interval) nodes the last pass's cells make: maximal
+    /// vertical stretches of evaluated cells of one run, on every sheet.
+    fn stretches(wb: &Workbook) -> u64 {
+        let mut nodes = 0;
+        for s in &wb.sheets {
+            let mut above: Option<(Cell, &Arc<Run>)> = None;
+            for &cell in s.engine.last_evaluated() {
+                let run = s.engine.run_at(cell).expect("evaluated cells are formulas");
+                let joins = above.is_some_and(|(up, of)| {
+                    up.col == cell.col && up.row + 1 == cell.row && Arc::ptr_eq(of, run)
+                });
+                nodes += u64::from(!joins);
+                above = Some((cell, run));
+            }
+        }
+        nodes
+    }
+
+    /// The nodes the sheets' schedulers made in the last pass.
+    fn nodes_made(wb: &Workbook) -> u64 {
+        wb.sheets.iter().map(|s| s.engine.nodes_made() as u64).sum()
+    }
+
     #[test]
-    fn a_pass_builds_one_neighbor_list_per_cell_it_orders() {
+    fn a_pass_builds_one_neighbor_list_per_node_it_orders() {
         use taco_workload::{gen_persist_workload, persist_enron_like, persist_giant_sheet};
         let viewport = r("A1:F8");
         for (params, sheet) in [(persist_giant_sheet(), 0), (persist_enron_like(), 2)] {
@@ -1673,17 +1791,23 @@ mod tests {
             wb.apply_batch(&w.build).unwrap();
             let (id, dirty) = (SheetId(sheet), wb.dirty_count());
 
-            // From a viewport: one list per cell needed, on whichever
-            // sheet, and none for the cells left dirty.
+            // From a viewport: one list per node, none twice, on whichever
+            // sheet — a node cut to the rows the cells that sent for it
+            // read, never more than the stretch of a run it is part of —
+            // and none for the cells left dirty.
             let needed = wb.recalc_demand(id, viewport, RecalcMode::Serial).unwrap();
             assert!(needed > 0 && needed < dirty / 2, "{}: {needed} of {dirty}", params.name);
-            assert_eq!(lists_built(&wb), needed as u64, "{}", params.name);
+            let (lists, nodes) = (lists_built(&wb), nodes_made(&wb));
+            assert_eq!(lists, nodes, "{}", params.name);
+            assert!(stretches(&wb) <= nodes && nodes < needed as u64, "{}", params.name);
             // Nothing in it is dirty now, whatever else is.
             assert_eq!(wb.recalc_demand(id, viewport, RecalcMode::Serial), Ok(0));
             assert_eq!(lists_built(&wb), 0, "{}", params.name);
-            // From every dirty cell: one list each.
+            // From every dirty cell: one list per (run, dirty interval).
             assert_eq!(wb.recalculate(RecalcMode::Serial), dirty - needed);
-            assert_eq!(lists_built(&wb), (dirty - needed) as u64, "{}", params.name);
+            let (lists, nodes) = (lists_built(&wb), stretches(&wb));
+            assert_eq!((lists, nodes_made(&wb)), (nodes, nodes), "{}", params.name);
+            assert!(nodes < (dirty - needed) as u64 / 2, "{}: {nodes} nodes", params.name);
         }
     }
 

@@ -204,14 +204,11 @@ impl Pair {
     }
 
     /// The formulas a fill from `from` writes, by the reference: one tree
-    /// built per target, from the tree the source cell holds. (Not from
-    /// its text: a range whose corners an earlier fill crossed, `B5:B$2`,
-    /// re-parses with them straightened out, and fills on as `B$2:B6`
-    /// where the tree fills on as `B6:B$2` — the same cells, and as old as
-    /// fills that are logged as the formulas they wrote.)
+    /// built per target, from the source cell's formula as its text
+    /// parses.
     fn filled(&self, from: Cell, targets: Range) -> Option<Vec<(Cell, String)>> {
-        let ast = self.shared.sheet(CALC).content(from)?.formula(from)?.to_ast();
-        let formula = Formula { src: ast.to_string(), refs: ast.collect_refs(), ast };
+        let text = self.shared.formula_of(CALC, from)?;
+        let formula = Formula::parse(&text).expect("a formula's text parses");
         Some(
             autofill(from, &formula, targets)
                 .into_iter()

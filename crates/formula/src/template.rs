@@ -30,6 +30,7 @@ use crate::parser::{parse_spanned, RefSpan};
 use crate::{FormulaError, Value};
 use std::fmt::{self, Write as _};
 use taco_grid::a1::{QualifiedRef, RangeRef, SheetRef};
+use taco_grid::Range;
 
 /// One member of the dependency read set (see [`Expr::visit_reads`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +57,22 @@ impl Read {
                 };
                 Some((sum.sheet.as_ref(), read))
             }
+        }
+    }
+
+    /// The range read at an offset where the read has the form it has at
+    /// the offsets around it: `None` off the grid, and for a shaped read
+    /// also where its criteria range is.
+    fn whole_at(&self, dc: i64, dr: i64) -> Option<Range> {
+        if let Read::Shaped { crit, .. } = self {
+            crit.autofill(dc, dr)?;
+        }
+        self.at(dc, dr).map(|(_, rref)| rref.range())
+    }
+
+    fn sheet(&self) -> Option<&SheetRef> {
+        match self {
+            Read::Plain(q) | Read::Shaped { sum: q, .. } => q.sheet.as_ref(),
         }
     }
 }
@@ -138,6 +155,38 @@ impl Template {
         self.src == self.ast.to_string()
     }
 
+    /// What each read of the formula takes in down a stretch of one column
+    /// of a run — offsets `(dc, first)` through `(dc, last)`, `first <=
+    /// last` — told by its two ends: per read, in order, its qualifier and
+    /// the ranges read at `(dc, first)` and at `(dc, last)`, `None` at an
+    /// end where the read is off the grid (or a criteria range shaping it
+    /// is). Where both ends are on the grid so is every offset between,
+    /// and the ends say all a scheduler needs about them:
+    ///
+    /// - the ranges read between cover, together, exactly the bounding box
+    ///   of the two ends' ranges. The columns do not move; the first row
+    ///   read is the lesser of two corners that are `$`-fixed or move with
+    ///   the cell (for a shaped read, its sum range's), so it moves by at
+    ///   most one per row and consecutive ranges touch; it is lowest at an
+    ///   end, and the last row read is highest at one (for a shaped read,
+    ///   the first row plus the criteria range's height, which grows or
+    ///   shrinks by one per row and can only turn from shrinking to
+    ///   growing);
+    /// - by the same slopes, the first row read minus the reading cell's
+    ///   row is smallest at an end, and the last row read minus it largest
+    ///   at one: a read above every reading cell at both ends is above
+    ///   each reading cell between, and likewise below.
+    pub fn reads_at_ends(
+        &self,
+        dc: i64,
+        first: i64,
+        last: i64,
+    ) -> impl Iterator<Item = (Option<&SheetRef>, Option<Range>, Option<Range>)> + '_ {
+        self.reads
+            .iter()
+            .map(move |read| (read.sheet(), read.whole_at(dc, first), read.whole_at(dc, last)))
+    }
+
     /// Whether some range the formula reads is not one it names: the sum
     /// range of a `SUMIF`/`AVERAGEIF`, read in the shape of the criteria
     /// range. Where the references move apart (a structural edit), such a
@@ -201,22 +250,14 @@ impl<'a> At<'a> {
     /// `=`) *is* this formula — would parse to its tree, `$` flags
     /// included, and print as it prints. It is when `text` is this
     /// formula's text byte for byte (so sheet qualifiers, literals,
-    /// spacing and case agree too), with two exceptions that keep the
-    /// answer exact. A reference that left the grid prints as `#REF!`
-    /// but is not one: `#REF!` typed into a formula stays `#REF!`
-    /// wherever the formula is filled to. And a range whose corners a
-    /// fill has crossed (`B5:B$2`) parses with them straightened out, and
-    /// from then on prints differently.
+    /// spacing and case agree too), with one exception that keeps the
+    /// answer exact: a reference that left the grid prints as `#REF!` but
+    /// is not one — `#REF!` typed into a formula stays `#REF!` wherever
+    /// the formula is filled to.
     ///
     /// Nothing is parsed: equal text has an equal tree.
     pub fn reads_as(&self, text: &str) -> bool {
-        let straight = self.template.holes.iter().all(|hole| {
-            hole.rref.autofill(self.dc, self.dr).is_some_and(|moved| {
-                let (head, tail) = (moved.head.cell, moved.tail.cell);
-                head.col <= tail.col && head.row <= tail.row
-            })
-        });
-        let same = straight && {
+        let same = self.is_whole() && {
             let mut rest = Expect(text);
             write!(rest, "{self}").is_ok() && rest.0.is_empty()
         };
@@ -424,16 +465,19 @@ mod tests {
         let data = Template::parse("Data!A1*2").unwrap();
         assert_eq!(data.at(-1, 0).to_string(), "#REF!*2");
 
-        // A range whose corners a fill crossed parses straightened out
-        // (`$` flags travel with their coordinates) and would print
-        // differently one row on: typed, it is a formula of its own.
+        // A fill that carries a corner past a `$`-fixed one straightens the
+        // range, `$` flags travelling with their coordinates — what the
+        // printed text parses back to — so typed, it joins.
         let crossing = Template::parse("SUM(B4:B$5)").unwrap();
-        assert_eq!(crossing.at(0, 2).to_string(), "SUM(B6:B$5)");
+        assert_eq!(crossing.at(0, 2).to_string(), "SUM(B$5:B6)");
+        assert!(crossing.at(0, 2).reads_as("SUM(B$5:B6)"));
         assert!(!crossing.at(0, 2).reads_as("SUM(B6:B$5)"));
-        assert_eq!(crossing.at(0, 3).to_string(), "SUM(B7:B$5)");
-        let typed = Template::parse("SUM(B6:B$5)").unwrap();
-        assert_eq!(typed.at(0, 1).to_string(), "SUM(B$5:B7)");
-        assert!(crossing.at(0, 1).reads_as("SUM(B5:B$5)"));
+        assert_eq!(crossing.at(0, 3).to_string(), "SUM(B$5:B7)");
+        let typed = Template::parse("SUM(B$5:B6)").unwrap();
+        assert_eq!(typed.at(0, 1).to_string(), crossing.at(0, 3).to_string());
+        // Where the corners meet, the `$`-fixed one heads.
+        assert_eq!(crossing.at(0, 1).to_string(), "SUM(B$5:B5)");
+        assert_eq!(crossing.at(0, -2).to_string(), "SUM(B2:B$5)");
     }
 
     #[test]

@@ -129,11 +129,41 @@ proptest! {
     #[test]
     fn autofill_moves_only_relative_coords(r in arb_range_ref(), dc in -5i64..5, dr in -5i64..5) {
         if let Some(filled) = r.autofill(dc, dr) {
-            for (orig, new) in [(r.head, filled.head), (r.tail, filled.tail)] {
-                let want_col = if orig.col_abs { i64::from(orig.cell.col) } else { i64::from(orig.cell.col) + dc };
-                let want_row = if orig.row_abs { i64::from(orig.cell.row) } else { i64::from(orig.cell.row) + dr };
-                prop_assert_eq!(i64::from(new.cell.col), want_col);
-                prop_assert_eq!(i64::from(new.cell.row), want_row);
+            // Every coordinate moves unless `$`-fixed, its flag with it; a
+            // fill that carries one past the other straightens the range
+            // (which corner gets the `$` of two equal coordinates is
+            // `RangeRef::autofill`'s rule).
+            let moved = |v: u32, abs: bool, by: i64| {
+                (if abs { i64::from(v) } else { i64::from(v) + by }, abs)
+            };
+            let (h, t) = (r.head, r.tail);
+            let mut cols = [moved(h.cell.col, h.col_abs, dc), moved(t.cell.col, t.col_abs, dc)];
+            let mut rows = [moved(h.cell.row, h.row_abs, dr), moved(t.cell.row, t.row_abs, dr)];
+            let (f, g) = (filled.head, filled.tail);
+            let mut got_cols = [(f.cell.col, f.col_abs), (g.cell.col, g.col_abs)].map(|(v, a)| (i64::from(v), a));
+            let mut got_rows = [(f.cell.row, f.row_abs), (g.cell.row, g.row_abs)].map(|(v, a)| (i64::from(v), a));
+            prop_assert!(got_cols[0].0 <= got_cols[1].0 && got_rows[0].0 <= got_rows[1].0);
+            for v in [&mut cols, &mut rows, &mut got_cols, &mut got_rows] {
+                v.sort();
+            }
+            prop_assert_eq!((got_cols, got_rows), (cols, rows));
+        }
+    }
+
+    #[test]
+    fn a_fill_of_a_fill_is_the_fill_by_the_sum(
+        r in arb_range_ref(), dc in -5i64..5, dr in -5i64..5, ec in -5i64..5, er in -5i64..5
+    ) {
+        // Straightening loses which corner a coordinate came from; fills
+        // still compose because equal coordinates are settled by a rule of
+        // the coordinates alone. (Back where it started, a reference reads
+        // as written, which may be the other way round.)
+        let via = r.autofill(dc, dr).and_then(|m| m.autofill(ec, er));
+        if let (Some(via), Some(once)) = (via, r.autofill(dc + ec, dr + er)) {
+            if (dc + ec, dr + er) != (0, 0) {
+                prop_assert_eq!(via, once);
+            } else {
+                prop_assert_eq!(via.range(), once.range());
             }
         }
     }

@@ -159,6 +159,7 @@ impl RangeRef {
 
     /// Builds from two corner refs, normalizing so head is top-left. The
     /// `$` flags travel with the coordinate they annotate.
+    #[inline]
     pub fn from_corners(a: CellRef, b: CellRef) -> Self {
         // Normalize per coordinate: flags follow the coordinate chosen.
         let (head_col, head_col_abs, tail_col, tail_col_abs) = if a.cell.col <= b.cell.col {
@@ -205,18 +206,47 @@ impl RangeRef {
     }
 
     /// Applies an autofill translation to both corners (see
-    /// [`CellRef::autofill`]).
+    /// [`CellRef::autofill`]) and straightens the result: a fill that
+    /// carries a relative corner past a `$`-fixed one (`B4:B$5` two rows
+    /// down) reads the range the corners now span, and is that range,
+    /// each `$` flag travelling with its coordinate (`B$5:B6`) — what its
+    /// printed text parses back to.
+    ///
+    /// Straightened, a range no longer says which corner a coordinate
+    /// came from, so where that could matter — two equal coordinates, one
+    /// of them `$`-fixed — a fill settles it by a rule of the coordinates
+    /// alone: the `$` goes to the corner holding the other axis's one `$`
+    /// (`A17:$A$24`, `$A$1:A2`), and heads when that axis has none or two
+    /// (`$A$1:A1`, `$B2:B2`, `B$5:B5` — the first cell of a running total,
+    /// as it is typed). A fill of a fill is then the fill by the sum,
+    /// whatever it crossed on the way. No offset, no fill: the reference
+    /// stays as written.
     #[inline]
     pub fn autofill(&self, dc: i64, dr: i64) -> Option<RangeRef> {
-        Some(RangeRef { head: self.head.autofill(dc, dr)?, tail: self.tail.autofill(dc, dr)? })
+        if (dc, dr) == (0, 0) {
+            return Some(*self);
+        }
+        let mut r =
+            RangeRef::from_corners(self.head.autofill(dc, dr)?, self.tail.autofill(dc, dr)?);
+        let (h, t) = (r.head, r.tail);
+        let col_tie = h.cell.col == t.cell.col && h.col_abs != t.col_abs;
+        let row_tie = h.cell.row == t.cell.row && h.row_abs != t.row_abs;
+        // Whether an axis's one `$` sits at the tail, if it has just one.
+        let one = |head: bool, tail: bool, tied: bool| (!tied && head != tail).then_some(tail);
+        if col_tie {
+            let tail = one(h.row_abs, t.row_abs, row_tie).unwrap_or(false);
+            (r.head.col_abs, r.tail.col_abs) = (!tail, tail);
+        }
+        if row_tie {
+            let tail = one(h.col_abs, t.col_abs, col_tie).unwrap_or(false);
+            (r.head.row_abs, r.tail.row_abs) = (!tail, tail);
+        }
+        Some(r)
     }
 
     /// The same reference resized to `width × height`, anchored at its
-    /// *normalized* top-left corner and clamped to the grid — Excel's
-    /// implicit shaping of `SUMIF`'s sum range to the criteria range's
-    /// dimensions. (Autofill can leave the stored corners de-normalized,
-    /// e.g. `B5:B$2`; evaluation anchors at the geometric head, so the
-    /// read set must too.)
+    /// top-left corner and clamped to the grid — Excel's implicit shaping
+    /// of `SUMIF`'s sum range to the criteria range's dimensions.
     pub fn resized(&self, width: u32, height: u32) -> RangeRef {
         let head = self.range().head();
         let tail = Cell::new(
@@ -528,6 +558,29 @@ mod tests {
         assert!(!r.head.row_abs);
         assert!(!r.tail.col_abs);
         assert!(r.tail.row_abs); // the $4 row flag
+    }
+
+    #[test]
+    fn a_fill_settles_equal_corners_by_the_other_axis() {
+        let fill = |typed: &str, dc: i64, dr: i64| {
+            RangeRef::parse(typed).unwrap().autofill(dc, dr).unwrap().to_string()
+        };
+        // The `$` of a tied axis goes with the other axis's one `$`...
+        assert_eq!(fill("B17:$A$24", -1, 0), "A17:$A$24");
+        assert_eq!(fill("$A$1:B2", -1, 0), "$A$1:A2");
+        // ...or heads, as a running total's first cell is typed.
+        assert_eq!(fill("$A$1:A2", 0, -1), "$A$1:A1");
+        assert_eq!(fill("$B2:C2", -1, 0), "$B2:B2");
+        assert_eq!(fill("A2:$A$24", 0, 22), "$A$24:A24");
+        assert_eq!(fill("B4:B$5", 0, 1), "B$5:B5");
+        // Whatever the way there: across the corners and back, or not.
+        let r = RangeRef::parse("A17:$A$24").unwrap();
+        assert_eq!(r.autofill(1, 3).unwrap().autofill(-1, 0), r.autofill(0, 3));
+        // Not moved, as written.
+        assert_eq!(
+            RangeRef::parse("$B1:B$4").unwrap().autofill(0, 0).unwrap().to_string(),
+            "$B1:B$4"
+        );
     }
 
     #[test]

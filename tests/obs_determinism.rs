@@ -153,8 +153,9 @@ fn profiled_recalc_is_bit_identical() {
     let w = gen_persist_workload(&p);
 
     let mut reference = build(&w, None);
-    reference.recalculate(RecalcMode::Serial);
+    let evaluated = reference.recalculate(RecalcMode::Serial);
     let want = snapshot(&reference);
+    assert_eq!(reference.profile_report(), Default::default(), "Off attributes nothing");
 
     for profile in [ProfileMode::Levels, ProfileMode::Hotspots] {
         let hub = Obs::new(ObsOptions::default());
@@ -163,16 +164,23 @@ fn profiled_recalc_is_bit_identical() {
         wb.recalculate(RecalcMode::Serial);
         assert_eq!(snapshot(&wb), want, "{profile:?}");
 
+        // One record per sheet evaluated on, in sheet order, ordering
+        // and evaluation apart; together they are the whole pass.
         let report = wb.profile_report();
-        assert!(!report.levels.is_empty(), "{profile:?} must attribute sheet passes");
+        assert!(!report.passes.is_empty(), "{profile:?} must attribute sheet passes");
+        assert!(report.passes.windows(2).all(|w| w[0].sheet < w[1].sheet), "{profile:?}");
+        let cells: u32 = report.passes.iter().map(|p| p.cells).sum();
+        assert_eq!(cells as usize, evaluated, "{profile:?}");
         if profile == ProfileMode::Hotspots {
             assert!(!report.hotspots.is_empty(), "must attribute hot cells");
         }
         let snap = hub.snapshot();
-        assert!(
-            snap.histograms.iter().any(|h| h.name == "taco_profile_level_ns" && h.count > 0),
-            "profiler histograms must have recorded: {profile:?}"
-        );
+        for name in ["taco_profile_order_ns", "taco_profile_level_ns"] {
+            assert!(
+                snap.histograms.iter().any(|h| h.name == name && h.count > 0),
+                "{name} must have recorded: {profile:?}"
+            );
+        }
     }
 }
 
