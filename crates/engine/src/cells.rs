@@ -325,6 +325,14 @@ impl CellStore {
         None
     }
 
+    /// Makes the formula cell at `cell` a cell of `run`, which holds there
+    /// the formula the cell holds: no value is written, so no clock is
+    /// stamped, and a dirty mark stays.
+    pub(crate) fn repoint(&mut self, cell: Cell, run: Arc<Run>) {
+        let slot = self.slot_mut(cell).filter(|slot| slot.content.run.is_some());
+        slot.expect("a formula cell").content.run = Some(run);
+    }
+
     /// Blanks every cell of `range` at write clock `at`, dirty marks
     /// included: a walk over the allocated pages the range overlaps (plus
     /// one pass over the dirty list if a dirty cell went). Column headers

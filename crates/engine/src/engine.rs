@@ -68,6 +68,10 @@ pub struct SheetPass {
     pub sheet: usize,
     /// Cells evaluated.
     pub cells: u32,
+    /// The nodes the pass's orderings on the sheet made of them (see
+    /// `crate::order`): a run's stretch of dirty cells ordered as one
+    /// counts once, a cell ordered on its own once. At most `cells`.
+    pub nodes: u32,
     /// Wall nanoseconds spent ordering them (every `order_from` of the
     /// pass on the sheet).
     pub order_ns: u64,
@@ -608,19 +612,39 @@ impl Engine {
     /// The run of the cell above `cell` or of the cell to its left, if a
     /// formula typed at `cell` as `text` (no leading `=`) would be its
     /// next cell: what filling that run to `cell` would have written.
-    fn run_beside(&self, cell: Cell, text: &str) -> Option<Arc<Run>> {
+    ///
+    /// Failing that, a run of one above that the formula would extend if
+    /// its numeric literals stepped ([`At::step_below`]) becomes a run of
+    /// two: the cell above is put in a run of the stepped template —
+    /// holding, there, the very formula it held — and that run returned.
+    /// A longer run's steps are fixed by its cells; a formula off its line
+    /// starts a run of its own.
+    ///
+    /// [`At::step_below`]: taco_formula::template::At::step_below
+    fn run_beside(&mut self, cell: Cell, text: &str) -> Option<Arc<Run>> {
         let above = (cell.row > 1).then(|| Cell::new(cell.col, cell.row - 1));
         let left = (cell.col > 1).then(|| Cell::new(cell.col - 1, cell.row));
-        let [above, left] = [above, left].map(|c| c.and_then(|c| self.run_at(c)));
-        let left = left.filter(|left| !above.is_some_and(|above| Arc::ptr_eq(above, left)));
-        [above, left].into_iter().flatten().find(|run| run.at(cell).reads_as(text)).cloned()
+        let [above_run, left_run] = [above, left].map(|c| c.and_then(|c| self.run_at(c)));
+        let left_run = left_run.filter(|left| !above_run.is_some_and(|up| Arc::ptr_eq(up, left)));
+        let beside = [above_run, left_run];
+        if let Some(run) = beside.into_iter().flatten().find(|run| run.at(cell).reads_as(text)) {
+            return Some(Arc::clone(run));
+        }
+        // The cell store holds the one pointer to a run of one.
+        let above = above?;
+        let alone = above_run.filter(|run| Arc::strong_count(run) == 1)?;
+        let stepped = alone.at(above).step_below(text)?;
+        debug_assert_eq!(stepped.at(0, 0).to_string(), alone.at(above).to_string());
+        let run = Run::new(stepped, above, &self.runs_alive);
+        self.cells.repoint(above, Arc::clone(&run));
+        Some(run)
     }
 
     /// The run a cell holding the formula `src` (leading `=` optional) at
     /// `cell` is part of: a neighbour's ([`Self::run_beside`]), in which
     /// case `src` is not even parsed — the run holds it — and a new run
     /// of one otherwise.
-    pub(crate) fn run_for(&self, cell: Cell, src: &str) -> Result<Arc<Run>, FormulaError> {
+    pub(crate) fn run_for(&mut self, cell: Cell, src: &str) -> Result<Arc<Run>, FormulaError> {
         let text = src.strip_prefix('=').unwrap_or(src);
         match self.run_beside(cell, text) {
             Some(run) => Ok(run),
@@ -629,7 +653,7 @@ impl Engine {
     }
 
     /// [`Self::run_for`] a formula already parsed or built.
-    pub(crate) fn run_of(&self, cell: Cell, formula: Template) -> Arc<Run> {
+    pub(crate) fn run_of(&mut self, cell: Cell, formula: Template) -> Arc<Run> {
         self.run_beside(cell, formula.text())
             .unwrap_or_else(|| Run::new(formula, cell, &self.runs_alive))
     }
@@ -667,15 +691,17 @@ impl Engine {
 
     /// The run an autofill from `src` puts its targets in, `None` if `src`
     /// holds no formula. The source's own run, as long as its text at any
-    /// cell is what autofill writes there — the printer's — and every
-    /// reference is still on the grid at `src`; otherwise (a formula typed
-    /// with other spacing or case, a reference already lost) a run of the
-    /// source's formula as the printer writes it, which the source itself,
-    /// as ever, is not part of.
+    /// cell is what autofill writes there — the printer's, with every
+    /// literal copied as `src` holds it — and every reference is still on
+    /// the grid at `src`; otherwise (a formula typed with other spacing or
+    /// case, a reference already lost, literals that step along the run) a
+    /// run of the source's formula as the printer writes it, which the
+    /// source itself, as ever, is not part of.
     pub(crate) fn fill_run(&self, src: Cell) -> Option<Arc<Run>> {
         let run = self.run_at(src)?;
         let at = run.at(src);
-        Some(if at.is_whole() && run.template().prints_itself() {
+        let template = run.template();
+        Some(if at.is_whole() && template.prints_itself() && !template.is_stepped() {
             Arc::clone(run)
         } else {
             Run::new(Template::printed(at.to_ast()), src, &self.runs_alive)
@@ -807,8 +833,8 @@ impl Engine {
         let evaluated = order.len();
         if let Some(start) = pass_start {
             let (order_ns, eval_ns) = (self.recalc.prof_order_ns, elapsed_ns(start));
-            let cells = evaluated as u32;
-            self.recalc.prof_pass = Some(SheetPass { sheet: 0, cells, order_ns, eval_ns });
+            let (cells, nodes) = (evaluated as u32, schedule.nodes());
+            self.recalc.prof_pass = Some(SheetPass { sheet: 0, cells, nodes, order_ns, eval_ns });
         }
         self.cells.unmark(order);
         schedule.close();

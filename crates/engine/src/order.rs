@@ -28,12 +28,14 @@
 //!   direction. A larger one — two runs that read each other row-wise
 //!   (`B{r}=C{r-1}`, `C{r}=B{r}`) without any cell cycle, or a real cycle —
 //!   is split into one node per cell and searched again; a component of
-//!   several *cells* is a cycle, ordered by the depth-first search every
-//!   dirty cell went through before runs were ordered, restricted to the
-//!   cycle and started at its least cell. Which cells are flagged
-//!   `#CYCLE!` — the cells the search meets again while they are open —
-//!   thus depends on the cycle and nothing else: not on how the sheet's
-//!   formulas group into runs, and not on where the pass started.
+//!   several *cells* is a cycle, and so is a cell one of whose reads
+//!   covers the cell itself (`SUM($A$1:$B$4)` in `B2`), each ordered by
+//!   the depth-first search every dirty cell went through before runs
+//!   were ordered, restricted to the cycle and started at its least cell.
+//!   Which cells are flagged `#CYCLE!` — the cells the search meets again
+//!   while they are open — thus depends on the cycle and nothing else:
+//!   not on how the sheet's formulas group into runs, and not on where
+//!   the pass started.
 //!
 //! Everything lives in buffers the engine keeps from pass to pass.
 
@@ -54,6 +56,9 @@ struct Node {
     reads: (u32, u32),
     /// Evaluated bottom-up: its cells read cells of it below them.
     up: bool,
+    /// A node of one cell whose reads cover the cell itself: a cycle of
+    /// one, found when its neighbours are listed.
+    loops: bool,
 }
 
 impl Node {
@@ -103,6 +108,10 @@ pub(crate) struct Schedule {
     nbrs: Vec<u32>,
     /// The evaluation order so far.
     order: Vec<Cell>,
+    /// The nodes put in it so far: a stretch ordered as one counts once,
+    /// a cell ordered on its own (a lone formula, a split, a cycle's
+    /// member) once.
+    emitted: u32,
     /// Cells met again while open in a cycle search, so far.
     cycles: Vec<Cell>,
 }
@@ -118,12 +127,18 @@ impl Schedule {
         self.ordered = 0;
         self.color.clear();
         self.order.clear();
+        self.emitted = 0;
         self.cycles.clear();
     }
 
     /// The order so far.
     pub(crate) fn order(&self) -> &[Cell] {
         &self.order
+    }
+
+    /// The nodes the order so far is made of (see [`Self::emitted`]).
+    pub(crate) fn nodes(&self) -> u32 {
+        self.emitted
     }
 
     /// The nodes made so far (test instrumentation).
@@ -188,6 +203,7 @@ impl Schedule {
         }
         let mut out = Out {
             order: &mut self.order,
+            emitted: &mut self.emitted,
             cycles: &mut self.cycles,
             color: &mut self.color,
             stack: &mut self.stack,
@@ -203,6 +219,7 @@ impl Schedule {
 /// Where ordered cells go, and the cycle search's buffers.
 struct Out<'a> {
     order: &'a mut Vec<Cell>,
+    emitted: &'a mut u32,
     cycles: &'a mut Vec<Cell>,
     color: &'a mut Vec<u8>,
     stack: &'a mut Vec<Frame>,
@@ -210,18 +227,20 @@ struct Out<'a> {
 }
 
 /// Appends component `k` to the order: a node in its direction, a cycle
-/// of cells by the depth-first search, anything else split into cells and
-/// searched again — whose components, all of cells, come right after.
+/// of cells — a cell that reads itself included — by the depth-first
+/// search, anything else split into cells and searched again — whose
+/// components, all of cells, come right after.
 fn emit(tarjan: &mut Tarjan, sheet: &mut Sheet<'_>, out: &mut Out<'_>, k: usize) {
     let bounds = tarjan.bounds(k);
-    if bounds.len() == 1 {
-        let node = sheet.nodes[tarjan.members()[bounds.start] as usize];
+    let node = sheet.nodes[tarjan.members()[bounds.start] as usize];
+    if bounds.len() == 1 && !node.loops {
         let cells = &sheet.view[node.begin as usize..node.end as usize];
         if node.up {
             out.order.extend(cells.iter().rev());
         } else {
             out.order.extend_from_slice(cells);
         }
+        *out.emitted += 1;
         return;
     }
     tarjan.component_mut(k).sort_unstable_by_key(|&n| sheet.nodes[n as usize].begin);
@@ -251,6 +270,7 @@ fn cycle(members: &[u32], sheet: &mut Sheet<'_>, out: &mut Out<'_>) {
     if out.color.len() < sheet.nodes.len() {
         out.color.resize(sheet.nodes.len(), 0);
     }
+    *out.emitted += members.len() as u32;
     for &n in members {
         out.color[n as usize] = WHITE;
     }
@@ -305,7 +325,7 @@ impl Sheet<'_> {
     /// Makes `view[begin..end]` a node.
     fn add(&mut self, begin: usize, end: usize, reads: (u32, u32), up: bool) -> u32 {
         let id = self.nodes.len() as u32;
-        self.nodes.push(Node { begin: begin as u32, end: end as u32, reads, up });
+        self.nodes.push(Node { begin: begin as u32, end: end as u32, reads, up, loops: false });
         self.node_of[begin..end].fill(id);
         id
     }
@@ -414,12 +434,20 @@ impl Digraph for Sheet<'_> {
                 self.probe(self.hulls[i as usize], v, out);
             }
         } else {
+            // A read that covers the cell itself makes it a successor of
+            // its own: the probe skips `v`.
             let cell = self.view[node.begin as usize];
             let reads = engine.run_at(cell).into_iter().flat_map(|run| run.at(cell).reads());
+            let mut loops = false;
             for (sheet, rref) in reads {
                 if engine.is_local(sheet) {
+                    loops |= rref.range().contains_cell(cell);
                     self.probe(rref.range(), v, out);
                 }
+            }
+            if loops {
+                self.nodes[v as usize].loops = true;
+                out.push(v);
             }
         }
         #[cfg(test)]

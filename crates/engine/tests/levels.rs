@@ -4,15 +4,16 @@
 //! acyclic corpora of lone formulas and over seeded sheets of autofilled
 //! runs in every shape the scheduler orders a run by — top-down,
 //! bottom-up, split into cells, a component of runs re-ordered cell by
-//! cell, a cycle — under the full first pass and the partial dirty sets
-//! later edits leave, plus a pinned cyclic case. A run-shaped sheet must
-//! also compute exactly what its twin does: the same formulas typed so
-//! that no two cells share one, every node of its schedule one cell.
+//! cell, a cycle, a chain typed row by row whose literal steps — under
+//! the full first pass and the partial dirty sets later edits leave, plus
+//! a pinned cyclic case. A run-shaped sheet must also compute exactly
+//! what its twin does: the same formulas typed so that no two cells share
+//! one, every node of its schedule one cell.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use taco_engine::Engine;
+use taco_engine::{Engine, ProfileMode};
 use taco_formula::{CellError, Formula, Value};
 use taco_grid::{Cell, Range};
 
@@ -232,6 +233,12 @@ fn build_runs(seed: u64) -> Engine {
     let (_, foot) = rows(&mut rng);
     at(&mut e, 14, 3, "=A3+N1");
     fill(&mut e, 14, 3, (1, foot.max(4)));
+    // O: a chain typed row by row, its literal stepping along it.
+    let (top, foot) = rows(&mut rng);
+    at(&mut e, 15, top, &format!("=A{top}"));
+    for row in top + 1..=foot {
+        at(&mut e, 15, row, &format!("=O{}+{}*0.5", row - 1, row));
+    }
     e
 }
 
@@ -292,4 +299,30 @@ fn run_shaped_sheets_order_and_compute_as_their_unshared_twins() {
             }
         }
     }
+}
+
+/// The `recalc` benchmark's column E: typed row by row, a formula whose
+/// literal is its row. One template, so one node of the pass's order.
+#[test]
+fn a_column_typed_with_its_row_as_a_literal_orders_as_one_node() {
+    const ROWS: u32 = 1024;
+    let mut e = Engine::with_taco();
+    for row in 1..=ROWS {
+        e.set_value(Cell::new(1, row), Value::Number(f64::from(row) / 8.0));
+        e.set_formula(Cell::new(5, row), &format!("=SUM($A$1:$A$8)*{row}")).unwrap();
+    }
+    assert_eq!((e.formula_cells(), e.formula_templates()), (ROWS as usize, 1));
+    let mut twin = unshared(&e);
+    assert_eq!(twin.formula_templates(), ROWS as usize);
+    for sheet in [&mut e, &mut twin] {
+        sheet.set_profile(ProfileMode::Levels);
+        check_pass(sheet);
+    }
+    let nodes = |e: &Engine| -> Vec<(u32, u32)> {
+        e.profile_report().passes.iter().map(|p| (p.cells, p.nodes)).collect()
+    };
+    assert_eq!(nodes(&e), vec![(ROWS, 1)]);
+    assert_eq!(nodes(&twin), vec![(ROWS, ROWS)]);
+    assert_eq!(values(&e), values(&twin));
+    assert_eq!(e.formula_of(Cell::new(5, 700)).unwrap(), "SUM($A$1:$A$8)*700");
 }

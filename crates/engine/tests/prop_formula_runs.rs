@@ -21,6 +21,14 @@
 //! and self-qualified references, inserts and deletes rows and columns
 //! through and beside the runs, saves and reopens, and replays its own
 //! log of edit records into a third workbook.
+//!
+//! One column is typed row by row, its numeric literal spelled by a
+//! seeded [`Literals`] shape: on a line its slot steps along, off one, or
+//! on one but not printed back as typed. Every operation of the script
+//! runs through it too.
+
+#[allow(dead_code)] // the shared helpers this suite does not call
+mod common;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,9 +64,61 @@ const SEEDS: [&str; 8] = [
     "SUMIF($A$1:A2,\">0\",$B$1:B2)",
 ];
 const FIRST_FORMULA_COL: u32 = 3;
-/// One per seeded column, one more for each of the two sources typed as
-/// the printer would not print them, one for the column typed row by row.
-const RUNS_AS_BUILT: usize = SEEDS.len() + 3;
+/// One per seeded column, and one more for each of the two sources typed
+/// as the printer would not print them; the column typed row by row adds
+/// its own ([`Literals::runs`]).
+const RUNS_OF_FILLS: usize = SEEDS.len() + 2;
+
+/// How the column typed row by row spells its literal, `D{r}-C{r}*{lit}`.
+#[derive(Debug, Clone, Copy)]
+enum Literals {
+    /// `c + k·r`: integers on a line.
+    Integers { c: u32, k: u32 },
+    /// `r/2`: halves, printed back and added exactly.
+    Halves,
+    /// `r/10`: printed back, but `0.2 + 0.1` is not `0.3` in binary.
+    Tenths,
+    /// `r` spelled as the printer would not (`2.50`, `2e3`).
+    Unprinted(&'static str),
+    /// One seed-drawn constant in every row.
+    Constant(u32),
+}
+
+impl Literals {
+    fn draw(seed: u64) -> Literals {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x117E_8A15);
+        match rng.gen_range(0..6u32) {
+            0 => Literals::Integers { c: rng.gen_range(0..50), k: rng.gen_range(1..=3) },
+            1 => Literals::Halves,
+            2 => Literals::Tenths,
+            3 => Literals::Unprinted("{}.50"),
+            4 => Literals::Unprinted("{}e3"),
+            _ => Literals::Constant(rng.gen_range(0..100)),
+        }
+    }
+
+    fn at(self, row: u32) -> String {
+        match self {
+            Literals::Integers { c, k } => (c + k * row).to_string(),
+            Literals::Halves => (f64::from(row) / 2.0).to_string(),
+            Literals::Tenths => (f64::from(row) / 10.0).to_string(),
+            Literals::Unprinted(spelling) => spelling.replace("{}", &row.to_string()),
+            Literals::Constant(c) => c.to_string(),
+        }
+    }
+
+    /// The runs the column is typed into: one for a line, one per row
+    /// for a spelling that never steps; for tenths, which fall off the
+    /// line every few rows, more than one and fewer than rows.
+    fn runs(self) -> std::ops::RangeInclusive<usize> {
+        let rows = ROWS as usize - 1;
+        match self {
+            Literals::Integers { .. } | Literals::Halves | Literals::Constant(_) => 1..=1,
+            Literals::Tenths => 2..=rows - 1,
+            Literals::Unprinted(_) => rows..=rows,
+        }
+    }
+}
 
 /// What the twin types for `text` at `cell`: the same formula, never the
 /// text a neighbour's template prints.
@@ -160,7 +220,7 @@ struct Pair {
 }
 
 impl Pair {
-    fn new() -> Pair {
+    fn new(literals: Literals) -> Pair {
         let mut pair =
             Pair { shared: Workbook::with_taco(), twin: Workbook::with_taco(), log: Vec::new() };
         for name in ["Data", "Calc"] {
@@ -181,10 +241,11 @@ impl Pair {
             pair.formula(from, seed);
             pair.fill(from, Range::from_coords(from.col, 3, from.col, ROWS));
         }
-        // A column typed row by row: joins its run without a fill.
+        // A column typed row by row: joins its run without a fill where
+        // its literals allow.
         let typed = FIRST_FORMULA_COL + SEEDS.len() as u32;
         for row in 2..=ROWS {
-            pair.formula(Cell::new(typed, row), &format!("D{row}-C{row}*2"));
+            pair.formula(Cell::new(typed, row), &format!("D{row}-C{row}*{}", literals.at(row)));
         }
         pair.recalculate();
         pair
@@ -355,28 +416,80 @@ fn assert_same_as(a: &Workbook, b: &Workbook, values: bool, what: &str) {
     }
 }
 
+/// Builds the pair with the seed's literals, checks the premise, and runs
+/// the seed's script, comparing after every operation.
+fn run_seed(seed: u64) {
+    let literals = Literals::draw(seed);
+    let mut pair = Pair::new(literals);
+    assert_same(&pair.shared, &pair.twin, "as built");
+    // The premise: one workbook shares, the other cannot.
+    let templates = |wb: &Workbook| wb.sheet(CALC).formula_templates();
+    let cells = pair.shared.sheet(CALC).formula_cells();
+    assert_eq!(templates(&pair.twin), cells);
+    let typed = templates(&pair.shared) - RUNS_OF_FILLS;
+    assert!(literals.runs().contains(&typed), "{literals:?}: {typed} runs");
+
+    let ops = script(seed, 40);
+    for (step, op) in ops.iter().enumerate() {
+        pair.apply(op, &format!("{seed}_{step}"));
+        // Before the pass too: texts and graphs are already final.
+        assert_same_texts(&pair, &format!("seed {seed} after step {step} {op:?}, dirty"));
+        pair.recalculate();
+        assert_same(&pair.shared, &pair.twin, &format!("seed {seed} after step {step} {op:?}"));
+    }
+    assert!(templates(&pair.shared) <= pair.shared.sheet(CALC).formula_cells());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn shared_templates_never_show(seed in 0u64..1_000_000) {
-        let mut pair = Pair::new();
-        assert_same(&pair.shared, &pair.twin, "as built");
-        // The premise: one workbook shares, the other cannot.
-        let templates = |wb: &Workbook| wb.sheet(CALC).formula_templates();
-        let cells = pair.shared.sheet(CALC).formula_cells();
-        prop_assert_eq!(templates(&pair.twin), cells);
-        prop_assert_eq!(templates(&pair.shared), RUNS_AS_BUILT);
+        run_seed(seed);
+    }
+}
 
-        let ops = script(seed, 40);
-        for (step, op) in ops.iter().enumerate() {
-            pair.apply(op, &format!("{seed}_{step}"));
-            // Before the pass too: texts and graphs are already final.
-            assert_same_texts(&pair, &format!("seed {seed} after step {step} {op:?}, dirty"));
-            pair.recalculate();
-            assert_same(&pair.shared, &pair.twin, &format!("seed {seed} after step {step} {op:?}"));
+/// The seed on which a left fill made `SUM($A$1:$B$4)*A2` read its own
+/// cell, which then held whatever the history left there.
+#[test]
+fn seed_925913_a_fill_that_reads_its_own_cell() {
+    run_seed(925_913);
+}
+
+#[test]
+fn a_formula_filled_into_its_own_range_is_a_cycle_of_one() {
+    let mut wb = Workbook::with_taco();
+    let mut log = vec![EditRecord::AddSheet { name: "Calc".into() }];
+    let s = wb.add_sheet("Calc").unwrap();
+    for row in 1..=4u32 {
+        for col in 1..=2u32 {
+            let (cell, value) = (Cell::new(col, row), Value::Number(f64::from(row + col)));
+            wb.set_value(s, cell, value.clone());
+            log.push(EditRecord::SetValue { sheet: 0, cell, value });
         }
-        prop_assert!(templates(&pair.shared) <= pair.shared.sheet(CALC).formula_cells());
+    }
+    let from = Cell::new(6, 2);
+    let src = "SUM($A$1:$B$4)*A2".to_string();
+    wb.set_formula(s, from, &src).unwrap();
+    log.push(EditRecord::SetFormula { sheet: 0, cell: from, src });
+    wb.recalculate(RecalcMode::Serial);
+    // Filled left to B2, whose `$A$1:$B$4` holds B2.
+    let targets = Range::from_coords(2, 2, 6, 2);
+    log.extend(wb.autofill_records(s, from, targets).unwrap());
+    wb.autofill(s, from, targets).unwrap();
+    wb.recalculate(RecalcMode::Serial);
+
+    let mut replayed = Workbook::with_taco();
+    for rec in &log {
+        replayed.apply_edit(rec).unwrap();
+    }
+    replayed.recalculate(RecalcMode::Serial);
+    let mut rebuilt = common::rebuild_from_texts(&wb);
+    rebuilt.recalculate(RecalcMode::Serial);
+    let own = Cell::new(2, 2);
+    assert_eq!(wb.formula_of(s, own).unwrap(), "SUM($A$1:$B$4)*#REF!");
+    for (book, what) in [(&wb, "live"), (&replayed, "replayed"), (&rebuilt, "rebuilt")] {
+        assert_eq!(book.value(s, own), Value::Error(CellError::Cycle), "{what}");
     }
 }
 
@@ -399,12 +512,12 @@ fn assert_same_texts(pair: &Pair, what: &str) {
 
 #[test]
 fn a_run_splits_and_rejoins_like_a_pattern_edge() {
-    let mut pair = Pair::new();
+    let mut pair = Pair::new(Literals::Integers { c: 0, k: 1 });
     let sheet = |pair: &Pair| {
         (pair.shared.sheet(CALC).formula_templates(), pair.shared.sheet(CALC).formula_cells())
     };
     let (templates, cells) = sheet(&pair);
-    assert_eq!((templates, cells), (RUNS_AS_BUILT, (SEEDS.len() + 1) * (ROWS as usize - 1)));
+    assert_eq!((templates, cells), (RUNS_OF_FILLS + 1, (SEEDS.len() + 1) * (ROWS as usize - 1)));
 
     // A value in the middle: one cell fewer, still one template — both
     // halves point at it. The cell's formula typed back: whole again.

@@ -146,11 +146,61 @@ impl FuncId {
     }
 }
 
+/// A numeric literal of a formula that a run of cells shares, as a line
+/// along the run's rows: `c0` where the formula was written, `step` more
+/// per row below. A literal typed alike in every cell has step 0.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Slot {
+    /// The value where the formula was written.
+    pub c0: f64,
+    /// What the value gains per row.
+    pub step: f64,
+}
+
+impl Slot {
+    /// A literal that every cell of a run holds alike.
+    pub fn fixed(value: f64) -> Slot {
+        Slot { c0: value, step: 0.0 }
+    }
+
+    /// The value `dr` rows from where the formula was written,
+    /// `c0 + step·dr`: the one place it is computed, so the evaluator, the
+    /// printer and the sharing check agree on it to the bit.
+    #[inline]
+    pub fn at(self, dr: i64) -> f64 {
+        self.c0 + self.step * dr as f64
+    }
+
+    /// The literal as a tree node: [`Expr::Number`] for step 0.
+    pub fn expr(self) -> Expr {
+        if self.step == 0.0 {
+            Expr::Number(self.c0)
+        } else {
+            Expr::Slot(self)
+        }
+    }
+}
+
+/// A leaf of a tree that a template re-prints at an offset, as
+/// [`Expr::write_with`] hands it over.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Leaf<'a> {
+    /// A reference.
+    Ref(&'a QualifiedRef),
+    /// A numeric literal.
+    Number(Slot),
+}
+
 /// A parsed formula expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Numeric literal.
     Number(f64),
+    /// A numeric literal that moves along the rows of the run sharing the
+    /// tree (a [`crate::Template`]'s; the parser makes none): its value
+    /// is [`Slot::at`] the row offset evaluated at, and it prints as the
+    /// value where the formula was written.
+    Slot(Slot),
     /// String literal.
     Text(String),
     /// Boolean literal (`TRUE`/`FALSE`).
@@ -244,7 +294,7 @@ impl Expr {
                 rhs.visit_reads(f);
             }
             Expr::Unary { expr, .. } | Expr::Percent(expr) => expr.visit_reads(f),
-            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::RefError => {}
+            Expr::Number(_) | Expr::Slot(_) | Expr::Text(_) | Expr::Bool(_) | Expr::RefError => {}
         }
     }
 
@@ -252,43 +302,69 @@ impl Expr {
     /// function-aware resizing — see [`Expr::collect_refs`] for the
     /// dependency read set).
     pub fn visit_refs<F: FnMut(&QualifiedRef)>(&self, f: &mut F) {
+        self.visit_leaves(&mut |leaf| {
+            if let Leaf::Ref(q) = leaf {
+                f(q);
+            }
+        });
+    }
+
+    /// Visits every reference and numeric literal in source order — the
+    /// order the printer writes them in.
+    pub(crate) fn visit_leaves<'a>(&'a self, f: &mut impl FnMut(Leaf<'a>)) {
         match self {
-            Expr::Ref(r) => f(r),
+            Expr::Ref(r) => f(Leaf::Ref(r)),
+            Expr::Number(n) => f(Leaf::Number(Slot::fixed(*n))),
+            Expr::Slot(slot) => f(Leaf::Number(*slot)),
             Expr::Func { args, .. } => {
                 for a in args {
-                    a.visit_refs(f);
+                    a.visit_leaves(f);
                 }
             }
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.visit_refs(f);
-                rhs.visit_refs(f);
+                lhs.visit_leaves(f);
+                rhs.visit_leaves(f);
             }
-            Expr::Unary { expr, .. } | Expr::Percent(expr) => expr.visit_refs(f),
-            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::RefError => {}
+            Expr::Unary { expr, .. } | Expr::Percent(expr) => expr.visit_leaves(f),
+            Expr::Text(_) | Expr::Bool(_) | Expr::RefError => {}
         }
     }
 
     /// Rewrites every reference with `f`; `None` marks the reference broken
     /// (replaced by `#REF!`). Used by autofill.
     pub fn map_refs<F: FnMut(&QualifiedRef) -> Option<QualifiedRef>>(&self, f: &mut F) -> Expr {
+        self.map_leaves(f, &mut Slot::expr)
+    }
+
+    /// Rewrites every reference with `on_ref` (`None` makes it `#REF!`)
+    /// and every numeric literal with `on_number`, in source order.
+    pub(crate) fn map_leaves(
+        &self,
+        on_ref: &mut impl FnMut(&QualifiedRef) -> Option<QualifiedRef>,
+        on_number: &mut impl FnMut(Slot) -> Expr,
+    ) -> Expr {
         match self {
-            Expr::Ref(r) => match f(r) {
+            Expr::Ref(r) => match on_ref(r) {
                 Some(nr) => Expr::Ref(nr),
                 None => Expr::RefError,
             },
+            Expr::Number(n) => on_number(Slot::fixed(*n)),
+            Expr::Slot(slot) => on_number(*slot),
             Expr::Func { id, name, args } => Expr::Func {
                 id: *id,
                 name: name.clone(),
-                args: args.iter().map(|a| a.map_refs(f)).collect(),
+                args: args.iter().map(|a| a.map_leaves(on_ref, on_number)).collect(),
             },
             Expr::Binary { op, lhs, rhs } => Expr::Binary {
                 op: *op,
-                lhs: Box::new(lhs.map_refs(f)),
-                rhs: Box::new(rhs.map_refs(f)),
+                lhs: Box::new(lhs.map_leaves(on_ref, on_number)),
+                rhs: Box::new(rhs.map_leaves(on_ref, on_number)),
             },
-            Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: Box::new(expr.map_refs(f)) },
-            Expr::Percent(expr) => Expr::Percent(Box::new(expr.map_refs(f))),
-            other => other.clone(),
+            Expr::Unary { op, expr } => {
+                Expr::Unary { op: *op, expr: Box::new(expr.map_leaves(on_ref, on_number)) }
+            }
+            Expr::Percent(expr) => Expr::Percent(Box::new(expr.map_leaves(on_ref, on_number))),
+            Expr::Text(_) | Expr::Bool(_) | Expr::RefError => self.clone(),
         }
     }
 
@@ -302,33 +378,38 @@ impl Expr {
             }
             Expr::Binary { lhs, rhs, .. } => lhs.is_volatile() || rhs.is_volatile(),
             Expr::Unary { expr, .. } | Expr::Percent(expr) => expr.is_volatile(),
-            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Ref(_) | Expr::RefError => {
-                false
-            }
+            Expr::Number(_)
+            | Expr::Slot(_)
+            | Expr::Text(_)
+            | Expr::Bool(_)
+            | Expr::Ref(_)
+            | Expr::RefError => false,
         }
     }
 
     /// Prints the expression as [`fmt::Display`] does, handing every
-    /// reference, in source order, to `on_ref` to write.
+    /// reference and numeric literal, in source order, to `on_leaf` to
+    /// write.
     pub fn write_with<W: fmt::Write>(
         &self,
         w: &mut W,
-        on_ref: &mut impl FnMut(&mut W, &QualifiedRef) -> fmt::Result,
+        on_leaf: &mut impl FnMut(&mut W, Leaf<'_>) -> fmt::Result,
     ) -> fmt::Result {
-        self.write_prec(w, 0, on_ref)
+        self.write_prec(w, 0, on_leaf)
     }
 
     fn write_prec<W: fmt::Write>(
         &self,
         f: &mut W,
         parent: u8,
-        on_ref: &mut impl FnMut(&mut W, &QualifiedRef) -> fmt::Result,
+        on_leaf: &mut impl FnMut(&mut W, Leaf<'_>) -> fmt::Result,
     ) -> fmt::Result {
         match self {
-            Expr::Number(n) => write!(f, "{n}"),
+            Expr::Number(n) => on_leaf(f, Leaf::Number(Slot::fixed(*n))),
+            Expr::Slot(slot) => on_leaf(f, Leaf::Number(*slot)),
             Expr::Text(s) => write!(f, "\"{}\"", s.replace('"', "\"\"")),
             Expr::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
-            Expr::Ref(r) => on_ref(f, r),
+            Expr::Ref(r) => on_leaf(f, Leaf::Ref(r)),
             Expr::RefError => write!(f, "#REF!"),
             Expr::Func { name, args, .. } => {
                 write!(f, "{name}(")?;
@@ -336,7 +417,7 @@ impl Expr {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    a.write_prec(f, 0, on_ref)?;
+                    a.write_prec(f, 0, on_leaf)?;
                 }
                 write!(f, ")")
             }
@@ -346,10 +427,10 @@ impl Expr {
                 if need {
                     write!(f, "(")?;
                 }
-                lhs.write_prec(f, p, on_ref)?;
+                lhs.write_prec(f, p, on_leaf)?;
                 write!(f, "{}", op.symbol())?;
                 // Left-associative: right child parenthesizes at p+1.
-                rhs.write_prec(f, p + 1, on_ref)?;
+                rhs.write_prec(f, p + 1, on_leaf)?;
                 if need {
                     write!(f, ")")?;
                 }
@@ -363,14 +444,14 @@ impl Expr {
                     write!(f, "(")?;
                 }
                 write!(f, "{}", if *op == UnOp::Neg { "-" } else { "+" })?;
-                expr.write_prec(f, 6, on_ref)?;
+                expr.write_prec(f, 6, on_leaf)?;
                 if need {
                     write!(f, ")")?;
                 }
                 Ok(())
             }
             Expr::Percent(expr) => {
-                expr.write_prec(f, 7, on_ref)?;
+                expr.write_prec(f, 7, on_leaf)?;
                 write!(f, "%")
             }
         }
@@ -379,7 +460,10 @@ impl Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_with(f, &mut |f, r| write!(f, "{r}"))
+        self.write_with(f, &mut |f, leaf| match leaf {
+            Leaf::Ref(r) => write!(f, "{r}"),
+            Leaf::Number(slot) => write!(f, "{}", slot.c0),
+        })
     }
 }
 

@@ -169,8 +169,9 @@ pub fn eval<P: CellProvider>(expr: &Expr, cells: &P) -> Value {
 /// Evaluates an expression as it reads `dc` columns and `dr` rows from
 /// where it was written: every reference is moved by
 /// [`RangeRef::autofill`](taco_grid::a1::RangeRef::autofill) first, one
-/// that leaves the grid is `#REF!` — what the expression autofilled that
-/// far evaluates to, without building it.
+/// that leaves the grid is `#REF!`, and a literal slot reads as its value
+/// [`Slot::at`](crate::ast::Slot::at) `dr` — what the formula of that
+/// cell of its run evaluates to, without building it.
 pub fn eval_at<P: CellProvider>(expr: &Expr, dc: i64, dr: i64, cells: &P) -> Value {
     eval_in(expr, &Ctx { cells, dc, dr })
 }
@@ -294,6 +295,7 @@ impl Operand<'_> {
 fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cx: &Ctx<'_, P>) -> Operand<'a> {
     match expr {
         Expr::Number(n) => Operand::Scalar(Value::Number(*n)),
+        Expr::Slot(slot) => Operand::Scalar(Value::Number(slot.at(cx.dr))),
         Expr::Text(s) => Operand::Scalar(Value::Text(s.clone())),
         Expr::Bool(b) => Operand::Scalar(Value::Bool(*b)),
         Expr::RefError => Operand::Scalar(Value::Error(CellError::Ref)),

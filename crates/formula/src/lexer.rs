@@ -223,22 +223,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FormulaError> {
             }
             b'0'..=b'9' | b'.' => {
                 let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-                    i += 1;
-                }
-                // Exponent part.
-                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                    let mut j = i + 1;
-                    if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                        j += 1;
-                    }
-                    if j < bytes.len() && bytes[j].is_ascii_digit() {
-                        i = j;
-                        while i < bytes.len() && bytes[i].is_ascii_digit() {
-                            i += 1;
-                        }
-                    }
-                }
+                i += number_len(&bytes[i..]);
                 let text = &src[start..i];
                 let n: f64 = text.parse().map_err(|_| FormulaError::BadToken {
                     pos,
@@ -264,6 +249,22 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FormulaError> {
         }
     }
     Ok(out)
+}
+
+/// The length of the numeric literal `bytes` starts with: digits and
+/// dots, then an exponent if one follows (`e`, a sign, digits). The one
+/// scan of a number, shared by the lexer and by the sharing check that
+/// reads a literal out of typed text where a template has one.
+pub(crate) fn number_len(bytes: &[u8]) -> usize {
+    let mut i = bytes.iter().take_while(|b| b.is_ascii_digit() || **b == b'.').count();
+    if matches!(bytes.get(i), Some(b'e' | b'E')) {
+        let sign = usize::from(matches!(bytes.get(i + 1), Some(b'+' | b'-')));
+        let exp = bytes[i + 1 + sign..].iter().take_while(|b| b.is_ascii_digit()).count();
+        if exp > 0 {
+            i += 1 + sign + exp;
+        }
+    }
+    i
 }
 
 #[cfg(test)]

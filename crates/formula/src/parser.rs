@@ -18,8 +18,8 @@
 //! sheet      := (NAME | QUOTED) '!'        -- `Sheet1!` or `'My Sheet'!`
 //! ```
 
-use crate::ast::{BinOp, Expr, UnOp};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::ast::{BinOp, Expr, Slot, UnOp};
+use crate::lexer::{lex, number_len, Token, TokenKind};
 use crate::FormulaError;
 use taco_grid::a1::{CellRef, QualifiedRef, RangeRef, SheetRef};
 
@@ -40,18 +40,29 @@ use taco_grid::a1::{CellRef, QualifiedRef, RangeRef, SheetRef};
 /// the bound (optimised: 1 977 and 5 675).
 pub const MAX_DEPTH: usize = 64;
 
-/// One reference and where it sits in the text it was parsed from (byte
-/// offsets). Everything outside the spans is the text a run of autofilled
-/// formulas has in common.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefSpan {
-    /// The reference, without its sheet qualifier.
-    pub rref: RangeRef,
-    /// Start of the reference, sheet qualifier included.
+/// What a run of autofilled formulas may hold differently from cell to
+/// cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Hole {
+    /// A reference, without its sheet qualifier.
+    Ref(RangeRef),
+    /// A numeric literal.
+    Literal(Slot),
+}
+
+/// One reference or numeric literal and where it sits in the text it was
+/// parsed from (byte offsets). Everything outside the spans is the text a
+/// run of autofilled formulas has in common.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Span {
+    /// What sits there.
+    pub hole: Hole,
+    /// Start of the reference, sheet qualifier included, or the literal.
     pub start: u32,
-    /// Start of the cell or range part (`== start` when unqualified).
+    /// Start of a reference's cell or range part (`== start` when
+    /// unqualified, and for a literal).
     pub at: u32,
-    /// One past the reference's last byte.
+    /// One past the last byte.
     pub end: u32,
 }
 
@@ -60,14 +71,15 @@ pub fn parse(src: &str) -> Result<Expr, FormulaError> {
     parse_spanned(src).map(|(expr, _)| expr)
 }
 
-/// [`parse`], plus the span of every reference in source order — the
-/// order [`Expr::visit_refs`] visits them in.
-pub fn parse_spanned(src: &str) -> Result<(Expr, Vec<RefSpan>), FormulaError> {
+/// [`parse`], plus the span of every reference and numeric literal in
+/// source order — the order the printer ([`Expr::write_with`]) writes
+/// them in.
+pub fn parse_spanned(src: &str) -> Result<(Expr, Vec<Span>), FormulaError> {
     if u32::try_from(src.len()).is_err() {
         return Err(FormulaError::Syntax { pos: 0, msg: "formula too long".into() });
     }
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, i: 0, src_len: src.len(), nesting: 0, spans: Vec::new() };
+    let mut p = Parser { tokens, i: 0, src, nesting: 0, spans: Vec::new() };
     let (expr, _) = p.expr()?;
     if let Some(t) = p.peek() {
         return Err(FormulaError::Syntax {
@@ -78,21 +90,21 @@ pub fn parse_spanned(src: &str) -> Result<(Expr, Vec<RefSpan>), FormulaError> {
     Ok((*expr, p.spans))
 }
 
-struct Parser {
+struct Parser<'s> {
     tokens: Vec<Token>,
     i: usize,
-    src_len: usize,
+    src: &'s str,
     /// Parentheses, call arguments and signs open around the current token.
     nesting: usize,
-    /// One per reference parsed so far.
-    spans: Vec<RefSpan>,
+    /// One per reference and numeric literal parsed so far.
+    spans: Vec<Span>,
 }
 
 /// A parsed subtree and its height (a leaf is 0). Boxed as its parent
 /// will hold it, which also keeps the recursive productions' frames small.
 type Sub = (Box<Expr>, usize);
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.i)
     }
@@ -127,11 +139,11 @@ impl Parser {
     }
 
     fn err(&self, msg: String) -> FormulaError {
-        FormulaError::Syntax { pos: self.peek().map_or(self.src_len, |t| t.pos), msg }
+        FormulaError::Syntax { pos: self.peek().map_or(self.src.len(), |t| t.pos), msg }
     }
 
     fn too_deep(&self) -> FormulaError {
-        FormulaError::TooDeep { pos: self.peek().map_or(self.src_len, |t| t.pos) }
+        FormulaError::TooDeep { pos: self.peek().map_or(self.src.len(), |t| t.pos) }
     }
 
     /// Runs `inner` one nesting level down; bounds the parser's own
@@ -297,6 +309,14 @@ impl Parser {
         match t.kind {
             TokenKind::Number(n) => {
                 self.i += 1;
+                let end = t.pos + number_len(&self.src.as_bytes()[t.pos..]);
+                let (start, end) = (t.pos as u32, end as u32);
+                self.spans.push(Span {
+                    hole: Hole::Literal(Slot::fixed(n)),
+                    start,
+                    at: start,
+                    end,
+                });
                 Ok((Box::new(Expr::Number(n)), 0))
             }
             TokenKind::Str(s) => {
@@ -380,7 +400,8 @@ impl Parser {
         };
         // A name token is the source slice it was lexed from, so its
         // length is its extent.
-        self.spans.push(RefSpan { rref, start: start as u32, at: at as u32, end: end as u32 });
+        let (start, at, end) = (start as u32, at as u32, end as u32);
+        self.spans.push(Span { hole: Hole::Ref(rref), start, at, end });
         Ok((Box::new(Expr::Ref(QualifiedRef { sheet, rref })), 0))
     }
 }

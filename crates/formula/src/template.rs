@@ -10,23 +10,37 @@
 //! listed without being built.
 //!
 //! ```text
-//! src     SUM($A$1:A1)*'Q4 2023'!B$2        text at (0, 0), as entered
-//! holes       [------]  ~~~~~~~~~[--]       one per reference, in source order:
-//!                                           the range part [..] is re-printed
-//!                                           moved; with its qualifier ~~ it
-//!                                           becomes #REF! off the grid
-//! at (0, 3)   SUM($A$1:A4)*'Q4 2023'!B$2    everything else is copied
+//! src     SUM($A$1:A1)*'Q4 2023'!B$2*1.5    text at (0, 0), as entered
+//! holes       [------]  ~~~~~~~~~[--] (-)   one per reference and numeric literal,
+//!                                           in source order: the range part [..]
+//!                                           is re-printed moved; with its
+//!                                           qualifier ~~ it becomes #REF! off the
+//!                                           grid; a literal (..) is a slot
+//! at (0, 3)   SUM($A$1:A4)*'Q4 2023'!B$2*1.5    everything else is copied
 //! ```
+//!
+//! A numeric literal is a **slot** `(c₀, step)` along the run's rows: its
+//! value `dr` rows down is [`Slot::at`], `c₀ + step·dr`. A fill copies
+//! literals verbatim, so a filled run's slots have step 0 and print as
+//! typed. A slot steps only where typed formulas put it on a line — the
+//! cell above plus a delta — so `=SUM($A$1:$A$8)*1`, `*2`, `*3`, … typed
+//! down a column are one run, as their references alone would make them.
+//! A stepped slot prints as its value there, which it must print as
+//! typed: `1.50` never steps.
 //!
 //! The text is also what makes two formulas one run: a typed formula
 //! joins the template of the cell above it when it *is* that template
 //! moved one row, which it is when it reads, byte for byte, as the
 //! template prints there ([`At::reads_as`]) — `$` flags, sheet qualifiers,
-//! literals, spacing and case included, and without being parsed.
+//! literals, spacing and case included, and without being parsed. The one
+//! way a run of one formula becomes longer with a formula that does not
+//! read so is [`At::step_below`]: the two differ in numeric literals only,
+//! each on an exact line.
 
-use crate::ast::Expr;
+use crate::ast::{Expr, Leaf, Slot};
 use crate::eval::{eval_at, moved, CellProvider};
-use crate::parser::{parse_spanned, RefSpan};
+use crate::lexer::number_len;
+use crate::parser::{parse_spanned, Hole, Span};
 use crate::{FormulaError, Value};
 use std::fmt::{self, Write as _};
 use taco_grid::a1::{QualifiedRef, RangeRef, SheetRef};
@@ -82,10 +96,13 @@ impl Read {
 pub struct Template {
     /// The text at offset `(0, 0)`, no leading `=`.
     src: String,
+    /// The tree at offset `(0, 0)`; a literal that steps is an
+    /// [`Expr::Slot`].
     ast: Expr,
-    /// Every reference of `ast` in source order, and where it sits in
-    /// `src`: what [`At`] moves and re-prints.
-    holes: Vec<RefSpan>,
+    /// Every reference and numeric literal of `ast` in source order, and
+    /// where it sits in `src`: what [`At`] re-prints. A literal that steps
+    /// is written in `src` as its value prints.
+    holes: Vec<Span>,
     reads: Vec<Read>,
     volatile: bool,
 }
@@ -102,28 +119,48 @@ impl Template {
     /// its text is what the printer writes.
     pub fn printed(ast: Expr) -> Template {
         let (mut src, mut spans) = (String::new(), Vec::new());
-        let mut on_ref = |w: &mut String, q: &QualifiedRef| {
+        let mut on_leaf = |w: &mut String, leaf: Leaf<'_>| {
             let start = w.len() as u32;
-            if let Some(sheet) = &q.sheet {
-                write!(w, "{sheet}!")?;
-            }
+            let hole = match leaf {
+                Leaf::Ref(q) => {
+                    if let Some(sheet) = &q.sheet {
+                        write!(w, "{sheet}!")?;
+                    }
+                    Hole::Ref(q.rref)
+                }
+                Leaf::Number(slot) => Hole::Literal(slot),
+            };
             let at = w.len() as u32;
-            write!(w, "{}", q.rref)?;
-            spans.push(RefSpan { rref: q.rref, start, at, end: w.len() as u32 });
+            match leaf {
+                Leaf::Ref(q) => write!(w, "{}", q.rref)?,
+                Leaf::Number(slot) => write!(w, "{}", slot.c0)?,
+            }
+            spans.push(Span { hole, start, at, end: w.len() as u32 });
             Ok(())
         };
-        ast.write_with(&mut src, &mut on_ref).expect("writing to a String cannot fail");
+        ast.write_with(&mut src, &mut on_leaf).expect("writing to a String cannot fail");
         Template::assemble(src, ast, spans)
     }
 
-    /// `holes[i]` is the `i`-th reference of `ast` and where it sits in
-    /// `src`.
-    fn assemble(src: String, ast: Expr, holes: Vec<RefSpan>) -> Template {
+    /// `holes[i]` is the `i`-th reference or literal of `ast` and where it
+    /// sits in `src`.
+    fn assemble(src: String, ast: Expr, holes: Vec<Span>) -> Template {
         #[cfg(debug_assertions)]
         {
             let mut spanned = holes.iter();
-            ast.visit_refs(&mut |q| debug_assert_eq!(spanned.next().map(|h| h.rref), Some(q.rref)));
-            debug_assert!(spanned.next().is_none(), "one reference per span");
+            ast.visit_leaves(&mut |leaf| {
+                let span = spanned.next().expect("one span per reference and literal");
+                match (leaf, span.hole) {
+                    (Leaf::Ref(q), Hole::Ref(rref)) => debug_assert_eq!(q.rref, rref),
+                    (Leaf::Number(slot), Hole::Literal(held)) => {
+                        debug_assert_eq!(slot, held);
+                        let text = &src[span.start as usize..span.end as usize];
+                        debug_assert!(slot.step == 0.0 || text == slot.c0.to_string(), "{text}");
+                    }
+                    (leaf, hole) => panic!("{leaf:?} spanned as {hole:?}"),
+                }
+            });
+            debug_assert!(spanned.next().is_none(), "one leaf per span");
         }
         let mut reads = Vec::new();
         ast.visit_reads(&mut |q, shaped_by| {
@@ -153,6 +190,28 @@ impl Template {
     /// does at every offset that keeps its references on the grid.
     pub fn prints_itself(&self) -> bool {
         self.src == self.ast.to_string()
+    }
+
+    /// Whether some numeric literal steps: differs from row to row.
+    pub fn is_stepped(&self) -> bool {
+        self.holes.iter().any(|span| matches!(span.hole, Hole::Literal(slot) if slot.step != 0.0))
+    }
+
+    /// The same text and tree, the literals' slots replaced by `slots`, in
+    /// source order.
+    fn with_slots(&self, slots: &[Slot]) -> Template {
+        let mut next = slots.iter();
+        let ast = self.ast.map_leaves(&mut |q| Some(q.clone()), &mut |_| {
+            next.next().expect("one slot per literal").expr()
+        });
+        let mut next = slots.iter();
+        let mut holes = self.holes.clone();
+        for span in &mut holes {
+            if let Hole::Literal(slot) = &mut span.hole {
+                *slot = *next.next().expect("one slot per literal");
+            }
+        }
+        Template::assemble(self.src.clone(), ast, holes)
     }
 
     /// What each read of the formula takes in down a stretch of one column
@@ -212,6 +271,28 @@ impl fmt::Write for Expect<'_> {
     }
 }
 
+/// A hole of a template as the formula at one offset fills it.
+#[derive(Debug, Clone, Copy)]
+enum Filled<'s> {
+    /// A reference still on the grid, moved.
+    Ref(RangeRef),
+    /// A numeric literal: its text where the template was written, its
+    /// slot, and the slot's value here.
+    Literal { lexeme: &'s str, slot: Slot, value: f64 },
+}
+
+/// How the formula prints a filled hole: a literal that does not step as
+/// it was typed, one that does as its value.
+impl fmt::Display for Filled<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Filled::Ref(moved) => write!(f, "{moved}"),
+            Filled::Literal { lexeme, slot, .. } if slot.step == 0.0 => f.write_str(lexeme),
+            Filled::Literal { value, .. } => write!(f, "{value}"),
+        }
+    }
+}
+
 /// A [`Template`] at an offset: the formula of one cell of a run.
 /// Displays as the formula's text (no leading `=`).
 #[derive(Debug, Clone, Copy)]
@@ -243,7 +324,10 @@ impl<'a> At<'a> {
     /// this cell moves references that a fill from the template's own
     /// cell would move the same way.
     pub fn is_whole(&self) -> bool {
-        self.template.holes.iter().all(|hole| hole.rref.autofill(self.dc, self.dr).is_some())
+        self.template.holes.iter().all(|span| match span.hole {
+            Hole::Ref(rref) => rref.autofill(self.dc, self.dr).is_some(),
+            Hole::Literal(_) => true,
+        })
     }
 
     /// The sharing check: whether a formula typed as `text` (no leading
@@ -255,7 +339,8 @@ impl<'a> At<'a> {
     /// is not one — `#REF!` typed into a formula stays `#REF!` wherever
     /// the formula is filled to.
     ///
-    /// Nothing is parsed: equal text has an equal tree.
+    /// Nothing is parsed: equal text has an equal tree. A literal that
+    /// steps prints as its value, which parses back to it.
     pub fn reads_as(&self, text: &str) -> bool {
         let same = self.is_whole() && {
             let mut rest = Expect(text);
@@ -263,6 +348,69 @@ impl<'a> At<'a> {
         };
         debug_assert!(!same || crate::parser::parse(text).as_ref() == Ok(&self.to_ast()));
         same
+    }
+
+    /// The template a run holding this formula here and, one row down, the
+    /// formula typed as `below` shares — written here, its literals
+    /// stepping — if the two differ in numeric literals only, each of them
+    /// on an exact line. Everything else of `below` must read as this
+    /// formula moved one row prints ([`At::reads_as`]), and each literal
+    /// either be typed alike or:
+    ///
+    /// - print back, here and below, byte for byte as typed (so neither
+    ///   `1.50` nor `2e3` ever steps), and
+    /// - be, to the bit, [`Slot::at`] one row of the slot from its value
+    ///   here with the step the two values differ by (`0.1`, `0.2` steps;
+    ///   a third row typed `0.3` is not on that line, which in binary
+    ///   drifts to `0.30000000000000004`).
+    ///
+    /// `None` otherwise, and where no literal differs: then `below` reads
+    /// as this formula's next cell, or is not one at all.
+    pub fn step_below(&self, below: &str) -> Option<Template> {
+        if !self.is_whole() {
+            return None;
+        }
+        let owned;
+        let here = if (self.dc, self.dr) == (0, 0) {
+            self.template
+        } else {
+            owned = self.to_template();
+            &owned
+        };
+        let next = here.at(0, 1);
+        let mut typed = Expect(below);
+        let mut slots = Vec::new();
+        let mut changed = false;
+        next.splice(&mut typed, |typed, _, filled| {
+            let Filled::Literal { lexeme, slot, .. } = filled else {
+                return write!(typed, "{filled}");
+            };
+            let (literal, rest) = typed.0.split_at(number_len(typed.0.as_bytes()));
+            typed.0 = rest;
+            if literal == filled.to_string() {
+                slots.push(slot);
+                return Ok(());
+            }
+            let value: f64 = literal.parse().map_err(|_| fmt::Error)?;
+            let line = Slot { c0: slot.c0, step: value - slot.c0 };
+            let exact = line.at(1).to_bits() == value.to_bits()
+                && value.to_string() == literal
+                && slot.c0.to_string() == lexeme;
+            if !exact {
+                return Err(fmt::Error);
+            }
+            slots.push(line);
+            changed = true;
+            Ok(())
+        })
+        .ok()?;
+        if !typed.0.is_empty() || !changed {
+            return None;
+        }
+        let template = here.with_slots(&slots);
+        debug_assert_eq!(template.at(0, 0).to_string(), self.to_string());
+        debug_assert!(template.at(0, 1).reads_as(below));
+        Some(template)
     }
 
     /// Visits every reference still on the grid, as written (the read set
@@ -277,65 +425,86 @@ impl<'a> At<'a> {
 
     /// The formula's tree with every reference still on the grid replaced
     /// by what `f` makes of it; `None`, like a reference that left the
-    /// grid, becomes `#REF!`.
+    /// grid, becomes `#REF!`. Every literal is a plain number, its value
+    /// here.
     pub fn rewrite(
         &self,
         f: &mut impl FnMut(Option<&SheetRef>, RangeRef) -> Option<RangeRef>,
     ) -> Expr {
-        self.template.ast.map_refs(&mut |q| {
-            let moved = q.rref.autofill(self.dc, self.dr)?;
-            Some(q.with_rref(f(q.sheet.as_ref(), moved)?))
-        })
+        self.template.ast.map_leaves(
+            &mut |q| {
+                let moved = q.rref.autofill(self.dc, self.dr)?;
+                Some(q.with_rref(f(q.sheet.as_ref(), moved)?))
+            },
+            &mut |slot| Expr::Number(slot.at(self.dr)),
+        )
     }
 
     /// The formula's tree: the template's with every reference moved, one
-    /// that left the grid replaced by `#REF!`.
+    /// that left the grid replaced by `#REF!`, and every literal its value
+    /// here.
     pub fn to_ast(&self) -> Expr {
         self.rewrite(&mut |_, moved| Some(moved))
     }
 
     /// This formula as a template of its own, written where it now
-    /// stands: same text, same tree, offset `(0, 0)`.
+    /// stands: same text, same tree, offset `(0, 0)`, every literal typed
+    /// as it reads here — a step-0 slot.
     pub fn to_template(&self) -> Template {
         let t = self.template;
         if (self.dc, self.dr) == (0, 0) {
             return t.clone();
         }
         let (mut src, mut spans) = (String::with_capacity(t.src.len() + 8), Vec::new());
-        self.splice(&mut src, |w, hole, moved| {
+        self.splice(&mut src, |w, span, filled| {
             let at = w.len() as u32;
-            write!(w, "{moved}")?;
-            let start = at - (hole.at - hole.start);
-            spans.push(RefSpan { rref: moved, start, at, end: w.len() as u32 });
+            write!(w, "{filled}")?;
+            let end = w.len() as u32;
+            spans.push(match filled {
+                Filled::Ref(moved) => {
+                    Span { hole: Hole::Ref(moved), start: at - (span.at - span.start), at, end }
+                }
+                Filled::Literal { value, .. } => {
+                    Span { hole: Hole::Literal(Slot::fixed(value)), start: at, at, end }
+                }
+            });
             Ok(())
         })
         .expect("writing to a String cannot fail");
         Template::assemble(src, self.to_ast(), spans)
     }
 
-    /// Writes the template's text with every reference moved: the text
-    /// between references as it stands, a reference still on the grid
-    /// through `on_ref`, one that left it as `#REF!` in place of the
-    /// reference and its qualifier.
+    /// Writes the template's text with every hole filled: the text
+    /// between holes as it stands, a reference still on the grid and a
+    /// literal through `on_hole`, a reference that left the grid as
+    /// `#REF!` in place of the reference and its qualifier.
     fn splice<W: fmt::Write>(
         &self,
         w: &mut W,
-        mut on_ref: impl FnMut(&mut W, &RefSpan, RangeRef) -> fmt::Result,
+        mut on_hole: impl FnMut(&mut W, &Span, Filled<'a>) -> fmt::Result,
     ) -> fmt::Result {
         let src = self.template.src.as_str();
         let mut from = 0;
-        for hole in &self.template.holes {
-            match hole.rref.autofill(self.dc, self.dr) {
-                Some(moved) => {
-                    w.write_str(&src[from..hole.at as usize])?;
-                    on_ref(w, hole, moved)?;
-                }
-                None => {
-                    w.write_str(&src[from..hole.start as usize])?;
-                    w.write_str("#REF!")?;
+        for span in &self.template.holes {
+            let (start, end) = (span.start as usize, span.end as usize);
+            match span.hole {
+                Hole::Ref(rref) => match rref.autofill(self.dc, self.dr) {
+                    Some(moved) => {
+                        w.write_str(&src[from..span.at as usize])?;
+                        on_hole(w, span, Filled::Ref(moved))?;
+                    }
+                    None => {
+                        w.write_str(&src[from..start])?;
+                        w.write_str("#REF!")?;
+                    }
+                },
+                Hole::Literal(slot) => {
+                    w.write_str(&src[from..start])?;
+                    let (lexeme, value) = (&src[start..end], slot.at(self.dr));
+                    on_hole(w, span, Filled::Literal { lexeme, slot, value })?;
                 }
             }
-            from = hole.end as usize;
+            from = end;
         }
         w.write_str(&src[from..])
     }
@@ -348,7 +517,7 @@ impl fmt::Display for At<'_> {
         if (self.dc, self.dr) == (0, 0) {
             return f.write_str(&self.template.src);
         }
-        self.splice(f, |f, _, moved| write!(f, "{moved}"))
+        self.splice(f, |f, _, filled| write!(f, "{filled}"))
     }
 }
 
@@ -401,7 +570,7 @@ mod tests {
                     .map(|(sheet, rref)| QualifiedRef { sheet: sheet.cloned(), rref })
                     .collect();
                 assert_eq!(reads, want.refs, "{src} by {dc},{dr}");
-                assert_eq!(at.is_whole(), count_refs(&want.ast) == template.holes.len());
+                assert_eq!(at.is_whole(), count_refs(&want.ast) == count_refs(&template.ast));
                 assert_eq!(template.is_volatile(), want.is_volatile());
                 // Its own template reads, prints and fills on like it.
                 let own = at.to_template();
@@ -505,5 +674,102 @@ mod tests {
         assert!(rewritten.prints_itself());
         assert_eq!(rewritten.at(1, 1).to_string(), "(B6+Data!C2)*1.5");
         assert_eq!(rewritten, Template::parse("(A5+Data!B1)*1.5").unwrap());
+    }
+
+    /// The template `first`, typed here, and `second`, typed below it,
+    /// share, if they share one.
+    fn stepped(first: &str, second: &str) -> Option<Template> {
+        Template::parse(first).unwrap().at(0, 0).step_below(second)
+    }
+
+    #[test]
+    fn literals_typed_on_an_exact_line_step_a_run_of_one() {
+        let cells = |c: Cell| Value::Number(f64::from(c.row) / 8.0 - f64::from(c.col));
+        let bits = |v: Value| match v {
+            Value::Number(n) => n.to_bits(),
+            other => panic!("{other:?}"),
+        };
+        for (first, second, k, kth) in [
+            ("SUM($A$1:$A$8)*1", "SUM($A$1:$A$8)*2", 1023, "SUM($A$1:$A$8)*1024"),
+            // One literal steps by halves, the other stays as typed.
+            ("A1*0.5+10", "A2*1+10", 3, "A4*2+10"),
+            ("IF(A1>5,A1*3,7)", "IF(A2>6,A2*3,9)", 2, "IF(A3>7,A3*3,11)"),
+            ("$B$1*100", "$B$1*99", 100, "$B$1*0"),
+            // 0.1 + 0.1 is 0.2 to the bit; two steps on is not 0.3.
+            ("A1-0.1", "A2-0.2", 2, "A3-0.30000000000000004"),
+        ] {
+            let template = stepped(first, second).unwrap_or_else(|| panic!("{first} / {second}"));
+            assert!(template.is_stepped() && template.prints_itself(), "{first}");
+            assert_eq!(template.at(0, 0).to_string(), first);
+            for (dr, text) in [(0, first), (1, second), (k, kth)] {
+                let at = template.at(0, dr);
+                assert_eq!(at.to_string(), text);
+                assert!(at.reads_as(text), "{text}");
+                let typed = crate::parser::parse(text).unwrap();
+                assert_eq!(at.to_ast(), typed, "{text}");
+                assert_eq!(
+                    bits(at.eval(&cells)),
+                    bits(crate::eval::eval(&typed, &cells)),
+                    "{text}"
+                );
+            }
+            // Columns move the references only.
+            let right = template.at(1, 2);
+            assert_eq!(
+                right.to_ast(),
+                template.at(0, 2).to_ast().map_refs(&mut |q| q.autofill(1, 0))
+            );
+        }
+        assert!(!stepped("A1-0.1", "A2-0.2").unwrap().at(0, 2).reads_as("A3-0.3"));
+    }
+
+    #[test]
+    fn a_run_of_one_steps_for_literals_alone_and_only_those_that_print_back() {
+        for (first, second) in [
+            // Typed spellings that do not print back as typed.
+            ("A1*1.50", "A2*2.50"),
+            ("A1*1.5", "A2*2.50"),
+            ("A1*2e3", "A2*3e3"),
+            ("A1*1", "A2*1.0"),
+            ("A1*1", "A2*1e400"),
+            // Anything but a literal differs.
+            ("A1*1", "A3*2"),
+            ("A1*1", "A2 * 2"),
+            ("A1*1", "A2*2+0"),
+            ("A1*1", "A2*"),
+            ("SUM(A1)*1", "MAX(A2)*2"),
+            // String holes are out.
+            ("\"1\"&A1", "\"2\"&A2"),
+            // Nothing differs: the cell below reads as the run's next.
+            ("A1*1.50", "A2*1.50"),
+        ] {
+            assert!(stepped(first, second).is_none(), "{first} / {second}");
+        }
+        assert!(Template::parse("A1*1.50").unwrap().at(0, 1).reads_as("A2*1.50"));
+        // Not from a cell whose reference left the grid.
+        assert!(Template::parse("A1*1").unwrap().at(0, -1).step_below("A1*2").is_none());
+        // A stepped run meeting a literal off its line: stepped afresh from
+        // that cell, written there.
+        let line = stepped("A1*1", "A2*2").unwrap();
+        let fresh = line.at(0, 1).step_below("A3*4").unwrap();
+        assert_eq!(
+            (fresh.at(0, 0).to_string(), fresh.at(0, 2).to_string()),
+            ("A2*2".into(), "A4*6".into())
+        );
+    }
+
+    #[test]
+    fn a_fill_from_a_stepped_cell_copies_its_literals() {
+        let line = stepped("SUM($A$1:A1)*1+0.5", "SUM($A$1:A2)*2+0.5").unwrap();
+        let at = line.at(0, 4);
+        assert_eq!(at.to_string(), "SUM($A$1:A5)*5+0.5");
+        // The cell's own template: its literals as they read there, fixed.
+        let own = at.to_template();
+        assert!(!own.is_stepped() && own.prints_itself());
+        assert_eq!(own, Template::printed(at.to_ast()));
+        for (dc, dr, want) in filled(&at.to_string(), Range::from_coords(1, 1, 6, 9)) {
+            assert_eq!(own.at(dc, dr).to_string(), want.src, "by {dc},{dr}");
+            assert_eq!(own.at(dc, dr).to_ast(), want.ast, "by {dc},{dr}");
+        }
     }
 }

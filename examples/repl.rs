@@ -15,7 +15,7 @@
 //! trace B5                dependents + precedents of a cell
 //! clear A1:B10            clear a range
 //! insrows 5 2 / delrows 5 2 / inscols 2 1 / delcols 2 1
-//! stats                   graph size + per-pattern compression
+//! stats                   graph size, formulas per template, per-pattern compression
 //! edges                   list compressed edges
 //! :save /path/to/file     persist the sheet (compressed graph included)
 //! :open /path/to/file     replace the sheet with a saved one
@@ -296,6 +296,12 @@ fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
             s.vertices,
             s.dependencies,
             100.0 * s.remaining_fraction()
+        );
+        // A column typed or filled alike collapses into one template.
+        println!(
+            "formula_cells={} templates={}",
+            engine.formula_cells(),
+            engine.formula_templates()
         );
         for p in [
             PatternType::RR,

@@ -109,6 +109,10 @@ fn repl_parses_and_evaluates_a_script() {
                   trace B1\n\
                   fill B1 B2:B4\n\
                   show B2\n\
+                  C1 = =A1*1\n\
+                  C2 = =A2*2\n\
+                  C3 = =A3*3\n\
+                  show C2\n\
                   stats\n\
                   bogus command\n\
                   quit\n";
@@ -117,6 +121,9 @@ fn repl_parses_and_evaluates_a_script() {
     assert!(text.contains("B1 = =SUM(A1:A2)*10 → 50"), "formula path broken:\n{text}");
     assert!(text.contains("precedents: A1:A2"), "trace path broken:\n{text}");
     assert!(text.contains("edges="), "stats path broken:\n{text}");
+    assert!(text.contains("C2 = =A2*2 → 6"), "typed column broken:\n{text}");
+    // The fill is one template, the column typed with its row another.
+    assert!(text.contains("formula_cells=7 templates=2"), "template count missing:\n{text}");
     assert!(text.contains("error:"), "bad input must report, not crash:\n{text}");
 }
 

@@ -171,6 +171,10 @@ fn profiled_recalc_is_bit_identical() {
         assert!(report.passes.windows(2).all(|w| w[0].sheet < w[1].sheet), "{profile:?}");
         let cells: u32 = report.passes.iter().map(|p| p.cells).sum();
         assert_eq!(cells as usize, evaluated, "{profile:?}");
+        // Cells come ordered in nodes, each one cell or more.
+        for pass in &report.passes {
+            assert!(0 < pass.nodes && pass.nodes <= pass.cells, "{profile:?}: {pass:?}");
+        }
         if profile == ProfileMode::Hotspots {
             assert!(!report.hotspots.is_empty(), "must attribute hot cells");
         }
@@ -187,23 +191,26 @@ fn profiled_recalc_is_bit_identical() {
 #[test]
 fn formula_gauges_and_the_carried_fold_counter_are_exposed() {
     // A 40-row sheet: A data, B a cumulative column autofilled from B1 —
-    // one formula in 40 cells — and C typed row by row with a literal
-    // that differs, so 40 formulas of its own.
+    // one formula in 40 cells —, C typed row by row with a literal that
+    // differs and is spelled as the printer would not (`1.0`), so 40
+    // formulas of its own, and D typed with the row number as a literal,
+    // a line the literal steps along: one formula.
     let hub = Obs::new(ObsOptions::default());
     let mut wb = Workbook::with_taco();
     wb.attach_obs(&hub, "det");
     let s = wb.add_sheet("Only").unwrap();
     for row in 1..=40u32 {
         wb.set_value(s, Cell::new(1, row), Value::Number(f64::from(row)));
-        wb.set_formula(s, Cell::new(3, row), &format!("=A{row}*{row}")).unwrap();
+        wb.set_formula(s, Cell::new(3, row), &format!("=A{row}*{row}.0")).unwrap();
+        wb.set_formula(s, Cell::new(4, row), &format!("=A{row}*{row}")).unwrap();
     }
     wb.set_formula(s, Cell::new(2, 1), "=SUM($A$1:A1)").unwrap();
     wb.autofill(s, Cell::new(2, 1), Range::from_coords(2, 2, 2, 40)).unwrap();
-    assert_eq!(wb.recalculate(RecalcMode::Serial), 80);
+    assert_eq!(wb.recalculate(RecalcMode::Serial), 120);
     let text = hub.snapshot().to_prometheus();
     for line in [
-        "taco_formula_cells{book=\"det\"} 80",
-        "taco_formula_templates{book=\"det\"} 41",
+        "taco_formula_cells{book=\"det\"} 120",
+        "taco_formula_templates{book=\"det\"} 42",
         // Every cell of the cumulative column but the first went on from
         // the fold of the cell above it.
         "taco_recalc_folds_carried_total 39",
@@ -213,11 +220,11 @@ fn formula_gauges_and_the_carried_fold_counter_are_exposed() {
     // Counters add up over recalculations; the gauges follow the sheet.
     wb.set_value(s, Cell::new(1, 21), Value::Number(0.5));
     wb.clear_range(s, Range::from_coords(3, 1, 3, 10));
-    assert_eq!(wb.recalculate(RecalcMode::Serial), 20 + 1);
+    assert_eq!(wb.recalculate(RecalcMode::Serial), 20 + 2);
     let text = hub.snapshot().to_prometheus();
     for line in [
-        "taco_formula_cells{book=\"det\"} 70",
-        "taco_formula_templates{book=\"det\"} 31",
+        "taco_formula_cells{book=\"det\"} 110",
+        "taco_formula_templates{book=\"det\"} 32",
         "taco_recalc_folds_carried_total 59",
     ] {
         assert!(text.lines().any(|l| l == line), "no line {line:?} in:\n{text}");
