@@ -9,8 +9,8 @@
 //!         content.value         inline (24 bytes) — what a range scan reads
 //!         content.run           the formula, behind a pointer shared by
 //!                               every cell of its run
-//!         flags                 OCCUPIED | DIRTY
-//!   dirty: [Cell]               exactly the cells whose DIRTY bit is set
+//!         occupied              whether it holds a cell
+//!     dirty: {lo → hi}          its dirty formula cells' rows, as intervals
 //! ```
 //!
 //! A tabular column is a handful of pages, so reading `A1:A1024` is four
@@ -22,6 +22,7 @@
 //! Iteration is in `(col, row)` order — [`Cell`]'s own ordering.
 
 use crate::sheet::{CellContent, Run};
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use taco_formula::Value;
@@ -32,18 +33,16 @@ use taco_grid::{Cell, Range};
 /// while a lone cell at a far coordinate costs one page, not a column.
 pub(crate) const PAGE_ROWS: u32 = 256;
 
-const OCCUPIED: u8 = 1;
-const DIRTY: u8 = 2;
-
 /// One row of one column.
 struct Slot {
     content: CellContent,
-    flags: u8,
+    occupied: bool,
 }
 
 impl Slot {
     /// A slot holding no cell: it reads as `Value::Empty`.
-    const VACANT: Slot = Slot { content: CellContent { value: Value::Empty, run: None }, flags: 0 };
+    const VACANT: Slot =
+        Slot { content: CellContent { value: Value::Empty, run: None }, occupied: false };
 }
 
 /// What a page that was never allocated reads as.
@@ -57,12 +56,63 @@ struct Page {
     slots: Box<[Slot]>,
 }
 
+#[derive(Default)]
 struct Column {
     col: u32,
     pages: Vec<Page>,
     /// When the column's rows were last written (what remembered folds
     /// over it are checked against).
     writes: Writes,
+    /// The rows of the column's dirty cells, every one a formula cell.
+    dirty: Intervals,
+}
+
+/// Rows as sorted, disjoint, non-touching intervals `lo → hi` in a B-tree:
+/// an interval goes in or out in O(log intervals) whatever the order.
+#[derive(Default)]
+struct Intervals(BTreeMap<u32, u32>);
+
+impl Intervals {
+    /// Adds rows `lo..=hi`, merged with every interval they overlap or
+    /// touch; returns how many of them were not in the set.
+    fn insert(&mut self, lo: u32, hi: u32) -> usize {
+        // Intervals starting inside the rows or right below merge in...
+        let (mut end, mut had) = (hi, 0);
+        while let Some((&s, &e)) = self.0.range(lo + 1..=hi + 1).next() {
+            (end, had) = (end.max(e), had + e - s + 1);
+            self.0.remove(&s);
+        }
+        // ...and the whole joins the interval reaching `lo` from above, if any.
+        let reach = self.0.range_mut(..=lo).next_back().filter(|(_, e)| **e + 1 >= lo);
+        let added = if let Some((_, e)) = reach {
+            let old = std::mem::replace(e, end.max(*e));
+            end.max(old) - old
+        } else {
+            self.0.insert(lo, end);
+            end - lo + 1
+        };
+        (added - had) as usize
+    }
+
+    /// Takes rows `lo..=hi` out; returns how many of them were in the set.
+    fn remove(&mut self, lo: u32, hi: u32) -> usize {
+        // From the interval straddling `lo`, if any, each one starting by
+        // `hi` goes, what lies outside `lo..=hi` put back.
+        let straddles = self.0.range(..lo).next_back().filter(|&(_, &e)| e >= lo);
+        let (mut from, mut removed) = (straddles.map_or(lo, |(&s, _)| s), 0);
+        while let Some((&s, &e)) = self.0.range(from..).next().filter(|&(&s, _)| s <= hi) {
+            self.0.remove(&s);
+            if s < lo {
+                self.0.insert(s, lo - 1);
+            }
+            if e > hi {
+                self.0.insert(hi + 1, e);
+            }
+            removed += (e.min(hi) - s.max(lo) + 1) as usize;
+            from = s + 1;
+        }
+        removed
+    }
 }
 
 /// Steps a column's [`Writes`] keep apart before the oldest are merged.
@@ -145,6 +195,16 @@ fn page_end(index: u32, last_row: u32) -> u32 {
     end.min(u64::from(last_row)) as u32
 }
 
+/// The allocated pages among `pages` overlapping rows `first..=last`, each
+/// as the row of its span's first slot and the span.
+fn spans(pages: &[Page], first: u32, last: u32) -> impl Iterator<Item = (u32, &[Slot])> {
+    let from = pages.partition_point(|p| p.index < page_of(first));
+    pages[from..].iter().take_while(move |p| p.index <= page_of(last)).map(move |page| {
+        let start = first.max(page.index * PAGE_ROWS + 1);
+        (start, &page.slots[slot_of(start)..=slot_of(page_end(page.index, last))])
+    })
+}
+
 /// Folds one run of slots: the loop under every column scan. Out of line
 /// on purpose. In a frame of its own, with no call in it but `f`, the
 /// accumulator stays in a register; inlined into
@@ -193,28 +253,6 @@ impl Column {
     fn slots(&self, index: u32) -> &[Slot] {
         self.page(index).map_or(&VACANT_PAGE, |p| &p.slots)
     }
-
-    /// Calls `f(occupied count, row of the span's first slot, the span)`
-    /// for every allocated page overlapping rows `first..=last`, then
-    /// drops the pages `f` emptied.
-    fn for_pages_in(
-        &mut self,
-        first: u32,
-        last: u32,
-        mut f: impl FnMut(&mut u32, u32, &mut [Slot]),
-    ) {
-        let from = self.pages.partition_point(|p| p.index < page_of(first));
-        let mut emptied = false;
-        for page in self.pages[from..].iter_mut().take_while(|p| p.index <= page_of(last)) {
-            let start = first.max(page.index * PAGE_ROWS + 1);
-            let end = page_end(page.index, last);
-            f(&mut page.used, start, &mut page.slots[slot_of(start)..=slot_of(end)]);
-            emptied |= page.used == 0;
-        }
-        if emptied {
-            self.pages.retain(|p| p.used > 0);
-        }
-    }
 }
 
 /// See the module documentation.
@@ -224,7 +262,8 @@ pub(crate) struct CellStore {
     len: usize,
     /// How many of the `len` cells hold a formula.
     formulas: usize,
-    dirty: Vec<Cell>,
+    /// How many of the `formulas` are dirty.
+    dirty: usize,
 }
 
 impl CellStore {
@@ -235,13 +274,6 @@ impl CellStore {
 
     fn slot(&self, cell: Cell) -> Option<&Slot> {
         Some(&self.column(cell.col)?.page(page_of(cell.row))?.slots[slot_of(cell.row)])
-    }
-
-    fn slot_mut(&mut self, cell: Cell) -> Option<&mut Slot> {
-        let i = locate(&self.cols, cell.col, 1, |c| c.col).ok()?;
-        let pages = &mut self.cols[i].pages;
-        let j = locate(pages, page_of(cell.row), 0, |p| p.index).ok()?;
-        Some(&mut pages[j].slots[slot_of(cell.row)])
     }
 
     /// Where the columns overlapping `range` sit in `cols`.
@@ -263,7 +295,7 @@ impl CellStore {
 
     /// What `cell` holds, `None` when blank.
     pub(crate) fn get(&self, cell: Cell) -> Option<&CellContent> {
-        self.slot(cell).filter(|s| s.flags & OCCUPIED != 0).map(|s| &s.content)
+        self.slot(cell).filter(|s| s.occupied).map(|s| &s.content)
     }
 
     /// The value `cell` reads as (`Empty` when blank).
@@ -284,24 +316,24 @@ impl CellStore {
         }
     }
 
-    /// Writes `cell` at write clock `at`, returning what it held. A dirty
-    /// mark stays.
+    /// Writes `cell` at write clock `at`, returning what it held. A pure
+    /// value takes its dirty mark off (only a formula is dirty).
     pub(crate) fn insert(
         &mut self,
         cell: Cell,
         content: CellContent,
         at: u64,
     ) -> Option<CellContent> {
-        let i = match locate(&self.cols, cell.col, 1, |c| c.col) {
-            Ok(i) => i,
-            Err(i) => {
-                let writes = Writes::default();
-                self.cols.insert(i, Column { col: cell.col, pages: Vec::new(), writes });
-                i
-            }
-        };
-        self.cols[i].writes.stamp(cell.row, at);
-        let pages = &mut self.cols[i].pages;
+        let i = locate(&self.cols, cell.col, 1, |c| c.col).unwrap_or_else(|i| {
+            self.cols.insert(i, Column { col: cell.col, ..Column::default() });
+            i
+        });
+        let column = &mut self.cols[i];
+        column.writes.stamp(cell.row, at);
+        if content.run.is_none() {
+            self.dirty -= column.dirty.remove(cell.row, cell.row);
+        }
+        let pages = &mut column.pages;
         let index = page_of(cell.row);
         let j = match locate(pages, index, 0, |p| p.index) {
             Ok(j) => j,
@@ -315,11 +347,11 @@ impl CellStore {
         let slot = &mut page.slots[slot_of(cell.row)];
         self.formulas += usize::from(content.run.is_some());
         let old = std::mem::replace(&mut slot.content, content);
-        if slot.flags & OCCUPIED != 0 {
+        if slot.occupied {
             self.formulas -= usize::from(old.run.is_some());
             return Some(old);
         }
-        slot.flags |= OCCUPIED;
+        slot.occupied = true;
         page.used += 1;
         self.len += 1;
         None
@@ -329,45 +361,50 @@ impl CellStore {
     /// the formula the cell holds: no value is written, so no clock is
     /// stamped, and a dirty mark stays.
     pub(crate) fn repoint(&mut self, cell: Cell, run: Arc<Run>) {
-        let slot = self.slot_mut(cell).filter(|slot| slot.content.run.is_some());
-        slot.expect("a formula cell").content.run = Some(run);
+        let i = locate(&self.cols, cell.col, 1, |c| c.col).expect("a formula cell");
+        let pages = &mut self.cols[i].pages;
+        let j = locate(pages, page_of(cell.row), 0, |p| p.index).expect("a formula cell");
+        let old = pages[j].slots[slot_of(cell.row)].content.run.replace(run);
+        assert!(old.is_some(), "a formula cell");
     }
 
     /// Blanks every cell of `range` at write clock `at`, dirty marks
-    /// included: a walk over the allocated pages the range overlaps (plus
-    /// one pass over the dirty list if a dirty cell went). Column headers
-    /// stay, with their clocks.
+    /// included: a walk over the allocated pages the range overlaps. Column
+    /// headers stay, with their clocks.
     pub(crate) fn remove_range(&mut self, range: Range, at: u64) {
-        let (mut removed, mut formulas, mut undirtied) = (0usize, 0usize, false);
+        let (first, last) = (range.head().row, range.tail().row);
+        let (mut removed, mut formulas) = (0usize, 0usize);
         let columns = self.columns_in(range);
         for column in &mut self.cols[columns] {
-            column.writes.stamp(range.head().row, at);
-            column.for_pages_in(range.head().row, range.tail().row, |used, _, slots| {
-                for slot in slots.iter_mut().filter(|s| s.flags & OCCUPIED != 0) {
-                    undirtied |= slot.flags & DIRTY != 0;
+            column.writes.stamp(first, at);
+            self.dirty -= column.dirty.remove(first, last);
+            let from = column.pages.partition_point(|p| p.index < page_of(first));
+            let mut emptied = false;
+            for page in column.pages[from..].iter_mut().take_while(|p| p.index <= page_of(last)) {
+                let start = first.max(page.index * PAGE_ROWS + 1);
+                let span = slot_of(start)..=slot_of(page_end(page.index, last));
+                for slot in page.slots[span].iter_mut().filter(|s| s.occupied) {
                     formulas += usize::from(slot.content.run.is_some());
                     *slot = Slot::VACANT;
-                    *used -= 1;
+                    page.used -= 1;
                     removed += 1;
                 }
-            });
+                emptied |= page.used == 0;
+            }
+            if emptied {
+                column.pages.retain(|p| p.used > 0);
+            }
         }
         self.len -= removed;
         self.formulas -= formulas;
-        if undirtied {
-            self.dirty.retain(|c| !range.contains_cell(*c));
-        }
     }
 
     /// Every non-blank cell in `(col, row)` order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Cell, &CellContent)> {
         self.cols.iter().flat_map(|column| {
-            column.pages.iter().flat_map(move |page| {
-                let first = page.index * PAGE_ROWS + 1;
-                page.slots.iter().enumerate().filter(|(_, s)| s.flags & OCCUPIED != 0).map(
-                    move |(i, s)| (Cell { col: column.col, row: first + i as u32 }, &s.content),
-                )
-            })
+            let slots = spans(&column.pages, 1, u32::MAX).flat_map(|(at, s)| (at..).zip(s));
+            let cells = slots.filter(|(_, slot)| slot.occupied);
+            cells.map(|(row, slot)| (Cell { col: column.col, row }, &slot.content))
         })
     }
 
@@ -381,7 +418,7 @@ impl CellStore {
                     .into_vec()
                     .into_iter()
                     .enumerate()
-                    .filter(|(_, s)| s.flags & OCCUPIED != 0)
+                    .filter(|(_, s)| s.occupied)
                     .map(move |(i, s)| (Cell { col, row: first + i as u32 }, s.content))
             })
         })
@@ -401,101 +438,82 @@ impl CellStore {
 
     // ---- dirty marks ------------------------------------------------------
 
-    /// The cells awaiting recalculation, in the order they were marked.
-    pub(crate) fn dirty(&self) -> &[Cell] {
-        &self.dirty
+    /// Number of cells awaiting recalculation.
+    pub(crate) fn dirty_count(&self) -> usize {
+        self.dirty
+    }
+
+    /// The cells awaiting recalculation, in `(col, row)` order.
+    pub(crate) fn dirty(&self) -> impl Iterator<Item = Cell> + '_ {
+        self.cols.iter().flat_map(|column| {
+            let rows = column.dirty.0.iter().flat_map(|(&lo, &hi)| lo..=hi);
+            rows.map(|row| Cell { col: column.col, row })
+        })
     }
 
     /// The dirty cells into `view` in `(col, row)` order, and into `joins`
-    /// whether each is the cell right below the one before it and a cell
-    /// of the same run: the stretches of consecutive `joins` are what one
-    /// template evaluates down a column. A dirty set that is a fair share
-    /// of the sheet's slots is read off the pages, in order already and
-    /// with the runs at hand; a small one is sorted, and each cell looked
-    /// up.
-    pub(crate) fn dirty_stretches(&self, view: &mut Vec<Cell>, joins: &mut Vec<bool>) {
+    /// whether each continues the one above it down one run — read here,
+    /// since a dirty cell can change runs and keep its mark.
+    pub(crate) fn read_dirty(&self, view: &mut Vec<Cell>, joins: &mut Vec<bool>) {
         view.clear();
         joins.clear();
-        // The cell before, and its run by address.
-        let mut last: Option<(Cell, *const Run)> = None;
-        let mut join = |cell: Cell, run: Option<&Arc<Run>>| {
-            let run = run.map(Arc::as_ptr);
-            joins.push(last.is_some_and(|(above, of)| {
-                above.col == cell.col && above.row + 1 == cell.row && run == Some(of)
-            }));
-            last = run.map(|run| (cell, run));
-        };
-        if self.dirty.len() * 8 >= self.slot_capacity() {
-            for column in &self.cols {
-                for page in &column.pages {
-                    let first = page.index * PAGE_ROWS + 1;
-                    for (i, slot) in page.slots.iter().enumerate() {
-                        if slot.flags & DIRTY != 0 {
-                            let cell = Cell { col: column.col, row: first + i as u32 };
-                            view.push(cell);
-                            join(cell, slot.content.run.as_ref());
-                        }
-                    }
+        for column in &self.cols {
+            for (&lo, &hi) in &column.dirty.0 {
+                let mut above: Option<&Arc<Run>> = None;
+                let slots = spans(&column.pages, lo, hi).flat_map(|(at, s)| (at..).zip(s));
+                for (row, slot) in slots {
+                    let run = slot.content.run.as_ref();
+                    joins.push(above.zip(run).is_some_and(|(a, b)| Arc::ptr_eq(a, b)));
+                    above = run;
+                    view.push(Cell { col: column.col, row });
                 }
-            }
-        } else {
-            view.extend_from_slice(&self.dirty);
-            view.sort_unstable();
-            for &cell in view.iter() {
-                join(cell, self.get(cell).and_then(|content| content.run.as_ref()));
             }
         }
     }
 
-    /// Marks the formula cell at `cell` dirty; `true` iff it holds a
-    /// formula and was not already dirty.
-    pub(crate) fn mark_dirty(&mut self, cell: Cell) -> bool {
-        let Some(slot) = self.slot_mut(cell) else { return false };
-        let markable = slot.flags == OCCUPIED && slot.content.run.is_some();
-        if markable {
-            slot.flags |= DIRTY;
-            self.dirty.push(cell);
+    /// Marks the formula cells among `cells` dirty, one lookup each.
+    pub(crate) fn mark_cells_dirty(&mut self, cells: &[Cell]) {
+        for &cell in cells {
+            if self.get(cell).is_some_and(CellContent::is_formula) {
+                let i = locate(&self.cols, cell.col, 1, |c| c.col).expect("a formula's column");
+                self.dirty += self.cols[i].dirty.insert(cell.row, cell.row);
+            }
         }
-        markable
     }
 
     /// Marks every formula cell inside `range` dirty: a walk over the
-    /// allocated pages the range overlaps.
+    /// allocated pages it overlaps, each page's stretches of formula cells
+    /// added whole (one crossing pages merges as it goes in).
     pub(crate) fn mark_formulas_dirty_in(&mut self, range: Range) {
+        let (first, last) = (range.head().row, range.tail().row);
         let columns = self.columns_in(range);
-        let dirty = &mut self.dirty;
+        let formula = |slot: &Slot| slot.content.run.is_some();
         for column in &mut self.cols[columns] {
-            let col = column.col;
-            column.for_pages_in(range.head().row, range.tail().row, |_, first, slots| {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    if slot.flags == OCCUPIED && slot.content.run.is_some() {
-                        slot.flags |= DIRTY;
-                        dirty.push(Cell { col, row: first + i as u32 });
-                    }
+            for (mut row, mut slots) in spans(&column.pages, first, last) {
+                while let Some(at) = slots.iter().position(formula) {
+                    let len = slots[at..].iter().position(|s| !formula(s));
+                    let end = len.map_or(slots.len(), |len| at + len);
+                    self.dirty += column.dirty.insert(row + at as u32, row + end as u32 - 1);
+                    (row, slots) = (row + end as u32, &slots[end..]);
                 }
-            });
+            }
         }
     }
 
-    /// Unmarks `cells`, skipping those that are not dirty: what a
-    /// recalculation pass evaluated — every dirty cell, or the ones a
-    /// viewport needed, the rest staying dirty in the order they were
-    /// marked. One walk over `cells`, and one over the dirty list unless
-    /// all of it went.
+    /// Unmarks `cells`, sorted and all dirty (what a pass evaluated): each
+    /// stretch of a column as one interval, all of the set at once.
     pub(crate) fn unmark(&mut self, cells: &[Cell]) {
-        let mut unmarked = 0;
-        for &cell in cells {
-            if let Some(slot) = self.slot_mut(cell).filter(|s| s.flags & DIRTY != 0) {
-                slot.flags &= !DIRTY;
-                unmarked += 1;
-            }
+        if cells.len() == self.dirty {
+            self.cols.iter_mut().for_each(|column| column.dirty.0.clear());
+            self.dirty = 0;
+            return;
         }
-        if unmarked == self.dirty.len() {
-            self.dirty.clear();
-        } else if unmarked > 0 {
-            let mut dirty = std::mem::take(&mut self.dirty);
-            dirty.retain(|&c| self.slot(c).is_some_and(|s| s.flags & DIRTY != 0));
-            self.dirty = dirty;
+        for stretch in cells.chunk_by(|a, b| a.col == b.col && a.row + 1 == b.row) {
+            let (top, n) = (stretch[0], stretch.len());
+            let i = locate(&self.cols, top.col, 1, |c| c.col).expect("a dirty cell's column");
+            let removed = self.cols[i].dirty.remove(top.row, top.row + n as u32 - 1);
+            debug_assert_eq!(removed, n, "unmarked cells were dirty");
+            self.dirty -= removed;
         }
     }
 
@@ -571,13 +589,24 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
+        /// A pure value (`None`) or a formula; a pure value written over a
+        /// dirty formula takes its mark off.
         Set(Cell, Option<&'static str>, i32),
+        /// A formula at every row of `ROWS` in a column, one run: cells
+        /// next to each other that join.
+        Fill(u32),
         Clear(Range),
         Rebuild,
         StoreResult(Cell, i32),
         Mark(Cell),
         MarkIn(Range),
-        Unmark(u32),
+        /// Every other stretch `ROWS[k]..=ROWS[k + 1]` of a column marked
+        /// one by one, bottom-up (`false`) or from both ends inwards.
+        MarkStretches(u32, bool),
+        /// The dirty cells from the `from`-th to the `to`-th eighth of the
+        /// set, in `(col, row)` order, but for those whose row is `skip`
+        /// mod 3 (`3`: none skipped): what a pass evaluated.
+        Unmark(usize, usize, u32),
     }
 
     fn arb_cell() -> impl Strategy<Value = Cell> {
@@ -593,13 +622,31 @@ mod tests {
             6 => (arb_cell(), 0u8..3, -9i32..9).prop_map(|(c, kind, v)| {
                 Op::Set(c, [None, Some("=A1+1"), Some("=SUM(A1:B3)")][kind as usize], v)
             }),
+            1 => (0..COLS.len()).prop_map(|c| Op::Fill(COLS[c])),
             2 => arb_range().prop_map(Op::Clear),
             1 => Just(Op::Rebuild),
             2 => (arb_cell(), -9i32..9).prop_map(|(c, v)| Op::StoreResult(c, v)),
             3 => arb_cell().prop_map(Op::Mark),
             2 => arb_range().prop_map(Op::MarkIn),
-            3 => (0u32..4).prop_map(Op::Unmark),
+            2 => (0..COLS.len(), any::<bool>()).prop_map(|(c, both)| Op::MarkStretches(COLS[c], both)),
+            3 => (0usize..9, 0usize..9, 0u32..4)
+                .prop_map(|(a, b, skip)| Op::Unmark(a.min(b), a.max(b), skip)),
         ]
+    }
+
+    /// The stretches [`Op::MarkStretches`] marks, in the order it does.
+    fn stretches(col: u32, both_ends: bool) -> Vec<Range> {
+        let mut all: Vec<Range> = ROWS
+            .windows(2)
+            .step_by(2)
+            .map(|w| Range::from_coords(col, w[0], col, w[1]))
+            .rev()
+            .collect();
+        if both_ends {
+            let n = all.len();
+            all = (0..n).map(|i| all[if i % 2 == 0 { n - 1 - i / 2 } else { i / 2 }]).collect();
+        }
+        all
     }
 
     fn content(cell: Cell, formula: Option<&str>, v: i32) -> CellContent {
@@ -624,6 +671,22 @@ mod tests {
             Op::Set(cell, formula, v) => {
                 let old = store.insert(cell, content(cell, formula, v), 1);
                 assert_eq!(old, model.cells.insert(cell, content(cell, formula, v)));
+                if formula.is_none() {
+                    model.dirty.remove(&cell);
+                }
+            }
+            Op::Fill(col) => {
+                let run = Run::new(
+                    Template::parse("=A1+1").unwrap(),
+                    Cell::new(col, 1),
+                    &Default::default(),
+                );
+                for &row in &ROWS {
+                    let cell = Cell::new(col, row);
+                    let content = CellContent::formula_cell(Arc::clone(&run), Value::Empty);
+                    store.insert(cell, content.clone(), 1);
+                    model.cells.insert(cell, content);
+                }
             }
             Op::Clear(range) => {
                 store.remove_range(range, 1);
@@ -633,14 +696,11 @@ mod tests {
             // What a structural edit does: take everything, put it back.
             Op::Rebuild => {
                 let old = std::mem::take(store);
-                let dirty = old.dirty().to_vec();
+                let dirty: Vec<Cell> = old.dirty().collect();
                 for (cell, content) in old.into_cells() {
                     assert_eq!(store.insert(cell, content, 1), None);
                 }
-                for cell in dirty {
-                    store.mark_dirty(cell);
-                }
-                model.dirty.retain(|c| model.cells[c].is_formula());
+                store.mark_cells_dirty(&dirty);
             }
             Op::StoreResult(cell, v) => {
                 let value = Value::Number(f64::from(v));
@@ -650,27 +710,32 @@ mod tests {
                 }
             }
             Op::Mark(cell) => {
-                let is_formula = model.cells.get(&cell).is_some_and(CellContent::is_formula);
-                assert_eq!(store.mark_dirty(cell), is_formula && model.dirty.insert(cell));
+                store.mark_cells_dirty(&[cell]);
+                if model.cells.get(&cell).is_some_and(CellContent::is_formula) {
+                    model.dirty.insert(cell);
+                }
             }
-            Op::MarkIn(range) => {
-                store.mark_formulas_dirty_in(range);
-                let formulas = model.cells.iter().filter(|(_, k)| k.is_formula());
-                model.dirty.extend(formulas.map(|(c, _)| *c).filter(|c| range.contains_cell(*c)));
+            Op::MarkIn(range) => mark_in(range, store, model),
+            Op::MarkStretches(col, both_ends) => {
+                for range in stretches(col, both_ends) {
+                    mark_in(range, store, model);
+                }
             }
-            // Every dirty cell (what a full pass evaluated), or every
-            // third row's cells, dirty or not, blank or not.
-            Op::Unmark(residue) => {
-                let cells: Vec<Cell> = if residue == 3 {
-                    store.dirty().to_vec()
-                } else {
-                    let rows = ROWS.iter().filter(|&&row| row % 3 == residue);
-                    rows.flat_map(|&row| COLS.iter().map(move |&col| Cell::new(col, row))).collect()
-                };
+            Op::Unmark(from, to, skip) => {
+                let dirty: Vec<Cell> = model.dirty.iter().copied().collect();
+                let slice = &dirty[dirty.len() * from / 8..dirty.len() * to / 8];
+                let cells: Vec<Cell> =
+                    slice.iter().copied().filter(|c| skip == 3 || c.row % 3 != skip).collect();
                 store.unmark(&cells);
                 model.dirty.retain(|c| !cells.contains(c));
             }
         }
+    }
+
+    fn mark_in(range: Range, store: &mut CellStore, model: &mut Model) {
+        store.mark_formulas_dirty_in(range);
+        let formulas = model.cells.iter().filter(|(_, k)| k.is_formula());
+        model.dirty.extend(formulas.map(|(c, _)| *c).filter(|c| range.contains_cell(*c)));
     }
 
     /// What `fold_range` hands over, up to `stop_after` values.
@@ -699,9 +764,32 @@ mod tests {
         let want: Vec<(Cell, CellContent)> =
             model.cells.iter().map(|(c, k)| (*c, k.clone())).collect();
         assert_eq!(listed, want, "iteration is every cell in (col, row) order");
-        let mut dirty = store.dirty().to_vec();
-        dirty.sort_unstable();
-        assert_eq!(dirty, model.dirty.iter().copied().collect::<Vec<_>>(), "the dirty list");
+        // The dirty set is canonical — per column, ascending intervals
+        // that neither overlap nor touch, over formula cells only — and
+        // is the model's set, counted.
+        let mut covered = Vec::new();
+        for column in &store.cols {
+            let mut above: Option<u32> = None;
+            for (&lo, &hi) in &column.dirty.0 {
+                assert!(lo <= hi && above.is_none_or(|end| end + 1 < lo), "{:?}", column.dirty.0);
+                above = Some(hi);
+                covered.extend((lo..=hi).map(|row| Cell::new(column.col, row)));
+            }
+        }
+        let want: Vec<Cell> = model.dirty.iter().copied().collect();
+        assert_eq!(covered, want, "the dirty set");
+        assert!(want.iter().all(|c| model.cells[c].is_formula()), "only a formula is dirty");
+        assert_eq!(store.dirty_count(), want.len());
+        assert_eq!(store.dirty().collect::<Vec<_>>(), want);
+        let (mut view, mut joins) = (vec![Cell::new(9, 9)], Vec::new());
+        store.read_dirty(&mut view, &mut joins);
+        assert_eq!(view, want, "the pass's view");
+        for (i, &join) in joins.iter().enumerate() {
+            let run = |c: Cell| store.get(c).and_then(|k| k.run.as_ref()).map(Arc::as_ptr);
+            let below =
+                i > 0 && view[i - 1].col == view[i].col && view[i - 1].row + 1 == view[i].row;
+            assert_eq!(join, below && run(view[i - 1]) == run(view[i]), "{}", view[i]);
+        }
         for &col in &COLS {
             for &row in &ROWS {
                 let cell = Cell::new(col, row);
@@ -748,6 +836,33 @@ mod tests {
                 check(&store, &model);
             }
         }
+    }
+
+    #[test]
+    fn intervals_merge_what_touches_and_split_around_what_goes() {
+        let mut set = Intervals::default();
+        // Every other row, bottom-up: nothing touches, each is an interval.
+        for row in (1..=20_000u32).rev().filter(|row| row % 2 == 1) {
+            assert_eq!(set.insert(row, row), 1);
+        }
+        assert_eq!(set.0.len(), 10_000);
+        // The rows between, from both ends inwards: each joins two into one.
+        let evens: Vec<u32> = (1..10_000).map(|k| 2 * k).collect();
+        let n = evens.len();
+        for i in 0..n {
+            let row = evens[if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 }];
+            assert_eq!(set.insert(row, row), 1, "{row}");
+        }
+        assert_eq!(set.0, BTreeMap::from([(1, 19_999)]));
+        assert_eq!(set.insert(5, 30_000), 10_001);
+        // A cut from the middle, then across the cut and past the end.
+        assert_eq!(set.remove(100, 199), 100);
+        assert_eq!(set.remove(150, 250), 51);
+        assert_eq!(set.remove(20_000, 40_000), 10_001);
+        assert_eq!(set.0, BTreeMap::from([(1, 99), (251, 19_999)]));
+        assert_eq!(set.insert(90, 300), 151);
+        assert_eq!(set.remove(1, u32::MAX), 19_999);
+        assert!(set.0.is_empty());
     }
 
     /// Every write so far as `(row, clock)`: the latest at `row` or above.

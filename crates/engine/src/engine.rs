@@ -443,7 +443,7 @@ impl Engine {
         self.clock = clock;
         let volatile = self.volatile_cells();
         for &c in &volatile {
-            self.cells.mark_dirty(c);
+            self.mark_cells_dirty(&[c]);
             self.mark_dependents_dirty(Range::cell(c));
         }
         volatile.len()
@@ -519,8 +519,6 @@ impl Engine {
     /// Marks every formula cell dirty (a conservative full-recalc request,
     /// e.g. after restoring from an untrusted image).
     pub fn mark_all_formulas_dirty(&mut self) {
-        let dirty = self.cells.dirty().to_vec();
-        self.cells.unmark(&dirty);
         self.cells.mark_formulas_dirty_in(Range::from_coords(1, 1, u32::MAX, u32::MAX));
     }
 
@@ -569,7 +567,7 @@ impl Engine {
 
     /// Cells currently awaiting recalculation.
     pub fn dirty_count(&self) -> usize {
-        self.cells.dirty().len()
+        self.cells.dirty_count()
     }
 
     /// Iterates over every non-empty cell and its content in `(col, row)`
@@ -665,7 +663,7 @@ impl Engine {
         self.detach_formula(cell);
         self.attach_reads(cell, &run);
         self.put_cell(cell, CellContent::formula_cell(run, Value::Empty));
-        self.cells.mark_dirty(cell);
+        self.mark_cells_dirty(&[cell]);
         self.mark_dependents_dirty(Range::cell(cell))
     }
 
@@ -743,20 +741,9 @@ impl Engine {
         }
     }
 
-    /// Marks one formula cell dirty; returns `true` iff the cell holds a
-    /// formula and was not already dirty.
-    pub(crate) fn mark_cell_dirty(&mut self, cell: Cell) -> bool {
-        self.cells.mark_dirty(cell)
-    }
-
-    /// The dirty set in sorted order (persistence: snapshots must encode
-    /// a deterministic dirty list; the image owns the vector). A
-    /// recalculation pass reads it into its [`Schedule`] instead of
-    /// allocating here.
-    pub(crate) fn dirty_cells_sorted(&self) -> Vec<Cell> {
-        let mut v = self.cells.dirty().to_vec();
-        v.sort_unstable();
-        v
+    /// Marks the formula cells among `cells` dirty.
+    pub(crate) fn mark_cells_dirty(&mut self, cells: &[Cell]) {
+        self.cells.mark_cells_dirty(cells);
     }
 
     /// The run the formula cell at `cell` is part of, if it is one.
@@ -836,8 +823,8 @@ impl Engine {
             let (cells, nodes) = (evaluated as u32, schedule.nodes());
             self.recalc.prof_pass = Some(SheetPass { sheet: 0, cells, nodes, order_ns, eval_ns });
         }
-        self.cells.unmark(order);
         schedule.close();
+        self.cells.unmark(schedule.evaluated());
         self.recalc.schedule = schedule;
         self.evaluated_total += evaluated as u64;
         evaluated
@@ -1001,6 +988,20 @@ mod tests {
         assert_eq!(e.dirty_count(), 19);
         e.recalculate();
         assert_eq!(e.value(c("A20")), n(119.0));
+    }
+
+    #[test]
+    fn a_value_typed_over_a_dirty_formula_leaves_the_dirty_set() {
+        let mut e = Engine::with_taco();
+        e.set_value(c("A1"), n(2.0));
+        e.set_formula(c("B1"), "=A1*2").unwrap();
+        assert_eq!(e.dirty_count(), 1);
+        e.set_value(c("B1"), n(7.0));
+        let before = e.evaluated_total();
+        assert_eq!(e.dirty_count(), 0, "only a formula is dirty");
+        assert_eq!(e.recalculate(), 0);
+        assert_eq!(e.evaluated_total(), before);
+        assert_eq!(e.value(c("B1")), n(7.0));
     }
 
     #[test]

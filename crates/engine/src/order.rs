@@ -87,8 +87,8 @@ pub(crate) struct Schedule {
     /// Whether `view` is this pass's yet: a sheet the pass never orders
     /// on never pays for it.
     viewed: bool,
-    /// The dirty set as the pass found it, sorted by `(col, row)`. Once
-    /// the pass has evaluated, cut down to the cells it ordered.
+    /// The dirty set, read off the store's intervals in `(col, row)`
+    /// order. Once the pass has evaluated, cut down to the cells it ordered.
     view: Vec<Cell>,
     /// Whether `view[i]` is the cell below `view[i - 1]`, of its run.
     joins: Vec<bool>,
@@ -173,7 +173,7 @@ impl Schedule {
     pub(crate) fn order_from(&mut self, engine: &Engine, within: Option<Range>) {
         if !self.viewed {
             self.viewed = true;
-            engine.store().dirty_stretches(&mut self.view, &mut self.joins);
+            engine.store().read_dirty(&mut self.view, &mut self.joins);
             self.cols.clear();
             for (i, cell) in self.view.iter().enumerate() {
                 if self.cols.last().is_none_or(|&(col, _)| col != cell.col) {

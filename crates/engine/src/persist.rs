@@ -56,7 +56,8 @@ fn sheet_image(engine: &Engine, name: String) -> SheetImage {
             (cell, rec)
         })
         .collect();
-    SheetImage { name, cells, dirty: engine.dirty_cells_sorted(), graph: engine.graph().snapshot() }
+    let dirty = engine.store().dirty().collect();
+    SheetImage { name, cells, dirty, graph: engine.graph().snapshot() }
 }
 
 /// Puts a stored sheet's cells and dirty marks into `engine`, whose graph
@@ -80,9 +81,7 @@ fn restore_sheet(
         };
         engine.put_cell(cell, content);
     }
-    for cell in dirty {
-        engine.mark_cell_dirty(cell);
-    }
+    engine.mark_cells_dirty(&dirty);
     Ok(())
 }
 
@@ -572,6 +571,26 @@ mod tests {
         back.recalculate(RecalcMode::Serial);
         wb.recalculate(RecalcMode::Serial);
         assert_eq!(back.value(SheetId(1), c("A1")), wb.value(SheetId(1), c("A1")));
+    }
+
+    #[test]
+    fn a_value_over_a_dirty_formula_is_clean_live_reopened_and_moved() {
+        let mut wb = two_sheet_book();
+        wb.recalculate(RecalcMode::Serial);
+        let data = SheetId(0);
+        wb.set_formula(data, c("D1"), "=A1+1").unwrap();
+        wb.set_formula(data, c("D2"), "=A2+1").unwrap();
+        wb.set_value(data, c("D1"), n(5.0));
+        assert_eq!(wb.dirty_count(), 1, "D2 alone");
+        let path = temp("value_over_dirty");
+        wb.save(&path).unwrap();
+        let back = Workbook::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.dirty_count(), wb.dirty_count());
+        wb.insert_rows(data, 10, 2);
+        assert_eq!(wb.dirty_count(), 1, "rows inserted below move nothing");
+        assert_eq!(wb.recalculate(RecalcMode::Serial), 1);
+        assert_eq!((wb.value(data, c("D1")), wb.value(data, c("D2"))), (n(5.0), n(3.0)));
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Engine {
         let own = own.as_deref();
         self.graph_mut().apply_structural(op);
         let old = self.take_cells();
-        let old_dirty = old.dirty().to_vec();
+        let old_dirty: Vec<Cell> = old.dirty().filter_map(|cell| op.map_cell(cell)).collect();
         let (mut changed, mut reshaped) = (Vec::new(), Vec::new());
         for (cell, content) in old.into_cells() {
             let Some(nc) = op.map_cell(cell) else { continue };
@@ -163,14 +163,10 @@ impl Engine {
             }
             self.put_cell(nc, CellContent::formula_cell(run, value));
         }
-        for cell in old_dirty {
-            if let Some(nc) = op.map_cell(cell) {
-                self.mark_cell_dirty(nc);
-            }
-        }
+        self.mark_cells_dirty(&old_dirty);
         let mut dirty = Vec::with_capacity(changed.len());
         for nc in changed {
-            self.mark_cell_dirty(nc);
+            self.mark_cells_dirty(&[nc]);
             let dependents = self.find_dependents(Range::cell(nc));
             self.mark_ranges_dirty(&dependents);
             dirty.push(Range::cell(nc));

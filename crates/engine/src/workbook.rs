@@ -461,7 +461,7 @@ impl Workbook {
         }
         let mut jobs = Vec::with_capacity(edges.len());
         for e in edges {
-            self.sheets[e.dst.0].engine.mark_cell_dirty(e.dep);
+            self.sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
             jobs.push(Job::hop(e.dst.0, e.dep));
             self.xedges.insert(e);
         }
@@ -850,7 +850,7 @@ impl Workbook {
             match restate(op, own, run.at(dep), false) {
                 Restated::Untouched => {}
                 Restated::Disturbed => {
-                    self.sheets[dsid].engine.mark_cell_dirty(dep);
+                    self.sheets[dsid].engine.mark_cells_dirty(&[dep]);
                     jobs.push(Job::hop(dsid, dep));
                 }
                 Restated::Rewritten(ast) => {
@@ -924,7 +924,7 @@ impl Workbook {
             for e in xedges.outgoing(sid) {
                 if e.prec.overlaps(&range) && hopped.insert((e.dst.0, e.dep)) {
                     if mark {
-                        sheets[e.dst.0].engine.mark_cell_dirty(e.dep);
+                        sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
                     }
                     queue.push_back(Job::hop(e.dst.0, e.dep));
                 }
@@ -1194,7 +1194,7 @@ impl Workbook {
             self.sheets[sid].engine.set_clock_value(clock);
             total += vols.len();
             for c in vols {
-                self.sheets[sid].engine.mark_cell_dirty(c);
+                self.sheets[sid].engine.mark_cells_dirty(&[c]);
                 jobs.push(Job::probe(sid, Range::cell(c)));
             }
         }

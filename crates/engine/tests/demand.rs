@@ -107,6 +107,38 @@ fn demand_recalc_is_a_strict_subset_on_the_giant_sheet() {
     assert_eq!(wb.dirty_count(), total - evaluated);
 }
 
+/// A viewport over the middle of a dirty run cuts the run's dirty rows in
+/// two: what the viewport needed goes, the rows above and below it stay
+/// dirty, and the follow-up pass evaluates exactly those.
+#[test]
+fn a_viewport_inside_a_dirty_run_cuts_its_interval_in_two() {
+    let build = || {
+        let mut wb = Workbook::with_taco();
+        let s = wb.add_sheet("S").unwrap();
+        for row in 1..=8 {
+            wb.set_value(s, Cell::new(1, row), Value::Number(f64::from(row) / 3.0));
+        }
+        for row in 1..=1024u32 {
+            wb.set_formula(s, Cell::new(2, row), &format!("=SUM($A$1:$A$8)*{row}")).unwrap();
+        }
+        assert_eq!(wb.sheet(s).formula_templates(), 1, "one stepped run");
+        wb
+    };
+    let (mut full, mut demand) = (build(), build());
+    assert_eq!((full.dirty_count(), full.recalculate(RecalcMode::Serial)), (1024, 1024));
+    let viewport = Range::parse_a1("B400:B600").unwrap();
+    let needed = demand.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    assert_eq!(needed, 201, "the viewport's rows, nothing above or below");
+    assert_eq!(demand.dirty_count(), 1024 - needed);
+    assert_eq!(demand.recalculate(RecalcMode::Serial), 1024 - needed);
+    assert_eq!(demand.dirty_count(), 0);
+    for row in 1..=1024 {
+        let cell = Cell::new(2, row);
+        let (got, want) = (demand.value(SheetId(0), cell), full.value(SheetId(0), cell));
+        assert!(bit_identical(&got, &want), "{cell}: {got:?} vs {want:?}");
+    }
+}
+
 fn bit_identical(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Number(a), Value::Number(b)) => a.to_bits() == b.to_bits(),

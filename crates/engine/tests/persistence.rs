@@ -114,10 +114,16 @@ fn round_trip_preserves_observables_across_presets_and_threads() {
 fn double_round_trip_is_byte_identical() {
     // save → open → save must reproduce the same bytes: the image is a
     // fixed point of the canonical encoding (sorted edges, sorted cells,
-    // sorted cross table).
+    // sorted cross table) — with a dirty formula in it, and a value typed
+    // over another before it was recalculated, which is not dirty.
     for params in presets() {
         let mut wb = build(&params);
         wb.recalculate(RecalcMode::Serial);
+        let far = |row| taco_grid::Cell::new(40, row);
+        wb.set_formula(SheetId(0), far(1), "=A1+1").unwrap();
+        wb.set_formula(SheetId(0), far(2), "=A2+1").unwrap();
+        wb.set_value(SheetId(0), far(1), taco_formula::Value::Number(5.0));
+        assert_eq!(wb.dirty_count(), 1, "{}", params.name);
         let bytes1 = encode_workbook(&wb.to_image()).expect("encode");
         let back = Workbook::from_image(
             StoreReader::from_bytes(bytes1.clone()).expect("validate").read_all().expect("decode"),
