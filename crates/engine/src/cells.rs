@@ -181,6 +181,22 @@ fn locate<T>(
     }
 }
 
+/// The column and page a lookup found last, so that the next one in the
+/// same page costs two comparisons: what a node's results are written
+/// through, row after row. Good while no column or page is added or
+/// dropped — for one pass's evaluation.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cursor {
+    /// `0` (no column) until the first lookup.
+    col: u32,
+    /// Where the column sits in `cols`.
+    column: u32,
+    /// The page's index ([`u32::MAX`]: none yet) and where it sits in the
+    /// column's pages.
+    index: u32,
+    page: u32,
+}
+
 fn page_of(row: u32) -> u32 {
     (row - 1) / PAGE_ROWS
 }
@@ -303,12 +319,38 @@ impl CellStore {
         &self.slot(cell).unwrap_or(&Slot::VACANT).content.value
     }
 
-    /// Stores `value` as the result of the formula at `cell`, at write
-    /// clock `at`; does nothing if the cell holds no formula.
-    pub(crate) fn store_result(&mut self, cell: Cell, value: Value, at: u64) {
-        let Ok(i) = locate(&self.cols, cell.col, 1, |c| c.col) else { return };
+    /// The allocated page holding `cell`, through `cursor`: its column and
+    /// page are looked up only when they are not the ones found last.
+    #[inline]
+    fn seek(&self, cursor: &mut Cursor, cell: Cell) -> Option<(usize, usize)> {
+        if cursor.col != cell.col {
+            let i = locate(&self.cols, cell.col, 1, |c| c.col).ok()?;
+            *cursor = Cursor { col: cell.col, column: i as u32, index: u32::MAX, page: 0 };
+        }
+        let index = page_of(cell.row);
+        if cursor.index != index {
+            let pages = &self.cols[cursor.column as usize].pages;
+            cursor.page = locate(pages, index, 0, |p| p.index).ok()? as u32;
+            cursor.index = index;
+        }
+        Some((cursor.column as usize, cursor.page as usize))
+    }
+
+    /// The run the formula cell at `cell` is part of, found through
+    /// `cursor`; `None` if it holds no formula.
+    #[inline]
+    pub(crate) fn run_through(&self, cursor: &mut Cursor, cell: Cell) -> Option<&Arc<Run>> {
+        let (i, j) = self.seek(cursor, cell)?;
+        self.cols[i].pages[j].slots[slot_of(cell.row)].content.run.as_ref()
+    }
+
+    /// Stores `value` as the result of the formula at `cell`, found
+    /// through `cursor`, at write clock `at`; does nothing if the cell
+    /// holds no formula.
+    #[inline]
+    pub(crate) fn store_result(&mut self, cursor: &mut Cursor, cell: Cell, value: Value, at: u64) {
+        let Some((i, j)) = self.seek(cursor, cell) else { return };
         let column = &mut self.cols[i];
-        let Ok(j) = locate(&column.pages, page_of(cell.row), 0, |p| p.index) else { return };
         let content = &mut column.pages[j].slots[slot_of(cell.row)].content;
         if content.run.is_some() {
             content.value = value;
@@ -535,7 +577,8 @@ impl CellStore {
         f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
     ) -> ControlFlow<B, A> {
         let (head, tail) = (range.head(), range.tail());
-        let columns = &self.cols[self.columns_in(range)];
+        let one = (head.col == tail.col).then(|| self.column(head.col));
+        let columns = if one.is_some() { &[] } else { &self.cols[self.columns_in(range)] };
         let mut pages: Vec<&[Slot]> = Vec::new();
         let mut acc = init;
         let mut row = head.row;
@@ -543,8 +586,8 @@ impl CellStore {
             let index = page_of(row);
             let end = page_end(index, tail.row);
             let span = slot_of(row)..=slot_of(end);
-            if head.col == tail.col {
-                let page = columns.first().map_or(&VACANT_PAGE[..], |c| c.slots(index));
+            if let Some(column) = one {
+                let page = column.map_or(&VACANT_PAGE[..], |c| c.slots(index));
                 acc = fold_slots(&page[span], acc, f)?;
             } else {
                 let mut stored = columns.iter().peekable();
@@ -704,7 +747,7 @@ mod tests {
             }
             Op::StoreResult(cell, v) => {
                 let value = Value::Number(f64::from(v));
-                store.store_result(cell, value.clone(), 1);
+                store.store_result(&mut Cursor::default(), cell, value.clone(), 1);
                 if let Some(slot) = model.cells.get_mut(&cell).filter(|c| c.is_formula()) {
                     slot.value = value;
                 }
@@ -790,10 +833,15 @@ mod tests {
                 i > 0 && view[i - 1].col == view[i].col && view[i - 1].row + 1 == view[i].row;
             assert_eq!(join, below && run(view[i - 1]) == run(view[i]), "{}", view[i]);
         }
+        // One cursor down every column and on to the next, through pages
+        // allocated and not.
+        let mut cursor = Cursor::default();
         for &col in &COLS {
             for &row in &ROWS {
                 let cell = Cell::new(col, row);
                 assert_eq!(store.get(cell), model.cells.get(&cell), "{cell}");
+                let run = store.get(cell).and_then(|k| k.run.as_ref());
+                assert_eq!(store.run_through(&mut cursor, cell), run, "{cell}");
             }
         }
         // Memory is the pages that hold a cell, exactly.

@@ -1,4 +1,4 @@
-use crate::cells::CellStore;
+use crate::cells::{CellStore, Cursor};
 use crate::order::Schedule;
 use crate::sheet::{CellContent, Run};
 use std::cell::RefCell;
@@ -45,7 +45,7 @@ impl ExternalSheets for NoExternal {
 /// [`Engine::set_profile`]). Profiling is sampling-free wall-time
 /// attribution: each sheet's pass split into ordering and evaluation,
 /// and (in `Hotspots` mode) a fixed-capacity top-K of the most expensive
-/// individual cells.
+/// nodes — the unit evaluation runs in (see [`SheetPass::nodes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProfileMode {
     /// No attribution (the default; zero overhead on the eval loop).
@@ -53,12 +53,13 @@ pub enum ProfileMode {
     Off,
     /// Wall time per sheet pass only, ordering and evaluation apart.
     Levels,
-    /// Per-pass wall time plus the top-K hottest cells by individual
-    /// evaluation time (one extra clock read per cell).
+    /// Per-pass wall time plus the top-K hottest nodes by evaluation
+    /// time, each named by the first cell it evaluated (one extra clock
+    /// read per node).
     Hotspots,
 }
 
-/// How many hottest cells the profiler retains per recalculation.
+/// How many hottest nodes the profiler retains per recalculation.
 pub const PROFILE_TOP_K: usize = 16;
 
 /// One sheet's part of a profiled recalculation pass.
@@ -84,8 +85,9 @@ pub struct SheetPass {
 pub struct ProfileReport {
     /// One record per sheet the pass evaluated on, in sheet order.
     pub passes: Vec<SheetPass>,
-    /// The hottest cells by evaluation wall time, hottest first (at most
-    /// [`PROFILE_TOP_K`]; empty unless [`ProfileMode::Hotspots`]).
+    /// The hottest nodes by evaluation wall time, each as the first cell
+    /// it evaluated, hottest first (at most [`PROFILE_TOP_K`]; empty
+    /// unless [`ProfileMode::Hotspots`]).
     pub hotspots: Vec<(Cell, u64)>,
 }
 
@@ -132,8 +134,8 @@ struct RecalcScratch {
     /// Profiler output: this sheet's part of the most recent pass (`None`
     /// when profiling is off).
     prof_pass: Option<SheetPass>,
-    /// Profiler output: the top-K hottest cells (capacity-bounded by
-    /// [`PROFILE_TOP_K`]; empty unless `Hotspots`).
+    /// Profiler output: the top-K hottest nodes, by their first cells
+    /// (capacity-bounded by [`PROFILE_TOP_K`]; empty unless `Hotspots`).
     prof_top: Vec<(Cell, u64)>,
 }
 
@@ -171,21 +173,19 @@ impl Fold {
 }
 
 /// Folds of aggregates over their leading range, remembered from one
-/// evaluation to the next (answers [`CellProvider::resume_fold`]), so
-/// that neither a formula re-evaluated because *another* of its
-/// precedents changed (`=SUM($A$1:A900)+D1` after an edit to `D1`) nor
-/// the next cell of an autofilled cumulative column (`=SUM($A$1:A901)`)
-/// re-reads the 900 cells: the first finds its fold whole, the second
-/// goes on from it over one new row. Either way the state is the one a
-/// fold from the first row reaches, by the same steps — bit-identical,
-/// which debug builds assert at every use.
+/// pass to the next (answers [`CellProvider::resume_fold`] where a node
+/// carries nothing yet — see [`Node`]), so that a formula re-evaluated
+/// because *another* of its precedents changed (`=SUM($A$1:A900)+D1`
+/// after an edit to `D1`) does not re-read the 900 cells: it finds its
+/// fold whole — the state a fold from the first row reaches, by the same
+/// steps, bit-identical, which debug builds assert at every use.
 ///
 /// A fold over `$A$1:A{r}` resumes from the remembered fold over the
 /// longest `$A$1:A{q}`, `q <= r`, that still holds. A run keeps up to
 /// [`MARKS_KEPT`] of them and then thins them to half, evenly by row, so
 /// what a pass down a column leaves behind is marks spread along it:
 /// after an edit at row `r` the first cell below re-reads from the mark
-/// above `r`, not from the top.
+/// above `r`, not from the top, and the node carries the rest.
 ///
 /// A mark holds as long as no cell of its range has been written since:
 /// every write of a cell value (an edit, a clear, a recalculated result)
@@ -200,18 +200,18 @@ struct Folds {
     /// A ring of [`FOLDS_KEPT`]; in a `RefCell` because evaluation only
     /// has `&self`.
     kept: RefCell<Vec<Fold>>,
-    /// The slot used last, looked at first: a run's cells follow each
-    /// other.
-    hint: std::cell::Cell<usize>,
     /// Where the next new run goes once the ring is full.
     next: std::cell::Cell<usize>,
-    /// Folds resumed so far.
+    /// Folds resumed so far, from a mark or from a node's carry.
     carried: std::cell::Cell<u64>,
     /// Cells the resumed and the unresumed folds still had to read (test
     /// instrumentation; unlike a count of reads it leaves out what debug
     /// builds re-read to check).
     #[cfg(test)]
     folded: std::cell::Cell<u64>,
+    /// Searches of the ring so far (test instrumentation).
+    #[cfg(test)]
+    lookups: std::cell::Cell<u64>,
 }
 
 impl Folds {
@@ -226,51 +226,50 @@ impl Folds {
         self.kept.get_mut().clear();
     }
 
-    /// The slot of the run a fold of `id` over `range` belongs to.
-    fn slot(&self, kept: &[Fold], id: FuncId, range: Range) -> Option<usize> {
-        let hint = self.hint.get();
-        if kept.get(hint).is_some_and(|fold| fold.is_of(id, range)) {
-            return Some(hint);
-        }
-        let slot = kept.iter().position(|fold| fold.is_of(id, range))?;
-        self.hint.set(slot);
-        Some(slot)
-    }
-
-    /// [`CellProvider::resume_fold`] over `cells`.
-    fn resume(&self, id: FuncId, range: Range, cells: &CellStore) -> Option<(FoldState, u32)> {
-        let mut kept = self.kept.borrow_mut();
-        let resumed = self.slot(&kept, id, range).and_then(|slot| {
-            let marks = &mut kept[slot].marks;
-            let mut below = marks.partition_point(|mark| mark.through <= range.tail().row);
-            while below > 0 {
-                let mark = marks[below - 1];
-                let folded = Range::new(range.head(), Cell::new(range.tail().col, mark.through));
-                if mark.at >= cells.last_write(folded) {
-                    self.carried.set(self.carried.get() + 1);
-                    return Some((mark.state, mark.through));
-                }
-                // Written into since, and so for good.
-                below -= 1;
-                marks.remove(below);
-            }
-            None
-        });
+    /// The slot of the run a fold of `id` over `range` belongs to: a
+    /// search of the ring, which a node makes once per aggregate and
+    /// keeps the answer of.
+    fn find(&self, id: FuncId, range: Range) -> Option<usize> {
         #[cfg(test)]
-        {
-            let rows = resumed.map_or(range.height(), |(_, through)| range.tail().row - through);
-            self.folded.set(self.folded.get() + u64::from(rows) * u64::from(range.width()));
-        }
-        resumed
+        self.lookups.set(self.lookups.get() + 1);
+        self.kept.borrow().iter().position(|fold| fold.is_of(id, range))
     }
 
-    /// [`CellProvider::remember_fold`].
-    fn remember(&self, id: FuncId, range: Range, state: FoldState) {
+    /// [`CellProvider::resume_fold`] over `cells`, from the marks of the
+    /// run at `slot` (see [`Self::find`]).
+    fn resume(
+        &self,
+        slot: Option<usize>,
+        id: FuncId,
+        range: Range,
+        cells: &CellStore,
+    ) -> Option<(FoldState, u32)> {
         let mut kept = self.kept.borrow_mut();
-        let slot = self.slot(&kept, id, range).unwrap_or_else(|| {
+        let marks = &mut kept.get_mut(slot?).filter(|fold| fold.is_of(id, range))?.marks;
+        let mut below = marks.partition_point(|mark| mark.through <= range.tail().row);
+        while below > 0 {
+            let mark = marks[below - 1];
+            let folded = Range::new(range.head(), Cell::new(range.tail().col, mark.through));
+            if mark.at >= cells.last_write(folded) {
+                return Some((mark.state, mark.through));
+            }
+            // Written into since, and so for good.
+            below -= 1;
+            marks.remove(below);
+        }
+        None
+    }
+
+    /// [`CellProvider::remember_fold`], as a mark of the run at `slot` —
+    /// of a new run where that is `None` or has gone to another since.
+    /// Returns the run's slot.
+    fn remember(&self, slot: Option<usize>, id: FuncId, range: Range, state: FoldState) -> usize {
+        let mut kept = self.kept.borrow_mut();
+        let slot = slot.filter(|&slot| kept.get(slot).is_some_and(|fold| fold.is_of(id, range)));
+        let slot = slot.unwrap_or_else(|| {
             let fold =
                 Fold { id, head: range.head(), tail_col: range.tail().col, marks: Vec::new() };
-            let slot = if kept.len() < FOLDS_KEPT {
+            if kept.len() < FOLDS_KEPT {
                 kept.push(fold);
                 kept.len() - 1
             } else {
@@ -278,16 +277,14 @@ impl Folds {
                 self.next.set((slot + 1) % FOLDS_KEPT);
                 kept[slot] = fold;
                 slot
-            };
-            self.hint.set(slot);
-            slot
+            }
         });
         let marks = &mut kept[slot].marks;
         let mark = Mark { through: range.tail().row, at: self.clock, state };
         let at = marks.partition_point(|known| known.through < mark.through);
         if marks.get(at).is_some_and(|known| known.through == mark.through) {
             marks[at] = mark;
-            return;
+            return slot;
         }
         marks.insert(at, mark);
         if marks.len() > MARKS_KEPT {
@@ -306,6 +303,7 @@ impl Folds {
                 keep
             });
         }
+        slot
     }
 }
 
@@ -398,7 +396,7 @@ impl Engine {
     }
 
     /// Raw profiler buffers (workbook metric export): this sheet's part
-    /// of the pass and per-cell `(cell, ns)` hotspots.
+    /// of the pass and per-node `(first cell, ns)` hotspots.
     pub(crate) fn profile_slices(&self) -> (Option<&SheetPass>, &[(Cell, u64)]) {
         (self.recalc.prof_pass.as_ref(), &self.recalc.prof_top)
     }
@@ -509,11 +507,6 @@ impl Engine {
     /// restores, which carry their own).
     pub(crate) fn put_cell(&mut self, cell: Cell, content: CellContent) {
         self.cells.insert(cell, content, self.folds.tick());
-    }
-
-    /// Stores a formula cell's freshly evaluated value.
-    fn store_result(&mut self, cell: Cell, value: Value) {
-        self.cells.store_result(cell, value, self.folds.tick());
     }
 
     /// Marks every formula cell dirty (a conservative full-recalc request,
@@ -803,24 +796,27 @@ impl Engine {
         // Take the schedule out so the loop can borrow `cells` mutably; it
         // goes back (capacity intact) afterwards.
         let mut schedule = std::mem::take(&mut self.recalc.schedule);
+        let mut node = Node::default();
         for &cell in schedule.cycles() {
-            self.store_result(cell, Value::Error(CellError::Cycle));
+            let at = self.folds.tick();
+            self.cells.store_result(&mut node.results, cell, Value::Error(CellError::Cycle), at);
         }
         let prof = self.profile;
         let pass_start = (prof != ProfileMode::Off).then(Instant::now);
         let order = schedule.order();
-        for &cell in order {
-            let cell_start = (prof == ProfileMode::Hotspots).then(Instant::now);
-            let Some(value) = self.eval_cell(cell, ext) else { continue };
-            if let Some(start) = cell_start {
-                push_hot(&mut self.recalc.prof_top, cell, elapsed_ns(start));
+        for extent in schedule.extents() {
+            let cells = &order[extent.begin as usize..(extent.begin + extent.len) as usize];
+            let node_start = (prof == ProfileMode::Hotspots).then(Instant::now);
+            node.start(cells[0].col, extent.up);
+            self.evaluate_node(&mut node, cells, ext);
+            if let Some(start) = node_start {
+                push_hot(&mut self.recalc.prof_top, cells[0], elapsed_ns(start));
             }
-            self.store_result(cell, value);
         }
         let evaluated = order.len();
         if let Some(start) = pass_start {
             let (order_ns, eval_ns) = (self.recalc.prof_order_ns, elapsed_ns(start));
-            let (cells, nodes) = (evaluated as u32, schedule.nodes());
+            let (cells, nodes) = (evaluated as u32, schedule.extents().len() as u32);
             self.recalc.prof_pass = Some(SheetPass { sheet: 0, cells, nodes, order_ns, eval_ns });
         }
         schedule.close();
@@ -830,19 +826,39 @@ impl Engine {
         evaluated
     }
 
-    /// Evaluates the formula at `cell` against the current store (no
-    /// write); `None` if the cell holds no formula.
-    fn eval_cell<E: ExternalSheets>(&self, cell: Cell, ext: &E) -> Option<Value> {
-        let run = self.run_at(cell)?;
-        let vol = VolatileCtx::for_cell(self.clock, cell);
-        let view = SheetView {
-            cells: &self.cells,
-            folds: &self.folds,
-            own: self.sheet_name.as_deref(),
-            ext,
-            vol: Some(&vol),
-        };
-        Some(run.at(cell).eval(&view))
+    /// Evaluates one node — `cells`, one run's down one column, in the
+    /// order given — and stores each result before the next row is
+    /// evaluated. Its column and page are found once, through the cursor
+    /// its results go through, and each row's formula is read off the
+    /// slot its result goes to: the run's template at that row's offset,
+    /// through the tree walk every formula takes, on a [`NodeView`] that
+    /// carries the node's folds from row to row (see [`Node`]).
+    fn evaluate_node<E: ExternalSheets>(&mut self, node: &mut Node, cells: &[Cell], ext: &E) {
+        let last = cells.len() - 1;
+        let stride = (cells.len() / (MARKS_KEPT / 2)).max(1);
+        let mut next_mark = 0;
+        for (index, &cell) in cells.iter().enumerate() {
+            let Some(run) = self.cells.run_through(&mut node.results, cell) else { continue };
+            debug_assert!(self.run_at(cells[0]).is_some_and(|r| Arc::ptr_eq(r, run)), "{cell}");
+            let vol = run.template().is_volatile().then(|| VolatileCtx::for_cell(self.clock, cell));
+            let mark = index == next_mark || index == last;
+            if index == next_mark {
+                next_mark += stride;
+            }
+            let view = NodeView {
+                cells: &self.cells,
+                folds: &self.folds,
+                own: self.sheet_name.as_deref(),
+                ext,
+                vol: vol.as_ref(),
+                node,
+                row: cell.row,
+                mark,
+            };
+            let value = run.at(cell).eval(&view);
+            let at = self.folds.tick();
+            self.cells.store_result(&mut node.results, cell, value, at);
+        }
     }
 
     // ---- passthrough graph queries ----------------------------------------
@@ -864,18 +880,101 @@ impl Engine {
     }
 }
 
-/// Read-only evaluator view over the cell store, plus the external-sheet
-/// window used for `Sheet2!A1`-style reads and the volatile-function
-/// context of the cell being evaluated.
-struct SheetView<'a, E: ExternalSheets> {
+/// Aggregates a node carries from one of its rows to the next; the folds
+/// of any more go to [`Folds`] at every row.
+const CARRIES: usize = 4;
+
+/// One aggregate's fold as a node carries it down its rows: where
+/// [`Folds`] keeps the run's marks, and the fold the latest row
+/// remembered.
+#[derive(Clone, Copy)]
+struct Carry {
+    id: FuncId,
+    head: Cell,
+    tail_col: u32,
+    /// The run's slot in [`Folds`], as the node's one search found it or
+    /// its first mark made it.
+    slot: Option<usize>,
+    /// `(state, through, at)`: the fold over rows `head.row..=through`,
+    /// remembered while row `at` was evaluated.
+    last: Option<(FoldState, u32, u32)>,
+}
+
+impl Carry {
+    fn is_of(&self, id: FuncId, range: Range) -> bool {
+        self.id == id && self.head == range.head() && self.tail_col == range.tail().col
+    }
+}
+
+/// A node's evaluation in progress: its column and direction, the folds
+/// carried from row to row, and where its results go (see
+/// [`Engine::evaluate_node`]). One per pass, started afresh per node.
+///
+/// A carried fold is what a row before remembered, and it holds as long
+/// as no cell of its range has been written since. Within a node the only
+/// writes are the node's own results — its rows before the one being
+/// evaluated, in its column — so that is one comparison of rows
+/// ([`Node::untouched`]). A carry that does not hold, or an aggregate the
+/// node has not met yet, asks [`Folds`]; a fold that met an error is
+/// never remembered, so the next row goes on from the carry before it.
+/// Marks go to [`Folds`] at the node's first row, every n/32 rows of a
+/// node of n and at its last row — spread along the column as [`Folds`]
+/// would thin them to — for later passes to resume from.
+#[derive(Default)]
+struct Node {
+    col: u32,
+    up: bool,
+    /// How many of `carries` are this node's.
+    carried: std::cell::Cell<usize>,
+    carries: [std::cell::Cell<Option<Carry>>; CARRIES],
+    results: Cursor,
+}
+
+impl Node {
+    /// Starts a node down column `col` (bottom-up if `up`), carrying
+    /// nothing yet.
+    fn start(&mut self, col: u32, up: bool) {
+        (self.col, self.up) = (col, up);
+        self.carried.set(0);
+    }
+
+    /// The carries this node has made so far.
+    fn carries(&self) -> &[std::cell::Cell<Option<Carry>>] {
+        &self.carries[..self.carried.get()]
+    }
+
+    /// Whether no cell of `head..=(tail_col, through)` has been written
+    /// since row `at` was evaluated, now that row `row` is: the writes in
+    /// between are the node's results for the rows from `at` to the one
+    /// before `row`.
+    fn untouched(&self, at: u32, row: u32, head: Cell, tail_col: u32, through: u32) -> bool {
+        let (first, last) = if self.up { (row + 1, at) } else { (at, row - 1) };
+        first > last
+            || self.col < head.col
+            || self.col > tail_col
+            || last < head.row
+            || first > through
+    }
+}
+
+/// What a node's formula reads through, row by row: the cell store, the
+/// external-sheet window used for `Sheet2!A1`-style reads, the
+/// volatile-function context of the cell being evaluated, and the node's
+/// carried folds before [`Folds`].
+struct NodeView<'a, E: ExternalSheets> {
     cells: &'a CellStore,
     folds: &'a Folds,
     own: Option<&'a str>,
     ext: &'a E,
     vol: Option<&'a VolatileCtx>,
+    node: &'a Node,
+    /// The row being evaluated.
+    row: u32,
+    /// Whether the folds this row remembers go to [`Folds`] as marks.
+    mark: bool,
 }
 
-impl<E: ExternalSheets> SheetView<'_, E> {
+impl<E: ExternalSheets> NodeView<'_, E> {
     /// A self-qualified reference (`Sheet1!A1` inside `Sheet1`) reads
     /// locally; everything else goes through the external window.
     fn is_own(&self, sheet: &str) -> bool {
@@ -883,7 +982,7 @@ impl<E: ExternalSheets> SheetView<'_, E> {
     }
 }
 
-impl<E: ExternalSheets> CellProvider for SheetView<'_, E> {
+impl<E: ExternalSheets> CellProvider for NodeView<'_, E> {
     fn value(&self, cell: Cell) -> Value {
         self.cells.value(cell).clone()
     }
@@ -937,12 +1036,53 @@ impl<E: ExternalSheets> CellProvider for SheetView<'_, E> {
         self.vol
     }
 
+    /// From the node's carry where it holds (see [`Node`]); else from
+    /// [`Folds`], whose ring the node searches once per aggregate.
     fn resume_fold(&self, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
-        self.folds.resume(id, range, self.cells)
+        let (head, tail) = (range.head(), range.tail());
+        let node = self.node;
+        let resumed =
+            match node.carries().iter().find_map(|c| c.get().filter(|c| c.is_of(id, range))) {
+                Some(Carry { last: Some((state, through, at)), .. })
+                    if through <= tail.row
+                        && node.untouched(at, self.row, head, tail.col, through) =>
+                {
+                    Some((state, through))
+                }
+                Some(carry) => self.folds.resume(carry.slot, id, range, self.cells),
+                None => {
+                    let slot = self.folds.find(id, range);
+                    if let Some(free) = node.carries.get(node.carried.get()) {
+                        free.set(Some(Carry { id, head, tail_col: tail.col, slot, last: None }));
+                        node.carried.set(node.carried.get() + 1);
+                    }
+                    self.folds.resume(slot, id, range, self.cells)
+                }
+            };
+        let folds = self.folds;
+        folds.carried.set(folds.carried.get() + u64::from(resumed.is_some()));
+        #[cfg(test)]
+        {
+            let rows = resumed.map_or(range.height(), |(_, through)| tail.row - through);
+            folds.folded.set(folds.folded.get() + u64::from(rows) * u64::from(range.width()));
+        }
+        resumed
     }
 
     fn remember_fold(&self, id: FuncId, range: Range, state: FoldState) {
-        self.folds.remember(id, range, state);
+        match self.node.carries().iter().find(|c| c.get().is_some_and(|c| c.is_of(id, range))) {
+            Some(entry) => {
+                let mut carry = entry.get().expect("an aggregate the node carries");
+                if self.mark {
+                    carry.slot = Some(self.folds.remember(carry.slot, id, range, state));
+                }
+                carry.last = Some((state, range.tail().row, self.row));
+                entry.set(Some(carry));
+            }
+            None => {
+                self.folds.remember(self.folds.find(id, range), id, range, state);
+            }
+        }
     }
 }
 
@@ -1233,6 +1373,37 @@ mod tests {
             let read = folded(&e);
             let rest = u64::from(ROWS - at);
             assert!(read > rest && read <= rest + u64::from(ROWS) / 16, "edit at row {at}: {read}");
+            assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
+        }
+    }
+
+    /// Searches of the ring of remembered folds since the last call.
+    fn lookups(e: &Engine) -> u64 {
+        e.folds.lookups.replace(0)
+    }
+
+    #[test]
+    fn a_node_searches_the_remembered_folds_once_per_aggregate() {
+        const ROWS: u32 = 2048;
+        let mut e = Engine::with_taco();
+        for row in 1..=ROWS {
+            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+        }
+        cumulative(&mut e, 2, "A", ROWS);
+        // Two aggregates a row: one growing, one over a fixed range.
+        e.set_formula(c("C1"), "=AVERAGE($A$1:A1)+SUM($A$1:$A$8)").unwrap();
+        e.autofill(c("C1"), Range::from_coords(3, 2, 3, ROWS)).unwrap();
+        lookups(&e);
+        assert_eq!(e.recalculate(), 2 * ROWS as usize);
+        // A node per column, a search per node and aggregate: when every
+        // cell looked its fold up to resume it and again to remember it,
+        // that was 2 · 3 · n searches.
+        assert_eq!(lookups(&e), 3);
+        assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
+        for at in [1, 700, ROWS] {
+            e.set_value(Cell::new(1, at), n(-3.5));
+            assert_eq!(e.recalculate(), 2 * (ROWS - at + 1) as usize);
+            assert_eq!(lookups(&e), 3, "edit at row {at}");
             assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
         }
     }

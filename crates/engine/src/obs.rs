@@ -23,7 +23,7 @@ pub struct EngineObs {
     demand_closure_cells: Histogram,
     /// `taco_profile_order_ns` / `taco_profile_level_ns` /
     /// `taco_profile_cell_ns` — profiler attribution distributions: per
-    /// sheet pass, ordering and evaluation; per hottest cell (populated
+    /// sheet pass, ordering and evaluation; per hottest node (populated
     /// only while [`ProfileMode`] is on for the workbook).
     ///
     /// [`ProfileMode`]: crate::ProfileMode

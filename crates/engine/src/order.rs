@@ -5,7 +5,9 @@
 //! The unit ordered is not the cell but the **node**: a maximal vertical
 //! stretch of dirty cells that are cells of one run — one template —
 //! clipped to the rows the pass asked for; a lone formula is a node of
-//! one cell. The paper answers queries on the compressed graph without
+//! one cell. It is also the unit evaluated: the order keeps each node as
+//! one slice, its [`Extent`] (`Engine::evaluate_node`). The paper
+//! answers queries on the compressed graph without
 //! decompressing it (§IV); this is the same for the schedule, with the
 //! dirty set intervalised the way WebGraph intervalises successor lists
 //! (SNIPPETS.md 1–2) and the nodes ordered by Tarjan's SCC search over
@@ -67,6 +69,16 @@ impl Node {
     }
 }
 
+/// A node as the order holds it: `order[begin..begin + len]`, cells of one
+/// run down one column in the order they are evaluated — bottom-up if
+/// `up`. A cell ordered on its own is an extent of one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent {
+    pub(crate) begin: u32,
+    pub(crate) len: u32,
+    pub(crate) up: bool,
+}
+
 /// The cycle search's colours, by node; `0` for a node it is not over.
 const WHITE: u8 = 1;
 const GRAY: u8 = 2;
@@ -108,10 +120,10 @@ pub(crate) struct Schedule {
     nbrs: Vec<u32>,
     /// The evaluation order so far.
     order: Vec<Cell>,
-    /// The nodes put in it so far: a stretch ordered as one counts once,
-    /// a cell ordered on its own (a lone formula, a split, a cycle's
-    /// member) once.
-    emitted: u32,
+    /// The nodes put in it so far, in order: a stretch ordered as one is
+    /// one, a cell ordered on its own (a lone formula, a split, a cycle's
+    /// member) one.
+    extents: Vec<Extent>,
     /// Cells met again while open in a cycle search, so far.
     cycles: Vec<Cell>,
 }
@@ -127,7 +139,7 @@ impl Schedule {
         self.ordered = 0;
         self.color.clear();
         self.order.clear();
-        self.emitted = 0;
+        self.extents.clear();
         self.cycles.clear();
     }
 
@@ -136,9 +148,10 @@ impl Schedule {
         &self.order
     }
 
-    /// The nodes the order so far is made of (see [`Self::emitted`]).
-    pub(crate) fn nodes(&self) -> u32 {
-        self.emitted
+    /// The nodes the order so far is made of, in order: what evaluation
+    /// walks.
+    pub(crate) fn extents(&self) -> &[Extent] {
+        &self.extents
     }
 
     /// The nodes made so far (test instrumentation).
@@ -203,7 +216,7 @@ impl Schedule {
         }
         let mut out = Out {
             order: &mut self.order,
-            emitted: &mut self.emitted,
+            extents: &mut self.extents,
             cycles: &mut self.cycles,
             color: &mut self.color,
             stack: &mut self.stack,
@@ -219,7 +232,7 @@ impl Schedule {
 /// Where ordered cells go, and the cycle search's buffers.
 struct Out<'a> {
     order: &'a mut Vec<Cell>,
-    emitted: &'a mut u32,
+    extents: &'a mut Vec<Extent>,
     cycles: &'a mut Vec<Cell>,
     color: &'a mut Vec<u8>,
     stack: &'a mut Vec<Frame>,
@@ -235,12 +248,13 @@ fn emit(tarjan: &mut Tarjan, sheet: &mut Sheet<'_>, out: &mut Out<'_>, k: usize)
     let node = sheet.nodes[tarjan.members()[bounds.start] as usize];
     if bounds.len() == 1 && !node.loops {
         let cells = &sheet.view[node.begin as usize..node.end as usize];
+        let begin = out.order.len() as u32;
         if node.up {
             out.order.extend(cells.iter().rev());
         } else {
             out.order.extend_from_slice(cells);
         }
-        *out.emitted += 1;
+        out.extents.push(Extent { begin, len: node.len(), up: node.up });
         return;
     }
     tarjan.component_mut(k).sort_unstable_by_key(|&n| sheet.nodes[n as usize].begin);
@@ -270,7 +284,6 @@ fn cycle(members: &[u32], sheet: &mut Sheet<'_>, out: &mut Out<'_>) {
     if out.color.len() < sheet.nodes.len() {
         out.color.resize(sheet.nodes.len(), 0);
     }
-    *out.emitted += members.len() as u32;
     for &n in members {
         out.color[n as usize] = WHITE;
     }
@@ -289,6 +302,7 @@ fn cycle(members: &[u32], sheet: &mut Sheet<'_>, out: &mut Out<'_>) {
                 }
             } else {
                 out.color[node as usize] = BLACK;
+                out.extents.push(Extent { begin: out.order.len() as u32, len: 1, up: false });
                 out.order.push(sheet.cell(node));
                 out.nbrs.truncate(start as usize);
                 out.stack.pop();

@@ -1017,8 +1017,9 @@ impl Workbook {
 
     /// The merged profile of the most recent recalculation: every
     /// sheet's part of the pass, ordering and evaluation apart, in sheet
-    /// order, plus the top-K hottest cells across all sheets (hottest
-    /// first). Empty when profiling is off.
+    /// order, plus the top-K hottest nodes across all sheets, each by the
+    /// first cell it evaluated (hottest first). Empty when profiling is
+    /// off.
     pub fn profile_report(&self) -> crate::ProfileReport {
         let mut out = crate::ProfileReport::default();
         for (sheet, s) in self.sheets.iter().enumerate() {

@@ -493,6 +493,122 @@ fn a_formula_filled_into_its_own_range_is_a_cycle_of_one() {
     }
 }
 
+/// Rows of [`nodes_across_pages_and_bad_values_evaluate_as_their_cells_do`]'s
+/// columns: two page boundaries of the cell store (256 rows) inside them.
+const LONG: u32 = 600;
+
+/// The cells of `wb`'s first sheet holding an error, and which.
+fn errors(wb: &Workbook) -> Vec<(Cell, CellError)> {
+    let cells = wb.sheet(SheetId(0)).cells();
+    cells
+        .filter_map(|(c, k)| if let Value::Error(e) = k.value() { Some((c, *e)) } else { None })
+        .collect()
+}
+
+/// The shared workbook evaluates each filled column as one node (one
+/// template down [`LONG`] rows, its folds carried from row to row); the
+/// twin, every formula typed unshareable, evaluates every cell as a node
+/// of its own. Column A crosses two page boundaries holding numbers of
+/// both signs, text, blanks, a `#DIV/0!` and a cleared stretch, and the
+/// two must agree bit for bit — errors and `#CYCLE!` included — after the
+/// full pass, after edits at rows 1, 300 and 600, and after a demand pass
+/// over a viewport inside the columns.
+#[test]
+fn nodes_across_pages_and_bad_values_evaluate_as_their_cells_do() {
+    let s = SheetId(0);
+    let (mut shared, mut twin) = (Workbook::with_taco(), Workbook::with_taco());
+    for wb in [&mut shared, &mut twin] {
+        wb.add_sheet("Calc").unwrap();
+        for row in 1..=LONG {
+            let value = match row % 97 {
+                13 => Value::Text("n/a".into()),
+                41 => continue,
+                _ => Value::Number(f64::from(row % 37) / 8.0 - 2.0),
+            };
+            wb.set_value(s, Cell::new(1, row), value);
+        }
+        wb.set_formula(s, Cell::new(1, 540), "=1/0").unwrap();
+        wb.clear_range(s, Range::from_coords(1, 380, 1, 420));
+        // A chain down starts at F1, one up at I600; K1:K2 read each other.
+        for (cell, text) in [(1, 6, "A1"), (LONG, 9, "A600"), (1, 11, "K2+A1"), (2, 11, "K1*2")]
+            .map(|(row, col, text)| (Cell::new(col, row), text))
+        {
+            wb.set_formula(s, cell, text).unwrap();
+        }
+    }
+    // Filled down from their first row: cumulative aggregates, the chain
+    // down (`F`), a branch, a volatile one and the chain up (`I`: its cells
+    // read below them, a node evaluated bottom-up, whose cumulative sum
+    // the row below cannot hand on — it summed one row more).
+    let filled = [
+        (2, 1, "SUM($A$1:A1)"),
+        (3, 1, "AVERAGE($A$1:A1)"),
+        (4, 1, "COUNT($A$1:A1)"),
+        (5, 1, "MAX($A$1:A1)"),
+        (6, 2, "F1+A2"),
+        (7, 1, "IF(A1>0,A1,-A1)"),
+        (8, 1, "RAND()*A1"),
+        (9, 1, "I2+SUM($A$1:A1)"),
+    ];
+    for (col, first, text) in filled {
+        let last = if col == 9 { LONG - 1 } else { LONG };
+        let from = Cell::new(col, first);
+        shared.set_formula(s, from, text).unwrap();
+        shared.autofill(s, from, Range::from_coords(col, first + 1, col, last)).unwrap();
+        for row in first..=last {
+            let cell = Cell::new(col, row);
+            let text = shared.formula_of(s, cell).unwrap();
+            twin.set_formula(s, cell, &unshareable(&text, cell)).unwrap();
+        }
+    }
+    // Typed row by row, its literal stepping: one run in `shared`.
+    for row in 1..=LONG {
+        let (cell, text) = (Cell::new(10, row), format!("SUM($A$1:$A$8)*{row}"));
+        shared.set_formula(s, cell, &text).unwrap();
+        twin.set_formula(s, cell, &unshareable(&text, cell)).unwrap();
+    }
+    let templates = |wb: &Workbook| wb.sheet(s).formula_templates();
+    assert_eq!(templates(&twin), twin.sheet(s).formula_cells());
+    assert!(templates(&shared) <= 16, "{} templates", templates(&shared));
+
+    let recalculate = |shared: &mut Workbook, twin: &mut Workbook, what: &str| {
+        let evaluated = shared.recalculate(RecalcMode::Serial);
+        assert_eq!(evaluated, twin.recalculate(RecalcMode::Serial), "{what}");
+        assert_same(shared, twin, what);
+        assert_eq!(errors(shared), errors(twin), "{what}");
+    };
+    shared.set_profile(taco_engine::ProfileMode::Levels);
+    twin.set_profile(taco_engine::ProfileMode::Levels);
+    recalculate(&mut shared, &mut twin, "full pass");
+    let nodes = |wb: &Workbook| wb.profile_report().passes.iter().map(|p| p.nodes).sum::<u32>();
+    assert!(nodes(&shared) < 40, "{} nodes", nodes(&shared));
+    assert_eq!(nodes(&twin) as usize, twin.sheet(s).formula_cells());
+    let kinds: Vec<CellError> = errors(&shared).into_iter().map(|(_, e)| e).collect();
+    for kind in [CellError::Div0, CellError::Value, CellError::Cycle] {
+        assert!(kinds.contains(&kind), "no {kind:?} among {kinds:?}");
+    }
+
+    for (row, value) in
+        [(1, Value::Number(4.25)), (300, Value::Text("x".into())), (LONG, Value::Number(-7.5))]
+    {
+        shared.set_value(s, Cell::new(1, row), value.clone());
+        twin.set_value(s, Cell::new(1, row), value);
+        recalculate(&mut shared, &mut twin, &format!("edit at row {row}"));
+    }
+
+    // An edit at the top dirties every column; a viewport across the first
+    // page boundary evaluates part of each (its dirty precedents above).
+    let viewport = Range::from_coords(2, 250, 10, 270);
+    for wb in [&mut shared, &mut twin] {
+        wb.set_value(s, Cell::new(1, 2), Value::Number(0.5));
+    }
+    let needed = shared.recalc_demand(s, viewport, RecalcMode::Serial).unwrap();
+    assert_eq!(needed, twin.recalc_demand(s, viewport, RecalcMode::Serial).unwrap());
+    assert!(needed > 0 && shared.dirty_count() > 0, "{needed} evaluated");
+    assert_same(&shared, &twin, "demand pass");
+    recalculate(&mut shared, &mut twin, "after the demand pass");
+}
+
 /// The formula texts alone (values lag until the pass).
 fn assert_same_texts(pair: &Pair, what: &str) {
     for s in 0..2 {

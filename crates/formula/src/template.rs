@@ -303,10 +303,11 @@ pub struct At<'a> {
 }
 
 impl<'a> At<'a> {
-    /// Evaluates the formula. `#[inline]`: it only forwards, once per
-    /// evaluated cell, and whether the inliner folds it into the
-    /// recalculation loop on its own depends on that loop's size — left
-    /// out of line it was 7 % of a full recalculation.
+    /// Evaluates the formula. `#[inline]`: it only forwards, once per row
+    /// of the node being evaluated, and whether the inliner folds it into
+    /// the engine's node loop on its own depends on that loop's size —
+    /// when the loop was per cell and left it out of line, it was 7 % of
+    /// a full recalculation.
     #[inline]
     pub fn eval<P: CellProvider>(&self, cells: &P) -> Value {
         eval_at(&self.template.ast, self.dc, self.dr, cells)

@@ -148,7 +148,7 @@ fn observed_demand_recalc_is_bit_identical() {
 #[test]
 fn profiled_recalc_is_bit_identical() {
     // The recalc profiler is an observer too: attributing wall time per
-    // sheet pass and per hottest cell must change no value.
+    // sheet pass and per hottest node must change no value.
     let p = PersistParams { rows: 40, burst_edits: 30, seed: 17, ..persist_enron_like() };
     let w = gen_persist_workload(&p);
 
@@ -176,7 +176,18 @@ fn profiled_recalc_is_bit_identical() {
             assert!(0 < pass.nodes && pass.nodes <= pass.cells, "{profile:?}: {pass:?}");
         }
         if profile == ProfileMode::Hotspots {
-            assert!(!report.hotspots.is_empty(), "must attribute hot cells");
+            // A hotspot is a node, timed as one and named by the first
+            // cell it evaluated: a formula cell, and no more of them than
+            // nodes.
+            let nodes: u32 = report.passes.iter().map(|p| p.nodes).sum();
+            let hot = &report.hotspots;
+            assert!(!hot.is_empty(), "must attribute hot nodes");
+            assert!(hot.len() <= (nodes as usize).min(taco_repro::engine::PROFILE_TOP_K));
+            for &(cell, _) in hot {
+                let formula =
+                    (0..wb.sheet_count()).any(|s| wb.formula_of(SheetId(s), cell).is_some());
+                assert!(formula, "{cell} names no formula cell");
+            }
         }
         let snap = hub.snapshot();
         for name in ["taco_profile_order_ns", "taco_profile_level_ns"] {
