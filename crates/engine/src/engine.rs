@@ -5,7 +5,6 @@ use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use taco_core::{Dependency, FormulaGraph, QueryScratch};
 use taco_formula::eval::{CellProvider, EvalClock, FoldState, VolatileCtx};
 use taco_formula::{CellError, FormulaError, FuncId, Template, Value};
@@ -41,28 +40,10 @@ impl ExternalSheets for NoExternal {
     }
 }
 
-/// Opt-in recalculation profiler granularity (see
-/// [`Engine::set_profile`]). Profiling is sampling-free wall-time
-/// attribution: each sheet's pass split into ordering and evaluation,
-/// and (in `Hotspots` mode) a fixed-capacity top-K of the most expensive
-/// nodes — the unit evaluation runs in (see [`SheetPass::nodes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProfileMode {
-    /// No attribution (the default; zero overhead on the eval loop).
-    #[default]
-    Off,
-    /// Wall time per sheet pass only, ordering and evaluation apart.
-    Levels,
-    /// Per-pass wall time plus the top-K hottest nodes by evaluation
-    /// time, each named by the first cell it evaluated (one extra clock
-    /// read per node).
-    Hotspots,
-}
-
-/// How many hottest nodes the profiler retains per recalculation.
-pub const PROFILE_TOP_K: usize = 16;
-
-/// One sheet's part of a profiled recalculation pass.
+/// One sheet's part of the most recent recalculation pass (see
+/// [`Engine::last_pass`]): what it evaluated and the grain it ordered at.
+/// How long ordering and evaluation took is the hub's to say: an attached
+/// workbook records a `sheet.order` and a `sheet.eval` span per sheet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SheetPass {
     /// The sheet's index in its workbook (`0` for a standalone engine).
@@ -73,42 +54,6 @@ pub struct SheetPass {
     /// `crate::order`): a run's stretch of dirty cells ordered as one
     /// counts once, a cell ordered on its own once. At most `cells`.
     pub nodes: u32,
-    /// Wall nanoseconds spent ordering them (every `order_from` of the
-    /// pass on the sheet).
-    pub order_ns: u64,
-    /// Wall nanoseconds spent evaluating them.
-    pub eval_ns: u64,
-}
-
-/// One recalculation's profile (see [`Engine::profile_report`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProfileReport {
-    /// One record per sheet the pass evaluated on, in sheet order.
-    pub passes: Vec<SheetPass>,
-    /// The hottest nodes by evaluation wall time, each as the first cell
-    /// it evaluated, hottest first (at most [`PROFILE_TOP_K`]; empty
-    /// unless [`ProfileMode::Hotspots`]).
-    pub hotspots: Vec<(Cell, u64)>,
-}
-
-/// Fixed-capacity hotspot insert: push while below K, then displace the
-/// current minimum — never grows past [`PROFILE_TOP_K`], so steady-state
-/// profiling performs no allocation.
-fn push_hot(top: &mut Vec<(Cell, u64)>, cell: Cell, ns: u64) {
-    if top.len() < PROFILE_TOP_K {
-        top.push((cell, ns));
-        return;
-    }
-    if let Some(i) = (0..top.len()).min_by_key(|&i| top[i].1) {
-        if ns > top[i].1 {
-            top[i] = (cell, ns);
-        }
-    }
-}
-
-/// The profiler's wall nanoseconds since `start`.
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// What an edit reported back before recalculation: the information the
@@ -117,26 +62,6 @@ fn elapsed_ns(start: Instant) -> u64 {
 pub struct EditReceipt {
     /// Ranges marked dirty (the dependents of the edit).
     pub dirty: Vec<Range>,
-    /// Time spent identifying the dependents — the paper's
-    /// interactivity-critical metric.
-    pub control_latency: Duration,
-}
-
-/// The state of one recalculation pass — its [`Schedule`] and the
-/// profiler's output — in buffers that persist on the engine, so
-/// steady-state recalculation performs no per-recalc (let alone per-cell)
-/// allocations.
-#[derive(Debug, Default)]
-struct RecalcScratch {
-    schedule: Schedule,
-    /// Profiler: what the pass's orderings on this sheet took so far.
-    prof_order_ns: u64,
-    /// Profiler output: this sheet's part of the most recent pass (`None`
-    /// when profiling is off).
-    prof_pass: Option<SheetPass>,
-    /// Profiler output: the top-K hottest nodes, by their first cells
-    /// (capacity-bounded by [`PROFILE_TOP_K`]; empty unless `Hotspots`).
-    prof_top: Vec<(Cell, u64)>,
 }
 
 /// Runs of folds remembered per sheet: a sheet's worth of cumulative
@@ -321,8 +246,10 @@ pub struct Engine {
     /// qualified with this name (`Sheet1!A1` inside `Sheet1`) are treated
     /// as local. `None` for a standalone engine.
     sheet_name: Option<String>,
-    /// Reusable recalculation buffers (see [`RecalcScratch`]).
-    recalc: RecalcScratch,
+    /// The pass's order, in buffers that persist on the engine, so
+    /// steady-state recalculation performs no per-recalc (let alone
+    /// per-cell) allocations.
+    schedule: Schedule,
     /// Remembered folds; every write to `cells` carries its clock.
     folds: Folds,
     /// Runs alive: the formulas this sheet holds, one per run of cells
@@ -333,8 +260,6 @@ pub struct Engine {
     /// Total formula evaluations performed over the engine's lifetime
     /// (the recalc counter demand-driven tests assert on).
     evaluated_total: u64,
-    /// Recalculation profiler mode (default off).
-    profile: ProfileMode,
     /// Neighbour lists built so far (test instrumentation: a pass builds
     /// one per node it orders).
     #[cfg(test)]
@@ -363,12 +288,11 @@ impl Engine {
             graph,
             query: QueryScratch::new(),
             sheet_name: None,
-            recalc: RecalcScratch::default(),
+            schedule: Schedule::default(),
             folds: Folds::default(),
             runs_alive: Arc::default(),
             clock: EvalClock::default(),
             evaluated_total: 0,
-            profile: ProfileMode::default(),
             #[cfg(test)]
             nbr_lists: Default::default(),
             #[cfg(test)]
@@ -376,41 +300,19 @@ impl Engine {
         }
     }
 
-    /// Sets the recalculation profiler mode. Takes effect on the next
-    /// recalculation; `Off` costs nothing on the eval loop.
-    pub fn set_profile(&mut self, mode: ProfileMode) {
-        self.profile = mode;
-    }
-
-    /// The current profiler mode.
-    pub fn profile(&self) -> ProfileMode {
-        self.profile
-    }
-
-    /// The most recent recalculation's profile (empty when profiling was
-    /// off for that pass). Hotspots come back hottest-first.
-    pub fn profile_report(&self) -> ProfileReport {
-        let mut hotspots = self.recalc.prof_top.clone();
-        hotspots.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ProfileReport { passes: self.recalc.prof_pass.into_iter().collect(), hotspots }
-    }
-
-    /// Raw profiler buffers (workbook metric export): this sheet's part
-    /// of the pass and per-node `(first cell, ns)` hotspots.
-    pub(crate) fn profile_slices(&self) -> (Option<&SheetPass>, &[(Cell, u64)]) {
-        (self.recalc.prof_pass.as_ref(), &self.recalc.prof_top)
+    /// This sheet's part of the most recent recalculation pass (of the
+    /// one under way, so far), `None` if it ordered nothing here.
+    pub fn last_pass(&self) -> Option<SheetPass> {
+        let (cells, nodes) = (self.schedule.order().len(), self.schedule.extents().len());
+        (cells > 0).then_some(SheetPass { sheet: 0, cells: cells as u32, nodes: nodes as u32 })
     }
 
     /// Starts a recalculation pass: nothing ordered, nothing viewed, and
-    /// no profile or evaluated list left over from the pass before (the
+    /// no order or evaluated list left over from the pass before (the
     /// workbook begins one on every sheet, so those a pass never reaches
     /// report nothing).
     pub(crate) fn begin_pass(&mut self) {
-        let s = &mut self.recalc;
-        s.schedule.begin();
-        s.prof_order_ns = 0;
-        s.prof_pass = None;
-        s.prof_top.clear();
+        self.schedule.begin();
     }
 
     /// The cells the most recent recalculation pass evaluated (or flagged
@@ -418,14 +320,14 @@ impl Engine {
     /// value that pass may have changed. Empty for a sheet the pass
     /// evaluated nothing on.
     pub fn last_evaluated(&self) -> &[Cell] {
-        self.recalc.schedule.evaluated()
+        self.schedule.evaluated()
     }
 
     /// The nodes the pass under way, or the most recent one, made here
     /// (test instrumentation).
     #[cfg(test)]
     pub(crate) fn nodes_made(&self) -> usize {
-        self.recalc.schedule.nodes_made()
+        self.schedule.nodes_made()
     }
 
     /// The injected volatile-function clock.
@@ -672,12 +574,11 @@ impl Engine {
     /// `src` has no formula.
     pub fn autofill(&mut self, src: Cell, targets: Range) -> Result<EditReceipt, CellError> {
         let run = self.fill_run(src).ok_or(CellError::Value)?;
-        let start = Instant::now();
         let mut dirty = Vec::new();
         for cell in targets.cells().filter(|&cell| cell != src) {
             dirty.extend(self.set_run(cell, Arc::clone(&run)).dirty);
         }
-        Ok(EditReceipt { dirty, control_latency: start.elapsed() })
+        Ok(EditReceipt { dirty })
     }
 
     /// The run an autofill from `src` puts its targets in, `None` if `src`
@@ -719,11 +620,9 @@ impl Engine {
     /// Queries the graph for dependents of `of` and marks the formula cells
     /// among them dirty. This is the control-latency critical path.
     fn mark_dependents_dirty(&mut self, of: Range) -> EditReceipt {
-        let start = Instant::now();
         let dirty = self.find_dependents(of);
-        let control_latency = start.elapsed();
         self.mark_ranges_dirty(&dirty);
-        EditReceipt { dirty, control_latency }
+        EditReceipt { dirty }
     }
 
     /// Marks the formula cells inside `ranges` dirty (workbook cross-sheet
@@ -764,7 +663,7 @@ impl Engine {
     /// cell's dirty precedents come strictly earlier (cycle members
     /// excepted).
     pub fn ordered(&self) -> &[Cell] {
-        self.recalc.schedule.order()
+        self.schedule.order()
     }
 
     /// Appends to the pass's order the dirty cells inside `within` — all
@@ -778,13 +677,9 @@ impl Engine {
     /// Runs entirely on the reusable [`Schedule`] buffers: zero
     /// steady-state allocations.
     pub(crate) fn order_from(&mut self, within: Option<Range>) {
-        let start = (self.profile != ProfileMode::Off).then(Instant::now);
-        let mut schedule = std::mem::take(&mut self.recalc.schedule);
+        let mut schedule = std::mem::take(&mut self.schedule);
         schedule.order_from(self, within);
-        self.recalc.schedule = schedule;
-        if let Some(start) = start {
-            self.recalc.prof_order_ns += elapsed_ns(start);
-        }
+        self.schedule = schedule;
     }
 
     /// Evaluates the pass's order, with a view of other sheets' values
@@ -795,33 +690,22 @@ impl Engine {
     pub(crate) fn evaluate_ordered<E: ExternalSheets>(&mut self, ext: &E) -> usize {
         // Take the schedule out so the loop can borrow `cells` mutably; it
         // goes back (capacity intact) afterwards.
-        let mut schedule = std::mem::take(&mut self.recalc.schedule);
+        let mut schedule = std::mem::take(&mut self.schedule);
         let mut node = Node::default();
         for &cell in schedule.cycles() {
             let at = self.folds.tick();
             self.cells.store_result(&mut node.results, cell, Value::Error(CellError::Cycle), at);
         }
-        let prof = self.profile;
-        let pass_start = (prof != ProfileMode::Off).then(Instant::now);
         let order = schedule.order();
         for extent in schedule.extents() {
             let cells = &order[extent.begin as usize..(extent.begin + extent.len) as usize];
-            let node_start = (prof == ProfileMode::Hotspots).then(Instant::now);
             node.start(cells[0].col, extent.up);
             self.evaluate_node(&mut node, cells, ext);
-            if let Some(start) = node_start {
-                push_hot(&mut self.recalc.prof_top, cells[0], elapsed_ns(start));
-            }
         }
         let evaluated = order.len();
-        if let Some(start) = pass_start {
-            let (order_ns, eval_ns) = (self.recalc.prof_order_ns, elapsed_ns(start));
-            let (cells, nodes) = (evaluated as u32, schedule.extents().len() as u32);
-            self.recalc.prof_pass = Some(SheetPass { sheet: 0, cells, nodes, order_ns, eval_ns });
-        }
         schedule.close();
         self.cells.unmark(schedule.evaluated());
-        self.recalc.schedule = schedule;
+        self.schedule = schedule;
         self.evaluated_total += evaluated as u64;
         evaluated
     }
@@ -1264,14 +1148,12 @@ mod tests {
     }
 
     #[test]
-    fn receipt_reports_latency() {
+    fn receipt_reports_the_dirty_dependents() {
         let mut e = Engine::with_taco();
         e.set_value(c("A1"), n(1.0));
         e.set_formula(c("B1"), "=A1").unwrap();
         let receipt = e.set_value(c("A1"), n(2.0));
-        assert_eq!(receipt.dirty.len(), 1);
-        // Latency is measured (may be ~0 on fast machines, just present).
-        let _ = receipt.control_latency;
+        assert_eq!(receipt.dirty, vec![Range::cell(c("B1"))]);
     }
 
     /// Folds resumed from memory so far.

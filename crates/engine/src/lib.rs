@@ -33,7 +33,7 @@ mod sheet;
 mod structural;
 mod workbook;
 
-pub use engine::{EditReceipt, Engine, ProfileMode, ProfileReport, SheetPass, PROFILE_TOP_K};
+pub use engine::{EditReceipt, Engine, SheetPass};
 pub use obs::EngineObs;
 pub use persist::{open_engine, save_engine, wal_path, PersistOptions, PersistentWorkbook};
 pub use sheet::CellContent;

@@ -5,7 +5,7 @@
 //! records through plain field access — atomic counter bumps, histogram
 //! bucket bumps, and fixed-size span pushes, none of which allocate.
 
-use crate::engine::{Engine, SheetPass};
+use crate::engine::Engine;
 use taco_core::StatsScratch;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
@@ -21,15 +21,13 @@ pub struct EngineObs {
     dirty_depth: Histogram,
     /// `taco_demand_closure_cells` — needed-set size per demand recalc.
     demand_closure_cells: Histogram,
-    /// `taco_profile_order_ns` / `taco_profile_level_ns` /
-    /// `taco_profile_cell_ns` — profiler attribution distributions: per
-    /// sheet pass, ordering and evaluation; per hottest node (populated
-    /// only while [`ProfileMode`] is on for the workbook).
-    ///
-    /// [`ProfileMode`]: crate::ProfileMode
+    /// `taco_profile_order_ns` / `taco_profile_eval_ns` — what each
+    /// `sheet.order` / `sheet.eval` span measured: one sheet's ordering
+    /// in a full pass, one sheet's evaluation in any pass.
     profile_order_ns: Histogram,
-    profile_level_ns: Histogram,
-    profile_cell_ns: Histogram,
+    profile_eval_ns: Histogram,
+    /// `taco_apply_ns` — what each `workbook.apply` span measured.
+    apply_ns: Histogram,
     /// `taco_recalcs_total` / `taco_recalc_cells_total` — lifetime counts.
     recalcs_total: Counter,
     recalc_cells_total: Counter,
@@ -80,8 +78,8 @@ impl EngineObs {
             dirty_depth: m.histogram("taco_dirty_depth"),
             demand_closure_cells: m.histogram("taco_demand_closure_cells"),
             profile_order_ns: m.histogram("taco_profile_order_ns"),
-            profile_level_ns: m.histogram("taco_profile_level_ns"),
-            profile_cell_ns: m.histogram("taco_profile_cell_ns"),
+            profile_eval_ns: m.histogram("taco_profile_eval_ns"),
+            apply_ns: m.histogram("taco_apply_ns"),
             recalcs_total: m.counter("taco_recalcs_total"),
             recalc_cells_total: m.counter("taco_recalc_cells_total"),
             graph_edges: m.gauge_with("taco_graph_edges", &book_label),
@@ -142,17 +140,36 @@ impl EngineObs {
         self.tracer.record_since("demand.expand", SpanCat::Demand, start_ns, closure as u64, 0);
     }
 
-    /// Feeds one sheet's profiler buffers into the `taco_profile_*`
-    /// histograms (no-op when profiling is off — there is no pass and no
-    /// cell).
-    pub(crate) fn on_profile(&self, pass: Option<&SheetPass>, cells: &[(taco_grid::Cell, u64)]) {
-        if let Some(pass) = pass {
-            self.profile_order_ns.record(pass.order_ns);
-            self.profile_level_ns.record(pass.eval_ns);
-        }
-        for &(_, ns) in cells {
-            self.profile_cell_ns.record(ns);
-        }
+    /// Records the `sheet.order` span of one sheet's ordering in a full
+    /// pass, begun at `start_ns`.
+    pub(crate) fn on_sheet_order(&self, start_ns: u64, sheet: &Engine) {
+        self.profile_order_ns.record(self.sheet_span("sheet.order", start_ns, sheet));
+    }
+
+    /// Records the `sheet.eval` span of one sheet's evaluation, begun at
+    /// `start_ns`.
+    pub(crate) fn on_sheet_eval(&self, start_ns: u64, sheet: &Engine) {
+        self.profile_eval_ns.record(self.sheet_span("sheet.eval", start_ns, sheet));
+    }
+
+    /// Records a span of one sheet's part of the pass, its payload the
+    /// cells and nodes ordered so far, and returns its duration.
+    fn sheet_span(&self, name: &'static str, start_ns: u64, sheet: &Engine) -> u64 {
+        let (cells, nodes): (u64, u64) =
+            sheet.last_pass().map_or((0, 0), |p| (p.cells.into(), p.nodes.into()));
+        self.tracer.record_since(name, SpanCat::SheetLevel, start_ns, cells, nodes)
+    }
+
+    /// Records the `workbook.apply` span of one edit or batch (begun at
+    /// `start_ns`): staging `records` and routing their dirtiness, which
+    /// found `dirty` ranges. The paper's control latency — what the user
+    /// waits for before the recalculation — so it takes the recalc
+    /// category.
+    pub(crate) fn on_apply(&self, start_ns: u64, records: usize, dirty: usize) {
+        let (records, dirty) = (records as u64, dirty as u64);
+        let dur =
+            self.tracer.record_since("workbook.apply", SpanCat::Recalc, start_ns, records, dirty);
+        self.apply_ns.record(dur);
     }
 
     /// Refreshes the graph-shape and formula gauges from the sheets, in

@@ -3,7 +3,6 @@
 
 use crate::engine::{EditReceipt, Engine};
 use crate::sheet::CellContent;
-use std::time::Instant;
 use taco_core::StructuralOp;
 use taco_formula::template::At;
 use taco_formula::{Expr, Template};
@@ -128,7 +127,6 @@ impl Engine {
     /// touched such a formula the graph holds what the formula now reads
     /// instead. (Their cross-sheet reads are the workbook's to redo.)
     pub(crate) fn restructure(&mut self, op: StructuralOp) -> (EditReceipt, Vec<Cell>) {
-        let start = Instant::now();
         let own = self.sheet_name().map(str::to_string);
         let own = own.as_deref();
         self.graph_mut().apply_structural(op);
@@ -172,7 +170,7 @@ impl Engine {
             dirty.push(Range::cell(nc));
             dirty.extend(dependents);
         }
-        (EditReceipt { dirty, control_latency: start.elapsed() }, reshaped)
+        (EditReceipt { dirty }, reshaped)
     }
 }
 

@@ -53,7 +53,6 @@ use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use taco_core::{FormulaGraph, StructuralOp};
 use taco_formula::{CellError, EvalClock, FormulaError, Template, Value};
 use taco_grid::a1::{SheetRef, MAX_SHEET_NAME};
@@ -245,14 +244,12 @@ pub enum RecalcMode {
 }
 
 /// What a workbook edit reported back before recalculation: the dirty
-/// ranges per sheet, plus the time spent identifying them (the paper's
-/// control-latency metric, now workbook-wide).
+/// ranges per sheet. How long finding them took (the paper's control
+/// latency) is the `workbook.apply` span of an attached hub.
 #[derive(Debug, Clone)]
 pub struct WorkbookReceipt {
     /// Dirty ranges, `(sheet, range)`, sorted and deduplicated.
     pub dirty: Vec<(SheetId, Range)>,
-    /// Time spent finding the dependents across all sheets.
-    pub control_latency: Duration,
 }
 
 impl WorkbookReceipt {
@@ -548,7 +545,8 @@ impl Workbook {
     // the local mutation (cell store, formula graph, cross-edge table)
     // and queues routing jobs; one `expand` then marks what the jobs
     // dirtied across sheets. The live methods stage one edit,
-    // `apply_batch` stages a run of records, and both route once.
+    // `apply_batch` stages a run of records, and both route once; on an
+    // attached hub the two together are one `workbook.apply` span.
 
     /// One live edit of sheet `id`: `stage`, then route.
     #[track_caller]
@@ -558,11 +556,19 @@ impl Workbook {
         stage: impl FnOnce(&mut Self, &mut Vec<Job>),
     ) -> WorkbookReceipt {
         self.ensure_sheet(id);
-        let start = Instant::now();
+        let start = self.obs.as_deref().map(|o| o.now_ns());
         let mut jobs = Vec::new();
         stage(self, &mut jobs);
         let dirty = self.expand(jobs, true);
-        WorkbookReceipt { dirty, control_latency: start.elapsed() }
+        self.on_apply(start, 1, dirty.len());
+        WorkbookReceipt { dirty }
+    }
+
+    /// Closes the `workbook.apply` span begun at `start` (`None`: no hub).
+    fn on_apply(&self, start: Option<u64>, records: usize, dirty: usize) {
+        if let (Some(o), Some(start)) = (self.obs.as_deref(), start) {
+            o.on_apply(start, records, dirty);
+        }
     }
 
     /// Sets a pure value, routing dirtiness across sheets.
@@ -685,7 +691,7 @@ impl Workbook {
     /// applied serially — and the error names the failing index; later
     /// records are untouched.
     pub fn apply_batch(&mut self, records: &[EditRecord]) -> Result<WorkbookReceipt, BatchError> {
-        let start = Instant::now();
+        let start = self.obs.as_deref().map(|o| o.now_ns());
         let mut jobs = Vec::new();
         let mut failed = None;
         for (index, rec) in records.iter().enumerate() {
@@ -695,9 +701,10 @@ impl Workbook {
             }
         }
         let dirty = self.expand(jobs, true);
+        self.on_apply(start, records.len(), dirty.len());
         match failed {
             Some(e) => Err(e),
-            None => Ok(WorkbookReceipt { dirty, control_latency: start.elapsed() }),
+            None => Ok(WorkbookReceipt { dirty }),
         }
     }
 
@@ -1007,29 +1014,12 @@ impl Workbook {
         levels
     }
 
-    /// Sets the recalculation profiler mode on every sheet (see
-    /// [`crate::ProfileMode`]). `Off` (the default) costs nothing.
-    pub fn set_profile(&mut self, mode: crate::ProfileMode) {
-        for s in &mut self.sheets {
-            s.engine.set_profile(mode);
-        }
-    }
-
-    /// The merged profile of the most recent recalculation: every
-    /// sheet's part of the pass, ordering and evaluation apart, in sheet
-    /// order, plus the top-K hottest nodes across all sheets, each by the
-    /// first cell it evaluated (hottest first). Empty when profiling is
-    /// off.
-    pub fn profile_report(&self) -> crate::ProfileReport {
-        let mut out = crate::ProfileReport::default();
-        for (sheet, s) in self.sheets.iter().enumerate() {
-            let r = s.engine.profile_report();
-            out.passes.extend(r.passes.into_iter().map(|pass| crate::SheetPass { sheet, ..pass }));
-            out.hotspots.extend(r.hotspots);
-        }
-        out.hotspots.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.hotspots.truncate(crate::PROFILE_TOP_K);
-        out
+    /// Every sheet's part of the most recent recalculation pass, in sheet
+    /// order: what it evaluated there and the nodes it ordered them in.
+    /// Sheets the pass evaluated nothing on have none.
+    pub fn last_pass(&self) -> Vec<crate::SheetPass> {
+        let passes = self.sheets.iter().map(|s| s.engine.last_pass());
+        passes.enumerate().filter_map(|(sheet, p)| Some(crate::SheetPass { sheet, ..p? })).collect()
     }
 
     /// Recalculates every dirty formula cell in the workbook, sheet by
@@ -1074,7 +1064,7 @@ impl Workbook {
     /// evaluated.
     fn pass(&mut self, viewport: Option<(usize, Range)>) -> usize {
         // A sheet the pass never reaches must not report the previous
-        // pass's profile or evaluated cells.
+        // pass's counts or evaluated cells.
         for s in &mut self.sheets {
             s.engine.begin_pass();
             s.hopped = 0;
@@ -1142,11 +1132,23 @@ impl Workbook {
                 }
             }
             let ext = OtherSheets { index, cells: &others };
+            // On a hub, a `sheet.order` span per sheet of a full pass (a
+            // demand pass ordered in `demand.expand`) and a `sheet.eval`.
+            let obs = obs.as_deref();
             for shard in jobs.iter_mut() {
+                let engine = &mut shard.engine;
                 if viewport.is_none() {
-                    shard.engine.order_from(None);
+                    let start = obs.map(|o| o.now_ns());
+                    engine.order_from(None);
+                    if let (Some(o), Some(start)) = (obs, start) {
+                        o.on_sheet_order(start, engine);
+                    }
                 }
-                total += shard.engine.evaluate_ordered(&ext);
+                let start = obs.map(|o| o.now_ns());
+                total += engine.evaluate_ordered(&ext);
+                if let (Some(o), Some(start)) = (obs, start) {
+                    o.on_sheet_eval(start, engine);
+                }
             }
             level_span.take();
         }
@@ -1154,10 +1156,6 @@ impl Workbook {
             g.a = total as u64;
             g.b = levels_walked as u64;
             o.on_recalc(g.finish(), total, levels_walked, dirty_before);
-            for s in sheets.iter() {
-                let (pass, cells) = s.engine.profile_slices();
-                o.on_profile(pass, cells);
-            }
             o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
         }
         drop(demand_span);

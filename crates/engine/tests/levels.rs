@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use taco_engine::{Engine, ProfileMode};
+use taco_engine::Engine;
 use taco_formula::{CellError, Formula, Value};
 use taco_grid::{Cell, Range};
 
@@ -315,11 +315,10 @@ fn a_column_typed_with_its_row_as_a_literal_orders_as_one_node() {
     let mut twin = unshared(&e);
     assert_eq!(twin.formula_templates(), ROWS as usize);
     for sheet in [&mut e, &mut twin] {
-        sheet.set_profile(ProfileMode::Levels);
         check_pass(sheet);
     }
     let nodes = |e: &Engine| -> Vec<(u32, u32)> {
-        e.profile_report().passes.iter().map(|p| (p.cells, p.nodes)).collect()
+        e.last_pass().iter().map(|p| (p.cells, p.nodes)).collect()
     };
     assert_eq!(nodes(&e), vec![(ROWS, 1)]);
     assert_eq!(nodes(&twin), vec![(ROWS, ROWS)]);

@@ -577,10 +577,8 @@ fn nodes_across_pages_and_bad_values_evaluate_as_their_cells_do() {
         assert_same(shared, twin, what);
         assert_eq!(errors(shared), errors(twin), "{what}");
     };
-    shared.set_profile(taco_engine::ProfileMode::Levels);
-    twin.set_profile(taco_engine::ProfileMode::Levels);
     recalculate(&mut shared, &mut twin, "full pass");
-    let nodes = |wb: &Workbook| wb.profile_report().passes.iter().map(|p| p.nodes).sum::<u32>();
+    let nodes = |wb: &Workbook| wb.last_pass().iter().map(|p| p.nodes).sum::<u32>();
     assert!(nodes(&shared) < 40, "{} nodes", nodes(&shared));
     assert_eq!(nodes(&twin) as usize, twin.sheet(s).formula_cells());
     let kinds: Vec<CellError> = errors(&shared).into_iter().map(|(_, e)| e).collect();

@@ -87,17 +87,33 @@ use crate::obs::ServiceObs;
 use crate::protocol::{Request, Response, ServiceStats};
 use crate::session::{Session, SessionToken};
 use crate::ServiceError;
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use taco_core::StructuralOp;
 use taco_engine::{Engine, PersistentWorkbook, RecalcMode, SheetId, Workbook, WorkbookReceipt};
-use taco_formula::{Formula, Value};
+use taco_formula::{Template, Value};
 use taco_grid::{Cell, Range};
 use taco_obs::{SpanCat, TraceContext};
 use taco_store::EditRecord;
+
+/// Locks `m`. A lock poisoned by a panicking holder is taken as it
+/// stands: every holder leaves the data whole between statements, so one
+/// failed request must not fail every request after it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for reading a [`RwLock`].
+fn read_lock<T>(rw: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rw.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for writing a [`RwLock`].
+fn write_lock<T>(rw: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rw.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Tuning for a [`Registry`] and the workers it spawns.
 #[derive(Debug, Clone)]
@@ -440,7 +456,7 @@ impl BookShared {
     /// Enters the degraded state; returns `true` on the transition (so
     /// the caller can bump the fleet gauge exactly once).
     fn degrade(&self, reason: String) -> bool {
-        *self.degraded_reason.lock() = reason;
+        *lock(&self.degraded_reason) = reason;
         !self.degraded.swap(true, Ordering::SeqCst)
     }
 
@@ -455,7 +471,7 @@ impl BookShared {
 
     /// The reply writes get while the workbook is degraded.
     fn degraded_error(&self) -> ServiceError {
-        ServiceError::Degraded(self.degraded_reason.lock().clone())
+        ServiceError::Degraded(lock(&self.degraded_reason).clone())
     }
 }
 
@@ -511,7 +527,7 @@ struct BookHandle {
 
 impl BookHandle {
     fn send(&self, msg: WorkerMsg) -> Result<(), ServiceError> {
-        self.tx.lock().send(msg).map_err(|_| ServiceError::ShuttingDown)
+        lock(&self.tx).send(msg).map_err(|_| ServiceError::ShuttingDown)
     }
 
     /// Sends `msg` and waits for the worker's reply, up to `deadline`
@@ -636,7 +652,7 @@ impl Registry {
     /// [`ServiceOptions::http_metrics`] is set and the bind succeeded
     /// (resolves an ephemeral port).
     pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http.lock().as_ref().map(crate::http::HttpSidecar::addr)
+        lock(&self.http).as_ref().map(crate::http::HttpSidecar::addr)
     }
 
     /// The registry's observability hub — for local exposition (the
@@ -686,7 +702,7 @@ impl Registry {
             degraded_reason: Mutex::new(String::new()),
         });
         let (tx, rx) = channel();
-        let mut books = self.books.write();
+        let mut books = write_lock(&self.books);
         if books.contains_key(&key) {
             return Err(ServiceError::BadRequest(format!("workbook {name:?} already registered")));
         }
@@ -712,7 +728,8 @@ impl Registry {
 
     /// The registered workbook names (registration case preserved).
     pub fn workbook_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.books.read().values().map(|b| b.name.clone()).collect();
+        let mut names: Vec<String> =
+            read_lock(&self.books).values().map(|b| b.name.clone()).collect();
         names.sort();
         names
     }
@@ -720,7 +737,7 @@ impl Registry {
     /// The current snapshot of a workbook (diagnostics, tests).
     pub fn snapshot(&self, workbook: &str) -> Option<Arc<Snapshot>> {
         let handle = self.handle(&workbook.to_ascii_lowercase())?;
-        let snap = Arc::clone(&handle.shared.snapshot.read());
+        let snap = Arc::clone(&read_lock(&handle.shared.snapshot));
         Some(snap)
     }
 
@@ -740,7 +757,7 @@ impl Registry {
     #[doc(hidden)]
     pub fn submit_edits(&self, workbook: &str, records: Vec<EditRecord>) -> Vec<Response> {
         let Some(handle) = self.handle(&workbook.to_ascii_lowercase()) else { return Vec::new() };
-        let tx = handle.tx.lock();
+        let tx = lock(&handle.tx);
         let pending: Vec<Receiver<Response>> = records
             .into_iter()
             .map(|rec| {
@@ -759,7 +776,7 @@ impl Registry {
     /// no-op, so transports can clean up unconditionally).
     pub fn close_session(&self, token: u64) {
         let count = {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = lock(&self.sessions);
             sessions.remove(&token);
             sessions.len()
         };
@@ -768,7 +785,7 @@ impl Registry {
 
     /// Open sessions across all workbooks.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        lock(&self.sessions).len()
     }
 
     /// Stops accepting requests, drains every worker, and joins the
@@ -776,27 +793,27 @@ impl Registry {
     /// Idempotent.
     pub fn shutdown(&self) {
         self.down.store(true, Ordering::SeqCst);
-        if let Some(http) = self.http.lock().take() {
+        if let Some(http) = lock(&self.http).take() {
             http.shutdown();
         }
-        let handles: Vec<Arc<BookHandle>> = self.books.read().values().cloned().collect();
+        let handles: Vec<Arc<BookHandle>> = read_lock(&self.books).values().cloned().collect();
         for handle in handles {
             let _ = handle.send(WorkerMsg::Shutdown);
-            if let Some(worker) = handle.worker.lock().take() {
+            if let Some(worker) = lock(&handle.worker).take() {
                 let _ = worker.join();
             }
         }
-        self.sessions.lock().clear();
+        lock(&self.sessions).clear();
         self.svc_obs.sessions.set(0);
     }
 
     fn handle(&self, key: &str) -> Option<Arc<BookHandle>> {
-        self.books.read().get(key).cloned()
+        read_lock(&self.books).get(key).cloned()
     }
 
     /// Resolves a token to its session and workbook handle.
     fn resolve(&self, token: u64) -> Result<(Arc<Session>, Arc<BookHandle>), ServiceError> {
-        let session = self.sessions.lock().get(&token).cloned().ok_or(ServiceError::NoSession)?;
+        let session = lock(&self.sessions).get(&token).cloned().ok_or(ServiceError::NoSession)?;
         let handle = self.handle(&session.workbook).ok_or(ServiceError::NoSession)?;
         Ok((session, handle))
     }
@@ -810,7 +827,7 @@ impl Registry {
     ) -> Result<(Arc<Session>, Arc<BookHandle>, u32), ServiceError> {
         let (session, handle) = self.resolve(token)?;
         session.check(sheet)?;
-        let snap = Arc::clone(&handle.shared.snapshot.read());
+        let snap = Arc::clone(&read_lock(&handle.shared.snapshot));
         let idx =
             snap.sheet_index(sheet).ok_or_else(|| ServiceError::NoSuchSheet(sheet.to_string()))?;
         Ok((session, handle, idx as u32))
@@ -890,7 +907,7 @@ impl Registry {
             Request::SetFormula { token, sheet, cell, src } => self.write(token, &sheet, |sid| {
                 // Pre-validate so coalesced batches stay failure-free and
                 // the client gets the parse error, not a batch index.
-                Formula::parse(&src)
+                Template::parse(&src)
                     .map_err(|e| ServiceError::BadRequest(format!("formula: {e}")))?;
                 Ok(WriteOp::Edit(EditRecord::SetFormula { sheet: sid, cell, src }))
             }),
@@ -914,12 +931,12 @@ impl Registry {
             }
             Request::Get { token, sheet, cell } => {
                 let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
-                let snap = Arc::clone(&handle.shared.snapshot.read());
+                let snap = Arc::clone(&read_lock(&handle.shared.snapshot));
                 Ok(Response::Value(snap.value(sid as usize, cell)))
             }
             Request::GetRange { token, sheet, range } => {
                 let (_, handle, sid) = self.resolve_sheet(token, &sheet)?;
-                let snap = Arc::clone(&handle.shared.snapshot.read());
+                let snap = Arc::clone(&read_lock(&handle.shared.snapshot));
                 Ok(Response::Cells(snap.cells_in(sid as usize, range)))
             }
             Request::Dependents { token, sheet, range } => {
@@ -946,7 +963,7 @@ impl Registry {
             }
             Request::DirtyCount { token } => {
                 let (_, handle) = self.resolve(token)?;
-                let snap = Arc::clone(&handle.shared.snapshot.read());
+                let snap = Arc::clone(&read_lock(&handle.shared.snapshot));
                 Ok(Response::Count(snap.dirty))
             }
             Request::Recalc { token } => {
@@ -970,7 +987,7 @@ impl Registry {
             }
             Request::Stats { token } => {
                 let (_, handle) = self.resolve(token)?;
-                let snap = Arc::clone(&handle.shared.snapshot.read());
+                let snap = Arc::clone(&read_lock(&handle.shared.snapshot));
                 let stats = &handle.shared.stats;
                 Ok(Response::Stats(ServiceStats {
                     epoch: snap.epoch,
@@ -1063,7 +1080,7 @@ impl Registry {
         if handle.auth.as_deref() != auth.as_deref() {
             return Err(ServiceError::AuthFailed);
         }
-        let snap = Arc::clone(&handle.shared.snapshot.read());
+        let snap = Arc::clone(&read_lock(&handle.shared.snapshot));
         if let Some(unknown) = scope.iter().flatten().find(|n| snap.sheet_index(n).is_none()) {
             return Err(ServiceError::NoSuchSheet(unknown.clone()));
         }
@@ -1073,7 +1090,7 @@ impl Registry {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let token = SessionToken::mint(seq, self.token_seed).0;
         let count = {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = lock(&self.sessions);
             sessions.insert(token, Arc::new(session));
             sessions.len()
         };
@@ -1103,10 +1120,10 @@ fn filter_scoped(resp: Response, session: &Session) -> Response {
 /// re-read and the row bands rebuilt.
 fn publish(shared: &BookShared, wobs: &ServiceObs, wb: &Workbook, changes: &Changes) -> u64 {
     let start_ns = wobs.tracer.now_ns();
-    let prev = Arc::clone(&shared.snapshot.read());
+    let prev = Arc::clone(&read_lock(&shared.snapshot));
     let (next, rebuilt) = Snapshot::successor(Some(&prev), wb, changes);
     let epoch = next.epoch;
-    *shared.snapshot.write() = Arc::new(next);
+    *write_lock(&shared.snapshot) = Arc::new(next);
     wobs.tracer.record_since(
         "snapshot.publish",
         SpanCat::Publish,
@@ -1231,7 +1248,7 @@ fn worker_loop(
                             let epoch = publish(&shared, &wobs, wb, &Changes::default());
                             match viewport.filter(|_| fetch) {
                                 Some((sheet, range)) => {
-                                    let snap = Arc::clone(&shared.snapshot.read());
+                                    let snap = Arc::clone(&read_lock(&shared.snapshot));
                                     Response::Cells(snap.cells_in(sheet as usize, range))
                                 }
                                 None => Response::Recalced { evaluated: evaluated as u64, epoch },
@@ -1762,7 +1779,7 @@ mod tests {
         assert_eq!(applied, [true, true, true, true, false, true, false], "{replies:?}");
         assert!(matches!(&replies[4], Response::Err(ServiceError::BadRequest(_))));
         assert!(matches!(&replies[6], Response::Err(ServiceError::BadRequest(_))));
-        let published = Arc::clone(&shared.snapshot.read());
+        let published = Arc::clone(&read_lock(&shared.snapshot));
         assert_same(&published, &Snapshot::build(backing.workbook()));
         assert_eq!(published.value(0, c("B1")), Value::Number(104.0));
         assert_eq!(published.value(0, c("B29")), Value::Number(29.0));

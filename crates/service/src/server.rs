@@ -28,14 +28,14 @@
 //! per-connection threads out of their blocking reads), and joins them.
 
 use crate::protocol::{Request, Response};
+use crate::registry::lock;
 use crate::registry::Registry;
 use crate::ServiceError;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use taco_store::{read_frame, write_frame, StoreError, DEFAULT_MAX_FRAME};
 
 /// Leading handshake magic.
@@ -153,7 +153,7 @@ impl Server {
     /// by its exiting thread, so reconnecting clients must re-`Open`;
     /// a retrying [`Client`](crate::Client) does both automatically.
     pub fn drop_connections(&self) {
-        for (_, stream) in self.shared.conns.lock().iter() {
+        for (_, stream) in lock(&self.shared.conns).iter() {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -168,10 +168,10 @@ impl Server {
             let _ = h.join();
         }
         // Pop every connection thread out of its blocking read.
-        for (_, stream) in self.shared.conns.lock().iter() {
+        for (_, stream) in lock(&self.shared.conns).iter() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        let handles: Vec<_> = self.shared.handles.lock().drain(..).collect();
+        let handles: Vec<_> = lock(&self.shared.handles).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -202,7 +202,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         // Reap finished connection threads so a long-lived server does
         // not accumulate join handles.
         {
-            let mut handles = shared.handles.lock();
+            let mut handles = lock(&shared.handles);
             let mut live = Vec::with_capacity(handles.len());
             for h in handles.drain(..) {
                 if h.is_finished() {
@@ -218,7 +218,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             .name("taco-conn".to_string())
             .spawn(move || serve_connection(stream, conn_shared));
         if let Ok(h) = spawned {
-            shared.handles.lock().push(h);
+            lock(&shared.handles).push(h);
         }
     }
 }
@@ -236,7 +236,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let registered = match stream.try_clone() {
         Ok(clone) => {
-            shared.conns.lock().insert(conn_id, clone);
+            lock(&shared.conns).insert(conn_id, clone);
             true
         }
         // Without a registered clone, shutdown could not interrupt this
@@ -267,7 +267,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
     for token in opened_tokens {
         shared.registry.close_session(token);
     }
-    shared.conns.lock().remove(&conn_id);
+    lock(&shared.conns).remove(&conn_id);
     let remaining = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
     shared.registry.note_connections(remaining as i64);
     let _ = stream.shutdown(Shutdown::Both);

@@ -1,10 +1,12 @@
 //! End-to-end request tracing over live TCP: a client pins one sticky
-//! trace context on its connection, drives a mixed workload (logged
-//! writes, a full recalc, a deliberately wide demand recalc), then
+//! trace context on its connection, drives a mixed workload (a
+//! deliberately wide demand recalc, a full recalc, logged writes), then
 //! fetches the server's span rings with `TraceDump` and reassembles the
 //! tree. The acceptance bar: the demand request's root span is found by
 //! the client's trace id, its descendants include at least one sheet-level
-//! recalc span and at least one WAL append/fsync span, direct
+//! recalc span; the full recalc's tree holds a `sheet.eval` under its
+//! `workbook.level`, a write's a `workbook.apply` under its
+//! `worker.batch`; the trace holds a WAL append/fsync span; direct
 //! children never out-run their parent's duration, and the Chrome
 //! `trace_event` export is structurally valid JSON carrying every span.
 
@@ -91,10 +93,14 @@ fn traced_requests_assemble_cross_layer_span_trees() {
     std::fs::remove_file(&wal).ok();
 
     // The chain is registered dirty: the first demand request must
-    // expand (and evaluate) the whole 400-cell closure.
+    // expand (and evaluate) the whole 400-cell closure. `Data!C1` reads
+    // none of it and is left for the full recalc after.
+    let mut wb = chained_workbook(400, false);
+    let data = wb.sheet_id("Data").unwrap();
+    wb.set_formula(data, c("C1"), "=A1*3").unwrap();
     let pw = PersistentWorkbook::create(
         &path,
-        chained_workbook(400, false),
+        wb,
         PersistOptions { compact_after_records: 0, sync_every_records: 1 },
     )
     .unwrap();
@@ -116,10 +122,11 @@ fn traced_requests_assemble_cross_layer_span_trees() {
 
     // The deliberately wide request first: a viewport demand recalc
     // whose closure covers the whole still-dirty 400-cell chain. Then a
-    // mixed tail of logged writes (WAL appends + fsyncs under their
-    // write batches).
+    // full recalc of what it left, and a mixed tail of logged writes (WAL
+    // appends + fsyncs under their write batches).
     let evaluated = client.recalc_range("Summary", Range::parse_a1("A1:A1").unwrap()).unwrap();
     assert!(evaluated >= 400, "demand closure covers the chain: {evaluated}");
+    assert_eq!(client.recalc(), Ok(1), "the full recalc evaluates Data!C1");
     client.set_value("Data", c("A1"), n(5.0)).unwrap();
     client.set_formula("Data", c("B1"), "=SUM(A1:A400)").unwrap();
     assert_eq!(client.get("Data", c("A400")), Ok(n(404.0)));
@@ -152,6 +159,25 @@ fn traced_requests_assemble_cross_layer_span_trees() {
         tree.iter().any(|s| s.name == "workbook.demand"),
         "no demand span under recalc_range: {tree:?}"
     );
+
+    // A request's tree holds the engine's regions under the worker's: a
+    // full recalc evaluates each sheet under its level, and a write is
+    // applied under the batch it rode in.
+    let root_named = |name: &str| {
+        spans
+            .iter()
+            .find(|s| s.cat == SpanCat::Request && s.parent_id == CLIENT_SPAN && s.name == name)
+            .unwrap_or_else(|| panic!("no {name} root: {spans:?}"))
+    };
+    let child_of = |tree: &[&SlowSpan], child: &str, parent: &str| {
+        tree.iter().any(|s| {
+            s.name == child && tree.iter().any(|p| p.name == parent && p.span_id == s.parent_id)
+        })
+    };
+    let tree = descendants(&spans, root_named("recalc"));
+    assert!(child_of(&tree, "sheet.eval", "workbook.level"), "recalc: {tree:?}");
+    let tree = descendants(&spans, root_named("set_value"));
+    assert!(child_of(&tree, "workbook.apply", "worker.batch"), "set_value: {tree:?}");
 
     // The same trace reaches the WAL layer: the logged writes rode a
     // batch whose appends/fsyncs are descendants of some request root.

@@ -6,7 +6,7 @@
 //! ```
 
 use taco_repro::core::{Config, Dependency, FormulaGraph};
-use taco_repro::formula::Formula;
+use taco_repro::formula::Template;
 use taco_repro::grid::{Cell, Range};
 
 fn main() {
@@ -30,10 +30,10 @@ fn main() {
     let mut nocomp = FormulaGraph::new(Config::nocomp());
     for (cell, src) in &formulas {
         let cell = Cell::parse_a1(cell).expect("valid A1");
-        let f = Formula::parse(src).expect("valid formula");
-        for r in &f.refs {
-            taco.add_dependency(&Dependency::from_ref(&r.rref, cell));
-            nocomp.add_dependency(&Dependency::from_ref(&r.rref, cell));
+        let f = Template::parse(src).expect("valid formula");
+        for (_, rref) in f.at(0, 0).reads() {
+            taco.add_dependency(&Dependency::from_ref(&rref, cell));
+            nocomp.add_dependency(&Dependency::from_ref(&rref, cell));
         }
     }
 

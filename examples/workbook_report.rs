@@ -11,6 +11,7 @@
 //! through quoted cross-sheet references and must agree with the chain.
 //! `TACO_EXAMPLE_ROWS` scales the per-region row count (default 400).
 
+use std::time::Instant;
 use taco_repro::engine::{RecalcMode, SheetId, Value, Workbook};
 use taco_repro::grid::{Cell, Range};
 
@@ -87,12 +88,13 @@ fn main() {
 
     // One upstream edit: dirtiness routes through the workbook.
     let r1 = wb.sheet_id("Region 1").expect("region exists");
+    let t0 = Instant::now();
     let receipt = wb.set_value(r1, Cell::new(1, 1), Value::Number(1000.0));
     println!(
         "edit Region 1!A1 → {} dirty ranges across {} sheets (control latency {:?})",
         receipt.dirty.len(),
         receipt.sheets_touched(),
-        receipt.control_latency
+        t0.elapsed()
     );
     wb.recalculate(RecalcMode::Serial);
     let new_grand = wb.value(summary, Cell::new(2, 1));

@@ -10,9 +10,7 @@ use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
-use taco_repro::engine::{
-    PersistOptions, PersistentWorkbook, ProfileMode, RecalcMode, SheetId, Workbook,
-};
+use taco_repro::engine::{PersistOptions, PersistentWorkbook, RecalcMode, SheetId, Workbook};
 use taco_repro::formula::Value;
 use taco_repro::grid::{Cell, Range};
 use taco_repro::obs::{MetricsSnapshot, Obs, ObsClock, ObsOptions, TraceDump, TracerOptions};
@@ -147,55 +145,46 @@ fn observed_demand_recalc_is_bit_identical() {
 
 #[test]
 fn profiled_recalc_is_bit_identical() {
-    // The recalc profiler is an observer too: attributing wall time per
-    // sheet pass and per hottest node must change no value.
+    // The hub's recalc profile — a `sheet.order` and a `sheet.eval` span
+    // per sheet, and the histograms they feed — is an observer too: an
+    // attached workbook recalculates to the bits of an unattached twin,
+    // and the pass counts it reports need no hub at all.
     let p = PersistParams { rows: 40, burst_edits: 30, seed: 17, ..persist_enron_like() };
     let w = gen_persist_workload(&p);
 
     let mut reference = build(&w, None);
     let evaluated = reference.recalculate(RecalcMode::Serial);
     let want = snapshot(&reference);
-    assert_eq!(reference.profile_report(), Default::default(), "Off attributes nothing");
 
-    for profile in [ProfileMode::Levels, ProfileMode::Hotspots] {
-        let hub = Obs::new(ObsOptions::default());
-        let mut wb = build(&w, Some(&hub));
-        wb.set_profile(profile);
-        wb.recalculate(RecalcMode::Serial);
-        assert_eq!(snapshot(&wb), want, "{profile:?}");
+    let hub = Obs::new(ObsOptions::default());
+    let mut wb = build(&w, Some(&hub));
+    assert_eq!(wb.recalculate(RecalcMode::Serial), evaluated);
+    assert_eq!(snapshot(&wb), want);
 
-        // One record per sheet evaluated on, in sheet order, ordering
-        // and evaluation apart; together they are the whole pass.
-        let report = wb.profile_report();
-        assert!(!report.passes.is_empty(), "{profile:?} must attribute sheet passes");
-        assert!(report.passes.windows(2).all(|w| w[0].sheet < w[1].sheet), "{profile:?}");
-        let cells: u32 = report.passes.iter().map(|p| p.cells).sum();
-        assert_eq!(cells as usize, evaluated, "{profile:?}");
-        // Cells come ordered in nodes, each one cell or more.
-        for pass in &report.passes {
-            assert!(0 < pass.nodes && pass.nodes <= pass.cells, "{profile:?}: {pass:?}");
-        }
-        if profile == ProfileMode::Hotspots {
-            // A hotspot is a node, timed as one and named by the first
-            // cell it evaluated: a formula cell, and no more of them than
-            // nodes.
-            let nodes: u32 = report.passes.iter().map(|p| p.nodes).sum();
-            let hot = &report.hotspots;
-            assert!(!hot.is_empty(), "must attribute hot nodes");
-            assert!(hot.len() <= (nodes as usize).min(taco_repro::engine::PROFILE_TOP_K));
-            for &(cell, _) in hot {
-                let formula =
-                    (0..wb.sheet_count()).any(|s| wb.formula_of(SheetId(s), cell).is_some());
-                assert!(formula, "{cell} names no formula cell");
-            }
-        }
-        let snap = hub.snapshot();
-        for name in ["taco_profile_order_ns", "taco_profile_level_ns"] {
-            assert!(
-                snap.histograms.iter().any(|h| h.name == name && h.count > 0),
-                "{name} must have recorded: {profile:?}"
-            );
-        }
+    // One record per sheet evaluated on, in sheet order; together they
+    // are the whole pass, its cells ordered in nodes of one cell or more.
+    let passes = wb.last_pass();
+    assert_eq!(passes, reference.last_pass(), "the counts are the hub's twin's");
+    assert!(!passes.is_empty(), "the pass must count sheet passes");
+    assert!(passes.windows(2).all(|w| w[0].sheet < w[1].sheet), "{passes:?}");
+    let cells: u32 = passes.iter().map(|p| p.cells).sum();
+    assert_eq!(cells as usize, evaluated);
+    for pass in &passes {
+        assert!(0 < pass.nodes && pass.nodes <= pass.cells, "{pass:?}");
+    }
+    // Each sheet's evaluation is a span whose payload is those counts.
+    let dump = hub.tracer.dump();
+    let evals: Vec<(u64, u64)> =
+        dump.recent.iter().filter(|s| s.name == "sheet.eval").map(|s| (s.a, s.b)).collect();
+    let counts: Vec<(u64, u64)> =
+        passes.iter().map(|p| (u64::from(p.cells), u64::from(p.nodes))).collect();
+    assert_eq!(evals, counts);
+    let snap = hub.snapshot();
+    for name in ["taco_profile_order_ns", "taco_profile_eval_ns", "taco_apply_ns"] {
+        assert!(
+            snap.histograms.iter().any(|h| h.name == name && h.count > 0),
+            "{name} must have recorded"
+        );
     }
 }
 
@@ -331,7 +320,14 @@ fn a_clock_that_stands_still_measures_nothing() {
     for durable in [false, true] {
         let (dump, snap) = traced_run(&w, 99, durable);
         let names = span_names(&dump);
-        let mut expected = vec!["workbook.recalc", "workbook.level", "workbook.demand"];
+        let mut expected = vec![
+            "workbook.apply",
+            "workbook.recalc",
+            "workbook.level",
+            "sheet.order",
+            "sheet.eval",
+            "workbook.demand",
+        ];
         if durable {
             expected.extend(["wal.append", "wal.fsync", "wal.compact"]);
         }
