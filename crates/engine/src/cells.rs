@@ -45,6 +45,9 @@ impl Slot {
         Slot { content: CellContent { value: Value::Empty, run: None }, occupied: false };
 }
 
+/// What a blank cell reads as.
+pub(crate) static EMPTY: Value = Value::Empty;
+
 /// What a page that was never allocated reads as.
 static VACANT_PAGE: [Slot; PAGE_ROWS as usize] = [const { Slot::VACANT }; PAGE_ROWS as usize];
 
@@ -163,6 +166,13 @@ impl Writes {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Column and page lookups this thread has made (test
+    /// instrumentation: what reading through a [`Cursor`] saves).
+    pub(crate) static LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Where the item with `key` sits in `items` (sorted by key), as
 /// `binary_search` reports it. A tabular sheet fills its columns from A
 /// and its rows from 1, so column `c` is usually the `c`-th stored and
@@ -174,6 +184,8 @@ fn locate<T>(
     first_key: u32,
     key_of: impl Fn(&T) -> u32,
 ) -> Result<usize, usize> {
+    #[cfg(test)]
+    LOOKUPS.with(|n| n.set(n.get() + 1));
     let guess = (key - first_key) as usize;
     match items.get(guess) {
         Some(item) if key_of(item) == key => Ok(guess),
@@ -183,8 +195,9 @@ fn locate<T>(
 
 /// The column and page a lookup found last, so that the next one in the
 /// same page costs two comparisons: what a node's results are written
-/// through, row after row. Good while no column or page is added or
-/// dropped — for one pass's evaluation.
+/// through, row after row, and what each reference of its formula reads
+/// through ([`CellStore::read`], [`CellStore::fold_through`]). Good while
+/// no column or page is added or dropped — for one pass's evaluation.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Cursor {
     /// `0` (no column) until the first lookup.
@@ -317,6 +330,55 @@ impl CellStore {
     /// The value `cell` reads as (`Empty` when blank).
     pub(crate) fn value(&self, cell: Cell) -> &Value {
         &self.slot(cell).unwrap_or(&Slot::VACANT).content.value
+    }
+
+    /// [`Self::value`], through `cursor`: a read in the page read last
+    /// looks nothing up. What a node's formula reads, one cursor per
+    /// reference (see `Engine::evaluate_node`).
+    #[inline]
+    pub(crate) fn read(&self, cursor: &std::cell::Cell<Cursor>, cell: Cell) -> &Value {
+        let mut at = cursor.get();
+        let slots = self.page_through(&mut at, cell);
+        cursor.set(at);
+        &slots[slot_of(cell.row)].content.value
+    }
+
+    /// [`Self::fold_range`], through `cursor` when `range` is one column:
+    /// one slice scan per page, no lookup for the page read last.
+    #[inline]
+    pub(crate) fn fold_through<A, B>(
+        &self,
+        cursor: &std::cell::Cell<Cursor>,
+        range: Range,
+        init: A,
+        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+    ) -> ControlFlow<B, A> {
+        let (head, tail) = (range.head(), range.tail());
+        if head.col != tail.col {
+            return self.fold_range(range, init, f);
+        }
+        let (mut acc, mut row, mut at) = (init, head.row, cursor.get());
+        loop {
+            let end = page_end(page_of(row), tail.row);
+            let slots = self.page_through(&mut at, Cell { col: head.col, row });
+            match fold_slots(&slots[slot_of(row)..=slot_of(end)], acc, f) {
+                ControlFlow::Continue(next) if end < tail.row => (acc, row) = (next, end + 1),
+                flow => {
+                    cursor.set(at);
+                    return flow;
+                }
+            }
+        }
+    }
+
+    /// The slots of the page holding `cell`, through `cursor`; a page or
+    /// column never written reads as [`VACANT_PAGE`].
+    #[inline]
+    fn page_through(&self, cursor: &mut Cursor, cell: Cell) -> &[Slot] {
+        match self.seek(cursor, cell) {
+            Some((i, j)) => &self.cols[i].pages[j].slots,
+            None => &VACANT_PAGE,
+        }
     }
 
     /// The allocated page holding `cell`, through `cursor`: its column and

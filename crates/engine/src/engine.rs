@@ -1,42 +1,42 @@
-use crate::cells::{CellStore, Cursor};
+use crate::cells::{CellStore, Cursor, EMPTY};
 use crate::order::Schedule;
 use crate::sheet::{CellContent, Run};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use taco_core::{Dependency, FormulaGraph, QueryScratch};
-use taco_formula::eval::{CellProvider, EvalClock, FoldState, VolatileCtx};
+use taco_formula::eval::{EvalClock, FoldState, VolatileCtx};
+use taco_formula::program::{Frame, Program, Reader};
 use taco_formula::{CellError, FormulaError, FuncId, Template, Value};
 use taco_grid::a1::SheetRef;
 use taco_grid::{Cell, Range};
 
-/// Values of *other* sheets, visible to this sheet's evaluator. The
-/// workbook supplies an implementation during multi-sheet recalculation; a
+/// The *other* sheets, as this sheet's formulas read them. The workbook
+/// supplies an implementation during multi-sheet recalculation; a
 /// standalone engine uses [`NoExternal`], which turns every foreign
 /// reference into `#REF!`.
 pub(crate) trait ExternalSheets {
-    /// Value of `cell` on the sheet named `sheet` (`#REF!` if unknown).
-    fn value(&self, sheet: &str, cell: Cell) -> Value;
+    /// The sheet named `sheet`: `Some` id whose cells [`Self::cells`]
+    /// gives, `None` for a sheet that reads as blank, `Err` for no sheet.
+    /// Asked once per node and reference.
+    fn resolve(&self, sheet: &str) -> Result<Option<usize>, CellError>;
 
-    /// [`CellProvider::fold_range`] over the sheet named `sheet`.
-    fn fold_range<A, B>(
-        &self,
-        sheet: &str,
-        range: Range,
-        init: A,
-        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
-    ) -> ControlFlow<B, A> {
-        range.cells().try_fold(init, |acc, c| f(acc, &self.value(sheet, c)))
-    }
+    /// The cells of sheet `id`, as [`Self::resolve`] named it.
+    fn cells(&self, id: usize) -> &CellStore;
 }
 
 /// The standalone-engine external view: no other sheets exist.
 pub(crate) struct NoExternal;
 
 impl ExternalSheets for NoExternal {
-    fn value(&self, _sheet: &str, _cell: Cell) -> Value {
-        Value::Error(CellError::Ref)
+    fn resolve(&self, _sheet: &str) -> Result<Option<usize>, CellError> {
+        Err(CellError::Ref)
+    }
+
+    fn cells(&self, _id: usize) -> &CellStore {
+        unreachable!("no sheet resolves")
     }
 }
 
@@ -98,8 +98,8 @@ impl Fold {
 }
 
 /// Folds of aggregates over their leading range, remembered from one
-/// pass to the next (answers [`CellProvider::resume_fold`] where a node
-/// carries nothing yet — see [`Node`]), so that a formula re-evaluated
+/// pass to the next (answers [`Reader::resume_fold`] where a node
+/// carries nothing yet — see [`Carries`]), so that a formula re-evaluated
 /// because *another* of its precedents changed (`=SUM($A$1:A900)+D1`
 /// after an edit to `D1`) does not re-read the 900 cells: it finds its
 /// fold whole — the state a fold from the first row reaches, by the same
@@ -160,7 +160,7 @@ impl Folds {
         self.kept.borrow().iter().position(|fold| fold.is_of(id, range))
     }
 
-    /// [`CellProvider::resume_fold`] over `cells`, from the marks of the
+    /// [`Reader::resume_fold`] over `cells`, from the marks of the
     /// run at `slot` (see [`Self::find`]).
     fn resume(
         &self,
@@ -185,7 +185,7 @@ impl Folds {
         None
     }
 
-    /// [`CellProvider::remember_fold`], as a mark of the run at `slot` —
+    /// [`Reader::remember_fold`], as a mark of the run at `slot` —
     /// of a new run where that is `None` or has gone to another since.
     /// Returns the run's slot.
     fn remember(&self, slot: Option<usize>, id: FuncId, range: Range, state: FoldState) -> usize {
@@ -250,6 +250,8 @@ pub struct Engine {
     /// steady-state recalculation performs no per-recalc (let alone
     /// per-cell) allocations.
     schedule: Schedule,
+    /// The node being evaluated, in buffers that persist likewise.
+    node: Node,
     /// Remembered folds; every write to `cells` carries its clock.
     folds: Folds,
     /// Runs alive: the formulas this sheet holds, one per run of cells
@@ -289,6 +291,7 @@ impl Engine {
             query: QueryScratch::new(),
             sheet_name: None,
             schedule: Schedule::default(),
+            node: Node::default(),
             folds: Folds::default(),
             runs_alive: Arc::default(),
             clock: EvalClock::default(),
@@ -445,7 +448,7 @@ impl Engine {
     }
 
     /// Folds resumed from a remembered state instead of started over,
-    /// since the engine was created (see [`CellProvider::resume_fold`]).
+    /// since the engine was created (see [`Reader::resume_fold`]).
     pub fn folds_carried(&self) -> u64 {
         self.folds.carried.get()
     }
@@ -688,10 +691,13 @@ impl Engine {
     /// the order depends only on the dirty set, the local graph and the
     /// roots asked for. Returns the number of cells evaluated.
     pub(crate) fn evaluate_ordered<E: ExternalSheets>(&mut self, ext: &E) -> usize {
-        // Take the schedule out so the loop can borrow `cells` mutably; it
-        // goes back (capacity intact) afterwards.
+        // Take the schedule and the node out so the loop can borrow `cells`
+        // mutably; they go back (capacity intact) afterwards.
         let mut schedule = std::mem::take(&mut self.schedule);
-        let mut node = Node::default();
+        let mut node = std::mem::take(&mut self.node);
+        // The stores may have changed shape since the last pass.
+        node.results = Cursor::default();
+        node.binds.clear();
         for &cell in schedule.cycles() {
             let at = self.folds.tick();
             self.cells.store_result(&mut node.results, cell, Value::Error(CellError::Cycle), at);
@@ -699,32 +705,51 @@ impl Engine {
         let order = schedule.order();
         for extent in schedule.extents() {
             let cells = &order[extent.begin as usize..(extent.begin + extent.len) as usize];
-            node.start(cells[0].col, extent.up);
-            self.evaluate_node(&mut node, cells, ext);
+            self.evaluate_node(&mut node, cells, extent.up, ext);
         }
         let evaluated = order.len();
         schedule.close();
         self.cells.unmark(schedule.evaluated());
         self.schedule = schedule;
+        self.node = node;
         self.evaluated_total += evaluated as u64;
         evaluated
     }
 
     /// Evaluates one node — `cells`, one run's down one column, in the
-    /// order given — and stores each result before the next row is
-    /// evaluated. Its column and page are found once, through the cursor
-    /// its results go through, and each row's formula is read off the
-    /// slot its result goes to: the run's template at that row's offset,
-    /// through the tree walk every formula takes, on a [`NodeView`] that
-    /// carries the node's folds from row to row (see [`Node`]).
-    fn evaluate_node<E: ExternalSheets>(&mut self, node: &mut Node, cells: &[Cell], ext: &E) {
+    /// order given (bottom-up if `up`) — and stores each result before the
+    /// next row is evaluated. The run's program is bound to the node once
+    /// ([`Node::start`]): each reference placed at the node's column and
+    /// bound to its column's place in the store, each row-invariant
+    /// subtree run, at the first row. Then each row runs the rest of the
+    /// program on a [`NodeView`] that reads through those bindings and
+    /// carries the node's folds from row to row (see [`Carries`]); its
+    /// result goes through the cursor the node's column and page were
+    /// found through once.
+    fn evaluate_node<E: ExternalSheets>(
+        &mut self,
+        node: &mut Node,
+        cells: &[Cell],
+        up: bool,
+        ext: &E,
+    ) {
+        let Some(run) = self.cells.run_through(&mut node.results, cells[0]).map(Arc::clone) else {
+            return;
+        };
+        let (template, (dc, first)) = (run.template(), run.offset(cells[0]));
+        let program = template.program();
+        node.start(program, cells[0].col, up, dc, self.sheet_name.as_deref(), ext);
         let last = cells.len() - 1;
         let stride = (cells.len() / (MARKS_KEPT / 2)).max(1);
         let mut next_mark = 0;
         for (index, &cell) in cells.iter().enumerate() {
-            let Some(run) = self.cells.run_through(&mut node.results, cell) else { continue };
-            debug_assert!(self.run_at(cells[0]).is_some_and(|r| Arc::ptr_eq(r, run)), "{cell}");
-            let vol = run.template().is_volatile().then(|| VolatileCtx::for_cell(self.clock, cell));
+            debug_assert!(
+                self.cells
+                    .run_through(&mut node.results, cell)
+                    .is_some_and(|r| Arc::ptr_eq(r, &run)),
+                "{cell} is not of its node's run"
+            );
+            let vol = template.is_volatile().then(|| VolatileCtx::for_cell(self.clock, cell));
             let mark = index == next_mark || index == last;
             if index == next_mark {
                 next_mark += stride;
@@ -732,14 +757,18 @@ impl Engine {
             let view = NodeView {
                 cells: &self.cells,
                 folds: &self.folds,
-                own: self.sheet_name.as_deref(),
                 ext,
+                binds: &node.binds,
+                carries: &node.carries,
                 vol: vol.as_ref(),
-                node,
                 row: cell.row,
                 mark,
             };
-            let value = run.at(cell).eval(&view);
+            let dr = first + i64::from(cell.row) - i64::from(cells[0].row);
+            if index == 0 {
+                program.hoist(&mut node.frame, dr, &view);
+            }
+            let value = program.eval(&mut node.frame, dr, &view);
             let at = self.folds.tick();
             self.cells.store_result(&mut node.results, cell, value, at);
         }
@@ -764,10 +793,6 @@ impl Engine {
     }
 }
 
-/// Aggregates a node carries from one of its rows to the next; the folds
-/// of any more go to [`Folds`] at every row.
-const CARRIES: usize = 4;
-
 /// One aggregate's fold as a node carries it down its rows: where
 /// [`Folds`] keeps the run's marks, and the fold the latest row
 /// remembered.
@@ -790,41 +815,39 @@ impl Carry {
     }
 }
 
-/// A node's evaluation in progress: its column and direction, the folds
-/// carried from row to row, and where its results go (see
-/// [`Engine::evaluate_node`]). One per pass, started afresh per node.
+/// The folds a node carries from row to row, one per aggregate of its
+/// program with a `$`-headed leading range ([`Program::aggregates`]): the
+/// fold it went on from and where it stands, so the next row goes on over
+/// its new rows only.
 ///
 /// A carried fold is what a row before remembered, and it holds as long
 /// as no cell of its range has been written since. Within a node the only
 /// writes are the node's own results — its rows before the one being
 /// evaluated, in its column — so that is one comparison of rows
-/// ([`Node::untouched`]). A carry that does not hold, or an aggregate the
-/// node has not met yet, asks [`Folds`]; a fold that met an error is
-/// never remembered, so the next row goes on from the carry before it.
-/// Marks go to [`Folds`] at the node's first row, every n/32 rows of a
-/// node of n and at its last row — spread along the column as [`Folds`]
-/// would thin them to — for later passes to resume from.
+/// ([`Carries::untouched`]). A carry that does not hold asks [`Folds`],
+/// which the node searches once per aggregate, at its first row; a fold
+/// that met an error is never remembered, so the next row goes on from
+/// the carry before it. Marks go to [`Folds`] at the node's first row,
+/// every n/32 rows of a node of n and at its last row — spread along the
+/// column as [`Folds`] would thin them to — for later passes to resume
+/// from.
 #[derive(Default)]
-struct Node {
+struct Carries {
     col: u32,
     up: bool,
-    /// How many of `carries` are this node's.
-    carried: std::cell::Cell<usize>,
-    carries: [std::cell::Cell<Option<Carry>>; CARRIES],
-    results: Cursor,
+    entries: Vec<std::cell::Cell<Option<Carry>>>,
 }
 
-impl Node {
-    /// Starts a node down column `col` (bottom-up if `up`), carrying
-    /// nothing yet.
-    fn start(&mut self, col: u32, up: bool) {
+impl Carries {
+    /// Starts a node down column `col` (bottom-up if `up`) of a program
+    /// with `aggregates` such aggregates, carrying nothing yet.
+    #[inline]
+    fn start(&mut self, col: u32, up: bool, aggregates: usize) {
         (self.col, self.up) = (col, up);
-        self.carried.set(0);
-    }
-
-    /// The carries this node has made so far.
-    fn carries(&self) -> &[std::cell::Cell<Option<Carry>>] {
-        &self.carries[..self.carried.get()]
+        if !self.entries.is_empty() || aggregates > 0 {
+            self.entries.clear();
+            self.entries.resize(aggregates, Default::default());
+        }
     }
 
     /// Whether no cell of `head..=(tail_col, through)` has been written
@@ -841,17 +864,88 @@ impl Node {
     }
 }
 
-/// What a node's formula reads through, row by row: the cell store, the
-/// external-sheet window used for `Sheet2!A1`-style reads, the
-/// volatile-function context of the cell being evaluated, and the node's
-/// carried folds before [`Folds`].
+/// Whose cells a reference of a node's program reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Source {
+    /// The sheet's own: unqualified, or qualified with its own name.
+    Own,
+    /// Another sheet's, by its [`ExternalSheets`] id.
+    Other(usize),
+    /// A sheet that reads as blank.
+    Blank,
+    /// No such sheet: every cell reads as the error.
+    Missing(CellError),
+}
+
+/// A reference of a node's program, bound for the node: whose cells it
+/// reads, and the cursor its reads go through — the column and page read
+/// last, kept from node to node within a pass.
+#[derive(Debug)]
+struct Bound {
+    source: Source,
+    at: std::cell::Cell<Cursor>,
+}
+
+/// A node's evaluation in progress: its program bound (the references'
+/// places, the hoisted values, the stack), its folds carried, and where
+/// its results go. One per engine, started afresh per node.
+#[derive(Default)]
+struct Node {
+    frame: Frame,
+    /// One per reference of the program, in its order.
+    binds: Vec<Bound>,
+    carries: Carries,
+    results: Cursor,
+}
+
+impl Node {
+    /// Binds `program` to a node down column `col`, `dc` columns from the
+    /// run's anchor, on the sheet named `own` beside the sheets `ext`
+    /// resolves: each reference placed, its qualifier resolved, and its
+    /// cursor kept where the node before read the same sheet for it.
+    fn start<E: ExternalSheets>(
+        &mut self,
+        program: &Program,
+        col: u32,
+        up: bool,
+        dc: i64,
+        own: Option<&str>,
+        ext: &E,
+    ) {
+        self.carries.start(col, up, program.aggregates());
+        program.place(&mut self.frame, dc);
+        self.binds.truncate(program.refs().len());
+        for (k, q) in program.refs().iter().enumerate() {
+            let source = match q.sheet_name() {
+                Some(name) if !own.is_some_and(|own| own.eq_ignore_ascii_case(name)) => {
+                    match ext.resolve(name) {
+                        Ok(Some(id)) => Source::Other(id),
+                        Ok(None) => Source::Blank,
+                        Err(e) => Source::Missing(e),
+                    }
+                }
+                _ => Source::Own,
+            };
+            match self.binds.get_mut(k) {
+                Some(bound) if bound.source == source => {}
+                Some(bound) => *bound = Bound { source, at: Default::default() },
+                None => self.binds.push(Bound { source, at: Default::default() }),
+            }
+        }
+    }
+}
+
+/// What a node's program reads through, row by row: the cell store and
+/// the other sheets' through the node's bindings, the volatile-function
+/// context of the cell being evaluated, and the node's carried folds
+/// before [`Folds`].
 struct NodeView<'a, E: ExternalSheets> {
     cells: &'a CellStore,
     folds: &'a Folds,
-    own: Option<&'a str>,
     ext: &'a E,
+    binds: &'a [Bound],
+    carries: &'a Carries,
     vol: Option<&'a VolatileCtx>,
-    node: &'a Node,
     /// The row being evaluated.
     row: u32,
     /// Whether the folds this row remembers go to [`Folds`] as marks.
@@ -859,33 +953,44 @@ struct NodeView<'a, E: ExternalSheets> {
 }
 
 impl<E: ExternalSheets> NodeView<'_, E> {
-    /// A self-qualified reference (`Sheet1!A1` inside `Sheet1`) reads
-    /// locally; everything else goes through the external window.
-    fn is_own(&self, sheet: &str) -> bool {
-        self.own.is_some_and(|n| n.eq_ignore_ascii_case(sheet))
-    }
-}
-
-impl<E: ExternalSheets> CellProvider for NodeView<'_, E> {
-    fn value(&self, cell: Cell) -> Value {
-        self.cells.value(cell).clone()
-    }
-
-    fn sheet_value(&self, sheet: &str, cell: Cell) -> Value {
-        if self.is_own(sheet) {
-            self.value(cell)
-        } else {
-            self.ext.value(sheet, cell)
+    /// The store reference `k` reads, if it reads one.
+    #[inline]
+    fn store(&self, k: usize) -> Option<&CellStore> {
+        match self.binds[k].source {
+            Source::Own => Some(self.cells),
+            Source::Other(id) => Some(self.ext.cells(id)),
+            Source::Blank | Source::Missing(_) => None,
         }
     }
 
-    fn fold_range<A, B>(
+    /// What every cell of a sheet that is not read reads as.
+    fn blank(&self, k: usize) -> Value {
+        match self.binds[k].source {
+            Source::Missing(e) => Value::Error(e),
+            _ => Value::Empty,
+        }
+    }
+}
+
+impl<E: ExternalSheets> Reader for NodeView<'_, E> {
+    #[inline(always)]
+    fn read(&self, k: usize, cell: Cell) -> Cow<'_, Value> {
+        match self.store(k) {
+            Some(store) => Cow::Borrowed(store.read(&self.binds[k].at, cell)),
+            None if matches!(self.binds[k].source, Source::Blank) => Cow::Borrowed(&EMPTY),
+            None => Cow::Owned(self.blank(k)),
+        }
+    }
+
+    #[inline]
+    fn fold<A, B>(
         &self,
-        sheet: Option<&str>,
+        k: usize,
         range: Range,
         init: A,
         f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
     ) -> ControlFlow<B, A> {
+        let store = self.store(k);
         // Debug builds hold every scan to the cell-by-cell read it
         // replaces, so each suite that evaluates a formula checks it.
         #[cfg(debug_assertions)]
@@ -893,25 +998,26 @@ impl<E: ExternalSheets> CellProvider for NodeView<'_, E> {
         #[cfg(debug_assertions)]
         let f = &mut |acc: A, v: &Value| {
             let cell = cell_by_cell.next().expect("a scan visits no more cells than its range");
-            let want = match sheet {
-                None => self.value(cell),
-                Some(s) => self.sheet_value(s, cell),
-            };
-            let same = match (v, &want) {
+            let blank = self.blank(k);
+            let want = store.map_or(&blank, |store| store.value(cell));
+            let same = match (v, want) {
                 (Value::Number(a), Value::Number(b)) => a.to_bits() == b.to_bits(),
-                _ => *v == want,
+                _ => v == want,
             };
-            debug_assert!(same, "scan of {range} on {sheet:?}: {v:?} at {cell}, not {want:?}");
+            debug_assert!(same, "scan of {range} for reference {k}: {v:?} at {cell}, not {want:?}");
             f(acc, v)
         };
-        let flow = match sheet.filter(|s| !self.is_own(s)) {
-            None => self.cells.fold_range(range, init, f),
-            Some(s) => self.ext.fold_range(s, range, init, f),
+        let flow = match store {
+            Some(store) => store.fold_through(&self.binds[k].at, range, init, f),
+            None => {
+                let blank = self.blank(k);
+                range.cells().try_fold(init, |acc, _| f(acc, &blank))
+            }
         };
         #[cfg(debug_assertions)]
         debug_assert!(
             flow.is_break() || cell_by_cell.next().is_none(),
-            "scan of {range} on {sheet:?} stopped short"
+            "scan of {range} for reference {k} stopped short"
         );
         flow
     }
@@ -920,29 +1026,26 @@ impl<E: ExternalSheets> CellProvider for NodeView<'_, E> {
         self.vol
     }
 
-    /// From the node's carry where it holds (see [`Node`]); else from
+    /// From the node's carry where it holds (see [`Carries`]); else from
     /// [`Folds`], whose ring the node searches once per aggregate.
-    fn resume_fold(&self, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
+    #[inline]
+    fn resume_fold(&self, agg: usize, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
         let (head, tail) = (range.head(), range.tail());
-        let node = self.node;
-        let resumed =
-            match node.carries().iter().find_map(|c| c.get().filter(|c| c.is_of(id, range))) {
-                Some(Carry { last: Some((state, through, at)), .. })
-                    if through <= tail.row
-                        && node.untouched(at, self.row, head, tail.col, through) =>
-                {
-                    Some((state, through))
-                }
-                Some(carry) => self.folds.resume(carry.slot, id, range, self.cells),
-                None => {
-                    let slot = self.folds.find(id, range);
-                    if let Some(free) = node.carries.get(node.carried.get()) {
-                        free.set(Some(Carry { id, head, tail_col: tail.col, slot, last: None }));
-                        node.carried.set(node.carried.get() + 1);
-                    }
-                    self.folds.resume(slot, id, range, self.cells)
-                }
-            };
+        let entry = &self.carries.entries[agg];
+        let resumed = match entry.get().filter(|carry| carry.is_of(id, range)) {
+            Some(Carry { last: Some((state, through, at)), .. })
+                if through <= tail.row
+                    && self.carries.untouched(at, self.row, head, tail.col, through) =>
+            {
+                Some((state, through))
+            }
+            Some(carry) => self.folds.resume(carry.slot, id, range, self.cells),
+            None => {
+                let slot = self.folds.find(id, range);
+                entry.set(Some(Carry { id, head, tail_col: tail.col, slot, last: None }));
+                self.folds.resume(slot, id, range, self.cells)
+            }
+        };
         let folds = self.folds;
         folds.carried.set(folds.carried.get() + u64::from(resumed.is_some()));
         #[cfg(test)]
@@ -953,20 +1056,15 @@ impl<E: ExternalSheets> CellProvider for NodeView<'_, E> {
         resumed
     }
 
-    fn remember_fold(&self, id: FuncId, range: Range, state: FoldState) {
-        match self.node.carries().iter().find(|c| c.get().is_some_and(|c| c.is_of(id, range))) {
-            Some(entry) => {
-                let mut carry = entry.get().expect("an aggregate the node carries");
-                if self.mark {
-                    carry.slot = Some(self.folds.remember(carry.slot, id, range, state));
-                }
-                carry.last = Some((state, range.tail().row, self.row));
-                entry.set(Some(carry));
-            }
-            None => {
-                self.folds.remember(self.folds.find(id, range), id, range, state);
-            }
+    #[inline]
+    fn remember_fold(&self, agg: usize, id: FuncId, range: Range, state: FoldState) {
+        let entry = &self.carries.entries[agg];
+        let mut carry = entry.get().expect("a fold is resumed before it is remembered");
+        if self.mark {
+            carry.slot = Some(self.folds.remember(carry.slot, id, range, state));
         }
+        carry.last = Some((state, range.tail().row, self.row));
+        entry.set(Some(carry));
     }
 }
 
@@ -1288,6 +1386,66 @@ mod tests {
             assert_eq!(lookups(&e), 3, "edit at row {at}");
             assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
         }
+    }
+
+    #[test]
+    fn a_row_invariant_subtree_is_evaluated_once_per_node() {
+        const ROWS: u32 = 2048;
+        let mut e = Engine::with_taco();
+        for row in 1..=ROWS {
+            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+        }
+        // Typed row by row, one run: its literal steps, its sum is fixed.
+        for row in 1..=ROWS {
+            e.set_formula(Cell::new(2, row), &format!("=SUM($A$1:$A$8)*{row}")).unwrap();
+        }
+        assert_eq!(e.formula_templates(), 1);
+        let sum = (1..=8).map(|row| f64::from(row) / 8.0).sum::<f64>();
+        for edit in [None, Some(3), Some(8)] {
+            if let Some(row) = edit {
+                e.set_value(Cell::new(1, row), n(-1.5));
+            }
+            folded(&e);
+            assert_eq!(e.recalculate(), ROWS as usize);
+            // One node, one sum: eight cells read once, and no row going on
+            // from the row above (a row at a time, that was n − 1 carries).
+            assert_eq!((carried(&e), folded(&e)), (0, 8), "{edit:?}");
+            let sum = if edit.is_some() { added_up(&e, "A1:A8") } else { n(sum) };
+            let Value::Number(sum) = sum else { panic!("{sum:?}") };
+            for row in [1, 2, 1000, ROWS] {
+                assert_eq!(e.value(Cell::new(2, row)), n(sum * f64::from(row)), "{edit:?} B{row}");
+            }
+        }
+    }
+
+    /// Column and page lookups this thread has made since the last call.
+    fn store_lookups() -> u64 {
+        crate::cells::LOOKUPS.with(|n| n.replace(0))
+    }
+
+    #[test]
+    fn a_scalar_read_inside_its_page_looks_nothing_up() {
+        // `D{r} = D{r-1}+A{r}` down one page: a pass looks up what its one
+        // node reads, and what its ordering reads, once, however long.
+        let mut counted = Vec::new();
+        for rows in [60, 250] {
+            let mut e = Engine::with_taco();
+            for row in 1..=rows {
+                e.set_value(Cell::new(1, row), n(f64::from(row)));
+            }
+            e.set_formula(c("D1"), "=A1").unwrap();
+            e.set_formula(c("D2"), "=D1+A2").unwrap();
+            e.autofill(c("D2"), Range::from_coords(4, 3, 4, rows)).unwrap();
+            e.recalculate();
+            e.set_value(c("A1"), n(0.5));
+            store_lookups();
+            assert_eq!(e.recalculate(), rows as usize);
+            counted.push(store_lookups());
+            let total = 0.5 + f64::from(rows * (rows + 1) / 2 - 1);
+            assert_eq!(e.value(Cell::new(4, rows)), n(total));
+        }
+        assert_eq!(counted[0], counted[1], "{counted:?} lookups for 60 and 250 rows");
+        assert!(counted[1] < 24, "{counted:?}");
     }
 
     /// Neighbour entries the scheduler pushed since the last call.

@@ -11,10 +11,14 @@ use taco_grid::{Cell, Range};
 /// filled column is one `Run` however long it is, and a lone formula is a
 /// run of one. A cell says nothing about its offset: where it sits says
 /// it, which is why a cell that moves (a structural edit) takes a new run.
+///
+/// `repr(C)`: the anchor, then the template's program, at the head of the
+/// allocation — what evaluating a node reads of its run.
 #[derive(Debug)]
+#[repr(C)]
 pub(crate) struct Run {
-    template: Template,
     anchor: Cell,
+    template: Template,
     /// The owning engine's count of runs alive; this one is counted from
     /// [`Run::new`] until it drops.
     alive: Arc<AtomicUsize>,
@@ -27,12 +31,18 @@ impl Run {
         Arc::new(Run { template, anchor, alive: Arc::clone(alive) })
     }
 
-    /// The formula of the run's cell at `cell`.
-    pub(crate) fn at(&self, cell: Cell) -> At<'_> {
-        self.template.at(
+    /// How far the run's cell at `cell` is from its anchor, `(dc, dr)`.
+    pub(crate) fn offset(&self, cell: Cell) -> (i64, i64) {
+        (
             i64::from(cell.col) - i64::from(self.anchor.col),
             i64::from(cell.row) - i64::from(self.anchor.row),
         )
+    }
+
+    /// The formula of the run's cell at `cell`.
+    pub(crate) fn at(&self, cell: Cell) -> At<'_> {
+        let (dc, dr) = self.offset(cell);
+        self.template.at(dc, dr)
     }
 
     /// What the run's cells in rows `first..=last` of column `col` read,

@@ -51,7 +51,6 @@ use crate::sheet::Run;
 use crate::structural::{restate, Restated};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use taco_core::{FormulaGraph, StructuralOp};
 use taco_formula::{CellError, EvalClock, FormulaError, Template, Value};
@@ -1217,47 +1216,24 @@ struct OtherSheets<'a> {
     cells: &'a [Option<&'a CellStore>],
 }
 
-impl OtherSheets<'_> {
-    /// The cells of the sheet named `sheet`: `Err` for no such sheet,
-    /// `None` for one this level writes (no cross edge leads there; it
-    /// reads as blank).
-    fn resolve(&self, sheet: &str) -> Result<Option<&CellStore>, CellError> {
+impl ExternalSheets for OtherSheets<'_> {
+    /// `None` for a sheet this level writes: no cross edge leads there,
+    /// and it reads as blank.
+    fn resolve(&self, sheet: &str) -> Result<Option<usize>, CellError> {
         // The index is keyed by lower-cased name; a name longer than a
-        // sheet's may be names no sheet. On the stack: this runs once
-        // per cross-sheet read of every evaluated cell.
+        // sheet's may be names no sheet. On the stack: this runs once per
+        // cross-sheet reference of every node evaluated.
         let mut key = [0u8; 4 * MAX_SHEET_NAME];
         let key = key.get_mut(..sheet.len()).ok_or(CellError::Ref)?;
         key.copy_from_slice(sheet.as_bytes());
         key.make_ascii_lowercase();
         let key = std::str::from_utf8(key).map_err(|_| CellError::Ref)?;
-        let sid = self.index.get(key).ok_or(CellError::Ref)?;
-        Ok(self.cells[*sid])
-    }
-}
-
-impl ExternalSheets for OtherSheets<'_> {
-    fn value(&self, sheet: &str, cell: Cell) -> Value {
-        match self.resolve(sheet) {
-            Ok(Some(cells)) => cells.value(cell).clone(),
-            Ok(None) => Value::Empty,
-            Err(e) => Value::Error(e),
-        }
+        let sid = *self.index.get(key).ok_or(CellError::Ref)?;
+        Ok(self.cells[sid].map(|_| sid))
     }
 
-    /// The qualifier is resolved once per range, not once per cell.
-    fn fold_range<A, B>(
-        &self,
-        sheet: &str,
-        range: Range,
-        init: A,
-        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
-    ) -> ControlFlow<B, A> {
-        let blank = match self.resolve(sheet) {
-            Ok(Some(cells)) => return cells.fold_range(range, init, f),
-            Ok(None) => Value::Empty,
-            Err(e) => Value::Error(e),
-        };
-        range.cells().try_fold(init, |acc, _| f(acc, &blank))
+    fn cells(&self, id: usize) -> &CellStore {
+        self.cells[id].expect("a sheet resolved to its cells")
     }
 }
 

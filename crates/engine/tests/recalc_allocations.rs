@@ -60,35 +60,41 @@ fn a_recalculation_allocates_nothing_per_cell_and_a_fill_shares_one_template() {
     // `Raw Data` holds numbers; `Calc` reads them through filled columns:
     // B across sheets (a sliding window and a cell, qualifier quoted), C a
     // cumulative total of B down its first rows, D both of them and `Raw
-    // Data` again.
+    // Data` again, E a count of the words in T from "m" on beside C.
     let mut wb = Workbook::with_taco();
     let data = wb.add_sheet("Raw Data").unwrap();
     let calc = wb.add_sheet("Calc").unwrap();
     for row in 1..=ROWS + 2 {
         wb.set_value(data, Cell::new(1, row), Value::Number(f64::from(row) / 8.0));
     }
+    const WORDS: [&str; 8] = ["apple", "Melon", "kiwi", "Mango", "zest", "Lime", "m", "Nut"];
+    for row in 1..=64 {
+        let word = WORDS[row as usize % WORDS.len()];
+        wb.set_value(calc, Cell::new(20, row), Value::Text(format!("{word}{row}")));
+    }
     for (col, src) in [
         (2, "='Raw Data'!A1*2+SUM('Raw Data'!A1:A3)"),
         (3, "=SUM($B$1:B1)"),
         (4, "=C1+B1-'Raw Data'!$A$1"),
+        (5, "=COUNTIF($T$1:$T$64,\">=m\")+C1"),
     ] {
-        let rows = if col == 3 { TOTALS } else { ROWS };
+        let rows = if matches!(col, 3 | 5) { TOTALS } else { ROWS };
         wb.set_formula(calc, Cell::new(col, 1), src).unwrap();
         wb.autofill(calc, Cell::new(col, 1), Range::from_coords(col, 2, col, rows)).unwrap();
     }
-    let cells = (2 * ROWS + TOTALS) as usize;
+    let cells = (2 * ROWS + 2 * TOTALS) as usize;
     assert_eq!(wb.recalculate(RecalcMode::Serial), cells);
 
     // A 10 000-row fill is one template, and stays one when a cell in the
     // middle of it goes and comes back typed.
     let sheet =
         |wb: &Workbook| (wb.sheet(calc).formula_cells(), wb.sheet(calc).formula_templates());
-    assert_eq!(sheet(&wb), (cells, 3));
+    assert_eq!(sheet(&wb), (cells, 4));
     wb.set_value(calc, Cell::new(2, 5_000), Value::Number(0.0));
-    assert_eq!(sheet(&wb), (cells - 1, 3));
+    assert_eq!(sheet(&wb), (cells - 1, 4));
     wb.set_formula(calc, Cell::new(2, 5_000), "='Raw Data'!A5000*2+SUM('Raw Data'!A5000:A5002)")
         .unwrap();
-    assert_eq!(sheet(&wb), (cells, 3));
+    assert_eq!(sheet(&wb), (cells, 4));
     wb.recalculate(RecalcMode::Serial);
 
     // An edit near the top re-evaluates nearly everything, one near the
@@ -117,12 +123,13 @@ fn a_recalculation_allocates_nothing_per_cell_and_a_fill_shares_one_template() {
     let [(many, edit_many, recalc_many), (few, edit_few, recalc_few)] = counted[..] else {
         unreachable!()
     };
-    assert!(many > 2 * (TOTALS as usize - 10) && few < 40, "{many} and {few} cells evaluated");
+    assert!(many > 3 * (TOTALS as usize - 10) && few < 60, "{many} and {few} cells evaluated");
     // Moving thousands of references by their offsets, some qualified
-    // with a quoted sheet name, clones no string and builds no tree: the
-    // pass that evaluates a hundred times the cells allocates what the
-    // other does (the sheet schedule), and finding what an edit dirtied
-    // is a few dozen allocations either way.
+    // with a quoted sheet name, clones no string and builds no tree, and
+    // counting words compares them, reads its criterion and takes its
+    // text literal without a copy: the pass that evaluates a hundred times
+    // the cells allocates what the other does (the sheet schedule), and
+    // finding what an edit dirtied is a few dozen allocations either way.
     assert_eq!(recalc_many, recalc_few, "{many} cells vs {few} cells");
     assert!(recalc_many < 32, "{recalc_many} allocations in one recalculation");
     assert!(edit_many < 64 && edit_few < 64, "{edit_many} and {edit_few} allocations per edit");
@@ -146,6 +153,14 @@ fn a_recalculation_allocates_nothing_per_cell_and_a_fill_shares_one_template() {
     assert!(many > 2 * (TOTALS as usize - 10) && few < 10, "{many} and {few} cells needed");
     assert_eq!((demand_many, demand_few), (recalc_few, recalc_few), "{many} vs {few} cells");
 
+    // Words from "m" on, case aside: Melon, Mango, zest, m and Nut.
+    let counted = (1..=64).filter(|row| !matches!(row % 8, 0 | 2 | 5)).count() as f64;
+    assert_eq!(counted, 40.0);
+    let total = |wb: &Workbook| match wb.value(calc, Cell::new(3, TOTALS)) {
+        Value::Number(v) => v,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(wb.value(calc, Cell::new(5, TOTALS)), Value::Number(counted + total(&wb)));
     assert_eq!(wb.value(calc, Cell::new(4, TOTALS)), {
         // …and all of it evaluates to what the formulas say.
         let a = |row: u32| match wb.value(data, Cell::new(1, row)) {

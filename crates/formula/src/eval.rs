@@ -6,7 +6,7 @@
 //! re-evaluate" loop, and the workload generator needs evaluable formulae.
 
 use crate::ast::{BinOp, Expr, FuncId, UnOp};
-use crate::value::{CellError, Value};
+use crate::value::{parse_number, CellError, Value};
 use std::ops::ControlFlow;
 use taco_grid::a1::RangeRef;
 use taco_grid::{Cell, Range};
@@ -49,6 +49,11 @@ impl VolatileCtx {
     pub fn for_cell(clock: EvalClock, cell: Cell) -> Self {
         let salt = (u64::from(cell.col) << 32) | u64::from(cell.row);
         VolatileCtx { clock, salt, draws: std::cell::Cell::new(0) }
+    }
+
+    /// How many `RAND()` draws the evaluation has made so far.
+    pub fn draws(&self) -> u32 {
+        self.draws.get()
     }
 
     /// The injected `NOW()` value.
@@ -211,13 +216,13 @@ pub struct FoldState {
 
 #[cfg(debug_assertions)]
 impl FoldState {
-    fn bits(self) -> (u64, u64) {
+    pub(crate) fn bits(self) -> (u64, u64) {
         (self.acc.to_bits(), self.count)
     }
 }
 
 /// A fold accumulator that fits a [`FoldState`], bit for bit.
-trait Carried: Copy {
+pub(crate) trait Carried: Copy {
     fn pack(self) -> FoldState;
     fn unpack(state: FoldState) -> Self;
 }
@@ -321,13 +326,14 @@ fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cx: &Ctx<'_, P>) -> Operand
         Expr::Binary { op, lhs, rhs } => {
             let l = eval_operand(lhs, cx).scalar(cx.cells);
             let r = eval_operand(rhs, cx).scalar(cx.cells);
-            Operand::Scalar(eval_binary(*op, l, r))
+            Operand::Scalar(eval_binary(*op, &l, &r))
         }
         Expr::Func { id, args, .. } => Operand::Scalar(eval_func(*id, args, cx)),
     }
 }
 
-fn eval_binary(op: BinOp, l: Value, r: Value) -> Value {
+#[inline]
+pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
     use BinOp::*;
     match op {
         Add | Sub | Mul | Div | Pow => {
@@ -354,31 +360,53 @@ fn eval_binary(op: BinOp, l: Value, r: Value) -> Value {
             (Ok(a), Ok(b)) => Value::Text(a + &b),
             (Err(e), _) | (_, Err(e)) => Value::Error(e),
         },
-        Eq | Ne | Lt | Le | Gt | Ge => compare(op, &l, &r),
+        Eq | Ne | Lt | Le | Gt | Ge => compare(op, Key::of(l), Key::of(r)),
     }
 }
 
-/// Excel-style comparison: numbers compare numerically, text
-/// case-insensitively; mixed number/text compares with text high.
-fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
-    use std::cmp::Ordering;
-    if let Value::Error(e) = l {
-        return Value::Error(*e);
+/// A value as a comparison sees it: an error, text, or a number (a bool
+/// as 0 or 1, a blank as 0).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Key<'a> {
+    Error(CellError),
+    Text(&'a str),
+    Number(f64),
+}
+
+impl<'a> Key<'a> {
+    fn of(v: &'a Value) -> Key<'a> {
+        match v {
+            Value::Error(e) => Key::Error(*e),
+            Value::Text(s) => Key::Text(s),
+            other => Key::Number(other.as_number().unwrap_or(0.0)),
+        }
     }
-    if let Value::Error(e) = r {
-        return Value::Error(*e);
+}
+
+/// Excel-style comparison: the left error first, then the right; numbers
+/// compare numerically, text case-insensitively; mixed number/text
+/// compares with text high. Text is compared byte by byte, ASCII letters
+/// lowered on the way: the order of the lowered strings, built nowhere.
+fn compare(op: BinOp, l: Key<'_>, r: Key<'_>) -> Value {
+    use std::cmp::Ordering;
+    fn lowered(s: &str) -> impl Iterator<Item = u8> + '_ {
+        s.bytes().map(|b| b.to_ascii_lowercase())
     }
     let ord = match (l, r) {
-        (Value::Text(a), Value::Text(b)) => a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()),
-        (Value::Text(_), _) => Ordering::Greater,
-        (_, Value::Text(_)) => Ordering::Less,
-        _ => {
-            let a = l.as_number().unwrap_or(0.0);
-            let b = r.as_number().unwrap_or(0.0);
-            a.partial_cmp(&b).unwrap_or(Ordering::Equal)
-        }
+        (Key::Error(e), _) | (_, Key::Error(e)) => return Value::Error(e),
+        (Key::Text(a), Key::Text(b)) => lowered(a).cmp(lowered(b)),
+        (Key::Text(_), _) => Ordering::Greater,
+        (_, Key::Text(_)) => Ordering::Less,
+        (Key::Number(a), Key::Number(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
     };
-    let b = match op {
+    Value::Bool(holds(op, ord))
+}
+
+/// Whether comparison `op` holds of two operands ordered `ord`.
+#[inline]
+pub(crate) fn holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
+    use std::cmp::Ordering;
+    match op {
         BinOp::Eq => ord == Ordering::Equal,
         BinOp::Ne => ord != Ordering::Equal,
         BinOp::Lt => ord == Ordering::Less,
@@ -386,8 +414,7 @@ fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
         BinOp::Gt => ord == Ordering::Greater,
         BinOp::Ge => ord != Ordering::Less,
         _ => unreachable!("compare called with non-comparison op"),
-    };
-    Value::Bool(b)
+    }
 }
 
 /// Folds the value of every cell of `range` into `acc`, until `f` fails.
@@ -643,6 +670,7 @@ fn cond_aggregate<P: CellProvider>(
     if let Value::Error(e) = criterion {
         return Err(e);
     }
+    let criterion = Criterion::of(&criterion);
     // Without a sum range the cells that match are the cells summed.
     let sum_range = match args.get(2) {
         None => None,
@@ -658,7 +686,7 @@ fn cond_aggregate<P: CellProvider>(
     // (cells visited, cells that matched, their sum)
     let flow = cx.cells.fold_range(crit_sheet, crit_range, (0u64, 0u64, 0.0), &mut |acc, v| {
         let (at, count, sum) = acc;
-        if !criterion_matches(v, &criterion) {
+        if !criterion.matches(v) {
             return ControlFlow::Continue((at + 1, count, sum));
         }
         let summed = match sum_range {
@@ -693,29 +721,45 @@ fn cond_aggregate<P: CellProvider>(
     })
 }
 
-/// Excel-style criterion matching: a plain value means equality; a text
-/// criterion may start with a comparison operator (`">=10"`).
-fn criterion_matches(v: &Value, criterion: &Value) -> bool {
-    if let Value::Text(s) = criterion {
-        for (op, f) in [
-            (">=", BinOp::Ge),
-            ("<=", BinOp::Le),
-            ("<>", BinOp::Ne),
-            (">", BinOp::Gt),
-            ("<", BinOp::Lt),
-            ("=", BinOp::Eq),
-        ] {
-            if let Some(rest) = s.strip_prefix(op) {
-                let rhs = rest
-                    .trim()
-                    .parse::<f64>()
-                    .map(Value::Number)
-                    .unwrap_or_else(|_| Value::Text(rest.trim().to_string()));
-                return compare(f, v, &rhs) == Value::Bool(true);
+/// An Excel-style criterion, read once per evaluation and then matched
+/// against every cell of the criteria range: a plain value means equality;
+/// a text criterion may start with a comparison operator, its operand a
+/// decimal number or else the (trimmed) text after it (`">=10"`, `"<>x"`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Criterion<'a> {
+    Compare(BinOp, Key<'a>),
+    Equal(&'a Value),
+}
+
+impl<'a> Criterion<'a> {
+    pub(crate) fn of(criterion: &'a Value) -> Criterion<'a> {
+        if let Value::Text(s) = criterion {
+            for (op, f) in [
+                (">=", BinOp::Ge),
+                ("<=", BinOp::Le),
+                ("<>", BinOp::Ne),
+                (">", BinOp::Gt),
+                ("<", BinOp::Lt),
+                ("=", BinOp::Eq),
+            ] {
+                if let Some(rest) = s.strip_prefix(op) {
+                    let rest = rest.trim();
+                    return Criterion::Compare(
+                        f,
+                        parse_number(rest).map_or(Key::Text(rest), Key::Number),
+                    );
+                }
             }
         }
+        Criterion::Equal(criterion)
     }
-    values_equal(v, criterion)
+
+    pub(crate) fn matches(&self, v: &Value) -> bool {
+        match *self {
+            Criterion::Compare(op, rhs) => compare(op, Key::of(v), rhs) == Value::Bool(true),
+            Criterion::Equal(want) => values_equal(v, want),
+        }
+    }
 }
 
 /// INDEX(range, row, [col]): the value at a 1-based position in a range.
@@ -761,24 +805,29 @@ fn match_fn<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, Ce
         None => false,
         Some(a) => eval_in(a, cx).as_number()? == 0.0,
     };
-    let found = position_in(cx.cells, sheet, range, &needle, exact);
+    let scan = |mut f: &mut dyn FnMut(Scan, &Value) -> ControlFlow<u64, Scan>| {
+        cx.cells.fold_range(sheet, range, (0, None), &mut f)
+    };
+    let found = position_in(scan, &needle, exact);
     found.map(|i| Value::Number(i as f64)).ok_or(CellError::Na)
 }
 
-/// The 1-based position in `line` (read in [`Range::cells`] order) of the
-/// first value equal to `needle` or — when not `exact` — of the last value
-/// that is at most `needle` (which finds the largest such value in a
-/// sorted line).
-fn position_in<P: CellProvider>(
-    cells: &P,
-    sheet: Option<&str>,
-    line: Range,
+/// `(cells visited, position of the best so far)` as [`position_in`]
+/// scans a line.
+pub(crate) type Scan = (u64, Option<u64>);
+
+/// The 1-based position in a line (its values handed to the step `scan`
+/// folds with, in [`Range::cells`] order, from `(0, None)`) of the first
+/// value equal to `needle` or — when not `exact` — of the last value that
+/// is at most `needle` (which finds the largest such value in a sorted
+/// line).
+pub(crate) fn position_in(
+    scan: impl FnOnce(&mut dyn FnMut(Scan, &Value) -> ControlFlow<u64, Scan>) -> ControlFlow<u64, Scan>,
     needle: &Value,
     exact: bool,
 ) -> Option<u64> {
     let wanted = needle.as_number();
-    // (cells visited, position of the best so far)
-    let flow = cells.fold_range(sheet, line, (0u64, None), &mut |(visited, best), v| {
+    let flow = scan(&mut |(visited, best), v| {
         let at = visited + 1;
         if exact {
             if values_equal(v, needle) {
@@ -818,7 +867,10 @@ fn vlookup<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, Cel
     };
     let (head, tail) = (table.head(), table.tail());
     let lookup_column = Range::from_coords(head.col, head.row, head.col, tail.row);
-    let found = position_in(cx.cells, sheet, lookup_column, &needle, exact).ok_or(CellError::Na)?;
+    let scan = |mut f: &mut dyn FnMut(Scan, &Value) -> ControlFlow<u64, Scan>| {
+        cx.cells.fold_range(sheet, lookup_column, (0, None), &mut f)
+    };
+    let found = position_in(scan, &needle, exact).ok_or(CellError::Na)?;
     let result = Cell::new(head.col + (col_index - 1) as u32, head.row + (found - 1) as u32);
     Ok(value_on(cx.cells, sheet, result))
 }
@@ -1363,6 +1415,28 @@ mod lookup_tests {
             ("B3", 30.0),
         ]);
         assert_eq!(run("SUMIF(A1:A3,1,B1:B3)", &fx), Value::Number(40.0));
+    }
+
+    #[test]
+    fn infinity_and_nan_in_a_criterion_are_text() {
+        let mut fx = grid(&[("A1", 1.0), ("A2", 1e308), ("A3", -2.0)]);
+        let text = |fx: &mut Fixture, a1: &str, s: &str| {
+            fx.0.insert(Cell::parse_a1(a1).unwrap(), Value::Text(s.into()));
+        };
+        text(&mut fx, "A4", "Zed");
+        for spelling in ["inf", "INF", "Infinity", "-inf", "+inf", "nan", "NaN", "-NAN"] {
+            text(&mut fx, "A5", &spelling.to_ascii_uppercase());
+            let count = |op: &str| run(&format!("COUNTIF(A1:A5,\"{op}{spelling}\")"), &fx);
+            // Equal to the one cell spelling it, in any case; no number is.
+            assert_eq!(count("="), Value::Number(1.0), "={spelling}");
+            // At or above it: that cell and `Zed`, no number; below it:
+            // every number, no text.
+            assert_eq!(count(">="), Value::Number(2.0), ">={spelling}");
+            assert_eq!(count("<"), Value::Number(3.0), "<{spelling}");
+        }
+        assert_eq!(run("\"nan\"+1", &fx), Value::Error(CellError::Value));
+        assert_eq!(run("\"-Infinity\"*0", &fx), Value::Error(CellError::Value));
+        assert_eq!(run("\" 2.5e1 \"+1", &fx), Value::Number(26.0));
     }
 
     #[test]

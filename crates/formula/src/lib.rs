@@ -9,8 +9,12 @@
 //!   N2+M3, M3)`, `SUM($B$1:B4)*A1`, …) with `$` absolute markers preserved,
 //! - [`ast::Expr`] — the parsed tree; [`Formula`] bundles source, AST and
 //!   the extracted references,
-//! - [`eval`] — an interpreter (SUM/AVERAGE/IF/VLOOKUP/arithmetic/…) so the
-//!   `taco-engine` substrate can actually recalculate cells,
+//! - [`program`] — a template's tree compiled once into a flat postfix
+//!   program (SUM/AVERAGE/IF/VLOOKUP/arithmetic/…), bound once per node of
+//!   a run and run once per row: what the `taco-engine` substrate
+//!   recalculates cells with,
+//! - [`eval`] — the same language as a walk of the tree, kept as the
+//!   reference the program is held to,
 //! - [`autofill`] — the reference-adjustment transform whose `$` rules are
 //!   what make autofilled spreadsheets exhibit the RR/RF/FR/FF patterns,
 //! - [`template`] — the same transform without building anything: one
@@ -25,6 +29,7 @@ pub mod autofill;
 pub mod eval;
 pub mod lexer;
 pub mod parser;
+pub mod program;
 pub mod template;
 pub mod value;
 

@@ -38,9 +38,10 @@
 //! each on an exact line.
 
 use crate::ast::{Expr, Leaf, Slot};
-use crate::eval::{eval_at, moved, CellProvider};
+use crate::eval::{moved, CellProvider};
 use crate::lexer::number_len;
 use crate::parser::{parse_spanned, Hole, Span};
+use crate::program::{ByCell, Frame, Program};
 use crate::{FormulaError, Value};
 use std::fmt::{self, Write as _};
 use taco_grid::a1::{QualifiedRef, RangeRef, SheetRef};
@@ -92,8 +93,15 @@ impl Read {
 }
 
 /// See the module documentation.
+///
+/// `repr(C)`: what evaluating a node reads of its template — whether it
+/// is volatile, then its program (see [`Program`]) — comes first.
 #[derive(Debug, Clone, PartialEq)]
+#[repr(C)]
 pub struct Template {
+    volatile: bool,
+    /// The tree compiled, once, for evaluation.
+    program: Program,
     /// The text at offset `(0, 0)`, no leading `=`.
     src: String,
     /// The tree at offset `(0, 0)`; a literal that steps is an
@@ -104,7 +112,6 @@ pub struct Template {
     /// is written in `src` as its value prints.
     holes: Vec<Span>,
     reads: Vec<Read>,
-    volatile: bool,
 }
 
 impl Template {
@@ -143,7 +150,8 @@ impl Template {
     }
 
     /// `holes[i]` is the `i`-th reference or literal of `ast` and where it
-    /// sits in `src`.
+    /// sits in `src`. Every template — parsed, printed, stepped or moved —
+    /// is made here, so this is where its tree is compiled.
     fn assemble(src: String, ast: Expr, holes: Vec<Span>) -> Template {
         #[cfg(debug_assertions)]
         {
@@ -170,12 +178,18 @@ impl Template {
             })
         });
         let volatile = ast.is_volatile();
-        Template { src, ast, holes, reads, volatile }
+        let program = Program::compile(&ast);
+        Template { src, ast, holes, reads, volatile, program }
     }
 
     /// The text at offset `(0, 0)`, no leading `=`.
     pub fn text(&self) -> &str {
         &self.src
+    }
+
+    /// The tree compiled: what evaluates the template at any offset.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// The formula `dc` columns and `dr` rows from where the template was
@@ -303,14 +317,15 @@ pub struct At<'a> {
 }
 
 impl<'a> At<'a> {
-    /// Evaluates the formula. `#[inline]`: it only forwards, once per row
-    /// of the node being evaluated, and whether the inliner folds it into
-    /// the engine's node loop on its own depends on that loop's size —
-    /// when the loop was per cell and left it out of line, it was 7 % of
-    /// a full recalculation.
-    #[inline]
+    /// Evaluates the formula through the template's program, as a node of
+    /// one cell.
     pub fn eval<P: CellProvider>(&self, cells: &P) -> Value {
-        eval_at(&self.template.ast, self.dc, self.dr, cells)
+        let program = &self.template.program;
+        let cells = ByCell::new(program, cells);
+        let mut frame = Frame::default();
+        program.place(&mut frame, self.dc);
+        program.hoist(&mut frame, self.dr, &cells);
+        program.eval(&mut frame, self.dr, &cells)
     }
 
     /// The dependency read set (what [`Expr::collect_refs`] lists for the

@@ -56,14 +56,14 @@ pub enum Value {
 
 impl Value {
     /// Numeric coercion following Excel rules: numbers pass through, bools
-    /// map to 0/1, empty maps to 0, numeric-looking text parses, everything
-    /// else is a `#VALUE!` error.
+    /// map to 0/1, empty maps to 0, text that is a decimal numeral parses
+    /// (`inf` and `nan` are not), everything else is a `#VALUE!` error.
     pub fn as_number(&self) -> Result<f64, CellError> {
         match self {
             Value::Number(n) => Ok(*n),
             Value::Bool(b) => Ok(f64::from(u8::from(*b))),
             Value::Empty => Ok(0.0),
-            Value::Text(s) => s.trim().parse().map_err(|_| CellError::Value),
+            Value::Text(s) => parse_number(s.trim()).ok_or(CellError::Value),
             Value::Error(e) => Err(*e),
         }
     }
@@ -108,6 +108,15 @@ impl Value {
     pub fn is_empty(&self) -> bool {
         matches!(self, Value::Empty)
     }
+}
+
+/// The number `text` spells as a decimal numeral — digits, an optional
+/// sign, point and exponent — read as `str::parse::<f64>` reads it; `None`
+/// for anything else. That parser also takes `inf`, `infinity` and `nan`
+/// in any case, which no spreadsheet reads as a number.
+pub(crate) fn parse_number(text: &str) -> Option<f64> {
+    let decimal = |b: u8| b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.' | b'e' | b'E');
+    text.bytes().all(decimal).then(|| text.parse().ok()).flatten()
 }
 
 impl From<f64> for Value {
@@ -166,6 +175,36 @@ mod tests {
         assert_eq!(Value::Text(" 42 ".into()).as_number(), Ok(42.0));
         assert_eq!(Value::Text("x".into()).as_number(), Err(CellError::Value));
         assert_eq!(Value::Error(CellError::Div0).as_number(), Err(CellError::Div0));
+        for numeral in ["1e3", "-2.5", "+.5", "7.", " 1E-2 "] {
+            let want: f64 = numeral.trim().parse().unwrap();
+            assert_eq!(Value::Text(numeral.into()).as_number(), Ok(want), "{numeral}");
+        }
+    }
+
+    #[test]
+    fn infinity_and_nan_spelled_out_are_text_not_numbers() {
+        for spelling in [
+            "inf",
+            "INF",
+            "Inf",
+            "-inf",
+            "+inf",
+            "infinity",
+            "Infinity",
+            "-INFINITY",
+            "nan",
+            "NaN",
+            "NAN",
+            "-nan",
+            " nan ",
+            "",
+        ] {
+            assert_eq!(
+                Value::Text(spelling.into()).as_number(),
+                Err(CellError::Value),
+                "{spelling}"
+            );
+        }
     }
 
     #[test]
