@@ -1,7 +1,9 @@
-//! Compressor configurations: which patterns are enabled and which
-//! selection heuristics apply. `NoComp` and `TACO-InRow` from the paper's
-//! evaluation are configurations of the same framework, so performance
-//! comparisons isolate exactly the compression contribution.
+//! Compressor configurations: which patterns are enabled and whether
+//! compression is restricted to derived columns. `NoComp` and `TACO-InRow`
+//! from the paper's evaluation are configurations of the same framework, so
+//! performance comparisons isolate exactly the compression contribution.
+//! The selection heuristics of §IV-A are not options: every configuration
+//! prefers column-wise edges and follows `$`-marker cues.
 
 use crate::pattern::{PatternMeta, PatternType};
 use taco_grid::Axis;
@@ -16,16 +18,10 @@ pub struct Config {
     /// referenced ranges lie in the same row(s) as the formula cell
     /// (TACO-InRow, §VI-B).
     pub in_row_only: bool,
-    /// Heuristic (1) of §IV-A: prefer column-wise over row-wise
-    /// compression. Disable for ablation.
-    pub column_priority: bool,
-    /// Heuristic (3): use `$`-marker cues from formula strings when
-    /// choosing among valid candidate edges. Disable for ablation.
-    pub use_cues: bool,
 }
 
 impl Config {
-    /// Full TACO: all basic patterns plus RR-Chain, all heuristics on.
+    /// Full TACO: all basic patterns plus RR-Chain.
     pub fn taco_full() -> Self {
         Config {
             patterns: vec![
@@ -36,8 +32,6 @@ impl Config {
                 PatternType::FF,
             ],
             in_row_only: false,
-            column_priority: true,
-            use_cues: true,
         }
     }
 
@@ -51,18 +45,13 @@ impl Config {
     /// TACO-InRow (§VI-B): only RR, only same-row references, column axis.
     /// Captures derived columns (normalized copies, extracted substrings…).
     pub fn taco_in_row() -> Self {
-        Config {
-            patterns: vec![PatternType::RR],
-            in_row_only: true,
-            column_priority: true,
-            use_cues: true,
-        }
+        Config { patterns: vec![PatternType::RR], in_row_only: true }
     }
 
     /// No compression: every dependency is stored as a `Single` edge. This
     /// is the paper's NoComp baseline, implemented in the same framework.
     pub fn nocomp() -> Self {
-        Config { patterns: Vec::new(), in_row_only: false, column_priority: true, use_cues: true }
+        Config { patterns: Vec::new(), in_row_only: false }
     }
 
     /// Full TACO minus one pattern (the pattern ablation).

@@ -171,7 +171,7 @@ impl Edge {
     }
 
     /// Expands this edge into its underlying dependencies (the inverse of
-    /// compression). Used by tests, the `ExcelLike` baseline, and
+    /// compression). Used by tests, `FormulaGraph::decompress_all` and
     /// round-trip verification; O(count).
     pub fn decompress(&self) -> Vec<Dependency> {
         if self.is_single() {

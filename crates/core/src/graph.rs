@@ -305,12 +305,13 @@ impl FormulaGraph {
             .enumerate()
             .min_by_key(|(_, (e, _))| {
                 let p = e.pattern();
-                let axis_rank =
-                    if self.config.column_priority && e.axis == Axis::Row { 1u8 } else { 0 };
+                // Heuristic (1) of §IV-A: column-wise before row-wise.
+                let axis_rank = if e.axis == Axis::Row { 1u8 } else { 0 };
                 // Special-case patterns outrank their general forms.
                 let special_rank =
                     if PatternType::ALL.iter().any(|&q| p.is_special_case_of(q)) { 0u8 } else { 1 };
-                let cue_rank = if self.config.use_cues && p.matches_cue(d.cue) { 0u8 } else { 1 };
+                // Heuristic (3): the pattern the `$` markers announce.
+                let cue_rank = if p.matches_cue(d.cue) { 0u8 } else { 1 };
                 let order_rank =
                     self.config.patterns.iter().position(|&q| q == p).unwrap_or(usize::MAX);
                 // Prefer extending an existing compressed edge over pairing

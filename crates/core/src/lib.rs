@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod cem;
 pub mod config;
 pub mod edge;
@@ -49,7 +48,6 @@ pub fn test_col(i: u32) -> String {
     taco_grid::a1::col_to_letters(i)
 }
 
-pub use backend::DependencyBackend;
 pub use config::Config;
 pub use dep::{Cue, Dependency};
 pub use edge::{Edge, EdgeId};

@@ -1,13 +1,14 @@
 //! Deterministic golden tests for CEM/pattern equivalence: tiny hand-built
 //! sheets whose compressed-graph `find_dependents` / `find_precedents`
 //! answers are asserted both against exact expected cell sets and against
-//! the uncompressed `NoCompCalc` baseline. Complements `prop_equivalence.rs`
-//! (randomized) with cases whose compression shape is pinned down exactly.
+//! the cell-by-cell oracle `taco_workload::reference`. Complements
+//! `prop_equivalence.rs` (randomized) with cases whose compression shape is
+//! pinned down exactly.
 
 use std::collections::BTreeSet;
-use taco_baselines::NoCompCalc;
-use taco_core::{Config, Dependency, DependencyBackend, FormulaGraph, PatternType};
+use taco_core::{Config, Dependency, FormulaGraph, PatternType};
 use taco_grid::{Cell, Range};
+use taco_workload::reference;
 
 fn d(prec: &str, dep: &str) -> Dependency {
     Dependency::new(Range::parse_a1(prec).unwrap(), Cell::parse_a1(dep).unwrap())
@@ -22,21 +23,20 @@ fn cell_set(names: &[&str]) -> BTreeSet<Cell> {
 }
 
 /// Asserts that every compressed configuration answers every probe in
-/// `probe_area` exactly like the uncompressed `NoCompCalc` baseline.
+/// `probe_area` exactly like the reference.
 fn assert_equivalent(deps: &[Dependency], probe_area: Range) {
-    let mut baseline = NoCompCalc::build(deps.iter().copied());
     for config in [Config::taco_full(), Config::taco_with_gap_one(), Config::taco_in_row()] {
         let g = FormulaGraph::build(config.clone(), deps.iter().copied());
         for probe_cell in probe_area.cells() {
             let probe = Range::cell(probe_cell);
             assert_eq!(
                 cells_of(&g.find_dependents(probe)),
-                cells_of(&baseline.find_dependents(probe)),
+                reference::dependents(deps, probe),
                 "dependents({probe_cell}) differ under {config:?}"
             );
             assert_eq!(
                 cells_of(&g.find_precedents(probe)),
-                cells_of(&baseline.find_precedents(probe)),
+                reference::precedents(deps, probe),
                 "precedents({probe_cell}) differ under {config:?}"
             );
         }
@@ -47,7 +47,7 @@ fn assert_equivalent(deps: &[Dependency], probe_area: Range) {
         );
         assert_eq!(
             cells_of(&g.find_dependents(band)),
-            cells_of(&baseline.find_dependents(band)),
+            reference::dependents(deps, band),
             "dependents({band}) differ under {config:?}"
         );
     }
@@ -229,20 +229,19 @@ fn equivalence_survives_clear_cells() {
     let mut g = FormulaGraph::build(Config::taco_full(), deps.iter().copied());
     g.clear_cells(Range::parse_a1("C3").unwrap());
 
-    // Baseline rebuilt from the surviving dependencies.
+    // The reference answers over the surviving dependencies.
     let survivors: Vec<Dependency> =
         deps.iter().copied().filter(|d| d.dep != Cell::parse_a1("C3").unwrap()).collect();
-    let mut baseline = NoCompCalc::build(survivors.iter().copied());
     for probe_cell in Range::parse_a1("A1:C7").unwrap().cells() {
         let probe = Range::cell(probe_cell);
         assert_eq!(
             cells_of(&g.find_dependents(probe)),
-            cells_of(&baseline.find_dependents(probe)),
+            reference::dependents(&survivors, probe),
             "dependents({probe_cell}) differ after clear"
         );
         assert_eq!(
             cells_of(&g.find_precedents(probe)),
-            cells_of(&baseline.find_precedents(probe)),
+            reference::precedents(&survivors, probe),
             "precedents({probe_cell}) differ after clear"
         );
     }

@@ -12,8 +12,9 @@
 //! row), and after four structural edits through the densest column. Beside the pins, every stage checks the
 //! graph against what it must represent: the counts `stats()` reports
 //! equal a recount over `edges()`, `decompress_all()` is the expected
-//! dependency multiset, and seeded `find_dependents` probes cover the same
-//! cells as an uncompressed graph of the same dependencies.
+//! dependency multiset, and seeded `find_dependents` / `find_precedents`
+//! probes cover the same cells as an uncompressed graph of the same
+//! dependencies.
 
 use taco_core::{Config, Dependency, FormulaGraph, PatternCounts, PatternType, StructuralOp};
 use taco_grid::{Cell, Range, MAX_COL, MAX_ROW};
@@ -181,13 +182,21 @@ fn cell_set(ranges: &[Range]) -> Vec<(u32, u32, u32)> {
     out
 }
 
-/// Seeded probes cover the same cells as the uncompressed graph.
-fn check_dependents(g: &FormulaGraph, nocomp: &FormulaGraph, probes: &[Range], at: &str) {
-    for &p in probes {
+/// Seeded probes cover the same cells as the uncompressed graph: the
+/// dependents of each picked dependency's referenced head cell and the
+/// precedents of its formula cell.
+fn check_queries(g: &FormulaGraph, nocomp: &FormulaGraph, picks: &[Dependency], at: &str) {
+    for d in picks {
+        let (p, f) = (Range::cell(d.prec.head()), Range::cell(d.dep));
         assert_eq!(
             cell_set(&g.find_dependents(p)),
             cell_set(&nocomp.find_dependents(p)),
             "dependents of {p} {at}"
+        );
+        assert_eq!(
+            cell_set(&g.find_precedents(f)),
+            cell_set(&nocomp.find_precedents(f)),
+            "precedents of {f} {at}"
         );
     }
 }
@@ -213,12 +222,11 @@ impl Sheet {
     fn close_stage(&mut self, pins: &mut [[Pin; 3]; 3], stage: usize, name: &str) {
         let at = format!("({name}, after {})", STAGES[stage]);
         let nocomp = FormulaGraph::build(Config::nocomp(), self.expected.iter().copied());
-        let probes: Vec<Range> =
-            (0..PROBES).map(|_| Range::cell(self.pick().prec.head())).collect();
+        let picks: Vec<Dependency> = (0..PROBES).map(|_| self.pick()).collect();
         for (g, pins) in self.graphs.iter().zip(pins.iter_mut()) {
             check_counts(g, &at);
             check_lossless(g, &self.expected, &at);
-            check_dependents(g, &nocomp, &probes, &at);
+            check_queries(g, &nocomp, &picks, &at);
             fold(&mut pins[stage], g);
         }
     }

@@ -237,7 +237,7 @@ impl Range {
 
     /// Iterates over all cells in row-major order.
     ///
-    /// Intended for small ranges (tests, cell-level baselines); the area can
+    /// Intended for small ranges (tests, the cell-level reference); the area can
     /// be up to `MAX_COL * MAX_ROW`, so callers must bound it themselves.
     pub fn cells(&self) -> impl Iterator<Item = Cell> + '_ {
         let (hc, tc) = (self.head.col, self.tail.col);

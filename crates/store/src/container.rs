@@ -79,6 +79,11 @@ const TRAILER_LEN: usize = 12;
 /// dependent gaps, which use γ).
 const PREC_ZETA_K: u32 = 3;
 
+/// Bits 1 and 2 of a graph's config flags byte (bit 0 is `in_row_only`).
+/// They held two §IV-A selection heuristics that are no longer options;
+/// every graph is written with both set and a graph without them refused.
+const FIXED_FLAG_BITS: u8 = 0b110;
+
 // ---- writing ------------------------------------------------------------
 
 /// Encodes a whole workbook image into container bytes.
@@ -355,10 +360,7 @@ pub fn encode_graph(snap: &GraphSnapshot) -> Vec<u8> {
         for &p in &snap.config.patterns {
             out.push(pattern_to_u8(p));
         }
-        let flags = u8::from(snap.config.in_row_only)
-            | (u8::from(snap.config.column_priority) << 1)
-            | (u8::from(snap.config.use_cues) << 2);
-        out.push(flags);
+        out.push(u8::from(snap.config.in_row_only) | FIXED_FLAG_BITS);
         write_uvarint(&mut out, snap.dependencies_inserted)?;
         write_uvarint(&mut out, snap.edges.len() as u64)?;
 
@@ -406,12 +408,10 @@ pub fn decode_graph(mut bytes: &[u8]) -> Result<GraphSnapshot, StoreError> {
     if flags[0] & !0b111 != 0 {
         return Err(StoreError::Malformed("unknown config flag bits"));
     }
-    let config = Config {
-        patterns,
-        in_row_only: flags[0] & 1 != 0,
-        column_priority: flags[0] & 2 != 0,
-        use_cues: flags[0] & 4 != 0,
-    };
+    if flags[0] & FIXED_FLAG_BITS != FIXED_FLAG_BITS {
+        return Err(StoreError::Malformed("config flag bits 1 and 2 must be set"));
+    }
+    let config = Config { patterns, in_row_only: flags[0] & 1 != 0 };
     let dependencies_inserted = read_uvarint(r)?;
     let edge_count = read_uvarint(r)?;
     // Each edge spends well over one bit of the stream.
@@ -848,6 +848,21 @@ mod tests {
             let snap = sample_graph_under(config);
             let back = decode_graph(&encode_graph(&snap)).unwrap();
             assert_eq!(back, snap);
+        }
+    }
+
+    #[test]
+    fn config_flags_byte_keeps_the_heuristic_bits_set() {
+        // The flags byte follows the pattern list: one byte per pattern.
+        for config in [Config::taco_full(), Config::taco_in_row()] {
+            let at = 1 + config.patterns.len();
+            let bytes = encode_graph(&sample_graph_under(config.clone()));
+            assert_eq!(bytes[at], u8::from(config.in_row_only) | 0b110);
+            for bad in [bytes[at] & !0b010, bytes[at] & !0b100, bytes[at] | 0b1000] {
+                let mut damaged = bytes.clone();
+                damaged[at] = bad;
+                assert!(matches!(decode_graph(&damaged), Err(StoreError::Malformed(_))));
+            }
         }
     }
 

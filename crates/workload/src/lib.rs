@@ -15,6 +15,8 @@
 //! deterministic multi-client read/write scripts (reader-heavy,
 //! writer-heavy, and mixed presets with zipf-skewed cell targets) for the
 //! `taco_service` serving layer, replayable in-process and over TCP.
+//! [`reference`] is the cell-by-cell oracle that the formula-graph tests
+//! hold every compressed graph to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +24,7 @@
 pub mod corpus;
 pub mod generator;
 pub mod persistence;
+pub mod reference;
 pub mod service;
 
 pub use corpus::{enron_like, github_like, CorpusParams};

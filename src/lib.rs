@@ -1,6 +1,5 @@
 //! Workspace umbrella crate: re-exports the TACO reproduction crates so the
 //! examples and integration tests can use a single dependency root.
-pub use taco_baselines as baselines;
 pub use taco_core as core;
 pub use taco_engine as engine;
 pub use taco_formula as formula;

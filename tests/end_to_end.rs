@@ -1,12 +1,12 @@
 //! Cross-crate integration: formulae → parser → engine → formula graph →
-//! queries, with every backend agreeing on answers.
+//! queries, with every graph configuration agreeing with the reference.
 
-use taco_repro::baselines::{Antifreeze, CellGraph, ExcelLike, NoCompCalc};
-use taco_repro::core::{Config, DependencyBackend, FormulaGraph};
+use taco_repro::core::{Config, Dependency, FormulaGraph};
 use taco_repro::engine::Engine;
 use taco_repro::formula::Value;
 use taco_repro::grid::{Cell, Range};
 use taco_repro::workload::generator::{gen_sheet, SheetParams};
+use taco_repro::workload::reference;
 
 fn c(s: &str) -> Cell {
     Cell::parse_a1(s).unwrap()
@@ -55,42 +55,31 @@ fn fig2_workbook_end_to_end() {
     assert_eq!(e.value(Cell::new(14, 101)), Value::Number(6.0));
 }
 
-/// All six backends must return the same dependent cell sets on a messy
-/// generated sheet.
+/// TACO, NoComp and TACO-InRow must return the reference's dependent and
+/// precedent cell sets on a messy generated sheet.
 #[test]
 fn all_backends_agree() {
     let params = SheetParams { target_deps: 1_500, max_run: 120, ..Default::default() };
     let sheet = gen_sheet("agree", 99, &params);
+    let graphs = [Config::taco_full(), Config::nocomp(), Config::taco_in_row()]
+        .map(|config| FormulaGraph::build(config, sheet.deps.iter().copied()));
 
-    let mut backends: Vec<Box<dyn DependencyBackend>> = vec![
-        Box::new(FormulaGraph::taco()),
-        Box::new(FormulaGraph::nocomp()),
-        Box::new(FormulaGraph::new(Config::taco_in_row())),
-        Box::new(NoCompCalc::new()),
-        Box::new(CellGraph::new()),
-        Box::new(ExcelLike::new()),
-        Box::new(Antifreeze::new()),
-    ];
-    for b in &mut backends {
-        for d in &sheet.deps {
-            b.add_dependency(d);
+    // The most-read cells, and formula cells spread over the sheet.
+    let formulas = sheet.deps.iter().step_by(sheet.deps.len() / 6).map(|d| d.dep);
+    for probe in sheet.hot_cells.iter().copied().take(6).chain(formulas) {
+        let probe = Range::cell(probe);
+        let dependents = reference::dependents(&sheet.deps, probe);
+        let precedents = reference::precedents(&sheet.deps, probe);
+        for g in &graphs {
+            let config = g.config();
+            assert_eq!(cells(&g.find_dependents(probe)), dependents, "{config:?} at {probe}");
+            assert_eq!(cells(&g.find_precedents(probe)), precedents, "{config:?} at {probe}");
         }
-    }
-
-    // Probe the interesting cells. Antifreeze may over-approximate (false
-    // positives by design), so it is checked for coverage, not equality.
-    for &probe in sheet.hot_cells.iter().take(6) {
-        let reference = cells(&backends[1].find_dependents(Range::cell(probe)));
-        for b in &mut backends[..6] {
-            let got = cells(&b.find_dependents(Range::cell(probe)));
-            assert_eq!(got, reference, "{} disagrees on {probe}", b.name());
-        }
-        let af = cells(&backends[6].find_dependents(Range::cell(probe)));
-        assert!(af.is_superset(&reference), "Antifreeze missed true dependents at {probe}");
     }
 }
 
-/// Maintenance equivalence across backends that support exact clearing.
+/// Maintenance equivalence: after clearing a column segment, TACO and
+/// NoComp answer as the reference does over the surviving dependencies.
 #[test]
 fn clear_column_consistency() {
     let params = SheetParams { target_deps: 800, max_run: 80, ..Default::default() };
@@ -103,22 +92,19 @@ fn clear_column_consistency() {
 
     let mut taco = FormulaGraph::taco();
     let mut nocomp = FormulaGraph::nocomp();
-    let mut calc = NoCompCalc::new();
     for d in &sheet.deps {
-        DependencyBackend::add_dependency(&mut taco, d);
-        DependencyBackend::add_dependency(&mut nocomp, d);
-        calc.add_dependency(d);
+        taco.add_dependency(d);
+        nocomp.add_dependency(d);
     }
-    DependencyBackend::clear_cells(&mut taco, clear);
-    DependencyBackend::clear_cells(&mut nocomp, clear);
-    calc.clear_cells(clear);
+    taco.clear_cells(clear);
+    nocomp.clear_cells(clear);
+    let survivors: Vec<Dependency> =
+        sheet.deps.iter().copied().filter(|d| !clear.contains_cell(d.dep)).collect();
 
     for &probe in sheet.hot_cells.iter().take(4) {
-        let a = cells(&DependencyBackend::find_dependents(&mut taco, Range::cell(probe)));
-        let b = cells(&DependencyBackend::find_dependents(&mut nocomp, Range::cell(probe)));
-        let cc = cells(&calc.find_dependents(Range::cell(probe)));
-        assert_eq!(a, b, "taco vs nocomp after clear at {probe}");
-        assert_eq!(a, cc, "taco vs calc after clear at {probe}");
+        let want = reference::dependents(&survivors, Range::cell(probe));
+        assert_eq!(cells(&taco.find_dependents(Range::cell(probe))), want, "taco at {probe}");
+        assert_eq!(cells(&nocomp.find_dependents(Range::cell(probe))), want, "nocomp at {probe}");
     }
 }
 
