@@ -59,6 +59,15 @@ struct Page {
     slots: Box<[Slot]>,
 }
 
+impl Page {
+    /// The row and content of the page's last cell in its first `end`
+    /// slots.
+    fn last_above(&self, end: usize) -> Option<(u32, &CellContent)> {
+        let at = self.slots[..end].iter().rposition(|s| s.occupied)?;
+        Some((self.index * PAGE_ROWS + 1 + at as u32, &self.slots[at].content))
+    }
+}
+
 #[derive(Default)]
 struct Column {
     col: u32,
@@ -282,6 +291,13 @@ impl Column {
     fn slots(&self, index: u32) -> &[Slot] {
         self.page(index).map_or(&VACANT_PAGE, |p| &p.slots)
     }
+
+    /// Whether rows `first..=last` hold no cell: a scan of the allocated
+    /// pages they overlap that stops at the first cell it meets — in the
+    /// second of them at the latest, since every allocated page holds one.
+    fn vacant(&self, first: u32, last: u32) -> bool {
+        first > last || spans(&self.pages, first, last).all(|(_, s)| !s.iter().any(|s| s.occupied))
+    }
 }
 
 /// See the module documentation.
@@ -325,6 +341,23 @@ impl CellStore {
     /// What `cell` holds, `None` when blank.
     pub(crate) fn get(&self, cell: Cell) -> Option<&CellContent> {
         self.slot(cell).filter(|s| s.occupied).map(|s| &s.content)
+    }
+
+    /// The nearest cell above `cell` in its column that holds something,
+    /// and what it holds: a look at `cell`'s own page, then at the
+    /// allocated page before it — which holds a cell, since a page goes
+    /// with its last one. Two pages at most, however far up the cell is.
+    pub(crate) fn occupied_above(&self, cell: Cell) -> Option<(Cell, &CellContent)> {
+        let pages = &self.column(cell.col)?.pages;
+        let before = match locate(pages, page_of(cell.row), 0, |p| p.index) {
+            Ok(j) => match pages[j].last_above(slot_of(cell.row)) {
+                Some((row, content)) => return Some((Cell { col: cell.col, row }, content)),
+                None => j,
+            },
+            Err(j) => j,
+        };
+        let (row, content) = pages[..before].last()?.last_above(PAGE_ROWS as usize)?;
+        Some((Cell { col: cell.col, row }, content))
     }
 
     /// The value `cell` reads as (`Empty` when blank).
@@ -556,19 +589,25 @@ impl CellStore {
     }
 
     /// The dirty cells into `view` in `(col, row)` order, and into `joins`
-    /// whether each continues the one above it down one run — read here,
-    /// since a dirty cell can change runs and keep its mark.
+    /// whether each continues the one before it down one run: the same
+    /// column, the same run, and only vacant rows between — none inside
+    /// a dirty interval, perhaps some across two. Read here, since a dirty
+    /// cell can change runs and keep its mark.
     pub(crate) fn read_dirty(&self, view: &mut Vec<Cell>, joins: &mut Vec<bool>) {
         view.clear();
         joins.clear();
         for column in &self.cols {
+            // The row and run of the column's dirty cell read last.
+            let mut above: Option<(u32, &Arc<Run>)> = None;
             for (&lo, &hi) in &column.dirty.0 {
-                let mut above: Option<&Arc<Run>> = None;
                 let slots = spans(&column.pages, lo, hi).flat_map(|(at, s)| (at..).zip(s));
                 for (row, slot) in slots {
                     let run = slot.content.run.as_ref();
-                    joins.push(above.zip(run).is_some_and(|(a, b)| Arc::ptr_eq(a, b)));
-                    above = run;
+                    let joined = above.zip(run).is_some_and(|((up, of), run)| {
+                        Arc::ptr_eq(of, run) && column.vacant(up + 1, row - 1)
+                    });
+                    joins.push(joined);
+                    above = run.map(|run| (row, run));
                     view.push(Cell { col: column.col, row });
                 }
             }
@@ -698,7 +737,7 @@ mod tests {
         /// dirty formula takes its mark off.
         Set(Cell, Option<&'static str>, i32),
         /// A formula at every row of `ROWS` in a column, one run: cells
-        /// next to each other that join.
+        /// that join, next to each other or across vacant rows.
         Fill(u32),
         Clear(Range),
         Rebuild,
@@ -889,10 +928,13 @@ mod tests {
         let (mut view, mut joins) = (vec![Cell::new(9, 9)], Vec::new());
         store.read_dirty(&mut view, &mut joins);
         assert_eq!(view, want, "the pass's view");
+        // A cell joins the dirty cell before it if both are of one column
+        // and one run, and the model holds no cell between them.
         for (i, &join) in joins.iter().enumerate() {
             let run = |c: Cell| store.get(c).and_then(|k| k.run.as_ref()).map(Arc::as_ptr);
-            let below =
-                i > 0 && view[i - 1].col == view[i].col && view[i - 1].row + 1 == view[i].row;
+            let below = i > 0
+                && view[i - 1].col == view[i].col
+                && model.cells.range(view[i - 1]..view[i]).nth(1).is_none();
             assert_eq!(join, below && run(view[i - 1]) == run(view[i]), "{}", view[i]);
         }
         // One cursor down every column and on to the next, through pages
@@ -904,6 +946,16 @@ mod tests {
                 assert_eq!(store.get(cell), model.cells.get(&cell), "{cell}");
                 let run = store.get(cell).and_then(|k| k.run.as_ref());
                 assert_eq!(store.run_through(&mut cursor, cell), run, "{cell}");
+            }
+        }
+        // The nearest cell above, however far: two page lookups at most.
+        for &col in &COLS {
+            for &row in &ROWS {
+                let cell = Cell::new(col, row);
+                let want = model.cells.range(Cell::new(col, 1)..cell).next_back();
+                LOOKUPS.with(|n| n.set(0));
+                assert_eq!(store.occupied_above(cell), want.map(|(c, k)| (*c, k)), "{cell}");
+                assert!(LOOKUPS.with(|n| n.get()) <= 2, "{cell}");
             }
         }
         // Memory is the pages that hold a cell, exactly.

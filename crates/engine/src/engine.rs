@@ -508,26 +508,31 @@ impl Engine {
     /// The run of the cell above `cell` or of the cell to its left, if a
     /// formula typed at `cell` as `text` (no leading `=`) would be its
     /// next cell: what filling that run to `cell` would have written.
+    /// "Above" is the nearest cell up the column that holds anything, past
+    /// vacant rows: a run spans blank rows, so a column typed in pairs
+    /// with blank rows between them is one run, but never a value — the
+    /// value is the cell above then, and holds no run.
     ///
-    /// Failing that, a run of one above that the formula would extend if
-    /// its numeric literals stepped ([`At::step_below`]) becomes a run of
-    /// two: the cell above is put in a run of the stepped template —
-    /// holding, there, the very formula it held — and that run returned.
-    /// A longer run's steps are fixed by its cells; a formula off its line
-    /// starts a run of its own.
+    /// Failing that, a run of one right above that the formula would
+    /// extend if its numeric literals stepped ([`At::step_below`]) becomes
+    /// a run of two: the cell above is put in a run of the stepped
+    /// template — holding, there, the very formula it held — and that run
+    /// returned. A longer run's steps are fixed by its cells; a formula
+    /// off its line starts a run of its own.
     ///
     /// [`At::step_below`]: taco_formula::template::At::step_below
     fn run_beside(&mut self, cell: Cell, text: &str) -> Option<Arc<Run>> {
-        let above = (cell.row > 1).then(|| Cell::new(cell.col, cell.row - 1));
+        let over = self.cells.occupied_above(cell);
         let left = (cell.col > 1).then(|| Cell::new(cell.col - 1, cell.row));
-        let [above_run, left_run] = [above, left].map(|c| c.and_then(|c| self.run_at(c)));
+        let above_run = over.and_then(|(_, content)| content.run.as_ref());
+        let left_run = left.and_then(|c| self.run_at(c));
         let left_run = left_run.filter(|left| !above_run.is_some_and(|up| Arc::ptr_eq(up, left)));
         let beside = [above_run, left_run];
         if let Some(run) = beside.into_iter().flatten().find(|run| run.at(cell).reads_as(text)) {
             return Some(Arc::clone(run));
         }
         // The cell store holds the one pointer to a run of one.
-        let above = above?;
+        let (above, _) = over.filter(|(up, _)| up.row + 1 == cell.row)?;
         let alone = above_run.filter(|run| Arc::strong_count(run) == 1)?;
         let stepped = alone.at(above).step_below(text)?;
         debug_assert_eq!(stepped.at(0, 0).to_string(), alone.at(above).to_string());
@@ -716,8 +721,9 @@ impl Engine {
         evaluated
     }
 
-    /// Evaluates one node — `cells`, one run's down one column, in the
-    /// order given (bottom-up if `up`) — and stores each result before the
+    /// Evaluates one node — `cells`, one run's down one column, blank
+    /// rows perhaps between them, in the order given (bottom-up if `up`);
+    /// each row's offset is its own — and stores each result before the
     /// next row is evaluated. The run's program is bound to the node once
     /// ([`Node::start`]): each reference placed at the node's column and
     /// bound to its column's place in the store, each row-invariant
@@ -1517,6 +1523,109 @@ mod tests {
             assert!(read > rest && read <= rest + 100 * (1 + wide), "{of}: {read}");
             assert_eq!(e.value(Cell::new(total, ROWS)), added_up(&e, &summed));
         }
+    }
+
+    /// A column typed in pairs with two blank rows after each — the
+    /// `dense(2)` shape of the generated workbooks — from row 1 to `rows`:
+    /// `text(r)` at every row `r` with `r % 4 < 2`.
+    fn in_pairs(e: &mut Engine, col: u32, rows: u32, text: impl Fn(u32) -> String) -> Vec<Cell> {
+        let rows = (1..=rows).filter(|row| row % 4 < 2);
+        let cells: Vec<Cell> = rows.map(|row| Cell::new(col, row)).collect();
+        for &cell in &cells {
+            e.set_formula(cell, &text(cell.row)).unwrap();
+        }
+        cells
+    }
+
+    #[test]
+    fn a_column_typed_in_pairs_is_one_template_and_one_node() {
+        const ROWS: u32 = 1024;
+        let mut e = Engine::with_taco();
+        for row in 1..=ROWS + 2 {
+            e.set_value(Cell::new(1, row), n(f64::from(row % 19) / 4.0));
+        }
+        let windows = in_pairs(&mut e, 2, ROWS, |r| format!("=SUM(A{r}:A{})", r + 2));
+        assert_eq!((e.formula_templates(), windows.len()), (1, 512));
+        assert_eq!(e.recalculate(), windows.len());
+        assert_eq!(e.nodes_made(), 1, "the blank rows between the pairs cut no node");
+        for &cell in &windows {
+            let want = added_up(&e, &format!("A{}:A{}", cell.row, cell.row + 2));
+            assert_eq!(e.value(cell), want, "{cell}");
+        }
+
+        // Totals in the same shape, over the same data: an edit at row r
+        // re-evaluates the totals below r as one node, and the windows
+        // over r (one pair's) as another.
+        let totals = in_pairs(&mut e, 3, ROWS, |r| format!("=SUM($A$1:A{r})"));
+        assert_eq!(e.formula_templates(), 2);
+        assert_eq!(e.recalculate(), totals.len());
+        assert_eq!(e.nodes_made(), 1);
+        for at in [1, 2, 700, 703, ROWS] {
+            e.set_value(Cell::new(1, at), n(-3.5));
+            let below = totals.iter().filter(|c| c.row >= at).count();
+            let over = windows.iter().filter(|c| (c.row..=c.row + 2).contains(&at)).count();
+            assert_eq!(e.recalculate(), below + over, "edit at row {at}");
+            let nodes = usize::from(below > 0) + usize::from(over > 0);
+            assert_eq!(e.nodes_made(), nodes, "edit at row {at}");
+            for cell in [totals[totals.len() - 1], windows[windows.len() / 2]] {
+                let range = if cell.col == 3 {
+                    format!("A1:A{}", cell.row)
+                } else {
+                    format!("A{}:A{}", cell.row, cell.row + 2)
+                };
+                assert_eq!(e.value(cell), added_up(&e, &range), "{cell} after row {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_spans_blank_rows_but_not_a_value() {
+        let mut e = Engine::with_taco();
+        e.set_formula(c("B1"), "=A1*2").unwrap();
+        // Typed right below, then at the grid's last row: joined, and the
+        // look up the column costs the same there — where a walk up the
+        // rows would look up each of a million.
+        store_lookups();
+        e.set_formula(c("B2"), "=A2*2").unwrap();
+        let near = store_lookups();
+        let far = Cell::new(2, taco_grid::MAX_ROW);
+        e.set_formula(far, &format!("=A{}*2", far.row)).unwrap();
+        assert_eq!(store_lookups(), near);
+        assert_eq!(e.formula_templates(), 1);
+        // A value between stops the join; a formula that is not the
+        // run's next cell does not join either.
+        e.set_value(c("B500000"), n(1.0));
+        e.set_formula(c("B600000"), "=A600000*2").unwrap();
+        e.set_formula(c("B7"), "=A7*3").unwrap();
+        assert_eq!(e.formula_templates(), 3);
+        // A stepped run joins across blank rows too, on its line.
+        e.set_formula(c("C1"), "=A1*1").unwrap();
+        e.set_formula(c("C2"), "=A2*2").unwrap();
+        e.set_formula(c("C9"), "=A9*9").unwrap();
+        e.set_formula(c("C12"), "=A12*13").unwrap();
+        assert_eq!(e.formula_templates(), 5);
+        // A run of one is stepped only from the row right above.
+        e.set_formula(c("D1"), "=A1*1").unwrap();
+        e.set_formula(c("D3"), "=A3*3").unwrap();
+        assert_eq!(e.formula_templates(), 7);
+    }
+
+    #[test]
+    fn the_generated_recalc_workbook_orders_a_few_nodes_per_sheet() {
+        use taco_workload::{gen_persist_workload, persist_github_like, PersistParams};
+        // The workbook of the benchmark's `recalc` workload: 16 sheets of
+        // 1 024 rows, whose window column is typed in pairs.
+        let params =
+            PersistParams { rows: 1_024, sheets: 16, burst_edits: 0, ..persist_github_like() };
+        let mut wb = crate::Workbook::with_taco();
+        wb.apply_batch(&gen_persist_workload(&params).build).unwrap();
+        let templates: usize =
+            (0..16).map(|s| wb.sheet(crate::SheetId(s)).formula_templates()).sum();
+        let cells = wb.recalculate(crate::RecalcMode::Serial);
+        let nodes: u32 = wb.last_pass().iter().map(|p| p.nodes).sum();
+        // A run of two rows per pair of the window column, that was 4 191
+        // nodes (and as many templates) for 57 359 cells.
+        assert_eq!((cells, nodes, templates), (57_359, 111, 111));
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! each after the dirty cells it reads, cycles aside (see
 //! `Engine::order_from`).
 //!
-//! The unit ordered is not the cell but the **node**: a maximal vertical
-//! stretch of dirty cells that are cells of one run — one template —
-//! clipped to the rows the pass asked for; a lone formula is a node of
-//! one cell. It is also the unit evaluated: the order keeps each node as
-//! one slice, its [`Extent`] (`Engine::evaluate_node`). The paper
+//! The unit ordered is not the cell but the **node**: a maximal sequence
+//! of dirty cells of one run — one template — down one column with only
+//! vacant rows between them (a run spans blank rows, never a cell of
+//! another kind: see `CellStore::read_dirty`), clipped to the rows the
+//! pass asked for; a lone formula is a node of one cell. It is also the
+//! unit evaluated: the order keeps each node as one slice, its [`Extent`]
+//! (`Engine::evaluate_node`, which moves the run's program to each cell's
+//! row, however far below the one before). The paper
 //! answers queries on the compressed graph without
 //! decompressing it (§IV); this is the same for the schedule, with the
 //! dirty set intervalised the way WebGraph intervalises successor lists
@@ -15,7 +18,8 @@
 //!
 //! - **Edges.** A node reads, per reference of its template, the union of
 //!   what its cells read there, which is the bounding box of what its end
-//!   cells read ([`taco_formula::Template::reads_at_ends`]) — one probe of
+//!   cells read ([`taco_formula::Template::reads_at_ends`]), blank rows
+//!   between them or not — one probe of
 //!   the sorted dirty view per reference and column, where a cell order
 //!   probes once per reference per *cell*, and lists every dirty cell
 //!   inside the range where this lists every node.
@@ -48,7 +52,8 @@ use taco_grid::{Cell, Range, MAX_COL, MAX_ROW};
 /// No node: a dirty cell nobody has asked for yet, or the roots' probe.
 const NONE: u32 = u32::MAX;
 
-/// One node: cells `view[begin..end]`, one column, consecutive rows.
+/// One node: cells `view[begin..end]`, one column, only vacant rows
+/// between them.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     begin: u32,
@@ -102,7 +107,8 @@ pub(crate) struct Schedule {
     /// The dirty set, read off the store's intervals in `(col, row)`
     /// order. Once the pass has evaluated, cut down to the cells it ordered.
     view: Vec<Cell>,
-    /// Whether `view[i]` is the cell below `view[i - 1]`, of its run.
+    /// Whether `view[i]` goes on from `view[i - 1]` down its run: the
+    /// same column and run, only vacant rows between.
     joins: Vec<bool>,
     /// Each column of `view` and where it starts there, ascending.
     cols: Vec<(u32, u32)>,

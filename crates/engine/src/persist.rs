@@ -62,8 +62,9 @@ fn sheet_image(engine: &Engine, name: String) -> SheetImage {
 
 /// Puts a stored sheet's cells and dirty marks into `engine`, whose graph
 /// was restored from the same image. Records arrive in `(col, row)`
-/// order: a formula goes back in the run of the cell above or to the left
-/// if it is that run's next cell, and is re-parsed if not.
+/// order: a formula goes back in the run of the cell above (past blank
+/// rows) or to the left if it is that run's next cell, and is re-parsed
+/// if not.
 fn restore_sheet(
     engine: &mut Engine,
     cells: Vec<(Cell, CellRecord)>,

@@ -112,9 +112,11 @@ impl Engine {
     ///
     /// A cell that stays where it was stays in its run. One that moved
     /// holds, where it now stands, the formula it held — or the rewritten
-    /// one — and like a typed formula joins the run of the cell above or
-    /// to the left if it is that run's next cell: a run that moves as one
-    /// (rows inserted above it) is one run afterwards, a run the band
+    /// one — and like a typed formula joins the run of the cell above
+    /// (past blank rows) or to the left if it is that run's next cell: a
+    /// run that moves as one (rows inserted above it) is one run
+    /// afterwards, and so is a run rows are inserted through whose moved
+    /// cells read there as its own cells would; a run the band otherwise
     /// splits is two.
     pub fn apply_structural(&mut self, op: StructuralOp) -> EditReceipt {
         self.restructure(op).0

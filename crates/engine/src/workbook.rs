@@ -1734,15 +1734,20 @@ mod tests {
     }
 
     /// The (run, interval) nodes the last pass's cells make: maximal
-    /// vertical stretches of evaluated cells of one run, on every sheet.
+    /// sequences of evaluated cells of one run down one column with only
+    /// blank rows between them, on every sheet.
     fn stretches(wb: &Workbook) -> u64 {
         let mut nodes = 0;
         for s in &wb.sheets {
             let mut above: Option<(Cell, &Arc<Run>)> = None;
             for &cell in s.engine.last_evaluated() {
                 let run = s.engine.run_at(cell).expect("evaluated cells are formulas");
+                let blank = |up: Cell| {
+                    (up.row + 1..cell.row)
+                        .all(|row| s.engine.content(Cell::new(cell.col, row)).is_none())
+                };
                 let joins = above.is_some_and(|(up, of)| {
-                    up.col == cell.col && up.row + 1 == cell.row && Arc::ptr_eq(of, run)
+                    up.col == cell.col && Arc::ptr_eq(of, run) && blank(up)
                 });
                 nodes += u64::from(!joins);
                 above = Some((cell, run));

@@ -126,3 +126,31 @@ fn far_corner_cells_cost_the_pages_they_touch() {
     assert_eq!((e.len(), e.slot_capacity(), e.cells().count()), (0, 0, 0));
     quick("recalculate", || e.recalculate());
 }
+
+#[test]
+fn a_run_joins_across_a_million_blank_rows_but_not_across_a_value() {
+    // The same formula at row 1 and at the grid's last row: one run, found
+    // without a walk up the rows between (the engine's own tests count
+    // its page lookups: as many as for the row right below).
+    let mut e = Engine::with_taco();
+    e.set_formula(Cell::new(2, 1), "=A1*2").unwrap();
+    let far = Cell::new(2, MAX_ROW);
+    quick("set_formula", || e.set_formula(far, &format!("=A{MAX_ROW}*2")).unwrap());
+    assert_eq!((e.formula_cells(), e.formula_templates()), (2, 1));
+    e.set_value(Cell::new(1, MAX_ROW), Value::Number(4.0));
+    assert_eq!(quick("recalculate", || e.recalculate()), 2);
+    assert_eq!(e.value(far), Value::Number(8.0));
+    assert!(e.slot_capacity() <= 3 * PAGE_ROWS as usize);
+
+    // A value typed between stops the join: the formula typed back at the
+    // last row starts a run of its own.
+    e.set_value(Cell::new(2, MAX_ROW / 2), Value::Number(1.0));
+    quick("set_formula", || e.set_formula(far, &format!("=A{MAX_ROW}*2")).unwrap());
+    assert_eq!(e.formula_templates(), 2);
+    // Cleared again, the rows between are blank: typed back, it joins.
+    e.clear_range(Range::cell(Cell::new(2, MAX_ROW / 2)));
+    quick("set_formula", || e.set_formula(far, &format!("=A{MAX_ROW}*2")).unwrap());
+    assert_eq!(e.formula_templates(), 1);
+    assert_eq!(quick("recalculate", || e.recalculate()), 1);
+    assert_eq!(e.value(far), Value::Number(8.0));
+}

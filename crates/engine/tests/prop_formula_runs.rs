@@ -6,11 +6,11 @@
 //! The twin never autofills: every fill is applied as the formulas
 //! `taco_formula::autofill` — the reference, which builds one tree per
 //! target — writes, typed in one by one. And every formula it is given is
-//! typed with one to three leading spaces, by the cell's position, so that
-//! no cell's text is what the template above it or to its left prints
-//! there: the sharing check, which is textual, fails for every pair of
-//! neighbours, while the parser skips the spaces. Same cells, same trees,
-//! same fold order — differing text.
+//! typed with one to four leading spaces, by the cell's position, so that
+//! no cell's text is what the template above it (one or three rows up) or
+//! to its left prints there: the sharing check, which is textual, fails
+//! for every pair of neighbours, while the parser skips the spaces. Same
+//! cells, same trees, same fold order — differing text.
 //!
 //! Compared after every operation: every cell's value (numbers by bit
 //! pattern), every formula's text (modulo the twin's leading spaces), and
@@ -26,6 +26,14 @@
 //! seeded [`Literals`] shape: on a line its slot steps along, off one, or
 //! on one but not printed back as typed. Every operation of the script
 //! runs through it too.
+//!
+//! One more column, on a sheet of its own, is typed in pairs with two
+//! blank rows after each (the generated workbooks' `dense(2)` shape): one
+//! run across the blank rows. A script of its own types values and
+//! formulas into the blank rows, clears, inserts and deletes rows there,
+//! saves and reopens and replays, against the twin as above — and holds
+//! the sheet's template count to a rebuild from its texts after a reopen,
+//! and to the live count after a replay of the same history.
 
 #[allow(dead_code)] // the shared helpers this suite does not call
 mod common;
@@ -43,6 +51,10 @@ use taco_store::EditRecord;
 /// Data rows, and the rows the seeded fills reach.
 const ROWS: u32 = 24;
 const CALC: SheetId = SheetId(1);
+/// The sheet of the column typed in pairs, [`GAP_COL`], beside data in
+/// columns A and B.
+const GAPS: SheetId = SheetId(2);
+const GAP_COL: u32 = 3;
 
 /// The formula columns of `Calc`, by the formula typed into row 2 and
 /// filled down: FR, RR, RF, FF with a relative operand, qualified and
@@ -121,9 +133,21 @@ impl Literals {
 }
 
 /// What the twin types for `text` at `cell`: the same formula, never the
-/// text a neighbour's template prints.
+/// text a neighbour's template prints — the cell to the left, or the
+/// nearest above as built (one row up, or three past two blank rows).
 fn unshareable(text: &str, cell: Cell) -> String {
-    format!("={}{}", " ".repeat(1 + ((cell.col + cell.row) % 3) as usize), text.trim_start())
+    format!("={}{}", " ".repeat(1 + ((cell.col + cell.row) % 4) as usize), text.trim_start())
+}
+
+/// The rows of a column typed in pairs, two blank rows after each.
+fn in_pairs(row: u32) -> bool {
+    row % 4 < 2
+}
+
+/// What the column typed in pairs holds at `row`: the generated
+/// workbooks' sliding window.
+fn window(row: u32) -> String {
+    format!("SUM(A{row}:A{})", row + 2)
 }
 
 #[derive(Debug, Clone)]
@@ -139,21 +163,27 @@ enum Op {
     Text {
         row: u32,
     },
-    /// A value over a formula cell: the run splits.
+    /// A value over a formula cell — the run splits — or into the blank
+    /// rows a run spans.
     Overwrite {
+        sheet: usize,
         col: u32,
         row: u32,
     },
     /// A clear through some formula columns: several runs split at once.
     Clear {
+        sheet: usize,
         col: u32,
         row: u32,
         cols: u32,
         rows: u32,
     },
     /// The formula the cell above — else the cell to the left — would be
-    /// filled here with, typed: the run is rejoined, or extended.
+    /// filled here with, typed: the run is rejoined, or extended. On
+    /// [`GAPS`], the nearest formula up the column instead of the cell
+    /// above: the run typed into its own blank rows.
     Retype {
+        sheet: usize,
         col: u32,
         row: u32,
     },
@@ -187,11 +217,15 @@ fn script(seed: u64, len: usize) -> Vec<Op> {
                     v: rng.gen_range(-99..99),
                 },
                 20..=23 => Op::Text { row },
-                24..=33 => Op::Overwrite { col, row },
-                34..=41 => {
-                    Op::Clear { col, row, cols: rng.gen_range(1..=3), rows: rng.gen_range(1..=3) }
-                }
-                42..=59 => Op::Retype { col, row },
+                24..=33 => Op::Overwrite { sheet: CALC.0, col, row },
+                34..=41 => Op::Clear {
+                    sheet: CALC.0,
+                    col,
+                    row,
+                    cols: rng.gen_range(1..=3),
+                    rows: rng.gen_range(1..=3),
+                },
+                42..=59 => Op::Retype { sheet: CALC.0, col, row },
                 60..=77 => {
                     Op::Fill { col, row, direction: rng.gen_range(0..4), by: rng.gen_range(1..=6) }
                 }
@@ -212,6 +246,43 @@ fn script(seed: u64, len: usize) -> Vec<Op> {
         .collect()
 }
 
+/// A script for the column typed in pairs on [`GAPS`]: values and
+/// formulas typed into its blank rows, clears, rows inserted and deleted
+/// at its blank rows, data edits, reopens and replays.
+fn gaps_script(seed: u64, len: usize) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6A95);
+    let sheet = GAPS.0;
+    (0..len)
+        .map(|_| {
+            // A row left blank as built.
+            let gap = 4 * rng.gen_range(0..ROWS / 4) + rng.gen_range(2..=3);
+            match rng.gen_range(0..100u32) {
+                0..=14 => Op::Number { sheet, col: 1, row: gap - 1, v: rng.gen_range(-99..99) },
+                15..=24 => Op::Overwrite { sheet, col: GAP_COL, row: gap },
+                25..=44 => Op::Retype { sheet, col: GAP_COL, row: gap },
+                45..=54 => Op::Clear {
+                    sheet,
+                    col: GAP_COL,
+                    row: gap - 1,
+                    cols: 1,
+                    rows: rng.gen_range(1..=3),
+                },
+                55..=79 => {
+                    let n = rng.gen_range(1..=2u32);
+                    let op = if rng.gen_range(0..2u32) == 0 {
+                        StructuralOp::InsertRows { at: gap, n }
+                    } else {
+                        StructuralOp::DeleteRows { at: gap, n: n.min(4 - gap % 4) }
+                    };
+                    Op::Structural { sheet, op }
+                }
+                80..=89 => Op::SaveReopen,
+                _ => Op::Replay,
+            }
+        })
+        .collect()
+}
+
 /// The two workbooks, and the log of records that rebuilds the first.
 struct Pair {
     shared: Workbook,
@@ -223,12 +294,12 @@ impl Pair {
     fn new(literals: Literals) -> Pair {
         let mut pair =
             Pair { shared: Workbook::with_taco(), twin: Workbook::with_taco(), log: Vec::new() };
-        for name in ["Data", "Calc"] {
+        for name in ["Data", "Calc", "Gaps"] {
             pair.shared.add_sheet(name).unwrap();
             pair.twin.add_sheet(name).unwrap();
             pair.log.push(EditRecord::AddSheet { name: name.to_string() });
         }
-        for sheet in 0..2 {
+        for sheet in 0..3 {
             for row in 1..=ROWS {
                 for col in 1..=2u32 {
                     let v = f64::from(row * (col + 2)) / 8.0 - f64::from(sheet as u32);
@@ -238,14 +309,19 @@ impl Pair {
         }
         for (i, seed) in SEEDS.iter().enumerate() {
             let from = Cell::new(FIRST_FORMULA_COL + i as u32, 2);
-            pair.formula(from, seed);
+            pair.formula(CALC, from, seed);
             pair.fill(from, Range::from_coords(from.col, 3, from.col, ROWS));
         }
         // A column typed row by row: joins its run without a fill where
         // its literals allow.
         let typed = FIRST_FORMULA_COL + SEEDS.len() as u32;
         for row in 2..=ROWS {
-            pair.formula(Cell::new(typed, row), &format!("D{row}-C{row}*{}", literals.at(row)));
+            let text = format!("D{row}-C{row}*{}", literals.at(row));
+            pair.formula(CALC, Cell::new(typed, row), &text);
+        }
+        // A column typed in pairs: joins its run across the blank rows.
+        for row in (1..=ROWS - 2).filter(|&row| in_pairs(row)) {
+            pair.formula(GAPS, Cell::new(GAP_COL, row), &window(row));
         }
         pair.recalculate();
         pair
@@ -257,18 +333,19 @@ impl Pair {
         self.log.push(EditRecord::SetValue { sheet: sheet as u32, cell, value });
     }
 
-    /// Types `text` into `Calc` at `cell`.
-    fn formula(&mut self, cell: Cell, text: &str) {
-        self.shared.set_formula(CALC, cell, text).unwrap();
-        self.twin.set_formula(CALC, cell, &unshareable(text, cell)).unwrap();
-        self.log.push(EditRecord::SetFormula { sheet: 1, cell, src: text.to_string() });
+    /// Types `text` into `sheet` at `cell`.
+    fn formula(&mut self, sheet: SheetId, cell: Cell, text: &str) {
+        self.shared.set_formula(sheet, cell, text).unwrap();
+        self.twin.set_formula(sheet, cell, &unshareable(text, cell)).unwrap();
+        let src = text.to_string();
+        self.log.push(EditRecord::SetFormula { sheet: sheet.0 as u32, cell, src });
     }
 
-    /// The formulas a fill from `from` writes, by the reference: one tree
-    /// built per target, from the source cell's formula as its text
-    /// parses.
-    fn filled(&self, from: Cell, targets: Range) -> Option<Vec<(Cell, String)>> {
-        let text = self.shared.formula_of(CALC, from)?;
+    /// The formulas a fill from `from` on `sheet` writes, by the
+    /// reference: one tree built per target, from the source cell's
+    /// formula as its text parses.
+    fn filled(&self, sheet: SheetId, from: Cell, targets: Range) -> Option<Vec<(Cell, String)>> {
+        let text = self.shared.formula_of(sheet, from)?;
         let formula = Formula::parse(&text).expect("a formula's text parses");
         Some(
             autofill(from, &formula, targets)
@@ -279,7 +356,7 @@ impl Pair {
     }
 
     fn fill(&mut self, from: Cell, targets: Range) {
-        let Some(filled) = self.filled(from, targets) else {
+        let Some(filled) = self.filled(CALC, from, targets) else {
             assert!(self.shared.autofill(CALC, from, targets).is_err());
             return;
         };
@@ -306,22 +383,29 @@ impl Pair {
                 self.value(sheet, Cell::new(col, row), Value::Number(f64::from(v) / 4.0));
             }
             Op::Text { row } => self.value(1, Cell::new(1, row), Value::Text("n/a".into())),
-            Op::Overwrite { col, row } => self.value(1, Cell::new(col, row), Value::Number(7.5)),
-            Op::Clear { col, row, cols, rows } => {
-                let range = Range::from_coords(col, row, col + cols - 1, row + rows - 1);
-                self.shared.clear_range(CALC, range);
-                self.twin.clear_range(CALC, range);
-                self.log.push(EditRecord::ClearRange { sheet: 1, range });
+            Op::Overwrite { sheet, col, row } => {
+                self.value(sheet, Cell::new(col, row), Value::Number(7.5));
             }
-            Op::Retype { col, row } => {
-                let cell = Cell::new(col, row);
-                let beside =
-                    [(row > 1).then(|| Cell::new(col, row - 1)), Some(Cell::new(col - 1, row))];
+            Op::Clear { sheet, col, row, cols, rows } => {
+                let range = Range::from_coords(col, row, col + cols - 1, row + rows - 1);
+                self.shared.clear_range(SheetId(sheet), range);
+                self.twin.clear_range(SheetId(sheet), range);
+                self.log.push(EditRecord::ClearRange { sheet: sheet as u32, range });
+            }
+            Op::Retype { sheet, col, row } => {
+                let (id, cell) = (SheetId(sheet), Cell::new(col, row));
+                let above = if id == GAPS {
+                    let mut up = (1..row).rev().map(|r| Cell::new(col, r));
+                    up.find(|&c| self.shared.formula_of(id, c).is_some())
+                } else {
+                    (row > 1).then(|| Cell::new(col, row - 1))
+                };
+                let beside = [above, Some(Cell::new(col - 1, row))];
                 let text = beside.into_iter().flatten().find_map(|from| {
-                    self.filled(from, Range::cell(cell)).map(|mut filled| filled.remove(0).1)
+                    self.filled(id, from, Range::cell(cell)).map(|mut filled| filled.remove(0).1)
                 });
                 if let Some(text) = text {
-                    self.formula(cell, &text);
+                    self.formula(id, cell, &text);
                 }
             }
             Op::Fill { col, row, direction, by } => {
@@ -349,11 +433,7 @@ impl Pair {
                 }
             }
             Op::Replay => {
-                let mut replayed = Workbook::with_taco();
-                for rec in &self.log {
-                    replayed.apply_edit(rec).unwrap();
-                }
-                replayed.recalculate(RecalcMode::Serial);
+                let replayed = self.replayed();
                 self.recalculate();
                 // What a cycle's cells hold depends on how many passes
                 // have gone over them (a pass relaxes a cycle once): with
@@ -367,6 +447,16 @@ impl Pair {
                 assert_same_as(&self.shared, &replayed, values, &format!("{tag}: replayed"));
             }
         }
+    }
+
+    /// A third workbook, its log applied record by record, recalculated.
+    fn replayed(&self) -> Workbook {
+        let mut replayed = Workbook::with_taco();
+        for rec in &self.log {
+            replayed.apply_edit(rec).unwrap();
+        }
+        replayed.recalculate(RecalcMode::Serial);
+        replayed
     }
 
     fn recalculate(&mut self) {
@@ -428,6 +518,7 @@ fn run_seed(seed: u64) {
     assert_eq!(templates(&pair.twin), cells);
     let typed = templates(&pair.shared) - RUNS_OF_FILLS;
     assert!(literals.runs().contains(&typed), "{literals:?}: {typed} runs");
+    assert_gaps_premise(&pair);
 
     let ops = script(seed, 40);
     for (step, op) in ops.iter().enumerate() {
@@ -440,12 +531,66 @@ fn run_seed(seed: u64) {
     assert!(templates(&pair.shared) <= pair.shared.sheet(CALC).formula_cells());
 }
 
+/// The column typed in pairs is one template in the shared workbook, and
+/// one per cell in the twin.
+fn assert_gaps_premise(pair: &Pair) {
+    let cells = pair.shared.sheet(GAPS).formula_cells();
+    assert_eq!(cells, (1..=ROWS - 2).filter(|&row| in_pairs(row)).count());
+    assert_eq!(pair.shared.sheet(GAPS).formula_templates(), 1);
+    assert_eq!(pair.twin.sheet(GAPS).formula_templates(), cells);
+}
+
+/// Builds the pair, checks the column typed in pairs, and runs the seed's
+/// script for it, comparing after every operation. A run is never split
+/// or merged after the fact (a value typed between two of its cells
+/// leaves them in it, and so does a clear of what stood between two
+/// runs), so the live count of templates depends on history: a reopen is
+/// held to a rebuild from the texts, a replay of the log to the live
+/// count — as long as the live workbook has the log's history, not a
+/// reopen's.
+fn run_gaps_seed(seed: u64) {
+    let mut pair = Pair::new(Literals::Halves);
+    assert_gaps_premise(&pair);
+    let templates = |wb: &Workbook| wb.sheet(GAPS).formula_templates();
+    // As built, the history is the texts': reopened and replayed, one.
+    let path = std::env::temp_dir().join(format!("taco_gaps_{}_{seed}.taco", std::process::id()));
+    pair.shared.save(&path).unwrap();
+    let opened = Workbook::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!((templates(&opened), templates(&pair.replayed())), (1, 1));
+
+    let mut reopened = false;
+    for (step, op) in gaps_script(seed, 40).iter().enumerate() {
+        let what = format!("gaps seed {seed} after step {step} {op:?}");
+        pair.apply(op, &format!("gaps_{seed}_{step}"));
+        assert_same_texts(&pair, &format!("{what}, dirty"));
+        pair.recalculate();
+        assert_same(&pair.shared, &pair.twin, &what);
+        match op {
+            Op::SaveReopen => {
+                let rebuilt = common::rebuild_from_texts(&pair.shared);
+                assert_eq!(templates(&pair.shared), templates(&rebuilt), "{what}");
+                reopened = true;
+            }
+            Op::Replay if !reopened => {
+                assert_eq!(templates(&pair.replayed()), templates(&pair.shared), "{what}");
+            }
+            _ => {}
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn shared_templates_never_show(seed in 0u64..1_000_000) {
         run_seed(seed);
+    }
+
+    #[test]
+    fn a_run_across_blank_rows_never_shows(seed in 0u64..1_000_000) {
+        run_gaps_seed(seed);
     }
 }
 
@@ -635,22 +780,22 @@ fn a_run_splits_and_rejoins_like_a_pattern_edge() {
 
     // A value in the middle: one cell fewer, still one template — both
     // halves point at it. The cell's formula typed back: whole again.
-    pair.apply(&Op::Overwrite { col: 3, row: 10 }, "split");
+    pair.apply(&Op::Overwrite { sheet: CALC.0, col: 3, row: 10 }, "split");
     assert_eq!(sheet(&pair), (templates, cells - 1));
-    pair.apply(&Op::Retype { col: 3, row: 10 }, "rejoin");
+    pair.apply(&Op::Retype { sheet: CALC.0, col: 3, row: 10 }, "rejoin");
     assert_eq!(sheet(&pair), (templates, cells));
     assert_eq!(pair.shared.formula_of(CALC, Cell::new(3, 10)).unwrap(), "SUM($A$1:A10)");
 
     // A different formula there is a run of its own, and the formula of
     // the run typed below the column's end extends the run.
-    pair.formula(Cell::new(3, 10), "SUM($A$1:A10)+0");
-    pair.formula(Cell::new(3, ROWS + 1), "SUM($A$1:A25)");
+    pair.formula(CALC, Cell::new(3, 10), "SUM($A$1:A10)+0");
+    pair.formula(CALC, Cell::new(3, ROWS + 1), "SUM($A$1:A25)");
     assert_eq!(sheet(&pair), (templates + 1, cells + 1));
 
     // Rows inserted through every run: the cells above stay in theirs,
-    // the cells below are rewritten (or only moved) and form one new run
-    // per column, except the FF column's literal-free formula, which
-    // reads the same cells from wherever it is.
+    // the cells below are rewritten (or only moved) and rejoin it past
+    // the inserted rows where they read as its cells there, or form one
+    // new run per column.
     pair.apply(
         &Op::Structural { sheet: 1, op: StructuralOp::InsertRows { at: 15, n: 2 } },
         "insert",

@@ -252,9 +252,10 @@ enum Item {
 /// A [`crate::Template`]'s tree, compiled: see the module documentation.
 ///
 /// `repr(C)`, fields in the order a node binds them: a full pass after a
-/// load meets most runs cold in the cache, and a node of two rows (the
-/// `recalc` workbook's window column is 4 096 of them) then misses as few
-/// of its run's lines as the program's head spans. Measured against the
+/// load meets most runs cold in the cache, and a short node (the
+/// `recalc` workbook's window column was 4 096 nodes of two rows, before
+/// a run spanned blank rows) then misses as few of its run's lines as the
+/// program's head spans. Measured against the
 /// compiler's own field order on one pinned core of a two-core VM: the
 /// `recalc` full pass 5–8 % faster in four of five pairs.
 #[derive(Debug, Clone, PartialEq)]

@@ -112,6 +112,9 @@ fn repl_parses_and_evaluates_a_script() {
                   C1 = =A1*1\n\
                   C2 = =A2*2\n\
                   C3 = =A3*3\n\
+                  D1 = =A1+C1\n\
+                  D3 = =A3+C3\n\
+                  D5 = =A5+C5\n\
                   show C2\n\
                   stats\n\
                   bogus command\n\
@@ -122,8 +125,9 @@ fn repl_parses_and_evaluates_a_script() {
     assert!(text.contains("precedents: A1:A2"), "trace path broken:\n{text}");
     assert!(text.contains("edges="), "stats path broken:\n{text}");
     assert!(text.contains("C2 = =A2*2 → 6"), "typed column broken:\n{text}");
-    // The fill is one template, the column typed with its row another.
-    assert!(text.contains("formula_cells=7 templates=2"), "template count missing:\n{text}");
+    // The fill is one template, the column typed with its row another, and
+    // the column typed every other row a third: a run spans blank rows.
+    assert!(text.contains("formula_cells=10 templates=3"), "template count missing:\n{text}");
     assert!(text.contains("error:"), "bad input must report, not crash:\n{text}");
 }
 
