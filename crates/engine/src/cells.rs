@@ -5,7 +5,9 @@
 //!   cols: [Column]              sorted by col, one per column ever written,
 //!                               with when its rows were last written
 //!     pages: [Page]             sorted by index, one per PAGE_ROWS-row band
-//!       slots: [Slot; 256]      that holds a cell; allocated on first write
+//!                               that holds a cell, with when it was last
+//!                               written; allocated on first write
+//!       slots: [Slot; 256]
 //!         content.value         inline (24 bytes) — what a range scan reads
 //!         content.run           the formula, behind a pointer shared by
 //!                               every cell of its run
@@ -20,6 +22,11 @@
 //! with its last cell), never to the coordinates used.
 //!
 //! Iteration is in `(col, row)` order — [`Cell`]'s own ordering.
+//!
+//! A copy of the values for readers on other threads, [`SheetValues`], is
+//! made page by page ([`CellStore::publish`]): each page records the write
+//! clock of its latest value write, so a copy made from the one before it
+//! shares every page nothing was written to since and copies the rest.
 
 use crate::sheet::{CellContent, Run};
 use std::collections::BTreeMap;
@@ -56,6 +63,9 @@ struct Page {
     index: u32,
     /// Occupied slots; the page is dropped when this reaches zero.
     used: u32,
+    /// The write clock of the page's latest value write: a copy made at
+    /// that clock or later holds what the page holds.
+    written: u64,
     slots: Box<[Slot]>,
 }
 
@@ -446,9 +456,11 @@ impl CellStore {
     pub(crate) fn store_result(&mut self, cursor: &mut Cursor, cell: Cell, value: Value, at: u64) {
         let Some((i, j)) = self.seek(cursor, cell) else { return };
         let column = &mut self.cols[i];
-        let content = &mut column.pages[j].slots[slot_of(cell.row)].content;
+        let page = &mut column.pages[j];
+        let content = &mut page.slots[slot_of(cell.row)].content;
         if content.run.is_some() {
             content.value = value;
+            page.written = at;
             column.writes.stamp(cell.row, at);
         }
     }
@@ -476,11 +488,12 @@ impl CellStore {
             Ok(j) => j,
             Err(j) => {
                 let slots = (0..PAGE_ROWS).map(|_| Slot::VACANT).collect();
-                pages.insert(j, Page { index, used: 0, slots });
+                pages.insert(j, Page { index, used: 0, written: at, slots });
                 j
             }
         };
         let page = &mut pages[j];
+        page.written = at;
         let slot = &mut page.slots[slot_of(cell.row)];
         self.formulas += usize::from(content.run.is_some());
         let old = std::mem::replace(&mut slot.content, content);
@@ -506,8 +519,9 @@ impl CellStore {
     }
 
     /// Blanks every cell of `range` at write clock `at`, dirty marks
-    /// included: a walk over the allocated pages the range overlaps. Column
-    /// headers stay, with their clocks.
+    /// included: a walk over the allocated pages the range overlaps, each
+    /// stamped with `at` if it held a cell there. Column headers stay,
+    /// with their clocks.
     pub(crate) fn remove_range(&mut self, range: Range, at: u64) {
         let (first, last) = (range.head().row, range.tail().row);
         let (mut removed, mut formulas) = (0usize, 0usize);
@@ -520,11 +534,15 @@ impl CellStore {
             for page in column.pages[from..].iter_mut().take_while(|p| p.index <= page_of(last)) {
                 let start = first.max(page.index * PAGE_ROWS + 1);
                 let span = slot_of(start)..=slot_of(page_end(page.index, last));
+                let used = page.used;
                 for slot in page.slots[span].iter_mut().filter(|s| s.occupied) {
                     formulas += usize::from(slot.content.run.is_some());
                     *slot = Slot::VACANT;
                     page.used -= 1;
                     removed += 1;
+                }
+                if page.used < used {
+                    page.written = at;
                 }
                 emptied |= page.used == 0;
             }
@@ -712,6 +730,114 @@ impl CellStore {
     pub(crate) fn slot_capacity(&self) -> usize {
         self.cols.iter().map(|c| c.pages.len()).sum::<usize>() * PAGE_ROWS as usize
     }
+
+    // ---- publication ------------------------------------------------------
+
+    /// A copy of the values, made at write clock `at` from `prev`, an
+    /// earlier copy of this store: each page stamped no later than `prev`
+    /// was made is `prev`'s, shared, and each other page is copied.
+    /// Returns the copy and the pages copied.
+    pub(crate) fn publish(&self, prev: Option<&SheetValues>, at: u64) -> (SheetValues, usize) {
+        let made = prev.map_or(0, |p| p.at);
+        let mut known = prev.map_or(&[][..], |p| &p.pages).iter().peekable();
+        let mut pages = Vec::with_capacity(prev.map_or(0, |p| p.pages.len()) + 1);
+        let mut copied = 0;
+        for column in &self.cols {
+            for page in &column.pages {
+                let key = (column.col, page.index);
+                while known.next_if(|(k, _)| *k < key).is_some() {}
+                let shared = known.next_if(|(k, _)| *k == key).filter(|_| page.written <= made);
+                let values = shared.map_or_else(
+                    || {
+                        copied += 1;
+                        page.slots
+                            .iter()
+                            .map(|s| s.occupied.then(|| s.content.value.clone()))
+                            .collect()
+                    },
+                    |(_, values)| Arc::clone(values),
+                );
+                pages.push((key, values));
+            }
+        }
+        (SheetValues { at, pages, len: self.len }, copied)
+    }
+}
+
+/// One page's values as published: slot `i` holds row
+/// `index * PAGE_ROWS + 1 + i`, `None` where the page holds no cell.
+type PageValues = Arc<[Option<Value>]>;
+
+/// A sheet's cell values at one moment, for readers on other threads:
+/// the cell store's pages, copied, each behind an `Arc` that the next
+/// copy shares if nothing was written to the page in between (see
+/// `Engine::publish`). Reads go in `(row, col)` order.
+pub struct SheetValues {
+    /// The write clock the copy was made at.
+    at: u64,
+    /// `((col, page index), values)`, ascending.
+    pages: Vec<((u32, u32), PageValues)>,
+    /// Cells held.
+    len: usize,
+}
+
+impl SheetValues {
+    /// Number of cells held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` iff no cell is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// What `cell` holds, `None` when blank: one binary search.
+    pub fn get(&self, cell: Cell) -> Option<&Value> {
+        let at = self.pages.binary_search_by_key(&(cell.col, page_of(cell.row)), |p| p.0).ok()?;
+        self.pages[at].1[slot_of(cell.row)].as_ref()
+    }
+
+    /// Visits every cell of `range` that holds something, in `(row, col)`
+    /// order: per band of page rows, the pages of the range's columns
+    /// that hold one, stepped across row by row.
+    pub fn for_each_in(&self, range: Range, mut visit: impl FnMut(Cell, &Value)) {
+        let (head, tail) = (range.head(), range.tail());
+        let (top, bottom) = (page_of(head.row), page_of(tail.row));
+        let from = self.pages.partition_point(|p| p.0 < (head.col, 0));
+        let to = self.pages.partition_point(|p| p.0 .0 <= tail.col);
+        // Each column's pages the rows overlap, the first of each taken
+        // off once its band is read.
+        let mut rest: Vec<&[((u32, u32), PageValues)]> = self.pages[from..to]
+            .chunk_by(|a, b| a.0 .0 == b.0 .0)
+            .map(|col| &col[col.partition_point(|p| p.0 .1 < top)..])
+            .map(|col| &col[..col.partition_point(|p| p.0 .1 <= bottom)])
+            .collect();
+        while let Some(index) = rest.iter().filter_map(|pages| Some(pages.first()?.0 .1)).min() {
+            for row in head.row.max(index * PAGE_ROWS + 1)..=page_end(index, tail.row) {
+                for pages in &rest {
+                    let Some(((col, _), values)) = pages.first().filter(|p| p.0 .1 == index) else {
+                        continue;
+                    };
+                    if let Some(value) = &values[slot_of(row)] {
+                        visit(Cell { col: *col, row }, value);
+                    }
+                }
+            }
+            for pages in &mut rest {
+                if pages.first().is_some_and(|p| p.0 .1 == index) {
+                    *pages = &pages[1..];
+                }
+            }
+        }
+    }
+
+    /// Every page held, by its first cell (tests of what a copy shares).
+    #[doc(hidden)]
+    pub fn pages(&self) -> impl Iterator<Item = (Cell, &PageValues)> {
+        let first = |(col, index): (u32, u32)| Cell { col, row: index * PAGE_ROWS + 1 };
+        self.pages.iter().map(move |(key, values)| (first(*key), values))
+    }
 }
 
 #[cfg(test)]
@@ -810,10 +936,10 @@ mod tests {
         dirty: BTreeSet<Cell>,
     }
 
-    fn apply(op: &Op, store: &mut CellStore, model: &mut Model) {
+    fn apply(op: &Op, store: &mut CellStore, model: &mut Model, at: u64) {
         match *op {
             Op::Set(cell, formula, v) => {
-                let old = store.insert(cell, content(cell, formula, v), 1);
+                let old = store.insert(cell, content(cell, formula, v), at);
                 assert_eq!(old, model.cells.insert(cell, content(cell, formula, v)));
                 if formula.is_none() {
                     model.dirty.remove(&cell);
@@ -828,12 +954,12 @@ mod tests {
                 for &row in &ROWS {
                     let cell = Cell::new(col, row);
                     let content = CellContent::formula_cell(Arc::clone(&run), Value::Empty);
-                    store.insert(cell, content.clone(), 1);
+                    store.insert(cell, content.clone(), at);
                     model.cells.insert(cell, content);
                 }
             }
             Op::Clear(range) => {
-                store.remove_range(range, 1);
+                store.remove_range(range, at);
                 model.cells.retain(|c, _| !range.contains_cell(*c));
                 model.dirty.retain(|c| !range.contains_cell(*c));
             }
@@ -842,13 +968,13 @@ mod tests {
                 let old = std::mem::take(store);
                 let dirty: Vec<Cell> = old.dirty().collect();
                 for (cell, content) in old.into_cells() {
-                    assert_eq!(store.insert(cell, content, 1), None);
+                    assert_eq!(store.insert(cell, content, at), None);
                 }
                 store.mark_cells_dirty(&dirty);
             }
             Op::StoreResult(cell, v) => {
                 let value = Value::Number(f64::from(v));
-                store.store_result(&mut Cursor::default(), cell, value.clone(), 1);
+                store.store_result(&mut Cursor::default(), cell, value.clone(), at);
                 if let Some(slot) = model.cells.get_mut(&cell).filter(|c| c.is_formula()) {
                     slot.value = value;
                 }
@@ -987,15 +1113,98 @@ mod tests {
         }
     }
 
+    /// The pages, as `(col, page)`, whose values `op` writes to (before it
+    /// is applied to `model`).
+    fn written(op: &Op, model: &Model) -> BTreeSet<(u32, u32)> {
+        let page = |c: &Cell| (c.col, page_of(c.row));
+        match *op {
+            Op::Set(cell, ..) => BTreeSet::from([page(&cell)]),
+            Op::Fill(col) => ROWS.iter().map(|&row| (col, page_of(row))).collect(),
+            Op::Clear(range) => {
+                model.cells.keys().filter(|c| range.contains_cell(**c)).map(page).collect()
+            }
+            Op::Rebuild => model.cells.keys().map(page).collect(),
+            Op::StoreResult(cell, _) => model
+                .cells
+                .get(&cell)
+                .filter(|k| k.is_formula())
+                .map(|_| page(&cell))
+                .into_iter()
+                .collect(),
+            Op::Mark(_) | Op::MarkIn(_) | Op::MarkStretches(..) | Op::Unmark(..) => BTreeSet::new(),
+        }
+    }
+
+    /// A publication against the model: the pages that hold a cell, each
+    /// slot's value and occupancy, reads in `(row, col)` order, and
+    /// exactly the pages of `prev` nothing `wrote` since shared.
+    fn check_published(
+        next: &SheetValues,
+        copied: usize,
+        prev: Option<&SheetValues>,
+        wrote: &BTreeSet<(u32, u32)>,
+        model: &Model,
+    ) {
+        assert_eq!(next.len(), model.cells.len());
+        let known: BTreeMap<Cell, &PageValues> =
+            prev.into_iter().flat_map(SheetValues::pages).collect();
+        let mut copies = 0;
+        let mut pages = BTreeSet::new();
+        for (first, values) in next.pages() {
+            pages.insert((first.col, page_of(first.row)));
+            for (row, value) in (first.row..).zip(values.iter()) {
+                let want = model.cells.get(&Cell::new(first.col, row)).map(|k| &k.value);
+                assert_eq!(value.as_ref(), want, "{}", Cell::new(first.col, row));
+            }
+            let untouched = !wrote.contains(&(first.col, page_of(first.row)));
+            let shared = known.get(&first).is_some_and(|old| Arc::ptr_eq(old, values));
+            assert_eq!(shared, untouched && known.contains_key(&first), "page at {first}");
+            copies += usize::from(!shared);
+        }
+        assert_eq!(copied, copies);
+        let held: BTreeSet<(u32, u32)> =
+            model.cells.keys().map(|c| (c.col, page_of(c.row))).collect();
+        assert_eq!(pages, held, "a page is published iff it holds a cell");
+        for &col in &COLS {
+            for &row in &ROWS {
+                let cell = Cell::new(col, row);
+                assert_eq!(next.get(cell), model.cells.get(&cell).map(|k| &k.value), "{cell}");
+            }
+        }
+        for range in [
+            Range::from_coords(1, 250, 5, 520),
+            Range::from_coords(2, 1, MAX_COL, 700),
+            Range::from_coords(1, 1, MAX_COL, MAX_ROW),
+        ] {
+            let mut read = Vec::new();
+            next.for_each_in(range, |cell, value| read.push((cell, value.clone())));
+            let mut want: Vec<(Cell, Value)> = model
+                .cells
+                .iter()
+                .filter(|(c, _)| range.contains_cell(**c))
+                .map(|(c, k)| (*c, k.value.clone()))
+                .collect();
+            want.sort_by_key(|(c, _)| (c.row, c.col));
+            assert_eq!(read, want, "{range}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn the_store_is_a_map_and_a_set(ops in prop::collection::vec(arb_op(), 1..60)) {
             let (mut store, mut model) = (CellStore::default(), Model::default());
-            for op in &ops {
-                apply(op, &mut store, &mut model);
+            let mut published: Option<SheetValues> = None;
+            for (at, op) in (1..).zip(&ops) {
+                let wrote = written(op, &model);
+                apply(op, &mut store, &mut model, at);
                 check(&store, &model);
+                // Published after each op from the copy before it, made
+                // at the op's clock.
+                let (next, copied) = store.publish(published.as_ref(), at);
+                check_published(&next, copied, published.as_ref(), &wrote, &model);
+                published = Some(next);
             }
         }
     }

@@ -1,4 +1,4 @@
-use crate::cells::{CellStore, Cursor, EMPTY};
+use crate::cells::{CellStore, Cursor, SheetValues, EMPTY};
 use crate::order::Schedule;
 use crate::sheet::{CellContent, Run};
 use std::borrow::Cow;
@@ -319,10 +319,9 @@ impl Engine {
     }
 
     /// The cells the most recent recalculation pass evaluated (or flagged
-    /// `#CYCLE!`), sorted by `(col, row)`: exactly the cells whose cached
-    /// value that pass may have changed. Empty for a sheet the pass
-    /// evaluated nothing on.
-    pub fn last_evaluated(&self) -> &[Cell] {
+    /// `#CYCLE!`), sorted by `(col, row)` (test instrumentation).
+    #[cfg(test)]
+    pub(crate) fn last_evaluated(&self) -> &[Cell] {
         self.schedule.evaluated()
     }
 
@@ -472,6 +471,16 @@ impl Engine {
     /// order (persistence and verification walks).
     pub fn cells(&self) -> impl Iterator<Item = (Cell, &CellContent)> {
         self.cells.iter()
+    }
+
+    /// A copy of the sheet's cell values for readers on other threads,
+    /// made from `prev`, an earlier copy of this sheet (`None`: none):
+    /// every page of the cell store nothing was written to since `prev`
+    /// was made is `prev`'s, shared, and every other page is copied — so
+    /// after a structural edit, which rebuilds the store, every page is.
+    /// Returns the copy and the pages copied.
+    pub fn publish(&self, prev: Option<&SheetValues>) -> (SheetValues, usize) {
+        self.cells.publish(prev, self.folds.clock)
     }
 
     /// The cell store (the workbook shares it with other sheets'

@@ -33,6 +33,7 @@ mod sheet;
 mod structural;
 mod workbook;
 
+pub use cells::SheetValues;
 pub use engine::{EditReceipt, Engine, SheetPass};
 pub use obs::EngineObs;
 pub use persist::{open_engine, save_engine, wal_path, PersistOptions, PersistentWorkbook};

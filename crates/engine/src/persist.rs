@@ -421,8 +421,8 @@ impl PersistentWorkbook {
 
     /// Recalculates dirty cells (derived state — not logged; a reopened
     /// workbook re-derives the same values from the replayed edits).
-    pub fn recalculate(&mut self, mode: crate::workbook::RecalcMode) -> usize {
-        self.wb.recalculate(mode)
+    pub fn recalculate(&mut self) -> usize {
+        self.wb.recalculate(crate::workbook::RecalcMode::Serial)
     }
 
     /// An explicit fsync point for the WAL.

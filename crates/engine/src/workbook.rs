@@ -813,17 +813,14 @@ impl Workbook {
         // Snapshot the distinct foreign formula cells that read this
         // sheet *before* mutating anything: these are exactly the
         // formulas whose qualified references may need rewriting.
-        let mut referrers: Vec<(usize, Cell)> = Vec::new();
-        for e in self.xedges.outgoing(sid) {
-            if !referrers.contains(&(e.dst.0, e.dep)) {
-                referrers.push((e.dst.0, e.dep));
-            }
-        }
+        let mut referrers: Vec<(usize, Cell)> =
+            self.xedges.outgoing(sid).iter().map(|e| (e.dst.0, e.dep)).collect();
         // The cross table's row order reflects edit history, which a
         // snapshot round trip does not preserve. Rewrite order feeds the
         // destination graphs' compressors, so sort it: a replayed
         // structural edit must reproduce the live one bit for bit.
         referrers.sort_unstable();
+        referrers.dedup();
 
         // Local transform. The receipt's dirty ranges are the formulas
         // whose value may change, so they double as hop origins: any
@@ -1044,13 +1041,7 @@ impl Workbook {
     /// had never been used, because the deferred cells re-evaluate
     /// against their precedents' final values. Returns the number of
     /// cells evaluated.
-    pub fn recalc_demand(
-        &mut self,
-        id: SheetId,
-        viewport: Range,
-        mode: RecalcMode,
-    ) -> Result<usize, WorkbookError> {
-        let RecalcMode::Serial = mode;
+    pub fn recalc_demand(&mut self, id: SheetId, viewport: Range) -> Result<usize, WorkbookError> {
         if id.0 >= self.sheets.len() {
             return Err(WorkbookError::NoSuchSheet(id.0));
         }
@@ -1685,7 +1676,7 @@ mod tests {
         wb.set_formula(s, c("B2"), "=B1+1").unwrap(); // in viewport, needs B1
         wb.set_formula(s, c("D9"), "=A1*100").unwrap(); // far outside
         let before = wb.evaluated_total();
-        let evaluated = wb.recalc_demand(s, r("A1:B4"), RecalcMode::Serial).unwrap();
+        let evaluated = wb.recalc_demand(s, r("A1:B4")).unwrap();
         assert_eq!(evaluated, 2, "only B1 and B2 are needed");
         assert_eq!(wb.evaluated_total() - before, 2);
         assert_eq!(wb.value(s, c("B1")), n(20.0));
@@ -1703,7 +1694,7 @@ mod tests {
         wb.set_formula(data, c("E1"), "=A1*1000").unwrap(); // unrelated to viewport
                                                             // Summary!B1 = A1*2 and A1 = SUM(Data!A1:A4): the viewport needs
                                                             // both Summary cells, but not Data!E1.
-        let evaluated = wb.recalc_demand(summary, r("B1:B1"), RecalcMode::Serial).unwrap();
+        let evaluated = wb.recalc_demand(summary, r("B1:B1")).unwrap();
         assert_eq!(evaluated, 2);
         assert_eq!(wb.value(summary, c("B1")), n(20.0));
         assert_eq!(wb.dirty_count(), 1, "Data!E1 deferred");
@@ -1715,7 +1706,7 @@ mod tests {
     fn demand_recalc_of_a_clean_viewport_evaluates_nothing() {
         let (mut wb, _data, summary) = two_sheet_book();
         wb.recalculate(RecalcMode::Serial);
-        let evaluated = wb.recalc_demand(summary, r("A1:B4"), RecalcMode::Serial).unwrap();
+        let evaluated = wb.recalc_demand(summary, r("A1:B4")).unwrap();
         assert_eq!(evaluated, 0);
         assert_eq!(wb.value(summary, c("B1")), n(20.0));
     }
@@ -1724,7 +1715,7 @@ mod tests {
     fn demand_recalc_rejects_unknown_sheets() {
         let mut wb = Workbook::with_taco();
         wb.add_sheet("Only").unwrap();
-        let err = wb.recalc_demand(SheetId(3), r("A1:B2"), RecalcMode::Serial);
+        let err = wb.recalc_demand(SheetId(3), r("A1:B2"));
         assert!(matches!(err, Err(WorkbookError::NoSuchSheet(3))));
     }
 
@@ -1775,13 +1766,13 @@ mod tests {
             // sheet — a node cut to the rows the cells that sent for it
             // read, never more than the stretch of a run it is part of —
             // and none for the cells left dirty.
-            let needed = wb.recalc_demand(id, viewport, RecalcMode::Serial).unwrap();
+            let needed = wb.recalc_demand(id, viewport).unwrap();
             assert!(needed > 0 && needed < dirty / 2, "{}: {needed} of {dirty}", params.name);
             let (lists, nodes) = (lists_built(&wb), nodes_made(&wb));
             assert_eq!(lists, nodes, "{}", params.name);
             assert!(stretches(&wb) <= nodes && nodes < needed as u64, "{}", params.name);
             // Nothing in it is dirty now, whatever else is.
-            assert_eq!(wb.recalc_demand(id, viewport, RecalcMode::Serial), Ok(0));
+            assert_eq!(wb.recalc_demand(id, viewport), Ok(0));
             assert_eq!(lists_built(&wb), 0, "{}", params.name);
             // From every dirty cell: one list per (run, dirty interval).
             assert_eq!(wb.recalculate(RecalcMode::Serial), dirty - needed);

@@ -52,7 +52,7 @@ proptest! {
 
             // Demand pass: counters say how much was actually evaluated.
             let before = demand.evaluated_total();
-            let e_demand = demand.recalc_demand(sid, viewport, RecalcMode::Serial).unwrap();
+            let e_demand = demand.recalc_demand(sid, viewport).unwrap();
             prop_assert_eq!(demand.evaluated_total() - before, e_demand as u64);
             prop_assert!(e_demand <= e_full, "{}: demand may never evaluate more", p.name);
 
@@ -98,7 +98,7 @@ fn demand_recalc_is_a_strict_subset_on_the_giant_sheet() {
     let mut wb = build(&w);
     let total = wb.dirty_count();
     let viewport = Range::parse_a1("A1:F8").unwrap();
-    let evaluated = wb.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    let evaluated = wb.recalc_demand(SheetId(0), viewport).unwrap();
     assert!(evaluated > 0, "a dirty viewport must evaluate something");
     assert!(
         evaluated < total / 2,
@@ -127,7 +127,7 @@ fn a_viewport_inside_a_dirty_run_cuts_its_interval_in_two() {
     let (mut full, mut demand) = (build(), build());
     assert_eq!((full.dirty_count(), full.recalculate(RecalcMode::Serial)), (1024, 1024));
     let viewport = Range::parse_a1("B400:B600").unwrap();
-    let needed = demand.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    let needed = demand.recalc_demand(SheetId(0), viewport).unwrap();
     assert_eq!(needed, 201, "the viewport's rows, nothing above or below");
     assert_eq!(demand.dirty_count(), 1024 - needed);
     assert_eq!(demand.recalculate(RecalcMode::Serial), 1024 - needed);
@@ -161,7 +161,7 @@ fn viewport_after_demand(
     let total_dirty = full.dirty_count();
     assert_eq!(full.recalculate(RecalcMode::Serial), total_dirty);
 
-    let e_demand = demand.recalc_demand(sid, viewport, RecalcMode::Serial).unwrap();
+    let e_demand = demand.recalc_demand(sid, viewport).unwrap();
     let seen: Vec<Value> = viewport.cells().map(|cell| demand.value(sid, cell)).collect();
     for (cell, value) in viewport.cells().zip(&seen) {
         let want = full.value(sid, cell);

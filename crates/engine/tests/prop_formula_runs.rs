@@ -745,8 +745,8 @@ fn nodes_across_pages_and_bad_values_evaluate_as_their_cells_do() {
     for wb in [&mut shared, &mut twin] {
         wb.set_value(s, Cell::new(1, 2), Value::Number(0.5));
     }
-    let needed = shared.recalc_demand(s, viewport, RecalcMode::Serial).unwrap();
-    assert_eq!(needed, twin.recalc_demand(s, viewport, RecalcMode::Serial).unwrap());
+    let needed = shared.recalc_demand(s, viewport).unwrap();
+    assert_eq!(needed, twin.recalc_demand(s, viewport).unwrap());
     assert!(needed > 0 && shared.dirty_count() > 0, "{needed} evaluated");
     assert_same(&shared, &twin, "demand pass");
     recalculate(&mut shared, &mut twin, "after the demand pass");

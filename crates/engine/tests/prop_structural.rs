@@ -121,7 +121,7 @@ proptest! {
             live.log_edit(rec).expect("structural edit logs");
         }
         live.sync().expect("sync");
-        live.recalculate(RecalcMode::Serial);
+        live.recalculate();
 
         let mut reopened = Workbook::open(&path).expect("reopen");
         reopened.recalculate(RecalcMode::Serial);

@@ -145,7 +145,7 @@ fn a_recalculation_allocates_nothing_per_cell_and_a_fill_shares_one_template() {
     for viewport in [whole, last, whole, last] {
         wb.apply_edit(&edit(top, f64::from(counted.len() as u32))).unwrap();
         let before = allocations();
-        let cells = wb.recalc_demand(calc, viewport, RecalcMode::Serial).unwrap();
+        let cells = wb.recalc_demand(calc, viewport).unwrap();
         counted.push((cells, allocations() - before));
         wb.recalculate(RecalcMode::Serial);
     }

@@ -17,8 +17,9 @@
 //!   owned by a **single writer thread**. Reads execute against epoch
 //!   [`Snapshot`]s (an `Arc` swapped under a lock held only for the
 //!   pointer exchange — readers never wait for a write to apply or a
-//!   recalculation to finish; republished copy-on-write by row band, so
-//!   publication costs what a batch changed, not what the sheet holds);
+//!   recalculation to finish; republished copy-on-write by cell-store
+//!   page, so publication copies what a batch wrote, not what the sheet
+//!   holds);
 //!   writes are funneled through the owner thread's queue, which
 //!   **coalesces** queued edits into one [`Workbook::apply_batch`] + one
 //!   recalculation instead of N;

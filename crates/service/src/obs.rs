@@ -38,12 +38,9 @@ pub(crate) struct ServiceObs {
     ///
     /// [`ServiceError::DeadlineExceeded`]: crate::ServiceError::DeadlineExceeded
     pub(crate) deadline_expired: Counter,
-    /// `taco_snapshot_publish_cells` — changed cells re-read per snapshot
-    /// publication: tracks the size of the edit, not of the sheet.
-    pub(crate) publish_cells: Histogram,
-    /// `taco_snapshot_bands_rebuilt_total` — row bands rebuilt by
-    /// publications (every other band is shared with the previous epoch).
-    pub(crate) bands_rebuilt: Counter,
+    /// `taco_snapshot_pages_copied_total` — cell-store pages copied by
+    /// publications (every other page is shared with the previous epoch).
+    pub(crate) pages_copied: Counter,
     pub(crate) tracer: Tracer,
 }
 
@@ -63,8 +60,7 @@ impl ServiceObs {
             scope_denials: m.counter("taco_scope_denials_total"),
             degraded_books: m.gauge("taco_degraded_workbooks"),
             deadline_expired: m.counter("taco_deadline_expired_total"),
-            publish_cells: m.histogram("taco_snapshot_publish_cells"),
-            bands_rebuilt: m.counter("taco_snapshot_bands_rebuilt_total"),
+            pages_copied: m.counter("taco_snapshot_pages_copied_total"),
             tracer: hub.tracer.clone(),
             hub,
         }

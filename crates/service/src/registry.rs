@@ -31,39 +31,27 @@
 //!
 //! # Snapshot publication
 //!
-//! After every batch the worker publishes a new [`Snapshot`]. A sheet's
-//! cells are stored as **row bands**: the non-empty cells of each run of
-//! `BAND_ROWS` consecutive rows form one `Arc`-shared band, sorted by
-//! `(row, col)`, and a sheet is the ordered list of its non-empty bands.
-//! Publication is copy-on-write at band granularity: the worker hands
-//! `publish` the cells the batch may have changed, the bands holding them
-//! are rebuilt from the live workbook, and every other band — and every
-//! untouched sheet's whole band list — is `Arc`-shared with the previous
-//! epoch.
+//! After every batch the worker publishes a new [`Snapshot`]: per sheet,
+//! a copy of its cell store's values page by page ([`Engine::publish`]).
+//! A page is one column's `PAGE_ROWS` (256) rows, as the store holds it;
+//! each records the write clock of its latest value write, so a copy made
+//! from the previous epoch's shares, `Arc` for `Arc`, every page nothing
+//! was written to since and copies the rest. An untouched sheet is shared
+//! whole.
 //!
-//! **The changed-set contract.** A cell whose published value differs
-//! from the live workbook's must be in the changed set; a superset is
-//! always safe, because values are re-read from the workbook, never
-//! carried in the set. The worker knows the set without scanning
-//! anything: plain-value targets and cleared ranges come from the records
-//! it just applied; every cell the recalculation re-evaluated — which
-//! includes each formula the batch set or autofilled, dirty from the
-//! moment it was written — is in the engine's own sorted dirty list
-//! ([`Engine::last_evaluated`]). Three cases fall back to rebuilding a
-//! sheet whole: a structural edit (every cell below or right of it
-//! moves), a sheet the previous epoch does not have, and a sheet whose
-//! name changed.
+//! The writer tells the publisher nothing: what changed is what the cell
+//! store stamped. A structural edit rebuilds the store, so every page is
+//! new and copied; a sheet the previous epoch lacks has nothing to share.
 //!
-//! **Cost model.** With `c` changed cells on a sheet of `b` bands,
-//! publication costs `O(c log c)` to sort the set, `O(b)` pointer clones
-//! for the band list, and one merge per rebuilt band (at most `c` bands,
-//! each `BAND_ROWS` rows of cells) — independent of the sheet's cell
-//! count. `Get` is two binary searches; `GetRange` walks only the bands
-//! its rows overlap and emits in `(row, col)` order with no sort. A
-//! sheet name resolves by an allocation-free ASCII-case-insensitive scan
-//! of the sheet list.
+//! **Cost model.** Publication visits every allocated page of every sheet
+//! once (a clock compare, a pointer clone) and copies the `c` pages
+//! written since — a one-cell edit and its dependents a handful, however
+//! many cells the sheet holds. `Get` is one binary search; `GetRange`
+//! steps across the pages its rows and columns overlap and emits in
+//! `(row, col)` order with no sort. A sheet name resolves by an
+//! allocation-free ASCII-case-insensitive scan of the sheet list.
 //!
-//! [`Engine::last_evaluated`]: taco_engine::Engine::last_evaluated
+//! [`Engine::publish`]: taco_engine::Engine::publish
 //!
 //! A workbook may be backed by a [`PersistentWorkbook`] (WAL + snapshot
 //! file): edits then go through [`PersistentWorkbook::log_batch`], which
@@ -87,12 +75,14 @@ use crate::obs::ServiceObs;
 use crate::protocol::{Request, Response, ServiceStats};
 use crate::session::{Session, SessionToken};
 use crate::ServiceError;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use taco_core::StructuralOp;
-use taco_engine::{Engine, PersistentWorkbook, RecalcMode, SheetId, Workbook, WorkbookReceipt};
+use taco_engine::{
+    PersistentWorkbook, RecalcMode, SheetId, SheetValues, Workbook, WorkbookReceipt,
+};
 use taco_formula::{Template, Value};
 use taco_grid::{Cell, Range};
 use taco_obs::{SpanCat, TraceContext};
@@ -159,173 +149,20 @@ impl Default for ServiceOptions {
 
 // ---- snapshots ----------------------------------------------------------
 
-/// Rows per band. A layout constant, not a tuning knob: a publication
-/// copies the cells of every band it rebuilds and one pointer per band of
-/// the sheet, and a write typically lands in a handful of bands (the
-/// edited cell's and its dependents'). At 16 rows both stay at a few
-/// microseconds on a sheet of a few thousand rows; at 32 the copies were
-/// the larger half of a publication and varied with where the
-/// dependents happened to sit.
-const BAND_ROWS: u32 = 16;
-
-/// The band a cell's row falls in.
-fn band_of(cell: Cell) -> u32 {
-    cell.row / BAND_ROWS
-}
-
-/// The order cells are stored, searched and returned in.
-fn row_major(cell: Cell) -> (u32, u32) {
-    (cell.row, cell.col)
-}
-
-/// The non-empty cells of one band, sorted by [`row_major`].
-type Band = Arc<[(Cell, Value)]>;
-
-/// One sheet's cells at one epoch.
-struct SheetCells {
-    /// `(band number, band)`, ascending; empty bands are not stored.
-    bands: Vec<(u32, Band)>,
-    /// Cells across all bands.
-    len: usize,
-}
-
-impl SheetCells {
-    /// The whole sheet, from the live engine: `O(n log n)` in its cells.
-    fn build(engine: &Engine) -> SheetCells {
-        let mut cells: Vec<(Cell, Value)> =
-            engine.cells().map(|(c, k)| (c, k.value().clone())).collect();
-        cells.sort_unstable_by_key(|(c, _)| row_major(*c));
-        let bands = cells
-            .chunk_by(|(a, _), (b, _)| band_of(*a) == band_of(*b))
-            .map(|band| (band_of(band[0].0), Band::from(band)))
-            .collect();
-        SheetCells { bands, len: cells.len() }
-    }
-
-    /// This sheet with the bands holding `changed` (sorted by
-    /// [`row_major`], deduplicated) rebuilt from `engine` and every other
-    /// band shared. Returns the number of bands rebuilt alongside.
-    fn patched(&self, engine: &Engine, changed: &[Cell]) -> (SheetCells, usize) {
-        let mut bands = Vec::with_capacity(self.bands.len() + 1);
-        let mut len = self.len;
-        let mut rebuilt = 0;
-        let mut old = self.bands.iter().peekable();
-        for group in changed.chunk_by(|a, b| band_of(*a) == band_of(*b)) {
-            let no = band_of(group[0]);
-            while let Some(shared) = old.next_if(|(n, _)| *n < no) {
-                bands.push(shared.clone());
-            }
-            let prev = old.next_if(|(n, _)| *n == no).map_or(&[][..], |(_, band)| &band[..]);
-            // Merge: unchanged cells carry over, changed ones take the
-            // workbook's current content (or vanish with it).
-            let mut band = Vec::with_capacity(prev.len() + group.len());
-            let mut kept = 0;
-            for &cell in group {
-                let upto =
-                    kept + prev[kept..].partition_point(|(c, _)| row_major(*c) < row_major(cell));
-                band.extend_from_slice(&prev[kept..upto]);
-                kept = upto + usize::from(prev.get(upto).is_some_and(|(c, _)| *c == cell));
-                if let Some(content) = engine.content(cell) {
-                    band.push((cell, content.value().clone()));
-                }
-            }
-            band.extend_from_slice(&prev[kept..]);
-            len = len - prev.len() + band.len();
-            rebuilt += 1;
-            if !band.is_empty() {
-                bands.push((no, Band::from(band)));
-            }
-        }
-        bands.extend(old.cloned());
-        (SheetCells { bands, len }, rebuilt)
-    }
-
-    /// The stored bands `range`'s rows overlap.
-    fn overlapping(&self, range: Range) -> &[(u32, Band)] {
-        let first = self.bands.partition_point(|(no, _)| *no < band_of(range.head()));
-        let end = self.bands.partition_point(|(no, _)| *no <= band_of(range.tail()));
-        &self.bands[first..end]
-    }
-
-    /// Visits every stored cell of `range` in [`row_major`] order.
-    fn for_each_in(&self, range: Range, mut visit: impl FnMut(&(Cell, Value))) {
-        let (head, tail) = (range.head(), range.tail());
-        for (_, band) in self.overlapping(range) {
-            let start = band.partition_point(|(c, _)| c.row < head.row);
-            for entry in band[start..].iter().take_while(|(c, _)| c.row <= tail.row) {
-                if (head.col..=tail.col).contains(&entry.0.col) {
-                    visit(entry);
-                }
-            }
-        }
-    }
-
-    fn get(&self, cell: Cell) -> Option<&Value> {
-        let at = self.bands.binary_search_by_key(&band_of(cell), |(no, _)| *no).ok()?;
-        let band = &self.bands[at].1;
-        let at = band.binary_search_by_key(&row_major(cell), |(c, _)| row_major(*c)).ok()?;
-        Some(&band[at].1)
-    }
-}
-
-/// What the writes since the previous epoch changed on one sheet without
-/// the recalculation revisiting it (what it evaluated, the publisher
-/// reads from the engine). See the module docs for the contract.
-#[derive(Default)]
-struct SheetChanges {
-    /// Cells given a plain value, any order.
-    cells: Vec<Cell>,
-    /// Cleared ranges: only cells the previous epoch holds can change.
-    cleared: Vec<Range>,
-    /// A structural edit moved the sheet's cells: rebuild it whole.
-    whole: bool,
-}
-
-/// The change description handed to `publish`, keyed by dense sheet index.
-#[derive(Default)]
-struct Changes(BTreeMap<usize, SheetChanges>);
-
-impl Changes {
-    fn on(&mut self, sheet: u32) -> &mut SheetChanges {
-        self.0.entry(sheet as usize).or_default()
-    }
-
-    /// Notes what applying `rec` can change.
-    fn record(&mut self, rec: &EditRecord) {
-        match rec {
-            EditRecord::SetValue { sheet, cell, .. } => self.on(*sheet).cells.push(*cell),
-            EditRecord::ClearRange { sheet, range } => self.on(*sheet).cleared.push(*range),
-            EditRecord::Structural { sheet, .. } => self.on(*sheet).whole = true,
-            // A formula cell is dirty from the moment it is written, so
-            // it comes back with the evaluated cells; a new sheet is
-            // missing from the previous epoch. The publisher sees both.
-            EditRecord::SetFormula { .. } | EditRecord::AddSheet { .. } => {}
-        }
-    }
-}
-
-/// What one publication rebuilt (the `snapshot.publish` span payload and
-/// the `taco_snapshot_*` metrics).
-#[derive(Default)]
-struct Rebuilt {
-    cells: u64,
-    bands: u64,
-}
-
 /// One sheet's slice of a snapshot; both halves are shared with the
-/// previous epoch when nothing on the sheet changed.
+/// previous epoch when nothing on the sheet was written.
 #[derive(Clone)]
 struct SheetSnap {
     name: Arc<str>,
-    cells: Arc<SheetCells>,
+    values: Arc<SheetValues>,
 }
 
 /// An immutable view of a workbook's cell values at one publication
-/// epoch: per sheet, an ordered list of `Arc`-shared row bands (see the
-/// module docs, "Snapshot publication"). Cheap to share and cheap to
-/// republish — a successor epoch rebuilds only the bands holding a
-/// changed cell, so steady-state publication cost follows the size of the
-/// edit, not of the sheet.
+/// epoch: per sheet, its cell store's pages, each `Arc`-shared with the
+/// previous epoch when nothing was written to it since (see the module
+/// docs, "Snapshot publication"). Cheap to share and cheap to republish:
+/// a successor copies only the pages written since, so steady-state
+/// publication cost follows the size of the edit, not of the sheet.
 pub struct Snapshot {
     /// Publication counter; bumps once per published batch/recalc.
     pub epoch: u64,
@@ -341,62 +178,44 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds epoch 0 from a live workbook, every sheet whole — the
-    /// fallback path on its own, and the oracle the tests hold
-    /// incremental publication to.
+    /// Builds epoch 0 from a live workbook, every page copied: what the
+    /// tests hold each successor to.
     fn build(wb: &Workbook) -> Snapshot {
-        Snapshot::successor(None, wb, &Changes::default()).0
+        Snapshot::successor(None, wb).0
     }
 
-    /// Builds `prev`'s successor: per sheet, the bands holding a cell of
-    /// `changes` or of the engine's last recalculation are rebuilt from
-    /// `wb`; everything else is shared with `prev`.
-    fn successor(prev: Option<&Snapshot>, wb: &Workbook, changes: &Changes) -> (Snapshot, Rebuilt) {
-        let mut rebuilt = Rebuilt::default();
+    /// Builds `prev`'s successor, each sheet published from its slice of
+    /// `prev` ([`Engine::publish`]) — a sheet `prev` lacks from nothing.
+    /// Returns the pages copied alongside.
+    fn successor(prev: Option<&Snapshot>, wb: &Workbook) -> (Snapshot, usize) {
+        let mut copied = 0;
         let mut sheets = Vec::with_capacity(wb.sheet_count());
         for i in 0..wb.sheet_count() {
-            let engine = wb.sheet(SheetId(i));
             let name = wb.sheet_name(SheetId(i));
             let known = prev.and_then(|p| p.sheets.get(i)).filter(|s| &*s.name == name);
-            let edits = changes.0.get(&i);
-            let whole = edits.is_some_and(|e| e.whole);
-            let Some(known) = known.filter(|_| !whole) else {
-                let cells = SheetCells::build(engine);
-                rebuilt.cells += cells.len as u64;
-                rebuilt.bands += cells.bands.len() as u64;
-                let name = known.map_or_else(|| Arc::from(name), |s| Arc::clone(&s.name));
-                sheets.push(SheetSnap { name, cells: Arc::new(cells) });
-                continue;
+            let (values, n) = wb.sheet(SheetId(i)).publish(known.map(|s| &*s.values));
+            copied += n;
+            let sheet = match known {
+                // No page copied and no cell gone: no page dropped either.
+                Some(known) if n == 0 && values.len() == known.values.len() => known.clone(),
+                _ => SheetSnap {
+                    name: known.map_or_else(|| Arc::from(name), |s| Arc::clone(&s.name)),
+                    values: Arc::new(values),
+                },
             };
-            let mut changed = engine.last_evaluated().to_vec();
-            if let Some(edits) = edits {
-                changed.extend_from_slice(&edits.cells);
-                for range in &edits.cleared {
-                    known.cells.for_each_in(*range, |(c, _)| changed.push(*c));
-                }
-            }
-            if changed.is_empty() {
-                sheets.push(known.clone());
-                continue;
-            }
-            changed.sort_unstable_by_key(|c| row_major(*c));
-            changed.dedup();
-            let (cells, bands) = known.cells.patched(engine, &changed);
-            rebuilt.cells += changed.len() as u64;
-            rebuilt.bands += bands as u64;
-            sheets.push(SheetSnap { name: Arc::clone(&known.name), cells: Arc::new(cells) });
+            sheets.push(sheet);
         }
         let snapshot = Snapshot {
             epoch: prev.map_or(0, |p| p.epoch + 1),
             dirty: wb.dirty_count() as u64,
-            cells_total: sheets.iter().map(|s| s.cells.len as u64).sum(),
+            cells_total: sheets.iter().map(|s| s.values.len() as u64).sum(),
             graph_edges: (0..wb.sheet_count())
                 .map(|i| wb.sheet(SheetId(i)).graph().num_edges() as u64)
                 .sum(),
             cross_edges: wb.cross_edge_count() as u64,
             sheets,
         };
-        (snapshot, rebuilt)
+        (snapshot, copied)
     }
 
     /// Resolves a sheet name (ASCII-case-insensitive) to its dense index.
@@ -411,14 +230,14 @@ impl Snapshot {
 
     /// One cell's value (`Empty` for never-written cells).
     pub fn value(&self, sheet: usize, cell: Cell) -> Value {
-        self.sheets.get(sheet).and_then(|s| s.cells.get(cell)).cloned().unwrap_or(Value::Empty)
+        self.sheets.get(sheet).and_then(|s| s.values.get(cell)).cloned().unwrap_or(Value::Empty)
     }
 
     /// Every non-empty cell of `range`, sorted by (row, col).
     pub fn cells_in(&self, sheet: usize, range: Range) -> Vec<(Cell, Value)> {
         let mut out = Vec::new();
         if let Some(s) = self.sheets.get(sheet) {
-            s.cells.for_each_in(range, |entry| out.push(entry.clone()));
+            s.values.for_each_in(range, |cell, value| out.push((cell, value.clone())));
         }
         out
     }
@@ -1116,23 +935,16 @@ fn filter_scoped(resp: Response, session: &Session) -> Response {
 // ---- the worker ---------------------------------------------------------
 
 /// Publishes `wb`'s next epoch under a `snapshot.publish` span (ambient
-/// parent: the request or batch being served). Payload words: the cells
-/// re-read and the row bands rebuilt.
-fn publish(shared: &BookShared, wobs: &ServiceObs, wb: &Workbook, changes: &Changes) -> u64 {
+/// parent: the request or batch being served). Payload word: the pages
+/// copied.
+fn publish(shared: &BookShared, wobs: &ServiceObs, wb: &Workbook) -> u64 {
     let start_ns = wobs.tracer.now_ns();
     let prev = Arc::clone(&read_lock(&shared.snapshot));
-    let (next, rebuilt) = Snapshot::successor(Some(&prev), wb, changes);
+    let (next, copied) = Snapshot::successor(Some(&prev), wb);
     let epoch = next.epoch;
     *write_lock(&shared.snapshot) = Arc::new(next);
-    wobs.tracer.record_since(
-        "snapshot.publish",
-        SpanCat::Publish,
-        start_ns,
-        rebuilt.cells,
-        rebuilt.bands,
-    );
-    wobs.publish_cells.record(rebuilt.cells);
-    wobs.bands_rebuilt.add(rebuilt.bands);
+    wobs.tracer.record_since("snapshot.publish", SpanCat::Publish, start_ns, copied as u64, 0);
+    wobs.pages_copied.add(copied as u64);
     epoch
 }
 
@@ -1238,14 +1050,14 @@ fn worker_loop(
                     let evaluated = match viewport {
                         None => Ok(wb.recalculate(opts.recalc_mode)),
                         Some((sheet, range)) => wb
-                            .recalc_demand(SheetId(sheet as usize), range, opts.recalc_mode)
+                            .recalc_demand(SheetId(sheet as usize), range)
                             .map_err(|_| ServiceError::NoSuchSheet(format!("#{sheet}"))),
                     };
                     let resp = match evaluated {
                         Err(e) => Response::Err(e),
                         Ok(evaluated) => {
                             shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
-                            let epoch = publish(&shared, &wobs, wb, &Changes::default());
+                            let epoch = publish(&shared, &wobs, wb);
                             match viewport.filter(|_| fetch) {
                                 Some((sheet, range)) => {
                                     let snap = Arc::clone(&read_lock(&shared.snapshot));
@@ -1355,7 +1167,6 @@ fn apply_writes(
     let (ops, replies): (Vec<WriteOp>, Vec<Sender<Response>>) =
         writes.into_iter().map(|(op, _, reply)| (op, reply)).unzip();
     let mut results: Vec<Result<u64, ServiceError>> = Vec::with_capacity(ops.len());
-    let mut changes = Changes::default();
     let mut ops = ops.into_iter().peekable();
     while let Some(op) = ops.next() {
         if shared.is_degraded() {
@@ -1370,9 +1181,6 @@ fn apply_writes(
                     ops.next_if(|next| matches!(next, WriteOp::Edit(_)))
                 {
                     records.push(rec);
-                }
-                for rec in &records {
-                    changes.record(rec);
                 }
                 shared.stats.edits.fetch_add(records.len() as u64, Ordering::Relaxed);
                 if records.len() > 1 {
@@ -1390,8 +1198,7 @@ fn apply_writes(
                         .map_err(|e| ServiceError::BadRequest(format!("autofill: {e}")))
                 };
                 // One request, one answer: the first record that failed,
-                // else the fill's routing count. (The records are formula
-                // writes: the recalculation hands them to the publisher.)
+                // else the fill's routing count.
                 results.push(records.and_then(|records| {
                     let mut each = Vec::with_capacity(records.len());
                     apply_records(backing, shared, wobs, &records, &mut each);
@@ -1404,7 +1211,7 @@ fn apply_writes(
     // publication, then the replies (which carry the new epoch).
     backing.workbook_mut().recalculate(opts.recalc_mode);
     shared.stats.recalcs.fetch_add(1, Ordering::Relaxed);
-    let epoch = publish(shared, wobs, backing.workbook(), &changes);
+    let epoch = publish(shared, wobs, backing.workbook());
     // Close the batch span before any reply: a member request's root
     // span (recorded when its client sees the reply) must fully contain
     // the batch it rode in.
@@ -1421,6 +1228,7 @@ fn apply_writes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn c(s: &str) -> Cell {
         Cell::parse_a1(s).unwrap()
@@ -1546,7 +1354,8 @@ mod tests {
         reg.shutdown(); // idempotent
     }
 
-    /// A 2 048-row sheet (64 bands): data in A, a window sum in B.
+    /// A 2 048-row sheet (eight pages a column): data in A, a window sum
+    /// in B.
     fn tall_registry() -> (Registry, u64) {
         let mut wb = Workbook::with_taco();
         let main = wb.add_sheet("Main").unwrap();
@@ -1562,81 +1371,91 @@ mod tests {
         (reg, token)
     }
 
-    fn bands_rebuilt(reg: &Registry) -> u64 {
-        reg.obs().snapshot().counter("taco_snapshot_bands_rebuilt_total").unwrap()
+    fn pages_copied(reg: &Registry) -> u64 {
+        reg.obs().snapshot().counter("taco_snapshot_pages_copied_total").unwrap()
+    }
+
+    /// A sheet's pages, by their first cell.
+    fn pages(snap: &Snapshot, sheet: usize) -> BTreeMap<Cell, Arc<[Option<Value>]>> {
+        snap.sheets[sheet].values.pages().map(|(first, page)| (first, Arc::clone(page))).collect()
     }
 
     #[test]
-    fn snapshot_shares_untouched_sheets_and_bands() {
+    fn snapshot_shares_untouched_sheets_and_pages() {
         let (reg, token) = tall_registry();
+        let set = |cell: &str, v: f64| {
+            let value = Value::Number(v);
+            let resp = reg.execute(Request::SetValue {
+                token,
+                sheet: "Main".into(),
+                cell: c(cell),
+                value,
+            });
+            assert!(matches!(resp, Response::Applied { .. }), "{resp:?}");
+            reg.snapshot("demo").unwrap()
+        };
         let before = reg.snapshot("demo").unwrap();
-        assert_eq!(before.sheets[0].cells.bands.len(), 2048 / BAND_ROWS as usize + 1);
-        let rebuilt = bands_rebuilt(&reg);
-        // C1000 has no dependents: one cell changes, in one band.
-        reg.execute(Request::SetValue {
-            token,
-            sheet: "Main".into(),
-            cell: c("C1000"),
-            value: Value::Number(1.0),
-        });
-        let after = reg.snapshot("demo").unwrap();
+        assert_eq!(pages(&before, 0).len(), 2 * 2048 / 256);
+        let copied = pages_copied(&reg);
+        // C1000 has no dependents: one cell written, on a page of its own.
+        let after = set("C1000", 1.0);
         assert!(after.epoch > before.epoch);
-        assert_eq!(bands_rebuilt(&reg) - rebuilt, 1, "a one-cell edit rebuilds one band");
+        assert_eq!(pages_copied(&reg) - copied, 1, "a one-cell edit copies one page");
         assert_eq!(after.cells_total, before.cells_total + 1);
-        // "Other" was untouched: its whole band list is shared.
-        assert!(Arc::ptr_eq(&after.sheets[1].cells, &before.sheets[1].cells));
-        // On the touched sheet every band but the edited one is shared.
-        let (a, b) = (&after.sheets[0].cells.bands, &before.sheets[0].cells.bands);
-        assert_eq!(a.len(), b.len());
-        for ((no, band), (_, old)) in a.iter().zip(b) {
-            assert_eq!(Arc::ptr_eq(band, old), *no != band_of(c("C1000")), "band {no}");
+        // "Other" was untouched: it is shared whole.
+        assert!(Arc::ptr_eq(&after.sheets[1].values, &before.sheets[1].values));
+        // On the edited sheet every page but the new one is shared.
+        let (a, b) = (pages(&after, 0), pages(&before, 0));
+        assert_eq!(
+            a.keys().filter(|first| !b.contains_key(first)).collect::<Vec<_>>(),
+            [&c("C769")]
+        );
+        for (first, page) in &b {
+            assert!(Arc::ptr_eq(page, &a[first]), "page at {first}");
         }
         // Sheet names are epoch-shared, not re-cloned.
         for (sa, sb) in after.sheets.iter().zip(before.sheets.iter()) {
             assert!(Arc::ptr_eq(&sa.name, &sb.name), "sheet names are epoch-shared");
         }
-        // A1 feeds B1 only (B's window is A{r}:A{r+1}): still one band.
-        reg.execute(Request::SetValue {
-            token,
-            sheet: "main".into(),
-            cell: c("A1"),
-            value: Value::Number(-1.0),
-        });
-        assert_eq!(bands_rebuilt(&reg) - rebuilt, 2);
-        assert_eq!(reg.snapshot("demo").unwrap().value(0, c("B1")), Value::Number(1.0));
-        // A five-row read visits at most two bands, wherever it starts.
-        let cells = &reg.snapshot("demo").unwrap().sheets[0].cells;
-        for row in [1, 14, 15, 16, 17, 2044] {
-            let range = Range::from_coords(1, row, 8, row + 4);
-            assert!(cells.overlapping(range).len() <= 2, "rows {row}..");
+        // Written again in place: that page is copied, no other.
+        let again = set("C1000", 2.0);
+        assert_eq!(pages_copied(&reg) - copied, 2);
+        for (first, page) in &pages(&again, 0) {
+            assert_eq!(Arc::ptr_eq(page, &a[first]), *first != c("C769"), "page at {first}");
         }
+        // A1 feeds B1 only (B's window is A{r}:A{r+1}): the first page of
+        // each column.
+        let last = set("A1", -1.0);
+        assert_eq!(pages_copied(&reg) - copied, 4);
+        assert_eq!(last.value(0, c("B1")), Value::Number(1.0));
+        assert_eq!(last.value(0, c("C1000")), Value::Number(2.0));
     }
 
-    /// Band-for-band equality, not just equal reads: an incremental
-    /// successor must be indistinguishable from a full build.
+    /// Page-for-page equality, not just equal reads: a successor must be
+    /// indistinguishable from a full build.
     fn assert_same(got: &Snapshot, want: &Snapshot) {
         assert_eq!(got.sheet_names(), want.sheet_names());
-        for (g, w) in got.sheets.iter().zip(&want.sheets) {
-            assert_eq!(g.cells.len, w.cells.len, "sheet {}", g.name);
-            assert_eq!(g.cells.bands, w.cells.bands, "sheet {}", g.name);
-            assert!(g.cells.bands.iter().all(|(_, band)| !band.is_empty()));
+        for (i, (g, w)) in got.sheets.iter().zip(&want.sheets).enumerate() {
+            assert_eq!(g.values.len(), w.values.len(), "sheet {}", g.name);
+            let (g, w) = (pages(got, i), pages(want, i));
+            assert!(g
+                .iter()
+                .map(|(first, page)| (first, &page[..]))
+                .eq(w.iter().map(|(first, page)| (first, &page[..]))));
+            assert!(g.values().all(|page| page.iter().any(Option::is_some)), "no empty page");
         }
         let counters = |s: &Snapshot| (s.dirty, s.cells_total, s.graph_edges, s.cross_edges);
         assert_eq!(counters(got), counters(want));
     }
 
-    /// Applies `records` the way the worker does and returns the
-    /// incremental successor of `prev`, checked against a full build.
-    fn successor(prev: &Snapshot, wb: &mut Workbook, records: &[EditRecord]) -> Snapshot {
-        let mut changes = Changes::default();
-        for rec in records {
-            changes.record(rec);
-        }
+    /// Applies `records` the way the worker does and returns the successor
+    /// of `prev`, checked against a full build, and the pages it copied.
+    fn successor(prev: &Snapshot, wb: &mut Workbook, records: &[EditRecord]) -> (Snapshot, usize) {
         wb.apply_batch(records).unwrap();
         wb.recalculate(RecalcMode::Serial);
-        let (next, _) = Snapshot::successor(Some(prev), wb, &changes);
+        let (next, copied) = Snapshot::successor(Some(prev), wb);
         assert_same(&next, &Snapshot::build(wb));
-        next
+        (next, copied)
     }
 
     fn set(cell: &str, v: f64) -> EditRecord {
@@ -1648,22 +1467,24 @@ mod tests {
     }
 
     #[test]
-    fn cells_in_walks_bands_in_row_major_order() {
-        // Rows 1..=40 and 100..=130 in columns A..C: the bands of rows
-        // 41..=99 in between are empty and not stored.
+    fn cells_in_walks_pages_in_row_major_order() {
+        // Columns A..C at rows 1..=40, 250..=262 (across the boundary of
+        // the first two pages) and 800..=810 (the fourth page); E only at
+        // rows 600..=605 (the third page, absent from A..C).
         let mut wb = Workbook::with_taco();
         let id = wb.add_sheet("S").unwrap();
-        for row in (1..=40u32).chain(100..=130) {
+        for row in (1..=40u32).chain(250..=262).chain(800..=810) {
             for col in 1..=3u32 {
                 wb.set_value(id, Cell::new(col, row), Value::Number(f64::from(row * 10 + col)));
             }
         }
+        for row in 600..=605u32 {
+            wb.set_value(id, Cell::new(5, row), Value::Number(f64::from(row)));
+        }
         let snap = Snapshot::build(&wb);
-        let band_nos: Vec<u32> = snap.sheets[0].cells.bands.iter().map(|(no, _)| *no).collect();
-        let mut held: Vec<u32> = (1..=40u32).chain(100..=130).map(|row| row / BAND_ROWS).collect();
-        held.dedup();
-        assert_eq!(band_nos, held);
-        assert!(held.windows(2).any(|w| w[1] > w[0] + 1), "an empty band in between");
+        let firsts: Vec<String> = pages(&snap, 0).keys().map(Cell::to_string).collect();
+        let want = ["A1", "A257", "A769", "B1", "B257", "B769", "C1", "C257", "C769", "E513"];
+        assert_eq!(firsts, want);
         let brute = |range: Range| {
             let mut cells: Vec<(Cell, Value)> = wb
                 .sheet(id)
@@ -1674,61 +1495,66 @@ mod tests {
             cells.sort_unstable_by_key(|(c, _)| (c.row, c.col));
             cells
         };
-        for (what, a1) in [
-            ("inside one band", "A5:C9"),
-            ("starts and ends mid-band", "B20:C35"),
-            ("straddles several bands and the empty ones", "A30:B110"),
-            ("only empty bands and blank rows", "A64:C95"),
-            ("one column of every band", "B1:B200"),
+        for (what, range) in [
+            ("inside one page", "A5:C9"),
+            ("across a page boundary", "B250:C262"),
+            ("across pages some columns lack", "A30:E900"),
+            ("blank rows of a held page", "A64:C95"),
+            ("a page only a column outside holds", "A520:C700"),
+            ("one column of every page", "B1:B2000"),
             ("exceeds the sheet", "A1:Z5000"),
-            ("past the last band", "A4000:C4100"),
-            ("columns with no cells", "E1:F200"),
-        ] {
-            let range = Range::parse_a1(a1).unwrap();
-            assert_eq!(snap.cells_in(0, range), brute(range), "{what}: {a1}");
+            ("past the last page", "A4000:C4100"),
+            ("columns with no cells", "D1:D2000"),
+        ]
+        .map(|(what, a1)| (what, Range::parse_a1(a1).unwrap()))
+        .into_iter()
+        .chain([("the whole grid", Range::from_coords(1, 1, u32::MAX, u32::MAX))])
+        {
+            assert_eq!(snap.cells_in(0, range), brute(range), "{what}: {range}");
         }
         assert_eq!(snap.value(0, c("B35")), Value::Number(352.0));
         assert_eq!(snap.value(0, c("B70")), Value::Empty);
+        assert_eq!(snap.value(0, c("B600")), Value::Empty);
+        assert_eq!(snap.value(0, c("E600")), Value::Number(600.0));
         assert_eq!(snap.value(0, c("D35")), Value::Empty);
         assert!(snap.cells_in(7, Range::parse_a1("A1:C9").unwrap()).is_empty());
     }
 
     #[test]
-    fn patching_tracks_bands_and_cell_counts_exactly() {
+    fn publishing_tracks_pages_and_cell_counts_exactly() {
         let mut wb = Workbook::with_taco();
         wb.add_sheet("S").unwrap();
-        let mut snap = Snapshot::build(&wb);
+        let snap = Snapshot::build(&wb);
         assert_eq!(snap.cells_total, 0);
-        // First cells of three bands, one of them far down.
-        snap = successor(&snap, &mut wb, &[set("A1", 1.0), set("B40", 2.0), set("A1000", 3.0)]);
-        assert_eq!(snap.cells_total, 3);
-        assert_eq!(snap.sheets[0].cells.bands.len(), 3);
-        // Overwrite in place: no count change.
-        snap = successor(&snap, &mut wb, &[set("B40", 5.0)]);
-        assert_eq!((snap.cells_total, snap.value(0, c("B40"))), (3, Value::Number(5.0)));
-        // Clearing the last cell of a band drops the band itself.
-        snap = successor(&snap, &mut wb, &[clear("A33:Z64")]);
-        assert_eq!(snap.cells_total, 2);
-        assert_eq!(snap.sheets[0].cells.bands.len(), 2);
-        // A clear over blank rows and a missing band changes nothing.
-        let before = snap.sheets[0].cells.bands.clone();
-        snap = successor(&snap, &mut wb, &[clear("A100:Z900")]);
-        assert!(before
-            .iter()
-            .zip(&snap.sheets[0].cells.bands)
-            .all(|(a, b)| Arc::ptr_eq(&a.1, &b.1)));
+        // First cells of three pages, one far down.
+        let (snap, copied) =
+            successor(&snap, &mut wb, &[set("A1", 1.0), set("B40", 2.0), set("A1000", 3.0)]);
+        assert_eq!((snap.cells_total, copied, pages(&snap, 0).len()), (3, 3, 3));
+        // Overwrite in place: no count change, one page copied.
+        let (snap, copied) = successor(&snap, &mut wb, &[set("B40", 5.0)]);
+        assert_eq!((snap.cells_total, copied), (3, 1));
+        assert_eq!(snap.value(0, c("B40")), Value::Number(5.0));
+        // Clearing the last cell of a page drops the page itself.
+        let (snap, copied) = successor(&snap, &mut wb, &[clear("A33:Z64")]);
+        assert_eq!((snap.cells_total, copied, pages(&snap, 0).len()), (2, 0, 2));
+        // A clear over blank rows and missing pages copies nothing, and
+        // the sheet is shared whole.
+        let before = Arc::clone(&snap.sheets[0].values);
+        let (snap, copied) = successor(&snap, &mut wb, &[clear("A100:Z900")]);
+        assert_eq!(copied, 0);
+        assert!(Arc::ptr_eq(&before, &snap.sheets[0].values));
         // Set, clear and re-set of one cell inside one batch; a formula
         // whose value arrives through the recalculation.
         let formula =
             EditRecord::SetFormula { sheet: 0, cell: c("C2"), src: "SUM(A1:A1000)".into() };
-        snap =
+        let (snap, _) =
             successor(&snap, &mut wb, &[set("D7", 1.0), clear("D1:D9"), set("D7", 2.0), formula]);
         assert_eq!(snap.cells_total, 4);
         assert_eq!(snap.value(0, c("C2")), Value::Number(4.0));
-        // Clearing everything empties the band list.
-        snap = successor(&snap, &mut wb, &[clear("A1:Z2000")]);
+        // Clearing everything drops every page.
+        let (snap, _) = successor(&snap, &mut wb, &[clear("A1:Z2000")]);
         assert_eq!(snap.cells_total, 0);
-        assert!(snap.sheets[0].cells.bands.is_empty());
+        assert!(pages(&snap, 0).is_empty());
     }
 
     /// One drained run through `apply_writes` itself — edits, a fill
@@ -1792,20 +1618,22 @@ mod tests {
     fn structural_edits_and_new_sheets_rebuild_whole() {
         let mut wb = Workbook::with_taco();
         wb.add_sheet("S").unwrap();
-        let mut snap = Snapshot::build(&wb);
+        let snap = Snapshot::build(&wb);
         let total = EditRecord::SetFormula { sheet: 0, cell: c("B1"), src: "SUM(A1:A99)".into() };
         let remote = EditRecord::SetFormula { sheet: 0, cell: c("C1"), src: "Late!A1+A40".into() };
-        snap = successor(&snap, &mut wb, &[set("A1", 1.0), set("A40", 2.0), total, remote]);
-        // Inserted rows move cells across bands.
+        let (snap, _) =
+            successor(&snap, &mut wb, &[set("A1", 1.0), set("A40", 2.0), total, remote]);
+        // Inserted rows move cells: the store is rebuilt, every page copied.
         let insert =
             EditRecord::Structural { sheet: 0, op: StructuralOp::InsertRows { at: 2, n: 40 } };
-        snap = successor(&snap, &mut wb, &[insert]);
+        let (snap, copied) = successor(&snap, &mut wb, &[insert]);
+        assert_eq!(copied, pages(&snap, 0).len());
         assert_eq!(snap.value(0, c("A80")), Value::Number(2.0));
         // A sheet the previous epoch lacks appears whole; the formula
         // waiting for it is re-evaluated on the old sheet.
         let late = EditRecord::AddSheet { name: "Late".into() };
         let fill = EditRecord::SetValue { sheet: 1, cell: c("A1"), value: Value::Number(10.0) };
-        snap = successor(&snap, &mut wb, &[late, fill]);
+        let (snap, _) = successor(&snap, &mut wb, &[late, fill]);
         assert_eq!(snap.sheet_index("late"), Some(1));
         assert_eq!(snap.value(0, c("C1")), Value::Number(12.0));
     }

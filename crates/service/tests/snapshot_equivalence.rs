@@ -1,14 +1,15 @@
 //! Incremental snapshot publication ≡ a full rebuild, at every epoch.
 //!
-//! The writer publishes each epoch by patching the row bands that hold a
-//! changed cell (`registry.rs`, "Snapshot publication"). These tests hold
-//! every publication to the trivially simple reference: a **mirror**
-//! workbook the test drives itself — the same records applied one at a
-//! time, then the same recalculation — whose cells, read whole, are what
-//! `Snapshot::build` would publish. After each step of a random script
-//! the published snapshot must equal the mirror cell for cell, together
-//! with the sheet list and the four counters, so a changed cell the
-//! writer failed to report shows up at the epoch that lost it.
+//! The writer publishes each epoch by copying the cell-store pages
+//! written since the previous one and sharing the rest (`registry.rs`,
+//! "Snapshot publication"). These tests hold every publication to the
+//! trivially simple reference: a **mirror** workbook the test drives
+//! itself — the same records applied one at a time, then the same
+//! recalculation — whose cells, read whole, are what `Snapshot::build`
+//! would publish. After each step of a random script the published
+//! snapshot must equal the mirror cell for cell, together with the sheet
+//! list and the four counters, so a write the store failed to stamp on
+//! its page shows up at the epoch that lost it.
 //!
 //! Scripts mix single and back-to-back writes (values, text, formulas,
 //! clears, structural edits, `AddSheet` — the last two also inside a
@@ -29,9 +30,10 @@ use taco_grid::{Cell, Range};
 use taco_service::{InProcClient, Registry, ServiceOptions, Snapshot};
 use taco_store::EditRecord;
 
-/// Rows the scripts write to: seven row bands, plus [`FAR_ROW`].
+/// Rows the scripts write to: the first page of each column, plus
+/// [`FAR_ROW`].
 const ROWS: u32 = 100;
-/// A row far below the rest: its band has empty bands above it.
+/// A row far below the rest: its page has an absent page above it.
 const FAR_ROW: u32 = 700;
 const SHEETS: [&str; 2] = ["Main", "Aux"];
 const BOOK: &str = "book";
@@ -228,7 +230,7 @@ fn run_script(steps: &[Step]) {
             }
             Step::Demand { sheet, range, fetch } => {
                 let name = SHEETS[*sheet as usize];
-                mirror.recalc_demand(SheetId(*sheet as usize), *range, RecalcMode::Serial).unwrap();
+                mirror.recalc_demand(SheetId(*sheet as usize), *range).unwrap();
                 if *fetch {
                     let mut want = mirror_cells(&mirror, *sheet as usize);
                     want.retain(|(c, _)| range.contains_cell(*c));
@@ -254,8 +256,9 @@ proptest! {
     }
 }
 
-/// The fixed script: each fallback and each changed-set source once, in
-/// an order that makes them matter, on the dirty-registered workbook.
+/// The fixed script: each kind of value write — a plain value, a clear,
+/// a recalculated result, a structural edit, a new sheet — once, in an
+/// order that makes them matter, on the dirty-registered workbook.
 #[test]
 fn scripted_epochs_equal_a_full_rebuild() {
     let set = |sheet, col, row, n: f64| EditRecord::SetValue {
@@ -290,7 +293,11 @@ fn scripted_epochs_equal_a_full_rebuild() {
             set(0, 3, 90, 4.0),
             set(0, 2, FAR_ROW, 5.0),
         ]),
-        // Clearing the only cell of the far band; a clear over nothing.
+        // Either side of the first page boundary of column A (256 rows a
+        // page), then a clear that frees the page row 257 opened.
+        Step::Edits(vec![set(0, 1, 256, 6.0), set(0, 1, 257, 7.0)]),
+        Step::Edits(vec![clear(0, "A257:A300")]),
+        // Clearing the only cells of the far pages; a clear over nothing.
         Step::Edits(vec![clear(0, "A650:Z800")]),
         Step::Edits(vec![clear(1, "A300:Z400")]),
         // A fill across a band boundary, and one that is refused.

@@ -27,14 +27,20 @@ use std::io::{Read, Write};
 /// length cannot balloon allocation.
 pub const DEFAULT_MAX_FRAME: u64 = 1 << 20;
 
-/// Writes one frame. A single `write_all` per field keeps a torn write
-/// prefix-detectable on the reader's side.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), StoreError> {
+/// The bytes of one frame around `payload`: what [`write_frame`] sends
+/// and what the WAL appends as one record.
+pub(crate) fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, StoreError> {
     let mut frame = Vec::with_capacity(payload.len() + 9);
     write_uvarint(&mut frame, payload.len() as u64)?;
     frame.extend_from_slice(&crc32(payload).to_le_bytes());
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    Ok(frame)
+}
+
+/// Writes one frame. A single `write_all` of the whole frame keeps a torn
+/// write prefix-detectable on the reader's side.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), StoreError> {
+    w.write_all(&encode_frame(payload)?)?;
     Ok(())
 }
 

@@ -6,6 +6,10 @@
 //! payload := epoch uvarint · op u8 · fields
 //! ```
 //!
+//! A record is a frame of [`crate::frame`], built by its one encoder;
+//! replay parses records in place rather than through the frame reader,
+//! because it must tell a torn tail from corruption.
+//!
 //! Every record is stamped with the **replay epoch** current when
 //! it was appended: the epoch of the snapshot the record extends.
 //! Replay-on-open compares each record's epoch against the snapshot's —
@@ -33,6 +37,7 @@
 
 use crate::codec::{crc32, read_string, read_uvarint, write_string, write_uvarint};
 use crate::container::MAX_STRING;
+use crate::frame::encode_frame;
 use crate::image::{read_cell, read_range, read_value, write_cell, write_range, write_value};
 use crate::vfs::{std_vfs, Vfs, VfsFile};
 use crate::StoreError;
@@ -318,10 +323,7 @@ impl WalWriter {
         let mut payload = Vec::new();
         write_uvarint(&mut payload, self.epoch)?;
         payload.extend_from_slice(&rec.encode());
-        let mut frame = Vec::with_capacity(payload.len() + 9);
-        write_uvarint(&mut frame, payload.len() as u64)?;
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = encode_frame(&payload)?;
         self.file.write_all(&frame)?;
         self.bytes += frame.len() as u64;
         self.records += 1;

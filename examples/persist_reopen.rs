@@ -67,7 +67,7 @@ fn main() {
     );
 
     let mut live = pers;
-    live.recalculate(RecalcMode::Serial);
+    live.recalculate();
 
     // Crash simulation: chop the tail off the last WAL record.
     let bytes = std::fs::read(&wal).expect("wal bytes");

@@ -127,13 +127,13 @@ fn observed_demand_recalc_is_bit_identical() {
     let viewport = Range::from_coords(1, 1, 8, 16);
 
     let mut reference = build(&w, None);
-    reference.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    reference.recalc_demand(SheetId(0), viewport).unwrap();
     let want = snapshot(&reference);
     let dirty_left = reference.dirty_count();
 
     let hub = Obs::new(ObsOptions::default());
     let mut wb = build(&w, Some(&hub));
-    wb.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+    wb.recalc_demand(SheetId(0), viewport).unwrap();
     assert_eq!(snapshot(&wb), want);
     assert_eq!(wb.dirty_count(), dirty_left, "laziness must match");
     let snap = hub.snapshot();
@@ -269,16 +269,16 @@ fn traced_run(w: &PersistWorkload, id_seed: u64, durable: bool) -> (TraceDump, M
         .expect("an in-memory disk takes the snapshot");
         pw.attach_obs(&hub, "det");
         pw.log_batch(&w.build).expect("build script applies and logs");
-        pw.recalculate(RecalcMode::Serial);
+        pw.recalculate();
         pw.log_batch(&w.burst).expect("burst applies and logs");
-        pw.recalculate(RecalcMode::Serial);
-        pw.workbook_mut().recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+        pw.recalculate();
+        pw.workbook_mut().recalc_demand(SheetId(0), viewport).unwrap();
     } else {
         let mut wb = build(w, Some(&hub));
         wb.recalculate(RecalcMode::Serial);
         wb.apply_batch(&w.burst).expect("burst applies");
         wb.recalculate(RecalcMode::Serial);
-        wb.recalc_demand(SheetId(0), viewport, RecalcMode::Serial).unwrap();
+        wb.recalc_demand(SheetId(0), viewport).unwrap();
     }
     (hub.tracer.dump(), hub.snapshot())
 }
