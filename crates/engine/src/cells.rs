@@ -7,6 +7,8 @@
 //!     pages: [Page]             sorted by index, one per PAGE_ROWS-row band
 //!                               that holds a cell, with when it was last
 //!                               written; allocated on first write
+//!       formulas: [u64; 4]      bit k set iff slot k holds a formula: what
+//!                               marking reads, never the slots
 //!       slots: [Slot; 256]
 //!         content.value         inline (24 bytes) — what a range scan reads
 //!         content.run           the formula, behind a pointer shared by
@@ -58,6 +60,9 @@ pub(crate) static EMPTY: Value = Value::Empty;
 /// What a page that was never allocated reads as.
 static VACANT_PAGE: [Slot; PAGE_ROWS as usize] = [const { Slot::VACANT }; PAGE_ROWS as usize];
 
+/// Words of a page's formula bits.
+const WORDS: usize = PAGE_ROWS as usize / 64;
+
 struct Page {
     /// Which band of rows: row `r` lives in page `(r - 1) / PAGE_ROWS`.
     index: u32,
@@ -66,10 +71,74 @@ struct Page {
     /// The write clock of the page's latest value write: a copy made at
     /// that clock or later holds what the page holds.
     written: u64,
+    /// Bit `k % 64` of word `k / 64` is set iff slot `k` holds a formula.
+    /// Kept by the two writes that can change it, `insert` and
+    /// `remove_range`; a result stored or a run repointed leaves a
+    /// formula a formula.
+    formulas: [u64; WORDS],
     slots: Box<[Slot]>,
 }
 
 impl Page {
+    fn new(index: u32, at: u64) -> Page {
+        let slots = (0..PAGE_ROWS).map(|_| Slot::VACANT).collect();
+        Page { index, used: 0, written: at, formulas: [0; WORDS], slots }
+    }
+
+    /// Whether slot `at` holds a formula.
+    fn is_formula(&self, at: usize) -> bool {
+        self.formulas[at / 64] >> (at % 64) & 1 == 1
+    }
+
+    fn set_formula(&mut self, at: usize, formula: bool) {
+        let (word, bit) = (&mut self.formulas[at / 64], 1 << (at % 64));
+        *word = if formula { *word | bit } else { *word & !bit };
+    }
+
+    /// Clears the formula bits of slots `lo..=hi`; returns how many were
+    /// set.
+    fn take_formulas(&mut self, lo: usize, hi: usize) -> usize {
+        let mut taken = 0;
+        for k in lo / 64..=hi / 64 {
+            let (from, to) = (lo.max(k * 64) - k * 64, hi.min(k * 64 + 63) - k * 64);
+            let mask = (!0u64 >> (63 - to)) & (!0u64 << from);
+            taken += (self.formulas[k] & mask).count_ones() as usize;
+            self.formulas[k] &= !mask;
+        }
+        taken
+    }
+
+    /// The first slot at or after `from` whose formula bit is `set`
+    /// ([`PAGE_ROWS`]: none): a masked word, then whole words.
+    fn next_bit(&self, from: usize, set: bool) -> usize {
+        let word = |k: usize| if set { self.formulas[k] } else { !self.formulas[k] };
+        let (mut k, mut bits) = (from / 64, word(from / 64) & (!0u64 << (from % 64)));
+        while bits == 0 {
+            k += 1;
+            if k == WORDS {
+                return PAGE_ROWS as usize;
+            }
+            bits = word(k);
+        }
+        k * 64 + bits.trailing_zeros() as usize
+    }
+
+    /// The stretches of formula slots among slots `lo..=hi`, top down, as
+    /// `(first, last)`: read off the bits alone.
+    fn formula_stretches(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut at = lo;
+        std::iter::from_fn(move || {
+            if at > hi {
+                return None;
+            }
+            let first = self.next_bit(at, true);
+            (first <= hi).then(|| {
+                at = self.next_bit(first, false);
+                (first, hi.min(at - 1))
+            })
+        })
+    }
+
     /// The row and content of the page's last cell in its first `end`
     /// slots.
     fn last_above(&self, end: usize) -> Option<(u32, &CellContent)> {
@@ -244,13 +313,24 @@ fn page_end(index: u32, last_row: u32) -> u32 {
 }
 
 /// The allocated pages among `pages` overlapping rows `first..=last`, each
-/// as the row of its span's first slot and the span.
-fn spans(pages: &[Page], first: u32, last: u32) -> impl Iterator<Item = (u32, &[Slot])> {
+/// with the first and last of its slots inside them.
+fn overlapping(
+    pages: &[Page],
+    first: u32,
+    last: u32,
+) -> impl Iterator<Item = (&Page, usize, usize)> {
     let from = pages.partition_point(|p| p.index < page_of(first));
     pages[from..].iter().take_while(move |p| p.index <= page_of(last)).map(move |page| {
         let start = first.max(page.index * PAGE_ROWS + 1);
-        (start, &page.slots[slot_of(start)..=slot_of(page_end(page.index, last))])
+        (page, slot_of(start), slot_of(page_end(page.index, last)))
     })
+}
+
+/// The allocated pages among `pages` overlapping rows `first..=last`, each
+/// as the row of its span's first slot and the span.
+fn spans(pages: &[Page], first: u32, last: u32) -> impl Iterator<Item = (u32, &[Slot])> {
+    overlapping(pages, first, last)
+        .map(|(page, lo, hi)| (page.index * PAGE_ROWS + 1 + lo as u32, &page.slots[lo..=hi]))
 }
 
 /// Folds one run of slots: the loop under every column scan. Out of line
@@ -487,13 +567,13 @@ impl CellStore {
         let j = match locate(pages, index, 0, |p| p.index) {
             Ok(j) => j,
             Err(j) => {
-                let slots = (0..PAGE_ROWS).map(|_| Slot::VACANT).collect();
-                pages.insert(j, Page { index, used: 0, written: at, slots });
+                pages.insert(j, Page::new(index, at));
                 j
             }
         };
         let page = &mut pages[j];
         page.written = at;
+        page.set_formula(slot_of(cell.row), content.run.is_some());
         let slot = &mut page.slots[slot_of(cell.row)];
         self.formulas += usize::from(content.run.is_some());
         let old = std::mem::replace(&mut slot.content, content);
@@ -533,10 +613,10 @@ impl CellStore {
             let mut emptied = false;
             for page in column.pages[from..].iter_mut().take_while(|p| p.index <= page_of(last)) {
                 let start = first.max(page.index * PAGE_ROWS + 1);
-                let span = slot_of(start)..=slot_of(page_end(page.index, last));
+                let (lo, hi) = (slot_of(start), slot_of(page_end(page.index, last)));
+                formulas += page.take_formulas(lo, hi);
                 let used = page.used;
-                for slot in page.slots[span].iter_mut().filter(|s| s.occupied) {
-                    formulas += usize::from(slot.content.run.is_some());
+                for slot in page.slots[lo..=hi].iter_mut().filter(|s| s.occupied) {
                     *slot = Slot::VACANT;
                     page.used -= 1;
                     removed += 1;
@@ -632,30 +712,30 @@ impl CellStore {
         }
     }
 
-    /// Marks the formula cells among `cells` dirty, one lookup each.
+    /// Marks the formula cells among `cells` dirty: one column and page
+    /// lookup each, and a test of the cell's formula bit.
     pub(crate) fn mark_cells_dirty(&mut self, cells: &[Cell]) {
         for &cell in cells {
-            if self.get(cell).is_some_and(CellContent::is_formula) {
-                let i = locate(&self.cols, cell.col, 1, |c| c.col).expect("a formula's column");
-                self.dirty += self.cols[i].dirty.insert(cell.row, cell.row);
+            let Ok(i) = locate(&self.cols, cell.col, 1, |c| c.col) else { continue };
+            let column = &mut self.cols[i];
+            if column.page(page_of(cell.row)).is_some_and(|p| p.is_formula(slot_of(cell.row))) {
+                self.dirty += column.dirty.insert(cell.row, cell.row);
             }
         }
     }
 
     /// Marks every formula cell inside `range` dirty: a walk over the
-    /// allocated pages it overlaps, each page's stretches of formula cells
-    /// added whole (one crossing pages merges as it goes in).
+    /// allocated pages it overlaps, each page's stretches of formula cells,
+    /// read off its formula bits, added whole (one crossing pages merges
+    /// as it goes in). No slot is read.
     pub(crate) fn mark_formulas_dirty_in(&mut self, range: Range) {
         let (first, last) = (range.head().row, range.tail().row);
         let columns = self.columns_in(range);
-        let formula = |slot: &Slot| slot.content.run.is_some();
         for column in &mut self.cols[columns] {
-            for (mut row, mut slots) in spans(&column.pages, first, last) {
-                while let Some(at) = slots.iter().position(formula) {
-                    let len = slots[at..].iter().position(|s| !formula(s));
-                    let end = len.map_or(slots.len(), |len| at + len);
-                    self.dirty += column.dirty.insert(row + at as u32, row + end as u32 - 1);
-                    (row, slots) = (row + end as u32, &slots[end..]);
+            for (page, lo, hi) in overlapping(&column.pages, first, last) {
+                let row = page.index * PAGE_ROWS + 1;
+                for (top, bottom) in page.formula_stretches(lo, hi) {
+                    self.dirty += column.dirty.insert(row + top as u32, row + bottom as u32);
                 }
             }
         }
@@ -854,8 +934,12 @@ mod tests {
     use taco_grid::{MAX_COL, MAX_ROW};
 
     const COLS: [u32; 5] = [1, 2, 3, 5, MAX_COL];
-    const ROWS: [u32; 14] =
-        [1, 2, 3, 255, 256, 257, 258, 511, 512, 513, 700, MAX_ROW - 256, MAX_ROW - 1, MAX_ROW];
+    /// Page edges, and the edges of a page's formula-bit words.
+    #[rustfmt::skip]
+    const ROWS: [u32; 21] = [
+        1, 2, 3, 63, 64, 65, 128, 129, 192, 193, 255, 256, 257, 258, 511, 512, 513, 700,
+        MAX_ROW - 256, MAX_ROW - 1, MAX_ROW,
+    ];
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -1082,6 +1166,16 @@ mod tests {
                 LOOKUPS.with(|n| n.set(0));
                 assert_eq!(store.occupied_above(cell), want.map(|(c, k)| (*c, k)), "{cell}");
                 assert!(LOOKUPS.with(|n| n.get()) <= 2, "{cell}");
+            }
+        }
+        // Each page's formula bits are the model's formula cells.
+        for column in &store.cols {
+            for page in &column.pages {
+                for at in 0..PAGE_ROWS as usize {
+                    let cell = Cell::new(column.col, page.index * PAGE_ROWS + 1 + at as u32);
+                    let formula = model.cells.get(&cell).is_some_and(CellContent::is_formula);
+                    assert_eq!(page.is_formula(at), formula, "the formula bit of {cell}");
+                }
             }
         }
         // Memory is the pages that hold a cell, exactly.

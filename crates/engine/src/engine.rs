@@ -1620,6 +1620,45 @@ mod tests {
     }
 
     #[test]
+    fn marking_a_mixed_column_marks_exactly_its_formula_cells() {
+        // A cumulative column cut by values on both sides of two formula-bit
+        // word edges (64 | 65, 256 | 257, the second also a page edge) and
+        // by blank rows inside a word.
+        let mut e = Engine::with_taco();
+        for row in 1..=600u32 {
+            e.set_value(Cell::new(1, row), n(f64::from(row % 7)));
+            let cell = Cell::new(3, row);
+            if [64, 65, 256, 257].contains(&row) {
+                e.set_value(cell, n(-1.0));
+            } else if !(129..=140).contains(&row) {
+                e.set_formula(cell, &format!("=SUM($A$1:A{row})")).unwrap();
+            }
+        }
+        e.recalculate();
+        assert_eq!(e.dirty_count(), 0);
+        let range = r("C1:C600");
+        e.mark_ranges_dirty(&[range]);
+        let formulas =
+            e.cells().filter(|(cell, k)| range.contains_cell(*cell) && k.is_formula()).count();
+        assert_eq!((e.dirty_count(), formulas), (600 - 4 - 12, 600 - 4 - 12));
+        e.recalculate();
+
+        // A value edit, recalculated, is what the texts rebuild to.
+        e.set_value(c("A1"), n(100.0));
+        assert_eq!(e.recalculate(), formulas);
+        let mut rebuilt = Engine::with_taco();
+        for (cell, k) in e.cells() {
+            match e.formula_of(cell) {
+                Some(text) => rebuilt.set_formula(cell, &text).unwrap(),
+                None => rebuilt.set_value(cell, k.value.clone()),
+            };
+        }
+        rebuilt.recalculate();
+        let values = |e: &Engine| e.cells().map(|(c, k)| (c, k.value.clone())).collect::<Vec<_>>();
+        assert_eq!(values(&e), values(&rebuilt));
+    }
+
+    #[test]
     fn the_generated_recalc_workbook_orders_a_few_nodes_per_sheet() {
         use taco_workload::{gen_persist_workload, persist_github_like, PersistParams};
         // The workbook of the benchmark's `recalc` workload: 16 sheets of

@@ -28,6 +28,9 @@ pub struct EngineObs {
     profile_eval_ns: Histogram,
     /// `taco_apply_ns` — what each `workbook.apply` span measured.
     apply_ns: Histogram,
+    /// `taco_apply_cross_hops` — the cross-sheet hops each
+    /// `workbook.apply` span's routing made.
+    apply_cross_hops: Histogram,
     /// `taco_recalcs_total` / `taco_recalc_cells_total` — lifetime counts.
     recalcs_total: Counter,
     recalc_cells_total: Counter,
@@ -80,6 +83,7 @@ impl EngineObs {
             profile_order_ns: m.histogram("taco_profile_order_ns"),
             profile_eval_ns: m.histogram("taco_profile_eval_ns"),
             apply_ns: m.histogram("taco_apply_ns"),
+            apply_cross_hops: m.histogram("taco_apply_cross_hops"),
             recalcs_total: m.counter("taco_recalcs_total"),
             recalc_cells_total: m.counter("taco_recalc_cells_total"),
             graph_edges: m.gauge_with("taco_graph_edges", &book_label),
@@ -162,14 +166,15 @@ impl EngineObs {
 
     /// Records the `workbook.apply` span of one edit or batch (begun at
     /// `start_ns`): staging `records` and routing their dirtiness, which
-    /// found `dirty` ranges. The paper's control latency — what the user
-    /// waits for before the recalculation — so it takes the recalc
-    /// category.
-    pub(crate) fn on_apply(&self, start_ns: u64, records: usize, dirty: usize) {
+    /// found `dirty` ranges in `hops` cross-sheet hops. The paper's
+    /// control latency — what the user waits for before the
+    /// recalculation — so it takes the recalc category.
+    pub(crate) fn on_apply(&self, start_ns: u64, records: usize, dirty: usize, hops: usize) {
         let (records, dirty) = (records as u64, dirty as u64);
         let dur =
             self.tracer.record_since("workbook.apply", SpanCat::Recalc, start_ns, records, dirty);
         self.apply_ns.record(dur);
+        self.apply_cross_hops.record(hops as u64);
     }
 
     /// Refreshes the graph-shape and formula gauges from the sheets, in

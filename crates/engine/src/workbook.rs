@@ -461,7 +461,7 @@ impl Workbook {
             jobs.push(Job::hop(e.dst.0, e.dep));
             self.xedges.insert(e);
         }
-        let _ = self.expand(jobs, true);
+        self.expand(jobs, true);
     }
 
     /// Number of sheets.
@@ -558,15 +558,16 @@ impl Workbook {
         let start = self.obs.as_deref().map(|o| o.now_ns());
         let mut jobs = Vec::new();
         stage(self, &mut jobs);
-        let dirty = self.expand(jobs, true);
-        self.on_apply(start, 1, dirty.len());
+        let (dirty, hops) = self.expand(jobs, true);
+        self.on_apply(start, 1, dirty.len(), hops);
         WorkbookReceipt { dirty }
     }
 
-    /// Closes the `workbook.apply` span begun at `start` (`None`: no hub).
-    fn on_apply(&self, start: Option<u64>, records: usize, dirty: usize) {
+    /// Closes the `workbook.apply` span begun at `start` (`None`: no hub)
+    /// of an edit whose routing made `hops` cross-sheet hops.
+    fn on_apply(&self, start: Option<u64>, records: usize, dirty: usize, hops: usize) {
         if let (Some(o), Some(start)) = (self.obs.as_deref(), start) {
-            o.on_apply(start, records, dirty);
+            o.on_apply(start, records, dirty, hops);
         }
     }
 
@@ -699,8 +700,8 @@ impl Workbook {
                 break;
             }
         }
-        let dirty = self.expand(jobs, true);
-        self.on_apply(start, records.len(), dirty.len());
+        let (dirty, hops) = self.expand(jobs, true);
+        self.on_apply(start, records.len(), dirty.len(), hops);
         match failed {
             Some(e) => Err(e),
             None => Ok(WorkbookReceipt { dirty }),
@@ -872,7 +873,7 @@ impl Workbook {
     /// All direct and transitive dependents of `src!r`, across sheets.
     pub fn find_dependents(&mut self, id: SheetId, r: Range) -> Vec<(SheetId, Range)> {
         self.ensure_sheet(id);
-        self.expand(vec![Job::probe(id.0, r)], false)
+        self.expand(vec![Job::probe(id.0, r)], false).0
     }
 
     /// All direct and transitive precedents of `dst!r`, across sheets.
@@ -904,8 +905,8 @@ impl Workbook {
     /// also marked dirty (the edit path). Jobs whose local dependents the
     /// caller already computed (engine edit receipts) skip the second
     /// graph query — the control-latency path pays each per-sheet query
-    /// once.
-    fn expand(&mut self, jobs: Vec<Job>, mark: bool) -> Vec<(SheetId, Range)> {
+    /// once. Also returns the cross-sheet hops made.
+    fn expand(&mut self, jobs: Vec<Job>, mark: bool) -> (Vec<(SheetId, Range)>, usize) {
         let Workbook { sheets, xedges, .. } = self;
         let mut out: Vec<(SheetId, Range)> = Vec::new();
         // Each cross edge fires at most once per expansion, which both
@@ -935,7 +936,7 @@ impl Workbook {
         }
         out.sort_unstable_by_key(|&(s, range)| (s, range.head(), range.tail()));
         out.dedup();
-        out
+        (out, hopped.len())
     }
 
     // ---- recalculation -------------------------------------------------

@@ -189,6 +189,29 @@ fn profiled_recalc_is_bit_identical() {
 }
 
 #[test]
+fn an_edit_records_the_cross_sheet_hops_its_routing_made() {
+    // A chain across three sheets: a value edit at A!A1 is routed to B!A1,
+    // then from there to C!A1 — two hops, one `workbook.apply` span.
+    let mut wb = Workbook::with_taco();
+    let [a, b, c] = ["A", "B", "C"].map(|name| wb.add_sheet(name).unwrap());
+    let a1 = Cell::new(1, 1);
+    wb.set_value(a, a1, Value::Number(1.0));
+    wb.set_formula(b, a1, "=A!A1").unwrap();
+    wb.set_formula(c, a1, "=B!A1").unwrap();
+    wb.recalculate(RecalcMode::Serial);
+    let hub = Obs::new(ObsOptions::default());
+    wb.attach_obs(&hub, "det");
+    wb.set_value(a, a1, Value::Number(2.0));
+    let snap = hub.snapshot();
+    let hops = snap.histograms.iter().find(|h| h.name == "taco_apply_cross_hops");
+    assert_eq!(hops.map(|h| (h.count, h.sum)), Some((1, 2)), "{hops:?}");
+    let applies = hub.tracer.dump().recent.iter().filter(|s| s.name == "workbook.apply").count();
+    assert_eq!(applies, 1);
+    wb.recalculate(RecalcMode::Serial);
+    assert_eq!(wb.value(c, a1), Value::Number(2.0));
+}
+
+#[test]
 fn formula_gauges_and_the_carried_fold_counter_are_exposed() {
     // A 40-row sheet: A data, B a cumulative column autofilled from B1 —
     // one formula in 40 cells —, C typed row by row with a literal that
