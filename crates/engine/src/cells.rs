@@ -9,6 +9,9 @@
 //!                               written; allocated on first write
 //!       formulas: [u64; 4]      bit k set iff slot k holds a formula: what
 //!                               marking reads, never the slots
+//!       starts: [u64; 4]        bit k set iff slot k's formula does not go
+//!                               on from the row above's run: where a pass's
+//!                               stretches begin, never the slots
 //!       slots: [Slot; 256]
 //!         content.value         inline (24 bytes) — what a range scan reads
 //!         content.run           the formula, behind a pointer shared by
@@ -63,6 +66,29 @@ static VACANT_PAGE: [Slot; PAGE_ROWS as usize] = [const { Slot::VACANT }; PAGE_R
 /// Words of a page's formula bits.
 const WORDS: usize = PAGE_ROWS as usize / 64;
 
+/// One bit per slot of a page: bit `k % 64` of word `k / 64` is slot `k`'s.
+type Bits = [u64; WORDS];
+
+fn set_bit(bits: &mut Bits, at: usize, on: bool) {
+    let (word, bit) = (&mut bits[at / 64], 1 << (at % 64));
+    *word = if on { *word | bit } else { *word & !bit };
+}
+
+/// The first slot at or after `from` whose bit is `set` ([`PAGE_ROWS`]:
+/// none): a masked word, then whole words.
+fn next_bit(bits: &Bits, from: usize, set: bool) -> usize {
+    let word = |k: usize| if set { bits[k] } else { !bits[k] };
+    let (mut k, mut found) = (from / 64, word(from / 64) & (!0u64 << (from % 64)));
+    while found == 0 {
+        k += 1;
+        if k == WORDS {
+            return PAGE_ROWS as usize;
+        }
+        found = word(k);
+    }
+    k * 64 + found.trailing_zeros() as usize
+}
+
 struct Page {
     /// Which band of rows: row `r` lives in page `(r - 1) / PAGE_ROWS`.
     index: u32,
@@ -71,18 +97,25 @@ struct Page {
     /// The write clock of the page's latest value write: a copy made at
     /// that clock or later holds what the page holds.
     written: u64,
-    /// Bit `k % 64` of word `k / 64` is set iff slot `k` holds a formula.
-    /// Kept by the two writes that can change it, `insert` and
-    /// `remove_range`; a result stored or a run repointed leaves a
-    /// formula a formula.
-    formulas: [u64; WORDS],
+    /// Set iff the slot holds a formula. Kept by the two writes that can
+    /// change it, `insert` and `remove_range`; a result stored or a run
+    /// repointed leaves a formula a formula.
+    formulas: Bits,
+    /// Set iff the slot holds a formula that does not go on from the row
+    /// above: that row holds no formula (row 1, and a row of a page not
+    /// allocated, hold none) or one of another run. Where a run's
+    /// stretches begin, read off without a slot (see
+    /// [`CellStore::read_stretches`]). Kept by the writes that change a
+    /// slot's formula or run, `insert`, `repoint` and `remove_range`, at
+    /// the row written and the row below it ([`Column::restart`]).
+    starts: Bits,
     slots: Box<[Slot]>,
 }
 
 impl Page {
     fn new(index: u32, at: u64) -> Page {
         let slots = (0..PAGE_ROWS).map(|_| Slot::VACANT).collect();
-        Page { index, used: 0, written: at, formulas: [0; WORDS], slots }
+        Page { index, used: 0, written: at, formulas: [0; WORDS], starts: [0; WORDS], slots }
     }
 
     /// Whether slot `at` holds a formula.
@@ -90,13 +123,8 @@ impl Page {
         self.formulas[at / 64] >> (at % 64) & 1 == 1
     }
 
-    fn set_formula(&mut self, at: usize, formula: bool) {
-        let (word, bit) = (&mut self.formulas[at / 64], 1 << (at % 64));
-        *word = if formula { *word | bit } else { *word & !bit };
-    }
-
-    /// Clears the formula bits of slots `lo..=hi`; returns how many were
-    /// set.
+    /// Clears the formula and start bits of slots `lo..=hi`; returns how
+    /// many formula bits were set.
     fn take_formulas(&mut self, lo: usize, hi: usize) -> usize {
         let mut taken = 0;
         for k in lo / 64..=hi / 64 {
@@ -104,23 +132,9 @@ impl Page {
             let mask = (!0u64 >> (63 - to)) & (!0u64 << from);
             taken += (self.formulas[k] & mask).count_ones() as usize;
             self.formulas[k] &= !mask;
+            self.starts[k] &= !mask;
         }
         taken
-    }
-
-    /// The first slot at or after `from` whose formula bit is `set`
-    /// ([`PAGE_ROWS`]: none): a masked word, then whole words.
-    fn next_bit(&self, from: usize, set: bool) -> usize {
-        let word = |k: usize| if set { self.formulas[k] } else { !self.formulas[k] };
-        let (mut k, mut bits) = (from / 64, word(from / 64) & (!0u64 << (from % 64)));
-        while bits == 0 {
-            k += 1;
-            if k == WORDS {
-                return PAGE_ROWS as usize;
-            }
-            bits = word(k);
-        }
-        k * 64 + bits.trailing_zeros() as usize
     }
 
     /// The stretches of formula slots among slots `lo..=hi`, top down, as
@@ -131,9 +145,9 @@ impl Page {
             if at > hi {
                 return None;
             }
-            let first = self.next_bit(at, true);
+            let first = next_bit(&self.formulas, at, true);
             (first <= hi).then(|| {
-                at = self.next_bit(first, false);
+                at = next_bit(&self.formulas, first, false);
                 (first, hi.min(at - 1))
             })
         })
@@ -371,6 +385,25 @@ fn fold_rows<A, B>(
     ControlFlow::Continue(acc)
 }
 
+/// Whether the formula at row `first` goes on from the one at row `up`
+/// above it down one run, each row given with the position of its page
+/// in `pages`: the same run, and no cell between. A page between the two
+/// holds one, so only the two pages' slots are read.
+fn continues(pages: &[Page], (up, above): (u32, usize), (first, below): (u32, usize)) -> bool {
+    let run =
+        |p: usize, row: u32| pages[p].slots[slot_of(row)].content.run.as_ref().map(Arc::as_ptr);
+    let free =
+        |p: usize, from: usize, to: usize| !pages[p].slots[from..to].iter().any(|s| s.occupied);
+    run(above, up) == run(below, first)
+        && if above == below {
+            free(above, slot_of(up) + 1, slot_of(first))
+        } else {
+            above + 1 == below
+                && free(above, slot_of(up) + 1, PAGE_ROWS as usize)
+                && free(below, 0, slot_of(first))
+        }
+}
+
 impl Column {
     fn page(&self, index: u32) -> Option<&Page> {
         let i = locate(&self.pages, index, 0, |p| p.index).ok()?;
@@ -382,11 +415,21 @@ impl Column {
         self.page(index).map_or(&VACANT_PAGE, |p| &p.slots)
     }
 
-    /// Whether rows `first..=last` hold no cell: a scan of the allocated
-    /// pages they overlap that stops at the first cell it meets — in the
-    /// second of them at the latest, since every allocated page holds one.
-    fn vacant(&self, first: u32, last: u32) -> bool {
-        first > last || spans(&self.pages, first, last).all(|(_, s)| !s.iter().any(|s| s.occupied))
+    /// Sets [`Page::starts`] at `row` from what it and the row above hold.
+    fn restart(&mut self, row: u32) {
+        let Ok(j) = locate(&self.pages, page_of(row), 0, |p| p.index) else { return };
+        let run = |slot: &Slot| slot.content.run.as_ref().map(Arc::as_ptr);
+        let (page, at) = (&self.pages[j], slot_of(row));
+        let above = match at.checked_sub(1) {
+            Some(up) => run(&page.slots[up]),
+            None => j
+                .checked_sub(1)
+                .map(|i| &self.pages[i])
+                .filter(|up| up.index + 1 == page.index)
+                .and_then(|up| run(&up.slots[PAGE_ROWS as usize - 1])),
+        };
+        let here = run(&page.slots[at]);
+        set_bit(&mut self.pages[j].starts, at, here.is_some() && here != above);
     }
 }
 
@@ -573,18 +616,25 @@ impl CellStore {
         };
         let page = &mut pages[j];
         page.written = at;
-        page.set_formula(slot_of(cell.row), content.run.is_some());
+        set_bit(&mut page.formulas, slot_of(cell.row), content.run.is_some());
         let slot = &mut page.slots[slot_of(cell.row)];
-        self.formulas += usize::from(content.run.is_some());
+        let formula = content.run.is_some();
+        self.formulas += usize::from(formula);
         let old = std::mem::replace(&mut slot.content, content);
-        if slot.occupied {
+        let old = if slot.occupied {
             self.formulas -= usize::from(old.run.is_some());
-            return Some(old);
+            Some(old)
+        } else {
+            slot.occupied = true;
+            page.used += 1;
+            self.len += 1;
+            None
+        };
+        if formula || old.as_ref().is_some_and(CellContent::is_formula) {
+            column.restart(cell.row);
+            column.restart(cell.row + 1);
         }
-        slot.occupied = true;
-        page.used += 1;
-        self.len += 1;
-        None
+        old
     }
 
     /// Makes the formula cell at `cell` a cell of `run`, which holds there
@@ -596,6 +646,8 @@ impl CellStore {
         let j = locate(pages, page_of(cell.row), 0, |p| p.index).expect("a formula cell");
         let old = pages[j].slots[slot_of(cell.row)].content.run.replace(run);
         assert!(old.is_some(), "a formula cell");
+        self.cols[i].restart(cell.row);
+        self.cols[i].restart(cell.row + 1);
     }
 
     /// Blanks every cell of `range` at write clock `at`, dirty marks
@@ -629,6 +681,7 @@ impl CellStore {
             if emptied {
                 column.pages.retain(|p| p.used > 0);
             }
+            column.restart(last + 1);
         }
         self.len -= removed;
         self.formulas -= formulas;
@@ -686,28 +739,49 @@ impl CellStore {
         })
     }
 
-    /// The dirty cells into `view` in `(col, row)` order, and into `joins`
-    /// whether each continues the one before it down one run: the same
-    /// column, the same run, and only vacant rows between — none inside
-    /// a dirty interval, perhaps some across two. Read here, since a dirty
-    /// cell can change runs and keep its mark.
-    pub(crate) fn read_dirty(&self, view: &mut Vec<Cell>, joins: &mut Vec<bool>) {
-        view.clear();
-        joins.clear();
+    /// The dirty cells as stretches, in `(col, row)` order: one per
+    /// maximal sequence of cells of one run inside a dirty interval, handed
+    /// to `each` as `(col, lo, hi, joins)`, where `joins` says whether the
+    /// stretch goes on from the one before it down its run — the same
+    /// column and run, and only vacant rows between. Every row of a dirty
+    /// interval holds a formula (marking reads the formula bits), so a
+    /// stretch begins at the interval's first row and at each row below it
+    /// whose start bit is set ([`Page::starts`]): the rows inside an
+    /// interval are read off the bits, never the slots. The join holds
+    /// only across two intervals, and is checked once per pair of them:
+    /// two slots compared and the rows between read. Read here, since a
+    /// dirty cell can change runs and keep its mark.
+    pub(crate) fn read_stretches(&self, mut each: impl FnMut(u32, u32, u32, bool)) {
         for column in &self.cols {
-            // The row and run of the column's dirty cell read last.
-            let mut above: Option<(u32, &Arc<Run>)> = None;
-            for (&lo, &hi) in &column.dirty.0 {
-                let slots = spans(&column.pages, lo, hi).flat_map(|(at, s)| (at..).zip(s));
-                for (row, slot) in slots {
-                    let run = slot.content.run.as_ref();
-                    let joined = above.zip(run).is_some_and(|((up, of), run)| {
-                        Arc::ptr_eq(of, run) && column.vacant(up + 1, row - 1)
-                    });
-                    joins.push(joined);
-                    above = run.map(|run| (row, run));
-                    view.push(Cell { col: column.col, row });
+            let pages = &column.pages[..];
+            // The page being read: the intervals ascend, so it only moves on.
+            let mut p = 0;
+            let mut seek = |row: u32| {
+                while pages[p].index < page_of(row) {
+                    p += 1;
                 }
+                p
+            };
+            // The last row of the interval read last, and its page.
+            let mut above: Option<(u32, usize)> = None;
+            for (&lo, &hi) in &column.dirty.0 {
+                let top = (lo, seek(lo));
+                let mut joins = above.is_some_and(|up| continues(pages, up, top));
+                let (mut first, mut row) = (lo, lo + 1);
+                while row <= hi {
+                    let page = &pages[seek(row)];
+                    let end = page_end(page.index, hi);
+                    match next_bit(&page.starts, slot_of(row), true) {
+                        at if at <= slot_of(end) => {
+                            let at = page.index * PAGE_ROWS + 1 + at as u32;
+                            each(column.col, first, at - 1, joins);
+                            (first, joins, row) = (at, false, at + 1);
+                        }
+                        _ => row = end + 1,
+                    }
+                }
+                each(column.col, first, hi, joins);
+                above = Some((hi, seek(hi)));
             }
         }
     }
@@ -741,21 +815,23 @@ impl CellStore {
         }
     }
 
-    /// Unmarks `cells`, sorted and all dirty (what a pass evaluated): each
-    /// stretch of a column as one interval, all of the set at once.
-    pub(crate) fn unmark(&mut self, cells: &[Cell]) {
-        if cells.len() == self.dirty {
+    /// Unmarks rows `lo..=hi` of column `col` for each `(col, lo, hi)` of
+    /// `extents`: what a pass evaluated, `cells` dirty cells in all, with
+    /// only vacant rows between them inside an extent. One interval
+    /// removal an extent, or all of the set at once.
+    pub(crate) fn unmark(&mut self, cells: usize, extents: impl Iterator<Item = (u32, u32, u32)>) {
+        if cells == self.dirty {
             self.cols.iter_mut().for_each(|column| column.dirty.0.clear());
             self.dirty = 0;
             return;
         }
-        for stretch in cells.chunk_by(|a, b| a.col == b.col && a.row + 1 == b.row) {
-            let (top, n) = (stretch[0], stretch.len());
-            let i = locate(&self.cols, top.col, 1, |c| c.col).expect("a dirty cell's column");
-            let removed = self.cols[i].dirty.remove(top.row, top.row + n as u32 - 1);
-            debug_assert_eq!(removed, n, "unmarked cells were dirty");
-            self.dirty -= removed;
+        let mut removed = 0;
+        for (col, lo, hi) in extents {
+            let i = locate(&self.cols, col, 1, |c| c.col).expect("a dirty cell's column");
+            removed += self.cols[i].dirty.remove(lo, hi);
         }
+        debug_assert_eq!(removed, cells, "unmarked cells were dirty");
+        self.dirty -= removed;
     }
 
     // ---- range reads ------------------------------------------------------
@@ -954,6 +1030,9 @@ mod tests {
         StoreResult(Cell, i32),
         Mark(Cell),
         MarkIn(Range),
+        /// The formula at a cell made a cell of a run of its own that holds
+        /// the same formula there: the run pointer changes, nothing else.
+        Repoint(Cell),
         /// Every other stretch `ROWS[k]..=ROWS[k + 1]` of a column marked
         /// one by one, bottom-up (`false`) or from both ends inwards.
         MarkStretches(u32, bool),
@@ -981,6 +1060,7 @@ mod tests {
             1 => Just(Op::Rebuild),
             2 => (arb_cell(), -9i32..9).prop_map(|(c, v)| Op::StoreResult(c, v)),
             3 => arb_cell().prop_map(Op::Mark),
+            2 => arb_cell().prop_map(Op::Repoint),
             2 => arb_range().prop_map(Op::MarkIn),
             2 => (0..COLS.len(), any::<bool>()).prop_map(|(c, both)| Op::MarkStretches(COLS[c], both)),
             3 => (0usize..9, 0usize..9, 0u32..4)
@@ -1070,6 +1150,12 @@ mod tests {
                 }
             }
             Op::MarkIn(range) => mark_in(range, store, model),
+            Op::Repoint(cell) => {
+                if let Some(run) = store.get(cell).and_then(|k| k.run.clone()) {
+                    let alone = Run::new(run.template().clone(), run.anchor(), &Default::default());
+                    store.repoint(cell, alone);
+                }
+            }
             Op::MarkStretches(col, both_ends) => {
                 for range in stretches(col, both_ends) {
                     mark_in(range, store, model);
@@ -1080,7 +1166,9 @@ mod tests {
                 let slice = &dirty[dirty.len() * from / 8..dirty.len() * to / 8];
                 let cells: Vec<Cell> =
                     slice.iter().copied().filter(|c| skip == 3 || c.row % 3 != skip).collect();
-                store.unmark(&cells);
+                let extents = cells.chunk_by(|a, b| a.col == b.col && a.row + 1 == b.row);
+                store
+                    .unmark(cells.len(), extents.map(|s| (s[0].col, s[0].row, s[s.len() - 1].row)));
                 model.dirty.retain(|c| !cells.contains(c));
             }
         }
@@ -1135,17 +1223,37 @@ mod tests {
         assert!(want.iter().all(|c| model.cells[c].is_formula()), "only a formula is dirty");
         assert_eq!(store.dirty_count(), want.len());
         assert_eq!(store.dirty().collect::<Vec<_>>(), want);
-        let (mut view, mut joins) = (vec![Cell::new(9, 9)], Vec::new());
-        store.read_dirty(&mut view, &mut joins);
-        assert_eq!(view, want, "the pass's view");
-        // A cell joins the dirty cell before it if both are of one column
-        // and one run, and the model holds no cell between them.
-        for (i, &join) in joins.iter().enumerate() {
-            let run = |c: Cell| store.get(c).and_then(|k| k.run.as_ref()).map(Arc::as_ptr);
-            let below = i > 0
-                && view[i - 1].col == view[i].col
-                && model.cells.range(view[i - 1]..view[i]).nth(1).is_none();
-            assert_eq!(join, below && run(view[i - 1]) == run(view[i]), "{}", view[i]);
+        // Every dirty row holds a formula by the page's bits, which is all
+        // the stretch scan below trusts.
+        for column in &store.cols {
+            for (&lo, &hi) in &column.dirty.0 {
+                for row in lo..=hi {
+                    let page = column.page(page_of(row));
+                    assert!(page.is_some_and(|p| p.is_formula(slot_of(row))), "dirty row {row}");
+                }
+            }
+        }
+        // The stretches: the dirty set, each a maximal sequence of one
+        // run's cells, joining the stretch before it iff both are of one
+        // column and one run and the model holds no cell between them.
+        let mut read = Vec::new();
+        store.read_stretches(|col, lo, hi, joins| read.push((col, lo, hi, joins)));
+        let rows =
+            read.iter().flat_map(|&(col, lo, hi, _)| (lo..=hi).map(move |r| Cell::new(col, r)));
+        assert_eq!(rows.collect::<Vec<_>>(), want, "the stretches");
+        let run = |c: Cell| store.get(c).and_then(|k| k.run.as_ref()).map(Arc::as_ptr);
+        for (k, &(col, lo, hi, joins)) in read.iter().enumerate() {
+            let top = Cell::new(col, lo);
+            assert!((lo..=hi).all(|row| run(Cell::new(col, row)) == run(top)), "one run: {top}");
+            let Some(&(up_col, _, up_hi, _)) = k.checked_sub(1).map(|k| &read[k]) else {
+                assert!(!joins, "{top}");
+                continue;
+            };
+            let above = Cell::new(up_col, up_hi);
+            let same = up_col == col && run(above) == run(top);
+            assert!(!same || up_hi + 1 < lo, "a stretch ends where its run does: {top}");
+            let blank = model.cells.range(above..top).nth(1).is_none();
+            assert_eq!(joins, same && blank, "{top}");
         }
         // One cursor down every column and on to the next, through pages
         // allocated and not.
@@ -1168,13 +1276,22 @@ mod tests {
                 assert!(LOOKUPS.with(|n| n.get()) <= 2, "{cell}");
             }
         }
-        // Each page's formula bits are the model's formula cells.
+        // Each page's formula bits are the model's formula cells, and its
+        // start bits the formula cells whose run is not the one of a
+        // formula right above.
         for column in &store.cols {
             for page in &column.pages {
                 for at in 0..PAGE_ROWS as usize {
                     let cell = Cell::new(column.col, page.index * PAGE_ROWS + 1 + at as u32);
                     let formula = model.cells.get(&cell).is_some_and(CellContent::is_formula);
                     assert_eq!(page.is_formula(at), formula, "the formula bit of {cell}");
+                    let above = (cell.row > 1).then(|| run(Cell::new(cell.col, cell.row - 1)));
+                    let starts = formula && above.flatten() != run(cell);
+                    assert_eq!(
+                        next_bit(&page.starts, at, true) == at,
+                        starts,
+                        "start bit of {cell}"
+                    );
                 }
             }
         }
@@ -1225,7 +1342,11 @@ mod tests {
                 .map(|_| page(&cell))
                 .into_iter()
                 .collect(),
-            Op::Mark(_) | Op::MarkIn(_) | Op::MarkStretches(..) | Op::Unmark(..) => BTreeSet::new(),
+            Op::Mark(_)
+            | Op::MarkIn(_)
+            | Op::MarkStretches(..)
+            | Op::Unmark(..)
+            | Op::Repoint(_) => BTreeSet::new(),
         }
     }
 

@@ -1,5 +1,5 @@
 use crate::cells::{CellStore, Cursor, SheetValues, EMPTY};
-use crate::order::Schedule;
+use crate::order::{Extent, Schedule, Stretch};
 use crate::sheet::{CellContent, Run};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -270,6 +270,13 @@ pub struct Engine {
     /// (test instrumentation).
     #[cfg(test)]
     pub(crate) nbr_entries: std::cell::Cell<u64>,
+    /// Stretches read off the store so far (test instrumentation: one
+    /// pass reads them once per sheet it orders on).
+    #[cfg(test)]
+    pub(crate) stretches_read: std::cell::Cell<u64>,
+    /// Extents put in an order so far (test instrumentation).
+    #[cfg(test)]
+    pub(crate) extents_emitted: std::cell::Cell<u64>,
 }
 
 impl Engine {
@@ -300,13 +307,17 @@ impl Engine {
             nbr_lists: Default::default(),
             #[cfg(test)]
             nbr_entries: Default::default(),
+            #[cfg(test)]
+            stretches_read: Default::default(),
+            #[cfg(test)]
+            extents_emitted: Default::default(),
         }
     }
 
     /// This sheet's part of the most recent recalculation pass (of the
     /// one under way, so far), `None` if it ordered nothing here.
     pub fn last_pass(&self) -> Option<SheetPass> {
-        let (cells, nodes) = (self.schedule.order().len(), self.schedule.extents().len());
+        let (cells, nodes) = (self.schedule.cells(), self.schedule.extents().len());
         (cells > 0).then_some(SheetPass { sheet: 0, cells: cells as u32, nodes: nodes as u32 })
     }
 
@@ -321,8 +332,10 @@ impl Engine {
     /// The cells the most recent recalculation pass evaluated (or flagged
     /// `#CYCLE!`), sorted by `(col, row)` (test instrumentation).
     #[cfg(test)]
-    pub(crate) fn last_evaluated(&self) -> &[Cell] {
-        self.schedule.evaluated()
+    pub(crate) fn last_evaluated(&self) -> Vec<Cell> {
+        let mut cells: Vec<Cell> = self.ordered_cells().collect();
+        cells.sort_unstable();
+        cells
     }
 
     /// The nodes the pass under way, or the most recent one, made here
@@ -675,12 +688,18 @@ impl Engine {
         self.evaluate_ordered(&NoExternal)
     }
 
-    /// The evaluation order of the pass under way, or of the most recent
-    /// one until the next begins. The scheduler's invariant is that every
-    /// cell's dirty precedents come strictly earlier (cycle members
-    /// excepted).
-    pub fn ordered(&self) -> &[Cell] {
-        self.schedule.order()
+    /// The cells of the pass under way, or of the most recent one until
+    /// the next begins, in evaluation order. The scheduler's invariant is
+    /// that every cell's dirty precedents come strictly earlier (cycle
+    /// members excepted).
+    pub fn ordered_cells(&self) -> impl Iterator<Item = Cell> + '_ {
+        self.schedule.ordered_cells()
+    }
+
+    /// The order of the pass under way, node by node (see
+    /// [`crate::order`]).
+    pub(crate) fn extents(&self) -> &[Extent] {
+        self.schedule.extents()
     }
 
     /// Appends to the pass's order the dirty cells inside `within` — all
@@ -707,7 +726,7 @@ impl Engine {
     pub(crate) fn evaluate_ordered<E: ExternalSheets>(&mut self, ext: &E) -> usize {
         // Take the schedule and the node out so the loop can borrow `cells`
         // mutably; they go back (capacity intact) afterwards.
-        let mut schedule = std::mem::take(&mut self.schedule);
+        let schedule = std::mem::take(&mut self.schedule);
         let mut node = std::mem::take(&mut self.node);
         // The stores may have changed shape since the last pass.
         node.results = Cursor::default();
@@ -716,76 +735,82 @@ impl Engine {
             let at = self.folds.tick();
             self.cells.store_result(&mut node.results, cell, Value::Error(CellError::Cycle), at);
         }
-        let order = schedule.order();
         for extent in schedule.extents() {
-            let cells = &order[extent.begin as usize..(extent.begin + extent.len) as usize];
-            self.evaluate_node(&mut node, cells, extent.up, ext);
+            self.evaluate_node(&mut node, extent, schedule.stretches_of(extent), ext);
         }
-        let evaluated = order.len();
-        schedule.close();
-        self.cells.unmark(schedule.evaluated());
+        let evaluated = schedule.cells();
+        let extents = schedule.extents().iter().map(|e| (e.col, e.lo, e.hi));
+        self.cells.unmark(evaluated, extents);
         self.schedule = schedule;
         self.node = node;
         self.evaluated_total += evaluated as u64;
         evaluated
     }
 
-    /// Evaluates one node — `cells`, one run's down one column, blank
-    /// rows perhaps between them, in the order given (bottom-up if `up`);
-    /// each row's offset is its own — and stores each result before the
-    /// next row is evaluated. The run's program is bound to the node once
-    /// ([`Node::start`]): each reference placed at the node's column and
-    /// bound to its column's place in the store, each row-invariant
-    /// subtree run, at the first row. Then each row runs the rest of the
-    /// program on a [`NodeView`] that reads through those bindings and
-    /// carries the node's folds from row to row (see [`Carries`]); its
-    /// result goes through the cursor the node's column and page were
-    /// found through once.
+    /// Evaluates one node — `extent`'s cells, one run's down one column,
+    /// the rows of `stretches` inside it with blank rows perhaps between
+    /// them, in its order (bottom-up if `up`); each row's offset is its
+    /// own — and stores each result before the next row is evaluated. The
+    /// run's program is bound to the node once ([`Node::start`]): each
+    /// reference placed at the node's column and bound to its column's
+    /// place in the store, each row-invariant subtree run, at the first
+    /// row. Then each row runs the rest of the program on a [`NodeView`]
+    /// that reads through those bindings and carries the node's folds from
+    /// row to row (see [`Carries`]); its result goes through the cursor
+    /// the node's column and page were found through once.
     fn evaluate_node<E: ExternalSheets>(
         &mut self,
         node: &mut Node,
-        cells: &[Cell],
-        up: bool,
+        extent: &Extent,
+        stretches: &[Stretch],
         ext: &E,
     ) {
-        let Some(run) = self.cells.run_through(&mut node.results, cells[0]).map(Arc::clone) else {
+        let (col, up) = (extent.col, extent.up);
+        let top = Cell { col, row: if up { extent.hi } else { extent.lo } };
+        let Some(run) = self.cells.run_through(&mut node.results, top).map(Arc::clone) else {
             return;
         };
-        let (template, (dc, first)) = (run.template(), run.offset(cells[0]));
+        let (template, (dc, first)) = (run.template(), run.offset(top));
         let program = template.program();
-        node.start(program, cells[0].col, up, dc, self.sheet_name.as_deref(), ext);
-        let last = cells.len() - 1;
-        let stride = (cells.len() / (MARKS_KEPT / 2)).max(1);
-        let mut next_mark = 0;
-        for (index, &cell) in cells.iter().enumerate() {
-            debug_assert!(
-                self.cells
-                    .run_through(&mut node.results, cell)
-                    .is_some_and(|r| Arc::ptr_eq(r, &run)),
-                "{cell} is not of its node's run"
-            );
-            let vol = template.is_volatile().then(|| VolatileCtx::for_cell(self.clock, cell));
-            let mark = index == next_mark || index == last;
-            if index == next_mark {
-                next_mark += stride;
+        node.start(program, col, up, dc, self.sheet_name.as_deref(), ext);
+        let cells: u32 = stretches.iter().map(|s| s.rows(extent)).map(|(a, b)| b - a + 1).sum();
+        let last = cells as usize - 1;
+        let stride = (cells as usize / (MARKS_KEPT / 2)).max(1);
+        let (mut index, mut next_mark) = (0, 0);
+        for k in 0..stretches.len() {
+            let (lo, hi) = stretches[if up { stretches.len() - 1 - k } else { k }].rows(extent);
+            for j in 0..=hi - lo {
+                let cell = Cell { col, row: if up { hi - j } else { lo + j } };
+                debug_assert!(
+                    self.cells
+                        .run_through(&mut node.results, cell)
+                        .is_some_and(|r| Arc::ptr_eq(r, &run)),
+                    "{cell} is not of its node's run"
+                );
+                let vol = template.is_volatile().then(|| VolatileCtx::for_cell(self.clock, cell));
+                let mark = index == next_mark || index == last;
+                if index == next_mark {
+                    next_mark += stride;
+                }
+                let view = NodeView {
+                    cells: &self.cells,
+                    folds: &self.folds,
+                    ext,
+                    binds: &node.binds,
+                    carries: &node.carries,
+                    vol: vol.as_ref(),
+                    row: cell.row,
+                    mark,
+                };
+                let dr = first + i64::from(cell.row) - i64::from(top.row);
+                if index == 0 {
+                    program.hoist(&mut node.frame, dr, &view);
+                }
+                let value = program.eval(&mut node.frame, dr, &view);
+                let at = self.folds.tick();
+                self.cells.store_result(&mut node.results, cell, value, at);
+                index += 1;
             }
-            let view = NodeView {
-                cells: &self.cells,
-                folds: &self.folds,
-                ext,
-                binds: &node.binds,
-                carries: &node.carries,
-                vol: vol.as_ref(),
-                row: cell.row,
-                mark,
-            };
-            let dr = first + i64::from(cell.row) - i64::from(cells[0].row);
-            if index == 0 {
-                program.hoist(&mut node.frame, dr, &view);
-            }
-            let value = program.eval(&mut node.frame, dr, &view);
-            let at = self.folds.tick();
-            self.cells.store_result(&mut node.results, cell, value, at);
         }
     }
 
@@ -1656,6 +1681,55 @@ mod tests {
         rebuilt.recalculate();
         let values = |e: &Engine| e.cells().map(|(c, k)| (c, k.value.clone())).collect::<Vec<_>>();
         assert_eq!(values(&e), values(&rebuilt));
+    }
+
+    /// Stretches read, extents emitted and cells evaluated by a full pass
+    /// over column B typed row by row as `text(row)` (`None`: left blank)
+    /// above `rows` rows of data in column A.
+    fn pass_work(rows: u32, text: impl Fn(u32) -> Option<String>) -> (u64, u64, usize) {
+        let mut e = Engine::with_taco();
+        for row in 1..=rows {
+            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+            if let Some(src) = text(row) {
+                e.set_formula(Cell::new(2, row), &src).unwrap();
+            }
+        }
+        e.stretches_read.set(0);
+        e.extents_emitted.set(0);
+        let cells = e.recalculate();
+        (e.stretches_read.get(), e.extents_emitted.get(), cells)
+    }
+
+    #[test]
+    fn a_full_pass_over_each_recalc_column_idiom_is_as_much_work_at_four_times_the_rows() {
+        // The column idioms of the generated `recalc` workbook, as its
+        // generator types them. A pass reads a stretch per run and dirty
+        // interval and emits an extent per node, however many rows.
+        let cumulative = |row: u32| Some(format!("=SUM($A$1:A{row})"));
+        let chain =
+            |row: u32| Some(if row == 1 { "=A1".into() } else { format!("=B{}+A{row}", row - 1) });
+        let fixed = |row: u32| Some(format!("=SUM($A$1:$A$8)*{row}"));
+        for (name, text) in [
+            ("cumulative", &cumulative as &dyn Fn(u32) -> Option<String>),
+            ("chain", &chain),
+            ("fixed", &fixed),
+        ] {
+            let (stretches, extents, cells) = pass_work(256, text);
+            assert_eq!(cells, 256, "{name}");
+            assert_eq!(pass_work(1024, text), (stretches, extents, 1024), "{name}");
+            assert!(stretches <= 2 && extents <= 2, "{name}: {stretches} and {extents}");
+        }
+        // The window column is typed in pairs with two blank rows between:
+        // one node, but each pair its own dirty interval — marking reads
+        // the formula bits, which stop at a blank row — so one stretch a
+        // pair, not a stretch a cell.
+        let window = |rows: u32| {
+            move |row: u32| {
+                (row % 4 < 2 && row + 2 <= rows).then(|| format!("=SUM(A{row}:A{})", row + 2))
+            }
+        };
+        assert_eq!(pass_work(256, window(256)), (64, 1, 127));
+        assert_eq!(pass_work(1024, window(1024)), (256, 1, 511));
     }
 
     #[test]

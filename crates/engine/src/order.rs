@@ -2,27 +2,36 @@
 //! each after the dirty cells it reads, cycles aside (see
 //! `Engine::order_from`).
 //!
-//! The unit ordered is not the cell but the **node**: a maximal sequence
-//! of dirty cells of one run — one template — down one column with only
-//! vacant rows between them (a run spans blank rows, never a cell of
-//! another kind: see `CellStore::read_dirty`), clipped to the rows the
-//! pass asked for; a lone formula is a node of one cell. It is also the
-//! unit evaluated: the order keeps each node as one slice, its [`Extent`]
-//! (`Engine::evaluate_node`, which moves the run's program to each cell's
-//! row, however far below the one before). The paper
-//! answers queries on the compressed graph without
-//! decompressing it (§IV); this is the same for the schedule, with the
-//! dirty set intervalised the way WebGraph intervalises successor lists
-//! (SNIPPETS.md 1–2) and the nodes ordered by Tarjan's SCC search over
-//! them (SNIPPETS.md 3, `crate::scc`):
+//! The grain is the dirty interval, end to end; no step of a pass holds a
+//! cell of its own. The store hands the schedule **stretches** `(col, lo,
+//! hi)`, one per maximal sequence of one run's cells inside a dirty
+//! interval, read off the pages' start bits (`CellStore::read_stretches`),
+//! each saying whether it goes on from the stretch before it down its run
+//! across vacant rows. The unit ordered is the **node**: a maximal
+//! sequence of stretches of one run — one template — down one column with
+//! only vacant rows between them (a run spans blank rows, never a cell of
+//! another kind), clipped to the rows the pass asked for; a lone formula
+//! is a node of one cell. A probe that clips a stretch splits it in place,
+//! and a later call of the same pass picks up the rest; a stretch made one
+//! node per cell holds the first cell's node, each row below it the next.
+//! The node is also the unit evaluated and unmarked: the order is a list
+//! of [`Extent`]s `{ col, lo, hi, up }`, each walked over the stretches
+//! inside it (`Engine::evaluate_node`, which moves the run's program to
+//! each cell's row, however far below the one before) and taken off the
+//! dirty set as one interval. Ordering costs O(stretches + nodes) and
+//! reads no slot inside a dirty interval. The paper answers queries on the compressed
+//! graph without decompressing it (§IV); this is the same for the
+//! schedule, with the dirty set intervalised the way WebGraph
+//! intervalises successor lists (SNIPPETS.md 1–2) and the nodes ordered
+//! by Tarjan's SCC search over them (SNIPPETS.md 3, `crate::scc`):
 //!
 //! - **Edges.** A node reads, per reference of its template, the union of
 //!   what its cells read there, which is the bounding box of what its end
 //!   cells read ([`taco_formula::Template::reads_at_ends`]), blank rows
-//!   between them or not — one probe of
-//!   the sorted dirty view per reference and column, where a cell order
-//!   probes once per reference per *cell*, and lists every dirty cell
-//!   inside the range where this lists every node.
+//!   between them or not — one binary search of the stretches per
+//!   reference and column, where a cell order probes once per reference
+//!   per *cell*, and lists every dirty cell inside the range where this
+//!   lists every node.
 //! - **Inside a node** the template's reads of the node's own cells say
 //!   the order: none, or all above the reading cell — top-down, which is
 //!   what a fold carried down the run wants; all below — bottom-up.
@@ -41,7 +50,8 @@
 //!   Which cells are flagged `#CYCLE!` — the cells the search meets again
 //!   while they are open — thus depends on the cycle and nothing else:
 //!   not on how the sheet's formulas group into runs, and not on where
-//!   the pass started.
+//!   the pass started. Split components, cycles and lone formulas are
+//!   extents of one row.
 //!
 //! Everything lives in buffers the engine keeps from pass to pass.
 
@@ -49,16 +59,47 @@ use crate::engine::Engine;
 use crate::scc::{Digraph, Tarjan};
 use taco_grid::{Cell, Range, MAX_COL, MAX_ROW};
 
-/// No node: a dirty cell nobody has asked for yet, or the roots' probe.
+/// No node: dirty cells nobody has asked for yet, or the roots' probe.
 const NONE: u32 = u32::MAX;
 
-/// One node: cells `view[begin..end]`, one column, only vacant rows
-/// between them.
+/// Rows `lo..=hi` of column `col`, dirty cells of one run one under the
+/// other (see `CellStore::read_stretches`), and the node or nodes that
+/// hold them. A stretch is held whole or not at all: one a probe clips is
+/// split in place first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stretch {
+    col: u32,
+    lo: u32,
+    hi: u32,
+    /// Whether it goes on from the stretch before it down one run: the
+    /// same column and run, only vacant rows between.
+    joins: bool,
+    /// The node holding its rows, `NONE` until one is asked for — or, if
+    /// `cellwise`, the node holding row `lo`, each row below it the next.
+    node: u32,
+    cellwise: bool,
+}
+
+impl Stretch {
+    /// Its rows inside `extent`'s, as `(first, last)`.
+    pub(crate) fn rows(&self, extent: &Extent) -> (u32, u32) {
+        (self.lo.max(extent.lo), self.hi.min(extent.hi))
+    }
+
+    fn len(&self) -> u32 {
+        self.hi - self.lo + 1
+    }
+}
+
+/// One node: the `cells` dirty cells of column `col` in rows `lo..=hi`,
+/// of one run, only vacant rows between them.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    begin: u32,
-    end: u32,
-    /// A stretch's reads on this sheet, one per reference: `hulls[reads]`
+    col: u32,
+    lo: u32,
+    hi: u32,
+    cells: u32,
+    /// A node's reads on this sheet, one per reference: `hulls[reads]`
     /// (a cell's are its formula's, not kept).
     reads: (u32, u32),
     /// Evaluated bottom-up: its cells read cells of it below them.
@@ -69,19 +110,31 @@ struct Node {
 }
 
 impl Node {
-    fn len(&self) -> u32 {
-        self.end - self.begin
+    fn cell(col: u32, row: u32) -> Node {
+        Node { col, lo: row, hi: row, cells: 1, reads: (0, 0), up: false, loops: false }
     }
 }
 
-/// A node as the order holds it: `order[begin..begin + len]`, cells of one
-/// run down one column in the order they are evaluated — bottom-up if
-/// `up`. A cell ordered on its own is an extent of one.
+/// A node as the order holds it: the dirty cells of column `col` in rows
+/// `lo..=hi`, of one run, evaluated top-down — bottom-up if `up` — with
+/// only vacant rows between them. Its cells are the rows of the
+/// schedule's stretches inside it ([`Schedule::stretches_of`]). A cell
+/// ordered on its own is an extent of one row.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Extent {
-    pub(crate) begin: u32,
-    pub(crate) len: u32,
+    pub(crate) col: u32,
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
     pub(crate) up: bool,
+}
+
+impl Extent {
+    /// Where `cell` comes in the extent's evaluation, if it is one of its
+    /// cells (a formula cell inside its rows is).
+    pub(crate) fn position(&self, cell: Cell) -> Option<u32> {
+        let inside = cell.col == self.col && (self.lo..=self.hi).contains(&cell.row);
+        inside.then(|| if self.up { self.hi - cell.row } else { cell.row - self.lo })
+    }
 }
 
 /// The cycle search's colours, by node; `0` for a node it is not over.
@@ -101,21 +154,13 @@ struct Frame {
 /// One pass's ordering of one sheet.
 #[derive(Debug, Default)]
 pub(crate) struct Schedule {
-    /// Whether `view` is this pass's yet: a sheet the pass never orders
-    /// on never pays for it.
-    viewed: bool,
-    /// The dirty set, read off the store's intervals in `(col, row)`
-    /// order. Once the pass has evaluated, cut down to the cells it ordered.
-    view: Vec<Cell>,
-    /// Whether `view[i]` goes on from `view[i - 1]` down its run: the
-    /// same column and run, only vacant rows between.
-    joins: Vec<bool>,
-    /// Each column of `view` and where it starts there, ascending.
-    cols: Vec<(u32, u32)>,
-    /// The node `view[i]` is a cell of, `NONE` until one is asked for.
-    node_of: Vec<u32>,
+    /// Whether `stretches` are this pass's yet: a sheet the pass never
+    /// orders on never reads them.
+    read: bool,
+    /// The dirty set as the store's stretches, in `(col, row)` order.
+    stretches: Vec<Stretch>,
     nodes: Vec<Node>,
-    /// The reads of every stretch made a node, by [`Node::reads`].
+    /// The reads of every node of several cells, by [`Node::reads`].
     hulls: Vec<Range>,
     tarjan: Tarjan,
     /// Components of `tarjan` already ordered.
@@ -124,12 +169,12 @@ pub(crate) struct Schedule {
     color: Vec<u8>,
     stack: Vec<Frame>,
     nbrs: Vec<u32>,
-    /// The evaluation order so far.
-    order: Vec<Cell>,
-    /// The nodes put in it so far, in order: a stretch ordered as one is
-    /// one, a cell ordered on its own (a lone formula, a split, a cycle's
-    /// member) one.
+    /// The evaluation order so far, node by node: a stretch ordered as one
+    /// is one, a cell ordered on its own (a lone formula, a split, a
+    /// cycle's member) one.
     extents: Vec<Extent>,
+    /// The cells in `extents`.
+    cells: usize,
     /// Cells met again while open in a cycle search, so far.
     cycles: Vec<Cell>,
 }
@@ -137,27 +182,47 @@ pub(crate) struct Schedule {
 impl Schedule {
     /// Forgets the previous pass.
     pub(crate) fn begin(&mut self) {
-        self.viewed = false;
-        self.view.clear();
+        self.read = false;
+        self.stretches.clear();
         self.nodes.clear();
         self.hulls.clear();
         self.tarjan.clear();
         self.ordered = 0;
         self.color.clear();
-        self.order.clear();
         self.extents.clear();
+        self.cells = 0;
         self.cycles.clear();
     }
 
-    /// The order so far.
-    pub(crate) fn order(&self) -> &[Cell] {
-        &self.order
-    }
-
-    /// The nodes the order so far is made of, in order: what evaluation
-    /// walks.
+    /// The order so far: what evaluation walks.
     pub(crate) fn extents(&self) -> &[Extent] {
         &self.extents
+    }
+
+    /// The cells in the order so far.
+    pub(crate) fn cells(&self) -> usize {
+        self.cells
+    }
+
+    /// The stretches holding `extent`'s cells, top down: each one's
+    /// [`Stretch::rows`] inside it.
+    pub(crate) fn stretches_of(&self, extent: &Extent) -> &[Stretch] {
+        let from = self.stretches.partition_point(|s| (s.col, s.hi) < (extent.col, extent.lo));
+        let to = self.stretches.partition_point(|s| (s.col, s.lo) <= (extent.col, extent.hi));
+        &self.stretches[from..to]
+    }
+
+    /// The cells of the order so far, in evaluation order.
+    pub(crate) fn ordered_cells(&self) -> impl Iterator<Item = Cell> + '_ {
+        self.extents.iter().flat_map(move |extent| {
+            let rows = self.stretches_of(extent).iter().flat_map(|s| {
+                let (first, last) = s.rows(extent);
+                first..=last
+            });
+            let (down, up) = if extent.up { (0, usize::MAX) } else { (usize::MAX, 0) };
+            let rows = rows.clone().take(down).chain(rows.rev().take(up));
+            rows.map(|row| Cell { col: extent.col, row })
+        })
     }
 
     /// The nodes made so far (test instrumentation).
@@ -171,43 +236,20 @@ impl Schedule {
         &self.cycles
     }
 
-    /// The dirty cells the pass ordered, sorted, once [`Self::close`] ran.
-    pub(crate) fn evaluated(&self) -> &[Cell] {
-        if self.order.is_empty() {
-            &[]
-        } else {
-            &self.view
-        }
-    }
-
-    /// Ends the pass on this sheet: the view keeps the cells ordered.
-    pub(crate) fn close(&mut self) {
-        if self.order.len() < self.view.len() {
-            let mut node_of = self.node_of.iter();
-            self.view.retain(|_| node_of.next().is_some_and(|&n| n != NONE));
-        }
-    }
-
     /// See `Engine::order_from`.
     pub(crate) fn order_from(&mut self, engine: &Engine, within: Option<Range>) {
-        if !self.viewed {
-            self.viewed = true;
-            engine.store().read_dirty(&mut self.view, &mut self.joins);
-            self.cols.clear();
-            for (i, cell) in self.view.iter().enumerate() {
-                if self.cols.last().is_none_or(|&(col, _)| col != cell.col) {
-                    self.cols.push((cell.col, i as u32));
-                }
-            }
-            self.node_of.clear();
-            self.node_of.resize(self.view.len(), NONE);
+        if !self.read {
+            self.read = true;
+            let stretches = &mut self.stretches;
+            engine.store().read_stretches(|col, lo, hi, joins| {
+                stretches.push(Stretch { col, lo, hi, joins, node: NONE, cellwise: false });
+            });
+            #[cfg(test)]
+            engine.stretches_read.set(engine.stretches_read.get() + stretches.len() as u64);
         }
         let mut sheet = Sheet {
             engine,
-            view: &self.view,
-            joins: &self.joins,
-            cols: &self.cols,
-            node_of: &mut self.node_of,
+            stretches: &mut self.stretches,
             nodes: &mut self.nodes,
             hulls: &mut self.hulls,
         };
@@ -220,9 +262,11 @@ impl Schedule {
         for &root in &self.roots {
             self.tarjan.search(root, &mut sheet);
         }
+        #[cfg(test)]
+        let emitted = self.extents.len();
         let mut out = Out {
-            order: &mut self.order,
             extents: &mut self.extents,
+            cells: &mut self.cells,
             cycles: &mut self.cycles,
             color: &mut self.color,
             stack: &mut self.stack,
@@ -232,17 +276,29 @@ impl Schedule {
             emit(&mut self.tarjan, &mut sheet, &mut out, k);
         }
         self.ordered = self.tarjan.count();
+        #[cfg(test)]
+        engine
+            .extents_emitted
+            .set(engine.extents_emitted.get() + (self.extents.len() - emitted) as u64);
     }
 }
 
-/// Where ordered cells go, and the cycle search's buffers.
+/// Where ordered nodes go, and the cycle search's buffers.
 struct Out<'a> {
-    order: &'a mut Vec<Cell>,
     extents: &'a mut Vec<Extent>,
+    cells: &'a mut usize,
     cycles: &'a mut Vec<Cell>,
     color: &'a mut Vec<u8>,
     stack: &'a mut Vec<Frame>,
     nbrs: &'a mut Vec<u32>,
+}
+
+impl Out<'_> {
+    fn push(&mut self, node: &Node) {
+        let Node { col, lo, hi, up, .. } = *node;
+        self.extents.push(Extent { col, lo, hi, up });
+        *self.cells += node.cells as usize;
+    }
 }
 
 /// Appends component `k` to the order: a node in its direction, a cycle
@@ -253,26 +309,19 @@ fn emit(tarjan: &mut Tarjan, sheet: &mut Sheet<'_>, out: &mut Out<'_>, k: usize)
     let bounds = tarjan.bounds(k);
     let node = sheet.nodes[tarjan.members()[bounds.start] as usize];
     if bounds.len() == 1 && !node.loops {
-        let cells = &sheet.view[node.begin as usize..node.end as usize];
-        let begin = out.order.len() as u32;
-        if node.up {
-            out.order.extend(cells.iter().rev());
-        } else {
-            out.order.extend_from_slice(cells);
-        }
-        out.extents.push(Extent { begin, len: node.len(), up: node.up });
-        return;
+        return out.push(&node);
     }
-    tarjan.component_mut(k).sort_unstable_by_key(|&n| sheet.nodes[n as usize].begin);
-    if tarjan.members()[bounds.clone()].iter().all(|&n| sheet.nodes[n as usize].len() == 1) {
+    tarjan.component_mut(k).sort_unstable_by_key(|&n| {
+        let node = &sheet.nodes[n as usize];
+        (node.col, node.lo)
+    });
+    if tarjan.members()[bounds.clone()].iter().all(|&n| sheet.nodes[n as usize].cells == 1) {
         return cycle(&tarjan.members()[bounds], sheet, out);
     }
     let split = sheet.nodes.len() as u32;
     for m in bounds {
-        let Node { begin, end, .. } = sheet.nodes[tarjan.members()[m] as usize];
-        for i in begin..end {
-            sheet.add(i as usize, i as usize + 1, (0, 0), false);
-        }
+        let Node { col, lo, hi, .. } = sheet.nodes[tarjan.members()[m] as usize];
+        sheet.split_into_cells(col, lo, hi);
     }
     let from = tarjan.count();
     for cell in split..sheet.nodes.len() as u32 {
@@ -308,8 +357,7 @@ fn cycle(members: &[u32], sheet: &mut Sheet<'_>, out: &mut Out<'_>) {
                 }
             } else {
                 out.color[node as usize] = BLACK;
-                out.extents.push(Extent { begin: out.order.len() as u32, len: 1, up: false });
-                out.order.push(sheet.cell(node));
+                out.push(&sheet.nodes[node as usize]);
                 out.nbrs.truncate(start as usize);
                 out.stack.pop();
             }
@@ -328,10 +376,7 @@ fn open(node: u32, sheet: &mut Sheet<'_>, out: &mut Out<'_>) {
 /// A sheet's dirty cells as the graph of nodes a pass orders.
 struct Sheet<'a> {
     engine: &'a Engine,
-    view: &'a [Cell],
-    joins: &'a [bool],
-    cols: &'a [(u32, u32)],
-    node_of: &'a mut [u32],
+    stretches: &'a mut Vec<Stretch>,
     nodes: &'a mut Vec<Node>,
     hulls: &'a mut Vec<Range>,
 }
@@ -339,15 +384,44 @@ struct Sheet<'a> {
 impl Sheet<'_> {
     /// The cell of a one-cell node.
     fn cell(&self, node: u32) -> Cell {
-        self.view[self.nodes[node as usize].begin as usize]
+        let node = &self.nodes[node as usize];
+        Cell { col: node.col, row: node.lo }
     }
 
-    /// Makes `view[begin..end]` a node.
-    fn add(&mut self, begin: usize, end: usize, reads: (u32, u32), up: bool) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node { begin: begin as u32, end: end as u32, reads, up, loops: false });
-        self.node_of[begin..end].fill(id);
-        id
+    /// Splits stretch `i` in place: it ends above `row`, and a stretch of
+    /// its run, held as it was, starts there.
+    fn split(&mut self, i: usize, row: u32) {
+        let s = self.stretches[i];
+        debug_assert!(s.lo < row && row <= s.hi);
+        let node = if s.cellwise { s.node + (row - s.lo) } else { s.node };
+        self.stretches[i].hi = row - 1;
+        self.stretches.insert(i + 1, Stretch { lo: row, joins: true, node, ..s });
+    }
+
+    /// Makes each cell of stretch `k` a node; returns the first's id.
+    fn cells_of(&mut self, k: usize) -> u32 {
+        let first = self.nodes.len() as u32;
+        let s = &mut self.stretches[k];
+        (s.node, s.cellwise) = (first, true);
+        self.nodes.extend((s.lo..=s.hi).map(|row| Node::cell(s.col, row)));
+        first
+    }
+
+    /// Makes each cell of column `col` in rows `lo..=hi` that a node
+    /// holds a node of its own, top down.
+    fn split_into_cells(&mut self, col: u32, lo: u32, hi: u32) {
+        let mut i = self.stretches.partition_point(|s| (s.col, s.hi) < (col, lo));
+        if self.stretches[i].lo < lo {
+            self.split(i, lo);
+            i += 1;
+        }
+        while self.stretches.get(i).is_some_and(|s| s.col == col && s.lo <= hi) {
+            if self.stretches[i].hi > hi {
+                self.split(i, hi + 1);
+            }
+            self.cells_of(i);
+            i += 1;
+        }
     }
 
     /// Pushes the nodes that hold the dirty cells of `range`, but `from`,
@@ -355,64 +429,84 @@ impl Sheet<'_> {
     /// the range's rows.
     fn probe(&mut self, range: Range, from: u32, out: &mut Vec<u32>) {
         let (head, tail) = (range.head(), range.tail());
-        let first = self.cols.partition_point(|&(col, _)| col < head.col);
-        for (k, &(col, start)) in self.cols.iter().enumerate().skip(first) {
-            if col > tail.col {
+        let mut i = self.stretches.partition_point(|s| (s.col, s.hi) < (head.col, head.row));
+        while let Some(&s) = self.stretches.get(i) {
+            if s.col > tail.col {
                 break;
             }
-            let end = self.cols.get(k + 1).map_or(self.view.len(), |&(_, end)| end as usize);
-            let start = start as usize;
-            let mut i = start + self.view[start..end].partition_point(|c| c.row < head.row);
-            while i < end && self.view[i].row <= tail.row {
-                let n = self.node_of[i];
-                if n == NONE {
-                    let mut j = i + 1;
-                    while j < end
-                        && self.joins[j]
-                        && self.node_of[j] == NONE
-                        && self.view[j].row <= tail.row
-                    {
-                        j += 1;
-                    }
-                    self.make(i, j, out);
-                    i = j;
-                } else {
-                    if n != from {
-                        out.push(n);
-                    }
-                    i = self.nodes[n as usize].end as usize;
+            if s.hi < head.row || s.lo > tail.row {
+                // Above the rows, in a column after the first, or below
+                // them: on to the first stretch inside them, in this
+                // column or the next.
+                let col = if s.lo > tail.row { s.col + 1 } else { s.col };
+                i += self.stretches[i..].partition_point(|t| (t.col, t.hi) < (col, head.row));
+                continue;
+            }
+            if s.cellwise {
+                let rows = s.lo.max(head.row)..=s.hi.min(tail.row);
+                out.extend(rows.map(|row| s.node + (row - s.lo)).filter(|&n| n != from));
+                i += 1;
+            } else if s.node != NONE {
+                if s.node != from {
+                    out.push(s.node);
                 }
+                i += 1;
+                while self.stretches.get(i).is_some_and(|t| t.node == s.node) {
+                    i += 1;
+                }
+            } else {
+                if s.lo < head.row {
+                    self.split(i, head.row);
+                    i += 1;
+                }
+                let mut j = i + 1;
+                while self
+                    .stretches
+                    .get(j)
+                    .is_some_and(|t| t.joins && t.node == NONE && t.lo <= tail.row)
+                {
+                    j += 1;
+                }
+                if self.stretches[j - 1].hi > tail.row {
+                    self.split(j - 1, tail.row + 1);
+                }
+                self.make(i, j, out);
+                i = j;
             }
         }
     }
 
-    /// Makes nodes of `view[begin..end]`, cells of one run no node holds
+    /// Makes nodes of stretches `i..j`, of one run, no node holding them
     /// yet, and pushes them.
-    fn make(&mut self, begin: usize, end: usize, out: &mut Vec<u32>) {
-        if end - begin > 1 {
+    fn make(&mut self, i: usize, j: usize, out: &mut Vec<u32>) {
+        let (col, lo, hi) = (self.stretches[i].col, self.stretches[i].lo, self.stretches[j - 1].hi);
+        if lo < hi {
             let from = self.hulls.len();
-            match self.direction(begin, end) {
+            match self.direction(col, lo, hi) {
                 Some(up) => {
+                    let id = self.nodes.len() as u32;
+                    let cells = self.stretches[i..j].iter().map(Stretch::len).sum();
                     let reads = (from as u32, self.hulls.len() as u32);
-                    out.push(self.add(begin, end, reads, up));
+                    self.nodes.push(Node { col, lo, hi, cells, reads, up, loops: false });
+                    self.stretches[i..j].iter_mut().for_each(|s| s.node = id);
+                    out.push(id);
                     return;
                 }
                 None => self.hulls.truncate(from),
             }
         }
-        for i in begin..end {
-            out.push(self.add(i, i + 1, (0, 0), false));
+        for k in i..j {
+            let first = self.cells_of(k);
+            out.extend(first..self.nodes.len() as u32);
         }
     }
 
-    /// The order the run's cells `view[begin..end]` go in as one node —
-    /// bottom-up (`true`) or top-down — pushing what they read on this
-    /// sheet; `None` if they must be ordered cell by cell (see the module
-    /// documentation).
-    fn direction(&mut self, begin: usize, end: usize) -> Option<bool> {
-        let (top, foot) = (self.view[begin], self.view[end - 1]);
-        let run = self.engine.run_at(top)?;
-        let (col, lo, hi) = (top.col, top.row, foot.row);
+    /// The order the run's cells in rows `lo..=hi` of column `col` go in
+    /// as one node — bottom-up (`true`) or top-down — pushing what they
+    /// read on this sheet; `None` if they must be ordered cell by cell
+    /// (see the module documentation).
+    fn direction(&mut self, col: u32, lo: u32, hi: u32) -> Option<bool> {
+        let run = self.engine.run_at(Cell { col, row: lo })?;
         let mut dir = None;
         for (sheet, first, last) in run.reads_at_ends(col, lo, hi) {
             if !self.engine.is_local(sheet) {
@@ -449,14 +543,14 @@ impl Digraph for Sheet<'_> {
         let listed = out.len();
         let node = self.nodes[v as usize];
         let engine = self.engine;
-        if node.len() > 1 {
+        if node.cells > 1 {
             for i in node.reads.0..node.reads.1 {
                 self.probe(self.hulls[i as usize], v, out);
             }
         } else {
             // A read that covers the cell itself makes it a successor of
             // its own: the probe skips `v`.
-            let cell = self.view[node.begin as usize];
+            let cell = Cell { col: node.col, row: node.lo };
             let reads = engine.run_at(cell).into_iter().flat_map(|run| run.at(cell).reads());
             let mut loops = false;
             for (sheet, rref) in reads {

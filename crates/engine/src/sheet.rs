@@ -58,6 +58,12 @@ impl Run {
         self.template.reads_at_ends(dc, dr(first), dr(last))
     }
 
+    /// The cell the template is written at (test instrumentation).
+    #[cfg(test)]
+    pub(crate) fn anchor(&self) -> Cell {
+        self.anchor
+    }
+
     /// The formula as written at the anchor.
     pub(crate) fn template(&self) -> &Template {
         &self.template

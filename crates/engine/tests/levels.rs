@@ -1,5 +1,5 @@
 //! Structural test for the intra-sheet schedule: in a pass's order
-//! (`Engine::ordered`), no formula may come before any of its precedents
+//! (`Engine::ordered_cells`), no formula may come before any of its precedents
 //! that are part of the same dirty set, cycles aside. Checked over random
 //! acyclic corpora of lone formulas and over seeded sheets of autofilled
 //! runs in every shape the scheduler orders a run by — top-down,
@@ -61,9 +61,9 @@ fn col_letter(c: u32) -> char {
 
 /// Flattens a pass's order into cell → position, checking no cell is
 /// evaluated twice.
-fn position_index(order: &[Cell]) -> HashMap<Cell, usize> {
+fn position_index(order: impl Iterator<Item = Cell>) -> HashMap<Cell, usize> {
     let mut at = HashMap::new();
-    for (i, &cell) in order.iter().enumerate() {
+    for (i, cell) in order.enumerate() {
         assert!(at.insert(cell, i).is_none(), "cell {cell:?} evaluated twice");
     }
     at
@@ -115,7 +115,7 @@ fn assert_precedence(e: &Engine, at: &HashMap<Cell, usize>) {
 fn check_pass(e: &mut Engine) {
     let dirty = e.dirty_count();
     let evaluated = e.recalculate();
-    let at = position_index(e.ordered());
+    let at = position_index(e.ordered_cells());
     assert_eq!(at.len(), evaluated, "the order must cover every evaluated cell");
     assert_eq!(evaluated, dirty);
     assert_precedence(e, &at);
@@ -150,7 +150,7 @@ fn cycles_fall_back_without_breaking_the_acyclic_part() {
     let evaluated = e.recalculate();
     assert_eq!(evaluated, 4);
     // The acyclic chain still respects precedence...
-    let at = position_index(e.ordered());
+    let at = position_index(e.ordered_cells());
     assert!(at[&Cell::new(2, 1)] < at[&Cell::new(3, 1)]);
     // ...and the cycle members are errors.
     assert_eq!(e.value(Cell::new(3, 1)), Value::Number(8.0));
