@@ -1,6 +1,7 @@
 use crate::cells::{CellStore, Cursor, SheetValues, EMPTY};
 use crate::order::{Extent, Schedule, Stretch};
 use crate::sheet::{CellContent, Run};
+use crate::workbook::OtherSheets;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -13,40 +14,13 @@ use taco_formula::{CellError, FormulaError, FuncId, Template, Value};
 use taco_grid::a1::SheetRef;
 use taco_grid::{Cell, Range};
 
-/// The *other* sheets, as this sheet's formulas read them. The workbook
-/// supplies an implementation during multi-sheet recalculation; a
-/// standalone engine uses [`NoExternal`], which turns every foreign
-/// reference into `#REF!`.
-pub(crate) trait ExternalSheets {
-    /// The sheet named `sheet`: `Some` id whose cells [`Self::cells`]
-    /// gives, `None` for a sheet that reads as blank, `Err` for no sheet.
-    /// Asked once per node and reference.
-    fn resolve(&self, sheet: &str) -> Result<Option<usize>, CellError>;
-
-    /// The cells of sheet `id`, as [`Self::resolve`] named it.
-    fn cells(&self, id: usize) -> &CellStore;
-}
-
-/// The standalone-engine external view: no other sheets exist.
-pub(crate) struct NoExternal;
-
-impl ExternalSheets for NoExternal {
-    fn resolve(&self, _sheet: &str) -> Result<Option<usize>, CellError> {
-        Err(CellError::Ref)
-    }
-
-    fn cells(&self, _id: usize) -> &CellStore {
-        unreachable!("no sheet resolves")
-    }
-}
-
 /// One sheet's part of the most recent recalculation pass (see
 /// [`Engine::last_pass`]): what it evaluated and the grain it ordered at.
 /// How long ordering and evaluation took is the hub's to say: an attached
 /// workbook records a `sheet.order` and a `sheet.eval` span per sheet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SheetPass {
-    /// The sheet's index in its workbook (`0` for a standalone engine).
+    /// The sheet's index in its workbook.
     pub sheet: usize,
     /// Cells evaluated.
     pub cells: u32,
@@ -59,7 +33,7 @@ pub struct SheetPass {
 /// What an edit reported back before recalculation: the information the
 /// asynchronous model needs to "return control to the user".
 #[derive(Debug, Clone)]
-pub struct EditReceipt {
+pub(crate) struct EditReceipt {
     /// Ranges marked dirty (the dependents of the edit).
     pub dirty: Vec<Range>,
 }
@@ -232,8 +206,9 @@ impl Folds {
     }
 }
 
-/// A headless spreadsheet over TACO's formula graph (its [`taco_core::Config`]
-/// chooses full TACO, InRow or NoComp).
+/// One sheet of a [`crate::Workbook`]: its cells and its formula graph,
+/// and the recalculation state over them. The workbook edits and
+/// recalculates it; [`crate::Workbook::sheet`] lends it out read-only.
 pub struct Engine {
     /// Cell contents and dirty marks (see [`CellStore`]).
     cells: CellStore,
@@ -242,10 +217,9 @@ pub struct Engine {
     /// first edits, so finding an edit's dependents allocates only the
     /// receipt's result vector.
     query: QueryScratch,
-    /// The sheet's name when mounted in a [`crate::Workbook`]; references
-    /// qualified with this name (`Sheet1!A1` inside `Sheet1`) are treated
-    /// as local. `None` for a standalone engine.
-    sheet_name: Option<String>,
+    /// The sheet's name in its [`crate::Workbook`]; references qualified
+    /// with this name (`Sheet1!A1` inside `Sheet1`) are treated as local.
+    sheet_name: String,
     /// The pass's order, in buffers that persist on the engine, so
     /// steady-state recalculation performs no per-recalc (let alone
     /// per-cell) allocations.
@@ -280,23 +254,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine using the full TACO compressed graph.
-    pub fn with_taco() -> Self {
-        Engine::new(FormulaGraph::taco())
-    }
-
-    /// An engine using the uncompressed NoComp graph.
-    pub fn with_nocomp() -> Self {
-        Engine::new(FormulaGraph::nocomp())
-    }
-
-    /// Wraps a graph into an empty sheet.
-    pub fn new(graph: FormulaGraph) -> Self {
+    /// An empty sheet named `sheet_name` over `graph` (a workbook mounts
+    /// it).
+    pub(crate) fn new(sheet_name: String, graph: FormulaGraph) -> Self {
         Engine {
             cells: CellStore::default(),
             graph,
             query: QueryScratch::new(),
-            sheet_name: None,
+            sheet_name,
             schedule: Schedule::default(),
             node: Node::default(),
             folds: Folds::default(),
@@ -345,25 +310,6 @@ impl Engine {
         self.schedule.nodes_made()
     }
 
-    /// The injected volatile-function clock.
-    pub fn clock(&self) -> EvalClock {
-        self.clock
-    }
-
-    /// Injects a new volatile-function clock and re-dirties every
-    /// volatile formula (its dependents follow through the graph, exactly
-    /// as if the formula had been edited). Returns the number of volatile
-    /// formula cells found.
-    pub fn set_clock(&mut self, clock: EvalClock) -> usize {
-        self.clock = clock;
-        let volatile = self.volatile_cells();
-        for &c in &volatile {
-            self.mark_cells_dirty(&[c]);
-            self.mark_dependents_dirty(Range::cell(c));
-        }
-        volatile.len()
-    }
-
     /// Stores the clock without any dirty marking (the workbook routes
     /// volatile dirtiness itself, across sheets).
     pub(crate) fn set_clock_value(&mut self, clock: EvalClock) {
@@ -387,20 +333,15 @@ impl Engine {
         self.evaluated_total
     }
 
-    /// Names the sheet (workbook mounting).
-    pub(crate) fn set_sheet_name(&mut self, name: String) {
-        self.sheet_name = Some(name);
-    }
-
-    /// The sheet's name, when mounted in a workbook.
-    pub fn sheet_name(&self) -> Option<&str> {
-        self.sheet_name.as_deref()
+    /// The sheet's name in its workbook.
+    pub fn sheet_name(&self) -> &str {
+        &self.sheet_name
     }
 
     /// `true` iff a reference qualified with `sheet` resolves to this
     /// sheet: unqualified, or qualified with this sheet's own name.
     pub(crate) fn is_local(&self, sheet: Option<&SheetRef>) -> bool {
-        sheet.is_none_or(|s| self.sheet_name.as_deref().is_some_and(|n| s.matches(n)))
+        sheet.is_none_or(|s| s.matches(&self.sheet_name))
     }
 
     /// The underlying formula graph.
@@ -424,12 +365,6 @@ impl Engine {
     /// restores, which carry their own).
     pub(crate) fn put_cell(&mut self, cell: Cell, content: CellContent) {
         self.cells.insert(cell, content, self.folds.tick());
-    }
-
-    /// Marks every formula cell dirty (a conservative full-recalc request,
-    /// e.g. after restoring from an untrusted image).
-    pub fn mark_all_formulas_dirty(&mut self) {
-        self.cells.mark_formulas_dirty_in(Range::from_coords(1, 1, u32::MAX, u32::MAX));
     }
 
     /// Current value of a cell (`Empty` when blank).
@@ -511,20 +446,10 @@ impl Engine {
     // ---- edits ---------------------------------------------------------
 
     /// Sets a pure value, returning the dependents receipt.
-    pub fn set_value(&mut self, cell: Cell, v: Value) -> EditReceipt {
+    pub(crate) fn set_value(&mut self, cell: Cell, v: Value) -> EditReceipt {
         self.detach_formula(cell);
         self.put_cell(cell, CellContent::pure(v));
         self.mark_dependents_dirty(Range::cell(cell))
-    }
-
-    /// Sets a formula (with or without leading `=`), parses it, updates the
-    /// graph, and returns the dependents receipt. Only same-sheet
-    /// references enter this sheet's graph; sheet-qualified ones are the
-    /// workbook's to route (a standalone engine evaluates them to
-    /// `#REF!`).
-    pub fn set_formula(&mut self, cell: Cell, src: &str) -> Result<EditReceipt, FormulaError> {
-        let run = self.run_for(cell, src)?;
-        Ok(self.set_run(cell, run))
     }
 
     /// The run of the cell above `cell` or of the cell to its left, if a
@@ -593,22 +518,10 @@ impl Engine {
     }
 
     /// Clears every cell in `range` (values and formulae).
-    pub fn clear_range(&mut self, range: Range) -> EditReceipt {
+    pub(crate) fn clear_range(&mut self, range: Range) -> EditReceipt {
         self.graph.clear_cells(range);
         self.cells.remove_range(range, self.folds.tick());
         self.mark_dependents_dirty(range)
-    }
-
-    /// Autofills the formula at `src` over `targets` (the tool that
-    /// generates tabular locality): every target joins one run. Fails if
-    /// `src` has no formula.
-    pub fn autofill(&mut self, src: Cell, targets: Range) -> Result<EditReceipt, CellError> {
-        let run = self.fill_run(src).ok_or(CellError::Value)?;
-        let mut dirty = Vec::new();
-        for cell in targets.cells().filter(|&cell| cell != src) {
-            dirty.extend(self.set_run(cell, Arc::clone(&run)).dirty);
-        }
-        Ok(EditReceipt { dirty })
     }
 
     /// The run an autofill from `src` puts its targets in, `None` if `src`
@@ -680,14 +593,6 @@ impl Engine {
     // somebody is looking at (the workbook's demand pass, which comes
     // back with more roots as cross-sheet reads turn up).
 
-    /// Re-evaluates all dirty formula cells in dependency order; cycles
-    /// evaluate to `#CYCLE!`. Returns the number of cells evaluated.
-    pub fn recalculate(&mut self) -> usize {
-        self.begin_pass();
-        self.order_from(None);
-        self.evaluate_ordered(&NoExternal)
-    }
-
     /// The cells of the pass under way, or of the most recent one until
     /// the next begins, in evaluation order. The scheduler's invariant is
     /// that every cell's dirty precedents come strictly earlier (cycle
@@ -723,7 +628,7 @@ impl Engine {
     /// it; members of cycles get `#CYCLE!` first. Fully deterministic:
     /// the order depends only on the dirty set, the local graph and the
     /// roots asked for. Returns the number of cells evaluated.
-    pub(crate) fn evaluate_ordered<E: ExternalSheets>(&mut self, ext: &E) -> usize {
+    pub(crate) fn evaluate_ordered(&mut self, ext: &OtherSheets<'_>) -> usize {
         // Take the schedule and the node out so the loop can borrow `cells`
         // mutably; they go back (capacity intact) afterwards.
         let schedule = std::mem::take(&mut self.schedule);
@@ -758,12 +663,12 @@ impl Engine {
     /// that reads through those bindings and carries the node's folds from
     /// row to row (see [`Carries`]); its result goes through the cursor
     /// the node's column and page were found through once.
-    fn evaluate_node<E: ExternalSheets>(
+    fn evaluate_node(
         &mut self,
         node: &mut Node,
         extent: &Extent,
         stretches: &[Stretch],
-        ext: &E,
+        ext: &OtherSheets<'_>,
     ) {
         let (col, up) = (extent.col, extent.up);
         let top = Cell { col, row: if up { extent.hi } else { extent.lo } };
@@ -772,7 +677,7 @@ impl Engine {
         };
         let (template, (dc, first)) = (run.template(), run.offset(top));
         let program = template.program();
-        node.start(program, col, up, dc, self.sheet_name.as_deref(), ext);
+        node.start(program, col, up, dc, &self.sheet_name, ext);
         let cells: u32 = stretches.iter().map(|s| s.rows(extent)).map(|(a, b)| b - a + 1).sum();
         let last = cells as usize - 1;
         let stride = (cells as usize / (MARKS_KEPT / 2)).max(1);
@@ -818,7 +723,7 @@ impl Engine {
 
     /// Dependents of `r` per the formula graph, on the engine's warm
     /// query buffers.
-    pub fn find_dependents(&mut self, r: Range) -> Vec<Range> {
+    pub(crate) fn find_dependents(&mut self, r: Range) -> Vec<Range> {
         let mut out = Vec::new();
         self.graph.find_dependents_with_scratch(r, &mut self.query, &mut out);
         out
@@ -826,7 +731,7 @@ impl Engine {
 
     /// Precedents of `r` per the formula graph, on the engine's warm
     /// query buffers.
-    pub fn find_precedents(&mut self, r: Range) -> Vec<Range> {
+    pub(crate) fn find_precedents(&mut self, r: Range) -> Vec<Range> {
         let mut out = Vec::new();
         self.graph.find_precedents_with_scratch(r, &mut self.query, &mut out);
         out
@@ -909,7 +814,7 @@ impl Carries {
 enum Source {
     /// The sheet's own: unqualified, or qualified with its own name.
     Own,
-    /// Another sheet's, by its [`ExternalSheets`] id.
+    /// Another sheet's, by its [`OtherSheets`] id.
     Other(usize),
     /// A sheet that reads as blank.
     Blank,
@@ -943,27 +848,25 @@ impl Node {
     /// run's anchor, on the sheet named `own` beside the sheets `ext`
     /// resolves: each reference placed, its qualifier resolved, and its
     /// cursor kept where the node before read the same sheet for it.
-    fn start<E: ExternalSheets>(
+    fn start(
         &mut self,
         program: &Program,
         col: u32,
         up: bool,
         dc: i64,
-        own: Option<&str>,
-        ext: &E,
+        own: &str,
+        ext: &OtherSheets<'_>,
     ) {
         self.carries.start(col, up, program.aggregates());
         program.place(&mut self.frame, dc);
         self.binds.truncate(program.refs().len());
         for (k, q) in program.refs().iter().enumerate() {
             let source = match q.sheet_name() {
-                Some(name) if !own.is_some_and(|own| own.eq_ignore_ascii_case(name)) => {
-                    match ext.resolve(name) {
-                        Ok(Some(id)) => Source::Other(id),
-                        Ok(None) => Source::Blank,
-                        Err(e) => Source::Missing(e),
-                    }
-                }
+                Some(name) if !own.eq_ignore_ascii_case(name) => match ext.resolve(name) {
+                    Ok(Some(id)) => Source::Other(id),
+                    Ok(None) => Source::Blank,
+                    Err(e) => Source::Missing(e),
+                },
                 _ => Source::Own,
             };
             match self.binds.get_mut(k) {
@@ -979,10 +882,10 @@ impl Node {
 /// the other sheets' through the node's bindings, the volatile-function
 /// context of the cell being evaluated, and the node's carried folds
 /// before [`Folds`].
-struct NodeView<'a, E: ExternalSheets> {
+struct NodeView<'a> {
     cells: &'a CellStore,
     folds: &'a Folds,
-    ext: &'a E,
+    ext: &'a OtherSheets<'a>,
     binds: &'a [Bound],
     carries: &'a Carries,
     vol: Option<&'a VolatileCtx>,
@@ -992,7 +895,7 @@ struct NodeView<'a, E: ExternalSheets> {
     mark: bool,
 }
 
-impl<E: ExternalSheets> NodeView<'_, E> {
+impl NodeView<'_> {
     /// The store reference `k` reads, if it reads one.
     #[inline]
     fn store(&self, k: usize) -> Option<&CellStore> {
@@ -1012,7 +915,7 @@ impl<E: ExternalSheets> NodeView<'_, E> {
     }
 }
 
-impl<E: ExternalSheets> Reader for NodeView<'_, E> {
+impl Reader for NodeView<'_> {
     #[inline(always)]
     fn read(&self, k: usize, cell: Cell) -> Cow<'_, Value> {
         match self.store(k) {
@@ -1111,6 +1014,11 @@ impl<E: ExternalSheets> Reader for NodeView<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RecalcMode, SheetId, Workbook};
+    use proptest::prelude::*;
+
+    /// The sheet of [`Workbook::one_sheet`].
+    const S: SheetId = SheetId(0);
 
     fn c(s: &str) -> Cell {
         Cell::parse_a1(s).unwrap()
@@ -1126,189 +1034,194 @@ mod tests {
 
     #[test]
     fn values_and_formulas_evaluate() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(2.0));
-        e.set_value(c("A2"), n(3.0));
-        e.set_formula(c("B1"), "=A1+A2").unwrap();
-        e.recalculate();
-        assert_eq!(e.value(c("B1")), n(5.0));
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(2.0));
+        wb.set_value(S, c("A2"), n(3.0));
+        wb.set_formula(S, c("B1"), "=A1+A2").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B1")), n(5.0));
     }
 
     #[test]
     fn update_propagates_through_chain() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(1.0));
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(1.0));
         for row in 2..=20u32 {
-            e.set_formula(Cell::new(1, row), &format!("=A{}+1", row - 1)).unwrap();
+            wb.set_formula(S, Cell::new(1, row), &format!("=A{}+1", row - 1)).unwrap();
         }
-        e.recalculate();
-        assert_eq!(e.value(c("A20")), n(20.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("A20")), n(20.0));
 
         // Update the head: all downstream cells must go dirty and refresh.
-        let receipt = e.set_value(c("A1"), n(100.0));
-        assert_eq!(receipt.dirty.iter().map(Range::area).sum::<u64>(), 19);
-        assert_eq!(e.dirty_count(), 19);
-        e.recalculate();
-        assert_eq!(e.value(c("A20")), n(119.0));
+        let receipt = wb.set_value(S, c("A1"), n(100.0));
+        assert_eq!(receipt.dirty.iter().map(|(_, r)| r.area()).sum::<u64>(), 19);
+        assert_eq!(wb.dirty_count(), 19);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("A20")), n(119.0));
     }
 
     #[test]
     fn a_value_typed_over_a_dirty_formula_leaves_the_dirty_set() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(2.0));
-        e.set_formula(c("B1"), "=A1*2").unwrap();
-        assert_eq!(e.dirty_count(), 1);
-        e.set_value(c("B1"), n(7.0));
-        let before = e.evaluated_total();
-        assert_eq!(e.dirty_count(), 0, "only a formula is dirty");
-        assert_eq!(e.recalculate(), 0);
-        assert_eq!(e.evaluated_total(), before);
-        assert_eq!(e.value(c("B1")), n(7.0));
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(2.0));
+        wb.set_formula(S, c("B1"), "=A1*2").unwrap();
+        assert_eq!(wb.dirty_count(), 1);
+        wb.set_value(S, c("B1"), n(7.0));
+        let before = wb.evaluated_total();
+        assert_eq!(wb.dirty_count(), 0, "only a formula is dirty");
+        assert_eq!(wb.recalculate(RecalcMode::Serial), 0);
+        assert_eq!(wb.evaluated_total(), before);
+        assert_eq!(wb.value(S, c("B1")), n(7.0));
     }
 
     #[test]
     fn cumulative_sum_via_autofill() {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=10u32 {
-            e.set_value(Cell::new(1, row), n(f64::from(row)));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row)));
         }
         // B1 = SUM($A$1:A1), autofill down: FR expanding windows.
-        e.set_formula(c("B1"), "=SUM($A$1:A1)").unwrap();
-        e.autofill(c("B1"), r("B2:B10")).unwrap();
-        e.recalculate();
-        assert_eq!(e.value(c("B10")), n(55.0));
-        assert_eq!(e.value(c("B5")), n(15.0));
+        wb.set_formula(S, c("B1"), "=SUM($A$1:A1)").unwrap();
+        wb.autofill(S, c("B1"), r("B2:B10")).unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B10")), n(55.0));
+        assert_eq!(wb.value(S, c("B5")), n(15.0));
         // The graph compressed the fill into few edges.
-        assert!(e.graph().num_edges() <= 2, "got {}", e.graph().num_edges());
+        assert!(wb.sheet(S).graph().num_edges() <= 2, "got {}", wb.sheet(S).graph().num_edges());
     }
 
     #[test]
     fn fig2_if_chain_recalculates() {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         // Column A: group ids; column M: amounts; column N: running
         // group-subtotals, exactly the Fig. 2 shape.
         let groups = [1.0, 1.0, 1.0, 2.0, 2.0, 3.0];
         for (i, g) in groups.iter().enumerate() {
             let row = i as u32 + 2;
-            e.set_value(Cell::new(1, row), n(*g));
-            e.set_value(Cell::new(13, row), n(10.0));
+            wb.set_value(S, Cell::new(1, row), n(*g));
+            wb.set_value(S, Cell::new(13, row), n(10.0));
         }
-        e.set_formula(c("N2"), "=M2").unwrap();
-        e.set_formula(c("N3"), "=IF(A3=A2,N2+M3,M3)").unwrap();
-        e.autofill(c("N3"), r("N4:N7")).unwrap();
-        e.recalculate();
+        wb.set_formula(S, c("N2"), "=M2").unwrap();
+        wb.set_formula(S, c("N3"), "=IF(A3=A2,N2+M3,M3)").unwrap();
+        wb.autofill(S, c("N3"), r("N4:N7")).unwrap();
+        wb.recalculate(RecalcMode::Serial);
         // Group 1 rows 2-4 accumulate 10,20,30; group 2 resets.
-        assert_eq!(e.value(c("N4")), n(30.0));
-        assert_eq!(e.value(c("N5")), n(10.0));
-        assert_eq!(e.value(c("N6")), n(20.0));
-        assert_eq!(e.value(c("N7")), n(10.0));
+        assert_eq!(wb.value(S, c("N4")), n(30.0));
+        assert_eq!(wb.value(S, c("N5")), n(10.0));
+        assert_eq!(wb.value(S, c("N6")), n(20.0));
+        assert_eq!(wb.value(S, c("N7")), n(10.0));
     }
 
     #[test]
     fn clear_range_detaches_dependencies() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(1.0));
-        e.set_formula(c("B1"), "=A1*2").unwrap();
-        e.recalculate();
-        assert_eq!(e.value(c("B1")), n(2.0));
-        e.clear_range(r("B1"));
-        assert_eq!(e.value(c("B1")), Value::Empty);
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(1.0));
+        wb.set_formula(S, c("B1"), "=A1*2").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B1")), n(2.0));
+        wb.clear_range(S, r("B1"));
+        assert_eq!(wb.value(S, c("B1")), Value::Empty);
         // A1 edits no longer dirty anything.
-        let receipt = e.set_value(c("A1"), n(9.0));
+        let receipt = wb.set_value(S, c("A1"), n(9.0));
         assert!(receipt.dirty.is_empty());
     }
 
     #[test]
     fn overwrite_formula_updates_graph() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(1.0));
-        e.set_value(c("A2"), n(2.0));
-        e.set_formula(c("B1"), "=A1").unwrap();
-        e.set_formula(c("B1"), "=A2").unwrap();
-        e.recalculate();
-        assert_eq!(e.value(c("B1")), n(2.0));
-        assert!(e.set_value(c("A1"), n(5.0)).dirty.is_empty());
-        assert_eq!(e.set_value(c("A2"), n(5.0)).dirty.iter().map(Range::area).sum::<u64>(), 1);
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(1.0));
+        wb.set_value(S, c("A2"), n(2.0));
+        wb.set_formula(S, c("B1"), "=A1").unwrap();
+        wb.set_formula(S, c("B1"), "=A2").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B1")), n(2.0));
+        assert!(wb.set_value(S, c("A1"), n(5.0)).dirty.is_empty());
+        assert_eq!(
+            wb.set_value(S, c("A2"), n(5.0)).dirty.iter().map(|(_, r)| r.area()).sum::<u64>(),
+            1
+        );
     }
 
     #[test]
     fn cycles_become_cycle_errors() {
-        let mut e = Engine::with_taco();
-        e.set_formula(c("A1"), "=B1+1").unwrap();
-        e.set_formula(c("B1"), "=A1+1").unwrap();
-        e.recalculate();
+        let mut wb = Workbook::one_sheet();
+        wb.set_formula(S, c("A1"), "=B1+1").unwrap();
+        wb.set_formula(S, c("B1"), "=A1+1").unwrap();
+        wb.recalculate(RecalcMode::Serial);
         assert!(
-            e.value(c("A1")) == Value::Error(CellError::Cycle)
-                || e.value(c("B1")) == Value::Error(CellError::Cycle),
+            wb.value(S, c("A1")) == Value::Error(CellError::Cycle)
+                || wb.value(S, c("B1")) == Value::Error(CellError::Cycle),
             "at least one cycle member must be flagged"
         );
     }
 
     #[test]
     fn taco_and_nocomp_engines_agree() {
-        let build = |mut e: Engine| {
+        let build = |mut wb: Workbook| {
             for row in 1..=30u32 {
-                e.set_value(Cell::new(1, row), n(f64::from(row)));
+                wb.set_value(S, Cell::new(1, row), n(f64::from(row)));
             }
-            e.set_formula(c("B1"), "=A1*2").unwrap();
-            e.autofill(c("B1"), r("B2:B30")).unwrap();
-            e.set_formula(c("C1"), "=SUM(B1:B30)").unwrap();
-            e.recalculate();
-            e
+            wb.set_formula(S, c("B1"), "=A1*2").unwrap();
+            wb.autofill(S, c("B1"), r("B2:B30")).unwrap();
+            wb.set_formula(S, c("C1"), "=SUM(B1:B30)").unwrap();
+            wb.recalculate(RecalcMode::Serial);
+            wb
         };
-        let taco = build(Engine::with_taco());
-        let nocomp = build(Engine::with_nocomp());
-        assert_eq!(taco.value(c("C1")), nocomp.value(c("C1")));
-        assert_eq!(taco.value(c("C1")), n(2.0 * (30.0 * 31.0 / 2.0)));
-        assert!(taco.graph().num_edges() < nocomp.graph().num_edges());
+        let mut nocomp = Workbook::new();
+        nocomp.add_sheet_unbound("Sheet1", FormulaGraph::nocomp()).unwrap();
+        let taco = build(Workbook::one_sheet());
+        let nocomp = build(nocomp);
+        assert_eq!(taco.value(S, c("C1")), nocomp.value(S, c("C1")));
+        assert_eq!(taco.value(S, c("C1")), n(2.0 * (30.0 * 31.0 / 2.0)));
+        assert!(taco.sheet(S).graph().num_edges() < nocomp.sheet(S).graph().num_edges());
     }
 
     #[test]
     fn vlookup_sheet() {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         // Rate table in F1:G3.
         for (i, (k, v)) in [(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)].iter().enumerate() {
-            e.set_value(Cell::new(6, i as u32 + 1), n(*k));
-            e.set_value(Cell::new(7, i as u32 + 1), n(*v));
+            wb.set_value(S, Cell::new(6, i as u32 + 1), n(*k));
+            wb.set_value(S, Cell::new(7, i as u32 + 1), n(*v));
         }
         for row in 1..=5u32 {
-            e.set_value(Cell::new(1, row), n(f64::from(row % 3 + 1)));
-            e.set_formula(Cell::new(2, row), &format!("=VLOOKUP(A{row},$F$1:$G$3,2,FALSE)"))
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row % 3 + 1)));
+            wb.set_formula(S, Cell::new(2, row), &format!("=VLOOKUP(A{row},$F$1:$G$3,2,FALSE)"))
                 .unwrap();
         }
-        e.recalculate();
-        assert_eq!(e.value(c("B1")), n(0.2));
-        assert_eq!(e.value(c("B2")), n(0.3));
-        assert_eq!(e.value(c("B3")), n(0.1));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B1")), n(0.2));
+        assert_eq!(wb.value(S, c("B2")), n(0.3));
+        assert_eq!(wb.value(S, c("B3")), n(0.1));
         // The five FF lookups compress well: 5 deps over the table + 5 on
         // column A.
-        assert!(e.graph().num_edges() <= 4, "got {}", e.graph().num_edges());
+        assert!(wb.sheet(S).graph().num_edges() <= 4, "got {}", wb.sheet(S).graph().num_edges());
     }
 
     #[test]
     fn receipt_reports_the_dirty_dependents() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(1.0));
-        e.set_formula(c("B1"), "=A1").unwrap();
-        let receipt = e.set_value(c("A1"), n(2.0));
-        assert_eq!(receipt.dirty, vec![Range::cell(c("B1"))]);
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(1.0));
+        wb.set_formula(S, c("B1"), "=A1").unwrap();
+        let receipt = wb.set_value(S, c("A1"), n(2.0));
+        assert_eq!(receipt.dirty, vec![(S, Range::cell(c("B1")))]);
     }
 
     /// Folds resumed from memory so far.
-    fn carried(e: &Engine) -> u64 {
-        e.folds_carried()
+    fn carried(wb: &Workbook) -> u64 {
+        wb.sheet(S).folds_carried()
     }
 
     /// Cells that leading ranges still had read since the last call.
-    fn folded(e: &Engine) -> u64 {
-        e.folds.folded.replace(0)
+    fn folded(wb: &Workbook) -> u64 {
+        wb.sheet(S).folds.folded.replace(0)
     }
 
     /// What `SUM(range)` must be, added up here from the cell values.
-    fn added_up(e: &Engine, range: &str) -> Value {
+    fn added_up(wb: &Workbook, range: &str) -> Value {
         let mut sum = 0.0;
         for cell in r(range).cells() {
-            match e.value(cell) {
+            match wb.value(S, cell) {
                 Value::Number(v) => sum += v,
                 Value::Error(err) => return Value::Error(err),
                 _ => {}
@@ -1319,141 +1232,145 @@ mod tests {
 
     #[test]
     fn a_fold_is_remembered_until_a_cell_of_its_range_is_written() {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=100u32 {
-            e.set_value(Cell::new(1, row), n(f64::from(row)));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row)));
         }
-        e.set_formula(c("C1"), "=SUM($A$1:A100)+B1").unwrap();
+        wb.set_formula(S, c("C1"), "=SUM($A$1:A100)+B1").unwrap();
         // A head that moves with the formula starts no run: never asked for.
-        e.set_formula(c("C2"), "=SUM(A1:A9)+B1").unwrap();
-        e.recalculate();
-        assert_eq!((e.value(c("C1")), carried(&e), folded(&e)), (n(5050.0), 0, 100));
+        wb.set_formula(S, c("C2"), "=SUM(A1:A9)+B1").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("C1")), carried(&wb), folded(&wb)), (n(5050.0), 0, 100));
 
         // A precedent outside the range changes: the range is not re-read.
-        e.set_value(c("B1"), n(1.0));
-        e.recalculate();
-        assert_eq!((e.value(c("C1")), e.value(c("C2"))), (n(5051.0), n(46.0)));
-        assert_eq!((carried(&e), folded(&e)), (1, 0));
+        wb.set_value(S, c("B1"), n(1.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("C1")), wb.value(S, c("C2"))), (n(5051.0), n(46.0)));
+        assert_eq!((carried(&wb), folded(&wb)), (1, 0));
 
         // A cell of the range changes: re-read.
-        e.set_value(c("A7"), n(107.0));
-        e.recalculate();
-        assert_eq!((e.value(c("C1")), carried(&e), folded(&e)), (n(5151.0), 1, 100));
+        wb.set_value(S, c("A7"), n(107.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("C1")), carried(&wb), folded(&wb)), (n(5151.0), 1, 100));
 
         // A write below the range, in its column, leaves the fold standing…
-        e.set_value(c("A200"), n(1.0));
-        e.set_value(c("B1"), n(2.0));
-        e.recalculate();
-        assert_eq!((e.value(c("C1")), carried(&e), folded(&e)), (n(5152.0), 2, 0));
+        wb.set_value(S, c("A200"), n(1.0));
+        wb.set_value(S, c("B1"), n(2.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("C1")), carried(&wb), folded(&wb)), (n(5152.0), 2, 0));
 
         // …and a longer range goes on from it, over the new rows only.
-        e.set_formula(c("C3"), "=SUM($A$1:A200)").unwrap();
-        e.recalculate();
-        assert_eq!((e.value(c("C3")), carried(&e), folded(&e)), (n(5151.0), 3, 100));
+        wb.set_formula(S, c("C3"), "=SUM($A$1:A200)").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("C3")), carried(&wb), folded(&wb)), (n(5151.0), 3, 100));
         // Both are remembered now, each found whole.
-        e.set_value(c("B1"), n(3.0));
-        e.recalculate();
-        assert_eq!((e.value(c("C1")), carried(&e), folded(&e)), (n(5153.0), 4, 0));
+        wb.set_value(S, c("B1"), n(3.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("C1")), carried(&wb), folded(&wb)), (n(5153.0), 4, 0));
         // A write between their last rows drops the longer one only, which
         // goes on from the shorter.
-        e.set_value(c("A150"), n(1.0));
-        e.set_value(c("B1"), n(4.0));
-        e.recalculate();
-        assert_eq!((e.value(c("C1")), e.value(c("C3"))), (n(5154.0), n(5152.0)));
-        assert_eq!((carried(&e), folded(&e)), (6, 100));
+        wb.set_value(S, c("A150"), n(1.0));
+        wb.set_value(S, c("B1"), n(4.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("C1")), wb.value(S, c("C3"))), (n(5154.0), n(5152.0)));
+        assert_eq!((carried(&wb), folded(&wb)), (6, 100));
     }
 
     /// A sheet whose column `col` sums column `of` cumulatively, `rows`
     /// rows of it, autofilled from row 1.
-    fn cumulative(e: &mut Engine, col: u32, of: &str, rows: u32) {
+    fn cumulative(wb: &mut Workbook, col: u32, of: &str, rows: u32) {
         let cell = Cell::new(col, 1);
-        e.set_formula(cell, &format!("=SUM(${of}$1:{of}1)")).unwrap();
-        e.autofill(cell, Range::from_coords(col, 2, col, rows)).unwrap();
+        wb.set_formula(S, cell, &format!("=SUM(${of}$1:{of}1)")).unwrap();
+        wb.autofill(S, cell, Range::from_coords(col, 2, col, rows)).unwrap();
     }
 
     #[test]
     fn a_cumulative_column_reads_each_cell_once() {
         const ROWS: u32 = 2048;
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=ROWS {
-            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row) / 8.0));
         }
-        cumulative(&mut e, 2, "A", ROWS);
-        assert_eq!(e.recalculate(), ROWS as usize);
+        cumulative(&mut wb, 2, "A", ROWS);
+        assert_eq!(wb.recalculate(RecalcMode::Serial), ROWS as usize);
         // n cells read where cell-by-cell evaluation reads n²/2 ≈ 2.1 M.
-        assert_eq!((carried(&e), folded(&e)), (u64::from(ROWS) - 1, u64::from(ROWS)));
-        assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
+        assert_eq!((carried(&wb), folded(&wb)), (u64::from(ROWS) - 1, u64::from(ROWS)));
+        assert_eq!(wb.value(S, Cell::new(2, ROWS)), added_up(&wb, "A1:A2048"));
 
         // An edit at row r: the first cell below goes on from the mark the
         // pass before left above r (marks thinned to one in n/32 rows are
         // under n/16 apart), the rest from the cell above (one row each).
         for at in [1, 700, 701, 1999, ROWS] {
-            e.set_value(Cell::new(1, at), n(-3.5));
-            assert_eq!(e.recalculate(), (ROWS - at + 1) as usize);
-            let read = folded(&e);
+            wb.set_value(S, Cell::new(1, at), n(-3.5));
+            assert_eq!(wb.recalculate(RecalcMode::Serial), (ROWS - at + 1) as usize);
+            let read = folded(&wb);
             let rest = u64::from(ROWS - at);
             assert!(read > rest && read <= rest + u64::from(ROWS) / 16, "edit at row {at}: {read}");
-            assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
+            assert_eq!(wb.value(S, Cell::new(2, ROWS)), added_up(&wb, "A1:A2048"));
         }
     }
 
     /// Searches of the ring of remembered folds since the last call.
-    fn lookups(e: &Engine) -> u64 {
-        e.folds.lookups.replace(0)
+    fn lookups(wb: &Workbook) -> u64 {
+        wb.sheet(S).folds.lookups.replace(0)
     }
 
     #[test]
     fn a_node_searches_the_remembered_folds_once_per_aggregate() {
         const ROWS: u32 = 2048;
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=ROWS {
-            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row) / 8.0));
         }
-        cumulative(&mut e, 2, "A", ROWS);
+        cumulative(&mut wb, 2, "A", ROWS);
         // Two aggregates a row: one growing, one over a fixed range.
-        e.set_formula(c("C1"), "=AVERAGE($A$1:A1)+SUM($A$1:$A$8)").unwrap();
-        e.autofill(c("C1"), Range::from_coords(3, 2, 3, ROWS)).unwrap();
-        lookups(&e);
-        assert_eq!(e.recalculate(), 2 * ROWS as usize);
+        wb.set_formula(S, c("C1"), "=AVERAGE($A$1:A1)+SUM($A$1:$A$8)").unwrap();
+        wb.autofill(S, c("C1"), Range::from_coords(3, 2, 3, ROWS)).unwrap();
+        lookups(&wb);
+        assert_eq!(wb.recalculate(RecalcMode::Serial), 2 * ROWS as usize);
         // A node per column, a search per node and aggregate: when every
         // cell looked its fold up to resume it and again to remember it,
         // that was 2 · 3 · n searches.
-        assert_eq!(lookups(&e), 3);
-        assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
+        assert_eq!(lookups(&wb), 3);
+        assert_eq!(wb.value(S, Cell::new(2, ROWS)), added_up(&wb, "A1:A2048"));
         for at in [1, 700, ROWS] {
-            e.set_value(Cell::new(1, at), n(-3.5));
-            assert_eq!(e.recalculate(), 2 * (ROWS - at + 1) as usize);
-            assert_eq!(lookups(&e), 3, "edit at row {at}");
-            assert_eq!(e.value(Cell::new(2, ROWS)), added_up(&e, "A1:A2048"));
+            wb.set_value(S, Cell::new(1, at), n(-3.5));
+            assert_eq!(wb.recalculate(RecalcMode::Serial), 2 * (ROWS - at + 1) as usize);
+            assert_eq!(lookups(&wb), 3, "edit at row {at}");
+            assert_eq!(wb.value(S, Cell::new(2, ROWS)), added_up(&wb, "A1:A2048"));
         }
     }
 
     #[test]
     fn a_row_invariant_subtree_is_evaluated_once_per_node() {
         const ROWS: u32 = 2048;
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=ROWS {
-            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row) / 8.0));
         }
         // Typed row by row, one run: its literal steps, its sum is fixed.
         for row in 1..=ROWS {
-            e.set_formula(Cell::new(2, row), &format!("=SUM($A$1:$A$8)*{row}")).unwrap();
+            wb.set_formula(S, Cell::new(2, row), &format!("=SUM($A$1:$A$8)*{row}")).unwrap();
         }
-        assert_eq!(e.formula_templates(), 1);
+        assert_eq!(wb.sheet(S).formula_templates(), 1);
         let sum = (1..=8).map(|row| f64::from(row) / 8.0).sum::<f64>();
         for edit in [None, Some(3), Some(8)] {
             if let Some(row) = edit {
-                e.set_value(Cell::new(1, row), n(-1.5));
+                wb.set_value(S, Cell::new(1, row), n(-1.5));
             }
-            folded(&e);
-            assert_eq!(e.recalculate(), ROWS as usize);
+            folded(&wb);
+            assert_eq!(wb.recalculate(RecalcMode::Serial), ROWS as usize);
             // One node, one sum: eight cells read once, and no row going on
             // from the row above (a row at a time, that was n − 1 carries).
-            assert_eq!((carried(&e), folded(&e)), (0, 8), "{edit:?}");
-            let sum = if edit.is_some() { added_up(&e, "A1:A8") } else { n(sum) };
+            assert_eq!((carried(&wb), folded(&wb)), (0, 8), "{edit:?}");
+            let sum = if edit.is_some() { added_up(&wb, "A1:A8") } else { n(sum) };
             let Value::Number(sum) = sum else { panic!("{sum:?}") };
             for row in [1, 2, 1000, ROWS] {
-                assert_eq!(e.value(Cell::new(2, row)), n(sum * f64::from(row)), "{edit:?} B{row}");
+                assert_eq!(
+                    wb.value(S, Cell::new(2, row)),
+                    n(sum * f64::from(row)),
+                    "{edit:?} B{row}"
+                );
             }
         }
     }
@@ -1469,56 +1386,56 @@ mod tests {
         // node reads, and what its ordering reads, once, however long.
         let mut counted = Vec::new();
         for rows in [60, 250] {
-            let mut e = Engine::with_taco();
+            let mut wb = Workbook::one_sheet();
             for row in 1..=rows {
-                e.set_value(Cell::new(1, row), n(f64::from(row)));
+                wb.set_value(S, Cell::new(1, row), n(f64::from(row)));
             }
-            e.set_formula(c("D1"), "=A1").unwrap();
-            e.set_formula(c("D2"), "=D1+A2").unwrap();
-            e.autofill(c("D2"), Range::from_coords(4, 3, 4, rows)).unwrap();
-            e.recalculate();
-            e.set_value(c("A1"), n(0.5));
+            wb.set_formula(S, c("D1"), "=A1").unwrap();
+            wb.set_formula(S, c("D2"), "=D1+A2").unwrap();
+            wb.autofill(S, c("D2"), Range::from_coords(4, 3, 4, rows)).unwrap();
+            wb.recalculate(RecalcMode::Serial);
+            wb.set_value(S, c("A1"), n(0.5));
             store_lookups();
-            assert_eq!(e.recalculate(), rows as usize);
+            assert_eq!(wb.recalculate(RecalcMode::Serial), rows as usize);
             counted.push(store_lookups());
             let total = 0.5 + f64::from(rows * (rows + 1) / 2 - 1);
-            assert_eq!(e.value(Cell::new(4, rows)), n(total));
+            assert_eq!(wb.value(S, Cell::new(4, rows)), n(total));
         }
         assert_eq!(counted[0], counted[1], "{counted:?} lookups for 60 and 250 rows");
         assert!(counted[1] < 24, "{counted:?}");
     }
 
     /// Neighbour entries the scheduler pushed since the last call.
-    fn entries(e: &Engine) -> u64 {
-        e.nbr_entries.replace(0)
+    fn entries(wb: &Workbook) -> u64 {
+        wb.sheet(S).nbr_entries.replace(0)
     }
 
     #[test]
     fn a_cumulative_column_over_a_formula_column_orders_in_linear_entries() {
         const ROWS: u32 = 2048;
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=ROWS {
-            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row) / 8.0));
         }
-        e.set_formula(c("B1"), "=A1*2").unwrap();
-        e.autofill(c("B1"), Range::from_coords(2, 2, 2, ROWS)).unwrap();
-        cumulative(&mut e, 3, "B", ROWS);
-        entries(&e);
-        assert_eq!(e.recalculate(), 2 * ROWS as usize);
+        wb.set_formula(S, c("B1"), "=A1*2").unwrap();
+        wb.autofill(S, c("B1"), Range::from_coords(2, 2, 2, ROWS)).unwrap();
+        cumulative(&mut wb, 3, "B", ROWS);
+        entries(&wb);
+        assert_eq!(wb.recalculate(RecalcMode::Serial), 2 * ROWS as usize);
         // Two nodes, each listed once, the column of totals reading the
         // doubled one: where a cell order lists row r's r precedents,
         // n²/2 ≈ 2.1 M entries.
-        let pushed = entries(&e);
+        let pushed = entries(&wb);
         assert!(pushed <= 4 * u64::from(ROWS), "{pushed} entries");
-        assert_eq!(e.value(Cell::new(3, ROWS)), added_up(&e, "B1:B2048"));
-        assert_eq!((carried(&e), folded(&e)), (u64::from(ROWS) - 1, u64::from(ROWS)));
+        assert_eq!(wb.value(S, Cell::new(3, ROWS)), added_up(&wb, "B1:B2048"));
+        assert_eq!((carried(&wb), folded(&wb)), (u64::from(ROWS) - 1, u64::from(ROWS)));
 
         // An edit dirties one doubled cell and the totals from its row
         // down: one node each.
-        e.set_value(c("A700"), n(-3.5));
-        assert_eq!(e.recalculate(), 1 + (ROWS - 699) as usize);
-        assert!(entries(&e) <= 4 * u64::from(ROWS));
-        assert_eq!(e.value(Cell::new(3, ROWS)), added_up(&e, "B1:B2048"));
+        wb.set_value(S, c("A700"), n(-3.5));
+        assert_eq!(wb.recalculate(RecalcMode::Serial), 1 + (ROWS - 699) as usize);
+        assert!(entries(&wb) <= 4 * u64::from(ROWS));
+        assert_eq!(wb.value(S, Cell::new(3, ROWS)), added_up(&wb, "B1:B2048"));
     }
 
     #[test]
@@ -1530,43 +1447,43 @@ mod tests {
         // just below the range the previous total folded. And a
         // two-column range over both.
         for (input, total, other) in [(2, 3, 4), (3, 2, 4), (4, 2, 3)] {
-            let mut e = Engine::with_taco();
+            let mut wb = Workbook::one_sheet();
             for row in 1..=ROWS {
-                e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
-                e.set_formula(Cell::new(input, row), &format!("=A{row}*3")).unwrap();
-                e.set_formula(Cell::new(other, row), &format!("=A{row}+1")).unwrap();
+                wb.set_value(S, Cell::new(1, row), n(f64::from(row) / 8.0));
+                wb.set_formula(S, Cell::new(input, row), &format!("=A{row}*3")).unwrap();
+                wb.set_formula(S, Cell::new(other, row), &format!("=A{row}+1")).unwrap();
             }
             let of = taco_grid::a1::col_to_letters(input);
-            cumulative(&mut e, total, &of, ROWS);
+            cumulative(&mut wb, total, &of, ROWS);
             let (low, high) = (input.min(other), input.max(other));
             let (low, high) =
                 (taco_grid::a1::col_to_letters(low), taco_grid::a1::col_to_letters(high));
-            e.set_formula(c("F1"), &format!("=AVERAGE(${low}$1:{high}1)")).unwrap();
-            e.autofill(c("F1"), Range::from_coords(6, 2, 6, ROWS)).unwrap();
-            e.recalculate();
+            wb.set_formula(S, c("F1"), &format!("=AVERAGE(${low}$1:{high}1)")).unwrap();
+            wb.autofill(S, c("F1"), Range::from_coords(6, 2, 6, ROWS)).unwrap();
+            wb.recalculate(RecalcMode::Serial);
             let rows = u64::from(ROWS);
             let wide = if high == "D" && low == "B" { 3 } else { 2 };
-            assert_eq!((carried(&e), folded(&e)), (2 * (rows - 1), rows + wide * rows), "{of}");
+            assert_eq!((carried(&wb), folded(&wb)), (2 * (rows - 1), rows + wide * rows), "{of}");
             let summed = format!("{of}1:{of}{ROWS}");
-            assert_eq!(e.value(Cell::new(total, ROWS)), added_up(&e, &summed));
+            assert_eq!(wb.value(S, Cell::new(total, ROWS)), added_up(&wb, &summed));
 
-            e.set_value(c("A100"), n(0.25));
-            e.recalculate();
+            wb.set_value(S, c("A100"), n(0.25));
+            wb.recalculate(RecalcMode::Serial);
             // Both columns go back to a mark above row 100 once, then carry.
-            let (read, rest) = (folded(&e), (rows - 100) * (1 + wide));
+            let (read, rest) = (folded(&wb), (rows - 100) * (1 + wide));
             assert!(read > rest && read <= rest + 100 * (1 + wide), "{of}: {read}");
-            assert_eq!(e.value(Cell::new(total, ROWS)), added_up(&e, &summed));
+            assert_eq!(wb.value(S, Cell::new(total, ROWS)), added_up(&wb, &summed));
         }
     }
 
     /// A column typed in pairs with two blank rows after each — the
     /// `dense(2)` shape of the generated workbooks — from row 1 to `rows`:
     /// `text(r)` at every row `r` with `r % 4 < 2`.
-    fn in_pairs(e: &mut Engine, col: u32, rows: u32, text: impl Fn(u32) -> String) -> Vec<Cell> {
+    fn in_pairs(wb: &mut Workbook, col: u32, rows: u32, text: impl Fn(u32) -> String) -> Vec<Cell> {
         let rows = (1..=rows).filter(|row| row % 4 < 2);
         let cells: Vec<Cell> = rows.map(|row| Cell::new(col, row)).collect();
         for &cell in &cells {
-            e.set_formula(cell, &text(cell.row)).unwrap();
+            wb.set_formula(S, cell, &text(cell.row)).unwrap();
         }
         cells
     }
@@ -1574,74 +1491,74 @@ mod tests {
     #[test]
     fn a_column_typed_in_pairs_is_one_template_and_one_node() {
         const ROWS: u32 = 1024;
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=ROWS + 2 {
-            e.set_value(Cell::new(1, row), n(f64::from(row % 19) / 4.0));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row % 19) / 4.0));
         }
-        let windows = in_pairs(&mut e, 2, ROWS, |r| format!("=SUM(A{r}:A{})", r + 2));
-        assert_eq!((e.formula_templates(), windows.len()), (1, 512));
-        assert_eq!(e.recalculate(), windows.len());
-        assert_eq!(e.nodes_made(), 1, "the blank rows between the pairs cut no node");
+        let windows = in_pairs(&mut wb, 2, ROWS, |r| format!("=SUM(A{r}:A{})", r + 2));
+        assert_eq!((wb.sheet(S).formula_templates(), windows.len()), (1, 512));
+        assert_eq!(wb.recalculate(RecalcMode::Serial), windows.len());
+        assert_eq!(wb.sheet(S).nodes_made(), 1, "the blank rows between the pairs cut no node");
         for &cell in &windows {
-            let want = added_up(&e, &format!("A{}:A{}", cell.row, cell.row + 2));
-            assert_eq!(e.value(cell), want, "{cell}");
+            let want = added_up(&wb, &format!("A{}:A{}", cell.row, cell.row + 2));
+            assert_eq!(wb.value(S, cell), want, "{cell}");
         }
 
         // Totals in the same shape, over the same data: an edit at row r
         // re-evaluates the totals below r as one node, and the windows
         // over r (one pair's) as another.
-        let totals = in_pairs(&mut e, 3, ROWS, |r| format!("=SUM($A$1:A{r})"));
-        assert_eq!(e.formula_templates(), 2);
-        assert_eq!(e.recalculate(), totals.len());
-        assert_eq!(e.nodes_made(), 1);
+        let totals = in_pairs(&mut wb, 3, ROWS, |r| format!("=SUM($A$1:A{r})"));
+        assert_eq!(wb.sheet(S).formula_templates(), 2);
+        assert_eq!(wb.recalculate(RecalcMode::Serial), totals.len());
+        assert_eq!(wb.sheet(S).nodes_made(), 1);
         for at in [1, 2, 700, 703, ROWS] {
-            e.set_value(Cell::new(1, at), n(-3.5));
+            wb.set_value(S, Cell::new(1, at), n(-3.5));
             let below = totals.iter().filter(|c| c.row >= at).count();
             let over = windows.iter().filter(|c| (c.row..=c.row + 2).contains(&at)).count();
-            assert_eq!(e.recalculate(), below + over, "edit at row {at}");
+            assert_eq!(wb.recalculate(RecalcMode::Serial), below + over, "edit at row {at}");
             let nodes = usize::from(below > 0) + usize::from(over > 0);
-            assert_eq!(e.nodes_made(), nodes, "edit at row {at}");
+            assert_eq!(wb.sheet(S).nodes_made(), nodes, "edit at row {at}");
             for cell in [totals[totals.len() - 1], windows[windows.len() / 2]] {
                 let range = if cell.col == 3 {
                     format!("A1:A{}", cell.row)
                 } else {
                     format!("A{}:A{}", cell.row, cell.row + 2)
                 };
-                assert_eq!(e.value(cell), added_up(&e, &range), "{cell} after row {at}");
+                assert_eq!(wb.value(S, cell), added_up(&wb, &range), "{cell} after row {at}");
             }
         }
     }
 
     #[test]
     fn a_run_spans_blank_rows_but_not_a_value() {
-        let mut e = Engine::with_taco();
-        e.set_formula(c("B1"), "=A1*2").unwrap();
+        let mut wb = Workbook::one_sheet();
+        wb.set_formula(S, c("B1"), "=A1*2").unwrap();
         // Typed right below, then at the grid's last row: joined, and the
         // look up the column costs the same there — where a walk up the
         // rows would look up each of a million.
         store_lookups();
-        e.set_formula(c("B2"), "=A2*2").unwrap();
+        wb.set_formula(S, c("B2"), "=A2*2").unwrap();
         let near = store_lookups();
         let far = Cell::new(2, taco_grid::MAX_ROW);
-        e.set_formula(far, &format!("=A{}*2", far.row)).unwrap();
+        wb.set_formula(S, far, &format!("=A{}*2", far.row)).unwrap();
         assert_eq!(store_lookups(), near);
-        assert_eq!(e.formula_templates(), 1);
+        assert_eq!(wb.sheet(S).formula_templates(), 1);
         // A value between stops the join; a formula that is not the
         // run's next cell does not join either.
-        e.set_value(c("B500000"), n(1.0));
-        e.set_formula(c("B600000"), "=A600000*2").unwrap();
-        e.set_formula(c("B7"), "=A7*3").unwrap();
-        assert_eq!(e.formula_templates(), 3);
+        wb.set_value(S, c("B500000"), n(1.0));
+        wb.set_formula(S, c("B600000"), "=A600000*2").unwrap();
+        wb.set_formula(S, c("B7"), "=A7*3").unwrap();
+        assert_eq!(wb.sheet(S).formula_templates(), 3);
         // A stepped run joins across blank rows too, on its line.
-        e.set_formula(c("C1"), "=A1*1").unwrap();
-        e.set_formula(c("C2"), "=A2*2").unwrap();
-        e.set_formula(c("C9"), "=A9*9").unwrap();
-        e.set_formula(c("C12"), "=A12*13").unwrap();
-        assert_eq!(e.formula_templates(), 5);
+        wb.set_formula(S, c("C1"), "=A1*1").unwrap();
+        wb.set_formula(S, c("C2"), "=A2*2").unwrap();
+        wb.set_formula(S, c("C9"), "=A9*9").unwrap();
+        wb.set_formula(S, c("C12"), "=A12*13").unwrap();
+        assert_eq!(wb.sheet(S).formula_templates(), 5);
         // A run of one is stepped only from the row right above.
-        e.set_formula(c("D1"), "=A1*1").unwrap();
-        e.set_formula(c("D3"), "=A3*3").unwrap();
-        assert_eq!(e.formula_templates(), 7);
+        wb.set_formula(S, c("D1"), "=A1*1").unwrap();
+        wb.set_formula(S, c("D3"), "=A3*3").unwrap();
+        assert_eq!(wb.sheet(S).formula_templates(), 7);
     }
 
     #[test]
@@ -1649,55 +1566,60 @@ mod tests {
         // A cumulative column cut by values on both sides of two formula-bit
         // word edges (64 | 65, 256 | 257, the second also a page edge) and
         // by blank rows inside a word.
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=600u32 {
-            e.set_value(Cell::new(1, row), n(f64::from(row % 7)));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row % 7)));
             let cell = Cell::new(3, row);
             if [64, 65, 256, 257].contains(&row) {
-                e.set_value(cell, n(-1.0));
+                wb.set_value(S, cell, n(-1.0));
             } else if !(129..=140).contains(&row) {
-                e.set_formula(cell, &format!("=SUM($A$1:A{row})")).unwrap();
+                wb.set_formula(S, cell, &format!("=SUM($A$1:A{row})")).unwrap();
             }
         }
-        e.recalculate();
-        assert_eq!(e.dirty_count(), 0);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.dirty_count(), 0);
         let range = r("C1:C600");
-        e.mark_ranges_dirty(&[range]);
-        let formulas =
-            e.cells().filter(|(cell, k)| range.contains_cell(*cell) && k.is_formula()).count();
-        assert_eq!((e.dirty_count(), formulas), (600 - 4 - 12, 600 - 4 - 12));
-        e.recalculate();
+        wb.engine_mut(0).mark_ranges_dirty(&[range]);
+        let formulas = wb
+            .sheet(S)
+            .cells()
+            .filter(|(cell, k)| range.contains_cell(*cell) && k.is_formula())
+            .count();
+        assert_eq!((wb.dirty_count(), formulas), (600 - 4 - 12, 600 - 4 - 12));
+        wb.recalculate(RecalcMode::Serial);
 
         // A value edit, recalculated, is what the texts rebuild to.
-        e.set_value(c("A1"), n(100.0));
-        assert_eq!(e.recalculate(), formulas);
-        let mut rebuilt = Engine::with_taco();
-        for (cell, k) in e.cells() {
-            match e.formula_of(cell) {
-                Some(text) => rebuilt.set_formula(cell, &text).unwrap(),
-                None => rebuilt.set_value(cell, k.value.clone()),
+        wb.set_value(S, c("A1"), n(100.0));
+        assert_eq!(wb.recalculate(RecalcMode::Serial), formulas);
+        let mut rebuilt = Workbook::one_sheet();
+        for (cell, k) in wb.sheet(S).cells() {
+            match wb.formula_of(S, cell) {
+                Some(text) => rebuilt.set_formula(S, cell, &text).unwrap(),
+                None => rebuilt.set_value(S, cell, k.value.clone()),
             };
         }
-        rebuilt.recalculate();
-        let values = |e: &Engine| e.cells().map(|(c, k)| (c, k.value.clone())).collect::<Vec<_>>();
-        assert_eq!(values(&e), values(&rebuilt));
+        rebuilt.recalculate(RecalcMode::Serial);
+        let values = |wb: &Workbook| {
+            wb.sheet(S).cells().map(|(c, k)| (c, k.value.clone())).collect::<Vec<_>>()
+        };
+        assert_eq!(values(&wb), values(&rebuilt));
     }
 
     /// Stretches read, extents emitted and cells evaluated by a full pass
     /// over column B typed row by row as `text(row)` (`None`: left blank)
     /// above `rows` rows of data in column A.
     fn pass_work(rows: u32, text: impl Fn(u32) -> Option<String>) -> (u64, u64, usize) {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=rows {
-            e.set_value(Cell::new(1, row), n(f64::from(row) / 8.0));
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row) / 8.0));
             if let Some(src) = text(row) {
-                e.set_formula(Cell::new(2, row), &src).unwrap();
+                wb.set_formula(S, Cell::new(2, row), &src).unwrap();
             }
         }
-        e.stretches_read.set(0);
-        e.extents_emitted.set(0);
-        let cells = e.recalculate();
-        (e.stretches_read.get(), e.extents_emitted.get(), cells)
+        wb.sheet(S).stretches_read.set(0);
+        wb.sheet(S).extents_emitted.set(0);
+        let cells = wb.recalculate(RecalcMode::Serial);
+        (wb.sheet(S).stretches_read.get(), wb.sheet(S).extents_emitted.get(), cells)
     }
 
     #[test]
@@ -1752,51 +1674,157 @@ mod tests {
 
     #[test]
     fn recalculated_cells_clears_and_errors_drop_a_remembered_sum() {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=80u32 {
-            e.set_value(Cell::new(1, row), n(1.0));
+            wb.set_value(S, Cell::new(1, row), n(1.0));
             if row <= 10 {
-                e.set_formula(Cell::new(2, row), &format!("=A{row}*2")).unwrap();
+                wb.set_formula(S, Cell::new(2, row), &format!("=A{row}*2")).unwrap();
             }
         }
-        e.set_formula(c("D1"), "=SUM($A$1:B80)+C1").unwrap();
-        e.set_formula(c("D2"), "=SUM($B$1:B80)+C1").unwrap();
-        e.recalculate();
-        let d1 = |e: &Engine| (e.value(c("D1")), added_up(e, "A1:B80"));
-        assert_eq!(d1(&e), (n(100.0), n(100.0)));
-        assert_eq!(e.value(c("D2")), n(20.0));
+        wb.set_formula(S, c("D1"), "=SUM($A$1:B80)+C1").unwrap();
+        wb.set_formula(S, c("D2"), "=SUM($B$1:B80)+C1").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        let d1 = |wb: &Workbook| (wb.value(S, c("D1")), added_up(wb, "A1:B80"));
+        assert_eq!(d1(&wb), (n(100.0), n(100.0)));
+        assert_eq!(wb.value(S, c("D2")), n(20.0));
 
         // B3 changes through recalculation only — the one write into
         // D2's range.
-        e.set_value(c("A3"), n(11.0));
-        e.recalculate();
-        assert_eq!(d1(&e), (n(130.0), n(130.0)));
-        assert_eq!((e.value(c("D2")), added_up(&e, "B1:B80")), (n(40.0), n(40.0)));
+        wb.set_value(S, c("A3"), n(11.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(d1(&wb), (n(130.0), n(130.0)));
+        assert_eq!((wb.value(S, c("D2")), added_up(&wb, "B1:B80")), (n(40.0), n(40.0)));
 
-        e.clear_range(r("A10:B11"));
-        e.recalculate();
-        assert_eq!(d1(&e), (n(126.0), n(126.0)));
+        wb.clear_range(S, r("A10:B11"));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(d1(&wb), (n(126.0), n(126.0)));
 
         // Text is skipped by the sum itself but breaks `=A5*2`: the error
         // must come through, and go away again.
-        e.set_value(c("A5"), Value::Text("n/a".into()));
-        e.recalculate();
-        assert_eq!(d1(&e), (Value::Error(CellError::Value), Value::Error(CellError::Value)));
-        e.set_value(c("A5"), n(1.0));
-        e.recalculate();
-        assert_eq!(d1(&e), (n(126.0), n(126.0)));
+        wb.set_value(S, c("A5"), Value::Text("n/a".into()));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(d1(&wb), (Value::Error(CellError::Value), Value::Error(CellError::Value)));
+        wb.set_value(S, c("A5"), n(1.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(d1(&wb), (n(126.0), n(126.0)));
 
         // Rows move: the formula's range is rewritten and re-read.
-        e.insert_rows(4, 2);
-        e.set_value(c("A4"), n(1000.0));
-        e.recalculate();
-        assert_eq!(d1(&e).0, n(1126.0));
-        assert_eq!(added_up(&e, "A1:B82"), n(1126.0));
+        wb.insert_rows(S, 4, 2);
+        wb.set_value(S, c("A4"), n(1000.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(d1(&wb).0, n(1126.0));
+        assert_eq!(added_up(&wb, "A1:B82"), n(1126.0));
 
         // Through all of it the loose precedent never forced a re-read.
-        let before = (carried(&e), folded(&e)).0;
-        e.set_value(c("C1"), n(0.5));
-        e.recalculate();
-        assert_eq!((e.value(c("D1")), carried(&e), folded(&e)), (n(1126.5), before + 2, 0));
+        let before = (carried(&wb), folded(&wb)).0;
+        wb.set_value(S, c("C1"), n(0.5));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!((wb.value(S, c("D1")), carried(&wb), folded(&wb)), (n(1126.5), before + 2, 0));
+    }
+
+    /// An edit of the TACO ≡ NoComp property below, on an 8 × 14 grid.
+    #[derive(Debug, Clone)]
+    enum Op {
+        SetValue(Cell, f64),
+        SetFormula(Cell, String),
+        Autofill(Cell, Range),
+        Clear(Range),
+        InsertRows(u32, u32),
+        DeleteRows(u32, u32),
+        Recalc,
+    }
+
+    const W: u32 = 8;
+    const H: u32 = 14;
+
+    fn arb_cell() -> impl Strategy<Value = Cell> {
+        (1u32..=W, 1u32..=H).prop_map(|(c, r)| Cell::new(c, r))
+    }
+
+    fn arb_formula_at() -> impl Strategy<Value = (Cell, String)> {
+        (arb_cell(), arb_cell(), arb_cell(), 0u8..5).prop_map(|(at, a, b, kind)| {
+            let (a, b) = (a.to_a1(), b.to_a1());
+            let src = match kind {
+                0 => format!("={a}+1"),
+                1 => format!("=SUM({}:{})", a.clone().min(b.clone()), a.max(b)),
+                2 => format!("=IF({a}>{b},{a},{b})"),
+                3 => format!("={a}*2-{b}"),
+                _ => format!("=MAX({a},{b},0)"),
+            };
+            (at, src)
+        })
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => (arb_cell(), -50i32..50).prop_map(|(c, v)| Op::SetValue(c, f64::from(v))),
+            3 => arb_formula_at().prop_map(|(c, s)| Op::SetFormula(c, s)),
+            1 => (arb_cell(), arb_cell(), arb_cell()).prop_map(|(src, a, b)| {
+                Op::Autofill(src, Range::new(a, b))
+            }),
+            1 => (arb_cell(), arb_cell()).prop_map(|(a, b)| Op::Clear(Range::new(a, b))),
+            1 => (1u32..=H, 1u32..=3).prop_map(|(at, n)| Op::InsertRows(at, n)),
+            1 => (1u32..=H, 1u32..=3).prop_map(|(at, n)| Op::DeleteRows(at, n)),
+            1 => Just(Op::Recalc),
+        ]
+    }
+
+    fn apply(wb: &mut Workbook, ops: &[Op]) {
+        for op in ops {
+            match op {
+                Op::SetValue(c, v) => {
+                    wb.set_value(S, *c, n(*v));
+                }
+                Op::SetFormula(c, s) => {
+                    wb.set_formula(S, *c, s).expect("generated formulae parse");
+                }
+                Op::Autofill(src, targets) => {
+                    // Only meaningful if src currently holds a formula.
+                    let _ = wb.autofill(S, *src, *targets);
+                }
+                Op::Clear(r) => {
+                    wb.clear_range(S, *r);
+                }
+                Op::InsertRows(at, n) => {
+                    wb.insert_rows(S, *at, *n);
+                }
+                Op::DeleteRows(at, n) => {
+                    wb.delete_rows(S, *at, *n);
+                }
+                Op::Recalc => {
+                    wb.recalculate(RecalcMode::Serial);
+                }
+            }
+        }
+        wb.recalculate(RecalcMode::Serial);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Arbitrary edit scripts produce identical sheets over a TACO
+        /// and a NoComp graph: compression must be invisible to the user.
+        #[test]
+        fn taco_and_nocomp_engines_are_indistinguishable(
+            ops in prop::collection::vec(arb_op(), 1..25)
+        ) {
+            let mut taco = Workbook::one_sheet();
+            let mut nocomp = Workbook::new();
+            nocomp.add_sheet_unbound("Sheet1", FormulaGraph::nocomp()).unwrap();
+            apply(&mut taco, &ops);
+            apply(&mut nocomp, &ops);
+            let values = |wb: &Workbook| {
+                wb.sheet(S).cells().map(|(c, k)| (c, k.value().clone())).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(values(&taco), values(&nocomp), "after {:?}", ops);
+            let deps = |wb: &Workbook| {
+                let mut deps = wb.sheet(S).graph().decompress_all();
+                deps.sort_unstable_by_key(|d| (d.dep, d.prec.head(), d.prec.tail()));
+                deps
+            };
+            prop_assert_eq!(deps(&taco), deps(&nocomp), "after {:?}", ops);
+            let edges = |wb: &Workbook| wb.sheet(S).graph().num_edges();
+            prop_assert!(edges(&taco) <= edges(&nocomp));
+        }
     }
 }

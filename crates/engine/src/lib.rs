@@ -1,24 +1,26 @@
 //! A headless spreadsheet engine: the DataSpread-style substrate the paper
 //! integrates TACO into (§VI-A).
 //!
-//! The engine owns a sparse cell store and TACO's compressed formula
-//! graph ([`taco_core::FormulaGraph`]; its `Config` also gives the InRow
-//! and NoComp variants). Edits follow the paper's interactivity model:
+//! A [`Workbook`] is the one way to edit, recalculate, query and persist a
+//! sheet. Each of its sheets is an [`Engine`] shard: a sparse cell store
+//! and TACO's compressed formula graph ([`taco_core::FormulaGraph`]),
+//! which [`Workbook::sheet`] lends out read-only. Edits follow the
+//! paper's interactivity model:
 //!
 //! 1. a cell changes;
-//! 2. the engine queries the formula graph for the **dependents** of the
-//!    change and marks them dirty — this step is on the critical path for
-//!    returning control to the user, and is what TACO accelerates;
+//! 2. the workbook queries the sheet's formula graph for the
+//!    **dependents** of the change and marks them dirty — this step is on
+//!    the critical path for returning control to the user, and is what
+//!    TACO accelerates;
 //! 3. dirty formulae are re-evaluated (synchronously here; DataSpread does
 //!    it asynchronously — the graph query cost is the same either way).
 //!
-//! [`Engine::autofill`] reproduces the formula-generation tool whose
+//! [`Workbook::autofill`] reproduces the formula-generation tool whose
 //! `$`-rules create the tabular locality TACO compresses.
 //!
-//! [`Workbook`] scales the model to multi-sheet files: one engine shard
-//! (cells + compressed graph) per sheet, an inter-sheet edge table for
-//! `Sheet2!A1`-style cross-references, and a recalculation that walks the
-//! sheets in the level order of the cross-sheet edges.
+//! Multi-sheet files keep one engine shard per sheet, an inter-sheet edge
+//! table for `Sheet2!A1`-style cross-references, and a recalculation that
+//! walks the sheets in the level order of the cross-sheet edges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +36,8 @@ mod structural;
 mod workbook;
 
 pub use cells::SheetValues;
-pub use engine::{EditReceipt, Engine, SheetPass};
-pub use obs::EngineObs;
-pub use persist::{open_engine, save_engine, wal_path, PersistOptions, PersistentWorkbook};
+pub use engine::{Engine, SheetPass};
+pub use persist::{wal_path, PersistOptions, PersistentWorkbook};
 pub use sheet::CellContent;
 pub use workbook::{
     BatchError, BatchStage, CrossEdge, RecalcMode, SheetId, Workbook, WorkbookError,

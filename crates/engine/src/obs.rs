@@ -10,7 +10,7 @@ use taco_core::StatsScratch;
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
-pub struct EngineObs {
+pub(crate) struct EngineObs {
     /// `taco_recalc_ns` — what each `workbook.recalc` span measured.
     recalc_ns: Histogram,
     /// `taco_recalc_cells` — cells evaluated per recalculation.
@@ -71,7 +71,7 @@ pub struct EngineObs {
 impl EngineObs {
     /// Registers the engine metric set against `obs`. `book` labels the
     /// graph gauges so multiple workbooks on one hub stay distinct.
-    pub fn new(obs: &Obs, book: &str) -> EngineObs {
+    pub(crate) fn new(obs: &Obs, book: &str) -> EngineObs {
         let m = &obs.metrics;
         let book_label = format!("book=\"{book}\"");
         EngineObs {

@@ -28,9 +28,8 @@ use std::sync::Arc;
 use taco_core::FormulaGraph;
 use taco_grid::Cell;
 use taco_store::{
-    std_vfs, write_workbook_file, write_workbook_file_with, CellRecord, CrossEdgeImage, EditRecord,
-    ReplayMode, SheetImage, StoreError, StoreReader, Vfs, WalReader, WalReplay, WalWriter,
-    WorkbookImage,
+    std_vfs, write_workbook_file_with, CellRecord, CrossEdgeImage, EditRecord, ReplayMode,
+    SheetImage, StoreError, StoreReader, Vfs, WalReader, WalReplay, WalWriter, WorkbookImage,
 };
 
 /// The sidecar WAL path for a snapshot at `path`: `<path>.wal`.
@@ -41,8 +40,7 @@ pub fn wal_path(path: &Path) -> PathBuf {
 }
 
 /// Captures one engine as a sheet image named `name` — the single
-/// conversion point between live cell contents and persistent records,
-/// shared by [`Workbook::to_image`] and [`save_engine`].
+/// conversion point between live cell contents and persistent records.
 fn sheet_image(engine: &Engine, name: String) -> SheetImage {
     // `cells()` is in `(col, row)` order, the order the image wants.
     let cells = engine
@@ -466,35 +464,6 @@ impl PersistentWorkbook {
     }
 }
 
-// ---- single-engine persistence (the REPL's `:save` / `:open`) ----------
-
-/// Saves a standalone engine as a one-sheet workbook container.
-pub fn save_engine(engine: &Engine, path: &Path) -> Result<(), StoreError> {
-    let name = engine.sheet_name().unwrap_or("Sheet1").to_string();
-    let image =
-        WorkbookImage { sheets: vec![sheet_image(engine, name)], cross: Vec::new(), epoch: 0 };
-    write_workbook_file(path, &image)
-}
-
-/// Opens a container saved by [`save_engine`] (or any single-sheet
-/// workbook) back into a standalone engine.
-pub fn open_engine(path: &Path) -> Result<Engine, StoreError> {
-    let reader = StoreReader::open(path)?;
-    if reader.sheet_count() != 1 {
-        return Err(StoreError::InvalidRecord(format!(
-            "expected a single-sheet container, found {} sheets",
-            reader.sheet_count()
-        )));
-    }
-    let sheet = reader.read_sheet(0)?;
-    let mut engine = Engine::new(FormulaGraph::restore(sheet.graph));
-    // Restore the sheet name: self-qualified references (`Data!A1` inside
-    // `Data`) must keep resolving locally after reopen.
-    engine.set_sheet_name(sheet.name);
-    restore_sheet(&mut engine, sheet.cells, sheet.dirty)?;
-    Ok(engine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,38 +661,40 @@ mod tests {
 
     #[test]
     fn engine_save_open_round_trips() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(3.0));
-        e.set_formula(c("B1"), "=A1*A1").unwrap();
-        e.recalculate();
+        let mut wb = Workbook::one_sheet();
+        let s = SheetId(0);
+        wb.set_value(s, c("A1"), n(3.0));
+        wb.set_formula(s, c("B1"), "=A1*A1").unwrap();
+        wb.recalculate(RecalcMode::Serial);
         let path = temp("engine");
-        save_engine(&e, &path).unwrap();
-        let mut back = open_engine(&path).unwrap();
+        wb.save(&path).unwrap();
+        let mut back = Workbook::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(back.value(c("B1")), n(9.0));
-        assert_eq!(back.graph().num_edges(), e.graph().num_edges());
-        back.set_value(c("A1"), n(4.0));
-        back.recalculate();
-        assert_eq!(back.value(c("B1")), n(16.0));
+        assert_eq!(back.value(s, c("B1")), n(9.0));
+        assert_eq!(back.sheet(s).graph().num_edges(), wb.sheet(s).graph().num_edges());
+        back.set_value(s, c("A1"), n(4.0));
+        back.recalculate(RecalcMode::Serial);
+        assert_eq!(back.value(s, c("B1")), n(16.0));
     }
 
     #[test]
     fn engine_reopen_keeps_self_qualified_references_local() {
-        // A workbook-mounted sheet saved alone and reopened must keep its
-        // name: `Data!A1` inside `Data` reads locally, not `#REF!`.
+        // A sheet reopened must keep its name: `Data!A1` inside `Data`
+        // reads locally, not `#REF!`.
         let mut wb = Workbook::with_taco();
         let data = wb.add_sheet("Data").unwrap();
         wb.set_value(data, c("A1"), n(5.0));
         wb.set_formula(data, c("B1"), "=Data!A1*2").unwrap();
         wb.recalculate(RecalcMode::Serial);
         let path = temp("selfqual");
-        save_engine(wb.sheet(data), &path).unwrap();
-        let mut back = open_engine(&path).unwrap();
+        wb.save(&path).unwrap();
+        let mut back = Workbook::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(back.sheet_name(), Some("Data"));
-        back.set_value(c("A1"), n(7.0));
-        back.recalculate();
-        assert_eq!(back.value(c("B1")), n(14.0), "self-qualified ref must stay local");
+        assert_eq!(back.sheet(data).sheet_name(), "Data");
+        assert_eq!(back.cross_edge_count(), 0, "a self-qualified ref is no cross edge");
+        back.set_value(data, c("A1"), n(7.0));
+        back.recalculate(RecalcMode::Serial);
+        assert_eq!(back.value(data, c("B1")), n(14.0), "self-qualified ref must stay local");
     }
 
     #[test]

@@ -14,11 +14,8 @@ use taco_grid::{Cell, Range};
 /// through unqualified and *self-qualified* references (`Data!A1` inside
 /// `Data`); a formula on another sheet only through references qualified
 /// with its name.
-fn reads_edited_sheet(own: Option<&str>, sheet: Option<&SheetRef>, local: bool) -> bool {
-    match sheet {
-        None => local,
-        Some(sheet) => own.is_some_and(|n| sheet.matches(n)),
-    }
+fn reads_edited_sheet(own: &str, sheet: Option<&SheetRef>, local: bool) -> bool {
+    sheet.map_or(local, |sheet| sheet.matches(own))
 }
 
 /// Rewrites one reference into the edited sheet under a structural edit,
@@ -49,7 +46,7 @@ pub(crate) enum Restated {
 
 /// See [`Restated`]; `local` says whether the formula sits on the edited
 /// sheet itself.
-pub(crate) fn restate(op: StructuralOp, own: Option<&str>, at: At<'_>, local: bool) -> Restated {
+pub(crate) fn restate(op: StructuralOp, own: &str, at: At<'_>, local: bool) -> Restated {
     let mut rewritten = false;
     at.visit_refs(&mut |sheet, rref| {
         rewritten |= reads_edited_sheet(own, sheet, local) && map_rref(op, rref) != Some(rref);
@@ -75,28 +72,6 @@ pub(crate) fn restate(op: StructuralOp, own: Option<&str>, at: At<'_>, local: bo
 }
 
 impl Engine {
-    /// Inserts `n` rows before row `at`: contents shift, formula references
-    /// stretch/shift per Excel semantics, the graph updates incrementally.
-    pub fn insert_rows(&mut self, at: u32, n: u32) -> EditReceipt {
-        self.apply_structural(StructuralOp::InsertRows { at, n })
-    }
-
-    /// Deletes the rows `[at, at + n)`; formulae referencing only deleted
-    /// cells become `#REF!` errors.
-    pub fn delete_rows(&mut self, at: u32, n: u32) -> EditReceipt {
-        self.apply_structural(StructuralOp::DeleteRows { at, n })
-    }
-
-    /// Inserts `n` columns before column `at`.
-    pub fn insert_cols(&mut self, at: u32, n: u32) -> EditReceipt {
-        self.apply_structural(StructuralOp::InsertCols { at, n })
-    }
-
-    /// Deletes the columns `[at, at + n)`.
-    pub fn delete_cols(&mut self, at: u32, n: u32) -> EditReceipt {
-        self.apply_structural(StructuralOp::DeleteCols { at, n })
-    }
-
     /// Applies a structural edit to sheet + graph and dirties only what
     /// the edit can actually change.
     ///
@@ -118,19 +93,16 @@ impl Engine {
     /// afterwards, and so is a run rows are inserted through whose moved
     /// cells read there as its own cells would; a run the band otherwise
     /// splits is two.
-    pub fn apply_structural(&mut self, op: StructuralOp) -> EditReceipt {
-        self.restructure(op).0
-    }
-
-    /// [`Self::apply_structural`], also naming the formula cells whose
-    /// reads were registered afresh: the graph moves a dependency the way
-    /// its two ends move, but the sum range of a `SUMIF`/`AVERAGEIF`
-    /// takes its shape from the criteria range, so once the edit has
-    /// touched such a formula the graph holds what the formula now reads
-    /// instead. (Their cross-sheet reads are the workbook's to redo.)
+    ///
+    /// Returns the receipt and the formula cells whose reads were
+    /// registered afresh: the graph moves a dependency the way its two
+    /// ends move, but the sum range of a `SUMIF`/`AVERAGEIF` takes its
+    /// shape from the criteria range, so once the edit has touched such a
+    /// formula the graph holds what the formula now reads instead. (Their
+    /// cross-sheet reads are the workbook's to redo.)
     pub(crate) fn restructure(&mut self, op: StructuralOp) -> (EditReceipt, Vec<Cell>) {
-        let own = self.sheet_name().map(str::to_string);
-        let own = own.as_deref();
+        let own = self.sheet_name().to_string();
+        let own = own.as_str();
         self.graph_mut().apply_structural(op);
         let old = self.take_cells();
         let old_dirty: Vec<Cell> = old.dirty().filter_map(|cell| op.map_cell(cell)).collect();
@@ -178,7 +150,7 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
-    use crate::Engine;
+    use crate::{RecalcMode, SheetId, Workbook};
     use taco_formula::{CellError, Value};
     use taco_grid::{Cell, Range};
 
@@ -194,74 +166,77 @@ mod tests {
         Value::Number(v)
     }
 
+    /// The sheet of [`Workbook::one_sheet`].
+    const S: SheetId = SheetId(0);
+
     /// A cumulative-total sheet used by several tests.
-    fn cumulative_sheet(rows: u32) -> Engine {
-        let mut e = Engine::with_taco();
+    fn cumulative_sheet(rows: u32) -> Workbook {
+        let mut wb = Workbook::one_sheet();
         for row in 1..=rows {
-            e.set_value(Cell::new(1, row), n(1.0));
+            wb.set_value(S, Cell::new(1, row), n(1.0));
         }
-        e.set_formula(c("B1"), "=SUM($A$1:A1)").unwrap();
-        e.autofill(c("B1"), Range::from_coords(2, 2, 2, rows)).unwrap();
-        e.recalculate();
-        e
+        wb.set_formula(S, c("B1"), "=SUM($A$1:A1)").unwrap();
+        wb.autofill(S, c("B1"), Range::from_coords(2, 2, 2, rows)).unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        wb
     }
 
     #[test]
     fn insert_rows_shifts_values_and_formulas() {
-        let mut e = cumulative_sheet(10);
-        assert_eq!(e.value(c("B10")), n(10.0));
-        e.insert_rows(5, 2);
-        e.recalculate();
+        let mut wb = cumulative_sheet(10);
+        assert_eq!(wb.value(S, c("B10")), n(10.0));
+        wb.insert_rows(S, 5, 2);
+        wb.recalculate(RecalcMode::Serial);
         // Row 10's content moved to row 12; the inserted rows are blank so
         // the totals are unchanged.
-        assert_eq!(e.value(c("B12")), n(10.0));
-        assert_eq!(e.value(c("B5")), Value::Empty);
+        assert_eq!(wb.value(S, c("B12")), n(10.0));
+        assert_eq!(wb.value(S, c("B5")), Value::Empty);
         // The formula at the moved cell references the stretched range.
-        assert_eq!(e.formula_of(c("B12")).unwrap(), "SUM($A$1:A12)");
+        assert_eq!(wb.formula_of(S, c("B12")).unwrap(), "SUM($A$1:A12)");
         // Filling one inserted row updates downstream totals.
-        e.set_value(c("A5"), n(100.0));
-        e.recalculate();
-        assert_eq!(e.value(c("B12")), n(110.0));
+        wb.set_value(S, c("A5"), n(100.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B12")), n(110.0));
     }
 
     #[test]
     fn delete_rows_shrinks_references() {
-        let mut e = cumulative_sheet(10);
-        e.delete_rows(3, 2); // drop rows 3-4 (two of the 1.0 inputs)
-        e.recalculate();
-        assert_eq!(e.value(c("B8")), n(8.0)); // old B10: 10 − 2 inputs
-        assert_eq!(e.formula_of(c("B8")).unwrap(), "SUM($A$1:A8)");
+        let mut wb = cumulative_sheet(10);
+        wb.delete_rows(S, 3, 2); // drop rows 3-4 (two of the 1.0 inputs)
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B8")), n(8.0)); // old B10: 10 − 2 inputs
+        assert_eq!(wb.formula_of(S, c("B8")).unwrap(), "SUM($A$1:A8)");
     }
 
     #[test]
     fn delete_referenced_cells_yields_ref_error() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A5"), n(7.0));
-        e.set_formula(c("C1"), "=A5*2").unwrap();
-        e.recalculate();
-        assert_eq!(e.value(c("C1")), n(14.0));
-        e.delete_rows(5, 1);
-        e.recalculate();
-        assert_eq!(e.formula_of(c("C1")).unwrap(), "#REF!*2");
-        assert_eq!(e.value(c("C1")), Value::Error(CellError::Ref));
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A5"), n(7.0));
+        wb.set_formula(S, c("C1"), "=A5*2").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("C1")), n(14.0));
+        wb.delete_rows(S, 5, 1);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.formula_of(S, c("C1")).unwrap(), "#REF!*2");
+        assert_eq!(wb.value(S, c("C1")), Value::Error(CellError::Ref));
         // The graph no longer reports any precedents for C1.
-        assert!(e.find_precedents(r("C1")).is_empty());
+        assert!(wb.find_precedents(S, r("C1")).is_empty());
     }
 
     #[test]
     fn insert_cols_shifts_column_references() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(3.0));
-        e.set_formula(c("B1"), "=A1*10").unwrap();
-        e.recalculate();
-        e.insert_cols(2, 2); // push B to D
-        e.recalculate();
-        assert_eq!(e.value(c("D1")), n(30.0));
-        assert_eq!(e.formula_of(c("D1")).unwrap(), "A1*10");
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(3.0));
+        wb.set_formula(S, c("B1"), "=A1*10").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        wb.insert_cols(S, 2, 2); // push B to D
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("D1")), n(30.0));
+        assert_eq!(wb.formula_of(S, c("D1")).unwrap(), "A1*10");
         // Changing A1 still propagates through the shifted graph.
-        e.set_value(c("A1"), n(5.0));
-        e.recalculate();
-        assert_eq!(e.value(c("D1")), n(50.0));
+        wb.set_value(S, c("A1"), n(5.0));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("D1")), n(50.0));
     }
 
     #[test]
@@ -269,24 +244,24 @@ mod tests {
         // Inserting rows then recalculating must equal a sheet built in the
         // final layout from scratch.
         let mut edited = cumulative_sheet(8);
-        edited.insert_rows(4, 3);
-        edited.recalculate();
+        edited.insert_rows(S, 4, 3);
+        edited.recalculate(RecalcMode::Serial);
 
-        let mut fresh = Engine::with_taco();
+        let mut fresh = Workbook::one_sheet();
         for row in 1..=11u32 {
             if !(4..7).contains(&row) {
-                fresh.set_value(Cell::new(1, row), n(1.0));
+                fresh.set_value(S, Cell::new(1, row), n(1.0));
             }
         }
         for row in 1..=11u32 {
             if !(4..7).contains(&row) {
-                fresh.set_formula(Cell::new(2, row), &format!("=SUM($A$1:A{row})")).unwrap();
+                fresh.set_formula(S, Cell::new(2, row), &format!("=SUM($A$1:A{row})")).unwrap();
             }
         }
-        fresh.recalculate();
+        fresh.recalculate(RecalcMode::Serial);
         for row in 1..=11u32 {
             let cell = Cell::new(2, row);
-            assert_eq!(edited.value(cell), fresh.value(cell), "row {row}");
+            assert_eq!(edited.value(S, cell), fresh.value(S, cell), "row {row}");
         }
     }
 
@@ -295,73 +270,73 @@ mod tests {
         // 10 cumulative formulas, all clean. Inserting rows *below* every
         // reference and every formula is a rigid no-op: zero cells dirty
         // (the old behavior re-dirtied all 10).
-        let mut e = cumulative_sheet(10);
-        assert_eq!(e.dirty_count(), 0);
-        let receipt = e.insert_rows(20, 5);
-        assert_eq!(e.dirty_count(), 0, "rigid shift below all content dirties nothing");
+        let mut wb = cumulative_sheet(10);
+        assert_eq!(wb.dirty_count(), 0);
+        let receipt = wb.insert_rows(S, 20, 5);
+        assert_eq!(wb.dirty_count(), 0, "rigid shift below all content dirties nothing");
         assert!(receipt.dirty.is_empty());
 
         // Inserting in the middle: B1..B5 reference only $A$1:A{row} above
         // the band and keep their cached values; B6..B10 (now B11..B15)
         // stretch and must recalculate.
-        let receipt = e.insert_rows(6, 5);
-        assert_eq!(e.dirty_count(), 5, "only the formulas whose references changed recalc");
+        let receipt = wb.insert_rows(S, 6, 5);
+        assert_eq!(wb.dirty_count(), 5, "only the formulas whose references changed recalc");
         assert!(!receipt.dirty.is_empty());
-        assert_eq!(e.value(c("B5")), n(5.0), "unchanged formulas keep their cached value");
-        e.recalculate();
-        assert_eq!(e.value(c("B15")), n(10.0));
+        assert_eq!(wb.value(S, c("B5")), n(5.0), "unchanged formulas keep their cached value");
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B15")), n(10.0));
     }
 
     #[test]
     fn dirty_cells_survive_at_mapped_positions() {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=3u32 {
-            e.set_value(Cell::new(1, row), n(f64::from(row)));
-            e.set_formula(Cell::new(3, row + 9), &format!("=A{row}*2")).unwrap();
+            wb.set_value(S, Cell::new(1, row), n(f64::from(row)));
+            wb.set_formula(S, Cell::new(3, row + 9), &format!("=A{row}*2")).unwrap();
         }
-        e.recalculate();
-        e.set_value(c("A2"), n(9.0)); // dirties C11 only
-        assert_eq!(e.dirty_count(), 1);
+        wb.recalculate(RecalcMode::Serial);
+        wb.set_value(S, c("A2"), n(9.0)); // dirties C11 only
+        assert_eq!(wb.dirty_count(), 1);
         // Insert between the referenced block and the formulas: every
         // reference stays above the band (identity rewrite), but the
         // pending recalculation must move with its cell (C11 → C14).
-        e.insert_rows(5, 3);
-        assert_eq!(e.dirty_count(), 1);
-        e.recalculate();
-        assert_eq!(e.value(c("C14")), n(18.0));
+        wb.insert_rows(S, 5, 3);
+        assert_eq!(wb.dirty_count(), 1);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("C14")), n(18.0));
     }
 
     #[test]
     fn identity_rewrite_keeps_original_source_text() {
-        let mut e = Engine::with_taco();
-        e.set_value(c("A1"), n(2.0));
+        let mut wb = Workbook::one_sheet();
+        wb.set_value(S, c("A1"), n(2.0));
         // Unidiomatic but user-written spelling that `ast.to_string()`
         // would normalize away.
-        e.set_formula(c("B2"), "=(A1 + 1)").unwrap();
-        e.recalculate();
-        e.insert_rows(5, 2); // below everything: identity rewrite
-        assert_eq!(e.formula_of(c("B2")).unwrap(), "(A1 + 1)");
-        e.delete_rows(1, 1); // the referenced row dies: source is rewritten
-        assert_eq!(e.formula_of(c("B1")).unwrap(), "#REF!+1");
+        wb.set_formula(S, c("B2"), "=(A1 + 1)").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        wb.insert_rows(S, 5, 2); // below everything: identity rewrite
+        assert_eq!(wb.formula_of(S, c("B2")).unwrap(), "(A1 + 1)");
+        wb.delete_rows(S, 1, 1); // the referenced row dies: source is rewritten
+        assert_eq!(wb.formula_of(S, c("B1")).unwrap(), "#REF!+1");
     }
 
     #[test]
     fn self_qualified_references_remap_with_the_sheet() {
-        let mut e = Engine::with_taco();
-        e.set_sheet_name("Data".to_string());
-        e.set_value(c("A5"), n(7.0));
-        e.set_formula(c("C1"), "=Data!A5*2").unwrap();
-        e.recalculate();
-        assert_eq!(e.value(c("C1")), n(14.0));
-        e.insert_rows(3, 2);
-        assert_eq!(e.formula_of(c("C1")).unwrap(), "Data!A7*2");
-        e.recalculate();
-        assert_eq!(e.value(c("C1")), n(14.0));
+        let mut wb = Workbook::new();
+        wb.add_sheet("Data").unwrap();
+        wb.set_value(S, c("A5"), n(7.0));
+        wb.set_formula(S, c("C1"), "=Data!A5*2").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("C1")), n(14.0));
+        wb.insert_rows(S, 3, 2);
+        assert_eq!(wb.formula_of(S, c("C1")).unwrap(), "Data!A7*2");
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("C1")), n(14.0));
         // Deleting the qualified target yields #REF! like a local ref.
-        e.delete_rows(7, 1);
-        e.recalculate();
-        assert_eq!(e.formula_of(c("C1")).unwrap(), "#REF!*2");
-        assert_eq!(e.value(c("C1")), Value::Error(CellError::Ref));
+        wb.delete_rows(S, 7, 1);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.formula_of(S, c("C1")).unwrap(), "#REF!*2");
+        assert_eq!(wb.value(S, c("C1")), Value::Error(CellError::Ref));
     }
 
     /// A `SUMIF` sum range is read in the shape of the criteria range, so
@@ -370,54 +345,54 @@ mod tests {
     /// hold the new read, not the old one moved.
     #[test]
     fn a_reshaped_criteria_range_moves_what_the_sum_range_reads() {
-        let mut e = Engine::with_taco();
+        let mut wb = Workbook::one_sheet();
         for row in 1..=8u32 {
-            e.set_value(Cell::new(2, row), n(f64::from(row)));
+            wb.set_value(S, Cell::new(2, row), n(f64::from(row)));
         }
-        e.set_value(c("A5"), n(1.0));
-        e.set_value(c("A6"), n(1.0));
-        e.set_formula(c("D1"), "=SUMIF(A5:A6,\">0\",B1:B2)").unwrap();
-        e.recalculate();
-        assert_eq!(e.value(c("D1")), n(3.0));
+        wb.set_value(S, c("A5"), n(1.0));
+        wb.set_value(S, c("A6"), n(1.0));
+        wb.set_formula(S, c("D1"), "=SUMIF(A5:A6,\">0\",B1:B2)").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("D1")), n(3.0));
         // Two rows inside the criteria range, below the sum reference:
         // the criteria are A5 and A8 now, matched against B1 and B4.
-        e.insert_rows(6, 2);
-        assert_eq!(e.formula_of(c("D1")).unwrap(), "SUMIF(A5:A8,\">0\",B1:B2)");
-        e.recalculate();
-        assert_eq!(e.value(c("D1")), n(5.0));
+        wb.insert_rows(S, 6, 2);
+        assert_eq!(wb.formula_of(S, c("D1")).unwrap(), "SUMIF(A5:A8,\">0\",B1:B2)");
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("D1")), n(5.0));
         // B4 is read only since the edit.
-        e.set_value(c("B4"), n(100.0));
-        assert_eq!(e.dirty_count(), 1, "the formula reads B4 now");
-        e.recalculate();
+        wb.set_value(S, c("B4"), n(100.0));
+        assert_eq!(wb.dirty_count(), 1, "the formula reads B4 now");
+        wb.recalculate(RecalcMode::Serial);
         // A sheet typed in as this one now reads agrees, graph and value.
-        let mut rebuilt = Engine::with_taco();
-        for (cell, content) in e.cells() {
+        let mut rebuilt = Workbook::one_sheet();
+        for (cell, content) in wb.sheet(S).cells() {
             if let Some(formula) = content.formula(cell) {
-                rebuilt.set_formula(cell, &formula.to_string()).unwrap();
+                rebuilt.set_formula(S, cell, &formula.to_string()).unwrap();
             } else {
-                rebuilt.set_value(cell, content.value().clone());
+                rebuilt.set_value(S, cell, content.value().clone());
             }
         }
-        rebuilt.recalculate();
-        let reads = |e: &Engine| {
-            let mut deps = e.graph().decompress_all();
+        rebuilt.recalculate(RecalcMode::Serial);
+        let reads = |wb: &Workbook| {
+            let mut deps = wb.sheet(S).graph().decompress_all();
             deps.sort_unstable_by_key(|d| (d.dep, d.prec.head(), d.prec.tail()));
             deps
         };
-        assert_eq!(reads(&e), reads(&rebuilt));
-        assert_eq!(e.value(c("D1")), rebuilt.value(c("D1")));
-        assert_eq!(e.value(c("D1")), n(101.0));
+        assert_eq!(reads(&wb), reads(&rebuilt));
+        assert_eq!(wb.value(S, c("D1")), rebuilt.value(S, c("D1")));
+        assert_eq!(wb.value(S, c("D1")), n(101.0));
     }
 
     #[test]
     fn graph_stays_compressed_after_rigid_shift() {
-        let mut e = cumulative_sheet(50);
-        let before = e.graph().num_edges();
-        e.insert_rows(60, 5); // below everything: rigid no-op
-        assert_eq!(e.graph().num_edges(), before);
-        e.insert_rows(1, 5); // above everything: rigid shift
-        assert_eq!(e.graph().num_edges(), before);
-        e.recalculate();
-        assert_eq!(e.value(c("B55")), n(50.0));
+        let mut wb = cumulative_sheet(50);
+        let before = wb.sheet(S).graph().num_edges();
+        wb.insert_rows(S, 60, 5); // below everything: rigid no-op
+        assert_eq!(wb.sheet(S).graph().num_edges(), before);
+        wb.insert_rows(S, 1, 5); // above everything: rigid shift
+        assert_eq!(wb.sheet(S).graph().num_edges(), before);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(S, c("B55")), n(50.0));
     }
 }

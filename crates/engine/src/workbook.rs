@@ -45,7 +45,7 @@
 //! iterative calculation off.
 
 use crate::cells::CellStore;
-use crate::engine::{Engine, ExternalSheets};
+use crate::engine::{EditReceipt, Engine};
 use crate::scc::{Digraph, Tarjan};
 use crate::sheet::Run;
 use crate::structural::{restate, Restated};
@@ -224,7 +224,7 @@ impl Job {
     /// Queues the jobs for one engine edit: the edited range (cross hops
     /// only — the engine already ran and marked the local query) plus the
     /// receipt's dependent ranges.
-    fn push_receipt(jobs: &mut Vec<Job>, sid: usize, origin: Range, receipt: crate::EditReceipt) {
+    fn push_receipt(jobs: &mut Vec<Job>, sid: usize, origin: Range, receipt: EditReceipt) {
         jobs.reserve(receipt.dirty.len() + 1);
         jobs.push(Job { sid, range: origin, expand_local: false, report: false });
         jobs.extend(receipt.dirty.into_iter().map(|r| Job::expanded(sid, r)));
@@ -422,8 +422,7 @@ impl Workbook {
             return Err(WorkbookError::DuplicateSheet(name.to_string()));
         }
         let id = self.sheets.len();
-        let mut engine = Engine::new(graph);
-        engine.set_sheet_name(sref.name().to_string());
+        let engine = Engine::new(sref.name().to_string(), graph);
         self.index.insert(sref.key(), id);
         self.sheets.push(SheetShard { name: sref, engine, hopped: 0, hops: Vec::new() });
         self.xedges.add_sheet();
@@ -593,9 +592,10 @@ impl Workbook {
         Ok(self.edit(id, |wb, jobs| wb.stage_run(id.0, cell, run, jobs)))
     }
 
-    /// Autofills the formula at `src` over `targets`, exactly like
-    /// [`Engine::autofill`] but with cross-sheet references preserved
-    /// (their sheet qualifier is pinned under the fill) and routed.
+    /// Autofills the formula at `src` over `targets` (the tool that
+    /// generates tabular locality): every target joins one run, with
+    /// cross-sheet references preserved (their sheet qualifier is pinned
+    /// under the fill) and routed. Fails if `src` has no formula.
     pub fn autofill(
         &mut self,
         id: SheetId,
@@ -850,12 +850,11 @@ impl Workbook {
         // actually move; identity rewrites are skipped so untouched
         // formulas keep their original source text.
         let own = self.sheets[sid].name.name().to_string();
-        let own = Some(own.as_str());
         for (dsid, dep) in referrers {
             let Some(run) = self.sheets[dsid].engine.run_at(dep) else {
                 continue;
             };
-            match restate(op, own, run.at(dep), false) {
+            match restate(op, &own, run.at(dep), false) {
                 Restated::Untouched => {}
                 Restated::Disturbed => {
                     self.sheets[dsid].engine.mark_cells_dirty(&[dep]);
@@ -1217,16 +1216,18 @@ impl Workbook {
 /// The other sheets' cells, as one level's evaluation sees them: every
 /// sheet the level does not itself recalculate, read in place. Unknown
 /// sheet names resolve to `#REF!`.
-struct OtherSheets<'a> {
+pub(crate) struct OtherSheets<'a> {
     index: &'a BTreeMap<String, usize>,
     /// By sheet id; `None` for the sheets being recalculated.
     cells: &'a [Option<&'a CellStore>],
 }
 
-impl ExternalSheets for OtherSheets<'_> {
-    /// `None` for a sheet this level writes: no cross edge leads there,
-    /// and it reads as blank.
-    fn resolve(&self, sheet: &str) -> Result<Option<usize>, CellError> {
+impl OtherSheets<'_> {
+    /// The sheet named `sheet`: `Some` id whose cells [`Self::cells`]
+    /// gives, `None` for a sheet this level writes (no cross edge leads
+    /// there, and it reads as blank), `Err` for no sheet. Asked once per
+    /// node and reference.
+    pub(crate) fn resolve(&self, sheet: &str) -> Result<Option<usize>, CellError> {
         // The index is keyed by lower-cased name; a name longer than a
         // sheet's may be names no sheet. On the stack: this runs once per
         // cross-sheet reference of every node evaluated.
@@ -1239,8 +1240,19 @@ impl ExternalSheets for OtherSheets<'_> {
         Ok(self.cells[sid].map(|_| sid))
     }
 
-    fn cells(&self, id: usize) -> &CellStore {
+    /// The cells of sheet `id`, as [`Self::resolve`] named it.
+    pub(crate) fn cells(&self, id: usize) -> &CellStore {
         self.cells[id].expect("a sheet resolved to its cells")
+    }
+}
+
+#[cfg(test)]
+impl Workbook {
+    /// A workbook of one sheet, `Sheet1`: `SheetId(0)`.
+    pub(crate) fn one_sheet() -> Self {
+        let mut wb = Workbook::new();
+        wb.add_sheet("Sheet1").expect("a valid name");
+        wb
     }
 }
 

@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
-use taco_engine::{open_engine, save_engine, Engine};
+use taco_engine::{Engine, RecalcMode, SheetId, Workbook};
 use taco_formula::Value;
 use taco_grid::{Cell, Range, MAX_COL, MAX_ROW};
 
@@ -37,6 +37,16 @@ fn hostile_cells() -> Vec<Cell> {
     cells
 }
 
+/// The one sheet of every workbook here.
+const S: SheetId = SheetId(0);
+
+/// An empty workbook of one sheet, `S`.
+fn one_sheet() -> Workbook {
+    let mut wb = Workbook::new();
+    wb.add_sheet("Sheet1").unwrap();
+    wb
+}
+
 fn pages_of<'a>(cells: impl Iterator<Item = &'a Cell>) -> usize {
     cells.map(|c| (c.col, (c.row - 1) / PAGE_ROWS)).collect::<BTreeSet<_>>().len()
 }
@@ -52,47 +62,50 @@ fn assert_holds(e: &Engine, model: &BTreeMap<Cell, Value>, ctx: &str) {
 
 #[test]
 fn far_corner_cells_cost_the_pages_they_touch() {
-    let mut e = Engine::with_taco();
+    let mut wb = one_sheet();
     let mut model = BTreeMap::new();
     for (i, cell) in hostile_cells().into_iter().enumerate() {
         let v = Value::Number(i as f64 + 0.5);
-        quick("set_value", || e.set_value(cell, v.clone()));
+        quick("set_value", || wb.set_value(S, cell, v.clone()));
         model.insert(cell, v);
     }
-    assert_holds(&e, &model, "written");
+    assert_holds(wb.sheet(S), &model, "written");
 
     // Formulae that read the far corner and a whole far row.
     let corner = format!("=SUM(XFC{}:XFD{MAX_ROW})", MAX_ROW - 600);
-    quick("set_formula", || e.set_formula(Cell::new(3, 3), &corner).unwrap());
-    quick("set_formula", || e.set_formula(Cell::new(3, 4), "=COUNTA(A1:XFD1)").unwrap());
-    quick("recalculate", || e.recalculate());
+    quick("set_formula", || wb.set_formula(S, Cell::new(3, 3), &corner).unwrap());
+    quick("set_formula", || wb.set_formula(S, Cell::new(3, 4), "=COUNTA(A1:XFD1)").unwrap());
+    quick("recalculate", || wb.recalculate(RecalcMode::Serial));
     let in_corner: f64 = model
         .iter()
         .filter(|(c, _)| c.col >= MAX_COL - 1 && c.row >= MAX_ROW - 600)
         .map(|(_, v)| if let Value::Number(n) = v { *n } else { 0.0 })
         .sum();
-    assert_eq!(e.value(Cell::new(3, 3)), Value::Number(in_corner));
-    assert_eq!(e.value(Cell::new(3, 4)), Value::Number(1.0));
+    assert_eq!(wb.value(S, Cell::new(3, 3)), Value::Number(in_corner));
+    assert_eq!(wb.value(S, Cell::new(3, 4)), Value::Number(1.0));
     model.insert(Cell::new(3, 3), Value::Number(in_corner));
     model.insert(Cell::new(3, 4), Value::Number(1.0));
-    assert_holds(&e, &model, "with formulae");
-    quick("mark_all_formulas_dirty", || e.mark_all_formulas_dirty());
-    assert_eq!(quick("recalculate", || e.recalculate()), 2);
+    assert_holds(wb.sheet(S), &model, "with formulae");
 
     // save → open is the same sheet; save → open → save the same bytes.
-    let path =
-        std::env::temp_dir().join(format!("taco-hostile-sparse-{}.taco", std::process::id()));
-    quick("save", || save_engine(&e, &path).unwrap());
+    // The second save goes to a fresh path: a save over a snapshot bumps
+    // its replay epoch.
+    let path = |tag: &str| {
+        std::env::temp_dir().join(format!("taco-hostile-sparse-{tag}-{}.taco", std::process::id()))
+    };
+    let (path, again) = (path("first"), path("again"));
+    quick("save", || wb.save(&path).unwrap());
     let first = std::fs::read(&path).unwrap();
-    let reopened = quick("open", || open_engine(&path).unwrap());
-    assert_holds(&reopened, &model, "reopened");
-    save_engine(&reopened, &path).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), first, "save → open → save is a fixed point");
+    let reopened = quick("open", || Workbook::open(&path).unwrap());
+    assert_holds(reopened.sheet(S), &model, "reopened");
+    reopened.save(&again).unwrap();
+    assert_eq!(std::fs::read(&again).unwrap(), first, "save → open → save is a fixed point");
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&again).ok();
 
     // Rows inserted at the far end push the last rows off the grid; rows
     // deleted there pull the rest up.
-    quick("insert_rows", || e.insert_rows(MAX_ROW - 2, 3));
+    quick("insert_rows", || wb.insert_rows(S, MAX_ROW - 2, 3));
     model = model
         .into_iter()
         .filter_map(|(c, v)| {
@@ -100,31 +113,34 @@ fn far_corner_cells_cost_the_pages_they_touch() {
             (row <= MAX_ROW).then(|| (Cell::new(c.col, row), v))
         })
         .collect();
-    quick("recalculate", || e.recalculate());
+    quick("recalculate", || wb.recalculate(RecalcMode::Serial));
     let corner = model
         .iter()
         .filter(|(c, _)| c.col >= MAX_COL - 1 && c.row >= MAX_ROW - 600)
         .map(|(_, v)| if let Value::Number(n) = v { *n } else { 0.0 })
         .sum();
     model.insert(Cell::new(3, 3), Value::Number(corner));
-    assert_holds(&e, &model, "rows inserted");
-    quick("delete_rows", || e.delete_rows(MAX_ROW - 700_000, 50_000));
-    quick("recalculate", || e.recalculate());
+    assert_holds(wb.sheet(S), &model, "rows inserted");
+    quick("delete_rows", || wb.delete_rows(S, MAX_ROW - 700_000, 50_000));
+    quick("recalculate", || wb.recalculate(RecalcMode::Serial));
     assert_eq!(
-        e.len(),
+        wb.sheet(S).len(),
         model.len()
             - model
                 .keys()
                 .filter(|c| { (MAX_ROW - 700_000..MAX_ROW - 650_000).contains(&c.row) })
                 .count()
     );
-    assert!(e.slot_capacity() <= e.len() * PAGE_ROWS as usize);
+    assert!(wb.sheet(S).slot_capacity() <= wb.sheet(S).len() * PAGE_ROWS as usize);
 
     // Clearing the whole grid walks the pages that exist and frees them.
     let everything = Range::from_coords(1, 1, MAX_COL, MAX_ROW);
-    quick("clear_range", || e.clear_range(everything));
-    assert_eq!((e.len(), e.slot_capacity(), e.cells().count()), (0, 0, 0));
-    quick("recalculate", || e.recalculate());
+    quick("clear_range", || wb.clear_range(S, everything));
+    assert_eq!(
+        (wb.sheet(S).len(), wb.sheet(S).slot_capacity(), wb.sheet(S).cells().count()),
+        (0, 0, 0)
+    );
+    quick("recalculate", || wb.recalculate(RecalcMode::Serial));
 }
 
 #[test]
@@ -132,25 +148,25 @@ fn a_run_joins_across_a_million_blank_rows_but_not_across_a_value() {
     // The same formula at row 1 and at the grid's last row: one run, found
     // without a walk up the rows between (the engine's own tests count
     // its page lookups: as many as for the row right below).
-    let mut e = Engine::with_taco();
-    e.set_formula(Cell::new(2, 1), "=A1*2").unwrap();
+    let mut wb = one_sheet();
+    wb.set_formula(S, Cell::new(2, 1), "=A1*2").unwrap();
     let far = Cell::new(2, MAX_ROW);
-    quick("set_formula", || e.set_formula(far, &format!("=A{MAX_ROW}*2")).unwrap());
-    assert_eq!((e.formula_cells(), e.formula_templates()), (2, 1));
-    e.set_value(Cell::new(1, MAX_ROW), Value::Number(4.0));
-    assert_eq!(quick("recalculate", || e.recalculate()), 2);
-    assert_eq!(e.value(far), Value::Number(8.0));
-    assert!(e.slot_capacity() <= 3 * PAGE_ROWS as usize);
+    quick("set_formula", || wb.set_formula(S, far, &format!("=A{MAX_ROW}*2")).unwrap());
+    assert_eq!((wb.sheet(S).formula_cells(), wb.sheet(S).formula_templates()), (2, 1));
+    wb.set_value(S, Cell::new(1, MAX_ROW), Value::Number(4.0));
+    assert_eq!(quick("recalculate", || wb.recalculate(RecalcMode::Serial)), 2);
+    assert_eq!(wb.value(S, far), Value::Number(8.0));
+    assert!(wb.sheet(S).slot_capacity() <= 3 * PAGE_ROWS as usize);
 
     // A value typed between stops the join: the formula typed back at the
     // last row starts a run of its own.
-    e.set_value(Cell::new(2, MAX_ROW / 2), Value::Number(1.0));
-    quick("set_formula", || e.set_formula(far, &format!("=A{MAX_ROW}*2")).unwrap());
-    assert_eq!(e.formula_templates(), 2);
+    wb.set_value(S, Cell::new(2, MAX_ROW / 2), Value::Number(1.0));
+    quick("set_formula", || wb.set_formula(S, far, &format!("=A{MAX_ROW}*2")).unwrap());
+    assert_eq!(wb.sheet(S).formula_templates(), 2);
     // Cleared again, the rows between are blank: typed back, it joins.
-    e.clear_range(Range::cell(Cell::new(2, MAX_ROW / 2)));
-    quick("set_formula", || e.set_formula(far, &format!("=A{MAX_ROW}*2")).unwrap());
-    assert_eq!(e.formula_templates(), 1);
-    assert_eq!(quick("recalculate", || e.recalculate()), 1);
-    assert_eq!(e.value(far), Value::Number(8.0));
+    wb.clear_range(S, Range::cell(Cell::new(2, MAX_ROW / 2)));
+    quick("set_formula", || wb.set_formula(S, far, &format!("=A{MAX_ROW}*2")).unwrap());
+    assert_eq!(wb.sheet(S).formula_templates(), 1);
+    assert_eq!(quick("recalculate", || wb.recalculate(RecalcMode::Serial)), 1);
+    assert_eq!(wb.value(S, far), Value::Number(8.0));
 }

@@ -12,9 +12,19 @@
 //! used.
 
 use proptest::prelude::*;
-use taco_engine::Engine;
+use taco_engine::{RecalcMode, SheetId, Workbook};
 use taco_formula::Value;
 use taco_grid::{Cell, Range};
+
+/// The one sheet of every workbook here.
+const S: SheetId = SheetId(0);
+
+/// An empty workbook of one sheet, `S`.
+fn one_sheet() -> Workbook {
+    let mut wb = Workbook::new();
+    wb.add_sheet("Sheet1").unwrap();
+    wb
+}
 
 /// Data rows. Columns: A data, B `=A*2` on some rows, C loose precedents,
 /// D the summing formulae.
@@ -76,45 +86,45 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn build(which: usize) -> Engine {
-    let mut e = Engine::with_taco();
+fn build(which: usize) -> Workbook {
+    let mut wb = one_sheet();
     for row in 1..=ROWS {
-        e.set_value(Cell::new(1, row), Value::Number(f64::from(row) / 8.0));
+        wb.set_value(S, Cell::new(1, row), Value::Number(f64::from(row) / 8.0));
         if row % 3 == 0 {
-            e.set_formula(Cell::new(2, row), &format!("=A{row}*2")).unwrap();
+            wb.set_formula(S, Cell::new(2, row), &format!("=A{row}*2")).unwrap();
         }
     }
     for (i, sums) in SUMS.iter().enumerate() {
         let src = if which == 0 { sums.0 } else { sums.1 };
-        e.set_formula(Cell::new(4, i as u32 + 1), &format!("={src}")).unwrap();
+        wb.set_formula(S, Cell::new(4, i as u32 + 1), &format!("={src}")).unwrap();
     }
-    e.recalculate();
-    e
+    wb.recalculate(RecalcMode::Serial);
+    wb
 }
 
-fn apply(e: &mut Engine, op: &Op) {
+fn apply(wb: &mut Workbook, op: &Op) {
     match *op {
         Op::Number { col, row, v } => {
-            e.set_value(Cell::new(col, row), Value::Number(f64::from(v) / 4.0));
+            wb.set_value(S, Cell::new(col, row), Value::Number(f64::from(v) / 4.0));
         }
         Op::Text { row } => {
-            e.set_value(Cell::new(1, row), Value::Text("n/a".into()));
+            wb.set_value(S, Cell::new(1, row), Value::Text("n/a".into()));
         }
         Op::Formula { row, broken } => {
             let src = if broken { "=1/0".to_string() } else { format!("=A{row}*2") };
-            e.set_formula(Cell::new(2, row), &src).unwrap();
+            wb.set_formula(S, Cell::new(2, row), &src).unwrap();
         }
         Op::Clear { col, row, rows } => {
-            e.clear_range(Range::from_coords(col, row, col, row + rows - 1));
+            wb.clear_range(S, Range::from_coords(col, row, col, row + rows - 1));
         }
         Op::InsertRows { at } => {
-            e.insert_rows(at, 1);
+            wb.insert_rows(S, at, 1);
         }
         Op::DeleteRows { at } => {
-            e.delete_rows(at, 1);
+            wb.delete_rows(S, at, 1);
         }
     }
-    e.recalculate();
+    wb.recalculate(RecalcMode::Serial);
 }
 
 proptest! {
@@ -131,8 +141,8 @@ proptest! {
             for row in 1..=SUMS.len() as u32 + 2 {
                 let cell = Cell::new(4, row);
                 prop_assert_eq!(
-                    whole.value(cell),
-                    parts.value(cell),
+                    whole.value(S, cell),
+                    parts.value(S, cell),
                     "{} differs after step {} of {:?}", cell, step, ops
                 );
             }
@@ -219,45 +229,45 @@ fn arb_run_op() -> impl Strategy<Value = RunOp> {
     ]
 }
 
-fn build_runs(which: usize) -> Engine {
-    let mut e = Engine::with_taco();
+fn build_runs(which: usize) -> Workbook {
+    let mut wb = one_sheet();
     for row in 1..=RUN {
-        e.set_value(Cell::new(1, row), Value::Number(f64::from(row) / 8.0 - 2.0));
+        wb.set_value(S, Cell::new(1, row), Value::Number(f64::from(row) / 8.0 - 2.0));
         if row % 2 == 0 {
-            e.set_formula(Cell::new(2, row), &format!("=A{row}*2")).unwrap();
+            wb.set_formula(S, Cell::new(2, row), &format!("=A{row}*2")).unwrap();
         }
-        e.set_formula(Cell::new(RIGHT, row), &format!("=A{row}/3")).unwrap();
+        wb.set_formula(S, Cell::new(RIGHT, row), &format!("=A{row}/3")).unwrap();
         for i in 0..CUMULATIVE.len() {
-            e.set_formula(Cell::new(4 + i as u32, row), &cumulative(which, i, row)).unwrap();
+            wb.set_formula(S, Cell::new(4 + i as u32, row), &cumulative(which, i, row)).unwrap();
         }
     }
-    e.recalculate();
-    e
+    wb.recalculate(RecalcMode::Serial);
+    wb
 }
 
-fn apply_run_op(e: &mut Engine, op: &RunOp) {
+fn apply_run_op(wb: &mut Workbook, op: &RunOp) {
     match *op {
         RunOp::Number { row, v } => {
-            e.set_value(Cell::new(1, row), Value::Number(f64::from(v) / 4.0));
+            wb.set_value(S, Cell::new(1, row), Value::Number(f64::from(v) / 4.0));
         }
         RunOp::Text { row } => {
-            e.set_value(Cell::new(1, row), Value::Text("n/a".into()));
+            wb.set_value(S, Cell::new(1, row), Value::Text("n/a".into()));
         }
         RunOp::Blank { col, row } => {
-            e.clear_range(Range::cell(Cell::new(col, row)));
+            wb.clear_range(S, Range::cell(Cell::new(col, row)));
         }
         RunOp::Formula { right, row, broken } => {
             let src = if broken { "=1/0".to_string() } else { format!("=A{row}*2") };
-            e.set_formula(Cell::new(if right { RIGHT } else { 2 }, row), &src).unwrap();
+            wb.set_formula(S, Cell::new(if right { RIGHT } else { 2 }, row), &src).unwrap();
         }
         RunOp::InsertRow { at } => {
-            e.insert_rows(at, 1);
+            wb.insert_rows(S, at, 1);
         }
         RunOp::DeleteRow { at } => {
-            e.delete_rows(at, 1);
+            wb.delete_rows(S, at, 1);
         }
     }
-    e.recalculate();
+    wb.recalculate(RecalcMode::Serial);
 }
 
 fn same_bits(a: &Value, b: &Value) -> bool {
@@ -277,15 +287,15 @@ proptest! {
         let (mut carried, mut plain) = (build_runs(0), build_runs(1));
         // The premise: one carries its folds down the columns (every cell
         // of every column but the first row's), the other never does.
-        prop_assert_eq!(plain.folds_carried(), 0);
-        prop_assert_eq!(carried.folds_carried(), u64::from(RUN - 1) * CUMULATIVE.len() as u64);
+        prop_assert_eq!(plain.sheet(S).folds_carried(), 0);
+        prop_assert_eq!(carried.sheet(S).folds_carried(), u64::from(RUN - 1) * CUMULATIVE.len() as u64);
         for (step, op) in ops.iter().enumerate() {
             apply_run_op(&mut carried, op);
             apply_run_op(&mut plain, op);
             for row in 1..=RUN + 2 {
                 for col in 4..4 + CUMULATIVE.len() as u32 {
                     let cell = Cell::new(col, row);
-                    let (a, b) = (carried.value(cell), plain.value(cell));
+                    let (a, b) = (carried.value(S, cell), plain.value(S, cell));
                     prop_assert!(
                         same_bits(&a, &b),
                         "{} is {:?} carried, {:?} plain, after step {} of {:?}", cell, a, b, step, ops
@@ -293,6 +303,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(plain.folds_carried(), 0);
+        prop_assert_eq!(plain.sheet(S).folds_carried(), 0);
     }
 }

@@ -15,7 +15,7 @@
 //! deterministic multi-client read/write scripts (reader-heavy,
 //! writer-heavy, and mixed presets with zipf-skewed cell targets) for the
 //! `taco_service` serving layer, replayable in-process and over TCP.
-//! [`reference`] is the cell-by-cell oracle that the formula-graph tests
+//! [`reference`](mod@reference) is the cell-by-cell oracle that the formula-graph tests
 //! hold every compressed graph to.
 
 #![forbid(unsafe_code)]

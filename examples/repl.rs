@@ -17,8 +17,8 @@
 //! insrows 5 2 / delrows 5 2 / inscols 2 1 / delcols 2 1
 //! stats                   graph size, formulas per template, per-pattern compression
 //! edges                   list compressed edges
-//! :save /path/to/file     persist the sheet (compressed graph included)
-//! :open /path/to/file     replace the sheet with a saved one
+//! :save /path/to/file     persist the workbook (compressed graph included)
+//! :open /path/to/file     replace the workbook with a saved one
 //! :connect ADDR BOOK [AUTH]  attach to a taco_service server over TCP
 //! :metrics                (remote) print the server's Prometheus metrics
 //! :trace                  (remote) print the server's span rings as trees
@@ -26,14 +26,14 @@
 //! quit
 //! ```
 //!
-//! While connected, edits, `show`, `trace`, `clear`, `fill`, and `stats`
-//! run against the remote workbook's first visible sheet instead of the
-//! local engine, and `:metrics`/`:trace` fetch the server's
+//! The local sheet is the first sheet of a one-sheet workbook. While
+//! connected, edits, `show`, `trace`, `clear`, `fill`, and `stats` run
+//! against the remote workbook's first visible sheet instead, and `:metrics`/`:trace` fetch the server's
 //! observability snapshot and span trees over the wire.
 
 use std::io::{self, BufRead, Write};
 use taco_repro::core::PatternType;
-use taco_repro::engine::Engine;
+use taco_repro::engine::{RecalcMode, SheetId, Workbook, WorkbookReceipt};
 use taco_repro::formula::Value;
 use taco_repro::grid::{Cell, Range};
 use taco_repro::service::TcpClient;
@@ -44,8 +44,12 @@ struct Remote {
     sheet: String,
 }
 
+/// The local sheet: the first of the local workbook.
+const S: SheetId = SheetId(0);
+
 fn main() {
-    let mut engine = Engine::with_taco();
+    let mut wb = Workbook::new();
+    wb.add_sheet("Sheet1").expect("a valid sheet name");
     let mut remote: Option<Remote> = None;
     let stdin = io::stdin();
     let interactive = atty();
@@ -72,7 +76,7 @@ fn main() {
             Some(r) => r,
             None => match &mut remote {
                 Some(r) => run_remote(r, input),
-                None => run_command(&mut engine, input),
+                None => run_command(&mut wb, input),
             },
         };
         match result {
@@ -265,7 +269,7 @@ fn atty() -> bool {
     std::env::var("TACO_REPL_PROMPT").is_ok()
 }
 
-fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
+fn run_command(wb: &mut Workbook, input: &str) -> Result<bool, String> {
     if input == "quit" || input == "exit" {
         return Ok(true);
     }
@@ -277,19 +281,23 @@ fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
     }
     if let Some(rest) = input.strip_prefix(":save ") {
         let path = std::path::Path::new(rest.trim());
-        taco_repro::engine::save_engine(engine, path).map_err(|e| e.to_string())?;
-        println!("saved {} cells to {}", engine.len(), path.display());
+        wb.save(path).map_err(|e| e.to_string())?;
+        println!("saved {} cells to {}", wb.sheet(S).len(), path.display());
         return Ok(false);
     }
     if let Some(rest) = input.strip_prefix(":open ") {
         let path = std::path::Path::new(rest.trim());
-        *engine = taco_repro::engine::open_engine(path).map_err(|e| e.to_string())?;
-        engine.recalculate();
-        println!("opened {} cells from {}", engine.len(), path.display());
+        let opened = Workbook::open(path).map_err(|e| e.to_string())?;
+        if opened.sheet_count() == 0 {
+            return Err(format!("{} holds no sheet", path.display()));
+        }
+        *wb = opened;
+        wb.recalculate(RecalcMode::Serial);
+        println!("opened {} cells from {}", wb.sheet(S).len(), path.display());
         return Ok(false);
     }
     if input == "stats" {
-        let s = engine.graph().stats();
+        let s = wb.sheet(S).graph().stats();
         println!(
             "edges={} vertices={} dependencies={} remaining={:.2}%",
             s.edges,
@@ -300,8 +308,8 @@ fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
         // A column typed or filled alike collapses into one template.
         println!(
             "formula_cells={} templates={}",
-            engine.formula_cells(),
-            engine.formula_templates()
+            wb.sheet(S).formula_cells(),
+            wb.sheet(S).formula_templates()
         );
         for p in [
             PatternType::RR,
@@ -318,31 +326,31 @@ fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
         return Ok(false);
     }
     if input == "edges" {
-        for e in engine.graph().edges() {
+        for e in wb.sheet(S).graph().edges() {
             println!("  {:?}: {} -> {} (count {})", e.pattern(), e.prec, e.dep, e.count);
         }
         return Ok(false);
     }
     if let Some(rest) = input.strip_prefix("show ") {
         let cell = Cell::parse_a1(rest.trim()).map_err(|e| e.to_string())?;
-        match engine.formula_of(cell) {
-            Some(f) => println!("{cell} = ={f} → {}", engine.value(cell)),
-            None => println!("{cell} = {}", engine.value(cell)),
+        match wb.formula_of(S, cell) {
+            Some(f) => println!("{cell} = ={f} → {}", wb.value(S, cell)),
+            None => println!("{cell} = {}", wb.value(S, cell)),
         }
         return Ok(false);
     }
     if let Some(rest) = input.strip_prefix("trace ") {
         let cell = Cell::parse_a1(rest.trim()).map_err(|e| e.to_string())?;
-        let deps = engine.find_dependents(Range::cell(cell));
-        let precs = engine.find_precedents(Range::cell(cell));
+        let deps = wb.find_dependents(S, Range::cell(cell));
+        let precs = wb.find_precedents(S, Range::cell(cell));
         println!("dependents: {}", join(&deps));
         println!("precedents: {}", join(&precs));
         return Ok(false);
     }
     if let Some(rest) = input.strip_prefix("clear ") {
         let range = Range::parse_a1(rest.trim()).map_err(|e| e.to_string())?;
-        engine.clear_range(range);
-        engine.recalculate();
+        wb.clear_range(S, range);
+        wb.recalculate(RecalcMode::Serial);
         return Ok(false);
     }
     if let Some(rest) = input.strip_prefix("fill ") {
@@ -351,16 +359,16 @@ fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
         let targets = parts.next().ok_or("fill SRC RANGE")?;
         let src = Cell::parse_a1(src).map_err(|e| e.to_string())?;
         let targets = Range::parse_a1(targets).map_err(|e| e.to_string())?;
-        engine.autofill(src, targets).map_err(|e| e.to_string())?;
-        engine.recalculate();
+        wb.autofill(S, src, targets).map_err(|e| e.to_string())?;
+        wb.recalculate(RecalcMode::Serial);
         return Ok(false);
     }
-    type StructuralFn = fn(&mut Engine, u32, u32) -> taco_repro::engine::EditReceipt;
+    type StructuralFn = fn(&mut Workbook, SheetId, u32, u32) -> WorkbookReceipt;
     for (cmd, f) in [
-        ("insrows", Engine::insert_rows as StructuralFn),
-        ("delrows", Engine::delete_rows),
-        ("inscols", Engine::insert_cols),
-        ("delcols", Engine::delete_cols),
+        ("insrows", Workbook::insert_rows as StructuralFn),
+        ("delrows", Workbook::delete_rows),
+        ("inscols", Workbook::insert_cols),
+        ("delcols", Workbook::delete_cols),
     ] {
         if let Some(rest) = input.strip_prefix(cmd) {
             let nums: Vec<u32> = rest
@@ -370,11 +378,11 @@ fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
             if nums.len() != 2 {
                 return Err(format!("{cmd} AT N"));
             }
-            let receipt = f(engine, nums[0], nums[1]);
+            let receipt = f(wb, S, nums[0], nums[1]);
             if !receipt.dirty.is_empty() {
                 println!("  {} dirty range(s) routed", receipt.dirty.len());
             }
-            engine.recalculate();
+            wb.recalculate(RecalcMode::Serial);
             return Ok(false);
         }
     }
@@ -383,23 +391,23 @@ fn run_command(engine: &mut Engine, input: &str) -> Result<bool, String> {
         let cell = Cell::parse_a1(lhs.trim()).map_err(|e| e.to_string())?;
         let rhs = rhs.trim();
         if let Some(formula) = rhs.strip_prefix('=') {
-            engine.set_formula(cell, formula).map_err(|e| e.to_string())?;
+            wb.set_formula(S, cell, formula).map_err(|e| e.to_string())?;
         } else if let Ok(n) = rhs.parse::<f64>() {
-            engine.set_value(cell, Value::Number(n));
+            wb.set_value(S, cell, Value::Number(n));
         } else {
-            engine.set_value(cell, Value::Text(rhs.to_string()));
+            wb.set_value(S, cell, Value::Text(rhs.to_string()));
         }
-        engine.recalculate();
+        wb.recalculate(RecalcMode::Serial);
         return Ok(false);
     }
     Err(format!("unknown command {input:?} (try `help`)"))
 }
 
-fn join(ranges: &[Range]) -> String {
+fn join(ranges: &[(SheetId, Range)]) -> String {
     if ranges.is_empty() {
         return "(none)".to_string();
     }
-    let mut parts: Vec<String> = ranges.iter().map(|r| r.to_a1()).collect();
+    let mut parts: Vec<String> = ranges.iter().map(|(_, r)| r.to_a1()).collect();
     parts.sort();
     parts.join(", ")
 }

@@ -2,7 +2,7 @@
 //! queries, with every graph configuration agreeing with the reference.
 
 use taco_repro::core::{Config, Dependency, FormulaGraph};
-use taco_repro::engine::Engine;
+use taco_repro::engine::{RecalcMode, SheetId, Workbook};
 use taco_repro::formula::Value;
 use taco_repro::grid::{Cell, Range};
 use taco_repro::workload::generator::{gen_sheet, SheetParams};
@@ -16,6 +16,13 @@ fn r(s: &str) -> Range {
     Range::parse_a1(s).unwrap()
 }
 
+/// An empty workbook of one sheet, `SheetId(0)`.
+fn one_sheet() -> (Workbook, SheetId) {
+    let mut wb = Workbook::new();
+    let s = wb.add_sheet("Sheet1").unwrap();
+    (wb, s)
+}
+
 fn cells(v: &[Range]) -> std::collections::BTreeSet<Cell> {
     v.iter().flat_map(|x| x.cells()).collect()
 }
@@ -24,35 +31,36 @@ fn cells(v: &[Range]) -> std::collections::BTreeSet<Cell> {
 /// the way) and verifies values, compression, and dependents.
 #[test]
 fn fig2_workbook_end_to_end() {
-    let mut e = Engine::with_taco();
+    let (mut wb, s) = one_sheet();
     let rows = 400u32;
     // Column A: sorted group ids. Column M: amounts.
     for row in 2..=rows {
-        e.set_value(Cell::new(1, row), Value::Number(f64::from(row / 50)));
-        e.set_value(Cell::new(13, row), Value::Number(1.0));
+        wb.set_value(s, Cell::new(1, row), Value::Number(f64::from(row / 50)));
+        wb.set_value(s, Cell::new(13, row), Value::Number(1.0));
     }
-    e.set_formula(c("N2"), "=M2").unwrap();
-    e.set_formula(c("N3"), "=IF(A3=A2,N2+M3,M3)").unwrap();
-    e.autofill(c("N3"), Range::from_coords(14, 4, 14, rows)).unwrap();
-    e.recalculate();
+    wb.set_formula(s, c("N2"), "=M2").unwrap();
+    wb.set_formula(s, c("N3"), "=IF(A3=A2,N2+M3,M3)").unwrap();
+    wb.autofill(s, c("N3"), Range::from_coords(14, 4, 14, rows)).unwrap();
+    wb.recalculate(RecalcMode::Serial);
 
     // Running totals reset at group boundaries (row 50k).
-    assert_eq!(e.value(Cell::new(14, 49)), Value::Number(48.0));
-    assert_eq!(e.value(Cell::new(14, 50)), Value::Number(1.0));
-    assert_eq!(e.value(Cell::new(14, 99)), Value::Number(50.0));
+    assert_eq!(wb.value(s, Cell::new(14, 49)), Value::Number(48.0));
+    assert_eq!(wb.value(s, Cell::new(14, 50)), Value::Number(1.0));
+    assert_eq!(wb.value(s, Cell::new(14, 99)), Value::Number(50.0));
 
     // The ~1600 dependencies compress to a handful of edges (Fig. 2
     // compresses to 6 compressed edges in the paper's illustration).
-    assert!(e.graph().num_edges() <= 8, "got {} edges", e.graph().num_edges());
+    let edges = wb.sheet(s).graph().num_edges();
+    assert!(edges <= 8, "got {edges} edges");
 
     // Update one amount: every N at or below that row must be dirty.
-    let receipt = e.set_value(Cell::new(13, 100), Value::Number(5.0));
-    let dirty: u64 = receipt.dirty.iter().map(Range::area).sum();
+    let receipt = wb.set_value(s, Cell::new(13, 100), Value::Number(5.0));
+    let dirty: u64 = receipt.dirty.iter().map(|(_, range)| range.area()).sum();
     assert_eq!(dirty, u64::from(rows) - 100 + 1);
-    e.recalculate();
+    wb.recalculate(RecalcMode::Serial);
     // Row 100 starts a new group (100/50 = 2), so N100 resets to M100.
-    assert_eq!(e.value(Cell::new(14, 100)), Value::Number(5.0));
-    assert_eq!(e.value(Cell::new(14, 101)), Value::Number(6.0));
+    assert_eq!(wb.value(s, Cell::new(14, 100)), Value::Number(5.0));
+    assert_eq!(wb.value(s, Cell::new(14, 101)), Value::Number(6.0));
 }
 
 /// TACO, NoComp and TACO-InRow must return the reference's dependent and
@@ -108,42 +116,47 @@ fn clear_column_consistency() {
     }
 }
 
-/// The engine produces identical computed values under TACO and NoComp on
-/// a workbook exercising all pattern shapes.
+/// A workbook exercising all pattern shapes computes what it should, and
+/// its TACO graph holds the dependencies in under a tenth of the edges a
+/// NoComp graph of the same dependencies needs, answering the same
+/// dependents. (That no value depends on the graph is `taco_engine`'s
+/// `taco_and_nocomp_engines_are_indistinguishable`.)
 #[test]
 fn engine_value_equivalence() {
-    let build = |mut e: Engine| {
-        for row in 1..=60u32 {
-            e.set_value(Cell::new(1, row), Value::Number(f64::from(row)));
-        }
-        // Derived column.
-        e.set_formula(c("B1"), "=A1*2").unwrap();
-        e.autofill(c("B1"), r("B2:B60")).unwrap();
-        // Cumulative.
-        e.set_formula(c("C1"), "=SUM($B$1:B1)").unwrap();
-        e.autofill(c("C1"), r("C2:C60")).unwrap();
-        // Sliding window.
-        e.set_formula(c("D3"), "=AVERAGE(A1:A5)").unwrap();
-        e.autofill(c("D3"), r("D4:D56")).unwrap();
-        // Chain.
-        e.set_formula(c("E1"), "=A1").unwrap();
-        e.set_formula(c("E2"), "=E1+1").unwrap();
-        e.autofill(c("E2"), r("E3:E60")).unwrap();
-        // Fixed lookup.
-        e.set_formula(c("F1"), "=MAX($A$1:$A$60)").unwrap();
-        e.autofill(c("F1"), r("F2:F20")).unwrap();
-        e.recalculate();
-        e
-    };
-    let taco = build(Engine::with_taco());
-    let nocomp = build(Engine::with_nocomp());
-    for col in 2..=6u32 {
-        for row in 1..=60u32 {
-            let cell = Cell::new(col, row);
-            assert_eq!(taco.value(cell), nocomp.value(cell), "cell {cell}");
-        }
+    let (mut wb, s) = one_sheet();
+    for row in 1..=60u32 {
+        wb.set_value(s, Cell::new(1, row), Value::Number(f64::from(row)));
     }
-    assert!(taco.graph().num_edges() * 10 < nocomp.graph().num_edges());
+    // Derived column.
+    wb.set_formula(s, c("B1"), "=A1*2").unwrap();
+    wb.autofill(s, c("B1"), r("B2:B60")).unwrap();
+    // Cumulative.
+    wb.set_formula(s, c("C1"), "=SUM($B$1:B1)").unwrap();
+    wb.autofill(s, c("C1"), r("C2:C60")).unwrap();
+    // Sliding window.
+    wb.set_formula(s, c("D3"), "=AVERAGE(A1:A5)").unwrap();
+    wb.autofill(s, c("D3"), r("D4:D56")).unwrap();
+    // Chain.
+    wb.set_formula(s, c("E1"), "=A1").unwrap();
+    wb.set_formula(s, c("E2"), "=E1+1").unwrap();
+    wb.autofill(s, c("E2"), r("E3:E60")).unwrap();
+    // Fixed lookup.
+    wb.set_formula(s, c("F1"), "=MAX($A$1:$A$60)").unwrap();
+    wb.autofill(s, c("F1"), r("F2:F20")).unwrap();
+    wb.recalculate(RecalcMode::Serial);
+    for (cell, want) in
+        [("B60", 120.0), ("C60", 3660.0), ("D56", 56.0), ("E60", 60.0), ("F20", 60.0)]
+    {
+        assert_eq!(wb.value(s, c(cell)), Value::Number(want), "{cell}");
+    }
+
+    let taco = wb.sheet(s).graph();
+    let nocomp = FormulaGraph::build(Config::nocomp(), taco.decompress_all());
+    for probe in ["A1", "A30", "B7", "E2"] {
+        let probe = Range::cell(c(probe));
+        assert_eq!(cells(&taco.find_dependents(probe)), cells(&nocomp.find_dependents(probe)));
+    }
+    assert!(taco.num_edges() * 10 < nocomp.num_edges());
 }
 
 /// Compression bookkeeping survives heavy incremental churn.
