@@ -406,18 +406,21 @@ impl FormulaGraph {
         out
     }
 
-    /// The dependents query: `out` is overwritten with the disjoint
-    /// result ranges, and the return value is the query's
-    /// instrumentation. With a warm [`QueryScratch`] the whole query
-    /// performs zero heap allocations — the steady-state contract
-    /// `tests/query_allocations.rs` asserts.
+    /// The dependents query over `seeds` — one range, or a set of them
+    /// whose dependents are found by one BFS that starts from every seed
+    /// (the closure of a set is the union of its members' closures, each
+    /// found once): `out` is overwritten with the disjoint result ranges,
+    /// and the return value is the query's instrumentation. A seed is not
+    /// its own dependent, though it may be another seed's. With a warm
+    /// [`QueryScratch`] the whole query performs zero heap allocations —
+    /// the steady-state contract `tests/query_allocations.rs` asserts.
     pub fn find_dependents_with_scratch(
         &self,
-        r: Range,
+        seeds: impl AsRef<[Range]>,
         scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
-        self.bfs(r, Direction::Dependents, scratch, out)
+        self.bfs(seeds.as_ref(), Direction::Dependents, scratch, out)
     }
 
     /// Finds all (direct and transitive) precedents of `r`:
@@ -432,16 +435,17 @@ impl FormulaGraph {
     /// for the contract).
     pub fn find_precedents_with_scratch(
         &self,
-        r: Range,
+        seeds: impl AsRef<[Range]>,
         scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
-        self.bfs(r, Direction::Precedents, scratch, out)
+        self.bfs(seeds.as_ref(), Direction::Precedents, scratch, out)
     }
 
+    /// Alg. 3's BFS, its first frontier every range of `seeds`.
     fn bfs(
         &self,
-        r: Range,
+        seeds: &[Range],
         dir: Direction,
         scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
@@ -453,7 +457,7 @@ impl FormulaGraph {
         // clearing retains its arena capacity.
         visited.clear();
         let mut stats = QueryStats::default();
-        queue.push_back(r);
+        queue.extend(seeds);
         let index = match dir {
             Direction::Dependents => &self.prec_index,
             Direction::Precedents => &self.dep_index,
@@ -1123,6 +1127,40 @@ mod tests {
             assert_eq!(stats, fresh_stats, "precedents({probe}) stats diverge");
             assert_eq!(g.find_precedents(probe), fresh, "precedents({probe}) wrapper diverges");
         }
+    }
+
+    /// A query over several seeds finds the union of what each seed's
+    /// own query finds — a seed another seed reaches included — in
+    /// disjoint ranges; a query over none finds nothing.
+    #[test]
+    fn a_query_over_seeds_finds_the_union_of_their_closures() {
+        let mut g = FormulaGraph::taco();
+        for row in 1..=30u32 {
+            let window = Range::from_coords(1, row, 1, row + 2);
+            g.add_dependency(&Dependency::new(window, Cell::new(2, row)));
+            g.add_dependency(&Dependency::new(Range::cell(Cell::new(2, row)), Cell::new(3, row)));
+        }
+        g.add_dependency(&d("C1:C30", "D1"));
+        g.add_dependency(&d("D1", "E5"));
+        let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
+        for seeds in [&["A1"][..], &["A1", "A2"], &["A3", "A20", "B7"], &["A1:A4", "D1", "Z9"]] {
+            let seeds: Vec<Range> = seeds.iter().map(|s| r(s)).collect();
+            let both = g.find_dependents_with_scratch(&seeds, &mut scratch, &mut out);
+            let mut want = std::collections::BTreeSet::new();
+            for &seed in &seeds {
+                g.find_dependents_with_scratch(seed, &mut QueryScratch::new(), &mut out);
+                want.extend(cells_of(&out));
+            }
+            let found = g.find_dependents_with_scratch(&seeds, &mut scratch, &mut out);
+            assert_eq!(found, both, "{seeds:?}: a warm scratch changes nothing");
+            assert_eq!(cells_of(&out), want, "{seeds:?}");
+            let cells: usize = out.iter().map(|r| r.cells().count()).sum();
+            assert_eq!(cells, want.len(), "{seeds:?}: the ranges are disjoint");
+        }
+        let none: [Range; 0] = [];
+        assert_eq!(g.find_dependents_with_scratch(none, &mut scratch, &mut out).rtree_searches, 0);
+        assert!(out.is_empty());
     }
 
     /// Bulk-loaded (build / restore) and incrementally-grown graphs give

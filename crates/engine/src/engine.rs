@@ -30,12 +30,55 @@ pub struct SheetPass {
     pub nodes: u32,
 }
 
-/// What an edit reported back before recalculation: the information the
-/// asynchronous model needs to "return control to the user".
-#[derive(Debug, Clone)]
-pub(crate) struct EditReceipt {
-    /// Ranges marked dirty (the dependents of the edit).
-    pub dirty: Vec<Range>,
+/// The ranges a sheet's edits wrote since their dependents were last
+/// marked ([`Engine::mark_dependents`]): the seeds of the next dependents
+/// query. A one-column range joins its column's open interval when the
+/// two overlap or touch, so a column typed row by row stays one seed
+/// however many records wrote it; one that does not closes the interval
+/// and opens the next. A union of touching intervals holds exactly their
+/// cells, so no seed stands for a cell nobody wrote.
+#[derive(Default)]
+struct Origins {
+    /// `(col, lo, hi)`, at most one per column, ascending by column.
+    open: Vec<(u32, u32, u32)>,
+    /// Closed intervals, and ranges over several columns.
+    closed: Vec<Range>,
+}
+
+impl Origins {
+    fn record(&mut self, range: Range) {
+        let (head, tail) = (range.head(), range.tail());
+        if head.col != tail.col {
+            self.closed.push(range);
+            return;
+        }
+        let (col, lo, hi) = (head.col, head.row, tail.row);
+        match self.open.binary_search_by_key(&col, |&(c, _, _)| c) {
+            Ok(i) => {
+                let open = &mut self.open[i];
+                if lo <= open.2.saturating_add(1) && open.1 <= hi.saturating_add(1) {
+                    (open.1, open.2) = (open.1.min(lo), open.2.max(hi));
+                } else {
+                    self.closed.push(Range::from_coords(col, open.1, col, open.2));
+                    *open = (col, lo, hi);
+                }
+            }
+            Err(i) => self.open.insert(i, (col, lo, hi)),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.open.is_empty() && self.closed.is_empty()
+    }
+
+    /// Moves every origin into `seeds`, each distinct range once.
+    fn drain_into(&mut self, seeds: &mut Vec<Range>) {
+        seeds.append(&mut self.closed);
+        let open = self.open.drain(..);
+        seeds.extend(open.map(|(col, lo, hi)| Range::from_coords(col, lo, col, hi)));
+        seeds.sort_unstable_by_key(|r| (r.head(), r.tail()));
+        seeds.dedup();
+    }
 }
 
 /// Runs of folds remembered per sheet: a sheet's worth of cumulative
@@ -214,9 +257,10 @@ pub struct Engine {
     cells: CellStore,
     graph: FormulaGraph,
     /// Buffers for the graph queries the edit path makes: warm after the
-    /// first edits, so finding an edit's dependents allocates only the
-    /// receipt's result vector.
+    /// first edits, so finding an edit's dependents allocates nothing.
     query: QueryScratch,
+    /// What the edits since the last [`Self::mark_dependents`] wrote.
+    origins: Origins,
     /// The sheet's name in its [`crate::Workbook`]; references qualified
     /// with this name (`Sheet1!A1` inside `Sheet1`) are treated as local.
     sheet_name: String,
@@ -251,6 +295,10 @@ pub struct Engine {
     /// Extents put in an order so far (test instrumentation).
     #[cfg(test)]
     pub(crate) extents_emitted: std::cell::Cell<u64>,
+    /// Dependents queries (BFS runs) made so far, from any number of
+    /// seeds each (test instrumentation).
+    #[cfg(test)]
+    pub(crate) dependents_queries: u64,
 }
 
 impl Engine {
@@ -261,6 +309,7 @@ impl Engine {
             cells: CellStore::default(),
             graph,
             query: QueryScratch::new(),
+            origins: Origins::default(),
             sheet_name,
             schedule: Schedule::default(),
             node: Node::default(),
@@ -276,6 +325,8 @@ impl Engine {
             stretches_read: Default::default(),
             #[cfg(test)]
             extents_emitted: Default::default(),
+            #[cfg(test)]
+            dependents_queries: 0,
         }
     }
 
@@ -445,11 +496,16 @@ impl Engine {
 
     // ---- edits ---------------------------------------------------------
 
-    /// Sets a pure value, returning the dependents receipt.
-    pub(crate) fn set_value(&mut self, cell: Cell, v: Value) -> EditReceipt {
+    // An edit writes the store and the graph and records the range it
+    // wrote as an origin; its dependents are marked later, with every
+    // other origin the sheet's edits recorded meanwhile, by one
+    // [`Self::mark_dependents`].
+
+    /// Sets a pure value.
+    pub(crate) fn set_value(&mut self, cell: Cell, v: Value) {
         self.detach_formula(cell);
         self.put_cell(cell, CellContent::pure(v));
-        self.mark_dependents_dirty(Range::cell(cell))
+        self.origins.record(Range::cell(cell));
     }
 
     /// The run of the cell above `cell` or of the cell to its left, if a
@@ -507,21 +563,32 @@ impl Engine {
     }
 
     /// Makes `cell` a cell of `run`: registers what the run's formula
-    /// reads there with the graph and marks the cell and its dependents
-    /// dirty.
-    pub(crate) fn set_run(&mut self, cell: Cell, run: Arc<Run>) -> EditReceipt {
+    /// reads there with the graph and marks the cell dirty.
+    pub(crate) fn set_run(&mut self, cell: Cell, run: Arc<Run>) {
         self.detach_formula(cell);
         self.attach_reads(cell, &run);
         self.put_cell(cell, CellContent::formula_cell(run, Value::Empty));
         self.mark_cells_dirty(&[cell]);
-        self.mark_dependents_dirty(Range::cell(cell))
+        self.origins.record(Range::cell(cell));
     }
 
     /// Clears every cell in `range` (values and formulae).
-    pub(crate) fn clear_range(&mut self, range: Range) -> EditReceipt {
+    pub(crate) fn clear_range(&mut self, range: Range) {
         self.graph.clear_cells(range);
         self.cells.remove_range(range, self.folds.tick());
-        self.mark_dependents_dirty(range)
+        self.origins.record(range);
+    }
+
+    /// Records `range` as written, for [`Self::mark_dependents`] (a
+    /// structural edit's changed cells, a referrer it disturbed).
+    pub(crate) fn record_origin(&mut self, range: Range) {
+        self.origins.record(range);
+    }
+
+    /// Whether edits recorded origins since the last
+    /// [`Self::mark_dependents`].
+    pub(crate) fn has_origins(&self) -> bool {
+        !self.origins.is_empty()
     }
 
     /// The run an autofill from `src` puts its targets in, `None` if `src`
@@ -560,12 +627,16 @@ impl Engine {
         }
     }
 
-    /// Queries the graph for dependents of `of` and marks the formula cells
-    /// among them dirty. This is the control-latency critical path.
-    fn mark_dependents_dirty(&mut self, of: Range) -> EditReceipt {
-        let dirty = self.find_dependents(of);
-        self.mark_ranges_dirty(&dirty);
-        EditReceipt { dirty }
+    /// Marks the formula cells among the dependents of every origin
+    /// recorded since the last call dirty, found by one dependents query
+    /// that starts from all of them; `seeds` is overwritten with the
+    /// origins and `found` with the dependents. This is the
+    /// control-latency critical path.
+    pub(crate) fn mark_dependents(&mut self, seeds: &mut Vec<Range>, found: &mut Vec<Range>) {
+        seeds.clear();
+        self.origins.drain_into(seeds);
+        self.find_dependents(&seeds[..], found);
+        self.mark_ranges_dirty(found);
     }
 
     /// Marks the formula cells inside `ranges` dirty (workbook cross-sheet
@@ -721,12 +792,18 @@ impl Engine {
 
     // ---- passthrough graph queries ----------------------------------------
 
-    /// Dependents of `r` per the formula graph, on the engine's warm
-    /// query buffers.
-    pub(crate) fn find_dependents(&mut self, r: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        self.graph.find_dependents_with_scratch(r, &mut self.query, &mut out);
-        out
+    /// Dependents of `seeds` per the formula graph, into `out`, on the
+    /// engine's warm query buffers: one BFS, nothing for no seeds.
+    pub(crate) fn find_dependents(&mut self, seeds: impl AsRef<[Range]>, out: &mut Vec<Range>) {
+        out.clear();
+        if seeds.as_ref().is_empty() {
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.dependents_queries += 1;
+        }
+        self.graph.find_dependents_with_scratch(seeds, &mut self.query, out);
     }
 
     /// Precedents of `r` per the formula graph, on the engine's warm

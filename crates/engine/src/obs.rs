@@ -184,11 +184,17 @@ impl EngineObs {
     /// every edge, so it is recounted only when the summed mutation
     /// stamps say some sheet's graph changed since the last count — a
     /// recalculation that follows value edits alone walks nothing.
+    ///
+    /// Recorded as an `engine.gauges` span under the caller's context,
+    /// its payload the sheets read and the edges walked (0 without a
+    /// recount).
     pub(crate) fn refresh_gauges<'a>(
         &mut self,
         cross_edges: usize,
         sheets: impl Iterator<Item = &'a Engine> + Clone,
     ) {
+        let start = self.now_ns();
+        let (mut sheet_count, mut walked) = (0u64, 0u64);
         let (mut edges, mut deps, mut reduced, mut stamp) = (0i64, 0i64, 0i64, 0u64);
         let (mut cells, mut templates, mut carried) = (0usize, 0usize, 0u64);
         for sheet in sheets.clone() {
@@ -200,6 +206,7 @@ impl EngineObs {
             cells += sheet.formula_cells();
             templates += sheet.formula_templates();
             carried += sheet.folds_carried();
+            sheet_count += 1;
         }
         self.graph_edges.set(edges);
         self.cross_edges.set(cross_edges as i64);
@@ -218,7 +225,9 @@ impl EngineObs {
             let vertices: usize =
                 sheets.map(|sheet| sheet.graph().stats_with(&mut self.scratch).vertices).sum();
             self.graph_vertices.set(vertices as i64);
+            walked = edges as u64;
         }
+        self.tracer.record_since("engine.gauges", SpanCat::Recalc, start, sheet_count, walked);
     }
 
     /// The hub clock: the start stamp of a timed region.

@@ -6,9 +6,11 @@
 //!   WAL framing — and works on plain [`WorkbookImage`] data;
 //! - this module converts live [`Workbook`]s to and from images
 //!   ([`Workbook::save`] / [`Workbook::open`]), replays [`EditRecord`]s
-//!   through [`Workbook::apply_edit`] — the function live edits go
-//!   through, so dirty routing and cross-edge maintenance behave exactly
-//!   as they did live — and owns the autosave policy:
+//!   through [`Workbook::apply_batch`] — the path live edits take, each
+//!   run of records between added sheets one batch, so cross-edge
+//!   maintenance behaves exactly as it did live and the dirty cells are
+//!   what applying the records one by one leaves, for one dependents
+//!   query per sheet and run — and owns the autosave policy:
 //!   [`PersistentWorkbook::log_batch`] appends every applied record to
 //!   the sidecar WAL, fsyncs at configurable points, and folds the log
 //!   back into a fresh snapshot once it crosses the compaction
@@ -128,6 +130,9 @@ impl Workbook {
                 .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
             restore_sheet(wb.engine_mut(id.index()), sheet.cells, sheet.dirty)?;
         }
+        // An image carries no mark of which formulas read a sheet that
+        // does not exist: the first sheet added walks them all.
+        wb.flag_dangling_refs();
         for e in image.cross {
             let (src, dst) = (e.src as usize, e.dst as usize);
             if src >= n || dst >= n {
@@ -209,25 +214,49 @@ impl Workbook {
     }
 
     /// Replays `log` over a workbook opened from a snapshot at `epoch`,
-    /// through [`Workbook::apply_edit`]. Records stamped with an older
-    /// epoch are skipped: a crash between a snapshot write and the WAL
-    /// truncation ([`Self::save`], [`PersistentWorkbook::compact`])
-    /// leaves already-folded edits in the log behind a snapshot one
-    /// epoch higher. An `AddSheet` whose name already exists is a no-op,
-    /// for a snapshot written *without* a stamp over a live log
-    /// (`taco_store::write_workbook_file` of a bare
+    /// through the batch path ([`Workbook::apply_batch`], minus the
+    /// receipt): each run of records between `AddSheet` records is one
+    /// batch, so the whole log costs one dependents query per sheet per
+    /// run, not one per record, and leaves what applying the records one
+    /// by one would (see DESIGN.md, "One dependents query per batch").
+    ///
+    /// Records stamped with an older epoch are skipped: a crash between a
+    /// snapshot write and the WAL truncation ([`Self::save`],
+    /// [`PersistentWorkbook::compact`]) leaves already-folded edits in the
+    /// log behind a snapshot one epoch higher. An `AddSheet` whose name
+    /// already exists is a no-op, for a snapshot written *without* a
+    /// stamp over a live log (`taco_store::write_workbook_file` of a bare
     /// [`Workbook::to_image`], epoch 0): every record then replays, and
     /// `AddSheet` is the one a second application refuses.
     fn replay(&mut self, log: &WalReplay, epoch: u64) -> Result<(), StoreError> {
-        for (rec, rec_epoch) in log.stamped() {
+        // Where the batch being gathered starts: it ends at the next
+        // record that is folded or adds a sheet.
+        let mut start = 0;
+        for (i, (rec, rec_epoch)) in log.stamped().enumerate() {
             let folded = rec_epoch < epoch;
+            if !folded && !matches!(rec, EditRecord::AddSheet { .. }) {
+                continue;
+            }
+            self.replay_batch(&log.records[start..i])?;
+            start = i + 1;
             let known_sheet =
                 matches!(rec, EditRecord::AddSheet { name } if self.sheet_id(name).is_some());
             if !folded && !known_sheet {
                 self.apply_edit(rec)?;
             }
         }
-        Ok(())
+        self.replay_batch(&log.records[start..])
+    }
+
+    /// Applies one batch of a replay.
+    fn replay_batch(&mut self, records: &[EditRecord]) -> Result<(), StoreError> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        match self.apply_records(records, false) {
+            (_, None) => Ok(()),
+            (_, Some(e)) => Err(e.error),
+        }
     }
 }
 
@@ -928,6 +957,108 @@ mod tests {
         assert_eq!(back.formula_of(SheetId(1), c("A1")).as_deref(), Some("SUM(Data!B1:B6)"));
         back.recalculate(RecalcMode::Serial);
         assert_eq!(back.value(SheetId(1), c("A1")), n(240.0));
+    }
+
+    /// Dependents queries the workbook's sheets made so far.
+    fn queries(wb: &Workbook) -> u64 {
+        (0..wb.sheet_count()).map(|i| wb.sheet(SheetId(i)).dependents_queries).sum()
+    }
+
+    #[test]
+    fn a_replay_marks_its_dependents_with_one_query_per_touched_sheet() {
+        for rows in [64u32, 256] {
+            // Two sheets whose column A feeds three formulas a row.
+            let mut wb = Workbook::new();
+            for name in ["In", "Out"] {
+                let id = wb.add_sheet(name).unwrap();
+                for row in 1..=rows {
+                    wb.set_value(id, Cell::new(1, row), n(1.0));
+                    for j in 1..=3 {
+                        wb.set_formula(id, Cell::new(1 + j, row), &format!("=A{row}*{j}")).unwrap();
+                    }
+                }
+            }
+            wb.recalculate(RecalcMode::Serial);
+            // A log of a value into every input cell, the sheets taking
+            // turns, a sheet added half way.
+            let mut records: Vec<EditRecord> = (1..=rows)
+                .flat_map(|row| {
+                    let cell = Cell::new(1, row);
+                    [0, 1].map(|sheet| EditRecord::SetValue { sheet, cell, value: n(2.0) })
+                })
+                .collect();
+            records.insert(rows as usize, EditRecord::AddSheet { name: "Late".into() });
+            let epochs = vec![1; records.len()];
+            let log = WalReplay { records, epochs, ..WalReplay::default() };
+
+            let mut replayed = Workbook::from_image(wb.to_image()).unwrap();
+            let mut serial = Workbook::from_image(wb.to_image()).unwrap();
+            replayed.replay(&log, 1).unwrap();
+            // Two runs of records, two sheets touched in each.
+            assert_eq!(queries(&replayed), 4, "{rows} rows");
+            for rec in &log.records {
+                serial.apply_edit(rec).unwrap();
+            }
+            assert_eq!(queries(&serial), 2 * u64::from(rows), "{rows} rows");
+            assert_eq!(replayed.dirty_count(), (2 * 3 * rows) as usize);
+            assert_eq!(replayed.dirty_count(), serial.dirty_count());
+            assert_eq!(
+                replayed.recalculate(RecalcMode::Serial),
+                serial.recalculate(RecalcMode::Serial)
+            );
+        }
+    }
+
+    /// `A!B1` reads `Late`, a sheet that does not exist yet.
+    fn dangling_book() -> Workbook {
+        let mut wb = Workbook::with_taco();
+        let a = wb.add_sheet("A").unwrap();
+        wb.set_value(a, c("C1"), n(2.0));
+        wb.set_formula(a, c("B1"), "=Late!A1+C1").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        wb
+    }
+
+    #[test]
+    fn a_late_sheet_resolves_a_dangling_reference_after_save_and_open() {
+        let path = temp("dangling");
+        dangling_book().save(&path).unwrap();
+        let mut back = Workbook::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.value(SheetId(0), c("B1")), Value::Error(taco_formula::CellError::Ref));
+        let late = back.add_sheet("Late").unwrap();
+        assert_eq!(back.cross_edge_count(), 1);
+        back.set_value(late, c("A1"), n(5.0));
+        back.recalculate(RecalcMode::Serial);
+        assert_eq!(back.value(SheetId(0), c("B1")), n(7.0));
+    }
+
+    #[test]
+    fn a_late_sheet_resolves_a_dangling_reference_on_wal_replay() {
+        let path = temp("dangling_wal");
+        let opts = PersistOptions { compact_after_records: 0, sync_every_records: 1 };
+        // Saved with the reference dangling, reopened, and the sheet it
+        // reads added through the log.
+        PersistentWorkbook::create(&path, dangling_book(), opts).unwrap();
+        let mut pers = PersistentWorkbook::open(&path, opts).unwrap();
+        let edits = [
+            EditRecord::AddSheet { name: "Late".into() },
+            EditRecord::SetValue { sheet: 1, cell: c("A1"), value: n(5.0) },
+        ];
+        for e in &edits {
+            pers.log_edit(e).unwrap();
+        }
+        let live_edges = pers.workbook().cross_edge_count();
+        drop(pers);
+        let mut reopened = Workbook::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(wal_path(&path)).ok();
+        assert_eq!((live_edges, reopened.cross_edge_count()), (1, 1));
+        reopened.recalculate(RecalcMode::Serial);
+        assert_eq!(reopened.value(SheetId(0), c("B1")), n(7.0));
+        reopened.set_value(SheetId(1), c("A1"), n(6.0));
+        reopened.recalculate(RecalcMode::Serial);
+        assert_eq!(reopened.value(SheetId(0), c("B1")), n(8.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Engine-level structural edits: moving cell contents, rewriting formula
 //! references, and updating the formula graph together.
 
-use crate::engine::{EditReceipt, Engine};
+use crate::engine::Engine;
 use crate::sheet::CellContent;
 use taco_core::StructuralOp;
 use taco_formula::template::At;
@@ -94,13 +94,19 @@ impl Engine {
     /// cells read there as its own cells would; a run the band otherwise
     /// splits is two.
     ///
-    /// Returns the receipt and the formula cells whose reads were
+    /// The formulas that may change are marked dirty and recorded as
+    /// origins, like any edit's cells: their dependents are marked by the
+    /// sheet's next [`Engine::mark_dependents`], one query for all of
+    /// them.
+    ///
+    /// Returns those formula cells, and the ones whose reads were
     /// registered afresh: the graph moves a dependency the way its two
     /// ends move, but the sum range of a `SUMIF`/`AVERAGEIF` takes its
     /// shape from the criteria range, so once the edit has touched such a
     /// formula the graph holds what the formula now reads instead. (Their
     /// cross-sheet reads are the workbook's to redo.)
-    pub(crate) fn restructure(&mut self, op: StructuralOp) -> (EditReceipt, Vec<Cell>) {
+    pub(crate) fn restructure(&mut self, op: StructuralOp) -> (Vec<Cell>, Vec<Cell>) {
+        debug_assert!(!self.has_origins(), "what was written before the edit is routed first");
         let own = self.sheet_name().to_string();
         let own = own.as_str();
         self.graph_mut().apply_structural(op);
@@ -136,15 +142,11 @@ impl Engine {
             self.put_cell(nc, CellContent::formula_cell(run, value));
         }
         self.mark_cells_dirty(&old_dirty);
-        let mut dirty = Vec::with_capacity(changed.len());
-        for nc in changed {
-            self.mark_cells_dirty(&[nc]);
-            let dependents = self.find_dependents(Range::cell(nc));
-            self.mark_ranges_dirty(&dependents);
-            dirty.push(Range::cell(nc));
-            dirty.extend(dependents);
+        self.mark_cells_dirty(&changed);
+        for &nc in &changed {
+            self.record_origin(Range::cell(nc));
         }
-        (EditReceipt { dirty }, reshaped)
+        (changed, reshaped)
     }
 }
 
@@ -262,6 +264,25 @@ mod tests {
         for row in 1..=11u32 {
             let cell = Cell::new(2, row);
             assert_eq!(edited.value(S, cell), fresh.value(S, cell), "row {row}");
+        }
+    }
+
+    #[test]
+    fn an_insert_through_a_cumulative_column_makes_one_dependents_query() {
+        for rows in [64u32, 256] {
+            let mut wb = cumulative_sheet(rows);
+            // Every total from the insert point down stretches: a
+            // formula that may change, and an origin of the query.
+            let before = wb.sheet(S).dependents_queries;
+            let receipt = wb.insert_rows(S, rows / 2, 1);
+            assert_eq!(wb.sheet(S).dependents_queries - before, 1, "{rows} rows");
+            let changed = (rows - rows / 2 + 1) as usize;
+            assert_eq!((wb.dirty_count(), receipt.dirty.len()), (changed, changed), "{rows} rows");
+            let before = wb.sheet(S).dependents_queries;
+            wb.delete_rows(S, rows / 2, 1);
+            assert_eq!(wb.sheet(S).dependents_queries - before, 1, "{rows} rows");
+            wb.recalculate(RecalcMode::Serial);
+            assert_eq!(wb.value(S, Cell::new(2, rows)), n(f64::from(rows)));
         }
     }
 

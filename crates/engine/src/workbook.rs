@@ -45,12 +45,13 @@
 //! iterative calculation off.
 
 use crate::cells::CellStore;
-use crate::engine::{EditReceipt, Engine};
+use crate::engine::Engine;
 use crate::scc::{Digraph, Tarjan};
 use crate::sheet::Run;
 use crate::structural::{restate, Restated};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use taco_core::{FormulaGraph, StructuralOp};
 use taco_formula::{CellError, EvalClock, FormulaError, Template, Value};
@@ -90,7 +91,7 @@ pub struct CrossEdge {
 }
 
 /// The inter-sheet edge table, indexed both ways so the hot paths only
-/// scan the edges of the sheet at hand: routing (`expand`) walks a source
+/// scan the edges of the sheet at hand: routing (`route`) walks a source
 /// sheet's outgoing edges, precedent queries walk a target sheet's
 /// incoming edges. Every edge is stored in both buckets.
 #[derive(Default)]
@@ -98,6 +99,9 @@ struct EdgeTable {
     by_src: Vec<Vec<CrossEdge>>,
     by_dst: Vec<Vec<CrossEdge>>,
     len: usize,
+    /// Bumped by every change of the table or of its sheets: what the
+    /// workbook's cached sheet levels were computed at.
+    stamp: u64,
 }
 
 impl EdgeTable {
@@ -105,6 +109,7 @@ impl EdgeTable {
     fn add_sheet(&mut self) {
         self.by_src.push(Vec::new());
         self.by_dst.push(Vec::new());
+        self.stamp += 1;
     }
 
     fn len(&self) -> usize {
@@ -115,6 +120,7 @@ impl EdgeTable {
         self.by_src[e.src.0].push(e);
         self.by_dst[e.dst.0].push(e);
         self.len += 1;
+        self.stamp += 1;
     }
 
     /// Edges whose referenced range lives on `sid`.
@@ -152,6 +158,7 @@ impl EdgeTable {
             self.by_src[src].retain(|e| !(e.dst == dst && pred(e)));
         }
         self.len -= removed.len();
+        self.stamp += 1;
     }
 
     /// Remaps the formula-cell end of every edge owned by sheet `sid`
@@ -160,6 +167,7 @@ impl EdgeTable {
     /// with the formula. The referenced-range ends on *other* sheets are
     /// untouched — foreign geometry does not change.
     fn remap_deps_on(&mut self, sid: usize, op: StructuralOp) {
+        self.stamp += 1;
         let mut removed = 0usize;
         self.by_dst[sid].retain_mut(|e| match op.map_cell(e.dep) {
             Some(nc) => {
@@ -189,14 +197,16 @@ impl EdgeTable {
     }
 }
 
-/// One unit of routing work inside [`Workbook::expand`]: a range on a
-/// sheet, plus what is left to do with it.
+/// One unit of routing work inside [`Workbook::route`]: a range on a
+/// sheet, plus what is left to do with it. Every job's range is scanned
+/// for cross edges.
 #[derive(Debug, Clone, Copy)]
 struct Job {
     sid: usize,
     range: Range,
-    /// Run the per-sheet dependents query over `range`? `false` when the
-    /// caller already has the local closure (engine edit receipts).
+    /// Run the per-sheet dependents query over `range`? `false` when its
+    /// local closure is already known (an edit's origins and what their
+    /// query found).
     expand_local: bool,
     /// Include `range` itself in the result? (Edit origins and query
     /// probes are not their own dependents.)
@@ -209,10 +219,10 @@ impl Job {
         Job { sid, range, expand_local: true, report: false }
     }
 
-    /// A range whose local closure is already complete: report it and
-    /// scan it for cross hops only.
-    fn expanded(sid: usize, range: Range) -> Job {
-        Job { sid, range, expand_local: false, report: true }
+    /// A range whose local closure is known and reported: scan it for
+    /// cross hops only.
+    fn scan(sid: usize, range: Range) -> Job {
+        Job { sid, range, expand_local: false, report: false }
     }
 
     /// A cross-hop formula cell: it is a dependent (report) whose own
@@ -220,14 +230,84 @@ impl Job {
     fn hop(sid: usize, cell: Cell) -> Job {
         Job { sid, range: Range::cell(cell), expand_local: true, report: true }
     }
+}
 
-    /// Queues the jobs for one engine edit: the edited range (cross hops
-    /// only — the engine already ran and marked the local query) plus the
-    /// receipt's dependent ranges.
-    fn push_receipt(jobs: &mut Vec<Job>, sid: usize, origin: Range, receipt: EditReceipt) {
-        jobs.reserve(receipt.dirty.len() + 1);
-        jobs.push(Job { sid, range: origin, expand_local: false, report: false });
-        jobs.extend(receipt.dirty.into_iter().map(|r| Job::expanded(sid, r)));
+/// Hashes the routing's `(sheet, cell)` hop keys: a multiply and a
+/// rotate per word. The keys are the workbook's own coordinates, not
+/// input an adversary picks to collide, so SipHash's keyed rounds buy
+/// nothing on a path every cross-sheet hop takes.
+#[derive(Default)]
+struct HopHasher(u64);
+
+impl Hasher for HopHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What a workbook routes dirtiness with — buffers kept from edit to
+/// edit, so routing one record allocates nothing once they are warm —
+/// and the receipt of the edit or batch under way.
+#[derive(Default)]
+struct Routing {
+    queue: VecDeque<Job>,
+    /// The formula cells the expansion under way hopped to: each fires
+    /// at most once per expansion, which both bounds the loop and
+    /// deduplicates hops.
+    hopped: HashSet<(usize, Cell), BuildHasherDefault<HopHasher>>,
+    /// A sheet's origins, then what its dependents query found.
+    seeds: Vec<Range>,
+    found: Vec<Range>,
+    /// Whether the edit or batch under way collects its dirty ranges.
+    report: bool,
+    /// Its dirty ranges so far, when it does.
+    dirty: Vec<(SheetId, Range)>,
+    /// Its cross-sheet hops so far.
+    hops: usize,
+}
+
+impl Routing {
+    /// Starts an edit or batch; `report`: collect its dirty ranges.
+    fn begin(&mut self, report: bool) {
+        self.report = report;
+        self.dirty.clear();
+        self.hops = 0;
+    }
+
+    /// Reports `range` on sheet `sid` dirty, if the edit under way
+    /// collects its ranges.
+    fn report(&mut self, sid: usize, range: Range) {
+        if self.report {
+            self.dirty.push((SheetId(sid), range));
+        }
+    }
+
+    /// Ends an edit or batch: its dirty ranges, sorted and deduplicated
+    /// (none if it collected none), and its cross-sheet hops.
+    fn finish(&mut self) -> (Vec<(SheetId, Range)>, usize) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable_by_key(|&(s, range)| (s, range.head(), range.tail()));
+        dirty.dedup();
+        self.report = false;
+        (dirty, std::mem::take(&mut self.hops))
     }
 }
 
@@ -337,6 +417,11 @@ impl std::error::Error for BatchError {}
 struct SheetShard {
     name: SheetRef,
     engine: Engine,
+    /// Whether a formula of the sheet may read a sheet that does not
+    /// exist: set when one is bound ([`Workbook::bind_cross_reads`]) or
+    /// restored, and reset, exactly, by the walk a new sheet's rebind
+    /// makes ([`Workbook::rebind_dangling_refs`]).
+    dangling: bool,
     /// How many of the engine's extents a demand pass has followed the
     /// cross edges into this sheet from (see [`Workbook::order_viewport`]).
     hopped: usize,
@@ -366,6 +451,15 @@ pub struct Workbook {
     /// ([`Workbook::attach_obs`]). Boxed so the common unattached case
     /// costs one pointer.
     obs: Option<Box<crate::obs::EngineObs>>,
+    /// Routing buffers, and the receipt of the edit under way.
+    routing: Routing,
+    /// The sheet levels, and the edge table's stamp they were computed
+    /// at (see [`Self::levels`]).
+    levels: Option<(u64, Vec<Vec<usize>>)>,
+    /// Cells the dangling-reference rebinds walked so far (test
+    /// instrumentation).
+    #[cfg(test)]
+    cells_walked: u64,
 }
 
 impl Workbook {
@@ -424,47 +518,68 @@ impl Workbook {
         let id = self.sheets.len();
         let engine = Engine::new(sref.name().to_string(), graph);
         self.index.insert(sref.key(), id);
-        self.sheets.push(SheetShard { name: sref, engine, hopped: 0, hops: Vec::new() });
+        let shard = SheetShard { name: sref, engine, dangling: false, hopped: 0, hops: Vec::new() };
+        self.sheets.push(shard);
         self.xedges.add_sheet();
         Ok(SheetId(id))
     }
 
     /// Registers cross edges for formulae whose qualified references only
     /// now resolve (the sheet with this id was just added), and routes the
-    /// resulting dirtiness.
+    /// resulting dirtiness at once. Walks only the sheets flagged as
+    /// holding dangling references, and leaves each flagged exactly if it
+    /// still holds one — a reference to a sheet that is still missing.
     fn rebind_dangling_refs(&mut self, new_id: usize) {
-        let name = &self.sheets[new_id].name;
+        let new_name = self.sheets[new_id].name.name().to_string();
         let mut edges = Vec::new();
-        for (sid, shard) in self.sheets.iter().enumerate() {
+        for sid in 0..self.sheets.len() {
+            let shard = &self.sheets[sid];
+            if !shard.dangling {
+                continue;
+            }
+            #[cfg(test)]
+            {
+                self.cells_walked += shard.engine.len() as u64;
+            }
+            let mut dangling = false;
             for (cell, content) in shard.engine.cells() {
                 let Some(formula) = content.formula(cell) else { continue };
                 // One edge per distinct range the formula reads — the
                 // same dedup `stage_run` applies on the live path.
                 let mut added: Vec<Range> = Vec::new();
                 for (sheet, rref) in formula.reads() {
+                    let Some(sheet) = sheet else { continue };
                     let prec = rref.range();
-                    if sheet.is_some_and(|s| s.matches(name.name())) && !added.contains(&prec) {
-                        added.push(prec);
-                        edges.push(CrossEdge {
-                            src: SheetId(new_id),
-                            prec,
-                            dst: SheetId(sid),
-                            dep: cell,
-                        });
+                    if sheet.matches(&new_name) {
+                        if !added.contains(&prec) {
+                            added.push(prec);
+                            let (src, dst) = (SheetId(new_id), SheetId(sid));
+                            edges.push(CrossEdge { src, prec, dst, dep: cell });
+                        }
+                    } else if !shard.name.matches(sheet.name()) {
+                        dangling |= !self.index.contains_key(&sheet.key());
                     }
                 }
             }
+            self.sheets[sid].dangling = dangling;
         }
         if edges.is_empty() {
             return;
         }
-        let mut jobs = Vec::with_capacity(edges.len());
         for e in edges {
             self.sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
-            jobs.push(Job::hop(e.dst.0, e.dep));
+            self.routing.queue.push_back(Job::hop(e.dst.0, e.dep));
             self.xedges.insert(e);
         }
-        self.expand(jobs, true);
+        self.route(true, false);
+    }
+
+    /// Flags every sheet as perhaps holding dangling references (a
+    /// restored image carries no such marks).
+    pub(crate) fn flag_dangling_refs(&mut self) {
+        for shard in &mut self.sheets {
+            shard.dangling = true;
+        }
     }
 
     /// Number of sheets.
@@ -543,25 +658,25 @@ impl Workbook {
 
     // ---- edits ---------------------------------------------------------
     //
-    // Every edit is *stage, then route*: a `stage_*` function below makes
-    // the local mutation (cell store, formula graph, cross-edge table)
-    // and queues routing jobs; one `expand` then marks what the jobs
-    // dirtied across sheets. The live methods stage one edit,
-    // `apply_batch` stages a run of records, and both route once; on an
+    // Every edit is *stage, then flush*: a `stage_*` function below makes
+    // the local mutation (cell store, formula graph, cross-edge table),
+    // and the sheet's engine records the ranges it wrote as origins; one
+    // `flush` then marks their dependents — one query per touched sheet,
+    // from all of its origins — and routes across sheets. The live
+    // methods stage one edit, `apply_batch` stages a run of records, and
+    // both flush once at the end (and around each structural edit and
+    // added sheet, which move coordinates or route at once); on an
     // attached hub the two together are one `workbook.apply` span.
 
-    /// One live edit of sheet `id`: `stage`, then route.
+    /// One live edit of sheet `id`: `stage`, then flush.
     #[track_caller]
-    fn edit(
-        &mut self,
-        id: SheetId,
-        stage: impl FnOnce(&mut Self, &mut Vec<Job>),
-    ) -> WorkbookReceipt {
+    fn edit(&mut self, id: SheetId, stage: impl FnOnce(&mut Self)) -> WorkbookReceipt {
         self.ensure_sheet(id);
         let start = self.obs.as_deref().map(|o| o.now_ns());
-        let mut jobs = Vec::new();
-        stage(self, &mut jobs);
-        let (dirty, hops) = self.expand(jobs, true);
+        self.routing.begin(true);
+        stage(self);
+        self.flush();
+        let (dirty, hops) = self.routing.finish();
         self.on_apply(start, 1, dirty.len(), hops);
         WorkbookReceipt { dirty }
     }
@@ -576,7 +691,7 @@ impl Workbook {
 
     /// Sets a pure value, routing dirtiness across sheets.
     pub fn set_value(&mut self, id: SheetId, cell: Cell, v: Value) -> WorkbookReceipt {
-        self.edit(id, |wb, jobs| wb.stage_value(id.0, cell, v, jobs))
+        self.edit(id, |wb| wb.stage_value(id.0, cell, v))
     }
 
     /// Sets a formula (leading `=` optional); same-sheet references go to
@@ -589,7 +704,7 @@ impl Workbook {
     ) -> Result<WorkbookReceipt, WorkbookError> {
         self.ensure_sheet(id);
         let run = self.sheets[id.0].engine.run_for(cell, src)?;
-        Ok(self.edit(id, |wb, jobs| wb.stage_run(id.0, cell, run, jobs)))
+        Ok(self.edit(id, |wb| wb.stage_run(id.0, cell, run)))
     }
 
     /// Autofills the formula at `src` over `targets` (the tool that
@@ -604,9 +719,9 @@ impl Workbook {
     ) -> Result<WorkbookReceipt, CellError> {
         self.ensure_sheet(id);
         let run = self.sheets[id.0].engine.fill_run(src).ok_or(CellError::Value)?;
-        Ok(self.edit(id, |wb, jobs| {
+        Ok(self.edit(id, |wb| {
             for cell in targets.cells().filter(|&cell| cell != src) {
-                wb.stage_run(id.0, cell, Arc::clone(&run), jobs);
+                wb.stage_run(id.0, cell, Arc::clone(&run));
             }
         }))
     }
@@ -636,7 +751,7 @@ impl Workbook {
     /// Clears every cell in `range` on one sheet, detaching both local and
     /// cross-sheet dependencies of the cleared formulae.
     pub fn clear_range(&mut self, id: SheetId, range: Range) -> WorkbookReceipt {
-        self.edit(id, |wb, jobs| wb.stage_clear(id.0, range, jobs))
+        self.edit(id, |wb| wb.stage_clear(id.0, range))
     }
 
     /// Inserts `n` rows before row `at` on `sheet`, workbook-wide: the
@@ -672,58 +787,78 @@ impl Workbook {
     /// across the workbook (the general form behind
     /// [`Self::insert_rows`] and friends).
     pub fn apply_structural(&mut self, sheet: SheetId, op: StructuralOp) -> WorkbookReceipt {
-        self.edit(sheet, |wb, jobs| wb.stage_structural(sheet.0, op, jobs))
+        self.edit(sheet, |wb| wb.stage_structural(sheet.0, op))
     }
 
-    /// Applies a run of [`EditRecord`]s with **one** dirty-propagation
-    /// pass: every record's local mutation is staged first (cell stores,
-    /// formula graphs, and the cross-edge table mutate in record order,
-    /// exactly as they would serially), then a single routing pass
-    /// (`expand`) marks the union of their dirtiness. N queued edits cost
-    /// one cross-sheet routing pass — and, at the caller's discretion, one
-    /// recalculation — instead of N.
+    /// Applies a run of [`EditRecord`]s with **one** dependents query per
+    /// sheet they touch: every record's local mutation is staged first
+    /// (cell stores, formula graphs, and the cross-edge table mutate in
+    /// record order, exactly as they would serially), each recording the
+    /// ranges it wrote; then one flush marks the closure of all of them —
+    /// one multi-source dependents query per touched sheet, then one
+    /// cross-sheet routing pass. N queued edits cost one query and one
+    /// routing pass — and, at the caller's discretion, one recalculation —
+    /// instead of N. A `Structural` or `AddSheet` record flushes what was
+    /// staged before it and what it staged itself: the one moves
+    /// coordinates, the other routes its rebind at once.
     ///
     /// Batched application is *result-identical* to applying the same
     /// records one at a time (same cell values after recalculation, same
-    /// dirty sets, same graph): dirty-marking is monotone and the staged
-    /// graph mutations are order-preserving, which
-    /// `crates/engine/tests/batch.rs` property-tests across the
-    /// persistence workload presets.
+    /// dirty cells, same graph): the closure over the final graph of
+    /// every range the batch wrote is what serial marking leaves (see
+    /// DESIGN.md, "One dependents query per batch"), which
+    /// `crates/engine/tests/batch.rs` tests cell by cell across the
+    /// persistence workload presets and a script per hazard.
     ///
     /// On the first failing record the already-staged prefix is still
     /// routed — the workbook is left exactly as if the prefix had been
     /// applied serially — and the error names the failing index; later
     /// records are untouched.
     pub fn apply_batch(&mut self, records: &[EditRecord]) -> Result<WorkbookReceipt, BatchError> {
+        match self.apply_records(records, true) {
+            (dirty, None) => Ok(WorkbookReceipt { dirty }),
+            (_, Some(e)) => Err(e),
+        }
+    }
+
+    /// Applies one edit record: the one-record [`Self::apply_batch`],
+    /// minus the receipt, which it neither builds nor sorts (unless a
+    /// hub's `workbook.apply` span wants its dirty count).
+    pub fn apply_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
+        match self.apply_records(std::slice::from_ref(rec), false) {
+            (_, None) => Ok(()),
+            (_, Some(e)) => Err(e.error),
+        }
+    }
+
+    /// [`Self::apply_batch`]: the dirty ranges, collected if `report` or
+    /// a hub is attached (empty otherwise), and the failing record.
+    pub(crate) fn apply_records(
+        &mut self,
+        records: &[EditRecord],
+        report: bool,
+    ) -> (Vec<(SheetId, Range)>, Option<BatchError>) {
         let start = self.obs.as_deref().map(|o| o.now_ns());
-        let mut jobs = Vec::new();
+        self.routing.begin(report || start.is_some());
         let mut failed = None;
         for (index, rec) in records.iter().enumerate() {
-            if let Err(error) = self.stage_edit(rec, &mut jobs) {
+            if let Err(error) = self.stage_edit(rec) {
                 failed = Some(BatchError { index, stage: BatchStage::Apply, error });
                 break;
             }
         }
-        let (dirty, hops) = self.expand(jobs, true);
+        self.flush();
+        let (dirty, hops) = self.routing.finish();
         self.on_apply(start, records.len(), dirty.len(), hops);
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(WorkbookReceipt { dirty }),
-        }
-    }
-
-    /// Applies one edit record — the one-record [`Self::apply_batch`]
-    /// (what WAL replay calls per record).
-    pub fn apply_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
-        self.apply_batch(std::slice::from_ref(rec)).map(drop).map_err(|e| e.error)
+        (dirty, failed)
     }
 
     // ---- staging -------------------------------------------------------
 
     /// Stages one record: the only place a record's kind is told apart.
-    /// `AddSheet` routes its dangling-reference rebind at once, like
-    /// [`Self::add_sheet`].
-    fn stage_edit(&mut self, rec: &EditRecord, jobs: &mut Vec<Job>) -> Result<(), StoreError> {
+    /// `AddSheet` flushes what was staged and routes its
+    /// dangling-reference rebind at once, like [`Self::add_sheet`].
+    fn stage_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
         let sheet_of = |s: u32| -> Result<usize, StoreError> {
             if (s as usize) < self.sheets.len() {
                 Ok(s as usize)
@@ -734,54 +869,52 @@ impl Workbook {
         let invalid = |e: &dyn fmt::Display| StoreError::InvalidRecord(e.to_string());
         match rec {
             EditRecord::SetValue { sheet, cell, value } => {
-                self.stage_value(sheet_of(*sheet)?, *cell, value.clone(), jobs);
+                self.stage_value(sheet_of(*sheet)?, *cell, value.clone());
             }
             EditRecord::SetFormula { sheet, cell, src } => {
                 let sid = sheet_of(*sheet)?;
                 let run = self.sheets[sid].engine.run_for(*cell, src).map_err(|e| invalid(&e))?;
-                self.stage_run(sid, *cell, run, jobs);
+                self.stage_run(sid, *cell, run);
             }
             EditRecord::ClearRange { sheet, range } => {
-                self.stage_clear(sheet_of(*sheet)?, *range, jobs);
+                self.stage_clear(sheet_of(*sheet)?, *range);
             }
             EditRecord::AddSheet { name } => {
+                self.flush();
                 self.add_sheet(name).map_err(|e| invalid(&e))?;
             }
             EditRecord::Structural { sheet, op } => {
-                self.stage_structural(sheet_of(*sheet)?, *op, jobs);
+                self.stage_structural(sheet_of(*sheet)?, *op);
             }
         }
         Ok(())
     }
 
     /// Stages a plain value.
-    fn stage_value(&mut self, sid: usize, cell: Cell, v: Value, jobs: &mut Vec<Job>) {
+    fn stage_value(&mut self, sid: usize, cell: Cell, v: Value) {
         // Overwriting a formula cell drops its cross-sheet dependencies
         // (a plain value cell cannot own cross edges — skip the scan).
         if self.sheets[sid].engine.run_at(cell).is_some() {
             self.xedges.remove_dep(SheetId(sid), cell);
         }
-        let receipt = self.sheets[sid].engine.set_value(cell, v);
-        Job::push_receipt(jobs, sid, Range::cell(cell), receipt);
+        self.sheets[sid].engine.set_value(cell, v);
     }
 
     /// Stages a cleared range.
-    fn stage_clear(&mut self, sid: usize, range: Range, jobs: &mut Vec<Job>) {
+    fn stage_clear(&mut self, sid: usize, range: Range) {
         self.xedges.remove_deps_in(SheetId(sid), range);
-        let receipt = self.sheets[sid].engine.clear_range(range);
-        Job::push_receipt(jobs, sid, range, receipt);
+        self.sheets[sid].engine.clear_range(range);
     }
 
     /// Stages `cell` as a cell of `run`: registers cross edges for the
     /// foreign qualified references of the run's formula there and hands
     /// the rest to the sheet engine.
-    fn stage_run(&mut self, sid: usize, cell: Cell, run: Arc<Run>, jobs: &mut Vec<Job>) {
+    fn stage_run(&mut self, sid: usize, cell: Cell, run: Arc<Run>) {
         if self.sheets[sid].engine.run_at(cell).is_some() {
             self.xedges.remove_dep(SheetId(sid), cell);
         }
         self.bind_cross_reads(sid, cell, &run);
-        let receipt = self.sheets[sid].engine.set_run(cell, run);
-        Job::push_receipt(jobs, sid, Range::cell(cell), receipt);
+        self.sheets[sid].engine.set_run(cell, run);
     }
 
     /// Inserts one cross edge per distinct (sheet, range) that `run`'s
@@ -793,28 +926,28 @@ impl Workbook {
             if self.sheets[sid].name.matches(sheet.name()) {
                 continue; // self-qualified: the engine stores it locally
             }
-            if let Some(&src) = self.index.get(&sheet.key()) {
-                let prec = rref.range();
-                if added.contains(&(src, prec)) {
-                    continue;
-                }
-                added.push((src, prec));
-                self.xedges.insert(CrossEdge {
-                    src: SheetId(src),
-                    prec,
-                    dst: SheetId(sid),
-                    dep: cell,
-                });
+            let Some(&src) = self.index.get(&sheet.key()) else {
+                // Unknown sheets get no edge: the evaluator yields #REF!
+                // until a sheet of that name appears (see
+                // `rebind_dangling_refs`).
+                self.sheets[sid].dangling = true;
+                continue;
+            };
+            let prec = rref.range();
+            if added.contains(&(src, prec)) {
+                continue;
             }
-            // Unknown sheets get no edge: the evaluator yields #REF!
-            // until a sheet of that name appears (see
-            // `rebind_dangling_refs`).
+            added.push((src, prec));
+            self.xedges.insert(CrossEdge { src: SheetId(src), prec, dst: SheetId(sid), dep: cell });
         }
     }
 
     /// Stages a structural edit: local transform, cross-edge remap, and
-    /// referrer rewrites.
-    fn stage_structural(&mut self, sid: usize, op: StructuralOp, jobs: &mut Vec<Job>) {
+    /// referrer rewrites, flushed before and after — what was staged
+    /// before it is routed in the coordinates it was staged in, and what
+    /// it changed before anything moves again.
+    fn stage_structural(&mut self, sid: usize, op: StructuralOp) {
+        self.flush();
         // Snapshot the distinct foreign formula cells that read this
         // sheet *before* mutating anything: these are exactly the
         // formulas whose qualified references may need rewriting.
@@ -827,11 +960,13 @@ impl Workbook {
         referrers.sort_unstable();
         referrers.dedup();
 
-        // Local transform. The receipt's dirty ranges are the formulas
-        // whose value may change, so they double as hop origins: any
-        // cross edge overlapping them routes dirtiness to other sheets.
-        let (receipt, reshaped) = self.sheets[sid].engine.restructure(op);
-        jobs.extend(receipt.dirty.into_iter().map(|r| Job::expanded(sid, r)));
+        // Local transform. The formulas whose value may change are dirty
+        // and origins: the flush marks their dependents and routes any
+        // cross edge overlapping them to other sheets.
+        let (changed, reshaped) = self.sheets[sid].engine.restructure(op);
+        for nc in changed {
+            self.routing.report(sid, Range::cell(nc));
+        }
 
         // The edited sheet's own formulas moved; the edges they own
         // follow them. Their referenced ranges live on other sheets and
@@ -855,20 +990,22 @@ impl Workbook {
                 continue;
             };
             match restate(op, &own, run.at(dep), false) {
-                Restated::Untouched => {}
+                Restated::Untouched => continue,
                 Restated::Disturbed => {
-                    self.sheets[dsid].engine.mark_cells_dirty(&[dep]);
-                    jobs.push(Job::hop(dsid, dep));
+                    let engine = &mut self.sheets[dsid].engine;
+                    engine.mark_cells_dirty(&[dep]);
+                    engine.record_origin(Range::cell(dep));
                 }
                 Restated::Rewritten(ast) => {
                     let run = self.sheets[dsid].engine.run_of(dep, Template::printed(ast));
-                    self.stage_run(dsid, dep, run, jobs);
-                    // The rewrite dirtied the referrer itself; the
-                    // formula-edit receipt only reports its dependents.
-                    jobs.push(Job::expanded(dsid, Range::cell(dep)));
+                    self.stage_run(dsid, dep, run);
                 }
             }
+            // The referrer itself is dirty; as an origin it stands only
+            // for its dependents.
+            self.routing.report(dsid, Range::cell(dep));
         }
+        self.flush();
     }
 
     // ---- queries -------------------------------------------------------
@@ -876,7 +1013,10 @@ impl Workbook {
     /// All direct and transitive dependents of `src!r`, across sheets.
     pub fn find_dependents(&mut self, id: SheetId, r: Range) -> Vec<(SheetId, Range)> {
         self.ensure_sheet(id);
-        self.expand(vec![Job::probe(id.0, r)], false).0
+        self.routing.begin(true);
+        self.routing.queue.push_back(Job::probe(id.0, r));
+        self.route(false, true);
+        self.routing.finish().0
     }
 
     /// All direct and transitive precedents of `dst!r`, across sheets.
@@ -903,32 +1043,61 @@ impl Workbook {
         out
     }
 
-    /// Transitive dependents of the queued jobs, hopping the cross-edge
-    /// table between sheets; with `mark` the discovered formula cells are
-    /// also marked dirty (the edit path). Jobs whose local dependents the
-    /// caller already computed (engine edit receipts) skip the second
+    /// Marks the dependents of every range the edits staged since the
+    /// last flush wrote: one dependents query per sheet with origins, from
+    /// all of them at once ([`Engine::mark_dependents`]), then one
+    /// cross-sheet expansion from the origins and what the queries found.
+    /// What it dirtied is reported to the edit under way.
+    fn flush(&mut self) {
+        let Workbook { sheets, xedges, routing, .. } = self;
+        for (sid, shard) in sheets.iter_mut().enumerate() {
+            if !shard.engine.has_origins() {
+                continue;
+            }
+            shard.engine.mark_dependents(&mut routing.seeds, &mut routing.found);
+            if routing.report {
+                routing.dirty.extend(routing.found.iter().map(|&r| (SheetId(sid), r)));
+            }
+            // A sheet no other sheet reads has no hop to look for.
+            if !xedges.outgoing(sid).is_empty() {
+                let ranges = routing.seeds.iter().chain(&routing.found);
+                routing.queue.extend(ranges.map(|&r| Job::scan(sid, r)));
+            }
+        }
+        let report = self.routing.report;
+        self.routing.hops += self.route(true, report);
+    }
+
+    /// Runs the routing queue to its end: transitive dependents of the
+    /// queued jobs, hopping the cross-edge table between sheets; with
+    /// `mark` the discovered formula cells are also marked dirty (the edit
+    /// path), with `report` the dependents are reported to the edit or
+    /// query under way. Jobs whose local dependents are known skip the
     /// graph query — the control-latency path pays each per-sheet query
-    /// once. Also returns the cross-sheet hops made.
-    fn expand(&mut self, jobs: Vec<Job>, mark: bool) -> (Vec<(SheetId, Range)>, usize) {
-        let Workbook { sheets, xedges, .. } = self;
-        let mut out: Vec<(SheetId, Range)> = Vec::new();
-        // Each cross edge fires at most once per expansion, which both
-        // bounds the loop and deduplicates hops.
-        let mut hopped: HashSet<(usize, Cell)> = HashSet::new();
-        let mut queue: VecDeque<Job> = VecDeque::from(jobs);
+    /// once. Returns the cross-sheet hops made.
+    fn route(&mut self, mark: bool, report: bool) -> usize {
+        let Workbook { sheets, xedges, routing, .. } = self;
+        let Routing { queue, hopped, found, dirty, .. } = routing;
         while let Some(job) = queue.pop_front() {
-            let Job { sid, range, expand_local, report } = job;
+            let Job { sid, range, expand_local, report: own } = job;
+            if own && report {
+                dirty.push((SheetId(sid), range));
+            }
+            let outgoing = xedges.outgoing(sid);
             if expand_local {
-                let local = sheets[sid].engine.find_dependents(range);
+                let engine = &mut sheets[sid].engine;
+                engine.find_dependents(range, found);
                 if mark {
-                    sheets[sid].engine.mark_ranges_dirty(&local);
+                    engine.mark_ranges_dirty(found);
                 }
-                queue.extend(local.into_iter().map(|r| Job::expanded(sid, r)));
+                if report {
+                    dirty.extend(found.iter().map(|&r| (SheetId(sid), r)));
+                }
+                if !outgoing.is_empty() {
+                    queue.extend(found.iter().map(|&r| Job::scan(sid, r)));
+                }
             }
-            if report {
-                out.push((SheetId(sid), range));
-            }
-            for e in xedges.outgoing(sid) {
+            for e in outgoing {
                 if e.prec.overlaps(&range) && hopped.insert((e.dst.0, e.dep)) {
                     if mark {
                         sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
@@ -937,9 +1106,9 @@ impl Workbook {
                 }
             }
         }
-        out.sort_unstable_by_key(|&(s, range)| (s, range.head(), range.tail()));
-        out.dedup();
-        (out, hopped.len())
+        let hops = hopped.len();
+        hopped.clear();
+        hops
     }
 
     // ---- recalculation -------------------------------------------------
@@ -953,10 +1122,30 @@ impl Workbook {
     /// singleton level per member in id order — so everything downstream
     /// of a cycle still evaluates strictly after every cycle member.
     pub fn sheet_levels(&self) -> Vec<Vec<SheetId>> {
-        self.levels().into_iter().map(|l| l.into_iter().map(SheetId).collect()).collect()
+        let fresh;
+        let levels = match &self.levels {
+            Some((at, levels)) if *at == self.xedges.stamp => levels,
+            _ => {
+                fresh = self.compute_levels();
+                &fresh
+            }
+        };
+        levels.iter().map(|l| l.iter().copied().map(SheetId).collect()).collect()
     }
 
-    fn levels(&self) -> Vec<Vec<usize>> {
+    /// The sheet levels, computed once per state of the edge table and
+    /// its sheets (every change of either bumps its stamp).
+    fn levels(&mut self) -> &[Vec<usize>] {
+        let stamp = self.xedges.stamp;
+        if self.levels.as_ref().is_none_or(|(at, _)| *at != stamp) {
+            self.levels = Some((stamp, self.compute_levels()));
+        }
+        &self.levels.as_ref().expect("just computed").1
+    }
+
+    /// See [`Self::sheet_levels`]: Tarjan over the sheet graph, then the
+    /// longest paths of its condensation.
+    fn compute_levels(&self) -> Vec<Vec<usize>> {
         /// The sheet graph: an edge from each sheet to the sheets whose
         /// formulas read it.
         struct Sheets<'a>(&'a EdgeTable);
@@ -1086,8 +1275,9 @@ impl Workbook {
         // it, and it nests under the calling thread's ambient context
         // (the request span when a service worker drives this).
         let recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
-        let levels = self.levels();
-        let Workbook { sheets, index, xedges, obs } = self;
+        self.levels();
+        let Workbook { sheets, index, xedges, obs, levels, .. } = self;
+        let levels = &levels.as_ref().expect("levels computed").1;
         // A full pass orders a sheet when its turn comes, not before:
         // ordering reads the formulas and slots evaluation is about to
         // (all sheets ordered first, evaluation measured 7 % slower).
@@ -1097,9 +1287,9 @@ impl Workbook {
         };
         let mut total = 0usize;
         let mut levels_walked = 0usize;
-        for (level_idx, level) in levels.into_iter().enumerate() {
+        for (level_idx, level) in levels.iter().enumerate() {
             let work: Vec<usize> =
-                level.into_iter().filter(|&i| has_work(&sheets[i].engine)).collect();
+                level.iter().copied().filter(|&i| has_work(&sheets[i].engine)).collect();
             if work.is_empty() {
                 continue;
             }
@@ -1191,18 +1381,18 @@ impl Workbook {
     /// volatile formulae workbook-wide, routing their dependents across
     /// sheets. Returns the number of volatile formula cells found.
     pub fn set_clock(&mut self, clock: EvalClock) -> usize {
-        let mut jobs = Vec::new();
         let mut total = 0usize;
-        for sid in 0..self.sheets.len() {
-            let vols = self.sheets[sid].engine.volatile_cells();
-            self.sheets[sid].engine.set_clock_value(clock);
-            total += vols.len();
-            for c in vols {
-                self.sheets[sid].engine.mark_cells_dirty(&[c]);
-                jobs.push(Job::probe(sid, Range::cell(c)));
+        for shard in &mut self.sheets {
+            let engine = &mut shard.engine;
+            let vols = engine.volatile_cells();
+            engine.set_clock_value(clock);
+            engine.mark_cells_dirty(&vols);
+            for &c in &vols {
+                engine.record_origin(Range::cell(c));
             }
+            total += vols.len();
         }
-        self.expand(jobs, true);
+        self.flush();
         total
     }
 
@@ -1541,6 +1731,107 @@ mod tests {
         assert_eq!(wb.value(a, c("B1")), n(10.0));
     }
 
+    /// Dependents queries the sheets made since the workbook was built.
+    fn queries(wb: &Workbook) -> u64 {
+        wb.sheets.iter().map(|s| s.engine.dependents_queries).sum()
+    }
+
+    /// Two sheets, `In` and `Out`, alike: column A holds `rows` values,
+    /// each read by `k` formulas beside it.
+    fn fan_book(rows: u32, k: u32) -> Workbook {
+        let mut wb = Workbook::new();
+        for name in ["In", "Out"] {
+            let id = wb.add_sheet(name).unwrap();
+            for row in 1..=rows {
+                wb.set_value(id, Cell::new(1, row), n(f64::from(row)));
+                for j in 1..=k {
+                    wb.set_formula(id, Cell::new(1 + j, row), &format!("=A{row}*{j}")).unwrap();
+                }
+            }
+        }
+        wb.recalculate(RecalcMode::Serial);
+        wb
+    }
+
+    #[test]
+    fn a_batch_marks_its_dependents_with_one_query_per_touched_sheet() {
+        const K: u32 = 3;
+        for rows in [64u32, 256] {
+            let mut wb = fan_book(rows, K);
+            // A value into every input cell of both sheets, the sheets
+            // taking turns.
+            let batch: Vec<EditRecord> = (1..=rows)
+                .flat_map(|row| {
+                    let cell = Cell::new(1, row);
+                    [0, 1].map(|sheet| EditRecord::SetValue { sheet, cell, value: n(2.0) })
+                })
+                .collect();
+            let before = queries(&wb);
+            let receipt = wb.apply_batch(&batch).unwrap();
+            assert_eq!(queries(&wb) - before, 2, "{rows} rows");
+            assert_eq!(wb.dirty_count(), (2 * rows * K) as usize, "{rows} rows");
+            assert_eq!(receipt.sheets_touched(), 2);
+
+            // A live edit is the batch of one.
+            wb.recalculate(RecalcMode::Serial);
+            let before = queries(&wb);
+            wb.set_value(SheetId(0), c("A1"), n(3.0));
+            assert_eq!(queries(&wb) - before, 1);
+            assert_eq!(wb.dirty_count(), K as usize);
+        }
+    }
+
+    #[test]
+    fn a_fill_marks_its_dependents_with_one_query() {
+        for rows in [64u32, 256] {
+            let mut wb = fan_book(rows, 1);
+            wb.set_formula(SheetId(0), c("F1"), "=B1+A1").unwrap();
+            wb.set_formula(SheetId(0), c("G1"), "=SUM(F1:F9999)").unwrap();
+            wb.recalculate(RecalcMode::Serial);
+            let before = queries(&wb);
+            let targets = Range::from_coords(6, 2, 6, rows);
+            wb.autofill(SheetId(0), c("F1"), targets).unwrap();
+            assert_eq!(queries(&wb) - before, 1, "{rows} rows");
+            // The filled cells and the total over them.
+            assert_eq!(wb.dirty_count(), rows as usize, "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn a_new_sheet_walks_only_sheets_that_may_hold_dangling_references() {
+        for k in [4usize, 16] {
+            // A chain of k sheets, each reading the one before: no
+            // reference dangles, so no sheet added walks a cell.
+            let mut wb = Workbook::new();
+            for s in 0..k {
+                let id = wb.add_sheet(&format!("S{s}")).unwrap();
+                wb.set_value(id, c("A1"), n(1.0));
+                if s > 0 {
+                    wb.set_formula(id, c("B1"), &format!("=S{}!A1+A1", s - 1)).unwrap();
+                }
+            }
+            assert_eq!(wb.cells_walked, 0, "{k} sheets");
+            // One typed live on the last sheet: the next sheet added walks
+            // that sheet alone, binds it and clears the flag — the sheet
+            // after walks nothing.
+            let last = SheetId(k - 1);
+            wb.set_formula(last, c("C1"), "=Late!A1*10").unwrap();
+            wb.set_formula(last, c("D1"), "=Later!A1*10").unwrap();
+            let late = wb.add_sheet("Late").unwrap();
+            assert_eq!(wb.cells_walked, wb.sheet(last).len() as u64);
+            assert!(wb.sheets[last.0].dangling, "D1 still reads a missing sheet");
+            let later = wb.add_sheet("Later").unwrap();
+            assert_eq!(wb.cells_walked, 2 * wb.sheet(last).len() as u64);
+            assert!(!wb.sheets[last.0].dangling);
+            wb.add_sheet("Unread").unwrap();
+            assert_eq!(wb.cells_walked, 2 * wb.sheet(last).len() as u64);
+            wb.set_value(late, c("A1"), n(4.0));
+            wb.set_value(later, c("A1"), n(5.0));
+            wb.recalculate(RecalcMode::Serial);
+            assert_eq!((wb.value(last, c("C1")), wb.value(last, c("D1"))), (n(40.0), n(50.0)));
+        }
+    }
+
     #[test]
     fn rebinding_dedups_repeated_references() {
         // The rebind path must apply the same one-edge-per-distinct-range
@@ -1602,7 +1893,9 @@ mod tests {
                 if from != to {
                     reads[to][from] = true;
                     let cell = Cell::new(1 + from as u32, 1);
-                    wb.set_formula(SheetId(to), cell, &format!("=S{from}!A1+1")).unwrap();
+                    assert_levels_cached(&mut wb, |wb| {
+                        wb.set_formula(SheetId(to), cell, &format!("=S{from}!A1+1")).unwrap();
+                    });
                 }
             }
             // The oracle: mutual reachability, by closure.
@@ -1653,7 +1946,35 @@ mod tests {
                 };
                 assert_eq!(level[s], want, "seed {seed}: S{s} in {levels:?}");
             }
+
+            // The cache follows the table through each kind of change:
+            // an edge removed, edges remapped by a structural edit (and
+            // referrers rewritten), a sheet added.
+            let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let cell = Cell::new(1 + from as u32, 1);
+            assert_levels_cached(&mut wb, |wb| {
+                drop(wb.set_value(SheetId(to), cell, Value::Number(1.0)))
+            });
+            let (sheet, at) = (SheetId(rng.gen_range(0..n)), rng.gen_range(1..=2));
+            assert_levels_cached(&mut wb, |wb| drop(wb.delete_rows(sheet, at, 1)));
+            assert_levels_cached(&mut wb, |wb| {
+                wb.add_sheet(&format!("S{n}")).unwrap();
+                let reader = SheetId(rng.gen_range(0..n));
+                wb.set_formula(reader, Cell::new(9, 9), &format!("=S{n}!A1")).unwrap();
+            });
         }
+    }
+
+    /// Computes (and caches) the levels, makes `change`, and checks the
+    /// levels a pass would use are a fresh computation's.
+    fn assert_levels_cached(wb: &mut Workbook, change: impl FnOnce(&mut Workbook)) {
+        wb.levels();
+        change(wb);
+        let fresh = wb.compute_levels();
+        assert_eq!(wb.levels(), fresh);
+        let ids: Vec<Vec<SheetId>> =
+            fresh.iter().map(|l| l.iter().copied().map(SheetId).collect()).collect();
+        assert_eq!(wb.sheet_levels(), ids);
     }
 
     #[test]

@@ -270,6 +270,15 @@ impl From<Cell> for Range {
     }
 }
 
+/// A range is a list of one range: a query over a set of ranges
+/// (`taco_core`'s dependents and precedents, whose BFS starts from every
+/// range it is given) takes a single one as it is.
+impl AsRef<[Range]> for Range {
+    fn as_ref(&self) -> &[Range] {
+        std::slice::from_ref(self)
+    }
+}
+
 impl fmt::Display for Range {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_a1())
