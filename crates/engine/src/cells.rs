@@ -340,6 +340,25 @@ fn overlapping(
     })
 }
 
+/// Rows `(lo, hi)`, ascending and disjoint, with each that the next one
+/// continues joined to it: a stretch of formula cells that ends one page
+/// and the one that starts the next are one.
+fn joined(mut rows: impl Iterator<Item = (u32, u32)>) -> impl Iterator<Item = (u32, u32)> {
+    let mut open = rows.next();
+    std::iter::from_fn(move || {
+        let (lo, mut hi) = open?;
+        loop {
+            match rows.next() {
+                Some((next, end)) if hi + 1 == next => hi = end,
+                next => {
+                    open = next;
+                    return Some((lo, hi));
+                }
+            }
+        }
+    })
+}
+
 /// The allocated pages among `pages` overlapping rows `first..=last`, each
 /// as the row of its span's first slot and the span.
 fn spans(pages: &[Page], first: u32, last: u32) -> impl Iterator<Item = (u32, &[Slot])> {
@@ -442,6 +461,11 @@ pub(crate) struct CellStore {
     formulas: usize,
     /// How many of the `formulas` are dirty.
     dirty: usize,
+    /// Intervals put in a column's dirty set so far (test
+    /// instrumentation: marking what a batch wrote puts each interval in
+    /// once).
+    #[cfg(test)]
+    pub(crate) dirty_inserts: std::cell::Cell<u64>,
 }
 
 impl CellStore {
@@ -794,23 +818,28 @@ impl CellStore {
             let column = &mut self.cols[i];
             if column.page(page_of(cell.row)).is_some_and(|p| p.is_formula(slot_of(cell.row))) {
                 self.dirty += column.dirty.insert(cell.row, cell.row);
+                #[cfg(test)]
+                self.dirty_inserts.set(self.dirty_inserts.get() + 1);
             }
         }
     }
 
     /// Marks every formula cell inside `range` dirty: a walk over the
     /// allocated pages it overlaps, each page's stretches of formula cells,
-    /// read off its formula bits, added whole (one crossing pages merges
-    /// as it goes in). No slot is read.
+    /// read off its formula bits, added whole — one stretch of rows that
+    /// crosses pages as one interval. No slot is read.
     pub(crate) fn mark_formulas_dirty_in(&mut self, range: Range) {
         let (first, last) = (range.head().row, range.tail().row);
         let columns = self.columns_in(range);
         for column in &mut self.cols[columns] {
-            for (page, lo, hi) in overlapping(&column.pages, first, last) {
+            let stretches = overlapping(&column.pages, first, last).flat_map(|(page, lo, hi)| {
                 let row = page.index * PAGE_ROWS + 1;
-                for (top, bottom) in page.formula_stretches(lo, hi) {
-                    self.dirty += column.dirty.insert(row + top as u32, row + bottom as u32);
-                }
+                page.formula_stretches(lo, hi).map(move |(t, b)| (row + t as u32, row + b as u32))
+            });
+            for (lo, hi) in joined(stretches) {
+                self.dirty += column.dirty.insert(lo, hi);
+                #[cfg(test)]
+                self.dirty_inserts.set(self.dirty_inserts.get() + 1);
             }
         }
     }

@@ -43,10 +43,15 @@ struct Origins {
     open: Vec<(u32, u32, u32)>,
     /// Closed intervals, and ranges over several columns.
     closed: Vec<Range>,
+    /// Whether a formula was written or recorded: if not, no origin holds
+    /// a formula cell to mark (a value or a clear leaves none behind).
+    formulas: bool,
 }
 
 impl Origins {
-    fn record(&mut self, range: Range) {
+    /// Records `range` as written, `formula` if with a formula.
+    fn record(&mut self, range: Range, formula: bool) {
+        self.formulas |= formula;
         let (head, tail) = (range.head(), range.tail());
         if head.col != tail.col {
             self.closed.push(range);
@@ -71,13 +76,15 @@ impl Origins {
         self.open.is_empty() && self.closed.is_empty()
     }
 
-    /// Moves every origin into `seeds`, each distinct range once.
-    fn drain_into(&mut self, seeds: &mut Vec<Range>) {
+    /// Moves every origin into `seeds`, each distinct range once; returns
+    /// whether a formula was written.
+    fn drain_into(&mut self, seeds: &mut Vec<Range>) -> bool {
         seeds.append(&mut self.closed);
         let open = self.open.drain(..);
         seeds.extend(open.map(|(col, lo, hi)| Range::from_coords(col, lo, col, hi)));
         seeds.sort_unstable_by_key(|r| (r.head(), r.tail()));
         seeds.dedup();
+        std::mem::take(&mut self.formulas)
     }
 }
 
@@ -505,7 +512,7 @@ impl Engine {
     pub(crate) fn set_value(&mut self, cell: Cell, v: Value) {
         self.detach_formula(cell);
         self.put_cell(cell, CellContent::pure(v));
-        self.origins.record(Range::cell(cell));
+        self.origins.record(Range::cell(cell), false);
     }
 
     /// The run of the cell above `cell` or of the cell to its left, if a
@@ -563,26 +570,27 @@ impl Engine {
     }
 
     /// Makes `cell` a cell of `run`: registers what the run's formula
-    /// reads there with the graph and marks the cell dirty.
+    /// reads there with the graph. The cell is an origin, marked dirty by
+    /// the next [`Self::mark_dependents`].
     pub(crate) fn set_run(&mut self, cell: Cell, run: Arc<Run>) {
         self.detach_formula(cell);
         self.attach_reads(cell, &run);
         self.put_cell(cell, CellContent::formula_cell(run, Value::Empty));
-        self.mark_cells_dirty(&[cell]);
-        self.origins.record(Range::cell(cell));
+        self.origins.record(Range::cell(cell), true);
     }
 
     /// Clears every cell in `range` (values and formulae).
     pub(crate) fn clear_range(&mut self, range: Range) {
         self.graph.clear_cells(range);
         self.cells.remove_range(range, self.folds.tick());
-        self.origins.record(range);
+        self.origins.record(range, false);
     }
 
-    /// Records `range` as written, for [`Self::mark_dependents`] (a
-    /// structural edit's changed cells, a referrer it disturbed).
+    /// Records the formula cells of `range` as written, for
+    /// [`Self::mark_dependents`] (a structural edit's changed cells, a
+    /// referrer it disturbed, a volatile cell the clock moved).
     pub(crate) fn record_origin(&mut self, range: Range) {
-        self.origins.record(range);
+        self.origins.record(range, true);
     }
 
     /// Whether edits recorded origins since the last
@@ -627,14 +635,21 @@ impl Engine {
         }
     }
 
-    /// Marks the formula cells among the dependents of every origin
-    /// recorded since the last call dirty, found by one dependents query
-    /// that starts from all of them; `seeds` is overwritten with the
-    /// origins and `found` with the dependents. This is the
-    /// control-latency critical path.
+    /// Marks dirty the formula cells inside every origin recorded since
+    /// the last call — one interval at a time, what the edits wrote, and
+    /// only if they wrote a formula — and among their dependents, found
+    /// by one dependents query that starts from all of them; `seeds` is
+    /// overwritten with the origins and `found` with the dependents. This
+    /// is the control-latency critical path, and the one place a written
+    /// formula is marked: every formula cell inside an origin is one an
+    /// edit wrote or recorded (an origin is a union of touching written
+    /// ranges, and a value or a clear leaves no formula behind), so no
+    /// other cell is marked.
     pub(crate) fn mark_dependents(&mut self, seeds: &mut Vec<Range>, found: &mut Vec<Range>) {
         seeds.clear();
-        self.origins.drain_into(seeds);
+        if self.origins.drain_into(seeds) {
+            self.mark_ranges_dirty(seeds);
+        }
         self.find_dependents(&seeds[..], found);
         self.mark_ranges_dirty(found);
     }
@@ -1747,6 +1762,41 @@ mod tests {
         // A run of two rows per pair of the window column, that was 4 191
         // nodes (and as many templates) for 57 359 cells.
         assert_eq!((cells, nodes, templates), (57_359, 111, 111));
+    }
+
+    #[test]
+    fn a_batch_marks_the_formulas_it_wrote_once_per_interval() {
+        use taco_store::EditRecord;
+        // Two columns typed row by row, taking turns, down past several
+        // pages of the store: each column is one origin, put in the dirty
+        // set whole, however many rows and pages it spans.
+        for rows in [300u32, 1_200] {
+            let mut wb = Workbook::one_sheet();
+            let values: Vec<EditRecord> = (1..=rows)
+                .map(|row| EditRecord::SetValue {
+                    sheet: 0,
+                    cell: Cell::new(1, row),
+                    value: n(1.0),
+                })
+                .collect();
+            wb.apply_batch(&values).unwrap();
+            let formulas: Vec<EditRecord> = (1..=rows)
+                .flat_map(|row| {
+                    [(2, "*2"), (3, "+1")].map(|(col, op)| EditRecord::SetFormula {
+                        sheet: 0,
+                        cell: Cell::new(col, row),
+                        src: format!("=A{row}{op}"),
+                    })
+                })
+                .collect();
+            let inserts = |wb: &Workbook| wb.sheet(S).cells.dirty_inserts.get();
+            let before = inserts(&wb);
+            wb.apply_batch(&formulas).unwrap();
+            assert_eq!(inserts(&wb) - before, 2, "{rows} rows");
+            assert_eq!(wb.dirty_count(), 2 * rows as usize);
+            assert_eq!(wb.recalculate(RecalcMode::Serial), 2 * rows as usize);
+            assert_eq!(wb.value(S, Cell::new(3, rows)), n(2.0));
+        }
     }
 
     #[test]

@@ -94,10 +94,9 @@ impl Engine {
     /// cells read there as its own cells would; a run the band otherwise
     /// splits is two.
     ///
-    /// The formulas that may change are marked dirty and recorded as
-    /// origins, like any edit's cells: their dependents are marked by the
-    /// sheet's next [`Engine::mark_dependents`], one query for all of
-    /// them.
+    /// The formulas that may change are recorded as origins, like any
+    /// edit's cells: they and their dependents are marked by the sheet's
+    /// next [`Engine::mark_dependents`], one query for all of them.
     ///
     /// Returns those formula cells, and the ones whose reads were
     /// registered afresh: the graph moves a dependency the way its two
@@ -142,7 +141,6 @@ impl Engine {
             self.put_cell(nc, CellContent::formula_cell(run, value));
         }
         self.mark_cells_dirty(&old_dirty);
-        self.mark_cells_dirty(&changed);
         for &nc in &changed {
             self.record_origin(Range::cell(nc));
         }

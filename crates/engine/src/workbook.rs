@@ -198,38 +198,12 @@ impl EdgeTable {
 }
 
 /// One unit of routing work inside [`Workbook::route`]: a range on a
-/// sheet, plus what is left to do with it. Every job's range is scanned
-/// for cross edges.
+/// sheet whose dependents on the sheet are known, to be scanned for cross
+/// edges out of it.
 #[derive(Debug, Clone, Copy)]
 struct Job {
     sid: usize,
     range: Range,
-    /// Run the per-sheet dependents query over `range`? `false` when its
-    /// local closure is already known (an edit's origins and what their
-    /// query found).
-    expand_local: bool,
-    /// Include `range` itself in the result? (Edit origins and query
-    /// probes are not their own dependents.)
-    report: bool,
-}
-
-impl Job {
-    /// A query probe: expand locally, do not report the probe itself.
-    fn probe(sid: usize, range: Range) -> Job {
-        Job { sid, range, expand_local: true, report: false }
-    }
-
-    /// A range whose local closure is known and reported: scan it for
-    /// cross hops only.
-    fn scan(sid: usize, range: Range) -> Job {
-        Job { sid, range, expand_local: false, report: false }
-    }
-
-    /// A cross-hop formula cell: it is a dependent (report) whose own
-    /// local dependents are still unknown (expand).
-    fn hop(sid: usize, cell: Cell) -> Job {
-        Job { sid, range: Range::cell(cell), expand_local: true, report: true }
-    }
 }
 
 /// Hashes the routing's `(sheet, cell)` hop keys: a multiply and a
@@ -273,7 +247,11 @@ struct Routing {
     /// at most once per expansion, which both bounds the loop and
     /// deduplicates hops.
     hopped: HashSet<(usize, Cell), BuildHasherDefault<HopHasher>>,
-    /// A sheet's origins, then what its dependents query found.
+    /// The hops made since the queue last ran dry, not yet expanded: a
+    /// wave, whose cells on one sheet are the seeds of one query.
+    wave: Vec<(usize, Cell)>,
+    /// The seeds of a sheet's dependents query — its origins, a wave's
+    /// cells there, a probe — then what the query found.
     seeds: Vec<Range>,
     found: Vec<Range>,
     /// Whether the edit or batch under way collects its dirty ranges.
@@ -285,6 +263,19 @@ struct Routing {
 }
 
 impl Routing {
+    /// Takes what a dependents query on sheet `sid` found from `seeds`:
+    /// reported with `report`, and queued with the seeds to be scanned for
+    /// cross edges if another sheet reads this one (`read`).
+    fn take_found(&mut self, sid: usize, read: bool, report: bool) {
+        if report {
+            self.dirty.extend(self.found.iter().map(|&r| (SheetId(sid), r)));
+        }
+        if read {
+            let ranges = self.seeds.iter().chain(&self.found);
+            self.queue.extend(ranges.map(|&range| Job { sid, range }));
+        }
+    }
+
     /// Starts an edit or batch; `report`: collect its dirty ranges.
     fn begin(&mut self, report: bool) {
         self.report = report;
@@ -568,7 +559,7 @@ impl Workbook {
         }
         for e in edges {
             self.sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
-            self.routing.queue.push_back(Job::hop(e.dst.0, e.dep));
+            self.routing.wave.push((e.dst.0, e.dep));
             self.xedges.insert(e);
         }
         self.route(true, false);
@@ -907,13 +898,15 @@ impl Workbook {
     }
 
     /// Stages `cell` as a cell of `run`: registers cross edges for the
-    /// foreign qualified references of the run's formula there and hands
-    /// the rest to the sheet engine.
+    /// foreign qualified references of the run's formula there, if it
+    /// names a sheet, and hands the rest to the sheet engine.
     fn stage_run(&mut self, sid: usize, cell: Cell, run: Arc<Run>) {
         if self.sheets[sid].engine.run_at(cell).is_some() {
             self.xedges.remove_dep(SheetId(sid), cell);
         }
-        self.bind_cross_reads(sid, cell, &run);
+        if run.template().names_sheet() {
+            self.bind_cross_reads(sid, cell, &run);
+        }
         self.sheets[sid].engine.set_run(cell, run);
     }
 
@@ -992,9 +985,7 @@ impl Workbook {
             match restate(op, &own, run.at(dep), false) {
                 Restated::Untouched => continue,
                 Restated::Disturbed => {
-                    let engine = &mut self.sheets[dsid].engine;
-                    engine.mark_cells_dirty(&[dep]);
-                    engine.record_origin(Range::cell(dep));
+                    self.sheets[dsid].engine.record_origin(Range::cell(dep));
                 }
                 Restated::Rewritten(ast) => {
                     let run = self.sheets[dsid].engine.run_of(dep, Template::printed(ast));
@@ -1013,8 +1004,12 @@ impl Workbook {
     /// All direct and transitive dependents of `src!r`, across sheets.
     pub fn find_dependents(&mut self, id: SheetId, r: Range) -> Vec<(SheetId, Range)> {
         self.ensure_sheet(id);
-        self.routing.begin(true);
-        self.routing.queue.push_back(Job::probe(id.0, r));
+        let Workbook { sheets, xedges, routing, .. } = self;
+        routing.begin(true);
+        routing.seeds.clear();
+        routing.seeds.push(r);
+        sheets[id.0].engine.find_dependents(&routing.seeds[..], &mut routing.found);
+        routing.take_found(id.0, !xedges.outgoing(id.0).is_empty(), true);
         self.route(false, true);
         self.routing.finish().0
     }
@@ -1055,59 +1050,71 @@ impl Workbook {
                 continue;
             }
             shard.engine.mark_dependents(&mut routing.seeds, &mut routing.found);
-            if routing.report {
-                routing.dirty.extend(routing.found.iter().map(|&r| (SheetId(sid), r)));
-            }
             // A sheet no other sheet reads has no hop to look for.
-            if !xedges.outgoing(sid).is_empty() {
-                let ranges = routing.seeds.iter().chain(&routing.found);
-                routing.queue.extend(ranges.map(|&r| Job::scan(sid, r)));
-            }
+            routing.take_found(sid, !xedges.outgoing(sid).is_empty(), routing.report);
         }
         let report = self.routing.report;
         self.routing.hops += self.route(true, report);
     }
 
-    /// Runs the routing queue to its end: transitive dependents of the
-    /// queued jobs, hopping the cross-edge table between sheets; with
-    /// `mark` the discovered formula cells are also marked dirty (the edit
-    /// path), with `report` the dependents are reported to the edit or
-    /// query under way. Jobs whose local dependents are known skip the
-    /// graph query — the control-latency path pays each per-sheet query
-    /// once. Returns the cross-sheet hops made.
+    /// Runs the routing to its end: scans the queued ranges for cross
+    /// edges out of them, and each time the queue runs dry expands the
+    /// wave of formula cells the edges hopped to — one dependents query
+    /// per sheet the wave landed on, from all its cells there — queueing
+    /// what that finds, until no hop is left. With `mark` the hopped cells
+    /// and their dependents are marked dirty (the edit path), with
+    /// `report` they are reported to the edit or query under way. Returns
+    /// the cross-sheet hops made.
     fn route(&mut self, mark: bool, report: bool) -> usize {
         let Workbook { sheets, xedges, routing, .. } = self;
-        let Routing { queue, hopped, found, dirty, .. } = routing;
-        while let Some(job) = queue.pop_front() {
-            let Job { sid, range, expand_local, report: own } = job;
-            if own && report {
-                dirty.push((SheetId(sid), range));
-            }
-            let outgoing = xedges.outgoing(sid);
-            if expand_local {
-                let engine = &mut sheets[sid].engine;
-                engine.find_dependents(range, found);
-                if mark {
-                    engine.mark_ranges_dirty(found);
-                }
-                if report {
-                    dirty.extend(found.iter().map(|&r| (SheetId(sid), r)));
-                }
-                if !outgoing.is_empty() {
-                    queue.extend(found.iter().map(|&r| Job::scan(sid, r)));
-                }
-            }
-            for e in outgoing {
-                if e.prec.overlaps(&range) && hopped.insert((e.dst.0, e.dep)) {
-                    if mark {
-                        sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
+        loop {
+            while let Some(Job { sid, range }) = routing.queue.pop_front() {
+                for e in xedges.outgoing(sid) {
+                    if e.prec.overlaps(&range) && routing.hopped.insert((e.dst.0, e.dep)) {
+                        if mark {
+                            sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
+                        }
+                        routing.wave.push((e.dst.0, e.dep));
                     }
-                    queue.push_back(Job::hop(e.dst.0, e.dep));
                 }
             }
+            if routing.wave.is_empty() {
+                break;
+            }
+            let mut wave = std::mem::take(&mut routing.wave);
+            wave.sort_unstable();
+            wave.dedup();
+            for hops in wave.chunk_by(|a, b| a.0 == b.0) {
+                let sid = hops[0].0;
+                // A hopped cell is a dependent itself.
+                if report {
+                    let cells = hops.iter().map(|&(_, cell)| (SheetId(sid), Range::cell(cell)));
+                    routing.dirty.extend(cells);
+                }
+                // The seeds: the cells, a column's consecutive rows as one.
+                routing.seeds.clear();
+                for &(_, cell) in hops {
+                    match routing.seeds.last_mut() {
+                        Some(seed)
+                            if (seed.tail().col, seed.tail().row + 1) == (cell.col, cell.row) =>
+                        {
+                            *seed = Range::new(seed.head(), cell);
+                        }
+                        _ => routing.seeds.push(Range::cell(cell)),
+                    }
+                }
+                let engine = &mut sheets[sid].engine;
+                engine.find_dependents(&routing.seeds[..], &mut routing.found);
+                if mark {
+                    engine.mark_ranges_dirty(&routing.found);
+                }
+                routing.take_found(sid, !xedges.outgoing(sid).is_empty(), report);
+            }
+            wave.clear();
+            routing.wave = wave;
         }
-        let hops = hopped.len();
-        hopped.clear();
+        let hops = routing.hopped.len();
+        routing.hopped.clear();
         hops
     }
 
@@ -1386,7 +1393,6 @@ impl Workbook {
             let engine = &mut shard.engine;
             let vols = engine.volatile_cells();
             engine.set_clock_value(clock);
-            engine.mark_cells_dirty(&vols);
             for &c in &vols {
                 engine.record_origin(Range::cell(c));
             }
@@ -1778,6 +1784,42 @@ mod tests {
             wb.set_value(SheetId(0), c("A1"), n(3.0));
             assert_eq!(queries(&wb) - before, 1);
             assert_eq!(wb.dirty_count(), K as usize);
+        }
+    }
+
+    #[test]
+    fn a_batch_expands_its_cross_sheet_hops_with_one_query_per_sheet() {
+        const K: u32 = 3;
+        for rows in [64u32, 256] {
+            // `Out` also reads `In`'s first formula column row by row.
+            let mut wb = fan_book(rows, K);
+            for row in 1..=rows {
+                let cell = Cell::new(K + 2, row);
+                wb.set_formula(SheetId(1), cell, &format!("=In!B{row}+1")).unwrap();
+            }
+            wb.recalculate(RecalcMode::Serial);
+            let hub = taco_obs::Obs::new(taco_obs::ObsOptions::default());
+            wb.attach_obs(&hub, "hops");
+            let batch: Vec<EditRecord> = (1..=rows)
+                .flat_map(|row| {
+                    let cell = Cell::new(1, row);
+                    [0, 1].map(|sheet| EditRecord::SetValue { sheet, cell, value: n(2.0) })
+                })
+                .collect();
+            let before = queries(&wb);
+            let receipt = wb.apply_batch(&batch).unwrap();
+            // One query per touched sheet, and one for the wave of hops.
+            assert_eq!(queries(&wb) - before, 2 + 1, "{rows} rows");
+            assert_eq!(wb.dirty_count(), (2 * rows * K + rows) as usize, "{rows} rows");
+            let hops = Range::from_coords(K + 2, 1, K + 2, rows);
+            let reported =
+                receipt.dirty.iter().filter(|&&(s, r)| s == SheetId(1) && hops.contains(&r));
+            assert_eq!(reported.count(), rows as usize, "every hop reported");
+            let snap = hub.snapshot();
+            let counted = snap.histograms.iter().find(|h| h.name == "taco_apply_cross_hops");
+            assert_eq!(counted.map(|h| h.sum), Some(u64::from(rows)), "{rows} rows");
+            wb.recalculate(RecalcMode::Serial);
+            assert_eq!(wb.value(SheetId(1), Cell::new(K + 2, rows)), n(3.0));
         }
     }
 

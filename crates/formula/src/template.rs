@@ -32,10 +32,15 @@
 //! joins the template of the cell above it when it *is* that template
 //! moved one row, which it is when it reads, byte for byte, as the
 //! template prints there ([`At::reads_as`]) — `$` flags, sheet qualifiers,
-//! literals, spacing and case included, and without being parsed. The one
-//! way a run of one formula becomes longer with a formula that does not
-//! read so is [`At::step_below`]: the two differ in numeric literals only,
-//! each on an exact line.
+//! literals, spacing and case included, and without being parsed. Nor is
+//! anything printed: one walk over the template's holes (`At::splice`,
+//! which printing goes through too) matches the typed bytes piece by
+//! piece — the text between holes as it stands, a moved reference by its
+//! coordinates ([`RangeRef::strip_printed`]), a literal by its lexeme or,
+//! stepped, by its value's digits. The one way a run of one formula
+//! becomes longer with a formula that does not read so is
+//! [`At::step_below`], the same walk: the two differ in numeric literals
+//! only, each on an exact line.
 
 use crate::ast::{Expr, Leaf, Slot};
 use crate::eval::{moved, CellProvider};
@@ -44,7 +49,7 @@ use crate::parser::{parse_spanned, Hole, Span};
 use crate::program::{ByCell, Frame, Program};
 use crate::{FormulaError, Value};
 use std::fmt::{self, Write as _};
-use taco_grid::a1::{QualifiedRef, RangeRef, SheetRef};
+use taco_grid::a1::{strip_decimal, QualifiedRef, RangeRef, SheetRef};
 use taco_grid::Range;
 
 /// One member of the dependency read set (see [`Expr::visit_reads`]).
@@ -100,6 +105,8 @@ impl Read {
 #[repr(C)]
 pub struct Template {
     volatile: bool,
+    /// Whether some reference is qualified with a sheet name.
+    names_sheet: bool,
     /// The tree compiled, once, for evaluation.
     program: Program,
     /// The text at offset `(0, 0)`, no leading `=`.
@@ -178,8 +185,9 @@ impl Template {
             })
         });
         let volatile = ast.is_volatile();
+        let names_sheet = reads.iter().any(|read| read.sheet().is_some());
         let program = Program::compile(&ast);
-        Template { src, ast, holes, reads, volatile, program }
+        Template { src, ast, holes, reads, volatile, names_sheet, program }
     }
 
     /// The text at offset `(0, 0)`, no leading `=`.
@@ -273,15 +281,12 @@ impl Template {
     pub fn is_volatile(&self) -> bool {
         self.volatile
     }
-}
 
-/// A [`fmt::Write`] that accepts exactly the text it expects.
-struct Expect<'a>(&'a str);
-
-impl fmt::Write for Expect<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
-        Ok(())
+    /// Whether some reference names a sheet (`Data!A1`, or the formula's
+    /// own sheet by name): a formula that names none reads its own sheet
+    /// alone, at every offset.
+    pub fn names_sheet(&self) -> bool {
+        self.names_sheet
     }
 }
 
@@ -290,9 +295,27 @@ impl fmt::Write for Expect<'_> {
 enum Filled<'s> {
     /// A reference still on the grid, moved.
     Ref(RangeRef),
+    /// A reference that left the grid: `#REF!` in place of it and its
+    /// qualifier.
+    Lost,
     /// A numeric literal: its text where the template was written, its
     /// slot, and the slot's value here.
     Literal { lexeme: &'s str, slot: Slot, value: f64 },
+}
+
+impl Filled<'_> {
+    /// `text` past the hole as the formula prints it ([`fmt::Display`]),
+    /// `None` if it does not start so — or if the hole is a reference
+    /// that left the grid, which no typed text is. Nothing is printed but
+    /// a stepped literal whose value is not a small integer.
+    fn strip_printed<'t>(&self, text: &'t str) -> Option<&'t str> {
+        match *self {
+            Filled::Ref(moved) => moved.strip_printed(text),
+            Filled::Lost => None,
+            Filled::Literal { lexeme, slot, .. } if slot.step == 0.0 => text.strip_prefix(lexeme),
+            Filled::Literal { value, .. } => strip_number(text, value),
+        }
+    }
 }
 
 /// How the formula prints a filled hole: a literal that does not step as
@@ -301,8 +324,43 @@ impl fmt::Display for Filled<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Filled::Ref(moved) => write!(f, "{moved}"),
+            Filled::Lost => f.write_str("#REF!"),
             Filled::Literal { lexeme, slot, .. } if slot.step == 0.0 => f.write_str(lexeme),
             Filled::Literal { value, .. } => write!(f, "{value}"),
+        }
+    }
+}
+
+/// `text` past `value` as `Display` prints it, `None` if it does not
+/// start so. An integral value below 10¹⁵ in magnitude, other than `-0`,
+/// prints as its integer digits, signed, and is read against them; any
+/// other value is printed to be compared.
+fn strip_number(text: &str, value: f64) -> Option<&str> {
+    let integral = value.fract() == 0.0 && value.abs() < 1e15;
+    if integral && !(value == 0.0 && value.is_sign_negative()) {
+        let digits = if value < 0.0 { text.strip_prefix('-')? } else { text };
+        return strip_decimal(digits, value.abs() as u64);
+    }
+    text.strip_prefix(value.to_string().as_str())
+}
+
+/// A stretch of the formula's text at an offset, as [`At::splice`] hands
+/// them over in order.
+#[derive(Debug, Clone, Copy)]
+enum Piece<'s> {
+    /// Text between holes, the same at every offset.
+    Text(&'s str),
+    /// A hole filled, and where it sits in the template's text.
+    Hole(&'s Span, Filled<'s>),
+}
+
+impl Piece<'_> {
+    /// `text` past the piece as the formula prints it (see
+    /// [`Filled::strip_printed`]).
+    fn strip_printed<'t>(&self, text: &'t str) -> Option<&'t str> {
+        match self {
+            Piece::Text(common) => text.strip_prefix(common),
+            Piece::Hole(_, filled) => filled.strip_printed(text),
         }
     }
 }
@@ -356,11 +414,18 @@ impl<'a> At<'a> {
     /// the formula is filled to.
     ///
     /// Nothing is parsed: equal text has an equal tree. A literal that
-    /// steps prints as its value, which parses back to it.
+    /// steps prints as its value, which parses back to it. Nothing is
+    /// printed either: one walk over the template's holes reads `text`
+    /// against the formula's pieces — the text between holes by its bytes,
+    /// a reference by its coordinates ([`RangeRef::strip_printed`]), a
+    /// literal by its lexeme or, stepped, by its value's digits.
     pub fn reads_as(&self, text: &str) -> bool {
-        let same = self.is_whole() && {
-            let mut rest = Expect(text);
-            write!(rest, "{self}").is_ok() && rest.0.is_empty()
+        let same = if (self.dc, self.dr) == (0, 0) {
+            text == self.template.src
+        } else {
+            let mut rest = text;
+            let walked = self.splice(|piece| piece.strip_printed(rest).map(|r| rest = r).ok_or(()));
+            walked.is_ok() && rest.is_empty()
         };
         debug_assert!(!same || crate::parser::parse(text).as_ref() == Ok(&self.to_ast()));
         same
@@ -393,34 +458,35 @@ impl<'a> At<'a> {
             owned = self.to_template();
             &owned
         };
-        let next = here.at(0, 1);
-        let mut typed = Expect(below);
+        let mut typed = below;
         let mut slots = Vec::new();
         let mut changed = false;
-        next.splice(&mut typed, |typed, _, filled| {
-            let Filled::Literal { lexeme, slot, .. } = filled else {
-                return write!(typed, "{filled}");
-            };
-            let (literal, rest) = typed.0.split_at(number_len(typed.0.as_bytes()));
-            typed.0 = rest;
-            if literal == filled.to_string() {
-                slots.push(slot);
-                return Ok(());
-            }
-            let value: f64 = literal.parse().map_err(|_| fmt::Error)?;
-            let line = Slot { c0: slot.c0, step: value - slot.c0 };
-            let exact = line.at(1).to_bits() == value.to_bits()
-                && value.to_string() == literal
-                && slot.c0.to_string() == lexeme;
-            if !exact {
-                return Err(fmt::Error);
-            }
-            slots.push(line);
-            changed = true;
-            Ok(())
-        })
-        .ok()?;
-        if !typed.0.is_empty() || !changed {
+        here.at(0, 1)
+            .splice(|piece| {
+                let Piece::Hole(_, filled @ Filled::Literal { lexeme, slot, .. }) = piece else {
+                    typed = piece.strip_printed(typed).ok_or(())?;
+                    return Ok(());
+                };
+                let (literal, rest) = typed.split_at(number_len(typed.as_bytes()));
+                typed = rest;
+                if filled.strip_printed(literal) == Some("") {
+                    slots.push(slot);
+                    return Ok(());
+                }
+                let value: f64 = literal.parse().map_err(|_| ())?;
+                let line = Slot { c0: slot.c0, step: value - slot.c0 };
+                let exact = line.at(1).to_bits() == value.to_bits()
+                    && strip_number(literal, value) == Some("")
+                    && strip_number(lexeme, slot.c0) == Some("");
+                if !exact {
+                    return Err(());
+                }
+                slots.push(line);
+                changed = true;
+                Ok(())
+            })
+            .ok()?;
+        if !typed.is_empty() || !changed {
             return None;
         }
         let template = here.with_slots(&slots);
@@ -472,14 +538,18 @@ impl<'a> At<'a> {
             return t.clone();
         }
         let (mut src, mut spans) = (String::with_capacity(t.src.len() + 8), Vec::new());
-        self.splice(&mut src, |w, span, filled| {
-            let at = w.len() as u32;
-            write!(w, "{filled}")?;
-            let end = w.len() as u32;
+        self.splice(|piece| {
+            let Piece::Hole(span, filled) = piece else {
+                return write!(src, "{piece}");
+            };
+            let at = src.len() as u32;
+            write!(src, "{filled}")?;
+            let end = src.len() as u32;
             spans.push(match filled {
                 Filled::Ref(moved) => {
                     Span { hole: Hole::Ref(moved), start: at - (span.at - span.start), at, end }
                 }
+                Filled::Lost => return Ok(()),
                 Filled::Literal { value, .. } => {
                     Span { hole: Hole::Literal(Slot::fixed(value)), start: at, at, end }
                 }
@@ -490,39 +560,41 @@ impl<'a> At<'a> {
         Template::assemble(src, self.to_ast(), spans)
     }
 
-    /// Writes the template's text with every hole filled: the text
-    /// between holes as it stands, a reference still on the grid and a
-    /// literal through `on_hole`, a reference that left the grid as
-    /// `#REF!` in place of the reference and its qualifier.
-    fn splice<W: fmt::Write>(
-        &self,
-        w: &mut W,
-        mut on_hole: impl FnMut(&mut W, &Span, Filled<'a>) -> fmt::Result,
-    ) -> fmt::Result {
+    /// The one walk over the template's holes: hands `each` the formula's
+    /// text here piece by piece, in order — the text between holes as it
+    /// stands, and each hole filled: a reference still on the grid moved
+    /// (its qualifier is text), one that left the grid as
+    /// [`Filled::Lost`] in place of the reference and its qualifier, a
+    /// literal with its value here. Stops at the first error.
+    fn splice<E>(&self, mut each: impl FnMut(Piece<'a>) -> Result<(), E>) -> Result<(), E> {
         let src = self.template.src.as_str();
         let mut from = 0;
         for span in &self.template.holes {
             let (start, end) = (span.start as usize, span.end as usize);
-            match span.hole {
+            let (text, filled) = match span.hole {
                 Hole::Ref(rref) => match rref.autofill(self.dc, self.dr) {
-                    Some(moved) => {
-                        w.write_str(&src[from..span.at as usize])?;
-                        on_hole(w, span, Filled::Ref(moved))?;
-                    }
-                    None => {
-                        w.write_str(&src[from..start])?;
-                        w.write_str("#REF!")?;
-                    }
+                    Some(moved) => (&src[from..span.at as usize], Filled::Ref(moved)),
+                    None => (&src[from..start], Filled::Lost),
                 },
                 Hole::Literal(slot) => {
-                    w.write_str(&src[from..start])?;
                     let (lexeme, value) = (&src[start..end], slot.at(self.dr));
-                    on_hole(w, span, Filled::Literal { lexeme, slot, value })?;
+                    (&src[from..start], Filled::Literal { lexeme, slot, value })
                 }
-            }
+            };
+            each(Piece::Text(text))?;
+            each(Piece::Hole(span, filled))?;
             from = end;
         }
-        w.write_str(&src[from..])
+        each(Piece::Text(&src[from..]))
+    }
+}
+
+impl fmt::Display for Piece<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Piece::Text(text) => f.write_str(text),
+            Piece::Hole(_, filled) => write!(f, "{filled}"),
+        }
     }
 }
 
@@ -533,7 +605,7 @@ impl fmt::Display for At<'_> {
         if (self.dc, self.dr) == (0, 0) {
             return f.write_str(&self.template.src);
         }
-        self.splice(f, |f, _, filled| write!(f, "{filled}"))
+        self.splice(|piece| write!(f, "{piece}"))
     }
 }
 
@@ -663,6 +735,104 @@ mod tests {
         // Where the corners meet, the `$`-fixed one heads.
         assert_eq!(crossing.at(0, 1).to_string(), "SUM(B$5:B5)");
         assert_eq!(crossing.at(0, -2).to_string(), "SUM(B2:B$5)");
+    }
+
+    /// `printed` and texts a byte or a token away from it: each prefix,
+    /// a tail added, a byte dropped, a `$`, space or `0` inserted (`A01`),
+    /// a letter lower-cased, a qualifier's case changed, a reference typed
+    /// as `#REF!`, a literal spelled otherwise.
+    fn near(printed: &str) -> Vec<String> {
+        let mut texts: Vec<String> =
+            ["", " ", "1", "+1"].iter().map(|tail| format!("{printed}{tail}")).collect();
+        for (i, c) in printed.char_indices() {
+            let (head, tail) = printed.split_at(i);
+            let rest = &tail[c.len_utf8()..];
+            texts.push(head.to_string());
+            texts.push(format!("{head}{rest}"));
+            texts.push(format!("{head}{}{rest}", c.to_ascii_lowercase()));
+            texts.extend(["$", " ", "0"].map(|ins| format!("{head}{ins}{tail}")));
+        }
+        for (from, to) in [("Data!", "data!"), ("Data!", "DATA!"), ("'Q4 2023'", "'q4 2023'")] {
+            texts.push(printed.replacen(from, to, 1));
+        }
+        // Tokens: a reference (`$B$2`), or a literal (digits and dots
+        // not right after a letter or `$`).
+        let b = printed.as_bytes();
+        let mut i = 0;
+        while i < b.len() {
+            let after_word = i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'$');
+            let is_ref = b[i] == b'$' || b[i].is_ascii_uppercase();
+            let is_number = b[i].is_ascii_digit();
+            if after_word || !(is_ref || is_number) {
+                i += 1;
+                continue;
+            }
+            let mut j = i + 1;
+            let part = |c: u8| {
+                if is_ref {
+                    c == b'$' || c.is_ascii_alphanumeric()
+                } else {
+                    c == b'.' || c.is_ascii_digit()
+                }
+            };
+            while j < b.len() && part(b[j]) {
+                j += 1;
+            }
+            let (head, tail) = (&printed[..i], &printed[j..]);
+            let spellings: &[&str] = if is_ref {
+                &["#REF!"]
+            } else {
+                &["-0", "1.50", "2e3", "0.30000000000000004", "1000000000000001", "1e15"]
+            };
+            texts.extend(spellings.iter().map(|s| format!("{head}{s}{tail}")));
+            i = j;
+        }
+        texts
+    }
+
+    #[test]
+    fn the_sharing_check_reads_as_the_printer_writes() {
+        let mut templates: Vec<Template> =
+            SOURCES.iter().map(|src| Template::parse(src).unwrap()).collect();
+        // Stepped literals: halves, tenths that drift, integers down
+        // to zero, and integers that cross 10^15.
+        for (first, second) in [
+            ("A1*0.5+10", "A2*1+10"),
+            ("A1-0.1", "A2-0.2"),
+            ("$B$1*7+A1", "$B$1*6+A2"),
+            ("A1*999999999999998", "A2*999999999999999"),
+        ] {
+            templates.push(stepped(first, second).unwrap_or_else(|| panic!("{first}")));
+        }
+        let mut checked = 0;
+        for template in &templates {
+            for dc in [-5, -1, 0, 1, 3] {
+                for dr in [-6, -4, -1, 0, 1, 2, 3, 7] {
+                    let at = template.at(dc, dr);
+                    let printed = at.to_string();
+                    for text in near(&printed) {
+                        let want = at.is_whole() && printed == text;
+                        assert_eq!(at.reads_as(&text), want, "{printed} by {dc},{dr} as {text:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked}");
+    }
+
+    #[test]
+    fn a_template_names_a_sheet_iff_a_reference_is_qualified() {
+        for (src, names) in [
+            ("SUM(A1:B2)*2", false),
+            ("SUM(#REF!)+A5", false),
+            ("\"Data!A1\"&A1", false),
+            ("Data!A1+1", true),
+            ("SUMIF(A1:A2,1,Data!B1:B1)", true),
+            ("'Q4 2023'!B$2&\"x\"", true),
+        ] {
+            assert_eq!(Template::parse(src).unwrap().names_sheet(), names, "{src}");
+        }
     }
 
     #[test]

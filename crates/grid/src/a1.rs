@@ -23,6 +23,41 @@ fn col_letters(mut col: u32, buf: &mut [u8; 7]) -> &str {
     std::str::from_utf8(&buf[i..]).expect("ASCII letters")
 }
 
+/// `text` past the letters of the 1-based column `col`, `None` if it does
+/// not start with them. The letters are read while what they spell is
+/// below `col`: each one read adds to it, so the letters that spell `col`
+/// are read to their end and no further, and no other letters spell it.
+fn strip_letters(text: &str, col: u32) -> Option<&str> {
+    let (col, mut spelt, mut len) = (u64::from(col), 0u64, 0);
+    while spelt < col {
+        let b = *text.as_bytes().get(len).filter(|b| b.is_ascii_uppercase())?;
+        spelt = spelt * 26 + u64::from(b - b'A') + 1;
+        len += 1;
+    }
+    (spelt == col).then(|| &text[len..])
+}
+
+/// `text` past `n` in decimal, as `Display` writes it (no sign, no
+/// leading zero), `None` if it does not start with it. The digits are
+/// read while their value is below `n`, as a column's letters are: past
+/// a first digit other than `0`, each one read adds to it.
+pub fn strip_decimal(text: &str, n: u64) -> Option<&str> {
+    if n == 0 {
+        return text.strip_prefix('0');
+    }
+    let bytes = text.as_bytes();
+    if bytes.first() == Some(&b'0') {
+        return None;
+    }
+    let (mut value, mut len) = (0u64, 0);
+    while value < n {
+        let b = *bytes.get(len).filter(|b| b.is_ascii_digit())?;
+        value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        len += 1;
+    }
+    (value == n).then(|| &text[len..])
+}
+
 /// Converts a 1-based column index to letters (`1 → "A"`, `28 → "AB"`).
 pub fn col_to_letters(col: u32) -> String {
     col_letters(col, &mut [0u8; 7]).to_string()
@@ -124,12 +159,24 @@ impl CellRef {
         let cell = Cell::try_new(col, row).ok()?;
         Some(CellRef { cell, col_abs: self.col_abs, row_abs: self.row_abs })
     }
+
+    /// `text` past the reference as `Display` writes it — `$` flags,
+    /// upper-case column letters, the row in decimal — or `None` if it
+    /// does not start so. Nothing is written: the typed bytes are read
+    /// against the reference's coordinates.
+    #[inline]
+    pub fn strip_printed<'t>(&self, text: &'t str) -> Option<&'t str> {
+        let text = if self.col_abs { text.strip_prefix('$')? } else { text };
+        let text = strip_letters(text, self.cell.col)?;
+        let text = if self.row_abs { text.strip_prefix('$')? } else { text };
+        strip_decimal(text, u64::from(self.cell.row))
+    }
 }
 
 impl fmt::Display for CellRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // No intermediate `String`: formula text is spliced and compared
-        // through this once per reference.
+        // No intermediate `String`: formula text is spliced through this
+        // once per reference.
         if self.col_abs {
             f.write_str("$")?;
         }
@@ -258,11 +305,29 @@ impl RangeRef {
             tail: CellRef { cell: tail, ..self.tail },
         }
     }
+
+    /// `text` past the reference as `Display` writes it, `None` if it
+    /// does not start so: the head corner, and then — where `Display`
+    /// writes a range — `:` and the tail corner (see
+    /// [`CellRef::strip_printed`]).
+    #[inline]
+    pub fn strip_printed<'t>(&self, text: &'t str) -> Option<&'t str> {
+        let rest = self.head.strip_printed(text)?;
+        if self.prints_as_cell() {
+            return Some(rest);
+        }
+        self.tail.strip_printed(rest.strip_prefix(':')?)
+    }
+
+    /// Whether `Display` writes the reference as one cell.
+    fn prints_as_cell(&self) -> bool {
+        self.is_cell() && self.head == self.tail
+    }
 }
 
 impl fmt::Display for RangeRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_cell() && self.head == self.tail {
+        if self.prints_as_cell() {
             write!(f, "{}", self.head)
         } else {
             write!(f, "{}:{}", self.head, self.tail)
@@ -522,6 +587,38 @@ mod tests {
         for s in ["A1", "$A1", "A$1", "$A$1", "XFD1048576"] {
             assert_eq!(CellRef::parse(s).unwrap().to_string(), s);
         }
+    }
+
+    #[test]
+    fn a_reference_is_stripped_exactly_where_it_prints() {
+        let refs = ["A1", "$A1", "A$1", "$A$1", "Z9", "AA10", "XFD1048576", "B2:C3", "$A$1:B$20"]
+            .map(|s| RangeRef::parse(s).unwrap());
+        // `B4:B4` prints as a range, its corners' flags differing.
+        let wide =
+            RangeRef { head: CellRef::parse("B4").unwrap(), tail: CellRef::parse("B$4").unwrap() };
+        for rref in refs.into_iter().chain([wide]) {
+            let printed = rref.to_string();
+            let mut texts = vec![printed.clone(), format!("{printed}+1"), format!("{printed}:C9")];
+            texts.extend((0..printed.len()).map(|i| printed[..i].to_string()));
+            texts.extend((0..=printed.len()).flat_map(|i| {
+                ["0", "1", "$", " ", "A", "a", ":"]
+                    .map(|ins| format!("{}{ins}{}", &printed[..i], &printed[i..]))
+            }));
+            texts.extend((0..printed.len()).map(|i| {
+                let mut b = printed.clone().into_bytes();
+                b[i] = b[i].to_ascii_lowercase();
+                String::from_utf8(b).unwrap()
+            }));
+            texts.push(printed.replace('$', ""));
+            for text in &texts {
+                let want = text.strip_prefix(printed.as_str());
+                assert_eq!(rref.strip_printed(text), want, "{printed} in {text:?}");
+            }
+        }
+        assert_eq!(strip_decimal("0+1", 0), Some("+1"));
+        assert_eq!(strip_decimal("01", 1), None);
+        assert_eq!(strip_decimal("18446744073709551615", u64::MAX), Some(""));
+        assert_eq!(strip_decimal("99999999999999999999", u64::MAX), None);
     }
 
     #[test]
