@@ -1260,7 +1260,7 @@ mod tests {
             wb
         };
         let mut nocomp = Workbook::new();
-        nocomp.add_sheet_unbound("Sheet1", FormulaGraph::nocomp()).unwrap();
+        nocomp.add_sheet_with("Sheet1", FormulaGraph::nocomp()).unwrap();
         let taco = build(Workbook::one_sheet());
         let nocomp = build(nocomp);
         assert_eq!(taco.value(S, c("C1")), nocomp.value(S, c("C1")));
@@ -1937,7 +1937,7 @@ mod tests {
         ) {
             let mut taco = Workbook::one_sheet();
             let mut nocomp = Workbook::new();
-            nocomp.add_sheet_unbound("Sheet1", FormulaGraph::nocomp()).unwrap();
+            nocomp.add_sheet_with("Sheet1", FormulaGraph::nocomp()).unwrap();
             apply(&mut taco, &ops);
             apply(&mut nocomp, &ops);
             let values = |wb: &Workbook| {

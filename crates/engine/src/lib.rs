@@ -20,12 +20,17 @@
 //!
 //! Multi-sheet files keep one engine shard per sheet, an inter-sheet edge
 //! table for `Sheet2!A1`-style cross-references, and a recalculation that
-//! walks the sheets in the level order of the cross-sheet edges.
+//! walks the sheets in the level order of the cross-sheet edges. Like the
+//! graphs' spatial indexes, the edge table is derived state: it follows
+//! from the formulas' qualified references, one routine binds every edge
+//! (on an edit, when an added sheet resolves a reference, and on open),
+//! and a saved workbook stores the formulas, not the table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cells;
+mod cross;
 mod engine;
 mod obs;
 mod order;
@@ -40,8 +45,7 @@ pub use engine::{Engine, SheetPass};
 pub use persist::{wal_path, PersistOptions, PersistentWorkbook};
 pub use sheet::CellContent;
 pub use workbook::{
-    BatchError, BatchStage, CrossEdge, RecalcMode, SheetId, Workbook, WorkbookError,
-    WorkbookReceipt,
+    BatchError, BatchStage, RecalcMode, SheetId, Workbook, WorkbookError, WorkbookReceipt,
 };
 
 pub use taco_formula::{CellError, EvalClock, Value};

@@ -17,21 +17,23 @@
 //!   threshold.
 //!
 //! What is stored vs derived: cell contents (formula *source* text plus
-//! the cached value), the dirty sets, the compressed graph edges, and
-//! the cross-sheet edge table are stored; formula ASTs are re-parsed and
-//! the graph's R-tree indexes are rebuilt on open — no recompression
-//! ever happens on the open path.
+//! the cached value), the dirty sets and the compressed graph edges are
+//! stored; formula ASTs are re-parsed, the graph's R-tree indexes are
+//! rebuilt, and the cross-sheet edge table is bound again from the
+//! formulas' qualified references on open — by the routine a live edit
+//! binds them with — so no recompression ever happens on the open path
+//! and no fact is stored twice.
 
 use crate::engine::Engine;
 use crate::sheet::CellContent;
-use crate::workbook::{CrossEdge, SheetId, Workbook};
+use crate::workbook::{SheetId, Workbook};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use taco_core::FormulaGraph;
 use taco_grid::Cell;
 use taco_store::{
-    std_vfs, write_workbook_file_with, CellRecord, CrossEdgeImage, EditRecord, ReplayMode,
-    SheetImage, StoreError, StoreReader, Vfs, WalReader, WalReplay, WalWriter, WorkbookImage,
+    std_vfs, write_workbook_file_with, CellRecord, EditRecord, ReplayMode, SheetImage, StoreError,
+    StoreReader, Vfs, WalReader, WalReplay, WalWriter, WorkbookImage,
 };
 
 /// The sidecar WAL path for a snapshot at `path`: `<path>.wal`.
@@ -60,32 +62,6 @@ fn sheet_image(engine: &Engine, name: String) -> SheetImage {
     SheetImage { name, cells, dirty, graph: engine.graph().snapshot() }
 }
 
-/// Puts a stored sheet's cells and dirty marks into `engine`, whose graph
-/// was restored from the same image. Records arrive in `(col, row)`
-/// order: a formula goes back in the run of the cell above (past blank
-/// rows) or to the left if it is that run's next cell, and is re-parsed
-/// if not.
-fn restore_sheet(
-    engine: &mut Engine,
-    cells: Vec<(Cell, CellRecord)>,
-    dirty: Vec<Cell>,
-) -> Result<(), StoreError> {
-    for (cell, rec) in cells {
-        let content = match rec {
-            CellRecord::Pure(v) => CellContent::pure(v),
-            CellRecord::Formula { src, value } => {
-                let run = engine
-                    .run_for(cell, &src)
-                    .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-                CellContent::formula_cell(run, value)
-            }
-        };
-        engine.put_cell(cell, content);
-    }
-    engine.mark_cells_dirty(&dirty);
-    Ok(())
-}
-
 impl Workbook {
     /// Captures the workbook as a plain-data image (see the module docs
     /// for what is stored vs derived).
@@ -96,56 +72,60 @@ impl Workbook {
                 sheet_image(self.sheet(id), self.sheet_name(id).to_string())
             })
             .collect();
-        let mut cross: Vec<CrossEdgeImage> = self
-            .cross_edges()
-            .map(|e| CrossEdgeImage {
-                src: e.src.0 as u32,
-                prec: e.prec,
-                dst: e.dst.0 as u32,
-                dep: e.dep,
-            })
-            .collect();
-        // Canonical cross-table order: the live table's row order
-        // reflects edit history, which must not leak into the image —
-        // equal workbooks encode to equal bytes.
-        cross.sort_unstable_by_key(|e| (e.src, e.dst, e.dep, e.prec.head(), e.prec.tail()));
         // Image epoch 0: the persistence owner (`save`, compaction)
         // stamps the real replay epoch before the image hits the disk.
-        WorkbookImage { sheets, cross, epoch: 0 }
+        WorkbookImage { sheets, epoch: 0 }
     }
 
     /// Reconstructs a workbook from an image: graphs are restored without
     /// recompression, formula sources re-parsed, dirty sets re-marked,
-    /// and the cross-edge table re-inserted verbatim.
+    /// and the cross-edge table bound from the formulas. Every sheet is
+    /// added first, the way a live `AddSheet` adds one — with no cell
+    /// restored yet, its rebind walks nothing — so that each formula's
+    /// qualified reads then bind to whichever sheets they name.
     pub fn from_image(image: WorkbookImage) -> Result<Self, StoreError> {
-        let n = image.sheets.len();
         let mut wb = Workbook::new();
+        let mut contents = Vec::with_capacity(image.sheets.len());
         for sheet in image.sheets {
             let graph = FormulaGraph::restore(sheet.graph);
-            // `add_sheet_unbound`: the image already carries the cross
-            // edges and dirty sets — the live rebind pass would duplicate
-            // both for formulae that forward-referenced a later sheet.
-            let id = wb
-                .add_sheet_unbound(&sheet.name, graph)
+            wb.add_sheet_with(&sheet.name, graph)
                 .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            restore_sheet(wb.engine_mut(id.index()), sheet.cells, sheet.dirty)?;
+            contents.push((sheet.cells, sheet.dirty));
         }
-        // An image carries no mark of which formulas read a sheet that
-        // does not exist: the first sheet added walks them all.
-        wb.flag_dangling_refs();
-        for e in image.cross {
-            let (src, dst) = (e.src as usize, e.dst as usize);
-            if src >= n || dst >= n {
-                return Err(StoreError::Malformed("cross edge names a missing sheet"));
-            }
-            wb.insert_cross_edge_raw(CrossEdge {
-                src: SheetId(src),
-                prec: e.prec,
-                dst: SheetId(dst),
-                dep: e.dep,
-            });
+        for (sid, (cells, dirty)) in contents.into_iter().enumerate() {
+            wb.restore_sheet(sid, cells, dirty)?;
         }
         Ok(wb)
+    }
+
+    /// Puts a stored sheet's cells and dirty marks into sheet `sid`, whose
+    /// graph was restored from the same image, and binds the cross-sheet
+    /// reads of its formulas; the dirty marks are the image's, nothing
+    /// more. Records arrive in `(col, row)` order: a formula goes back in
+    /// the run of the cell above (past blank rows) or to the left if it is
+    /// that run's next cell, and is re-parsed if not.
+    fn restore_sheet(
+        &mut self,
+        sid: usize,
+        cells: Vec<(Cell, CellRecord)>,
+        dirty: Vec<Cell>,
+    ) -> Result<(), StoreError> {
+        for (cell, rec) in cells {
+            let content = match rec {
+                CellRecord::Pure(v) => CellContent::pure(v),
+                CellRecord::Formula { src, value } => {
+                    let run = self
+                        .engine_mut(sid)
+                        .run_for(cell, &src)
+                        .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
+                    self.bind_cross_reads(sid, cell, &run);
+                    CellContent::formula_cell(run, value)
+                }
+            };
+            self.engine_mut(sid).put_cell(cell, content);
+        }
+        self.engine_mut(sid).mark_cells_dirty(&dirty);
+        Ok(())
     }
 
     /// Writes the workbook snapshot to `path` and empties any sidecar WAL
@@ -1059,6 +1039,101 @@ mod tests {
         reopened.set_value(SheetId(1), c("A1"), n(6.0));
         reopened.recalculate(RecalcMode::Serial);
         assert_eq!(reopened.value(SheetId(0), c("B1")), n(8.0));
+    }
+
+    #[test]
+    fn an_opened_workbook_flags_only_the_sheets_that_name_a_missing_one() {
+        // Three sheets full of formulas; only `Mid` names a sheet that
+        // does not exist yet.
+        let mut wb = Workbook::with_taco();
+        for name in ["First", "Mid", "Last"] {
+            let id = wb.add_sheet(name).unwrap();
+            for row in 1..=20u32 {
+                wb.set_value(id, Cell::new(1, row), n(f64::from(row)));
+                wb.set_formula(id, Cell::new(2, row), &format!("=A{row}*2")).unwrap();
+            }
+        }
+        let (first, mid, last) = (SheetId(0), SheetId(1), SheetId(2));
+        wb.set_formula(last, c("C1"), "=First!B1+Mid!B2").unwrap();
+        wb.set_formula(mid, c("C1"), "=Late!A1+First!B3").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        let path = temp("flags");
+        wb.save(&path).unwrap();
+        let mut back = Workbook::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.cross_table(), wb.cross_table());
+        // The first sheet added walks `Mid` alone, and it stays flagged
+        // until `Late` itself comes.
+        back.add_sheet("Other").unwrap();
+        let walked = back.sheet(mid).len() as u64;
+        assert_eq!(back.cells_walked, walked);
+        let late = back.add_sheet("Late").unwrap();
+        assert_eq!(back.cells_walked, 2 * walked);
+        back.add_sheet("Unread").unwrap();
+        assert_eq!(back.cells_walked, 2 * walked);
+        assert_eq!(back.cross_edge_count(), wb.cross_edge_count() + 1);
+        back.set_value(late, c("A1"), n(100.0));
+        back.recalculate(RecalcMode::Serial);
+        assert_eq!(back.value(mid, c("C1")), n(106.0));
+        assert_eq!(back.value(first, c("B3")), n(6.0));
+    }
+
+    #[test]
+    fn a_reopened_workbook_binds_the_live_cross_table_edge_for_edge() {
+        use taco_workload::{gen_persist_workload, persist_enron_like, persist_github_like};
+        for params in [persist_enron_like(), persist_github_like()] {
+            assert!(params.cross, "{}", params.name);
+            let w = gen_persist_workload(&params);
+            let mut live = Workbook::new();
+            live.apply_batch(&w.build).unwrap();
+            // After the build, then after the burst: its structural edits
+            // and its late sheet.
+            for burst in [&[][..], &w.burst[..]] {
+                live.apply_batch(burst).unwrap();
+                let edges = live.cross_table();
+                assert!(!edges.is_empty(), "{}", params.name);
+                assert_eq!(live.derived_cross_table(), edges, "{}", params.name);
+                let bytes = taco_store::encode_workbook(&live.to_image()).unwrap();
+                let reader = taco_store::StoreReader::from_bytes(bytes).unwrap();
+                let back = Workbook::from_image(reader.read_all().unwrap()).unwrap();
+                assert_eq!(back.cross_table(), edges, "{}", params.name);
+                assert_eq!(back.dirty_count(), live.dirty_count(), "{}", params.name);
+            }
+        }
+    }
+
+    /// A stepped literal that passes zero down its column prints `-1`,
+    /// which reads back as unary minus on `1`: the typed column is one
+    /// run live and reopened (debug builds check every formula that joins
+    /// a run against the parser), and a fill from its last cell copies
+    /// what that cell prints.
+    #[test]
+    fn a_literal_stepping_below_zero_round_trips() {
+        let mut wb = Workbook::one_sheet();
+        let s = SheetId(0);
+        wb.set_value(s, c("B1"), n(10.0));
+        for row in 1..=8u32 {
+            wb.set_value(s, Cell::new(1, row), n(f64::from(row)));
+            // `$B$1*2+A1`, `$B$1*1+A2`, … `$B$1*-5+A8`.
+            let src = format!("=$B$1*{}+A{row}", 3 - i64::from(row));
+            wb.set_formula(s, Cell::new(3, row), &src).unwrap();
+        }
+        assert_eq!(wb.formula_of(s, c("C4")).as_deref(), Some("$B$1*-1+A4"));
+        assert_eq!(wb.sheet(s).formula_templates(), 1);
+        wb.autofill(s, c("C8"), Range::parse_a1("C8:C12").unwrap()).unwrap();
+        assert_eq!(wb.formula_of(s, c("C12")).as_deref(), Some("$B$1*-5+A12"));
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(wb.value(s, c("C8")), n(-42.0));
+        let path = temp("negative_step");
+        wb.save(&path).unwrap();
+        let mut back = Workbook::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        back.recalculate(RecalcMode::Serial);
+        for (cell, content) in wb.sheet(s).cells() {
+            assert_eq!(back.formula_of(s, cell), wb.formula_of(s, cell), "{cell}");
+            assert_eq!(back.value(s, cell), *content.value(), "{cell}");
+        }
+        assert_eq!(back.sheet(s).formula_templates(), wb.sheet(s).formula_templates());
     }
 
     #[test]

@@ -102,8 +102,9 @@ impl Engine {
     /// registered afresh: the graph moves a dependency the way its two
     /// ends move, but the sum range of a `SUMIF`/`AVERAGEIF` takes its
     /// shape from the criteria range, so once the edit has touched such a
-    /// formula the graph holds what the formula now reads instead. (Their
-    /// cross-sheet reads are the workbook's to redo.)
+    /// formula — before the edit or after it — the graph holds what the
+    /// formula now reads instead. (Their cross-sheet reads are the
+    /// workbook's to redo.)
     pub(crate) fn restructure(&mut self, op: StructuralOp) -> (Vec<Cell>, Vec<Cell>) {
         debug_assert!(!self.has_origins(), "what was written before the edit is routed first");
         let own = self.sheet_name().to_string();
@@ -120,6 +121,7 @@ impl Engine {
                 continue;
             };
             let at = run.at(cell);
+            let shaped = run.template().shapes_reads();
             let restated = restate(op, own, at, true);
             let touched = !matches!(restated, Restated::Untouched);
             if touched {
@@ -133,7 +135,9 @@ impl Engine {
                 Some(formula) => self.run_of(nc, formula),
                 None => run,
             };
-            if touched && run.template().shapes_reads() {
+            // A rewrite that kills the criteria range leaves a sum range
+            // that no longer takes its shape: shaped before or after.
+            if touched && (shaped || run.template().shapes_reads()) {
                 self.graph_mut().clear_cells(Range::cell(nc));
                 self.attach_reads(nc, &run);
                 reshaped.push(nc);
@@ -401,6 +405,25 @@ mod tests {
         assert_eq!(reads(&wb), reads(&rebuilt));
         assert_eq!(wb.value(S, c("D1")), rebuilt.value(S, c("D1")));
         assert_eq!(wb.value(S, c("D1")), n(101.0));
+    }
+
+    /// The converse: an edit that deletes the whole criteria range leaves
+    /// the sum reference read as it is written, one cell, and the graph
+    /// must stop holding the shape it was read in.
+    #[test]
+    fn a_deleted_criteria_range_unshapes_what_the_sum_range_reads() {
+        let mut wb = Workbook::one_sheet();
+        wb.set_formula(S, c("D1"), "=SUMIF(E4:F7,\">0\",B4)").unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        wb.delete_cols(S, 5, 2);
+        assert_eq!(wb.formula_of(S, c("D1")).unwrap(), "SUMIF(#REF!,\">0\",B4)");
+        wb.recalculate(RecalcMode::Serial);
+        // C5 was read in the criteria range's shape, B4:C7; it is not now.
+        wb.set_value(S, c("C5"), n(1.0));
+        assert_eq!(wb.dirty_count(), 0, "the formula reads B4 alone");
+        let mut deps = wb.sheet(S).graph().decompress_all();
+        deps.retain(|d| d.dep == c("D1"));
+        assert_eq!(deps.iter().map(|d| d.prec).collect::<Vec<_>>(), [r("B4")]);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!   formula graph ([`taco_core::FormulaGraph`]), so each shard stays
 //!   exactly as compressible as the paper's per-sheet graphs;
 //! - cross-sheet dependencies live in a separate **inter-sheet edge
-//!   table** ([`CrossEdge`]): `(source sheet, referenced range) → (target
-//!   sheet, formula cell)`. Dependents/precedents queries and dirty
-//!   propagation run the per-sheet compressed query within a shard and hop
-//!   through the edge table between shards;
+//!   table** (`cross.rs`): `(source sheet, referenced range) → (target
+//!   sheet, formula cell)`, derived from the formulas' qualified
+//!   references. Dependents/precedents queries and dirty propagation run
+//!   the per-sheet compressed query within a shard and hop through the
+//!   edge table between shards;
 //! - recalculation is **one pass**, whoever asks: *order from roots,
 //!   then evaluate the order*. Every sheet's engine orders its own dirty
 //!   cells, each after the dirty cells it reads on that sheet
@@ -45,8 +46,8 @@
 //! iterative calculation off.
 
 use crate::cells::CellStore;
+use crate::cross::EdgeTable;
 use crate::engine::Engine;
-use crate::scc::{Digraph, Tarjan};
 use crate::sheet::Run;
 use crate::structural::{restate, Restated};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -73,127 +74,6 @@ impl SheetId {
 impl fmt::Display for SheetId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sheet#{}", self.0)
-    }
-}
-
-/// One inter-sheet dependency: the formula at `dst!dep` references the
-/// range `src!prec`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrossEdge {
-    /// Sheet holding the referenced range.
-    pub src: SheetId,
-    /// The referenced range on `src`.
-    pub prec: Range,
-    /// Sheet holding the referencing formula.
-    pub dst: SheetId,
-    /// The formula cell on `dst`.
-    pub dep: Cell,
-}
-
-/// The inter-sheet edge table, indexed both ways so the hot paths only
-/// scan the edges of the sheet at hand: routing (`route`) walks a source
-/// sheet's outgoing edges, precedent queries walk a target sheet's
-/// incoming edges. Every edge is stored in both buckets.
-#[derive(Default)]
-struct EdgeTable {
-    by_src: Vec<Vec<CrossEdge>>,
-    by_dst: Vec<Vec<CrossEdge>>,
-    len: usize,
-    /// Bumped by every change of the table or of its sheets: what the
-    /// workbook's cached sheet levels were computed at.
-    stamp: u64,
-}
-
-impl EdgeTable {
-    /// Grows both indices for a newly added sheet.
-    fn add_sheet(&mut self) {
-        self.by_src.push(Vec::new());
-        self.by_dst.push(Vec::new());
-        self.stamp += 1;
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn insert(&mut self, e: CrossEdge) {
-        self.by_src[e.src.0].push(e);
-        self.by_dst[e.dst.0].push(e);
-        self.len += 1;
-        self.stamp += 1;
-    }
-
-    /// Edges whose referenced range lives on `sid`.
-    fn outgoing(&self, sid: usize) -> &[CrossEdge] {
-        &self.by_src[sid]
-    }
-
-    /// Edges whose formula cell lives on `sid`.
-    fn incoming(&self, sid: usize) -> &[CrossEdge] {
-        &self.by_dst[sid]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &CrossEdge> {
-        self.by_src.iter().flatten()
-    }
-
-    /// Removes every edge of the formula cell `dst!dep`.
-    fn remove_dep(&mut self, dst: SheetId, dep: Cell) {
-        self.remove_where(dst, |e| e.dep == dep);
-    }
-
-    /// Removes every edge of a formula cell inside `dst!range`.
-    fn remove_deps_in(&mut self, dst: SheetId, range: Range) {
-        self.remove_where(dst, move |e| range.contains_cell(e.dep));
-    }
-
-    fn remove_where(&mut self, dst: SheetId, pred: impl Fn(&CrossEdge) -> bool) {
-        let removed: Vec<CrossEdge> =
-            self.by_dst[dst.0].iter().filter(|e| pred(e)).copied().collect();
-        if removed.is_empty() {
-            return;
-        }
-        self.by_dst[dst.0].retain(|e| !pred(e));
-        for src in removed.iter().map(|e| e.src.0).collect::<BTreeSet<_>>() {
-            self.by_src[src].retain(|e| !(e.dst == dst && pred(e)));
-        }
-        self.len -= removed.len();
-        self.stamp += 1;
-    }
-
-    /// Remaps the formula-cell end of every edge owned by sheet `sid`
-    /// under a structural edit of that sheet (the sheet's own formulas
-    /// moved); edges whose formula cell was deleted are dropped along
-    /// with the formula. The referenced-range ends on *other* sheets are
-    /// untouched — foreign geometry does not change.
-    fn remap_deps_on(&mut self, sid: usize, op: StructuralOp) {
-        self.stamp += 1;
-        let mut removed = 0usize;
-        self.by_dst[sid].retain_mut(|e| match op.map_cell(e.dep) {
-            Some(nc) => {
-                e.dep = nc;
-                true
-            }
-            None => {
-                removed += 1;
-                false
-            }
-        });
-        for bucket in &mut self.by_src {
-            bucket.retain_mut(|e| {
-                if e.dst.0 != sid {
-                    return true;
-                }
-                match op.map_cell(e.dep) {
-                    Some(nc) => {
-                        e.dep = nc;
-                        true
-                    }
-                    None => false,
-                }
-            });
-        }
-        self.len -= removed;
     }
 }
 
@@ -409,16 +289,15 @@ struct SheetShard {
     name: SheetRef,
     engine: Engine,
     /// Whether a formula of the sheet may read a sheet that does not
-    /// exist: set when one is bound ([`Workbook::bind_cross_reads`]) or
-    /// restored, and reset, exactly, by the walk a new sheet's rebind
-    /// makes ([`Workbook::rebind_dangling_refs`]).
+    /// exist: set when one is bound ([`Workbook::bind_cross_reads`]), and
+    /// reset, exactly, by the walk a new sheet's rebind makes
+    /// ([`Workbook::rebind_dangling_refs`]).
     dangling: bool,
     /// How many of the engine's extents a demand pass has followed the
     /// cross edges into this sheet from (see [`Workbook::order_viewport`]).
     hopped: usize,
-    /// The incoming cross edges of the extent being followed, as
-    /// `(position of the edge's cell in the extent, edge)`: a buffer kept
-    /// from pass to pass.
+    /// The buffer [`EdgeTable::reads_into_extent`] matches the extent
+    /// being followed in, kept from pass to pass.
     hops: Vec<(u32, u32)>,
 }
 
@@ -444,13 +323,10 @@ pub struct Workbook {
     obs: Option<Box<crate::obs::EngineObs>>,
     /// Routing buffers, and the receipt of the edit under way.
     routing: Routing,
-    /// The sheet levels, and the edge table's stamp they were computed
-    /// at (see [`Self::levels`]).
-    levels: Option<(u64, Vec<Vec<usize>>)>,
     /// Cells the dangling-reference rebinds walked so far (test
     /// instrumentation).
     #[cfg(test)]
-    cells_walked: u64,
+    pub(crate) cells_walked: u64,
 }
 
 impl Workbook {
@@ -487,17 +363,12 @@ impl Workbook {
     /// registered and the cells re-marked dirty, so the next
     /// recalculation sees the new sheet's values.
     pub fn add_sheet(&mut self, name: &str) -> Result<SheetId, WorkbookError> {
-        let id = self.add_sheet_unbound(name, FormulaGraph::taco())?;
-        self.rebind_dangling_refs(id.0);
-        Ok(id)
+        self.add_sheet_with(name, FormulaGraph::taco())
     }
 
-    /// [`Self::add_sheet`] around the given graph, minus the
-    /// dangling-reference rebind: the persistence restore path adds
-    /// sheets whose cross edges and dirty sets are restored verbatim from
-    /// the image — re-running the rebind would duplicate cross edges and
-    /// spuriously re-dirty formulae that forward-referenced a later sheet.
-    pub(crate) fn add_sheet_unbound(
+    /// [`Self::add_sheet`] around the given graph: a graph restored from
+    /// an image, or one of another configuration.
+    pub(crate) fn add_sheet_with(
         &mut self,
         name: &str,
         graph: FormulaGraph,
@@ -512,65 +383,43 @@ impl Workbook {
         let shard = SheetShard { name: sref, engine, dangling: false, hopped: 0, hops: Vec::new() };
         self.sheets.push(shard);
         self.xedges.add_sheet();
+        self.rebind_dangling_refs(id);
         Ok(SheetId(id))
     }
 
-    /// Registers cross edges for formulae whose qualified references only
-    /// now resolve (the sheet with this id was just added), and routes the
-    /// resulting dirtiness at once. Walks only the sheets flagged as
-    /// holding dangling references, and leaves each flagged exactly if it
-    /// still holds one — a reference to a sheet that is still missing.
+    /// Binds the formulae whose qualified references only now resolve
+    /// (the sheet with this id was just added), marks them dirty and
+    /// routes the resulting dirtiness at once. Walks only the sheets
+    /// flagged as holding dangling references, binds each of their
+    /// formulae's reads of the new sheet, and leaves each flagged exactly
+    /// if it still holds one — a reference to a sheet that is still
+    /// missing.
     fn rebind_dangling_refs(&mut self, new_id: usize) {
-        let new_name = self.sheets[new_id].name.name().to_string();
-        let mut edges = Vec::new();
-        for sid in 0..self.sheets.len() {
-            let shard = &self.sheets[sid];
-            if !shard.dangling {
+        let Workbook { sheets, index, xedges, routing, .. } = self;
+        for (sid, shard) in sheets.iter_mut().enumerate() {
+            if !std::mem::take(&mut shard.dangling) {
                 continue;
             }
             #[cfg(test)]
             {
                 self.cells_walked += shard.engine.len() as u64;
             }
-            let mut dangling = false;
             for (cell, content) in shard.engine.cells() {
-                let Some(formula) = content.formula(cell) else { continue };
-                // One edge per distinct range the formula reads — the
-                // same dedup `stage_run` applies on the live path.
-                let mut added: Vec<Range> = Vec::new();
-                for (sheet, rref) in formula.reads() {
-                    let Some(sheet) = sheet else { continue };
-                    let prec = rref.range();
-                    if sheet.matches(&new_name) {
-                        if !added.contains(&prec) {
-                            added.push(prec);
-                            let (src, dst) = (SheetId(new_id), SheetId(sid));
-                            edges.push(CrossEdge { src, prec, dst, dep: cell });
-                        }
-                    } else if !shard.name.matches(sheet.name()) {
-                        dangling |= !self.index.contains_key(&sheet.key());
-                    }
+                let Some(run) = &content.run else { continue };
+                let edges = xedges.len();
+                shard.dangling |= xedges.bind(sid, cell, run, index, Some(new_id));
+                if xedges.len() > edges {
+                    routing.wave.push((sid, cell));
                 }
             }
-            self.sheets[sid].dangling = dangling;
         }
-        if edges.is_empty() {
+        if routing.wave.is_empty() {
             return;
         }
-        for e in edges {
-            self.sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
-            self.routing.wave.push((e.dst.0, e.dep));
-            self.xedges.insert(e);
+        for &(sid, cell) in &routing.wave {
+            sheets[sid].engine.mark_cells_dirty(&[cell]);
         }
         self.route(true, false);
-    }
-
-    /// Flags every sheet as perhaps holding dangling references (a
-    /// restored image carries no such marks).
-    pub(crate) fn flag_dangling_refs(&mut self) {
-        for shard in &mut self.sheets {
-            shard.dangling = true;
-        }
     }
 
     /// Number of sheets.
@@ -612,22 +461,9 @@ impl Workbook {
         &mut self.sheets[i].engine
     }
 
-    /// Inserts a cross edge without routing (persistence restore: the
-    /// edge's dirtiness is already captured by the restored dirty sets).
-    /// Endpoints must name existing sheets.
-    pub(crate) fn insert_cross_edge_raw(&mut self, e: CrossEdge) {
-        debug_assert!(e.src.0 < self.sheets.len() && e.dst.0 < self.sheets.len());
-        self.xedges.insert(e);
-    }
-
     /// Number of inter-sheet edges currently routed.
     pub fn cross_edge_count(&self) -> usize {
         self.xedges.len()
-    }
-
-    /// The inter-sheet edge table (routing diagnostics).
-    pub fn cross_edges(&self) -> impl Iterator<Item = &CrossEdge> {
-        self.xedges.iter()
     }
 
     /// Current value of a cell.
@@ -886,53 +722,35 @@ impl Workbook {
         // Overwriting a formula cell drops its cross-sheet dependencies
         // (a plain value cell cannot own cross edges — skip the scan).
         if self.sheets[sid].engine.run_at(cell).is_some() {
-            self.xedges.remove_dep(SheetId(sid), cell);
+            self.xedges.remove_dep(sid, cell);
         }
         self.sheets[sid].engine.set_value(cell, v);
     }
 
     /// Stages a cleared range.
     fn stage_clear(&mut self, sid: usize, range: Range) {
-        self.xedges.remove_deps_in(SheetId(sid), range);
+        self.xedges.remove_deps_in(sid, range);
         self.sheets[sid].engine.clear_range(range);
     }
 
-    /// Stages `cell` as a cell of `run`: registers cross edges for the
-    /// foreign qualified references of the run's formula there, if it
-    /// names a sheet, and hands the rest to the sheet engine.
+    /// Stages `cell` as a cell of `run`: binds the cross-sheet reads of
+    /// the run's formula there and hands the rest to the sheet engine.
     fn stage_run(&mut self, sid: usize, cell: Cell, run: Arc<Run>) {
         if self.sheets[sid].engine.run_at(cell).is_some() {
-            self.xedges.remove_dep(SheetId(sid), cell);
+            self.xedges.remove_dep(sid, cell);
         }
-        if run.template().names_sheet() {
-            self.bind_cross_reads(sid, cell, &run);
-        }
+        self.bind_cross_reads(sid, cell, &run);
         self.sheets[sid].engine.set_run(cell, run);
     }
 
-    /// Inserts one cross edge per distinct (sheet, range) that `run`'s
-    /// formula reads, at `cell` of sheet `sid`, on another sheet.
-    fn bind_cross_reads(&mut self, sid: usize, cell: Cell, run: &Run) {
-        let mut added: Vec<(usize, Range)> = Vec::new();
-        for (sheet, rref) in run.at(cell).reads() {
-            let Some(sheet) = sheet else { continue };
-            if self.sheets[sid].name.matches(sheet.name()) {
-                continue; // self-qualified: the engine stores it locally
-            }
-            let Some(&src) = self.index.get(&sheet.key()) else {
-                // Unknown sheets get no edge: the evaluator yields #REF!
-                // until a sheet of that name appears (see
-                // `rebind_dangling_refs`).
-                self.sheets[sid].dangling = true;
-                continue;
-            };
-            let prec = rref.range();
-            if added.contains(&(src, prec)) {
-                continue;
-            }
-            added.push((src, prec));
-            self.xedges.insert(CrossEdge { src: SheetId(src), prec, dst: SheetId(sid), dep: cell });
-        }
+    /// Binds what `run`'s formula reads at `cell` of sheet `sid` on other
+    /// sheets ([`EdgeTable::bind`]), flagging the sheet if a read names a
+    /// sheet that does not exist. Marks and routes nothing: an edit's
+    /// cell is an origin already, and a restored one is dirty exactly if
+    /// its image says so.
+    pub(crate) fn bind_cross_reads(&mut self, sid: usize, cell: Cell, run: &Run) {
+        let Workbook { sheets, index, xedges, .. } = self;
+        sheets[sid].dangling |= xedges.bind(sid, cell, run, index, None);
     }
 
     /// Stages a structural edit: local transform, cross-edge remap, and
@@ -944,14 +762,7 @@ impl Workbook {
         // Snapshot the distinct foreign formula cells that read this
         // sheet *before* mutating anything: these are exactly the
         // formulas whose qualified references may need rewriting.
-        let mut referrers: Vec<(usize, Cell)> =
-            self.xedges.outgoing(sid).iter().map(|e| (e.dst.0, e.dep)).collect();
-        // The cross table's row order reflects edit history, which a
-        // snapshot round trip does not preserve. Rewrite order feeds the
-        // destination graphs' compressors, so sort it: a replayed
-        // structural edit must reproduce the live one bit for bit.
-        referrers.sort_unstable();
-        referrers.dedup();
+        let referrers = self.xedges.referrers(sid);
 
         // Local transform. The formulas whose value may change are dirty
         // and origins: the flush marks their dependents and routes any
@@ -968,7 +779,7 @@ impl Workbook {
         // afresh, like their local reads.
         self.xedges.remap_deps_on(sid, op);
         for cell in reshaped {
-            self.xedges.remove_dep(SheetId(sid), cell);
+            self.xedges.remove_dep(sid, cell);
             if let Some(run) = self.sheets[sid].engine.run_at(cell).cloned() {
                 self.bind_cross_reads(sid, cell, &run);
             }
@@ -1009,7 +820,7 @@ impl Workbook {
         routing.seeds.clear();
         routing.seeds.push(r);
         sheets[id.0].engine.find_dependents(&routing.seeds[..], &mut routing.found);
-        routing.take_found(id.0, !xedges.outgoing(id.0).is_empty(), true);
+        routing.take_found(id.0, xedges.is_read(id.0), true);
         self.route(false, true);
         self.routing.finish().0
     }
@@ -1024,10 +835,10 @@ impl Workbook {
         while let Some((sid, seed)) = queue.pop_front() {
             let local = sheets[sid].engine.find_precedents(seed);
             for range in std::iter::once(seed).chain(local.iter().copied()) {
-                for (i, e) in xedges.incoming(sid).iter().enumerate() {
-                    if range.contains_cell(e.dep) && used.insert((sid, i)) {
-                        out.push((e.src, e.prec));
-                        queue.push_back((e.src.0, e.prec));
+                for (k, src, prec) in xedges.reads_into(sid, range) {
+                    if used.insert((sid, k)) {
+                        out.push((SheetId(src), prec));
+                        queue.push_back((src, prec));
                     }
                 }
             }
@@ -1051,7 +862,7 @@ impl Workbook {
             }
             shard.engine.mark_dependents(&mut routing.seeds, &mut routing.found);
             // A sheet no other sheet reads has no hop to look for.
-            routing.take_found(sid, !xedges.outgoing(sid).is_empty(), routing.report);
+            routing.take_found(sid, xedges.is_read(sid), routing.report);
         }
         let report = self.routing.report;
         self.routing.hops += self.route(true, report);
@@ -1069,12 +880,12 @@ impl Workbook {
         let Workbook { sheets, xedges, routing, .. } = self;
         loop {
             while let Some(Job { sid, range }) = routing.queue.pop_front() {
-                for e in xedges.outgoing(sid) {
-                    if e.prec.overlaps(&range) && routing.hopped.insert((e.dst.0, e.dep)) {
+                for (dst, dep) in xedges.hops_from(sid, range) {
+                    if routing.hopped.insert((dst, dep)) {
                         if mark {
-                            sheets[e.dst.0].engine.mark_cells_dirty(&[e.dep]);
+                            sheets[dst].engine.mark_cells_dirty(&[dep]);
                         }
-                        routing.wave.push((e.dst.0, e.dep));
+                        routing.wave.push((dst, dep));
                     }
                 }
             }
@@ -1108,7 +919,7 @@ impl Workbook {
                 if mark {
                     engine.mark_ranges_dirty(&routing.found);
                 }
-                routing.take_found(sid, !xedges.outgoing(sid).is_empty(), report);
+                routing.take_found(sid, xedges.is_read(sid), report);
             }
             wave.clear();
             routing.wave = wave;
@@ -1129,85 +940,8 @@ impl Workbook {
     /// singleton level per member in id order — so everything downstream
     /// of a cycle still evaluates strictly after every cycle member.
     pub fn sheet_levels(&self) -> Vec<Vec<SheetId>> {
-        let fresh;
-        let levels = match &self.levels {
-            Some((at, levels)) if *at == self.xedges.stamp => levels,
-            _ => {
-                fresh = self.compute_levels();
-                &fresh
-            }
-        };
+        let levels = self.xedges.compute_levels();
         levels.iter().map(|l| l.iter().copied().map(SheetId).collect()).collect()
-    }
-
-    /// The sheet levels, computed once per state of the edge table and
-    /// its sheets (every change of either bumps its stamp).
-    fn levels(&mut self) -> &[Vec<usize>] {
-        let stamp = self.xedges.stamp;
-        if self.levels.as_ref().is_none_or(|(at, _)| *at != stamp) {
-            self.levels = Some((stamp, self.compute_levels()));
-        }
-        &self.levels.as_ref().expect("just computed").1
-    }
-
-    /// See [`Self::sheet_levels`]: Tarjan over the sheet graph, then the
-    /// longest paths of its condensation.
-    fn compute_levels(&self) -> Vec<Vec<usize>> {
-        /// The sheet graph: an edge from each sheet to the sheets whose
-        /// formulas read it.
-        struct Sheets<'a>(&'a EdgeTable);
-        impl Digraph for Sheets<'_> {
-            fn successors(&mut self, v: u32, out: &mut Vec<u32>) {
-                let edges = self.0.outgoing(v as usize).iter();
-                out.extend(edges.filter(|e| e.src != e.dst).map(|e| e.dst.0 as u32));
-            }
-        }
-        let n = self.sheets.len();
-        let mut sccs = Tarjan::default();
-        for sheet in 0..n as u32 {
-            sccs.search(sheet, &mut Sheets(&self.xedges));
-        }
-        // Components come out after everything they reach: backwards is
-        // an order in which every component follows its predecessors.
-        let mut comp_of = vec![0; n];
-        for k in 0..sccs.count() {
-            for &sheet in &sccs.members()[sccs.bounds(k)] {
-                comp_of[sheet as usize] = k;
-            }
-        }
-        // Longest-path base level per component over the condensation; a
-        // k-sheet component spans k consecutive singleton levels, and
-        // successors start after it.
-        let mut base = vec![0usize; sccs.count()];
-        let mut height = 0;
-        for k in (0..sccs.count()).rev() {
-            let members = sccs.bounds(k);
-            let after = base[k] + members.len();
-            height = height.max(after);
-            for &sheet in &sccs.members()[members] {
-                for e in self.xedges.outgoing(sheet as usize) {
-                    let next = comp_of[e.dst.0];
-                    if next != k {
-                        base[next] = base[next].max(after);
-                    }
-                }
-            }
-        }
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); height];
-        for k in 0..sccs.count() {
-            let mut members: Vec<usize> =
-                sccs.members()[sccs.bounds(k)].iter().map(|&s| s as usize).collect();
-            members.sort_unstable();
-            // A trivial component shares its level with independent
-            // peers, a cyclic one unrolls into singleton sub-levels.
-            for (j, m) in members.into_iter().enumerate() {
-                levels[base[k] + j].push(m);
-            }
-        }
-        for level in &mut levels {
-            level.sort_unstable();
-        }
-        levels
     }
 
     /// Every sheet's part of the most recent recalculation pass, in sheet
@@ -1282,9 +1016,9 @@ impl Workbook {
         // it, and it nests under the calling thread's ambient context
         // (the request span when a service worker drives this).
         let recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
-        self.levels();
-        let Workbook { sheets, index, xedges, obs, levels, .. } = self;
-        let levels = &levels.as_ref().expect("levels computed").1;
+        let Workbook { sheets, index, xedges, obs, .. } = self;
+        let cross_edges = xedges.len();
+        let levels = xedges.levels();
         // A full pass orders a sheet when its turn comes, not before:
         // ordering reads the formulas and slots evaluation is about to
         // (all sheets ordered first, evaluation measured 7 % slower).
@@ -1347,7 +1081,7 @@ impl Workbook {
             g.a = total as u64;
             g.b = levels_walked as u64;
             o.on_recalc(g.finish(), total, levels_walked, dirty_before);
-            o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
+            o.refresh_gauges(cross_edges, sheets.iter().map(|s| &s.engine));
         }
         drop(demand_span);
         total
@@ -1355,28 +1089,20 @@ impl Workbook {
 
     /// Orders what `viewport` on sheet `sid` needs: its dirty cells and
     /// the dirty cells they read, on their own sheet by the engine's
-    /// order and on other sheets through the cross-edge table — each
-    /// newly ordered extent's incoming cross edges name ranges whose dirty
-    /// cells are further roots on their sheet, followed in the order the
-    /// extent's cells are evaluated, each cell's in table order — until
-    /// nothing is added. Each incoming edge is matched against each new
-    /// extent's column and rows once. Returns the number of cells ordered.
+    /// order and on other sheets through the cross-edge table — what each
+    /// newly ordered extent reads on other sheets names ranges whose
+    /// dirty cells are further roots on their sheet, followed in the order
+    /// the extent's cells are evaluated — until nothing is added. Returns
+    /// the number of cells ordered.
     fn order_viewport(&mut self, sid: usize, viewport: Range) -> usize {
         let Workbook { sheets, xedges, .. } = self;
         sheets[sid].engine.order_from(Some(viewport));
         while let Some(sid) = sheets.iter().position(|s| s.hopped < s.engine.extents().len()) {
             let mut hops = std::mem::take(&mut sheets[sid].hops);
-            let incoming = xedges.incoming(sid);
             while let Some(&extent) = sheets[sid].engine.extents().get(sheets[sid].hopped) {
                 sheets[sid].hopped += 1;
-                hops.clear();
-                for (k, e) in incoming.iter().enumerate() {
-                    hops.extend(extent.position(e.dep).map(|at| (at, k as u32)));
-                }
-                hops.sort_unstable();
-                for &(_, k) in &hops {
-                    let e = &incoming[k as usize];
-                    sheets[e.src.0].engine.order_from(Some(e.prec));
+                for (src, prec) in xedges.reads_into_extent(sid, &extent, &mut hops) {
+                    sheets[src].engine.order_from(Some(prec));
                 }
             }
             sheets[sid].hops = hops;
@@ -1449,6 +1175,28 @@ impl Workbook {
         let mut wb = Workbook::new();
         wb.add_sheet("Sheet1").expect("a valid name");
         wb
+    }
+
+    /// The live cross table, edge for edge, in a canonical order.
+    pub(crate) fn cross_table(&self) -> Vec<crate::cross::CrossEdge> {
+        self.xedges.canonical()
+    }
+
+    /// The cross table binding every live formula afresh derives, in the
+    /// same order: what [`Self::cross_table`] must equal.
+    pub(crate) fn derived_cross_table(&self) -> Vec<crate::cross::CrossEdge> {
+        let mut table = EdgeTable::default();
+        for _ in &self.sheets {
+            table.add_sheet();
+        }
+        for (sid, shard) in self.sheets.iter().enumerate() {
+            for (cell, content) in shard.engine.cells() {
+                if let Some(run) = &content.run {
+                    table.bind(sid, cell, run, &self.index, None);
+                }
+            }
+        }
+        table.canonical()
     }
 }
 
@@ -2010,10 +1758,10 @@ mod tests {
     /// Computes (and caches) the levels, makes `change`, and checks the
     /// levels a pass would use are a fresh computation's.
     fn assert_levels_cached(wb: &mut Workbook, change: impl FnOnce(&mut Workbook)) {
-        wb.levels();
+        wb.xedges.levels();
         change(wb);
-        let fresh = wb.compute_levels();
-        assert_eq!(wb.levels(), fresh);
+        let fresh = wb.xedges.compute_levels();
+        assert_eq!(wb.xedges.levels(), fresh);
         let ids: Vec<Vec<SheetId>> =
             fresh.iter().map(|l| l.iter().copied().map(SheetId).collect()).collect();
         assert_eq!(wb.sheet_levels(), ids);

@@ -363,7 +363,14 @@ impl Expr {
             Expr::Unary { op, expr } => {
                 Expr::Unary { op: *op, expr: Box::new(expr.map_leaves(on_ref, on_number)) }
             }
-            Expr::Percent(expr) => Expr::Percent(Box::new(expr.map_leaves(on_ref, on_number))),
+            Expr::Percent(expr) => match expr.map_leaves(on_ref, on_number) {
+                // A literal mapped to a negation, `-n`, prints as `-n%`,
+                // which reads back as the negation of `n%`.
+                Expr::Unary { op: UnOp::Neg, expr: n } if !matches!(**expr, Expr::Unary { .. }) => {
+                    Expr::Unary { op: UnOp::Neg, expr: Box::new(Expr::Percent(n)) }
+                }
+                mapped => Expr::Percent(Box::new(mapped)),
+            },
             Expr::Text(_) | Expr::Bool(_) | Expr::RefError => self.clone(),
         }
     }

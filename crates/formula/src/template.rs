@@ -42,7 +42,7 @@
 //! [`At::step_below`], the same walk: the two differ in numeric literals
 //! only, each on an exact line.
 
-use crate::ast::{Expr, Leaf, Slot};
+use crate::ast::{Expr, Leaf, Slot, UnOp};
 use crate::eval::{moved, CellProvider};
 use crate::lexer::number_len;
 use crate::parser::{parse_spanned, Hole, Span};
@@ -331,6 +331,22 @@ impl fmt::Display for Filled<'_> {
     }
 }
 
+/// Whether `value` prints with a sign: `-0` does, NaN does not.
+fn negative(value: f64) -> bool {
+    value.is_sign_negative() && !value.is_nan()
+}
+
+/// A literal's value as the tree its printed text parses to. A negative
+/// value (`-0` too) prints as `-` and its magnitude, which the parser
+/// reads as unary minus on the magnitude, not as a negative number.
+fn literal(value: f64) -> Expr {
+    if negative(value) {
+        Expr::Unary { op: UnOp::Neg, expr: Box::new(Expr::Number(-value)) }
+    } else {
+        Expr::Number(value)
+    }
+}
+
 /// `text` past `value` as `Display` prints it, `None` if it does not
 /// start so. An integral value below 10¹⁵ in magnitude, other than `-0`,
 /// prints as its integer digits, signed, and is read against them; any
@@ -507,8 +523,9 @@ impl<'a> At<'a> {
 
     /// The formula's tree with every reference still on the grid replaced
     /// by what `f` makes of it; `None`, like a reference that left the
-    /// grid, becomes `#REF!`. Every literal is a plain number, its value
-    /// here.
+    /// grid, becomes `#REF!`. Every literal is its value here, as the
+    /// printed text parses: a plain number, or unary minus on one where
+    /// the value is negative.
     pub fn rewrite(
         &self,
         f: &mut impl FnMut(Option<&SheetRef>, RangeRef) -> Option<RangeRef>,
@@ -518,7 +535,7 @@ impl<'a> At<'a> {
                 let moved = q.rref.autofill(self.dc, self.dr)?;
                 Some(q.with_rref(f(q.sheet.as_ref(), moved)?))
             },
-            &mut |slot| Expr::Number(slot.at(self.dr)),
+            &mut |slot| literal(slot.at(self.dr)),
         )
     }
 
@@ -551,6 +568,9 @@ impl<'a> At<'a> {
                 }
                 Filled::Lost => return Ok(()),
                 Filled::Literal { value, .. } => {
+                    // A negative value's sign is unary minus, text before
+                    // the literal (see `literal`).
+                    let (at, value) = if negative(value) { (at + 1, -value) } else { (at, value) };
                     Span { hole: Hole::Literal(Slot::fixed(value)), start: at, at, end }
                 }
             });
@@ -801,6 +821,10 @@ mod tests {
             ("A1-0.1", "A2-0.2"),
             ("$B$1*7+A1", "$B$1*6+A2"),
             ("A1*999999999999998", "A2*999999999999999"),
+            // …and through zero: `-1` three rows down is unary minus,
+            // `-1%` the minus of a percent.
+            ("$B$1*2+A1", "$B$1*1+A2"),
+            ("A1*1%", "A2*0%"),
         ] {
             templates.push(stepped(first, second).unwrap_or_else(|| panic!("{first}")));
         }

@@ -8,9 +8,8 @@
 //! │                    · compressed graph, gap/γ/ζ bit-coded)  │
 //! │ sheet section 1 …                                          │
 //! ├────────────────────────────────────────────────────────────┤
-//! │ cross-sheet edge section                                   │
-//! ├────────────────────────────────────────────────────────────┤
-//! │ footer    per-section (name, offset, length, CRC-32)       │
+//! │ footer    replay epoch · per-sheet (name, offset, length,  │
+//! │           CRC-32)                                          │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ trailer   footer length u32 LE · footer CRC-32 u32 LE ·    │
 //! │           tail magic "OCAT"                                │
@@ -24,6 +23,9 @@
 //! footer carry CRC-32 checksums; any damage surfaces as a typed
 //! [`StoreError`] at open or section-decode time.
 //!
+//! There is no section for the cross-sheet edges: each is a qualified
+//! reference of a stored formula, and the engine binds them again on open.
+//!
 //! Edges are stored delta-encoded in the sorted order
 //! [`taco_core::GraphSnapshot`] now guarantees: dependent-range head gaps
 //! come out small (γ-coded), precedent corners are stored relative to the
@@ -35,8 +37,8 @@ use crate::codec::{
     crc32, read_string, read_uvarint, write_string, write_uvarint, BitReader, BitWriter,
 };
 use crate::image::{
-    cell_from, checked_coord, read_cell, read_value_payload, small_i64, value_tag, write_cell,
-    write_value_payload, CellRecord, CrossEdgeImage, SheetImage, WorkbookImage,
+    cell_from, checked_coord, read_value_payload, small_i64, value_tag, write_value_payload,
+    CellRecord, SheetImage, WorkbookImage,
 };
 use crate::StoreError;
 use std::io::Write;
@@ -49,8 +51,9 @@ pub const MAGIC: [u8; 4] = *b"TACO";
 /// Trailing file magic (cheap truncation tripwire).
 pub const TAIL_MAGIC: [u8; 4] = *b"OCAT";
 /// The format version, and the only one readers accept. Version 2 added
-/// the replay epoch to the footer.
-pub const FORMAT_VERSION: u16 = 2;
+/// the replay epoch to the footer; version 3 dropped the cross-sheet edge
+/// section, which the formulas' text already implies.
+pub const FORMAT_VERSION: u16 = 3;
 /// Upper bound on any single decoded string (names, formula sources,
 /// text values) so corrupt lengths cannot drive huge allocations.
 pub(crate) const MAX_STRING: u64 = 1 << 24;
@@ -105,9 +108,6 @@ pub fn encode_workbook(image: &WorkbookImage) -> Result<Vec<u8>, StoreError> {
         ));
         out.extend_from_slice(&payload);
     }
-    let cross_payload = encode_cross(&image.cross)?;
-    let cross_span = (out.len() as u64, cross_payload.len() as u64, crc32(&cross_payload));
-    out.extend_from_slice(&cross_payload);
 
     // Footer. It leads with the replay epoch: every WAL record with an
     // older stamp is already folded into this snapshot.
@@ -120,9 +120,6 @@ pub fn encode_workbook(image: &WorkbookImage) -> Result<Vec<u8>, StoreError> {
         write_uvarint(&mut footer, *len)?;
         footer.extend_from_slice(&crc.to_le_bytes());
     }
-    write_uvarint(&mut footer, cross_span.0)?;
-    write_uvarint(&mut footer, cross_span.1)?;
-    footer.extend_from_slice(&cross_span.2.to_le_bytes());
 
     // The footer CRC also covers the 8 header bytes, so a flipped
     // version/flags bit cannot slip past the checksums.
@@ -173,13 +170,18 @@ pub fn write_workbook_file_with(
 
 fn encode_sheet(sheet: &SheetImage) -> Result<Vec<u8>, StoreError> {
     let mut out = Vec::new();
+    // Cells go in (col, row) order. Sort *references* — images usually
+    // arrive pre-sorted, and re-establishing the order must not
+    // deep-clone every formula string on the autosave path.
+    let mut cells: Vec<&(Cell, CellRecord)> = sheet.cells.iter().collect();
+    cells.sort_by_key(|(c, _)| *c);
 
     // 1. Interned formula sources: first occurrence wins, cells refer to
     //    table indices. Autofilled neighbours usually differ (shifted
     //    references), but lookup columns and repeated rollups dedup well.
     let mut intern: Vec<&str> = Vec::new();
     let mut intern_ids: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    for (_, rec) in &sheet.cells {
+    for (_, rec) in &cells {
         if let CellRecord::Formula { src, .. } = rec {
             if !intern_ids.contains_key(src.as_str()) {
                 intern_ids.insert(src, intern.len() as u64);
@@ -192,11 +194,7 @@ fn encode_sheet(sheet: &SheetImage) -> Result<Vec<u8>, StoreError> {
         write_string(&mut out, src)?;
     }
 
-    // 2. Cells, delta-coded in (col, row) order. Sort *references* —
-    // images usually arrive pre-sorted, and re-establishing the order
-    // must not deep-clone every formula string on the autosave path.
-    let mut cells: Vec<&(Cell, CellRecord)> = sheet.cells.iter().collect();
-    cells.sort_by_key(|(c, _)| *c);
+    // 2. Cells, delta-coded.
     write_uvarint(&mut out, cells.len() as u64)?;
     let mut prev = Cell::new(1, 1);
     let mut first = true;
@@ -287,40 +285,6 @@ fn read_cell_gap(r: &mut &[u8], prev: &mut Cell, first: &mut bool) -> Result<Cel
     };
     *prev = cell;
     Ok(cell)
-}
-
-fn encode_cross(cross: &[CrossEdgeImage]) -> Result<Vec<u8>, StoreError> {
-    // Sorted for byte-identical output from equal workbooks.
-    let mut edges = cross.to_vec();
-    edges.sort_by_key(|e| (e.src, e.dst, e.dep, e.prec.head(), e.prec.tail()));
-    let mut out = Vec::new();
-    write_uvarint(&mut out, edges.len() as u64)?;
-    for e in &edges {
-        write_uvarint(&mut out, u64::from(e.src))?;
-        write_uvarint(&mut out, u64::from(e.dst))?;
-        write_cell(&mut out, e.dep)?;
-        crate::image::write_range(&mut out, e.prec)?;
-    }
-    Ok(out)
-}
-
-fn decode_cross(mut bytes: &[u8]) -> Result<Vec<CrossEdgeImage>, StoreError> {
-    let r = &mut bytes;
-    let count = read_uvarint(r)?;
-    // Each cross edge is at least 8 varint bytes.
-    let count = bounded_count(count, r.len(), 8, "cross-edge count exceeds input")?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let src = read_uvarint(r)?;
-        let dst = read_uvarint(r)?;
-        if src > u64::from(u32::MAX) || dst > u64::from(u32::MAX) {
-            return Err(StoreError::Malformed("cross-edge sheet index out of range"));
-        }
-        let dep = read_cell(r)?;
-        let prec = crate::image::read_range(r)?;
-        out.push(CrossEdgeImage { src: src as u32, prec, dst: dst as u32, dep });
-    }
-    Ok(out)
 }
 
 // ---- graph encoding -----------------------------------------------------
@@ -573,7 +537,7 @@ fn read_meta<R: std::io::Read>(
 
 // ---- reading ------------------------------------------------------------
 
-/// Footer entry for one section.
+/// Footer entry for one sheet section.
 #[derive(Debug, Clone)]
 struct Span {
     offset: u64,
@@ -591,7 +555,6 @@ pub struct StoreReader {
     bytes: Vec<u8>,
     names: Vec<String>,
     sheets: Vec<Span>,
-    cross: Span,
     epoch: u64,
 }
 
@@ -643,7 +606,8 @@ impl StoreReader {
         let sheet_count = bounded_count(sheet_count, r.len(), 7, "sheet count exceeds footer")?;
         let mut names = Vec::with_capacity(sheet_count);
         let mut sheets = Vec::with_capacity(sheet_count);
-        let read_span = |r: &mut &[u8]| -> Result<Span, StoreError> {
+        for _ in 0..sheet_count {
+            names.push(read_string(r, MAX_STRING)?);
             let offset = read_uvarint(r)?;
             let len = read_uvarint(r)?;
             if offset < HEADER_LEN as u64
@@ -653,17 +617,12 @@ impl StoreReader {
             }
             let mut crc = [0u8; 4];
             std::io::Read::read_exact(r, &mut crc)?;
-            Ok(Span { offset, len, crc: u32::from_le_bytes(crc) })
-        };
-        for _ in 0..sheet_count {
-            names.push(read_string(r, MAX_STRING)?);
-            sheets.push(read_span(r)?);
+            sheets.push(Span { offset, len, crc: u32::from_le_bytes(crc) });
         }
-        let cross = read_span(r)?;
         if !r.is_empty() {
             return Err(StoreError::Malformed("trailing bytes in footer"));
         }
-        Ok(StoreReader { bytes, names, sheets, cross, epoch })
+        Ok(StoreReader { bytes, names, sheets, epoch })
     }
 
     /// The snapshot's replay epoch: WAL records stamped with an older
@@ -685,34 +644,18 @@ impl StoreReader {
     /// CRC-checks and decodes sheet section `i`.
     pub fn read_sheet(&self, i: usize) -> Result<SheetImage, StoreError> {
         let span = self.sheets.get(i).ok_or(StoreError::Malformed("sheet index out of range"))?;
-        let payload = self.section(span, "sheet section")?;
-        decode_sheet(payload, self.names[i].clone())
-    }
-
-    /// CRC-checks and decodes the cross-sheet edge table.
-    pub fn read_cross(&self) -> Result<Vec<CrossEdgeImage>, StoreError> {
-        let payload = self.section(&self.cross, "cross-edge section")?;
-        let cross = decode_cross(payload)?;
-        let n = self.sheets.len() as u32;
-        if cross.iter().any(|e| e.src >= n || e.dst >= n) {
-            return Err(StoreError::Malformed("cross edge names a missing sheet"));
+        let payload = &self.bytes[span.offset as usize..(span.offset + span.len) as usize];
+        if crc32(payload) != span.crc {
+            return Err(StoreError::ChecksumMismatch { what: "sheet section" });
         }
-        Ok(cross)
+        decode_sheet(payload, self.names[i].clone())
     }
 
     /// Decodes every section into a full image.
     pub fn read_all(&self) -> Result<WorkbookImage, StoreError> {
         let sheets =
             (0..self.sheet_count()).map(|i| self.read_sheet(i)).collect::<Result<_, _>>()?;
-        Ok(WorkbookImage { sheets, cross: self.read_cross()?, epoch: self.epoch })
-    }
-
-    fn section(&self, span: &Span, what: &'static str) -> Result<&[u8], StoreError> {
-        let payload = &self.bytes[span.offset as usize..(span.offset + span.len) as usize];
-        if crc32(payload) != span.crc {
-            return Err(StoreError::ChecksumMismatch { what });
-        }
-        Ok(payload)
+        Ok(WorkbookImage { sheets, epoch: self.epoch })
     }
 }
 
@@ -828,16 +771,7 @@ mod tests {
             dirty: Vec::new(),
             graph: FormulaGraph::taco().snapshot(),
         };
-        WorkbookImage {
-            sheets: vec![sheet, other],
-            cross: vec![CrossEdgeImage {
-                src: 0,
-                prec: Range::parse_a1("C1:C3").unwrap(),
-                dst: 1,
-                dep: Cell::new(1, 1),
-            }],
-            epoch: 7,
-        }
+        WorkbookImage { sheets: vec![sheet, other], epoch: 7 }
     }
 
     #[test]
@@ -880,11 +814,12 @@ mod tests {
 
     #[test]
     fn every_version_but_the_current_one_is_refused() {
-        // Version 0 never existed and version 1 (no replay epoch) was only
-        // ever written by this repo's tests; a reader that guessed at
-        // either would replay a log against the wrong epoch.
+        // Version 0 never existed, version 1 (no replay epoch) was only
+        // ever written by this repo's tests — a reader that guessed at
+        // either would replay a log against the wrong epoch — and version
+        // 2's footer names a cross-sheet edge section that is no more.
         let bytes = encode_workbook(&sample_image()).unwrap();
-        for version in [0, 1, FORMAT_VERSION + 1] {
+        for version in [0, 1, 2, FORMAT_VERSION + 1] {
             let mut old = bytes.clone();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -898,18 +833,22 @@ mod tests {
     fn encoding_is_deterministic() {
         let image = sample_image();
         assert_eq!(encode_workbook(&image).unwrap(), encode_workbook(&image).unwrap());
-        // Cross-edge order is canonicalized away.
+        // Cell and dirty-set order are canonicalized away.
         let mut shuffled = image.clone();
-        shuffled.cross.reverse();
-        assert_eq!(encode_workbook(&image).unwrap(), encode_workbook(&shuffled).unwrap());
+        shuffled.sheets[0].cells.reverse();
+        shuffled.sheets[0].dirty.push(Cell::new(1, 1));
+        shuffled.sheets[0].dirty.reverse();
+        let mut sorted = image.clone();
+        sorted.sheets[0].dirty.insert(0, Cell::new(1, 1));
+        assert_eq!(encode_workbook(&sorted).unwrap(), encode_workbook(&shuffled).unwrap());
     }
 
     #[test]
     fn lazy_sheet_loads_skip_other_sections() {
         let image = sample_image();
         let mut bytes = encode_workbook(&image).unwrap();
-        // Damage sheet 0's payload; sheet 1 and the cross table must still
-        // load (per-sheet checksums, not a whole-file gate).
+        // Damage sheet 0's payload; sheet 1 must still load (per-sheet
+        // checksums, not a whole-file gate).
         let reader = StoreReader::from_bytes(bytes.clone()).unwrap();
         let span_off = {
             // Corrupt a byte inside section 0 (starts right after header).
@@ -922,7 +861,7 @@ mod tests {
             Err(StoreError::ChecksumMismatch { what: "sheet section" })
         ));
         assert_eq!(damaged.read_sheet(1).unwrap(), reader.read_sheet(1).unwrap());
-        assert_eq!(damaged.read_cross().unwrap(), image.cross);
+        assert_eq!(damaged.read_sheet(1).unwrap(), image.sheets[1]);
     }
 
     #[test]

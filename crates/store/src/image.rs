@@ -3,9 +3,11 @@
 //! `taco_store` sits below `taco_engine` in the crate DAG.
 //!
 //! Derived state is deliberately absent: the R-tree spatial indexes are
-//! rebuilt on open (`FormulaGraph::restore`), and formula ASTs are
-//! re-parsed from their interned source text — parsing is deterministic
-//! and orders of magnitude cheaper than recompression.
+//! rebuilt on open (`FormulaGraph::restore`), formula ASTs are re-parsed
+//! from their interned source text — parsing is deterministic and orders
+//! of magnitude cheaper than recompression — and the cross-sheet edges
+//! are bound again from the formulas' qualified references, the one
+//! place they are written down.
 
 use crate::codec::{read_f64, read_string, read_uvarint, write_f64, write_string, write_uvarint};
 use crate::StoreError;
@@ -44,28 +46,12 @@ pub struct SheetImage {
     pub graph: GraphSnapshot,
 }
 
-/// One inter-sheet dependency in image form: the formula at
-/// `sheets[dst]!dep` references `sheets[src]!prec`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrossEdgeImage {
-    /// Index of the sheet holding the referenced range.
-    pub src: u32,
-    /// The referenced range on the source sheet.
-    pub prec: Range,
-    /// Index of the sheet holding the formula.
-    pub dst: u32,
-    /// The formula cell on the destination sheet.
-    pub dep: Cell,
-}
-
 /// A whole workbook's persistent state. Sheet order is identity: index
 /// `i` here is `SheetId(i)` in the live workbook.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkbookImage {
     /// Per-sheet images, in sheet-id order.
     pub sheets: Vec<SheetImage>,
-    /// The inter-sheet edge table.
-    pub cross: Vec<CrossEdgeImage>,
     /// The replay epoch this snapshot was written at (see
     /// [`crate::wal`]); `0` for images that never belonged to a
     /// WAL-backed workbook.

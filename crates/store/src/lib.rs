@@ -11,8 +11,8 @@
 //! 2. [`container`] — a sectioned binary format for a whole workbook:
 //!    header with magic/version, one section per sheet (interned formula
 //!    sources, delta-coded cell values, the compressed graph's edges
-//!    gap-coded in sorted order), the cross-sheet edge table, and a
-//!    footer index that enables per-sheet lazy loading;
+//!    gap-coded in sorted order) and a footer index that enables
+//!    per-sheet lazy loading;
 //! 3. [`wal`] — an append-only log of edit records with per-record
 //!    checksums, replay-on-open, and explicit fsync points; a crash can
 //!    tear the final record, which replay detects and drops.
@@ -39,7 +39,7 @@ pub use container::{
     StoreReader, FORMAT_VERSION,
 };
 pub use frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
-pub use image::{CellRecord, CrossEdgeImage, SheetImage, WorkbookImage};
+pub use image::{CellRecord, SheetImage, WorkbookImage};
 pub use obs::WalObs;
 pub use vfs::{std_vfs, FaultHits, FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{EditRecord, ReplayMode, WalReader, WalReplay, WalWriter};

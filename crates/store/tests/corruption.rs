@@ -13,12 +13,13 @@ use taco_core::{Config, Dependency, FormulaGraph};
 use taco_formula::{CellError, Value};
 use taco_grid::{Cell, Range};
 use taco_store::{
-    CellRecord, CrossEdgeImage, EditRecord, ReplayMode, SheetImage, StoreError, StoreReader,
-    WalReader, WorkbookImage,
+    CellRecord, EditRecord, ReplayMode, SheetImage, StoreError, StoreReader, WalReader,
+    WorkbookImage,
 };
 
 /// A reasonably rich image: three sheets, every pattern kind in the
-/// graphs, every value type in the cells, dirty sets, cross edges.
+/// graphs, every value type in the cells, dirty sets, and formulas that
+/// read other sheets (an image stores those reads as formula text only).
 fn rich_image() -> WorkbookImage {
     let mut deps: Vec<Dependency> = Vec::new();
     // RR windows, FR cumulative, FF lookups, a chain, singles.
@@ -48,6 +49,14 @@ fn rich_image() -> WorkbookImage {
             },
         ));
     }
+    cells.push((
+        Cell::new(7, 1),
+        CellRecord::Formula { src: "SUM(Alpha!B1:B40)".into(), value: Value::Number(180.0) },
+    ));
+    cells.push((
+        Cell::new(7, 2),
+        CellRecord::Formula { src: "'Beta Sheet'!G1*2".into(), value: Value::Number(360.0) },
+    ));
     cells.push((Cell::new(9, 1), CellRecord::Pure(Value::Text("päyload".into()))));
     cells.push((Cell::new(9, 2), CellRecord::Pure(Value::Bool(true))));
     cells.push((Cell::new(9, 3), CellRecord::Pure(Value::Error(CellError::Div0))));
@@ -59,24 +68,7 @@ fn rich_image() -> WorkbookImage {
         dirty: vec![Cell::new(2, 3), Cell::new(2, 9)],
         graph: graph.clone(),
     };
-    WorkbookImage {
-        sheets: vec![sheet("Alpha"), sheet("Beta Sheet"), sheet("Gamma")],
-        cross: vec![
-            CrossEdgeImage {
-                src: 0,
-                prec: Range::from_coords(2, 1, 2, 40),
-                dst: 1,
-                dep: Cell::new(7, 1),
-            },
-            CrossEdgeImage {
-                src: 1,
-                prec: Range::cell(Cell::new(7, 1)),
-                dst: 2,
-                dep: Cell::new(7, 2),
-            },
-        ],
-        epoch: 3,
-    }
+    WorkbookImage { sheets: vec![sheet("Alpha"), sheet("Beta Sheet"), sheet("Gamma")], epoch: 3 }
 }
 
 fn wal_bytes() -> (Vec<u8>, Vec<EditRecord>) {
