@@ -57,9 +57,6 @@ impl Slot {
         Slot { content: CellContent { value: Value::Empty, run: None }, occupied: false };
 }
 
-/// What a blank cell reads as.
-pub(crate) static EMPTY: Value = Value::Empty;
-
 /// What a page that was never allocated reads as.
 static VACANT_PAGE: [Slot; PAGE_ROWS as usize] = [const { Slot::VACANT }; PAGE_ROWS as usize];
 

@@ -16,12 +16,11 @@
 //! when a new sheet resolves references that named it while it was
 //! missing, and on open — so the three cannot disagree on what an edge
 //! is. The workbook reaches the edges through this module's questions
-//! only: the hops out of a range, the reads into a range or an extent,
-//! the referrers of a sheet, whether a sheet is read, and the levels of
-//! the sheet graph.
+//! only: the hops out of a range, the reads into a range, the referrers of
+//! a sheet, and whether a sheet is read. The recalculation order needs
+//! none of them: it follows the formulas' qualified reads itself
+//! (`crate::order`).
 
-use crate::order::Extent;
-use crate::scc::{Digraph, Tarjan};
 use crate::sheet::Run;
 use std::collections::{BTreeMap, BTreeSet};
 use taco_core::StructuralOp;
@@ -50,11 +49,6 @@ pub(crate) struct EdgeTable {
     by_src: Vec<Vec<CrossEdge>>,
     by_dst: Vec<Vec<CrossEdge>>,
     len: usize,
-    /// Bumped by every change of the table or of its sheets.
-    stamp: u64,
-    /// The sheet levels, and the stamp they were computed at (see
-    /// [`Self::levels`]).
-    levels: Option<(u64, Vec<Vec<usize>>)>,
 }
 
 impl EdgeTable {
@@ -62,7 +56,6 @@ impl EdgeTable {
     pub(crate) fn add_sheet(&mut self) {
         self.by_src.push(Vec::new());
         self.by_dst.push(Vec::new());
-        self.stamp += 1;
     }
 
     /// Number of edges.
@@ -110,7 +103,6 @@ impl EdgeTable {
         self.by_src[e.src].push(e);
         self.by_dst[e.dst].push(e);
         self.len += 1;
-        self.stamp += 1;
     }
 
     /// Removes every edge of the formula cell `dst!dep`.
@@ -134,7 +126,6 @@ impl EdgeTable {
             self.by_src[src].retain(|e| !(e.dst == dst && pred(e)));
         }
         self.len -= removed.len();
-        self.stamp += 1;
     }
 
     /// Remaps the formula-cell end of every edge owned by sheet `sid`
@@ -143,7 +134,6 @@ impl EdgeTable {
     /// with the formula. The referenced-range ends on *other* sheets are
     /// untouched — foreign geometry does not change.
     pub(crate) fn remap_deps_on(&mut self, sid: usize, op: StructuralOp) {
-        self.stamp += 1;
         let mut removed = 0usize;
         self.by_dst[sid].retain_mut(|e| match op.map_cell(e.dep) {
             Some(nc) => {
@@ -202,28 +192,6 @@ impl EdgeTable {
         edges.filter(move |(_, e)| range.contains_cell(e.dep)).map(|(k, e)| (k, e.src, e.prec))
     }
 
-    /// What the cells of `extent` on sheet `dst` read on other sheets,
-    /// `(sheet, range)`, in the order the extent's cells are evaluated,
-    /// each cell's in table order; `hops` is a buffer kept from call to
-    /// call. Each incoming edge is matched against the extent once.
-    pub(crate) fn reads_into_extent<'a>(
-        &'a self,
-        dst: usize,
-        extent: &Extent,
-        hops: &'a mut Vec<(u32, u32)>,
-    ) -> impl Iterator<Item = (usize, Range)> + 'a {
-        let incoming = &self.by_dst[dst];
-        hops.clear();
-        for (k, e) in incoming.iter().enumerate() {
-            hops.extend(extent.position(e.dep).map(|at| (at, k as u32)));
-        }
-        hops.sort_unstable();
-        hops.iter().map(|&(_, k)| {
-            let e = &incoming[k as usize];
-            (e.src, e.prec)
-        })
-    }
-
     /// The distinct formula cells, `(sheet, cell)`, that read sheet
     /// `src`, sorted. The table's order reflects edit history, which a
     /// reopen does not preserve; whoever walks the referrers to rewrite
@@ -235,86 +203,6 @@ impl EdgeTable {
         referrers.sort_unstable();
         referrers.dedup();
         referrers
-    }
-
-    // ---- sheet levels ----------------------------------------------------
-
-    /// The sheet levels, computed once per state of the table and its
-    /// sheets (every change of either bumps its stamp); see
-    /// [`Self::compute_levels`].
-    pub(crate) fn levels(&mut self) -> &[Vec<usize>] {
-        let stamp = self.stamp;
-        if self.levels.as_ref().is_none_or(|(at, _)| *at != stamp) {
-            self.levels = Some((stamp, self.compute_levels()));
-        }
-        &self.levels.as_ref().expect("just computed").1
-    }
-
-    /// Topological levels of the sheet graph the table induces: every
-    /// edge either goes from an earlier level to a later one, or connects
-    /// two members of the same strongly connected component (a
-    /// cross-sheet cycle). Sheets within a level are independent. The
-    /// levels are those of the **SCC condensation** (longest-path), with a
-    /// multi-sheet SCC occupying one consecutive singleton level per
-    /// member in id order — so everything downstream of a cycle still
-    /// evaluates strictly after every cycle member. Tarjan over the sheet
-    /// graph, then the longest paths of its condensation.
-    pub(crate) fn compute_levels(&self) -> Vec<Vec<usize>> {
-        /// The sheet graph: an edge from each sheet to the sheets whose
-        /// formulas read it.
-        struct Sheets<'a>(&'a EdgeTable);
-        impl Digraph for Sheets<'_> {
-            fn successors(&mut self, v: u32, out: &mut Vec<u32>) {
-                let edges = self.0.by_src[v as usize].iter();
-                out.extend(edges.filter(|e| e.src != e.dst).map(|e| e.dst as u32));
-            }
-        }
-        let n = self.by_src.len();
-        let mut sccs = Tarjan::default();
-        for sheet in 0..n as u32 {
-            sccs.search(sheet, &mut Sheets(self));
-        }
-        // Components come out after everything they reach: backwards is
-        // an order in which every component follows its predecessors.
-        let mut comp_of = vec![0; n];
-        for k in 0..sccs.count() {
-            for &sheet in &sccs.members()[sccs.bounds(k)] {
-                comp_of[sheet as usize] = k;
-            }
-        }
-        // Longest-path base level per component over the condensation; a
-        // k-sheet component spans k consecutive singleton levels, and
-        // successors start after it.
-        let mut base = vec![0usize; sccs.count()];
-        let mut height = 0;
-        for k in (0..sccs.count()).rev() {
-            let members = sccs.bounds(k);
-            let after = base[k] + members.len();
-            height = height.max(after);
-            for &sheet in &sccs.members()[members] {
-                for e in &self.by_src[sheet as usize] {
-                    let next = comp_of[e.dst];
-                    if next != k {
-                        base[next] = base[next].max(after);
-                    }
-                }
-            }
-        }
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); height];
-        for k in 0..sccs.count() {
-            let mut members: Vec<usize> =
-                sccs.members()[sccs.bounds(k)].iter().map(|&s| s as usize).collect();
-            members.sort_unstable();
-            // A trivial component shares its level with independent
-            // peers, a cyclic one unrolls into singleton sub-levels.
-            for (j, m) in members.into_iter().enumerate() {
-                levels[base[k] + j].push(m);
-            }
-        }
-        for level in &mut levels {
-            level.sort_unstable();
-        }
-        levels
     }
 }
 
@@ -450,12 +338,31 @@ mod tests {
         }
     }
 
+    /// Holds `wb`, reopened and recalculated — in full, and from a
+    /// viewport on a sheet picked by `step`, then in full — to the
+    /// reference evaluator.
+    fn assert_reopened_is_the_reference(wb: &Workbook, step: usize) {
+        let reopen = || Workbook::from_image(wb.to_image()).expect("a valid image");
+        let mut full = reopen();
+        full.recalculate(RecalcMode::Serial);
+        let left_out = full.assert_reference(None);
+        let viewport = (step % wb.sheet_count(), Range::from_coords(1, 1, 3, ROWS / 2));
+        let mut demand = reopen();
+        demand.recalc_demand(SheetId(viewport.0), viewport.1).expect("a sheet");
+        demand.assert_reference(Some(viewport));
+        demand.recalculate(RecalcMode::Serial);
+        assert_eq!(demand.assert_reference(None), left_out);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The standing invariant, cross-table part: after every op the
         /// live table is, edge for edge, the one binding every live
-        /// formula afresh derives — and the one an open binds.
+        /// formula afresh derives — and the one an open binds. And the
+        /// values: the live workbook after a full pass, and a reopened
+        /// copy recalculated in full or from a viewport then in full, hold
+        /// the reference evaluator's.
         #[test]
         fn the_live_table_is_the_one_the_formulas_derive(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -474,6 +381,10 @@ mod tests {
                     seed,
                     step
                 );
+                if wb.dirty_count() == 0 {
+                    wb.assert_reference(None);
+                }
+                assert_reopened_is_the_reference(&wb, step);
             }
             let reopened = Workbook::from_image(wb.to_image()).expect("a valid image");
             prop_assert_eq!(reopened.cross_table(), wb.cross_table(), "seed {} reopened", seed);

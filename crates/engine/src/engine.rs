@@ -1,4 +1,4 @@
-use crate::cells::{CellStore, Cursor, SheetValues, EMPTY};
+use crate::cells::{CellStore, Cursor, SheetValues};
 use crate::order::{Extent, Schedule, Stretch};
 use crate::sheet::{CellContent, Run};
 use crate::workbook::OtherSheets;
@@ -271,11 +271,13 @@ pub struct Engine {
     /// The sheet's name in its [`crate::Workbook`]; references qualified
     /// with this name (`Sheet1!A1` inside `Sheet1`) are treated as local.
     sheet_name: String,
-    /// The pass's order, in buffers that persist on the engine, so
-    /// steady-state recalculation performs no per-recalc (let alone
-    /// per-cell) allocations.
-    schedule: Schedule,
-    /// The node being evaluated, in buffers that persist likewise.
+    /// What the pass under way, or the most recent one, evaluated here:
+    /// its extents in evaluation order, and their cells.
+    pass: Vec<Extent>,
+    pass_cells: usize,
+    /// The node being evaluated, in buffers that persist from pass to
+    /// pass, so steady-state recalculation performs no per-recalc (let
+    /// alone per-cell) allocations.
     node: Node,
     /// Remembered folds; every write to `cells` carries its clock.
     folds: Folds,
@@ -318,7 +320,8 @@ impl Engine {
             query: QueryScratch::new(),
             origins: Origins::default(),
             sheet_name,
-            schedule: Schedule::default(),
+            pass: Vec::new(),
+            pass_cells: 0,
             node: Node::default(),
             folds: Folds::default(),
             runs_alive: Arc::default(),
@@ -338,18 +341,18 @@ impl Engine {
     }
 
     /// This sheet's part of the most recent recalculation pass (of the
-    /// one under way, so far), `None` if it ordered nothing here.
+    /// one under way, so far), `None` if it evaluated nothing here.
     pub fn last_pass(&self) -> Option<SheetPass> {
-        let (cells, nodes) = (self.schedule.cells(), self.schedule.extents().len());
-        (cells > 0).then_some(SheetPass { sheet: 0, cells: cells as u32, nodes: nodes as u32 })
+        let (cells, nodes) = (self.pass_cells as u32, self.pass.len() as u32);
+        (cells > 0).then_some(SheetPass { sheet: 0, cells, nodes })
     }
 
-    /// Starts a recalculation pass: nothing ordered, nothing viewed, and
-    /// no order or evaluated list left over from the pass before (the
+    /// Starts a recalculation pass: nothing evaluated here yet (the
     /// workbook begins one on every sheet, so those a pass never reaches
     /// report nothing).
     pub(crate) fn begin_pass(&mut self) {
-        self.schedule.begin();
+        self.pass.clear();
+        self.pass_cells = 0;
     }
 
     /// The cells the most recent recalculation pass evaluated (or flagged
@@ -359,13 +362,6 @@ impl Engine {
         let mut cells: Vec<Cell> = self.ordered_cells().collect();
         cells.sort_unstable();
         cells
-    }
-
-    /// The nodes the pass under way, or the most recent one, made here
-    /// (test instrumentation).
-    #[cfg(test)]
-    pub(crate) fn nodes_made(&self) -> usize {
-        self.schedule.nodes_made()
     }
 
     /// Stores the clock without any dirty marking (the workbook routes
@@ -674,66 +670,60 @@ impl Engine {
 
     // ---- recalculation ----------------------------------------------------
     //
-    // A pass is *order from roots, then evaluate the order*. The roots are
-    // every dirty cell (a full pass) or the dirty cells of the ranges
-    // somebody is looking at (the workbook's demand pass, which comes
-    // back with more roots as cross-sheet reads turn up).
+    // The workbook orders a pass across all its sheets (`crate::order`)
+    // and hands each sheet the stretches of that order on it to evaluate.
 
     /// The cells of the pass under way, or of the most recent one until
-    /// the next begins, in evaluation order. The scheduler's invariant is
-    /// that every cell's dirty precedents come strictly earlier (cycle
-    /// members excepted).
+    /// the next begins, in evaluation order: the formula cells in each
+    /// evaluated extent's rows, found by a walk over every row it spans,
+    /// blank ones included. The scheduler's invariant is that every
+    /// cell's dirty precedents come strictly earlier (cycle members
+    /// excepted).
     pub fn ordered_cells(&self) -> impl Iterator<Item = Cell> + '_ {
-        self.schedule.ordered_cells()
+        self.pass.iter().flat_map(move |extent| {
+            let rows = extent.lo..=extent.hi;
+            let (down, up) = if extent.up { (0, usize::MAX) } else { (usize::MAX, 0) };
+            let rows = rows.clone().take(down).chain(rows.rev().take(up));
+            let cells = rows.map(move |row| Cell { col: extent.col, row });
+            cells.filter(|&cell| self.run_at(cell).is_some())
+        })
     }
 
-    /// The order of the pass under way, node by node (see
-    /// [`crate::order`]).
-    pub(crate) fn extents(&self) -> &[Extent] {
-        self.schedule.extents()
+    /// Flags `cell`, a member of a cycle, `#CYCLE!`: before any member is
+    /// evaluated, so one that reads a member still open in the cycle
+    /// search reads that.
+    pub(crate) fn flag_cycle(&mut self, cell: Cell) {
+        let at = self.folds.tick();
+        let error = Value::Error(CellError::Cycle);
+        self.cells.store_result(&mut Cursor::default(), cell, error, at);
     }
 
-    /// Appends to the pass's order the dirty cells inside `within` — all
-    /// of them for `None` — and the dirty cells they read on this sheet,
-    /// each after the ones it reads, by runs: see [`crate::order`]. What
-    /// an earlier call ordered stays where it is and what a later one adds
-    /// goes behind everything it reads, so any sequence of calls leaves a
-    /// valid order. Cycle members are recorded for
-    /// [`Self::evaluate_ordered`] to flag.
-    ///
-    /// Runs entirely on the reusable [`Schedule`] buffers: zero
-    /// steady-state allocations.
-    pub(crate) fn order_from(&mut self, within: Option<Range>) {
-        let mut schedule = std::mem::take(&mut self.schedule);
-        schedule.order_from(self, within);
-        self.schedule = schedule;
-    }
-
-    /// Evaluates the pass's order, with a view of other sheets' values
-    /// (the workbook's `OtherSheets`), and unmarks exactly the cells in
-    /// it; members of cycles get `#CYCLE!` first. Fully deterministic:
-    /// the order depends only on the dirty set, the local graph and the
-    /// roots asked for. Returns the number of cells evaluated.
-    pub(crate) fn evaluate_ordered(&mut self, ext: &OtherSheets<'_>) -> usize {
-        // Take the schedule and the node out so the loop can borrow `cells`
-        // mutably; they go back (capacity intact) afterwards.
-        let schedule = std::mem::take(&mut self.schedule);
+    /// Evaluates `extents`, a stretch of `schedule`'s order on this sheet,
+    /// with a view of the other sheets' values, and unmarks exactly their
+    /// cells. Fully deterministic: the order depends only on the dirty
+    /// sets, the formulas and the roots asked for. Returns the number of
+    /// cells evaluated.
+    pub(crate) fn evaluate(
+        &mut self,
+        extents: &[Extent],
+        schedule: &Schedule,
+        ext: &OtherSheets<'_>,
+    ) -> usize {
+        // Take the node out so the loop can borrow `cells` mutably; it
+        // goes back (capacity intact) afterwards.
         let mut node = std::mem::take(&mut self.node);
-        // The stores may have changed shape since the last pass.
+        // The stores may have changed shape since the last evaluation.
         node.results = Cursor::default();
         node.binds.clear();
-        for &cell in schedule.cycles() {
-            let at = self.folds.tick();
-            self.cells.store_result(&mut node.results, cell, Value::Error(CellError::Cycle), at);
+        let mut evaluated = 0;
+        for extent in extents {
+            evaluated += self.evaluate_node(&mut node, extent, schedule.stretches_of(extent), ext);
         }
-        for extent in schedule.extents() {
-            self.evaluate_node(&mut node, extent, schedule.stretches_of(extent), ext);
-        }
-        let evaluated = schedule.cells();
-        let extents = schedule.extents().iter().map(|e| (e.col, e.lo, e.hi));
-        self.cells.unmark(evaluated, extents);
-        self.schedule = schedule;
+        let evaluated = evaluated as usize;
+        self.cells.unmark(evaluated, extents.iter().map(|e| (e.col, e.lo, e.hi)));
         self.node = node;
+        self.pass.extend_from_slice(extents);
+        self.pass_cells += evaluated;
         self.evaluated_total += evaluated as u64;
         evaluated
     }
@@ -748,23 +738,24 @@ impl Engine {
     /// row. Then each row runs the rest of the program on a [`NodeView`]
     /// that reads through those bindings and carries the node's folds from
     /// row to row (see [`Carries`]); its result goes through the cursor
-    /// the node's column and page were found through once.
+    /// the node's column and page were found through once. Returns the
+    /// node's cells.
     fn evaluate_node(
         &mut self,
         node: &mut Node,
         extent: &Extent,
         stretches: &[Stretch],
         ext: &OtherSheets<'_>,
-    ) {
+    ) -> u32 {
         let (col, up) = (extent.col, extent.up);
+        let cells: u32 = stretches.iter().map(|s| s.rows(extent)).map(|(a, b)| b - a + 1).sum();
         let top = Cell { col, row: if up { extent.hi } else { extent.lo } };
         let Some(run) = self.cells.run_through(&mut node.results, top).map(Arc::clone) else {
-            return;
+            return cells;
         };
         let (template, (dc, first)) = (run.template(), run.offset(top));
         let program = template.program();
-        node.start(program, col, up, dc, &self.sheet_name, ext);
-        let cells: u32 = stretches.iter().map(|s| s.rows(extent)).map(|(a, b)| b - a + 1).sum();
+        node.start(program, col, up, dc, ext);
         let last = cells as usize - 1;
         let stride = (cells as usize / (MARKS_KEPT / 2)).max(1);
         let (mut index, mut next_mark) = (0, 0);
@@ -803,6 +794,7 @@ impl Engine {
                 index += 1;
             }
         }
+        cells
     }
 
     // ---- passthrough graph queries ----------------------------------------
@@ -908,8 +900,6 @@ enum Source {
     Own,
     /// Another sheet's, by its [`OtherSheets`] id.
     Other(usize),
-    /// A sheet that reads as blank.
-    Blank,
     /// No such sheet: every cell reads as the error.
     Missing(CellError),
 }
@@ -937,29 +927,19 @@ struct Node {
 
 impl Node {
     /// Binds `program` to a node down column `col`, `dc` columns from the
-    /// run's anchor, on the sheet named `own` beside the sheets `ext`
-    /// resolves: each reference placed, its qualifier resolved, and its
-    /// cursor kept where the node before read the same sheet for it.
-    fn start(
-        &mut self,
-        program: &Program,
-        col: u32,
-        up: bool,
-        dc: i64,
-        own: &str,
-        ext: &OtherSheets<'_>,
-    ) {
+    /// run's anchor, on the sheet `ext` is the view from: each reference
+    /// placed, its qualifier resolved, and its cursor kept where the node
+    /// before read the same sheet for it.
+    fn start(&mut self, program: &Program, col: u32, up: bool, dc: i64, ext: &OtherSheets<'_>) {
         self.carries.start(col, up, program.aggregates());
         program.place(&mut self.frame, dc);
         self.binds.truncate(program.refs().len());
         for (k, q) in program.refs().iter().enumerate() {
-            let source = match q.sheet_name() {
-                Some(name) if !own.eq_ignore_ascii_case(name) => match ext.resolve(name) {
-                    Ok(Some(id)) => Source::Other(id),
-                    Ok(None) => Source::Blank,
-                    Err(e) => Source::Missing(e),
-                },
-                _ => Source::Own,
+            let source = match q.sheet_name().map(|name| ext.resolve(name)) {
+                None => Source::Own,
+                Some(Ok(id)) if id == ext.own() => Source::Own,
+                Some(Ok(id)) => Source::Other(id),
+                Some(Err(e)) => Source::Missing(e),
             };
             match self.binds.get_mut(k) {
                 Some(bound) if bound.source == source => {}
@@ -988,21 +968,14 @@ struct NodeView<'a> {
 }
 
 impl NodeView<'_> {
-    /// The store reference `k` reads, if it reads one.
+    /// The store reference `k` reads, or the error every cell of a sheet
+    /// that does not exist reads as.
     #[inline]
-    fn store(&self, k: usize) -> Option<&CellStore> {
+    fn store(&self, k: usize) -> Result<&CellStore, CellError> {
         match self.binds[k].source {
-            Source::Own => Some(self.cells),
-            Source::Other(id) => Some(self.ext.cells(id)),
-            Source::Blank | Source::Missing(_) => None,
-        }
-    }
-
-    /// What every cell of a sheet that is not read reads as.
-    fn blank(&self, k: usize) -> Value {
-        match self.binds[k].source {
-            Source::Missing(e) => Value::Error(e),
-            _ => Value::Empty,
+            Source::Own => Ok(self.cells),
+            Source::Other(id) => Ok(self.ext.cells(id)),
+            Source::Missing(e) => Err(e),
         }
     }
 }
@@ -1011,9 +984,8 @@ impl Reader for NodeView<'_> {
     #[inline(always)]
     fn read(&self, k: usize, cell: Cell) -> Cow<'_, Value> {
         match self.store(k) {
-            Some(store) => Cow::Borrowed(store.read(&self.binds[k].at, cell)),
-            None if matches!(self.binds[k].source, Source::Blank) => Cow::Borrowed(&EMPTY),
-            None => Cow::Owned(self.blank(k)),
+            Ok(store) => Cow::Borrowed(store.read(&self.binds[k].at, cell)),
+            Err(e) => Cow::Owned(Value::Error(e)),
         }
     }
 
@@ -1033,20 +1005,22 @@ impl Reader for NodeView<'_> {
         #[cfg(debug_assertions)]
         let f = &mut |acc: A, v: &Value| {
             let cell = cell_by_cell.next().expect("a scan visits no more cells than its range");
-            let blank = self.blank(k);
-            let want = store.map_or(&blank, |store| store.value(cell));
-            let same = match (v, want) {
+            let want = match store {
+                Ok(store) => Cow::Borrowed(store.value(cell)),
+                Err(e) => Cow::Owned(Value::Error(e)),
+            };
+            let same = match (v, &*want) {
                 (Value::Number(a), Value::Number(b)) => a.to_bits() == b.to_bits(),
-                _ => v == want,
+                (v, want) => v == want,
             };
             debug_assert!(same, "scan of {range} for reference {k}: {v:?} at {cell}, not {want:?}");
             f(acc, v)
         };
         let flow = match store {
-            Some(store) => store.fold_through(&self.binds[k].at, range, init, f),
-            None => {
-                let blank = self.blank(k);
-                range.cells().try_fold(init, |acc, _| f(acc, &blank))
+            Ok(store) => store.fold_through(&self.binds[k].at, range, init, f),
+            Err(e) => {
+                let missing = Value::Error(e);
+                range.cells().try_fold(init, |acc, _| f(acc, &missing))
             }
         };
         #[cfg(debug_assertions)]
@@ -1590,7 +1564,7 @@ mod tests {
         let windows = in_pairs(&mut wb, 2, ROWS, |r| format!("=SUM(A{r}:A{})", r + 2));
         assert_eq!((wb.sheet(S).formula_templates(), windows.len()), (1, 512));
         assert_eq!(wb.recalculate(RecalcMode::Serial), windows.len());
-        assert_eq!(wb.sheet(S).nodes_made(), 1, "the blank rows between the pairs cut no node");
+        assert_eq!(wb.nodes_made(), 1, "the blank rows between the pairs cut no node");
         for &cell in &windows {
             let want = added_up(&wb, &format!("A{}:A{}", cell.row, cell.row + 2));
             assert_eq!(wb.value(S, cell), want, "{cell}");
@@ -1602,14 +1576,14 @@ mod tests {
         let totals = in_pairs(&mut wb, 3, ROWS, |r| format!("=SUM($A$1:A{r})"));
         assert_eq!(wb.sheet(S).formula_templates(), 2);
         assert_eq!(wb.recalculate(RecalcMode::Serial), totals.len());
-        assert_eq!(wb.sheet(S).nodes_made(), 1);
+        assert_eq!(wb.nodes_made(), 1);
         for at in [1, 2, 700, 703, ROWS] {
             wb.set_value(S, Cell::new(1, at), n(-3.5));
             let below = totals.iter().filter(|c| c.row >= at).count();
             let over = windows.iter().filter(|c| (c.row..=c.row + 2).contains(&at)).count();
             assert_eq!(wb.recalculate(RecalcMode::Serial), below + over, "edit at row {at}");
             let nodes = usize::from(below > 0) + usize::from(over > 0);
-            assert_eq!(wb.sheet(S).nodes_made(), nodes, "edit at row {at}");
+            assert_eq!(wb.nodes_made(), nodes, "edit at row {at}");
             for cell in [totals[totals.len() - 1], windows[windows.len() / 2]] {
                 let range = if cell.col == 3 {
                     format!("A1:A{}", cell.row)

@@ -19,8 +19,9 @@
 //! `$`-rules create the tabular locality TACO compresses.
 //!
 //! Multi-sheet files keep one engine shard per sheet, an inter-sheet edge
-//! table for `Sheet2!A1`-style cross-references, and a recalculation that
-//! walks the sheets in the level order of the cross-sheet edges. Like the
+//! table for `Sheet2!A1`-style cross-references, and one recalculation
+//! order across the sheets, each dirty cell after the dirty cells it reads
+//! on whichever sheet. Like the
 //! graphs' spatial indexes, the edge table is derived state: it follows
 //! from the formulas' qualified references, one routine binds every edge
 //! (on an edit, when an added sheet resolves a reference, and on open),

@@ -15,15 +15,13 @@ pub(crate) struct EngineObs {
     recalc_ns: Histogram,
     /// `taco_recalc_cells` — cells evaluated per recalculation.
     recalc_cells: Histogram,
-    /// `taco_recalc_levels` — sheet SCC levels walked per recalculation.
-    recalc_levels: Histogram,
     /// `taco_dirty_depth` — dirty-set size at recalc entry.
     dirty_depth: Histogram,
     /// `taco_demand_closure_cells` — needed-set size per demand recalc.
     demand_closure_cells: Histogram,
     /// `taco_profile_order_ns` / `taco_profile_eval_ns` — what each
-    /// `sheet.order` / `sheet.eval` span measured: one sheet's ordering
-    /// in a full pass, one sheet's evaluation in any pass.
+    /// `sheet.order` / `sheet.eval` span measured: the ordering from one
+    /// root of a pass, the evaluation of one sheet's stretch of the order.
     profile_order_ns: Histogram,
     profile_eval_ns: Histogram,
     /// `taco_apply_ns` — what each `workbook.apply` span measured.
@@ -77,7 +75,6 @@ impl EngineObs {
         EngineObs {
             recalc_ns: m.histogram("taco_recalc_ns"),
             recalc_cells: m.histogram("taco_recalc_cells"),
-            recalc_levels: m.histogram("taco_recalc_levels"),
             dirty_depth: m.histogram("taco_dirty_depth"),
             demand_closure_cells: m.histogram("taco_demand_closure_cells"),
             profile_order_ns: m.histogram("taco_profile_order_ns"),
@@ -104,9 +101,9 @@ impl EngineObs {
     }
 
     /// Starts the `workbook.recalc` span as a tree-building guard: the
-    /// per-level spans recorded while it is live nest under it, and it
+    /// `sheet.*` spans recorded while it is live nest under it, and it
     /// nests under whatever request context the calling thread carries.
-    /// Set `a` (cells) and `b` (levels) before finishing it; the duration
+    /// Set `a` (cells) and `b` (nodes) before finishing it; the duration
     /// [`SpanGuard::finish`] returns goes to [`EngineObs::on_recalc`].
     pub(crate) fn recalc_guard(&self) -> SpanGuard {
         self.tracer.span_guard("workbook.recalc", SpanCat::Recalc)
@@ -114,54 +111,44 @@ impl EngineObs {
 
     /// Records one completed recalculation's metrics; `dur_ns` is what
     /// its [`EngineObs::recalc_guard`] span recorded.
-    pub(crate) fn on_recalc(&self, dur_ns: u64, cells: usize, levels: usize, dirty_before: usize) {
+    pub(crate) fn on_recalc(&self, dur_ns: u64, cells: usize, dirty_before: usize) {
         self.recalc_ns.record(dur_ns);
         self.recalc_cells.record(cells as u64);
-        self.recalc_levels.record(levels as u64);
         self.dirty_depth.record(dirty_before as u64);
         self.recalcs_total.inc();
         self.recalc_cells_total.add(cells as u64);
     }
 
-    /// Starts the guard for one sheet SCC level of a recalculation. Set
-    /// `a` (level index) and `b` (sheets in the level) before it drops.
-    pub(crate) fn sheet_level_guard(&self) -> SpanGuard {
-        self.tracer.span_guard("workbook.level", SpanCat::SheetLevel)
-    }
-
     /// Starts the `workbook.demand` span guard wrapping one demand-driven
-    /// recalculation (closure expansion + restricted recalc). Set `a`
-    /// (closure size) before it drops.
+    /// recalculation. Set `a` (cells evaluated) before it drops.
     pub(crate) fn demand_guard(&self) -> SpanGuard {
         self.tracer.span_guard("workbook.demand", SpanCat::Demand)
     }
 
-    /// Records the needed-set size of one demand-driven recalculation,
-    /// plus the `demand.expand` span covering the closure walk itself
-    /// (begun at `start_ns`).
-    pub(crate) fn on_demand_expand(&self, start_ns: u64, closure: usize) {
+    /// Records the needed-set size of one demand-driven recalculation:
+    /// the cells it evaluated.
+    pub(crate) fn on_demand(&self, closure: usize) {
         self.demand_closure_cells.record(closure as u64);
-        self.tracer.record_since("demand.expand", SpanCat::Demand, start_ns, closure as u64, 0);
     }
 
-    /// Records the `sheet.order` span of one sheet's ordering in a full
-    /// pass, begun at `start_ns`.
-    pub(crate) fn on_sheet_order(&self, start_ns: u64, sheet: &Engine) {
-        self.profile_order_ns.record(self.sheet_span("sheet.order", start_ns, sheet));
+    /// Records the `sheet.order` span of the ordering from one root of a
+    /// pass, begun at `start_ns`, which appended `cells` cells in `nodes`
+    /// nodes.
+    pub(crate) fn on_order(&self, start_ns: u64, cells: u64, nodes: u64) {
+        let dur =
+            self.tracer.record_since("sheet.order", SpanCat::SheetLevel, start_ns, cells, nodes);
+        self.profile_order_ns.record(dur);
     }
 
-    /// Records the `sheet.eval` span of one sheet's evaluation, begun at
-    /// `start_ns`.
+    /// Records the `sheet.eval` span of one evaluation of a sheet's
+    /// stretch of the order, begun at `start_ns`; its payload the cells
+    /// and nodes the pass has evaluated on the sheet so far.
     pub(crate) fn on_sheet_eval(&self, start_ns: u64, sheet: &Engine) {
-        self.profile_eval_ns.record(self.sheet_span("sheet.eval", start_ns, sheet));
-    }
-
-    /// Records a span of one sheet's part of the pass, its payload the
-    /// cells and nodes ordered so far, and returns its duration.
-    fn sheet_span(&self, name: &'static str, start_ns: u64, sheet: &Engine) -> u64 {
         let (cells, nodes): (u64, u64) =
             sheet.last_pass().map_or((0, 0), |p| (p.cells.into(), p.nodes.into()));
-        self.tracer.record_since(name, SpanCat::SheetLevel, start_ns, cells, nodes)
+        let dur =
+            self.tracer.record_since("sheet.eval", SpanCat::SheetLevel, start_ns, cells, nodes);
+        self.profile_eval_ns.record(dur);
     }
 
     /// Records the `workbook.apply` span of one edit or batch (begun at

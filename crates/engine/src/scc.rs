@@ -1,6 +1,6 @@
-//! Strongly connected components: the one routine behind every order the
-//! engine derives from a graph — a sheet's dirty runs and cells
-//! (`crate::order`) and the workbook's sheets (`Workbook::sheet_levels`).
+//! Strongly connected components: the one routine behind the order the
+//! engine derives from a graph — the workbook's dirty (sheet, node)
+//! pairs, runs and cells, across sheets (`crate::order`).
 //!
 //! Tarjan's algorithm, iterative, on buffers that outlive a search: a
 //! component is found only after every component it reaches, so the

@@ -1,5 +1,5 @@
 //! Multi-sheet workbooks: sheet-sharded formula graphs, cross-sheet
-//! reference routing, and the sheet-level recalculation schedule.
+//! reference routing, and the one recalculation schedule over them.
 //!
 //! The paper evaluates TACO per sheet, but the Enron/Github workbooks it
 //! draws from are multi-sheet with `Sheet2!A1`-style cross-references. A
@@ -14,40 +14,33 @@
 //!   references. Dependents/precedents queries and dirty propagation run
 //!   the per-sheet compressed query within a shard and hop through the
 //!   edge table between shards;
-//! - recalculation is **one pass**, whoever asks: *order from roots,
-//!   then evaluate the order*. Every sheet's engine orders its own dirty
-//!   cells, each after the dirty cells it reads on that sheet
-//!   (`Engine::order_from`, resumable within a pass). The roots are every
-//!   dirty cell ([`Workbook::recalculate`]) or the dirty cells of a
-//!   viewport ([`Workbook::recalc_demand`]); from a viewport, the cross
-//!   edges of each newly ordered cell name ranges on other sheets whose
-//!   dirty cells go back in as roots of *their* sheet, until nothing is
-//!   added. What was ordered is evaluated and unmarked; what was not
-//!   stays dirty, untouched;
-//! - evaluation is scheduled **per sheet**: sheets are topologically
-//!   leveled by the cross-edge graph (longest-path levels) and those with
-//!   anything ordered are evaluated one at a time, level by level, in
-//!   ascending sheet order within a level. A sheet reads the sheets of
-//!   earlier levels in place; they are final by then. The order depends
-//!   only on the cross-edge table and every per-sheet evaluation is
-//!   deterministic, so the same edits always recalculate to
-//!   **bit-identical** values (property-tested against a rebuild from
-//!   the final texts in `tests/prop_workbook.rs`).
+//! - recalculation is **one pass** over **one schedule**, whoever asks
+//!   (`crate::order`): the workbook's dirty cells are ordered as (sheet,
+//!   node) pairs, each after the dirty cells it reads on any sheet, by one
+//!   Tarjan search whose probes follow a formula's qualified reads to the
+//!   sheet they name. The roots are each sheet with dirty cells, in id
+//!   order ([`Workbook::recalculate`]), or a viewport
+//!   ([`Workbook::recalc_demand`]). For each root the pass orders from it
+//!   and then evaluates what that appended, one same-sheet stretch of the
+//!   order at a time: that sheet's engine mutably, every other sheet's
+//!   cells shared. What was ordered is evaluated and unmarked; what was
+//!   not stays dirty, untouched. Ordering and evaluating sheet by sheet
+//!   reads each sheet's formulas and slots just before evaluating them.
 //!
-//! Cross-sheet *cycles* (sheet A reads B, B reads A) cannot be leveled;
-//! the scheduler levels the **SCC condensation** instead: each cyclic
-//! component unrolls into consecutive singleton levels in ascending sheet
-//! order, and everything downstream of it is placed strictly later, so
-//! only the cycle members themselves see stale values. One `recalculate`
-//! call relaxes a cyclic component by a single pass over its dirty cells
-//! — deterministically. An edit that re-dirties the cycle
-//! advances it another pass; a genuine cell-level cycle across sheets
-//! never settles, matching Excel's circular-reference behaviour with
-//! iterative calculation off.
+//! The order depends only on the dirty sets, the formulas and the roots,
+//! and every evaluation is deterministic, so the same edits always
+//! recalculate to **bit-identical** values, exactly those a fresh
+//! evaluation of the final texts gives (property-tested against
+//! `taco_workload::reference::evaluate` and a rebuild in
+//! `tests/prop_workbook.rs`). Two sheets that read each other are
+//! ordinary: only a cycle of *cells* has no order, and its cells get
+//! `#CYCLE!` by one rule whether it stays inside a sheet or passes through
+//! several.
 
 use crate::cells::CellStore;
 use crate::cross::EdgeTable;
 use crate::engine::Engine;
+use crate::order::Schedule;
 use crate::sheet::Run;
 use crate::structural::{restate, Restated};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -189,7 +182,8 @@ impl Routing {
 /// change allowed to edit the benchmark drops both (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecalcMode {
-    /// Level by level, sheets in ascending id order, one at a time.
+    /// The one schedule: one order across sheets, evaluated one sheet's
+    /// stretch of it at a time.
     Serial,
 }
 
@@ -293,12 +287,6 @@ struct SheetShard {
     /// reset, exactly, by the walk a new sheet's rebind makes
     /// ([`Workbook::rebind_dangling_refs`]).
     dangling: bool,
-    /// How many of the engine's extents a demand pass has followed the
-    /// cross edges into this sheet from (see [`Workbook::order_viewport`]).
-    hopped: usize,
-    /// The buffer [`EdgeTable::reads_into_extent`] matches the extent
-    /// being followed in, kept from pass to pass.
-    hops: Vec<(u32, u32)>,
 }
 
 /// A multi-sheet workbook: one [`Engine`] shard per sheet plus the
@@ -323,6 +311,8 @@ pub struct Workbook {
     obs: Option<Box<crate::obs::EngineObs>>,
     /// Routing buffers, and the receipt of the edit under way.
     routing: Routing,
+    /// The recalculation order, in buffers kept from pass to pass.
+    schedule: Schedule,
     /// Cells the dangling-reference rebinds walked so far (test
     /// instrumentation).
     #[cfg(test)]
@@ -380,8 +370,7 @@ impl Workbook {
         let id = self.sheets.len();
         let engine = Engine::new(sref.name().to_string(), graph);
         self.index.insert(sref.key(), id);
-        let shard = SheetShard { name: sref, engine, dangling: false, hopped: 0, hops: Vec::new() };
-        self.sheets.push(shard);
+        self.sheets.push(SheetShard { name: sref, engine, dangling: false });
         self.xedges.add_sheet();
         self.rebind_dangling_refs(id);
         Ok(SheetId(id))
@@ -455,10 +444,24 @@ impl Workbook {
         &self.sheets[id.0].engine
     }
 
+    /// Shard access for the schedule.
+    pub(crate) fn engine(&self, i: usize) -> &Engine {
+        &self.sheets[i].engine
+    }
+
     /// Mutable shard access for the persistence layer (restores cells and
     /// dirty marks directly, bypassing edit routing).
     pub(crate) fn engine_mut(&mut self, i: usize) -> &mut Engine {
         &mut self.sheets[i].engine
+    }
+
+    /// The sheet a reference of a formula on sheet `own` reads: `own` for
+    /// an unqualified one, else the sheet its qualifier names, if any.
+    pub(crate) fn resolve(&self, own: u32, sheet: Option<&SheetRef>) -> Option<u32> {
+        match sheet {
+            None => Some(own),
+            Some(sheet) => sheet_index(&self.index, sheet.name()).map(|sid| sid as u32),
+        }
     }
 
     /// Number of inter-sheet edges currently routed.
@@ -931,19 +934,6 @@ impl Workbook {
 
     // ---- recalculation -------------------------------------------------
 
-    /// Topological levels of the sheet graph induced by the cross-edge
-    /// table: every cross edge either goes from an earlier level to a
-    /// later one, or connects two members of the same strongly connected
-    /// component (a cross-sheet cycle). Sheets within a level are
-    /// independent. The levels are those of the **SCC condensation**
-    /// (longest-path), with a multi-sheet SCC occupying one consecutive
-    /// singleton level per member in id order — so everything downstream
-    /// of a cycle still evaluates strictly after every cycle member.
-    pub fn sheet_levels(&self) -> Vec<Vec<SheetId>> {
-        let levels = self.xedges.compute_levels();
-        levels.iter().map(|l| l.iter().copied().map(SheetId).collect()).collect()
-    }
-
     /// Every sheet's part of the most recent recalculation pass, in sheet
     /// order: what it evaluated there and the nodes it ordered them in.
     /// Sheets the pass evaluated nothing on have none.
@@ -952,9 +942,9 @@ impl Workbook {
         passes.enumerate().filter_map(|(sheet, p)| Some(crate::SheetPass { sheet, ..p? })).collect()
     }
 
-    /// Recalculates every dirty formula cell in the workbook, sheet by
-    /// sheet in level order; see the module docs for the scheduling
-    /// model. Returns the number of cells evaluated.
+    /// Recalculates every dirty formula cell in the workbook; see the
+    /// module docs for the schedule. Returns the number of cells
+    /// evaluated.
     pub fn recalculate(&mut self, mode: RecalcMode) -> usize {
         // One schedule, nothing to select (see [`RecalcMode`]).
         let RecalcMode::Serial = mode;
@@ -982,132 +972,80 @@ impl Workbook {
         Ok(self.pass(Some((id.0, viewport))))
     }
 
-    /// One recalculation pass: order from the roots — every dirty cell
-    /// of each sheet, or what `viewport` needs — and evaluate each
-    /// sheet's order, level by level, unmarking exactly what was
+    /// One recalculation pass: for each root — each sheet with dirty
+    /// cells, in id order, or `viewport` — order from it across sheets,
+    /// then evaluate what that appended, unmarking exactly what was
     /// evaluated.
     fn pass(&mut self, viewport: Option<(usize, Range)>) -> usize {
+        let mut schedule = std::mem::take(&mut self.schedule);
+        schedule.begin(self.sheets.len());
         // A sheet the pass never reaches must not report the previous
         // pass's counts or evaluated cells.
         for s in &mut self.sheets {
             s.engine.begin_pass();
-            s.hopped = 0;
         }
-        // Guard wrapping a whole demand pass: the expansion span and the
-        // `workbook.recalc` tree both nest under it.
-        let mut demand_span = None;
-        // What the pass sets out to evaluate.
-        let dirty_before = match viewport {
-            None => self.dirty_count(),
-            Some((sid, range)) => {
-                demand_span = self.obs.as_deref().map(|o| o.demand_guard());
-                let expand_start = self.obs.as_deref().map(|o| o.now_ns());
-                let closure = self.order_viewport(sid, range);
-                if let (Some(o), Some(start_ns)) = (self.obs.as_deref(), expand_start) {
-                    o.on_demand_expand(start_ns, closure);
-                }
-                if let Some(g) = demand_span.as_mut() {
-                    g.a = closure as u64;
-                }
-                closure
-            }
-        };
-        // Tree-building span: per-level spans recorded below nest under
-        // it, and it nests under the calling thread's ambient context
+        let dirty_before = self.dirty_count();
+        // Guard wrapping a whole demand pass, the `workbook.recalc` tree
+        // under it; that nests under the calling thread's ambient context
         // (the request span when a service worker drives this).
+        let demand = self.obs.as_deref().filter(|_| viewport.is_some());
+        let demand_span = demand.map(|o| o.demand_guard());
         let recalc_span = self.obs.as_deref().map(|o| o.recalc_guard());
-        let Workbook { sheets, index, xedges, obs, .. } = self;
-        let cross_edges = xedges.len();
-        let levels = xedges.levels();
-        // A full pass orders a sheet when its turn comes, not before:
-        // ordering reads the formulas and slots evaluation is about to
-        // (all sheets ordered first, evaluation measured 7 % slower).
-        let has_work = |engine: &Engine| match viewport {
-            None => engine.dirty_count() > 0,
-            Some(_) => !engine.extents().is_empty(),
-        };
         let mut total = 0usize;
-        let mut levels_walked = 0usize;
-        for (level_idx, level) in levels.iter().enumerate() {
-            let work: Vec<usize> =
-                level.iter().copied().filter(|&i| has_work(&sheets[i].engine)).collect();
-            if work.is_empty() {
-                continue;
+        for sid in 0..self.sheets.len() {
+            let within = match viewport {
+                None if self.sheets[sid].engine.dirty_count() > 0 => None,
+                Some((root, range)) if root == sid => Some(range),
+                _ => continue,
+            };
+            let (from, cycles, cells) =
+                (schedule.extents().len(), schedule.cycles().len(), schedule.cells());
+            let start = self.obs.as_deref().map(|o| o.now_ns());
+            schedule.order_from(self, sid, within);
+            if let (Some(o), Some(start)) = (self.obs.as_deref(), start) {
+                let nodes = schedule.extents().len() - from;
+                o.on_order(start, (schedule.cells() - cells) as u64, nodes as u64);
             }
-            levels_walked += 1;
-            let mut level_span = obs.as_deref().map(|o| {
-                let mut g = o.sheet_level_guard();
-                g.a = level_idx as u64;
-                g.b = work.len() as u64;
-                g
-            });
-            // Exactly the level's shards with work are borrowed mutably,
-            // in ascending sheet order; every other sheet's cells are
-            // shared with them read-only. A sheet the level's formulae
-            // reference sits in another level: an earlier one, final by
-            // now, unless the two share a cycle.
-            let mut jobs: Vec<&mut SheetShard> = Vec::with_capacity(work.len());
-            let mut others: Vec<Option<&CellStore>> = Vec::with_capacity(sheets.len());
-            for (i, shard) in sheets.iter_mut().enumerate() {
-                if work.binary_search(&i).is_ok() {
-                    jobs.push(shard);
-                    others.push(None);
-                } else {
-                    others.push(Some(shard.engine.store()));
-                }
-            }
-            let ext = OtherSheets { index, cells: &others };
-            // On a hub, a `sheet.order` span per sheet of a full pass (a
-            // demand pass ordered in `demand.expand`) and a `sheet.eval`.
-            let obs = obs.as_deref();
-            for shard in jobs.iter_mut() {
-                let engine = &mut shard.engine;
-                if viewport.is_none() {
-                    let start = obs.map(|o| o.now_ns());
-                    engine.order_from(None);
-                    if let (Some(o), Some(start)) = (obs, start) {
-                        o.on_sheet_order(start, engine);
-                    }
-                }
-                let start = obs.map(|o| o.now_ns());
-                total += engine.evaluate_ordered(&ext);
-                if let (Some(o), Some(start)) = (obs, start) {
-                    o.on_sheet_eval(start, engine);
-                }
-            }
-            level_span.take();
+            total += self.evaluate(&schedule, from, cycles);
         }
+        let Workbook { sheets, xedges, obs, .. } = self;
         if let (Some(o), Some(mut g)) = (obs.as_deref_mut(), recalc_span) {
             g.a = total as u64;
-            g.b = levels_walked as u64;
-            o.on_recalc(g.finish(), total, levels_walked, dirty_before);
-            o.refresh_gauges(cross_edges, sheets.iter().map(|s| &s.engine));
+            g.b = schedule.extents().len() as u64;
+            o.on_recalc(g.finish(), total, dirty_before);
+            if let Some(mut demand) = demand_span {
+                demand.a = total as u64;
+                o.on_demand(total);
+            }
+            o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
         }
-        drop(demand_span);
+        self.schedule = schedule;
         total
     }
 
-    /// Orders what `viewport` on sheet `sid` needs: its dirty cells and
-    /// the dirty cells they read, on their own sheet by the engine's
-    /// order and on other sheets through the cross-edge table — what each
-    /// newly ordered extent reads on other sheets names ranges whose
-    /// dirty cells are further roots on their sheet, followed in the order
-    /// the extent's cells are evaluated — until nothing is added. Returns
-    /// the number of cells ordered.
-    fn order_viewport(&mut self, sid: usize, viewport: Range) -> usize {
-        let Workbook { sheets, xedges, .. } = self;
-        sheets[sid].engine.order_from(Some(viewport));
-        while let Some(sid) = sheets.iter().position(|s| s.hopped < s.engine.extents().len()) {
-            let mut hops = std::mem::take(&mut sheets[sid].hops);
-            while let Some(&extent) = sheets[sid].engine.extents().get(sheets[sid].hopped) {
-                sheets[sid].hopped += 1;
-                for (src, prec) in xedges.reads_into_extent(sid, &extent, &mut hops) {
-                    sheets[src].engine.order_from(Some(prec));
-                }
-            }
-            sheets[sid].hops = hops;
+    /// Evaluates what one ordering appended to `schedule` — its extents
+    /// from `from` on, whose cycle members are its cycles from `cycles` on
+    /// — flagging the cycle members `#CYCLE!` first, then one same-sheet
+    /// stretch of the extents at a time. Returns the cells evaluated.
+    fn evaluate(&mut self, schedule: &Schedule, from: usize, cycles: usize) -> usize {
+        let Workbook { sheets, index, obs, .. } = self;
+        for &(sid, cell) in &schedule.cycles()[cycles..] {
+            sheets[sid as usize].engine.flag_cycle(cell);
         }
-        sheets.iter().map(|s| s.engine.last_pass().map_or(0, |p| p.cells as usize)).sum()
+        let obs = obs.as_deref();
+        let mut total = 0;
+        for extents in schedule.extents()[from..].chunk_by(|a, b| a.sheet == b.sheet) {
+            let own = extents[0].sheet as usize;
+            let (before, rest) = sheets.split_at_mut(own);
+            let (shard, after) = rest.split_first_mut().expect("an ordered sheet exists");
+            let ext = OtherSheets { index, own, before, after };
+            let start = obs.map(|o| o.now_ns());
+            total += shard.engine.evaluate(extents, schedule, &ext);
+            if let (Some(o), Some(start)) = (obs, start) {
+                o.on_sheet_eval(start, &shard.engine);
+            }
+        }
+        total
     }
 
     /// Injects a volatile-function clock into every sheet and re-dirties
@@ -1135,36 +1073,46 @@ impl Workbook {
     }
 }
 
-/// The other sheets' cells, as one level's evaluation sees them: every
-/// sheet the level does not itself recalculate, read in place. Unknown
-/// sheet names resolve to `#REF!`.
+/// The sheet named `name` in `index` (lower-cased name → sheet), if any:
+/// looked up without allocating, as it is once per qualified reference of
+/// every node ordered and evaluated.
+fn sheet_index(index: &BTreeMap<String, usize>, name: &str) -> Option<usize> {
+    // The index is keyed by lower-cased name; a name longer than any
+    // sheet's names no sheet.
+    let mut key = [0u8; 4 * MAX_SHEET_NAME];
+    let key = key.get_mut(..name.len())?;
+    key.copy_from_slice(name.as_bytes());
+    key.make_ascii_lowercase();
+    index.get(std::str::from_utf8(key).ok()?).copied()
+}
+
+/// The workbook as one sheet's evaluation sees it: that sheet's engine is
+/// being written, every other sheet's cells are read in place.
 pub(crate) struct OtherSheets<'a> {
     index: &'a BTreeMap<String, usize>,
-    /// By sheet id; `None` for the sheets being recalculated.
-    cells: &'a [Option<&'a CellStore>],
+    /// The sheet being evaluated.
+    own: usize,
+    /// The sheets before it and after it.
+    before: &'a [SheetShard],
+    after: &'a [SheetShard],
 }
 
 impl OtherSheets<'_> {
-    /// The sheet named `sheet`: `Some` id whose cells [`Self::cells`]
-    /// gives, `None` for a sheet this level writes (no cross edge leads
-    /// there, and it reads as blank), `Err` for no sheet. Asked once per
-    /// node and reference.
-    pub(crate) fn resolve(&self, sheet: &str) -> Result<Option<usize>, CellError> {
-        // The index is keyed by lower-cased name; a name longer than a
-        // sheet's may be names no sheet. On the stack: this runs once per
-        // cross-sheet reference of every node evaluated.
-        let mut key = [0u8; 4 * MAX_SHEET_NAME];
-        let key = key.get_mut(..sheet.len()).ok_or(CellError::Ref)?;
-        key.copy_from_slice(sheet.as_bytes());
-        key.make_ascii_lowercase();
-        let key = std::str::from_utf8(key).map_err(|_| CellError::Ref)?;
-        let sid = *self.index.get(key).ok_or(CellError::Ref)?;
-        Ok(self.cells[sid].map(|_| sid))
+    /// The sheet being evaluated.
+    pub(crate) fn own(&self) -> usize {
+        self.own
     }
 
-    /// The cells of sheet `id`, as [`Self::resolve`] named it.
+    /// The id of the sheet named `sheet`, or `#REF!` for no sheet. Asked
+    /// once per node and reference.
+    pub(crate) fn resolve(&self, sheet: &str) -> Result<usize, CellError> {
+        sheet_index(self.index, sheet).ok_or(CellError::Ref)
+    }
+
+    /// The cells of sheet `id`, another than the one being evaluated.
     pub(crate) fn cells(&self, id: usize) -> &CellStore {
-        self.cells[id].expect("a sheet resolved to its cells")
+        let shard = if id < self.own { &self.before[id] } else { &self.after[id - self.own - 1] };
+        shard.engine.store()
     }
 }
 
@@ -1175,6 +1123,40 @@ impl Workbook {
         let mut wb = Workbook::new();
         wb.add_sheet("Sheet1").expect("a valid name");
         wb
+    }
+
+    /// The nodes the schedule made in the pass under way, or the most
+    /// recent one.
+    pub(crate) fn nodes_made(&self) -> usize {
+        self.schedule.nodes_made()
+    }
+
+    /// Holds every formula cell — of `only`, `(sheet, range)`, if given —
+    /// to the value `taco_workload::reference::evaluate` gives the
+    /// workbook's texts under the default clock, bit for bit, but those
+    /// its cycle rule leaves out; returns how many it left out.
+    pub(crate) fn assert_reference(&self, only: Option<(usize, Range)>) -> usize {
+        use taco_workload::reference::{evaluate, Entry, Sheet};
+        let sheet = |shard: &SheetShard| {
+            let cells = shard.engine.cells().map(|(cell, content)| {
+                let entry = match content.formula(cell) {
+                    Some(f) => Entry::Formula(f.to_string()),
+                    None => Entry::Value(content.value().clone()),
+                };
+                (cell, entry)
+            });
+            Sheet { name: shard.name.name().to_string(), cells: cells.collect() }
+        };
+        let input: Vec<Sheet> = self.sheets.iter().map(sheet).collect();
+        let inside = |s: usize, cell: Cell| {
+            only.is_none_or(|(id, range)| id == s && range.contains_cell(cell))
+        };
+        let formulas = self.sheets.iter().enumerate().flat_map(|(s, shard)| {
+            let cells = shard.engine.cells();
+            let cells = cells.filter(move |&(cell, k)| k.is_formula() && inside(s, cell));
+            cells.map(move |(cell, k)| (s, cell, k.value()))
+        });
+        evaluate(&input, EvalClock::default()).assert_agrees(formulas)
     }
 
     /// The live cross table, edge for edge, in a canonical order.
@@ -1311,15 +1293,12 @@ mod tests {
     fn quoted_sheet_names_resolve() {
         let (mut wb, data, _summary) = two_sheet_book();
         wb.set_formula(data, c("C1"), "='My Summary'!A1+1").unwrap();
-        // Data!C1 reads Summary!A1 — a sheet-level cycle, so Data (lower
-        // id) evaluates first and sees Summary!A1 still empty.
-        wb.recalculate(RecalcMode::Serial);
-        assert_eq!(wb.value(data, c("C1")), n(1.0));
-        // Re-dirtying the chain advances it one pass: now Summary!A1 = 10
-        // is visible.
-        wb.set_value(data, c("A1"), n(1.0));
+        // Data!C1 reads Summary!A1, which reads Data!A1:A4: the two sheets
+        // read each other, but no cell reads itself, so one pass orders
+        // Summary!A1 before Data!C1 and both are exact.
         wb.recalculate(RecalcMode::Serial);
         assert_eq!(wb.value(data, c("C1")), n(11.0));
+        assert_eq!(wb.dirty_count(), 0);
     }
 
     #[test]
@@ -1416,25 +1395,6 @@ mod tests {
         assert_eq!(wb.cross_edge_count(), 6);
         wb.recalculate(RecalcMode::Serial);
         assert_eq!(wb.value(out, c("A6")), n(60.0));
-    }
-
-    #[test]
-    fn levels_follow_cross_edges() {
-        let mut wb = Workbook::with_taco();
-        let s0 = wb.add_sheet("S0").unwrap();
-        let s1 = wb.add_sheet("S1").unwrap();
-        let s2 = wb.add_sheet("S2").unwrap();
-        let s3 = wb.add_sheet("S3").unwrap();
-        // S1 and S2 read S0; S3 reads S1 and S2.
-        wb.set_value(s0, c("A1"), n(1.0));
-        wb.set_formula(s1, c("A1"), "=S0!A1+1").unwrap();
-        wb.set_formula(s2, c("A1"), "=S0!A1+2").unwrap();
-        wb.set_formula(s3, c("A1"), "=S1!A1+S2!A1").unwrap();
-        let levels = wb.sheet_levels();
-        assert_eq!(levels, vec![vec![s0], vec![s1, s2], vec![s3]]);
-        let evaluated = wb.recalculate(RecalcMode::Serial);
-        assert_eq!(evaluated, 3);
-        assert_eq!(wb.value(s3, c("A1")), n(5.0));
     }
 
     #[test]
@@ -1650,9 +1610,10 @@ mod tests {
 
     #[test]
     fn sheets_downstream_of_a_cycle_evaluate_after_it() {
-        // A (id 0) only *reads* the B↔C cycle; the cell-level graph is
-        // acyclic, so A must still settle correctly: the scheduler places
-        // the condensation level of {B, C} before A despite A's lower id.
+        // A (id 0) only *reads* the sheets B and C, which read each other;
+        // the cell-level graph is acyclic, so A must still settle
+        // correctly: its pass orders the cells of B and C it reads before
+        // it despite A's lower id.
         let mut wb = Workbook::with_taco();
         let a = wb.add_sheet("A").unwrap();
         let b = wb.add_sheet("B").unwrap();
@@ -1661,110 +1622,8 @@ mod tests {
         wb.set_value(b, c("B1"), n(5.0));
         wb.set_formula(b, c("A1"), "=B1+C!B1").unwrap();
         wb.set_formula(c_id, c("A1"), "=B!B1").unwrap();
-        assert_eq!(wb.sheet_levels(), vec![vec![b], vec![c_id], vec![a]]);
         wb.recalculate(RecalcMode::Serial);
         assert_eq!(wb.value(a, c("A1")), n(50.0));
-    }
-
-    #[test]
-    fn levels_are_the_longest_paths_of_the_sheet_condensation() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        for seed in 0..200u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(1..=8usize);
-            let mut wb = Workbook::with_taco();
-            for s in 0..n {
-                wb.add_sheet(&format!("S{s}")).unwrap();
-            }
-            // reads[to][from]: a formula on `to` reads sheet `from`.
-            let mut reads = vec![vec![false; n]; n];
-            for _ in 0..rng.gen_range(0..=2 * n) {
-                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if from != to {
-                    reads[to][from] = true;
-                    let cell = Cell::new(1 + from as u32, 1);
-                    assert_levels_cached(&mut wb, |wb| {
-                        wb.set_formula(SheetId(to), cell, &format!("=S{from}!A1+1")).unwrap();
-                    });
-                }
-            }
-            // The oracle: mutual reachability, by closure.
-            let mut reach = vec![vec![false; n]; n];
-            for (to, row) in reads.iter().enumerate() {
-                for (from, &read) in row.iter().enumerate() {
-                    reach[from][to] = read || from == to;
-                }
-            }
-            for k in 0..n {
-                for i in 0..n {
-                    for j in 0..n {
-                        reach[i][j] |= reach[i][k] && reach[k][j];
-                    }
-                }
-            }
-            let scc = |s: usize| (0..n).filter(|&t| reach[s][t] && reach[t][s]).collect::<Vec<_>>();
-
-            let levels = wb.sheet_levels();
-            assert!(levels.iter().all(|l| !l.is_empty()), "seed {seed}: {levels:?}");
-            let mut level = vec![usize::MAX; n];
-            for (i, sheets) in levels.iter().enumerate() {
-                for s in sheets {
-                    assert_eq!(level[s.0], usize::MAX, "seed {seed}: {s:?} twice");
-                    level[s.0] = i;
-                }
-            }
-            let top = |s: usize| scc(s).into_iter().map(|t| level[t]).max().unwrap();
-            for s in 0..n {
-                for from in (0..n).filter(|&from| reads[s][from]) {
-                    assert!(
-                        level[from] < level[s] || scc(s).contains(&from),
-                        "seed {seed}: S{from} → S{s} in {levels:?}"
-                    );
-                }
-                // A k-sheet component is k consecutive levels, one member
-                // each, in id order; its first starts one past the last
-                // level of a component its members read, the latest such,
-                // or at 0.
-                let members = scc(s);
-                let rank = members.iter().position(|&t| t == s).unwrap();
-                let want = if rank > 0 {
-                    level[members[rank - 1]] + 1
-                } else {
-                    let read = |p: usize| members.iter().any(|&m| reads[m][p]);
-                    let outside = (0..n).filter(|&p| read(p) && !members.contains(&p));
-                    outside.map(|p| top(p) + 1).max().unwrap_or(0)
-                };
-                assert_eq!(level[s], want, "seed {seed}: S{s} in {levels:?}");
-            }
-
-            // The cache follows the table through each kind of change:
-            // an edge removed, edges remapped by a structural edit (and
-            // referrers rewritten), a sheet added.
-            let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            let cell = Cell::new(1 + from as u32, 1);
-            assert_levels_cached(&mut wb, |wb| {
-                drop(wb.set_value(SheetId(to), cell, Value::Number(1.0)))
-            });
-            let (sheet, at) = (SheetId(rng.gen_range(0..n)), rng.gen_range(1..=2));
-            assert_levels_cached(&mut wb, |wb| drop(wb.delete_rows(sheet, at, 1)));
-            assert_levels_cached(&mut wb, |wb| {
-                wb.add_sheet(&format!("S{n}")).unwrap();
-                let reader = SheetId(rng.gen_range(0..n));
-                wb.set_formula(reader, Cell::new(9, 9), &format!("=S{n}!A1")).unwrap();
-            });
-        }
-    }
-
-    /// Computes (and caches) the levels, makes `change`, and checks the
-    /// levels a pass would use are a fresh computation's.
-    fn assert_levels_cached(wb: &mut Workbook, change: impl FnOnce(&mut Workbook)) {
-        wb.xedges.levels();
-        change(wb);
-        let fresh = wb.xedges.compute_levels();
-        assert_eq!(wb.xedges.levels(), fresh);
-        let ids: Vec<Vec<SheetId>> =
-            fresh.iter().map(|l| l.iter().copied().map(SheetId).collect()).collect();
-        assert_eq!(wb.sheet_levels(), ids);
     }
 
     #[test]
@@ -1886,9 +1745,9 @@ mod tests {
         nodes
     }
 
-    /// The nodes the sheets' schedulers made in the last pass.
+    /// The nodes the schedule made in the last pass.
     fn nodes_made(wb: &Workbook) -> u64 {
-        wb.sheets.iter().map(|s| s.engine.nodes_made() as u64).sum()
+        wb.nodes_made() as u64
     }
 
     #[test]

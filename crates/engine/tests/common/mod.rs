@@ -1,9 +1,11 @@
-//! Shared by the property suites whose oracle is "the workbook equals a
-//! fresh one rebuilt from its own cell texts".
+//! Shared by the property suites whose oracles are "the workbook equals a
+//! fresh one rebuilt from its own cell texts" and "the workbook's values
+//! are the reference evaluator's" (`taco_workload::reference::evaluate`).
 
 use taco_engine::{SheetId, Workbook};
-use taco_formula::Value;
-use taco_grid::Cell;
+use taco_formula::{EvalClock, Value};
+use taco_grid::{Cell, Range};
+use taco_workload::reference::{self, Entry};
 
 /// Every cell of every sheet as sorted `(sheet, cell, formula-src, value)`
 /// rows — the full observable state.
@@ -44,4 +46,42 @@ pub fn rebuild_from_texts(wb: &Workbook) -> Workbook {
         }
     }
     out
+}
+
+/// `wb`'s cells as `taco_workload::reference::evaluate` reads them: each
+/// sheet's formulas by their text, its other cells by their value.
+#[allow(dead_code)] // not every suite that shares this module asks
+pub fn reference_input(wb: &Workbook) -> Vec<reference::Sheet> {
+    let sheet = |s: usize| {
+        let id = SheetId(s);
+        let cells = wb.sheet(id).cells().map(|(cell, content)| {
+            let entry = match content.formula(cell) {
+                Some(f) => Entry::Formula(f.to_string()),
+                None => Entry::Value(content.value().clone()),
+            };
+            (cell, entry)
+        });
+        reference::Sheet { name: wb.sheet_name(id).to_string(), cells: cells.collect() }
+    };
+    (0..wb.sheet_count()).map(sheet).collect()
+}
+
+/// Holds every formula cell of `wb` — of `only` if given — to the value
+/// the reference evaluator gives it under `clock`, bit for bit, but those
+/// its cycle rule leaves out; returns how many of `wb`'s formula cells
+/// (in `only`) it left out.
+#[allow(dead_code)] // not every suite that shares this module asks
+pub fn assert_reference(wb: &Workbook, clock: EvalClock, only: Option<(SheetId, Range)>) -> usize {
+    let want = reference::evaluate(&reference_input(wb), clock);
+    let inside = |s: usize, cell: Cell| {
+        only.is_none_or(|(id, range)| id.0 == s && range.contains_cell(cell))
+    };
+    let formulas = (0..wb.sheet_count()).flat_map(|s| {
+        let cells = wb
+            .sheet(SheetId(s))
+            .cells()
+            .filter(move |&(cell, k)| k.is_formula() && inside(s, cell));
+        cells.map(move |(cell, k)| (s, cell, k.value()))
+    });
+    want.assert_agrees(formulas)
 }

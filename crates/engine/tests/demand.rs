@@ -208,8 +208,7 @@ fn a_viewport_holding_cycle_members_reads_as_after_a_full_pass() {
 
 #[test]
 fn sheets_that_read_each_other_are_followed_both_ways() {
-    // `P` reads `Q` and `Q` reads `P` — one component of the sheet graph,
-    // `P` evaluated before `Q` — without any cell reading itself:
+    // `P` reads `Q` and `Q` reads `P`, without any cell reading itself:
     // P!B1 → Q!A1 → P!A2 → P!A1.
     let build = || {
         let mut wb = Workbook::with_taco();
@@ -225,11 +224,11 @@ fn sheets_that_read_each_other_are_followed_both_ways() {
         wb.set_formula(q, at("B7"), "=A1*10").unwrap();
         wb
     };
-    // From `P`: B1 and C1, Q!A1 behind B1, and P!A2 behind that — ordered
-    // on `P` after the cells that sent for it. B1 still reads `Q` as the
-    // full pass does, a pass behind.
+    // From `P`: B1 and C1, Q!A1 behind B1, and P!A2 behind that — one
+    // order across both sheets, so B1 reads Q!A1 current, as the full
+    // pass does.
     let (seen, evaluated) = viewport_after_demand(build, SheetId(0), "B1:C1");
-    assert_eq!((seen, evaluated), (vec![Value::Number(1.0), Value::Number(2.0)], 4));
+    assert_eq!((seen, evaluated), (vec![Value::Number(5.0), Value::Number(10.0)], 4));
     // From `Q`: A1 and P!A2 behind it, which is final when A1 reads it.
     let (seen, evaluated) = viewport_after_demand(build, SheetId(1), "A1:A1");
     assert_eq!((seen, evaluated), (vec![Value::Number(4.0)], 2));

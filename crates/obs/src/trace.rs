@@ -11,7 +11,7 @@
 //! - **ambiently** — [`TraceContext::enter`] installs a context in a
 //!   thread-local slot, and every [`Tracer::record`] call on that thread
 //!   parents itself under it until the guard drops. Layers that predate
-//!   tracing (engine levels, WAL appends) need no signature changes.
+//!   tracing (engine recalc spans, WAL appends) need no signature changes.
 //!
 //! Ids come from a splitmix64 stream seeded by
 //! [`TracerOptions::id_seed`], so a fixed seed plus a [`ObsClock::Manual`]

@@ -77,7 +77,7 @@ impl ServiceObs {
 
     /// Records one completed request, begun at `start_ns` on the hub
     /// clock: a `Request` span at `ctx` — the root every span the request
-    /// caused (engine levels, WAL appends, publication) nests under —
+    /// caused (engine recalc spans, WAL appends, publication) nests under —
     /// and its duration into the per-operation latency histogram.
     /// Payload words: `a` = request tag, `b` = wire payload size in bytes
     /// (0 for in-process execution).

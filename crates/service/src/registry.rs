@@ -302,7 +302,7 @@ enum WriteOp {
 
 /// One message to a workbook's worker. Every work-carrying variant
 /// carries the requesting span's [`TraceContext`] so the worker can
-/// parent what it records (engine levels, WAL appends, publication)
+/// parent what it records (engine recalc spans, WAL appends, publication)
 /// under the request that caused it — `NONE` when tracing is off or the
 /// caller had no span.
 enum WorkerMsg {

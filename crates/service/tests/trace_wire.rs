@@ -5,7 +5,7 @@
 //! tree. The acceptance bar: the demand request's root span is found by
 //! the client's trace id, its descendants include at least one sheet-level
 //! recalc span; the full recalc's tree holds a `sheet.eval` under its
-//! `workbook.level`, a write's a `workbook.apply` under its
+//! `workbook.recalc`, a write's a `workbook.apply` under its
 //! `worker.batch`; the trace holds a WAL append/fsync span; direct
 //! children never out-run their parent's duration, and the Chrome
 //! `trace_event` export is structurally valid JSON carrying every span.
@@ -144,12 +144,12 @@ fn traced_requests_assemble_cross_layer_span_trees() {
         })
         .unwrap_or_else(|| panic!("no recalc_range root: {spans:?}"));
 
-    // Its subtree reaches the engine layer: the sheet levels of the
+    // Its subtree reaches the engine layer: the sheet spans of the
     // recalculation. Nothing records cell-level spans.
     let tree = descendants(&spans, root);
     assert!(
         tree.iter().any(|s| s.cat == SpanCat::SheetLevel),
-        "no sheet level span under recalc_range: {tree:?}"
+        "no sheet span under recalc_range: {tree:?}"
     );
     assert!(
         !spans.iter().any(|s| s.name == "engine.level"),
@@ -161,8 +161,8 @@ fn traced_requests_assemble_cross_layer_span_trees() {
     );
 
     // A request's tree holds the engine's regions under the worker's: a
-    // full recalc evaluates each sheet under its level, and a write is
-    // applied under the batch it rode in.
+    // full recalc evaluates each sheet under the recalculation, and a
+    // write is applied under the batch it rode in.
     let root_named = |name: &str| {
         spans
             .iter()
@@ -175,7 +175,7 @@ fn traced_requests_assemble_cross_layer_span_trees() {
         })
     };
     let tree = descendants(&spans, root_named("recalc"));
-    assert!(child_of(&tree, "sheet.eval", "workbook.level"), "recalc: {tree:?}");
+    assert!(child_of(&tree, "sheet.eval", "workbook.recalc"), "recalc: {tree:?}");
     let tree = descendants(&spans, root_named("set_value"));
     assert!(child_of(&tree, "workbook.apply", "worker.batch"), "set_value: {tree:?}");
 

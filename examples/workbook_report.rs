@@ -1,5 +1,5 @@
 //! Workbook report: a cross-sheet rollup across eight region sheets plus
-//! a summary sheet, recalculated sheet by sheet in level order.
+//! a summary sheet, recalculated in one order across the sheets.
 //!
 //! ```sh
 //! cargo run --release --example workbook_report
@@ -70,7 +70,7 @@ fn main() {
 
     let summary = wb.sheet_id("Summary").expect("summary exists");
     let last_region = wb.sheet_id(&format!("Region {REGIONS}")).expect("region exists");
-    println!("levels: {:?}", wb.sheet_levels());
+    println!("pass: {:?}", wb.last_pass());
     println!("evaluated {evaluated} formula cells");
     let sheets = || (0..wb.sheet_count()).map(|i| wb.sheet(SheetId(i)));
     let (cells, templates): (usize, usize) =

@@ -96,7 +96,10 @@ fn workbook_report_runs_scaled_down() {
     let out = run_example("workbook_report", Some("60"), None);
     let text = stdout_of(&out);
     assert!(text.contains("grand total:"), "rollup should print a grand total:\n{text}");
-    assert!(text.contains("levels: [["), "the sheet schedule should be printed:\n{text}");
+    assert!(
+        text.contains("pass: [SheetPass {"),
+        "each sheet's part of the pass should print:\n{text}"
+    );
     assert!(text.contains("after edit"), "the edit cycle should complete:\n{text}");
 }
 

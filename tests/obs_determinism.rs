@@ -346,7 +346,6 @@ fn a_clock_that_stands_still_measures_nothing() {
         let mut expected = vec![
             "workbook.apply",
             "workbook.recalc",
-            "workbook.level",
             "sheet.order",
             "sheet.eval",
             "workbook.demand",
