@@ -6,7 +6,7 @@
 //! a column (canonical) or a row; all pattern math lives in canonical
 //! coordinates and this module transposes at the boundary.
 
-use crate::pattern::{self, CanonDep, PatternMeta, PatternType};
+use crate::pattern::{self, CanonDep, Direction, PatternMeta, PatternType};
 use crate::Dependency;
 use taco_grid::{Axis, Range};
 
@@ -142,6 +142,25 @@ impl Edge {
         for x in &mut out[start..] {
             *x = self.axis.uncanon(*x);
         }
+    }
+
+    /// `found`, a range [`Self::find_dep_into`] (`Dependents`) or
+    /// [`Self::find_prec_into`] (`Precedents`) just returned, widened by
+    /// everything this edge reaches from it transitively — O(1), see
+    /// [`pattern::close_window`]; unchanged unless this is an RR edge
+    /// whose windows cover its own dependent line.
+    pub(crate) fn close(&self, found: Range, dir: Direction) -> Range {
+        // Most edges a query touches are not RR: spare them the transposes.
+        if !matches!(self.meta, PatternMeta::RR { .. }) {
+            return found;
+        }
+        let closed = pattern::close_window(
+            &self.meta,
+            self.axis.canon(self.dep),
+            self.axis.canon(found),
+            dir,
+        );
+        self.axis.uncanon(closed)
     }
 
     /// `removeDep`: removes the dependencies for formula cells `s`,

@@ -5,7 +5,7 @@
 use crate::config::Config;
 use crate::dep::Dependency;
 use crate::edge::{Edge, EdgeId};
-use crate::pattern::PatternType;
+use crate::pattern::{Direction, PatternType};
 use crate::slab::Slab;
 use crate::stats::{count_vertices_with, GraphStats, PatternCounts, StatsScratch};
 use std::collections::VecDeque;
@@ -396,6 +396,17 @@ impl FormulaGraph {
     }
 
     // ---- querying (Alg. 3) --------------------------------------------------
+    //
+    // The BFS runs on the compressed graph: each dequeued range is one
+    // window search of a vertex index, each hit one `findDep` / `findPrec`
+    // on the edge — never a decompression. An edge access then widens what
+    // it found by `Edge::close` (`pattern::close_window`): an RR run whose
+    // windows read its own column (Fibonacci `SUM(A1:A2)` filled down, a
+    // window that reads its own cell) reaches itself, and walked a hop at a
+    // time its closure costs one search per window height of rows. Closed,
+    // it costs one access, as an RR-Chain's does. The closure only adds
+    // cells the walk would reach, so results cover the same cells; it is
+    // not an option.
 
     /// Finds all (direct and transitive) dependents of `r`, returned as
     /// disjoint ranges: [`Self::find_dependents_with_scratch`] on fresh
@@ -442,7 +453,8 @@ impl FormulaGraph {
         self.bfs(seeds.as_ref(), Direction::Precedents, scratch, out)
     }
 
-    /// Alg. 3's BFS, its first frontier every range of `seeds`.
+    /// Alg. 3's BFS, its first frontier every range of `seeds`, each edge
+    /// access closed over its own run.
     fn bfs(
         &self,
         seeds: &[Range],
@@ -483,6 +495,8 @@ impl FormulaGraph {
                     Direction::Precedents => e.find_prec_into(probe, found),
                 }
                 for &f in found.iter() {
+                    // Everything the edge reaches from `f` in one step.
+                    let f = e.close(f, dir);
                     // Subtract the already-visited subset (via the R-tree on
                     // the result set), keep the new parts.
                     covers.clear();
@@ -608,12 +622,6 @@ impl FormulaGraph {
         }
         out
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Dependents,
-    Precedents,
 }
 
 #[cfg(test)]

@@ -8,9 +8,19 @@
 //!
 //! Per §II-B, for a set of edges of arbitrary size a pattern is a
 //! constant-size representation that can reconstruct the set, and finding
-//! direct dependents/precedents within it must be constant-time. All
-//! functions here are O(1) except those of the exploratory RR-GapOne
-//! pattern, whose results cannot be expressed as a single rectangle.
+//! direct dependents/precedents within it must be constant-time. These are
+//! O(1) in the run length:
+//!
+//! - `rel`, `count_for`, `pair_meta` and `can_extend` (`addDep`);
+//! - `find_dep_into` / `find_prec_into`, one hop — transitive within
+//!   the run for RR-Chain (§V);
+//! - `close_window`, the transitive closure a query takes within an RR
+//!   run whose windows read its own column: one step, not one per hop;
+//! - `remove_dep` (`removeDep`, at most two parts) and `seg_prec`.
+//!
+//! The exceptions are the exploratory RR-GapOne pattern's `find_*` and
+//! `remove_dep`, O(rows): their results cannot be expressed as a single
+//! rectangle.
 
 use taco_grid::{Cell, Offset, Range};
 
@@ -404,6 +414,72 @@ pub(crate) fn find_prec_into(
     out.extend(found);
 }
 
+/// Which way a query walks the graph.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// Toward the formulae that read a range (`findDep`).
+    Dependents,
+    /// Toward the ranges a formula reads (`findPrec`).
+    Precedents,
+}
+
+/// The in-edge transitive closure of one query step, in O(1). `found` is
+/// a range [`find_dep_into`] (`Dependents`) or [`find_prec_into`]
+/// (`Precedents`) just returned for the edge; the result adds every cell
+/// the edge reaches from it transitively, which a BFS would otherwise find
+/// by probing the same edge once per step.
+///
+/// Among the one-hop patterns only an RR edge whose window columns include
+/// its dependent column (`h_rel.dc ≤ 0 ≤ t_rel.dc`: Fibonacci `SUM(A1:A2)`
+/// filled down, a window over its own cell) reaches itself. A step maps
+/// the run's rows `[lo, hi]` it reached to `[lo − t.dr, hi − h.dr]`
+/// (dependents) or `[lo + h.dr, hi + t.dr]` (precedents), clipped to the
+/// run. The width never shrinks, so if the first step's rows touch the
+/// found rows (width `w`), every step's touch the last's and the reached
+/// rows are one interval. The closure therefore runs to the run's head iff
+/// a step moves up and touches — `t.dr > 0 && h.dr ≤ w` for dependents,
+/// `h.dr < 0 && −t.dr ≤ w` for precedents — and to its tail in the mirror
+/// case; for precedents the result then ends where that end row's window
+/// does. Otherwise — a window that skips rows, one that never leaves its
+/// own row — `found` comes back unchanged and the BFS steps as before.
+pub(crate) fn close_window(meta: &PatternMeta, dep: Range, found: Range, dir: Direction) -> Range {
+    let PatternMeta::RR { h_rel, t_rel } = meta else {
+        return found;
+    };
+    if h_rel.dc > 0 || t_rel.dc < 0 {
+        return found;
+    }
+    let (head, tail) = (dep.head(), dep.tail());
+    // The run's formula rows inside `found`: all of it for dependents,
+    // its slice of the dependent column for precedents.
+    let lo = found.head().row.max(head.row);
+    let hi = found.tail().row.min(tail.row);
+    if lo > hi {
+        return found;
+    }
+    let w = i64::from(hi - lo) + 1;
+    let (h, t) = (h_rel.dr, t_rel.dr);
+    // Whether the closure runs to the run's head / tail, and the row it
+    // then ends on: the end formula's own row, or the edge of its window.
+    let (to_head, to_tail, head_row, tail_row) = match dir {
+        Direction::Dependents => (t > 0 && h <= w, h < 0 && -t <= w, head.row, tail.row),
+        Direction::Precedents => (
+            h < 0 && -t <= w,
+            t > 0 && h <= w,
+            head.offset_saturating(*h_rel).row,
+            tail.offset_saturating(*t_rel).row,
+        ),
+    };
+    let (mut top, mut bottom) = (found.head(), found.tail());
+    if to_head {
+        top.row = head_row;
+    }
+    if to_tail {
+        bottom.row = tail_row;
+    }
+    Range::new(top, bottom)
+}
+
 /// Rows of `within` that carry dependents of a gap-one edge whose
 /// dependent bounding range is `dep`.
 fn parity_rows(dep: Range, within: Range) -> impl Iterator<Item = u32> {
@@ -757,6 +833,60 @@ mod tests {
         let m = PatternMeta::RRGapOne { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
         let got = find_prec(&m, r("B1:B5"), r("C1:C5"), r("C1:C3"));
         assert_eq!(got, vec![r("B1"), r("B3")]);
+    }
+
+    // ---- close_window -------------------------------------------------------
+
+    #[test]
+    fn close_window_runs_fibonacci_to_either_end() {
+        // A3:A9 = SUM(A{r-2}:A{r-1}): prec A1:A8.
+        let m = PatternMeta::RR { h_rel: Offset::new(0, -2), t_rel: Offset::new(0, -1) };
+        let close = |found, dir| close_window(&m, r("A3:A9"), r(found), dir);
+        // A1's direct dependent A3 reaches the tail, one row at a time.
+        assert_eq!(find_dep(&m, r("A1:A8"), r("A3:A9"), r("A1")), vec![r("A3")]);
+        assert_eq!(close("A3", Direction::Dependents), r("A3:A9"));
+        assert_eq!(close("A6:A7", Direction::Dependents), r("A6:A9"));
+        // A9 reads A7:A8, which read everything up to A1.
+        assert_eq!(find_prec(&m, r("A1:A8"), r("A3:A9"), r("A9")), vec![r("A7:A8")]);
+        assert_eq!(close("A7:A8", Direction::Precedents), r("A1:A8"));
+        // A3's window holds no formula of the run: nothing to close.
+        assert_eq!(close("A1:A2", Direction::Precedents), r("A1:A2"));
+    }
+
+    #[test]
+    fn close_window_runs_a_self_including_window_up_its_column() {
+        // The corpus shape: D1:D9 reads C{r}:E{r+2}, its own cell included.
+        let m = PatternMeta::RR { h_rel: Offset::new(-1, 0), t_rel: Offset::new(1, 2) };
+        let close = |found, dir| close_window(&m, r("D1:D9"), r(found), dir);
+        assert_eq!(find_dep(&m, r("C1:E11"), r("D1:D9"), r("E9")), vec![r("D7:D9")]);
+        assert_eq!(close("D7:D9", Direction::Dependents), r("D1:D9"));
+        assert_eq!(find_prec(&m, r("C1:E11"), r("D1:D9"), r("D4")), vec![r("C4:E6")]);
+        assert_eq!(close("C4:E6", Direction::Precedents), r("C4:E11"));
+        // Windows reaching both ways close over the whole run.
+        let both = PatternMeta::RR { h_rel: Offset::new(0, -1), t_rel: Offset::new(0, 1) };
+        assert_eq!(close_window(&both, r("D2:D9"), r("D5"), Direction::Dependents), r("D2:D9"));
+        assert_eq!(close_window(&both, r("D2:D9"), r("D4:D6"), Direction::Precedents), r("D1:D10"));
+    }
+
+    #[test]
+    fn close_window_leaves_what_cannot_reach_itself() {
+        let dep = r("B5:B20");
+        for (h, t, found, dir) in [
+            // Windows that skip rows: each step's rows do not touch the last's.
+            ((0, -3), (0, -3), "B8", Direction::Dependents),
+            ((0, 2), (0, 3), "B8", Direction::Dependents),
+            ((0, -4), (0, -3), "B6:B7", Direction::Precedents),
+            // A window in another column, or in the formula's own row only.
+            ((-1, -1), (-1, -1), "B8", Direction::Dependents),
+            ((1, -2), (2, -1), "C6:D7", Direction::Precedents),
+            ((0, 0), (0, 0), "B8", Direction::Dependents),
+        ] {
+            let m = PatternMeta::RR { h_rel: Offset::new(h.0, h.1), t_rel: Offset::new(t.0, t.1) };
+            assert_eq!(close_window(&m, dep, r(found), dir), r(found), "{m:?} {found}");
+        }
+        // Other patterns are not closed here.
+        let chain = PatternMeta::RRChain { dir: ChainDir::Above };
+        assert_eq!(close_window(&chain, dep, r("B5"), Direction::Dependents), r("B5"));
     }
 
     // ---- remove_dep --------------------------------------------------------

@@ -65,8 +65,10 @@ fn find_dep_work_is_constant_per_edge() {
 
 #[test]
 fn chain_pattern_avoids_quadratic_reaccess() {
-    // Without RR-Chain, a chain of length n forces ~n accesses of the same
-    // RR edge (the §V motivation); with it, a constant number.
+    // Walked one hop at a time, a chain of length n costs ~n accesses of
+    // the same edge (the §V motivation). RR-Chain's transitive findDep
+    // resolves it in a constant number, and so does a plain RR edge: its
+    // window covers its own column, so the query closes it in one step.
     let n = 5_000u32;
     let chain =
         (2..=n).map(|row| Dependency::new(Range::cell(Cell::new(1, row - 1)), Cell::new(1, row)));
@@ -76,12 +78,59 @@ fn chain_pattern_avoids_quadratic_reaccess() {
     let (a, sa) = dependents(&with_chain, Range::cell(Cell::new(1, 1)));
     let (b, sb) = dependents(&without_chain, Range::cell(Cell::new(1, 1)));
     assert_eq!(cells(&a), cells(&b), "answers must agree");
+    assert_eq!(cells(&a), u64::from(n) - 1);
     assert!(sa.edges_accessed <= 4, "RR-Chain: {} accesses", sa.edges_accessed);
-    assert!(
-        sb.edges_accessed >= u64::from(n) / 2,
-        "plain RR should re-access the edge per hop, got {}",
-        sb.edges_accessed
-    );
+    assert!(sb.edges_accessed <= 4, "plain RR: {} accesses", sb.edges_accessed);
+}
+
+/// One point query on fresh buffers in either direction: the cells it
+/// found and what it cost.
+fn point_query(g: &FormulaGraph, cell: Cell, dependents: bool) -> (u64, QueryStats) {
+    let (mut out, mut scratch) = (Vec::new(), QueryScratch::new());
+    let probe = Range::cell(cell);
+    let stats = if dependents {
+        g.find_dependents_with_scratch(probe, &mut scratch, &mut out)
+    } else {
+        g.find_precedents_with_scratch(probe, &mut scratch, &mut out)
+    };
+    (cells(&out), stats)
+}
+
+#[test]
+fn a_window_over_its_own_column_is_closed_in_constant_searches() {
+    // Two RR runs whose windows read their own formula column: Fibonacci
+    // (`A{r} = SUM(A{r-2}:A{r-1})`) and the corpus shape (`D{r}` reads
+    // `C{r}:E{r+2}`, its own cell included). Walked a step at a time, a
+    // query moves w rows per R-tree search and its searches grow as n/w;
+    // closed in O(1) per edge access, they do not grow at all.
+    let fibonacci = |n: u32| {
+        (3..=n).map(|r| Dependency::new(Range::from_coords(1, r - 2, 1, r - 1), Cell::new(1, r)))
+    };
+    let corpus = |n: u32| {
+        (1..=n).map(|r| Dependency::new(Range::from_coords(3, r, 5, r + 2), Cell::new(4, r)))
+    };
+    let mut counts = Vec::new();
+    for n in [1_000u32, 100_000] {
+        let fib = FormulaGraph::build(Config::taco_full(), fibonacci(n));
+        let window = FormulaGraph::build(Config::taco_full(), corpus(n));
+        assert_eq!((fib.num_edges(), window.num_edges()), (1, 1), "n={n}");
+        let n64 = u64::from(n);
+        // Probes at the far end of each run from where its closure runs.
+        let probes = [
+            (&fib, Cell::new(1, 1), true, n64 - 2),
+            (&fib, Cell::new(1, n), false, n64 - 1),
+            (&window, Cell::new(5, n), true, n64),
+            (&window, Cell::new(4, 1), false, 3 * (n64 + 2)),
+        ];
+        let mut at_n = Vec::new();
+        for (g, cell, dependents, want) in probes {
+            let (found, stats) = point_query(g, cell, dependents);
+            assert_eq!(found, want, "n={n}: {cell}, dependents: {dependents}");
+            at_n.push((stats.rtree_searches, stats.enqueued));
+        }
+        counts.push(at_n);
+    }
+    assert_eq!(counts[0], counts[1], "searches and enqueued ranges must not grow with n");
 }
 
 #[test]

@@ -60,18 +60,82 @@ fn arb_deps() -> impl Strategy<Value = Vec<Dependency>> {
             vec![Dependency::new(prec, Cell::new(dc, dr))]
         },
     );
-    prop::collection::vec(prop_oneof![3 => run, 1 => noise], 1..12).prop_map(|chunks| {
-        // Deduplicate identical (prec, dep) pairs: a real parser emits a
-        // set of references per formula cell.
-        let mut seen = BTreeSet::new();
+    prop::collection::vec(prop_oneof![3 => run, 2 => own_line_run(), 1 => noise], 1..12)
+        .prop_map(dedup)
+}
+
+/// Deduplicates identical (prec, dep) pairs: a real parser emits a set of
+/// references per formula cell.
+fn dedup(chunks: Vec<Vec<Dependency>>) -> Vec<Dependency> {
+    let mut seen = BTreeSet::new();
+    let mut out = Vec::new();
+    for d in chunks.into_iter().flatten() {
+        if seen.insert((d.prec, d.dep)) {
+            out.push(d);
+        }
+    }
+    out
+}
+
+/// A filled run whose windows lie along its own line (the formula's
+/// column, or its row for a run along a row) at signed offsets `h ≤ t` in
+/// −4..=4 along the run. Three shapes: acyclic above (`t < 0`), acyclic
+/// below (`h > 0`) and self-including (`h ≤ 0 ≤ t`). Across the run the
+/// windows span the lines `dl..=dr`, each in −1..=1: mostly the formula's
+/// own line among them, sometimes only the line beside it. A cell whose
+/// window would leave the sheet is left out, which cuts the run.
+fn own_line_run() -> impl Strategy<Value = Vec<Dependency>> {
+    let line = (1u32..=W, 1u32..=H, 2u32..12, any::<bool>(), 0i64..3, 0i64..3);
+    // `(h, t)`; one-sided windows are at most three cells tall, so that
+    // windows one cell tall — the ones that skip rows — come up often.
+    let offsets = (0u8..3, 0i64..5, 0i64..5).prop_map(|(shape, a, b)| match shape {
+        0 => {
+            let t = -1 - a.min(3);
+            ((t - b % 3).max(-4), t)
+        }
+        1 => {
+            let h = 1 + a.min(3);
+            (h, (h + b % 3).min(4))
+        }
+        _ => (-a, b),
+    });
+    (line, offsets).prop_map(|((col, row, len, along_row, p, q), (h, t))| {
+        let (dl, dr) = (p.min(q) - 1, p.max(q) - 1);
         let mut out = Vec::new();
-        for d in chunks.into_iter().flatten() {
-            if seen.insert((d.prec, d.dep)) {
-                out.push(d);
+        for k in 0..len {
+            // Canonical (across, along) coordinates, transposed for a row run.
+            let (across, along) = if along_row { (row, col + k) } else { (col, row + k) };
+            let (lo, hi) = (i64::from(along) + h, i64::from(along) + t);
+            let (a0, a1) = (i64::from(across) + dl, i64::from(across) + dr);
+            if lo < 1 || a0 < 1 {
+                continue;
             }
+            let (a0, a1, b0, b1) = (a0 as u32, a1 as u32, lo as u32, hi as u32);
+            let (prec, dep) = if along_row {
+                (Range::from_coords(b0, a0, b1, a1), Cell::new(along, across))
+            } else {
+                (Range::from_coords(a0, b0, a1, b1), Cell::new(across, along))
+            };
+            out.push(Dependency::new(prec, dep));
         }
         out
     })
+}
+
+/// Own-line runs alone (and a little noise), so most edges are the ones
+/// the query closes in one step.
+fn arb_own_line_deps() -> impl Strategy<Value = Vec<Dependency>> {
+    let noise = (1u32..=W, 1u32..=H, 1u32..=W, 1u32..=H).prop_map(|(pc, pr, dc, dr)| {
+        vec![Dependency::new(Range::cell(Cell::new(pc, pr)), Cell::new(dc, dr))]
+    });
+    prop::collection::vec(prop_oneof![4 => own_line_run(), 1 => noise], 1..6).prop_map(dedup)
+}
+
+/// The inserted multiset of dependencies, sorted.
+fn multiset(deps: impl IntoIterator<Item = Dependency>) -> Vec<(Range, Cell)> {
+    let mut v: Vec<(Range, Cell)> = deps.into_iter().map(|d| (d.prec, d.dep)).collect();
+    v.sort();
+    v
 }
 
 fn cells_of(ranges: &[Range]) -> BTreeSet<Cell> {
@@ -120,12 +184,7 @@ proptest! {
     #[test]
     fn decompression_round_trips(deps in arb_deps()) {
         let taco = FormulaGraph::build(Config::taco_full(), deps.iter().copied());
-        let mut got: Vec<(Range, Cell)> =
-            taco.decompress_all().into_iter().map(|d| (d.prec, d.dep)).collect();
-        let mut want: Vec<(Range, Cell)> = deps.iter().map(|d| (d.prec, d.dep)).collect();
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(multiset(taco.decompress_all()), multiset(deps));
     }
 
     #[test]
@@ -187,5 +246,40 @@ proptest! {
         // Stats bookkeeping agrees with the arena.
         let s = taco.stats();
         prop_assert_eq!(s.edges as u64 + s.reduced.total(), s.dependencies);
+    }
+}
+
+proptest! {
+    // The closed windows get cases of their own: a window one row tall
+    // that skips rows is one run shape in a few dozen.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn windows_over_their_own_line_match_the_reference(
+        deps in arb_own_line_deps(),
+        clear in arb_probe(),
+        probes in prop::collection::vec(arb_probe(), 1..6),
+    ) {
+        // As built, then after a clear has split the runs it crosses.
+        let mut g = FormulaGraph::build(Config::taco_full(), deps.iter().copied());
+        let mut live = deps;
+        for stage in ["built", "split"] {
+            prop_assert_eq!(
+                multiset(g.decompress_all()), multiset(live.iter().copied()),
+                "{} decompression", stage
+            );
+            for &probe in &probes {
+                prop_assert_eq!(
+                    cells_of(&g.find_dependents(probe)), reference::dependents(&live, probe),
+                    "{} dependents({})", stage, probe
+                );
+                prop_assert_eq!(
+                    cells_of(&g.find_precedents(probe)), reference::precedents(&live, probe),
+                    "{} precedents({})", stage, probe
+                );
+            }
+            g.clear_cells(clear);
+            live.retain(|d| !clear.contains_cell(d.dep));
+        }
     }
 }

@@ -308,6 +308,9 @@ pub struct Engine {
     /// seeds each (test instrumentation).
     #[cfg(test)]
     pub(crate) dependents_queries: u64,
+    /// Ranges those queries found (test instrumentation).
+    #[cfg(test)]
+    pub(crate) dependents_ranges: u64,
 }
 
 impl Engine {
@@ -337,6 +340,8 @@ impl Engine {
             extents_emitted: Default::default(),
             #[cfg(test)]
             dependents_queries: 0,
+            #[cfg(test)]
+            dependents_ranges: 0,
         }
     }
 
@@ -811,6 +816,10 @@ impl Engine {
             self.dependents_queries += 1;
         }
         self.graph.find_dependents_with_scratch(seeds, &mut self.query, out);
+        #[cfg(test)]
+        {
+            self.dependents_ranges += out.len() as u64;
+        }
     }
 
     /// Precedents of `r` per the formula graph, on the engine's warm
@@ -1771,6 +1780,39 @@ mod tests {
             assert_eq!(wb.recalculate(RecalcMode::Serial), 2 * rows as usize);
             assert_eq!(wb.value(S, Cell::new(3, rows)), n(2.0));
         }
+    }
+
+    #[test]
+    fn an_edit_above_a_fibonacci_column_marks_it_in_one_range() {
+        use taco_store::EditRecord;
+        // A3:A10000 = SUM(A{r-2}:A{r-1}) is one RR edge whose window reads
+        // its own column: the edit's one dependents query closes it in one
+        // step, a single range, where a walk would step a row at a time.
+        const ROWS: u32 = 10_000;
+        let mut wb = Workbook::one_sheet();
+        let seeds = [1, 2].map(|row| EditRecord::SetValue {
+            sheet: 0,
+            cell: Cell::new(1, row),
+            value: n(1.0),
+        });
+        let column = (3..=ROWS).map(|row| EditRecord::SetFormula {
+            sheet: 0,
+            cell: Cell::new(1, row),
+            src: format!("=SUM(A{}:A{})", row - 2, row - 1),
+        });
+        wb.apply_batch(&seeds.into_iter().chain(column).collect::<Vec<_>>()).unwrap();
+        assert_eq!(wb.sheet(S).graph().num_edges(), 1);
+        wb.recalculate(RecalcMode::Serial);
+
+        let (queries, ranges) = (wb.sheet(S).dependents_queries, wb.sheet(S).dependents_ranges);
+        wb.set_value(S, c("A1"), n(2.0));
+        assert_eq!(wb.sheet(S).dependents_queries - queries, 1);
+        assert_eq!(wb.sheet(S).dependents_ranges - ranges, 1);
+        let dirty: Vec<Cell> = wb.sheet(S).store().dirty().collect();
+        assert_eq!(dirty, (3..=ROWS).map(|row| Cell::new(1, row)).collect::<Vec<_>>());
+        assert_eq!(wb.recalculate(RecalcMode::Serial), (ROWS - 2) as usize);
+        assert_eq!(wb.value(S, c("A5")), n(7.0));
+        assert_eq!(wb.assert_reference(None), 0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Workbook {
             .collect();
         // Image epoch 0: the persistence owner (`save`, compaction)
         // stamps the real replay epoch before the image hits the disk.
-        WorkbookImage { sheets, epoch: 0 }
+        WorkbookImage { sheets, epoch: 0, clock: self.clock() }
     }
 
     /// Reconstructs a workbook from an image: graphs are restored without
@@ -85,6 +85,9 @@ impl Workbook {
     /// qualified reads then bind to whichever sheets they name.
     pub fn from_image(image: WorkbookImage) -> Result<Self, StoreError> {
         let mut wb = Workbook::new();
+        // Before any sheet is added, so each starts on the stored clock;
+        // the image's dirty sets already hold what it makes dirty.
+        wb.set_clock(image.clock);
         let mut contents = Vec::with_capacity(image.sheets.len());
         for sheet in image.sheets {
             let graph = FormulaGraph::restore(sheet.graph);
@@ -1134,6 +1137,31 @@ mod tests {
             assert_eq!(back.value(s, cell), *content.value(), "{cell}");
         }
         assert_eq!(back.sheet(s).formula_templates(), wb.sheet(s).formula_templates());
+    }
+
+    #[test]
+    fn a_saved_workbook_reopens_on_its_clock() {
+        let clock = taco_formula::EvalClock { now: 45_000.25, today: 45_000.0, rand_seed: 7 };
+        let mut wb = Workbook::one_sheet();
+        let s = SheetId(0);
+        wb.set_clock(clock);
+        wb.set_value(s, c("B1"), n(1.0));
+        wb.set_formula(s, c("A1"), "=NOW()+B1").unwrap();
+        // Saved dirty: the reopened copy evaluates it, under the stored clock.
+        let path = temp("clock");
+        wb.save(&path).unwrap();
+        let mut back = Workbook::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.dirty_count(), 1);
+        back.recalculate(RecalcMode::Serial);
+        wb.recalculate(RecalcMode::Serial);
+        assert_eq!(back.value(s, c("A1")), n(45_001.25));
+        assert_eq!(wb.value(s, c("A1")), n(45_001.25));
+        // A sheet added after the open starts on it too.
+        let later = back.add_sheet("Later").unwrap();
+        back.set_formula(later, c("A1"), "=TODAY()").unwrap();
+        back.recalculate(RecalcMode::Serial);
+        assert_eq!(back.value(later, c("A1")), n(45_000.0));
     }
 
     #[test]

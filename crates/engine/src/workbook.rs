@@ -313,6 +313,9 @@ pub struct Workbook {
     routing: Routing,
     /// The recalculation order, in buffers kept from pass to pass.
     schedule: Schedule,
+    /// The clock every sheet's volatile functions read
+    /// ([`Workbook::set_clock`]); a sheet added later starts on it too.
+    clock: EvalClock,
     /// Cells the dangling-reference rebinds walked so far (test
     /// instrumentation).
     #[cfg(test)]
@@ -368,7 +371,8 @@ impl Workbook {
             return Err(WorkbookError::DuplicateSheet(name.to_string()));
         }
         let id = self.sheets.len();
-        let engine = Engine::new(sref.name().to_string(), graph);
+        let mut engine = Engine::new(sref.name().to_string(), graph);
+        engine.set_clock_value(self.clock);
         self.index.insert(sref.key(), id);
         self.sheets.push(SheetShard { name: sref, engine, dangling: false });
         self.xedges.add_sheet();
@@ -1052,6 +1056,7 @@ impl Workbook {
     /// volatile formulae workbook-wide, routing their dependents across
     /// sheets. Returns the number of volatile formula cells found.
     pub fn set_clock(&mut self, clock: EvalClock) -> usize {
+        self.clock = clock;
         let mut total = 0usize;
         for shard in &mut self.sheets {
             let engine = &mut shard.engine;
@@ -1064,6 +1069,11 @@ impl Workbook {
         }
         self.flush();
         total
+    }
+
+    /// The volatile-function clock the workbook evaluates under.
+    pub(crate) fn clock(&self) -> EvalClock {
+        self.clock
     }
 
     /// Total formula evaluations across all sheets since the workbook was

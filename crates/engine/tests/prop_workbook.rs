@@ -65,11 +65,7 @@ impl Script {
 /// viewport — the one checked there — then in full, which must end where
 /// the first did. Returns the formula cells the cycle rule left out.
 fn check(wb: &Workbook, clock: EvalClock, op: usize) -> usize {
-    let reopen = || {
-        let mut copy = Workbook::from_image(wb.to_image()).expect("a valid image");
-        copy.set_clock(clock);
-        copy
-    };
+    let reopen = || Workbook::from_image(wb.to_image()).expect("a valid image");
     let mut full = reopen();
     full.recalculate(RecalcMode::Serial);
     assert_eq!(full.dirty_count(), 0, "op {op}");

@@ -8,8 +8,8 @@
 //! │                    · compressed graph, gap/γ/ζ bit-coded)  │
 //! │ sheet section 1 …                                          │
 //! ├────────────────────────────────────────────────────────────┤
-//! │ footer    replay epoch · per-sheet (name, offset, length,  │
-//! │           CRC-32)                                          │
+//! │ footer    replay epoch · evaluation clock · per-sheet      │
+//! │           (name, offset, length, CRC-32)                   │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ trailer   footer length u32 LE · footer CRC-32 u32 LE ·    │
 //! │           tail magic "OCAT"                                │
@@ -34,7 +34,8 @@
 //! of bytes.
 
 use crate::codec::{
-    crc32, read_string, read_uvarint, write_string, write_uvarint, BitReader, BitWriter,
+    crc32, read_f64, read_string, read_uvarint, write_f64, write_string, write_uvarint, BitReader,
+    BitWriter,
 };
 use crate::image::{
     cell_from, checked_coord, read_value_payload, small_i64, value_tag, write_value_payload,
@@ -44,6 +45,7 @@ use crate::StoreError;
 use std::io::Write;
 use std::path::Path;
 use taco_core::{ChainDir, Config, Edge, GraphSnapshot, PatternMeta, PatternType};
+use taco_formula::EvalClock;
 use taco_grid::{Axis, Cell, Offset, Range};
 
 /// Leading file magic.
@@ -52,8 +54,10 @@ pub const MAGIC: [u8; 4] = *b"TACO";
 pub const TAIL_MAGIC: [u8; 4] = *b"OCAT";
 /// The format version, and the only one readers accept. Version 2 added
 /// the replay epoch to the footer; version 3 dropped the cross-sheet edge
-/// section, which the formulas' text already implies.
-pub const FORMAT_VERSION: u16 = 3;
+/// section, which the formulas' text already implies; version 4 added the
+/// evaluation clock to the footer, which the stored values were computed
+/// under.
+pub const FORMAT_VERSION: u16 = 4;
 /// Upper bound on any single decoded string (names, formula sources,
 /// text values) so corrupt lengths cannot drive huge allocations.
 pub(crate) const MAX_STRING: u64 = 1 << 24;
@@ -110,9 +114,13 @@ pub fn encode_workbook(image: &WorkbookImage) -> Result<Vec<u8>, StoreError> {
     }
 
     // Footer. It leads with the replay epoch: every WAL record with an
-    // older stamp is already folded into this snapshot.
+    // older stamp is already folded into this snapshot. Then the clock
+    // `NOW()`, `TODAY()` and `RAND()` read.
     let mut footer = Vec::new();
     write_uvarint(&mut footer, image.epoch)?;
+    write_f64(&mut footer, image.clock.now)?;
+    write_f64(&mut footer, image.clock.today)?;
+    write_uvarint(&mut footer, image.clock.rand_seed)?;
     write_uvarint(&mut footer, footer_entries.len() as u64)?;
     for (name, off, len, crc) in &footer_entries {
         write_string(&mut footer, name)?;
@@ -556,6 +564,7 @@ pub struct StoreReader {
     names: Vec<String>,
     sheets: Vec<Span>,
     epoch: u64,
+    clock: EvalClock,
 }
 
 impl StoreReader {
@@ -598,9 +607,11 @@ impl StoreReader {
             return Err(StoreError::ChecksumMismatch { what: "footer" });
         }
 
-        // Parse the footer, replay epoch first.
+        // Parse the footer, replay epoch and clock first.
         let r = &mut &footer[..];
         let epoch = read_uvarint(r)?;
+        let clock =
+            EvalClock { now: read_f64(r)?, today: read_f64(r)?, rand_seed: read_uvarint(r)? };
         let sheet_count = read_uvarint(r)?;
         // Each footer entry is at least 7 bytes (name len + span + crc).
         let sheet_count = bounded_count(sheet_count, r.len(), 7, "sheet count exceeds footer")?;
@@ -622,7 +633,7 @@ impl StoreReader {
         if !r.is_empty() {
             return Err(StoreError::Malformed("trailing bytes in footer"));
         }
-        Ok(StoreReader { bytes, names, sheets, epoch })
+        Ok(StoreReader { bytes, names, sheets, epoch, clock })
     }
 
     /// The snapshot's replay epoch: WAL records stamped with an older
@@ -655,7 +666,7 @@ impl StoreReader {
     pub fn read_all(&self) -> Result<WorkbookImage, StoreError> {
         let sheets =
             (0..self.sheet_count()).map(|i| self.read_sheet(i)).collect::<Result<_, _>>()?;
-        Ok(WorkbookImage { sheets, epoch: self.epoch })
+        Ok(WorkbookImage { sheets, epoch: self.epoch, clock: self.clock })
     }
 }
 
@@ -771,7 +782,8 @@ mod tests {
             dirty: Vec::new(),
             graph: FormulaGraph::taco().snapshot(),
         };
-        WorkbookImage { sheets: vec![sheet, other], epoch: 7 }
+        let clock = EvalClock { now: 45_000.25, today: 45_000.0, rand_seed: 0xC10C };
+        WorkbookImage { sheets: vec![sheet, other], epoch: 7, clock }
     }
 
     #[test]
@@ -817,9 +829,10 @@ mod tests {
         // Version 0 never existed, version 1 (no replay epoch) was only
         // ever written by this repo's tests — a reader that guessed at
         // either would replay a log against the wrong epoch — and version
-        // 2's footer names a cross-sheet edge section that is no more.
+        // 2's footer names a cross-sheet edge section that is no more;
+        // version 3's footer has no clock.
         let bytes = encode_workbook(&sample_image()).unwrap();
-        for version in [0, 1, 2, FORMAT_VERSION + 1] {
+        for version in [0, 1, 2, 3, FORMAT_VERSION + 1] {
             let mut old = bytes.clone();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

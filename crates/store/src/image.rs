@@ -13,7 +13,7 @@ use crate::codec::{read_f64, read_string, read_uvarint, write_f64, write_string,
 use crate::StoreError;
 use std::io::{Read, Write};
 use taco_core::GraphSnapshot;
-use taco_formula::{CellError, Value};
+use taco_formula::{CellError, EvalClock, Value};
 use taco_grid::{Cell, Range};
 
 /// What one cell persists: a pure value, or a formula's source text plus
@@ -56,6 +56,10 @@ pub struct WorkbookImage {
     /// [`crate::wal`]); `0` for images that never belonged to a
     /// WAL-backed workbook.
     pub epoch: u64,
+    /// The clock `NOW()`, `TODAY()` and `RAND()` read: the one the cached
+    /// values were computed under, and the one a reopened workbook goes
+    /// on evaluating under.
+    pub clock: EvalClock,
 }
 
 // ---- value encoding (shared by cell sections and WAL records) ----------

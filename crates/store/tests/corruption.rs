@@ -68,7 +68,11 @@ fn rich_image() -> WorkbookImage {
         dirty: vec![Cell::new(2, 3), Cell::new(2, 9)],
         graph: graph.clone(),
     };
-    WorkbookImage { sheets: vec![sheet("Alpha"), sheet("Beta Sheet"), sheet("Gamma")], epoch: 3 }
+    WorkbookImage {
+        sheets: vec![sheet("Alpha"), sheet("Beta Sheet"), sheet("Gamma")],
+        epoch: 3,
+        clock: Default::default(),
+    }
 }
 
 fn wal_bytes() -> (Vec<u8>, Vec<EditRecord>) {
