@@ -8,6 +8,7 @@ use crate::edge::{Edge, EdgeId};
 use crate::pattern::{Direction, PatternType};
 use crate::slab::Slab;
 use crate::stats::{count_vertices_with, GraphStats, PatternCounts, StatsScratch};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use taco_grid::{Axis, Cell, Range, MAX_COL, MAX_ROW};
 use taco_rtree::{RTree, SearchScratch};
@@ -28,18 +29,14 @@ pub struct QueryStats {
     pub nodes_visited: u64,
 }
 
-/// Caller-owned scratch for the modified BFS (Alg. 3). Reusing one across
-/// queries makes [`FormulaGraph::find_dependents_with_scratch`] and
-/// [`FormulaGraph::find_precedents_with_scratch`] allocation-free once
-/// the buffers are warm: the queue, hit list, per-edge result buffer,
-/// visited-subtraction buffers, the visited-set R-tree (cleared, capacity
-/// retained), and the index traversal stack all persist between calls.
-///
-/// Queries take `&self` on the graph plus `&mut` scratch — the graph
-/// itself is never mutated by a read, so concurrent readers can each own
-/// a scratch and share the graph.
-#[derive(Debug, Clone, Default)]
-pub struct QueryScratch {
+/// The modified BFS's working buffers (Alg. 3): the queue, hit list,
+/// per-edge result buffer, visited-subtraction buffers, the visited-set
+/// R-tree (cleared, capacity retained), the index traversal stack, and the
+/// output the allocating wrappers run into. Each thread owns one
+/// (`QUERY`); every query runs on its thread's, so once they reach the
+/// workload's high-water mark a query stops allocating.
+#[derive(Debug, Default)]
+struct QueryScratch {
     queue: VecDeque<Range>,
     hits: Vec<(Range, EdgeId)>,
     found: Vec<Range>,
@@ -48,15 +45,14 @@ pub struct QueryScratch {
     sub_tmp: Vec<Range>,
     visited: RTree<()>,
     search: SearchScratch,
+    out: Vec<Range>,
 }
 
-impl QueryScratch {
-    /// An empty scratch; buffers grow to the workload's high-water mark
-    /// on first use and then stop allocating.
-    #[must_use]
-    pub fn new() -> Self {
-        QueryScratch::default()
-    }
+thread_local! {
+    /// This thread's query buffers. Queries take `&self` on the graph, so
+    /// concurrent readers share a graph and never a buffer; a query calls
+    /// nothing that queries again, so the borrow is never taken twice.
+    static QUERY: RefCell<QueryScratch> = RefCell::default();
 }
 
 /// Internal scratch for the `&mut self` compression / maintenance paths
@@ -409,12 +405,11 @@ impl FormulaGraph {
     // not an option.
 
     /// Finds all (direct and transitive) dependents of `r`, returned as
-    /// disjoint ranges: [`Self::find_dependents_with_scratch`] on fresh
-    /// buffers.
+    /// disjoint ranges: [`Self::find_dependents_into`], run into the
+    /// thread's own output buffer and copied out, so the returned vector is
+    /// the call's one allocation (none when nothing depends on `r`).
     pub fn find_dependents(&self, r: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        self.find_dependents_with_scratch(r, &mut QueryScratch::new(), &mut out);
-        out
+        self.collect(r, Direction::Dependents)
     }
 
     /// The dependents query over `seeds` — one range, or a set of them
@@ -422,35 +417,45 @@ impl FormulaGraph {
     /// (the closure of a set is the union of its members' closures, each
     /// found once): `out` is overwritten with the disjoint result ranges,
     /// and the return value is the query's instrumentation. A seed is not
-    /// its own dependent, though it may be another seed's. With a warm
-    /// [`QueryScratch`] the whole query performs zero heap allocations —
-    /// the steady-state contract `tests/query_allocations.rs` asserts.
-    pub fn find_dependents_with_scratch(
+    /// its own dependent, though it may be another seed's. The BFS runs on
+    /// the calling thread's buffers, so once they and `out` are warm the
+    /// whole query performs zero heap allocations — the steady-state
+    /// contract `tests/query_allocations.rs` asserts.
+    pub fn find_dependents_into(
         &self,
         seeds: impl AsRef<[Range]>,
-        scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
-        self.bfs(seeds.as_ref(), Direction::Dependents, scratch, out)
+        QUERY.with_borrow_mut(|q| self.bfs(seeds.as_ref(), Direction::Dependents, q, out))
     }
 
     /// Finds all (direct and transitive) precedents of `r`:
-    /// [`Self::find_precedents_with_scratch`] on fresh buffers.
+    /// [`Self::find_precedents_into`], copied out as
+    /// [`Self::find_dependents`] does.
     pub fn find_precedents(&self, r: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        self.find_precedents_with_scratch(r, &mut QueryScratch::new(), &mut out);
-        out
+        self.collect(r, Direction::Precedents)
     }
 
-    /// The precedents query (see [`Self::find_dependents_with_scratch`]
-    /// for the contract).
-    pub fn find_precedents_with_scratch(
+    /// The precedents query (see [`Self::find_dependents_into`] for the
+    /// contract).
+    pub fn find_precedents_into(
         &self,
         seeds: impl AsRef<[Range]>,
-        scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
-        self.bfs(seeds.as_ref(), Direction::Precedents, scratch, out)
+        QUERY.with_borrow_mut(|q| self.bfs(seeds.as_ref(), Direction::Precedents, q, out))
+    }
+
+    /// The allocating wrappers' body: the query into the thread's output
+    /// buffer, copied into a vector of exactly its length.
+    fn collect(&self, r: Range, dir: Direction) -> Vec<Range> {
+        QUERY.with_borrow_mut(|q| {
+            let mut out = std::mem::take(&mut q.out);
+            self.bfs(&[r], dir, q, &mut out);
+            let found = out.to_vec();
+            q.out = out;
+            found
+        })
     }
 
     /// Alg. 3's BFS, its first frontier every range of `seeds`, each edge
@@ -462,7 +467,8 @@ impl FormulaGraph {
         scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
-        let QueryScratch { queue, hits, found, covers, parts, sub_tmp, visited, search } = scratch;
+        let QueryScratch { queue, hits, found, covers, parts, sub_tmp, visited, search, .. } =
+            scratch;
         out.clear();
         queue.clear();
         // R-tree over the visited ranges for the not-yet-contained check;
@@ -734,7 +740,7 @@ mod tests {
         }
         assert_eq!(g.num_edges(), 1);
         let mut deps = Vec::new();
-        let stats = g.find_dependents_with_scratch(r("A1"), &mut QueryScratch::new(), &mut deps);
+        let stats = g.find_dependents_into(r("A1"), &mut deps);
         assert_eq!(area(&deps), 999);
         assert!(
             stats.edges_accessed <= 4,
@@ -1094,10 +1100,10 @@ mod tests {
         }
     }
 
-    /// Regression: a query does not depend on what its scratch held —
-    /// results *and* instrumentation are identical on fresh buffers and
-    /// on ones reused (dirty) across queries and directions, and the
-    /// allocating wrapper returns the same ranges.
+    /// Regression: a query does not depend on what its thread's buffers
+    /// held — results *and* instrumentation are identical on a fresh
+    /// thread's buffers and on this one's, reused (dirty) across queries
+    /// and directions, and the allocating wrapper returns the same ranges.
     #[test]
     fn scratch_and_plain_queries_are_identical() {
         let mut g = FormulaGraph::taco();
@@ -1117,20 +1123,33 @@ mod tests {
         }
         g.add_dependency(&d("G40", "H1"));
 
-        let mut scratch = QueryScratch::new();
-        let (mut out, mut fresh) = (Vec::new(), Vec::new());
+        // Each query on a thread of its own, whose buffers start cold.
+        let on_fresh_thread = |dir: Direction, probe: Range| {
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let mut out = Vec::new();
+                        let stats = match dir {
+                            Direction::Dependents => g.find_dependents_into(probe, &mut out),
+                            Direction::Precedents => g.find_precedents_into(probe, &mut out),
+                        };
+                        (out, stats)
+                    })
+                    .join()
+                    .expect("the query thread panicked")
+            })
+        };
+        let mut out = Vec::new();
         for probe in ["A1", "A3:B3", "C2", "E1", "G1", "G5:G9", "Z99", "A1:H40"] {
             let probe = r(probe);
-            let fresh_stats =
-                g.find_dependents_with_scratch(probe, &mut QueryScratch::new(), &mut fresh);
-            let stats = g.find_dependents_with_scratch(probe, &mut scratch, &mut out);
+            let (fresh, fresh_stats) = on_fresh_thread(Direction::Dependents, probe);
+            let stats = g.find_dependents_into(probe, &mut out);
             assert_eq!(out, fresh, "dependents({probe}) results diverge");
             assert_eq!(stats, fresh_stats, "dependents({probe}) stats diverge");
             assert_eq!(g.find_dependents(probe), fresh, "dependents({probe}) wrapper diverges");
 
-            let fresh_stats =
-                g.find_precedents_with_scratch(probe, &mut QueryScratch::new(), &mut fresh);
-            let stats = g.find_precedents_with_scratch(probe, &mut scratch, &mut out);
+            let (fresh, fresh_stats) = on_fresh_thread(Direction::Precedents, probe);
+            let stats = g.find_precedents_into(probe, &mut out);
             assert_eq!(out, fresh, "precedents({probe}) results diverge");
             assert_eq!(stats, fresh_stats, "precedents({probe}) stats diverge");
             assert_eq!(g.find_precedents(probe), fresh, "precedents({probe}) wrapper diverges");
@@ -1150,24 +1169,22 @@ mod tests {
         }
         g.add_dependency(&d("C1:C30", "D1"));
         g.add_dependency(&d("D1", "E5"));
-        let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
         for seeds in [&["A1"][..], &["A1", "A2"], &["A3", "A20", "B7"], &["A1:A4", "D1", "Z9"]] {
             let seeds: Vec<Range> = seeds.iter().map(|s| r(s)).collect();
-            let both = g.find_dependents_with_scratch(&seeds, &mut scratch, &mut out);
+            let both = g.find_dependents_into(&seeds, &mut out);
             let mut want = std::collections::BTreeSet::new();
             for &seed in &seeds {
-                g.find_dependents_with_scratch(seed, &mut QueryScratch::new(), &mut out);
-                want.extend(cells_of(&out));
+                want.extend(cells_of(&g.find_dependents(seed)));
             }
-            let found = g.find_dependents_with_scratch(&seeds, &mut scratch, &mut out);
-            assert_eq!(found, both, "{seeds:?}: a warm scratch changes nothing");
+            let found = g.find_dependents_into(&seeds, &mut out);
+            assert_eq!(found, both, "{seeds:?}: the queries between change nothing");
             assert_eq!(cells_of(&out), want, "{seeds:?}");
             let cells: usize = out.iter().map(|r| r.cells().count()).sum();
             assert_eq!(cells, want.len(), "{seeds:?}: the ranges are disjoint");
         }
         let none: [Range; 0] = [];
-        assert_eq!(g.find_dependents_with_scratch(none, &mut scratch, &mut out).rtree_searches, 0);
+        assert_eq!(g.find_dependents_into(none, &mut out).rtree_searches, 0);
         assert!(out.is_empty());
     }
 
@@ -1214,9 +1231,9 @@ mod tests {
         // The packed index never visits more nodes than the grown one.
         for probe in ["A1", "C10", "A1:B60"] {
             let probe = r(probe);
-            let (mut scratch, mut out) = (QueryScratch::new(), Vec::new());
-            let p = packed.find_dependents_with_scratch(probe, &mut scratch, &mut out);
-            let g = grown.find_dependents_with_scratch(probe, &mut scratch, &mut out);
+            let mut out = Vec::new();
+            let p = packed.find_dependents_into(probe, &mut out);
+            let g = grown.find_dependents_into(probe, &mut out);
             assert!(
                 p.nodes_visited <= g.nodes_visited,
                 "packed visited {} > grown {} on {probe}",

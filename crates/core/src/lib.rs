@@ -51,7 +51,7 @@ pub fn test_col(i: u32) -> String {
 pub use config::Config;
 pub use dep::{Cue, Dependency};
 pub use edge::{Edge, EdgeId};
-pub use graph::{FormulaGraph, QueryScratch, QueryStats};
+pub use graph::{FormulaGraph, QueryStats};
 pub use pattern::{ChainDir, PatternMeta, PatternType};
 pub use snapshot::GraphSnapshot;
 pub use stats::{GraphStats, PatternCounts, StatsScratch};

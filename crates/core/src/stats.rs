@@ -125,7 +125,7 @@ impl GraphStats {
 /// fresh on every call. Stats paths polled repeatedly (the vertex gauge,
 /// recounted after each recalculation that follows a graph change) reuse
 /// one of these, so steady-state polling performs no heap allocations —
-/// the same discipline as the query paths' `QueryScratch`.
+/// the discipline the queries keep on their per-thread buffers.
 #[derive(Debug, Default)]
 pub struct StatsScratch {
     vertices: HashSet<taco_grid::Range>,

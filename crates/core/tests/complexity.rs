@@ -6,15 +6,16 @@
 //! a grown one, warm buffers change neither hits nor counters, and every
 //! R-tree fan-out finds the same entries.
 
-use taco_core::{Config, Dependency, FormulaGraph, PatternType, QueryScratch, QueryStats};
+use taco_core::{Config, Dependency, FormulaGraph, PatternType, QueryStats};
 use taco_grid::{Cell, Range};
 use taco_rtree::{FanoutRTree, SearchScratch};
 use taco_workload::{enron_like, github_like, SyntheticSheet};
 
-/// One dependents query on fresh buffers: the ranges and what it cost.
+/// One dependents query into a fresh result vector: the ranges and what
+/// it cost.
 fn dependents(g: &FormulaGraph, r: Range) -> (Vec<Range>, QueryStats) {
     let mut out = Vec::new();
-    let stats = g.find_dependents_with_scratch(r, &mut QueryScratch::new(), &mut out);
+    let stats = g.find_dependents_into(r, &mut out);
     (out, stats)
 }
 
@@ -83,15 +84,15 @@ fn chain_pattern_avoids_quadratic_reaccess() {
     assert!(sb.edges_accessed <= 4, "plain RR: {} accesses", sb.edges_accessed);
 }
 
-/// One point query on fresh buffers in either direction: the cells it
-/// found and what it cost.
+/// One point query in either direction: the cells it found and what it
+/// cost.
 fn point_query(g: &FormulaGraph, cell: Cell, dependents: bool) -> (u64, QueryStats) {
-    let (mut out, mut scratch) = (Vec::new(), QueryScratch::new());
+    let mut out = Vec::new();
     let probe = Range::cell(cell);
     let stats = if dependents {
-        g.find_dependents_with_scratch(probe, &mut scratch, &mut out)
+        g.find_dependents_into(probe, &mut out)
     } else {
-        g.find_precedents_with_scratch(probe, &mut scratch, &mut out)
+        g.find_precedents_into(probe, &mut out)
     };
     (cells(&out), stats)
 }
@@ -230,7 +231,6 @@ fn packed_index_visits_fewer_nodes_and_warm_buffers_change_nothing() {
     // edges, so only `nodes_visited` may differ between the two.
     for (name, sheets) in corpus_ends() {
         let (mut packed_visits, mut grown_visits) = (0u64, 0u64);
-        let mut scratch = QueryScratch::new();
         let mut hits = Vec::new();
         for sheet in &sheets {
             let packed = FormulaGraph::build(Config::taco_full(), sheet.deps.iter().copied());
@@ -240,17 +240,18 @@ fn packed_index_visits_fewer_nodes_and_warm_buffers_change_nothing() {
 
             let probes = sheet.hot_cells.iter().chain([&sheet.longest_path_cell]);
             for probe in probes.copied().map(Range::cell) {
-                // One scratch and one result buffer across every probe of
-                // every sheet, against fresh ones per query.
+                // One result buffer across every probe of every sheet, and
+                // the thread's query buffers warm across all of them,
+                // against a fresh result vector per query.
                 let (fresh_hits, fresh) = dependents(&packed, probe);
-                let warm = packed.find_dependents_with_scratch(probe, &mut scratch, &mut hits);
+                let warm = packed.find_dependents_into(probe, &mut hits);
                 assert_eq!(hits, fresh_hits, "{}: hits({probe})", sheet.name);
                 assert_eq!(warm, fresh, "{}: stats({probe})", sheet.name);
                 packed_visits += warm.nodes_visited;
 
                 // Hit order follows the tree's, so the grown graph may cut
                 // the same cells into other ranges.
-                let on_grown = grown.find_dependents_with_scratch(probe, &mut scratch, &mut hits);
+                let on_grown = grown.find_dependents_into(probe, &mut hits);
                 assert_eq!(cells(&hits), cells(&fresh_hits), "{}: grown({probe})", sheet.name);
                 grown_visits += on_grown.nodes_visited;
             }

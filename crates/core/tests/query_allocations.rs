@@ -1,5 +1,8 @@
-//! The query contract, as `cargo test` holds it: a query on warm buffers
-//! allocates nothing, and returns what the allocating wrapper returns.
+//! The query contract, as `cargo test` holds it: once the thread's query
+//! buffers are warm, a `find_*_into` query allocates nothing, and the
+//! allocating wrapper allocates exactly the vector it returns — once for
+//! a non-empty result, never for an empty one — and returns what the
+//! `_into` query finds.
 //!
 //! One `#[test]`, so nothing else runs in this process while it counts;
 //! the counter is per thread all the same, because the harness's own
@@ -9,8 +12,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell as Counter;
-use taco_core::{Config, FormulaGraph, QueryScratch};
-use taco_grid::Range;
+use taco_core::{Config, FormulaGraph, QueryStats};
+use taco_grid::{Cell, Range, MAX_COL, MAX_ROW};
 use taco_workload::enron_like;
 
 /// Counts every allocation and reallocation the calling thread makes.
@@ -69,33 +72,51 @@ fn warm_queries_allocate_nothing_and_equal_the_wrapper() {
         probes.push(sheet.deps[(seed >> 33) as usize % sheet.deps.len()].prec);
     }
 
-    let mut scratch = QueryScratch::new();
     let mut out = Vec::new();
-    // Three rounds take every buffer to its high-water mark.
+    // Three rounds take every buffer to its high-water mark: the thread's
+    // query buffers, the output the wrappers run into, and `out`.
     for _ in 0..3 {
         for &probe in &probes {
-            graph.find_dependents_with_scratch(probe, &mut scratch, &mut out);
-            graph.find_precedents_with_scratch(probe, &mut scratch, &mut out);
+            graph.find_dependents_into(probe, &mut out);
+            graph.find_precedents_into(probe, &mut out);
+            graph.find_dependents(probe);
+            graph.find_precedents(probe);
         }
     }
 
     let mut found = 0usize;
     let before = allocations();
     for &probe in &probes {
-        graph.find_dependents_with_scratch(probe, &mut scratch, &mut out);
+        graph.find_dependents_into(probe, &mut out);
         found += out.len();
-        graph.find_precedents_with_scratch(probe, &mut scratch, &mut out);
+        graph.find_precedents_into(probe, &mut out);
         found += out.len();
     }
     let allocated = allocations() - before;
     assert_eq!(allocated, 0, "twenty warm queries allocated {allocated} times");
     assert!(found > 0, "the probes must reach something");
 
-    for &probe in &probes {
-        graph.find_dependents_with_scratch(probe, &mut scratch, &mut out);
-        assert_eq!(out, graph.find_dependents(probe), "dependents({probe})");
-        graph.find_precedents_with_scratch(probe, &mut scratch, &mut out);
-        assert_eq!(out, graph.find_precedents(probe), "precedents({probe})");
+    // Each wrapper against its `_into` query, at every probe and at a
+    // cell no formula reads or is, whose results are empty.
+    type Into = fn(&FormulaGraph, Range, &mut Vec<Range>) -> QueryStats;
+    type Wrapper = fn(&FormulaGraph, Range) -> Vec<Range>;
+    let directions: [(&str, Into, Wrapper); 2] = [
+        ("dependents", FormulaGraph::find_dependents_into, FormulaGraph::find_dependents),
+        ("precedents", FormulaGraph::find_precedents_into, FormulaGraph::find_precedents),
+    ];
+    let nowhere = Range::cell(Cell::new(MAX_COL, MAX_ROW));
+    let mut empty = 0;
+    for probe in probes.iter().copied().chain([nowhere]) {
+        for (name, into, wrapper) in directions {
+            into(&graph, probe, &mut out);
+            let before = allocations();
+            let wrapped = wrapper(&graph, probe);
+            let allocated = allocations() - before;
+            assert_eq!(wrapped, out, "{name}({probe})");
+            let want = u64::from(!out.is_empty());
+            assert_eq!(allocated, want, "{name}({probe}) allocated {allocated} times");
+            empty += usize::from(out.is_empty());
+        }
     }
-    assert!(allocations() > before, "the wrappers allocate, and the counter must see it");
+    assert!(empty >= 2, "the empty-result count must be exercised");
 }

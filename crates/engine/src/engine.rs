@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use taco_core::{Dependency, FormulaGraph, QueryScratch};
+use taco_core::{Dependency, FormulaGraph};
 use taco_formula::eval::{EvalClock, FoldState, VolatileCtx};
 use taco_formula::program::{Frame, Program, Reader};
 use taco_formula::{CellError, FormulaError, FuncId, Template, Value};
@@ -263,9 +263,6 @@ pub struct Engine {
     /// Cell contents and dirty marks (see [`CellStore`]).
     cells: CellStore,
     graph: FormulaGraph,
-    /// Buffers for the graph queries the edit path makes: warm after the
-    /// first edits, so finding an edit's dependents allocates nothing.
-    query: QueryScratch,
     /// What the edits since the last [`Self::mark_dependents`] wrote.
     origins: Origins,
     /// The sheet's name in its [`crate::Workbook`]; references qualified
@@ -307,10 +304,10 @@ pub struct Engine {
     /// Dependents queries (BFS runs) made so far, from any number of
     /// seeds each (test instrumentation).
     #[cfg(test)]
-    pub(crate) dependents_queries: u64,
+    pub(crate) dependents_queries: std::cell::Cell<u64>,
     /// Ranges those queries found (test instrumentation).
     #[cfg(test)]
-    pub(crate) dependents_ranges: u64,
+    pub(crate) dependents_ranges: std::cell::Cell<u64>,
 }
 
 impl Engine {
@@ -320,7 +317,6 @@ impl Engine {
         Engine {
             cells: CellStore::default(),
             graph,
-            query: QueryScratch::new(),
             origins: Origins::default(),
             sheet_name,
             pass: Vec::new(),
@@ -339,9 +335,9 @@ impl Engine {
             #[cfg(test)]
             extents_emitted: Default::default(),
             #[cfg(test)]
-            dependents_queries: 0,
+            dependents_queries: Default::default(),
             #[cfg(test)]
-            dependents_ranges: 0,
+            dependents_ranges: Default::default(),
         }
     }
 
@@ -804,30 +800,18 @@ impl Engine {
 
     // ---- passthrough graph queries ----------------------------------------
 
-    /// Dependents of `seeds` per the formula graph, into `out`, on the
-    /// engine's warm query buffers: one BFS, nothing for no seeds.
-    pub(crate) fn find_dependents(&mut self, seeds: impl AsRef<[Range]>, out: &mut Vec<Range>) {
+    /// Dependents of `seeds` per the formula graph, into `out`: one BFS,
+    /// nothing for no seeds.
+    pub(crate) fn find_dependents(&self, seeds: impl AsRef<[Range]>, out: &mut Vec<Range>) {
         out.clear();
         if seeds.as_ref().is_empty() {
             return;
         }
         #[cfg(test)]
-        {
-            self.dependents_queries += 1;
-        }
-        self.graph.find_dependents_with_scratch(seeds, &mut self.query, out);
+        self.dependents_queries.set(self.dependents_queries.get() + 1);
+        self.graph.find_dependents_into(seeds, out);
         #[cfg(test)]
-        {
-            self.dependents_ranges += out.len() as u64;
-        }
-    }
-
-    /// Precedents of `r` per the formula graph, on the engine's warm
-    /// query buffers.
-    pub(crate) fn find_precedents(&mut self, r: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        self.graph.find_precedents_with_scratch(r, &mut self.query, &mut out);
-        out
+        self.dependents_ranges.set(self.dependents_ranges.get() + out.len() as u64);
     }
 }
 
@@ -1804,10 +1788,11 @@ mod tests {
         assert_eq!(wb.sheet(S).graph().num_edges(), 1);
         wb.recalculate(RecalcMode::Serial);
 
-        let (queries, ranges) = (wb.sheet(S).dependents_queries, wb.sheet(S).dependents_ranges);
+        let (queries, ranges) =
+            (wb.sheet(S).dependents_queries.get(), wb.sheet(S).dependents_ranges.get());
         wb.set_value(S, c("A1"), n(2.0));
-        assert_eq!(wb.sheet(S).dependents_queries - queries, 1);
-        assert_eq!(wb.sheet(S).dependents_ranges - ranges, 1);
+        assert_eq!(wb.sheet(S).dependents_queries.get() - queries, 1);
+        assert_eq!(wb.sheet(S).dependents_ranges.get() - ranges, 1);
         let dirty: Vec<Cell> = wb.sheet(S).store().dirty().collect();
         assert_eq!(dirty, (3..=ROWS).map(|row| Cell::new(1, row)).collect::<Vec<_>>());
         assert_eq!(wb.recalculate(RecalcMode::Serial), (ROWS - 2) as usize);

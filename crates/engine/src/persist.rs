@@ -362,14 +362,30 @@ impl PersistentWorkbook {
     }
 
     /// Mutable access to the live workbook for **non-edit** operations:
-    /// dependents/precedents queries take `&mut` (R-tree lookups), and
-    /// recalculation is already exposed as
+    /// dependents/precedents queries take `&mut` (they route across
+    /// sheets), and recalculation is already exposed as
     /// [`PersistentWorkbook::recalculate`]. Edits applied through this
     /// reference bypass the WAL and will not survive a reopen — route
     /// them through [`PersistentWorkbook::log_edit`] /
-    /// [`PersistentWorkbook::log_batch`] instead.
+    /// [`PersistentWorkbook::log_batch`] instead — and neither will a
+    /// clock set through it: use [`PersistentWorkbook::set_clock`].
     pub fn workbook_mut(&mut self) -> &mut Workbook {
         &mut self.wb
+    }
+
+    /// Injects a volatile-function clock ([`Workbook::set_clock`]) and
+    /// makes it durable: no WAL record carries a clock, the snapshot
+    /// does, so this compacts. Returns the number of volatile formula
+    /// cells found. An `Err` is a compaction I/O failure and means what
+    /// [`BatchStage::Log`] means: the live workbook runs on the new clock
+    /// but the disk does not have it, so the caller must stop logging or
+    /// compact again.
+    ///
+    /// [`BatchStage::Log`]: crate::workbook::BatchStage::Log
+    pub fn set_clock(&mut self, clock: taco_formula::EvalClock) -> Result<usize, StoreError> {
+        let volatile = self.wb.set_clock(clock);
+        self.compact()?;
+        Ok(volatile)
     }
 
     /// Applies and durably logs one edit: the one-record
@@ -944,7 +960,7 @@ mod tests {
 
     /// Dependents queries the workbook's sheets made so far.
     fn queries(wb: &Workbook) -> u64 {
-        (0..wb.sheet_count()).map(|i| wb.sheet(SheetId(i)).dependents_queries).sum()
+        (0..wb.sheet_count()).map(|i| wb.sheet(SheetId(i)).dependents_queries.get()).sum()
     }
 
     #[test]
@@ -1162,6 +1178,60 @@ mod tests {
         back.set_formula(later, c("A1"), "=TODAY()").unwrap();
         back.recalculate(RecalcMode::Serial);
         assert_eq!(back.value(later, c("A1")), n(45_000.0));
+    }
+
+    const CLOCK: taco_formula::EvalClock =
+        taco_formula::EvalClock { now: 45_000.25, today: 45_000.0, rand_seed: 7 };
+    const CLOCK_OPTS: PersistOptions =
+        PersistOptions { compact_after_records: 0, sync_every_records: 1 };
+
+    /// A one-sheet persistent workbook at `clock.taco` on a fault-injecting
+    /// disk, with `A1 = NOW()` logged.
+    fn volatile_book(seed: u64) -> (taco_store::FaultVfs, PersistentWorkbook) {
+        let fv = taco_store::FaultVfs::pristine(seed);
+        let vfs: Arc<dyn Vfs> = Arc::new(fv.clone());
+        let path = Path::new("clock.taco");
+        let mut pers =
+            PersistentWorkbook::create_with(vfs, path, Workbook::one_sheet(), CLOCK_OPTS).unwrap();
+        let now = EditRecord::SetFormula { sheet: 0, cell: c("A1"), src: "NOW()".into() };
+        pers.log_edit(&now).unwrap();
+        (fv, pers)
+    }
+
+    /// A clock set on a persistent workbook survives a crash: the
+    /// records logged after it replay over a snapshot that carries it.
+    #[test]
+    fn a_persistent_clock_survives_a_crash() {
+        let (fv, mut pers) = volatile_book(5);
+        assert_eq!(pers.set_clock(CLOCK).unwrap(), 1);
+        pers.log_edit(&set(c("B1"), 1.0)).unwrap();
+        pers.sync().unwrap();
+        pers.recalculate();
+        assert_eq!(pers.workbook().value(SheetId(0), c("A1")), n(45_000.25));
+        drop(pers);
+
+        let vfs: Arc<dyn Vfs> = Arc::new(fv);
+        let mut back =
+            PersistentWorkbook::open_with(vfs, Path::new("clock.taco"), CLOCK_OPTS).unwrap();
+        back.recalculate();
+        assert_eq!(back.workbook().value(SheetId(0), c("A1")), n(45_000.25));
+        assert_eq!(back.workbook().value(SheetId(0), c("B1")), n(1.0));
+    }
+
+    /// A clock the disk did not take is an error, and the reopened
+    /// workbook runs on the clock it had.
+    #[test]
+    fn a_clock_the_disk_refuses_is_an_error() {
+        let (fv, mut pers) = volatile_book(6);
+        fv.set_crash_at(fv.op_count());
+        assert!(pers.set_clock(CLOCK).is_err());
+        drop(pers);
+
+        let vfs: Arc<dyn Vfs> = Arc::new(fv.reopen_from_crash());
+        let mut back =
+            PersistentWorkbook::open_with(vfs, Path::new("clock.taco"), CLOCK_OPTS).unwrap();
+        back.recalculate();
+        assert_eq!(back.workbook().value(SheetId(0), c("A1")), n(0.0));
     }
 
     #[test]

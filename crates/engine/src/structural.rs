@@ -275,14 +275,14 @@ mod tests {
             let mut wb = cumulative_sheet(rows);
             // Every total from the insert point down stretches: a
             // formula that may change, and an origin of the query.
-            let before = wb.sheet(S).dependents_queries;
+            let before = wb.sheet(S).dependents_queries.get();
             let receipt = wb.insert_rows(S, rows / 2, 1);
-            assert_eq!(wb.sheet(S).dependents_queries - before, 1, "{rows} rows");
+            assert_eq!(wb.sheet(S).dependents_queries.get() - before, 1, "{rows} rows");
             let changed = (rows - rows / 2 + 1) as usize;
             assert_eq!((wb.dirty_count(), receipt.dirty.len()), (changed, changed), "{rows} rows");
-            let before = wb.sheet(S).dependents_queries;
+            let before = wb.sheet(S).dependents_queries.get();
             wb.delete_rows(S, rows / 2, 1);
-            assert_eq!(wb.sheet(S).dependents_queries - before, 1, "{rows} rows");
+            assert_eq!(wb.sheet(S).dependents_queries.get() - before, 1, "{rows} rows");
             wb.recalculate(RecalcMode::Serial);
             assert_eq!(wb.value(S, Cell::new(2, rows)), n(f64::from(rows)));
         }

@@ -839,8 +839,9 @@ impl Workbook {
         let mut out: Vec<(SheetId, Range)> = Vec::new();
         let mut used: HashSet<(usize, usize)> = HashSet::new();
         let mut queue: VecDeque<(usize, Range)> = VecDeque::from([(id.0, r)]);
+        let mut local = Vec::new();
         while let Some((sid, seed)) = queue.pop_front() {
-            let local = sheets[sid].engine.find_precedents(seed);
+            sheets[sid].engine.graph().find_precedents_into(seed, &mut local);
             for range in std::iter::once(seed).chain(local.iter().copied()) {
                 for (k, src, prec) in xedges.reads_into(sid, range) {
                     if used.insert((sid, k)) {
@@ -849,7 +850,7 @@ impl Workbook {
                     }
                 }
             }
-            out.extend(local.into_iter().map(|range| (SheetId(sid), range)));
+            out.extend(local.iter().map(|&range| (SheetId(sid), range)));
         }
         out.sort_unstable_by_key(|&(s, range)| (s, range.head(), range.tail()));
         out.dedup();
@@ -1457,7 +1458,7 @@ mod tests {
 
     /// Dependents queries the sheets made since the workbook was built.
     fn queries(wb: &Workbook) -> u64 {
-        wb.sheets.iter().map(|s| s.engine.dependents_queries).sum()
+        wb.sheets.iter().map(|s| s.engine.dependents_queries.get()).sum()
     }
 
     /// Two sheets, `In` and `Out`, alike: column A holds `rows` values,

@@ -6,7 +6,7 @@
 //! cargo run --release --example dependency_audit [CELL]
 //! ```
 
-use taco_repro::core::{Config, FormulaGraph, QueryScratch};
+use taco_repro::core::{Config, FormulaGraph};
 use taco_repro::grid::{Cell, Range};
 use taco_repro::workload::enron_like;
 
@@ -31,11 +31,7 @@ fn main() {
     );
 
     let mut dependents = Vec::new();
-    let dstats = graph.find_dependents_with_scratch(
-        Range::cell(probe),
-        &mut QueryScratch::new(),
-        &mut dependents,
-    );
+    let dstats = graph.find_dependents_into(Range::cell(probe), &mut dependents);
     let dep_cells: u64 = dependents.iter().map(Range::area).sum();
     println!("\ntrace dependents of {probe}: {dep_cells} cells in {} ranges", dependents.len());
     for r in dependents.iter().take(12) {
