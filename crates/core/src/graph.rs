@@ -2,6 +2,7 @@
 //! for querying the compressed graph directly (Alg. 3), and incremental
 //! maintenance.
 
+use crate::band::{bands_of, Band, BandIndex};
 use crate::config::Config;
 use crate::dep::Dependency;
 use crate::edge::{Edge, EdgeId};
@@ -10,7 +11,7 @@ use crate::slab::Slab;
 use crate::stats::{count_vertices_with, GraphStats, PatternCounts, StatsScratch};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use taco_grid::{Axis, Cell, Range, MAX_COL, MAX_ROW};
+use taco_grid::{Axis, Cell, Range};
 use taco_rtree::{RTree, SearchScratch};
 
 /// Instrumentation for one query (used by `tests/complexity.rs` and the
@@ -96,10 +97,10 @@ struct MaintScratch {
 pub struct FormulaGraph {
     config: Config,
     edges: Slab<Edge>,
-    /// R-tree over precedent vertex ranges → edge id.
-    prec_index: RTree<EdgeId>,
-    /// R-tree over dependent vertex ranges → edge id.
-    dep_index: RTree<EdgeId>,
+    /// R-trees over precedent vertex ranges → edge id, one per band.
+    prec_index: BandIndex,
+    /// R-trees over dependent vertex ranges → edge id, one per band.
+    dep_index: BandIndex,
     /// Total dependencies ever inserted (the paper's `|E'|` when the graph
     /// is built once from a parsed file).
     deps_inserted: u64,
@@ -108,6 +109,8 @@ pub struct FormulaGraph {
     /// funnel, so `stats()` reads them instead of walking every edge.
     dependencies: u64,
     reduced: PatternCounts,
+    /// The edges with both ends in each band ([`Band`]), by band.
+    held: Vec<usize>,
     /// Bumped by every edge mutation; a poller that remembers it knows
     /// whether anything that needs a walk (the vertex count) can have
     /// changed since it last looked.
@@ -122,11 +125,12 @@ impl FormulaGraph {
         FormulaGraph {
             config,
             edges: Slab::new(),
-            prec_index: RTree::new(),
-            dep_index: RTree::new(),
+            prec_index: BandIndex::default(),
+            dep_index: BandIndex::default(),
             deps_inserted: 0,
             dependencies: 0,
             reduced: PatternCounts::default(),
+            held: Vec::new(),
             mutations: 0,
             scratch: MaintScratch::default(),
         }
@@ -182,20 +186,28 @@ impl FormulaGraph {
     /// import, snapshot restore); incremental edits afterwards keep
     /// working on the packed tree.
     pub fn optimize(&mut self) {
-        let prec: Vec<(Range, EdgeId)> = self.edges.iter().map(|(i, e)| (e.prec, i)).collect();
-        let dep: Vec<(Range, EdgeId)> = self.edges.iter().map(|(i, e)| (e.dep, i)).collect();
-        self.prec_index = RTree::bulk_load(prec);
-        self.dep_index = RTree::bulk_load(dep);
+        (self.prec_index, self.dep_index) = BandIndex::bulk_load(self.edges.iter());
     }
 
-    /// Inserts fully-formed edges without compression, then bulk-loads
-    /// the indexes (snapshot restore: no recompression, one STR pack).
-    pub(crate) fn insert_edges_bulk<I: IntoIterator<Item = Edge>>(&mut self, edges: I) {
-        for e in edges {
-            self.count_in(&e);
-            self.edges.insert(e);
+    /// A graph of `config` holding each band's edges as given, in the
+    /// band's local coordinates: put in place without compression, then
+    /// both indexes bulk-loaded once (snapshot restore: no recompression,
+    /// one STR pack).
+    pub fn restore_bands(
+        config: Config,
+        bands: impl IntoIterator<Item = (Band, Vec<Edge>)>,
+    ) -> Self {
+        let mut g = FormulaGraph::new(config);
+        for (band, edges) in bands {
+            for e in &edges {
+                let e = band.moved(Band(0), e);
+                g.count_in(&e);
+                g.hold(&e, true);
+                g.edges.insert(bands_of(&e), e);
+            }
         }
-        self.optimize();
+        g.optimize();
+        g
     }
 
     // ---- compression (Alg. 2) ---------------------------------------------
@@ -274,8 +286,8 @@ impl FormulaGraph {
         let window = Range::from_coords(
             cell.col.saturating_sub(radius).max(1),
             cell.row.saturating_sub(radius).max(1),
-            (cell.col + radius).min(MAX_COL),
-            (cell.row + radius).min(MAX_ROW),
+            cell.col.saturating_add(radius),
+            cell.row.saturating_add(radius),
         );
         self.dep_index.for_each_overlapping(window, |r, &id| {
             let (head, tail) = (r.head(), r.tail());
@@ -318,9 +330,28 @@ impl FormulaGraph {
             .map(|(i, _)| i)
     }
 
-    /// Snapshot of the live edge ids (structural edits iterate this).
-    pub(crate) fn edge_ids(&self) -> Vec<EdgeId> {
-        self.edges.iter().map(|(i, _)| i).collect()
+    /// The ids, ascending, of the edges with an end in `band`: one window
+    /// search of each vertex index.
+    pub(crate) fn band_ids(&self, band: Band) -> Vec<EdgeId> {
+        let mut ids = Vec::new();
+        for index in [&self.prec_index, &self.dep_index] {
+            index.for_each_overlapping(band.window(), |_, &id| ids.push(id));
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// The edges with an end in `band`, in id order.
+    pub fn edges_touching(&self, band: Band) -> impl Iterator<Item = &Edge> {
+        self.band_ids(band).into_iter().map(|id| self.edges.get(id))
+    }
+
+    /// The edges with both ends in `band`, in id order and in the band's
+    /// local coordinates: what a graph of that grid alone holds.
+    pub fn band_edges(&self, band: Band) -> impl Iterator<Item = Edge> + '_ {
+        let own = self.edges_touching(band).filter(move |e| band.holds(e));
+        own.map(move |e| Band(0).moved(band, e))
     }
 
     /// Borrow an edge by id.
@@ -356,12 +387,31 @@ impl FormulaGraph {
         self.mutations += 1;
     }
 
+    /// Counts an edge that appears (or, `false`, disappears) in the band
+    /// both its ends lie in, if they lie in one. (A changed edge keeps its
+    /// bands.)
+    fn hold(&mut self, e: &Edge, appears: bool) {
+        if e.crosses_bands() {
+            return;
+        }
+        let band = Band::of(e.dep.head().col).0 as usize;
+        if band >= self.held.len() {
+            self.held.resize(band + 1, 0);
+        }
+        if appears {
+            self.held[band] += 1;
+        } else {
+            self.held[band] -= 1;
+        }
+    }
+
     /// An edge that appears.
     fn insert_edge(&mut self, e: Edge) -> EdgeId {
         self.count_in(&e);
+        self.hold(&e, true);
         let prec = e.prec;
         let dep = e.dep;
-        let id = self.edges.insert(e);
+        let id = self.edges.insert(bands_of(&e), e);
         self.prec_index.insert(prec, id);
         self.dep_index.insert(dep, id);
         id
@@ -369,8 +419,9 @@ impl FormulaGraph {
 
     /// An edge that disappears.
     pub(crate) fn remove_edge(&mut self, id: EdgeId) -> Edge {
-        let e = self.edges.remove(id);
+        let e = self.edges.remove(bands_of(self.edges.get(id)), id);
         self.count_out(&e);
+        self.hold(&e, false);
         let removed_p = self.prec_index.remove(e.prec, &id);
         let removed_d = self.dep_index.remove(e.dep, &id);
         debug_assert!(removed_p && removed_d, "edge {id} must be indexed");
@@ -385,6 +436,7 @@ impl FormulaGraph {
         self.count_in(&new);
         let (prec, dep) = (new.prec, new.dep);
         let old = std::mem::replace(self.edges.get_mut(id), new);
+        debug_assert_eq!(bands_of(&old), bands_of(self.edges.get(id)), "an edge keeps its bands");
         self.count_out(&old);
         let rekeyed_p = old.prec == prec || self.prec_index.update(old.prec, &id, prec);
         let rekeyed_d = old.dep == dep || self.dep_index.update(old.dep, &id, dep);
@@ -527,11 +579,24 @@ impl FormulaGraph {
     /// (`removeDep`). Pure-value cells in `s` are unaffected (they carry no
     /// outgoing-formula edges).
     pub fn clear_cells(&mut self, s: Range) {
+        self.clear_where(s, |_| true);
+    }
+
+    /// [`Self::clear_cells`] for the precedents in `band` alone: the
+    /// formula cells inside `s` stop reading that band and keep every
+    /// other read.
+    pub fn clear_reads(&mut self, s: Range, band: Band) {
+        self.clear_where(s, |e| Band::of(e.prec.head().col) == band);
+    }
+
+    /// `clear_cells` over the edges `picks` picks.
+    fn clear_where(&mut self, s: Range, picks: impl Fn(&Edge) -> bool) {
         let mut ids = std::mem::take(&mut self.scratch.ids);
         ids.clear();
         self.dep_index.for_each_overlapping(s, |_, &id| ids.push(id));
         ids.sort_unstable();
         ids.dedup();
+        ids.retain(|&id| picks(self.edges.get(id)));
         let mut parts = std::mem::take(&mut self.scratch.parts);
         for &id in &ids {
             parts.clear();
@@ -572,6 +637,7 @@ impl FormulaGraph {
         self.deps_inserted = 0;
         self.dependencies = 0;
         self.reduced = PatternCounts::default();
+        self.held.clear();
         self.mutations += 1;
     }
 
@@ -604,6 +670,11 @@ impl FormulaGraph {
     /// Edges reduced per pattern, `Σ (count − 1)`: a running count, O(1).
     pub fn reduced(&self) -> PatternCounts {
         self.reduced
+    }
+
+    /// Number of edges with both ends in `band`: a running count, O(1).
+    pub fn band_len(&self, band: Band) -> usize {
+        self.held.get(band.0 as usize).copied().unwrap_or(0)
     }
 
     /// A stamp that moves with every change to the edge set, so a poller
@@ -1057,6 +1128,7 @@ mod tests {
 
     #[test]
     fn window_probe_finds_exactly_the_point_probe_candidates() {
+        use taco_grid::{MAX_COL, MAX_ROW};
         for config in [Config::taco_full(), Config::taco_with_gap_one()] {
             let mut g = FormulaGraph::new(config);
             // Column runs, row runs, an every-other-row run, singles

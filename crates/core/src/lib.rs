@@ -25,11 +25,15 @@
 //!   `taco_in_row()` (the derived-column-only variant of §VI-B), and
 //!   `nocomp()` (the uncompressed baseline built in the same framework);
 //! - [`stats`] — the graph-size and per-pattern accounting behind
-//!   Tables II–V.
+//!   Tables II–V;
+//! - [`band`] — grids side by side in one graph: a workbook's sheets,
+//!   each a stripe of columns, so a reference between sheets is an
+//!   ordinary edge and compresses like one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod band;
 pub mod cem;
 pub mod config;
 pub mod edge;
@@ -48,6 +52,7 @@ pub fn test_col(i: u32) -> String {
     taco_grid::a1::col_to_letters(i)
 }
 
+pub use band::{Band, BAND_COLS, MAX_BANDS};
 pub use config::Config;
 pub use dep::{Cue, Dependency};
 pub use edge::{Edge, EdgeId};

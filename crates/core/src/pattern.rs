@@ -163,6 +163,19 @@ impl PatternMeta {
             PatternMeta::RRGapOne { .. } => PatternType::RRGapOne,
         }
     }
+
+    /// The same metadata with every fixed cell mapped by `f`; relative
+    /// offsets are kept.
+    pub(crate) fn with_fixed(self, f: impl Fn(Cell) -> Cell) -> PatternMeta {
+        match self {
+            PatternMeta::RF { h_rel, t_fix } => PatternMeta::RF { h_rel, t_fix: f(t_fix) },
+            PatternMeta::FR { h_fix, t_rel } => PatternMeta::FR { h_fix: f(h_fix), t_rel },
+            PatternMeta::FF { h_fix, t_fix } => {
+                PatternMeta::FF { h_fix: f(h_fix), t_fix: f(t_fix) }
+            }
+            meta => meta,
+        }
+    }
 }
 
 /// One dependency in canonical coordinates.

@@ -7,6 +7,7 @@
 //! edge list — the R-tree indexes are rebuilt on restore, since they are
 //! derived state.
 
+use crate::band::Band;
 use crate::config::Config;
 use crate::edge::Edge;
 use crate::graph::FormulaGraph;
@@ -89,12 +90,21 @@ impl FormulaGraph {
         }
     }
 
+    /// The snapshot of band `band` alone, in its local coordinates: the
+    /// edges with both ends in it — what a graph of that grid alone
+    /// holds — sorted as [`Self::snapshot`] sorts, and `inserted` as its
+    /// lifetime insert counter.
+    pub fn band_snapshot(&self, band: Band, inserted: u64) -> GraphSnapshot {
+        let mut edges: Vec<Edge> = self.band_edges(band).collect();
+        edges.sort_by_key(edge_sort_key);
+        GraphSnapshot { config: self.config().clone(), edges, dependencies_inserted: inserted }
+    }
+
     /// Restores a graph from a snapshot, rebuilding the spatial indexes
     /// with one STR bulk load per tree. No recompression is attempted:
     /// edges come back exactly as saved.
     pub fn restore(snapshot: GraphSnapshot) -> FormulaGraph {
-        let mut g = FormulaGraph::new(snapshot.config);
-        g.insert_edges_bulk(snapshot.edges);
+        let mut g = FormulaGraph::restore_bands(snapshot.config, [(Band(0), snapshot.edges)]);
         g.set_dependencies_inserted(snapshot.dependencies_inserted);
         g
     }

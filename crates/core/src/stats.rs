@@ -105,6 +105,29 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
+    /// The stats of the edges `edges` walks, however they were picked
+    /// (one band of a graph): counted, not read off running counts.
+    pub fn of_edges<'a>(
+        edges: impl Iterator<Item = &'a crate::Edge>,
+        scratch: &mut StatsScratch,
+    ) -> GraphStats {
+        let mut stats = GraphStats {
+            edges: 0,
+            vertices: 0,
+            dependencies: 0,
+            reduced: PatternCounts::default(),
+        };
+        stats.vertices = count_vertices_with(
+            scratch,
+            edges.inspect(|e| {
+                stats.edges += 1;
+                stats.dependencies += u64::from(e.count);
+                stats.reduced.add(e.pattern(), u64::from(e.count) - 1);
+            }),
+        );
+        stats
+    }
+
     /// `|E| / |E'|`, the remaining-edge fraction of Table IV.
     pub fn remaining_fraction(&self) -> f64 {
         if self.dependencies == 0 {

@@ -13,7 +13,15 @@
 //! - only edges whose bounding ranges *straddle* the edited band need the
 //!   slow path: decompress, transform each underlying dependency with
 //!   Excel semantics (stretch/shrink/`#REF!`), and re-compress.
+//!
+//! An edit applies to one grid of the graph, a [`Band`]: it moves the
+//! edge ends that lie in that band, and leaves every other end where it
+//! is — a formula in another band that reads the edited grid keeps its
+//! place, the range it reads moves. An edge with no end in the band is
+//! not looked at. A graph of one grid is band 0, and this is its one
+//! path.
 
+use crate::band::Band;
 use crate::edge::Edge;
 use crate::graph::FormulaGraph;
 use crate::pattern::PatternMeta;
@@ -96,40 +104,25 @@ impl StructuralOp {
 }
 
 impl FormulaGraph {
-    /// Inserts `n` rows before row `at`, updating every edge.
-    pub fn insert_rows(&mut self, at: u32, n: u32) {
-        self.apply_structural(StructuralOp::InsertRows { at, n });
-    }
-
-    /// Deletes the rows `[at, at + n)`, updating every edge. Dependencies
-    /// of deleted formula cells are dropped; references wholly inside the
-    /// band become `#REF!` (dropped from the graph).
-    pub fn delete_rows(&mut self, at: u32, n: u32) {
-        self.apply_structural(StructuralOp::DeleteRows { at, n });
-    }
-
-    /// Inserts `n` columns before column `at`.
-    pub fn insert_cols(&mut self, at: u32, n: u32) {
-        self.apply_structural(StructuralOp::InsertCols { at, n });
-    }
-
-    /// Deletes the columns `[at, at + n)`.
-    pub fn delete_cols(&mut self, at: u32, n: u32) {
-        self.apply_structural(StructuralOp::DeleteCols { at, n });
-    }
-
-    /// Applies a structural edit: fast wholesale shift for undisturbed
-    /// edges, decompress + re-compress for edges the band cuts through.
+    /// Applies a structural edit to the graph of one grid (band 0).
     pub fn apply_structural(&mut self, op: StructuralOp) {
-        let ids: Vec<usize> = self.edge_ids();
+        self.apply_structural_in(Band(0), op);
+    }
+
+    /// Applies a structural edit of the grid in `band`: fast wholesale
+    /// shift for undisturbed edges, decompress + re-compress for edges
+    /// the edit cuts through. Only the edges with an end in the band are
+    /// visited, found through the vertex indexes.
+    pub fn apply_structural_in(&mut self, band: Band, op: StructuralOp) {
+        let op = InBand { band, op };
         let mut reinsert: Vec<Dependency> = Vec::new();
-        for id in ids {
+        for id in self.band_ids(band) {
             let e = self.peek_edge(id);
             let disturbed = op.disturbs(e.prec) || op.disturbs(e.dep);
             // Fast path: both bounding ranges move rigidly (possibly by
             // different amounts, possibly not at all); the edge keeps its
             // slot and its metadata is adjusted accordingly.
-            let shifted = if disturbed || e.is_single() { None } else { shift_edge(e, op) };
+            let shifted = if disturbed || e.is_single() { None } else { shift_edge(e, &op) };
             match shifted {
                 Some(ne) => self.rewrite_edge(id, ne),
                 None => {
@@ -154,9 +147,43 @@ impl FormulaGraph {
     }
 }
 
+/// A structural edit of the grid in `band`, on graph coordinates: what
+/// lies in the band moves as the edit moves the grid, in the band's local
+/// coordinates; what lies outside it stays.
+struct InBand {
+    band: Band,
+    op: StructuralOp,
+}
+
+impl InBand {
+    fn map_cell(&self, c: Cell) -> Option<Cell> {
+        match self.band.local_cell(c) {
+            Some(local) => Some(self.band.cell(self.op.map_cell(local)?)),
+            None => Some(c),
+        }
+    }
+
+    fn map_range(&self, r: Range) -> Option<Range> {
+        match self.band.local(r) {
+            Some(local) => Some(self.band.range(self.op.map_range(local)?)),
+            None => Some(r),
+        }
+    }
+
+    fn disturbs(&self, r: Range) -> bool {
+        self.band.local(r).is_some_and(|local| self.op.disturbs(local))
+    }
+
+    fn map_dependency(&self, d: &Dependency) -> Option<Dependency> {
+        let dep = self.map_cell(d.dep)?;
+        let prec = self.map_range(d.prec)?;
+        Some(Dependency { prec, dep, cue: d.cue })
+    }
+}
+
 /// Rigid transform of an undisturbed edge. Returns `None` when the edge
 /// cannot be moved rigidly (off-grid clamp changed a dimension).
-fn shift_edge(e: &Edge, op: StructuralOp) -> Option<Edge> {
+fn shift_edge(e: &Edge, op: &InBand) -> Option<Edge> {
     let new_prec = op.map_range(e.prec)?;
     let new_dep = op.map_range(e.dep)?;
     if new_prec.width() != e.prec.width()
@@ -173,9 +200,14 @@ fn shift_edge(e: &Edge, op: StructuralOp) -> Option<Edge> {
     // (in canonical coordinates).
     let rel_delta = e.axis.canon_offset(dp - dd);
     let map_fix = |c: Cell| -> Option<Cell> {
-        // meta cells are canonical; move them by the precedent delta.
+        // meta cells are canonical; move them by the precedent delta,
+        // on the grid of the band they lie in.
         let sheet = e.axis.canon_cell(c);
-        let moved = sheet.offset(dp).ok()?;
+        let moved = if dp == Offset::ZERO {
+            sheet
+        } else {
+            op.band.cell(op.band.local_cell(sheet)?.offset(dp).ok()?)
+        };
         Some(e.axis.canon_cell(moved))
     };
     let meta = match e.meta {
@@ -338,7 +370,7 @@ mod tests {
     fn delete_entire_reference_is_ref_error() {
         let g = FormulaGraph::build(Config::taco_full(), [d("A5:A6", "C1")]);
         let mut g = g;
-        g.delete_rows(5, 2);
+        g.apply_structural(StructuralOp::DeleteRows { at: 5, n: 2 });
         assert_eq!(g.num_edges(), 0, "reference vanished → dependency dropped");
     }
 
@@ -391,7 +423,7 @@ mod tests {
                 d("G1:G5", "H2"),
             ],
         );
-        g.insert_rows(2, 3);
+        g.apply_structural(StructuralOp::InsertRows { at: 2, n: 3 });
         let s = g.stats();
         assert_eq!(s.edges as u64 + s.reduced.total(), s.dependencies);
         let total: u64 = g.edges().map(|e| u64::from(e.count)).sum();

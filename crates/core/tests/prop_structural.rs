@@ -1,10 +1,11 @@
 //! Property test for structural edits: applying insert/delete rows/cols to
 //! the compressed graph must equal transforming every raw dependency and
-//! rebuilding from scratch — for any workload and any edit sequence.
+//! rebuilding from scratch — for any workload and any edit sequence. An
+//! edit of one band of a graph holding several is that grid's edit alone.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use taco_core::{Config, Dependency, FormulaGraph, StructuralOp};
+use taco_core::{Band, Config, Dependency, FormulaGraph, StructuralOp};
 use taco_grid::{Cell, Range};
 
 const W: u32 = 10;
@@ -98,5 +99,73 @@ proptest! {
             cells(taco.find_precedents(probe)),
             cells(nocomp.find_precedents(probe))
         );
+    }
+
+    /// Three grids side by side — band 1 holding the workload, band 0 a
+    /// copy of it, band 2 the formulas of a third copy reading band 1 —
+    /// and band 0's precedents read by band 1's cells too. An edit of band
+    /// 1 leaves every edge with no end there as it was, slot and all;
+    /// compresses band 1's own edges exactly as a graph of that grid alone
+    /// does; and moves the ends of the edges between bands that lie in
+    /// band 1, keeping the others.
+    #[test]
+    fn an_edit_of_one_band_is_its_grid_edited_alone(
+        deps in arb_deps(),
+        ops in prop::collection::vec(arb_op(), 1..4),
+    ) {
+        let at = |prec: Band, dep: Band, d: &Dependency| Dependency {
+            prec: prec.range(d.prec),
+            dep: dep.cell(d.dep),
+            cue: d.cue,
+        };
+        let mut alone = FormulaGraph::taco();
+        let mut g = FormulaGraph::taco();
+        for d in &deps {
+            alone.add_dependency(d);
+            for (prec, dep) in [(0, 0), (1, 1), (1, 2), (0, 1)] {
+                g.add_dependency(&at(Band(prec), Band(dep), d));
+            }
+        }
+        let untouched = |g: &FormulaGraph| -> Vec<_> {
+            let bands = [Band(0), Band(2)];
+            let far = |e: &&taco_core::Edge| {
+                bands.iter().any(|b| b.local(e.prec).is_some())
+                    && bands.iter().any(|b| b.local(e.dep).is_some())
+            };
+            g.edges().filter(far).cloned().collect()
+        };
+        let before = untouched(&g);
+        let mut want = snapshot(&g);
+        for op in &ops {
+            alone.apply_structural(*op);
+            g.apply_structural_in(Band(1), *op);
+            let band1 = |r: Range| match Band(1).local(r) {
+                Some(local) => op.map_range(local).map(|m| Band(1).range(m)),
+                None => Some(r),
+            };
+            want = want
+                .into_iter()
+                .filter_map(|(prec, dep)| {
+                    let dep = band1(Range::cell(dep))?.head();
+                    Some((band1(prec)?, dep))
+                })
+                .collect();
+            prop_assert_eq!(&snapshot(&g), &want, "after {:?}", op);
+            prop_assert_eq!(&untouched(&g), &before, "after {:?}", op);
+            prop_assert_eq!(
+                g.band_snapshot(Band(1), 0).edges,
+                alone.band_snapshot(Band(0), 0).edges,
+                "after {:?}",
+                op
+            );
+        }
+        let s = g.stats();
+        prop_assert_eq!(s.edges as u64 + s.reduced.total(), s.dependencies);
+        for band in [Band(0), Band(1), Band(2)] {
+            prop_assert_eq!(g.band_len(band), g.band_edges(band).count());
+        }
+        let crossing = g.edges().filter(|e| e.crosses_bands()).count();
+        let held: usize = (0..3).map(|b| g.band_len(Band(b))).sum();
+        prop_assert_eq!(g.num_edges(), held + crossing);
     }
 }

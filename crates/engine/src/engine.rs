@@ -7,11 +7,9 @@ use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use taco_core::{Dependency, FormulaGraph};
 use taco_formula::eval::{EvalClock, FoldState, VolatileCtx};
 use taco_formula::program::{Frame, Program, Reader};
 use taco_formula::{CellError, FormulaError, FuncId, Template, Value};
-use taco_grid::a1::SheetRef;
 use taco_grid::{Cell, Range};
 
 /// One sheet's part of the most recent recalculation pass (see
@@ -31,7 +29,7 @@ pub struct SheetPass {
 }
 
 /// The ranges a sheet's edits wrote since their dependents were last
-/// marked ([`Engine::mark_dependents`]): the seeds of the next dependents
+/// marked ([`Engine::drain_origins`]): the seeds of the next dependents
 /// query. A one-column range joins its column's open interval when the
 /// two overlap or touch, so a column typed row by row stays one seed
 /// however many records wrote it; one that does not closes the interval
@@ -256,14 +254,14 @@ impl Folds {
     }
 }
 
-/// One sheet of a [`crate::Workbook`]: its cells and its formula graph,
-/// and the recalculation state over them. The workbook edits and
-/// recalculates it; [`crate::Workbook::sheet`] lends it out read-only.
+/// One sheet of a [`crate::Workbook`]: its cells and the recalculation
+/// state over them. Its dependencies are the workbook's graph's, in the
+/// sheet's band. The workbook edits and recalculates it;
+/// [`crate::Workbook::sheet`] lends it out read-only.
 pub struct Engine {
     /// Cell contents and dirty marks (see [`CellStore`]).
     cells: CellStore,
-    graph: FormulaGraph,
-    /// What the edits since the last [`Self::mark_dependents`] wrote.
+    /// What the edits since the last [`Self::drain_origins`] wrote.
     origins: Origins,
     /// The sheet's name in its [`crate::Workbook`]; references qualified
     /// with this name (`Sheet1!A1` inside `Sheet1`) are treated as local.
@@ -301,22 +299,13 @@ pub struct Engine {
     /// Extents put in an order so far (test instrumentation).
     #[cfg(test)]
     pub(crate) extents_emitted: std::cell::Cell<u64>,
-    /// Dependents queries (BFS runs) made so far, from any number of
-    /// seeds each (test instrumentation).
-    #[cfg(test)]
-    pub(crate) dependents_queries: std::cell::Cell<u64>,
-    /// Ranges those queries found (test instrumentation).
-    #[cfg(test)]
-    pub(crate) dependents_ranges: std::cell::Cell<u64>,
 }
 
 impl Engine {
-    /// An empty sheet named `sheet_name` over `graph` (a workbook mounts
-    /// it).
-    pub(crate) fn new(sheet_name: String, graph: FormulaGraph) -> Self {
+    /// An empty sheet named `sheet_name` (a workbook mounts it).
+    pub(crate) fn new(sheet_name: String) -> Self {
         Engine {
             cells: CellStore::default(),
-            graph,
             origins: Origins::default(),
             sheet_name,
             pass: Vec::new(),
@@ -334,10 +323,6 @@ impl Engine {
             stretches_read: Default::default(),
             #[cfg(test)]
             extents_emitted: Default::default(),
-            #[cfg(test)]
-            dependents_queries: Default::default(),
-            #[cfg(test)]
-            dependents_ranges: Default::default(),
         }
     }
 
@@ -365,7 +350,7 @@ impl Engine {
         cells
     }
 
-    /// Stores the clock without any dirty marking (the workbook routes
+    /// Stores the clock without any dirty marking (the workbook marks
     /// volatile dirtiness itself, across sheets).
     pub(crate) fn set_clock_value(&mut self, clock: EvalClock) {
         self.clock = clock;
@@ -393,22 +378,6 @@ impl Engine {
         &self.sheet_name
     }
 
-    /// `true` iff a reference qualified with `sheet` resolves to this
-    /// sheet: unqualified, or qualified with this sheet's own name.
-    pub(crate) fn is_local(&self, sheet: Option<&SheetRef>) -> bool {
-        sheet.is_none_or(|s| s.matches(&self.sheet_name))
-    }
-
-    /// The underlying formula graph.
-    pub fn graph(&self) -> &FormulaGraph {
-        &self.graph
-    }
-
-    /// Mutable access to the formula graph (structural edits).
-    pub(crate) fn graph_mut(&mut self) -> &mut FormulaGraph {
-        &mut self.graph
-    }
-
     /// Takes the whole cell store, dirty marks included (structural
     /// edits rebuild it).
     pub(crate) fn take_cells(&mut self) -> CellStore {
@@ -416,8 +385,8 @@ impl Engine {
         std::mem::take(&mut self.cells)
     }
 
-    /// Writes one cell with no graph or dirty bookkeeping (rebuilds and
-    /// restores, which carry their own).
+    /// Writes one cell with no dirty bookkeeping (rebuilds and restores,
+    /// which carry their own).
     pub(crate) fn put_cell(&mut self, cell: Cell, content: CellContent) {
         self.cells.insert(cell, content, self.folds.tick());
     }
@@ -500,14 +469,13 @@ impl Engine {
 
     // ---- edits ---------------------------------------------------------
 
-    // An edit writes the store and the graph and records the range it
-    // wrote as an origin; its dependents are marked later, with every
-    // other origin the sheet's edits recorded meanwhile, by one
-    // [`Self::mark_dependents`].
+    // An edit writes the store and records the range it wrote as an
+    // origin (the workbook keeps the graph in step); its dependents are
+    // marked later, with every other origin the workbook's edits recorded
+    // meanwhile, from what [`Self::drain_origins`] hands over.
 
     /// Sets a pure value.
     pub(crate) fn set_value(&mut self, cell: Cell, v: Value) {
-        self.detach_formula(cell);
         self.put_cell(cell, CellContent::pure(v));
         self.origins.record(Range::cell(cell), false);
     }
@@ -566,34 +534,45 @@ impl Engine {
             .unwrap_or_else(|| Run::new(formula, cell, &self.runs_alive))
     }
 
-    /// Makes `cell` a cell of `run`: registers what the run's formula
-    /// reads there with the graph. The cell is an origin, marked dirty by
-    /// the next [`Self::mark_dependents`].
+    /// Makes `cell` a cell of `run`. The cell is an origin, marked dirty
+    /// with its dependents.
     pub(crate) fn set_run(&mut self, cell: Cell, run: Arc<Run>) {
-        self.detach_formula(cell);
-        self.attach_reads(cell, &run);
         self.put_cell(cell, CellContent::formula_cell(run, Value::Empty));
         self.origins.record(Range::cell(cell), true);
     }
 
     /// Clears every cell in `range` (values and formulae).
     pub(crate) fn clear_range(&mut self, range: Range) {
-        self.graph.clear_cells(range);
         self.cells.remove_range(range, self.folds.tick());
         self.origins.record(range, false);
     }
 
     /// Records the formula cells of `range` as written, for
-    /// [`Self::mark_dependents`] (a structural edit's changed cells, a
-    /// referrer it disturbed, a volatile cell the clock moved).
+    /// [`Self::drain_origins`] (a structural edit's changed cells, a
+    /// referrer it disturbed, a volatile cell the clock moved, a formula
+    /// an added sheet resolved).
     pub(crate) fn record_origin(&mut self, range: Range) {
         self.origins.record(range, true);
     }
 
     /// Whether edits recorded origins since the last
-    /// [`Self::mark_dependents`].
+    /// [`Self::drain_origins`].
     pub(crate) fn has_origins(&self) -> bool {
         !self.origins.is_empty()
+    }
+
+    /// Hands over every origin recorded since the last call: `seeds` is
+    /// overwritten with them, and the formula cells inside them are
+    /// marked dirty — one interval at a time, what the edits wrote, and
+    /// only if they wrote a formula. Every formula cell inside an origin
+    /// is one an edit wrote or recorded (an origin is a union of touching
+    /// written ranges, and a value or a clear leaves no formula behind),
+    /// so no other cell is marked; the workbook marks their dependents.
+    pub(crate) fn drain_origins(&mut self, seeds: &mut Vec<Range>) {
+        seeds.clear();
+        if self.origins.drain_into(seeds) {
+            self.mark_ranges_dirty(seeds);
+        }
     }
 
     /// The run an autofill from `src` puts its targets in, `None` if `src`
@@ -615,44 +594,8 @@ impl Engine {
         })
     }
 
-    /// Registers with the graph what `run`'s formula reads, at `cell`, on
-    /// this sheet.
-    pub(crate) fn attach_reads(&mut self, cell: Cell, run: &Run) {
-        for (sheet, rref) in run.at(cell).reads() {
-            if self.is_local(sheet) {
-                self.graph.add_dependency(&Dependency::from_ref(&rref, cell));
-            }
-        }
-    }
-
-    /// Removes the graph dependencies of a formula cell before overwriting.
-    fn detach_formula(&mut self, cell: Cell) {
-        if self.run_at(cell).is_some() {
-            self.graph.clear_cells(Range::cell(cell));
-        }
-    }
-
-    /// Marks dirty the formula cells inside every origin recorded since
-    /// the last call — one interval at a time, what the edits wrote, and
-    /// only if they wrote a formula — and among their dependents, found
-    /// by one dependents query that starts from all of them; `seeds` is
-    /// overwritten with the origins and `found` with the dependents. This
-    /// is the control-latency critical path, and the one place a written
-    /// formula is marked: every formula cell inside an origin is one an
-    /// edit wrote or recorded (an origin is a union of touching written
-    /// ranges, and a value or a clear leaves no formula behind), so no
-    /// other cell is marked.
-    pub(crate) fn mark_dependents(&mut self, seeds: &mut Vec<Range>, found: &mut Vec<Range>) {
-        seeds.clear();
-        if self.origins.drain_into(seeds) {
-            self.mark_ranges_dirty(seeds);
-        }
-        self.find_dependents(&seeds[..], found);
-        self.mark_ranges_dirty(found);
-    }
-
-    /// Marks the formula cells inside `ranges` dirty (workbook cross-sheet
-    /// routing enters here).
+    /// Marks the formula cells inside `ranges` dirty (the dependents the
+    /// workbook's query found here enter through this).
     pub(crate) fn mark_ranges_dirty(&mut self, ranges: &[Range]) {
         for &range in ranges {
             self.cells.mark_formulas_dirty_in(range);
@@ -796,22 +739,6 @@ impl Engine {
             }
         }
         cells
-    }
-
-    // ---- passthrough graph queries ----------------------------------------
-
-    /// Dependents of `seeds` per the formula graph, into `out`: one BFS,
-    /// nothing for no seeds.
-    pub(crate) fn find_dependents(&self, seeds: impl AsRef<[Range]>, out: &mut Vec<Range>) {
-        out.clear();
-        if seeds.as_ref().is_empty() {
-            return;
-        }
-        #[cfg(test)]
-        self.dependents_queries.set(self.dependents_queries.get() + 1);
-        self.graph.find_dependents_into(seeds, out);
-        #[cfg(test)]
-        self.dependents_ranges.set(self.dependents_ranges.get() + out.len() as u64);
     }
 }
 
@@ -1226,8 +1153,8 @@ mod tests {
             wb.recalculate(RecalcMode::Serial);
             wb
         };
-        let mut nocomp = Workbook::new();
-        nocomp.add_sheet_with("Sheet1", FormulaGraph::nocomp()).unwrap();
+        let mut nocomp = Workbook::over(taco_core::FormulaGraph::nocomp());
+        nocomp.add_sheet("Sheet1").unwrap();
         let taco = build(Workbook::one_sheet());
         let nocomp = build(nocomp);
         assert_eq!(taco.value(S, c("C1")), nocomp.value(S, c("C1")));
@@ -1788,11 +1715,10 @@ mod tests {
         assert_eq!(wb.sheet(S).graph().num_edges(), 1);
         wb.recalculate(RecalcMode::Serial);
 
-        let (queries, ranges) =
-            (wb.sheet(S).dependents_queries.get(), wb.sheet(S).dependents_ranges.get());
+        let (queries, ranges) = (wb.dependents_queries, wb.dependents_ranges);
         wb.set_value(S, c("A1"), n(2.0));
-        assert_eq!(wb.sheet(S).dependents_queries.get() - queries, 1);
-        assert_eq!(wb.sheet(S).dependents_ranges.get() - ranges, 1);
+        assert_eq!(wb.dependents_queries - queries, 1);
+        assert_eq!(wb.dependents_ranges - ranges, 1);
         let dirty: Vec<Cell> = wb.sheet(S).store().dirty().collect();
         assert_eq!(dirty, (3..=ROWS).map(|row| Cell::new(1, row)).collect::<Vec<_>>());
         assert_eq!(wb.recalculate(RecalcMode::Serial), (ROWS - 2) as usize);
@@ -1937,8 +1863,8 @@ mod tests {
             ops in prop::collection::vec(arb_op(), 1..25)
         ) {
             let mut taco = Workbook::one_sheet();
-            let mut nocomp = Workbook::new();
-            nocomp.add_sheet_with("Sheet1", FormulaGraph::nocomp()).unwrap();
+            let mut nocomp = Workbook::over(taco_core::FormulaGraph::nocomp());
+            nocomp.add_sheet("Sheet1").unwrap();
             apply(&mut taco, &ops);
             apply(&mut nocomp, &ops);
             let values = |wb: &Workbook| {

@@ -6,7 +6,7 @@
 //! bucket bumps, and fixed-size span pushes, none of which allocate.
 
 use crate::engine::Engine;
-use taco_core::StatsScratch;
+use taco_core::{FormulaGraph, GraphStats, StatsScratch};
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
@@ -26,15 +26,14 @@ pub(crate) struct EngineObs {
     profile_eval_ns: Histogram,
     /// `taco_apply_ns` — what each `workbook.apply` span measured.
     apply_ns: Histogram,
-    /// `taco_apply_cross_hops` — the cross-sheet hops each
-    /// `workbook.apply` span's routing made.
-    apply_cross_hops: Histogram,
     /// `taco_recalcs_total` / `taco_recalc_cells_total` — lifetime counts.
     recalcs_total: Counter,
     recalc_cells_total: Counter,
     /// Graph-shape gauges, labeled `book="<name>"`, refreshed after each
     /// recalculation (the graph only changes on edits, so any recalc is a
-    /// current poll point).
+    /// current poll point): the sheets' bands — the edges with both ends
+    /// on one sheet, summed over the sheets — and `taco_cross_edges`, the
+    /// edges between sheets.
     graph_edges: Gauge,
     graph_vertices: Gauge,
     graph_dependencies: Gauge,
@@ -55,9 +54,8 @@ pub(crate) struct EngineObs {
     /// Reused vertex-dedup scratch for the gauge refresh (PR 5 scratch
     /// discipline: steady-state polling allocates nothing).
     scratch: StatsScratch,
-    /// The sheets' summed mutation stamps when `graph_vertices` was last
-    /// counted (`None`: never). Each stamp only grows, and sheets are
-    /// never removed, so the sum moves iff some sheet's graph changed.
+    /// The graph's mutation stamp when the graph gauges were last walked
+    /// (`None`: never): it moves iff the graph changed.
     vertices_as_of: Option<u64>,
     /// Walks over the edges made for the vertex gauge (test
     /// instrumentation).
@@ -80,7 +78,6 @@ impl EngineObs {
             profile_order_ns: m.histogram("taco_profile_order_ns"),
             profile_eval_ns: m.histogram("taco_profile_eval_ns"),
             apply_ns: m.histogram("taco_apply_ns"),
-            apply_cross_hops: m.histogram("taco_apply_cross_hops"),
             recalcs_total: m.counter("taco_recalcs_total"),
             recalc_cells_total: m.counter("taco_recalc_cells_total"),
             graph_edges: m.gauge_with("taco_graph_edges", &book_label),
@@ -152,67 +149,64 @@ impl EngineObs {
     }
 
     /// Records the `workbook.apply` span of one edit or batch (begun at
-    /// `start_ns`): staging `records` and routing their dirtiness, which
-    /// found `dirty` ranges in `hops` cross-sheet hops. The paper's
-    /// control latency — what the user waits for before the
-    /// recalculation — so it takes the recalc category.
-    pub(crate) fn on_apply(&self, start_ns: u64, records: usize, dirty: usize, hops: usize) {
+    /// `start_ns`): staging `records` and marking their dependents, which
+    /// found `dirty` ranges. The paper's control latency — what the user
+    /// waits for before the recalculation — so it takes the recalc
+    /// category.
+    pub(crate) fn on_apply(&self, start_ns: u64, records: usize, dirty: usize) {
         let (records, dirty) = (records as u64, dirty as u64);
         let dur =
             self.tracer.record_since("workbook.apply", SpanCat::Recalc, start_ns, records, dirty);
         self.apply_ns.record(dur);
-        self.apply_cross_hops.record(hops as u64);
     }
 
-    /// Refreshes the graph-shape and formula gauges from the sheets, in
-    /// O(sheets): edges, dependencies, edges reduced, formula cells,
-    /// templates and folds carried are running counts the sheets keep.
-    /// The distinct-vertex count is the one figure that needs a walk over
-    /// every edge, so it is recounted only when the summed mutation
-    /// stamps say some sheet's graph changed since the last count — a
-    /// recalculation that follows value edits alone walks nothing.
+    /// Refreshes the graph-shape and formula gauges from the graph and
+    /// the sheets. Formula cells, templates and folds carried are running
+    /// counts the sheets keep, read in O(sheets). The graph figures — the
+    /// sheets' bands summed, and the edges between them — take one walk
+    /// over the edges, made only when the graph's mutation stamp says it
+    /// changed since the last: a recalculation that follows value edits
+    /// alone walks nothing.
     ///
     /// Recorded as an `engine.gauges` span under the caller's context,
     /// its payload the sheets read and the edges walked (0 without a
-    /// recount).
+    /// walk).
     pub(crate) fn refresh_gauges<'a>(
         &mut self,
-        cross_edges: usize,
-        sheets: impl Iterator<Item = &'a Engine> + Clone,
+        graph: &FormulaGraph,
+        sheets: impl Iterator<Item = &'a Engine>,
     ) {
         let start = self.now_ns();
         let (mut sheet_count, mut walked) = (0u64, 0u64);
-        let (mut edges, mut deps, mut reduced, mut stamp) = (0i64, 0i64, 0i64, 0u64);
         let (mut cells, mut templates, mut carried) = (0usize, 0usize, 0u64);
-        for sheet in sheets.clone() {
-            let g = sheet.graph();
-            edges += g.num_edges() as i64;
-            deps += i64::try_from(g.num_dependencies()).unwrap_or(i64::MAX);
-            reduced += i64::try_from(g.reduced().total()).unwrap_or(i64::MAX);
-            stamp = stamp.wrapping_add(g.mutation_stamp());
+        for sheet in sheets {
             cells += sheet.formula_cells();
             templates += sheet.formula_templates();
             carried += sheet.folds_carried();
             sheet_count += 1;
         }
-        self.graph_edges.set(edges);
-        self.cross_edges.set(cross_edges as i64);
-        self.graph_dependencies.set(deps);
-        self.graph_edges_reduced.set(reduced);
         self.formula_cells.set(cells as i64);
         self.formula_templates.set(templates as i64);
         self.folds_carried.add(carried - self.folds_carried_seen);
         self.folds_carried_seen = carried;
+        let stamp = graph.mutation_stamp();
         if self.vertices_as_of != Some(stamp) {
             self.vertices_as_of = Some(stamp);
             #[cfg(test)]
             {
                 self.edge_walks += 1;
             }
-            let vertices: usize =
-                sheets.map(|sheet| sheet.graph().stats_with(&mut self.scratch).vertices).sum();
-            self.graph_vertices.set(vertices as i64);
-            walked = edges as u64;
+            let own = GraphStats::of_edges(
+                graph.edges().filter(|e| !e.crosses_bands()),
+                &mut self.scratch,
+            );
+            let count = |n: u64| i64::try_from(n).unwrap_or(i64::MAX);
+            self.graph_edges.set(own.edges as i64);
+            self.graph_vertices.set(own.vertices as i64);
+            self.graph_dependencies.set(count(own.dependencies));
+            self.graph_edges_reduced.set(count(own.reduced.total()));
+            self.cross_edges.set((graph.num_edges() - own.edges) as i64);
+            walked = graph.num_edges() as u64;
         }
         self.tracer.record_since("engine.gauges", SpanCat::Recalc, start, sheet_count, walked);
     }

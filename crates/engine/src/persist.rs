@@ -7,29 +7,31 @@
 //! - this module converts live [`Workbook`]s to and from images
 //!   ([`Workbook::save`] / [`Workbook::open`]), replays [`EditRecord`]s
 //!   through [`Workbook::apply_batch`] — the path live edits take, each
-//!   run of records between added sheets one batch, so cross-edge
-//!   maintenance behaves exactly as it did live and the dirty cells are
-//!   what applying the records one by one leaves, for one dependents
-//!   query per sheet and run — and owns the autosave policy:
+//!   run of records between added sheets one batch, so the graph is
+//!   maintained exactly as it was live and the dirty cells are what
+//!   applying the records one by one leaves, for one dependents query
+//!   per run — and owns the autosave policy:
 //!   [`PersistentWorkbook::log_batch`] appends every applied record to
 //!   the sidecar WAL, fsyncs at configurable points, and folds the log
 //!   back into a fresh snapshot once it crosses the compaction
 //!   threshold.
 //!
 //! What is stored vs derived: cell contents (formula *source* text plus
-//! the cached value), the dirty sets and the compressed graph edges are
+//! the cached value), the dirty sets and each sheet's band of the
+//! compressed graph — the edges with both ends on the sheet, in its own
+//! coordinates, as a graph of that sheet alone would hold them — are
 //! stored; formula ASTs are re-parsed, the graph's R-tree indexes are
-//! rebuilt, and the cross-sheet edge table is bound again from the
+//! rebuilt, and the reads between sheets are bound again from the
 //! formulas' qualified references on open — by the routine a live edit
-//! binds them with — so no recompression ever happens on the open path
-//! and no fact is stored twice.
+//! binds them with. No band is recompressed on the open path, and no fact
+//! is stored twice.
 
-use crate::engine::Engine;
 use crate::sheet::CellContent;
+use crate::view::SheetView;
 use crate::workbook::{SheetId, Workbook};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use taco_core::FormulaGraph;
+use taco_core::{Band, Config, FormulaGraph, MAX_BANDS};
 use taco_grid::Cell;
 use taco_store::{
     std_vfs, write_workbook_file_with, CellRecord, EditRecord, ReplayMode, SheetImage, StoreError,
@@ -43,11 +45,11 @@ pub fn wal_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Captures one engine as a sheet image named `name` — the single
-/// conversion point between live cell contents and persistent records.
-fn sheet_image(engine: &Engine, name: String) -> SheetImage {
+/// Captures one sheet as an image named `name` — the single conversion
+/// point between live cell contents and persistent records.
+fn sheet_image(sheet: SheetView<'_>, name: String) -> SheetImage {
     // `cells()` is in `(col, row)` order, the order the image wants.
-    let cells = engine
+    let cells = sheet
         .cells()
         .map(|(cell, content)| {
             let value = content.value().clone();
@@ -58,8 +60,8 @@ fn sheet_image(engine: &Engine, name: String) -> SheetImage {
             (cell, rec)
         })
         .collect();
-    let dirty = engine.store().dirty().collect();
-    SheetImage { name, cells, dirty, graph: engine.graph().snapshot() }
+    let dirty = sheet.store().dirty().collect();
+    SheetImage { name, cells, dirty, graph: sheet.graph().snapshot() }
 }
 
 impl Workbook {
@@ -77,23 +79,35 @@ impl Workbook {
         WorkbookImage { sheets, epoch: 0, clock: self.clock() }
     }
 
-    /// Reconstructs a workbook from an image: graphs are restored without
-    /// recompression, formula sources re-parsed, dirty sets re-marked,
-    /// and the cross-edge table bound from the formulas. Every sheet is
-    /// added first, the way a live `AddSheet` adds one — with no cell
-    /// restored yet, its rebind walks nothing — so that each formula's
-    /// qualified reads then bind to whichever sheets they name.
+    /// Reconstructs a workbook from an image: every sheet's band of the
+    /// graph is restored without recompression (the graph's configuration
+    /// is the first sheet's), formula sources re-parsed, dirty sets
+    /// re-marked, and the reads between sheets bound from the formulas.
+    /// Every sheet is added first, the way a live `AddSheet` adds one —
+    /// with no cell restored yet, its rebind walks nothing — so that each
+    /// formula's qualified reads then bind to whichever sheets they name.
     pub fn from_image(image: WorkbookImage) -> Result<Self, StoreError> {
-        let mut wb = Workbook::new();
+        let invalid = |e: &dyn std::fmt::Display| StoreError::InvalidRecord(e.to_string());
+        if image.sheets.len() > MAX_BANDS as usize {
+            let e = crate::WorkbookError::TooManySheets(MAX_BANDS as usize);
+            return Err(invalid(&e));
+        }
+        let config =
+            image.sheets.first().map_or_else(Config::taco_full, |s| s.graph.config.clone());
+        let mut sheets = Vec::with_capacity(image.sheets.len());
+        let mut bands = Vec::with_capacity(image.sheets.len());
+        for (k, sheet) in image.sheets.into_iter().enumerate() {
+            bands.push((Band(k as u32), sheet.graph.edges));
+            sheets.push((sheet.name, sheet.graph.dependencies_inserted, sheet.cells, sheet.dirty));
+        }
+        let mut wb = Workbook::over(FormulaGraph::restore_bands(config, bands));
         // Before any sheet is added, so each starts on the stored clock;
         // the image's dirty sets already hold what it makes dirty.
         wb.set_clock(image.clock);
-        let mut contents = Vec::with_capacity(image.sheets.len());
-        for sheet in image.sheets {
-            let graph = FormulaGraph::restore(sheet.graph);
-            wb.add_sheet_with(&sheet.name, graph)
-                .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-            contents.push((sheet.cells, sheet.dirty));
+        let mut contents = Vec::with_capacity(sheets.len());
+        for (name, inserted, cells, dirty) in sheets {
+            wb.add_restored_sheet(&name, inserted).map_err(|e| invalid(&e))?;
+            contents.push((cells, dirty));
         }
         for (sid, (cells, dirty)) in contents.into_iter().enumerate() {
             wb.restore_sheet(sid, cells, dirty)?;
@@ -102,9 +116,9 @@ impl Workbook {
     }
 
     /// Puts a stored sheet's cells and dirty marks into sheet `sid`, whose
-    /// graph was restored from the same image, and binds the cross-sheet
-    /// reads of its formulas; the dirty marks are the image's, nothing
-    /// more. Records arrive in `(col, row)` order: a formula goes back in
+    /// band was restored from the same image, and binds the reads of
+    /// other sheets of its formulas; the dirty marks are the image's,
+    /// nothing more. Records arrive in `(col, row)` order: a formula goes back in
     /// the run of the cell above (past blank rows) or to the left if it is
     /// that run's next cell, and is re-parsed if not.
     fn restore_sheet(
@@ -121,7 +135,7 @@ impl Workbook {
                         .engine_mut(sid)
                         .run_for(cell, &src)
                         .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-                    self.bind_cross_reads(sid, cell, &run);
+                    self.bind_restored(sid, cell, &run);
                     CellContent::formula_cell(run, value)
                 }
             };
@@ -361,10 +375,9 @@ impl PersistentWorkbook {
         &self.wb
     }
 
-    /// Mutable access to the live workbook for **non-edit** operations:
-    /// dependents/precedents queries take `&mut` (they route across
-    /// sheets), and recalculation is already exposed as
-    /// [`PersistentWorkbook::recalculate`]. Edits applied through this
+    /// Mutable access to the live workbook for **non-edit** operations
+    /// (recalculation is already exposed as
+    /// [`PersistentWorkbook::recalculate`]). Edits applied through this
     /// reference bypass the WAL and will not survive a reopen — route
     /// them through [`PersistentWorkbook::log_edit`] /
     /// [`PersistentWorkbook::log_batch`] instead — and neither will a
@@ -958,13 +971,13 @@ mod tests {
         assert_eq!(back.value(SheetId(1), c("A1")), n(240.0));
     }
 
-    /// Dependents queries the workbook's sheets made so far.
+    /// Dependents queries the workbook made so far.
     fn queries(wb: &Workbook) -> u64 {
-        (0..wb.sheet_count()).map(|i| wb.sheet(SheetId(i)).dependents_queries.get()).sum()
+        wb.dependents_queries
     }
 
     #[test]
-    fn a_replay_marks_its_dependents_with_one_query_per_touched_sheet() {
+    fn a_replay_marks_its_dependents_with_one_query_per_run() {
         for rows in [64u32, 256] {
             // Two sheets whose column A feeds three formulas a row.
             let mut wb = Workbook::new();
@@ -993,8 +1006,9 @@ mod tests {
             let mut replayed = Workbook::from_image(wb.to_image()).unwrap();
             let mut serial = Workbook::from_image(wb.to_image()).unwrap();
             replayed.replay(&log, 1).unwrap();
-            // Two runs of records, two sheets touched in each.
-            assert_eq!(queries(&replayed), 4, "{rows} rows");
+            // Two runs of records, two sheets touched in each: one query
+            // a run.
+            assert_eq!(queries(&replayed), 2, "{rows} rows");
             for rec in &log.records {
                 serial.apply_edit(rec).unwrap();
             }

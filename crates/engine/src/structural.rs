@@ -1,5 +1,5 @@
-//! Engine-level structural edits: moving cell contents, rewriting formula
-//! references, and updating the formula graph together.
+//! Engine-level structural edits: moving cell contents and rewriting
+//! formula references (the workbook moves the graph's band alongside).
 
 use crate::engine::Engine;
 use crate::sheet::CellContent;
@@ -72,8 +72,8 @@ pub(crate) fn restate(op: StructuralOp, own: &str, at: At<'_>, local: bool) -> R
 }
 
 impl Engine {
-    /// Applies a structural edit to sheet + graph and dirties only what
-    /// the edit can actually change.
+    /// Applies a structural edit to the sheet's cells and dirties only
+    /// what the edit can actually change.
     ///
     /// A formula none of whose references the edit rewrites, and none of
     /// whose ranges the band cuts through, has every reference entirely
@@ -81,7 +81,7 @@ impl Engine {
     /// neither moved nor changed — its cached value stays valid even if
     /// the formula itself shifted. Only formulas that were rewritten or
     /// whose ranges were disturbed (plus their transitive dependents, via
-    /// the normal dirty routing) recalculate; previously-dirty cells stay
+    /// the normal dirty marking) recalculate; previously-dirty cells stay
     /// dirty at their mapped positions. A formula that is not rewritten
     /// also keeps the user's original source text.
     ///
@@ -95,21 +95,19 @@ impl Engine {
     /// splits is two.
     ///
     /// The formulas that may change are recorded as origins, like any
-    /// edit's cells: they and their dependents are marked by the sheet's
-    /// next [`Engine::mark_dependents`], one query for all of them.
+    /// edit's cells: they and their dependents are marked by the
+    /// workbook's next flush, one query for all of them.
     ///
-    /// Returns those formula cells, and the ones whose reads were
+    /// Returns those formula cells, and the ones whose reads must be
     /// registered afresh: the graph moves a dependency the way its two
     /// ends move, but the sum range of a `SUMIF`/`AVERAGEIF` takes its
     /// shape from the criteria range, so once the edit has touched such a
-    /// formula — before the edit or after it — the graph holds what the
-    /// formula now reads instead. (Their cross-sheet reads are the
-    /// workbook's to redo.)
+    /// formula — before the edit or after it — the graph must hold what
+    /// the formula now reads instead, which the workbook binds.
     pub(crate) fn restructure(&mut self, op: StructuralOp) -> (Vec<Cell>, Vec<Cell>) {
-        debug_assert!(!self.has_origins(), "what was written before the edit is routed first");
+        debug_assert!(!self.has_origins(), "what was written before the edit is flushed first");
         let own = self.sheet_name().to_string();
         let own = own.as_str();
-        self.graph_mut().apply_structural(op);
         let old = self.take_cells();
         let old_dirty: Vec<Cell> = old.dirty().filter_map(|cell| op.map_cell(cell)).collect();
         let (mut changed, mut reshaped) = (Vec::new(), Vec::new());
@@ -138,8 +136,6 @@ impl Engine {
             // A rewrite that kills the criteria range leaves a sum range
             // that no longer takes its shape: shaped before or after.
             if touched && (shaped || run.template().shapes_reads()) {
-                self.graph_mut().clear_cells(Range::cell(nc));
-                self.attach_reads(nc, &run);
                 reshaped.push(nc);
             }
             self.put_cell(nc, CellContent::formula_cell(run, value));
@@ -275,14 +271,14 @@ mod tests {
             let mut wb = cumulative_sheet(rows);
             // Every total from the insert point down stretches: a
             // formula that may change, and an origin of the query.
-            let before = wb.sheet(S).dependents_queries.get();
+            let before = wb.dependents_queries;
             let receipt = wb.insert_rows(S, rows / 2, 1);
-            assert_eq!(wb.sheet(S).dependents_queries.get() - before, 1, "{rows} rows");
+            assert_eq!(wb.dependents_queries - before, 1, "{rows} rows");
             let changed = (rows - rows / 2 + 1) as usize;
             assert_eq!((wb.dirty_count(), receipt.dirty.len()), (changed, changed), "{rows} rows");
-            let before = wb.sheet(S).dependents_queries.get();
+            let before = wb.dependents_queries;
             wb.delete_rows(S, rows / 2, 1);
-            assert_eq!(wb.sheet(S).dependents_queries.get() - before, 1, "{rows} rows");
+            assert_eq!(wb.dependents_queries - before, 1, "{rows} rows");
             wb.recalculate(RecalcMode::Serial);
             assert_eq!(wb.value(S, Cell::new(2, rows)), n(f64::from(rows)));
         }

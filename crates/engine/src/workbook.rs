@@ -1,19 +1,26 @@
-//! Multi-sheet workbooks: sheet-sharded formula graphs, cross-sheet
-//! reference routing, and the one recalculation schedule over them.
+//! Multi-sheet workbooks: one formula graph with a band per sheet, and
+//! the one recalculation schedule over the sheets.
 //!
 //! The paper evaluates TACO per sheet, but the Enron/Github workbooks it
 //! draws from are multi-sheet with `Sheet2!A1`-style cross-references. A
-//! [`Workbook`] shards state accordingly:
+//! [`Workbook`] keeps:
 //!
-//! - every sheet keeps its **own** cell store and its own compressed
-//!   formula graph ([`taco_core::FormulaGraph`]), so each shard stays
-//!   exactly as compressible as the paper's per-sheet graphs;
-//! - cross-sheet dependencies live in a separate **inter-sheet edge
-//!   table** (`cross.rs`): `(source sheet, referenced range) → (target
-//!   sheet, formula cell)`, derived from the formulas' qualified
-//!   references. Dependents/precedents queries and dirty propagation run
-//!   the per-sheet compressed query within a shard and hop through the
-//!   edge table between shards;
+//! - every sheet's **own** cell store, in the sheet's coordinates (an
+//!   [`Engine`] shard);
+//! - **one** compressed formula graph ([`taco_core::FormulaGraph`]) for
+//!   all of them, sheet k's column c at graph column `k · 2¹⁵ + c` — the
+//!   sheet's band ([`taco_core::Band`]). A reference is an edge wherever
+//!   it points: inside the band, or from another sheet's band, so
+//!   `Data!A{r}` read by `Out!B{r}` filled down is one compressed edge,
+//!   as the same fill on one sheet is. A band's own edges are exactly the
+//!   graph a sheet of its own would hold ([`Workbook::sheet`] shows
+//!   them). The dependents of an edit or a batch, on whichever sheets,
+//!   are one query of the graph from everything it wrote, and so are
+//!   [`Workbook::find_dependents`] and [`Workbook::find_precedents`];
+//! - one routine, `Workbook::bind`, that turns a formula's reads into
+//!   dependencies: on an edit; when an added sheet resolves a reference
+//!   that named it while it was missing; and on open, for the reads
+//!   between sheets, which an image does not store;
 //! - recalculation is **one pass** over **one schedule**, whoever asks
 //!   (`crate::order`): the workbook's dirty cells are ordered as (sheet,
 //!   node) pairs, each after the dirty cells it reads on any sheet, by one
@@ -38,16 +45,14 @@
 //! several.
 
 use crate::cells::CellStore;
-use crate::cross::EdgeTable;
 use crate::engine::Engine;
 use crate::order::Schedule;
 use crate::sheet::Run;
 use crate::structural::{restate, Restated};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use taco_core::{FormulaGraph, StructuralOp};
+use taco_core::{Band, Dependency, FormulaGraph, StructuralOp, MAX_BANDS};
 use taco_formula::{CellError, EvalClock, FormulaError, Template, Value};
 use taco_grid::a1::{SheetRef, MAX_SHEET_NAME};
 use taco_grid::{Cell, GridError, Range};
@@ -70,90 +75,58 @@ impl fmt::Display for SheetId {
     }
 }
 
-/// One unit of routing work inside [`Workbook::route`]: a range on a
-/// sheet whose dependents on the sheet are known, to be scanned for cross
-/// edges out of it.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    sid: usize,
-    range: Range,
+/// Sheet `sid`'s band of the workbook's graph: the one conversion between
+/// a sheet's coordinates and the graph's.
+fn band(sid: usize) -> Band {
+    Band(sid as u32)
 }
 
-/// Hashes the routing's `(sheet, cell)` hop keys: a multiply and a
-/// rotate per word. The keys are the workbook's own coordinates, not
-/// input an adversary picks to collide, so SipHash's keyed rounds buy
-/// nothing on a path every cross-sheet hop takes.
-#[derive(Default)]
-struct HopHasher(u64);
-
-impl Hasher for HopHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+/// The band a sheet added at `index` gets, refused past the graph's last
+/// column: at most `limit` sheets fit.
+fn band_for(index: usize, limit: usize) -> Result<Band, WorkbookError> {
+    if index < limit {
+        Ok(band(index))
+    } else {
+        Err(WorkbookError::TooManySheets(index))
     }
 }
 
-/// What a workbook routes dirtiness with — buffers kept from edit to
-/// edit, so routing one record allocates nothing once they are warm —
-/// and the receipt of the edit or batch under way.
+/// Graph ranges as `(sheet, range)` pairs, sorted and deduplicated.
+fn by_sheet(ranges: &[Range]) -> Vec<(SheetId, Range)> {
+    let mut out: Vec<(SheetId, Range)> = ranges
+        .iter()
+        .map(|&r| {
+            let band = Band::of(r.head().col);
+            (SheetId(band.0 as usize), band.local(r).expect("a graph range lies in one band"))
+        })
+        .collect();
+    out.sort_unstable_by_key(|&(s, range)| (s, range.head(), range.tail()));
+    out.dedup();
+    out
+}
+
+/// The edit or batch under way — whether it collects its dirty ranges,
+/// and those so far — and the buffers its flushes query with, kept from
+/// edit to edit, so a flush allocates nothing once they are warm.
 #[derive(Default)]
-struct Routing {
-    queue: VecDeque<Job>,
-    /// The formula cells the expansion under way hopped to: each fires
-    /// at most once per expansion, which both bounds the loop and
-    /// deduplicates hops.
-    hopped: HashSet<(usize, Cell), BuildHasherDefault<HopHasher>>,
-    /// The hops made since the queue last ran dry, not yet expanded: a
-    /// wave, whose cells on one sheet are the seeds of one query.
-    wave: Vec<(usize, Cell)>,
-    /// The seeds of a sheet's dependents query — its origins, a wave's
-    /// cells there, a probe — then what the query found.
+struct Pending {
+    /// One sheet's origins, in its coordinates.
+    origins: Vec<Range>,
+    /// Every sheet's, in the graph's: the seeds of the flush's query.
     seeds: Vec<Range>,
+    /// What the query found.
     found: Vec<Range>,
     /// Whether the edit or batch under way collects its dirty ranges.
     report: bool,
     /// Its dirty ranges so far, when it does.
     dirty: Vec<(SheetId, Range)>,
-    /// Its cross-sheet hops so far.
-    hops: usize,
 }
 
-impl Routing {
-    /// Takes what a dependents query on sheet `sid` found from `seeds`:
-    /// reported with `report`, and queued with the seeds to be scanned for
-    /// cross edges if another sheet reads this one (`read`).
-    fn take_found(&mut self, sid: usize, read: bool, report: bool) {
-        if report {
-            self.dirty.extend(self.found.iter().map(|&r| (SheetId(sid), r)));
-        }
-        if read {
-            let ranges = self.seeds.iter().chain(&self.found);
-            self.queue.extend(ranges.map(|&range| Job { sid, range }));
-        }
-    }
-
+impl Pending {
     /// Starts an edit or batch; `report`: collect its dirty ranges.
     fn begin(&mut self, report: bool) {
         self.report = report;
         self.dirty.clear();
-        self.hops = 0;
     }
 
     /// Reports `range` on sheet `sid` dirty, if the edit under way
@@ -165,14 +138,28 @@ impl Routing {
     }
 
     /// Ends an edit or batch: its dirty ranges, sorted and deduplicated
-    /// (none if it collected none), and its cross-sheet hops.
-    fn finish(&mut self) -> (Vec<(SheetId, Range)>, usize) {
+    /// (none if it collected none).
+    fn finish(&mut self) -> Vec<(SheetId, Range)> {
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.sort_unstable_by_key(|&(s, range)| (s, range.head(), range.tail()));
         dirty.dedup();
         self.report = false;
-        (dirty, std::mem::take(&mut self.hops))
+        dirty
     }
+}
+
+/// Which of a formula's reads [`Workbook::bind`] makes dependencies of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reads {
+    /// Every read: the formula was just written.
+    All,
+    /// The reads of other sheets: the formula was restored, its reads of
+    /// its own sheet with its band (an open).
+    Crossing,
+    /// The reads of the given sheet alone, another than the formula's: it
+    /// was just added, or a structural edit of it moved what the formula
+    /// reads.
+    Of(usize),
 }
 
 /// How [`Workbook::recalculate`] schedules sheet evaluation. There is one
@@ -210,8 +197,11 @@ pub enum WorkbookError {
     DuplicateSheet(String),
     /// The sheet name failed validation.
     BadSheetName(GridError),
-    /// A sheet id or cross-edge endpoint is out of range.
+    /// A sheet id is out of range.
     NoSuchSheet(usize),
+    /// A sheet at this index would lie past the graph's last column: a
+    /// workbook holds at most [`MAX_BANDS`] sheets.
+    TooManySheets(usize),
     /// A formula failed to parse.
     Formula(FormulaError),
 }
@@ -222,6 +212,9 @@ impl fmt::Display for WorkbookError {
             WorkbookError::DuplicateSheet(n) => write!(f, "duplicate sheet name {n:?}"),
             WorkbookError::BadSheetName(e) => write!(f, "{e}"),
             WorkbookError::NoSuchSheet(i) => write!(f, "no sheet with index {i}"),
+            WorkbookError::TooManySheets(i) => {
+                write!(f, "no room for sheet {i}: a workbook holds at most {MAX_BANDS} sheets")
+            }
             WorkbookError::Formula(e) => write!(f, "{e}"),
         }
     }
@@ -240,7 +233,7 @@ impl From<FormulaError> for WorkbookError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStage {
     /// The record at `index` failed to **apply**: records before it were
-    /// applied (and routed), it and everything after were not.
+    /// applied (and flushed), it and everything after were not.
     Apply,
     /// Every record **applied** to the live workbook, but durably
     /// logging the record at `index` failed: the WAL holds exactly the
@@ -278,48 +271,70 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// One shard: a named sheet with its own engine (cells + formula graph).
+/// One shard: a named sheet with its own cells.
 struct SheetShard {
     name: SheetRef,
     engine: Engine,
     /// Whether a formula of the sheet may read a sheet that does not
-    /// exist: set when one is bound ([`Workbook::bind_cross_reads`]), and
-    /// reset, exactly, by the walk a new sheet's rebind makes
+    /// exist: set when one is bound ([`Workbook::bind`]), and reset,
+    /// exactly, by the walk a new sheet's rebind makes
     /// ([`Workbook::rebind_dangling_refs`]).
     dangling: bool,
+    /// Reads of the sheet itself ever bound into its band, its graph's
+    /// lifetime insert counter (restored from an image, then counted on).
+    inserted: u64,
 }
 
-/// A multi-sheet workbook: one [`Engine`] shard per sheet plus the
-/// inter-sheet edge table. See the module docs for the sharding model.
+/// A multi-sheet workbook: one [`Engine`] shard per sheet and one formula
+/// graph with a band per sheet. See the module docs.
 ///
 /// # Panics
 ///
-/// [`SheetId`]s are dense indices handed out by `add_sheet*`; like slice
+/// [`SheetId`]s are dense indices handed out by `add_sheet`; like slice
 /// indexing, every method taking a `SheetId` panics (with a descriptive
 /// message) when given an id that does not name a sheet of *this*
 /// workbook. Resolve names with [`Workbook::sheet_id`] when in doubt.
-#[derive(Default)]
 pub struct Workbook {
     sheets: Vec<SheetShard>,
     /// Lower-cased sheet name → dense id.
     index: BTreeMap<String, usize>,
-    /// The inter-sheet edge table.
-    xedges: EdgeTable,
+    /// The workbook's formula graph: sheet k's dependencies in band k,
+    /// and the reads between sheets from band to band.
+    graph: FormulaGraph,
+    /// The reads of other sheets the binding under way made (at most one
+    /// dependency per distinct range a formula reads on another sheet).
+    bound: Vec<(usize, Range)>,
     /// Pre-registered metric handles, when attached to an obs hub
     /// ([`Workbook::attach_obs`]). Boxed so the common unattached case
     /// costs one pointer.
     obs: Option<Box<crate::obs::EngineObs>>,
-    /// Routing buffers, and the receipt of the edit under way.
-    routing: Routing,
+    /// The edit under way and the buffers its flushes query with.
+    pending: Pending,
     /// The recalculation order, in buffers kept from pass to pass.
     schedule: Schedule,
     /// The clock every sheet's volatile functions read
     /// ([`Workbook::set_clock`]); a sheet added later starts on it too.
     clock: EvalClock,
+    /// Sheets that fit: as many as the graph has bands, or fewer in a
+    /// test of the refusal.
+    #[cfg(test)]
+    pub(crate) sheet_limit: usize,
     /// Cells the dangling-reference rebinds walked so far (test
     /// instrumentation).
     #[cfg(test)]
     pub(crate) cells_walked: u64,
+    /// Dependents queries the flushes made, from any number of seeds
+    /// each, and the ranges they found (test instrumentation).
+    #[cfg(test)]
+    pub(crate) dependents_queries: u64,
+    #[cfg(test)]
+    pub(crate) dependents_ranges: u64,
+}
+
+impl Default for Workbook {
+    fn default() -> Self {
+        Workbook::over(FormulaGraph::taco())
+    }
 }
 
 impl Workbook {
@@ -331,6 +346,29 @@ impl Workbook {
     /// An empty workbook whose sheets use the full TACO compressed graph.
     pub fn with_taco() -> Self {
         Workbook::new()
+    }
+
+    /// An empty workbook over `graph`: one restored from an image, or one
+    /// of another configuration.
+    pub(crate) fn over(graph: FormulaGraph) -> Self {
+        Workbook {
+            sheets: Vec::new(),
+            index: BTreeMap::new(),
+            graph,
+            bound: Vec::new(),
+            obs: None,
+            pending: Pending::default(),
+            schedule: Schedule::default(),
+            clock: EvalClock::default(),
+            #[cfg(test)]
+            sheet_limit: MAX_BANDS as usize,
+            #[cfg(test)]
+            cells_walked: 0,
+            #[cfg(test)]
+            dependents_queries: 0,
+            #[cfg(test)]
+            dependents_ranges: 0,
+        }
     }
 
     /// Attaches this workbook to an observability hub: registers the
@@ -347,72 +385,87 @@ impl Workbook {
         self.obs.is_some()
     }
 
-    /// Adds a sheet backed by a TACO-compressed formula graph. Names are
-    /// validated like formula qualifiers and must be unique
-    /// case-insensitively.
+    /// Adds a sheet. Names are validated like formula qualifiers and must
+    /// be unique case-insensitively. A workbook holds at most
+    /// [`MAX_BANDS`] sheets, as many as the graph has bands.
     ///
     /// Existing formulae that already reference the new name (written
-    /// while it resolved to `#REF!`) are re-bound: their cross edges are
-    /// registered and the cells re-marked dirty, so the next
+    /// while it resolved to `#REF!`) are re-bound: their reads of it join
+    /// the graph and the cells are re-marked dirty, so the next
     /// recalculation sees the new sheet's values.
     pub fn add_sheet(&mut self, name: &str) -> Result<SheetId, WorkbookError> {
-        self.add_sheet_with(name, FormulaGraph::taco())
-    }
-
-    /// [`Self::add_sheet`] around the given graph: a graph restored from
-    /// an image, or one of another configuration.
-    pub(crate) fn add_sheet_with(
-        &mut self,
-        name: &str,
-        graph: FormulaGraph,
-    ) -> Result<SheetId, WorkbookError> {
         let sref = SheetRef::new(name).map_err(WorkbookError::BadSheetName)?;
         if self.index.contains_key(&sref.key()) {
             return Err(WorkbookError::DuplicateSheet(name.to_string()));
         }
         let id = self.sheets.len();
-        let mut engine = Engine::new(sref.name().to_string(), graph);
+        band_for(id, self.sheet_limit())?;
+        let mut engine = Engine::new(sref.name().to_string());
         engine.set_clock_value(self.clock);
         self.index.insert(sref.key(), id);
-        self.sheets.push(SheetShard { name: sref, engine, dangling: false });
-        self.xedges.add_sheet();
+        self.sheets.push(SheetShard { name: sref, engine, dangling: false, inserted: 0 });
         self.rebind_dangling_refs(id);
         Ok(SheetId(id))
     }
 
+    /// [`Self::add_sheet`] for a sheet restored from an image: its band's
+    /// edges are in the graph already, and `inserted` is its insert
+    /// counter.
+    pub(crate) fn add_restored_sheet(
+        &mut self,
+        name: &str,
+        inserted: u64,
+    ) -> Result<(), WorkbookError> {
+        let id = self.add_sheet(name)?;
+        self.sheets[id.0].inserted = inserted;
+        Ok(())
+    }
+
+    /// Binds the reads of other sheets of the formula `run` holds at
+    /// `cell` of sheet `sid`, restored from an image with its band.
+    pub(crate) fn bind_restored(&mut self, sid: usize, cell: Cell, run: &Run) {
+        self.bind(sid, cell, run, Reads::Crossing);
+    }
+
+    /// Sheets that fit in the workbook: as many as the graph has bands.
+    #[cfg(not(test))]
+    fn sheet_limit(&self) -> usize {
+        MAX_BANDS as usize
+    }
+
+    #[cfg(test)]
+    fn sheet_limit(&self) -> usize {
+        self.sheet_limit
+    }
+
     /// Binds the formulae whose qualified references only now resolve
-    /// (the sheet with this id was just added), marks them dirty and
-    /// routes the resulting dirtiness at once. Walks only the sheets
-    /// flagged as holding dangling references, binds each of their
-    /// formulae's reads of the new sheet, and leaves each flagged exactly
-    /// if it still holds one — a reference to a sheet that is still
-    /// missing.
+    /// (the sheet with this id was just added) and marks them and their
+    /// dependents dirty at once. Walks only the sheets flagged as holding
+    /// dangling references, binds each of their formulae's reads of the
+    /// new sheet, and leaves each flagged exactly if it still holds one —
+    /// a reference to a sheet that is still missing.
     fn rebind_dangling_refs(&mut self, new_id: usize) {
-        let Workbook { sheets, index, xedges, routing, .. } = self;
-        for (sid, shard) in sheets.iter_mut().enumerate() {
-            if !std::mem::take(&mut shard.dangling) {
+        for sid in 0..self.sheets.len() {
+            if !std::mem::take(&mut self.sheets[sid].dangling) {
                 continue;
             }
             #[cfg(test)]
             {
-                self.cells_walked += shard.engine.len() as u64;
+                self.cells_walked += self.sheets[sid].engine.len() as u64;
             }
-            for (cell, content) in shard.engine.cells() {
-                let Some(run) = &content.run else { continue };
-                let edges = xedges.len();
-                shard.dangling |= xedges.bind(sid, cell, run, index, Some(new_id));
-                if xedges.len() > edges {
-                    routing.wave.push((sid, cell));
+            let cells = self.sheets[sid].engine.cells();
+            let formulas: Vec<(Cell, Arc<Run>)> =
+                cells.filter_map(|(cell, k)| Some((cell, Arc::clone(k.run.as_ref()?)))).collect();
+            for (cell, run) in formulas {
+                if self.bind(sid, cell, &run, Reads::Of(new_id)) {
+                    self.sheets[sid].engine.record_origin(Range::cell(cell));
                 }
             }
         }
-        if routing.wave.is_empty() {
-            return;
-        }
-        for &(sid, cell) in &routing.wave {
-            sheets[sid].engine.mark_cells_dirty(&[cell]);
-        }
-        self.route(true, false);
+        // What the rebind dirtied is no edit's to report.
+        let report = std::mem::replace(&mut self.pending.report, false);
+        self.flush();
+        self.pending.report = report;
     }
 
     /// Number of sheets.
@@ -442,10 +495,12 @@ impl Workbook {
         self.sheets[id.0].name.name()
     }
 
-    /// Read access to one sheet's engine (values, graph stats).
-    pub fn sheet(&self, id: SheetId) -> &Engine {
+    /// Read access to one sheet: its engine (values, formulas, counts)
+    /// and its band of the graph.
+    pub fn sheet(&self, id: SheetId) -> crate::SheetView<'_> {
         self.ensure_sheet(id);
-        &self.sheets[id.0].engine
+        let shard = &self.sheets[id.0];
+        crate::SheetView::new(&shard.engine, &self.graph, band(id.0), shard.inserted)
     }
 
     /// Shard access for the schedule.
@@ -454,7 +509,7 @@ impl Workbook {
     }
 
     /// Mutable shard access for the persistence layer (restores cells and
-    /// dirty marks directly, bypassing edit routing).
+    /// dirty marks directly, bypassing the edit path).
     pub(crate) fn engine_mut(&mut self, i: usize) -> &mut Engine {
         &mut self.sheets[i].engine
     }
@@ -468,9 +523,11 @@ impl Workbook {
         }
     }
 
-    /// Number of inter-sheet edges currently routed.
+    /// Number of the graph's edges between sheets: a reference filled
+    /// down a column is one, however long the column. O(sheets).
     pub fn cross_edge_count(&self) -> usize {
-        self.xedges.len()
+        let held: usize = (0..self.sheets.len()).map(|sid| self.graph.band_len(band(sid))).sum();
+        self.graph.num_edges() - held
     }
 
     /// Current value of a cell.
@@ -493,43 +550,42 @@ impl Workbook {
     // ---- edits ---------------------------------------------------------
     //
     // Every edit is *stage, then flush*: a `stage_*` function below makes
-    // the local mutation (cell store, formula graph, cross-edge table),
+    // the local mutation (cell store and the sheet's band of the graph),
     // and the sheet's engine records the ranges it wrote as origins; one
-    // `flush` then marks their dependents — one query per touched sheet,
-    // from all of its origins — and routes across sheets. The live
-    // methods stage one edit, `apply_batch` stages a run of records, and
-    // both flush once at the end (and around each structural edit and
-    // added sheet, which move coordinates or route at once); on an
-    // attached hub the two together are one `workbook.apply` span.
+    // `flush` then marks their dependents, on whichever sheets — one query
+    // of the graph from all of them. The live methods stage one edit,
+    // `apply_batch` stages a run of records, and both flush once at the
+    // end (and around each structural edit and added sheet, which move
+    // coordinates or mark at once); on an attached hub the two together
+    // are one `workbook.apply` span.
 
     /// One live edit of sheet `id`: `stage`, then flush.
     #[track_caller]
     fn edit(&mut self, id: SheetId, stage: impl FnOnce(&mut Self)) -> WorkbookReceipt {
         self.ensure_sheet(id);
         let start = self.obs.as_deref().map(|o| o.now_ns());
-        self.routing.begin(true);
+        self.pending.begin(true);
         stage(self);
         self.flush();
-        let (dirty, hops) = self.routing.finish();
-        self.on_apply(start, 1, dirty.len(), hops);
+        let dirty = self.pending.finish();
+        self.on_apply(start, 1, dirty.len());
         WorkbookReceipt { dirty }
     }
 
-    /// Closes the `workbook.apply` span begun at `start` (`None`: no hub)
-    /// of an edit whose routing made `hops` cross-sheet hops.
-    fn on_apply(&self, start: Option<u64>, records: usize, dirty: usize, hops: usize) {
+    /// Closes the `workbook.apply` span begun at `start` (`None`: no hub).
+    fn on_apply(&self, start: Option<u64>, records: usize, dirty: usize) {
         if let (Some(o), Some(start)) = (self.obs.as_deref(), start) {
-            o.on_apply(start, records, dirty, hops);
+            o.on_apply(start, records, dirty);
         }
     }
 
-    /// Sets a pure value, routing dirtiness across sheets.
+    /// Sets a pure value, marking its dependents on every sheet.
     pub fn set_value(&mut self, id: SheetId, cell: Cell, v: Value) -> WorkbookReceipt {
         self.edit(id, |wb| wb.stage_value(id.0, cell, v))
     }
 
-    /// Sets a formula (leading `=` optional); same-sheet references go to
-    /// the sheet's own graph, qualified ones into the cross-edge table.
+    /// Sets a formula (leading `=` optional): each reference, qualified
+    /// or not, becomes a dependency of the graph.
     pub fn set_formula(
         &mut self,
         id: SheetId,
@@ -544,7 +600,7 @@ impl Workbook {
     /// Autofills the formula at `src` over `targets` (the tool that
     /// generates tabular locality): every target joins one run, with
     /// cross-sheet references preserved (their sheet qualifier is pinned
-    /// under the fill) and routed. Fails if `src` has no formula.
+    /// under the fill). Fails if `src` has no formula.
     pub fn autofill(
         &mut self,
         id: SheetId,
@@ -582,8 +638,8 @@ impl Workbook {
             .collect())
     }
 
-    /// Clears every cell in `range` on one sheet, detaching both local and
-    /// cross-sheet dependencies of the cleared formulae.
+    /// Clears every cell in `range` on one sheet, detaching every
+    /// dependency of the cleared formulae.
     pub fn clear_range(&mut self, id: SheetId, range: Range) -> WorkbookReceipt {
         self.edit(id, |wb| wb.stage_clear(id.0, range))
     }
@@ -593,8 +649,8 @@ impl Workbook {
     /// qualified references target the edited sheet are rewritten under
     /// the same transform (`Sheet1!A5` survives an insert above row 5 as
     /// `Sheet1!A8`; a reference whose whole range is deleted becomes
-    /// `#REF!`). Rewrites are routed through the cross-edge index, so
-    /// only actual referrers are touched.
+    /// `#REF!`). The referrers are found in the graph, as the edges into
+    /// the sheet's band from others, so only actual referrers are touched.
     pub fn insert_rows(&mut self, sheet: SheetId, at: u32, n: u32) -> WorkbookReceipt {
         self.apply_structural(sheet, StructuralOp::InsertRows { at, n })
     }
@@ -617,24 +673,23 @@ impl Workbook {
         self.apply_structural(sheet, StructuralOp::DeleteCols { at, n })
     }
 
-    /// Applies one structural edit to `sheet` and routes the fallout
+    /// Applies one structural edit to `sheet` and marks the fallout
     /// across the workbook (the general form behind
     /// [`Self::insert_rows`] and friends).
     pub fn apply_structural(&mut self, sheet: SheetId, op: StructuralOp) -> WorkbookReceipt {
         self.edit(sheet, |wb| wb.stage_structural(sheet.0, op))
     }
 
-    /// Applies a run of [`EditRecord`]s with **one** dependents query per
-    /// sheet they touch: every record's local mutation is staged first
-    /// (cell stores, formula graphs, and the cross-edge table mutate in
-    /// record order, exactly as they would serially), each recording the
-    /// ranges it wrote; then one flush marks the closure of all of them —
-    /// one multi-source dependents query per touched sheet, then one
-    /// cross-sheet routing pass. N queued edits cost one query and one
-    /// routing pass — and, at the caller's discretion, one recalculation —
-    /// instead of N. A `Structural` or `AddSheet` record flushes what was
-    /// staged before it and what it staged itself: the one moves
-    /// coordinates, the other routes its rebind at once.
+    /// Applies a run of [`EditRecord`]s with **one** dependents query:
+    /// every record's local mutation is staged first (cell stores and the
+    /// graph mutate in record order, exactly as they would serially), each
+    /// recording the ranges it wrote; then one flush marks the closure of
+    /// all of them, on every sheet, with one multi-source query of the
+    /// graph. N queued edits cost one query — and, at the caller's
+    /// discretion, one recalculation — instead of N. A `Structural` or
+    /// `AddSheet` record flushes what was staged before it and what it
+    /// staged itself: the one moves coordinates, the other marks its
+    /// rebind at once.
     ///
     /// Batched application is *result-identical* to applying the same
     /// records one at a time (same cell values after recalculation, same
@@ -645,7 +700,7 @@ impl Workbook {
     /// persistence workload presets and a script per hazard.
     ///
     /// On the first failing record the already-staged prefix is still
-    /// routed — the workbook is left exactly as if the prefix had been
+    /// flushed — the workbook is left exactly as if the prefix had been
     /// applied serially — and the error names the failing index; later
     /// records are untouched.
     pub fn apply_batch(&mut self, records: &[EditRecord]) -> Result<WorkbookReceipt, BatchError> {
@@ -673,7 +728,7 @@ impl Workbook {
         report: bool,
     ) -> (Vec<(SheetId, Range)>, Option<BatchError>) {
         let start = self.obs.as_deref().map(|o| o.now_ns());
-        self.routing.begin(report || start.is_some());
+        self.pending.begin(report || start.is_some());
         let mut failed = None;
         for (index, rec) in records.iter().enumerate() {
             if let Err(error) = self.stage_edit(rec) {
@@ -682,16 +737,16 @@ impl Workbook {
             }
         }
         self.flush();
-        let (dirty, hops) = self.routing.finish();
-        self.on_apply(start, records.len(), dirty.len(), hops);
+        let dirty = self.pending.finish();
+        self.on_apply(start, records.len(), dirty.len());
         (dirty, failed)
     }
 
     // ---- staging -------------------------------------------------------
 
     /// Stages one record: the only place a record's kind is told apart.
-    /// `AddSheet` flushes what was staged and routes its
-    /// dangling-reference rebind at once, like [`Self::add_sheet`].
+    /// `AddSheet` flushes what was staged and marks its dangling-reference
+    /// rebind at once, like [`Self::add_sheet`].
     fn stage_edit(&mut self, rec: &EditRecord) -> Result<(), StoreError> {
         let sheet_of = |s: u32| -> Result<usize, StoreError> {
             if (s as usize) < self.sheets.len() {
@@ -724,71 +779,114 @@ impl Workbook {
         Ok(())
     }
 
+    /// Drops what the formula at `cell` of sheet `sid`, if it holds one,
+    /// reads: every dependency of it in the graph.
+    fn unbind(&mut self, sid: usize, cell: Cell) {
+        if self.sheets[sid].engine.run_at(cell).is_some() {
+            self.graph.clear_cells(band(sid).range(Range::cell(cell)));
+        }
+    }
+
     /// Stages a plain value.
     fn stage_value(&mut self, sid: usize, cell: Cell, v: Value) {
-        // Overwriting a formula cell drops its cross-sheet dependencies
-        // (a plain value cell cannot own cross edges — skip the scan).
-        if self.sheets[sid].engine.run_at(cell).is_some() {
-            self.xedges.remove_dep(sid, cell);
-        }
+        self.unbind(sid, cell);
         self.sheets[sid].engine.set_value(cell, v);
     }
 
     /// Stages a cleared range.
     fn stage_clear(&mut self, sid: usize, range: Range) {
-        self.xedges.remove_deps_in(sid, range);
+        self.graph.clear_cells(band(sid).range(range));
         self.sheets[sid].engine.clear_range(range);
     }
 
-    /// Stages `cell` as a cell of `run`: binds the cross-sheet reads of
-    /// the run's formula there and hands the rest to the sheet engine.
+    /// Stages `cell` as a cell of `run`: binds what the run's formula
+    /// reads there and hands the cell to the sheet engine.
     fn stage_run(&mut self, sid: usize, cell: Cell, run: Arc<Run>) {
-        if self.sheets[sid].engine.run_at(cell).is_some() {
-            self.xedges.remove_dep(sid, cell);
-        }
-        self.bind_cross_reads(sid, cell, &run);
+        self.unbind(sid, cell);
+        self.bind(sid, cell, &run, Reads::All);
         self.sheets[sid].engine.set_run(cell, run);
     }
 
-    /// Binds what `run`'s formula reads at `cell` of sheet `sid` on other
-    /// sheets ([`EdgeTable::bind`]), flagging the sheet if a read names a
-    /// sheet that does not exist. Marks and routes nothing: an edit's
-    /// cell is an origin already, and a restored one is dirty exactly if
-    /// its image says so.
-    pub(crate) fn bind_cross_reads(&mut self, sid: usize, cell: Cell, run: &Run) {
-        let Workbook { sheets, index, xedges, .. } = self;
-        sheets[sid].dangling |= xedges.bind(sid, cell, run, index, None);
+    /// Binds what `run`'s formula reads at `cell` of sheet `sid` — the
+    /// reads `reads` picks — as dependencies of the graph: the one routine every
+    /// dependency is made by: an edit, a sheet added, an open. A read of
+    /// the sheet itself is one dependency in its band; a read of another
+    /// sheet is one per distinct (sheet, range) the formula reads, from
+    /// that sheet's band into this one; a read naming a sheet that does
+    /// not exist is none, the evaluator yields `#REF!` for it until a
+    /// sheet of that name is added, and the sheet is flagged as holding
+    /// one. Marks nothing: an edit's cell is an origin already, and a
+    /// restored one is dirty exactly if its image says so. Returns whether
+    /// it bound a read of another sheet.
+    fn bind(&mut self, sid: usize, cell: Cell, run: &Run, reads: Reads) -> bool {
+        if reads != Reads::All && !run.template().names_sheet() {
+            return false;
+        }
+        let Workbook { sheets, index, graph, bound, .. } = self;
+        let shard = &mut sheets[sid];
+        bound.clear();
+        for (sheet, rref) in run.at(cell).reads() {
+            let src = match sheet {
+                None => sid,
+                Some(sheet) => match sheet_index(index, sheet.name()) {
+                    Some(src) => src,
+                    None => {
+                        shard.dangling = true;
+                        continue;
+                    }
+                },
+            };
+            let wanted = match reads {
+                Reads::All => true,
+                Reads::Crossing => src != sid,
+                Reads::Of(only) => src == only,
+            };
+            let range = rref.range();
+            if !wanted || (src != sid && bound.contains(&(src, range))) {
+                continue;
+            }
+            let d = Dependency::from_ref(&rref, cell);
+            graph.add_dependency(&Dependency {
+                prec: band(src).range(d.prec),
+                dep: band(sid).cell(d.dep),
+                ..d
+            });
+            if src == sid {
+                shard.inserted += 1;
+            } else {
+                bound.push((src, range));
+            }
+        }
+        !bound.is_empty()
     }
 
-    /// Stages a structural edit: local transform, cross-edge remap, and
-    /// referrer rewrites, flushed before and after — what was staged
-    /// before it is routed in the coordinates it was staged in, and what
-    /// it changed before anything moves again.
+    /// Stages a structural edit: the sheet's band of the graph and its
+    /// cells move, and the referrers on other sheets are rewritten,
+    /// flushed before and after — what was staged before it is marked in
+    /// the coordinates it was staged in, and what it changed before
+    /// anything moves again.
     fn stage_structural(&mut self, sid: usize, op: StructuralOp) {
         self.flush();
-        // Snapshot the distinct foreign formula cells that read this
-        // sheet *before* mutating anything: these are exactly the
-        // formulas whose qualified references may need rewriting.
-        let referrers = self.xedges.referrers(sid);
+        // The distinct formula cells on other sheets that read this one,
+        // found *before* anything moves: exactly the formulas whose
+        // qualified references may need rewriting.
+        let referrers = self.referrers(sid);
 
-        // Local transform. The formulas whose value may change are dirty
-        // and origins: the flush marks their dependents and routes any
-        // cross edge overlapping them to other sheets.
+        // The band moves: every dependency with an end on this sheet
+        // moves that end, as the cells do. The formulas whose value may
+        // change are dirty and origins: the flush marks their dependents.
+        self.graph.apply_structural_in(band(sid), op);
         let (changed, reshaped) = self.sheets[sid].engine.restructure(op);
         for nc in changed {
-            self.routing.report(sid, Range::cell(nc));
+            self.pending.report(sid, Range::cell(nc));
         }
-
-        // The edited sheet's own formulas moved; the edges they own
-        // follow them. Their referenced ranges live on other sheets and
-        // are untouched by this edit — except a sum range there that a
-        // criteria range here reshaped: those formulas' edges are bound
-        // afresh, like their local reads.
-        self.xedges.remap_deps_on(sid, op);
+        // A sum range read in the shape of a criteria range the edit
+        // reshaped does not move the way its ends do: those formulas'
+        // reads are bound afresh.
         for cell in reshaped {
-            self.xedges.remove_dep(sid, cell);
+            self.graph.clear_cells(band(sid).range(Range::cell(cell)));
             if let Some(run) = self.sheets[sid].engine.run_at(cell).cloned() {
-                self.bind_cross_reads(sid, cell, &run);
+                self.bind(sid, cell, &run, Reads::All);
             }
         }
 
@@ -797,12 +895,18 @@ impl Workbook {
         // formulas keep their original source text.
         let own = self.sheets[sid].name.name().to_string();
         for (dsid, dep) in referrers {
-            let Some(run) = self.sheets[dsid].engine.run_at(dep) else {
+            let Some(run) = self.sheets[dsid].engine.run_at(dep).cloned() else {
                 continue;
             };
             match restate(op, &own, run.at(dep), false) {
                 Restated::Untouched => continue,
                 Restated::Disturbed => {
+                    // Same text, but a range it reads was cut: what it
+                    // reads here is what it is bound to (a shaped sum
+                    // range keeps the criteria range's shape).
+                    let cell = band(dsid).range(Range::cell(dep));
+                    self.graph.clear_reads(cell, band(sid));
+                    self.bind(dsid, dep, &run, Reads::Of(sid));
                     self.sheets[dsid].engine.record_origin(Range::cell(dep));
                 }
                 Restated::Rewritten(ast) => {
@@ -812,129 +916,84 @@ impl Workbook {
             }
             // The referrer itself is dirty; as an origin it stands only
             // for its dependents.
-            self.routing.report(dsid, Range::cell(dep));
+            self.pending.report(dsid, Range::cell(dep));
         }
         self.flush();
     }
 
-    // ---- queries -------------------------------------------------------
-
-    /// All direct and transitive dependents of `src!r`, across sheets.
-    pub fn find_dependents(&mut self, id: SheetId, r: Range) -> Vec<(SheetId, Range)> {
-        self.ensure_sheet(id);
-        let Workbook { sheets, xedges, routing, .. } = self;
-        routing.begin(true);
-        routing.seeds.clear();
-        routing.seeds.push(r);
-        sheets[id.0].engine.find_dependents(&routing.seeds[..], &mut routing.found);
-        routing.take_found(id.0, xedges.is_read(id.0), true);
-        self.route(false, true);
-        self.routing.finish().0
+    /// The distinct formula cells, `(sheet, cell)`, on other sheets that
+    /// read sheet `sid`, sorted: the dependents of the graph's edges from
+    /// its band into another. Whoever walks them to rewrite them feeds the
+    /// graph's compressor in this order, and a replayed edit must
+    /// reproduce the live one bit for bit, whatever order the edges were
+    /// made in.
+    fn referrers(&self, sid: usize) -> Vec<(usize, Cell)> {
+        let mut referrers = Vec::new();
+        for e in self.graph.edges_touching(band(sid)) {
+            let into = Band::of(e.dep.head().col);
+            if Band::of(e.prec.head().col) == band(sid) && into != band(sid) {
+                let cells = e.decompress().into_iter().map(|d| d.dep);
+                referrers.extend(cells.map(|c| {
+                    (into.0 as usize, into.local_cell(c).expect("a dependent in its band"))
+                }));
+            }
+        }
+        referrers.sort_unstable();
+        referrers.dedup();
+        referrers
     }
 
-    /// All direct and transitive precedents of `dst!r`, across sheets.
-    pub fn find_precedents(&mut self, id: SheetId, r: Range) -> Vec<(SheetId, Range)> {
+    // ---- queries -------------------------------------------------------
+
+    /// All direct and transitive dependents of `id!r`, across sheets: one
+    /// query of the graph.
+    pub fn find_dependents(&self, id: SheetId, r: Range) -> Vec<(SheetId, Range)> {
         self.ensure_sheet(id);
-        let Workbook { sheets, xedges, .. } = self;
-        let mut out: Vec<(SheetId, Range)> = Vec::new();
-        let mut used: HashSet<(usize, usize)> = HashSet::new();
-        let mut queue: VecDeque<(usize, Range)> = VecDeque::from([(id.0, r)]);
-        let mut local = Vec::new();
-        while let Some((sid, seed)) = queue.pop_front() {
-            sheets[sid].engine.graph().find_precedents_into(seed, &mut local);
-            for range in std::iter::once(seed).chain(local.iter().copied()) {
-                for (k, src, prec) in xedges.reads_into(sid, range) {
-                    if used.insert((sid, k)) {
-                        out.push((SheetId(src), prec));
-                        queue.push_back((src, prec));
-                    }
-                }
-            }
-            out.extend(local.iter().map(|&range| (SheetId(sid), range)));
-        }
-        out.sort_unstable_by_key(|&(s, range)| (s, range.head(), range.tail()));
-        out.dedup();
-        out
+        let mut found = Vec::new();
+        self.graph.find_dependents_into([band(id.0).range(r)], &mut found);
+        by_sheet(&found)
+    }
+
+    /// All direct and transitive precedents of `id!r`, across sheets: one
+    /// query of the graph.
+    pub fn find_precedents(&self, id: SheetId, r: Range) -> Vec<(SheetId, Range)> {
+        self.ensure_sheet(id);
+        let mut found = Vec::new();
+        self.graph.find_precedents_into([band(id.0).range(r)], &mut found);
+        by_sheet(&found)
     }
 
     /// Marks the dependents of every range the edits staged since the
-    /// last flush wrote: one dependents query per sheet with origins, from
-    /// all of them at once ([`Engine::mark_dependents`]), then one
-    /// cross-sheet expansion from the origins and what the queries found.
-    /// What it dirtied is reported to the edit under way.
+    /// last flush wrote: one dependents query of the graph, from all of
+    /// them on every sheet at once. What it dirtied is reported to the
+    /// edit under way. This is the control-latency critical path.
     fn flush(&mut self) {
-        let Workbook { sheets, xedges, routing, .. } = self;
+        let Workbook { sheets, graph, pending, .. } = self;
+        pending.seeds.clear();
         for (sid, shard) in sheets.iter_mut().enumerate() {
-            if !shard.engine.has_origins() {
-                continue;
+            if shard.engine.has_origins() {
+                shard.engine.drain_origins(&mut pending.origins);
+                pending.seeds.extend(pending.origins.iter().map(|&r| band(sid).range(r)));
             }
-            shard.engine.mark_dependents(&mut routing.seeds, &mut routing.found);
-            // A sheet no other sheet reads has no hop to look for.
-            routing.take_found(sid, xedges.is_read(sid), routing.report);
         }
-        let report = self.routing.report;
-        self.routing.hops += self.route(true, report);
-    }
-
-    /// Runs the routing to its end: scans the queued ranges for cross
-    /// edges out of them, and each time the queue runs dry expands the
-    /// wave of formula cells the edges hopped to — one dependents query
-    /// per sheet the wave landed on, from all its cells there — queueing
-    /// what that finds, until no hop is left. With `mark` the hopped cells
-    /// and their dependents are marked dirty (the edit path), with
-    /// `report` they are reported to the edit or query under way. Returns
-    /// the cross-sheet hops made.
-    fn route(&mut self, mark: bool, report: bool) -> usize {
-        let Workbook { sheets, xedges, routing, .. } = self;
-        loop {
-            while let Some(Job { sid, range }) = routing.queue.pop_front() {
-                for (dst, dep) in xedges.hops_from(sid, range) {
-                    if routing.hopped.insert((dst, dep)) {
-                        if mark {
-                            sheets[dst].engine.mark_cells_dirty(&[dep]);
-                        }
-                        routing.wave.push((dst, dep));
-                    }
-                }
-            }
-            if routing.wave.is_empty() {
-                break;
-            }
-            let mut wave = std::mem::take(&mut routing.wave);
-            wave.sort_unstable();
-            wave.dedup();
-            for hops in wave.chunk_by(|a, b| a.0 == b.0) {
-                let sid = hops[0].0;
-                // A hopped cell is a dependent itself.
-                if report {
-                    let cells = hops.iter().map(|&(_, cell)| (SheetId(sid), Range::cell(cell)));
-                    routing.dirty.extend(cells);
-                }
-                // The seeds: the cells, a column's consecutive rows as one.
-                routing.seeds.clear();
-                for &(_, cell) in hops {
-                    match routing.seeds.last_mut() {
-                        Some(seed)
-                            if (seed.tail().col, seed.tail().row + 1) == (cell.col, cell.row) =>
-                        {
-                            *seed = Range::new(seed.head(), cell);
-                        }
-                        _ => routing.seeds.push(Range::cell(cell)),
-                    }
-                }
-                let engine = &mut sheets[sid].engine;
-                engine.find_dependents(&routing.seeds[..], &mut routing.found);
-                if mark {
-                    engine.mark_ranges_dirty(&routing.found);
-                }
-                routing.take_found(sid, xedges.is_read(sid), report);
-            }
-            wave.clear();
-            routing.wave = wave;
+        if pending.seeds.is_empty() {
+            return;
         }
-        let hops = routing.hopped.len();
-        routing.hopped.clear();
-        hops
+        graph.find_dependents_into(&pending.seeds, &mut pending.found);
+        for &found in &pending.found {
+            let into = Band::of(found.head().col);
+            let range = into.local(found).expect("a graph range lies in one band");
+            let sid = into.0 as usize;
+            sheets[sid].engine.mark_ranges_dirty(&[range]);
+            if pending.report {
+                pending.dirty.push((SheetId(sid), range));
+            }
+        }
+        #[cfg(test)]
+        {
+            self.dependents_queries += 1;
+            self.dependents_ranges += self.pending.found.len() as u64;
+        }
     }
 
     // ---- recalculation -------------------------------------------------
@@ -1013,7 +1072,7 @@ impl Workbook {
             }
             total += self.evaluate(&schedule, from, cycles);
         }
-        let Workbook { sheets, xedges, obs, .. } = self;
+        let Workbook { sheets, graph, obs, .. } = self;
         if let (Some(o), Some(mut g)) = (obs.as_deref_mut(), recalc_span) {
             g.a = total as u64;
             g.b = schedule.extents().len() as u64;
@@ -1022,7 +1081,7 @@ impl Workbook {
                 demand.a = total as u64;
                 o.on_demand(total);
             }
-            o.refresh_gauges(xedges.len(), sheets.iter().map(|s| &s.engine));
+            o.refresh_gauges(graph, sheets.iter().map(|s| &s.engine));
         }
         self.schedule = schedule;
         total
@@ -1054,8 +1113,8 @@ impl Workbook {
     }
 
     /// Injects a volatile-function clock into every sheet and re-dirties
-    /// volatile formulae workbook-wide, routing their dependents across
-    /// sheets. Returns the number of volatile formula cells found.
+    /// volatile formulae workbook-wide, marking their dependents on every
+    /// sheet. Returns the number of volatile formula cells found.
     pub fn set_clock(&mut self, clock: EvalClock) -> usize {
         self.clock = clock;
         let mut total = 0usize;
@@ -1081,6 +1140,35 @@ impl Workbook {
     /// created (the counter demand-driven tests assert on).
     pub fn evaluated_total(&self) -> u64 {
         self.sheets.iter().map(|s| s.engine.evaluated_total()).sum()
+    }
+}
+
+/// A read of one sheet by a formula on another: `(sheet read, range
+/// there, sheet reading, formula cell)`.
+#[doc(hidden)]
+pub type CrossRead = (usize, Range, usize, Cell);
+
+impl Workbook {
+    /// The graph's reads between sheets, decompressed, sorted, each once:
+    /// what the property suites hold to the formulas (not part of the
+    /// API).
+    #[doc(hidden)]
+    pub fn cross_table(&self) -> Vec<CrossRead> {
+        let crossing = self.graph.edges().filter(|e| e.crosses_bands());
+        let mut table: Vec<CrossRead> = crossing
+            .flat_map(|e| e.decompress())
+            .map(|d| {
+                let (src, dst) = (Band::of(d.prec.head().col), Band::of(d.dep.col));
+                let prec = src.local(d.prec).expect("a range lies in one band");
+                let dep = dst.local_cell(d.dep).expect("a cell lies in one band");
+                (src.0 as usize, prec, dst.0 as usize, dep)
+            })
+            .collect();
+        table.sort_unstable_by_key(|&(src, prec, dst, dep)| {
+            (src, dst, dep, prec.head(), prec.tail())
+        });
+        table.dedup();
+        table
     }
 }
 
@@ -1170,26 +1258,53 @@ impl Workbook {
         evaluate(&input, EvalClock::default()).assert_agrees(formulas)
     }
 
-    /// The live cross table, edge for edge, in a canonical order.
-    pub(crate) fn cross_table(&self) -> Vec<crate::cross::CrossEdge> {
-        self.xedges.canonical()
-    }
-
-    /// The cross table binding every live formula afresh derives, in the
-    /// same order: what [`Self::cross_table`] must equal.
-    pub(crate) fn derived_cross_table(&self) -> Vec<crate::cross::CrossEdge> {
-        let mut table = EdgeTable::default();
-        for _ in &self.sheets {
-            table.add_sheet();
+    /// A workbook of the same sheets with every formula typed afresh
+    /// from its text and every other cell from its value: what binding
+    /// every live formula afresh derives.
+    pub(crate) fn rebuilt(&self) -> Workbook {
+        let mut out = Workbook::new();
+        for shard in &self.sheets {
+            out.add_sheet(shard.name.name()).expect("a fresh name");
         }
         for (sid, shard) in self.sheets.iter().enumerate() {
             for (cell, content) in shard.engine.cells() {
-                if let Some(run) = &content.run {
-                    table.bind(sid, cell, run, &self.index, None);
+                match content.formula(cell) {
+                    Some(f) => drop(out.set_formula(SheetId(sid), cell, &f.to_string())),
+                    None => drop(out.set_value(SheetId(sid), cell, content.value().clone())),
                 }
             }
         }
-        table.canonical()
+        out
+    }
+
+    /// [`Self::cross_table`] as binding every live formula afresh derives
+    /// it: what the live one must equal.
+    pub(crate) fn derived_cross_table(&self) -> Vec<CrossRead> {
+        self.rebuilt().cross_table()
+    }
+
+    /// Holds the graph to the formulas: its reads between sheets are
+    /// [`Self::derived_cross_table`], and each sheet's band holds,
+    /// dependency for dependency, the reads of the sheet itself its
+    /// formulas make — what a graph of that sheet alone would.
+    pub(crate) fn assert_graph_derives(&self) {
+        let rebuilt = self.rebuilt();
+        assert_eq!(self.cross_table(), rebuilt.cross_table(), "the reads between sheets");
+        let band = |wb: &Workbook, sid| {
+            let deps = wb.sheet(SheetId(sid)).graph().decompress_all();
+            let mut deps: Vec<(Range, Cell)> = deps.into_iter().map(|d| (d.prec, d.dep)).collect();
+            deps.sort_unstable_by_key(|&(prec, dep)| (dep, prec.head(), prec.tail()));
+            deps
+        };
+        for sid in 0..self.sheets.len() {
+            assert_eq!(band(self, sid), band(&rebuilt, sid), "sheet {sid}'s band");
+        }
+    }
+
+    /// Sets how many sheets fit, to test the refusal past the last one
+    /// without making them all.
+    pub(crate) fn with_sheet_limit(limit: usize) -> Self {
+        Workbook { sheet_limit: limit, ..Workbook::new() }
     }
 }
 
@@ -1238,7 +1353,7 @@ mod tests {
         let formulas: usize =
             sheets().map(|s| s.cells().filter(|(_, k)| k.is_formula()).count()).sum();
         assert_eq!(snap.gauge("taco_formula_cells"), Some(formulas as i64));
-        let templates: usize = sheets().map(Engine::formula_templates).sum();
+        let templates: usize = sheets().map(|s| s.formula_templates()).sum();
         assert_eq!(snap.gauge("taco_formula_templates"), Some(templates as i64));
         assert!(templates <= formulas);
         assert_eq!(snap.gauge("taco_graph_edges"), Some(edges));
@@ -1403,7 +1518,8 @@ mod tests {
         wb.set_formula(out, c("A1"), "=Data!A1*10").unwrap();
         wb.autofill(out, c("A1"), r("A2:A6")).unwrap();
         assert_eq!(wb.formula_of(out, c("A4")).unwrap(), "Data!A4*10");
-        assert_eq!(wb.cross_edge_count(), 6);
+        // Six reads of another sheet, one compressed edge.
+        assert_eq!((wb.cross_table().len(), wb.cross_edge_count()), (6, 1));
         wb.recalculate(RecalcMode::Serial);
         assert_eq!(wb.value(out, c("A6")), n(60.0));
     }
@@ -1456,9 +1572,9 @@ mod tests {
         assert_eq!(wb.value(a, c("B1")), n(10.0));
     }
 
-    /// Dependents queries the sheets made since the workbook was built.
+    /// Dependents queries the workbook made since it was built.
     fn queries(wb: &Workbook) -> u64 {
-        wb.sheets.iter().map(|s| s.engine.dependents_queries.get()).sum()
+        wb.dependents_queries
     }
 
     /// Two sheets, `In` and `Out`, alike: column A holds `rows` values,
@@ -1479,7 +1595,7 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_marks_its_dependents_with_one_query_per_touched_sheet() {
+    fn a_batch_marks_its_dependents_with_one_query_per_flush() {
         const K: u32 = 3;
         for rows in [64u32, 256] {
             let mut wb = fan_book(rows, K);
@@ -1493,7 +1609,7 @@ mod tests {
                 .collect();
             let before = queries(&wb);
             let receipt = wb.apply_batch(&batch).unwrap();
-            assert_eq!(queries(&wb) - before, 2, "{rows} rows");
+            assert_eq!(queries(&wb) - before, 1, "{rows} rows");
             assert_eq!(wb.dirty_count(), (2 * rows * K) as usize, "{rows} rows");
             assert_eq!(receipt.sheets_touched(), 2);
 
@@ -1507,7 +1623,7 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_expands_its_cross_sheet_hops_with_one_query_per_sheet() {
+    fn a_batch_marks_dependents_across_sheets_with_one_query_per_flush() {
         const K: u32 = 3;
         for rows in [64u32, 256] {
             // `Out` also reads `In`'s first formula column row by row.
@@ -1517,8 +1633,8 @@ mod tests {
                 wb.set_formula(SheetId(1), cell, &format!("=In!B{row}+1")).unwrap();
             }
             wb.recalculate(RecalcMode::Serial);
-            let hub = taco_obs::Obs::new(taco_obs::ObsOptions::default());
-            wb.attach_obs(&hub, "hops");
+            // Those reads are one edge between the sheets.
+            assert_eq!(wb.cross_edge_count(), 1, "{rows} rows");
             let batch: Vec<EditRecord> = (1..=rows)
                 .flat_map(|row| {
                     let cell = Cell::new(1, row);
@@ -1527,19 +1643,78 @@ mod tests {
                 .collect();
             let before = queries(&wb);
             let receipt = wb.apply_batch(&batch).unwrap();
-            // One query per touched sheet, and one for the wave of hops.
-            assert_eq!(queries(&wb) - before, 2 + 1, "{rows} rows");
+            // One query, whatever sheets the dependents lie on.
+            assert_eq!(queries(&wb) - before, 1, "{rows} rows");
             assert_eq!(wb.dirty_count(), (2 * rows * K + rows) as usize, "{rows} rows");
-            let hops = Range::from_coords(K + 2, 1, K + 2, rows);
-            let reported =
-                receipt.dirty.iter().filter(|&&(s, r)| s == SheetId(1) && hops.contains(&r));
-            assert_eq!(reported.count(), rows as usize, "every hop reported");
-            let snap = hub.snapshot();
-            let counted = snap.histograms.iter().find(|h| h.name == "taco_apply_cross_hops");
-            assert_eq!(counted.map(|h| h.sum), Some(u64::from(rows)), "{rows} rows");
+            let across = Range::from_coords(K + 2, 1, K + 2, rows);
+            let reported: u64 = receipt
+                .dirty
+                .iter()
+                .filter(|&&(s, r)| s == SheetId(1) && across.contains(&r))
+                .map(|(_, r)| r.area())
+                .sum();
+            assert_eq!(reported, u64::from(rows), "every dependent on the other sheet reported");
             wb.recalculate(RecalcMode::Serial);
             assert_eq!(wb.value(SheetId(1), Cell::new(K + 2, rows)), n(3.0));
         }
+    }
+
+    /// A `Data` sheet of `rows` values, and `B{r} = Data!A{r}*2` filled
+    /// down a second sheet.
+    fn cross_fill(rows: u32) -> Workbook {
+        let mut wb = Workbook::new();
+        wb.add_sheet("Data").unwrap();
+        let out = wb.add_sheet("Out").unwrap();
+        let values: Vec<EditRecord> = (1..=rows)
+            .map(|row| EditRecord::SetValue {
+                sheet: 0,
+                cell: Cell::new(1, row),
+                value: n(f64::from(row)),
+            })
+            .collect();
+        wb.apply_batch(&values).unwrap();
+        wb.set_formula(out, c("B1"), "=Data!A1*2").unwrap();
+        wb.autofill(out, c("B1"), Range::from_coords(2, 1, 2, rows)).unwrap();
+        wb.recalculate(RecalcMode::Serial);
+        wb
+    }
+
+    #[test]
+    fn a_cross_sheet_fill_is_one_edge_and_one_query_at_any_length() {
+        let mut at = Vec::new();
+        for rows in [2048u32, 8192] {
+            let mut wb = cross_fill(rows);
+            assert_eq!(wb.cross_edge_count(), 1, "{rows} rows: one edge for the reference");
+            let (queries, ranges) = (wb.dependents_queries, wb.dependents_ranges);
+            let edited = Cell::new(1, rows / 2);
+            let receipt = wb.set_value(SheetId(0), edited, n(0.5));
+            assert_eq!(wb.dependents_queries - queries, 1, "{rows} rows: one query per flush");
+            let reading = Range::cell(Cell::new(2, rows / 2));
+            assert_eq!(receipt.dirty, [(SheetId(1), reading)], "{rows} rows");
+            at.push((wb.cross_edge_count(), wb.dependents_ranges - ranges));
+            wb.recalculate(RecalcMode::Serial);
+            assert_eq!(wb.value(SheetId(1), reading.head()), n(1.0));
+        }
+        assert_eq!(at[0], at[1], "the edges and the ranges found do not grow with the fill");
+    }
+
+    #[test]
+    fn a_sheet_past_the_last_band_is_a_typed_refusal() {
+        // At the limit itself: the last band fits, the one after does not.
+        let (last, limit) = (MAX_BANDS as usize - 1, MAX_BANDS as usize);
+        assert_eq!(band_for(last, limit), Ok(Band(MAX_BANDS - 1)));
+        assert_eq!(band_for(last + 1, limit), Err(WorkbookError::TooManySheets(last + 1)));
+        // Every way a sheet is added refuses, on a workbook that fits two.
+        let mut wb = Workbook::with_sheet_limit(2);
+        wb.add_sheet("A").unwrap();
+        wb.add_sheet("B").unwrap();
+        assert_eq!(wb.add_sheet("C"), Err(WorkbookError::TooManySheets(2)));
+        let add = EditRecord::AddSheet { name: "C".into() };
+        let err = wb.apply_batch(std::slice::from_ref(&add)).unwrap_err();
+        assert_eq!((err.index, err.stage), (0, BatchStage::Apply));
+        assert!(matches!(err.error, StoreError::InvalidRecord(_)), "{err}");
+        assert!(matches!(wb.apply_edit(&add), Err(StoreError::InvalidRecord(_))));
+        assert_eq!(wb.sheet_count(), 2);
     }
 
     #[test]
@@ -1604,7 +1779,7 @@ mod tests {
         assert_eq!(wb.cross_edge_count(), 0);
         let late = wb.add_sheet("Late").unwrap();
         // B1: one distinct range; B2: two distinct ranges.
-        assert_eq!(wb.cross_edge_count(), 3);
+        assert_eq!(wb.cross_table().len(), 3);
         wb.set_value(late, c("A1"), n(4.0));
         wb.recalculate(RecalcMode::Serial);
         assert_eq!(wb.value(a, c("B1")), n(12.0));

@@ -9,6 +9,7 @@ use taco_workload::reference::{self, Entry};
 
 /// Every cell of every sheet as sorted `(sheet, cell, formula-src, value)`
 /// rows — the full observable state.
+#[allow(dead_code)] // not every suite that shares this module asks
 pub fn full_state(wb: &Workbook) -> Vec<(usize, Cell, Option<String>, Value)> {
     let mut out = Vec::new();
     for s in 0..wb.sheet_count() {
@@ -46,6 +47,24 @@ pub fn rebuild_from_texts(wb: &Workbook) -> Workbook {
         }
     }
     out
+}
+
+/// Holds `wb`'s graph to its formulas: the reads between sheets and each
+/// sheet's band, decompressed, are those of a workbook rebuilt from its
+/// texts — every formula bound afresh.
+#[allow(dead_code)] // not every suite that shares this module asks
+pub fn assert_graph_derives(wb: &Workbook) {
+    let rebuilt = rebuild_from_texts(wb);
+    assert_eq!(wb.cross_table(), rebuilt.cross_table(), "the reads between sheets");
+    let band = |wb: &Workbook, s: usize| {
+        let deps = wb.sheet(SheetId(s)).graph().decompress_all();
+        let mut deps: Vec<(Range, Cell)> = deps.into_iter().map(|d| (d.prec, d.dep)).collect();
+        deps.sort_unstable_by_key(|&(prec, dep)| (dep, prec.head(), prec.tail()));
+        deps
+    };
+    for s in 0..wb.sheet_count() {
+        assert_eq!(band(wb, s), band(&rebuilt, s), "sheet {s}'s band");
+    }
 }
 
 /// `wb`'s cells as `taco_workload::reference::evaluate` reads them: each

@@ -4,7 +4,11 @@
 //! transitive dirty precedents (checked through the engines' evaluation
 //! counters), and a follow-up full recalculation must converge to the
 //! full-recalc state — the deferred cells are lazily dirty, never lost.
+//! The graph the presets build is what their formulas derive.
 
+mod common;
+
+use common::assert_graph_derives;
 use proptest::prelude::*;
 use taco_engine::{RecalcMode, SheetId, Workbook};
 use taco_formula::Value;
@@ -42,6 +46,7 @@ proptest! {
             let w = gen_persist_workload(&p);
             let mut full = build(&w);
             let mut demand = build(&w);
+            assert_graph_derives(&demand);
             let total_dirty = full.dirty_count();
 
             let e_full = full.recalculate(RecalcMode::Serial);

@@ -69,7 +69,7 @@ fn far_corner_cells_cost_the_pages_they_touch() {
         quick("set_value", || wb.set_value(S, cell, v.clone()));
         model.insert(cell, v);
     }
-    assert_holds(wb.sheet(S), &model, "written");
+    assert_holds(&wb.sheet(S), &model, "written");
 
     // Formulae that read the far corner and a whole far row.
     let corner = format!("=SUM(XFC{}:XFD{MAX_ROW})", MAX_ROW - 600);
@@ -85,7 +85,7 @@ fn far_corner_cells_cost_the_pages_they_touch() {
     assert_eq!(wb.value(S, Cell::new(3, 4)), Value::Number(1.0));
     model.insert(Cell::new(3, 3), Value::Number(in_corner));
     model.insert(Cell::new(3, 4), Value::Number(1.0));
-    assert_holds(wb.sheet(S), &model, "with formulae");
+    assert_holds(&wb.sheet(S), &model, "with formulae");
 
     // save → open is the same sheet; save → open → save the same bytes.
     // The second save goes to a fresh path: a save over a snapshot bumps
@@ -97,7 +97,7 @@ fn far_corner_cells_cost_the_pages_they_touch() {
     quick("save", || wb.save(&path).unwrap());
     let first = std::fs::read(&path).unwrap();
     let reopened = quick("open", || Workbook::open(&path).unwrap());
-    assert_holds(reopened.sheet(S), &model, "reopened");
+    assert_holds(&reopened.sheet(S), &model, "reopened");
     reopened.save(&again).unwrap();
     assert_eq!(std::fs::read(&again).unwrap(), first, "save → open → save is a fixed point");
     std::fs::remove_file(&path).ok();
@@ -120,7 +120,7 @@ fn far_corner_cells_cost_the_pages_they_touch() {
         .map(|(_, v)| if let Value::Number(n) = v { *n } else { 0.0 })
         .sum();
     model.insert(Cell::new(3, 3), Value::Number(corner));
-    assert_holds(wb.sheet(S), &model, "rows inserted");
+    assert_holds(&wb.sheet(S), &model, "rows inserted");
     quick("delete_rows", || wb.delete_rows(S, MAX_ROW - 700_000, 50_000));
     quick("recalculate", || wb.recalculate(RecalcMode::Serial));
     assert_eq!(

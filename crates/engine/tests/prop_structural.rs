@@ -8,19 +8,27 @@
 //! 2. save → structural burst through the WAL → reopen converges to the
 //!    live workbook (values *and* formula source text).
 //!
+//! After every edit the workbook's graph is what its formulas derive
+//! (`common::assert_graph_derives`: the reads between sheets, and each
+//! sheet's band, as a rebuild from the texts binds them), and after every script the live, rebuilt and reopened
+//! workbooks hold the reference evaluator's values
+//! (`taco_workload::reference::evaluate`, which shares no graph and no
+//! scheduler with the engine) — the band transform held to an
+//! independent oracle on cross-sheet rewrites.
+//!
 //! Corpora come from the persistence workload presets (Enron-like and
 //! Github-like pattern mixes, scaled down), so the scripts cross sheets
 //! through quoted qualifiers, rollups, and carry chains.
 
 mod common;
 
-use common::{full_state, rebuild_from_texts};
+use common::{assert_graph_derives, assert_reference, full_state, rebuild_from_texts};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use taco_core::StructuralOp;
 use taco_engine::{PersistOptions, PersistentWorkbook, RecalcMode, SheetId, Workbook};
-use taco_formula::Value;
+use taco_formula::{EvalClock, Value};
 use taco_grid::Cell;
 use taco_store::EditRecord;
 use taco_workload::persistence::{
@@ -79,9 +87,11 @@ proptest! {
         for rec in structural_script(&p, seed, 6) {
             let EditRecord::Structural { sheet, op } = rec else { unreachable!() };
             wb.apply_structural(SheetId(sheet as usize), op);
+            assert_graph_derives(&wb);
         }
         wb.recalculate(RecalcMode::Serial);
         prop_assert_eq!(wb.dirty_count(), 0);
+        assert_reference(&wb, EvalClock::default(), None);
 
         let mut rebuilt = rebuild_from_texts(&wb);
         rebuilt.recalculate(RecalcMode::Serial);
@@ -89,7 +99,10 @@ proptest! {
             full_state(&rebuilt), full_state(&wb),
             "rebuild from edited cell texts must be bit-identical"
         );
-        prop_assert_eq!(rebuilt.cross_edge_count(), wb.cross_edge_count());
+        // A rebuild compresses the reads between sheets afresh: held
+        // dependency for dependency.
+        prop_assert_eq!(rebuilt.cross_table(), wb.cross_table());
+        assert_reference(&rebuilt, EvalClock::default(), None);
     }
 
     /// Property 2: save → structural burst via the WAL → reopen converges
@@ -119,17 +132,21 @@ proptest! {
         .expect("persistent workbook");
         for rec in &script {
             live.log_edit(rec).expect("structural edit logs");
+            assert_graph_derives(live.workbook());
         }
         live.sync().expect("sync");
         live.recalculate();
+        assert_reference(live.workbook(), EvalClock::default(), None);
 
         let mut reopened = Workbook::open(&path).expect("reopen");
+        assert_graph_derives(&reopened);
         reopened.recalculate(RecalcMode::Serial);
         prop_assert_eq!(
             full_state(&reopened), full_state(live.workbook()),
             "WAL reopen must converge to the live workbook"
         );
-        prop_assert_eq!(reopened.cross_edge_count(), live.workbook().cross_edge_count());
+        prop_assert_eq!(reopened.cross_table(), live.workbook().cross_table());
+        assert_reference(&reopened, EvalClock::default(), None);
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&wal).ok();

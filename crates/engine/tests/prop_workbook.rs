@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{assert_reference, full_state, rebuild_from_texts};
+use common::{assert_graph_derives, assert_reference, full_state, rebuild_from_texts};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,13 +60,16 @@ impl Script {
     }
 }
 
-/// Holds `wb` to the reference the ways a workbook is recalculated: a
+/// Holds `wb`'s graph, live and reopened, to what its formulas derive,
+/// and `wb` to the reference the ways a workbook is recalculated: a
 /// reopened copy recalculated in full, and another recalculated from a
 /// viewport — the one checked there — then in full, which must end where
 /// the first did. Returns the formula cells the cycle rule left out.
 fn check(wb: &Workbook, clock: EvalClock, op: usize) -> usize {
+    assert_graph_derives(wb);
     let reopen = || Workbook::from_image(wb.to_image()).expect("a valid image");
     let mut full = reopen();
+    assert_graph_derives(&full);
     full.recalculate(RecalcMode::Serial);
     assert_eq!(full.dirty_count(), 0, "op {op}");
     let left_out = assert_reference(&full, clock, None);

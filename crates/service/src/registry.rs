@@ -1102,8 +1102,8 @@ fn worker_loop(
     }
 }
 
-/// Applies `records` as one batch ([`Backing::apply_batch`]: one routing
-/// pass, one durability decision) and pushes one result per record, in
+/// Applies `records` as one batch ([`Backing::apply_batch`]: one
+/// dependents query, one durability decision) and pushes one result per record, in
 /// order. Failure discipline (cold paths — requests are pre-validated):
 ///
 /// - an **apply**-stage failure applied and routed only the prefix: the

@@ -85,7 +85,8 @@ fn main() {
     // control returns, the graph must name every affected formula.
     let edit = Cell::new(2, 3);
     let t0 = Instant::now();
-    let taco_dependents = taco.find_dependents(Range::cell(edit));
+    let taco_dependents: Vec<Range> =
+        wb.find_dependents(S, Range::cell(edit)).into_iter().map(|(_, r)| r).collect();
     let taco_latency = t0.elapsed();
     let t0 = Instant::now();
     let nocomp_dependents = nocomp.find_dependents(Range::cell(edit));

@@ -189,9 +189,12 @@ fn profiled_recalc_is_bit_identical() {
 }
 
 #[test]
-fn an_edit_records_the_cross_sheet_hops_its_routing_made() {
-    // A chain across three sheets: a value edit at A!A1 is routed to B!A1,
-    // then from there to C!A1 — two hops, one `workbook.apply` span.
+fn an_edit_across_sheets_is_one_apply_span_reporting_every_sheet_reached() {
+    // A chain across three sheets: a value edit at A!A1 reaches B!A1 and,
+    // from there, C!A1 — one query of the workbook's graph, one
+    // `workbook.apply` span whose payload is the one record and the two
+    // dirty ranges. No histogram counts hops between sheets: there are
+    // none to count.
     let mut wb = Workbook::with_taco();
     let [a, b, c] = ["A", "B", "C"].map(|name| wb.add_sheet(name).unwrap());
     let a1 = Cell::new(1, 1);
@@ -201,14 +204,22 @@ fn an_edit_records_the_cross_sheet_hops_its_routing_made() {
     wb.recalculate(RecalcMode::Serial);
     let hub = Obs::new(ObsOptions::default());
     wb.attach_obs(&hub, "det");
-    wb.set_value(a, a1, Value::Number(2.0));
+    let receipt = wb.set_value(a, a1, Value::Number(2.0));
+    assert_eq!(receipt.dirty, [(b, Range::cell(a1)), (c, Range::cell(a1))]);
     let snap = hub.snapshot();
-    let hops = snap.histograms.iter().find(|h| h.name == "taco_apply_cross_hops");
-    assert_eq!(hops.map(|h| (h.count, h.sum)), Some((1, 2)), "{hops:?}");
-    let applies = hub.tracer.dump().recent.iter().filter(|s| s.name == "workbook.apply").count();
-    assert_eq!(applies, 1);
+    assert!(snap.histograms.iter().all(|h| !h.name.contains("hops")));
+    let applies: Vec<(u64, u64)> = hub
+        .tracer
+        .dump()
+        .recent
+        .iter()
+        .filter(|s| s.name == "workbook.apply")
+        .map(|s| (s.a, s.b))
+        .collect();
+    assert_eq!(applies, [(1, 2)], "one span: one record, two dirty ranges");
     wb.recalculate(RecalcMode::Serial);
     assert_eq!(wb.value(c, a1), Value::Number(2.0));
+    assert_eq!(hub.snapshot().gauge("taco_cross_edges"), Some(2));
 }
 
 #[test]
