@@ -13,7 +13,7 @@
 
 use crate::edge::{Edge, EdgeId};
 use taco_grid::{Cell, Range, MAX_COL};
-use taco_rtree::{RTree, SearchScratch};
+use taco_rtree::RTree;
 
 /// Columns per band: a grid's, and as many empty ones after them.
 pub const BAND_COLS: u32 = 2 * MAX_COL;
@@ -170,24 +170,15 @@ impl BandIndex {
         self.tree_mut(old).update(old, id, new)
     }
 
-    /// [`RTree::for_each_overlapping`] over the bands `window` meets.
+    /// [`RTree::for_each_overlapping`] over the bands `window` meets: the
+    /// nodes visited.
     #[inline]
-    pub(crate) fn for_each_overlapping(&self, window: Range, mut f: impl FnMut(Range, &EdgeId)) {
-        for tree in self.trees(window) {
-            tree.for_each_overlapping(window, &mut f);
-        }
-    }
-
-    /// [`RTree::search_with`] over the bands `window` meets: the nodes
-    /// visited.
-    #[inline]
-    pub(crate) fn search_with(
+    pub(crate) fn for_each_overlapping(
         &self,
         window: Range,
-        scratch: &mut SearchScratch,
         mut f: impl FnMut(Range, &EdgeId),
     ) -> u64 {
-        self.trees(window).iter().map(|tree| tree.search_with(window, scratch, &mut f)).sum()
+        self.trees(window).iter().map(|tree| tree.for_each_overlapping(window, &mut f)).sum()
     }
 
     pub(crate) fn clear(&mut self) {

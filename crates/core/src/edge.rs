@@ -89,16 +89,9 @@ impl Edge {
         })
     }
 
-    /// `findDep`: dependents of `r` within this edge; `r` must be contained
-    /// in `self.prec` (callers intersect first).
-    pub fn find_dep(&self, r: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        self.find_dep_into(r, &mut out);
-        out
-    }
-
-    /// [`Self::find_dep`] appending to a caller-owned buffer — the BFS
-    /// hot path allocates nothing per edge access.
+    /// `findDep`: dependents of `r` within this edge, appended to `out`;
+    /// `r` must be contained in `self.prec` (callers intersect first). The
+    /// BFS hot path allocates nothing per edge access.
     pub fn find_dep_into(&self, r: Range, out: &mut Vec<Range>) {
         if self.is_single() {
             out.push(self.dep);
@@ -117,15 +110,8 @@ impl Edge {
         }
     }
 
-    /// `findPrec`: precedents of `s` within this edge; `s` must be
-    /// contained in `self.dep`.
-    pub fn find_prec(&self, s: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        self.find_prec_into(s, &mut out);
-        out
-    }
-
-    /// [`Self::find_prec`] appending to a caller-owned buffer.
+    /// `findPrec`: precedents of `s` within this edge, appended to `out`;
+    /// `s` must be contained in `self.dep`.
     pub fn find_prec_into(&self, s: Range, out: &mut Vec<Range>) {
         if self.is_single() {
             out.push(self.prec);
@@ -164,15 +150,8 @@ impl Edge {
     }
 
     /// `removeDep`: removes the dependencies for formula cells `s`,
-    /// returning the replacement edges (empty when the edge disappears).
-    pub fn remove_dep(&self, s: Range) -> Vec<Edge> {
-        let mut out = Vec::new();
-        self.remove_dep_into(s, &mut out);
-        out
-    }
-
-    /// [`Self::remove_dep`] appending the replacement edges to a
-    /// caller-owned buffer (`clear_cells` reuses one across edges).
+    /// appending the replacement edges to `out` (none when the edge
+    /// disappears; `clear_cells` reuses one buffer across edges).
     pub fn remove_dep_into(&self, s: Range, out: &mut Vec<Edge>) {
         let parts = pattern::remove_dep(
             &self.meta,
@@ -201,16 +180,21 @@ impl Edge {
         let col = cdep.head().col;
         let step = if matches!(self.meta, PatternMeta::RRGapOne { .. }) { 2 } else { 1 };
         let mut out = Vec::with_capacity(self.count as usize);
+        let mut found = Vec::new();
         let mut row = cdep.head().row;
         while row <= cdep.tail().row {
             let cell = taco_grid::Cell::new(col, row);
-            // For chains find_prec is transitive; the direct precedent of a
+            // For chains findPrec is transitive; the direct precedent of a
             // single cell is the adjacent cell, recovered structurally.
             let prec_canon = match &self.meta {
                 PatternMeta::RRChain { dir } => {
                     Some(Range::cell(cell.offset_saturating(dir.rel())))
                 }
-                m => pattern::find_prec(m, cprec, cdep, Range::cell(cell)).into_iter().next(),
+                m => {
+                    found.clear();
+                    pattern::find_prec_into(m, cprec, cdep, Range::cell(cell), &mut found);
+                    found.first().copied()
+                }
             };
             if let Some(p) = prec_canon {
                 // canon_cell is a transposition (its own inverse), so it
@@ -235,6 +219,27 @@ mod tests {
 
     fn d(prec: &str, dep: &str) -> Dependency {
         Dependency::new(r(prec), Cell::parse_a1(dep).unwrap())
+    }
+
+    /// [`Edge::find_dep_into`] into a fresh vector.
+    fn deps_of(e: &Edge, r: Range) -> Vec<Range> {
+        let mut out = Vec::new();
+        e.find_dep_into(r, &mut out);
+        out
+    }
+
+    /// [`Edge::find_prec_into`] into a fresh vector.
+    fn precs_of(e: &Edge, s: Range) -> Vec<Range> {
+        let mut out = Vec::new();
+        e.find_prec_into(s, &mut out);
+        out
+    }
+
+    /// [`Edge::remove_dep_into`] into a fresh vector.
+    fn parts_of(e: &Edge, s: Range) -> Vec<Edge> {
+        let mut out = Vec::new();
+        e.remove_dep_into(s, &mut out);
+        out
     }
 
     #[test]
@@ -279,17 +284,17 @@ mod tests {
         let e2 = e.try_pair(&d("C1:C3", "C5"), PatternType::RR, Axis::Row).unwrap();
         let e3 = e2.try_extend(&d("D1:D3", "D5")).unwrap();
         // C2 only sits in C5's window.
-        assert_eq!(e3.find_dep(r("C2")), vec![r("C5")]);
+        assert_eq!(deps_of(&e3, r("C2")), vec![r("C5")]);
         // The whole precedent block hits all three formulae.
-        assert_eq!(e3.find_dep(r("B1:D3")), vec![r("B5:D5")]);
+        assert_eq!(deps_of(&e3, r("B1:D3")), vec![r("B5:D5")]);
     }
 
     #[test]
     fn find_prec_row_axis() {
         let e = Edge::single(&d("B1:B3", "B5"));
         let e2 = e.try_pair(&d("C1:C3", "C5"), PatternType::RR, Axis::Row).unwrap();
-        assert_eq!(e2.find_prec(r("B5")), vec![r("B1:B3")]);
-        assert_eq!(e2.find_prec(r("B5:C5")), vec![r("B1:C3")]);
+        assert_eq!(precs_of(&e2, r("B5")), vec![r("B1:B3")]);
+        assert_eq!(precs_of(&e2, r("B5:C5")), vec![r("B1:C3")]);
     }
 
     #[test]
@@ -297,7 +302,7 @@ mod tests {
         let e = Edge::single(&d("B1:B3", "B5"));
         let e2 = e.try_pair(&d("C1:C3", "C5"), PatternType::RR, Axis::Row).unwrap();
         let e3 = e2.try_extend(&d("D1:D3", "D5")).unwrap();
-        let parts = e3.remove_dep(r("C5"));
+        let parts = parts_of(&e3, r("C5"));
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].dep, r("B5"));
         assert!(parts[0].is_single());
@@ -329,10 +334,10 @@ mod tests {
     #[test]
     fn single_edge_key_functions() {
         let e = Edge::single(&d("A1:A3", "B1"));
-        assert_eq!(e.find_dep(r("A2")), vec![r("B1")]);
-        assert_eq!(e.find_prec(r("B1")), vec![r("A1:A3")]);
-        assert!(e.remove_dep(r("B1")).is_empty());
-        assert_eq!(e.remove_dep(r("C1")).len(), 1);
+        assert_eq!(deps_of(&e, r("A2")), vec![r("B1")]);
+        assert_eq!(precs_of(&e, r("B1")), vec![r("A1:A3")]);
+        assert!(parts_of(&e, r("B1")).is_empty());
+        assert_eq!(parts_of(&e, r("C1")).len(), 1);
     }
 
     #[test]

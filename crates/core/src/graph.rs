@@ -8,11 +8,11 @@ use crate::dep::Dependency;
 use crate::edge::{Edge, EdgeId};
 use crate::pattern::{Direction, PatternType};
 use crate::slab::Slab;
-use crate::stats::{count_vertices_with, GraphStats, PatternCounts, StatsScratch};
+use crate::stats::{count_vertices, GraphStats, PatternCounts};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use taco_grid::{Axis, Cell, Range};
-use taco_rtree::{RTree, SearchScratch};
+use taco_rtree::RTree;
 
 /// Instrumentation for one query (used by `tests/complexity.rs` and the
 /// §IV-D edge-access discussion).
@@ -32,10 +32,10 @@ pub struct QueryStats {
 
 /// The modified BFS's working buffers (Alg. 3): the queue, hit list,
 /// per-edge result buffer, visited-subtraction buffers, the visited-set
-/// R-tree (cleared, capacity retained), the index traversal stack, and the
-/// output the allocating wrappers run into. Each thread owns one
-/// (`QUERY`); every query runs on its thread's, so once they reach the
-/// workload's high-water mark a query stops allocating.
+/// R-tree (cleared, capacity retained), and the output the allocating
+/// wrappers run into. Each thread owns one (`QUERY`); every query runs on
+/// its thread's, so once they reach the workload's high-water mark a
+/// query stops allocating.
 #[derive(Debug, Default)]
 struct QueryScratch {
     queue: VecDeque<Range>,
@@ -45,7 +45,6 @@ struct QueryScratch {
     parts: Vec<Range>,
     sub_tmp: Vec<Range>,
     visited: RTree<()>,
-    search: SearchScratch,
     out: Vec<Range>,
 }
 
@@ -519,8 +518,7 @@ impl FormulaGraph {
         scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
-        let QueryScratch { queue, hits, found, covers, parts, sub_tmp, visited, search, .. } =
-            scratch;
+        let QueryScratch { queue, hits, found, covers, parts, sub_tmp, visited, .. } = scratch;
         out.clear();
         queue.clear();
         // R-tree over the visited ranges for the not-yet-contained check;
@@ -536,7 +534,7 @@ impl FormulaGraph {
         while let Some(to_visit) = queue.pop_front() {
             stats.rtree_searches += 1;
             hits.clear();
-            stats.nodes_visited += index.search_with(to_visit, search, |vr, &id| {
+            stats.nodes_visited += index.for_each_overlapping(to_visit, |vr, &id| {
                 hits.push((vr, id));
             });
             for &(vertex_range, id) in hits.iter() {
@@ -558,7 +556,7 @@ impl FormulaGraph {
                     // Subtract the already-visited subset (via the R-tree on
                     // the result set), keep the new parts.
                     covers.clear();
-                    visited.search_with(f, search, |c, _| covers.push(c));
+                    visited.for_each_overlapping(f, |c, _| covers.push(c));
                     f.subtract_all_into(covers.iter(), parts, sub_tmp);
                     for &new_range in parts.iter() {
                         visited.insert(new_range, ());
@@ -645,17 +643,13 @@ impl FormulaGraph {
 
     /// Snapshot of graph size and per-pattern compression effectiveness.
     /// Edges, dependencies and the per-pattern reduction are running
-    /// counts; only the distinct-vertex count walks the edges.
+    /// counts; only the distinct-vertex count walks the edges, on the
+    /// thread's own vertex set, so a poll repeated on one thread allocates
+    /// nothing once that set is warm.
     pub fn stats(&self) -> GraphStats {
-        self.stats_with(&mut StatsScratch::new())
-    }
-
-    /// [`Self::stats`] against a caller-owned [`StatsScratch`]: reuses
-    /// the scratch's vertex set instead of allocating one per call.
-    pub fn stats_with(&self, scratch: &mut StatsScratch) -> GraphStats {
         GraphStats {
             edges: self.edges.len(),
-            vertices: count_vertices_with(scratch, self.edges.iter().map(|(_, e)| e)),
+            vertices: count_vertices(self.edges.iter().map(|(_, e)| e)),
             dependencies: self.dependencies,
             reduced: self.reduced,
         }

@@ -59,5 +59,5 @@ pub use edge::{Edge, EdgeId};
 pub use graph::{FormulaGraph, QueryStats};
 pub use pattern::{ChainDir, PatternMeta, PatternType};
 pub use snapshot::GraphSnapshot;
-pub use stats::{GraphStats, PatternCounts, StatsScratch};
+pub use stats::{GraphStats, PatternCounts};
 pub use structural::StructuralOp;

@@ -301,19 +301,11 @@ fn clamp_rows(col: u32, lo: i64, hi: i64, within: Range) -> Option<Range> {
 }
 
 /// `findDep(e, r)`: the dependents of `r` within the edge, where `r` is
-/// contained in (or at least intersected with) `e.prec`.
+/// contained in (or at least intersected with) `e.prec`, appended to
+/// `out` (the BFS hot path — no per-call allocation).
 ///
-/// Returns zero or more disjoint ranges; every pattern except RR-GapOne
+/// Appends zero or more disjoint ranges; every pattern except RR-GapOne
 /// yields at most one.
-#[cfg(test)]
-pub(crate) fn find_dep(meta: &PatternMeta, prec: Range, dep: Range, r: Range) -> Vec<Range> {
-    let mut out = Vec::new();
-    find_dep_into(meta, prec, dep, r, &mut out);
-    out
-}
-
-/// [`find_dep`] appending to a caller-owned buffer (the BFS hot path —
-/// no per-call allocation).
 pub(crate) fn find_dep_into(
     meta: &PatternMeta,
     prec: Range,
@@ -372,14 +364,7 @@ pub(crate) fn find_dep_into(
 }
 
 /// `findPrec(e, s)`: the precedents of `s` within the edge, where `s` is
-/// contained in `e.dep`.
-pub(crate) fn find_prec(meta: &PatternMeta, prec: Range, dep: Range, s: Range) -> Vec<Range> {
-    let mut out = Vec::new();
-    find_prec_into(meta, prec, dep, s, &mut out);
-    out
-}
-
-/// [`find_prec`] appending to a caller-owned buffer.
+/// contained in `e.dep`, appended to `out`.
 pub(crate) fn find_prec_into(
     meta: &PatternMeta,
     prec: Range,
@@ -505,7 +490,7 @@ fn parity_rows(dep: Range, within: Range) -> impl Iterator<Item = u32> {
 
 /// The structural precedent of a sub-run `seg` of an edge's dependents —
 /// the exact bounding precedent the new (smaller) edge must carry. Unlike
-/// `find_prec`, chains use the *direct* reference here (shifting by one),
+/// `find_prec_into`, chains use the *direct* reference here (shifting by one),
 /// not the transitive closure, because we are rebuilding edge structure.
 fn seg_prec(meta: &PatternMeta, seg: Range) -> Range {
     match meta {
@@ -587,6 +572,20 @@ mod tests {
 
     fn c(s: &str) -> Cell {
         Cell::parse_a1(s).unwrap()
+    }
+
+    /// [`find_dep_into`] into a fresh vector.
+    fn deps_of(meta: &PatternMeta, prec: Range, dep: Range, r: Range) -> Vec<Range> {
+        let mut out = Vec::new();
+        find_dep_into(meta, prec, dep, r, &mut out);
+        out
+    }
+
+    /// [`find_prec_into`] into a fresh vector.
+    fn precs_of(meta: &PatternMeta, prec: Range, dep: Range, s: Range) -> Vec<Range> {
+        let mut out = Vec::new();
+        find_prec_into(meta, prec, dep, s, &mut out);
+        out
     }
 
     fn dep(prec: &str, d: &str) -> CanonDep {
@@ -716,7 +715,7 @@ mod tests {
     fn find_dep_rr_full_prec() {
         // Fig. 4a: prec A1:B6, dep C1:C4.
         let m = PatternMeta::RR { h_rel: Offset::new(-2, 0), t_rel: Offset::new(-1, 2) };
-        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("A1:B6")), vec![r("C1:C4")]);
+        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("A1:B6")), vec![r("C1:C4")]);
     }
 
     #[test]
@@ -724,11 +723,11 @@ mod tests {
         let m = PatternMeta::RR { h_rel: Offset::new(-2, 0), t_rel: Offset::new(-1, 2) };
         // A3 is inside windows of C1 (A1:B3), C2 (A2:B4), C3 (A3:B5):
         // dh = row 3 - tRel.dr(2) = 1, dt = row 3 - hRel.dr(0) = 3.
-        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("A3")), vec![r("C1:C3")]);
+        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("A3")), vec![r("C1:C3")]);
         // B6 only in window of C4.
-        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("B6")), vec![r("C4")]);
+        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("B6")), vec![r("C4")]);
         // A1 only in window of C1 (clamped from below).
-        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("A1")), vec![r("C1")]);
+        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("A1")), vec![r("C1")]);
     }
 
     #[test]
@@ -736,11 +735,11 @@ mod tests {
         // Fig. 4b: prec A1:B4, dep C1:C4, windows shrink.
         let m = PatternMeta::RF { h_rel: Offset::new(-2, 0), t_fix: c("B4") };
         // B4 is in every window.
-        assert_eq!(find_dep(&m, r("A1:B4"), r("C1:C4"), r("B4")), vec![r("C1:C4")]);
+        assert_eq!(deps_of(&m, r("A1:B4"), r("C1:C4"), r("B4")), vec![r("C1:C4")]);
         // A2 is in windows of C1 (A1:B4) and C2 (A2:B4).
-        assert_eq!(find_dep(&m, r("A1:B4"), r("C1:C4"), r("A2")), vec![r("C1:C2")]);
+        assert_eq!(deps_of(&m, r("A1:B4"), r("C1:C4"), r("A2")), vec![r("C1:C2")]);
         // A1 only in C1's window.
-        assert_eq!(find_dep(&m, r("A1:B4"), r("C1:C4"), r("A1")), vec![r("C1")]);
+        assert_eq!(deps_of(&m, r("A1:B4"), r("C1:C4"), r("A1")), vec![r("C1")]);
     }
 
     #[test]
@@ -748,17 +747,17 @@ mod tests {
         // Fig. 4c: prec A1:B3, dep C1:C3, windows expand.
         let m = PatternMeta::FR { h_fix: c("A1"), t_rel: Offset::new(-1, 0) };
         // A1 is in every window.
-        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("A1")), vec![r("C1:C3")]);
+        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("A1")), vec![r("C1:C3")]);
         // B2 is in windows of C2 (A1:B2) and C3 (A1:B3).
-        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("B2")), vec![r("C2:C3")]);
+        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("B2")), vec![r("C2:C3")]);
         // B3 only in C3's window.
-        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("B3")), vec![r("C3")]);
+        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("B3")), vec![r("C3")]);
     }
 
     #[test]
     fn find_dep_ff_returns_whole_dep() {
         let m = PatternMeta::FF { h_fix: c("A1"), t_fix: c("B3") };
-        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("B2")), vec![r("C1:C3")]);
+        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("B2")), vec![r("C1:C3")]);
     }
 
     #[test]
@@ -766,31 +765,31 @@ mod tests {
         // Fig. 9: prec A1:A3, dep A2:A4.
         let m = PatternMeta::RRChain { dir: ChainDir::Above };
         // Dependents of A2: everything below it in the chain (A3:A4).
-        assert_eq!(find_dep(&m, r("A1:A3"), r("A2:A4"), r("A2")), vec![r("A3:A4")]);
+        assert_eq!(deps_of(&m, r("A1:A3"), r("A2:A4"), r("A2")), vec![r("A3:A4")]);
         // Dependents of A1: A2:A4.
-        assert_eq!(find_dep(&m, r("A1:A3"), r("A2:A4"), r("A1")), vec![r("A2:A4")]);
+        assert_eq!(deps_of(&m, r("A1:A3"), r("A2:A4"), r("A1")), vec![r("A2:A4")]);
         // Dependents of A3 (within prec): A4.
-        assert_eq!(find_dep(&m, r("A1:A3"), r("A2:A4"), r("A3")), vec![r("A4")]);
+        assert_eq!(deps_of(&m, r("A1:A3"), r("A2:A4"), r("A3")), vec![r("A4")]);
     }
 
     #[test]
     fn find_dep_chain_below() {
         // B1=B2+1, B2=B3+1, B3=B4+1: prec B2:B4, dep B1:B3, dir Below.
         let m = PatternMeta::RRChain { dir: ChainDir::Below };
-        assert_eq!(find_dep(&m, r("B2:B4"), r("B1:B3"), r("B4")), vec![r("B1:B3")]);
-        assert_eq!(find_dep(&m, r("B2:B4"), r("B1:B3"), r("B2")), vec![r("B1")]);
+        assert_eq!(deps_of(&m, r("B2:B4"), r("B1:B3"), r("B4")), vec![r("B1:B3")]);
+        assert_eq!(deps_of(&m, r("B2:B4"), r("B1:B3"), r("B2")), vec![r("B1")]);
     }
 
     #[test]
     fn find_dep_gap_one_returns_parity_cells() {
         // Dependents at C1, C3, C5 each referencing the cell to the left.
         let m = PatternMeta::RRGapOne { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
-        let got = find_dep(&m, r("B1:B5"), r("C1:C5"), r("B1:B5"));
+        let got = deps_of(&m, r("B1:B5"), r("C1:C5"), r("B1:B5"));
         assert_eq!(got, vec![r("C1"), r("C3"), r("C5")]);
-        let got = find_dep(&m, r("B1:B5"), r("C1:C5"), r("B3"));
+        let got = deps_of(&m, r("B1:B5"), r("C1:C5"), r("B3"));
         assert_eq!(got, vec![r("C3")]);
         // A pure-value parity gap row has no dependents.
-        let got = find_dep(&m, r("B1:B5"), r("C1:C5"), r("B2"));
+        let got = deps_of(&m, r("B1:B5"), r("C1:C5"), r("B2"));
         assert!(got.is_empty());
     }
 
@@ -799,7 +798,7 @@ mod tests {
         // Probe rows whose computed dependents fall outside e.dep.
         let m = PatternMeta::RR { h_rel: Offset::new(-1, -3), t_rel: Offset::new(-1, -3) };
         // dep C4:C6 references B1:B3 (3 rows above, to the left).
-        assert_eq!(find_dep(&m, r("B1:B3"), r("C4:C6"), r("B1")), vec![r("C4")]);
+        assert_eq!(deps_of(&m, r("B1:B3"), r("C4:C6"), r("B1")), vec![r("C4")]);
     }
 
     // ---- find_prec ---------------------------------------------------------
@@ -808,43 +807,43 @@ mod tests {
     fn find_prec_rr() {
         let m = PatternMeta::RR { h_rel: Offset::new(-2, 0), t_rel: Offset::new(-1, 2) };
         // Precedents of C2:C3 = A2:B5 (union of A2:B4 and A3:B5).
-        assert_eq!(find_prec(&m, r("A1:B6"), r("C1:C4"), r("C2:C3")), vec![r("A2:B5")]);
-        assert_eq!(find_prec(&m, r("A1:B6"), r("C1:C4"), r("C1")), vec![r("A1:B3")]);
+        assert_eq!(precs_of(&m, r("A1:B6"), r("C1:C4"), r("C2:C3")), vec![r("A2:B5")]);
+        assert_eq!(precs_of(&m, r("A1:B6"), r("C1:C4"), r("C1")), vec![r("A1:B3")]);
     }
 
     #[test]
     fn find_prec_rf() {
         let m = PatternMeta::RF { h_rel: Offset::new(-2, 0), t_fix: c("B4") };
         // Precedent of C2:C4 = C2's window A2:B4 (it contains the others).
-        assert_eq!(find_prec(&m, r("A1:B4"), r("C1:C4"), r("C2:C4")), vec![r("A2:B4")]);
+        assert_eq!(precs_of(&m, r("A1:B4"), r("C1:C4"), r("C2:C4")), vec![r("A2:B4")]);
     }
 
     #[test]
     fn find_prec_fr() {
         let m = PatternMeta::FR { h_fix: c("A1"), t_rel: Offset::new(-1, 0) };
         // Precedent of C1:C2 = C2's window A1:B2.
-        assert_eq!(find_prec(&m, r("A1:B3"), r("C1:C3"), r("C1:C2")), vec![r("A1:B2")]);
+        assert_eq!(precs_of(&m, r("A1:B3"), r("C1:C3"), r("C1:C2")), vec![r("A1:B2")]);
     }
 
     #[test]
     fn find_prec_ff() {
         let m = PatternMeta::FF { h_fix: c("A1"), t_fix: c("B3") };
-        assert_eq!(find_prec(&m, r("A1:B3"), r("C1:C3"), r("C2")), vec![r("A1:B3")]);
+        assert_eq!(precs_of(&m, r("A1:B3"), r("C1:C3"), r("C2")), vec![r("A1:B3")]);
     }
 
     #[test]
     fn find_prec_chain_is_transitive() {
         let m = PatternMeta::RRChain { dir: ChainDir::Above };
         // Precedents of A4 within prec A1:A3: A1:A3 (whole upstream chain).
-        assert_eq!(find_prec(&m, r("A1:A3"), r("A2:A4"), r("A4")), vec![r("A1:A3")]);
+        assert_eq!(precs_of(&m, r("A1:A3"), r("A2:A4"), r("A4")), vec![r("A1:A3")]);
         // Precedents of A2: A1.
-        assert_eq!(find_prec(&m, r("A1:A3"), r("A2:A4"), r("A2")), vec![r("A1")]);
+        assert_eq!(precs_of(&m, r("A1:A3"), r("A2:A4"), r("A2")), vec![r("A1")]);
     }
 
     #[test]
     fn find_prec_gap_one() {
         let m = PatternMeta::RRGapOne { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
-        let got = find_prec(&m, r("B1:B5"), r("C1:C5"), r("C1:C3"));
+        let got = precs_of(&m, r("B1:B5"), r("C1:C5"), r("C1:C3"));
         assert_eq!(got, vec![r("B1"), r("B3")]);
     }
 
@@ -856,11 +855,11 @@ mod tests {
         let m = PatternMeta::RR { h_rel: Offset::new(0, -2), t_rel: Offset::new(0, -1) };
         let close = |found, dir| close_window(&m, r("A3:A9"), r(found), dir);
         // A1's direct dependent A3 reaches the tail, one row at a time.
-        assert_eq!(find_dep(&m, r("A1:A8"), r("A3:A9"), r("A1")), vec![r("A3")]);
+        assert_eq!(deps_of(&m, r("A1:A8"), r("A3:A9"), r("A1")), vec![r("A3")]);
         assert_eq!(close("A3", Direction::Dependents), r("A3:A9"));
         assert_eq!(close("A6:A7", Direction::Dependents), r("A6:A9"));
         // A9 reads A7:A8, which read everything up to A1.
-        assert_eq!(find_prec(&m, r("A1:A8"), r("A3:A9"), r("A9")), vec![r("A7:A8")]);
+        assert_eq!(precs_of(&m, r("A1:A8"), r("A3:A9"), r("A9")), vec![r("A7:A8")]);
         assert_eq!(close("A7:A8", Direction::Precedents), r("A1:A8"));
         // A3's window holds no formula of the run: nothing to close.
         assert_eq!(close("A1:A2", Direction::Precedents), r("A1:A2"));
@@ -871,9 +870,9 @@ mod tests {
         // The corpus shape: D1:D9 reads C{r}:E{r+2}, its own cell included.
         let m = PatternMeta::RR { h_rel: Offset::new(-1, 0), t_rel: Offset::new(1, 2) };
         let close = |found, dir| close_window(&m, r("D1:D9"), r(found), dir);
-        assert_eq!(find_dep(&m, r("C1:E11"), r("D1:D9"), r("E9")), vec![r("D7:D9")]);
+        assert_eq!(deps_of(&m, r("C1:E11"), r("D1:D9"), r("E9")), vec![r("D7:D9")]);
         assert_eq!(close("D7:D9", Direction::Dependents), r("D1:D9"));
-        assert_eq!(find_prec(&m, r("C1:E11"), r("D1:D9"), r("D4")), vec![r("C4:E6")]);
+        assert_eq!(precs_of(&m, r("C1:E11"), r("D1:D9"), r("D4")), vec![r("C4:E6")]);
         assert_eq!(close("C4:E6", Direction::Precedents), r("C4:E11"));
         // Windows reaching both ways close over the whole run.
         let both = PatternMeta::RR { h_rel: Offset::new(0, -1), t_rel: Offset::new(0, 1) };

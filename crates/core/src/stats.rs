@@ -1,7 +1,9 @@
 //! Graph-size and per-pattern accounting (Tables II–V).
 
 use crate::pattern::PatternType;
+use std::cell::RefCell;
 use std::collections::HashSet;
+use taco_grid::Range;
 
 /// Edges-reduced counters per pattern. A compressed edge representing `M`
 /// dependencies reduces the edge count by `M − 1`, attributed to its
@@ -107,24 +109,18 @@ pub struct GraphStats {
 impl GraphStats {
     /// The stats of the edges `edges` walks, however they were picked
     /// (one band of a graph): counted, not read off running counts.
-    pub fn of_edges<'a>(
-        edges: impl Iterator<Item = &'a crate::Edge>,
-        scratch: &mut StatsScratch,
-    ) -> GraphStats {
+    pub fn of_edges<'a>(edges: impl Iterator<Item = &'a crate::Edge>) -> GraphStats {
         let mut stats = GraphStats {
             edges: 0,
             vertices: 0,
             dependencies: 0,
             reduced: PatternCounts::default(),
         };
-        stats.vertices = count_vertices_with(
-            scratch,
-            edges.inspect(|e| {
-                stats.edges += 1;
-                stats.dependencies += u64::from(e.count);
-                stats.reduced.add(e.pattern(), u64::from(e.count) - 1);
-            }),
-        );
+        stats.vertices = count_vertices(edges.inspect(|e| {
+            stats.edges += 1;
+            stats.dependencies += u64::from(e.count);
+            stats.reduced.add(e.pattern(), u64::from(e.count) - 1);
+        }));
         stats
     }
 
@@ -143,38 +139,29 @@ impl GraphStats {
     }
 }
 
-/// Caller-owned scratch for [`GraphStats`] computation: the vertex
-/// de-duplication set that `count_vertices_with` would otherwise allocate
-/// fresh on every call. Stats paths polled repeatedly (the vertex gauge,
-/// recounted after each recalculation that follows a graph change) reuse
-/// one of these, so steady-state polling performs no heap allocations —
-/// the discipline the queries keep on their per-thread buffers.
-#[derive(Debug, Default)]
-pub struct StatsScratch {
-    vertices: HashSet<taco_grid::Range>,
+thread_local! {
+    /// This thread's vertex de-duplication set. A count clears it and
+    /// keeps its capacity, so stats polled repeatedly on one thread (the
+    /// vertex gauge, recounted after each recalculation that follows a
+    /// graph change) stop allocating once it is warm — the discipline the
+    /// queries keep on their per-thread buffers.
+    static VERTICES: RefCell<HashSet<Range>> = RefCell::default();
 }
 
-impl StatsScratch {
-    /// An empty scratch (capacity grows on first use and persists).
-    pub fn new() -> Self {
-        StatsScratch::default()
-    }
-}
-
-/// Computes `|V|` (distinct vertex ranges) from an edge iterator,
-/// against a caller-owned scratch set: clears and reuses `scratch`'s
-/// capacity instead of allocating a fresh set.
-pub(crate) fn count_vertices_with<'a, I>(scratch: &mut StatsScratch, edges: I) -> usize
+/// Computes `|V|` (distinct vertex ranges) from an edge iterator, on the
+/// thread's own set. `edges` must not count vertices itself.
+pub(crate) fn count_vertices<'a, I>(edges: I) -> usize
 where
     I: Iterator<Item = &'a crate::Edge>,
 {
-    let set = &mut scratch.vertices;
-    set.clear();
-    for e in edges {
-        set.insert(e.prec);
-        set.insert(e.dep);
-    }
-    set.len()
+    VERTICES.with_borrow_mut(|set| {
+        set.clear();
+        for e in edges {
+            set.insert(e.prec);
+            set.insert(e.dep);
+        }
+        set.len()
+    })
 }
 
 #[cfg(test)]
@@ -204,19 +191,18 @@ mod tests {
     }
 
     #[test]
-    fn vertex_counting_scratch_matches_fresh() {
+    fn vertex_counting_reuses_the_threads_set() {
         use crate::{Dependency, Edge};
-        use taco_grid::{Cell, Range};
+        use taco_grid::Cell;
         let edges = [
             Edge::single(&Dependency::new(Range::cell(Cell::new(1, 1)), Cell::new(1, 2))),
             Edge::single(&Dependency::new(Range::cell(Cell::new(1, 1)), Cell::new(1, 3))),
         ];
-        let fresh = count_vertices_with(&mut StatsScratch::new(), edges.iter());
-        let mut scratch = StatsScratch::new();
-        assert_eq!(count_vertices_with(&mut scratch, edges.iter()), fresh);
-        // Reuse: a second pass over the same edges sees a cleared set.
-        assert_eq!(count_vertices_with(&mut scratch, edges.iter()), fresh);
-        assert_eq!(fresh, 3);
+        assert_eq!(count_vertices(edges.iter()), 3);
+        // Reuse: a second pass over fewer edges sees a cleared set.
+        assert_eq!(count_vertices(edges[..1].iter()), 2);
+        assert_eq!(count_vertices(edges.iter()), 3);
+        assert_eq!(count_vertices([].iter()), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use taco_core::{Config, Dependency, FormulaGraph, PatternType, QueryStats};
 use taco_grid::{Cell, Range};
-use taco_rtree::{FanoutRTree, SearchScratch};
+use taco_rtree::FanoutRTree;
 use taco_workload::{enron_like, github_like, SyntheticSheet};
 
 /// One dependents query into a fresh result vector: the ranges and what
@@ -270,12 +270,11 @@ fn fanouts_agree_on_hits_over_a_sheets_edge_set() {
     // of thousands, where the tree is deep at every fan-out).
     fn hits<const F: usize>(items: &[(Range, usize)], probes: &[Range]) -> Vec<Vec<usize>> {
         let tree: FanoutRTree<usize, F> = FanoutRTree::bulk_load(items.to_vec());
-        let mut scratch = SearchScratch::new();
         probes
             .iter()
             .map(|p| {
                 let mut found = Vec::new();
-                tree.search_with(*p, &mut scratch, |_, i| found.push(*i));
+                tree.for_each_overlapping(*p, |_, i| found.push(*i));
                 found.sort_unstable();
                 found
             })

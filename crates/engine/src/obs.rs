@@ -6,7 +6,7 @@
 //! bucket bumps, and fixed-size span pushes, none of which allocate.
 
 use crate::engine::Engine;
-use taco_core::{FormulaGraph, GraphStats, StatsScratch};
+use taco_core::{FormulaGraph, GraphStats};
 use taco_obs::{Counter, Gauge, Histogram, Obs, SpanCat, SpanGuard, Tracer};
 
 /// Metric and tracer handles for one workbook's recalculation engine.
@@ -51,9 +51,6 @@ pub(crate) struct EngineObs {
     folds_carried: Counter,
     /// The sheets' summed lifetime counts of such folds already added.
     folds_carried_seen: u64,
-    /// Reused vertex-dedup scratch for the gauge refresh (PR 5 scratch
-    /// discipline: steady-state polling allocates nothing).
-    scratch: StatsScratch,
     /// The graph's mutation stamp when the graph gauges were last walked
     /// (`None`: never): it moves iff the graph changed.
     vertices_as_of: Option<u64>,
@@ -89,7 +86,6 @@ impl EngineObs {
             formula_templates: m.gauge_with("taco_formula_templates", &book_label),
             folds_carried: m.counter("taco_recalc_folds_carried_total"),
             folds_carried_seen: 0,
-            scratch: StatsScratch::new(),
             vertices_as_of: None,
             #[cfg(test)]
             edge_walks: 0,
@@ -196,10 +192,7 @@ impl EngineObs {
             {
                 self.edge_walks += 1;
             }
-            let own = GraphStats::of_edges(
-                graph.edges().filter(|e| !e.crosses_bands()),
-                &mut self.scratch,
-            );
+            let own = GraphStats::of_edges(graph.edges().filter(|e| !e.crosses_bands()));
             let count = |n: u64| i64::try_from(n).unwrap_or(i64::MAX);
             self.graph_edges.set(own.edges as i64);
             self.graph_vertices.set(own.vertices as i64);

@@ -4,7 +4,7 @@
 use crate::engine::Engine;
 use crate::sheet::CellContent;
 use std::ops::Deref;
-use taco_core::{Band, Dependency, Edge, FormulaGraph, GraphSnapshot, GraphStats, StatsScratch};
+use taco_core::{Band, Dependency, Edge, FormulaGraph, GraphSnapshot, GraphStats};
 use taco_grid::Cell;
 
 /// One sheet of a workbook, read-only ([`crate::Workbook::sheet`]): its
@@ -72,7 +72,7 @@ impl<'a> SheetGraph<'a> {
     /// Size and per-pattern compression of the band.
     pub fn stats(&self) -> GraphStats {
         let edges: Vec<Edge> = self.edges().collect();
-        GraphStats::of_edges(edges.iter(), &mut StatsScratch::new())
+        GraphStats::of_edges(edges.iter())
     }
 
     /// The band's edges expanded back into raw dependencies.

@@ -525,6 +525,13 @@ impl Workbook {
 
     /// Number of the graph's edges between sheets: a reference filled
     /// down a column is one, however long the column. O(sheets).
+    ///
+    /// Not a function of the formulas alone: reads between sheets
+    /// compress in the order they are bound, so a replayed or reopened
+    /// workbook (which binds each sheet's reads in (col, row) order) can
+    /// hold the same fill in more edges than the live one — 10 live and
+    /// 12 replayed on one seed of `prop_formula_runs`, with equal
+    /// decompressed reads. Compare reads with [`Self::cross_table`].
     pub fn cross_edge_count(&self) -> usize {
         let held: usize = (0..self.sheets.len()).map(|sid| self.graph.band_len(band(sid))).sum();
         self.graph.num_edges() - held

@@ -8,10 +8,10 @@
 
 mod common;
 
-use common::assert_graph_derives;
+use common::{assert_graph_derives, assert_reference};
 use proptest::prelude::*;
 use taco_engine::{RecalcMode, SheetId, Workbook};
-use taco_formula::Value;
+use taco_formula::{EvalClock, Value};
 use taco_grid::{Cell, Range};
 use taco_workload::{
     gen_persist_workload, persist_enron_like, persist_giant_sheet, persist_github_like,
@@ -61,7 +61,8 @@ proptest! {
             prop_assert_eq!(demand.evaluated_total() - before, e_demand as u64);
             prop_assert!(e_demand <= e_full, "{}: demand may never evaluate more", p.name);
 
-            // The viewport is now exactly what the full pass computed.
+            // The viewport is now exactly what the full pass computed, and
+            // what the reference evaluator gives it.
             for cell in viewport.cells() {
                 prop_assert_eq!(
                     demand.value(sid, cell),
@@ -69,6 +70,7 @@ proptest! {
                     "{}: viewport cell {:?} diverged", p.name, cell
                 );
             }
+            assert_reference(&demand, EvalClock::default(), Some((sid, viewport)));
 
             // Everything else stayed lazily dirty: the deferred count plus
             // the demand count is the full workload, and the follow-up
@@ -90,6 +92,7 @@ proptest! {
                 b.sort_by_key(|(c, _)| *c);
                 prop_assert_eq!(a, b, "{}: sheet {} diverged after follow-up", p.name, s);
             }
+            assert_reference(&full, EvalClock::default(), None);
         }
     }
 }
@@ -110,6 +113,7 @@ fn demand_recalc_is_a_strict_subset_on_the_giant_sheet() {
         "viewport closure should be a small fraction: {evaluated} of {total}"
     );
     assert_eq!(wb.dirty_count(), total - evaluated);
+    assert_reference(&wb, EvalClock::default(), Some((SheetId(0), viewport)));
 }
 
 /// A viewport over the middle of a dirty run cuts the run's dirty rows in
@@ -172,10 +176,12 @@ fn viewport_after_demand(
         let want = full.value(sid, cell);
         assert!(bit_identical(value, &want), "{cell}: {value:?} on demand, {want:?} in full");
     }
+    assert_reference(&demand, EvalClock::default(), Some((sid, viewport)));
     assert_eq!(demand.dirty_count(), total_dirty - e_demand);
     let e_follow = demand.recalculate(RecalcMode::Serial);
     assert_eq!(e_demand + e_follow, total_dirty);
     assert_eq!(demand.dirty_count(), 0);
+    assert_reference(&demand, EvalClock::default(), None);
     (seen, e_demand)
 }
 

@@ -44,7 +44,7 @@ use rand::{Rng, SeedableRng};
 use taco_core::{Dependency, StructuralOp};
 use taco_engine::{RecalcMode, SheetId, Workbook};
 use taco_formula::autofill::autofill;
-use taco_formula::{CellError, Formula, Value};
+use taco_formula::{CellError, EvalClock, Formula, Value};
 use taco_grid::{Cell, Range};
 use taco_store::EditRecord;
 
@@ -463,6 +463,14 @@ impl Pair {
         let evaluated = self.shared.recalculate(RecalcMode::Serial);
         assert_eq!(evaluated, self.twin.recalculate(RecalcMode::Serial));
     }
+
+    /// Holds the shared workbook, its twin and its log's replay to the
+    /// reference evaluator (cells on or reading a cycle aside).
+    fn assert_reference(&self) {
+        for wb in [&self.shared, &self.twin, &self.replayed()] {
+            common::assert_reference(wb, EvalClock::default(), None);
+        }
+    }
 }
 
 /// Every cell, formula text (leading spaces aside), value and graph
@@ -531,6 +539,7 @@ fn run_seed(seed: u64) {
         assert_same(&pair.shared, &pair.twin, &format!("seed {seed} after step {step} {op:?}"));
     }
     assert!(templates(&pair.shared) <= pair.shared.sheet(CALC).formula_cells());
+    pair.assert_reference();
 }
 
 /// The column typed in pairs is one template in the shared workbook, and
@@ -580,6 +589,7 @@ fn run_gaps_seed(seed: u64) {
             _ => {}
         }
     }
+    pair.assert_reference();
 }
 
 proptest! {

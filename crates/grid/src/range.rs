@@ -186,20 +186,9 @@ impl Range {
         }
     }
 
-    /// Subtracts every range in `covers` from `self`, returning the
-    /// uncovered remainder as disjoint rectangles.
-    pub fn subtract_all<'a, I>(&self, covers: I) -> Vec<Range>
-    where
-        I: IntoIterator<Item = &'a Range>,
-    {
-        let mut pieces = Vec::new();
-        let mut tmp = Vec::new();
-        self.subtract_all_into(covers, &mut pieces, &mut tmp);
-        pieces
-    }
-
-    /// [`Self::subtract_all`] into caller-owned buffers: `pieces` ends up
-    /// holding the remainder, `tmp` is double-buffer scratch. Both are
+    /// Subtracts every range in `covers` from `self` into caller-owned
+    /// buffers: `pieces` ends up holding the uncovered remainder as
+    /// disjoint rectangles, `tmp` is double-buffer scratch. Both are
     /// cleared first; with warmed capacities the refinement allocates
     /// nothing.
     pub fn subtract_all_into<'a, I>(&self, covers: I, pieces: &mut Vec<Range>, tmp: &mut Vec<Range>)
@@ -374,7 +363,8 @@ mod tests {
 
     #[test]
     fn subtract_all_multiple_covers() {
-        let out = r("A1:A10").subtract_all([r("A2:A3"), r("A7")].iter());
+        let (mut out, mut tmp) = (vec![r("Z9")], vec![r("Z9")]);
+        r("A1:A10").subtract_all_into([r("A2:A3"), r("A7")].iter(), &mut out, &mut tmp);
         assert_eq!(
             out,
             vec![r("A1"), r("A4:A10")]

@@ -20,9 +20,9 @@
 //!
 //! Hot-path contract:
 //!
-//! - [`FanoutRTree::for_each_overlapping`] / [`FanoutRTree::search_with`] /
-//!   [`FanoutRTree::any_overlapping`] allocate **nothing** (`search_with` pushes
-//!   onto a caller-owned [`SearchScratch`] whose capacity survives calls).
+//! - [`FanoutRTree::for_each_overlapping`] is the one window walk and
+//!   allocates **nothing**: the descent recurses, so there is no stack to
+//!   own. Its hit order is part of its contract (see its docs).
 //! - [`FanoutRTree::clear`] retains every buffer's capacity, so a tree reused
 //!   as a per-query visited set stops allocating once warm.
 //! - [`FanoutRTree::insert`] / [`FanoutRTree::remove`] reuse internal split/condense
@@ -122,22 +122,6 @@ impl<const F: usize> Node<F> {
 
     fn mbr(&self) -> Option<Range> {
         self.mbrs[..self.len()].iter().copied().reduce(|a, b| a.bounding_union(&b))
-    }
-}
-
-/// Caller-owned traversal stack for [`FanoutRTree::search_with`]: reusing one
-/// across queries makes the window search allocation-free once warm.
-#[derive(Debug, Clone, Default)]
-pub struct SearchScratch {
-    /// `(node id, depth)` frames of the iterative descent.
-    stack: Vec<(u32, u32)>,
-}
-
-impl SearchScratch {
-    /// An empty scratch (buffers grow on first use, then persist).
-    #[must_use]
-    pub fn new() -> Self {
-        SearchScratch::default()
     }
 }
 
@@ -346,6 +330,11 @@ impl<T, const F: usize> FanoutRTree<T, F> {
     /// Calls `f` for every stored entry whose range overlaps `query`.
     /// Returns the number of tree nodes visited (the complexity metric
     /// the tests assert on). Allocation-free: the descent recurses.
+    ///
+    /// Hits come depth first, an internal node's children last to first
+    /// and a leaf's entries first to last: the order an explicit LIFO
+    /// stack descent reports, which the graph's query answers are pinned
+    /// to (they cut ranges in hit order).
     pub fn for_each_overlapping<'a, G>(&'a self, query: Range, mut f: G) -> u64
     where
         G: FnMut(Range, &'a T),
@@ -377,7 +366,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
                 }
             }
         } else {
-            for i in 0..n.len() {
+            for i in (0..n.len()).rev() {
                 if n.mbrs[i].overlaps(&query) {
                     self.search_rec(n.slots[i], depth + 1, query, f, visited);
                 }
@@ -385,60 +374,11 @@ impl<T, const F: usize> FanoutRTree<T, F> {
         }
     }
 
-    /// [`Self::for_each_overlapping`] driven by an explicit caller-owned
-    /// stack instead of recursion: with a warmed [`SearchScratch`] the
-    /// whole query performs zero allocations regardless of tree shape.
-    pub fn search_with<'a, G>(&'a self, query: Range, scratch: &mut SearchScratch, mut f: G) -> u64
-    where
-        G: FnMut(Range, &'a T),
-    {
-        let mut visited = 0;
-        scratch.stack.clear();
-        scratch.stack.push((self.root, 1));
-        while let Some((node, depth)) = scratch.stack.pop() {
-            visited += 1;
-            let n = &self.nodes[node as usize];
-            if depth == self.height {
-                for i in 0..n.len() {
-                    if n.mbrs[i].overlaps(&query) {
-                        let (r, v) = self.entries[n.slots[i] as usize]
-                            .as_ref()
-                            .expect("leaf slots reference live entries");
-                        f(*r, v);
-                    }
-                }
-            } else {
-                for i in 0..n.len() {
-                    if n.mbrs[i].overlaps(&query) {
-                        scratch.stack.push((n.slots[i], depth + 1));
-                    }
-                }
-            }
-        }
-        visited
-    }
-
     /// Collects every `(range, &value)` overlapping `query`.
     pub fn overlapping(&self, query: Range) -> Vec<(Range, &T)> {
         let mut out = Vec::new();
         self.for_each_overlapping(query, |r, v| out.push((r, v)));
         out
-    }
-
-    /// `true` iff at least one stored range overlaps `query`.
-    /// Allocation-free.
-    pub fn any_overlapping(&self, query: Range) -> bool {
-        self.any_rec(self.root, 1, query)
-    }
-
-    fn any_rec(&self, node: u32, depth: u32, query: Range) -> bool {
-        let n = &self.nodes[node as usize];
-        if depth == self.height {
-            n.mbrs[..n.len()].iter().any(|r| r.overlaps(&query))
-        } else {
-            (0..n.len())
-                .any(|i| n.mbrs[i].overlaps(&query) && self.any_rec(n.slots[i], depth + 1, query))
-        }
     }
 
     /// Iterates over all entries (no particular order). Lazy: walks the
@@ -817,7 +757,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert!(t.overlapping(r("A1:Z100")).is_empty());
-        assert!(!t.any_overlapping(r("A1")));
+        assert!(t.overlapping(r("A1")).is_empty());
     }
 
     #[test]
@@ -837,8 +777,8 @@ mod tests {
         hits.sort_unstable();
         assert_eq!(hits, vec![3, 4]);
 
-        assert!(t.any_overlapping(r("A2:B2")));
-        assert!(!t.any_overlapping(r("D4:E9")));
+        assert!(!t.overlapping(r("A2:B2")).is_empty());
+        assert!(t.overlapping(r("D4:E9")).is_empty());
     }
 
     #[test]
@@ -939,7 +879,7 @@ mod tests {
         let node_cap = t.nodes.capacity();
         t.clear();
         assert!(t.is_empty());
-        assert!(!t.any_overlapping(r("A1:XFD1")));
+        assert!(t.overlapping(r("A1:XFD1")).is_empty());
         assert_eq!(t.nodes.capacity(), node_cap, "clear must keep the pool");
         for i in 0..50u32 {
             t.insert(Range::cell(Cell::new(i + 1, 1)), i);
@@ -999,24 +939,44 @@ mod tests {
     }
 
     #[test]
-    fn search_with_matches_recursive_and_counts_nodes() {
+    fn walk_reports_hits_in_stack_order_and_counts_nodes() {
         let mut t = RTree::new();
         for col in 1..=40u32 {
             for row in 1..=40u32 {
                 t.insert(Range::cell(Cell::new(col, row)), (col, row));
             }
         }
-        let mut scratch = SearchScratch::new();
-        for probe in [r("A1"), r("C3:F9"), r("AN40"), r("A1:AN40")] {
-            let mut a = Vec::new();
-            let va = t.for_each_overlapping(probe, |r, v| a.push((r, *v)));
-            let mut b = Vec::new();
-            let vb = t.search_with(probe, &mut scratch, |r, v| b.push((r, *v)));
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            assert_eq!(va, vb, "both traversals visit the same node set");
-            assert!(va >= 1);
+        assert!(t.height() > 2);
+        // The order the walk promises, spelled out as an explicit LIFO
+        // stack descent: pop a node, push its overlapping children first
+        // to last (so they pop last to first), report a leaf's hits first
+        // to last.
+        let by_stack = |query: Range| {
+            let (mut hits, mut visited) = (Vec::new(), 0u64);
+            let mut stack = vec![(t.root, 1u32)];
+            while let Some((id, depth)) = stack.pop() {
+                visited += 1;
+                let n = &t.nodes[id as usize];
+                for i in (0..n.len()).filter(|&i| n.mbrs[i].overlaps(&query)) {
+                    if depth == t.height {
+                        let (r, v) = t.entries[n.slots[i] as usize].unwrap();
+                        hits.push((r, v));
+                    } else {
+                        stack.push((n.slots[i], depth + 1));
+                    }
+                }
+            }
+            (hits, visited)
+        };
+        for probe in [r("A1"), r("C3:F9"), r("AN40"), r("A1:AN40"), r("B7:AM9")] {
+            let mut hits = Vec::new();
+            let visited = t.for_each_overlapping(probe, |r, v| hits.push((r, *v)));
+            assert_eq!((hits.clone(), visited), by_stack(probe), "probe {probe}");
+            let mut want: Vec<_> =
+                t.iter().filter(|(r, _)| r.overlaps(&probe)).map(|(r, v)| (r, *v)).collect();
+            hits.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(hits, want, "probe {probe}");
         }
         // A point query on a packed tree touches one path, not the pool.
         let visits = t.for_each_overlapping(r("A1"), |_, _| {});

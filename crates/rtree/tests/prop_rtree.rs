@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use taco_grid::{Cell, Range};
-use taco_rtree::{min_fill, FanoutRTree, RTree, SearchScratch, DEFAULT_FANOUT};
+use taco_rtree::{min_fill, FanoutRTree, RTree, DEFAULT_FANOUT};
 
 fn arb_range() -> impl Strategy<Value = Range> {
     ((1u32..60, 1u32..60), (0u32..5, 0u32..8))
@@ -70,25 +70,18 @@ fn height_bound(len: usize, m: usize) -> usize {
     h + 1
 }
 
-/// One window query answered three ways (recursive, scratch-driven,
-/// any_overlapping) against the brute-force scan of `shadow`.
-fn check_query<const F: usize>(
-    tree: &FanoutRTree<u64, F>,
-    shadow: &[(Range, u64)],
-    scratch: &mut SearchScratch,
-    q: Range,
-) {
-    let mut got: Vec<u64> = tree.overlapping(q).iter().map(|(_, v)| **v).collect();
+/// One window query — the walk, and `overlapping` collecting it in the
+/// walk's order — against the brute-force scan of `shadow`.
+fn check_query<const F: usize>(tree: &FanoutRTree<u64, F>, shadow: &[(Range, u64)], q: Range) {
+    let mut got: Vec<u64> = Vec::new();
+    let visited = tree.for_each_overlapping(q, |_, v| got.push(*v));
+    let collected: Vec<u64> = tree.overlapping(q).iter().map(|(_, v)| **v).collect();
+    prop_assert_eq!(&collected, &got, "overlapping must collect the walk in order");
     got.sort_unstable();
-    let mut via_scratch: Vec<u64> = Vec::new();
-    let visited = tree.search_with(q, scratch, |_, v| via_scratch.push(*v));
-    via_scratch.sort_unstable();
     let mut want: Vec<u64> =
         shadow.iter().filter(|(r, _)| r.overlaps(&q)).map(|(_, id)| *id).collect();
     want.sort_unstable();
     prop_assert_eq!(&got, &want);
-    prop_assert_eq!(&via_scratch, &want, "scratch search must agree");
-    prop_assert_eq!(tree.any_overlapping(q), !want.is_empty());
     prop_assert!(visited >= 1);
 }
 
@@ -111,7 +104,6 @@ fn drive<const F: usize>(
     next_id: &mut u64,
     ops: Vec<Op>,
 ) {
-    let mut scratch = SearchScratch::new();
     let mut underfull = tree.check_invariants().expect("the starting tree is well-formed");
     for op in ops {
         match op {
@@ -128,7 +120,7 @@ fn drive<const F: usize>(
                     prop_assert!(!tree.remove(r, &id));
                 }
             }
-            Op::Query(q) => check_query(tree, shadow, &mut scratch, q),
+            Op::Query(q) => check_query(tree, shadow, q),
             Op::Update { pick, to } => {
                 if !shadow.is_empty() {
                     let n = pick % shadow.len();
@@ -152,8 +144,8 @@ fn drive<const F: usize>(
                     prop_assert!(tree.update(old, &id, new));
                     shadow[n].0 = new;
                     prop_assert!(new == old || !tree.update(old, &id, new), "re-keyed twice");
-                    check_query(tree, shadow, &mut scratch, old);
-                    check_query(tree, shadow, &mut scratch, new);
+                    check_query(tree, shadow, old);
+                    check_query(tree, shadow, new);
                 }
             }
         }

@@ -568,9 +568,10 @@ pub struct StoreReader {
 }
 
 impl StoreReader {
-    /// Opens and validates a container file.
+    /// Opens and validates a container file through the production
+    /// [`crate::vfs::std_vfs`].
     pub fn open(path: &Path) -> Result<Self, StoreError> {
-        Self::from_bytes(std::fs::read(path)?)
+        Self::open_with(crate::vfs::std_vfs().as_ref(), path)
     }
 
     /// Opens and validates a container file through an explicit vfs.

@@ -431,9 +431,9 @@ impl WalReplay {
 pub struct WalReader;
 
 impl WalReader {
-    /// Reads and replays a WAL file.
+    /// Reads and replays a WAL file through the production [`std_vfs`].
     pub fn load(path: &Path, mode: ReplayMode) -> Result<WalReplay, StoreError> {
-        Self::parse(&std::fs::read(path)?, mode)
+        Self::load_with(std_vfs().as_ref(), path, mode)
     }
 
     /// Reads and replays a WAL file through an explicit vfs.
