@@ -13,7 +13,6 @@
 //! optimum on structured and adversarial inputs.
 
 use crate::edge::Edge;
-use crate::pattern::PatternType;
 use crate::{Config, Dependency};
 use taco_grid::Axis;
 
@@ -47,9 +46,6 @@ pub fn compressible_group(deps: &[Dependency], config: &Config) -> bool {
             }
         }
         for &p in &config.patterns {
-            if p == PatternType::RRGapOne {
-                continue; // gap runs are not consecutive; skip in CEM
-            }
             let seed = Edge::single(sorted[0]);
             let Some(mut e) = seed.try_pair(sorted[1], p, axis) else {
                 continue;

@@ -35,13 +35,6 @@ impl Config {
         }
     }
 
-    /// Full TACO plus the exploratory RR-GapOne pattern from §V.
-    pub fn taco_with_gap_one() -> Self {
-        let mut c = Self::taco_full();
-        c.patterns.push(PatternType::RRGapOne);
-        c
-    }
-
     /// TACO-InRow (§VI-B): only RR, only same-row references, column axis.
     /// Captures derived columns (normalized copies, extracted substrings…).
     pub fn taco_in_row() -> Self {
@@ -59,12 +52,6 @@ impl Config {
         let mut c = Self::taco_full();
         c.patterns.retain(|&q| q != p);
         c
-    }
-
-    /// `true` iff any enabled pattern pairs dependents two rows/columns
-    /// apart (widens candidate discovery).
-    pub fn has_gap_pattern(&self) -> bool {
-        self.patterns.contains(&PatternType::RRGapOne)
     }
 
     /// Checks a candidate compressed edge against configuration
@@ -96,8 +83,6 @@ mod tests {
     fn presets() {
         assert!(Config::nocomp().patterns.is_empty());
         assert!(Config::taco_full().patterns.contains(&PatternType::RRChain));
-        assert!(!Config::taco_full().has_gap_pattern());
-        assert!(Config::taco_with_gap_one().has_gap_pattern());
         let no_ff = Config::taco_without(PatternType::FF);
         assert!(!no_ff.patterns.contains(&PatternType::FF));
         assert_eq!(no_ff.patterns.len(), Config::taco_full().patterns.len() - 1);

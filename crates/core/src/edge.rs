@@ -89,49 +89,31 @@ impl Edge {
         })
     }
 
-    /// `findDep`: dependents of `r` within this edge, appended to `out`;
-    /// `r` must be contained in `self.prec` (callers intersect first). The
-    /// BFS hot path allocates nothing per edge access.
-    pub fn find_dep_into(&self, r: Range, out: &mut Vec<Range>) {
+    /// `findDep`: the dependents of `r` within this edge, one range or
+    /// none; `r` must be contained in `self.prec` (callers intersect
+    /// first).
+    pub fn find_dep(&self, r: Range) -> Option<Range> {
         if self.is_single() {
-            out.push(self.dep);
-            return;
+            return Some(self.dep);
         }
-        let start = out.len();
-        pattern::find_dep_into(
-            &self.meta,
-            self.axis.canon(self.prec),
-            self.axis.canon(self.dep),
-            self.axis.canon(r),
-            out,
-        );
-        for x in &mut out[start..] {
-            *x = self.axis.uncanon(*x);
-        }
+        let (prec, dep, r) =
+            (self.axis.canon(self.prec), self.axis.canon(self.dep), self.axis.canon(r));
+        pattern::find_dep(&self.meta, prec, dep, r).map(|x| self.axis.uncanon(x))
     }
 
-    /// `findPrec`: precedents of `s` within this edge, appended to `out`;
-    /// `s` must be contained in `self.dep`.
-    pub fn find_prec_into(&self, s: Range, out: &mut Vec<Range>) {
+    /// `findPrec`: the precedents of `s` within this edge, one range or
+    /// none; `s` must be contained in `self.dep`.
+    pub fn find_prec(&self, s: Range) -> Option<Range> {
         if self.is_single() {
-            out.push(self.prec);
-            return;
+            return Some(self.prec);
         }
-        let start = out.len();
-        pattern::find_prec_into(
-            &self.meta,
-            self.axis.canon(self.prec),
-            self.axis.canon(self.dep),
-            self.axis.canon(s),
-            out,
-        );
-        for x in &mut out[start..] {
-            *x = self.axis.uncanon(*x);
-        }
+        let (prec, dep, s) =
+            (self.axis.canon(self.prec), self.axis.canon(self.dep), self.axis.canon(s));
+        pattern::find_prec(&self.meta, prec, dep, s).map(|x| self.axis.uncanon(x))
     }
 
-    /// `found`, a range [`Self::find_dep_into`] (`Dependents`) or
-    /// [`Self::find_prec_into`] (`Precedents`) just returned, widened by
+    /// `found`, the range [`Self::find_dep`] (`Dependents`) or
+    /// [`Self::find_prec`] (`Precedents`) just returned, widened by
     /// everything this edge reaches from it transitively — O(1), see
     /// [`pattern::close_window`]; unchanged unless this is an RR edge
     /// whose windows cover its own dependent line.
@@ -150,8 +132,9 @@ impl Edge {
     }
 
     /// `removeDep`: removes the dependencies for formula cells `s`,
-    /// appending the replacement edges to `out` (none when the edge
-    /// disappears; `clear_cells` reuses one buffer across edges).
+    /// appending the replacement edges — at most two, none when the edge
+    /// disappears — to `out` (`clear_cells` reuses one buffer across
+    /// edges, so a warm split allocates nothing).
     pub fn remove_dep_into(&self, s: Range, out: &mut Vec<Edge>) {
         let parts = pattern::remove_dep(
             &self.meta,
@@ -159,7 +142,7 @@ impl Edge {
             self.axis.canon(self.dep),
             self.axis.canon(s),
         );
-        out.extend(parts.into_iter().map(|p| Edge {
+        out.extend(parts.into_iter().flatten().map(|p| Edge {
             prec: self.axis.uncanon(p.prec),
             dep: self.axis.uncanon(p.dep),
             axis: self.axis,
@@ -178,31 +161,21 @@ impl Edge {
         let cdep = self.axis.canon(self.dep);
         let cprec = self.axis.canon(self.prec);
         let col = cdep.head().col;
-        let step = if matches!(self.meta, PatternMeta::RRGapOne { .. }) { 2 } else { 1 };
         let mut out = Vec::with_capacity(self.count as usize);
-        let mut found = Vec::new();
-        let mut row = cdep.head().row;
-        while row <= cdep.tail().row {
+        out.extend((cdep.head().row..=cdep.tail().row).filter_map(|row| {
             let cell = taco_grid::Cell::new(col, row);
-            // For chains findPrec is transitive; the direct precedent of a
-            // single cell is the adjacent cell, recovered structurally.
-            let prec_canon = match &self.meta {
+            // For chains findPrec is transitive; the direct precedent of
+            // a single cell is the adjacent cell, recovered structurally.
+            let p = match &self.meta {
                 PatternMeta::RRChain { dir } => {
                     Some(Range::cell(cell.offset_saturating(dir.rel())))
                 }
-                m => {
-                    found.clear();
-                    pattern::find_prec_into(m, cprec, cdep, Range::cell(cell), &mut found);
-                    found.first().copied()
-                }
-            };
-            if let Some(p) = prec_canon {
-                // canon_cell is a transposition (its own inverse), so it
-                // also maps canonical cells back to sheet coordinates.
-                out.push(Dependency::new(self.axis.uncanon(p), self.axis.canon_cell(cell)));
-            }
-            row += step;
-        }
+                m => pattern::find_prec(m, cprec, cdep, Range::cell(cell)),
+            }?;
+            // canon_cell is a transposition (its own inverse), so it
+            // also maps canonical cells back to sheet coordinates.
+            Some(Dependency::new(self.axis.uncanon(p), self.axis.canon_cell(cell)))
+        }));
         out
     }
 }
@@ -219,20 +192,6 @@ mod tests {
 
     fn d(prec: &str, dep: &str) -> Dependency {
         Dependency::new(r(prec), Cell::parse_a1(dep).unwrap())
-    }
-
-    /// [`Edge::find_dep_into`] into a fresh vector.
-    fn deps_of(e: &Edge, r: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        e.find_dep_into(r, &mut out);
-        out
-    }
-
-    /// [`Edge::find_prec_into`] into a fresh vector.
-    fn precs_of(e: &Edge, s: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        e.find_prec_into(s, &mut out);
-        out
     }
 
     /// [`Edge::remove_dep_into`] into a fresh vector.
@@ -284,17 +243,17 @@ mod tests {
         let e2 = e.try_pair(&d("C1:C3", "C5"), PatternType::RR, Axis::Row).unwrap();
         let e3 = e2.try_extend(&d("D1:D3", "D5")).unwrap();
         // C2 only sits in C5's window.
-        assert_eq!(deps_of(&e3, r("C2")), vec![r("C5")]);
+        assert_eq!(e3.find_dep(r("C2")), Some(r("C5")));
         // The whole precedent block hits all three formulae.
-        assert_eq!(deps_of(&e3, r("B1:D3")), vec![r("B5:D5")]);
+        assert_eq!(e3.find_dep(r("B1:D3")), Some(r("B5:D5")));
     }
 
     #[test]
     fn find_prec_row_axis() {
         let e = Edge::single(&d("B1:B3", "B5"));
         let e2 = e.try_pair(&d("C1:C3", "C5"), PatternType::RR, Axis::Row).unwrap();
-        assert_eq!(precs_of(&e2, r("B5")), vec![r("B1:B3")]);
-        assert_eq!(precs_of(&e2, r("B5:C5")), vec![r("B1:C3")]);
+        assert_eq!(e2.find_prec(r("B5")), Some(r("B1:B3")));
+        assert_eq!(e2.find_prec(r("B5:C5")), Some(r("B1:C3")));
     }
 
     #[test]
@@ -309,6 +268,59 @@ mod tests {
         assert_eq!(parts[0].prec, r("B1:B3"));
         assert_eq!(parts[1].dep, r("D5"));
         assert_eq!(parts[1].prec, r("D1:D3"));
+    }
+
+    /// Every cut of every pattern's run, along either axis, leaves at most
+    /// two edges, which hold exactly the dependencies the cut spared.
+    #[test]
+    fn every_cut_leaves_at_most_two_parts_holding_the_rest() {
+        let col = |f: fn(u32) -> String, p: PatternType| {
+            let deps: Vec<Dependency> = (2..=7).map(|row| d(&f(row), &format!("C{row}"))).collect();
+            (deps, p, Axis::Col)
+        };
+        let runs = [
+            col(|r| format!("A{r}:B{}", r + 2), PatternType::RR),
+            col(|r| format!("A{r}:B9"), PatternType::RF),
+            col(|r| format!("A1:B{r}"), PatternType::FR),
+            col(|_| "A1:B3".to_string(), PatternType::FF),
+            (
+                (2..=7).map(|r| d(&format!("C{}", r - 1), &format!("C{r}"))).collect(),
+                PatternType::RRChain,
+                Axis::Col,
+            ),
+            (
+                (2..=7u32)
+                    .map(|c| Dependency::new(Range::from_coords(c, 7, c, 9), Cell::new(c, 10)))
+                    .collect(),
+                PatternType::RR,
+                Axis::Row,
+            ),
+        ];
+        let key = |d: &Dependency| (d.dep, d.prec.head(), d.prec.tail());
+        for (deps, pattern, axis) in runs {
+            let mut e = Edge::single(&deps[0]).try_pair(&deps[1], pattern, axis).unwrap();
+            for dep in &deps[2..] {
+                e = e.try_extend(dep).unwrap();
+            }
+            // Every sub-run of the run, and each widened to reach A1.
+            let cells: Vec<Cell> = e.dep.cells().collect();
+            let runs = cells
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &a)| cells[i..].iter().map(move |&b| Range::new(a, b)));
+            for cut in runs.flat_map(|c| [c, c.bounding_union(&r("A1"))]) {
+                let parts = parts_of(&e, cut);
+                assert!(parts.len() <= 2, "{pattern:?} cut {cut}: {parts:?}");
+                let mut got: Vec<_> =
+                    parts.iter().flat_map(Edge::decompress).map(|d| key(&d)).collect();
+                let mut want: Vec<_> =
+                    deps.iter().filter(|d| !cut.contains_cell(d.dep)).map(key).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{pattern:?} cut {cut}");
+                assert!(parts.iter().all(|p| p.count as usize == p.decompress().len()));
+            }
+        }
     }
 
     #[test]
@@ -334,8 +346,8 @@ mod tests {
     #[test]
     fn single_edge_key_functions() {
         let e = Edge::single(&d("A1:A3", "B1"));
-        assert_eq!(deps_of(&e, r("A2")), vec![r("B1")]);
-        assert_eq!(precs_of(&e, r("B1")), vec![r("A1:A3")]);
+        assert_eq!(e.find_dep(r("A2")), Some(r("B1")));
+        assert_eq!(e.find_prec(r("B1")), Some(r("A1:A3")));
         assert!(parts_of(&e, r("B1")).is_empty());
         assert_eq!(parts_of(&e, r("C1")).len(), 1);
     }

@@ -31,16 +31,14 @@ pub struct QueryStats {
 }
 
 /// The modified BFS's working buffers (Alg. 3): the queue, hit list,
-/// per-edge result buffer, visited-subtraction buffers, the visited-set
-/// R-tree (cleared, capacity retained), and the output the allocating
-/// wrappers run into. Each thread owns one (`QUERY`); every query runs on
-/// its thread's, so once they reach the workload's high-water mark a
-/// query stops allocating.
+/// visited-subtraction buffers, the visited-set R-tree (cleared, capacity
+/// retained), and the output the allocating wrappers run into. Each
+/// thread owns one (`QUERY`); every query runs on its thread's, so once
+/// they reach the workload's high-water mark a query stops allocating.
 #[derive(Debug, Default)]
 struct QueryScratch {
     queue: VecDeque<Range>,
     hits: Vec<(Range, EdgeId)>,
-    found: Vec<Range>,
     covers: Vec<Range>,
     parts: Vec<Range>,
     sub_tmp: Vec<Range>,
@@ -269,8 +267,7 @@ impl FormulaGraph {
     }
 
     /// Step 1 of Alg. 2: the ids, ascending, of the edges whose dependent
-    /// vertex holds a cell next to `cell` in its column or in its row —
-    /// up to two cells away when a gap pattern is enabled.
+    /// vertex holds a cell next to `cell` in its column or in its row.
     ///
     /// One window search over the square around `cell` reports a
     /// superset; an entry stays iff it meets the column arm or the row
@@ -281,12 +278,11 @@ impl FormulaGraph {
     /// one dependent vertex, so the search reports each id once.)
     fn collect_candidates(&self, cell: Cell, out: &mut Vec<EdgeId>) {
         out.clear();
-        let radius = if self.config.has_gap_pattern() { 2 } else { 1 };
         let window = Range::from_coords(
-            cell.col.saturating_sub(radius).max(1),
-            cell.row.saturating_sub(radius).max(1),
-            cell.col.saturating_add(radius),
-            cell.row.saturating_add(radius),
+            cell.col.saturating_sub(1).max(1),
+            cell.row.saturating_sub(1).max(1),
+            cell.col.saturating_add(1),
+            cell.row.saturating_add(1),
         );
         self.dep_index.for_each_overlapping(window, |r, &id| {
             let (head, tail) = (r.head(), r.tail());
@@ -518,7 +514,7 @@ impl FormulaGraph {
         scratch: &mut QueryScratch,
         out: &mut Vec<Range>,
     ) -> QueryStats {
-        let QueryScratch { queue, hits, found, covers, parts, sub_tmp, visited, .. } = scratch;
+        let QueryScratch { queue, hits, covers, parts, sub_tmp, visited, .. } = scratch;
         out.clear();
         queue.clear();
         // R-tree over the visited ranges for the not-yet-contained check;
@@ -545,25 +541,24 @@ impl FormulaGraph {
                 let probe = to_visit
                     .intersect(&vertex_range)
                     .expect("R-tree returned an overlapping vertex");
-                found.clear();
-                match dir {
-                    Direction::Dependents => e.find_dep_into(probe, found),
-                    Direction::Precedents => e.find_prec_into(probe, found),
-                }
-                for &f in found.iter() {
-                    // Everything the edge reaches from `f` in one step.
-                    let f = e.close(f, dir);
-                    // Subtract the already-visited subset (via the R-tree on
-                    // the result set), keep the new parts.
-                    covers.clear();
-                    visited.for_each_overlapping(f, |c, _| covers.push(c));
-                    f.subtract_all_into(covers.iter(), parts, sub_tmp);
-                    for &new_range in parts.iter() {
-                        visited.insert(new_range, ());
-                        out.push(new_range);
-                        queue.push_back(new_range);
-                        stats.enqueued += 1;
-                    }
+                let found = match dir {
+                    Direction::Dependents => e.find_dep(probe),
+                    Direction::Precedents => e.find_prec(probe),
+                };
+                // Everything the edge reaches from its one range, in one step.
+                let Some(f) = found.map(|f| e.close(f, dir)) else {
+                    continue;
+                };
+                // Subtract the already-visited subset (via the R-tree on the
+                // result set), keep the new parts.
+                covers.clear();
+                visited.for_each_overlapping(f, |c, _| covers.push(c));
+                f.subtract_all_into(covers.iter(), parts, sub_tmp);
+                for &new_range in parts.iter() {
+                    visited.insert(new_range, ());
+                    out.push(new_range);
+                    queue.push_back(new_range);
+                    stats.enqueued += 1;
                 }
             }
         }
@@ -1057,22 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_one_compresses_when_enabled() {
-        let mut g = FormulaGraph::new(Config::taco_with_gap_one());
-        // Formulae at C1, C3, C5 referencing the cell to the left.
-        for row in [1u32, 3, 5] {
-            g.add_dependency(&Dependency::new(Range::cell(Cell::new(2, row)), Cell::new(3, row)));
-        }
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.edges().next().unwrap().pattern(), PatternType::RRGapOne);
-        // Dependents of B3 = C3 only.
-        let deps = g.find_dependents(Range::cell(Cell::new(2, 3)));
-        assert_eq!(deps, vec![Range::cell(Cell::new(3, 3))]);
-        // B2 (a gap row) has no dependents.
-        assert!(g.find_dependents(Range::cell(Cell::new(2, 2))).is_empty());
-    }
-
-    #[test]
     fn self_overlapping_rr_terminates() {
         // The Fig. 2 shape: N-column formulae reference the N column itself
         // (Ni depends on N(i-1)); prec and dep bounding ranges overlap.
@@ -1102,17 +1081,13 @@ mod tests {
     }
 
     /// Step 1 of Alg. 2 as the paper words it — shift the cell by one in
-    /// all four directions (by two as well with a gap pattern) and ask the
-    /// index about each: the id set `collect_candidates` must reproduce
-    /// with its one window search.
+    /// all four directions and ask the index about each: the id set
+    /// `collect_candidates` must reproduce with its one window search.
     fn point_probe_candidates(g: &FormulaGraph, cell: Cell) -> Vec<EdgeId> {
-        let radius = if g.config.has_gap_pattern() { 2 } else { 1 };
         let mut ids = Vec::new();
-        for step in 1..=radius {
-            for (dc, dr) in [(0, -step), (0, step), (-step, 0), (step, 0)] {
-                if let Ok(shifted) = cell.offset(taco_grid::Offset::new(dc, dr)) {
-                    g.dep_index.for_each_overlapping(Range::cell(shifted), |_, &id| ids.push(id));
-                }
+        for (dc, dr) in [(0, -1), (0, 1), (-1, 0), (1, 0)] {
+            if let Ok(shifted) = cell.offset(taco_grid::Offset::new(dc, dr)) {
+                g.dep_index.for_each_overlapping(Range::cell(shifted), |_, &id| ids.push(id));
             }
         }
         ids.sort_unstable();
@@ -1123,46 +1098,35 @@ mod tests {
     #[test]
     fn window_probe_finds_exactly_the_point_probe_candidates() {
         use taco_grid::{MAX_COL, MAX_ROW};
-        for config in [Config::taco_full(), Config::taco_with_gap_one()] {
-            let mut g = FormulaGraph::new(config);
-            // Column runs, row runs, an every-other-row run, singles
-            // (two of them on one cell), and formulae in the grid's first
-            // and last cells, where the window is clamped.
-            for row in 2..=7u32 {
-                g.add_dependency(&Dependency::new(
-                    Range::cell(Cell::new(1, row)),
-                    Cell::new(3, row),
-                ));
-                g.add_dependency(&Dependency::new(r("A1:A2"), Cell::new(5, row + 1)));
-            }
-            for col in 2..=9u32 {
-                g.add_dependency(&Dependency::new(
-                    Range::cell(Cell::new(col, 12)),
-                    Cell::new(col, 10),
-                ));
-            }
-            for row in [2u32, 4, 6, 8] {
-                g.add_dependency(&Dependency::new(
-                    Range::cell(Cell::new(8, row)),
-                    Cell::new(7, row),
-                ));
-            }
-            for (p, c) in [("K1", "D5"), ("K2", "D5"), ("K3", "F3"), ("K4", "A1"), ("K5", "H9")] {
-                g.add_dependency(&d(p, c));
-            }
-            let last = Cell::new(MAX_COL, MAX_ROW);
-            g.add_dependency(&Dependency::new(r("K6"), last));
-            g.add_dependency(&Dependency::new(r("K7"), Cell::new(MAX_COL, MAX_ROW - 2)));
-            g.add_dependency(&Dependency::new(r("K8"), Cell::new(MAX_COL - 1, MAX_ROW)));
-            assert!(g.edges().any(|e| e.axis == Axis::Row && !e.is_single()), "a row run");
-            assert!(g.edges().any(|e| e.axis == Axis::Col && !e.is_single()), "a column run");
+        let mut g = FormulaGraph::taco();
+        // Column runs, row runs, an every-other-row run of singles, singles
+        // (two of them on one cell), and formulae in the grid's first
+        // and last cells, where the window is clamped.
+        for row in 2..=7u32 {
+            g.add_dependency(&Dependency::new(Range::cell(Cell::new(1, row)), Cell::new(3, row)));
+            g.add_dependency(&Dependency::new(r("A1:A2"), Cell::new(5, row + 1)));
+        }
+        for col in 2..=9u32 {
+            g.add_dependency(&Dependency::new(Range::cell(Cell::new(col, 12)), Cell::new(col, 10)));
+        }
+        for row in [2u32, 4, 6, 8] {
+            g.add_dependency(&Dependency::new(Range::cell(Cell::new(8, row)), Cell::new(7, row)));
+        }
+        for (p, c) in [("K1", "D5"), ("K2", "D5"), ("K3", "F3"), ("K4", "A1"), ("K5", "H9")] {
+            g.add_dependency(&d(p, c));
+        }
+        let last = Cell::new(MAX_COL, MAX_ROW);
+        g.add_dependency(&Dependency::new(r("K6"), last));
+        g.add_dependency(&Dependency::new(r("K7"), Cell::new(MAX_COL, MAX_ROW - 2)));
+        g.add_dependency(&Dependency::new(r("K8"), Cell::new(MAX_COL - 1, MAX_ROW)));
+        assert!(g.edges().any(|e| e.axis == Axis::Row && !e.is_single()), "a row run");
+        assert!(g.edges().any(|e| e.axis == Axis::Col && !e.is_single()), "a column run");
 
-            let mut got = Vec::new();
-            let corner = Range::new(Cell::new(MAX_COL - 3, MAX_ROW - 3), last);
-            for cell in r("A1:L14").cells().chain(corner.cells()) {
-                g.collect_candidates(cell, &mut got);
-                assert_eq!(got, point_probe_candidates(&g, cell), "candidates around {cell}");
-            }
+        let mut got = Vec::new();
+        let corner = Range::new(Cell::new(MAX_COL - 3, MAX_ROW - 3), last);
+        for cell in r("A1:L14").cells().chain(corner.cells()) {
+            g.collect_candidates(cell, &mut got);
+            assert_eq!(got, point_probe_candidates(&g, cell), "candidates around {cell}");
         }
     }
 

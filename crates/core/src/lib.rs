@@ -10,10 +10,11 @@
 //!
 //! The pieces, mapped to the paper:
 //!
-//! - [`pattern`] — the four basic patterns (**RR**, **RF**, **FR**, **FF**),
-//!   the **RR-Chain** extension, and the **RR-GapOne** exploratory pattern,
-//!   each implementing the four key functions of §III-B (`addDep`,
-//!   `findDep`, `findPrec`, `removeDep`), all O(1);
+//! - [`pattern`] — the four basic patterns (**RR**, **RF**, **FR**, **FF**)
+//!   and the **RR-Chain** extension, each implementing the four key
+//!   functions of §III-B (`addDep`, `findDep`, `findPrec`, `removeDep`),
+//!   every one O(1) in the run length with no exception: `findDep` /
+//!   `findPrec` answer with one range, `removeDep` with at most two edges;
 //! - [`edge`] — the compressed-edge representation
 //!   `(prec, dep, pattern, meta)` of §II-B, plus the column/row axis
 //!   handling (row-wise patterns are the column-wise ones transposed);

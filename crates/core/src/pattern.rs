@@ -8,19 +8,21 @@
 //!
 //! Per §II-B, for a set of edges of arbitrary size a pattern is a
 //! constant-size representation that can reconstruct the set, and finding
-//! direct dependents/precedents within it must be constant-time. These are
-//! O(1) in the run length:
+//! direct dependents/precedents within it must be constant-time. Every
+//! function here is O(1) in the run length, with no exception:
 //!
 //! - `rel`, `count_for`, `pair_meta` and `can_extend` (`addDep`);
-//! - `find_dep_into` / `find_prec_into`, one hop — transitive within
-//!   the run for RR-Chain (§V);
+//! - `find_dep` / `find_prec`, one hop — transitive within the run for
+//!   RR-Chain (§V) — each answering with at most one range;
 //! - `close_window`, the transitive closure a query takes within an RR
 //!   run whose windows read its own column: one step, not one per hop;
-//! - `remove_dep` (`removeDep`, at most two parts) and `seg_prec`.
+//! - `remove_dep` (`removeDep`: the rows above the cut and the rows below
+//!   it, at most two parts) and `seg_prec`.
 //!
-//! The exceptions are the exploratory RR-GapOne pattern's `find_*` and
-//! `remove_dep`, O(rows): their results cannot be expressed as a single
-//! rectangle.
+//! The dependents of every pattern are a run of consecutive cells, which
+//! is what keeps each answer one rectangle. §V's exploratory RR-GapOne
+//! (formulae on every other row) is not implemented: its answers are a
+//! cell per row, O(rows), and such a run stays single edges.
 
 use taco_grid::{Cell, Offset, Range};
 
@@ -42,22 +44,13 @@ pub enum PatternType {
     /// cell above/below. A special case of RR whose `findDep`/`findPrec`
     /// return the whole downstream/upstream chain segment in one step.
     RRChain,
-    /// Exploratory pattern from §V's limitations discussion: RR applied to
-    /// the formula cells of every other row.
-    RRGapOne,
 }
 
 impl PatternType {
     /// All compressible patterns (everything but `Single`), in the priority
     /// order the greedy compressor tries them.
-    pub const ALL: [PatternType; 6] = [
-        PatternType::RRChain,
-        PatternType::RR,
-        PatternType::RF,
-        PatternType::FR,
-        PatternType::FF,
-        PatternType::RRGapOne,
-    ];
+    pub const ALL: [PatternType; 5] =
+        [PatternType::RRChain, PatternType::RR, PatternType::RF, PatternType::FR, PatternType::FF];
 
     /// `true` iff `self` is a special case of `other` (the §IV heuristic
     /// prefers the special pattern: RR-Chain over RR).
@@ -70,9 +63,7 @@ impl PatternType {
     pub fn matches_cue(self, cue: crate::Cue) -> bool {
         match self {
             PatternType::Single => false,
-            PatternType::RR | PatternType::RRChain | PatternType::RRGapOne => {
-                !cue.head_fixed && !cue.tail_fixed
-            }
+            PatternType::RR | PatternType::RRChain => !cue.head_fixed && !cue.tail_fixed,
             PatternType::RF => !cue.head_fixed && cue.tail_fixed,
             PatternType::FR => cue.head_fixed && !cue.tail_fixed,
             PatternType::FF => cue.head_fixed && cue.tail_fixed,
@@ -140,14 +131,6 @@ pub enum PatternMeta {
         /// Whether formulae reference the cell above or below.
         dir: ChainDir,
     },
-    /// Like RR, but dependents occupy every other row of the dependent
-    /// bounding range (rows with even distance from its head).
-    RRGapOne {
-        /// Relative position of the precedent's head w.r.t. the dependent.
-        h_rel: Offset,
-        /// Relative position of the precedent's tail w.r.t. the dependent.
-        t_rel: Offset,
-    },
 }
 
 impl PatternMeta {
@@ -160,7 +143,6 @@ impl PatternMeta {
             PatternMeta::FR { .. } => PatternType::FR,
             PatternMeta::FF { .. } => PatternType::FF,
             PatternMeta::RRChain { .. } => PatternType::RRChain,
-            PatternMeta::RRGapOne { .. } => PatternType::RRGapOne,
         }
     }
 
@@ -204,7 +186,6 @@ pub(crate) fn rel(prec: Range, dep: Cell) -> (Offset, Offset) {
 /// run represents.
 pub(crate) fn count_for(meta: &PatternMeta, dep: Range) -> u32 {
     match meta {
-        PatternMeta::RRGapOne { .. } => dep.height().div_ceil(2),
         PatternMeta::Single => 1,
         _ => dep.height(),
     }
@@ -214,15 +195,9 @@ pub(crate) fn count_for(meta: &PatternMeta, dep: Range) -> u32 {
 /// the same column can be compressed with `pattern`, and returns the
 /// resulting metadata. `a` and `b` may be in either vertical order.
 ///
-/// Adjacency requirements: row distance 1 for all patterns except
-/// RR-GapOne, which requires distance 2.
+/// The two dependent cells must be adjacent: row distance 1.
 pub(crate) fn pair_meta(pattern: PatternType, a: &CanonDep, b: &CanonDep) -> Option<PatternMeta> {
-    if a.dep.col != b.dep.col {
-        return None;
-    }
-    let gap = a.dep.row.abs_diff(b.dep.row);
-    let need_gap = if pattern == PatternType::RRGapOne { 2 } else { 1 };
-    if gap != need_gap {
+    if a.dep.col != b.dep.col || a.dep.row.abs_diff(b.dep.row) != 1 {
         return None;
     }
     let (ha, ta) = rel(a.prec, a.dep);
@@ -231,9 +206,6 @@ pub(crate) fn pair_meta(pattern: PatternType, a: &CanonDep, b: &CanonDep) -> Opt
         PatternType::Single => None,
         PatternType::RR => {
             ((ha, ta) == (hb, tb)).then_some(PatternMeta::RR { h_rel: ha, t_rel: ta })
-        }
-        PatternType::RRGapOne => {
-            ((ha, ta) == (hb, tb)).then_some(PatternMeta::RRGapOne { h_rel: ha, t_rel: ta })
         }
         PatternType::RF => (ha == hb && a.prec.tail() == b.prec.tail())
             .then_some(PatternMeta::RF { h_rel: ha, t_fix: a.prec.tail() }),
@@ -270,18 +242,15 @@ pub(crate) fn can_extend(meta: &PatternMeta, dep_run: Range, d: &CanonDep) -> bo
     if d.dep.col != dep_run.head().col {
         return false;
     }
-    let step = if matches!(meta, PatternMeta::RRGapOne { .. }) { 2 } else { 1 };
-    let extends = i64::from(d.dep.row) == i64::from(dep_run.head().row) - step
-        || i64::from(d.dep.row) == i64::from(dep_run.tail().row) + step;
+    let extends = i64::from(d.dep.row) == i64::from(dep_run.head().row) - 1
+        || i64::from(d.dep.row) == i64::from(dep_run.tail().row) + 1;
     if !extends {
         return false;
     }
     let (h, t) = rel(d.prec, d.dep);
     match meta {
         PatternMeta::Single => false,
-        PatternMeta::RR { h_rel, t_rel } | PatternMeta::RRGapOne { h_rel, t_rel } => {
-            h == *h_rel && t == *t_rel
-        }
+        PatternMeta::RR { h_rel, t_rel } => h == *h_rel && t == *t_rel,
         PatternMeta::RF { h_rel, t_fix } => h == *h_rel && d.prec.tail() == *t_fix,
         PatternMeta::FR { h_fix, t_rel } => d.prec.head() == *h_fix && t == *t_rel,
         PatternMeta::FF { h_fix, t_fix } => d.prec.head() == *h_fix && d.prec.tail() == *t_fix,
@@ -301,21 +270,11 @@ fn clamp_rows(col: u32, lo: i64, hi: i64, within: Range) -> Option<Range> {
 }
 
 /// `findDep(e, r)`: the dependents of `r` within the edge, where `r` is
-/// contained in (or at least intersected with) `e.prec`, appended to
-/// `out` (the BFS hot path — no per-call allocation).
-///
-/// Appends zero or more disjoint ranges; every pattern except RR-GapOne
-/// yields at most one.
-pub(crate) fn find_dep_into(
-    meta: &PatternMeta,
-    prec: Range,
-    dep: Range,
-    r: Range,
-    out: &mut Vec<Range>,
-) {
+/// contained in `e.prec` — one range of the run, or none.
+pub(crate) fn find_dep(meta: &PatternMeta, prec: Range, dep: Range, r: Range) -> Option<Range> {
     debug_assert!(prec.contains(&r), "findDep requires r ⊆ e.prec");
     let col = dep.head().col;
-    let found = match meta {
+    match meta {
         PatternMeta::Single => Some(dep),
         PatternMeta::RR { h_rel, t_rel } => {
             // Back-calculate (Fig. 6): the head dependent's precedent tail
@@ -348,32 +307,15 @@ pub(crate) fn find_dep_into(
                 clamp_rows(col, i64::from(dep.head().row), i64::from(r.tail().row) - 1, dep)
             }
         },
-        PatternMeta::RRGapOne { h_rel, t_rel } => {
-            // RR row math, then keep only the parity rows that actually
-            // hold dependents.
-            let dh_row = i64::from(r.head().row) - t_rel.dr;
-            let dt_row = i64::from(r.tail().row) - h_rel.dr;
-            let Some(bounds) = clamp_rows(col, dh_row, dt_row, dep) else {
-                return;
-            };
-            out.extend(parity_rows(dep, bounds).map(|row| Range::cell(Cell::new(col, row))));
-            return;
-        }
-    };
-    out.extend(found);
+    }
 }
 
 /// `findPrec(e, s)`: the precedents of `s` within the edge, where `s` is
-/// contained in `e.dep`, appended to `out`.
-pub(crate) fn find_prec_into(
-    meta: &PatternMeta,
-    prec: Range,
-    dep: Range,
-    s: Range,
-    out: &mut Vec<Range>,
-) {
+/// contained in `e.dep` — one range, or none (a chain's head reads no
+/// cell of its own run).
+pub(crate) fn find_prec(meta: &PatternMeta, prec: Range, dep: Range, s: Range) -> Option<Range> {
     debug_assert!(dep.contains(&s), "findPrec requires s ⊆ e.dep");
-    let found = match meta {
+    match meta {
         PatternMeta::Single => Some(prec),
         PatternMeta::RR { h_rel, t_rel } => {
             // Union of sliding windows: head of s.head's precedent through
@@ -401,15 +343,7 @@ pub(crate) fn find_prec_into(
                 }
             }
         }
-        PatternMeta::RRGapOne { h_rel, t_rel } => {
-            out.extend(parity_rows(dep, s).map(|row| {
-                let d = Cell::new(dep.head().col, row);
-                Range::new(d.offset_saturating(*h_rel), d.offset_saturating(*t_rel))
-            }));
-            return;
-        }
-    };
-    out.extend(found);
+    }
 }
 
 /// Which way a query walks the graph.
@@ -422,7 +356,7 @@ pub(crate) enum Direction {
 }
 
 /// The in-edge transitive closure of one query step, in O(1). `found` is
-/// a range [`find_dep_into`] (`Dependents`) or [`find_prec_into`]
+/// the range [`find_dep`] (`Dependents`) or [`find_prec`]
 /// (`Precedents`) just returned for the edge; the result adds every cell
 /// the edge reaches from it transitively, which a BFS would otherwise find
 /// by probing the same edge once per step.
@@ -478,24 +412,14 @@ pub(crate) fn close_window(meta: &PatternMeta, dep: Range, found: Range, dir: Di
     Range::new(top, bottom)
 }
 
-/// Rows of `within` that carry dependents of a gap-one edge whose
-/// dependent bounding range is `dep`.
-fn parity_rows(dep: Range, within: Range) -> impl Iterator<Item = u32> {
-    let base = dep.head().row;
-    let (lo, hi) = (within.head().row, within.tail().row);
-    // First parity row >= lo.
-    let start = if (lo - base).is_multiple_of(2) { lo } else { lo + 1 };
-    (start..=hi).step_by(2)
-}
-
 /// The structural precedent of a sub-run `seg` of an edge's dependents —
 /// the exact bounding precedent the new (smaller) edge must carry. Unlike
-/// `find_prec_into`, chains use the *direct* reference here (shifting by one),
+/// `find_prec`, chains use the *direct* reference here (shifting by one),
 /// not the transitive closure, because we are rebuilding edge structure.
 fn seg_prec(meta: &PatternMeta, seg: Range) -> Range {
     match meta {
         PatternMeta::Single => unreachable!("single edges are removed whole"),
-        PatternMeta::RR { h_rel, t_rel } | PatternMeta::RRGapOne { h_rel, t_rel } => {
+        PatternMeta::RR { h_rel, t_rel } => {
             Range::new(seg.head().offset_saturating(*h_rel), seg.tail().offset_saturating(*t_rel))
         }
         PatternMeta::RF { h_rel, t_fix } => {
@@ -514,52 +438,36 @@ fn seg_prec(meta: &PatternMeta, seg: Range) -> Range {
 
 /// `removeDep(e, s)`: removes the dependencies for the formula cells `s`
 /// from the edge and returns the edges reconstructing the remainder
-/// (Alg. 1 lines 23–30). `s` need not be contained in `e.dep`; only the
-/// overlap is removed. An empty result means the whole edge disappears.
-pub(crate) fn remove_dep(meta: &PatternMeta, prec: Range, dep: Range, s: Range) -> Vec<CanonParts> {
+/// (Alg. 1 lines 23–30): the rows of the run above the cut and the rows
+/// below it. `s` need not be contained in `e.dep`; only the overlap is
+/// removed, and an edge `s` misses comes back whole as the first part.
+/// Two `None`s mean the whole edge disappears.
+pub(crate) fn remove_dep(
+    meta: &PatternMeta,
+    prec: Range,
+    dep: Range,
+    s: Range,
+) -> [Option<CanonParts>; 2] {
     let Some(cut) = dep.intersect(&s) else {
-        // Nothing to remove: the edge survives unchanged.
-        return vec![CanonParts { prec, dep, meta: *meta, count: count_for(meta, dep) }];
+        return [Some(CanonParts { prec, dep, meta: *meta, count: count_for(meta, dep) }), None];
     };
     if matches!(meta, PatternMeta::Single) {
-        // A single dependency either survives whole or is dropped whole;
-        // any overlap with the dependent cell drops it.
-        debug_assert!(dep.overlaps(&cut));
-        return Vec::new();
+        // A single dependency is dropped whole by any overlap.
+        return [None, None];
     }
-    let mut out = Vec::with_capacity(2);
-    for seg in dep.subtract(&cut) {
-        debug_assert_eq!(seg.width(), 1);
-        if let PatternMeta::RRGapOne { h_rel, t_rel } = meta {
-            // Snap the segment to the rows that actually hold dependents.
-            let rows: Vec<u32> = parity_rows(dep, seg).collect();
-            let Some((&first, &last)) = rows.first().zip(rows.last()) else {
-                continue;
-            };
-            let col = seg.head().col;
-            let snapped = Range::from_coords(col, first, col, last);
-            let (new_meta, count) = if rows.len() == 1 {
-                (PatternMeta::Single, 1)
-            } else {
-                (PatternMeta::RRGapOne { h_rel: *h_rel, t_rel: *t_rel }, rows.len() as u32)
-            };
-            out.push(CanonParts {
-                prec: seg_prec(meta, snapped),
-                dep: snapped,
-                meta: new_meta,
-                count,
-            });
-            continue;
-        }
-        let new_meta = if seg.is_cell() { PatternMeta::Single } else { *meta };
-        out.push(CanonParts {
+    // `clamp_rows` keeps each side within the run, and drops it when the
+    // cut reaches the run's head or tail.
+    let part = |lo: i64, hi: i64| {
+        let seg = clamp_rows(dep.head().col, lo, hi, dep)?;
+        Some(CanonParts {
             prec: seg_prec(meta, seg),
             dep: seg,
-            meta: new_meta,
-            count: count_for(&new_meta, seg),
-        });
-    }
-    out
+            meta: if seg.is_cell() { PatternMeta::Single } else { *meta },
+            count: seg.height(),
+        })
+    };
+    let (top, bottom) = (i64::from(cut.head().row), i64::from(cut.tail().row));
+    [part(i64::MIN, top - 1), part(bottom + 1, i64::MAX)]
 }
 
 #[cfg(test)]
@@ -574,18 +482,9 @@ mod tests {
         Cell::parse_a1(s).unwrap()
     }
 
-    /// [`find_dep_into`] into a fresh vector.
-    fn deps_of(meta: &PatternMeta, prec: Range, dep: Range, r: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        find_dep_into(meta, prec, dep, r, &mut out);
-        out
-    }
-
-    /// [`find_prec_into`] into a fresh vector.
-    fn precs_of(meta: &PatternMeta, prec: Range, dep: Range, s: Range) -> Vec<Range> {
-        let mut out = Vec::new();
-        find_prec_into(meta, prec, dep, s, &mut out);
-        out
+    /// The parts [`remove_dep`] returns, in order.
+    fn parts_of(meta: &PatternMeta, prec: Range, dep: Range, s: Range) -> Vec<CanonParts> {
+        remove_dep(meta, prec, dep, s).into_iter().flatten().collect()
     }
 
     fn dep(prec: &str, d: &str) -> CanonDep {
@@ -660,16 +559,6 @@ mod tests {
         assert!(pair_meta(PatternType::RRChain, &dep("A1:A2", "A3"), &dep("A2:A3", "A4")).is_none());
     }
 
-    #[test]
-    fn gap_one_needs_distance_two() {
-        let a = dep("B1", "C1");
-        let b2 = dep("B3", "C3");
-        let m = pair_meta(PatternType::RRGapOne, &a, &b2).unwrap();
-        assert!(matches!(m, PatternMeta::RRGapOne { .. }));
-        assert!(pair_meta(PatternType::RRGapOne, &a, &dep("B2", "C2")).is_none());
-        assert!(pair_meta(PatternType::RR, &a, &b2).is_none());
-    }
-
     // ---- can_extend --------------------------------------------------------
 
     #[test]
@@ -715,7 +604,7 @@ mod tests {
     fn find_dep_rr_full_prec() {
         // Fig. 4a: prec A1:B6, dep C1:C4.
         let m = PatternMeta::RR { h_rel: Offset::new(-2, 0), t_rel: Offset::new(-1, 2) };
-        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("A1:B6")), vec![r("C1:C4")]);
+        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("A1:B6")), Some(r("C1:C4")));
     }
 
     #[test]
@@ -723,11 +612,11 @@ mod tests {
         let m = PatternMeta::RR { h_rel: Offset::new(-2, 0), t_rel: Offset::new(-1, 2) };
         // A3 is inside windows of C1 (A1:B3), C2 (A2:B4), C3 (A3:B5):
         // dh = row 3 - tRel.dr(2) = 1, dt = row 3 - hRel.dr(0) = 3.
-        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("A3")), vec![r("C1:C3")]);
+        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("A3")), Some(r("C1:C3")));
         // B6 only in window of C4.
-        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("B6")), vec![r("C4")]);
+        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("B6")), Some(r("C4")));
         // A1 only in window of C1 (clamped from below).
-        assert_eq!(deps_of(&m, r("A1:B6"), r("C1:C4"), r("A1")), vec![r("C1")]);
+        assert_eq!(find_dep(&m, r("A1:B6"), r("C1:C4"), r("A1")), Some(r("C1")));
     }
 
     #[test]
@@ -735,11 +624,11 @@ mod tests {
         // Fig. 4b: prec A1:B4, dep C1:C4, windows shrink.
         let m = PatternMeta::RF { h_rel: Offset::new(-2, 0), t_fix: c("B4") };
         // B4 is in every window.
-        assert_eq!(deps_of(&m, r("A1:B4"), r("C1:C4"), r("B4")), vec![r("C1:C4")]);
+        assert_eq!(find_dep(&m, r("A1:B4"), r("C1:C4"), r("B4")), Some(r("C1:C4")));
         // A2 is in windows of C1 (A1:B4) and C2 (A2:B4).
-        assert_eq!(deps_of(&m, r("A1:B4"), r("C1:C4"), r("A2")), vec![r("C1:C2")]);
+        assert_eq!(find_dep(&m, r("A1:B4"), r("C1:C4"), r("A2")), Some(r("C1:C2")));
         // A1 only in C1's window.
-        assert_eq!(deps_of(&m, r("A1:B4"), r("C1:C4"), r("A1")), vec![r("C1")]);
+        assert_eq!(find_dep(&m, r("A1:B4"), r("C1:C4"), r("A1")), Some(r("C1")));
     }
 
     #[test]
@@ -747,17 +636,17 @@ mod tests {
         // Fig. 4c: prec A1:B3, dep C1:C3, windows expand.
         let m = PatternMeta::FR { h_fix: c("A1"), t_rel: Offset::new(-1, 0) };
         // A1 is in every window.
-        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("A1")), vec![r("C1:C3")]);
+        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("A1")), Some(r("C1:C3")));
         // B2 is in windows of C2 (A1:B2) and C3 (A1:B3).
-        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("B2")), vec![r("C2:C3")]);
+        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("B2")), Some(r("C2:C3")));
         // B3 only in C3's window.
-        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("B3")), vec![r("C3")]);
+        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("B3")), Some(r("C3")));
     }
 
     #[test]
     fn find_dep_ff_returns_whole_dep() {
         let m = PatternMeta::FF { h_fix: c("A1"), t_fix: c("B3") };
-        assert_eq!(deps_of(&m, r("A1:B3"), r("C1:C3"), r("B2")), vec![r("C1:C3")]);
+        assert_eq!(find_dep(&m, r("A1:B3"), r("C1:C3"), r("B2")), Some(r("C1:C3")));
     }
 
     #[test]
@@ -765,32 +654,19 @@ mod tests {
         // Fig. 9: prec A1:A3, dep A2:A4.
         let m = PatternMeta::RRChain { dir: ChainDir::Above };
         // Dependents of A2: everything below it in the chain (A3:A4).
-        assert_eq!(deps_of(&m, r("A1:A3"), r("A2:A4"), r("A2")), vec![r("A3:A4")]);
+        assert_eq!(find_dep(&m, r("A1:A3"), r("A2:A4"), r("A2")), Some(r("A3:A4")));
         // Dependents of A1: A2:A4.
-        assert_eq!(deps_of(&m, r("A1:A3"), r("A2:A4"), r("A1")), vec![r("A2:A4")]);
+        assert_eq!(find_dep(&m, r("A1:A3"), r("A2:A4"), r("A1")), Some(r("A2:A4")));
         // Dependents of A3 (within prec): A4.
-        assert_eq!(deps_of(&m, r("A1:A3"), r("A2:A4"), r("A3")), vec![r("A4")]);
+        assert_eq!(find_dep(&m, r("A1:A3"), r("A2:A4"), r("A3")), Some(r("A4")));
     }
 
     #[test]
     fn find_dep_chain_below() {
         // B1=B2+1, B2=B3+1, B3=B4+1: prec B2:B4, dep B1:B3, dir Below.
         let m = PatternMeta::RRChain { dir: ChainDir::Below };
-        assert_eq!(deps_of(&m, r("B2:B4"), r("B1:B3"), r("B4")), vec![r("B1:B3")]);
-        assert_eq!(deps_of(&m, r("B2:B4"), r("B1:B3"), r("B2")), vec![r("B1")]);
-    }
-
-    #[test]
-    fn find_dep_gap_one_returns_parity_cells() {
-        // Dependents at C1, C3, C5 each referencing the cell to the left.
-        let m = PatternMeta::RRGapOne { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
-        let got = deps_of(&m, r("B1:B5"), r("C1:C5"), r("B1:B5"));
-        assert_eq!(got, vec![r("C1"), r("C3"), r("C5")]);
-        let got = deps_of(&m, r("B1:B5"), r("C1:C5"), r("B3"));
-        assert_eq!(got, vec![r("C3")]);
-        // A pure-value parity gap row has no dependents.
-        let got = deps_of(&m, r("B1:B5"), r("C1:C5"), r("B2"));
-        assert!(got.is_empty());
+        assert_eq!(find_dep(&m, r("B2:B4"), r("B1:B3"), r("B4")), Some(r("B1:B3")));
+        assert_eq!(find_dep(&m, r("B2:B4"), r("B1:B3"), r("B2")), Some(r("B1")));
     }
 
     #[test]
@@ -798,7 +674,7 @@ mod tests {
         // Probe rows whose computed dependents fall outside e.dep.
         let m = PatternMeta::RR { h_rel: Offset::new(-1, -3), t_rel: Offset::new(-1, -3) };
         // dep C4:C6 references B1:B3 (3 rows above, to the left).
-        assert_eq!(deps_of(&m, r("B1:B3"), r("C4:C6"), r("B1")), vec![r("C4")]);
+        assert_eq!(find_dep(&m, r("B1:B3"), r("C4:C6"), r("B1")), Some(r("C4")));
     }
 
     // ---- find_prec ---------------------------------------------------------
@@ -807,44 +683,37 @@ mod tests {
     fn find_prec_rr() {
         let m = PatternMeta::RR { h_rel: Offset::new(-2, 0), t_rel: Offset::new(-1, 2) };
         // Precedents of C2:C3 = A2:B5 (union of A2:B4 and A3:B5).
-        assert_eq!(precs_of(&m, r("A1:B6"), r("C1:C4"), r("C2:C3")), vec![r("A2:B5")]);
-        assert_eq!(precs_of(&m, r("A1:B6"), r("C1:C4"), r("C1")), vec![r("A1:B3")]);
+        assert_eq!(find_prec(&m, r("A1:B6"), r("C1:C4"), r("C2:C3")), Some(r("A2:B5")));
+        assert_eq!(find_prec(&m, r("A1:B6"), r("C1:C4"), r("C1")), Some(r("A1:B3")));
     }
 
     #[test]
     fn find_prec_rf() {
         let m = PatternMeta::RF { h_rel: Offset::new(-2, 0), t_fix: c("B4") };
         // Precedent of C2:C4 = C2's window A2:B4 (it contains the others).
-        assert_eq!(precs_of(&m, r("A1:B4"), r("C1:C4"), r("C2:C4")), vec![r("A2:B4")]);
+        assert_eq!(find_prec(&m, r("A1:B4"), r("C1:C4"), r("C2:C4")), Some(r("A2:B4")));
     }
 
     #[test]
     fn find_prec_fr() {
         let m = PatternMeta::FR { h_fix: c("A1"), t_rel: Offset::new(-1, 0) };
         // Precedent of C1:C2 = C2's window A1:B2.
-        assert_eq!(precs_of(&m, r("A1:B3"), r("C1:C3"), r("C1:C2")), vec![r("A1:B2")]);
+        assert_eq!(find_prec(&m, r("A1:B3"), r("C1:C3"), r("C1:C2")), Some(r("A1:B2")));
     }
 
     #[test]
     fn find_prec_ff() {
         let m = PatternMeta::FF { h_fix: c("A1"), t_fix: c("B3") };
-        assert_eq!(precs_of(&m, r("A1:B3"), r("C1:C3"), r("C2")), vec![r("A1:B3")]);
+        assert_eq!(find_prec(&m, r("A1:B3"), r("C1:C3"), r("C2")), Some(r("A1:B3")));
     }
 
     #[test]
     fn find_prec_chain_is_transitive() {
         let m = PatternMeta::RRChain { dir: ChainDir::Above };
         // Precedents of A4 within prec A1:A3: A1:A3 (whole upstream chain).
-        assert_eq!(precs_of(&m, r("A1:A3"), r("A2:A4"), r("A4")), vec![r("A1:A3")]);
+        assert_eq!(find_prec(&m, r("A1:A3"), r("A2:A4"), r("A4")), Some(r("A1:A3")));
         // Precedents of A2: A1.
-        assert_eq!(precs_of(&m, r("A1:A3"), r("A2:A4"), r("A2")), vec![r("A1")]);
-    }
-
-    #[test]
-    fn find_prec_gap_one() {
-        let m = PatternMeta::RRGapOne { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
-        let got = precs_of(&m, r("B1:B5"), r("C1:C5"), r("C1:C3"));
-        assert_eq!(got, vec![r("B1"), r("B3")]);
+        assert_eq!(find_prec(&m, r("A1:A3"), r("A2:A4"), r("A2")), Some(r("A1")));
     }
 
     // ---- close_window -------------------------------------------------------
@@ -855,11 +724,11 @@ mod tests {
         let m = PatternMeta::RR { h_rel: Offset::new(0, -2), t_rel: Offset::new(0, -1) };
         let close = |found, dir| close_window(&m, r("A3:A9"), r(found), dir);
         // A1's direct dependent A3 reaches the tail, one row at a time.
-        assert_eq!(deps_of(&m, r("A1:A8"), r("A3:A9"), r("A1")), vec![r("A3")]);
+        assert_eq!(find_dep(&m, r("A1:A8"), r("A3:A9"), r("A1")), Some(r("A3")));
         assert_eq!(close("A3", Direction::Dependents), r("A3:A9"));
         assert_eq!(close("A6:A7", Direction::Dependents), r("A6:A9"));
         // A9 reads A7:A8, which read everything up to A1.
-        assert_eq!(precs_of(&m, r("A1:A8"), r("A3:A9"), r("A9")), vec![r("A7:A8")]);
+        assert_eq!(find_prec(&m, r("A1:A8"), r("A3:A9"), r("A9")), Some(r("A7:A8")));
         assert_eq!(close("A7:A8", Direction::Precedents), r("A1:A8"));
         // A3's window holds no formula of the run: nothing to close.
         assert_eq!(close("A1:A2", Direction::Precedents), r("A1:A2"));
@@ -870,9 +739,9 @@ mod tests {
         // The corpus shape: D1:D9 reads C{r}:E{r+2}, its own cell included.
         let m = PatternMeta::RR { h_rel: Offset::new(-1, 0), t_rel: Offset::new(1, 2) };
         let close = |found, dir| close_window(&m, r("D1:D9"), r(found), dir);
-        assert_eq!(deps_of(&m, r("C1:E11"), r("D1:D9"), r("E9")), vec![r("D7:D9")]);
+        assert_eq!(find_dep(&m, r("C1:E11"), r("D1:D9"), r("E9")), Some(r("D7:D9")));
         assert_eq!(close("D7:D9", Direction::Dependents), r("D1:D9"));
-        assert_eq!(precs_of(&m, r("C1:E11"), r("D1:D9"), r("D4")), vec![r("C4:E6")]);
+        assert_eq!(find_prec(&m, r("C1:E11"), r("D1:D9"), r("D4")), Some(r("C4:E6")));
         assert_eq!(close("C4:E6", Direction::Precedents), r("C4:E11"));
         // Windows reaching both ways close over the whole run.
         let both = PatternMeta::RR { h_rel: Offset::new(0, -1), t_rel: Offset::new(0, 1) };
@@ -907,7 +776,7 @@ mod tests {
     fn remove_middle_splits_edge() {
         // Paper: removing C2 from C1:C4 leaves C1 and C3:C4.
         let m = PatternMeta::RR { h_rel: Offset::new(-2, 0), t_rel: Offset::new(-1, 2) };
-        let parts = remove_dep(&m, r("A1:B6"), r("C1:C4"), r("C2"));
+        let parts = parts_of(&m, r("A1:B6"), r("C1:C4"), r("C2"));
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].dep, r("C1"));
         assert_eq!(parts[0].meta, PatternMeta::Single);
@@ -920,17 +789,30 @@ mod tests {
     }
 
     #[test]
+    fn remove_head_keeps_the_rows_below() {
+        // A cut on the run's first row (row 1: nothing above to keep).
+        let m = PatternMeta::RR { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
+        let got = remove_dep(&m, r("B1:B4"), r("C1:C4"), r("C1:D1"));
+        assert_eq!(got[0], None);
+        let below = got[1].as_ref().unwrap();
+        assert_eq!(
+            (below.dep, below.prec, below.meta, below.count),
+            (r("C2:C4"), r("B2:B4"), m, 3)
+        );
+    }
+
+    #[test]
     fn remove_whole_dep_erases_edge() {
         let m = PatternMeta::FF { h_fix: c("A1"), t_fix: c("B3") };
-        assert!(remove_dep(&m, r("A1:B3"), r("C1:C3"), r("C1:C3")).is_empty());
+        assert!(parts_of(&m, r("A1:B3"), r("C1:C3"), r("C1:C3")).is_empty());
         // Superset also erases.
-        assert!(remove_dep(&m, r("A1:B3"), r("C1:C3"), r("C1:C9")).is_empty());
+        assert!(parts_of(&m, r("A1:B3"), r("C1:C3"), r("C1:C9")).is_empty());
     }
 
     #[test]
     fn remove_disjoint_keeps_edge() {
         let m = PatternMeta::FF { h_fix: c("A1"), t_fix: c("B3") };
-        let parts = remove_dep(&m, r("A1:B3"), r("C1:C3"), r("D1:D3"));
+        let parts = parts_of(&m, r("A1:B3"), r("C1:C3"), r("D1:D3"));
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].dep, r("C1:C3"));
         assert_eq!(parts[0].meta, m);
@@ -938,43 +820,17 @@ mod tests {
 
     #[test]
     fn remove_from_single_erases() {
-        assert!(remove_dep(&PatternMeta::Single, r("A1:A3"), r("B1"), r("B1")).is_empty());
+        assert!(parts_of(&PatternMeta::Single, r("A1:A3"), r("B1"), r("B1")).is_empty());
     }
 
     #[test]
     fn remove_end_of_chain() {
         let m = PatternMeta::RRChain { dir: ChainDir::Above };
-        let parts = remove_dep(&m, r("A1:A3"), r("A2:A4"), r("A4"));
+        let parts = parts_of(&m, r("A1:A3"), r("A2:A4"), r("A4"));
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].dep, r("A2:A3"));
         assert_eq!(parts[0].prec, r("A1:A2"));
         assert_eq!(parts[0].meta, m);
-    }
-
-    #[test]
-    fn remove_from_gap_one_snaps_parity() {
-        let m = PatternMeta::RRGapOne { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
-        // Dependents at C1,C3,C5,C7; remove C3.
-        let parts = remove_dep(&m, r("B1:B7"), r("C1:C7"), r("C3"));
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].dep, r("C1"));
-        assert_eq!(parts[0].meta, PatternMeta::Single);
-        // The C4:C7 remainder snaps to C5:C7 (parity rows 5 and 7).
-        assert_eq!(parts[1].dep, r("C5:C7"));
-        assert_eq!(parts[1].count, 2);
-        assert_eq!(parts[1].prec, r("B5:B7"));
-    }
-
-    #[test]
-    fn remove_gap_one_cut_covering_gap_row_only_keeps_edge_shape() {
-        let m = PatternMeta::RRGapOne { h_rel: Offset::new(-1, 0), t_rel: Offset::new(-1, 0) };
-        // Removing the pure-value row C2 splits the bounding range but both
-        // halves keep their dependents: C1 and C3..C7.
-        let parts = remove_dep(&m, r("B1:B7"), r("C1:C7"), r("C2"));
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].dep, r("C1"));
-        assert_eq!(parts[1].dep, r("C3:C7"));
-        assert_eq!(parts[1].count, 3);
     }
 
     // ---- counting ----------------------------------------------------------
@@ -984,9 +840,6 @@ mod tests {
         assert_eq!(count_for(&PatternMeta::Single, r("C1")), 1);
         let rr = PatternMeta::RR { h_rel: Offset::ZERO, t_rel: Offset::ZERO };
         assert_eq!(count_for(&rr, r("C1:C10")), 10);
-        let gap = PatternMeta::RRGapOne { h_rel: Offset::ZERO, t_rel: Offset::ZERO };
-        assert_eq!(count_for(&gap, r("C1:C9")), 5);
-        assert_eq!(count_for(&gap, r("C1:C10")), 5);
     }
 
     #[test]

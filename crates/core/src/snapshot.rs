@@ -66,10 +66,6 @@ fn meta_key(meta: &PatternMeta) -> MetaKey {
             (4, a, b, x, y)
         }
         PatternMeta::RRChain { dir } => (5, i64::from(matches!(dir, ChainDir::Below)), 0, 0, 0),
-        PatternMeta::RRGapOne { h_rel, t_rel } => {
-            let (a, b, x, y) = o(*h_rel, *t_rel);
-            (6, a, b, x, y)
-        }
     }
 }
 

@@ -20,8 +20,6 @@ pub struct PatternCounts {
     pub ff: u64,
     /// Edges reduced by RR-Chain.
     pub rr_chain: u64,
-    /// Edges reduced by RR-GapOne (when enabled).
-    pub rr_gap_one: u64,
 }
 
 impl PatternCounts {
@@ -34,7 +32,6 @@ impl PatternCounts {
             PatternType::FR => Some(&mut self.fr),
             PatternType::FF => Some(&mut self.ff),
             PatternType::RRChain => Some(&mut self.rr_chain),
-            PatternType::RRGapOne => Some(&mut self.rr_gap_one),
         }
     }
 
@@ -62,13 +59,12 @@ impl PatternCounts {
             PatternType::FR => self.fr,
             PatternType::FF => self.ff,
             PatternType::RRChain => self.rr_chain,
-            PatternType::RRGapOne => self.rr_gap_one,
         }
     }
 
     /// Total edges reduced across patterns.
     pub fn total(&self) -> u64 {
-        self.rr + self.rf + self.fr + self.ff + self.rr_chain + self.rr_gap_one
+        self.rr + self.rf + self.fr + self.ff + self.rr_chain
     }
 
     /// Element-wise accumulation.
@@ -78,7 +74,6 @@ impl PatternCounts {
         self.fr += other.fr;
         self.ff += other.ff;
         self.rr_chain += other.rr_chain;
-        self.rr_gap_one += other.rr_gap_one;
     }
 
     /// Element-wise maximum (Table V's per-spreadsheet max column).
@@ -88,7 +83,6 @@ impl PatternCounts {
         self.fr = self.fr.max(other.fr);
         self.ff = self.ff.max(other.ff);
         self.rr_chain = self.rr_chain.max(other.rr_chain);
-        self.rr_gap_one = self.rr_gap_one.max(other.rr_gap_one);
     }
 }
 

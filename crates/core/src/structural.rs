@@ -215,9 +215,6 @@ fn shift_edge(e: &Edge, op: &InBand) -> Option<Edge> {
         PatternMeta::RR { h_rel, t_rel } => {
             PatternMeta::RR { h_rel: h_rel + rel_delta, t_rel: t_rel + rel_delta }
         }
-        PatternMeta::RRGapOne { h_rel, t_rel } => {
-            PatternMeta::RRGapOne { h_rel: h_rel + rel_delta, t_rel: t_rel + rel_delta }
-        }
         PatternMeta::RF { h_rel, t_fix } => {
             PatternMeta::RF { h_rel: h_rel + rel_delta, t_fix: map_fix(t_fix)? }
         }

@@ -3,11 +3,10 @@
 //!
 //! The constants in [`ENRON_LIKE`] and [`GITHUB_LIKE`] were recorded at
 //! commit `79c337d`, when every merge was an R-tree remove + insert and
-//! candidates came from four (eight with the gap pattern) point probes,
-//! and must not move: they pin
+//! candidates came from four point probes, and must not move: they pin
 //! the content-sorted edge list (metadata and counts included), the edge
 //! count, the per-pattern reduction and the vertex count of every sheet of
-//! two small corpora under three configurations, after a build, after a
+//! two small corpora under two configurations, after a build, after a
 //! seeded clear/re-add/update script (plus one run of formulae along a
 //! row), and after four structural edits through the densest column. Beside the pins, every stage checks the
 //! graph against what it must represent: the counts `stats()` reports
@@ -31,8 +30,8 @@ const PROBES: usize = 50;
 struct Pin {
     digest: u64,
     edges: usize,
-    /// `rr, rf, fr, ff, rr_chain, rr_gap_one`.
-    reduced: [u64; 6],
+    /// `rr, rf, fr, ff, rr_chain`.
+    reduced: [u64; 5],
     vertices: usize,
 }
 
@@ -40,49 +39,36 @@ const STAGES: [&str; 3] = ["build", "script", "structural"];
 /// A configuration's name and constructor.
 type NamedConfig = (&'static str, fn() -> Config);
 
-const CONFIGS: [NamedConfig; 3] = [
-    ("taco_full", Config::taco_full),
-    ("taco_with_gap_one", Config::taco_with_gap_one),
-    ("taco_in_row", Config::taco_in_row),
-];
+const CONFIGS: [NamedConfig; 2] =
+    [("taco_full", Config::taco_full), ("taco_in_row", Config::taco_in_row)];
 
 /// `[configuration][stage]` of `enron_like(0.05)`.
 #[rustfmt::skip]
-const ENRON_LIKE: [[Pin; 3]; 3] = [
+const ENRON_LIKE: [[Pin; 3]; 2] = [
     [
-        Pin { digest: 0x4da8acf8de334100, edges: 10324, reduced: [54860, 6416, 5342, 10711, 15838, 0], vertices: 20609 },
-        Pin { digest: 0x7462feccf24e6f76, edges: 10690, reduced: [54687, 6405, 5333, 10691, 15760, 0], vertices: 21221 },
-        Pin { digest: 0x49abf74dcd37a365, edges: 11324, reduced: [47779, 6397, 5321, 11262, 15660, 0], vertices: 22490 },
+        Pin { digest: 0x4da8acf8de334100, edges: 10324, reduced: [54860, 6416, 5342, 10711, 15838], vertices: 20609 },
+        Pin { digest: 0x7462feccf24e6f76, edges: 10690, reduced: [54687, 6405, 5333, 10691, 15760], vertices: 21221 },
+        Pin { digest: 0x49abf74dcd37a365, edges: 11324, reduced: [47779, 6397, 5321, 11262, 15660], vertices: 22490 },
     ],
     [
-        Pin { digest: 0x9f4b2bd6bed61475, edges: 7664, reduced: [54860, 6416, 5342, 10711, 15838, 2660], vertices: 15289 },
-        Pin { digest: 0xd4e6b51241ba4600, edges: 8037, reduced: [54687, 6405, 5333, 10691, 15760, 2653], vertices: 15917 },
-        Pin { digest: 0x5654287a62ef7d35, edges: 8680, reduced: [47779, 6397, 5321, 11262, 15642, 2662], vertices: 17227 },
-    ],
-    [
-        Pin { digest: 0xbe2c1eb9f758f472, edges: 70934, reduced: [32557, 0, 0, 0, 0, 0], vertices: 109290 },
-        Pin { digest: 0x0cc294e7001986d8, edges: 71153, reduced: [32413, 0, 0, 0, 0, 0], vertices: 109696 },
-        Pin { digest: 0x09f4edfc00d1f2fb, edges: 70918, reduced: [26825, 0, 0, 0, 0, 0], vertices: 109365 },
+        Pin { digest: 0xbe2c1eb9f758f472, edges: 70934, reduced: [32557, 0, 0, 0, 0], vertices: 109290 },
+        Pin { digest: 0x0cc294e7001986d8, edges: 71153, reduced: [32413, 0, 0, 0, 0], vertices: 109696 },
+        Pin { digest: 0x09f4edfc00d1f2fb, edges: 70918, reduced: [26825, 0, 0, 0, 0], vertices: 109365 },
     ],
 ];
 
 /// `[configuration][stage]` of `github_like(0.05)`.
 #[rustfmt::skip]
-const GITHUB_LIKE: [[Pin; 3]; 3] = [
+const GITHUB_LIKE: [[Pin; 3]; 2] = [
     [
-        Pin { digest: 0xa21b66c1e684d076, edges: 7562, reduced: [70986, 6104, 8449, 20477, 27979, 0], vertices: 15076 },
-        Pin { digest: 0xaddef27ea68d2f92, edges: 8014, reduced: [70771, 6099, 8436, 20433, 27882, 0], vertices: 15789 },
-        Pin { digest: 0x4d7bf87d60c9f22c, edges: 9122, reduced: [60159, 6104, 8425, 21458, 27760, 0], vertices: 18014 },
+        Pin { digest: 0xa21b66c1e684d076, edges: 7562, reduced: [70986, 6104, 8449, 20477, 27979], vertices: 15076 },
+        Pin { digest: 0xaddef27ea68d2f92, edges: 8014, reduced: [70771, 6099, 8436, 20433, 27882], vertices: 15789 },
+        Pin { digest: 0x4d7bf87d60c9f22c, edges: 9122, reduced: [60159, 6104, 8425, 21458, 27760], vertices: 18014 },
     ],
     [
-        Pin { digest: 0xd7cc0bf184f7aaab, edges: 4927, reduced: [70986, 6104, 8449, 20477, 27979, 2635], vertices: 9806 },
-        Pin { digest: 0xb6ad2e947e8c581c, edges: 5386, reduced: [70771, 6099, 8436, 20433, 27882, 2628], vertices: 10535 },
-        Pin { digest: 0x19896a33e3793217, edges: 6500, reduced: [60159, 6104, 8425, 21458, 27739, 2643], vertices: 12802 },
-    ],
-    [
-        Pin { digest: 0x7c4ac81970f487d5, edges: 102950, reduced: [38607, 0, 0, 0, 0, 0], vertices: 145629 },
-        Pin { digest: 0xc2397d5f96d43064, edges: 103191, reduced: [38444, 0, 0, 0, 0, 0], vertices: 146037 },
-        Pin { digest: 0xed0ff53847062b76, edges: 102938, reduced: [30090, 0, 0, 0, 0, 0], vertices: 145721 },
+        Pin { digest: 0x7c4ac81970f487d5, edges: 102950, reduced: [38607, 0, 0, 0, 0], vertices: 145629 },
+        Pin { digest: 0xc2397d5f96d43064, edges: 103191, reduced: [38444, 0, 0, 0, 0], vertices: 146037 },
+        Pin { digest: 0xed0ff53847062b76, edges: 102938, reduced: [30090, 0, 0, 0, 0], vertices: 145721 },
     ],
 ];
 
@@ -113,8 +99,8 @@ impl Rng {
     }
 }
 
-fn reduced_array(c: &PatternCounts) -> [u64; 6] {
-    [c.rr, c.rf, c.fr, c.ff, c.rr_chain, c.rr_gap_one]
+fn reduced_array(c: &PatternCounts) -> [u64; 5] {
+    [c.rr, c.rf, c.fr, c.ff, c.rr_chain]
 }
 
 /// Folds one graph into the running pin of its `(corpus, configuration,
@@ -201,7 +187,7 @@ fn check_queries(g: &FormulaGraph, nocomp: &FormulaGraph, picks: &[Dependency], 
     }
 }
 
-/// The three configurations' graphs of one sheet, kept in lockstep with
+/// The configurations' graphs of one sheet, kept in lockstep with
 /// the dependency multiset they must represent.
 struct Sheet {
     graphs: Vec<FormulaGraph>,
@@ -219,7 +205,7 @@ impl Sheet {
     }
 
     /// The stage's heavy checks and its contribution to the pins.
-    fn close_stage(&mut self, pins: &mut [[Pin; 3]; 3], stage: usize, name: &str) {
+    fn close_stage(&mut self, pins: &mut [[Pin; 3]; 2], stage: usize, name: &str) {
         let at = format!("({name}, after {})", STAGES[stage]);
         let nocomp = FormulaGraph::build(Config::nocomp(), self.expected.iter().copied());
         let picks: Vec<Dependency> = (0..PROBES).map(|_| self.pick()).collect();
@@ -301,8 +287,8 @@ impl Sheet {
     }
 }
 
-fn run_corpus(sheets: &[SyntheticSheet]) -> [[Pin; 3]; 3] {
-    let mut pins = [[Pin { digest: FNV_OFFSET, edges: 0, reduced: [0; 6], vertices: 0 }; 3]; 3];
+fn run_corpus(sheets: &[SyntheticSheet]) -> [[Pin; 3]; 2] {
+    let mut pins = [[Pin { digest: FNV_OFFSET, edges: 0, reduced: [0; 5], vertices: 0 }; 3]; 2];
     for (i, sheet) in sheets.iter().enumerate() {
         let name = sheet.name.as_str();
         let mut s = Sheet {
@@ -329,7 +315,7 @@ fn run_corpus(sheets: &[SyntheticSheet]) -> [[Pin; 3]; 3] {
 
 /// The measured table in the shape of the pinned constants, for the one
 /// time they are recorded.
-fn render(got: &[[Pin; 3]; 3]) -> String {
+fn render(got: &[[Pin; 3]; 2]) -> String {
     let mut out = String::new();
     for cfg in got {
         out.push_str("    [\n");
@@ -344,7 +330,7 @@ fn render(got: &[[Pin; 3]; 3]) -> String {
     out
 }
 
-fn assert_pinned(corpus: &str, sheets: &[SyntheticSheet], pinned: &[[Pin; 3]; 3]) {
+fn assert_pinned(corpus: &str, sheets: &[SyntheticSheet], pinned: &[[Pin; 3]; 2]) {
     let got = run_corpus(sheets);
     for (k, (cfg, _)) in CONFIGS.iter().enumerate() {
         for (s, stage) in STAGES.iter().enumerate() {

@@ -39,7 +39,6 @@ fn cells(v: &[Range]) -> BTreeSet<Cell> {
 fn graphs(deps: &[Dependency]) -> Vec<(&'static str, FormulaGraph)> {
     let configs = [
         ("taco", Config::taco_full()),
-        ("gap-one", Config::taco_with_gap_one()),
         ("in-row", Config::taco_in_row()),
         ("nocomp", Config::nocomp()),
     ];

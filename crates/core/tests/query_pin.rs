@@ -23,20 +23,14 @@ const PROBES: usize = 24;
 /// A configuration's name and constructor.
 type NamedConfig = (&'static str, fn() -> Config);
 
-const CONFIGS: [NamedConfig; 3] = [
-    ("taco_full", Config::taco_full),
-    ("taco_with_gap_one", Config::taco_with_gap_one),
-    ("nocomp", Config::nocomp),
-];
+const CONFIGS: [NamedConfig; 2] = [("taco_full", Config::taco_full), ("nocomp", Config::nocomp)];
 
 /// `(corpus, configuration, built digest, grown digest)`.
 #[rustfmt::skip]
-const PINS: [(&str, &str, u64, u64); 6] = [
+const PINS: [(&str, &str, u64, u64); 4] = [
     ("enron_like", "taco_full", 0x5290073efcb99217, 0xac2fb881284d7358),
-    ("enron_like", "taco_with_gap_one", 0xfd507b6fe8ec4417, 0xfeaf155f0f73bbfd),
     ("enron_like", "nocomp", 0x4e9d2e175f4344af, 0x06135cc21648e40b),
     ("github_like", "taco_full", 0x12e779daeaf896fb, 0x1b282c673b6eab55),
-    ("github_like", "taco_with_gap_one", 0x90d2cec6d2c4cb4a, 0x33225526fbb1a2ce),
     ("github_like", "nocomp", 0xa9d4946acab45507, 0xd2787ba4f1f6e1ec),
 ];
 

@@ -305,7 +305,6 @@ fn pattern_to_u8(p: PatternType) -> u8 {
         PatternType::FR => 3,
         PatternType::FF => 4,
         PatternType::RRChain => 5,
-        PatternType::RRGapOne => 6,
     }
 }
 
@@ -317,7 +316,6 @@ fn pattern_from_u8(b: u8) -> Result<PatternType, StoreError> {
         3 => PatternType::FR,
         4 => PatternType::FF,
         5 => PatternType::RRChain,
-        6 => PatternType::RRGapOne,
         _ => return Err(StoreError::Malformed("unknown pattern tag")),
     })
 }
@@ -443,7 +441,6 @@ fn meta_tag(meta: &PatternMeta) -> u64 {
         PatternMeta::FR { .. } => 3,
         PatternMeta::FF { .. } => 4,
         PatternMeta::RRChain { .. } => 5,
-        PatternMeta::RRGapOne { .. } => 6,
     }
 }
 
@@ -459,7 +456,7 @@ fn write_meta<W: Write>(
     }
     match meta {
         PatternMeta::Single => Ok(()),
-        PatternMeta::RR { h_rel, t_rel } | PatternMeta::RRGapOne { h_rel, t_rel } => {
+        PatternMeta::RR { h_rel, t_rel } => {
             offset(w, *h_rel)?;
             offset(w, *t_rel)
         }
@@ -534,11 +531,6 @@ fn read_meta<R: std::io::Read>(
         5 => PatternMeta::RRChain {
             dir: if r.read_bit()? { ChainDir::Below } else { ChainDir::Above },
         },
-        6 => {
-            let h_rel = offset(r)?;
-            let t_rel = offset(r)?;
-            PatternMeta::RRGapOne { h_rel, t_rel }
-        }
         _ => return Err(StoreError::Malformed("unknown meta tag")),
     })
 }

@@ -264,6 +264,63 @@ fn crafted_overflow_payloads_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn the_retired_gap_one_tag_is_refused() {
+    // Tag 6 named RR-GapOne, a pattern no build writes any more: in a
+    // configuration's pattern list and as an edge's meta tag it is an
+    // unknown tag. Each input decodes with tag 5 / 1 in its place, so the
+    // tag alone is what is refused.
+    use taco_store::codec::{write_uvarint, zigzag, BitWriter};
+
+    let config = |tag: u8| {
+        let mut graph = Vec::new();
+        write_uvarint(&mut graph, 1).unwrap(); // one pattern
+        graph.push(tag);
+        graph.push(0b110); // flags
+        write_uvarint(&mut graph, 0).unwrap(); // deps_inserted
+        write_uvarint(&mut graph, 0).unwrap(); // no edges
+        graph
+    };
+    assert!(taco_store::decode_graph(&config(5)).is_ok());
+    assert!(matches!(
+        taco_store::decode_graph(&config(6)),
+        Err(StoreError::Malformed("unknown pattern tag"))
+    ));
+
+    // C1:C3 reading B1:B3, one window per row, under meta `tag`.
+    let edge = |tag: u64| {
+        let mut graph = Vec::new();
+        write_uvarint(&mut graph, 0).unwrap(); // no patterns
+        graph.push(0b110); // flags
+        write_uvarint(&mut graph, 3).unwrap(); // deps_inserted
+        write_uvarint(&mut graph, 1).unwrap(); // one edge
+        let mut w = BitWriter::new(&mut graph);
+        w.write_gamma_signed(2).unwrap(); // dep head C1, from A1
+        w.write_gamma_signed(0).unwrap();
+        w.write_gamma0(0).unwrap(); // dep width - 1
+        w.write_gamma0(2).unwrap(); // dep height - 1
+        w.write_zeta(zigzag(-1), 3).unwrap(); // prec head B1
+        w.write_zeta(zigzag(0), 3).unwrap();
+        w.write_zeta(0, 3).unwrap(); // prec width - 1
+        w.write_zeta(2, 3).unwrap(); // prec height - 1
+        w.write_bit(false).unwrap(); // column axis
+        w.write_gamma(3).unwrap(); // count
+        w.write_bits(tag, 3).unwrap();
+        for d in [-1, 0, -1, 0] {
+            w.write_gamma_signed(d).unwrap(); // h_rel, t_rel
+        }
+        w.finish().unwrap();
+        graph
+    };
+    let rr = taco_store::decode_graph(&edge(1)).expect("the RR control decodes");
+    assert_eq!(rr.edges[0].pattern(), taco_core::PatternType::RR);
+    assert_eq!(rr.edges[0].dep, Range::parse_a1("C1:C3").unwrap());
+    assert!(matches!(
+        taco_store::decode_graph(&edge(6)),
+        Err(StoreError::Malformed("unknown meta tag"))
+    ));
+}
+
+#[test]
 fn wal_bit_flips_error_or_shorten_the_prefix() {
     let (bytes, records) = wal_bytes();
     for (i, _) in bytes.iter().enumerate() {
