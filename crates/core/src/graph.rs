@@ -180,31 +180,23 @@ impl FormulaGraph {
     /// bulk load: minimal node count, near-minimal overlap, measurably
     /// fewer nodes visited per window query than the insertion-built
     /// shape. Call after a bulk construction phase (corpus build, file
-    /// import, snapshot restore); incremental edits afterwards keep
+    /// import, an open's derived edges); incremental edits afterwards keep
     /// working on the packed tree.
     pub fn optimize(&mut self) {
         (self.prec_index, self.dep_index) = BandIndex::bulk_load(self.edges.iter());
     }
 
-    /// A graph of `config` holding each band's edges as given, in the
-    /// band's local coordinates: put in place without compression, then
-    /// both indexes bulk-loaded once (snapshot restore: no recompression,
-    /// one STR pack).
-    pub fn restore_bands(
-        config: Config,
-        bands: impl IntoIterator<Item = (Band, Vec<Edge>)>,
-    ) -> Self {
-        let mut g = FormulaGraph::new(config);
-        for (band, edges) in bands {
-            for e in &edges {
-                let e = band.moved(Band(0), e);
-                g.count_in(&e);
-                g.hold(&e, true);
-                g.edges.insert(bands_of(&e), e);
-            }
+    /// Puts `edges`, in the graph's coordinates, in place as they are —
+    /// no compression — then repacks both indexes with one STR bulk load:
+    /// how an open puts the edges it derived from the formulas in place.
+    pub fn load_edges(&mut self, edges: impl IntoIterator<Item = Edge>) {
+        for e in edges {
+            self.deps_inserted += u64::from(e.count);
+            self.count_in(&e);
+            self.hold(&e, true);
+            self.edges.insert(bands_of(&e), e);
         }
-        g.optimize();
-        g
+        self.optimize();
     }
 
     // ---- compression (Alg. 2) ---------------------------------------------
@@ -325,6 +317,42 @@ impl FormulaGraph {
             .map(|(i, _)| i)
     }
 
+    /// The edge Alg. 2 makes of one column's dependencies `first`,
+    /// `second`, …, `last`, a row apart: `first` and `second` paired as
+    /// [`Self::add_dependency`] pairs two singles (`Edge::try_pair`, then
+    /// the §IV-A selection), and the pair carried down to `last` in one
+    /// step (`Edge::try_extend`), O(1) in the rows. `None` if no pattern
+    /// pairs the two, or `last` does not follow the pattern chosen.
+    ///
+    /// The rows between are not looked at: the caller vouches for them. A
+    /// reference filled down a column reads, row by row, ranges whose
+    /// first row is the lesser of two that each stay put or move down one
+    /// a row, and whose last row the greater; if its first two rows and
+    /// its last follow one pattern, so does every row between.
+    pub fn stretch_edge(
+        &mut self,
+        first: &Dependency,
+        second: &Dependency,
+        last: &Dependency,
+    ) -> Option<Edge> {
+        let single = Edge::single(first);
+        let mut valid = std::mem::take(&mut self.scratch.valid);
+        valid.clear();
+        for &p in &self.config.patterns {
+            if let Some(pair) = single.try_pair(second, p, Axis::Col) {
+                if self.config.allows(&pair.meta, Axis::Col) {
+                    valid.push((pair, 0));
+                }
+            }
+        }
+        let pair = self.select_best(&valid, second).map(|best| valid.swap_remove(best).0);
+        self.scratch.valid = valid;
+        let pair = pair?;
+        let rows = last.dep.row.checked_sub(first.dep.row).filter(|&rows| rows > 0)?;
+        let above = Cell { row: last.dep.row - 1, ..last.dep };
+        Edge { dep: Range::new(first.dep, above), count: rows, ..pair }.try_extend(last)
+    }
+
     /// The ids, ascending, of the edges with an end in `band`: one window
     /// search of each vertex index.
     pub(crate) fn band_ids(&self, band: Band) -> Vec<EdgeId> {
@@ -352,11 +380,6 @@ impl FormulaGraph {
     /// Borrow an edge by id.
     pub(crate) fn peek_edge(&self, id: EdgeId) -> &Edge {
         self.edges.get(id)
-    }
-
-    /// Restores the lifetime insert counter (snapshot restore).
-    pub(crate) fn set_dependencies_inserted(&mut self, n: u64) {
-        self.deps_inserted = n;
     }
 
     // ---- the mutation funnel ------------------------------------------------
@@ -772,6 +795,33 @@ mod tests {
         }
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edges().next().unwrap().pattern(), PatternType::FF);
+    }
+
+    /// A column's dependencies given by their first two rows and their
+    /// last make the edge adding them one by one makes, for every pattern;
+    /// a last row off the pattern makes none.
+    #[test]
+    fn a_stretch_edge_is_the_edge_its_rows_compress_to() {
+        // Per pattern, the precedent of row `row` of a stretch in column C.
+        let shapes: [fn(u32) -> Range; 5] = [
+            |row| Range::from_coords(1, row, 2, row + 2), // RR
+            |row| Range::from_coords(1, row, 1, 90),      // RF
+            |row| Range::from_coords(1, 1, 2, row),       // FR
+            |_| Range::from_coords(1, 1, 2, 3),           // FF
+            |row| Range::cell(Cell::new(3, row - 1)),     // RR-Chain
+        ];
+        for prec in shapes {
+            let dep = |row| Dependency::new(prec(row), Cell::new(3, row));
+            for last in [3, 4, 40] {
+                let mut g = FormulaGraph::taco();
+                (2..=last).for_each(|row| g.add_dependency(&dep(row)));
+                assert_eq!(g.num_edges(), 1);
+                let edge = g.stretch_edge(&dep(2), &dep(3), &dep(last));
+                assert_eq!(edge.as_ref(), g.edges().next(), "rows 2..={last}");
+            }
+            let off = Dependency::new(r("Z9"), Cell::new(3, 40));
+            assert_eq!(FormulaGraph::taco().stretch_edge(&dep(2), &dep(3), &off), None);
+        }
     }
 
     #[test]
@@ -1218,7 +1268,7 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// Bulk-loaded (build / restore) and incrementally-grown graphs give
+    /// Bulk-loaded (build / loaded edges) and incrementally-grown graphs give
     /// identical query answers, and the build-time repack only tightens
     /// the index (never changes results).
     #[test]
@@ -1238,8 +1288,9 @@ mod tests {
             grown.add_dependency(d);
         }
         assert_eq!(packed.num_edges(), grown.num_edges());
-        // A restored graph is bulk-loaded too.
-        let restored = FormulaGraph::restore(grown.snapshot());
+        // A graph the grown one's edges are loaded into is bulk-loaded too.
+        let mut restored = FormulaGraph::taco();
+        restored.load_edges(grown.edges().cloned());
         for probe in ["A1", "B30", "C10", "D59", "A1:B60"] {
             let probe = r(probe);
             assert_eq!(

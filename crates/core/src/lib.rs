@@ -40,7 +40,6 @@ pub mod config;
 pub mod edge;
 pub mod graph;
 pub mod pattern;
-pub mod snapshot;
 pub mod stats;
 pub mod structural;
 
@@ -59,6 +58,5 @@ pub use dep::{Cue, Dependency};
 pub use edge::{Edge, EdgeId};
 pub use graph::{FormulaGraph, QueryStats};
 pub use pattern::{ChainDir, PatternMeta, PatternType};
-pub use snapshot::GraphSnapshot;
 pub use stats::{GraphStats, PatternCounts};
 pub use structural::StructuralOp;

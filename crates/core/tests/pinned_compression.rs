@@ -15,8 +15,11 @@
 //! probes cover the same cells as an uncompressed graph of the same
 //! dependencies.
 
-use taco_core::{Config, Dependency, FormulaGraph, PatternCounts, PatternType, StructuralOp};
-use taco_grid::{Cell, Range, MAX_COL, MAX_ROW};
+use taco_core::{
+    ChainDir, Config, Dependency, Edge, FormulaGraph, PatternCounts, PatternMeta, PatternType,
+    StructuralOp,
+};
+use taco_grid::{Axis, Cell, Range, MAX_COL, MAX_ROW};
 use taco_workload::{enron_like, github_like, SyntheticSheet};
 
 const SCALE: f64 = 0.05;
@@ -103,16 +106,37 @@ fn reduced_array(c: &PatternCounts) -> [u64; 5] {
     [c.rr, c.rf, c.fr, c.ff, c.rr_chain]
 }
 
+/// Dependent corners, precedent corners, axis, metadata, count.
+type ContentKey = (Cell, Cell, Cell, Cell, u8, (u8, i64, i64, i64, i64), u32);
+
+/// A total order over edges by content alone — dependent corners,
+/// precedent corners, axis, metadata (tag, then payload), count — the
+/// order the pins were recorded in.
+fn content_key(e: &Edge) -> ContentKey {
+    let cell = |c: Cell| (i64::from(c.col), i64::from(c.row));
+    let meta = match e.meta {
+        PatternMeta::Single => (0, 0, 0, 0, 0),
+        PatternMeta::RR { h_rel: h, t_rel: t } => (1, h.dc, h.dr, t.dc, t.dr),
+        PatternMeta::RF { h_rel: h, t_fix: t } => (2, h.dc, h.dr, cell(t).0, cell(t).1),
+        PatternMeta::FR { h_fix: h, t_rel: t } => (3, cell(h).0, cell(h).1, t.dc, t.dr),
+        PatternMeta::FF { h_fix: h, t_fix: t } => (4, cell(h).0, cell(h).1, cell(t).0, cell(t).1),
+        PatternMeta::RRChain { dir } => (5, i64::from(dir == ChainDir::Below), 0, 0, 0),
+    };
+    let axis = u8::from(e.axis == Axis::Row);
+    (e.dep.head(), e.dep.tail(), e.prec.head(), e.prec.tail(), axis, meta, e.count)
+}
+
 /// Folds one graph into the running pin of its `(corpus, configuration,
-/// stage)`: the snapshot is content-sorted, so the digest depends on the
+/// stage)`: the edges are content-sorted, so the digest depends on the
 /// edge multiset alone, never on slot ids or index shape.
 fn fold(pin: &mut Pin, g: &FormulaGraph) {
     let mut h = Fnv(pin.digest);
-    let snap = g.snapshot();
-    for e in &snap.edges {
+    let mut edges: Vec<&Edge> = g.edges().collect();
+    edges.sort_by_key(|e| content_key(e));
+    for e in &edges {
         h.bytes(format!("{e:?};").as_bytes());
     }
-    h.bytes(&(snap.edges.len() as u64).to_le_bytes());
+    h.bytes(&(edges.len() as u64).to_le_bytes());
     pin.digest = h.0;
     let s = g.stats();
     pin.edges += g.num_edges();

@@ -16,22 +16,21 @@
 //!   back into a fresh snapshot once it crosses the compaction
 //!   threshold.
 //!
-//! What is stored vs derived: cell contents (formula *source* text plus
-//! the cached value), the dirty sets and each sheet's band of the
-//! compressed graph — the edges with both ends on the sheet, in its own
-//! coordinates, as a graph of that sheet alone would hold them — are
-//! stored; formula ASTs are re-parsed, the graph's R-tree indexes are
-//! rebuilt, and the reads between sheets are bound again from the
-//! formulas' qualified references on open — by the routine a live edit
-//! binds them with. No band is recompressed on the open path, and no fact
-//! is stored twice.
+//! What is stored vs derived: what was typed — pure values and formula
+//! *source* text — with each formula's cached value, and the dirty sets,
+//! are stored; everything that follows from them is derived on open. The
+//! formulas are re-parsed into runs, and the whole compressed graph, each
+//! sheet's band and the reads between sheets alike, is derived from the
+//! runs in one pass: one edge per read of each column stretch of a run,
+//! then one STR bulk load (`Workbook::derive_graph`). No fact is stored
+//! twice, and a reopen gets its graph from one source.
 
 use crate::sheet::CellContent;
 use crate::view::SheetView;
 use crate::workbook::{SheetId, Workbook};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use taco_core::{Band, Config, FormulaGraph, MAX_BANDS};
+use taco_core::MAX_BANDS;
 use taco_grid::Cell;
 use taco_store::{
     std_vfs, write_workbook_file_with, CellRecord, EditRecord, ReplayMode, SheetImage, StoreError,
@@ -61,7 +60,7 @@ fn sheet_image(sheet: SheetView<'_>, name: String) -> SheetImage {
         })
         .collect();
     let dirty = sheet.store().dirty().collect();
-    SheetImage { name, cells, dirty, graph: sheet.graph().snapshot() }
+    SheetImage { name, cells, dirty }
 }
 
 impl Workbook {
@@ -79,48 +78,37 @@ impl Workbook {
         WorkbookImage { sheets, epoch: 0, clock: self.clock() }
     }
 
-    /// Reconstructs a workbook from an image: every sheet's band of the
-    /// graph is restored without recompression (the graph's configuration
-    /// is the first sheet's), formula sources re-parsed, dirty sets
-    /// re-marked, and the reads between sheets bound from the formulas.
-    /// Every sheet is added first, the way a live `AddSheet` adds one —
-    /// with no cell restored yet, its rebind walks nothing — so that each
-    /// formula's qualified reads then bind to whichever sheets they name.
+    /// Reconstructs a workbook from an image: every sheet is added, the
+    /// way a live `AddSheet` adds one — with no cell yet, its rebind walks
+    /// nothing — then every sheet's cells are restored, formula sources
+    /// re-parsed into runs and dirty sets re-marked, and last the graph is
+    /// derived from the runs of every sheet at once, so that each
+    /// formula's qualified reads go to whichever sheets they name.
     pub fn from_image(image: WorkbookImage) -> Result<Self, StoreError> {
         let invalid = |e: &dyn std::fmt::Display| StoreError::InvalidRecord(e.to_string());
         if image.sheets.len() > MAX_BANDS as usize {
             let e = crate::WorkbookError::TooManySheets(MAX_BANDS as usize);
             return Err(invalid(&e));
         }
-        let config =
-            image.sheets.first().map_or_else(Config::taco_full, |s| s.graph.config.clone());
-        let mut sheets = Vec::with_capacity(image.sheets.len());
-        let mut bands = Vec::with_capacity(image.sheets.len());
-        for (k, sheet) in image.sheets.into_iter().enumerate() {
-            bands.push((Band(k as u32), sheet.graph.edges));
-            sheets.push((sheet.name, sheet.graph.dependencies_inserted, sheet.cells, sheet.dirty));
-        }
-        let mut wb = Workbook::over(FormulaGraph::restore_bands(config, bands));
+        let mut wb = Workbook::new();
         // Before any sheet is added, so each starts on the stored clock;
         // the image's dirty sets already hold what it makes dirty.
         wb.set_clock(image.clock);
-        let mut contents = Vec::with_capacity(sheets.len());
-        for (name, inserted, cells, dirty) in sheets {
-            wb.add_restored_sheet(&name, inserted).map_err(|e| invalid(&e))?;
-            contents.push((cells, dirty));
+        for sheet in &image.sheets {
+            wb.add_sheet(&sheet.name).map_err(|e| invalid(&e))?;
         }
-        for (sid, (cells, dirty)) in contents.into_iter().enumerate() {
-            wb.restore_sheet(sid, cells, dirty)?;
+        for (sid, sheet) in image.sheets.into_iter().enumerate() {
+            wb.restore_sheet(sid, sheet.cells, sheet.dirty)?;
         }
+        wb.derive_graph();
         Ok(wb)
     }
 
-    /// Puts a stored sheet's cells and dirty marks into sheet `sid`, whose
-    /// band was restored from the same image, and binds the reads of
-    /// other sheets of its formulas; the dirty marks are the image's,
-    /// nothing more. Records arrive in `(col, row)` order: a formula goes back in
-    /// the run of the cell above (past blank rows) or to the left if it is
-    /// that run's next cell, and is re-parsed if not.
+    /// Puts a stored sheet's cells and dirty marks into sheet `sid`; the
+    /// dirty marks are the image's, nothing more. Records arrive in
+    /// `(col, row)` order: a formula goes back in the run of the cell
+    /// above (past blank rows) or to the left if it is that run's next
+    /// cell, and is re-parsed if not.
     fn restore_sheet(
         &mut self,
         sid: usize,
@@ -135,7 +123,6 @@ impl Workbook {
                         .engine_mut(sid)
                         .run_for(cell, &src)
                         .map_err(|e| StoreError::InvalidRecord(e.to_string()))?;
-                    self.bind_restored(sid, cell, &run);
                     CellContent::formula_cell(run, value)
                 }
             };
@@ -741,10 +728,9 @@ mod tests {
     #[test]
     fn forward_referenced_sheet_restores_without_duplicate_edges() {
         // A!B1 references "Late" before Late exists; adding Late rebinds
-        // (one cross edge, one dirty cell). The restore path must come
-        // back with exactly the same counts — not re-run the rebind on
-        // top of the restored cross table — and re-saving must be a
-        // byte-level fixed point.
+        // (one cross edge, one dirty cell). The open must come back with
+        // exactly the same counts — the read derived once, no cell marked
+        // anew — and re-saving must be a byte-level fixed point.
         let mut wb = Workbook::with_taco();
         let a = wb.add_sheet("A").unwrap();
         wb.set_value(a, c("C1"), n(2.0));

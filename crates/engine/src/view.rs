@@ -4,7 +4,7 @@
 use crate::engine::Engine;
 use crate::sheet::CellContent;
 use std::ops::Deref;
-use taco_core::{Band, Dependency, Edge, FormulaGraph, GraphSnapshot, GraphStats};
+use taco_core::{Band, Dependency, Edge, FormulaGraph, GraphStats};
 use taco_grid::Cell;
 
 /// One sheet of a workbook, read-only ([`crate::Workbook::sheet`]): its
@@ -81,13 +81,8 @@ impl<'a> SheetGraph<'a> {
     }
 
     /// Reads of the sheet itself ever bound into the band: its lifetime
-    /// insert counter, kept across save and open.
+    /// insert counter. An open starts it at the reads the formulas make.
     pub fn dependencies_inserted(&self) -> u64 {
         self.inserted
-    }
-
-    /// The band as a graph image of its own: what a sheet's image holds.
-    pub(crate) fn snapshot(&self) -> GraphSnapshot {
-        self.graph.band_snapshot(self.band, self.inserted)
     }
 }

@@ -18,9 +18,11 @@
 //!   are one query of the graph from everything it wrote, and so are
 //!   [`Workbook::find_dependents`] and [`Workbook::find_precedents`];
 //! - one routine, `Workbook::bind`, that turns a formula's reads into
-//!   dependencies: on an edit; when an added sheet resolves a reference
-//!   that named it while it was missing; and on open, for the reads
-//!   between sheets, which an image does not store;
+//!   dependencies: on an edit, and when an added sheet resolves a
+//!   reference that named it while it was missing. An open, which stores
+//!   no graph, derives it from the formulas a column stretch of a run at
+//!   a time (`derive`), binding by this routine only what is not one
+//!   edge a read;
 //! - recalculation is **one pass** over **one schedule**, whoever asks
 //!   (`crate::order`): the workbook's dirty cells are ordered as (sheet,
 //!   node) pairs, each after the dirty cells it reads on any sheet, by one
@@ -57,6 +59,8 @@ use taco_formula::{CellError, EvalClock, FormulaError, Template, Value};
 use taco_grid::a1::{SheetRef, MAX_SHEET_NAME};
 use taco_grid::{Cell, GridError, Range};
 use taco_store::{EditRecord, StoreError};
+
+mod derive;
 
 /// Index of a sheet within its workbook (dense, allocation order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -153,9 +157,6 @@ impl Pending {
 enum Reads {
     /// Every read: the formula was just written.
     All,
-    /// The reads of other sheets: the formula was restored, its reads of
-    /// its own sheet with its band (an open).
-    Crossing,
     /// The reads of the given sheet alone, another than the formula's: it
     /// was just added, or a structural edit of it moved what the formula
     /// reads.
@@ -281,7 +282,8 @@ struct SheetShard {
     /// ([`Workbook::rebind_dangling_refs`]).
     dangling: bool,
     /// Reads of the sheet itself ever bound into its band, its graph's
-    /// lifetime insert counter (restored from an image, then counted on).
+    /// lifetime insert counter (on open, those the formulas make, then
+    /// counted on).
     inserted: u64,
 }
 
@@ -348,8 +350,7 @@ impl Workbook {
         Workbook::new()
     }
 
-    /// An empty workbook over `graph`: one restored from an image, or one
-    /// of another configuration.
+    /// An empty workbook over `graph`, of the configuration it has.
     pub(crate) fn over(graph: FormulaGraph) -> Self {
         Workbook {
             sheets: Vec::new(),
@@ -406,25 +407,6 @@ impl Workbook {
         self.sheets.push(SheetShard { name: sref, engine, dangling: false, inserted: 0 });
         self.rebind_dangling_refs(id);
         Ok(SheetId(id))
-    }
-
-    /// [`Self::add_sheet`] for a sheet restored from an image: its band's
-    /// edges are in the graph already, and `inserted` is its insert
-    /// counter.
-    pub(crate) fn add_restored_sheet(
-        &mut self,
-        name: &str,
-        inserted: u64,
-    ) -> Result<(), WorkbookError> {
-        let id = self.add_sheet(name)?;
-        self.sheets[id.0].inserted = inserted;
-        Ok(())
-    }
-
-    /// Binds the reads of other sheets of the formula `run` holds at
-    /// `cell` of sheet `sid`, restored from an image with its band.
-    pub(crate) fn bind_restored(&mut self, sid: usize, cell: Cell, run: &Run) {
-        self.bind(sid, cell, run, Reads::Crossing);
     }
 
     /// Sheets that fit in the workbook: as many as the graph has bands.
@@ -526,12 +508,13 @@ impl Workbook {
     /// Number of the graph's edges between sheets: a reference filled
     /// down a column is one, however long the column. O(sheets).
     ///
-    /// Not a function of the formulas alone: reads between sheets
-    /// compress in the order they are bound, so a replayed or reopened
-    /// workbook (which binds each sheet's reads in (col, row) order) can
+    /// Not a function of the formulas alone: live, reads between sheets
+    /// compress in the order they are bound, so a replayed workbook can
     /// hold the same fill in more edges than the live one — 10 live and
     /// 12 replayed on one seed of `prop_formula_runs`, with equal
-    /// decompressed reads. Compare reads with [`Self::cross_table`].
+    /// decompressed reads. A reopened one does not depend on that order:
+    /// an open derives one edge per read of each column stretch of a run.
+    /// Compare reads with [`Self::cross_table`].
     pub fn cross_edge_count(&self) -> usize {
         let held: usize = (0..self.sheets.len()).map(|sid| self.graph.band_len(band(sid))).sum();
         self.graph.num_edges() - held
@@ -815,15 +798,16 @@ impl Workbook {
     }
 
     /// Binds what `run`'s formula reads at `cell` of sheet `sid` — the
-    /// reads `reads` picks — as dependencies of the graph: the one routine every
-    /// dependency is made by: an edit, a sheet added, an open. A read of
+    /// reads `reads` picks — as dependencies of the graph, one at a time
+    /// (Alg. 2): the routine an edit and a sheet added make dependencies
+    /// by, and an open those it does not derive a stretch at a time. A read of
     /// the sheet itself is one dependency in its band; a read of another
     /// sheet is one per distinct (sheet, range) the formula reads, from
     /// that sheet's band into this one; a read naming a sheet that does
     /// not exist is none, the evaluator yields `#REF!` for it until a
     /// sheet of that name is added, and the sheet is flagged as holding
-    /// one. Marks nothing: an edit's cell is an origin already, and a
-    /// restored one is dirty exactly if its image says so. Returns whether
+    /// one. Marks nothing: an edit's cell is an origin already, and an
+    /// opened one is dirty exactly if its image says so. Returns whether
     /// it bound a read of another sheet.
     fn bind(&mut self, sid: usize, cell: Cell, run: &Run, reads: Reads) -> bool {
         if reads != Reads::All && !run.template().names_sheet() {
@@ -845,7 +829,6 @@ impl Workbook {
             };
             let wanted = match reads {
                 Reads::All => true,
-                Reads::Crossing => src != sid,
                 Reads::Of(only) => src == only,
             };
             let range = rref.range();
@@ -1156,9 +1139,9 @@ impl Workbook {
 pub type CrossRead = (usize, Range, usize, Cell);
 
 impl Workbook {
-    /// The graph's reads between sheets, decompressed, sorted, each once:
-    /// what the property suites hold to the formulas (not part of the
-    /// API).
+    /// The graph's reads between sheets, decompressed and sorted — a read
+    /// held twice shows twice, which binding a formula never makes: what
+    /// the property suites hold to the formulas (not part of the API).
     #[doc(hidden)]
     pub fn cross_table(&self) -> Vec<CrossRead> {
         let crossing = self.graph.edges().filter(|e| e.crosses_bands());
@@ -1174,7 +1157,6 @@ impl Workbook {
         table.sort_unstable_by_key(|&(src, prec, dst, dep)| {
             (src, dst, dep, prec.head(), prec.tail())
         });
-        table.dedup();
         table
     }
 }

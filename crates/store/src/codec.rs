@@ -1,13 +1,10 @@
-//! The bit/byte codec layer: LEB128 varints, zigzag mapping, and
-//! Elias-γ / ζ_k bit codes over `std::io` readers and writers.
+//! The byte codec layer: LEB128 varints, the zigzag mapping, strings,
+//! floats and CRC-32, over `std::io` readers and writers.
 //!
-//! The container format stores coordinates as *gaps* between sorted
-//! neighbours (the WebGraph recipe): gaps are small, so universal codes
-//! that spend fewer bits on smaller numbers — γ for tiny values, ζ_k for
-//! values with a heavier tail — beat fixed-width integers by a wide
-//! margin. Byte-aligned LEB128 is used where random access or appending
-//! matters (section framing, WAL records); the bit codes live inside
-//! section payloads that are always decoded front to back.
+//! Byte-aligned LEB128 frames everything: section payloads, where cells
+//! and dirty marks are stored as gaps between sorted neighbours (the
+//! WebGraph recipe: gaps are small, and a small varint is one byte), WAL
+//! records, which are appended one by one, and the service's wire frames.
 //!
 //! Every decoder returns [`StoreError`] on malformed input — truncation or
 //! bit damage must surface as typed errors, never as panics or wraps.
@@ -70,184 +67,6 @@ pub fn write_ivarint<W: Write>(w: &mut W, v: i64) -> Result<(), StoreError> {
 /// Reads a signed value written by [`write_ivarint`].
 pub fn read_ivarint<R: Read>(r: &mut R) -> Result<i64, StoreError> {
     Ok(unzigzag(read_uvarint(r)?))
-}
-
-// ---- bit layer: MSB-first bit streams with γ and ζ codes ----------------
-
-/// An MSB-first bit writer over any `std::io::Write`.
-pub struct BitWriter<W: Write> {
-    sink: W,
-    /// Bits accumulated MSB-first in the low end of `acc`.
-    acc: u8,
-    /// Number of bits currently held in `acc`.
-    filled: u8,
-}
-
-impl<W: Write> BitWriter<W> {
-    /// Wraps a byte sink.
-    pub fn new(sink: W) -> Self {
-        BitWriter { sink, acc: 0, filled: 0 }
-    }
-
-    /// Writes one bit.
-    pub fn write_bit(&mut self, bit: bool) -> Result<(), StoreError> {
-        self.acc = (self.acc << 1) | u8::from(bit);
-        self.filled += 1;
-        if self.filled == 8 {
-            self.sink.write_all(&[self.acc])?;
-            self.acc = 0;
-            self.filled = 0;
-        }
-        Ok(())
-    }
-
-    /// Writes the low `n` bits of `v`, most significant first (`n ≤ 64`).
-    pub fn write_bits(&mut self, v: u64, n: u32) -> Result<(), StoreError> {
-        if n > 64 {
-            return Err(StoreError::Malformed("bit width exceeds 64"));
-        }
-        for i in (0..n).rev() {
-            self.write_bit((v >> i) & 1 == 1)?;
-        }
-        Ok(())
-    }
-
-    /// Writes `v ≥ 1` in Elias γ: the unary length of its binary form,
-    /// then the value without its leading 1-bit.
-    pub fn write_gamma(&mut self, v: u64) -> Result<(), StoreError> {
-        debug_assert!(v >= 1, "gamma codes start at 1");
-        let bits = 64 - v.leading_zeros(); // position of the leading 1
-        for _ in 1..bits {
-            self.write_bit(false)?;
-        }
-        self.write_bit(true)?;
-        self.write_bits(v & !(1 << (bits - 1)), bits - 1)
-    }
-
-    /// Writes `v ≥ 0` as γ of `v + 1` (the natural-number convenience
-    /// form used throughout the container encoder).
-    pub fn write_gamma0(&mut self, v: u64) -> Result<(), StoreError> {
-        self.write_gamma(v.checked_add(1).ok_or(StoreError::Malformed("gamma0 overflow"))?)
-    }
-
-    /// Writes a signed value as γ of its zigzag image.
-    pub fn write_gamma_signed(&mut self, v: i64) -> Result<(), StoreError> {
-        self.write_gamma0(zigzag(v))
-    }
-
-    /// Writes `v ≥ 0` in a ζ_k-style code (Boldi–Vigna shortened zeta,
-    /// `k ≥ 1`): unary block count `h`, then the value offset within the
-    /// `[2^(hk) − 1, 2^((h+1)k) − 1)` block in `hk + k` fixed bits. γ is
-    /// exactly ζ_1; larger `k` favours power-law gap distributions.
-    pub fn write_zeta(&mut self, v: u64, k: u32) -> Result<(), StoreError> {
-        debug_assert!((1..=16).contains(&k), "zeta parameter out of range");
-        let x = v.checked_add(1).ok_or(StoreError::Malformed("zeta overflow"))?;
-        let bits = 64 - x.leading_zeros(); // ⌊log2 x⌋ + 1
-        let h = (bits - 1) / k;
-        if h * k + k > 64 {
-            // Only reachable for values near u64::MAX with large k; the
-            // container never produces them, so refuse rather than extend
-            // the code with an escape hatch.
-            return Err(StoreError::Malformed("value too large for zeta code"));
-        }
-        for _ in 0..h {
-            self.write_bit(false)?;
-        }
-        self.write_bit(true)?;
-        // Offset within the block, in h·k + k − … bits; the shortened form
-        // writes ⌈log2(block width)⌉ bits, which is h·k + k here since the
-        // block spans [2^(hk), 2^(hk+k)) shifted by one.
-        self.write_bits(x - (1u64 << (h * k)), h * k + k)
-    }
-
-    /// Flushes any partial byte, padding with zero bits, and returns the
-    /// underlying sink.
-    pub fn finish(mut self) -> Result<W, StoreError> {
-        if self.filled > 0 {
-            let byte = self.acc << (8 - self.filled);
-            self.sink.write_all(&[byte])?;
-        }
-        Ok(self.sink)
-    }
-}
-
-/// An MSB-first bit reader over any `std::io::Read`.
-pub struct BitReader<R: Read> {
-    source: R,
-    acc: u8,
-    /// Bits remaining in `acc`.
-    left: u8,
-}
-
-impl<R: Read> BitReader<R> {
-    /// Wraps a byte source.
-    pub fn new(source: R) -> Self {
-        BitReader { source, acc: 0, left: 0 }
-    }
-
-    /// Reads one bit; EOF is a typed error.
-    pub fn read_bit(&mut self) -> Result<bool, StoreError> {
-        if self.left == 0 {
-            let mut byte = [0u8; 1];
-            self.source.read_exact(&mut byte)?;
-            self.acc = byte[0];
-            self.left = 8;
-        }
-        self.left -= 1;
-        Ok((self.acc >> self.left) & 1 == 1)
-    }
-
-    /// Reads `n` bits, most significant first.
-    pub fn read_bits(&mut self, n: u32) -> Result<u64, StoreError> {
-        if n > 64 {
-            return Err(StoreError::Malformed("bit width exceeds 64"));
-        }
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | u64::from(self.read_bit()?);
-        }
-        Ok(v)
-    }
-
-    /// Reads one Elias-γ value (`≥ 1`).
-    pub fn read_gamma(&mut self) -> Result<u64, StoreError> {
-        let mut zeros = 0u32;
-        while !self.read_bit()? {
-            zeros += 1;
-            if zeros >= 64 {
-                return Err(StoreError::Malformed("gamma unary run too long"));
-            }
-        }
-        Ok((1 << zeros) | self.read_bits(zeros)?)
-    }
-
-    /// Reads a value written by [`BitWriter::write_gamma0`].
-    pub fn read_gamma0(&mut self) -> Result<u64, StoreError> {
-        Ok(self.read_gamma()? - 1)
-    }
-
-    /// Reads a value written by [`BitWriter::write_gamma_signed`].
-    pub fn read_gamma_signed(&mut self) -> Result<i64, StoreError> {
-        Ok(unzigzag(self.read_gamma0()?))
-    }
-
-    /// Reads a value written by [`BitWriter::write_zeta`] with the same `k`.
-    pub fn read_zeta(&mut self, k: u32) -> Result<u64, StoreError> {
-        let mut h = 0u32;
-        while !self.read_bit()? {
-            h += 1;
-            if h * k + k > 64 {
-                return Err(StoreError::Malformed("zeta unary run too long"));
-            }
-        }
-        let offset = self.read_bits(h * k + k)?;
-        let base = 1u64 << (h * k);
-        let x = base.checked_add(offset).ok_or(StoreError::Malformed("zeta value overflow"))?;
-        if x == 0 {
-            return Err(StoreError::Malformed("zeta decoded zero"));
-        }
-        Ok(x - 1)
-    }
 }
 
 // ---- shared string / float helpers -------------------------------------
@@ -343,25 +162,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gamma_known_codewords() {
-        // γ(1) = "1", γ(2) = "010", γ(5) = "00101".
-        let mut w = BitWriter::new(Vec::new());
-        w.write_gamma(1).unwrap();
-        w.write_gamma(2).unwrap();
-        w.write_gamma(5).unwrap();
-        let bytes = w.finish().unwrap();
-        // 1 010 00101 padded → 1010_0010 1000_0000.
-        assert_eq!(bytes, vec![0b1010_0010, 0b1000_0000]);
-    }
-
-    #[test]
-    fn gamma_eof_is_typed_error() {
-        // A lone zero byte is an unterminated unary run at EOF.
-        let mut r = BitReader::new([0u8].as_slice());
-        assert!(r.read_gamma().is_err());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -383,53 +183,6 @@ mod tests {
                 prop_assert_eq!(read_uvarint(&mut r).unwrap(), v);
                 prop_assert_eq!(read_ivarint(&mut r).unwrap(), v as i64);
             }
-        }
-
-        #[test]
-        fn bit_codes_round_trip(seed in 0u64..u64::MAX) {
-            let mut vals = Vec::new();
-            let mut x = seed | 1;
-            for _ in 0..80 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                vals.push(x >> (32 + (x % 31)));
-            }
-            let mut w = BitWriter::new(Vec::new());
-            for &v in &vals {
-                w.write_gamma0(v).unwrap();
-                w.write_gamma_signed(v as i64 - 1000).unwrap();
-                w.write_zeta(v, 3).unwrap();
-                w.write_bits(v & 0x3FF, 10).unwrap();
-            }
-            let bytes = w.finish().unwrap();
-            let mut r = BitReader::new(bytes.as_slice());
-            for &v in &vals {
-                prop_assert_eq!(r.read_gamma0().unwrap(), v);
-                prop_assert_eq!(r.read_gamma_signed().unwrap(), v as i64 - 1000);
-                prop_assert_eq!(r.read_zeta(3).unwrap(), v);
-                prop_assert_eq!(r.read_bits(10).unwrap(), v & 0x3FF);
-            }
-        }
-    }
-
-    #[test]
-    fn zeta_k1_tracks_gamma_within_one_bit_per_value() {
-        // ζ_1 is γ's sibling: this (unshortened) form spends exactly one
-        // more bit per value. Pin that relationship so a codec regression
-        // shows up as a size change.
-        let vals: Vec<u64> = (0..200).map(|i| i * i).collect();
-        let mut wg = BitWriter::new(Vec::new());
-        let mut wz = BitWriter::new(Vec::new());
-        for &v in &vals {
-            wg.write_gamma0(v).unwrap();
-            wz.write_zeta(v, 1).unwrap();
-        }
-        let bg = wg.finish().unwrap();
-        let bz = wz.finish().unwrap();
-        assert!(bz.len() >= bg.len());
-        assert!(bz.len() <= bg.len() + vals.len().div_ceil(8) + 1);
-        let mut r = BitReader::new(bz.as_slice());
-        for &v in &vals {
-            assert_eq!(r.read_zeta(1).unwrap(), v);
         }
     }
 

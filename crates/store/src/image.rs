@@ -2,17 +2,16 @@
 //! everything a workbook must persist, decoupled from live engine types so
 //! `taco_store` sits below `taco_engine` in the crate DAG.
 //!
-//! Derived state is deliberately absent: the R-tree spatial indexes are
-//! rebuilt on open (`FormulaGraph::restore`), formula ASTs are re-parsed
-//! from their interned source text — parsing is deterministic and orders
-//! of magnitude cheaper than recompression — and the cross-sheet edges
-//! are bound again from the formulas' qualified references, the one
-//! place they are written down.
+//! An image holds what was typed — pure values and formula source text —
+//! with each formula's cached value and the dirty marks, and nothing
+//! derived from it: formula ASTs are re-parsed from their interned source
+//! text, and the formula graph, within each sheet and between sheets, is
+//! derived again from the formulas on open, the one place its edges are
+//! written down.
 
 use crate::codec::{read_f64, read_string, read_uvarint, write_f64, write_string, write_uvarint};
 use crate::StoreError;
 use std::io::{Read, Write};
-use taco_core::GraphSnapshot;
 use taco_formula::{CellError, EvalClock, Value};
 use taco_grid::{Cell, Range};
 
@@ -41,9 +40,6 @@ pub struct SheetImage {
     /// Formula cells awaiting recalculation, sorted. Persisted so a
     /// snapshot taken mid-edit reopens into the same observable state.
     pub dirty: Vec<Cell>,
-    /// The compressed formula graph, exactly as built (no recompression
-    /// on open).
-    pub graph: GraphSnapshot,
 }
 
 /// A whole workbook's persistent state. Sheet order is identity: index
@@ -178,19 +174,14 @@ pub(crate) fn cell_from(col: i64, row: i64) -> Result<Cell, StoreError> {
 
 /// Narrows a decoded magnitude to the coordinate domain (≤ `u32::MAX`)
 /// so subsequent `i64` additions cannot overflow. Decoders must route
-/// every untrusted delta/size through this or [`checked_coord`]: a
-/// crafted (re-checksummed) file reaches this arithmetic with arbitrary
-/// varints, and the never-panic contract has to hold there too.
+/// every untrusted delta/size through this: a crafted (re-checksummed)
+/// file reaches this arithmetic with arbitrary varints, and the
+/// never-panic contract has to hold there too.
 pub(crate) fn small_i64(v: u64) -> Result<i64, StoreError> {
     if v > u64::from(u32::MAX) {
         return Err(StoreError::Malformed("coordinate magnitude out of range"));
     }
     Ok(v as i64)
-}
-
-/// Overflow-checked coordinate addition for decoders (never panics).
-pub(crate) fn checked_coord(base: i64, delta: i64) -> Result<i64, StoreError> {
-    base.checked_add(delta).ok_or(StoreError::Malformed("coordinate arithmetic overflow"))
 }
 
 /// Writes a range as head + size (4 varints).

@@ -1,18 +1,18 @@
-//! `taco_store` — compact on-disk persistence for compressed formula
-//! graphs, with a write-ahead log for incremental durability.
+//! `taco_store` — compact on-disk persistence for workbooks, with a
+//! write-ahead log for incremental durability.
 //!
-//! TACO's compression pass is the expensive step of opening a workbook
-//! (§VI-C measures seconds on the largest sheets); persisting the
-//! *compressed* graph turns reopen time from O(recompress) into O(read).
-//! The crate is layered like the WebGraph storage stack it borrows from:
+//! A workbook image holds what was typed — values and formula text —
+//! with the values the formulas last evaluated to and the dirty marks,
+//! and nothing derived from them: the engine derives the compressed
+//! formula graph from the formulas on open, one edge per column stretch
+//! of a filled run. The crate is layered like the WebGraph storage stack
+//! it borrows from:
 //!
-//! 1. [`codec`] — LEB128 varints, zigzag, and Elias-γ / ζ_k bit codes
-//!    over `std::io`, plus CRC-32;
+//! 1. [`codec`] — LEB128 varints and zigzag over `std::io`, plus CRC-32;
 //! 2. [`container`] — a sectioned binary format for a whole workbook:
 //!    header with magic/version, one section per sheet (interned formula
-//!    sources, delta-coded cell values, the compressed graph's edges
-//!    gap-coded in sorted order) and a footer index that enables
-//!    per-sheet lazy loading;
+//!    sources, delta-coded cells and their values, the dirty set) and a
+//!    footer index that enables per-sheet lazy loading;
 //! 3. [`wal`] — an append-only log of edit records with per-record
 //!    checksums, replay-on-open, and explicit fsync points; a crash can
 //!    tear the final record, which replay detects and drops.
@@ -35,8 +35,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use container::{
-    decode_graph, encode_graph, encode_workbook, write_workbook_file, write_workbook_file_with,
-    StoreReader, FORMAT_VERSION,
+    encode_workbook, write_workbook_file, write_workbook_file_with, StoreReader, FORMAT_VERSION,
 };
 pub use frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 pub use image::{CellRecord, SheetImage, WorkbookImage};

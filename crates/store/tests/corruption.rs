@@ -9,7 +9,6 @@
 //! clean prefix.
 
 use proptest::prelude::*;
-use taco_core::{Config, Dependency, FormulaGraph};
 use taco_formula::{CellError, Value};
 use taco_grid::{Cell, Range};
 use taco_store::{
@@ -17,23 +16,10 @@ use taco_store::{
     WorkbookImage,
 };
 
-/// A reasonably rich image: three sheets, every pattern kind in the
-/// graphs, every value type in the cells, dirty sets, and formulas that
-/// read other sheets (an image stores those reads as formula text only).
+/// A reasonably rich image: three sheets, every value type in the cells,
+/// dirty sets, and formulas that read their own sheet and other sheets
+/// (an image stores formulas as text only).
 fn rich_image() -> WorkbookImage {
-    let mut deps: Vec<Dependency> = Vec::new();
-    // RR windows, FR cumulative, FF lookups, a chain, singles.
-    for row in 1..=40u32 {
-        deps.push(Dependency::new(Range::from_coords(1, row, 1, row + 2), Cell::new(2, row)));
-        deps.push(Dependency::new(Range::from_coords(1, 1, 1, row), Cell::new(3, row)));
-        deps.push(Dependency::new(Range::from_coords(1, 1, 1, 8), Cell::new(5, row)));
-        if row > 1 {
-            deps.push(Dependency::new(Range::cell(Cell::new(4, row - 1)), Cell::new(4, row)));
-        }
-    }
-    deps.push(Dependency::new(Range::from_coords(90, 1, 95, 30), Cell::new(100, 7)));
-    let graph = FormulaGraph::build(Config::taco_full(), deps.iter().copied()).snapshot();
-
     // Pre-sorted by (col, row): the container canonicalizes cell order,
     // so a sorted fixture round-trips to an identical image.
     let mut cells: Vec<(Cell, CellRecord)> = Vec::new();
@@ -66,7 +52,6 @@ fn rich_image() -> WorkbookImage {
         name: name.to_string(),
         cells: cells.clone(),
         dirty: vec![Cell::new(2, 3), Cell::new(2, 9)],
-        graph: graph.clone(),
     };
     WorkbookImage {
         sheets: vec![sheet("Alpha"), sheet("Beta Sheet"), sheet("Gamma")],
@@ -226,7 +211,7 @@ fn crafted_overflow_payloads_are_typed_errors_not_panics() {
     // CRC protects against accidents, not adversaries: a re-checksummed
     // (or directly decoded) payload reaches the coordinate arithmetic
     // with arbitrary varints, and must still fail typed, never overflow.
-    use taco_store::codec::{write_uvarint, BitWriter};
+    use taco_store::codec::write_uvarint;
 
     // ClearRange with a near-u64::MAX width delta.
     let mut payload = vec![2u8]; // OP_CLEAR_RANGE
@@ -237,87 +222,41 @@ fn crafted_overflow_payloads_are_typed_errors_not_panics() {
     write_uvarint(&mut payload, 0).unwrap(); // height - 1
     assert!(matches!(EditRecord::decode(&payload), Err(StoreError::Malformed(_))));
 
-    // A graph edge whose dependent-head delta is i64::MAX.
-    let mut graph = Vec::new();
-    write_uvarint(&mut graph, 0).unwrap(); // no patterns
-    graph.push(0b110); // flags
-    write_uvarint(&mut graph, 0).unwrap(); // deps_inserted
-    write_uvarint(&mut graph, 1).unwrap(); // one edge
-    let mut w = BitWriter::new(&mut graph);
-    w.write_gamma_signed(i64::MAX).unwrap(); // dep head col delta
-    w.write_gamma_signed(0).unwrap();
-    w.finish().unwrap();
-    assert!(matches!(taco_store::decode_graph(&graph), Err(StoreError::Malformed(_))));
-
-    // A tiny section declaring billions of elements must be rejected
+    // A tiny sheet section declaring billions of cells must be rejected
     // before any allocation happens (counts are bounded by what the
     // remaining input could possibly hold).
-    let mut huge = Vec::new();
-    write_uvarint(&mut huge, 0).unwrap(); // no patterns
-    huge.push(0b110); // flags
-    write_uvarint(&mut huge, 0).unwrap(); // deps_inserted
-    write_uvarint(&mut huge, 1 << 40).unwrap(); // absurd edge count
-    assert!(matches!(
-        taco_store::decode_graph(&huge),
-        Err(StoreError::Malformed("edge count exceeds input"))
-    ));
+    let mut section = Vec::new();
+    write_uvarint(&mut section, 0).unwrap(); // no formula sources
+    write_uvarint(&mut section, 1 << 40).unwrap(); // absurd cell count
+    let reader = StoreReader::from_bytes(container_of(&section)).expect("a valid frame");
+    assert!(matches!(reader.read_sheet(0), Err(StoreError::Malformed("cell count exceeds input"))));
 }
 
-#[test]
-fn the_retired_gap_one_tag_is_refused() {
-    // Tag 6 named RR-GapOne, a pattern no build writes any more: in a
-    // configuration's pattern list and as an edge's meta tag it is an
-    // unknown tag. Each input decodes with tag 5 / 1 in its place, so the
-    // tag alone is what is refused.
-    use taco_store::codec::{write_uvarint, zigzag, BitWriter};
-
-    let config = |tag: u8| {
-        let mut graph = Vec::new();
-        write_uvarint(&mut graph, 1).unwrap(); // one pattern
-        graph.push(tag);
-        graph.push(0b110); // flags
-        write_uvarint(&mut graph, 0).unwrap(); // deps_inserted
-        write_uvarint(&mut graph, 0).unwrap(); // no edges
-        graph
-    };
-    assert!(taco_store::decode_graph(&config(5)).is_ok());
-    assert!(matches!(
-        taco_store::decode_graph(&config(6)),
-        Err(StoreError::Malformed("unknown pattern tag"))
-    ));
-
-    // C1:C3 reading B1:B3, one window per row, under meta `tag`.
-    let edge = |tag: u64| {
-        let mut graph = Vec::new();
-        write_uvarint(&mut graph, 0).unwrap(); // no patterns
-        graph.push(0b110); // flags
-        write_uvarint(&mut graph, 3).unwrap(); // deps_inserted
-        write_uvarint(&mut graph, 1).unwrap(); // one edge
-        let mut w = BitWriter::new(&mut graph);
-        w.write_gamma_signed(2).unwrap(); // dep head C1, from A1
-        w.write_gamma_signed(0).unwrap();
-        w.write_gamma0(0).unwrap(); // dep width - 1
-        w.write_gamma0(2).unwrap(); // dep height - 1
-        w.write_zeta(zigzag(-1), 3).unwrap(); // prec head B1
-        w.write_zeta(zigzag(0), 3).unwrap();
-        w.write_zeta(0, 3).unwrap(); // prec width - 1
-        w.write_zeta(2, 3).unwrap(); // prec height - 1
-        w.write_bit(false).unwrap(); // column axis
-        w.write_gamma(3).unwrap(); // count
-        w.write_bits(tag, 3).unwrap();
-        for d in [-1, 0, -1, 0] {
-            w.write_gamma_signed(d).unwrap(); // h_rel, t_rel
-        }
-        w.finish().unwrap();
-        graph
-    };
-    let rr = taco_store::decode_graph(&edge(1)).expect("the RR control decodes");
-    assert_eq!(rr.edges[0].pattern(), taco_core::PatternType::RR);
-    assert_eq!(rr.edges[0].dep, Range::parse_a1("C1:C3").unwrap());
-    assert!(matches!(
-        taco_store::decode_graph(&edge(6)),
-        Err(StoreError::Malformed("unknown meta tag"))
-    ));
+/// A container of one sheet section holding `section`, checksummed as
+/// the writer checksums one: what a crafted file looks like.
+fn container_of(section: &[u8]) -> Vec<u8> {
+    use taco_store::codec::{crc32, write_f64, write_string, write_uvarint};
+    let mut out = b"TACO".to_vec();
+    out.extend_from_slice(&taco_store::FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // flags
+    let header = out.clone();
+    out.extend_from_slice(section);
+    let mut footer = Vec::new();
+    write_uvarint(&mut footer, 1).unwrap(); // epoch
+    write_f64(&mut footer, 0.0).unwrap(); // clock: now, today, seed
+    write_f64(&mut footer, 0.0).unwrap();
+    write_uvarint(&mut footer, 0).unwrap();
+    write_uvarint(&mut footer, 1).unwrap(); // one sheet
+    write_string(&mut footer, "S").unwrap();
+    write_uvarint(&mut footer, header.len() as u64).unwrap();
+    write_uvarint(&mut footer, section.len() as u64).unwrap();
+    footer.extend_from_slice(&crc32(section).to_le_bytes());
+    let footer_crc = crc32(&[header, footer.clone()].concat());
+    out.extend_from_slice(&footer);
+    out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+    out.extend_from_slice(&footer_crc.to_le_bytes());
+    out.extend_from_slice(b"OCAT");
+    out
 }
 
 #[test]

@@ -47,7 +47,9 @@ fn main() {
     wb.save(&path).expect("save");
     let mut reopened = Workbook::open(&path).expect("reopen");
     verify_identical(&wb, &mut reopened, "after save/open");
-    println!("reopen: bit-identical ✔ (no recompression — graphs restored edge for edge)");
+    println!(
+        "reopen: bit-identical ✔ (graph derived from the formulas, a column stretch at a time)"
+    );
 
     // The WAL path: burst of edits, fsync, tear the last record, reopen.
     let mut pers = PersistentWorkbook::create(
