@@ -10,24 +10,28 @@
 //! - each read of the stretch's formula is one edge, made in O(1) from
 //!   the read's first two dependencies, paired by Alg. 2's own selection,
 //!   and the range it reads at the stretch's last cell
-//!   ([`FormulaGraph::stretch_edge`]); reads of other sheets alike, in the
-//!   bands' coordinates, once per distinct range as `Workbook::bind`
+//!   ([`FormulaGraph::stretch_edge`]); reads of other sheets alike, in
+//!   the bands' coordinates, once per distinct range as `Workbook::bind`
 //!   binds them;
 //! - an edge joins the edge of the stretch just above it in the column if
 //!   the two follow one pattern (two runs typed one under the other, or
-//!   one a re-typed cell once split);
+//!   one a re-typed cell once split), and so does each read of a stretch
+//!   of one cell (a lone formula between two stretches, which then join
+//!   through it);
 //! - every edge goes in place with one STR bulk load
 //!   ([`FormulaGraph::load_edges`]).
 //!
-//! A stretch whose reads are not one edge each is bound cell by cell
-//! afterwards, by `Workbook::bind`, the routine a live edit uses: a
-//! stretch of one cell, a `SUMIF` sum range read in the shape of its
-//! criteria range, a read that leaves the grid at an end (the number of
-//! reads changes along the stretch), one whose last cell does not follow
-//! the pattern of its first two (crossed corners), and two reads of one
-//! other sheet that may meet at a cell. Live edits keep Alg. 2 per
-//! dependency; what an open derives decompresses to exactly what binding
-//! every formula afresh would.
+//! Then the reads of one-cell stretches that joined nothing are added by
+//! Alg. 2 ([`FormulaGraph::add_dependency`]), which pairs them with a cell
+//! beside them or extends the stretch below. A stretch whose reads are
+//! not one edge each is bound cell by cell, by `Workbook::bind`, the
+//! routine a live edit uses: a read that leaves the grid at an end (the
+//! number of reads changes along the stretch), one whose first two cells
+//! pair in no pattern or whose last does not follow it (crossed corners,
+//! or a `SUMIF` sum range shaped by a criteria range that turns from
+//! shrinking to growing), and two reads of one other sheet that may meet
+//! at a cell. Live edits keep Alg. 2 per dependency; what an open derives
+//! decompresses to exactly what binding every formula afresh would.
 
 use super::{band, sheet_index, Reads, Workbook};
 use crate::sheet::Run;
@@ -53,6 +57,8 @@ struct Derived {
     /// Its reads of other sheets so far: `(sheet, range at the first
     /// cell, range at the last)`.
     bound: Vec<(usize, Range, Range)>,
+    /// The dependencies of one-cell stretches that join no edge above.
+    later: Vec<Dependency>,
     /// The indexes in `edges` of the edges of the stretch derived before
     /// (stretches come in (sheet, column, row) order, so only that one
     /// can end in the row above), and of this one's.
@@ -99,6 +105,9 @@ impl Workbook {
             shard.inserted += inserted;
         }
         graph.load_edges(derived.edges);
+        for d in &derived.later {
+            graph.add_dependency(d);
+        }
         for s in by_cell {
             for row in s.first.row..=s.last {
                 self.bind(s.sid, Cell { row, ..s.first }, &s.run, Reads::All);
@@ -120,12 +129,13 @@ impl Derived {
         dangling: &mut bool,
     ) -> Option<u64> {
         let own = self.own_edges(graph, index, s, dangling)?;
+        let lone = s.first.row == s.last;
         self.below_ids.clear();
         for (first, edge) in self.own.drain(..) {
             // `try_extend` takes `first` only one row below the edge.
             let join = self.above_ids.iter().position(|&id| {
                 let above = &self.edges[id];
-                above.meta == edge.meta && above.try_extend(&first).is_some()
+                (lone || above.meta == edge.meta) && above.try_extend(&first).is_some()
             });
             match join {
                 Some(k) => {
@@ -136,6 +146,9 @@ impl Derived {
                     above.count += edge.count;
                     self.below_ids.push(id);
                 }
+                // Added after the bulk load, Alg. 2 pairs it with a cell
+                // beside it or extends the stretch below it.
+                None if lone => self.later.push(first),
                 None => {
                     self.below_ids.push(self.edges.len());
                     self.edges.push(edge);
@@ -160,19 +173,17 @@ impl Derived {
         self.bound.clear();
         let (run, col, rows) = (&s.run, s.first.col, s.last - s.first.row + 1);
         let ends = || run.reads_at_ends(col, s.first.row, s.last);
-        if rows == 1
-            || run.template().shapes_reads()
-            || ends().any(|(_, first, last)| first.is_none() || last.is_none())
-        {
+        if rows > 1 && ends().any(|(_, first, last)| first.is_none() || last.is_none()) {
             return None;
         }
         // Every read is on the grid at both ends, so at every row between:
-        // the three lists line up.
+        // the three lists line up. One cell reads what it reads.
         let second = Cell { row: s.first.row + 1, ..s.first };
         let last = Cell { row: s.last, ..s.first };
-        let reads = run.at(s.first).reads().zip(run.at(second).reads()).zip(ends());
+        let mut rest = (rows > 1).then(|| run.at(second).reads().zip(ends()));
         let mut own = 0;
-        for (((sheet, head), (_, next)), (_, _, tail)) in reads {
+        for (sheet, head) in run.at(s.first).reads() {
+            let rest = rest.as_mut().and_then(Iterator::next);
             let src = match sheet {
                 None => s.sid,
                 Some(sheet) => match sheet_index(index, sheet.name()) {
@@ -183,7 +194,9 @@ impl Derived {
                     }
                 },
             };
-            let tail = tail.expect("on the grid at the last row");
+            let tail = rest
+                .as_ref()
+                .map_or(head.range(), |(_, (.., tail))| tail.expect("on the grid at the last row"));
             if src != s.sid {
                 // `bind` binds a range read twice on another sheet once
                 // per cell. Two reads equal at both ends are one: both
@@ -203,9 +216,14 @@ impl Derived {
                 let d = Dependency::from_ref(rref, cell);
                 Dependency { prec: band(src).range(d.prec), dep: band(s.sid).cell(cell), ..d }
             };
-            let (first, next) = (dep(&head, s.first), dep(&next, second));
-            let end = Dependency::new(band(src).range(tail), band(s.sid).cell(last));
-            let edge = graph.stretch_edge(&first, &next, &end)?;
+            let first = dep(&head, s.first);
+            let edge = match rest {
+                None => Edge::single(&first),
+                Some(((_, next), _)) => {
+                    let end = Dependency::new(band(src).range(tail), band(s.sid).cell(last));
+                    graph.stretch_edge(&first, &dep(&next, second), &end)?
+                }
+            };
             self.own.push((first, edge));
             if src == s.sid {
                 own += u64::from(rows);
