@@ -673,12 +673,6 @@ impl FormulaGraph {
         }
     }
 
-    /// Dependencies the stored edges represent, `Σ count`: a running
-    /// count, O(1).
-    pub fn num_dependencies(&self) -> u64 {
-        self.dependencies
-    }
-
     /// Edges reduced per pattern, `Σ (count − 1)`: a running count, O(1).
     pub fn reduced(&self) -> PatternCounts {
         self.reduced

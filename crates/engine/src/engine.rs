@@ -7,8 +7,8 @@ use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use taco_formula::eval::{EvalClock, FoldState, VolatileCtx};
-use taco_formula::program::{Frame, Program, Reader};
+use taco_formula::eval::{EvalClock, VolatileCtx};
+use taco_formula::program::{FoldState, Frame, Program, Reader};
 use taco_formula::{CellError, FormulaError, FuncId, Template, Value};
 use taco_grid::{Cell, Range};
 

@@ -22,10 +22,10 @@
 //! bands are the sheets — so a `Sheet2!A1`-style reference is an ordinary
 //! edge, and one filled down a column is one compressed edge — and one
 //! recalculation order across the sheets, each dirty cell after the dirty
-//! cells it reads on whichever sheet. One routine binds every dependency
-//! (on an edit, when an added sheet resolves a reference, and on open);
-//! a saved sheet stores its band's own edges, and the reads between
-//! sheets are bound again from the formulas on open.
+//! cells it reads on whichever sheet. One routine binds a formula's reads
+//! (on an edit, when an added sheet resolves a reference, and on open for
+//! what is not one edge a read); a saved workbook stores no graph, and an
+//! open derives it from the formulas a column stretch of a run at a time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -547,7 +547,7 @@ mod tests {
             back.find_dependents(data, Range::parse_a1("A3").unwrap()),
             wb.find_dependents(data, Range::parse_a1("A3").unwrap())
         );
-        // Edits keep working and the restored graph keeps compressing.
+        // Edits keep working and the derived graph keeps compressing.
         let receipt = back.set_value(data, c("A3"), n(100.0));
         assert_eq!(receipt.dirty, wb.set_value(data, c("A3"), n(100.0)).dirty);
         back.recalculate(RecalcMode::Serial);

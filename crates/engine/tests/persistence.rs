@@ -103,7 +103,7 @@ fn round_trip_preserves_observables_across_presets_and_threads() {
         assert_equivalent(&mut live, &mut back, ctx);
 
         // Receipts of a follow-up edit + recalc are identical: the
-        // restored graph routes dirtiness exactly like the original.
+        // derived graph routes dirtiness exactly like the original.
         let cell = taco_grid::Cell::new(1, 3);
         let ra = live.set_value(SheetId(0), cell, taco_formula::Value::Number(123.0));
         let rb = back.set_value(SheetId(0), cell, taco_formula::Value::Number(123.0));

@@ -1,14 +1,17 @@
-//! Formula interpreter.
+//! Formula interpreter: a walk of the tree, where the formula was written.
 //!
 //! Evaluation is a substrate concern (the paper's contribution is the
 //! formula *graph*, not the calculator), but the engine needs real
 //! recalculation to demonstrate the end-to-end "update → find dependents →
 //! re-evaluate" loop, and the workload generator needs evaluable formulae.
+//! The engine runs each template's [`crate::program`]; this walk is the
+//! reference it is held to, so it remembers nothing between evaluations
+//! and moves no reference: a formula at an offset is evaluated as the tree
+//! autofill builds there ([`crate::template::At::to_ast`]).
 
 use crate::ast::{BinOp, Expr, FuncId, UnOp};
 use crate::value::{parse_number, CellError, Value};
 use std::ops::ControlFlow;
-use taco_grid::a1::RangeRef;
 use taco_grid::{Cell, Range};
 
 /// An injected time/randomness source for the volatile functions
@@ -82,8 +85,9 @@ impl VolatileCtx {
     }
 }
 
-/// Provides cell values to the evaluator. Implemented by the sheet model
-/// in `taco-engine` and by test fixtures here.
+/// Provides cell values to the evaluator: the test fixtures and the
+/// workload crate's reference evaluation. (The engine's sheets are read
+/// by a program, through [`crate::program::Reader`].)
 pub trait CellProvider {
     /// Current value of `cell` (`Value::Empty` when blank).
     fn value(&self, cell: Cell) -> Value;
@@ -123,29 +127,6 @@ pub trait CellProvider {
     ) -> ControlFlow<B, A> {
         range.cells().try_fold(init, |acc, c| f(acc, &value_on(self, sheet, c)))
     }
-
-    /// Where the fold of aggregate `id` over a leading part of `range` (on
-    /// the formula's own sheet) already stands, for a provider that
-    /// remembers: the state after the rows from the range's first through
-    /// the returned one, across all its columns — a prefix of `range` in
-    /// [`Range::cells`] order, so the evaluator goes on from the row after
-    /// it and does the very additions a fold from the first row does.
-    /// `None`, the default, makes it fold the whole range.
-    ///
-    /// Asked only for the range an aggregate starts with, and only when
-    /// its head corner is `$`-fixed: the reference autofill repeats (FF)
-    /// or grows (FR) from one cell of a run to the next.
-    fn resume_fold(&self, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
-        let _ = (id, range);
-        None
-    }
-
-    /// Told the state of aggregate `id` after the whole of `range`, every
-    /// time [`CellProvider::resume_fold`] was asked and the fold met no
-    /// error. A fold that stops at an error value is never reported.
-    fn remember_fold(&self, id: FuncId, range: Range, state: FoldState) {
-        let _ = (id, range, state);
-    }
 }
 
 impl<F: Fn(Cell) -> Value> CellProvider for F {
@@ -166,110 +147,11 @@ fn value_on<P: CellProvider + ?Sized>(cells: &P, sheet: Option<&str>, cell: Cell
 /// evaluation; larger ranges produce `#VALUE!` instead of hanging.
 pub const MAX_RANGE_CELLS: u64 = 4_000_000;
 
-/// Evaluates an expression against a provider.
+/// Evaluates an expression against a provider, where it was written:
+/// every reference reads the range it names, a literal slot its first
+/// value ([`Slot::at`](crate::ast::Slot::at) 0).
 pub fn eval<P: CellProvider>(expr: &Expr, cells: &P) -> Value {
-    eval_at(expr, 0, 0, cells)
-}
-
-/// Evaluates an expression as it reads `dc` columns and `dr` rows from
-/// where it was written: every reference is moved by
-/// [`RangeRef::autofill`](taco_grid::a1::RangeRef::autofill) first, one
-/// that leaves the grid is `#REF!`, and a literal slot reads as its value
-/// [`Slot::at`](crate::ast::Slot::at) `dr` — what the formula of that
-/// cell of its run evaluates to, without building it.
-pub fn eval_at<P: CellProvider>(expr: &Expr, dc: i64, dr: i64, cells: &P) -> Value {
-    eval_in(expr, &Ctx { cells, dc, dr })
-}
-
-/// [`RangeRef::autofill`]; a lone formula, a run of one, sits at `(0, 0)`
-/// and moves nothing.
-#[inline]
-pub(crate) fn moved(rref: &RangeRef, dc: i64, dr: i64) -> Option<RangeRef> {
-    if (dc, dr) == (0, 0) {
-        Some(*rref)
-    } else {
-        rref.autofill(dc, dr)
-    }
-}
-
-/// An evaluation in progress: the provider, and how far the expression
-/// has moved from where its references were written.
-struct Ctx<'p, P> {
-    cells: &'p P,
-    dc: i64,
-    dr: i64,
-}
-
-fn eval_in<P: CellProvider>(expr: &Expr, cx: &Ctx<'_, P>) -> Value {
-    eval_operand(expr, cx).scalar(cx.cells)
-}
-
-/// Where an aggregate's fold stands: an accumulator and a count, of which
-/// each function uses what it needs (`SUM` the accumulator, `COUNT` the
-/// count, `AVERAGE` both, `MIN` the count as "seen a number"). Opaque to
-/// a provider that remembers it — see [`CellProvider::resume_fold`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FoldState {
-    acc: f64,
-    count: u64,
-}
-
-#[cfg(debug_assertions)]
-impl FoldState {
-    pub(crate) fn bits(self) -> (u64, u64) {
-        (self.acc.to_bits(), self.count)
-    }
-}
-
-/// A fold accumulator that fits a [`FoldState`], bit for bit.
-pub(crate) trait Carried: Copy {
-    fn pack(self) -> FoldState;
-    fn unpack(state: FoldState) -> Self;
-}
-
-impl Carried for f64 {
-    fn pack(self) -> FoldState {
-        FoldState { acc: self, count: 0 }
-    }
-    fn unpack(state: FoldState) -> Self {
-        state.acc
-    }
-}
-
-impl Carried for u64 {
-    fn pack(self) -> FoldState {
-        FoldState { acc: 0.0, count: self }
-    }
-    fn unpack(state: FoldState) -> Self {
-        state.count
-    }
-}
-
-impl Carried for (f64, u64) {
-    fn pack(self) -> FoldState {
-        FoldState { acc: self.0, count: self.1 }
-    }
-    fn unpack(state: FoldState) -> Self {
-        (state.acc, state.count)
-    }
-}
-
-impl Carried for Option<f64> {
-    fn pack(self) -> FoldState {
-        FoldState { acc: self.unwrap_or(0.0), count: u64::from(self.is_some()) }
-    }
-    fn unpack(state: FoldState) -> Self {
-        (state.count != 0).then_some(state.acc)
-    }
-}
-
-impl Carried for bool {
-    fn pack(self) -> FoldState {
-        FoldState { acc: 0.0, count: u64::from(self) }
-    }
-    fn unpack(state: FoldState) -> Self {
-        state.count != 0
-    }
+    eval_operand(expr, cells).scalar(cells)
 }
 
 /// An intermediate operand: functions like SUM accept ranges, scalar
@@ -297,26 +179,23 @@ impl Operand<'_> {
     }
 }
 
-fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cx: &Ctx<'_, P>) -> Operand<'a> {
+fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cells: &P) -> Operand<'a> {
     match expr {
         Expr::Number(n) => Operand::Scalar(Value::Number(*n)),
-        Expr::Slot(slot) => Operand::Scalar(Value::Number(slot.at(cx.dr))),
+        Expr::Slot(slot) => Operand::Scalar(Value::Number(slot.at(0))),
         Expr::Text(s) => Operand::Scalar(Value::Text(s.clone())),
         Expr::Bool(b) => Operand::Scalar(Value::Bool(*b)),
         Expr::RefError => Operand::Scalar(Value::Error(CellError::Ref)),
-        Expr::Ref(r) => match moved(&r.rref, cx.dc, cx.dr) {
-            Some(moved) => Operand::Range(r.sheet_name(), moved.range()),
-            None => Operand::Scalar(Value::Error(CellError::Ref)),
-        },
+        Expr::Ref(r) => Operand::Range(r.sheet_name(), r.range()),
         Expr::Percent(e) => {
-            let v = eval_operand(e, cx).scalar(cx.cells);
+            let v = eval_operand(e, cells).scalar(cells);
             Operand::Scalar(match v.as_number() {
                 Ok(n) => Value::Number(n / 100.0),
                 Err(e) => Value::Error(e),
             })
         }
         Expr::Unary { op, expr } => {
-            let v = eval_operand(expr, cx).scalar(cx.cells);
+            let v = eval_operand(expr, cells).scalar(cells);
             Operand::Scalar(match (op, v.as_number()) {
                 (UnOp::Neg, Ok(n)) => Value::Number(-n),
                 (UnOp::Plus, Ok(n)) => Value::Number(n),
@@ -324,11 +203,11 @@ fn eval_operand<'a, P: CellProvider>(expr: &'a Expr, cx: &Ctx<'_, P>) -> Operand
             })
         }
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval_operand(lhs, cx).scalar(cx.cells);
-            let r = eval_operand(rhs, cx).scalar(cx.cells);
+            let l = eval_operand(lhs, cells).scalar(cells);
+            let r = eval_operand(rhs, cells).scalar(cells);
             Operand::Scalar(eval_binary(*op, &l, &r))
         }
-        Expr::Func { id, args, .. } => Operand::Scalar(eval_func(*id, args, cx)),
+        Expr::Func { id, args, .. } => Operand::Scalar(eval_func(*id, args, cells)),
     }
 }
 
@@ -438,65 +317,21 @@ fn fold_cells<P: CellProvider, A>(
     }
 }
 
-/// The range an aggregate starts with, if its fold may be resumed (see
-/// [`CellProvider::resume_fold`]): on the formula's own sheet, head
-/// corner `$`-fixed.
-fn resumable<P>(args: &[Expr], cx: &Ctx<'_, P>) -> Option<Range> {
-    match args.first()? {
-        Expr::Ref(r) if r.sheet.is_none() && r.rref.head.is_fixed() => {
-            Some(moved(&r.rref, cx.dc, cx.dr)?.range())
-        }
-        _ => None,
-    }
-}
-
-/// Folds the scalar values of the arguments of aggregate `id` into
+/// Folds the scalar values of the arguments of an aggregate into
 /// `init`, in order: a scalar argument is itself, a range every cell
 /// value. The accumulator is handed along by value, so a sum over a
-/// column lives in a register. A [`resumable`] first range goes on from
-/// where the provider remembers its fold standing: the same steps from
-/// the same state, so the same bits.
-fn fold_values<P: CellProvider, A: Carried>(
-    id: FuncId,
+/// column lives in a register.
+fn fold_values<P: CellProvider, A>(
     args: &[Expr],
-    cx: &Ctx<'_, P>,
+    cells: &P,
     init: A,
     mut f: impl FnMut(A, &Value) -> Result<A, CellError>,
 ) -> Result<A, CellError> {
     let mut acc = init;
-    let mut rest = args;
-    if let Some(range) = resumable(args, cx) {
-        if range.area() > MAX_RANGE_CELLS {
-            return Err(CellError::Value);
-        }
-        let mut todo = Some(range);
-        if let Some((state, through)) = cx.cells.resume_fold(id, range) {
-            let (head, tail) = (range.head(), range.tail());
-            // Debug builds hold every resumed fold to the fold it stands
-            // for, so each suite that evaluates a formula checks it.
-            #[cfg(debug_assertions)]
-            {
-                let folded = Range::from_coords(head.col, head.row, tail.col, through);
-                let fresh = fold_cells(cx.cells, None, folded, init, &mut f).map(Carried::pack);
-                debug_assert!(
-                    fresh.is_ok_and(|fresh| fresh.bits() == state.bits()),
-                    "{id:?} over {folded}: remembered {state:?}, folds to {fresh:?}"
-                );
-            }
-            acc = A::unpack(state);
-            todo = (through < tail.row)
-                .then(|| Range::from_coords(head.col, through + 1, tail.col, tail.row));
-        }
-        if let Some(todo) = todo {
-            acc = fold_cells(cx.cells, None, todo, acc, &mut f)?;
-        }
-        cx.cells.remember_fold(id, range, acc.pack());
-        rest = &args[1..];
-    }
-    for arg in rest {
-        acc = match eval_operand(arg, cx) {
+    for arg in args {
+        acc = match eval_operand(arg, cells) {
             Operand::Scalar(v) => f(acc, &v)?,
-            Operand::Range(sheet, r) => fold_cells(cx.cells, sheet, r, acc, &mut f)?,
+            Operand::Range(sheet, r) => fold_cells(cells, sheet, r, acc, &mut f)?,
         };
     }
     Ok(acc)
@@ -504,46 +339,46 @@ fn fold_values<P: CellProvider, A: Carried>(
 
 /// [`fold_values`] over the numbers: non-numeric and empty cells inside
 /// ranges are skipped (Excel SUM semantics), but error values propagate.
-fn fold_numbers<P: CellProvider, A: Carried>(
-    id: FuncId,
+fn fold_numbers<P: CellProvider, A>(
     args: &[Expr],
-    cx: &Ctx<'_, P>,
+    cells: &P,
     init: A,
     mut f: impl FnMut(A, f64) -> A,
 ) -> Result<A, CellError> {
-    fold_values(id, args, cx, init, |acc, v| match v {
+    fold_values(args, cells, init, |acc, v| match v {
         Value::Number(n) => Ok(f(acc, *n)),
         Value::Error(e) => Err(*e),
         _ => Ok(acc),
     })
 }
 
-fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cx: &Ctx<'_, P>) -> Value {
+fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cells: &P) -> Value {
     let result = match id {
-        FuncId::Sum => fold_numbers(id, args, cx, 0.0, |acc, n| acc + n).map(Value::Number),
-        FuncId::Product => fold_numbers(id, args, cx, 1.0, |acc, n| acc * n).map(Value::Number),
+        FuncId::Sum => fold_numbers(args, cells, 0.0, |acc, n| acc + n).map(Value::Number),
+        FuncId::Product => fold_numbers(args, cells, 1.0, |acc, n| acc * n).map(Value::Number),
         // Counts numeric values only, like Excel.
-        FuncId::Count => fold_values(id, args, cx, 0u64, |count, v| {
+        FuncId::Count => fold_values(args, cells, 0u64, |count, v| {
             Ok(count + u64::from(matches!(v, Value::Number(_))))
         })
         .map(|count| Value::Number(count as f64)),
         FuncId::CountA => {
-            fold_values(id, args, cx, 0u64, |count, v| Ok(count + u64::from(!v.is_empty())))
+            fold_values(args, cells, 0u64, |count, v| Ok(count + u64::from(!v.is_empty())))
                 .map(|count| Value::Number(count as f64))
         }
         FuncId::Average => {
-            fold_numbers(id, args, cx, (0.0, 0u64), |(sum, count), n| (sum + n, count + 1))
-                .and_then(|(sum, count)| {
+            fold_numbers(args, cells, (0.0, 0u64), |(sum, count), n| (sum + n, count + 1)).and_then(
+                |(sum, count)| {
                     if count == 0 {
                         Err(CellError::Div0)
                     } else {
                         Ok(Value::Number(sum / count as f64))
                     }
-                })
+                },
+            )
         }
         FuncId::Min | FuncId::Max => {
             let take_max = id == FuncId::Max;
-            fold_numbers(id, args, cx, None, |best: Option<f64>, n| {
+            fold_numbers(args, cells, None, |best: Option<f64>, n| {
                 Some(match best {
                     None => n,
                     Some(b) if take_max => b.max(n),
@@ -556,16 +391,16 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cx: &Ctx<'_, P>) -> Val
             if args.is_empty() || args.len() > 3 {
                 Err(CellError::Value)
             } else {
-                match eval_in(&args[0], cx).as_bool() {
+                match eval(&args[0], cells).as_bool() {
                     Err(e) => Err(e),
-                    Ok(true) => Ok(args.get(1).map_or(Value::Bool(true), |a| eval_in(a, cx))),
-                    Ok(false) => Ok(args.get(2).map_or(Value::Bool(false), |a| eval_in(a, cx))),
+                    Ok(true) => Ok(args.get(1).map_or(Value::Bool(true), |a| eval(a, cells))),
+                    Ok(false) => Ok(args.get(2).map_or(Value::Bool(false), |a| eval(a, cells))),
                 }
             }
         }
         FuncId::And | FuncId::Or => {
             let is_and = id == FuncId::And;
-            fold_values(id, args, cx, is_and, |acc, v| {
+            fold_values(args, cells, is_and, |acc, v| {
                 if v.is_empty() {
                     return Ok(acc);
                 }
@@ -574,16 +409,16 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cx: &Ctx<'_, P>) -> Val
             })
             .map(Value::Bool)
         }
-        FuncId::Not => single_arg(args, cx).and_then(|v| v.as_bool()).map(|b| Value::Bool(!b)),
-        FuncId::Abs => num1(args, cx, f64::abs),
-        FuncId::Sqrt => num1(args, cx, f64::sqrt),
-        FuncId::Int => num1(args, cx, f64::floor),
+        FuncId::Not => single_arg(args, cells).and_then(|v| v.as_bool()).map(|b| Value::Bool(!b)),
+        FuncId::Abs => num1(args, cells, f64::abs),
+        FuncId::Sqrt => num1(args, cells, f64::sqrt),
+        FuncId::Int => num1(args, cells, f64::floor),
         FuncId::Round => {
             if args.len() != 2 {
                 Err(CellError::Value)
             } else {
-                let n = eval_in(&args[0], cx).as_number();
-                let d = eval_in(&args[1], cx).as_number();
+                let n = eval(&args[0], cells).as_number();
+                let d = eval(&args[1], cells).as_number();
                 match (n, d) {
                     (Ok(n), Ok(d)) => {
                         let m = 10f64.powi(d as i32);
@@ -593,14 +428,14 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cx: &Ctx<'_, P>) -> Val
                 }
             }
         }
-        FuncId::Len => single_arg(args, cx)
+        FuncId::Len => single_arg(args, cells)
             .and_then(|v| v.as_text())
             .map(|s| Value::Number(s.chars().count() as f64)),
         FuncId::Concatenate => {
             let mut s = String::new();
             let mut err = None;
             for a in args {
-                match eval_in(a, cx).as_text() {
+                match eval(a, cells).as_text() {
                     Ok(t) => s.push_str(&t),
                     Err(e) => {
                         err = Some(e);
@@ -613,17 +448,17 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cx: &Ctx<'_, P>) -> Val
                 None => Ok(Value::Text(s)),
             }
         }
-        FuncId::Vlookup => vlookup(args, cx),
-        FuncId::SumIf | FuncId::CountIf | FuncId::AverageIf => cond_aggregate(id, args, cx),
-        FuncId::Index => index(args, cx),
-        FuncId::Match => match_fn(args, cx),
+        FuncId::Vlookup => vlookup(args, cells),
+        FuncId::SumIf | FuncId::CountIf | FuncId::AverageIf => cond_aggregate(id, args, cells),
+        FuncId::Index => index(args, cells),
+        FuncId::Match => match_fn(args, cells),
         // Volatile functions read the injected clock (see [`EvalClock`]);
         // without one they fall back to deterministic zeros.
-        FuncId::Now => Ok(Value::Number(cx.cells.volatile().map_or(0.0, VolatileCtx::now))),
-        FuncId::Today => Ok(Value::Number(cx.cells.volatile().map_or(0.0, VolatileCtx::today))),
+        FuncId::Now => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::now))),
+        FuncId::Today => Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::today))),
         FuncId::Rand => {
             if args.is_empty() {
-                Ok(Value::Number(cx.cells.volatile().map_or(0.0, VolatileCtx::next_rand)))
+                Ok(Value::Number(cells.volatile().map_or(0.0, VolatileCtx::next_rand)))
             } else {
                 Err(CellError::Value)
             }
@@ -633,11 +468,11 @@ fn eval_func<P: CellProvider>(id: FuncId, args: &[Expr], cx: &Ctx<'_, P>) -> Val
     result.unwrap_or_else(Value::Error)
 }
 
-fn single_arg<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
+fn single_arg<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
     if args.len() != 1 {
         return Err(CellError::Value);
     }
-    let v = eval_in(&args[0], cx);
+    let v = eval(&args[0], cells);
     if let Value::Error(e) = v {
         return Err(e);
     }
@@ -646,10 +481,10 @@ fn single_arg<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, 
 
 fn num1<P: CellProvider>(
     args: &[Expr],
-    cx: &Ctx<'_, P>,
+    cells: &P,
     f: impl Fn(f64) -> f64,
 ) -> Result<Value, CellError> {
-    single_arg(args, cx).and_then(|v| v.as_number()).map(|n| Value::Number(f(n)))
+    single_arg(args, cells).and_then(|v| v.as_number()).map(|n| Value::Number(f(n)))
 }
 
 /// SUMIF/COUNTIF/AVERAGEIF: criteria over one range, optionally summing a
@@ -657,16 +492,16 @@ fn num1<P: CellProvider>(
 fn cond_aggregate<P: CellProvider>(
     id: FuncId,
     args: &[Expr],
-    cx: &Ctx<'_, P>,
+    cells: &P,
 ) -> Result<Value, CellError> {
     let want_sum_range = id != FuncId::CountIf;
     if args.len() < 2 || args.len() > if want_sum_range { 3 } else { 2 } {
         return Err(CellError::Value);
     }
-    let Operand::Range(crit_sheet, crit_range) = eval_operand(&args[0], cx) else {
+    let Operand::Range(crit_sheet, crit_range) = eval_operand(&args[0], cells) else {
         return Err(CellError::Value);
     };
-    let criterion = eval_in(&args[1], cx);
+    let criterion = eval(&args[1], cells);
     if let Value::Error(e) = criterion {
         return Err(e);
     }
@@ -674,7 +509,7 @@ fn cond_aggregate<P: CellProvider>(
     // Without a sum range the cells that match are the cells summed.
     let sum_range = match args.get(2) {
         None => None,
-        Some(a) => match eval_operand(a, cx) {
+        Some(a) => match eval_operand(a, cells) {
             Operand::Range(s, r) => Some((s, r)),
             Operand::Scalar(_) => return Err(CellError::Value),
         },
@@ -684,7 +519,7 @@ fn cond_aggregate<P: CellProvider>(
     }
     let width = u64::from(crit_range.width());
     // (cells visited, cells that matched, their sum)
-    let flow = cx.cells.fold_range(crit_sheet, crit_range, (0u64, 0u64, 0.0), &mut |acc, v| {
+    let flow = cells.fold_range(crit_sheet, crit_range, (0u64, 0u64, 0.0), &mut |acc, v| {
         let (at, count, sum) = acc;
         if !criterion.matches(v) {
             return ControlFlow::Continue((at + 1, count, sum));
@@ -698,7 +533,7 @@ fn cond_aggregate<P: CellProvider>(
                 let col = i64::from(sum_range.head().col) + (at % width) as i64;
                 let row = i64::from(sum_range.head().row) + (at / width) as i64;
                 match Cell::try_new(col, row) {
-                    Ok(sc) => value_on(cx.cells, sum_sheet, sc).as_number(),
+                    Ok(sc) => value_on(cells, sum_sheet, sc).as_number(),
                     Err(_) => return ControlFlow::Break(CellError::Ref),
                 }
             }
@@ -763,23 +598,23 @@ impl<'a> Criterion<'a> {
 }
 
 /// INDEX(range, row, [col]): the value at a 1-based position in a range.
-fn index<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
+fn index<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
     if args.len() < 2 || args.len() > 3 {
         return Err(CellError::Value);
     }
-    let Operand::Range(sheet, table) = eval_operand(&args[0], cx) else {
+    let Operand::Range(sheet, table) = eval_operand(&args[0], cells) else {
         return Err(CellError::Value);
     };
-    let row = eval_in(&args[1], cx).as_number()? as i64;
+    let row = eval(&args[1], cells).as_number()? as i64;
     let col = match args.get(2) {
         None => 1,
-        Some(a) => eval_in(a, cx).as_number()? as i64,
+        Some(a) => eval(a, cells).as_number()? as i64,
     };
     if row < 1 || col < 1 || row > i64::from(table.height()) || col > i64::from(table.width()) {
         return Err(CellError::Ref);
     }
     Ok(value_on(
-        cx.cells,
+        cells,
         sheet,
         Cell::new(table.head().col + (col - 1) as u32, table.head().row + (row - 1) as u32),
     ))
@@ -787,15 +622,15 @@ fn index<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellE
 
 /// MATCH(value, range, [0|1]): 1-based position of a value in a one-
 /// dimensional range (0 = exact, 1 = largest ≤ value, the default).
-fn match_fn<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
+fn match_fn<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
     if args.len() < 2 || args.len() > 3 {
         return Err(CellError::Value);
     }
-    let needle = eval_in(&args[0], cx);
+    let needle = eval(&args[0], cells);
     if let Value::Error(e) = needle {
         return Err(e);
     }
-    let Operand::Range(sheet, range) = eval_operand(&args[1], cx) else {
+    let Operand::Range(sheet, range) = eval_operand(&args[1], cells) else {
         return Err(CellError::Value);
     };
     if !range.is_line() || range.area() > MAX_RANGE_CELLS {
@@ -803,10 +638,10 @@ fn match_fn<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, Ce
     }
     let exact = match args.get(2) {
         None => false,
-        Some(a) => eval_in(a, cx).as_number()? == 0.0,
+        Some(a) => eval(a, cells).as_number()? == 0.0,
     };
     let scan = |mut f: &mut dyn FnMut(Scan, &Value) -> ControlFlow<u64, Scan>| {
-        cx.cells.fold_range(sheet, range, (0, None), &mut f)
+        cells.fold_range(sheet, range, (0, None), &mut f)
     };
     let found = position_in(scan, &needle, exact);
     found.map(|i| Value::Number(i as f64)).ok_or(CellError::Na)
@@ -846,33 +681,33 @@ pub(crate) fn position_in(
     }
 }
 
-fn vlookup<P: CellProvider>(args: &[Expr], cx: &Ctx<'_, P>) -> Result<Value, CellError> {
+fn vlookup<P: CellProvider>(args: &[Expr], cells: &P) -> Result<Value, CellError> {
     if args.len() < 3 || args.len() > 4 {
         return Err(CellError::Value);
     }
-    let needle = eval_in(&args[0], cx);
+    let needle = eval(&args[0], cells);
     if let Value::Error(e) = needle {
         return Err(e);
     }
-    let Operand::Range(sheet, table) = eval_operand(&args[1], cx) else {
+    let Operand::Range(sheet, table) = eval_operand(&args[1], cells) else {
         return Err(CellError::Value);
     };
-    let col_index = eval_in(&args[2], cx).as_number()? as i64;
+    let col_index = eval(&args[2], cells).as_number()? as i64;
     if col_index < 1 || col_index > i64::from(table.width()) {
         return Err(CellError::Ref);
     }
     let exact = match args.get(3) {
         None => false, // Excel default is approximate match
-        Some(a) => !eval_in(a, cx).as_bool()?,
+        Some(a) => !eval(a, cells).as_bool()?,
     };
     let (head, tail) = (table.head(), table.tail());
     let lookup_column = Range::from_coords(head.col, head.row, head.col, tail.row);
     let scan = |mut f: &mut dyn FnMut(Scan, &Value) -> ControlFlow<u64, Scan>| {
-        cx.cells.fold_range(sheet, lookup_column, (0, None), &mut f)
+        cells.fold_range(sheet, lookup_column, (0, None), &mut f)
     };
     let found = position_in(scan, &needle, exact).ok_or(CellError::Na)?;
     let result = Cell::new(head.col + (col_index - 1) as u32, head.row + (found - 1) as u32);
-    Ok(value_on(cx.cells, sheet, result))
+    Ok(value_on(cells, sheet, result))
 }
 
 fn values_equal(a: &Value, b: &Value) -> bool {
@@ -937,114 +772,6 @@ mod tests {
         let fx = ClockFixture(fixture(&[]), VolatileCtx::for_cell(clock, cell));
         assert_eq!(eval(&parse("NOW()").unwrap(), &fx), Value::Number(45000.5));
         assert_eq!(eval(&parse("TODAY()+1").unwrap(), &fx), Value::Number(45001.0));
-    }
-
-    /// Remembers every fold it is told of and resumes from the longest
-    /// remembered prefix, counting the cells read in between.
-    struct Remembering {
-        cells: Fixture,
-        folds: std::cell::RefCell<Vec<(FuncId, Range, FoldState)>>,
-        reads: std::cell::Cell<u32>,
-    }
-
-    impl Remembering {
-        fn run(&self, src: &str) -> (Value, u32) {
-            self.reads.set(0);
-            (eval(&parse(src).unwrap(), self), self.reads.get())
-        }
-    }
-
-    impl CellProvider for Remembering {
-        fn value(&self, cell: Cell) -> Value {
-            self.reads.set(self.reads.get() + 1);
-            self.cells.value(cell)
-        }
-
-        fn resume_fold(&self, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
-            let folds = self.folds.borrow();
-            let prefixes = folds.iter().filter(|(known, r, _)| {
-                *known == id
-                    && r.head() == range.head()
-                    && r.tail().col == range.tail().col
-                    && r.tail().row <= range.tail().row
-            });
-            prefixes.max_by_key(|(_, r, _)| r.tail().row).map(|(_, r, s)| (*s, r.tail().row))
-        }
-
-        fn remember_fold(&self, id: FuncId, range: Range, state: FoldState) {
-            self.folds.borrow_mut().push((id, range, state));
-        }
-    }
-
-    #[test]
-    fn an_aggregate_resumes_only_a_leading_own_sheet_range_with_a_fixed_head() {
-        let n = Value::Number;
-        let cells = [
-            ("A1", n(0.1)),
-            ("A2", n(0.2)),
-            ("A3", Value::Text("x".into())),
-            ("A4", n(1e16)),
-            ("A5", n(-1e16)),
-            ("A6", n(0.7)),
-            ("B1", n(10.0)),
-            ("B4", Value::Bool(true)),
-            ("B7", Value::Error(CellError::Div0)),
-        ];
-        let plain = fixture(&cells);
-        let fx = Remembering {
-            cells: fixture(&cells),
-            folds: Default::default(),
-            reads: Default::default(),
-        };
-        for func in ["SUM", "PRODUCT", "COUNT", "COUNTA", "AVERAGE", "MIN", "MAX", "AND", "OR"] {
-            // One column growing, two columns growing, the same range again.
-            for (range, longer) in [("$A$1:A3", "$A$1:A6"), ("$A$1:B2", "$A$1:B6")] {
-                let (first, _) = fx.run(&format!("{func}({range})"));
-                assert!(same(&first, &run(&format!("{func}({range})"), &plain)), "{func}({range})");
-                let src = format!("{func}({longer},B1,5)");
-                let (resumed, reads) = fx.run(&src);
-                assert!(same(&resumed, &run(&src, &plain)), "{src}: {resumed:?}");
-                // (`AND` and `OR` stop at the text in A3: nothing to resume.)
-                if !matches!(resumed, Value::Error(_)) {
-                    let (old_cells, new_cells) =
-                        if longer.ends_with("B6") { (4, 8) } else { (3, 3) };
-                    // (a debug build folds the remembered part over, to check it)
-                    let checked = |cells: u32| if cfg!(debug_assertions) { cells } else { 0 };
-                    assert_eq!(reads, new_cells + 1 + checked(old_cells), "{src}");
-                    let again = 1 + checked(old_cells + new_cells);
-                    assert_eq!(fx.run(&src), (resumed, again), "{src}, again: only B1 is read");
-                }
-            }
-        }
-        // Not a range whose head moves with the formula, not a range after
-        // the first argument (the fold would differ in its last bits), not
-        // one on a named sheet, and not a fold that met an error.
-        fx.folds.borrow_mut().clear();
-        for src in ["SUM(A1:A6)", "SUM(B1,$A$1:A6)", "SUM(Other!$A$1:A6)", "SUM($B$1:B7)"] {
-            let (got, _) = fx.run(src);
-            assert!(same(&got, &run(src, &plain)), "{src}");
-            assert!(fx.folds.borrow().is_empty(), "{src}");
-        }
-        assert_eq!(fx.run("SUM($B$1:B7)").0, Value::Error(CellError::Div0));
-    }
-
-    #[test]
-    fn evaluating_at_an_offset_is_evaluating_the_autofilled_formula() {
-        let n = Value::Number;
-        let fx = fixture(&[("A1", n(1.0)), ("A2", n(2.0)), ("A3", n(4.0)), ("B3", n(8.0))]);
-        for (src, dc, dr) in [
-            ("SUM($A$1:A1)", 0, 2),
-            ("A1+$A$1*A$2", 1, 2),
-            ("IF(A2>1,SUMIF($A$1:A2,\">0\",B1:B1),B2)", 0, 1),
-            ("A2+1", 0, -2),
-            ("SUM(B2:C3)", -2, 0),
-            ("VLOOKUP(2,A1:B2,2,FALSE)", 0, 1),
-        ] {
-            let ast = parse(src).unwrap();
-            let filled = ast.map_refs(&mut |q| q.autofill(dc, dr));
-            assert!(same(&eval_at(&ast, dc, dr, &fx), &eval(&filled, &fx)), "{src} by {dc},{dr}");
-        }
-        assert_eq!(eval_at(&parse("A2+1").unwrap(), 0, -2, &fx), Value::Error(CellError::Ref));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   program (SUM/AVERAGE/IF/VLOOKUP/arithmetic/…), bound once per node of
 //!   a run and run once per row: what the `taco-engine` substrate
 //!   recalculates cells with,
-//! - [`eval`] — the same language as a walk of the tree, kept as the
-//!   reference the program is held to,
+//! - [`eval`] — the same language as a memoryless walk of the tree where
+//!   the formula was written, kept as the reference the program is held
+//!   to (offsets and remembered folds are the program's alone),
 //! - [`autofill`] — the reference-adjustment transform whose `$` rules are
 //!   what make autofilled spreadsheets exhibit the RR/RF/FR/FF patterns,
 //! - [`template`] — the same transform without building anything: one

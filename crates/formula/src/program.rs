@@ -43,20 +43,18 @@
 //!   push (`Op::Arith`), numbers taken without the stack. A program of
 //!   one such op runs without one.
 //!
-//! The program does what [`crate::eval::eval_at`]'s tree walk does, to the
-//! bit — the same values, the same errors, the same `RAND()` draws in the
-//! same order. It evaluates an argument only where the tree walk would,
-//! because a call that gives up early must not draw for the arguments
-//! after: `IF` jumps past the branch it does not take, an aggregate stops
-//! at the first error, and a lookup checks each argument before the next
-//! is evaluated (`Op::Guard`). The tree walk stays as the reference the
-//! differential test compares against.
+//! The program at offset `(dc, dr)` does what [`crate::eval::eval`]'s tree
+//! walk does on the formula autofill builds there, to the bit — the same
+//! values, the same errors, the same `RAND()` draws in the same order. It
+//! evaluates an argument only where the tree walk would, because a call
+//! that gives up early must not draw for the arguments after: `IF` jumps
+//! past the branch it does not take, an aggregate stops at the first
+//! error, and a lookup checks each argument before the next is evaluated
+//! (`Op::Guard`). The tree walk, which folds every range from its first
+//! row, stays as the reference the differential test compares against.
 
 use crate::ast::{BinOp, Expr, FuncId, Slot};
-use crate::eval::{
-    eval_binary, holds, position_in, Carried, CellProvider, Criterion, FoldState, Scan,
-    VolatileCtx, MAX_RANGE_CELLS,
-};
+use crate::eval::{eval_binary, holds, position_in, Criterion, Scan, VolatileCtx, MAX_RANGE_CELLS};
 use crate::value::{CellError, Value};
 use std::borrow::Cow;
 use std::ops::ControlFlow;
@@ -64,7 +62,7 @@ use taco_grid::a1::{CellRef, QualifiedRef, RangeRef};
 use taco_grid::{Cell, Range, MAX_COL, MAX_ROW};
 
 /// What a program reads through while it evaluates a node's rows: the
-/// engine's sheet view, or any [`CellProvider`] through [`ByCell`].
+/// engine's sheet view, or a test's fixture.
 ///
 /// Every read names the reference it is made for — its index `k` in
 /// [`Program::refs`] — and every resumed fold the aggregate it is made for
@@ -75,7 +73,11 @@ pub trait Reader {
     /// a `SUMIF` sum range is read in the shape of its criteria range).
     fn read(&self, k: usize, cell: Cell) -> Cow<'_, Value>;
 
-    /// [`CellProvider::fold_range`] over `range`, read for reference `k`.
+    /// Folds the value of every cell of `range`, read for reference `k`,
+    /// into `init`, in [`Range::cells`] (row-major) order, until `f`
+    /// breaks — the order [`crate::eval::CellProvider::fold_range`] reads
+    /// in, which fixes the order floating-point folds add in and which
+    /// error a range reports first.
     fn fold<A, B>(
         &self,
         k: usize,
@@ -84,58 +86,95 @@ pub trait Reader {
         f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
     ) -> ControlFlow<B, A>;
 
-    /// [`CellProvider::volatile`].
+    /// The volatile-function context for the row being run; `None` makes
+    /// `NOW()`, `TODAY()` and `RAND()` all `0`.
     fn volatile(&self) -> Option<&VolatileCtx>;
 
-    /// [`CellProvider::resume_fold`], for aggregate `agg`.
+    /// Where the fold of aggregate `agg` (function `id`) over a leading
+    /// part of `range` already stands, for a reader that remembers: the
+    /// state after the rows from the range's first through the returned
+    /// one, across all its columns — a prefix of `range` in
+    /// [`Range::cells`] order, so the program goes on from the row after it
+    /// and does the very additions a fold from the first row does. `None`
+    /// makes it fold the whole range.
+    ///
+    /// Asked only for the range an aggregate starts with, on the formula's
+    /// own sheet, and only when its head corner is `$`-fixed: the
+    /// reference autofill repeats (FF) or grows (FR) from one cell of a
+    /// run to the next.
     fn resume_fold(&self, agg: usize, id: FuncId, range: Range) -> Option<(FoldState, u32)>;
 
-    /// [`CellProvider::remember_fold`], for aggregate `agg`.
+    /// Told the state of aggregate `agg` after the whole of `range`, every
+    /// time [`Reader::resume_fold`] was asked and the fold met no error. A
+    /// fold that stops at an error value is never reported.
     fn remember_fold(&self, agg: usize, id: FuncId, range: Range, state: FoldState);
 }
 
-/// A [`CellProvider`] as a program reads it, cell by cell: what
-/// [`crate::template::At::eval`] evaluates a lone formula on.
-pub struct ByCell<'a, P> {
-    refs: &'a [QualifiedRef],
-    cells: &'a P,
+/// Where an aggregate's fold stands: an accumulator and a count, of which
+/// each function uses what it needs (`SUM` the accumulator, `COUNT` the
+/// count, `AVERAGE` both, `MIN` the count as "seen a number"). Opaque to
+/// a reader that remembers it — see [`Reader::resume_fold`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FoldState {
+    acc: f64,
+    count: u64,
 }
 
-impl<'a, P: CellProvider> ByCell<'a, P> {
-    /// `cells`, read by `program`.
-    pub fn new(program: &'a Program, cells: &'a P) -> Self {
-        ByCell { refs: &program.refs, cells }
+#[cfg(debug_assertions)]
+impl FoldState {
+    fn bits(self) -> (u64, u64) {
+        (self.acc.to_bits(), self.count)
     }
 }
 
-impl<P: CellProvider> Reader for ByCell<'_, P> {
-    fn read(&self, k: usize, cell: Cell) -> Cow<'_, Value> {
-        Cow::Owned(match self.refs[k].sheet_name() {
-            None => self.cells.value(cell),
-            Some(sheet) => self.cells.sheet_value(sheet, cell),
-        })
-    }
+/// A fold accumulator that fits a [`FoldState`], bit for bit.
+trait Carried: Copy {
+    fn pack(self) -> FoldState;
+    fn unpack(state: FoldState) -> Self;
+}
 
-    fn fold<A, B>(
-        &self,
-        k: usize,
-        range: Range,
-        init: A,
-        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
-    ) -> ControlFlow<B, A> {
-        self.cells.fold_range(self.refs[k].sheet_name(), range, init, f)
+impl Carried for f64 {
+    fn pack(self) -> FoldState {
+        FoldState { acc: self, count: 0 }
     }
-
-    fn volatile(&self) -> Option<&VolatileCtx> {
-        self.cells.volatile()
+    fn unpack(state: FoldState) -> Self {
+        state.acc
     }
+}
 
-    fn resume_fold(&self, _agg: usize, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
-        self.cells.resume_fold(id, range)
+impl Carried for u64 {
+    fn pack(self) -> FoldState {
+        FoldState { acc: 0.0, count: self }
     }
+    fn unpack(state: FoldState) -> Self {
+        state.count
+    }
+}
 
-    fn remember_fold(&self, _agg: usize, id: FuncId, range: Range, state: FoldState) {
-        self.cells.remember_fold(id, range, state)
+impl Carried for (f64, u64) {
+    fn pack(self) -> FoldState {
+        FoldState { acc: self.0, count: self.1 }
+    }
+    fn unpack(state: FoldState) -> Self {
+        (state.acc, state.count)
+    }
+}
+
+impl Carried for Option<f64> {
+    fn pack(self) -> FoldState {
+        FoldState { acc: self.unwrap_or(0.0), count: u64::from(self.is_some()) }
+    }
+    fn unpack(state: FoldState) -> Self {
+        (state.count != 0).then_some(state.acc)
+    }
+}
+
+impl Carried for bool {
+    fn pack(self) -> FoldState {
+        FoldState { acc: 0.0, count: u64::from(self) }
+    }
+    fn unpack(state: FoldState) -> Self {
+        state.count != 0
     }
 }
 
@@ -1361,10 +1400,135 @@ fn finish(id: FuncId, state: FoldState) -> Item {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{eval, CellProvider};
     use crate::parser::parse;
+    use std::cell::RefCell;
+    use std::collections::HashMap;
 
     fn program(src: &str) -> Program {
         Program::compile(&parse(src).unwrap())
+    }
+
+    /// Remembers every fold it is told of, resumes from the longest
+    /// remembered prefix, and logs each fold it is asked to resume or told
+    /// to remember.
+    #[derive(Default)]
+    struct Recording {
+        cells: HashMap<Cell, Value>,
+        /// The references of the program being run.
+        refs: RefCell<Vec<QualifiedRef>>,
+        folds: RefCell<Vec<(FuncId, Range, FoldState)>>,
+        log: RefCell<Vec<String>>,
+    }
+
+    impl Recording {
+        /// Runs `src` written at `A1`, as a node of one cell: its value and
+        /// the log it left.
+        fn run(&self, src: &str) -> (Value, Vec<String>) {
+            let program = program(src);
+            self.refs.replace(program.refs().to_vec());
+            let mut frame = Frame::default();
+            program.place(&mut frame, 0);
+            program.hoist(&mut frame, 0, self);
+            let value = program.eval(&mut frame, 0, self);
+            (value, self.log.take())
+        }
+    }
+
+    impl CellProvider for Recording {
+        fn value(&self, cell: Cell) -> Value {
+            self.cells.get(&cell).cloned().unwrap_or(Value::Empty)
+        }
+    }
+
+    impl Reader for Recording {
+        fn read(&self, k: usize, cell: Cell) -> Cow<'_, Value> {
+            let refs = self.refs.borrow();
+            Cow::Owned(match refs[k].sheet_name() {
+                None => CellProvider::value(self, cell),
+                Some(sheet) => self.sheet_value(sheet, cell),
+            })
+        }
+
+        fn fold<A, B>(
+            &self,
+            k: usize,
+            range: Range,
+            init: A,
+            f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+        ) -> ControlFlow<B, A> {
+            self.fold_range(self.refs.borrow()[k].sheet_name(), range, init, f)
+        }
+
+        fn volatile(&self) -> Option<&VolatileCtx> {
+            None
+        }
+
+        fn resume_fold(&self, _agg: usize, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
+            let folds = self.folds.borrow();
+            let prefixes = folds.iter().filter(|(known, r, _)| {
+                *known == id
+                    && r.head() == range.head()
+                    && r.tail().col == range.tail().col
+                    && r.tail().row <= range.tail().row
+            });
+            let found =
+                prefixes.max_by_key(|(_, r, _)| r.tail().row).map(|(_, r, s)| (*s, r.tail().row));
+            let through = found.map(|(_, row)| row);
+            self.log.borrow_mut().push(format!("resume {id:?} {range} through {through:?}"));
+            found
+        }
+
+        fn remember_fold(&self, _agg: usize, id: FuncId, range: Range, state: FoldState) {
+            self.log.borrow_mut().push(format!("remember {id:?} {range}"));
+            self.folds.borrow_mut().push((id, range, state));
+        }
+    }
+
+    #[test]
+    fn a_fold_is_resumed_and_remembered_only_where_the_reader_is_told_so() {
+        let n = Value::Number;
+        let cells = [
+            ("A1", n(0.1)),
+            ("A2", n(0.2)),
+            ("A3", Value::Text("x".into())),
+            ("A4", n(1e16)),
+            ("A5", n(-1e16)),
+            ("A6", n(0.7)),
+            ("A7", n(0.3)),
+            ("A9", n(1e-3)),
+            ("B1", n(10.0)),
+            ("B4", Value::Bool(true)),
+            ("B7", Value::Error(CellError::Div0)),
+        ];
+        let cells = cells.map(|(a1, v)| (Cell::parse_a1(a1).unwrap(), v));
+        let fx = Recording { cells: cells.into_iter().collect(), ..Recording::default() };
+        let same = |got: &Value, src: &str| {
+            let want = eval(&parse(src).unwrap(), &fx);
+            match (got, &want) {
+                (Value::Number(a), Value::Number(b)) => a.to_bits() == b.to_bits(),
+                _ => *got == want,
+            }
+        };
+        // A fold that meets an error is asked for, never remembered.
+        let (got, log) = fx.run("SUM($B$1:B7)");
+        assert_eq!(got, Value::Error(CellError::Div0));
+        assert_eq!(log, ["resume Sum B1:B7 through None"]);
+        // Not a range whose head moves with the formula, not a range after
+        // the first argument (the fold would differ in its last bits), and
+        // not one on a named sheet.
+        for src in ["SUM(A1:A6)", "SUM(B1,$A$1:A6)", "SUM(Other!$A$1:A6)"] {
+            let (got, log) = fx.run(src);
+            assert!(same(&got, src) && log.is_empty(), "{src}: {got:?}, {log:?}");
+        }
+        // A leading `$`-headed range goes on from the fold remembered.
+        let (got, log) = fx.run("SUM($A$1:A6)");
+        assert!(same(&got, "SUM($A$1:A6)"), "{got:?}");
+        assert_eq!(log, ["resume Sum A1:A6 through None", "remember Sum A1:A6"]);
+        let src = "SUM($A$1:A9,B1,5)";
+        let (got, log) = fx.run(src);
+        assert!(same(&got, src), "{src}: {got:?}");
+        assert_eq!(log, ["resume Sum A1:A9 through Some(6)", "remember Sum A1:A9"]);
     }
 
     #[test]

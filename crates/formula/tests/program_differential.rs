@@ -3,19 +3,24 @@
 //! arities, ranges whose corners cross and that leave the grid at some
 //! offsets, stepped literals, text, bool, blank and error operands —
 //! evaluated at random offsets, a node of a few rows at a time through one
-//! bound [`Frame`], and cell by cell through [`eval_at`]. Each row must
-//! come to the same bits or the same error, after the same number of
-//! `RAND()` draws. Both sides remember and resume folds of `$`-headed
-//! ranges, so resumed folds, carried folds and hoisted subtrees are held
-//! to the same answer (debug builds also re-fold every resumed fold).
+//! bound [`Frame`], and cell by cell by [`eval`] on the formula autofill
+//! builds there ([`At::to_ast`](taco_formula::template::At::to_ast)).
+//! Each row must come to the same bits or the same error, after the same
+//! number of `RAND()` draws. The program reads through a [`Reader`] that
+//! remembers and resumes the folds of `$`-headed ranges; the tree walk
+//! folds every range from its first row. So resumed folds, carried folds
+//! and hoisted subtrees are held to a reference that shares none of them
+//! (debug builds also re-fold every resumed fold).
 //!
 //! Seeded: a failure names its seed and case.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use taco_formula::ast::Slot;
-use taco_formula::eval::{eval_at, CellProvider, EvalClock, FoldState, VolatileCtx};
-use taco_formula::program::{ByCell, Frame};
+use taco_formula::eval::{eval, CellProvider, EvalClock, VolatileCtx};
+use taco_formula::program::{FoldState, Frame, Reader};
 use taco_formula::{BinOp, CellError, Expr, FuncId, Template, UnOp, Value};
 use taco_grid::a1::{CellRef, QualifiedRef, RangeRef, SheetRef};
 use taco_grid::{Cell, Range};
@@ -204,39 +209,75 @@ fn call(rng: &mut Rng, depth: u32) -> Expr {
     Expr::func(name, args)
 }
 
-/// The sheet both sides read: its cells, a sheet named `Data`, and the
-/// folds remembered so far.
+/// The sheet both sides read: its cells and a sheet named `Data`.
 struct Sheet {
     cells: HashMap<Cell, Value>,
     data: HashMap<Cell, Value>,
-    folds: RefCell<Vec<(FuncId, Range, FoldState)>>,
 }
 
-/// The sheet as one row of a node reads it, with that cell's `RAND()`.
-struct Row<'a> {
+impl Sheet {
+    /// The value of `cell`, on the formula's own sheet for `None`.
+    fn value(&self, sheet: Option<&str>, cell: Cell) -> Value {
+        let cells = match sheet {
+            None => &self.cells,
+            Some(name) if name.eq_ignore_ascii_case("Data") => &self.data,
+            Some(_) => return Value::Error(CellError::Ref),
+        };
+        cells.get(&cell).cloned().unwrap_or(Value::Empty)
+    }
+}
+
+/// The sheet as the tree walk reads one cell's formula, with that cell's
+/// `RAND()`.
+struct Walked<'a> {
     sheet: &'a Sheet,
     vol: VolatileCtx,
 }
 
-impl CellProvider for Row<'_> {
+impl CellProvider for Walked<'_> {
     fn value(&self, cell: Cell) -> Value {
-        self.sheet.cells.get(&cell).cloned().unwrap_or(Value::Empty)
+        self.sheet.value(None, cell)
     }
 
     fn sheet_value(&self, sheet: &str, cell: Cell) -> Value {
-        if sheet.eq_ignore_ascii_case("Data") {
-            self.sheet.data.get(&cell).cloned().unwrap_or(Value::Empty)
-        } else {
-            Value::Error(CellError::Ref)
-        }
+        self.sheet.value(Some(sheet), cell)
+    }
+
+    fn volatile(&self) -> Option<&VolatileCtx> {
+        Some(&self.vol)
+    }
+}
+
+/// The sheet as one row of a node reads it through its program, with
+/// that cell's `RAND()` and the folds remembered so far.
+struct Compiled<'a> {
+    sheet: &'a Sheet,
+    refs: &'a [QualifiedRef],
+    folds: &'a RefCell<Vec<(FuncId, Range, FoldState)>>,
+    vol: VolatileCtx,
+}
+
+impl Reader for Compiled<'_> {
+    fn read(&self, k: usize, cell: Cell) -> Cow<'_, Value> {
+        Cow::Owned(self.sheet.value(self.refs[k].sheet_name(), cell))
+    }
+
+    fn fold<A, B>(
+        &self,
+        k: usize,
+        range: Range,
+        init: A,
+        f: &mut impl FnMut(A, &Value) -> ControlFlow<B, A>,
+    ) -> ControlFlow<B, A> {
+        range.cells().try_fold(init, |acc, cell| f(acc, &self.read(k, cell)))
     }
 
     fn volatile(&self) -> Option<&VolatileCtx> {
         Some(&self.vol)
     }
 
-    fn resume_fold(&self, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
-        let folds = self.sheet.folds.borrow();
+    fn resume_fold(&self, _agg: usize, id: FuncId, range: Range) -> Option<(FoldState, u32)> {
+        let folds = self.folds.borrow();
         let prefixes = folds.iter().filter(|(known, r, _)| {
             *known == id
                 && r.head() == range.head()
@@ -246,8 +287,8 @@ impl CellProvider for Row<'_> {
         prefixes.max_by_key(|(_, r, _)| r.tail().row).map(|(_, r, s)| (*s, r.tail().row))
     }
 
-    fn remember_fold(&self, id: FuncId, range: Range, state: FoldState) {
-        self.sheet.folds.borrow_mut().push((id, range, state));
+    fn remember_fold(&self, _agg: usize, id: FuncId, range: Range, state: FoldState) {
+        self.folds.borrow_mut().push((id, range, state));
     }
 }
 
@@ -268,25 +309,30 @@ fn a_program_evaluates_as_the_tree_walk_does() {
         let ast = expr(&mut rng, 4);
         let template = Template::printed(ast.clone());
         let program = template.program();
-        let (cells, data) = (grid(&mut rng), grid(&mut rng));
-        let tree = Sheet { cells: cells.clone(), data: data.clone(), folds: Default::default() };
-        let compiled = Sheet { cells, data, folds: Default::default() };
+        let sheet = Sheet { cells: grid(&mut rng), data: grid(&mut rng) };
+        let folds = RefCell::default();
         let clock = EvalClock { now: 45000.5, today: 45000.0, rand_seed: rng.next() };
         // A node: a column `dc` over, rows `first..first + n` down — some of
         // them far enough up or left that references leave the grid.
         let dc = rng.range(-3, 3);
         let (first, n) = (rng.range(-6, 6), rng.range(1, 4));
         let at = |dr: i64| Cell::new((10 + dc) as u32, (20 + dr) as u32);
+        let compiled = |dr: i64| Compiled {
+            sheet: &sheet,
+            refs: program.refs(),
+            folds: &folds,
+            vol: VolatileCtx::for_cell(clock, at(dr)),
+        };
         let mut frame = Frame::default();
         program.place(&mut frame, dc);
-        let top = Row { sheet: &compiled, vol: VolatileCtx::for_cell(clock, at(first)) };
-        program.hoist(&mut frame, first, &ByCell::new(program, &top));
+        let top = compiled(first);
+        program.hoist(&mut frame, first, &top);
         assert_eq!(top.vol.draws(), 0, "case {case}: a hoisted subtree drew: {ast}");
         for dr in first..first + n {
-            let walked = Row { sheet: &tree, vol: VolatileCtx::for_cell(clock, at(dr)) };
-            let want = eval_at(&ast, dc, dr, &walked);
-            let read = Row { sheet: &compiled, vol: VolatileCtx::for_cell(clock, at(dr)) };
-            let got = program.eval(&mut frame, dr, &ByCell::new(program, &read));
+            let walked = Walked { sheet: &sheet, vol: VolatileCtx::for_cell(clock, at(dr)) };
+            let want = eval(&template.at(dc, dr).to_ast(), &walked);
+            let read = compiled(dr);
+            let got = program.eval(&mut frame, dr, &read);
             let context = format!("seed {SEED:#x}, case {case}: {ast} at ({dc}, {dr})");
             assert!(same(&got, &want), "{context}: program {got:?}, tree walk {want:?}");
             assert_eq!(read.vol.draws(), walked.vol.draws(), "{context}: RAND() draws");

@@ -221,11 +221,6 @@ impl<T: Transport> Client<T> {
         self.retry = Some(policy);
     }
 
-    /// Turns automatic retry back off.
-    pub fn clear_retry(&mut self) {
-        self.retry = None;
-    }
-
     /// Retries this client has attempted (0 while every call succeeds on
     /// its first try).
     pub fn retries_attempted(&self) -> u64 {
@@ -236,14 +231,9 @@ impl<T: Transport> Client<T> {
     /// with it, so the server parents each request's span tree under one
     /// client-chosen trace id (fetch the assembled tree later with
     /// [`Client::trace_dump`]). Pass any tracer's `new_root()` result,
-    /// or build ids by hand. Cleared by [`Client::clear_trace`].
+    /// or build ids by hand. It stays for the client's lifetime.
     pub fn set_trace(&mut self, ctx: TraceContext) {
         self.trace = Some(ctx);
-    }
-
-    /// Stops attaching a trace context to outgoing requests.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
     }
 
     /// The session's visible sheets (filled by [`Client::open`]).

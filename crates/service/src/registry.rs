@@ -337,7 +337,6 @@ enum WorkerMsg {
 
 /// A registered workbook: its shared read state plus the writer queue.
 struct BookHandle {
-    name: String,
     auth: Option<String>,
     shared: Arc<BookShared>,
     tx: Mutex<Sender<WorkerMsg>>,
@@ -535,7 +534,6 @@ impl Registry {
         books.insert(
             key,
             Arc::new(BookHandle {
-                name: name.to_string(),
                 auth: auth.map(str::to_string),
                 shared,
                 tx: Mutex::new(tx),
@@ -543,14 +541,6 @@ impl Registry {
             }),
         );
         Ok(())
-    }
-
-    /// The registered workbook names (registration case preserved).
-    pub fn workbook_names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            read_lock(&self.books).values().map(|b| b.name.clone()).collect();
-        names.sort();
-        names
     }
 
     /// The current snapshot of a workbook (diagnostics, tests).

@@ -136,11 +136,6 @@ impl Server {
         self.addr
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     /// Graceful stop: no new connections, live sockets shut down, every
     /// connection thread joined. The registry is left running (it may be
     /// shared with in-process clients); shut it down separately.

@@ -409,12 +409,6 @@ impl FaultVfs {
         self.lock().log.clone()
     }
 
-    /// The durable (crash-surviving) bytes of `path` right now, if its
-    /// directory entry is durable.
-    pub fn durable_bytes(&self, path: &Path) -> Option<Vec<u8>> {
-        self.lock().crash_image().remove(path)
-    }
-
     /// A fresh fault-free disk holding exactly what this disk's durable
     /// image holds — what a reopen after power loss would find. Works
     /// whether or not a crash point has fired.

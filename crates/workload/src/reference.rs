@@ -7,11 +7,11 @@
 //!   itself. They share no R-tree, pattern or edge code with
 //!   [`taco_core::FormulaGraph`]; each step scans every dependency.
 //! - [`evaluate`]: every formula of a workbook's texts and values,
-//!   evaluated after the formula cells it reads by the tree-walk
-//!   evaluator ([`taco_formula::eval`]) through a provider of its own. It
-//!   shares the parser and that evaluator with the engine, and nothing
-//!   else: no runs, templates, compiled programs, remembered or carried
-//!   folds, cell stores, formula graph or schedule.
+//!   evaluated after the formula cells it reads by the memoryless tree
+//!   walk ([`taco_formula::eval`]) through a provider of its own. It shares
+//!   the parser and the walk's leaf operations with the engine, and nothing
+//!   else: no runs, templates, compiled programs, offsets, remembered or
+//!   carried folds, cell stores, formula graph or schedule.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
