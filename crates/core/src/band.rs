@@ -107,6 +107,9 @@ impl Edge {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BandIndex {
     trees: Vec<RTree<EdgeId>>,
+    /// Each indexed edge's entry handle in its band's tree, by edge id
+    /// (stale for an id no edge holds now).
+    handles: Vec<u32>,
 }
 
 impl BandIndex {
@@ -128,29 +131,26 @@ impl BandIndex {
         &self.trees[first..last]
     }
 
-    /// Both indexes of `edges`, each with one STR bulk load per band.
-    pub(crate) fn bulk_load<'a>(
-        edges: impl Iterator<Item = (EdgeId, &'a Edge)>,
-    ) -> (BandIndex, BandIndex) {
-        let (mut precs, mut deps) = (Vec::<Vec<_>>::new(), Vec::<Vec<_>>::new());
-        for (id, e) in edges {
-            for (by_band, range) in [(&mut precs, e.prec), (&mut deps, e.dep)] {
-                let band = Band::of(range.head().col).0 as usize;
-                if band >= by_band.len() {
-                    by_band.resize_with(band + 1, Vec::new);
-                }
-                by_band[band].push((range, id));
+    /// The index of `(range, id)` entries, with one STR bulk load per
+    /// band.
+    pub(crate) fn bulk_load(entries: impl Iterator<Item = (Range, EdgeId)>) -> BandIndex {
+        let (mut by_band, mut handles) = (Vec::<Vec<_>>::new(), Vec::new());
+        for (range, id) in entries {
+            let band = Band::of(range.head().col).0 as usize;
+            if band >= by_band.len() {
+                by_band.resize_with(band + 1, Vec::new);
             }
+            // A bulk load's `i`th entry has handle `i`.
+            *handle_slot(&mut handles, id) = by_band[band].len() as u32;
+            by_band[band].push((range, id));
         }
-        let load = |by_band: Vec<Vec<_>>| BandIndex {
-            trees: by_band.into_iter().map(RTree::bulk_load).collect(),
-        };
-        (load(precs), load(deps))
+        BandIndex { trees: by_band.into_iter().map(RTree::bulk_load).collect(), handles }
     }
 
     #[inline]
     pub(crate) fn insert(&mut self, range: Range, id: EdgeId) {
-        self.tree_mut(range).insert(range, id);
+        let handle = self.tree_mut(range).insert(range, id);
+        *handle_slot(&mut self.handles, id) = handle;
     }
 
     #[inline]
@@ -158,11 +158,12 @@ impl BandIndex {
         self.tree_mut(range).remove(range, id)
     }
 
-    /// Re-keys `id` from `old` to `new`, which lie in one band.
+    /// Re-keys the indexed edge `id` to `new`, in the band its range lies
+    /// in now.
     #[inline]
-    pub(crate) fn update(&mut self, old: Range, id: &EdgeId, new: Range) -> bool {
-        debug_assert_eq!(Band::of(old.head().col), Band::of(new.head().col));
-        self.tree_mut(old).update(old, id, new)
+    pub(crate) fn update(&mut self, id: EdgeId, new: Range) {
+        let handle = self.handles[id];
+        self.tree_mut(new).update(handle, new);
     }
 
     /// [`RTree::for_each_overlapping`] over the bands `window` meets: the
@@ -178,7 +179,17 @@ impl BandIndex {
 
     pub(crate) fn clear(&mut self) {
         self.trees.clear();
+        self.handles.clear();
     }
+}
+
+/// `id`'s place in a handle table, grown to hold it.
+#[inline]
+fn handle_slot(handles: &mut Vec<u32>, id: EdgeId) -> &mut u32 {
+    if id >= handles.len() {
+        handles.resize(id + 1, u32::MAX);
+    }
+    &mut handles[id]
 }
 
 /// The bands an edge's two ends lie in, as one key: `(prec, dep)`.

@@ -94,7 +94,9 @@ struct MaintScratch {
 pub struct FormulaGraph {
     config: Config,
     edges: Slab<Edge>,
-    /// R-trees over precedent vertex ranges → edge id, one per band.
+    /// R-trees over precedent vertex ranges → edge id, one per band. Not
+    /// kept while `build` compresses (`building`): Alg. 2 reads only
+    /// `dep_index`, and the `optimize` that ends the build loads it.
     prec_index: BandIndex,
     /// R-trees over dependent vertex ranges → edge id, one per band.
     dep_index: BandIndex,
@@ -114,6 +116,9 @@ pub struct FormulaGraph {
     mutations: u64,
     /// Reusable buffers for the `&mut self` maintenance paths.
     scratch: MaintScratch,
+    /// Set while `build` compresses and nothing else can see the graph:
+    /// the mutation funnel leaves `prec_index` alone until `optimize`.
+    building: bool,
 }
 
 impl FormulaGraph {
@@ -130,6 +135,7 @@ impl FormulaGraph {
             held: Vec::new(),
             mutations: 0,
             scratch: MaintScratch::default(),
+            building: false,
         }
     }
 
@@ -165,10 +171,14 @@ impl FormulaGraph {
 
     /// Builds a graph by inserting every dependency in order, then
     /// repacking the vertex indexes with an STR bulk load (compression
-    /// needs the indexes live while inserting; the final repack gives
-    /// queries the tight bulk-loaded tree).
+    /// needs the dependent index live while inserting; the final repack
+    /// gives queries the tight bulk-loaded trees). The precedent index,
+    /// which compression never reads, is made by that repack alone: the
+    /// graph is the one `new`, `add_dependency` per dependency and
+    /// `optimize` make, edge for edge and slot for slot.
     pub fn build<I: IntoIterator<Item = Dependency>>(config: Config, deps: I) -> Self {
         let mut g = FormulaGraph::new(config);
+        g.building = true;
         for d in deps {
             g.add_dependency(&d);
         }
@@ -183,7 +193,9 @@ impl FormulaGraph {
     /// import, an open's derived edges); incremental edits afterwards keep
     /// working on the packed tree.
     pub fn optimize(&mut self) {
-        (self.prec_index, self.dep_index) = BandIndex::bulk_load(self.edges.iter());
+        self.prec_index = BandIndex::bulk_load(self.edges.iter().map(|(id, e)| (e.prec, id)));
+        self.dep_index = BandIndex::bulk_load(self.edges.iter().map(|(id, e)| (e.dep, id)));
+        self.building = false;
     }
 
     /// Puts `edges`, in the graph's coordinates, in place as they are —
@@ -430,7 +442,9 @@ impl FormulaGraph {
         let prec = e.prec;
         let dep = e.dep;
         let id = self.edges.insert(bands_of(&e), e);
-        self.prec_index.insert(prec, id);
+        if !self.building {
+            self.prec_index.insert(prec, id);
+        }
         self.dep_index.insert(dep, id);
         id
     }
@@ -447,18 +461,22 @@ impl FormulaGraph {
     }
 
     /// An edge that changes: `new` takes over `id`'s arena slot, and an
-    /// index entry is re-keyed in place only if the range it files the
-    /// edge under actually changed — extending an FF run leaves the
-    /// precedent index alone, a rigid shift that moves nothing is free.
+    /// index entry is re-keyed in place, by its handle, only if the range
+    /// it files the edge under actually changed — extending an FF run
+    /// leaves the precedent index alone, a rigid shift that moves nothing
+    /// is free.
     pub(crate) fn rewrite_edge(&mut self, id: EdgeId, new: Edge) {
         self.count_in(&new);
         let (prec, dep) = (new.prec, new.dep);
         let old = std::mem::replace(self.edges.get_mut(id), new);
         debug_assert_eq!(bands_of(&old), bands_of(self.edges.get(id)), "an edge keeps its bands");
         self.count_out(&old);
-        let rekeyed_p = old.prec == prec || self.prec_index.update(old.prec, &id, prec);
-        let rekeyed_d = old.dep == dep || self.dep_index.update(old.dep, &id, dep);
-        debug_assert!(rekeyed_p && rekeyed_d, "edge {id} must be indexed");
+        if old.prec != prec && !self.building {
+            self.prec_index.update(id, prec);
+        }
+        if old.dep != dep {
+            self.dep_index.update(id, dep);
+        }
     }
 
     // ---- querying (Alg. 3) --------------------------------------------------
@@ -671,11 +689,6 @@ impl FormulaGraph {
             dependencies: self.dependencies,
             reduced: self.reduced,
         }
-    }
-
-    /// Edges reduced per pattern, `Σ (count − 1)`: a running count, O(1).
-    pub fn reduced(&self) -> PatternCounts {
-        self.reduced
     }
 
     /// Number of edges with both ends in `band`: a running count, O(1).

@@ -28,9 +28,13 @@
 //! - [`FanoutRTree::insert`] / [`FanoutRTree::remove`] reuse internal split/condense
 //!   scratch buffers; steady-state mutation does not allocate either
 //!   (only arena growth does).
-//! - [`FanoutRTree::update`] re-keys an entry where it sits — one descent,
-//!   no split, no condense — for the caller whose rectangle moved or grew
-//!   by a cell and who would otherwise pay a `remove` and an `insert`.
+//! - [`FanoutRTree::insert`] returns the entry's handle, its arena slot,
+//!   which stays its own until the entry is removed (a condense moves an
+//!   entry between leaves, never between slots). Every node records its
+//!   parent and every entry its leaf, so [`FanoutRTree::update`] re-keys
+//!   an entry by handle where it sits — from its leaf up, no descent, no
+//!   split, no condense — for the caller whose rectangle moved or grew by
+//!   a cell and who would otherwise pay a `remove` and an `insert`.
 //! - [`FanoutRTree::bulk_load`] packs a full corpus bottom-up with
 //!   Sort-Tile-Recursive tiling: every node (except the last of each
 //!   level) is filled to `F`, which both shrinks the pool and minimizes
@@ -38,7 +42,8 @@
 //!   insertion-built tree.
 //!
 //! The tree stores `(Range, T)` entries; `T` is typically an edge id.
-//! Duplicate ranges are allowed (several edges can share a vertex range).
+//! Duplicate ranges are allowed (several edges can share a vertex range);
+//! a handle names one of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,6 +92,8 @@ fn enlargement(mbr: Range, add: Range) -> u64 {
 struct Node<const F: usize> {
     mbrs: [Range; F],
     slots: [u32; F],
+    /// The node whose slots hold this one; `NIL` at the root.
+    parent: u32,
     count: u8,
 }
 
@@ -95,7 +102,7 @@ impl<const F: usize> Node<F> {
         // Positions past `count` are never read; any `Range` value works
         // as the array filler (`Range` is `Copy`, no niche for `Option`).
         let filler = Range::cell(Cell::new(1, 1));
-        Node { mbrs: [filler; F], slots: [NIL; F], count: 0 }
+        Node { mbrs: [filler; F], slots: [NIL; F], parent: NIL, count: 0 }
     }
 
     #[inline]
@@ -123,6 +130,15 @@ impl<const F: usize> Node<F> {
     fn mbr(&self) -> Option<Range> {
         self.mbrs[..self.len()].iter().copied().reduce(|a, b| a.bounding_union(&b))
     }
+
+    /// Position of the child `slot` (a node id, or an entry id in a leaf).
+    #[inline]
+    fn position(&self, slot: u32) -> usize {
+        self.slots[..self.len()]
+            .iter()
+            .position(|&s| s == slot)
+            .expect("a child sits in its parent")
+    }
 }
 
 /// A spatial index over `(Range, T)` entries supporting overlap queries,
@@ -135,7 +151,10 @@ pub struct FanoutRTree<T, const F: usize> {
     nodes: Vec<Node<F>>,
     free_nodes: Vec<u32>,
     /// The entry arena: leaf slots index into it; `iter` walks it lazily.
+    /// An entry's slot is its handle.
     entries: Vec<Option<(Range, T)>>,
+    /// The leaf holding each entry, by entry slot.
+    leaves: Vec<u32>,
     free_entries: Vec<u32>,
     root: u32,
     /// Levels in the tree; a lone root leaf has height 1.
@@ -165,6 +184,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
             nodes: vec![Node::empty()],
             free_nodes: Vec::new(),
             entries: Vec::new(),
+            leaves: Vec::new(),
             free_entries: Vec::new(),
             root: 0,
             height: 1,
@@ -199,14 +219,19 @@ impl<T, const F: usize> FanoutRTree<T, F> {
     /// Walks the whole tree and checks what every mutation must preserve
     /// (tests and diagnostics; O(n)): each child MBR an internal node
     /// stores is exactly the union of that child's own MBRs, each leaf MBR
-    /// is its arena entry's range, no node is empty (a lone root leaf
-    /// aside), and the leaves hold `len` entries. Returns the number of
-    /// non-root nodes holding fewer than [`min_fill`] children: zero for a
-    /// tree grown by `insert` / `remove` / `update`, while STR packing may
-    /// leave the last node of each level short.
+    /// is its arena entry's range, every node names the node that holds it
+    /// as its parent (the root none) and every entry the leaf that holds
+    /// it, no node is empty (a lone root leaf aside), and the leaves hold
+    /// `len` entries. Returns the number of non-root nodes holding fewer
+    /// than [`min_fill`] children: zero for a tree grown by `insert` /
+    /// `remove` / `update`, while STR packing may leave the last node of
+    /// each level short.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<usize, String> {
         let (mut entries, mut underfull) = (0usize, 0usize);
+        if self.nodes[self.root as usize].parent != NIL {
+            return Err(format!("the root {} names a parent", self.root));
+        }
         let mut stack = vec![(self.root, 1u32)];
         while let Some((id, depth)) = stack.pop() {
             let n = &self.nodes[id as usize];
@@ -217,13 +242,22 @@ impl<T, const F: usize> FanoutRTree<T, F> {
                 underfull += 1;
             }
             for i in 0..n.len() {
-                let want = if depth == self.height {
+                let slot = n.slots[i];
+                let (want, up) = if depth == self.height {
                     entries += 1;
-                    self.entries[n.slots[i] as usize].as_ref().map(|(r, _)| *r)
+                    (
+                        self.entries[slot as usize].as_ref().map(|(r, _)| *r),
+                        self.leaves[slot as usize],
+                    )
                 } else {
-                    stack.push((n.slots[i], depth + 1));
-                    self.nodes[n.slots[i] as usize].mbr()
+                    stack.push((slot, depth + 1));
+                    (self.nodes[slot as usize].mbr(), self.nodes[slot as usize].parent)
                 };
+                if up != id {
+                    return Err(format!(
+                        "child {i} of node {id} at depth {depth} names {up} as what holds it"
+                    ));
+                }
                 if want != Some(n.mbrs[i]) {
                     return Err(format!(
                         "node {id} at depth {depth} stores {} for child {i}, which covers {want:?}",
@@ -246,6 +280,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
         self.nodes.push(Node::empty());
         self.free_nodes.clear();
         self.entries.clear();
+        self.leaves.clear();
         self.free_entries.clear();
         self.root = 0;
         self.height = 1;
@@ -260,7 +295,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
     /// upper levels repeat the same tiling over node MBRs. The result has
     /// minimal node count and near-minimal overlap, which is what makes
     /// window queries on bulk-loaded graphs visit fewer nodes than on
-    /// insertion-built ones.
+    /// insertion-built ones. The `i`th item's handle is `i`.
     #[must_use]
     pub fn bulk_load(items: Vec<(Range, T)>) -> Self {
         let mut t = Self::new();
@@ -269,6 +304,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
         }
         t.len = items.len();
         t.entries = items.into_iter().map(Some).collect();
+        t.leaves = vec![NIL; t.len];
         t.nodes.clear();
         let mut level: Vec<(Range, u32)> = t
             .entries
@@ -278,7 +314,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
             .collect();
         let mut height = 1;
         loop {
-            level = t.str_pack(level);
+            level = t.str_pack(level, height == 1);
             if level.len() == 1 {
                 t.root = level[0].1;
                 t.height = height;
@@ -288,9 +324,10 @@ impl<T, const F: usize> FanoutRTree<T, F> {
         }
     }
 
-    /// Packs one level's `(mbr, slot)` pairs into nodes, returning the
-    /// `(mbr, node id)` pairs of the level above.
-    fn str_pack(&mut self, mut items: Vec<(Range, u32)>) -> Vec<(Range, u32)> {
+    /// Packs one level's `(mbr, slot)` pairs into nodes (`leaf`: the
+    /// slots are entries), returning the `(mbr, node id)` pairs of the
+    /// level above.
+    fn str_pack(&mut self, mut items: Vec<(Range, u32)>, leaf: bool) -> Vec<(Range, u32)> {
         // 2× the center coordinates (head + tail), avoiding division.
         #[inline]
         fn c2(r: &Range) -> (u64, u64) {
@@ -319,6 +356,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
                     node.push(mbr, slot);
                 }
                 let mbr = node.mbr().expect("STR tiles are non-empty");
+                self.adopt(id, leaf);
                 out.push((mbr, id));
             }
         }
@@ -389,12 +427,61 @@ impl<T, const F: usize> FanoutRTree<T, F> {
 
     // ---- mutation --------------------------------------------------------
 
-    /// Inserts an entry. Duplicates (same range, same or different
-    /// payload) are allowed and stored separately.
-    pub fn insert(&mut self, range: Range, value: T) {
+    /// Inserts an entry and returns its handle, for [`Self::update`].
+    /// Duplicates (same range, same or different payload) are allowed and
+    /// stored separately. The handle stays the entry's until it is
+    /// removed; after that it may name a later entry.
+    pub fn insert(&mut self, range: Range, value: T) -> u32 {
         let entry = self.alloc_entry(range, value);
         self.insert_slot(range, entry);
         self.len += 1;
+        entry
+    }
+
+    /// Re-keys the entry `handle` names to the range `new`, where it sits.
+    ///
+    /// The entry's leaf MBR and arena range are overwritten, and the walk
+    /// goes up parent by parent making the child MBR each ancestor stores
+    /// exact again: the union with `new` when the entry only grew (exact,
+    /// because the stored MBRs are tight), a recomputation over the child
+    /// otherwise. It stops at the first ancestor whose stored MBR does
+    /// not change, since nothing above it can. Entry count, leaf
+    /// membership, height and every node's fill are untouched, so there is
+    /// no descent, no split, no condense and no orphan re-insertion —
+    /// where `remove` + `insert` pays two descents, ChooseSubtree, and now
+    /// and then a quadratic split or a dissolved subtree. Every query
+    /// answers exactly as if the entry had been removed and re-inserted;
+    /// only the tree's shape may differ (the entry is not re-routed to the
+    /// leaf ChooseSubtree would pick).
+    ///
+    /// # Panics
+    ///
+    /// If `handle` names no live entry.
+    pub fn update(&mut self, handle: u32, new: Range) {
+        let (range, _) =
+            self.entries[handle as usize].as_mut().expect("update takes a live entry's handle");
+        let grew = new.contains(range);
+        *range = new;
+        let (mut child, mut node, mut mbr) = (handle, self.leaves[handle as usize], new);
+        loop {
+            let n = &mut self.nodes[node as usize];
+            let i = n.position(child);
+            if n.mbrs[i] == mbr {
+                return;
+            }
+            n.mbrs[i] = mbr;
+            if node == self.root {
+                return;
+            }
+            let parent = n.parent;
+            mbr = if grew {
+                let p = &self.nodes[parent as usize];
+                p.mbrs[p.position(node)].bounding_union(&new)
+            } else {
+                n.mbr().expect("no node is empty")
+            };
+            (child, node) = (node, parent);
+        }
     }
 
     /// Inserts an already-allocated entry arena slot (shared by `insert`
@@ -408,6 +495,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
             let n = &mut self.nodes[new_root as usize];
             n.push(old_mbr, old_root);
             n.push(sib_mbr, sib_id);
+            self.adopt(new_root, false);
             self.root = new_root;
             self.height += 1;
         }
@@ -426,9 +514,10 @@ impl<T, const F: usize> FanoutRTree<T, F> {
             let n = &mut self.nodes[node as usize];
             if n.len() < F {
                 n.push(range, entry);
+                self.leaves[entry as usize] = node;
                 None
             } else {
-                Some(self.split_node(node, range, entry))
+                Some(self.split_node(node, range, entry, true))
             }
         } else {
             // ChooseSubtree: least enlargement, ties by smallest area.
@@ -453,9 +542,10 @@ impl<T, const F: usize> FanoutRTree<T, F> {
                     n.mbrs[best] = child_mbr;
                     if n.len() < F {
                         n.push(new_mbr, new_id);
+                        self.nodes[new_id as usize].parent = node;
                         None
                     } else {
-                        Some(self.split_node(node, new_mbr, new_id))
+                        Some(self.split_node(node, new_mbr, new_id, false))
                     }
                 }
             }
@@ -466,8 +556,15 @@ impl<T, const F: usize> FanoutRTree<T, F> {
     /// overflow `(extra_mbr, extra_slot)`: picks the seed pair wasting the
     /// most area together, then assigns the rest to the group whose MBR
     /// grows least (respecting minimum fill). `node` keeps group A; the
-    /// returned `(mbr, id)` is the freshly allocated group-B sibling.
-    fn split_node(&mut self, node: u32, extra_mbr: Range, extra_slot: u32) -> (Range, u32) {
+    /// returned `(mbr, id)` is the freshly allocated group-B sibling, whose
+    /// parent the caller sets. `leaf`: the slots are entries.
+    fn split_node(
+        &mut self,
+        node: u32,
+        extra_mbr: Range,
+        extra_slot: u32,
+        leaf: bool,
+    ) -> (Range, u32) {
         let mut buf = std::mem::take(&mut self.split_buf);
         buf.clear();
         {
@@ -532,7 +629,21 @@ impl<T, const F: usize> FanoutRTree<T, F> {
             }
         }
         self.split_buf = buf;
+        self.adopt(node, leaf);
+        self.adopt(sibling, leaf);
         (mbr_b, sibling)
+    }
+
+    /// Points every child of `node` (entries if `leaf`) back at it.
+    fn adopt(&mut self, node: u32, leaf: bool) {
+        let n = self.nodes[node as usize];
+        for &slot in &n.slots[..n.len()] {
+            if leaf {
+                self.leaves[slot as usize] = node;
+            } else {
+                self.nodes[slot as usize].parent = node;
+            }
+        }
     }
 
     // ---- arena plumbing --------------------------------------------------
@@ -563,6 +674,7 @@ impl<T, const F: usize> FanoutRTree<T, F> {
             }
             None => {
                 self.entries.push(Some((range, value)));
+                self.leaves.push(NIL);
                 (self.entries.len() - 1) as u32
             }
         }
@@ -580,56 +692,6 @@ impl<T: PartialEq, const F: usize> FanoutRTree<T, F> {
                     .as_ref()
                     .is_some_and(|(r, v)| *r == range && v == value)
         })
-    }
-
-    /// Re-keys one entry matching `(old, value)` exactly to the range
-    /// `new`, in place. Returns `true` if an entry was found; an absent
-    /// `(old, value)` changes nothing.
-    ///
-    /// The entry stays in its leaf: its leaf MBR and arena range are
-    /// overwritten and the child MBR stored in each ancestor is made
-    /// exact again on the way back up (a union with `new` when the entry
-    /// only grew, a recomputation over the child otherwise). Entry count,
-    /// leaf membership, height and every node's fill are untouched, so
-    /// there is no split, no condense and no orphan re-insertion — the
-    /// cost is one descent through the children whose MBR *contains*
-    /// `old`, where `remove` + `insert` pays two descents, ChooseSubtree,
-    /// and now and then a quadratic split or a dissolved subtree. Every query answers exactly as if the entry had
-    /// been removed and re-inserted; only the tree's shape may differ
-    /// (the entry is not re-routed to the leaf ChooseSubtree would pick).
-    pub fn update(&mut self, old: Range, value: &T, new: Range) -> bool {
-        self.update_rec(self.root, 1, old, value, new)
-    }
-
-    fn update_rec(&mut self, node: u32, depth: u32, old: Range, value: &T, new: Range) -> bool {
-        if depth == self.height {
-            let Some(i) = self.find_in_leaf(node, old, value) else { return false };
-            let n = &mut self.nodes[node as usize];
-            n.mbrs[i] = new;
-            let slot = n.slots[i];
-            self.entries[slot as usize].as_mut().expect("leaf slots reference live entries").0 =
-                new;
-            return true;
-        }
-        for i in 0..self.nodes[node as usize].len() {
-            let n = &self.nodes[node as usize];
-            if !n.mbrs[i].contains(&old) {
-                continue;
-            }
-            let child = n.slots[i];
-            if self.update_rec(child, depth + 1, old, value, new) {
-                // An entry that only grew can only grow the MBRs above it:
-                // the union with `new` is the exact recomputation.
-                let child_mbr = if new.contains(&old) {
-                    self.nodes[node as usize].mbrs[i].bounding_union(&new)
-                } else {
-                    self.nodes[child as usize].mbr().expect("no node is empty")
-                };
-                self.nodes[node as usize].mbrs[i] = child_mbr;
-                return true;
-            }
-        }
-        false
     }
 
     /// Removes one entry matching `(range, value)` exactly. Returns
@@ -729,6 +791,7 @@ impl<T: PartialEq, const F: usize> FanoutRTree<T, F> {
                     let only = root.slots[0];
                     self.free_node(self.root);
                     self.root = only;
+                    self.nodes[only as usize].parent = NIL;
                     self.height -= 1;
                 }
                 0 => {

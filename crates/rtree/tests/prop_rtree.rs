@@ -1,7 +1,8 @@
 //! Property tests: the R-tree must agree with a brute-force scan on every
 //! query, through arbitrary interleavings of bulk loading, inserts,
-//! removes and in-place re-keys — and the structural invariants (len,
-//! height, tight MBRs, minimum fill) must hold at every step.
+//! removes and in-place re-keys by handle — and the structural invariants
+//! (len, height, tight MBRs, parent and leaf links, minimum fill) must
+//! hold at every step.
 
 use proptest::prelude::*;
 use taco_grid::{Cell, Range};
@@ -92,15 +93,20 @@ fn contents<const F: usize>(tree: &FanoutRTree<u64, F>) -> Vec<(Range, u64)> {
     all
 }
 
-/// Drives `tree` against `shadow` through `ops`, checking every query
-/// against the brute-force scan and, after every step, the len/height
-/// invariants, MBR tightness, and that no step leaves a non-root node
-/// short of `min_fill(F)` that was not short before (never, on a tree
-/// grown from empty; STR packing may start the last node of a level
-/// short).
+/// The `(range, value)` pairs of `shadow`, without their handles.
+fn pairs(shadow: &[(Range, u64, u32)]) -> Vec<(Range, u64)> {
+    shadow.iter().map(|&(r, id, _)| (r, id)).collect()
+}
+
+/// Drives `tree` against `shadow` — each entry's range, value and handle
+/// — through `ops`, checking every query against the brute-force scan
+/// and, after every step, the len/height invariants, MBR tightness, the
+/// parent and leaf links, and that no step leaves a non-root node short
+/// of `min_fill(F)` that was not short before (never, on a tree grown
+/// from empty; STR packing may start the last node of a level short).
 fn drive<const F: usize>(
     tree: &mut FanoutRTree<u64, F>,
-    shadow: &mut Vec<(Range, u64)>,
+    shadow: &mut Vec<(Range, u64, u32)>,
     next_id: &mut u64,
     ops: Vec<Op>,
 ) {
@@ -108,23 +114,23 @@ fn drive<const F: usize>(
     for op in ops {
         match op {
             Op::Insert(r) => {
-                tree.insert(r, *next_id);
-                shadow.push((r, *next_id));
+                let handle = tree.insert(r, *next_id);
+                shadow.push((r, *next_id, handle));
                 *next_id += 1;
             }
             Op::RemoveNth(n) => {
                 if !shadow.is_empty() {
-                    let (r, id) = shadow.remove(n % shadow.len());
+                    let (r, id, _) = shadow.remove(n % shadow.len());
                     prop_assert!(tree.remove(r, &id));
                     // Double-remove must fail.
                     prop_assert!(!tree.remove(r, &id));
                 }
             }
-            Op::Query(q) => check_query(tree, shadow, q),
+            Op::Query(q) => check_query(tree, &pairs(shadow), q),
             Op::Update { pick, to } => {
                 if !shadow.is_empty() {
                     let n = pick % shadow.len();
-                    let (old, id) = shadow[n];
+                    let (old, _, handle) = shadow[n];
                     let new = match to {
                         To::Moved(r) => r,
                         To::Grown(r) => old.bounding_union(&r),
@@ -132,20 +138,13 @@ fn drive<const F: usize>(
                         To::Identical => old,
                         To::Another(k) => shadow[k % shadow.len()].0,
                     };
-                    // An absent value, or a range the value does not have,
-                    // is not found and changes nothing.
-                    let before = contents(tree);
-                    prop_assert!(!tree.update(old, &u64::MAX, new));
-                    let elsewhere = Range::cell(Cell::new(old.tail().col + 1, old.tail().row + 1));
-                    prop_assert!(!tree.update(elsewhere.bounding_union(&old), &id, new));
-                    prop_assert_eq!(&contents(tree), &before);
-                    tree.check_invariants().expect("a failed update leaves the tree alone");
-
-                    prop_assert!(tree.update(old, &id, new));
+                    tree.update(handle, new);
                     shadow[n].0 = new;
-                    prop_assert!(new == old || !tree.update(old, &id, new), "re-keyed twice");
-                    check_query(tree, shadow, old);
-                    check_query(tree, shadow, new);
+                    let mut want = pairs(shadow);
+                    want.sort_unstable();
+                    prop_assert_eq!(contents(tree), want, "the handle re-keys its own entry alone");
+                    check_query(tree, &pairs(shadow), old);
+                    check_query(tree, &pairs(shadow), new);
                 }
             }
         }
@@ -171,9 +170,14 @@ fn drive<const F: usize>(
         );
     }
 
-    let mut want = shadow.clone();
+    let mut want = pairs(shadow);
     want.sort_unstable();
     prop_assert_eq!(contents(tree), want);
+}
+
+/// A bulk load's handles: the `i`th item's is `i`.
+fn loaded(init: &[Range]) -> Vec<(Range, u64, u32)> {
+    init.iter().enumerate().map(|(i, r)| (*r, i as u64, i as u32)).collect()
 }
 
 proptest! {
@@ -181,7 +185,7 @@ proptest! {
     #[test]
     fn matches_brute_force(ops in prop::collection::vec(arb_op(), 1..200)) {
         let mut tree: RTree<u64> = RTree::new();
-        let mut shadow: Vec<(Range, u64)> = Vec::new();
+        let mut shadow: Vec<(Range, u64, u32)> = Vec::new();
         let mut next_id = 0u64;
         drive(&mut tree, &mut shadow, &mut next_id, ops);
     }
@@ -194,17 +198,16 @@ proptest! {
         init in prop::collection::vec(arb_range(), 0..300),
         ops in prop::collection::vec(arb_op(), 1..150),
     ) {
-        let mut shadow: Vec<(Range, u64)> =
-            init.iter().enumerate().map(|(i, r)| (*r, i as u64)).collect();
+        let mut shadow = loaded(&init);
         let mut next_id = shadow.len() as u64;
-        let mut tree: RTree<u64> = RTree::bulk_load(shadow.clone());
+        let mut tree: RTree<u64> = RTree::bulk_load(pairs(&shadow));
         prop_assert_eq!(tree.len(), shadow.len());
         prop_assert!(tree.height() <= height_bound(tree.len().max(1), min_fill(DEFAULT_FANOUT)));
         drive(&mut tree, &mut shadow, &mut next_id, ops);
 
         // A fresh bulk load of the surviving set answers every window
         // query identically to the mutated tree (sorted result sets).
-        let rebuilt: RTree<u64> = RTree::bulk_load(shadow.clone());
+        let rebuilt: RTree<u64> = RTree::bulk_load(pairs(&shadow));
         prop_assert_eq!(rebuilt.len(), tree.len());
         for q in [
             Range::from_coords(1, 1, 70, 70),
@@ -230,14 +233,15 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..80),
     ) {
         fn run<const F: usize>(init: &[Range], ops: &[Op], packed: bool) -> Vec<(Range, u64)> {
-            let mut shadow: Vec<(Range, u64)> =
-                init.iter().enumerate().map(|(i, r)| (*r, i as u64)).collect();
+            let mut shadow = loaded(init);
             let mut next_id = shadow.len() as u64;
             let mut tree: FanoutRTree<u64, F> = if packed {
-                FanoutRTree::bulk_load(shadow.clone())
+                FanoutRTree::bulk_load(pairs(&shadow))
             } else {
                 let mut grown = FanoutRTree::new();
-                shadow.iter().for_each(|&(r, id)| grown.insert(r, id));
+                for (r, id, handle) in &mut shadow {
+                    *handle = grown.insert(*r, *id);
+                }
                 prop_assert_eq!(grown.check_invariants(), Ok(0));
                 grown
             };
@@ -254,27 +258,40 @@ proptest! {
     }
 }
 
-/// Of several identical `(range, value)` entries, `update` re-keys exactly
-/// one per call.
+/// Of several identical `(range, value)` entries, `update` re-keys
+/// exactly the one its handle names.
 #[test]
 fn update_rekeys_exactly_one_duplicate() {
     fn run<const F: usize>() {
         let (home, away) = (Range::from_coords(3, 3, 4, 9), Range::from_coords(40, 1, 40, 2));
         let mut tree: FanoutRTree<u64, F> = FanoutRTree::new();
+        let mut twins = Vec::new();
         for i in 0..3 * F as u32 {
             tree.insert(Range::cell(Cell::new(1 + i % 7, 1 + i / 7)), u64::from(i) + 100);
             if i % F as u32 == 0 {
-                tree.insert(home, 7);
+                twins.push(tree.insert(home, 7));
             }
         }
-        for moved in 1..=3 {
-            assert!(tree.update(home, &7, away));
-            assert_eq!(tree.overlapping(away).len(), moved);
-            assert_eq!(tree.iter().filter(|&(r, v)| r == home && *v == 7).count(), 3 - moved);
+        for (moved, &handle) in twins.iter().enumerate() {
+            tree.update(handle, away);
+            assert_eq!(tree.overlapping(away).len(), moved + 1);
+            assert_eq!(tree.iter().filter(|&(r, v)| r == home && *v == 7).count(), 2 - moved);
             assert_eq!(tree.check_invariants(), Ok(0));
         }
-        assert!(!tree.update(home, &7, away), "all three have moved");
-        assert_eq!(tree.len(), 3 * F + 3);
+        // A handle survives the condense that moves its entry between
+        // leaves: remove every other entry, then move the twins back.
+        for i in 0..3 * F as u32 {
+            assert!(
+                tree.remove(Range::cell(Cell::new(1 + i % 7, 1 + i / 7)), &(u64::from(i) + 100))
+            );
+        }
+        for &handle in &twins {
+            tree.update(handle, home);
+            assert_eq!(tree.check_invariants(), Ok(0));
+        }
+        assert_eq!(tree.overlapping(home).len(), 3);
+        assert!(tree.overlapping(away).is_empty());
+        assert_eq!(tree.len(), 3);
     }
     run::<8>();
     run::<16>();

@@ -8,6 +8,7 @@ use crate::protocol::{Request, Response, RetryClass, ServiceStats};
 use crate::registry::Registry;
 use crate::server::{read_handshake, write_handshake};
 use crate::ServiceError;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,6 +71,10 @@ impl Transport for InProc {
 /// The TCP transport: one connection, one frame per request and reply.
 pub struct Tcp {
     stream: TcpStream,
+    /// Replies are read through a buffer over a clone of `stream`, so a
+    /// frame is one `read`, not one per length byte. It belongs to this
+    /// connection alone: a reconnect replaces it with the stream.
+    reader: BufReader<TcpStream>,
     addr: SocketAddr,
     max_frame: u64,
 }
@@ -81,7 +86,8 @@ impl Tcp {
         write_handshake(&mut stream)?;
         read_handshake(&mut stream)?;
         let addr = stream.peer_addr()?;
-        Ok(Tcp { stream, addr, max_frame: DEFAULT_MAX_FRAME })
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Tcp { stream, reader, addr, max_frame: DEFAULT_MAX_FRAME })
     }
 }
 
@@ -96,13 +102,12 @@ impl Transport for Tcp {
             None => req.encode(),
         };
         write_frame(&mut self.stream, &bytes)?;
-        let payload = read_frame(&mut self.stream, self.max_frame)?;
+        let payload = read_frame(&mut self.reader, self.max_frame)?;
         Ok(Response::decode(&payload)?)
     }
 
     fn reconnect(&mut self) -> Result<(), ServiceError> {
-        let fresh = Tcp::connect(self.addr)?;
-        self.stream = fresh.stream;
+        *self = Tcp { max_frame: self.max_frame, ..Tcp::connect(self.addr)? };
         Ok(())
     }
 }

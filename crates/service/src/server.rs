@@ -32,7 +32,7 @@ use crate::registry::lock;
 use crate::registry::Registry;
 use crate::ServiceError;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -255,7 +255,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
             shared.registry.note_busy_rejection();
             let _ = write_frame(&mut stream, &Response::Err(ServiceError::Busy).encode());
         } else {
-            frame_loop(&mut stream, &shared, &mut opened_tokens);
+            frame_loop(&stream, &shared, &mut opened_tokens);
         }
     }
 
@@ -268,17 +268,23 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn frame_loop(stream: &mut TcpStream, shared: &ServerShared, opened: &mut Vec<u64>) {
+/// Serves frames until the peer goes or the server stops. Requests are
+/// read through a buffer, so a frame's length, checksum and payload (and
+/// any frames sent behind it) arrive in one `read`, not one per length
+/// byte; the unbuffered handshake before it consumed exactly its six
+/// bytes, so nothing is left behind.
+fn frame_loop(stream: &TcpStream, shared: &ServerShared, opened: &mut Vec<u64>) {
+    let (mut reader, mut stream) = (BufReader::new(stream), stream);
     loop {
         if shared.stopping.load(Ordering::SeqCst) {
             return;
         }
-        let payload = match read_frame(stream, shared.opts.max_frame) {
+        let payload = match read_frame(&mut reader, shared.opts.max_frame) {
             Ok(p) => p,
             Err(e @ (StoreError::Malformed(_) | StoreError::ChecksumMismatch { .. })) => {
                 // The stream's framing can no longer be trusted: report
                 // (best effort) and close.
-                let _ = write_frame(stream, &Response::Err(ServiceError::Wire(e)).encode());
+                let _ = write_frame(&mut stream, &Response::Err(ServiceError::Wire(e)).encode());
                 return;
             }
             // EOF / reset / mid-frame disconnect: the peer is gone.
@@ -290,7 +296,8 @@ fn frame_loop(stream: &mut TcpStream, shared: &ServerShared, opened: &mut Vec<u6
                 // The frame was intact (CRC passed) but its content is not
                 // a request: the stream is still in sync — answer and
                 // keep serving.
-                if write_frame(stream, &Response::Err(ServiceError::Wire(e)).encode()).is_err() {
+                if write_frame(&mut stream, &Response::Err(ServiceError::Wire(e)).encode()).is_err()
+                {
                     return;
                 }
                 continue;
@@ -307,7 +314,7 @@ fn frame_loop(stream: &mut TcpStream, shared: &ServerShared, opened: &mut Vec<u6
         if let Some(token) = closing {
             opened.retain(|t| *t != token);
         }
-        if write_frame(stream, &resp.encode()).is_err() {
+        if write_frame(&mut stream, &resp.encode()).is_err() {
             return;
         }
     }

@@ -355,6 +355,49 @@ fn valid_frame_with_malformed_request_keeps_the_stream_alive() {
     server.shutdown();
 }
 
+/// The server reads frames through a buffer: two requests that arrive in
+/// one segment, behind the handshake, are both answered, in order, and a
+/// request that trickles in a byte at a time is answered once whole.
+#[test]
+fn coalesced_and_trickled_frames_are_each_answered_in_order() {
+    let registry = demo_registry();
+    let server = start_server(&registry, ServerOptions::default());
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut burst = b"TSRV".to_vec();
+    burst.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    burst.extend(open_frame());
+    s.write_all(&burst).unwrap();
+    let mut echo = [0u8; 6];
+    s.read_exact(&mut echo).unwrap();
+    assert_eq!(echo[..], burst[..6]);
+    let token = match Response::decode(&read_frame(&mut s, 1 << 20).unwrap()).unwrap() {
+        Response::Opened { token, .. } => token,
+        other => panic!("{other:?}"),
+    };
+    let get = |row| {
+        let req = Request::Get { token, sheet: "Data".into(), cell: Cell::new(1, row) };
+        framed(&req.encode())
+    };
+    let read_value =
+        |s: &mut TcpStream| Response::decode(&read_frame(s, 1 << 20).unwrap()).unwrap();
+
+    s.write_all(&[get(2), get(5)].concat()).unwrap();
+    for want in [2.0, 5.0] {
+        assert_eq!(read_value(&mut s), Response::Value(Value::Number(want)));
+    }
+
+    s.set_nodelay(true).unwrap();
+    for byte in get(7) {
+        s.write_all(&[byte]).unwrap();
+        s.flush().unwrap();
+    }
+    assert_eq!(read_value(&mut s), Response::Value(Value::Number(7.0)));
+    drop(s);
+    assert_still_serving(&server);
+    server.shutdown();
+}
+
 #[test]
 fn bogus_handshake_is_dropped() {
     let registry = demo_registry();
