@@ -94,9 +94,8 @@ struct MaintScratch {
 pub struct FormulaGraph {
     config: Config,
     edges: Slab<Edge>,
-    /// R-trees over precedent vertex ranges → edge id, one per band. Not
-    /// kept while `build` compresses (`building`): Alg. 2 reads only
-    /// `dep_index`, and the `optimize` that ends the build loads it.
+    /// R-trees over precedent vertex ranges → edge id, one per band; empty
+    /// while `building`.
     prec_index: BandIndex,
     /// R-trees over dependent vertex ranges → edge id, one per band.
     dep_index: BandIndex,
@@ -117,7 +116,9 @@ pub struct FormulaGraph {
     /// Reusable buffers for the `&mut self` maintenance paths.
     scratch: MaintScratch,
     /// Set while `build` compresses and nothing else can see the graph:
-    /// the mutation funnel leaves `prec_index` alone until `optimize`.
+    /// Alg. 2 reads only `dep_index`, so the mutation funnel leaves
+    /// `prec_index` alone until the `optimize` that ends the build loads
+    /// it.
     building: bool,
 }
 
